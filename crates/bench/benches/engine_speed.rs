@@ -60,21 +60,12 @@ fn main() {
         .unwrap()
         .1;
     let vm = medians.iter().find(|(e, _)| *e == Engine::Vm).unwrap().1;
-    let verified = medians
-        .iter()
-        .find(|(e, _)| *e == Engine::VmVerified)
-        .unwrap()
-        .1;
     let simd = medians
         .iter()
         .find(|(e, _)| *e == Engine::VmSimd)
         .unwrap()
         .1;
     println!("engine_speed: vm is {:.2}x the interpreter", interp / vm);
-    println!(
-        "engine_speed: vm-verified (unchecked accesses) is {:.2}x the checked vm",
-        vm / verified
-    );
     println!(
         "engine_speed: vm-simd (superinstructions + lanes) is {:.2}x the interpreter",
         interp / simd

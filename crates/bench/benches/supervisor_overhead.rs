@@ -1,7 +1,7 @@
 //! Bench measuring the cost of the supervisor's fault boundary.
 //!
 //! Both arms do the same end-to-end work — optimize SIMPLE at c2+f3,
-//! compile it for the verified VM, and execute at n = 256 — but one runs
+//! compile it for the bytecode VM, and execute at n = 256 — but one runs
 //! bare and one runs under `fusion_core::Supervisor` (stage tracking,
 //! `catch_unwind`, report building; no budgets, no faults). The supervised
 //! arm must stay within 5% of the bare arm: a fault boundary that taxes
@@ -34,17 +34,14 @@ fn main() {
             let opt = Pipeline::new(Level::C2F3).optimize(&program);
             let mut binding = ConfigBinding::defaults(&opt.scalarized.program);
             binding.set_by_name(&opt.scalarized.program, b.size_config, 256);
-            let mut exec = Engine::VmVerified
-                .executor(&opt.scalarized, binding)
-                .unwrap();
+            let mut exec = Engine::Vm.executor(&opt.scalarized, binding).unwrap();
             exec.execute(&mut NoopObserver).unwrap().checksum()
         })
         .min_ns
     };
     let supervised = || {
         bench(0, 1, || {
-            let sup =
-                Supervisor::new(Level::C2F3, Engine::VmVerified).with_binding(b.size_config, 256);
+            let sup = Supervisor::new(Level::C2F3, Engine::Vm).with_binding(b.size_config, 256);
             sup.run_program(&program).unwrap().outcome.checksum()
         })
         .min_ns
@@ -65,12 +62,12 @@ fn main() {
     println!("bench supervisor_overhead/simple_n256_c2f3/bare       median {bare_ms:.3} ms");
     println!("bench supervisor_overhead/simple_n256_c2f3/supervised median {sup_ms:.3} ms");
     println!(
-        "supervisor_overhead: {overhead_pct:+.2}% vs bare vm-verified (target <= {TARGET_PCT}%) — {}",
+        "supervisor_overhead: {overhead_pct:+.2}% vs bare vm (target <= {TARGET_PCT}%) — {}",
         if pass { "ok" } else { "OVER BUDGET" }
     );
 
     let json = format!(
-        "{{\n  \"bench\": \"supervisor_overhead\",\n  \"config\": \"simple n=256 c2+f3 vm-verified\",\n  \
+        "{{\n  \"bench\": \"supervisor_overhead\",\n  \"config\": \"simple n=256 c2+f3 vm\",\n  \
          \"bare_ms\": {bare_ms:.6},\n  \"supervised_ms\": {sup_ms:.6},\n  \
          \"overhead_pct\": {overhead_pct:.3},\n  \"target_pct\": {TARGET_PCT:.1},\n  \"pass\": {pass}\n}}\n"
     );

@@ -166,7 +166,7 @@ fn main() {
         let (base_out, _, base_ms) = timed(&shared, None, 0, rounds);
         let serial = unit_cost(&base_out.stats);
         println!(
-            "\n{:8} n={:4}  vm-verified: cost {serial:>12}  {base_ms:8.2} ms",
+            "\n{:8} n={:4}  vm         : cost {serial:>12}  {base_ms:8.2} ms",
             b.name, cfg.n
         );
 
@@ -179,7 +179,7 @@ fn main() {
             b.name
         );
         println!(
-            "           vm-simd    : {simd_ms:8.2} ms ({:.2}x vm-verified)",
+            "           vm-simd    : {simd_ms:8.2} ms ({:.2}x vm)",
             base_ms / simd_ms
         );
 

@@ -259,7 +259,6 @@ mod tests {
             rce: false,
             rce2: false,
             engine: Engine::Vm,
-            simd: false,
         }
     }
 

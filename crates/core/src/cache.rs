@@ -7,7 +7,7 @@
 //! is cheap per-request state. [`CompileCache`] memoizes the compile
 //! half: keys are [`CacheKey`] — the structural digest of the program
 //! *and* its concrete config binding ([`crate::hash::key_hash`]) plus
-//! the explicit `(level, dse, rce, rce2, engine, simd)` coordinates — and values are
+//! the explicit `(level, dse, rce, rce2, engine)` coordinates — and values are
 //! [`CachedProgram`] — the `Arc`-shared scalarized program plus, for the
 //! VM engines, the compiled-and-verified
 //! [`SharedProgram`] handle. A hit skips the
@@ -56,13 +56,9 @@ pub struct CacheKey {
     /// Whether the stencil-aware availability-driven redundancy pass ran.
     pub rce2: bool,
     /// The engine the artifact was compiled for (decides whether a
-    /// [`SharedProgram`] exists and whether it was verified).
+    /// [`SharedProgram`] exists, and whether it is the plain bytecode or
+    /// the verified superinstruction stream).
     pub engine: Engine,
-    /// Whether the superinstruction peephole ran over the bytecode —
-    /// derived from the engine (`vm-simd`/`vm-par`), carried explicitly
-    /// so the superfused and plain compilations of one program can never
-    /// collide.
-    pub simd: bool,
 }
 
 impl CacheKey {
@@ -84,7 +80,6 @@ impl CacheKey {
             rce,
             rce2,
             engine,
-            simd: matches!(engine, Engine::VmSimd | Engine::VmPar),
         }
     }
 
@@ -104,7 +99,7 @@ pub struct CachedProgram {
     /// The scalarized program, shared — the [`Interp`] engine and the
     /// simulated runtime execute this directly.
     pub scalarized: Arc<ScalarProgram>,
-    /// The compiled (and, for `vm-verified`/`vm-par`, verified) bytecode
+    /// The compiled (and, for `vm-simd`/`vm-par`, verified) bytecode
     /// handle; `None` for [`Engine::Interp`].
     pub shared: Option<SharedProgram>,
     /// The binding the artifact was compiled under.

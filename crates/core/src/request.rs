@@ -13,7 +13,7 @@
 //! [`RunRequest::exec_opts`], [`RunRequest::limits`], and
 //! [`RunRequest::binding_for`]. The serving path
 //! ([`mod@crate::serve`], [`crate::cache`]) keys its compile cache on the
-//! request's `(level, dse, rce, rce2, engine, simd)` coordinates.
+//! request's `(level, dse, rce, rce2, engine)` coordinates.
 //!
 //! ```
 //! use fusion_core::request::RunRequest;
@@ -23,7 +23,7 @@
 //! let req = RunRequest::new()
 //!     .with_level_spec("c2+f3+dse")
 //!     .unwrap()
-//!     .with_engine(Engine::VmVerified)
+//!     .with_engine(Engine::VmSimd)
 //!     .with_set("n", 32);
 //! assert_eq!(req.level, Level::C2F3);
 //! assert!(req.dse && !req.rce);
@@ -162,7 +162,7 @@ impl RunRequest {
     }
 
     /// Parses and sets the engine from its flag name, accepting the same
-    /// aliases as `Engine::from_str` (`interp`, `vm`, `vm-verified`,
+    /// aliases as `Engine::from_str` (`interp`, `vm`, `vm-simd`,
     /// `vm-par`, ...).
     ///
     /// # Errors
@@ -369,7 +369,7 @@ mod tests {
         let req = RunRequest::new()
             .with_level_spec("c2+f3")
             .unwrap()
-            .with_engine(Engine::VmVerified)
+            .with_engine(Engine::Vm)
             .with_set("n", 3);
         let run = req.supervisor().run_source(src).unwrap();
         assert_eq!(run.outcome.checksum(), 6.0);

@@ -950,12 +950,7 @@ mod tests {
         begin [R] A := 2.0; [R] B := A * A + 1.5; s := +<< [R] B; end";
 
     fn batch(copies: usize) -> Vec<ServeRequest> {
-        let engines = [
-            Engine::Interp,
-            Engine::Vm,
-            Engine::VmVerified,
-            Engine::VmPar,
-        ];
+        let engines = [Engine::Interp, Engine::Vm, Engine::VmSimd, Engine::VmPar];
         (0..copies)
             .map(|i| {
                 ServeRequest::new(

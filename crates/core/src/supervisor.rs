@@ -13,16 +13,15 @@
 //! fixed ladder when a stage faults:
 //!
 //! ```text
-//! (level, vm-par)   →  (level, vm-simd)  →  (level, vm-verified)
-//!                   →  (level, vm)       →  (level, interp)
-//!                   →  (baseline, interp)
+//! (level, vm-par)   →  (level, vm-simd)  →  (level, vm)
+//!                   →  (level, interp)   →  (baseline, interp)
 //! ```
 //!
 //! The topmost rung is the parallel tiled VM ([`Engine::VmPar`]); it
 //! shares the verified superinstruction bytecode across a thread pool, so
 //! a verifier rejection or tile trap degrades it first to the
 //! single-threaded lane engine ([`Engine::VmSimd`]), then to the scalar
-//! `vm-verified` rung running plain (non-superinstruction) bytecode.
+//! `vm` rung running plain (non-superinstruction) bytecode.
 //!
 //! The final rung — the unoptimized reference interpreter — is the
 //! semantic ground truth for the entire system (every engine is tested
@@ -37,8 +36,9 @@
 //!   output is suppressed while the supervisor is in charge). A panic
 //!   during optimization *poisons the level*: rungs that would re-run the
 //!   same deterministic optimization are skipped.
-//! * **Verifier rejections** — the `vm-verified` engine refuses to
-//!   construct; the plain VM runs the same bytecode with bounds checks.
+//! * **Verifier rejections** — the `vm-simd` and `vm-par` engines refuse
+//!   to construct; the plain VM runs the program's plain bytecode, which
+//!   needs no proof (every access is bounds-checked).
 //! * **Resource budgets** ([`Budgets`]): instruction fuel and a
 //!   wall-clock deadline (enforced inside the engines via
 //!   [`ExecLimits`]), plus a pre-flight estimate of peak allocation from
@@ -58,7 +58,7 @@
 //! let src = "program t; config n : int = 4; region R = [1..n];
 //!            var A : [R] float; var s : float;
 //!            begin [R] A := 2.5; s := +<< [R] A; end";
-//! let sup = Supervisor::new(Level::C2F3, Engine::VmVerified);
+//! let sup = Supervisor::new(Level::C2F3, Engine::VmSimd);
 //! let run = sup.run_source(src).unwrap();
 //! assert_eq!(run.outcome.checksum(), 10.0);
 //! assert!(!run.report.degraded());
@@ -827,15 +827,11 @@ impl<'a> Supervisor<'a> {
             ExecLimits::none()
         };
 
-        enter_stage(
-            if shared.is_none()
-                && matches!(engine, Engine::VmVerified | Engine::VmSimd | Engine::VmPar)
-            {
-                Stage::VerifyBytecode
-            } else {
-                Stage::Execute
-            },
-        );
+        enter_stage(if shared.is_none() && engine.superfused() {
+            Stage::VerifyBytecode
+        } else {
+            Stage::Execute
+        });
         let run = quiet_catch(|| -> Result<RunOutcome, ExecError> {
             if use_sim {
                 if let Some(sim) = &self.sim {
@@ -894,13 +890,7 @@ impl<'a> Supervisor<'a> {
 /// engines at the same level, then the unoptimized reference
 /// interpreter.
 fn ladder(level: Level, engine: Engine) -> Vec<(Level, Engine)> {
-    let order = [
-        Engine::VmPar,
-        Engine::VmSimd,
-        Engine::VmVerified,
-        Engine::Vm,
-        Engine::Interp,
-    ];
+    let order = [Engine::VmPar, Engine::VmSimd, Engine::Vm, Engine::Interp];
     let start = order
         .iter()
         .position(|&e| e == engine)
@@ -939,12 +929,12 @@ mod tests {
 
     #[test]
     fn clean_run_is_not_degraded() {
-        let sup = Supervisor::new(Level::C2F3, Engine::VmVerified);
+        let sup = Supervisor::new(Level::C2F3, Engine::Vm);
         let run = sup.run_source(SRC).unwrap();
         assert_eq!(run.outcome.checksum(), reference_checksum());
         assert!(!run.report.degraded());
         assert_eq!(run.report.retries(), 0);
-        assert_eq!(run.report.final_engine, Engine::VmVerified);
+        assert_eq!(run.report.final_engine, Engine::Vm);
     }
 
     #[test]
@@ -984,7 +974,7 @@ mod tests {
     #[test]
     fn grow_panic_degrades_to_baseline() {
         let _g = faults::install(FaultPlan::new(7).with(FaultSite::FuseGrow, 1.0));
-        let sup = Supervisor::new(Level::C2F3, Engine::VmVerified);
+        let sup = Supervisor::new(Level::C2F3, Engine::Vm);
         let run = sup.run_source(SRC).unwrap();
         assert_eq!(run.outcome.checksum(), reference_checksum());
         assert!(run.report.degraded());
@@ -997,7 +987,7 @@ mod tests {
     #[test]
     fn verify_reject_degrades_to_plain_vm() {
         let _g = faults::install(FaultPlan::new(7).with(FaultSite::VerifyReject, 1.0));
-        let sup = Supervisor::new(Level::C2F3, Engine::VmVerified);
+        let sup = Supervisor::new(Level::C2F3, Engine::VmSimd);
         let run = sup.run_source(SRC).unwrap();
         assert_eq!(run.outcome.checksum(), reference_checksum());
         assert_eq!(run.report.final_engine, Engine::Vm);
@@ -1011,7 +1001,7 @@ mod tests {
     #[test]
     fn vm_trap_degrades_to_interp() {
         let _g = faults::install(FaultPlan::new(7).with(FaultSite::VmTrap, 1.0));
-        let sup = Supervisor::new(Level::C2F3, Engine::VmVerified);
+        let sup = Supervisor::new(Level::C2F3, Engine::Vm);
         let run = sup.run_source(SRC).unwrap();
         assert_eq!(run.outcome.checksum(), reference_checksum());
         assert_eq!(run.report.final_engine, Engine::Interp);
@@ -1020,7 +1010,7 @@ mod tests {
 
     #[test]
     fn zero_fuel_falls_to_unbudgeted_reference() {
-        let sup = Supervisor::new(Level::C2F3, Engine::VmVerified).with_budgets(Budgets {
+        let sup = Supervisor::new(Level::C2F3, Engine::Vm).with_budgets(Budgets {
             fuel: Some(0),
             ..Budgets::none()
         });
@@ -1032,7 +1022,7 @@ mod tests {
 
     #[test]
     fn zero_deadline_falls_to_unbudgeted_reference() {
-        let sup = Supervisor::new(Level::C2F3, Engine::VmVerified).with_budgets(Budgets {
+        let sup = Supervisor::new(Level::C2F3, Engine::Vm).with_budgets(Budgets {
             deadline: Some(Duration::ZERO),
             ..Budgets::none()
         });
@@ -1049,7 +1039,7 @@ mod tests {
             region RH = [0..n+1]; region R = [1..n];
             var H : [RH] float; var A : [R] float; var s : float;
             begin [RH] H := 1.0; [R] A := H@[-1] + H@[1]; s := +<< [R] A; end";
-        let sup = Supervisor::new(Level::C2F3, Engine::VmVerified).with_budgets(Budgets {
+        let sup = Supervisor::new(Level::C2F3, Engine::Vm).with_budgets(Budgets {
             max_alloc_bytes: Some(1),
             ..Budgets::none()
         });
@@ -1064,7 +1054,7 @@ mod tests {
 
     #[test]
     fn enforced_budget_on_reference_fails_the_run() {
-        let sup = Supervisor::new(Level::C2F3, Engine::VmVerified).with_budgets(Budgets {
+        let sup = Supervisor::new(Level::C2F3, Engine::VmSimd).with_budgets(Budgets {
             fuel: Some(0),
             enforce_on_reference: true,
             ..Budgets::none()
@@ -1107,7 +1097,7 @@ mod tests {
 
     #[test]
     fn config_binding_overrides_apply() {
-        let sup = Supervisor::new(Level::C2F3, Engine::VmVerified).with_binding("n", 3);
+        let sup = Supervisor::new(Level::C2F3, Engine::Vm).with_binding("n", 3);
         let run = sup.run_source(SRC).unwrap();
         // n=3: B = 4.0 over three points.
         assert_eq!(run.outcome.checksum(), 12.0);
@@ -1187,7 +1177,7 @@ mod tests {
 
     #[test]
     fn with_remaining_tightens_the_deadline() {
-        let sup = Supervisor::new(Level::C2F3, Engine::VmVerified)
+        let sup = Supervisor::new(Level::C2F3, Engine::Vm)
             .with_budgets(Budgets {
                 deadline: Some(Duration::from_secs(60)),
                 ..Budgets::none()
@@ -1197,7 +1187,7 @@ mod tests {
         assert_eq!(run.outcome.checksum(), reference_checksum());
         assert!(run.report.faults().any(|c| c.kind == CauseKind::Deadline));
         // And the other direction: a generous remaining never loosens.
-        let sup = Supervisor::new(Level::C2F3, Engine::VmVerified)
+        let sup = Supervisor::new(Level::C2F3, Engine::Vm)
             .with_budgets(Budgets {
                 deadline: Some(Duration::ZERO),
                 ..Budgets::none()

@@ -508,7 +508,7 @@ mod tests {
         assert_eq!(b1.program(), b2.program());
         assert_eq!(program_hash(b1.program()), program_hash(b2.program()));
         let cache = CompileCache::new();
-        let req = RunRequest::new().with_engine(Engine::VmVerified);
+        let req = RunRequest::new().with_engine(Engine::Vm);
         let (out1, hit1) = b1.flush(&req, &cache).unwrap();
         let (out2, hit2) = b2.flush(&req, &cache).unwrap();
         assert!(!hit1 && hit2);

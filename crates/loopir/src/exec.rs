@@ -201,41 +201,37 @@ pub enum Engine {
     Interp,
     /// The bytecode compiler + virtual machine ([`Vm`]) —
     /// same observable behavior, substantially faster. The default.
+    /// Every element access is bounds-checked. The names `vm-verified`
+    /// and `verified` parse to this engine: no unchecked dispatch exists
+    /// for them to select, and the benchmark harness still passes them.
     #[default]
     Vm,
-    /// The VM after [`Vm::verify`](crate::Vm::verify): the bytecode
-    /// verifier statically proves every element access in bounds and the
-    /// dispatch loop drops the per-access slice bounds check. Refuses to
-    /// construct (with the verifier's diagnostics) if the proof fails.
-    VmVerified,
-    /// The verified VM over superinstruction bytecode with lane-based
+    /// The VM over verified superinstruction bytecode with lane-based
     /// innermost-loop dispatch: after compilation a peephole pass collapses
     /// fused element-wise chains into superinstructions and annotates
     /// provably vectorizable innermost loops, which the dispatch loop then
     /// executes over unrolled f64 lanes (with a scalar epilogue for
     /// remainders). Reductions stay strictly serial, so results are
-    /// `f64::to_bits`-identical to [`Engine::Interp`]. Like
-    /// [`Engine::VmVerified`], refuses to construct if the bytecode
-    /// verifier's proof — which independently re-derives every
-    /// superinstruction and lane annotation — fails. Lane fan-out only
-    /// happens under observers that do not consume the per-element address
-    /// stream ([`Observer::wants_addresses`]); under the cache simulator
-    /// the engine runs scalar, preserving the exact address order.
-    VmSimd,
-    /// The verified VM with parallel tiled execution: loop ladders the
-    /// compiler proved independent along one dimension fan out as per-tile
-    /// tasks on a work-stealing `std::thread` pool. Bit-identical to
-    /// [`Engine::Interp`] regardless of thread count (reductions stay
-    /// sequential, tile counters merge in deterministic tile order).
-    /// Like [`Engine::VmVerified`], refuses to construct if the bytecode
-    /// verifier's proof fails. Fan-out only happens under observers that
+    /// `f64::to_bits`-identical to [`Engine::Interp`]. Refuses to
+    /// construct (with the verifier's diagnostics) if the bytecode
+    /// verifier's proof — which bounds every element access and
+    /// independently re-derives every superinstruction and lane
+    /// annotation — fails. Lane fan-out only happens under observers that
     /// do not consume the per-element address stream
     /// ([`Observer::wants_addresses`]); under the cache simulator the
-    /// engine runs sequentially, preserving the exact address order.
-    ///
-    /// Since the two-tier ISA landed, `VmPar` also runs superinstruction
-    /// bytecode and vectorizes the innermost loop of each tile, composing
-    /// the thread pool (outer tiles) with lane dispatch (inner loop).
+    /// engine runs scalar, preserving the exact address order.
+    VmSimd,
+    /// [`Engine::VmSimd`] with parallel tiled execution: loop ladders the
+    /// compiler proved independent along one dimension fan out as per-tile
+    /// tasks on a work-stealing `std::thread` pool, and each tile
+    /// vectorizes its innermost loop (outer tiles x inner lanes).
+    /// Bit-identical to [`Engine::Interp`] regardless of thread count
+    /// (reductions stay sequential, tile counters merge in deterministic
+    /// tile order). Like [`Engine::VmSimd`], refuses to construct if the
+    /// bytecode verifier's proof fails, and fans out only under observers
+    /// that do not consume the per-element address stream; under the cache
+    /// simulator the engine runs sequentially, preserving the exact
+    /// address order.
     VmPar,
 }
 
@@ -272,28 +268,64 @@ impl ExecOpts {
     }
 }
 
+/// The program form an engine executes.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Form {
+    /// The [`ScalarProgram`] tree itself.
+    Tree,
+    /// Plain bytecode, run without consulting the verifier.
+    Bytecode,
+    /// Superinstruction bytecode with lane annotations, verified at
+    /// construction: a rejection refuses the engine.
+    Superfused,
+}
+
+/// What an engine name means.
+struct Shape {
+    name: &'static str,
+    form: Form,
+    /// Whether [`ExecOpts::lanes`] applies.
+    lanes: bool,
+    /// Whether [`ExecOpts::threads`] applies.
+    threads: bool,
+}
+
 impl Engine {
     /// Every engine, reference interpreter first.
-    pub fn all() -> [Engine; 5] {
-        [
-            Engine::Interp,
-            Engine::Vm,
-            Engine::VmVerified,
-            Engine::VmSimd,
-            Engine::VmPar,
-        ]
+    pub fn all() -> [Engine; 4] {
+        [Engine::Interp, Engine::Vm, Engine::VmSimd, Engine::VmPar]
     }
 
-    /// The engine's flag/display name (`interp`, `vm`, `vm-verified`,
-    /// `vm-simd`, or `vm-par`).
-    pub fn name(self) -> &'static str {
-        match self {
-            Engine::Interp => "interp",
-            Engine::Vm => "vm",
-            Engine::VmVerified => "vm-verified",
-            Engine::VmSimd => "vm-simd",
-            Engine::VmPar => "vm-par",
+    /// The one place that says what each engine is: the engines are one
+    /// interpreter plus one VM under three settings (bytecode form, lanes,
+    /// threads), and every constructor below reads them from here.
+    fn shape(self) -> Shape {
+        let (name, form, lanes, threads) = match self {
+            Engine::Interp => ("interp", Form::Tree, false, false),
+            Engine::Vm => ("vm", Form::Bytecode, false, false),
+            Engine::VmSimd => ("vm-simd", Form::Superfused, true, false),
+            Engine::VmPar => ("vm-par", Form::Superfused, true, true),
+        };
+        Shape {
+            name,
+            form,
+            lanes,
+            threads,
         }
+    }
+
+    /// The engine's flag/display name (`interp`, `vm`, `vm-simd`, or
+    /// `vm-par`).
+    pub fn name(self) -> &'static str {
+        self.shape().name
+    }
+
+    /// Whether the engine runs verified superinstruction bytecode
+    /// ([`Vm::new_superfused`] + [`Vm::verify`]) — the engines whose
+    /// construction can fail with a [`Verify`](crate::ErrorKind::Verify)
+    /// error.
+    pub fn superfused(self) -> bool {
+        self.shape().form == Form::Superfused
     }
 
     /// Creates a boxed executor for a program under a config binding,
@@ -312,11 +344,12 @@ impl Engine {
         self.executor_with(prog, binding, ExecOpts::default())
     }
 
-    /// Creates a boxed executor with explicit [`ExecOpts`].
+    /// Creates a boxed executor with explicit [`ExecOpts`]:
+    /// [`Engine::compile_shared`], then [`Engine::shared_executor`].
     ///
     /// # Errors
     ///
-    /// As [`Engine::executor`]; additionally, `VmVerified` and `VmPar`
+    /// As [`Engine::executor`]; additionally, `VmSimd` and `VmPar`
     /// return a [`Verify`](crate::ErrorKind::Verify) error carrying every
     /// diagnostic when the bytecode verifier rejects the program.
     pub fn executor_with<'p>(
@@ -325,21 +358,9 @@ impl Engine {
         binding: ConfigBinding,
         opts: ExecOpts,
     ) -> Result<Box<dyn Executor + 'p>, ExecError> {
-        Ok(match self {
-            Engine::Interp => Box::new(Interp::new(prog, binding)),
-            Engine::Vm => Box::new(Vm::new(prog, binding)?),
-            Engine::VmVerified => Box::new(verified_vm(prog, binding)?),
-            Engine::VmSimd => {
-                let mut vm = superfused_vm(prog, binding)?;
-                vm.set_lanes(opts.lanes);
-                Box::new(vm)
-            }
-            Engine::VmPar => {
-                let mut vm = superfused_vm(prog, binding)?;
-                vm.set_lanes(opts.lanes);
-                vm.set_threads(opts.threads);
-                Box::new(vm)
-            }
+        Ok(match self.compile_shared(prog, binding.clone())? {
+            Some(shared) => self.shared_executor(&shared, opts),
+            None => Box::new(Interp::new(prog, binding)),
         })
     }
 
@@ -349,28 +370,42 @@ impl Engine {
     /// form to share; callers re-instantiate it from the
     /// [`ScalarProgram`]).
     ///
-    /// The handle remembers whether verification ran: `VmVerified` and
+    /// The handle remembers whether verification ran: `VmSimd` and
     /// `VmPar` verify here, once, so every executor later built from the
-    /// handle with [`Engine::shared_executor`] starts on the unchecked
-    /// fast path without re-running the verifier. This is the compile
+    /// handle with [`Engine::shared_executor`] may fan out over lanes and
+    /// tiles without re-running the verifier. This is the compile
     /// half of the compile-once/execute-many serving path — the
     /// `fusion_core` compile cache stores exactly this handle.
     ///
     /// # Errors
     ///
     /// As [`Engine::executor`]: lowering failures for every VM engine,
-    /// plus verifier rejections for `VmVerified` and `VmPar`.
+    /// plus verifier rejections for `VmSimd` and `VmPar`.
     pub fn compile_shared(
         self,
         prog: &ScalarProgram,
         binding: ConfigBinding,
     ) -> Result<Option<SharedProgram>, ExecError> {
-        Ok(match self {
-            Engine::Interp => None,
-            Engine::Vm => Some(Vm::new(prog, binding)?.share()),
-            Engine::VmVerified => Some(verified_vm(prog, binding)?.share()),
-            Engine::VmSimd | Engine::VmPar => Some(superfused_vm(prog, binding)?.share()),
-        })
+        let vm = match self.shape().form {
+            Form::Tree => return Ok(None),
+            Form::Bytecode => Vm::new(prog, binding)?,
+            Form::Superfused => {
+                // The verifier re-derives every superinstruction and lane
+                // annotation from first principles, so a peephole bug
+                // cannot reach the raw-pointer lane and tile code: the
+                // engine refuses to construct instead.
+                let mut vm = Vm::new_superfused(prog, binding)?;
+                if let Err(diags) = vm.verify() {
+                    let msgs: Vec<String> = diags.iter().map(|d| d.to_string()).collect();
+                    return Err(ExecError::verify(format!(
+                        "bytecode verification failed:\n{}",
+                        msgs.join("\n")
+                    )));
+                }
+                vm
+            }
+        };
+        Ok(Some(vm.share()))
     }
 
     /// Builds a fresh executor around an already-compiled
@@ -379,50 +414,20 @@ impl Engine {
     /// compile-once/execute-many serving path.
     ///
     /// The handle must have come from [`Engine::compile_shared`] on a
-    /// compatible engine: a `VmVerified`/`VmPar` executor built from an
-    /// unverified handle runs with bounds checks on (correct, just
-    /// slower), never unchecked.
+    /// compatible engine: a `VmSimd`/`VmPar` executor built from an
+    /// unverified handle runs every loop scalar and sequential (correct,
+    /// just slower), never through the raw-pointer lane and tile code.
     pub fn shared_executor(self, shared: &SharedProgram, opts: ExecOpts) -> Box<dyn Executor> {
+        let shape = self.shape();
         let mut vm = Vm::from_shared(shared);
-        if matches!(self, Engine::VmSimd | Engine::VmPar) {
+        if shape.lanes {
             vm.set_lanes(opts.lanes);
         }
-        if self == Engine::VmPar {
+        if shape.threads {
             vm.set_threads(opts.threads);
         }
         Box::new(vm)
     }
-}
-
-/// Compiles and verifies a VM, converting verifier diagnostics into a
-/// [`Verify`](crate::ErrorKind::Verify)-kind error.
-fn verified_vm(prog: &ScalarProgram, binding: ConfigBinding) -> Result<Vm, ExecError> {
-    let mut vm = Vm::new(prog, binding)?;
-    if let Err(diags) = vm.verify() {
-        let msgs: Vec<String> = diags.iter().map(|d| d.to_string()).collect();
-        return Err(ExecError::verify(format!(
-            "bytecode verification failed:\n{}",
-            msgs.join("\n")
-        )));
-    }
-    Ok(vm)
-}
-
-/// Compiles with the superinstruction peephole, then verifies — the
-/// construction path for [`Engine::VmSimd`] and [`Engine::VmPar`]. The
-/// verifier re-derives every superinstruction and lane annotation from
-/// first principles, so a peephole bug cannot reach the unchecked lane
-/// dispatch: the engine refuses to construct instead.
-fn superfused_vm(prog: &ScalarProgram, binding: ConfigBinding) -> Result<Vm, ExecError> {
-    let mut vm = Vm::new_superfused(prog, binding)?;
-    if let Err(diags) = vm.verify() {
-        let msgs: Vec<String> = diags.iter().map(|d| d.to_string()).collect();
-        return Err(ExecError::verify(format!(
-            "bytecode verification failed:\n{}",
-            msgs.join("\n")
-        )));
-    }
-    Ok(vm)
 }
 
 impl fmt::Display for Engine {
@@ -437,13 +442,13 @@ impl FromStr for Engine {
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         match s {
             "interp" | "interpreter" => Ok(Engine::Interp),
-            "vm" | "bytecode" => Ok(Engine::Vm),
-            "vm-verified" | "verified" => Ok(Engine::VmVerified),
+            // `vm-verified`: the frozen benchmark harness passes this
+            // name, and scalar dispatch has no unchecked form to select.
+            "vm" | "bytecode" | "vm-verified" | "verified" => Ok(Engine::Vm),
             "vm-simd" | "simd" => Ok(Engine::VmSimd),
             "vm-par" | "parallel" => Ok(Engine::VmPar),
             other => Err(format!(
-                "unknown engine `{other}` (expected `interp`, `vm`, `vm-verified`, \
-                 `vm-simd`, or `vm-par`)"
+                "unknown engine `{other}` (expected `interp`, `vm`, `vm-simd`, or `vm-par`)"
             )),
         }
     }
@@ -457,19 +462,20 @@ mod tests {
     fn engine_parses_and_displays() {
         assert_eq!("vm".parse::<Engine>().unwrap(), Engine::Vm);
         assert_eq!("interp".parse::<Engine>().unwrap(), Engine::Interp);
-        assert_eq!("vm-verified".parse::<Engine>().unwrap(), Engine::VmVerified);
-        assert_eq!("verified".parse::<Engine>().unwrap(), Engine::VmVerified);
+        // `vm-verified` selects nothing `vm` does not: a spelling of it.
+        assert_eq!("vm-verified".parse::<Engine>().unwrap(), Engine::Vm);
+        assert_eq!("verified".parse::<Engine>().unwrap(), Engine::Vm);
+        assert_eq!("vm-verified".parse::<Engine>().unwrap().to_string(), "vm");
         assert_eq!("vm-simd".parse::<Engine>().unwrap(), Engine::VmSimd);
         assert_eq!("simd".parse::<Engine>().unwrap(), Engine::VmSimd);
         assert_eq!("vm-par".parse::<Engine>().unwrap(), Engine::VmPar);
         assert_eq!("parallel".parse::<Engine>().unwrap(), Engine::VmPar);
         assert!("jit".parse::<Engine>().is_err());
         assert_eq!(Engine::Vm.to_string(), "vm");
-        assert_eq!(Engine::VmVerified.to_string(), "vm-verified");
         assert_eq!(Engine::VmSimd.to_string(), "vm-simd");
         assert_eq!(Engine::VmPar.to_string(), "vm-par");
         assert_eq!(Engine::default(), Engine::Vm);
-        assert_eq!(Engine::all().len(), 5);
+        assert_eq!(Engine::all().len(), 4);
     }
 
     #[test]

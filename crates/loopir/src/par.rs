@@ -4,7 +4,8 @@
 //! [`Op::ParBegin`](crate::bytecode::Op) when it can prove the iteration
 //! points independent along one dimension (see
 //! [`ParInfo`](crate::bytecode::ParInfo) for the exact obligations). When
-//! the [`Vm`](crate::Vm) runs with [`Vm::set_threads`](crate::Vm) enabled
+//! the [`Vm`](crate::Vm) runs verified bytecode with
+//! [`Vm::set_threads`](crate::Vm) enabled
 //! and a passive observer, [`run_ladder`] splits that dimension's range
 //! into contiguous tiles and executes each tile as an independent task on
 //! a persistent `std::thread` pool.
@@ -30,9 +31,9 @@
 
 use crate::bytecode::{Code, Op, ParInfo, MAX_LANES, MAX_RANK};
 use crate::exec::TileStats;
-use crate::interp::{binop, ExecError};
-use crate::simd::{self, LaneMem};
-use crate::vm::{resolve, VmArray};
+use crate::interp::{ExecError, NoopObserver, Observer, RunStats};
+use crate::simd::{self, ElemMem};
+use crate::vm::{body_op, resume_after_lanes, VmArray};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread;
@@ -167,8 +168,7 @@ struct Batch {
     deadline: Option<Instant>,
     batch_id: u32,
     /// Lane width for `Op::SimdBegin` loops inside the ladder (`< 2`
-    /// keeps tiles scalar). Only verified superfused programs fan out
-    /// with lanes enabled, mirroring the sequential VM's gate.
+    /// keeps tiles scalar).
     lanes: usize,
     /// The work-stealing cursor: each claim takes the next unstarted tile.
     next: AtomicUsize,
@@ -187,12 +187,17 @@ struct BatchState {
 // varies along the partitioned dimension and is touched at a single
 // constant offset along it, so each tile reads and writes only its own
 // disjoint slice of each written array; arrays that are only read are
-// shared read-only. The pointers stay valid for the whole fan-out because
-// the coordinator borrows the arrays mutably for the duration of
-// `run_ladder`, which does not return until every tile has completed (and
-// workers touch no view after their last tile). All remaining fields are
-// either immutable after publication or synchronized (`Mutex`, atomics).
+// shared read-only. A ladder fans out only on bytecode `Vm::verify`
+// accepted (verifier phase 1 checks the ladder's shape; the disjointness
+// itself is the bytecode compiler's `par_dim` proof). The pointers stay
+// valid for the whole fan-out by a runtime check: the coordinator borrows
+// the arrays mutably for the duration of `run_ladder`, which waits on
+// `done == tiles.len()` before it returns (and workers touch no view after
+// their last tile). All remaining fields are either immutable after
+// publication or synchronized (`Mutex`, atomics).
 unsafe impl Send for Batch {}
+// SAFETY: as for `Send` above — verifier phase 1 plus `par_dim` for
+// race-freedom, `run_ladder`'s completion wait for pointer validity.
 unsafe impl Sync for Batch {}
 
 impl Batch {
@@ -308,12 +313,12 @@ pub(crate) fn run_ladder(
 /// The tile task: re-executes the shared ladder bytecode `[entry, exit)`
 /// over one tile's sub-range, with a private frame and index vector.
 ///
-/// Only the straight-line subset of the ISA can appear inside a ladder
-/// (the compiler puts allocs, counters, and nest bookkeeping before the
-/// `ParBegin`); anything else is a malformed-bytecode trap. Element
-/// accesses are always length-checked against the view — unlike the
-/// sequential unchecked fast path this costs one predictable branch, and
-/// it keeps the raw-pointer path sound even for hand-built bytecode.
+/// A tile is the same loop body the sequential VM runs ([`body_op`]) over
+/// a sub-range and a raw view ([`TileMem`]): only the partitioned
+/// dimension's loop bounds and the lane hand-off are tile-specific. The
+/// compiler puts allocs, counters, and nest bookkeeping before the
+/// `ParBegin`, so anything else inside a ladder is a malformed-bytecode
+/// trap.
 fn run_tile(b: &Batch, ti: usize) -> Result<TileRun, ExecError> {
     let code = &*b.code;
     let ops = &code.ops[..];
@@ -323,37 +328,13 @@ fn run_tile(b: &Batch, ti: usize) -> Result<TileRun, ExecError> {
     let mut idx = b.idx;
     let mut pc = b.info.entry as usize;
     let exit = b.info.exit as usize;
-    let (mut loads, mut stores, mut flops, mut points) = (0u64, 0u64, 0u64, 0u64);
+    let mut mem = TileMem {
+        code,
+        views: &b.views,
+    };
+    let mut n = RunStats::default();
     let mut ops_done = 0u64;
     let mut lane_scratch: Vec<[f64; MAX_LANES]> = Vec::new();
-    // Constituent element load/store of a superinstruction — the same
-    // length-checked view semantics as `Op::Load`/`Op::Store` below.
-    macro_rules! tile_load {
-        ($acc:expr, $dst:expr) => {{
-            let (ai, flat) = resolve(code, &idx, $acc)?;
-            let v = &b.views[ai];
-            if flat >= v.len {
-                return Err(tile_oob(code, ai));
-            }
-            loads += 1;
-            // SAFETY: as for `Op::Load` — length-checked, and tiles only
-            // write disjoint slices.
-            regs[$dst as usize] = unsafe { *v.ptr.add(flat) };
-        }};
-    }
-    macro_rules! tile_store {
-        ($acc:expr, $src:expr) => {{
-            let val = regs[$src as usize];
-            let (ai, flat) = resolve(code, &idx, $acc)?;
-            let v = &b.views[ai];
-            if flat >= v.len {
-                return Err(tile_oob(code, ai));
-            }
-            // SAFETY: as for `Op::Store`.
-            unsafe { *v.ptr.add(flat) = val };
-            stores += 1;
-        }};
-    }
     while pc != exit {
         let op = ops[pc];
         pc += 1;
@@ -365,64 +346,18 @@ fn run_tile(b: &Batch, ti: usize) -> Result<TileRun, ExecError> {
                 }
             }
         }
+        if body_op(
+            op,
+            code,
+            &mut regs,
+            &idx,
+            &mut mem,
+            &mut n,
+            &mut NoopObserver,
+        )? {
+            continue;
+        }
         match op {
-            Op::Add { dst, a, b } => {
-                regs[dst as usize] = regs[a as usize] + regs[b as usize];
-            }
-            Op::Sub { dst, a, b } => {
-                regs[dst as usize] = regs[a as usize] - regs[b as usize];
-            }
-            Op::Mul { dst, a, b } => {
-                regs[dst as usize] = regs[a as usize] * regs[b as usize];
-            }
-            Op::Div { dst, a, b } => {
-                regs[dst as usize] = regs[a as usize] / regs[b as usize];
-            }
-            Op::Bin { op, dst, a, b } => {
-                regs[dst as usize] = binop(op, regs[a as usize], regs[b as usize]);
-            }
-            Op::Neg { dst, src } => {
-                regs[dst as usize] = -regs[src as usize];
-            }
-            Op::Mov { dst, src } => {
-                regs[dst as usize] = regs[src as usize];
-            }
-            Op::Call { intr, dst, base, n } => {
-                let base = base as usize;
-                regs[dst as usize] = intr.eval(&regs[base..base + n as usize]);
-            }
-            Op::IdxF { dst, d } => {
-                regs[dst as usize] = idx[d as usize] as f64;
-            }
-            Op::Load { dst, acc } => {
-                let (ai, flat) = resolve(code, &idx, acc)?;
-                let v = &b.views[ai];
-                if flat >= v.len {
-                    return Err(tile_oob(code, ai));
-                }
-                loads += 1;
-                // SAFETY: `flat < len` was just checked; concurrent tiles
-                // only write disjoint slices (see the Send/Sync note on
-                // `Batch`), and a read of a written array stays at the
-                // tile's own offset along the partitioned dimension.
-                regs[dst as usize] = unsafe { *v.ptr.add(flat) };
-            }
-            Op::Store { acc, src } => {
-                let val = regs[src as usize];
-                let (ai, flat) = resolve(code, &idx, acc)?;
-                let v = &b.views[ai];
-                if flat >= v.len {
-                    return Err(tile_oob(code, ai));
-                }
-                // SAFETY: as for Load; additionally this tile is the only
-                // one whose index range maps onto this slice of the array.
-                unsafe { *v.ptr.add(flat) = val };
-                stores += 1;
-            }
-            Op::Tick { flops: n } => {
-                points += 1;
-                flops += n as u64;
-            }
             Op::SetIdx { d, v } => {
                 idx[d as usize] = if d as usize == pdim { t_start } else { v };
             }
@@ -439,51 +374,6 @@ fn run_tile(b: &Batch, ti: usize) -> Result<TileRun, ExecError> {
                     pc = head as usize;
                 }
             }
-            Op::LdLdBin {
-                op,
-                dst,
-                da,
-                aa,
-                db,
-                ab,
-            } => {
-                tile_load!(aa, da);
-                tile_load!(ab, db);
-                regs[dst as usize] = binop(op, regs[da as usize], regs[db as usize]);
-            }
-            Op::LdBin {
-                op,
-                dst,
-                dl,
-                acc,
-                other,
-                right,
-            } => {
-                tile_load!(acc, dl);
-                let (x, y) = if right { (other, dl) } else { (dl, other) };
-                regs[dst as usize] = binop(op, regs[x as usize], regs[y as usize]);
-            }
-            Op::BinBin {
-                op1,
-                d1,
-                a1,
-                b1,
-                op2,
-                d2,
-                a2,
-                b2,
-            } => {
-                regs[d1 as usize] = binop(op1, regs[a1 as usize], regs[b1 as usize]);
-                regs[d2 as usize] = binop(op2, regs[a2 as usize], regs[b2 as usize]);
-            }
-            Op::BinSt { op, dst, a, b, acc } => {
-                regs[dst as usize] = binop(op, regs[a as usize], regs[b as usize]);
-                tile_store!(acc, dst);
-            }
-            Op::LdSt { dst, la, sa } => {
-                tile_load!(la, dst);
-                tile_store!(sa, dst);
-            }
             Op::SimdBegin { simd } => {
                 // The simd × tiling composition: when the vectorized loop
                 // is the partitioned dimension itself (1-D ladders), the
@@ -497,7 +387,6 @@ fn run_tile(b: &Batch, ti: usize) -> Result<TileRun, ExecError> {
                     } else {
                         (info.start, info.stop)
                     };
-                    let mut mem = TileMem { views: &b.views };
                     let run = simd::run_lanes(
                         code,
                         info,
@@ -511,35 +400,12 @@ fn run_tile(b: &Batch, ti: usize) -> Result<TileRun, ExecError> {
                         b.deadline,
                     )?;
                     if run.iters > 0 {
-                        loads += run.loads;
-                        stores += run.stores;
-                        flops += run.flops;
-                        points += run.points;
                         ops_done += run.ops;
-                        let extent = (s_stop - s_start) / info.step;
-                        if run.iters == extent {
-                            idx[info.dim as usize] = s_stop;
-                            pc = info.exit as usize;
-                        } else {
-                            idx[info.dim as usize] = s_start + run.iters * info.step;
-                            pc = info.head as usize;
-                        }
+                        resume_after_lanes(&run, info.dim, &mut n, &mut idx, &mut pc);
                     }
                 }
             }
-            Op::Reduce { .. }
-            | Op::NestBegin { .. }
-            | Op::ReduceBegin
-            | Op::ParBegin { .. }
-            | Op::Alloc { .. }
-            | Op::CtrInit { .. }
-            | Op::CtrToIdx { .. }
-            | Op::CtrToScalar { .. }
-            | Op::ForInit { .. }
-            | Op::CtrStep { .. }
-            | Op::Jmp { .. }
-            | Op::JmpIfZero { .. }
-            | Op::Halt => {
+            _ => {
                 return Err(ExecError::trap(format!(
                     "{op:?} inside a parallel ladder (malformed bytecode)"
                 )));
@@ -550,28 +416,67 @@ fn run_tile(b: &Batch, ti: usize) -> Result<TileRun, ExecError> {
         stats: TileStats {
             batch: b.batch_id,
             tile: ti as u32,
-            loads,
-            stores,
-            flops,
-            points,
+            loads: n.loads,
+            stores: n.stores,
+            flops: n.flops,
+            points: n.points,
             ops: ops_done,
         },
         final_idx: idx,
     })
 }
 
-/// [`LaneMem`] over a batch's raw array views. Tiles only write disjoint
-/// slices (see `Batch`), so handing the lane loop the raw base pointer is
-/// as sound here as in the scalar tile path; the lane executor's
-/// whole-run span check covers bounds.
+/// [`ElemMem`] over a batch's raw array views. Tiles run only under
+/// passive observers (the VM's fan-out gate), so element accesses report
+/// no addresses; each is length-checked against the view, which keeps the
+/// raw-pointer path sound even for hand-built bytecode, and the lane
+/// executor's whole-run span check covers lane runs.
 struct TileMem<'a> {
+    code: &'a Code,
     views: &'a [ArrayView],
 }
 
-impl LaneMem for TileMem<'_> {
+impl ElemMem for TileMem<'_> {
     fn resolve(&mut self, ai: usize) -> Result<(*mut f64, usize), ExecError> {
         let v = &self.views[ai];
         Ok((v.ptr, v.len))
+    }
+
+    #[inline(always)]
+    fn load<O: Observer + ?Sized>(
+        &self,
+        ai: usize,
+        flat: usize,
+        _obs: &mut O,
+    ) -> Result<f64, ExecError> {
+        let v = &self.views[ai];
+        if flat >= v.len {
+            return Err(tile_oob(self.code, ai));
+        }
+        // SAFETY: runtime check — `flat < len` was just checked against
+        // the view; concurrent tiles only write disjoint slices (see the
+        // Send/Sync note on `Batch`), and a read of a written array stays
+        // at the tile's own offset along the partitioned dimension.
+        Ok(unsafe { *v.ptr.add(flat) })
+    }
+
+    #[inline(always)]
+    fn store<O: Observer + ?Sized>(
+        &mut self,
+        ai: usize,
+        flat: usize,
+        val: f64,
+        _obs: &mut O,
+    ) -> Result<(), ExecError> {
+        let v = &self.views[ai];
+        if flat >= v.len {
+            return Err(tile_oob(self.code, ai));
+        }
+        // SAFETY: runtime check — `flat < len` as for `load`; additionally
+        // this tile is the only one whose index range maps onto this slice
+        // of the array (`ParInfo`'s disjoint-write obligation).
+        unsafe { *v.ptr.add(flat) = val };
+        Ok(())
     }
 }
 

@@ -34,7 +34,7 @@
 //! simply never annotated.
 
 use crate::bytecode::{Code, LaneOp, LaneSrc, Op, Reg, SimdInfo, MAX_LANES, MAX_RANK};
-use crate::interp::{binop, ExecError};
+use crate::interp::{binop, ExecError, Observer};
 use crate::vm::{unallocated, VmArray};
 use std::collections::HashMap;
 use std::time::Instant;
@@ -651,16 +651,34 @@ pub(crate) fn analyze_loop(
     })
 }
 
-/// Lane-granular array memory. The VM and the parallel tile executor
-/// resolve array storage differently (owned buffers vs. raw tile views),
-/// so [`run_lanes`] goes through this trait.
-///
-/// Resolution happens once per lane run, not per access: the vectorizer
-/// only admits loop bodies free of allocation, so a resolved base
-/// pointer stays valid (and its length stays exact) for the whole run.
-pub(crate) trait LaneMem {
-    /// Resolves array `ai` to its base pointer and element count.
+/// Array memory as a fused loop body reaches it. The VM and the parallel
+/// tile executor hold array storage differently (owned buffers vs. raw
+/// tile views), so the scalar body executor (`vm::body_op`) and
+/// [`run_lanes`] both go through this trait.
+pub(crate) trait ElemMem {
+    /// Resolves array `ai` to its base pointer and element count, for one
+    /// lane run. Resolution happens once per run, not per access: the
+    /// vectorizer only admits loop bodies free of allocation, so a
+    /// resolved base pointer stays valid (and its length stays exact) for
+    /// the whole run.
     fn resolve(&mut self, ai: usize) -> Result<(*mut f64, usize), ExecError>;
+
+    /// Loads element `flat` of array `ai`, length-checked.
+    fn load<O: Observer + ?Sized>(
+        &self,
+        ai: usize,
+        flat: usize,
+        obs: &mut O,
+    ) -> Result<f64, ExecError>;
+
+    /// Stores `v` to element `flat` of array `ai`, length-checked.
+    fn store<O: Observer + ?Sized>(
+        &mut self,
+        ai: usize,
+        flat: usize,
+        v: f64,
+        obs: &mut O,
+    ) -> Result<(), ExecError>;
 }
 
 #[cold]
@@ -671,18 +689,49 @@ fn lane_oob(code: &Code, ai: usize) -> ExecError {
     ))
 }
 
-/// [`LaneMem`] over the sequential VM's array table.
+/// [`ElemMem`] over the sequential VM's array table: slice-indexed, and
+/// the only memory that reports element addresses to the observer.
 pub(crate) struct VmMem<'a> {
     pub code: &'a Code,
     pub arrays: &'a mut [Option<VmArray>],
 }
 
-impl LaneMem for VmMem<'_> {
+impl ElemMem for VmMem<'_> {
     fn resolve(&mut self, ai: usize) -> Result<(*mut f64, usize), ExecError> {
         match self.arrays[ai].as_mut() {
             Some(arr) => Ok((arr.data.as_mut_ptr(), arr.data.len())),
             None => Err(unallocated(self.code, ai)),
         }
+    }
+
+    #[inline(always)]
+    fn load<O: Observer + ?Sized>(
+        &self,
+        ai: usize,
+        flat: usize,
+        obs: &mut O,
+    ) -> Result<f64, ExecError> {
+        let Some(arr) = self.arrays[ai].as_ref() else {
+            return Err(unallocated(self.code, ai));
+        };
+        obs.load(arr.base + (flat as u64) * 8);
+        Ok(arr.data[flat])
+    }
+
+    #[inline(always)]
+    fn store<O: Observer + ?Sized>(
+        &mut self,
+        ai: usize,
+        flat: usize,
+        v: f64,
+        obs: &mut O,
+    ) -> Result<(), ExecError> {
+        let Some(arr) = self.arrays[ai].as_mut() else {
+            return Err(unallocated(self.code, ai));
+        };
+        arr.data[flat] = v;
+        obs.store(arr.base + (flat as u64) * 8);
+        Ok(())
     }
 }
 
@@ -692,6 +741,11 @@ pub(crate) struct LaneRun {
     /// Scalar iterations covered (a multiple of the width; the scalar
     /// epilogue owes the remaining `extent - iters`).
     pub iters: i64,
+    /// Where scalar dispatch resumes: the vectorized dimension's index
+    /// value and the pc — past the loop when the run covered it, else the
+    /// loop head for the remainder (compensating the skipped `SetIdx`).
+    pub resume_idx: i64,
+    pub resume_pc: u32,
     pub loads: u64,
     pub stores: u64,
     pub flops: u64,
@@ -760,7 +814,7 @@ struct MemStream {
 /// range the scalar bounds proof covers), but the check keeps the path
 /// sound even against malformed `simds` tables.
 #[allow(clippy::too_many_arguments)]
-fn stream<M: LaneMem>(
+fn stream<M: ElemMem>(
     streams: &mut Vec<MemStream>,
     mem: &mut M,
     code: &Code,
@@ -862,8 +916,11 @@ fn chunk_loop(kern: Kernel, cx: &mut ChunkCtx) -> Result<(), ExecError> {
                 ChunkOp::Load { dst, mem } => {
                     let s = &cx.streams[*mem as usize];
                     let out = &mut cx.lane[*dst as usize];
-                    // SAFETY: `stream` proved every `flat + m*k` this
-                    // stream will touch in bounds before the loop began.
+                    // SAFETY: runtime check — before the loop began,
+                    // `stream` proved every `flat + m*k` this stream will
+                    // touch inside the array's allocation (verifier
+                    // phases 3 and 4 prove that check cannot fail on the
+                    // verified bytecode lane runs are gated on).
                     unsafe {
                         if s.k == 1 {
                             std::ptr::copy_nonoverlapping(
@@ -881,7 +938,8 @@ fn chunk_loop(kern: Kernel, cx: &mut ChunkCtx) -> Result<(), ExecError> {
                 ChunkOp::Store { src, mem } => {
                     let v = cx.lane[*src as usize];
                     let s = &cx.streams[*mem as usize];
-                    // SAFETY: as for `Load`.
+                    // SAFETY: runtime check — as for `Load`, `stream`'s
+                    // whole-run span check over this access.
                     unsafe {
                         if s.k == 1 {
                             std::ptr::copy_nonoverlapping(
@@ -945,21 +1003,27 @@ fn chunk_loop(kern: Kernel, cx: &mut ChunkCtx) -> Result<(), ExecError> {
 fn run_chunks(kern: Kernel, cx: &mut ChunkCtx) -> Result<(), ExecError> {
     match kern {
         Kernel::Portable => chunk_loop(Kernel::Portable, cx),
-        // SAFETY: `kernel()` only selects these after
-        // `is_x86_feature_detected!` confirmed the feature.
+        // SAFETY: runtime check — `kernel()` selects `Sse2` only after
+        // `is_x86_feature_detected!("sse2")`.
         #[cfg(target_arch = "x86_64")]
         Kernel::Sse2 => unsafe { chunk_sse2(cx) },
+        // SAFETY: runtime check — `kernel()` selects `Avx2` only after
+        // `is_x86_feature_detected!("avx2")`.
         #[cfg(target_arch = "x86_64")]
         Kernel::Avx2 => unsafe { chunk_avx2(cx) },
     }
 }
 
+// SAFETY: runtime check — the caller must hold `kernel()`'s
+// `is_x86_feature_detected!("sse2")`; `run_chunks` is the only caller.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "sse2")]
 unsafe fn chunk_sse2(cx: &mut ChunkCtx) -> Result<(), ExecError> {
     chunk_loop(Kernel::Sse2, cx)
 }
 
+// SAFETY: runtime check — the caller must hold `kernel()`'s
+// `is_x86_feature_detected!("avx2")`; `run_chunks` is the only caller.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 unsafe fn chunk_avx2(cx: &mut ChunkCtx) -> Result<(), ExecError> {
@@ -975,7 +1039,7 @@ unsafe fn chunk_avx2(cx: &mut ChunkCtx) -> Result<(), ExecError> {
 /// left them. Returns `iters == 0` (and touches nothing) when the
 /// effective width is < 2 or the range has fewer iterations than lanes.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn run_lanes<M: LaneMem>(
+pub(crate) fn run_lanes<M: ElemMem>(
     code: &Code,
     info: &SimdInfo,
     want: usize,
@@ -1121,6 +1185,11 @@ pub(crate) fn run_lanes<M: LaneMem>(
         regs[r as usize] = lane[slot][l - 1];
     }
     run.iters = chunks * l as i64;
+    (run.resume_idx, run.resume_pc) = if run.iters == extent {
+        (t_stop, info.exit)
+    } else {
+        (t_start + run.iters * step, info.head)
+    };
     let per = chunks as u64 * l as u64;
     run.loads = n_loads * per;
     run.stores = n_stores * per;
@@ -1175,10 +1244,12 @@ fn lane_bin(
     match op {
         BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div => match kern {
             Kernel::Portable => arith_portable(op, a, b),
-            // SAFETY: `kernel()` only selects these after
-            // `is_x86_feature_detected!` confirmed the feature.
+            // SAFETY: runtime check — `kern` is `Sse2` only after
+            // `kernel()`'s `is_x86_feature_detected!("sse2")`.
             #[cfg(target_arch = "x86_64")]
             Kernel::Sse2 => unsafe { arith_sse2(op, a, b) },
+            // SAFETY: runtime check — `kern` is `Avx2` only after
+            // `kernel()`'s `is_x86_feature_detected!("avx2")`.
             #[cfg(target_arch = "x86_64")]
             Kernel::Avx2 => unsafe { arith_avx2(op, a, b) },
         },
@@ -1221,6 +1292,9 @@ fn arith_portable(op: BinOp, a: &[f64; MAX_LANES], b: &[f64; MAX_LANES]) -> [f64
     out
 }
 
+// SAFETY: runtime check — the caller must hold `kernel()`'s
+// `is_x86_feature_detected!("sse2")`; the unaligned loads and stores stay
+// inside the `MAX_LANES`-wide arrays because `2 * h + 1 < MAX_LANES`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "sse2")]
 unsafe fn arith_sse2(op: BinOp, a: &[f64; MAX_LANES], b: &[f64; MAX_LANES]) -> [f64; MAX_LANES] {
@@ -1241,6 +1315,9 @@ unsafe fn arith_sse2(op: BinOp, a: &[f64; MAX_LANES], b: &[f64; MAX_LANES]) -> [
     out
 }
 
+// SAFETY: runtime check — the caller must hold `kernel()`'s
+// `is_x86_feature_detected!("avx2")`; the unaligned loads and stores stay
+// inside the `MAX_LANES`-wide arrays because `4 * h + 3 < MAX_LANES`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 unsafe fn arith_avx2(op: BinOp, a: &[f64; MAX_LANES], b: &[f64; MAX_LANES]) -> [f64; MAX_LANES] {

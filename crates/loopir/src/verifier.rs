@@ -33,11 +33,12 @@
 //!
 //! Superinstructions (`LdLdBin` et al.) verify exactly like their
 //! constituent sequences: each phase treats a bundle as its ordered
-//! micro-ops, so the unchecked-access proof covers every inline operand.
+//! micro-ops, so the bounds proof covers every inline operand.
 //!
-//! A program that passes all phases can run on the VM's unchecked
-//! fast path ([`Vm::verify`](crate::Vm::verify)): element loads and
-//! stores skip the slice bounds check, which the proof has discharged.
+//! A program that passes all phases ([`Vm::verify`](crate::Vm::verify))
+//! may fan out over lanes and tiles, the two execution strategies that
+//! reach array memory through raw pointers. Scalar dispatch does not rest
+//! on the proof: it bounds-checks every element access regardless.
 #![deny(missing_docs)]
 
 use crate::bytecode::{Code, Op, MAX_LANES, MAX_RANK};
@@ -168,7 +169,7 @@ fn successors(pc: usize, op: &Op, out: &mut Vec<(usize, EdgeKind)>) {
 }
 
 /// Verifies a compiled program. Returns all findings; an empty vector
-/// means every phase passed and the unchecked fast path is safe.
+/// means every phase passed and lane and tile fan-out may start.
 pub(crate) fn verify(code: &Code) -> Vec<VerifyDiagnostic> {
     let mut diags = structural(code);
     if !diags.is_empty() {

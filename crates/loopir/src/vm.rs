@@ -39,7 +39,7 @@ use crate::exec::{ExecLimits, Executor, RunOutcome, TileStats};
 use crate::interp::{binop, ExecError, Observer, RunStats};
 use crate::ir::ScalarProgram;
 use crate::par::Pool;
-use crate::simd;
+use crate::simd::{self, ElemMem, LaneRun, VmMem};
 use crate::verifier::{self, VerifyDiagnostic};
 use std::sync::Arc;
 use testkit::faults::{self, FaultSite};
@@ -66,7 +66,7 @@ pub(crate) struct VmArray {
 /// compilation can happen once on one thread while each executor keeps its
 /// run state (registers, index vector, array buffers) private. The handle
 /// remembers whether [`Vm::verify`] succeeded: executors built from a
-/// verified handle start on the unchecked fast path without re-running the
+/// verified handle may fan out over lanes and tiles without re-running the
 /// verifier, because the proof is about the immutable bytecode, not the VM
 /// instance.
 #[derive(Clone)]
@@ -155,7 +155,7 @@ impl Vm {
     /// Sets the lane width for vectorized innermost loops (`0` restores
     /// the default, other values clamp to `1..=8`; `1` disables the lane
     /// path). Effective only on verified superfused programs — the lane
-    /// dispatch reuses the verifier's unchecked-access proof.
+    /// dispatch rests on the verifier's bounds and annotation proofs.
     pub fn set_lanes(&mut self, lanes: usize) {
         self.lanes = match lanes {
             0 => simd::DEFAULT_LANES,
@@ -222,7 +222,8 @@ impl Vm {
     /// compiler marked partitionable (`Op::ParBegin`) fan out as
     /// per-tile tasks on a persistent work-stealing pool of `threads`
     /// threads (including the calling thread; `0` means one per available
-    /// core, capped at 8). Fan-out only happens under observers with
+    /// core, capped at 8). Fan-out only happens once [`Vm::verify`] has
+    /// succeeded and under observers with
     /// [`Observer::wants_addresses`]`() == false`; otherwise the run stays
     /// sequential so the address stream keeps its contracted order.
     /// Results are bit-identical to the sequential run for every thread
@@ -262,16 +263,18 @@ impl Vm {
     }
 
     /// Runs the [bytecode verifier](crate::verifier) over the compiled
-    /// program. On success the VM switches to the unchecked fast path:
-    /// element loads and stores skip the slice bounds check that the
-    /// verifier has statically discharged. Runtime halo checks (the
-    /// compiler's `check` entries) still execute — the verifier proves
-    /// they dominate the flat index, not that they always pass.
+    /// program. Success is the gate for the two fan-outs that touch array
+    /// memory through raw pointers: lane dispatch of `Op::SimdBegin` loops
+    /// ([`Vm::set_lanes`]) and tiled execution of `Op::ParBegin` ladders
+    /// ([`Vm::set_threads`]). Scalar dispatch is bounds-checked either way,
+    /// and runtime halo checks (the compiler's `check` entries) execute on
+    /// every path — the verifier proves they dominate the flat index, not
+    /// that they always pass.
     ///
     /// # Errors
     ///
-    /// Returns every diagnostic when verification fails; the VM then stays
-    /// on the checked path and remains safe to run.
+    /// Returns every diagnostic when verification fails; the VM then runs
+    /// every loop scalar and sequential, and remains safe to run.
     pub fn verify(&mut self) -> Result<(), Vec<VerifyDiagnostic>> {
         if faults::fire(FaultSite::VerifyReject) {
             return Err(vec![VerifyDiagnostic {
@@ -288,8 +291,7 @@ impl Vm {
         }
     }
 
-    /// Whether [`Vm::verify`] has succeeded and the unchecked fast path is
-    /// active.
+    /// Whether [`Vm::verify`] has succeeded (lanes and tiles may fan out).
     pub fn is_verified(&self) -> bool {
         self.verified
     }
@@ -307,25 +309,21 @@ impl Vm {
         // do not re-read through `self` (which the stat and register
         // writes below mutate) on every dispatch.
         let code = Arc::clone(&self.code);
-        let fueled = !self.limits.is_unlimited();
-        match (self.verified, fueled) {
-            (true, true) => self.dispatch::<O, true, true>(&code, obs),
-            (true, false) => self.dispatch::<O, true, false>(&code, obs),
-            (false, true) => self.dispatch::<O, false, true>(&code, obs),
-            (false, false) => self.dispatch::<O, false, false>(&code, obs),
+        if self.limits.is_unlimited() {
+            self.dispatch::<O, false>(&code, obs)
+        } else {
+            self.dispatch::<O, true>(&code, obs)
         }
     }
 
-    /// The dispatch loop, monomorphized over the observer, over whether
-    /// the program passed the bytecode verifier, and over whether resource
-    /// budgets are active. `UNCHECKED` may only be true after
-    /// [`Vm::verify`] succeeded: it elides the slice bounds check on the
-    /// element access itself, which the verifier proved in bounds for
-    /// every reachable index vector. `FUELED` charges one fuel unit per
-    /// instruction and polls the wall-clock deadline every 8192
-    /// instructions; unbudgeted runs take the `FUELED = false`
-    /// monomorphization and pay nothing.
-    fn dispatch<O: Observer + ?Sized, const UNCHECKED: bool, const FUELED: bool>(
+    /// The dispatch loop, monomorphized over the observer and over whether
+    /// resource budgets are active. It owns control flow, allocation and
+    /// loop bookkeeping; every straight-line op of a fused loop body goes
+    /// through [`body_op`], bounds-checked, whether or not the program was
+    /// verified. `FUELED` charges one fuel unit per instruction and polls
+    /// the wall-clock deadline every 8192 instructions; unbudgeted runs
+    /// take the `FUELED = false` monomorphization and pay nothing.
+    fn dispatch<O: Observer + ?Sized, const FUELED: bool>(
         &mut self,
         code: &Arc<Code>,
         obs: &mut O,
@@ -345,65 +343,26 @@ impl Vm {
             simd_scratch,
             ..
         } = self;
-        let fan_out = par.as_ref().filter(|_| !obs.wants_addresses());
-        // Like tile fan-out, the lane path skips per-element observer
-        // callbacks, so observers that need the ordered address stream
-        // keep the loop scalar.
-        let lane_want = if obs.wants_addresses() { 1 } else { self.lanes };
+        // Lanes and tiles reach array memory through raw pointers and skip
+        // the per-element observer callbacks, so they start only on
+        // bytecode `Vm::verify` accepted and under observers that do not
+        // need the ordered address stream.
+        let fan = self.verified && !obs.wants_addresses();
+        let fan_out = par.as_ref().filter(|_| fan);
+        let lane_want = if fan { self.lanes } else { 1 };
         let limits = self.limits;
         let mut idx = self.idx;
+        let mut mem = VmMem {
+            code: code.as_ref(),
+            arrays: arrays.as_mut_slice(),
+        };
         let mut batch_tiles: Vec<TileStats> = Vec::new();
         let mut next_batch = 0u32;
-        let (mut loads, mut stores, mut flops, mut points) = (0u64, 0u64, 0u64, 0u64);
+        let mut n = RunStats::default();
         let mut fuel_left = limits.fuel.unwrap_or(u64::MAX);
         let mut ticks = 0u64;
         let ops = &code.ops[..];
         let mut pc = 0usize;
-        // Constituent element load/store of a superinstruction — the exact
-        // semantics (and unchecked-path proof) of `Op::Load`/`Op::Store`,
-        // shared across the bundle arms below.
-        macro_rules! load_elem {
-            ($acc:expr, $dst:expr) => {{
-                let (ai, flat) = match resolve(code, &idx, $acc) {
-                    Ok(v) => v,
-                    Err(e) => break Err(e),
-                };
-                let Some(arr) = arrays[ai].as_ref() else {
-                    break Err(unallocated(code, ai));
-                };
-                obs.load(arr.base + (flat as u64) * 8);
-                loads += 1;
-                regs[$dst as usize] = if UNCHECKED {
-                    debug_assert!(flat < arr.data.len());
-                    // SAFETY: as for `Op::Load` — the verifier's bounds
-                    // proof covers every constituent access of a bundle.
-                    unsafe { *arr.data.get_unchecked(flat) }
-                } else {
-                    arr.data[flat]
-                };
-            }};
-        }
-        macro_rules! store_elem {
-            ($acc:expr, $src:expr) => {{
-                let v = regs[$src as usize];
-                let (ai, flat) = match resolve(code, &idx, $acc) {
-                    Ok(v) => v,
-                    Err(e) => break Err(e),
-                };
-                let Some(arr) = arrays[ai].as_mut() else {
-                    break Err(unallocated(code, ai));
-                };
-                if UNCHECKED {
-                    debug_assert!(flat < arr.data.len());
-                    // SAFETY: as for `Op::Store`.
-                    unsafe { *arr.data.get_unchecked_mut(flat) = v };
-                } else {
-                    arr.data[flat] = v;
-                }
-                obs.store(arr.base + (flat as u64) * 8);
-                stores += 1;
-            }};
-        }
         let res: Result<(), ExecError> = loop {
             if FUELED {
                 if fuel_left == 0 {
@@ -421,76 +380,13 @@ impl Vm {
             }
             let op = ops[pc];
             pc += 1;
+            // Loop-body ops first: they are nearly every op a run executes.
+            match body_op(op, code, regs, &idx, &mut mem, &mut n, obs) {
+                Ok(true) => continue,
+                Ok(false) => {}
+                Err(e) => break Err(e),
+            }
             match op {
-                Op::Add { dst, a, b } => {
-                    regs[dst as usize] = regs[a as usize] + regs[b as usize];
-                }
-                Op::Sub { dst, a, b } => {
-                    regs[dst as usize] = regs[a as usize] - regs[b as usize];
-                }
-                Op::Mul { dst, a, b } => {
-                    regs[dst as usize] = regs[a as usize] * regs[b as usize];
-                }
-                Op::Div { dst, a, b } => {
-                    regs[dst as usize] = regs[a as usize] / regs[b as usize];
-                }
-                Op::Bin { op, dst, a, b } => {
-                    regs[dst as usize] = binop(op, regs[a as usize], regs[b as usize]);
-                }
-                Op::Neg { dst, src } => {
-                    regs[dst as usize] = -regs[src as usize];
-                }
-                Op::Mov { dst, src } => {
-                    regs[dst as usize] = regs[src as usize];
-                }
-                Op::Call { intr, dst, base, n } => {
-                    let base = base as usize;
-                    let v = intr.eval(&regs[base..base + n as usize]);
-                    regs[dst as usize] = v;
-                }
-                Op::IdxF { dst, d } => {
-                    regs[dst as usize] = idx[d as usize] as f64;
-                }
-                Op::Load { dst, acc } => {
-                    let (ai, flat) = match resolve(code, &idx, acc) {
-                        Ok(v) => v,
-                        Err(e) => break Err(e),
-                    };
-                    let Some(arr) = arrays[ai].as_ref() else {
-                        break Err(unallocated(code, ai));
-                    };
-                    obs.load(arr.base + (flat as u64) * 8);
-                    loads += 1;
-                    regs[dst as usize] = if UNCHECKED {
-                        debug_assert!(flat < arr.data.len());
-                        // SAFETY: the bytecode verifier proved every
-                        // reachable flat index of this access within the
-                        // array's allocation (`Vm::verify` gates UNCHECKED).
-                        unsafe { *arr.data.get_unchecked(flat) }
-                    } else {
-                        arr.data[flat]
-                    };
-                }
-                Op::Store { acc, src } => {
-                    let v = regs[src as usize];
-                    let (ai, flat) = match resolve(code, &idx, acc) {
-                        Ok(v) => v,
-                        Err(e) => break Err(e),
-                    };
-                    let Some(arr) = arrays[ai].as_mut() else {
-                        break Err(unallocated(code, ai));
-                    };
-                    if UNCHECKED {
-                        debug_assert!(flat < arr.data.len());
-                        // SAFETY: as for Load — the verifier's bounds proof
-                        // covers every access reachable in verified code.
-                        unsafe { *arr.data.get_unchecked_mut(flat) = v };
-                    } else {
-                        arr.data[flat] = v;
-                    }
-                    obs.store(arr.base + (flat as u64) * 8);
-                    stores += 1;
-                }
                 Op::Reduce { op, dst, src } => {
                     let a = regs[dst as usize];
                     let v = regs[src as usize];
@@ -500,11 +396,6 @@ impl Vm {
                         ReduceOp::Max => a.max(v),
                         ReduceOp::Min => a.min(v),
                     };
-                }
-                Op::Tick { flops: n } => {
-                    points += 1;
-                    flops += n as u64;
-                    obs.flops(n as u64);
                 }
                 Op::NestBegin { nest } => {
                     if faults::fire(FaultSite::VmTrap) {
@@ -516,9 +407,9 @@ impl Vm {
                     obs.reduce_begin();
                 }
                 Op::ParBegin { par: pi } => {
-                    // Sequential runs (no pool, or an observer that needs
-                    // the ordered address stream) fall through into the
-                    // ladder; this op is then a no-op.
+                    // Sequential runs (no pool, unverified bytecode, or an
+                    // observer that needs the ordered address stream) fall
+                    // through into the ladder; this op is then a no-op.
                     if let Some(pool) = fan_out {
                         let info = code.pars[pi as usize];
                         let mark = batch_tiles.len();
@@ -528,10 +419,10 @@ impl Vm {
                             info,
                             regs,
                             &idx,
-                            arrays,
+                            mem.arrays,
                             limits.deadline,
                             next_batch,
-                            if UNCHECKED { lane_want } else { 1 },
+                            lane_want,
                             &mut batch_tiles,
                         );
                         next_batch += 1;
@@ -553,7 +444,7 @@ impl Vm {
                         pc = info.exit as usize;
                     }
                 }
-                Op::Alloc { arr } => alloc(code, arrays, stats, next_base, arr as usize),
+                Op::Alloc { arr } => alloc(code, mem.arrays, stats, next_base, arr as usize),
                 Op::SetIdx { d, v } => {
                     idx[d as usize] = v;
                 }
@@ -624,63 +515,10 @@ impl Vm {
                         pc = target as usize;
                     }
                 }
-                Op::LdLdBin {
-                    op,
-                    dst,
-                    da,
-                    aa,
-                    db,
-                    ab,
-                } => {
-                    load_elem!(aa, da);
-                    load_elem!(ab, db);
-                    regs[dst as usize] = binop(op, regs[da as usize], regs[db as usize]);
-                }
-                Op::LdBin {
-                    op,
-                    dst,
-                    dl,
-                    acc,
-                    other,
-                    right,
-                } => {
-                    load_elem!(acc, dl);
-                    let (x, y) = if right { (other, dl) } else { (dl, other) };
-                    regs[dst as usize] = binop(op, regs[x as usize], regs[y as usize]);
-                }
-                Op::BinBin {
-                    op1,
-                    d1,
-                    a1,
-                    b1,
-                    op2,
-                    d2,
-                    a2,
-                    b2,
-                } => {
-                    regs[d1 as usize] = binop(op1, regs[a1 as usize], regs[b1 as usize]);
-                    regs[d2 as usize] = binop(op2, regs[a2 as usize], regs[b2 as usize]);
-                }
-                Op::BinSt { op, dst, a, b, acc } => {
-                    regs[dst as usize] = binop(op, regs[a as usize], regs[b as usize]);
-                    store_elem!(acc, dst);
-                }
-                Op::LdSt { dst, la, sa } => {
-                    load_elem!(la, dst);
-                    store_elem!(sa, dst);
-                }
                 Op::SimdBegin { simd } => {
-                    // Scalar dispatchers and observed runs fall through
-                    // into the loop; the lane fast path requires the
-                    // verifier's unchecked-access proof (`UNCHECKED` is
-                    // gated on `Vm::verify`), which the lane memory path
-                    // reuses for its whole-span bounds reasoning.
-                    if UNCHECKED && lane_want >= 2 {
+                    // Scalar runs fall through into the loop.
+                    if lane_want >= 2 {
                         let info = &code.simds[simd as usize];
-                        let mut mem = simd::VmMem {
-                            code: code.as_ref(),
-                            arrays: arrays.as_mut_slice(),
-                        };
                         let r = simd::run_lanes(
                             code,
                             info,
@@ -691,15 +529,12 @@ impl Vm {
                             &idx,
                             &mut mem,
                             simd_scratch,
-                            if FUELED { limits.deadline } else { None },
+                            limits.deadline,
                         );
                         match r {
                             Err(e) => break Err(e),
                             Ok(run) if run.iters > 0 => {
-                                loads += run.loads;
-                                stores += run.stores;
-                                flops += run.flops;
-                                points += run.points;
+                                resume_after_lanes(&run, info.dim, &mut n, &mut idx, &mut pc);
                                 if FUELED {
                                     // Lanes draw scalar-equivalent fuel:
                                     // one unit per body op per covered
@@ -709,30 +544,20 @@ impl Vm {
                                     }
                                     fuel_left -= run.ops;
                                 }
-                                let extent = (info.stop - info.start) / info.step;
-                                if run.iters == extent {
-                                    idx[info.dim as usize] = info.stop;
-                                    pc = info.exit as usize;
-                                } else {
-                                    // Scalar epilogue: resume the loop at
-                                    // its head for the remainder (the
-                                    // skipped SetIdx is compensated here).
-                                    idx[info.dim as usize] = info.start + run.iters * info.step;
-                                    pc = info.head as usize;
-                                }
                             }
                             Ok(_) => {} // too few iterations: stay scalar
                         }
                     }
                 }
                 Op::Halt => break Ok(()),
+                _ => unreachable!("body_op executes every op without an arm above"),
             }
         };
         self.idx = idx;
-        self.stats.loads += loads;
-        self.stats.stores += stores;
-        self.stats.flops += flops;
-        self.stats.points += points;
+        self.stats.loads += n.loads;
+        self.stats.stores += n.stores;
+        self.stats.flops += n.flops;
+        self.stats.points += n.points;
         // Tile counters fold in through the same deterministic merge the
         // public aggregation API exposes; the cumulative stats then match
         // a sequential run exactly (same points, same u64 sums).
@@ -793,15 +618,173 @@ fn alloc(
     stats.peak_bytes += info.bytes;
 }
 
-/// Resolves an access-table entry against the current index vector.
-/// Shared with the parallel tile executor (`crate::par`), which evaluates
-/// the same halo checks against its private index vector.
-#[inline]
-pub(crate) fn resolve(
+/// Executes `op` if it is a straight-line op of a fused loop body:
+/// arithmetic, element loads and stores, superinstructions and the
+/// per-point tick. This is the only scalar implementation of the body —
+/// [`Vm::dispatch`] runs it over the VM's own arrays and a parallel tile
+/// (`crate::par`) over its sub-range and raw views, each through its
+/// [`ElemMem`], which length-checks every access.
+///
+/// Returns `Ok(false)`, having done nothing, for the ops that move the pc,
+/// allocate, or fold a reduction: those belong to the loop that owns that
+/// state.
+#[inline(always)]
+pub(crate) fn body_op<M: ElemMem, O: Observer + ?Sized>(
+    op: Op,
+    code: &Code,
+    regs: &mut [f64],
+    idx: &[i64; MAX_RANK],
+    mem: &mut M,
+    n: &mut RunStats,
+    obs: &mut O,
+) -> Result<bool, ExecError> {
+    match op {
+        Op::Add { dst, a, b } => {
+            regs[dst as usize] = regs[a as usize] + regs[b as usize];
+        }
+        Op::Sub { dst, a, b } => {
+            regs[dst as usize] = regs[a as usize] - regs[b as usize];
+        }
+        Op::Mul { dst, a, b } => {
+            regs[dst as usize] = regs[a as usize] * regs[b as usize];
+        }
+        Op::Div { dst, a, b } => {
+            regs[dst as usize] = regs[a as usize] / regs[b as usize];
+        }
+        Op::Bin { op, dst, a, b } => {
+            regs[dst as usize] = binop(op, regs[a as usize], regs[b as usize]);
+        }
+        Op::Neg { dst, src } => {
+            regs[dst as usize] = -regs[src as usize];
+        }
+        Op::Mov { dst, src } => {
+            regs[dst as usize] = regs[src as usize];
+        }
+        Op::Call { intr, dst, base, n } => {
+            let base = base as usize;
+            let v = intr.eval(&regs[base..base + n as usize]);
+            regs[dst as usize] = v;
+        }
+        Op::IdxF { dst, d } => {
+            regs[dst as usize] = idx[d as usize] as f64;
+        }
+        Op::Load { dst, acc } => {
+            regs[dst as usize] = load_elem(code, idx, mem, n, obs, acc)?;
+        }
+        Op::Store { acc, src } => {
+            store_elem(code, idx, mem, n, obs, acc, regs[src as usize])?;
+        }
+        Op::Tick { flops } => {
+            n.points += 1;
+            n.flops += flops as u64;
+            obs.flops(flops as u64);
+        }
+        Op::LdLdBin {
+            op,
+            dst,
+            da,
+            aa,
+            db,
+            ab,
+        } => {
+            regs[da as usize] = load_elem(code, idx, mem, n, obs, aa)?;
+            regs[db as usize] = load_elem(code, idx, mem, n, obs, ab)?;
+            regs[dst as usize] = binop(op, regs[da as usize], regs[db as usize]);
+        }
+        Op::LdBin {
+            op,
+            dst,
+            dl,
+            acc,
+            other,
+            right,
+        } => {
+            regs[dl as usize] = load_elem(code, idx, mem, n, obs, acc)?;
+            let (x, y) = if right { (other, dl) } else { (dl, other) };
+            regs[dst as usize] = binop(op, regs[x as usize], regs[y as usize]);
+        }
+        Op::BinBin {
+            op1,
+            d1,
+            a1,
+            b1,
+            op2,
+            d2,
+            a2,
+            b2,
+        } => {
+            regs[d1 as usize] = binop(op1, regs[a1 as usize], regs[b1 as usize]);
+            regs[d2 as usize] = binop(op2, regs[a2 as usize], regs[b2 as usize]);
+        }
+        Op::BinSt { op, dst, a, b, acc } => {
+            regs[dst as usize] = binop(op, regs[a as usize], regs[b as usize]);
+            store_elem(code, idx, mem, n, obs, acc, regs[dst as usize])?;
+        }
+        Op::LdSt { dst, la, sa } => {
+            regs[dst as usize] = load_elem(code, idx, mem, n, obs, la)?;
+            store_elem(code, idx, mem, n, obs, sa, regs[dst as usize])?;
+        }
+        _ => return Ok(false),
+    }
+    Ok(true)
+}
+
+/// One element load — `Op::Load` and every load a superinstruction
+/// bundles: the access's halo check, then the memory's own length check.
+#[inline(always)]
+fn load_elem<M: ElemMem, O: Observer + ?Sized>(
     code: &Code,
     idx: &[i64; MAX_RANK],
+    mem: &M,
+    n: &mut RunStats,
+    obs: &mut O,
     acc: u32,
-) -> Result<(usize, usize), ExecError> {
+) -> Result<f64, ExecError> {
+    let (ai, flat) = resolve(code, idx, acc)?;
+    let v = mem.load(ai, flat, obs)?;
+    n.loads += 1;
+    Ok(v)
+}
+
+/// One element store; the counterpart of [`load_elem`].
+#[inline(always)]
+fn store_elem<M: ElemMem, O: Observer + ?Sized>(
+    code: &Code,
+    idx: &[i64; MAX_RANK],
+    mem: &mut M,
+    n: &mut RunStats,
+    obs: &mut O,
+    acc: u32,
+    v: f64,
+) -> Result<(), ExecError> {
+    let (ai, flat) = resolve(code, idx, acc)?;
+    mem.store(ai, flat, v, obs)?;
+    n.stores += 1;
+    Ok(())
+}
+
+/// Books a lane run that covered at least one chunk: its counters, then
+/// the index value and pc at which scalar dispatch picks the loop up
+/// again (past it, or at its head for the remainder iterations).
+pub(crate) fn resume_after_lanes(
+    run: &LaneRun,
+    dim: u8,
+    n: &mut RunStats,
+    idx: &mut [i64; MAX_RANK],
+    pc: &mut usize,
+) {
+    n.loads += run.loads;
+    n.stores += run.stores;
+    n.flops += run.flops;
+    n.points += run.points;
+    idx[dim as usize] = run.resume_idx;
+    *pc = run.resume_pc as usize;
+}
+
+/// Resolves an access-table entry against the current index vector,
+/// evaluating its halo check if it has one.
+#[inline]
+fn resolve(code: &Code, idx: &[i64; MAX_RANK], acc: u32) -> Result<(usize, usize), ExecError> {
     let a = &code.accesses[acc as usize];
     if let Some(chk) = &a.check {
         for &(d, off, lo, ext) in &chk.dims {

@@ -30,7 +30,7 @@
 //!   --verify                      re-check every pipeline stage and the
 //!                                 compiled bytecode; report diagnostics
 //!   --run                         execute and print scalars + statistics
-//!   --engine <interp|vm|vm-verified|vm-simd|vm-par>   execution engine
+//!   --engine <interp|vm|vm-simd|vm-par>   execution engine
 //!                                 (default vm)
 //!   --list-engines                list the execution engines and exit
 //!   --threads <n>                 worker threads for --engine vm-par
@@ -111,7 +111,7 @@ fn usage(msg: &str) -> ExitCode {
         "usage: zlc <file.zl> [--level L[+dse][+rce][+rce2]] [--dimension-contraction]\n\
          \x20          [--spatial-cap K] [--favor-comm]\n\
          \x20          [--print ir|loops|bytecode|asdg|avail|report|source|hash]... [--emit PASS]\n\
-         \x20          [--verify] [--run] [--engine interp|vm|vm-verified|vm-simd|vm-par]\n\
+         \x20          [--verify] [--run] [--engine interp|vm|vm-simd|vm-par]\n\
          \x20          [--threads N] [--lanes N]\n\
          \x20          [--machine t3e|sp2|paragon] [--procs P] [--set name=value]...\n\
          \x20          [--supervise] [--deadline-ms N] [--fuel N] [--inject PLAN]\n\
@@ -580,14 +580,14 @@ fn main() -> ExitCode {
             "hash" => println!("{:016x}", fusion_core::hash::program_hash(&program)),
             "loops" => print!("{}", loopir::printer::print(&opt.scalarized)),
             // The compiled bytecode for the selected engine: plain ops
-            // for interp/vm/vm-verified, the superinstruction + lane
-            // annotation form for vm-simd/vm-par.
+            // for interp/vm, the superinstruction + lane annotation form
+            // for vm-simd/vm-par.
             "bytecode" => {
                 let binding = match checked_binding(&opt.scalarized.program, &opts.request.sets) {
                     Ok(b) => b,
                     Err(msg) => return fail("config", &msg, Some(&opts.file)),
                 };
-                let vm = if matches!(opts.request.engine, Engine::VmSimd | Engine::VmPar) {
+                let vm = if opts.request.engine.superfused() {
                     Vm::new_superfused(&opt.scalarized, binding)
                 } else {
                     Vm::new(&opt.scalarized, binding)

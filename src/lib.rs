@@ -13,8 +13,8 @@
 //!   scalarization (`fusion-core`).
 //! * [`loops`] — the scalarized loop-nest IR, printer, and the execution
 //!   engines behind the [`Executor`](prelude::Executor) API: the
-//!   tree-walking interpreter, the bytecode VM (checked, verified, and
-//!   parallel tiled variants) (`loopir`).
+//!   tree-walking interpreter, the bytecode VM (scalar, lane-vectorized,
+//!   and parallel tiled) (`loopir`).
 //! * [`sim`] — the simulated machine: cache simulator and machine cost
 //!   models (`machine`).
 //! * [`par`] — the simulated parallel runtime: block distribution, ghost
@@ -28,8 +28,8 @@
 //! Compile a program, optimize it at the `C2` level (fuse + contract
 //! compiler *and* user arrays — the paper's headline configuration), and
 //! run it. Execution goes through an [`Engine`](prelude::Engine): the
-//! default bytecode [`Vm`](loops::Vm), its verified and parallel tiled
-//! (`vm-par`) variants, or the reference tree-walking
+//! default bytecode [`Vm`](loops::Vm), its verified lane (`vm-simd`) and
+//! parallel tiled (`vm-par`) variants, or the reference tree-walking
 //! [`Interp`](loops::Interp) — all produce bit-identical results (at any
 //! thread count) and, under an address-consuming observer, identical
 //! memory-access streams.

@@ -13,10 +13,12 @@ fn golden_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden")
 }
 
-fn disasm(name: &str, source: &str, engine: &str) -> String {
+/// `test` names the calling test: the two tests below run on parallel
+/// threads, so each call writes a source file no other call shares.
+fn disasm(test: &str, name: &str, source: &str, engine: &str) -> String {
     let dir = std::env::temp_dir().join("zlc-bytecode-golden");
     std::fs::create_dir_all(&dir).unwrap();
-    let src = dir.join(format!("{name}.zl"));
+    let src = dir.join(format!("{test}-{name}-{engine}.zl"));
     std::fs::write(&src, source).unwrap();
     let out = Command::new(env!("CARGO_BIN_EXE_zlc"))
         .args([
@@ -49,7 +51,7 @@ fn superfused_bytecode_matches_golden_files() {
     let bless = std::env::var_os("ZLC_BLESS").is_some();
     for name in PINNED {
         let bench = zpl_fusion::workloads::by_name(name).unwrap();
-        let got = disasm(bench.name, bench.source, "vm-simd");
+        let got = disasm("golden", bench.name, bench.source, "vm-simd");
         let path = golden_dir().join(format!("{name}.c2f3.bytecode.txt"));
         if bless {
             std::fs::write(&path, &got).unwrap();
@@ -71,8 +73,8 @@ fn scalar_and_superfused_streams_differ_only_in_encoding() {
     // superinstruction and one simd annotation — the two tiers really are
     // two encodings of the same program.
     let bench = zpl_fusion::workloads::by_name("simple").unwrap();
-    let plain = disasm(bench.name, bench.source, "vm");
-    let fused = disasm(bench.name, bench.source, "vm-simd");
+    let plain = disasm("encoding", bench.name, bench.source, "vm");
+    let fused = disasm("encoding", bench.name, bench.source, "vm-simd");
     for mnemonic in ["ld.ld.bin", "ld.bin", "bin.bin", "bin.st", "ld.st"] {
         assert!(
             !plain.contains(mnemonic),

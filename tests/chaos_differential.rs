@@ -2,7 +2,7 @@
 //!
 //! Every generated program is run twice: once plainly at `baseline` on the
 //! interpreter (the O0 reference), and once under the supervisor at
-//! `c2+f3` on the verified VM with a fault injected somewhere in the
+//! `c2+f3` on the verified lane VM (`vm-simd`) with a fault injected somewhere in the
 //! pipeline. Whatever the supervisor has to do to survive — degrade the
 //! engine, recompile at a lower level, drop the machine simulation, fall
 //! all the way to the reference rung — the answer it hands back must be
@@ -86,7 +86,7 @@ fn supervised(program: &Program, class: FaultClass) -> fusion_core::Supervised {
         },
         FaultClass::Inject(_) => Budgets::none(),
     };
-    let mut sup = Supervisor::new(Level::C2F3, Engine::VmVerified).with_budgets(budgets);
+    let mut sup = Supervisor::new(Level::C2F3, Engine::VmSimd).with_budgets(budgets);
     if matches!(
         class,
         FaultClass::Inject(FaultSite::CommDrop) | FaultClass::Inject(FaultSite::CommDup)
@@ -207,7 +207,7 @@ fn clean_supervised_runs_match_the_reference() {
         let program = zlang::compile(&source)
             .unwrap_or_else(|e| panic!("generated program {i} must compile: {e}\n{source}"));
         let want = reference(&program);
-        let run = Supervisor::new(Level::C2F3, Engine::VmVerified)
+        let run = Supervisor::new(Level::C2F3, Engine::VmSimd)
             .run_program(&program)
             .expect("clean run succeeds");
         assert_eq!(checksums(&run.outcome), want, "program {i}:\n{source}");
@@ -311,7 +311,7 @@ fn stacked_faults_still_produce_the_reference_answer() {
             .with(FaultSite::VerifyReject, 1.0)
             .with(FaultSite::VmTrap, 1.0);
         let _guard = faults::install(plan);
-        let run = Supervisor::new(Level::C2F3, Engine::VmVerified)
+        let run = Supervisor::new(Level::C2F3, Engine::VmSimd)
             .run_program(&program)
             .unwrap_or_else(|e| panic!("ladder must bottom out:\n{}", e.report.render()));
         drop(_guard);

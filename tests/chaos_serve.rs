@@ -85,12 +85,7 @@ fn references() -> HashMap<String, Vec<u64>> {
 /// The mixed batch: every program on every engine, `rounds` times, so
 /// later rounds hit the cache entries the first round inserted.
 fn batch(rounds: usize) -> Vec<ServeRequest> {
-    let engines = [
-        Engine::Interp,
-        Engine::Vm,
-        Engine::VmVerified,
-        Engine::VmPar,
-    ];
+    let engines = [Engine::Interp, Engine::Vm, Engine::VmSimd, Engine::VmPar];
     let mut reqs = Vec::new();
     for _ in 0..rounds {
         for (i, source) in PROGRAMS.iter().enumerate() {

@@ -79,7 +79,7 @@ fn lazy_matches_static_at_all_levels() {
             .executor(truth_req.exec_opts())
             .execute_pure()
             .unwrap();
-        for engine in [Engine::Vm, Engine::VmVerified, Engine::VmPar] {
+        for engine in [Engine::Vm, Engine::VmSimd, Engine::VmPar] {
             let req = RunRequest::new().with_level(level).with_engine(engine);
             let (out, _) = b.flush(&req, &cache).unwrap();
             assert_eq!(

@@ -56,7 +56,7 @@ fn serve_accounting_one_miss_per_distinct_key() {
 fn concurrent_hits_are_bit_identical() {
     let cache = Arc::new(CompileCache::new());
     let program = zlang::compile(HEAT).unwrap();
-    let req = RunRequest::new().with_engine(Engine::VmVerified);
+    let req = RunRequest::new().with_engine(Engine::Vm);
     let threads = 8;
     let per_thread = 16;
     let mut handles = Vec::new();

@@ -5,8 +5,8 @@
 //! and asserts a clean bill; then corrupts a pipeline result on purpose
 //! and asserts the validator localizes the damage and names the violated
 //! paper definition. The compiled bytecode of every configuration must
-//! also pass the `loopir` bytecode verifier, enabling the VM's unchecked
-//! fast path.
+//! also pass the `loopir` bytecode verifier, the gate for lane and tile
+//! fan-out.
 
 use std::collections::BTreeSet;
 use zpl_fusion::fusion::verify::{self, Severity};
