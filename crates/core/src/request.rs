@@ -57,9 +57,11 @@ pub struct RunRequest {
     pub engine: Engine,
     /// Worker threads for [`Engine::VmPar`]; `0` = auto.
     pub threads: usize,
-    /// Unrolled f64 lanes for [`Engine::VmSimd`] / [`Engine::VmPar`]
-    /// innermost-loop dispatch; `0` = the engine default (4), `1` =
-    /// scalar dispatch over the same superinstruction bytecode.
+    /// Strip width (iterations run op-major at a time) for
+    /// [`Engine::VmSimd`] / [`Engine::VmPar`] innermost-loop dispatch;
+    /// `0` = the engine default (64), `1` = scalar dispatch over the same
+    /// superinstruction bytecode, other values cap the strip (at most
+    /// 128).
     pub lanes: usize,
     /// Run the translation validator and bytecode verifier, reporting
     /// diagnostics (`zlc --verify`). Does not change generated code, so

@@ -174,61 +174,66 @@ pub(crate) enum Op {
     /// Marks the innermost loop that immediately follows (its `SetIdx` is
     /// at the next pc) as lane-vectorizable per [`Code::simds`]`[simd]`.
     /// A scalar dispatcher treats this as a no-op and falls through into
-    /// the loop; a lane-enabled verified [`Vm`](crate::Vm) executes whole
-    /// chunks of iterations across unrolled f64 lanes and resumes either
-    /// at the loop head (scalar epilogue for the remainder) or at the
-    /// loop exit.
+    /// the loop; a lane-enabled verified [`Vm`](crate::Vm) executes the
+    /// whole range in strips of iterations and resumes at the loop exit.
     SimdBegin { simd: u32 },
     /// End of program.
     Halt,
 }
 
-/// Maximum number of f64 lanes the vectorized innermost-loop dispatch
-/// unrolls (one AVX-512-free cache line's worth; the portable kernel and
-/// the `std::arch` kernels all operate on blocks of this width).
-pub(crate) const MAX_LANES: usize = 8;
+/// Widest strip of consecutive iterations the lane executor runs
+/// op-major (the cap on [`SimdInfo::lanes`], which stays a `u8`). The
+/// default strip is 64 wide (`simd::DEFAULT_LANES`).
+pub(crate) const MAX_LANES: usize = 128;
 
-/// Operand of a [`LaneOp`]: either a slot in the per-lane register file
-/// (a register the loop body writes, so it takes a distinct value per
-/// lane) or a scalar frame register that is loop-invariant across the
-/// chunk and is broadcast to every lane.
+/// Largest intrinsic arity a lane program carries.
+pub(crate) const MAX_CALL_ARGS: usize = 4;
+
+/// One entry of a simd loop's broadcast table: a value that is invariant
+/// across the loop, filled into every position of its own slot when the
+/// loop is entered. Entry `i` owns slot `lane_regs.len() + i`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum LaneSrc {
-    Lane(u16),
-    Scalar(Reg),
+pub(crate) enum Bcast {
+    /// Frame register `r` (a register the body never writes).
+    Reg(Reg),
+    /// `idx[d] as f64` for a dimension other than the loop's own.
+    Idx(u8),
 }
 
-/// One micro-op of a decoded innermost-loop body. The superfuse pass
-/// decodes the (already bundled) body once at compile time, classifying
-/// every operand as lane-varying or broadcast, so the runtime lane loop
-/// is a straight walk over these with no per-iteration re-analysis.
-#[derive(Debug, Clone, PartialEq)]
+/// One micro-op of a decoded innermost-loop body, with every operand
+/// already resolved to a slot of the lane file: slots below
+/// `lane_regs.len()` hold the registers the body writes (one value per
+/// iteration of the strip), the slots after them hold the loop's
+/// broadcast table. The superfuse pass emits this form once at compile
+/// time, so entering the loop resolves nothing.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) enum LaneOp {
-    /// Per lane `m`: `lane[dst][m] = load(acc at idx[d] = base + m·step)`.
+    /// Per position `m`: `dst[m] = load(acc at idx[d] = base + m·step)`.
     Load { dst: u16, acc: u32 },
-    /// Per lane `m`: `store(acc at idx[d] = base + m·step, src[m])`.
-    Store { acc: u32, src: LaneSrc },
-    /// Per lane `m`: `lane[dst][m] = a[m] <op> b[m]`.
-    Bin {
-        op: BinOp,
-        dst: u16,
-        a: LaneSrc,
-        b: LaneSrc,
-    },
-    /// Per lane `m`: `lane[dst][m] = -src[m]`.
-    Neg { dst: u16, src: LaneSrc },
-    /// Per lane `m`: `lane[dst][m] = src[m]`.
-    Mov { dst: u16, src: LaneSrc },
-    /// Per lane `m`: `lane[dst][m] = (d == simd dim ? base + m·step :
-    /// idx[d]) as f64`.
-    IdxF { dst: u16, d: u8 },
-    /// Per lane `m`: `lane[dst][m] = intr(args[0][m], args[1][m], ...)`.
+    /// Per position `m`: `store(acc at idx[d] = base + m·step, src[m])`.
+    Store { acc: u32, src: u16 },
+    /// Per position `m`: `dst[m] = a[m] <op> b[m]`.
+    Bin { op: BinOp, dst: u16, a: u16, b: u16 },
+    /// Per position `m`: `dst[m] = -src[m]`.
+    Neg { dst: u16, src: u16 },
+    /// Per position `m`: `dst[m] = src[m]`.
+    Mov { dst: u16, src: u16 },
+    /// Per position `m`: `dst[m] = (base + m·step) as f64`, the loop's own
+    /// index (other dimensions' `IdxF` become a `Mov` from a
+    /// [`Bcast::Idx`] slot).
+    IdxSeq { dst: u16 },
+    /// Per position `m`: `dst[m] = intr(args[0][m], .., args[n-1][m])`.
     Call {
         intr: Intrinsic,
         dst: u16,
-        args: Vec<LaneSrc>,
+        n: u8,
+        args: [u16; MAX_CALL_ARGS],
     },
-    /// Count one iteration point and `flops` flops per lane.
+    /// `f[acc] = f[acc] <op> src[m]` for `m` ascending: the strip is
+    /// folded into frame register `acc` in iteration order, which is the
+    /// scalar loop's order, so the result has the scalar loop's bits.
+    Reduce { op: ReduceOp, acc: Reg, src: u16 },
+    /// Count one iteration point and `flops` flops per position.
     Tick { flops: u32 },
 }
 
@@ -237,17 +242,18 @@ pub(crate) enum LaneOp {
 ///
 /// The loop occupying pcs `[head, exit)` (body plus its `IdxStep`; the
 /// loop's `SetIdx` sits at `head - 1`) is straight-line, touches only
-/// check-free accesses, carries no reduction and no loop-carried register
-/// dependence, and the cross-iteration alias analysis proved that no two
+/// check-free accesses, carries no register dependence around its back
+/// edge other than reduction accumulators that one `Reduce` each owns
+/// outright, and the cross-iteration alias analysis proved that no two
 /// accesses to a stored array collide within `lanes` consecutive
-/// iterations. Executing `lanes` iterations as parallel f64 lanes is
-/// therefore observably identical to the scalar order: each lane computes
-/// exactly the scalar iteration's values, bit for bit.
+/// iterations. Executing strips of up to `lanes` iterations op-major is
+/// therefore observably identical to the scalar order: each position
+/// computes exactly the scalar iteration's values, bit for bit.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct SimdInfo {
     /// The index-vector dimension the loop iterates.
     pub dim: u8,
-    /// Maximum safe lane count proven by the alias analysis (2..=8).
+    /// Widest safe strip proven by the alias analysis (2..=128).
     pub lanes: u8,
     /// First iterate of `dim`.
     pub start: i64,
@@ -259,13 +265,15 @@ pub(crate) struct SimdInfo {
     pub head: u32,
     /// pc one past the loop's `IdxStep`.
     pub exit: u32,
-    /// The decoded lane program (the loop body as lane micro-ops).
+    /// The slot-resolved lane program (the loop body as lane micro-ops).
     pub body: Vec<LaneOp>,
-    /// Original frame register backing each lane slot; after the last
-    /// chunk, slot `s`'s last-lane value is written back to
-    /// `lane_regs[s]` so the epilogue and post-loop code see exactly the
+    /// Frame register backing each of the first `lane_regs.len()` slots;
+    /// after the last strip, slot `s`'s value at the last iteration is
+    /// written back to `lane_regs[s]` so post-loop code sees exactly the
     /// registers a scalar run would have left.
     pub lane_regs: Vec<Reg>,
+    /// The broadcast table: what fills each slot past the lane registers.
+    pub bcast: Vec<Bcast>,
 }
 
 /// Static per-array allocation info (bounds resolved under the binding).
@@ -1348,33 +1356,23 @@ fn acc_str(code: &Code, acc: u32) -> String {
     format!("@{acc} = {name}[{flat}]{chk}")
 }
 
-fn lane_src_str(s: LaneSrc) -> String {
-    match s {
-        LaneSrc::Lane(k) => format!("l{k}"),
-        LaneSrc::Scalar(r) => format!("r{r}"),
-    }
-}
-
-fn lane_op_str(op: &LaneOp) -> String {
-    match op {
+fn lane_op_str(dim: u8, op: &LaneOp) -> String {
+    match *op {
         LaneOp::Load { dst, acc } => format!("l{dst} = load @{acc}"),
-        LaneOp::Store { acc, src } => format!("store @{acc}, {}", lane_src_str(*src)),
-        LaneOp::Bin { op, dst, a, b } => format!(
-            "l{dst} = {} {} {}",
-            lane_src_str(*a),
-            binop_sym(*op),
-            lane_src_str(*b)
-        ),
-        LaneOp::Neg { dst, src } => format!("l{dst} = -{}", lane_src_str(*src)),
-        LaneOp::Mov { dst, src } => format!("l{dst} = {}", lane_src_str(*src)),
-        LaneOp::IdxF { dst, d } => format!("l{dst} = f64(i{d})"),
-        LaneOp::Call { intr, dst, args } => format!(
+        LaneOp::Store { acc, src } => format!("store @{acc}, l{src}"),
+        LaneOp::Bin { op, dst, a, b } => format!("l{dst} = l{a} {} l{b}", binop_sym(op)),
+        LaneOp::Neg { dst, src } => format!("l{dst} = -l{src}"),
+        LaneOp::Mov { dst, src } => format!("l{dst} = l{src}"),
+        LaneOp::IdxSeq { dst } => format!("l{dst} = f64(i{dim})"),
+        LaneOp::Call { intr, dst, n, args } => format!(
             "l{dst} = {intr:?}({})",
-            args.iter()
-                .map(|&a| lane_src_str(a))
+            args[..n as usize]
+                .iter()
+                .map(|a| format!("l{a}"))
                 .collect::<Vec<_>>()
                 .join(", ")
         ),
+        LaneOp::Reduce { op, acc, src } => format!("r{acc} = {op:?}(r{acc}, l{src}) in order"),
         LaneOp::Tick { flops } => format!("tick flops={flops}"),
     }
 }
@@ -1538,8 +1536,9 @@ fn op_str(code: &Code, op: &Op) -> (&'static str, String) {
 /// Renders the compiled program as a readable listing: every op with its
 /// operand details (register numbers, immediate offsets, jump targets),
 /// followed by the constant, parallel-ladder, and simd-loop tables
-/// (including each simd loop's decoded lane program). Deterministic for a
-/// given program + binding, so the output can be golden-snapshotted.
+/// (including each simd loop's broadcast table and lane program).
+/// Deterministic for a given program + binding, so the output can be
+/// golden-snapshotted.
 pub(crate) fn disasm(code: &Code) -> String {
     use std::fmt::Write as _;
     let mut out = String::new();
@@ -1566,12 +1565,20 @@ pub(crate) fn disasm(code: &Code) -> String {
     for (i, s) in code.simds.iter().enumerate() {
         let _ = writeln!(
             out,
-            ";; simd s{i}: {} lane regs {:?}, lane body:",
+            ";; simd s{i}: {} lane regs {:?}, {} broadcast slots, lane body:",
             s.lane_regs.len(),
-            s.lane_regs
+            s.lane_regs,
+            s.bcast.len()
         );
+        for (j, b) in s.bcast.iter().enumerate() {
+            let slot = s.lane_regs.len() + j;
+            let _ = match *b {
+                Bcast::Reg(r) => writeln!(out, ";;   l{slot} = broadcast r{r}"),
+                Bcast::Idx(d) => writeln!(out, ";;   l{slot} = broadcast f64(i{d})"),
+            };
+        }
         for lop in &s.body {
-            let _ = writeln!(out, ";;   {}", lane_op_str(lop));
+            let _ = writeln!(out, ";;   {}", lane_op_str(s.dim, lop));
         }
     }
     out

@@ -210,8 +210,9 @@ pub enum Engine {
     /// innermost-loop dispatch: after compilation a peephole pass collapses
     /// fused element-wise chains into superinstructions and annotates
     /// provably vectorizable innermost loops, which the dispatch loop then
-    /// executes over unrolled f64 lanes (with a scalar epilogue for
-    /// remainders). Reductions stay strictly serial, so results are
+    /// executes in strips of up to 64 consecutive iterations, each op
+    /// over the whole strip (the last strip cut to what is left).
+    /// Reductions fold each strip in iteration order, so results are
     /// `f64::to_bits`-identical to [`Engine::Interp`]. Refuses to
     /// construct (with the verifier's diagnostics) if the bytecode
     /// verifier's proof — which bounds every element access and
@@ -226,7 +227,7 @@ pub enum Engine {
     /// tasks on a work-stealing `std::thread` pool, and each tile
     /// vectorizes its innermost loop (outer tiles x inner lanes).
     /// Bit-identical to [`Engine::Interp`] regardless of thread count
-    /// (reductions stay sequential, tile counters merge in deterministic
+    /// (reduction nests never tile, tile counters merge in deterministic
     /// tile order). Like [`Engine::VmSimd`], refuses to construct if the
     /// bytecode verifier's proof fails, and fans out only under observers
     /// that do not consume the per-element address stream; under the cache
@@ -242,10 +243,11 @@ pub struct ExecOpts {
     /// `0` means one per available core, capped at 8. Other engines
     /// ignore this.
     pub threads: usize,
-    /// Unrolled f64 lanes for the innermost-loop dispatch of
-    /// [`Engine::VmSimd`] and [`Engine::VmPar`]; `0` means the default
-    /// width (4), and widths are capped at 8. `1` disables lane dispatch
-    /// (the engine runs the same superinstruction bytecode scalar). Other
+    /// Strip width for the innermost-loop dispatch of
+    /// [`Engine::VmSimd`] and [`Engine::VmPar`]: how many consecutive
+    /// iterations run op-major at a time. `0` means the default width
+    /// (64), and widths are capped at 128. `1` disables lane dispatch (the
+    /// engine runs the same superinstruction bytecode scalar). Other
     /// engines ignore this.
     pub lanes: usize,
 }

@@ -29,11 +29,11 @@
 //! engines contract bit-identity across thread counts, and that contract
 //! wins — reductions stay sequential on the coordinator.
 
-use crate::bytecode::{Code, Op, ParInfo, MAX_LANES, MAX_RANK};
+use crate::bytecode::{Code, Op, ParInfo, MAX_RANK};
 use crate::exec::TileStats;
 use crate::interp::{ExecError, NoopObserver, Observer, RunStats};
-use crate::simd::{self, ElemMem};
-use crate::vm::{body_op, resume_after_lanes, VmArray};
+use crate::simd::{self, ElemMem, LaneScratch};
+use crate::vm::{body_op, book_lane_run, VmArray};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread;
@@ -202,12 +202,14 @@ unsafe impl Sync for Batch {}
 
 impl Batch {
     fn run_tiles(&self) {
+        // One lane file per worker per batch, reused across its tiles.
+        let mut lane_scratch = LaneScratch::default();
         loop {
             let t = self.next.fetch_add(1, Ordering::Relaxed);
             if t >= self.tiles.len() {
                 return;
             }
-            let r = run_tile(self, t);
+            let r = run_tile(self, t, &mut lane_scratch);
             let mut st = self.state.lock().unwrap();
             st.slots[t] = Some(r);
             st.done += 1;
@@ -319,7 +321,7 @@ pub(crate) fn run_ladder(
 /// compiler puts allocs, counters, and nest bookkeeping before the
 /// `ParBegin`, so anything else inside a ladder is a malformed-bytecode
 /// trap.
-fn run_tile(b: &Batch, ti: usize) -> Result<TileRun, ExecError> {
+fn run_tile(b: &Batch, ti: usize, lane_scratch: &mut LaneScratch) -> Result<TileRun, ExecError> {
     let code = &*b.code;
     let ops = &code.ops[..];
     let pdim = b.info.dim as usize;
@@ -334,7 +336,6 @@ fn run_tile(b: &Batch, ti: usize) -> Result<TileRun, ExecError> {
     };
     let mut n = RunStats::default();
     let mut ops_done = 0u64;
-    let mut lane_scratch: Vec<[f64; MAX_LANES]> = Vec::new();
     while pc != exit {
         let op = ops[pc];
         pc += 1;
@@ -396,12 +397,14 @@ fn run_tile(b: &Batch, ti: usize) -> Result<TileRun, ExecError> {
                         &mut regs,
                         &idx,
                         &mut mem,
-                        &mut lane_scratch,
+                        lane_scratch,
                         b.deadline,
                     )?;
-                    if run.iters > 0 {
+                    if let Some(run) = run {
                         ops_done += run.ops;
-                        resume_after_lanes(&run, info.dim, &mut n, &mut idx, &mut pc);
+                        book_lane_run(&run, &mut n);
+                        idx[info.dim as usize] = s_stop;
+                        pc = info.exit as usize;
                     }
                 }
             }

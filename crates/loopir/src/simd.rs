@@ -12,41 +12,42 @@
 //!    bundle is observably identical to the unfused sequence.
 //!
 //! 2. **Vectorization** ([`vectorize`]): each innermost region loop whose
-//!    body is straight-line, check-free, reduction-free, and free of
-//!    loop-carried register dependences is decoded once into a lane
-//!    program ([`LaneOp`]) and annotated with an [`Op::SimdBegin`] marker.
-//!    A cross-iteration alias analysis bounds the safe lane count: for
-//!    every same-array access pair with at least one store, a dependence
-//!    distance of `m` iterations caps the width at `m` lanes, because the
-//!    lane loop executes op-major (each micro-op across all lanes before
-//!    the next micro-op) and must never reorder a conflicting load/store
-//!    pair within a chunk.
+//!    body is straight-line, check-free and free of loop-carried register
+//!    dependences other than reduction accumulators is decoded once into
+//!    a slot-resolved lane program ([`LaneOp`]) plus a broadcast table and
+//!    annotated with an [`Op::SimdBegin`] marker. A cross-iteration alias
+//!    analysis bounds the safe strip width: for every same-array access
+//!    pair with at least one store, a dependence distance of `m`
+//!    iterations caps the width at `m`, because the lane loop executes
+//!    op-major (each micro-op across the whole strip before the next
+//!    micro-op) and must never reorder a conflicting load/store pair
+//!    within a strip.
 //!
 //! Scalar dispatchers treat `SimdBegin` as a no-op and fall through into
 //! the loop, so one bytecode serves every engine. A lane-enabled verified
-//! VM instead calls [`run_lanes`], which executes whole chunks of `lanes`
-//! iterations across unrolled f64 lanes (portable unrolled loops by
-//! default, `std::arch` SSE2/AVX2 behind runtime detection) and then
-//! resumes the scalar loop for the remainder iterations. Because each
-//! lane computes exactly the scalar iteration's values with the same
-//! per-element operation order, results stay `f64::to_bits`-identical to
-//! the interpreter; loops that would not (reductions, carried deps) are
-//! simply never annotated.
+//! VM instead calls [`run_lanes`], which covers the loop's whole range in
+//! strips of up to 64 consecutive iterations (the last strip shorter when
+//! the width does not divide the extent). Every op is one tight loop over
+//! the strip's slices of the lane file, which LLVM vectorizes (with AVX2
+//! when the CPU has it; both forms are exactly IEEE, so the choice never
+//! changes a bit). Each position computes exactly the scalar iteration's
+//! values with the same per-element operation order, and a reduction
+//! folds its strip into the accumulator in iteration order, so results
+//! stay `f64::to_bits`-identical to the interpreter; loops that would not
+//! (carried dependences) are simply never annotated.
 
-use crate::bytecode::{Code, LaneOp, LaneSrc, Op, Reg, SimdInfo, MAX_LANES, MAX_RANK};
+use crate::bytecode::{Bcast, Code, LaneOp, Op, Reg, SimdInfo, MAX_CALL_ARGS, MAX_LANES, MAX_RANK};
 use crate::interp::{binop, ExecError, Observer};
 use crate::vm::{unallocated, VmArray};
-use std::collections::HashMap;
 use std::time::Instant;
-use zlang::ast::BinOp;
+use zlang::ast::{BinOp, ReduceOp};
 use zlang::ir::Intrinsic;
 
-/// Default lane width when the caller does not override it (wide enough
-/// to cover one SSE2 register per two lanes; [`MAX_LANES`] is the cap).
-pub(crate) const DEFAULT_LANES: usize = 4;
-
-/// Largest intrinsic arity the lane decoder accepts.
-const MAX_CALL_ARGS: usize = 4;
+/// Strip width when the caller does not override it ([`MAX_LANES`] is the
+/// cap). A constant, not a knob: past 32 the width buys little (SIMPLE
+/// n=256 runs 27.2 / 23.1 / 22.2 ms at 32 / 64 / 128, SP n=24 21.9 / 22.7
+/// / 22.2 ms; EXPERIMENTS.md), and 64 keeps most lane files inside L1.
+pub(crate) const DEFAULT_LANES: usize = 64;
 
 /// Rewrites compiled bytecode in place: bundles superinstructions, then
 /// annotates vectorizable innermost loops with [`Op::SimdBegin`].
@@ -296,6 +297,7 @@ fn vectorize(code: &mut Code) {
                 exit: t as u32 + 1,
                 body: cand.body,
                 lane_regs: cand.lane_regs,
+                bcast: cand.bcast,
             },
         ));
     }
@@ -350,6 +352,7 @@ fn vectorize(code: &mut Code) {
 pub(crate) struct SimdCandidate {
     pub body: Vec<LaneOp>,
     pub lane_regs: Vec<Reg>,
+    pub bcast: Vec<Bcast>,
     pub lanes: u8,
 }
 
@@ -387,6 +390,11 @@ enum Micro {
         base: Reg,
         n: u8,
     },
+    Reduce {
+        op: ReduceOp,
+        acc: Reg,
+        src: Reg,
+    },
     Tick {
         flops: u32,
     },
@@ -394,7 +402,7 @@ enum Micro {
 
 /// Expands body ops (including superinstructions) into micro-ops, or
 /// `None` if the body contains anything outside the vectorizable subset
-/// (control flow, reductions, observer markers, nested loops).
+/// (control flow, allocation, observer markers, nested loops).
 fn expand(ops: &[Op]) -> Option<Vec<Micro>> {
     let mut out = Vec::with_capacity(ops.len() * 2);
     for op in ops {
@@ -430,6 +438,7 @@ fn expand(ops: &[Op]) -> Option<Vec<Micro>> {
             Op::IdxF { dst, d } => out.push(Micro::IdxF { dst, d }),
             Op::Load { dst, acc } => out.push(Micro::Load { dst, acc }),
             Op::Store { acc, src } => out.push(Micro::Store { acc, src }),
+            Op::Reduce { op, dst, src } => out.push(Micro::Reduce { op, acc: dst, src }),
             Op::Tick { flops } => out.push(Micro::Tick { flops }),
             Op::LdLdBin {
                 op,
@@ -497,15 +506,31 @@ fn expand(ops: &[Op]) -> Option<Vec<Micro>> {
     Some(out)
 }
 
+/// `slot_of` marks for registers that own no lane slot: one the body never
+/// writes (its value is broadcast), and a reduction accumulator.
+const INVARIANT: u16 = u16::MAX;
+const ACCUMULATOR: u16 = u16::MAX - 1;
+
 /// Decodes the innermost loop body `code.ops[head..tail]` iterating
-/// `dim` with `step` into a lane program, and proves a safe lane count.
+/// `dim` with `step` into a slot-resolved lane program, and proves a safe
+/// strip width.
+///
+/// Every register the body writes gets a lane slot, numbered in order of
+/// first write; every other register or index the body reads gets an
+/// entry in the broadcast table and the slot after the lane slots that
+/// goes with it. The one register dependence around the back edge a lane
+/// program can carry is a reduction accumulator: `Op::Reduce` is admitted
+/// when nothing else in the body reads or writes its accumulator, because
+/// then folding a strip's values into it in iteration order, after the
+/// ops before it and before the ops after it have run over the strip, is
+/// exactly the scalar sequence of updates.
 ///
 /// Returns `None` when the body is not vectorizable: it contains an op
-/// outside the element-wise subset, a checked access, a loop-carried
-/// register dependence (a read of a body-written register before its
-/// first write in the body — e.g. a running reduction), a store that
-/// does not vary along `dim` (every lane would race on one cell), or a
-/// same-array dependence at distance < 2 iterations.
+/// outside the element-wise subset, a checked access, a read of a
+/// body-written register before its write in the same iteration (the
+/// value flows around the back edge), an accumulator that is touched
+/// twice, a store that does not vary along `dim` (every position would
+/// write one cell), or a same-array dependence at distance < 2 iterations.
 pub(crate) fn analyze_loop(
     code: &Code,
     head: usize,
@@ -515,10 +540,8 @@ pub(crate) fn analyze_loop(
 ) -> Option<SimdCandidate> {
     let micro = expand(&code.ops[head..tail])?;
 
-    // Registers the body writes: a read of one of these *before* its
-    // first write means the value flows around the back edge — a
-    // loop-carried dependence the lane file cannot represent.
-    let mut written: Vec<Reg> = Vec::new();
+    let mut slot_of = vec![INVARIANT; code.frame as usize];
+    let mut lane_regs: Vec<Reg> = Vec::new();
     for m in &micro {
         match *m {
             Micro::Load { dst, .. }
@@ -526,31 +549,50 @@ pub(crate) fn analyze_loop(
             | Micro::Neg { dst, .. }
             | Micro::Mov { dst, .. }
             | Micro::IdxF { dst, .. }
-            | Micro::Call { dst, .. } => written.push(dst),
+            | Micro::Call { dst, .. } => match slot_of.get_mut(dst as usize)? {
+                s @ &mut INVARIANT => {
+                    *s = lane_regs.len() as u16;
+                    lane_regs.push(dst);
+                }
+                &mut ACCUMULATOR => return None,
+                _ => {}
+            },
+            Micro::Reduce { acc, .. } => match slot_of.get_mut(acc as usize)? {
+                s @ &mut INVARIANT => *s = ACCUMULATOR,
+                _ => return None, // written elsewhere, or reduced into twice
+            },
             Micro::Store { .. } | Micro::Tick { .. } => {}
         }
     }
 
-    let mut lane_of: HashMap<Reg, u16> = HashMap::new();
-    let mut lane_regs: Vec<Reg> = Vec::new();
-    let mut body: Vec<LaneOp> = Vec::new();
+    let n_lane = lane_regs.len();
+    let mut bcast: Vec<Bcast> = Vec::new();
+    let mut body: Vec<LaneOp> = Vec::with_capacity(micro.len());
     // Accesses in program order, for the alias analysis below.
     let mut accs: Vec<(u32, bool)> = Vec::new();
+    // Lane slots are numbered by first write, so the slots this iteration
+    // has written so far are exactly those below `defined`.
+    let mut defined = 0u16;
 
-    let mut def = |lane_of: &mut HashMap<Reg, u16>, r: Reg| -> u16 {
-        *lane_of.entry(r).or_insert_with(|| {
-            lane_regs.push(r);
-            (lane_regs.len() - 1) as u16
-        })
-    };
-    let src = |lane_of: &HashMap<Reg, u16>, r: Reg| -> Option<LaneSrc> {
-        if let Some(&s) = lane_of.get(&r) {
-            Some(LaneSrc::Lane(s))
-        } else if written.contains(&r) {
-            None // read-before-write of a body-written register
-        } else {
-            Some(LaneSrc::Scalar(r))
+    fn bslot(bcast: &mut Vec<Bcast>, n_lane: usize, b: Bcast) -> u16 {
+        let i = bcast.iter().position(|&x| x == b).unwrap_or_else(|| {
+            bcast.push(b);
+            bcast.len() - 1
+        });
+        (n_lane + i) as u16
+    }
+    let src = |bcast: &mut Vec<Bcast>, defined: u16, r: Reg| -> Option<u16> {
+        match *slot_of.get(r as usize)? {
+            INVARIANT => Some(bslot(bcast, n_lane, Bcast::Reg(r))),
+            ACCUMULATOR => None, // only its own `Reduce` may touch it
+            s if s < defined => Some(s),
+            _ => None, // read before this iteration's write
         }
+    };
+    let def = |defined: &mut u16, r: Reg| -> u16 {
+        let s = slot_of[r as usize];
+        *defined = (*defined).max(s + 1);
+        s
     };
     let check_free = |acc: u32| code.accesses[acc as usize].check.is_none();
 
@@ -561,7 +603,7 @@ pub(crate) fn analyze_loop(
                     return None;
                 }
                 accs.push((acc, false));
-                let dst = def(&mut lane_of, dst);
+                let dst = def(&mut defined, dst);
                 body.push(LaneOp::Load { dst, acc });
             }
             Micro::Store { acc, src: r } => {
@@ -569,49 +611,58 @@ pub(crate) fn analyze_loop(
                     return None;
                 }
                 accs.push((acc, true));
-                let src = src(&lane_of, r)?;
+                let src = src(&mut bcast, defined, r)?;
                 body.push(LaneOp::Store { acc, src });
             }
             Micro::Bin { op, dst, a, b } => {
-                let a = src(&lane_of, a)?;
-                let b = src(&lane_of, b)?;
-                let dst = def(&mut lane_of, dst);
+                let a = src(&mut bcast, defined, a)?;
+                let b = src(&mut bcast, defined, b)?;
+                let dst = def(&mut defined, dst);
                 body.push(LaneOp::Bin { op, dst, a, b });
             }
             Micro::Neg { dst, src: r } => {
-                let src = src(&lane_of, r)?;
-                let dst = def(&mut lane_of, dst);
+                let src = src(&mut bcast, defined, r)?;
+                let dst = def(&mut defined, dst);
                 body.push(LaneOp::Neg { dst, src });
             }
             Micro::Mov { dst, src: r } => {
-                let src = src(&lane_of, r)?;
-                let dst = def(&mut lane_of, dst);
+                let src = src(&mut bcast, defined, r)?;
+                let dst = def(&mut defined, dst);
                 body.push(LaneOp::Mov { dst, src });
             }
             Micro::IdxF { dst, d } => {
-                let dst = def(&mut lane_of, dst);
-                body.push(LaneOp::IdxF { dst, d });
+                let dst = def(&mut defined, dst);
+                body.push(if d as usize == dim {
+                    LaneOp::IdxSeq { dst }
+                } else {
+                    let src = bslot(&mut bcast, n_lane, Bcast::Idx(d));
+                    LaneOp::Mov { dst, src }
+                });
             }
             Micro::Call { intr, dst, base, n } => {
                 if n as usize > MAX_CALL_ARGS {
                     return None;
                 }
-                let mut args = Vec::with_capacity(n as usize);
-                for r in base..base + n as Reg {
-                    args.push(src(&lane_of, r)?);
+                let mut args = [0u16; MAX_CALL_ARGS];
+                for (slot, r) in args.iter_mut().zip(base..base + n as Reg) {
+                    *slot = src(&mut bcast, defined, r)?;
                 }
-                let dst = def(&mut lane_of, dst);
-                body.push(LaneOp::Call { intr, dst, args });
+                let dst = def(&mut defined, dst);
+                body.push(LaneOp::Call { intr, dst, n, args });
+            }
+            Micro::Reduce { op, acc, src: r } => {
+                let src = src(&mut bcast, defined, r)?;
+                body.push(LaneOp::Reduce { op, acc, src });
             }
             Micro::Tick { flops } => body.push(LaneOp::Tick { flops }),
         }
     }
 
     // Cross-iteration alias analysis. The lane loop runs op-major, so
-    // within a chunk of `L` consecutive iterations every micro-op's L
+    // within a strip of `L` consecutive iterations every micro-op's L
     // instances execute before the next micro-op's. That only reorders
     // accesses between iterations at distance 1..=L-1; accesses from
-    // different chunks keep their scalar order (chunks are sequential),
+    // different strips keep their scalar order (strips are sequential),
     // and other-dimension flat contributions cancel (same array ⇒ same
     // strides). Two accesses P, Q of one array collide at distance m
     // when const_flat(P) - const_flat(Q) = m·K with K = stride[dim]·step
@@ -621,7 +672,7 @@ pub(crate) fn analyze_loop(
         let a = &code.accesses[pa as usize];
         let ka = a.strides[dim] * step;
         if pstore && ka == 0 {
-            return None; // every lane would write the same cell
+            return None; // every position would write the same cell
         }
         for &(qa, qstore) in &accs[i + 1..] {
             let b = &code.accesses[qa as usize];
@@ -634,10 +685,7 @@ pub(crate) fn analyze_loop(
             }
             let dc = a.const_flat - b.const_flat;
             if dc != 0 && dc % k == 0 {
-                let m = (dc / k).abs();
-                if m >= 1 {
-                    lanes = lanes.min(m);
-                }
+                lanes = lanes.min((dc / k).abs());
             }
         }
     }
@@ -647,7 +695,8 @@ pub(crate) fn analyze_loop(
     Some(SimdCandidate {
         body,
         lane_regs,
-        lanes: lanes.min(MAX_LANES as i64) as u8,
+        bcast,
+        lanes: lanes as u8,
     })
 }
 
@@ -656,11 +705,11 @@ pub(crate) fn analyze_loop(
 /// tile views), so the scalar body executor (`vm::body_op`) and
 /// [`run_lanes`] both go through this trait.
 pub(crate) trait ElemMem {
-    /// Resolves array `ai` to its base pointer and element count, for one
-    /// lane run. Resolution happens once per run, not per access: the
-    /// vectorizer only admits loop bodies free of allocation, so a
-    /// resolved base pointer stays valid (and its length stays exact) for
-    /// the whole run.
+    /// Resolves array `ai` to its base pointer and element count. A lane
+    /// run resolves each access once on entry, to prove its whole run in
+    /// bounds, and again for every strip, so no pointer outlives the
+    /// strip op that uses it. The vectorizer admits no allocation inside
+    /// a loop body, so both resolutions name the same allocation.
     fn resolve(&mut self, ai: usize) -> Result<(*mut f64, usize), ExecError>;
 
     /// Loads element `flat` of array `ai`, length-checked.
@@ -697,6 +746,7 @@ pub(crate) struct VmMem<'a> {
 }
 
 impl ElemMem for VmMem<'_> {
+    #[inline]
     fn resolve(&mut self, ai: usize) -> Result<(*mut f64, usize), ExecError> {
         match self.arrays[ai].as_mut() {
             Some(arr) => Ok((arr.data.as_mut_ptr(), arr.data.len())),
@@ -735,17 +785,11 @@ impl ElemMem for VmMem<'_> {
     }
 }
 
-/// What a [`run_lanes`] call executed, for the dispatcher's accounting.
+/// What a [`run_lanes`] call executed, for the dispatcher's accounting. A
+/// lane run always covers its whole range, so scalar dispatch resumes past
+/// the loop with the index at the range's stop.
 #[derive(Default)]
 pub(crate) struct LaneRun {
-    /// Scalar iterations covered (a multiple of the width; the scalar
-    /// epilogue owes the remaining `extent - iters`).
-    pub iters: i64,
-    /// Where scalar dispatch resumes: the vectorized dimension's index
-    /// value and the pc — past the loop when the run covered it, else the
-    /// loop head for the remainder (compensating the skipped `SetIdx`).
-    pub resume_idx: i64,
-    pub resume_pc: u32,
     pub loads: u64,
     pub stores: u64,
     pub flops: u64,
@@ -754,290 +798,283 @@ pub(crate) struct LaneRun {
     pub ops: u64,
 }
 
-/// A [`LaneOp`] lowered for the chunk loop: every operand resolved to a
-/// lane slot (loop-invariant scalars pre-broadcast into extra slots),
-/// every memory access bound to a [`MemStream`], counters and bounds
-/// checks hoisted out of the loop entirely.
-enum ChunkOp {
-    Load {
-        dst: u16,
-        mem: u16,
-    },
-    Store {
-        src: u16,
-        mem: u16,
-    },
-    Bin {
-        op: BinOp,
-        dst: u16,
-        a: u16,
-        b: u16,
-    },
-    Neg {
-        dst: u16,
-        src: u16,
-    },
-    Mov {
-        dst: u16,
-        src: u16,
-    },
-    /// `lane[dst][m] = (base + m*step) as f64` — the loop index along the
-    /// vectorized dimension, recomputed from integers each chunk.
-    IdxSeq {
-        dst: u16,
-    },
-    Call {
-        intr: Intrinsic,
-        dst: u16,
-        n: u8,
-        args: [u16; MAX_CALL_ARGS],
-    },
-}
-
-/// One memory access's address stream. `flat` is lane 0's flat index for
-/// the current chunk; it advances by `dk = l*k` per chunk, and lane `m`
-/// reads/writes `flat + m*k`. The base pointer is resolved once per lane
-/// run (the vectorizer admits no allocation inside loop bodies) and the
-/// whole stream is bounds-checked up front, so the loop itself runs
-/// check-free.
-struct MemStream {
-    ptr: *mut f64,
+/// One memory access's address stream for the current run: iteration `i`
+/// of the run touches element `flat + i*k` of array `arr`. It holds no
+/// pointer; each strip op resolves `arr` again.
+struct Stream {
+    arr: usize,
     flat: i64,
     k: i64,
-    dk: i64,
 }
 
-/// Builds the [`MemStream`] for access `acc` and proves the whole run in
-/// bounds: `flat + m*k + c*dk` is separately monotonic in `m` and `c`,
-/// so its extremes over `m < l, c < chunks` are at the four corners.
-/// Verified bytecode can never fail this (lane indices stay inside the
-/// range the scalar bounds proof covers), but the check keeps the path
-/// sound even against malformed `simds` tables.
-#[allow(clippy::too_many_arguments)]
-fn stream<M: ElemMem>(
-    streams: &mut Vec<MemStream>,
+/// The state a lane run needs and a `Vm` or a tile worker keeps between
+/// runs, so that entering a loop allocates nothing once these have grown
+/// to the program's largest loop: the lane file (`slots x W` values,
+/// strip `s` at `[s*W, (s+1)*W)`) and the stream table.
+#[derive(Default)]
+pub(crate) struct LaneScratch {
+    file: Vec<f64>,
+    streams: Vec<Stream>,
+}
+
+/// Binds access `acc` to a [`Stream`] and proves the whole run in bounds:
+/// `flat + i*k` is monotonic in `i`, so its extremes over the run's
+/// `extent` iterations are at the two ends. Verified bytecode can never
+/// fail this (the run stays inside the range the scalar bounds proof
+/// covers), but the check keeps the path sound even against malformed
+/// `simds` tables.
+fn bind<M: ElemMem>(
     mem: &mut M,
     code: &Code,
+    info: &SimdInfo,
     acc: u32,
     idx: &[i64; MAX_RANK],
-    dim: usize,
     base: i64,
-    step: i64,
-    l: usize,
-    chunks: i64,
-) -> Result<u16, ExecError> {
+    extent: i64,
+) -> Result<Stream, ExecError> {
     let a = &code.accesses[acc as usize];
+    let dim = info.dim as usize;
     let mut flat = a.const_flat;
     for (d, &i) in idx.iter().enumerate().take(a.rank as usize) {
         flat += if d == dim { base } else { i } * a.strides[d];
     }
-    let k = a.strides[dim] * step;
-    let dk = k * l as i64;
-    let (ptr, len) = mem.resolve(a.arr as usize)?;
-    let last_c = (chunks - 1) * dk;
-    let last_m = (l as i64 - 1) * k;
-    let corners = [flat, flat + last_m, flat + last_c, flat + last_c + last_m];
-    let lo = corners.iter().copied().min().unwrap();
-    let hi = corners.iter().copied().max().unwrap();
-    if lo < 0 || hi as usize >= len {
-        return Err(lane_oob(code, a.arr as usize));
+    let k = a.strides[dim] * info.step;
+    let arr = a.arr as usize;
+    let (_, len) = mem.resolve(arr)?;
+    let last = flat + (extent - 1) * k;
+    if flat.min(last) < 0 || flat.max(last) as usize >= len {
+        return Err(lane_oob(code, arr));
     }
-    streams.push(MemStream { ptr, flat, k, dk });
-    Ok((streams.len() - 1) as u16)
+    Ok(Stream { arr, flat, k })
 }
 
-/// Interns a broadcast slot holding the loop-invariant value `v`.
-/// Broadcast slots live past the lane-register slots and are never
-/// written by body ops (every body-written register is lane-mapped), so
-/// one fill before the loop serves every chunk.
-fn bslot(
-    slots: &mut HashMap<u64, u16>,
-    bcast: &mut Vec<f64>,
-    n_lane: usize,
-    key: u64,
-    v: f64,
-) -> u16 {
-    *slots.entry(key).or_insert_with(|| {
-        bcast.push(v);
-        (n_lane + bcast.len() - 1) as u16
-    })
-}
-
-/// Resolves a [`LaneSrc`] to a lane slot. A `Scalar` source is
-/// loop-invariant (a register the body wrote would be lane-mapped), so
-/// its current value is broadcast once.
-fn src_slot(
-    slots: &mut HashMap<u64, u16>,
-    bcast: &mut Vec<f64>,
-    n_lane: usize,
-    regs: &[f64],
-    s: LaneSrc,
-) -> u16 {
-    match s {
-        LaneSrc::Lane(k) => k,
-        LaneSrc::Scalar(r) => bslot(slots, bcast, n_lane, r as u64, regs[r as usize]),
-    }
-}
-
-/// Everything the monomorphized chunk executors need.
-struct ChunkCtx<'a> {
-    ops: &'a [ChunkOp],
-    streams: &'a mut [MemStream],
-    lane: &'a mut [[f64; MAX_LANES]],
-    l: usize,
-    chunks: i64,
-    /// `idx[dim]` of lane 0 of chunk 0.
-    base0: i64,
-    /// Per-chunk advance of the base: `l * step`.
-    lstep: i64,
-    step: i64,
-    deadline: Option<Instant>,
-}
-
-/// The chunk loop itself. `#[inline(always)]` so each kernel wrapper
-/// gets its own copy with `kern` a compile-time constant: the match in
-/// [`lane_bin`] folds away and the `std::arch` arithmetic inlines
-/// straight into the loop.
+/// Borrows strip `dst` of the lane file mutably and the `srcs` strips
+/// shared, each cut to the current strip width `wc`. A source that *is*
+/// `dst` (an in-place update such as `t = t * x`) reads a copy of the
+/// strip taken first, into `own`.
 #[inline(always)]
-fn chunk_loop(kern: Kernel, cx: &mut ChunkCtx) -> Result<(), ExecError> {
-    let l = cx.l;
-    let mut base = cx.base0;
-    let mut argv = [[0.0f64; MAX_LANES]; MAX_CALL_ARGS];
-    for c in 0..cx.chunks {
-        if c & 0x3F == 0 {
+fn strips<'a, const N: usize>(
+    file: &'a mut [f64],
+    w: usize,
+    wc: usize,
+    dst: u16,
+    srcs: [u16; N],
+    own: &'a mut [f64; MAX_LANES],
+) -> (&'a mut [f64], [&'a [f64]; N]) {
+    let d = dst as usize;
+    let (lo, rest) = file.split_at_mut(d * w);
+    let (out, hi) = rest.split_at_mut(w);
+    let out = &mut out[..wc];
+    if srcs.contains(&dst) {
+        own[..wc].copy_from_slice(out);
+    }
+    let (lo, hi, own): (&'a [f64], &'a [f64], &'a [f64]) = (lo, hi, own);
+    let srcs = srcs.map(|s| {
+        let s = s as usize;
+        match s.cmp(&d) {
+            std::cmp::Ordering::Less => &lo[s * w..][..wc],
+            std::cmp::Ordering::Greater => &hi[(s - d - 1) * w..][..wc],
+            std::cmp::Ordering::Equal => &own[..wc],
+        }
+    });
+    (out, srcs)
+}
+
+/// `out[m] = f(a[m], b[m])` over one strip: three equal-length slices and
+/// nothing else in the loop, which is the shape LLVM vectorizes.
+#[inline(always)]
+fn zip(out: &mut [f64], a: &[f64], b: &[f64], f: impl Fn(f64, f64) -> f64) {
+    for ((o, &x), &y) in out.iter_mut().zip(a).zip(b) {
+        *o = f(x, y);
+    }
+}
+
+/// Everything the strip loop needs.
+struct StripCtx<'a, M> {
+    info: &'a SimdInfo,
+    /// The lane file, `w` values per slot.
+    file: &'a mut [f64],
+    streams: &'a [Stream],
+    regs: &'a mut [f64],
+    mem: &'a mut M,
+    w: usize,
+    extent: i64,
+    /// `idx[dim]` of the run's first iteration.
+    base: i64,
+    deadline: Option<Instant>,
+    run: LaneRun,
+}
+
+/// The strip loop: the run's `extent` iterations in strips of `w` (the
+/// last one shorter when `w` does not divide `extent`), each op of the
+/// lane program over the whole strip before the next. `#[inline(always)]`
+/// so the AVX2 wrapper gets its own copy compiled with wider vectors.
+#[inline(always)]
+fn strip_loop<M: ElemMem>(cx: &mut StripCtx<'_, M>) -> Result<(), ExecError> {
+    let w = cx.w;
+    let step = cx.info.step;
+    let mut own = [0.0f64; MAX_LANES];
+    let mut done = 0i64;
+    let mut strip = 0u64;
+    while done < cx.extent {
+        if strip & 0x3F == 0 {
             if let Some(d) = cx.deadline {
                 if Instant::now() >= d {
                     return Err(ExecError::deadline());
                 }
             }
         }
-        for op in cx.ops {
-            match op {
-                ChunkOp::Load { dst, mem } => {
-                    let s = &cx.streams[*mem as usize];
-                    let out = &mut cx.lane[*dst as usize];
-                    // SAFETY: runtime check — before the loop began,
-                    // `stream` proved every `flat + m*k` this stream will
-                    // touch inside the array's allocation (verifier
-                    // phases 3 and 4 prove that check cannot fail on the
-                    // verified bytecode lane runs are gated on).
+        strip += 1;
+        let wc = w.min((cx.extent - done) as usize);
+        let file = &mut *cx.file;
+        // Memory ops take the stream table in body order.
+        let mut streams = cx.streams.iter();
+        for op in &cx.info.body {
+            match *op {
+                LaneOp::Load { dst, .. } => {
+                    let s = streams.next().expect("one stream per memory op");
+                    let out = &mut file[dst as usize * w..][..wc];
+                    let (ptr, _) = cx.mem.resolve(s.arr)?;
+                    let flat = s.flat + done * s.k;
+                    // SAFETY: runtime check — on entry to this run `bind`
+                    // proved both ends of the stream, `s.flat` and
+                    // `s.flat + (extent-1)*s.k`, inside the allocation
+                    // `resolve` reports, and every `flat + m*k` read here
+                    // lies between them (verifier phases 3 and 4 prove
+                    // that check cannot fail on the verified bytecode
+                    // lane runs are gated on). `out` is `wc` long.
                     unsafe {
                         if s.k == 1 {
                             std::ptr::copy_nonoverlapping(
-                                s.ptr.add(s.flat as usize),
+                                ptr.add(flat as usize),
                                 out.as_mut_ptr(),
-                                l,
+                                wc,
                             );
                         } else {
-                            for (m, slot) in out.iter_mut().enumerate().take(l) {
-                                *slot = *s.ptr.offset((s.flat + m as i64 * s.k) as isize);
+                            for (m, slot) in out.iter_mut().enumerate() {
+                                *slot = *ptr.offset((flat + m as i64 * s.k) as isize);
                             }
                         }
                     }
+                    cx.run.loads += wc as u64;
                 }
-                ChunkOp::Store { src, mem } => {
-                    let v = cx.lane[*src as usize];
-                    let s = &cx.streams[*mem as usize];
-                    // SAFETY: runtime check — as for `Load`, `stream`'s
-                    // whole-run span check over this access.
+                LaneOp::Store { src, .. } => {
+                    let s = streams.next().expect("one stream per memory op");
+                    let v = &file[src as usize * w..][..wc];
+                    let (ptr, _) = cx.mem.resolve(s.arr)?;
+                    let flat = s.flat + done * s.k;
+                    // SAFETY: runtime check — as for `Load`, `bind`'s
+                    // check of both ends of this stream's run; `v` is
+                    // `wc` long and is lane-file memory, never the array.
                     unsafe {
                         if s.k == 1 {
-                            std::ptr::copy_nonoverlapping(
-                                v.as_ptr(),
-                                s.ptr.add(s.flat as usize),
-                                l,
-                            );
+                            std::ptr::copy_nonoverlapping(v.as_ptr(), ptr.add(flat as usize), wc);
                         } else {
-                            for (m, &val) in v.iter().enumerate().take(l) {
-                                *s.ptr.offset((s.flat + m as i64 * s.k) as isize) = val;
+                            for (m, &val) in v.iter().enumerate() {
+                                *ptr.offset((flat + m as i64 * s.k) as isize) = val;
                             }
                         }
                     }
+                    cx.run.stores += wc as u64;
                 }
-                ChunkOp::Bin { op, dst, a, b } => {
-                    let va = cx.lane[*a as usize];
-                    let vb = cx.lane[*b as usize];
-                    cx.lane[*dst as usize] = lane_bin(kern, *op, &va, &vb);
-                }
-                ChunkOp::Neg { dst, src } => {
-                    let v = cx.lane[*src as usize];
-                    let out = &mut cx.lane[*dst as usize];
-                    for m in 0..MAX_LANES {
-                        out[m] = -v[m];
+                LaneOp::Bin { op, dst, a, b } => {
+                    let (out, [a, b]) = strips(file, w, wc, dst, [a, b], &mut own);
+                    match op {
+                        BinOp::Add => zip(out, a, b, |x, y| x + y),
+                        BinOp::Sub => zip(out, a, b, |x, y| x - y),
+                        BinOp::Mul => zip(out, a, b, |x, y| x * y),
+                        BinOp::Div => zip(out, a, b, |x, y| x / y),
+                        // Comparisons (rare in loop bodies) keep the
+                        // interpreter's own `binop`.
+                        _ => zip(out, a, b, |x, y| binop(op, x, y)),
                     }
                 }
-                ChunkOp::Mov { dst, src } => {
-                    let v = cx.lane[*src as usize];
-                    cx.lane[*dst as usize] = v;
-                }
-                ChunkOp::IdxSeq { dst } => {
-                    let out = &mut cx.lane[*dst as usize];
-                    for (m, slot) in out.iter_mut().enumerate() {
-                        *slot = (base + m as i64 * cx.step) as f64;
+                LaneOp::Neg { dst, src } => {
+                    let (out, [v]) = strips(file, w, wc, dst, [src], &mut own);
+                    for (o, &x) in out.iter_mut().zip(v) {
+                        *o = -x;
                     }
                 }
-                ChunkOp::Call { intr, dst, n, args } => {
-                    let n = *n as usize;
-                    for (i, slot) in argv.iter_mut().enumerate().take(n) {
-                        *slot = cx.lane[args[i] as usize];
+                LaneOp::Mov { dst, src } => {
+                    let at = src as usize * w;
+                    file.copy_within(at..at + wc, dst as usize * w);
+                }
+                LaneOp::IdxSeq { dst } => {
+                    let first = cx.base + done * step;
+                    for (m, o) in file[dst as usize * w..][..wc].iter_mut().enumerate() {
+                        *o = (first + m as i64 * step) as f64;
                     }
-                    let out = &mut cx.lane[*dst as usize];
+                }
+                LaneOp::Call { intr, dst, n, args } => {
+                    let n = n as usize;
                     let mut one = [0.0f64; MAX_CALL_ARGS];
-                    for m in 0..l {
-                        for i in 0..n {
-                            one[i] = argv[i][m];
+                    for m in 0..wc {
+                        for (x, &a) in one.iter_mut().zip(&args[..n]) {
+                            *x = file[a as usize * w + m];
                         }
-                        out[m] = intr.eval(&one[..n]);
+                        file[dst as usize * w + m] = intr.eval(&one[..n]);
                     }
+                }
+                LaneOp::Reduce { op, acc, src } => {
+                    // In iteration order, so the accumulator takes exactly
+                    // the scalar loop's sequence of values.
+                    let v = &file[src as usize * w..][..wc];
+                    let a = cx.regs[acc as usize];
+                    cx.regs[acc as usize] = match op {
+                        ReduceOp::Sum => v.iter().fold(a, |a, &x| a + x),
+                        ReduceOp::Prod => v.iter().fold(a, |a, &x| a * x),
+                        ReduceOp::Max => v.iter().fold(a, |a, &x| a.max(x)),
+                        ReduceOp::Min => v.iter().fold(a, |a, &x| a.min(x)),
+                    };
+                }
+                LaneOp::Tick { flops } => {
+                    cx.run.points += wc as u64;
+                    cx.run.flops += flops as u64 * wc as u64;
                 }
             }
         }
-        for s in cx.streams.iter_mut() {
-            s.flat += s.dk;
-        }
-        base += cx.lstep;
+        done += wc as i64;
     }
     Ok(())
 }
 
-fn run_chunks(kern: Kernel, cx: &mut ChunkCtx) -> Result<(), ExecError> {
-    match kern {
-        Kernel::Portable => chunk_loop(Kernel::Portable, cx),
-        // SAFETY: runtime check — `kernel()` selects `Sse2` only after
-        // `is_x86_feature_detected!("sse2")`.
-        #[cfg(target_arch = "x86_64")]
-        Kernel::Sse2 => unsafe { chunk_sse2(cx) },
-        // SAFETY: runtime check — `kernel()` selects `Avx2` only after
-        // `is_x86_feature_detected!("avx2")`.
-        #[cfg(target_arch = "x86_64")]
-        Kernel::Avx2 => unsafe { chunk_avx2(cx) },
+fn run_strips<M: ElemMem>(cx: &mut StripCtx<'_, M>) -> Result<(), ExecError> {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: runtime check — `is_x86_feature_detected!("avx2")` on
+        // the line above.
+        return unsafe { strips_avx2(cx) };
     }
+    strip_loop(cx)
 }
 
-// SAFETY: runtime check — the caller must hold `kernel()`'s
-// `is_x86_feature_detected!("sse2")`; `run_chunks` is the only caller.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "sse2")]
-unsafe fn chunk_sse2(cx: &mut ChunkCtx) -> Result<(), ExecError> {
-    chunk_loop(Kernel::Sse2, cx)
-}
-
-// SAFETY: runtime check — the caller must hold `kernel()`'s
-// `is_x86_feature_detected!("avx2")`; `run_chunks` is the only caller.
+/// [`strip_loop`] compiled with AVX2 enabled.
+///
+/// # Safety
+///
+/// The CPU must support AVX2.
+// SAFETY: runtime check — `run_strips`, the only caller, tests
+// `is_x86_feature_detected!("avx2")` first.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn chunk_avx2(cx: &mut ChunkCtx) -> Result<(), ExecError> {
-    chunk_loop(Kernel::Avx2, cx)
+unsafe fn strips_avx2<M: ElemMem>(cx: &mut StripCtx<'_, M>) -> Result<(), ExecError> {
+    strip_loop(cx)
 }
 
-/// Executes whole chunks of `info`'s loop across f64 lanes.
+/// Executes `info`'s loop over `[t_start, t_stop)` in strips.
 ///
 /// `t_start`/`t_stop` override the loop range so a parallel tile can run
-/// its slice; the sequential VM passes `info.start`/`info.stop`. `regs`
-/// supplies broadcast scalars and receives the last lane's values of
-/// every lane register afterwards, exactly as the scalar loop would have
-/// left them. Returns `iters == 0` (and touches nothing) when the
-/// effective width is < 2 or the range has fewer iterations than lanes.
+/// its slice; the sequential VM passes `info.start`/`info.stop`. The strip
+/// width is the least of `want`, the loop's proven alias width and the
+/// range's extent; below 2 nothing runs and the result is `None` (the
+/// caller stays scalar). Otherwise the run covers the whole range: `regs`
+/// supplies the broadcast values and the accumulators, and afterwards
+/// holds what the scalar loop would have left, every lane register's
+/// value at the last iteration included.
+///
+/// Entering a loop fills the broadcast slots, binds one [`Stream`] per
+/// memory op and proves each in bounds; the lane program itself was
+/// resolved at compile time.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_lanes<M: ElemMem>(
     code: &Code,
@@ -1048,294 +1085,72 @@ pub(crate) fn run_lanes<M: ElemMem>(
     regs: &mut [f64],
     idx: &[i64; MAX_RANK],
     mem: &mut M,
-    lane: &mut Vec<[f64; MAX_LANES]>,
+    scratch: &mut LaneScratch,
     deadline: Option<Instant>,
-) -> Result<LaneRun, ExecError> {
-    let l = want.min(info.lanes as usize).min(MAX_LANES);
+) -> Result<Option<LaneRun>, ExecError> {
     let extent = (t_stop - t_start) / info.step;
-    let mut run = LaneRun::default();
-    if l < 2 || extent < l as i64 {
-        return Ok(run);
+    let w = want
+        .min(info.lanes as usize)
+        .min(MAX_LANES)
+        .min(extent.max(0) as usize);
+    if w < 2 {
+        return Ok(None);
     }
-    let chunks = extent / l as i64;
-    let dim = info.dim as usize;
-    let step = info.step;
     let n_lane = info.lane_regs.len();
-
-    // Lower the body once per run: resolve operands to lane slots,
-    // broadcast loop-invariant scalars, bind memory accesses to raw
-    // pointer streams (bounds-checked for the whole run up front), and
-    // hoist the counter arithmetic out of the loop entirely.
-    let mut ops: Vec<ChunkOp> = Vec::with_capacity(info.body.len());
-    let mut streams: Vec<MemStream> = Vec::new();
-    let mut bcast: Vec<f64> = Vec::new();
-    let mut slots: HashMap<u64, u16> = HashMap::new();
-    let (mut n_loads, mut n_stores, mut n_points, mut n_flops) = (0u64, 0u64, 0u64, 0u64);
-    const IDX_KEY: u64 = 1 << 32;
+    let LaneScratch { file, streams } = scratch;
+    let need = (n_lane + info.bcast.len()) * w;
+    if file.len() < need {
+        file.resize(need, 0.0);
+    }
+    let file = &mut file[..need];
+    // Body ops never write a broadcast slot (every register the body
+    // writes owns a lane slot), so one fill serves every strip.
+    for (b, slot) in info
+        .bcast
+        .iter()
+        .zip(file[n_lane * w..].chunks_exact_mut(w))
+    {
+        slot.fill(match *b {
+            Bcast::Reg(r) => regs[r as usize],
+            Bcast::Idx(d) => idx[d as usize] as f64,
+        });
+    }
+    streams.clear();
     for op in &info.body {
-        match op {
-            LaneOp::Load { dst, acc } => {
-                let mi = stream(
-                    &mut streams,
-                    mem,
-                    code,
-                    *acc,
-                    idx,
-                    dim,
-                    t_start,
-                    step,
-                    l,
-                    chunks,
-                )?;
-                ops.push(ChunkOp::Load { dst: *dst, mem: mi });
-                n_loads += 1;
-            }
-            LaneOp::Store { acc, src } => {
-                let s = src_slot(&mut slots, &mut bcast, n_lane, regs, *src);
-                let mi = stream(
-                    &mut streams,
-                    mem,
-                    code,
-                    *acc,
-                    idx,
-                    dim,
-                    t_start,
-                    step,
-                    l,
-                    chunks,
-                )?;
-                ops.push(ChunkOp::Store { src: s, mem: mi });
-                n_stores += 1;
-            }
-            LaneOp::Bin { op, dst, a, b } => {
-                let a = src_slot(&mut slots, &mut bcast, n_lane, regs, *a);
-                let b = src_slot(&mut slots, &mut bcast, n_lane, regs, *b);
-                ops.push(ChunkOp::Bin {
-                    op: *op,
-                    dst: *dst,
-                    a,
-                    b,
-                });
-            }
-            LaneOp::Neg { dst, src } => {
-                let s = src_slot(&mut slots, &mut bcast, n_lane, regs, *src);
-                ops.push(ChunkOp::Neg { dst: *dst, src: s });
-            }
-            LaneOp::Mov { dst, src } => {
-                let s = src_slot(&mut slots, &mut bcast, n_lane, regs, *src);
-                ops.push(ChunkOp::Mov { dst: *dst, src: s });
-            }
-            LaneOp::IdxF { dst, d } => {
-                if *d as usize == dim {
-                    ops.push(ChunkOp::IdxSeq { dst: *dst });
-                } else {
-                    let s = bslot(
-                        &mut slots,
-                        &mut bcast,
-                        n_lane,
-                        IDX_KEY | *d as u64,
-                        idx[*d as usize] as f64,
-                    );
-                    ops.push(ChunkOp::Mov { dst: *dst, src: s });
-                }
-            }
-            LaneOp::Call { intr, dst, args } => {
-                let mut av = [0u16; MAX_CALL_ARGS];
-                for (i, &a) in args.iter().enumerate() {
-                    av[i] = src_slot(&mut slots, &mut bcast, n_lane, regs, a);
-                }
-                ops.push(ChunkOp::Call {
-                    intr: *intr,
-                    dst: *dst,
-                    n: args.len() as u8,
-                    args: av,
-                });
-            }
-            LaneOp::Tick { flops } => {
-                n_points += 1;
-                n_flops += *flops as u64;
-            }
+        if let LaneOp::Load { acc, .. } | LaneOp::Store { acc, .. } = *op {
+            streams.push(bind(mem, code, info, acc, idx, t_start, extent)?);
         }
     }
 
-    lane.clear();
-    lane.resize(n_lane + bcast.len(), [0.0; MAX_LANES]);
-    for (i, &v) in bcast.iter().enumerate() {
-        lane[n_lane + i] = [v; MAX_LANES];
-    }
-
-    let mut cx = ChunkCtx {
-        ops: &ops,
-        streams: &mut streams,
-        lane: lane.as_mut_slice(),
-        l,
-        chunks,
-        base0: t_start,
-        lstep: l as i64 * step,
-        step,
+    let mut cx = StripCtx {
+        info,
+        file,
+        streams,
+        regs,
+        mem,
+        w,
+        extent,
+        base: t_start,
         deadline,
+        run: LaneRun::default(),
     };
-    run_chunks(kernel(), &mut cx)?;
+    run_strips(&mut cx)?;
+    let StripCtx {
+        file,
+        regs,
+        mut run,
+        ..
+    } = cx;
 
-    // The scalar epilogue and all post-loop code must see exactly the
-    // registers a scalar run of these iterations would have left: the
-    // last executed iteration's values, i.e. the last lane of the last
-    // chunk.
+    // Post-loop code must see exactly the registers a scalar run would
+    // have left: the last iteration's values, which sit at this position
+    // of the last strip.
+    let last = (extent - 1) as usize % w;
     for (slot, &r) in info.lane_regs.iter().enumerate() {
-        regs[r as usize] = lane[slot][l - 1];
+        regs[r as usize] = file[slot * w + last];
     }
-    run.iters = chunks * l as i64;
-    (run.resume_idx, run.resume_pc) = if run.iters == extent {
-        (t_stop, info.exit)
-    } else {
-        (t_start + run.iters * step, info.head)
-    };
-    let per = chunks as u64 * l as u64;
-    run.loads = n_loads * per;
-    run.stores = n_stores * per;
-    run.points = n_points * per;
-    run.flops = n_flops * per;
-    run.ops = run.iters as u64 * (info.exit - info.head) as u64;
-    Ok(run)
-}
-
-/// The arithmetic kernel the lane loop dispatches to, chosen once per
-/// process. Portable unrolled loops are the default; on x86-64 the
-/// SSE2/AVX2 paths are selected by runtime feature detection. All three
-/// compute IEEE-754 binary64 add/sub/mul/div, so the choice never
-/// changes a bit of the result.
-#[derive(Clone, Copy, Debug)]
-enum Kernel {
-    Portable,
-    #[cfg(target_arch = "x86_64")]
-    Sse2,
-    #[cfg(target_arch = "x86_64")]
-    Avx2,
-}
-
-fn kernel() -> Kernel {
-    static KERN: std::sync::OnceLock<Kernel> = std::sync::OnceLock::new();
-    *KERN.get_or_init(|| {
-        #[cfg(target_arch = "x86_64")]
-        {
-            if std::arch::is_x86_feature_detected!("avx2") {
-                return Kernel::Avx2;
-            }
-            if std::arch::is_x86_feature_detected!("sse2") {
-                return Kernel::Sse2;
-            }
-        }
-        Kernel::Portable
-    })
-}
-
-/// One lane-wide binary op. Arithmetic goes through the detected kernel;
-/// comparisons (rare in loop bodies) evaluate per lane via the
-/// interpreter's own `binop`, so semantics stay shared. Operates on all
-/// [`MAX_LANES`] slots — lanes past the active width compute garbage
-/// values that are never read, and f64 arithmetic never traps.
-#[inline(always)]
-fn lane_bin(
-    kern: Kernel,
-    op: BinOp,
-    a: &[f64; MAX_LANES],
-    b: &[f64; MAX_LANES],
-) -> [f64; MAX_LANES] {
-    match op {
-        BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div => match kern {
-            Kernel::Portable => arith_portable(op, a, b),
-            // SAFETY: runtime check — `kern` is `Sse2` only after
-            // `kernel()`'s `is_x86_feature_detected!("sse2")`.
-            #[cfg(target_arch = "x86_64")]
-            Kernel::Sse2 => unsafe { arith_sse2(op, a, b) },
-            // SAFETY: runtime check — `kern` is `Avx2` only after
-            // `kernel()`'s `is_x86_feature_detected!("avx2")`.
-            #[cfg(target_arch = "x86_64")]
-            Kernel::Avx2 => unsafe { arith_avx2(op, a, b) },
-        },
-        _ => {
-            let mut out = [0.0f64; MAX_LANES];
-            for m in 0..MAX_LANES {
-                out[m] = binop(op, a[m], b[m]);
-            }
-            out
-        }
-    }
-}
-
-#[inline(always)]
-fn arith_portable(op: BinOp, a: &[f64; MAX_LANES], b: &[f64; MAX_LANES]) -> [f64; MAX_LANES] {
-    let mut out = [0.0f64; MAX_LANES];
-    match op {
-        BinOp::Add => {
-            for m in 0..MAX_LANES {
-                out[m] = a[m] + b[m];
-            }
-        }
-        BinOp::Sub => {
-            for m in 0..MAX_LANES {
-                out[m] = a[m] - b[m];
-            }
-        }
-        BinOp::Mul => {
-            for m in 0..MAX_LANES {
-                out[m] = a[m] * b[m];
-            }
-        }
-        BinOp::Div => {
-            for m in 0..MAX_LANES {
-                out[m] = a[m] / b[m];
-            }
-        }
-        _ => unreachable!("lane_bin routes comparisons through binop"),
-    }
-    out
-}
-
-// SAFETY: runtime check — the caller must hold `kernel()`'s
-// `is_x86_feature_detected!("sse2")`; the unaligned loads and stores stay
-// inside the `MAX_LANES`-wide arrays because `2 * h + 1 < MAX_LANES`.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "sse2")]
-unsafe fn arith_sse2(op: BinOp, a: &[f64; MAX_LANES], b: &[f64; MAX_LANES]) -> [f64; MAX_LANES] {
-    use std::arch::x86_64::*;
-    let mut out = [0.0f64; MAX_LANES];
-    for h in 0..MAX_LANES / 2 {
-        let x = _mm_loadu_pd(a.as_ptr().add(2 * h));
-        let y = _mm_loadu_pd(b.as_ptr().add(2 * h));
-        let z = match op {
-            BinOp::Add => _mm_add_pd(x, y),
-            BinOp::Sub => _mm_sub_pd(x, y),
-            BinOp::Mul => _mm_mul_pd(x, y),
-            BinOp::Div => _mm_div_pd(x, y),
-            _ => unreachable!("lane_bin routes comparisons through binop"),
-        };
-        _mm_storeu_pd(out.as_mut_ptr().add(2 * h), z);
-    }
-    out
-}
-
-// SAFETY: runtime check — the caller must hold `kernel()`'s
-// `is_x86_feature_detected!("avx2")`; the unaligned loads and stores stay
-// inside the `MAX_LANES`-wide arrays because `4 * h + 3 < MAX_LANES`.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn arith_avx2(op: BinOp, a: &[f64; MAX_LANES], b: &[f64; MAX_LANES]) -> [f64; MAX_LANES] {
-    use std::arch::x86_64::*;
-    let mut out = [0.0f64; MAX_LANES];
-    for h in 0..MAX_LANES / 4 {
-        let x = _mm256_loadu_pd(a.as_ptr().add(4 * h));
-        let y = _mm256_loadu_pd(b.as_ptr().add(4 * h));
-        let z = match op {
-            BinOp::Add => _mm256_add_pd(x, y),
-            BinOp::Sub => _mm256_sub_pd(x, y),
-            BinOp::Mul => _mm256_mul_pd(x, y),
-            BinOp::Div => _mm256_div_pd(x, y),
-            _ => unreachable!("lane_bin routes comparisons through binop"),
-        };
-        _mm256_storeu_pd(out.as_mut_ptr().add(4 * h), z);
-    }
-    out
+    run.ops = extent as u64 * (info.exit - info.head) as u64;
+    Ok(Some(run))
 }
 
 #[cfg(test)]
@@ -1362,23 +1177,28 @@ mod tests {
     /// `C[i] = A[i] * B[i] + A[i]` over R — the fused element-wise shape
     /// the peephole and the vectorizer both target.
     fn simple_fill() -> ScalarProgram {
+        nest(vec![ElemStmt {
+            target: ElemRef::Array(ArrayId(2), Offset(vec![0])),
+            rhs: EExpr::Binary(
+                BinOp::Add,
+                Box::new(EExpr::Binary(
+                    BinOp::Mul,
+                    Box::new(load(0)),
+                    Box::new(load(1)),
+                )),
+                Box::new(load(0)),
+            ),
+        }])
+    }
+
+    /// One nest over R with the given statements.
+    fn nest(body: Vec<ElemStmt>) -> ScalarProgram {
         ScalarProgram {
             program: prog(),
             stmts: vec![LStmt::Nest(LoopNest {
                 region: RegionId(0),
                 structure: vec![1],
-                body: vec![ElemStmt {
-                    target: ElemRef::Array(ArrayId(2), Offset(vec![0])),
-                    rhs: EExpr::Binary(
-                        BinOp::Add,
-                        Box::new(EExpr::Binary(
-                            BinOp::Mul,
-                            Box::new(load(0)),
-                            Box::new(load(1)),
-                        )),
-                        Box::new(load(0)),
-                    ),
-                }],
+                body,
                 cluster: 0,
                 temps: 0,
             })],
@@ -1458,9 +1278,8 @@ mod tests {
         assert_eq!(code.simds[0].lanes, 2, "distance-2 dependence");
     }
 
-    #[test]
-    fn reductions_are_never_annotated() {
-        let sp = ScalarProgram {
+    fn sum_nest() -> ScalarProgram {
+        ScalarProgram {
             program: prog(),
             stmts: vec![LStmt::ReduceNest {
                 lhs: ScalarId(0),
@@ -1469,13 +1288,325 @@ mod tests {
                 structure: vec![1],
                 rhs: load(0),
             }],
+        }
+    }
+
+    fn reduce_into_s(op: ReduceOp, rhs: EExpr) -> ElemStmt {
+        ElemStmt {
+            target: ElemRef::Reduce(ScalarId(0), op),
+            rhs,
+        }
+    }
+
+    fn reduces(code: &Code) -> Vec<LaneOp> {
+        let is_reduce = |op: &&LaneOp| matches!(op, LaneOp::Reduce { .. });
+        code.simds
+            .iter()
+            .flat_map(|s| s.body.iter().filter(is_reduce).copied())
+            .collect()
+    }
+
+    #[test]
+    fn a_reduce_nest_is_annotated() {
+        let mut code = compiled(&sum_nest());
+        superfuse(&mut code);
+        assert_eq!(code.simds.len(), 1, "the reduction loop vectorizes");
+        assert_eq!(code.simds[0].lanes as usize, MAX_LANES, "no stores");
+        let folds = reduces(&code);
+        assert!(
+            matches!(
+                folds[..],
+                [LaneOp::Reduce {
+                    op: ReduceOp::Sum,
+                    src: 0,
+                    ..
+                }]
+            ),
+            "{folds:?}"
+        );
+        // The accumulator stays a frame register: it owns no lane slot.
+        let LaneOp::Reduce { acc, .. } = folds[0] else {
+            unreachable!()
         };
+        assert!(!code.simds[0].lane_regs.contains(&acc));
+    }
+
+    #[test]
+    fn a_fused_nest_carrying_a_reduce_is_annotated() {
+        // C[i] = A[i] * B[i]; s max<<= C[i]: the Tomcatv shape, a
+        // residual reduction fused into the nest that computes its input.
+        let product = EExpr::Binary(BinOp::Mul, Box::new(load(0)), Box::new(load(1)));
+        let mut code = compiled(&nest(vec![
+            ElemStmt {
+                target: ElemRef::Array(ArrayId(2), Offset(vec![0])),
+                rhs: product,
+            },
+            reduce_into_s(ReduceOp::Max, load(2)),
+        ]));
+        superfuse(&mut code);
+        assert_eq!(code.simds.len(), 1);
+        let folds = reduces(&code);
+        assert!(
+            matches!(
+                folds[..],
+                [LaneOp::Reduce {
+                    op: ReduceOp::Max,
+                    acc: 0,
+                    ..
+                }]
+            ),
+            "{folds:?}"
+        );
+    }
+
+    #[test]
+    fn an_accumulator_touched_twice_is_rejected() {
+        // Read elsewhere: C[i] = s + A[i] sees the running sum, which a
+        // strip-at-a-time fold would hand over a whole strip late.
+        let reads = nest(vec![
+            reduce_into_s(ReduceOp::Sum, load(0)),
+            ElemStmt {
+                target: ElemRef::Array(ArrayId(2), Offset(vec![0])),
+                rhs: EExpr::Binary(
+                    BinOp::Add,
+                    Box::new(EExpr::ScalarRef(ScalarId(0))),
+                    Box::new(load(0)),
+                ),
+            },
+        ]);
+        // Reduced into twice: scalar order interleaves the two folds per
+        // iteration, op-major order would run one after the other.
+        let twice = nest(vec![
+            reduce_into_s(ReduceOp::Sum, load(0)),
+            reduce_into_s(ReduceOp::Sum, load(1)),
+        ]);
+        for (what, sp) in [("read", reads), ("second reduce", twice)] {
+            let mut code = compiled(&sp);
+            superfuse(&mut code);
+            assert!(code.simds.is_empty(), "{what} of the accumulator");
+        }
+
+        // Written elsewhere: overwrite the body's `Tick` with a move into
+        // the accumulator (the compiler never emits this; the verifier
+        // re-runs this analysis over whatever bytecode it is handed).
+        let mut code = compiled(&sum_nest());
+        let (acc, src) = code
+            .ops
+            .iter()
+            .find_map(|op| match *op {
+                Op::Reduce { dst, src, .. } => Some((dst, src)),
+                _ => None,
+            })
+            .unwrap();
+        let tick = code
+            .ops
+            .iter()
+            .position(|op| matches!(op, Op::Tick { .. }))
+            .unwrap();
+        code.ops[tick] = Op::Mov { dst: acc, src };
+        superfuse(&mut code);
+        assert!(code.simds.is_empty(), "write of the accumulator");
+    }
+
+    /// Reductions whose result depends on the order of the fold, over
+    /// `[1..67]` (67 is prime: no tested width divides the extent, so the
+    /// last strip is partial and the registers are written back from
+    /// position `66 % W`).
+    fn order_sensitive_reductions() -> ScalarProgram {
+        use zlang::ir::ScalarExpr;
+        let program = zlang::compile(
+            "program t; config n : int = 67; region R = [1..n]; \
+             var A, B, C : [R] float; var s0, s1, s2, s3, s4 : float; begin end",
+        )
+        .unwrap();
+        let bin = |op, a: EExpr, b: EExpr| EExpr::Binary(op, Box::new(a), Box::new(b));
+        let c = EExpr::Const;
+        let i = || EExpr::Index(0);
+        let call = EExpr::Call;
+        // i mod 3
+        let m = || {
+            let thirds = call(Intrinsic::Floor, vec![bin(BinOp::Div, i(), c(3.0))]);
+            bin(BinOp::Sub, i(), bin(BinOp::Mul, c(3.0), thirds))
+        };
+        // A = 1.0, 1e16, -1e16, 1.0, ...: summed in order every `1.0` but
+        // the last is absorbed, summed in any other grouping more survive.
+        let big = call(
+            Intrinsic::Select,
+            vec![
+                bin(BinOp::Eq, m(), c(1.0)),
+                c(1.0),
+                call(
+                    Intrinsic::Select,
+                    vec![bin(BinOp::Eq, m(), c(2.0)), c(1e16), c(-1e16)],
+                ),
+            ],
+        );
+        // B = a scatter of +0.0 and -0.0 with a NaN at i = 5: `f64::max`
+        // and `f64::min` skip the NaN and pick between the zeros by
+        // operand position.
+        let wave = call(Intrinsic::Sin, vec![bin(BinOp::Mul, c(2.1), i())]);
+        let half = bin(BinOp::Sub, bin(BinOp::Gt, wave, c(0.0)), c(0.5));
+        let off5 = || bin(BinOp::Sub, i(), c(5.0));
+        let zeros = bin(
+            BinOp::Mul,
+            bin(BinOp::Mul, half, c(0.0)),
+            bin(BinOp::Div, off5(), off5()),
+        );
+        let elem = |a: u32, rhs| ElemStmt {
+            target: ElemRef::Array(ArrayId(a), Offset(vec![0])),
+            rhs,
+        };
+        let fold = |s: u32, op, rhs| ElemStmt {
+            target: ElemRef::Reduce(ScalarId(s), op),
+            rhs,
+        };
+        let nest = |body| {
+            LStmt::Nest(LoopNest {
+                region: RegionId(0),
+                structure: vec![1],
+                body,
+                cluster: 0,
+                temps: 0,
+            })
+        };
+        let init = |s: u32, v: f64| LStmt::Scalar {
+            lhs: ScalarId(s),
+            rhs: ScalarExpr::Const(v),
+        };
+        ScalarProgram {
+            program,
+            stmts: vec![
+                nest(vec![elem(0, big), elem(1, zeros)]),
+                init(0, 0.0),
+                init(1, f64::NEG_INFINITY),
+                init(2, f64::INFINITY),
+                nest(vec![
+                    elem(2, bin(BinOp::Add, load(0), c(1.0))),
+                    fold(0, ReduceOp::Sum, load(0)),
+                    fold(1, ReduceOp::Max, load(1)),
+                    fold(2, ReduceOp::Min, load(1)),
+                ]),
+                LStmt::ReduceNest {
+                    lhs: ScalarId(3),
+                    op: ReduceOp::Sum,
+                    region: RegionId(0),
+                    structure: vec![1],
+                    rhs: load(0),
+                },
+                LStmt::ReduceNest {
+                    lhs: ScalarId(4),
+                    op: ReduceOp::Prod,
+                    region: RegionId(0),
+                    structure: vec![1],
+                    rhs: bin(BinOp::Add, c(1.0), bin(BinOp::Mul, load(2), c(1e-17))),
+                },
+            ],
+        }
+    }
+
+    #[test]
+    fn reductions_fold_in_scalar_order_at_every_width() {
+        use crate::interp::{Interp, NoopObserver};
+        use crate::{Executor, Vm};
+        let sp = order_sensitive_reductions();
+        let binding = ConfigBinding::defaults(&sp.program);
         let mut code = compiled(&sp);
         superfuse(&mut code);
-        assert!(
-            code.simds.is_empty(),
-            "reduction bodies carry a register dependence"
+        assert_eq!(code.simds.len(), 4, "every loop of the program vectorizes");
+        assert_eq!(reduces(&code).len(), 5);
+
+        let mut interp = Interp::new(&sp, binding.clone());
+        let want = interp.execute(&mut NoopObserver).unwrap();
+        let a = interp.array(ArrayId(0)).unwrap().to_vec();
+        let b = interp.array(ArrayId(1)).unwrap().to_vec();
+        assert!(b.iter().any(|v| v.is_nan()));
+        assert!(b.iter().any(|v| v.to_bits() == (-0.0f64).to_bits()));
+        assert!(b.iter().any(|v| v.to_bits() == 0.0f64.to_bits()));
+        // What a vectorizer free to reassociate would compute: a partial
+        // sum per lane (three here), combined at the end.
+        let mut partial = [0.0f64; 3];
+        for (i, &v) in a.iter().enumerate() {
+            partial[i % 3] += v;
+        }
+        assert_ne!(
+            want.scalars[3].to_bits(),
+            partial.iter().sum::<f64>().to_bits(),
+            "the sum must depend on its order for this test to mean anything"
         );
+
+        for lanes in [0, 2, 3, 8, 64] {
+            let mut vm = Vm::new_superfused(&sp, binding.clone()).unwrap();
+            vm.verify().unwrap();
+            vm.set_lanes(lanes);
+            let got = vm.execute(&mut NoopObserver).unwrap();
+            for (i, (w, g)) in want.scalars.iter().zip(&got.scalars).enumerate() {
+                assert_eq!(
+                    w.to_bits(),
+                    g.to_bits(),
+                    "s{i} at width {lanes}: {w} vs {g}"
+                );
+            }
+            assert_eq!(want.stats, got.stats, "counters at width {lanes}");
+            for arr in 0..3 {
+                let (w, g) = (interp.array(ArrayId(arr)), vm.array(ArrayId(arr)));
+                let bits = |x: Option<&[f64]>| -> Vec<u64> {
+                    x.unwrap().iter().map(|v| v.to_bits()).collect()
+                };
+                assert_eq!(bits(w), bits(g), "array {arr} at width {lanes}");
+            }
+        }
+    }
+
+    #[test]
+    fn an_in_place_update_reads_the_strip_it_overwrites() {
+        use crate::interp::{Interp, NoopObserver};
+        use crate::ir::TempId;
+        use crate::{Executor, Vm};
+        // t = A[i]; t = t * t; t = B[i] - t; C[i] = t: the second and
+        // third ops name their destination slot as a source.
+        let t = || EExpr::Temp(TempId(0));
+        let temp = |rhs| ElemStmt {
+            target: ElemRef::Temp(TempId(0)),
+            rhs,
+        };
+        let mut sp = nest(vec![
+            temp(load(0)),
+            temp(EExpr::Binary(BinOp::Mul, Box::new(t()), Box::new(t()))),
+            temp(EExpr::Binary(BinOp::Sub, Box::new(load(1)), Box::new(t()))),
+            ElemStmt {
+                target: ElemRef::Array(ArrayId(2), Offset(vec![0])),
+                rhs: t(),
+            },
+        ]);
+        let LStmt::Nest(n) = &mut sp.stmts[0] else {
+            unreachable!()
+        };
+        n.temps = 1;
+        // Give A and B distinct values first.
+        let fill = |a: u32, scale: f64| ElemStmt {
+            target: ElemRef::Array(ArrayId(a), Offset(vec![0])),
+            rhs: EExpr::Binary(
+                BinOp::Mul,
+                Box::new(EExpr::Index(0)),
+                Box::new(EExpr::Const(scale)),
+            ),
+        };
+        let init = nest(vec![fill(0, 0.3), fill(1, 7.0)]).stmts.remove(0);
+        sp.stmts.insert(0, init);
+
+        let mut code = compiled(&sp);
+        superfuse(&mut code);
+        let in_place =
+            |op: &LaneOp| matches!(*op, LaneOp::Bin { dst, a, b, .. } if dst == a || dst == b);
+        assert!(code.simds.iter().any(|s| s.body.iter().any(in_place)));
+
+        let binding = ConfigBinding::defaults(&sp.program);
+        let mut interp = Interp::new(&sp, binding.clone());
+        interp.execute(&mut NoopObserver).unwrap();
+        let mut vm = Vm::new_superfused(&sp, binding).unwrap();
+        vm.verify().unwrap();
+        vm.execute(&mut NoopObserver).unwrap();
+        assert_eq!(interp.array(ArrayId(2)), vm.array(ArrayId(2)));
     }
 
     #[test]

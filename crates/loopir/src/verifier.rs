@@ -24,12 +24,12 @@
 //!
 //! 4. **SIMD structure** — every `Op::SimdBegin` annotation is
 //!    re-derived from the bytecode: the loop shape must match the recorded
-//!    `SimdInfo`, the lane body must decode to
-//!    exactly the recorded lane program, and the recorded lane count must
-//!    not exceed the width the alias analysis re-proves safe (per-lane
-//!    bounds are the base access interval widened by the lane stride;
-//!    chunk clamping keeps every lane index inside the scalar-proven
-//!    range, so the width is the load-bearing claim).
+//!    `SimdInfo`, the loop body must decode to exactly the recorded
+//!    slot-resolved lane program, lane registers and broadcast table, and
+//!    the recorded strip width must not exceed the width the alias
+//!    analysis re-proves safe (a lane run covers exactly the scalar
+//!    loop's iterations, so every index is already inside the
+//!    scalar-proven range and the width is the load-bearing claim).
 //!
 //! Superinstructions (`LdLdBin` et al.) verify exactly like their
 //! constituent sequences: each phase treats a bundle as its ordered
@@ -1105,17 +1105,19 @@ fn bounds(code: &Code) -> Vec<VerifyDiagnostic> {
 ///
 /// The annotation claims: the two ops that follow are the `SetIdx` and
 /// body of a straight-line innermost loop matching the recorded bounds,
-/// the recorded lane program is exactly what the body decodes to, and
-/// `lanes` iterations may run op-major without reordering any conflicting
-/// access pair. The shape is checked syntactically; the lane program and
-/// the safe width are re-proven by running the same analysis the rewrite
-/// used ([`simd::analyze_loop`]) and comparing. Per-lane interval bounds
-/// need no separate discharge: the lane runner clamps whole chunks inside
-/// `[start, stop)`, so every per-lane index interval is the base interval
-/// already proven by phase 3, widened by at most `(lanes-1)·step` — which
-/// chunk clamping keeps inside the scalar range. What phase 3 cannot see
-/// is a *width* overflowing the aliasing-proven distance, so that is what
-/// this phase rejects.
+/// the recorded lane program, lane registers and broadcast table are
+/// exactly what the body decodes to (so every slot an op names holds what
+/// the scalar op's register would, and a `Reduce` folds into an
+/// accumulator nothing else in the body touches), and strips of `lanes`
+/// iterations may run op-major without reordering any conflicting access
+/// pair. The shape is checked syntactically; the lane program and the
+/// safe width are re-proven by running the same analysis the rewrite used
+/// ([`simd::analyze_loop`]) and comparing. Per-position interval bounds
+/// need no separate discharge: a lane run covers exactly the iterations
+/// of `[start, stop)` (the last strip is cut to what is left), so every
+/// index it forms is one the scalar loop forms, already proven by phase
+/// 3. What phase 3 cannot see is a *width* overflowing the
+/// aliasing-proven distance, so that is what this phase rejects.
 fn simd_structure(code: &Code) -> Vec<VerifyDiagnostic> {
     let mut diags = Vec::new();
     for (pc, op) in code.ops.iter().enumerate() {
@@ -1127,7 +1129,8 @@ fn simd_structure(code: &Code) -> Vec<VerifyDiagnostic> {
             diags.push(VerifyDiagnostic::at(
                 pc,
                 format!(
-                    "simd loop {simd} records {} lanes, outside the legal 2..={MAX_LANES}",
+                    "simd loop {simd} records a strip of {} lanes, outside the legal \
+                     2..={MAX_LANES}",
                     info.lanes
                 ),
             ));
@@ -1197,7 +1200,7 @@ fn simd_structure(code: &Code) -> Vec<VerifyDiagnostic> {
             ));
             continue;
         }
-        if info.body != cand.body || info.lane_regs != cand.lane_regs {
+        if info.body != cand.body || info.lane_regs != cand.lane_regs || info.bcast != cand.bcast {
             diags.push(VerifyDiagnostic::at(
                 pc,
                 format!(
@@ -1502,36 +1505,147 @@ mod tests {
         assert!(diags.is_empty(), "{diags:?}");
     }
 
-    #[test]
-    fn lane_width_past_the_proven_interval_is_rejected() {
-        // Hand-corrupt the annotation: claim 4 lanes where the alias
-        // analysis proved only 2 are safe. Op-major execution at width 4
-        // would read A[i-2] before the lane that writes it runs.
-        let mut code = superfused(&stencil_program());
-        code.simds[0].lanes = 4;
-        let diags = verify(&code);
+    fn rejects(code: &Code, message: &str) {
+        let diags = verify(code);
         assert!(
-            diags
-                .iter()
-                .any(|d| d.message.contains("proven safe width")),
+            diags.iter().any(|d| d.message.contains(message)),
             "{diags:?}"
         );
     }
 
     #[test]
+    fn lane_width_past_the_proven_interval_is_rejected() {
+        // Hand-corrupt the annotation: claim wider strips than the 2 the
+        // alias analysis proved safe, up to the executor's default.
+        // Op-major execution at width 4 would already read A[i-2] before
+        // the position that writes it runs.
+        for lanes in [3, 4, 64, MAX_LANES as u8] {
+            let mut code = superfused(&stencil_program());
+            code.simds[0].lanes = lanes;
+            rejects(&code, "proven safe width");
+        }
+    }
+
+    #[test]
+    fn lane_width_outside_the_legal_range_is_rejected() {
+        for lanes in [0, 1, MAX_LANES as u8 + 1, u8::MAX] {
+            let mut code = superfused(&stencil_program());
+            code.simds[0].lanes = lanes;
+            rejects(&code, &format!("outside the legal 2..={MAX_LANES}"));
+        }
+    }
+
+    #[test]
     fn mismatched_lane_operands_are_rejected() {
-        // Truncate the lane program: the superinstruction no longer
-        // decodes from the loop body it claims to vectorize.
+        use crate::bytecode::LaneOp;
+        // Truncate the lane program: it no longer decodes from the loop
+        // body it claims to vectorize.
         let mut code = superfused(&stencil_program());
         assert!(!code.simds[0].body.is_empty());
         code.simds[0].body.pop();
-        let diags = verify(&code);
-        assert!(
-            diags
-                .iter()
-                .any(|d| d.message.contains("mismatched superinstruction operands")),
-            "{diags:?}"
-        );
+        rejects(&code, "mismatched superinstruction operands");
+
+        // Point one resolved operand at another slot: here the store
+        // would write the loaded value instead of the sum.
+        let mut code = superfused(&stencil_program());
+        let store = code.simds[0]
+            .body
+            .iter_mut()
+            .find_map(|op| match op {
+                LaneOp::Store { src, .. } => Some(src),
+                _ => None,
+            })
+            .unwrap();
+        *store = if *store == 0 { 1 } else { 0 };
+        rejects(&code, "mismatched superinstruction operands");
+    }
+
+    #[test]
+    fn remapped_broadcast_entry_is_rejected() {
+        use crate::bytecode::Bcast;
+        // The loop adds the constant 1.0 from a broadcast slot; make the
+        // slot take another register's value, or an index, instead.
+        let code = superfused(&stencil_program());
+        let Some(&Bcast::Reg(r)) = code.simds[0].bcast.first() else {
+            panic!("expected a broadcast register: {:?}", code.simds[0].bcast);
+        };
+        for wrong in [Bcast::Reg(r - 1), Bcast::Idx(0)] {
+            let mut code = superfused(&stencil_program());
+            code.simds[0].bcast[0] = wrong;
+            rejects(&code, "mismatched superinstruction operands");
+        }
+        let mut code = superfused(&stencil_program());
+        code.simds[0].bcast.push(Bcast::Reg(r));
+        rejects(&code, "mismatched superinstruction operands");
+    }
+
+    /// `s := +<< A` over `[1..n]`: superfuses into a simd loop whose body
+    /// is a load and an in-order fold.
+    fn reduce_program() -> ScalarProgram {
+        let mut sp = stencil_program();
+        sp.stmts = vec![
+            LStmt::Nest(LoopNest {
+                region: RegionId(0),
+                structure: vec![1],
+                body: vec![ElemStmt {
+                    target: ElemRef::Array(ArrayId(0), Offset(vec![0])),
+                    rhs: EExpr::Index(0),
+                }],
+                cluster: 0,
+                temps: 0,
+            }),
+            LStmt::ReduceNest {
+                lhs: zlang::ir::ScalarId(0),
+                op: zlang::ast::ReduceOp::Sum,
+                region: RegionId(0),
+                structure: vec![1],
+                rhs: EExpr::Load(ArrayId(0), Offset(vec![0])),
+            },
+        ];
+        sp
+    }
+
+    #[test]
+    fn mutated_lane_reduce_is_rejected() {
+        use crate::bytecode::LaneOp;
+        use zlang::ast::ReduceOp;
+        let clean = superfused(&reduce_program());
+        assert!(verify(&clean).is_empty());
+        let (si, oi) = clean
+            .simds
+            .iter()
+            .enumerate()
+            .find_map(|(si, s)| {
+                let oi = s
+                    .body
+                    .iter()
+                    .position(|op| matches!(op, LaneOp::Reduce { .. }))?;
+                Some((si, oi))
+            })
+            .expect("the reduction loop carries a lane reduce");
+        let LaneOp::Reduce { op, acc, src } = clean.simds[si].body[oi] else {
+            unreachable!()
+        };
+        assert_eq!(op, ReduceOp::Sum);
+        // A different fold, a different accumulator (the program's result
+        // scalar, which the scalar loop never touches), a different strip.
+        for wrong in [
+            LaneOp::Reduce {
+                op: ReduceOp::Max,
+                acc,
+                src,
+            },
+            LaneOp::Reduce { op, acc: 0, src },
+            LaneOp::Reduce {
+                op,
+                acc,
+                src: src + 1,
+            },
+        ] {
+            let mut code = superfused(&reduce_program());
+            code.simds[si].body[oi] = wrong;
+            rejects(&code, "mismatched superinstruction operands");
+        }
     }
 
     #[test]
@@ -1540,13 +1654,7 @@ mod tests {
         assert!(!code.simds[0].lane_regs.is_empty());
         // Redirect a lane's writeback register.
         code.simds[0].lane_regs[0] += 1;
-        let diags = verify(&code);
-        assert!(
-            diags
-                .iter()
-                .any(|d| d.message.contains("mismatched superinstruction operands")),
-            "{diags:?}"
-        );
+        rejects(&code, "mismatched superinstruction operands");
     }
 
     #[test]

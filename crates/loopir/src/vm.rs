@@ -39,7 +39,7 @@ use crate::exec::{ExecLimits, Executor, RunOutcome, TileStats};
 use crate::interp::{binop, ExecError, Observer, RunStats};
 use crate::ir::ScalarProgram;
 use crate::par::Pool;
-use crate::simd::{self, ElemMem, LaneRun, VmMem};
+use crate::simd::{self, ElemMem, LaneRun, LaneScratch, VmMem};
 use crate::verifier::{self, VerifyDiagnostic};
 use std::sync::Arc;
 use testkit::faults::{self, FaultSite};
@@ -117,11 +117,11 @@ pub struct Vm {
     limits: ExecLimits,
     par: Option<Pool>,
     tile_log: Vec<TileStats>,
-    /// Lane width for `Op::SimdBegin` loops (effective only once verified;
-    /// per-loop alias analysis may clamp it further).
+    /// Strip width for `Op::SimdBegin` loops (effective only once verified;
+    /// per-loop alias analysis and the loop's extent may clamp it further).
     lanes: usize,
-    /// Reusable per-lane register file, sized on first vectorized loop.
-    simd_scratch: Vec<[f64; MAX_LANES]>,
+    /// Reusable lane file and stream table, grown by the first lane runs.
+    simd_scratch: LaneScratch,
 }
 
 impl Vm {
@@ -152,10 +152,11 @@ impl Vm {
         Ok(Vm::from_parts(Arc::new(code), binding, false))
     }
 
-    /// Sets the lane width for vectorized innermost loops (`0` restores
-    /// the default, other values clamp to `1..=8`; `1` disables the lane
-    /// path). Effective only on verified superfused programs — the lane
-    /// dispatch rests on the verifier's bounds and annotation proofs.
+    /// Sets the strip width for vectorized innermost loops (`0` restores
+    /// the default of 64, other values clamp to `1..=128`; `1` disables
+    /// the lane path). Effective only on verified superfused programs —
+    /// the lane dispatch rests on the verifier's bounds and annotation
+    /// proofs.
     pub fn set_lanes(&mut self, lanes: usize) {
         self.lanes = match lanes {
             0 => simd::DEFAULT_LANES,
@@ -214,7 +215,7 @@ impl Vm {
             par: None,
             tile_log: Vec::new(),
             lanes: simd::DEFAULT_LANES,
-            simd_scratch: Vec::new(),
+            simd_scratch: LaneScratch::default(),
         }
     }
 
@@ -533,8 +534,10 @@ impl Vm {
                         );
                         match r {
                             Err(e) => break Err(e),
-                            Ok(run) if run.iters > 0 => {
-                                resume_after_lanes(&run, info.dim, &mut n, &mut idx, &mut pc);
+                            Ok(Some(run)) => {
+                                book_lane_run(&run, &mut n);
+                                idx[info.dim as usize] = info.stop;
+                                pc = info.exit as usize;
                                 if FUELED {
                                     // Lanes draw scalar-equivalent fuel:
                                     // one unit per body op per covered
@@ -545,7 +548,7 @@ impl Vm {
                                     fuel_left -= run.ops;
                                 }
                             }
-                            Ok(_) => {} // too few iterations: stay scalar
+                            Ok(None) => {} // width below 2: stay scalar
                         }
                     }
                 }
@@ -763,22 +766,12 @@ fn store_elem<M: ElemMem, O: Observer + ?Sized>(
     Ok(())
 }
 
-/// Books a lane run that covered at least one chunk: its counters, then
-/// the index value and pc at which scalar dispatch picks the loop up
-/// again (past it, or at its head for the remainder iterations).
-pub(crate) fn resume_after_lanes(
-    run: &LaneRun,
-    dim: u8,
-    n: &mut RunStats,
-    idx: &mut [i64; MAX_RANK],
-    pc: &mut usize,
-) {
+/// Adds a lane run's counters to the dispatcher's.
+pub(crate) fn book_lane_run(run: &LaneRun, n: &mut RunStats) {
     n.loads += run.loads;
     n.stores += run.stores;
     n.flops += run.flops;
     n.points += run.points;
-    idx[dim as usize] = run.resume_idx;
-    *pc = run.resume_pc as usize;
 }
 
 /// Resolves an access-table entry against the current index vector,

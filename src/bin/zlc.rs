@@ -35,9 +35,9 @@
 //!   --list-engines                list the execution engines and exit
 //!   --threads <n>                 worker threads for --engine vm-par
 //!                                 (default 0 = auto)
-//!   --lanes <n>                   unrolled f64 lanes for --engine vm-simd
-//!                                 and vm-par (default 0 = engine default
-//!                                 of 4; 1 = scalar dispatch)
+//!   --lanes <n>                   strip width for --engine vm-simd and
+//!                                 vm-par (default 0 = engine default of
+//!                                 64; 1 = scalar dispatch; at most 128)
 //!   --machine <t3e|sp2|paragon>   simulate on a machine model (with --run)
 //!   --procs <p>                   simulated processors (default 1)
 //!   --set <name=value>            override an integer config (repeatable)
@@ -112,7 +112,7 @@ fn usage(msg: &str) -> ExitCode {
          \x20          [--spatial-cap K] [--favor-comm]\n\
          \x20          [--print ir|loops|bytecode|asdg|avail|report|source|hash]... [--emit PASS]\n\
          \x20          [--verify] [--run] [--engine interp|vm|vm-simd|vm-par]\n\
-         \x20          [--threads N] [--lanes N]\n\
+         \x20          [--threads N] [--lanes 0..128]\n\
          \x20          [--machine t3e|sp2|paragon] [--procs P] [--set name=value]...\n\
          \x20          [--supervise] [--deadline-ms N] [--fuel N] [--inject PLAN]\n\
          \x20      zlc serve <file.zl>... [--requests N] [--workers N] [--queue-cap N]\n\

@@ -41,9 +41,8 @@ fn disasm(test: &str, name: &str, source: &str, engine: &str) -> String {
 }
 
 /// The benchmarks pinned: `simple` (the headline element-wise kernel the
-/// ≥4x bar is measured on) and `tomcatv` (stencils, reductions, and a
-/// time loop — exercises alias caps and the never-vectorized reduction
-/// rule).
+/// ≥8x bar is measured on) and `tomcatv` (stencils, reductions, and a
+/// time loop — exercises alias caps and the in-order lane reduce).
 const PINNED: [&str; 2] = ["simple", "tomcatv"];
 
 #[test]

@@ -5,13 +5,14 @@
 //! from the scalar engines — the post-compile peephole collapses fused
 //! element-wise chains into superinstructions and annotates provably
 //! vectorizable innermost loops, which the dispatch loop then executes
-//! over unrolled f64 lanes with a scalar epilogue. None of that may be
-//! observable: this harness sweeps generated random and stencil-shaped
-//! programs (the `testkit::genprog` generators) across lane widths 1, 2,
-//! and 8 and every engine, and insists every scalar stays *bit-identical*
-//! to the unoptimized reference interpreter, with identical execution
-//! counters. A second pass drives the same sweep through the paper
-//! benchmarks at every level.
+//! in strips of consecutive iterations, op-major, the last strip cut to
+//! what is left of the range. None of that may be observable: this
+//! harness sweeps generated random and stencil-shaped programs (the
+//! `testkit::genprog` generators) across strip widths 0 (the default),
+//! 1, 2, 3, 8 and 64 and every engine, and insists every scalar stays
+//! *bit-identical* to the unoptimized reference interpreter, with
+//! identical execution counters. A second pass drives the same sweep
+//! through the paper benchmarks at every level.
 
 use testkit::{genprog, Rng};
 use zlang::ir::{Program, ScalarId};
@@ -20,9 +21,12 @@ use zpl_fusion::prelude::*;
 /// Generated programs per generator per sweep.
 const PROGRAMS: u64 = 15;
 
-/// The lane widths under test: scalar dispatch over superinstruction
-/// bytecode (1), the alias-cap boundary (2), and the maximum (8).
-const LANES: [usize; 3] = [1, 2, 8];
+/// The strip widths under test: the default (0 = 64), scalar dispatch
+/// over superinstruction bytecode (1), the alias-cap boundary (2), a width
+/// that divides no power of two (3, so most last strips are partial), the
+/// old maximum (8), and the default spelled out (64, wider than most of
+/// the generated extents, so the extent is what caps the strip).
+const LANES: [usize; 6] = [0, 1, 2, 3, 8, 64];
 
 /// The two checksum scalars every generated program declares first.
 fn checksums(out: &RunOutcome) -> (u64, u64) {

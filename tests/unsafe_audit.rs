@@ -10,9 +10,9 @@
 use std::path::PathBuf;
 
 /// The `unsafe` sites of the lane and tile code: `par` 4 (`Batch: Send +
-/// Sync`, tile load, tile store), `simd` 10 (lane load/store streams, four
-/// `target_feature` kernels and their call sites).
-const MAX_SITES: usize = 14;
+/// Sync`, tile load, tile store), `simd` 4 (strip load, strip store, the
+/// AVX2 `target_feature` wrapper of the strip loop and its call site).
+const MAX_SITES: usize = 8;
 
 fn code_part(line: &str) -> &str {
     line.split("//").next().unwrap_or("")
