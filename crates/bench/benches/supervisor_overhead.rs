@@ -11,11 +11,9 @@
 //! load perturbs both arms equally. The verdict is also written to
 //! `BENCH_supervisor.json` for CI.
 
-use fusion_core::pipeline::{Level, Pipeline};
-use fusion_core::Supervisor;
+use fusion_core::{Level, RunRequest};
 use loopir::{Engine, NoopObserver};
 use testkit::bench;
-use zlang::ir::ConfigBinding;
 
 const ROUNDS: usize = 8;
 const TARGET_PCT: f64 = 5.0;
@@ -28,20 +26,23 @@ fn median(mut xs: Vec<f64>) -> f64 {
 fn main() {
     let b = benchmarks::by_name("simple").unwrap();
     let program = b.program();
+    let req = RunRequest::new()
+        .with_level(Level::C2F3)
+        .with_engine(Engine::Vm)
+        .with_set(b.size_config, 256);
 
     let bare = || {
         bench(0, 1, || {
-            let opt = Pipeline::new(Level::C2F3).optimize(&program);
-            let mut binding = ConfigBinding::defaults(&opt.scalarized.program);
-            binding.set_by_name(&opt.scalarized.program, b.size_config, 256);
-            let mut exec = Engine::Vm.executor(&opt.scalarized, binding).unwrap();
+            let opt = req.pipeline().optimize(&program);
+            let binding = req.binding_for(&opt.scalarized.program).unwrap();
+            let mut exec = req.engine.executor(&opt.scalarized, binding).unwrap();
             exec.execute(&mut NoopObserver).unwrap().checksum()
         })
         .min_ns
     };
     let supervised = || {
         bench(0, 1, || {
-            let sup = Supervisor::new(Level::C2F3, Engine::Vm).with_binding(b.size_config, 256);
+            let sup = req.supervisor();
             sup.run_program(&program).unwrap().outcome.checksum()
         })
         .min_ns

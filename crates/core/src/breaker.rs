@@ -254,10 +254,7 @@ mod tests {
     fn key(content: u64) -> CacheKey {
         CacheKey {
             content,
-            level: Level::C2,
-            dse: false,
-            rce: false,
-            rce2: false,
+            spec: Level::C2.into(),
             engine: Engine::Vm,
         }
     }

@@ -7,12 +7,20 @@
 //! is cheap per-request state. [`CompileCache`] memoizes the compile
 //! half: keys are [`CacheKey`] — the structural digest of the program
 //! *and* its concrete config binding ([`crate::hash::key_hash`]) plus
-//! the explicit `(level, dse, rce, rce2, engine)` coordinates — and values are
+//! the explicit `(spec, engine)` coordinates — and values are
 //! [`CachedProgram`] — the `Arc`-shared scalarized program plus, for the
 //! VM engines, the compiled-and-verified
 //! [`SharedProgram`] handle. A hit skips the
 //! `PassManager`, the bytecode compiler, and the verifier entirely: it
 //! is one lookup plus one `Arc` bump plus run-state allocation.
+//!
+//! There is one way to compile a request, [`compile`], and one
+//! claim → compile → publish wrapper around it,
+//! [`CompileCache::get_or_insert_with`]. [`CompileCache::get_or_compile`]
+//! is the two composed for a caller that starts from a program and a
+//! request; every rung of the [`Supervisor`](crate::Supervisor)'s ladder
+//! goes through the same two functions inside its fault boundary, a rung
+//! being the request at relaxed `(spec, engine)` coordinates.
 //!
 //! Concurrency model: the map is split into shards, each behind its own
 //! `Mutex`, selected by key hash — worker threads hitting different
@@ -28,8 +36,9 @@
 //! are counted with atomics ([`CacheStats`]).
 
 use crate::hash;
-use crate::pipeline::Level;
+use crate::pipeline::LevelSpec;
 use crate::request::RunRequest;
+use crate::supervisor::{enter_stage, Stage};
 use loopir::{Engine, ExecError, ExecOpts, Executor, Interp, ScalarProgram, SharedProgram};
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -47,14 +56,8 @@ use zlang::ir::{ConfigBinding, Program};
 pub struct CacheKey {
     /// [`crate::hash::key_hash`] of (program, binding).
     pub content: u64,
-    /// Optimization level the artifact was compiled at.
-    pub level: Level,
-    /// Whether dead-statement elimination ran.
-    pub dse: bool,
-    /// Whether redundant-computation elimination ran.
-    pub rce: bool,
-    /// Whether the stencil-aware availability-driven redundancy pass ran.
-    pub rce2: bool,
+    /// Level and cleanup passes the artifact was compiled at.
+    pub spec: LevelSpec,
     /// The engine the artifact was compiled for (decides whether a
     /// [`SharedProgram`] exists, and whether it is the plain bytecode or
     /// the verified superinstruction stream).
@@ -67,18 +70,12 @@ impl CacheKey {
     pub fn compute(
         program: &Program,
         binding: &ConfigBinding,
-        level: Level,
-        dse: bool,
-        rce: bool,
-        rce2: bool,
+        spec: LevelSpec,
         engine: Engine,
     ) -> Self {
         CacheKey {
             content: hash::key_hash(program, binding),
-            level,
-            dse,
-            rce,
-            rce2,
+            spec,
             engine,
         }
     }
@@ -86,9 +83,7 @@ impl CacheKey {
     /// Computes the key a [`RunRequest`] addresses for a program under a
     /// binding.
     pub fn for_request(program: &Program, binding: &ConfigBinding, req: &RunRequest) -> Self {
-        CacheKey::compute(
-            program, binding, req.level, req.dse, req.rce, req.rce2, req.engine,
-        )
+        CacheKey::compute(program, binding, req.spec, req.engine)
     }
 }
 
@@ -119,6 +114,55 @@ impl CachedProgram {
             None => Box::new(Interp::new(&self.scalarized, self.binding.clone())),
         }
     }
+}
+
+/// The one compile step: optimize `program` under the request's pipeline
+/// and lower the result for the request's engine under `binding`
+/// (bytecode for the VM engines, verified for `vm-simd`/`vm-par`).
+/// Nothing else in this crate pairs the optimizer with an engine, so
+/// what a [`CacheKey`] addresses is what this function returns.
+///
+/// `optimized` carries the scalarized program between calls that share a
+/// spec: `None` runs the optimizer and fills it, `Some` skips straight to
+/// lowering (the supervisor's rungs at one spec differ only in engine,
+/// and re-running a deterministic optimizer would only repeat its work
+/// and its faults).
+///
+/// # Errors
+///
+/// Lowering failures and verifier rejections from
+/// [`Engine::compile_shared`]. Optimizer panics propagate; the pass
+/// manager has marked the pass that raised them ([`enter_stage`]).
+pub fn compile(
+    program: &Program,
+    binding: &ConfigBinding,
+    req: &RunRequest,
+    optimized: &mut Option<Arc<ScalarProgram>>,
+) -> Result<CachedProgram, ExecError> {
+    // The optimizer's other outputs (normal form, ASDGs, traces) stay
+    // alive until lowering is done: freeing them first hands their pages
+    // back to the allocator and lowering faults them in again (+5% on the
+    // `compile_cold` median).
+    let fresh;
+    let scalarized = match optimized {
+        Some(sp) => sp.clone(),
+        None => {
+            fresh = req.pipeline().optimize(program);
+            optimized.insert(Arc::new(fresh.scalarized)).clone()
+        }
+    };
+    enter_stage(if req.engine.superfused() {
+        Stage::VerifyBytecode
+    } else {
+        Stage::Execute
+    });
+    let shared = req.engine.compile_shared(&scalarized, binding.clone())?;
+    Ok(CachedProgram {
+        scalarized,
+        shared,
+        binding: binding.clone(),
+        engine: req.engine,
+    })
 }
 
 /// Monotonic cache counters, snapshotted by [`CompileCache::stats`].
@@ -384,21 +428,42 @@ impl CompileCache {
         cell.ready.notify_all();
     }
 
-    /// The one-call serving primitive: look the request's key up and, on
-    /// a miss, compile under the request's pipeline (a fresh
-    /// `CompileSession` inside [`crate::pipeline::Pipeline::optimize`]),
-    /// lower to shared bytecode for the VM engines, publish, and return.
-    /// The boolean is `true` on a hit.
+    /// Claim → compile → publish: returns the artifact cached under
+    /// `key` (`true`: a hit, possibly after waiting out another thread's
+    /// compile), or runs `compile` holding the key's exclusive claim and
+    /// publishes what it returns (`false`). An error or a panic from
+    /// `compile` abandons the claim, so waiters never hang and nothing
+    /// is published.
     ///
     /// # Errors
     ///
-    /// Lowering failures and verifier rejections from
-    /// [`Engine::compile_shared`], plus a
-    /// [`Lower`](loopir::ErrorKind::Lower)-kind error for a `--set` name
-    /// that matches no config variable. Pipeline panics propagate —
-    /// serving callers run under the [`Supervisor`](crate::Supervisor)'s
-    /// fault boundary, which catches them — and abandon the in-flight
-    /// claim on unwind, as do errors, so waiters never hang.
+    /// Whatever `compile` returns.
+    pub fn get_or_insert_with<E>(
+        &self,
+        key: CacheKey,
+        compile: impl FnOnce() -> Result<CachedProgram, E>,
+    ) -> Result<(Arc<CachedProgram>, bool), E> {
+        let guard = match self.claim(key) {
+            Lookup::Hit(hit) => return Ok((hit, true)),
+            Lookup::Miss(guard) => guard,
+        };
+        let value = Arc::new(compile()?);
+        guard.publish(value.clone());
+        Ok((value, false))
+    }
+
+    /// The one-call serving primitive: bind the request's `--set`
+    /// overrides, address its key, and
+    /// [`get_or_insert_with`](Self::get_or_insert_with) the result of
+    /// [`compile`]. The boolean is `true` on a hit.
+    ///
+    /// # Errors
+    ///
+    /// As [`compile`], plus a [`Lower`](loopir::ErrorKind::Lower)-kind
+    /// error for a `--set` name that matches no config variable.
+    /// Optimizer panics propagate — serving callers run under the
+    /// [`Supervisor`](crate::Supervisor)'s fault boundary, which catches
+    /// them.
     pub fn get_or_compile(
         &self,
         program: &Program,
@@ -406,21 +471,7 @@ impl CompileCache {
     ) -> Result<(Arc<CachedProgram>, bool), ExecError> {
         let binding = req.binding_for(program).map_err(ExecError::lower)?;
         let key = CacheKey::for_request(program, &binding, req);
-        let guard = match self.claim(key) {
-            Lookup::Hit(hit) => return Ok((hit, true)),
-            Lookup::Miss(guard) => guard,
-        };
-        let opt = req.pipeline().optimize(program);
-        let scalarized = Arc::new(opt.scalarized);
-        let shared = req.engine.compile_shared(&scalarized, binding.clone())?;
-        let value = Arc::new(CachedProgram {
-            scalarized,
-            shared,
-            binding,
-            engine: req.engine,
-        });
-        guard.publish(value.clone());
-        Ok((value, false))
+        self.get_or_insert_with(key, || compile(program, &binding, req, &mut None))
     }
 
     /// Records one execution-time fault against the cached artifact for
@@ -514,7 +565,7 @@ mod tests {
         let p = zlang::compile(&src(1)).unwrap();
         for req in [
             RunRequest::new(),
-            RunRequest::new().with_level(Level::Baseline),
+            RunRequest::new().with_level(crate::Level::Baseline),
             RunRequest::new().with_engine(Engine::Interp),
             RunRequest::new().with_set("n", 4),
         ] {

@@ -70,7 +70,7 @@ pub use breaker::{Admission, BreakerConfig, BreakerState, BreakerStats, CircuitB
 pub use cache::{CacheKey, CacheStats, CachedProgram, ClaimGuard, CompileCache, Lookup};
 pub use depvec::Udv;
 pub use pass::{CompileSession, Pass, PassId, PassManager, PassResult, PassTrace};
-pub use pipeline::{Level, Optimized, Pipeline};
+pub use pipeline::{Level, LevelSpec, Optimized, Pipeline};
 pub use request::RunRequest;
 pub use serve::{
     serve, serve_with, Disposition, RequestRecord, RetryPolicy, ServeOptions, ServeReport,

@@ -34,7 +34,7 @@ use crate::avail::{region_contains_shifted, regions_disjoint_shifted};
 use crate::ext::PartialGroup;
 use crate::fusion::{FusionCtx, FusionOpts, Partition};
 use crate::normal::{self, BStmt, NStmt, NormProgram};
-use crate::pipeline::{BlockDetail, ForbidFn, Level, Optimized, Report};
+use crate::pipeline::{BlockDetail, ForbidFn, Level, LevelSpec, Optimized, Report};
 use crate::scalarize;
 use crate::verify::{self, Diagnostic, VerifyLevel};
 use crate::weights::sort_by_weight;
@@ -298,21 +298,19 @@ impl PassManager {
 /// cleanup and extension passes), mirroring the paper's Section 5.4 level
 /// definitions through the [`Level`] predicates.
 pub(crate) fn build_sequence(
-    level: Level,
-    dse: bool,
-    rce: bool,
-    rce2: bool,
+    spec: LevelSpec,
     dimension_contraction: bool,
     spatial_cap: Option<usize>,
 ) -> Vec<Box<dyn Pass>> {
+    let level = spec.level;
     let mut passes: Vec<Box<dyn Pass>> = vec![Box::new(NormalizePass)];
-    if dse {
+    if spec.dse {
         passes.push(Box::new(DsePass));
     }
-    if rce {
+    if spec.rce {
         passes.push(Box::new(RcePass));
     }
-    if rce2 {
+    if spec.rce2 {
         passes.push(Box::new(Rce2Pass));
     }
     if level.fuses_compiler() {
@@ -344,7 +342,7 @@ pub(crate) fn build_sequence(
     ] {
         passes.push(Box::new(VerifyPass { which }));
     }
-    if rce2 {
+    if spec.rce2 {
         passes.push(Box::new(VerifyPass {
             which: PassId::VerifyRce2,
         }));

@@ -18,6 +18,7 @@ use crate::pass::{self, CompileSession, PassId, PassManager, PassTrace};
 use crate::verify::{Diagnostic, VerifyLevel};
 use loopir::ScalarProgram;
 use std::fmt;
+use std::str::FromStr;
 use zlang::ir::{ArrayId, Program};
 
 /// An optimization level from the paper's evaluation.
@@ -106,6 +107,105 @@ impl Level {
 impl fmt::Display for Level {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.name())
+    }
+}
+
+/// A level plus the opt-in cleanup passes: everything about *what to
+/// optimize* that a request, a pipeline, a cache key and a report have
+/// to agree on, as one value. Its `FromStr`/`Display` are the one
+/// implementation of the `zlc --level` grammar: a paper level name
+/// followed by `+dse` / `+rce` / `+rce2` suffixes in any order, rendered
+/// canonically as `{level}{+dse}{+rce}{+rce2}`. A bare [`Level`] converts
+/// to the spec with every cleanup off.
+///
+/// ```
+/// use fusion_core::{Level, LevelSpec};
+/// let spec: LevelSpec = "c2+f3+rce2+dse".parse().unwrap();
+/// assert_eq!(spec.level, Level::C2F3);
+/// assert!(spec.dse && spec.rce2 && !spec.rce);
+/// assert_eq!(spec.to_string(), "c2+f3+dse+rce2");
+/// assert_eq!(LevelSpec::from(Level::C2).to_string(), "c2");
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct LevelSpec {
+    /// The paper level.
+    pub level: Level,
+    /// Dead-statement elimination ([`PassId::Dse`]): statements whose
+    /// definition is never read and whose region is fully overwritten
+    /// later in the block are removed.
+    pub dse: bool,
+    /// Redundant-computation elimination ([`PassId::Rce`]): statements
+    /// recomputing an earlier right-hand side (modulo a uniform offset
+    /// shift) become shifted reads of the earlier result.
+    pub rce: bool,
+    /// Stencil-aware redundancy elimination ([`PassId::Rce2`]): an
+    /// offset-lattice availability analysis finds subexpressions whose
+    /// value is already materialized at a constant shift, rewrites them
+    /// into shifted reuses (materializing shared stencil subexpressions
+    /// once where profitable), and hoists loop-invariant statements out of
+    /// counted time loops. Every rewrite is independently re-checked by
+    /// the translation validator ([`PassId::VerifyRce2`]).
+    pub rce2: bool,
+}
+
+impl From<Level> for LevelSpec {
+    fn from(level: Level) -> Self {
+        LevelSpec {
+            level,
+            dse: false,
+            rce: false,
+            rce2: false,
+        }
+    }
+}
+
+impl FromStr for LevelSpec {
+    type Err = String;
+
+    /// # Errors
+    ///
+    /// A rustc-style message naming the valid levels when the base level
+    /// is unknown.
+    fn from_str(text: &str) -> Result<Self, String> {
+        let mut spec = LevelSpec::from(Level::Baseline);
+        let mut base = text;
+        loop {
+            // `+rce2` must be tried before `+rce`, which is its suffix.
+            let (rest, flag) = if let Some(rest) = base.strip_suffix("+dse") {
+                (rest, &mut spec.dse)
+            } else if let Some(rest) = base.strip_suffix("+rce2") {
+                (rest, &mut spec.rce2)
+            } else if let Some(rest) = base.strip_suffix("+rce") {
+                (rest, &mut spec.rce)
+            } else {
+                break;
+            };
+            base = rest;
+            *flag = true;
+        }
+        spec.level = Level::all()
+            .into_iter()
+            .find(|l| l.name() == base)
+            .ok_or_else(|| {
+                format!(
+                    "unknown level `{text}` (expected one of: {}; append `+dse`/`+rce`/`+rce2` \
+                     for the cleanup passes)",
+                    Level::all().map(|l| l.name()).join(", ")
+                )
+            })?;
+        Ok(spec)
+    }
+}
+
+impl fmt::Display for LevelSpec {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.level.name())?;
+        for (on, suffix) in [(self.dse, "+dse"), (self.rce, "+rce"), (self.rce2, "+rce2")] {
+            if on {
+                f.write_str(suffix)?;
+            }
+        }
+        Ok(())
     }
 }
 
@@ -224,72 +324,57 @@ impl Optimized {
 /// The optimization pipeline: normalization, per-block ASDG construction,
 /// fusion, contraction, and scalarization at a chosen [`Level`].
 pub struct Pipeline<'f> {
-    level: Level,
+    spec: LevelSpec,
     forbid: Option<Box<ForbidFn<'f>>>,
     base_opts: FusionOpts,
     spatial_cap: Option<usize>,
     dimension_contraction: bool,
     verify: VerifyLevel,
-    dse: bool,
-    rce: bool,
-    rce2: bool,
     emit: Option<PassId>,
 }
 
 impl fmt::Debug for Pipeline<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Pipeline")
-            .field("level", &self.level)
+            .field("spec", &self.spec)
             .field("forbid", &self.forbid.is_some())
             .finish()
     }
 }
 
 impl<'f> Pipeline<'f> {
-    /// Creates a pipeline at a level.
-    pub fn new(level: Level) -> Self {
+    /// Creates a pipeline at a level, or at a [`LevelSpec`] with cleanup
+    /// passes switched on.
+    pub fn new(spec: impl Into<LevelSpec>) -> Self {
         Pipeline {
-            level,
+            spec: spec.into(),
             forbid: None,
             base_opts: FusionOpts::default(),
             spatial_cap: None,
             dimension_contraction: false,
             verify: VerifyLevel::default(),
-            dse: false,
-            rce: false,
-            rce2: false,
             emit: None,
         }
     }
 
-    /// Enables dead-statement elimination ([`PassId::Dse`]): statements
-    /// whose definition is never read and whose region is fully
-    /// overwritten later in the block are removed. Off at every paper
-    /// level (`+dse` level suffix in `zlc`).
+    /// Switches [`LevelSpec::dse`] on. Off at every paper level (`+dse`
+    /// level suffix in `zlc`).
     pub fn with_dse(mut self) -> Self {
-        self.dse = true;
+        self.spec.dse = true;
         self
     }
 
-    /// Enables redundant-computation elimination ([`PassId::Rce`]):
-    /// statements recomputing an earlier right-hand side (modulo a
-    /// uniform offset shift) become shifted reads of the earlier result.
-    /// Off at every paper level (`+rce` level suffix in `zlc`).
+    /// Switches [`LevelSpec::rce`] on. Off at every paper level (`+rce`
+    /// level suffix in `zlc`).
     pub fn with_rce(mut self) -> Self {
-        self.rce = true;
+        self.spec.rce = true;
         self
     }
 
-    /// Enables stencil-aware redundancy elimination ([`PassId::Rce2`]):
-    /// an offset-lattice availability analysis finds subexpressions whose
-    /// value is already materialized at a constant shift, rewrites them
-    /// into shifted reuses (materializing shared stencil subexpressions
-    /// once where profitable), and hoists loop-invariant statements out of
-    /// counted time loops. Every rewrite is independently re-checked by
-    /// the translation validator ([`PassId::VerifyRce2`]). Off at every
-    /// paper level (`+rce2` level suffix in `zlc`).
+    /// Switches [`LevelSpec::rce2`] on. Off at every paper level (`+rce2`
+    /// level suffix in `zlc`).
     pub fn with_rce2(mut self) -> Self {
-        self.rce2 = true;
+        self.spec.rce2 = true;
         self
     }
 
@@ -350,16 +435,17 @@ impl<'f> Pipeline<'f> {
     /// executes it over a [`CompileSession`] under the instrumented
     /// [`PassManager`], and packages the result.
     pub fn optimize(&self, program: &Program) -> Optimized {
-        let mut session =
-            CompileSession::new(program, self.level, self.base_opts.clone(), self.verify);
+        let mut session = CompileSession::new(
+            program,
+            self.spec.level,
+            self.base_opts.clone(),
+            self.verify,
+        );
         if let Some(f) = &self.forbid {
             session.forbid = Some(&**f);
         }
         let mut manager = PassManager::new(pass::build_sequence(
-            self.level,
-            self.dse,
-            self.rce,
-            self.rce2,
+            self.spec,
             self.dimension_contraction,
             self.spatial_cap,
         ));

@@ -1,19 +1,17 @@
-//! One run configuration to rule them all: [`RunRequest`].
+//! One run configuration: [`RunRequest`].
 //!
-//! Before this module existed, three callers each threaded their own
-//! copy of "how should this program be compiled and executed": `zlc`
-//! plumbed a dozen individual flags, the [`Supervisor`] had its own
-//! builder knobs, and the simulated runtime's `ExecConfig` repeated the
-//! engine/threads/limits triple a third time. `RunRequest` is the single
-//! builder-style value all of them now consume — the level (with the
-//! `+dse`/`+rce`/`+rce2` cleanup suffixes), the engine, the worker-thread count,
-//! verification, resource budgets, and config-variable overrides — with
-//! adapters producing whichever downstream form a caller needs:
+//! A request says what to compile (a [`LevelSpec`]: level plus the
+//! `+dse`/`+rce`/`+rce2` cleanups), how to execute it (engine, threads,
+//! lanes, budgets) and under which config overrides. `zlc`, the lazy
+//! frontend, the compile cache, the serve path and the simulated
+//! runtime's `ExecConfig::from_request` all read this one value, and a
+//! [`Supervisor`] *holds* the request it was built from rather than a
+//! copy of its fields, so a supervised run compiles exactly what an
+//! unsupervised one does. Adapters produce the downstream forms:
 //! [`RunRequest::pipeline`], [`RunRequest::supervisor`],
-//! [`RunRequest::exec_opts`], [`RunRequest::limits`], and
-//! [`RunRequest::binding_for`]. The serving path
-//! ([`mod@crate::serve`], [`crate::cache`]) keys its compile cache on the
-//! request's `(level, dse, rce, rce2, engine)` coordinates.
+//! [`RunRequest::exec_opts`], [`RunRequest::limits`] and
+//! [`RunRequest::binding_for`]; [`crate::cache::CacheKey::for_request`]
+//! addresses the compiled artifact by `(program + binding, spec, engine)`.
 //!
 //! ```
 //! use fusion_core::request::RunRequest;
@@ -25,12 +23,12 @@
 //!     .unwrap()
 //!     .with_engine(Engine::VmSimd)
 //!     .with_set("n", 32);
-//! assert_eq!(req.level, Level::C2F3);
-//! assert!(req.dse && !req.rce);
+//! assert_eq!(req.spec.level, Level::C2F3);
+//! assert!(req.spec.dse && !req.spec.rce);
 //! assert_eq!(req.level_spec(), "c2+f3+dse");
 //! ```
 
-use crate::pipeline::{Level, Pipeline};
+use crate::pipeline::{Level, LevelSpec, Pipeline};
 use crate::supervisor::{Budgets, Supervisor};
 use crate::verify::VerifyLevel;
 use loopir::{Engine, ExecLimits, ExecOpts};
@@ -44,15 +42,9 @@ use zlang::ir::{ConfigBinding, Program};
 /// by `zlc`, the [`Supervisor`], the compile cache, and the serve path.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunRequest {
-    /// Optimization level (default [`Level::C2`], matching `zlc`).
-    pub level: Level,
-    /// Run the dead-statement-elimination cleanup pass (`+dse`).
-    pub dse: bool,
-    /// Run the redundant-computation-elimination cleanup pass (`+rce`).
-    pub rce: bool,
-    /// Run the stencil-aware, availability-driven redundancy pass
-    /// (`+rce2`), with its rewrites independently re-verified.
-    pub rce2: bool,
+    /// Optimization level plus cleanup passes (default plain
+    /// [`Level::C2`], matching `zlc`).
+    pub spec: LevelSpec,
     /// Execution engine (default [`Engine::Vm`]).
     pub engine: Engine,
     /// Worker threads for [`Engine::VmPar`]; `0` = auto.
@@ -76,10 +68,7 @@ pub struct RunRequest {
 impl Default for RunRequest {
     fn default() -> Self {
         RunRequest {
-            level: Level::C2,
-            dse: false,
-            rce: false,
-            rce2: false,
+            spec: Level::C2.into(),
             engine: Engine::default(),
             threads: 0,
             lanes: 0,
@@ -99,62 +88,26 @@ impl RunRequest {
     /// Sets the optimization level (keeping any `+dse`/`+rce`/`+rce2`
     /// choices).
     pub fn with_level(mut self, level: Level) -> Self {
-        self.level = level;
+        self.spec.level = level;
         self
     }
 
-    /// Parses a level *spec*: a paper level name optionally followed by
-    /// `+dse` / `+rce` / `+rce2` suffixes in any order
-    /// (`"c2+f3+dse+rce2"`), the `zlc --level` grammar.
+    /// Parses and sets the level *spec* (`"c2+f3+dse+rce2"`, the
+    /// `zlc --level` grammar; see [`LevelSpec`]).
     ///
     /// # Errors
     ///
     /// Returns a rustc-style message naming the valid levels when the
     /// base level is unknown.
     pub fn with_level_spec(mut self, spec: &str) -> Result<Self, String> {
-        let (mut base, mut dse, mut rce, mut rce2) = (spec, false, false, false);
-        loop {
-            // `+rce2` must be tried before `+rce`, which is its suffix.
-            if let Some(rest) = base.strip_suffix("+dse") {
-                base = rest;
-                dse = true;
-            } else if let Some(rest) = base.strip_suffix("+rce2") {
-                base = rest;
-                rce2 = true;
-            } else if let Some(rest) = base.strip_suffix("+rce") {
-                base = rest;
-                rce = true;
-            } else {
-                break;
-            }
-        }
-        let level = Level::all()
-            .into_iter()
-            .find(|l| l.name() == base)
-            .ok_or_else(|| {
-                format!(
-                    "unknown level `{spec}` (expected one of: {}; append `+dse`/`+rce`/`+rce2` \
-                     for the cleanup passes)",
-                    Level::all().map(|l| l.name()).join(", ")
-                )
-            })?;
-        self.level = level;
-        self.dse = dse;
-        self.rce = rce;
-        self.rce2 = rce2;
+        self.spec = spec.parse()?;
         Ok(self)
     }
 
     /// The level spec string this request round-trips to
     /// (`"c2+f3+dse"`-style).
     pub fn level_spec(&self) -> String {
-        format!(
-            "{}{}{}{}",
-            self.level.name(),
-            if self.dse { "+dse" } else { "" },
-            if self.rce { "+rce" } else { "" },
-            if self.rce2 { "+rce2" } else { "" },
-        )
+        self.spec.to_string()
     }
 
     /// Sets the execution engine.
@@ -218,38 +171,21 @@ impl RunRequest {
         self
     }
 
-    /// The compile pipeline this request describes (level, cleanup
-    /// passes, verification). Callers with pipeline-only concerns (e.g.
-    /// `zlc --emit`, `--dimension-contraction`) extend the returned
-    /// builder further.
+    /// The compile pipeline this request describes (spec, verification).
+    /// Callers with pipeline-only concerns (e.g. `zlc --emit`,
+    /// `--dimension-contraction`) extend the returned builder further.
     pub fn pipeline(&self) -> Pipeline<'static> {
-        let mut p = Pipeline::new(self.level);
-        if self.dse {
-            p = p.with_dse();
-        }
-        if self.rce {
-            p = p.with_rce();
-        }
-        if self.rce2 {
-            p = p.with_rce2();
-        }
+        let p = Pipeline::new(self.spec);
         if self.verify {
-            p = p.with_verify(VerifyLevel::Always);
+            p.with_verify(VerifyLevel::Always)
+        } else {
+            p
         }
-        p
     }
 
-    /// A fault-tolerant [`Supervisor`] at this request's level, engine,
-    /// budgets, threads, and bindings.
+    /// A fault-tolerant [`Supervisor`] serving a clone of this request.
     pub fn supervisor(&self) -> Supervisor<'static> {
-        let mut sup = Supervisor::new(self.level, self.engine)
-            .with_budgets(self.budgets)
-            .with_threads(self.threads)
-            .with_lanes(self.lanes);
-        for (name, value) in &self.sets {
-            sup = sup.with_binding(name, *value);
-        }
-        sup
+        Supervisor::for_request(self.clone())
     }
 
     /// The per-execution engine options.
@@ -318,7 +254,7 @@ mod tests {
         assert_eq!(req.level_spec(), "c2+dse+rce");
         // `+rce2` is not mistaken for `+rce`.
         let req = RunRequest::new().with_level_spec("c2+rce2").unwrap();
-        assert!(req.rce2 && !req.rce);
+        assert!(req.spec.rce2 && !req.spec.rce);
     }
 
     #[test]

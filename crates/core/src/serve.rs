@@ -50,7 +50,7 @@
 
 use crate::breaker::{BreakerConfig, BreakerStats, CircuitBreakers};
 use crate::cache::{CacheStats, CompileCache};
-use crate::pipeline::Level;
+use crate::pipeline::LevelSpec;
 use crate::request::RunRequest;
 use crate::supervisor::{quiet_catch, Cause, CauseKind, Stage};
 use loopir::Engine;
@@ -210,8 +210,8 @@ pub struct RequestRecord {
     pub name: String,
     /// Engine the request asked for.
     pub engine: Engine,
-    /// Level the request asked for.
-    pub level: Level,
+    /// Level and cleanup passes the request asked for.
+    pub spec: LevelSpec,
     /// Time from admission until a worker started serving the request
     /// (for shed requests: until the shed decision).
     pub queue_wait: Duration,
@@ -240,7 +240,7 @@ impl RequestRecord {
             index,
             name: req.name.clone(),
             engine: req.request.engine,
-            level: req.request.level,
+            spec: req.request.spec,
             queue_wait: Duration::ZERO,
             latency: Duration::ZERO,
             attempts: 0,
@@ -944,6 +944,7 @@ fn serve_one(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pipeline::Level;
 
     const SRC: &str = "program t; config n : int = 8; region R = [1..n]; \
         var A, B : [R] float; var s : float; \
@@ -999,6 +1000,31 @@ mod tests {
         assert_eq!(cause.stage, Stage::Parse);
         assert_eq!(report.failures_by_cause().get("parse error"), Some(&1));
         assert!(report.render().contains("1 failed"), "{}", report.render());
+    }
+
+    #[test]
+    fn unknown_override_fails_once_without_retries_or_breaker_traffic() {
+        let cache = Arc::new(CompileCache::new());
+        let opts = ServeOptions::new()
+            .with_workers(2)
+            .with_retry(RetryPolicy::retries(3));
+        let mut reqs = batch(3);
+        reqs.push(ServeRequest::new(
+            "bogus",
+            SRC,
+            RunRequest::new().with_set("bogus", 3),
+        ));
+        let report = serve_with(&reqs, &opts, &cache);
+        assert_eq!(report.completed(), 3);
+        assert_eq!(report.failed(), 1);
+        let bad = report.records.last().unwrap();
+        let cause = bad.cause().expect("config failure carries its cause");
+        assert_eq!(cause.kind, CauseKind::Config);
+        assert!(cause.message.contains("bogus"), "{cause}");
+        assert_eq!(bad.attempts, 1, "a config error is not transient");
+        assert_eq!(report.retried(), 0);
+        assert_eq!(report.breaker, BreakerStats::default());
+        assert_eq!(report.failures_by_cause().get("config error"), Some(&1));
     }
 
     #[test]

@@ -8,13 +8,19 @@
 //! simple question — "what does this program compute?" — because the
 //! system always has a slower engine that still knows the answer.
 //!
-//! [`Supervisor`] wraps the whole pipeline — parse, normalize, fuse,
-//! scalarize, verify, execute — in a fault boundary and degrades along a
-//! fixed ladder when a stage faults:
+//! [`Supervisor`] holds the [`RunRequest`] it serves and wraps the whole
+//! path — parse, normalize, fuse, scalarize, verify, execute — in a fault
+//! boundary. Every attempt is the same request → key → claim → compile →
+//! publish → execute sequence an unsupervised caller gets from
+//! [`CompileCache::get_or_compile`] (the compile step is
+//! [`cache::compile`] for both), and a rung of the degradation ladder is
+//! nothing but the request at relaxed `(spec, engine)` coordinates: the
+//! same [`LevelSpec`] on cheaper engines, then plain `baseline` on the
+//! interpreter with the cleanup passes off:
 //!
 //! ```text
-//! (level, vm-par)   →  (level, vm-simd)  →  (level, vm)
-//!                   →  (level, interp)   →  (baseline, interp)
+//! (spec, vm-par)   →  (spec, vm-simd)  →  (spec, vm)
+//!                  →  (spec, interp)   →  (baseline, interp)
 //! ```
 //!
 //! The topmost rung is the parallel tiled VM ([`Engine::VmPar`]); it
@@ -34,7 +40,7 @@
 //!
 //! * **Panics** in any stage (caught with `catch_unwind`; the panic-hook
 //!   output is suppressed while the supervisor is in charge). A panic
-//!   during optimization *poisons the level*: rungs that would re-run the
+//!   during optimization *poisons the spec*: rungs that would re-run the
 //!   same deterministic optimization are skipped.
 //! * **Verifier rejections** — the `vm-simd` and `vm-par` engines refuse
 //!   to construct; the plain VM runs the program's plain bytecode, which
@@ -65,12 +71,10 @@
 //! ```
 
 use crate::breaker::{Admission, CircuitBreakers};
-use crate::cache::{CacheKey, CachedProgram, ClaimGuard, CompileCache, Lookup};
-use crate::pipeline::{Level, Pipeline};
-use loopir::{
-    Engine, ErrorKind, ExecError, ExecLimits, ExecOpts, Executor, Interp, NoopObserver, RunOutcome,
-    ScalarProgram, SharedProgram,
-};
+use crate::cache::{self, CacheKey, CompileCache};
+use crate::pipeline::{Level, LevelSpec};
+use crate::request::RunRequest;
+use loopir::{Engine, ErrorKind, ExecError, ExecLimits, NoopObserver, RunOutcome, ScalarProgram};
 use std::cell::Cell;
 use std::fmt;
 use std::panic::{self, AssertUnwindSafe};
@@ -93,8 +97,8 @@ thread_local! {
 
 /// Marks the currently running pipeline stage on this thread, so a panic
 /// caught by the supervisor is attributed to the stage that raised it.
-/// Called by [`Pipeline::optimize`] as it moves through its phases; a
-/// no-op for everyone else.
+/// Called by the pass manager before each pass and by [`cache::compile`]
+/// before lowering; a no-op for everyone else.
 pub fn enter_stage(stage: Stage) {
     CURRENT_STAGE.with(|s| s.set(stage));
 }
@@ -157,6 +161,8 @@ pub enum CauseKind {
     Comm,
     /// Source text failed to parse or typecheck.
     Parse,
+    /// A config override names no config variable of the program.
+    Config,
     /// Any other execution error (trap, out-of-bounds access, lowering
     /// failure).
     Exec,
@@ -172,25 +178,16 @@ impl CauseKind {
             CauseKind::AllocBudget => "allocation budget exceeded",
             CauseKind::Comm => "communication failure",
             CauseKind::Parse => "parse error",
+            CauseKind::Config => "config error",
             CauseKind::Exec => "execution error",
-        }
-    }
-
-    fn from_exec(e: &ExecError) -> CauseKind {
-        match e.kind {
-            ErrorKind::Verify => CauseKind::VerifyReject,
-            ErrorKind::Fuel => CauseKind::Fuel,
-            ErrorKind::Deadline => CauseKind::Deadline,
-            ErrorKind::Comm => CauseKind::Comm,
-            _ => CauseKind::Exec,
         }
     }
 
     /// True if a fault of this kind is plausibly transient — a retry of
     /// the same request may succeed. Communication failures and
     /// execution-stage faults (vm-traps, poisoned cache artifacts)
-    /// qualify; parse errors, verifier rejections, and panics are
-    /// deterministic reruns of the same failure, and the budget kinds
+    /// qualify; parse and config errors, verifier rejections, and panics
+    /// are deterministic reruns of the same failure, and the budget kinds
     /// (fuel, deadline, allocation) are policy decisions a retry would
     /// only re-spend.
     pub fn is_transient(self) -> bool {
@@ -228,11 +225,30 @@ impl fmt::Display for Cause {
     }
 }
 
+/// A lowering or execution error, attributed to the verifier when it is
+/// a rejection and to execution otherwise.
+impl From<ExecError> for Cause {
+    fn from(e: ExecError) -> Cause {
+        let (stage, kind) = match e.kind {
+            ErrorKind::Verify => (Stage::VerifyBytecode, CauseKind::VerifyReject),
+            ErrorKind::Fuel => (Stage::Execute, CauseKind::Fuel),
+            ErrorKind::Deadline => (Stage::Execute, CauseKind::Deadline),
+            ErrorKind::Comm => (Stage::Execute, CauseKind::Comm),
+            _ => (Stage::Execute, CauseKind::Exec),
+        };
+        Cause {
+            stage,
+            kind,
+            message: e.message,
+        }
+    }
+}
+
 /// One rung of the degradation ladder as actually tried.
 #[derive(Debug, Clone)]
 pub struct Attempt {
-    /// Optimization level of this attempt.
-    pub level: Level,
+    /// Level and cleanup passes of this attempt.
+    pub spec: LevelSpec,
     /// Engine of this attempt.
     pub engine: Engine,
     /// Wall-clock time the attempt took (including a failed one).
@@ -247,15 +263,15 @@ pub struct Attempt {
 /// The complete record of a supervised run.
 #[derive(Debug, Clone)]
 pub struct SupervisorReport {
-    /// The level the caller asked for.
-    pub requested_level: Level,
+    /// The level and cleanup passes the caller asked for.
+    pub requested_spec: LevelSpec,
     /// The engine the caller asked for.
     pub requested_engine: Engine,
     /// Every attempt, in order; the last one succeeded unless the whole
     /// run failed.
     pub attempts: Vec<Attempt>,
-    /// The level that produced the answer (meaningless if the run failed).
-    pub final_level: Level,
+    /// The spec that produced the answer (meaningless if the run failed).
+    pub final_spec: LevelSpec,
     /// The engine that produced the answer (meaningless if the run failed).
     pub final_engine: Engine,
     /// True if the requested key's circuit breaker was open and the run
@@ -264,20 +280,20 @@ pub struct SupervisorReport {
 }
 
 impl SupervisorReport {
-    fn new(level: Level, engine: Engine) -> Self {
+    fn new(req: &RunRequest) -> Self {
         SupervisorReport {
-            requested_level: level,
-            requested_engine: engine,
+            requested_spec: req.spec,
+            requested_engine: req.engine,
             attempts: Vec::new(),
-            final_level: level,
-            final_engine: engine,
+            final_spec: req.spec,
+            final_engine: req.engine,
             breaker_open: false,
         }
     }
 
-    /// True if the answer did not come from the requested (level, engine).
+    /// True if the answer did not come from the requested (spec, engine).
     pub fn degraded(&self) -> bool {
-        self.final_level != self.requested_level || self.final_engine != self.requested_engine
+        self.final_spec != self.requested_spec || self.final_engine != self.requested_engine
     }
 
     /// Number of attempts beyond the first.
@@ -301,8 +317,7 @@ impl SupervisorReport {
     pub fn render(&self) -> String {
         let mut out = format!(
             "supervised run: requested {} on {}\n",
-            self.requested_level.name(),
-            self.requested_engine.name()
+            self.requested_spec, self.requested_engine
         );
         for (i, a) in self.attempts.iter().enumerate() {
             let status = match &a.fault {
@@ -313,8 +328,8 @@ impl SupervisorReport {
             out.push_str(&format!(
                 "  attempt {}: {} on {}{} — {} ({:.3} ms)\n",
                 i + 1,
-                a.level.name(),
-                a.engine.name(),
+                a.spec,
+                a.engine,
                 sim,
                 status,
                 a.elapsed.as_secs_f64() * 1e3,
@@ -322,8 +337,8 @@ impl SupervisorReport {
         }
         out.push_str(&format!(
             "  final: {} on {}{}{}\n",
-            self.final_level.name(),
-            self.final_engine.name(),
+            self.final_spec,
+            self.final_engine,
             if self.degraded() { " (degraded)" } else { "" },
             if self.breaker_open {
                 " (breaker open)"
@@ -405,15 +420,13 @@ impl fmt::Display for SupervisorError {
 impl std::error::Error for SupervisorError {}
 
 /// The fault-boundary wrapper around compile-and-run. See the module
-/// docs for the fault model and ladder.
+/// docs for the fault model and ladder. It owns the [`RunRequest`] it
+/// serves (level spec, engine, threads, lanes, budgets, `--set`
+/// overrides are set there) plus only what a request does not carry:
+/// the simulation backend, the shared cache and the breaker registry.
 pub struct Supervisor<'a> {
-    level: Level,
-    engine: Engine,
-    budgets: Budgets,
-    bindings: Vec<(String, i64)>,
+    request: RunRequest,
     sim: Option<Box<SimFn<'a>>>,
-    threads: usize,
-    lanes: usize,
     cache: Option<Arc<CompileCache>>,
     breaker: Option<Arc<CircuitBreakers>>,
 }
@@ -421,33 +434,47 @@ pub struct Supervisor<'a> {
 impl fmt::Debug for Supervisor<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Supervisor")
-            .field("level", &self.level)
-            .field("engine", &self.engine)
-            .field("budgets", &self.budgets)
+            .field("request", &self.request)
             .field("sim", &self.sim.is_some())
             .finish()
     }
 }
 
+/// What the rungs of one supervised run share: the program, its binding
+/// and the requested rung's cache key (bound and hashed once per run),
+/// and the scalarized program of the spec most recently optimized, which
+/// the rungs at that spec reuse instead of re-running the optimizer.
+struct Run<'p> {
+    program: &'p Program,
+    binding: ConfigBinding,
+    key: CacheKey,
+    /// The attached cache; `None` also when the breaker forced the run to
+    /// the reference rung.
+    cache: Option<&'p CompileCache>,
+    optimized_at: LevelSpec,
+    optimized: Option<Arc<ScalarProgram>>,
+}
+
 impl<'a> Supervisor<'a> {
-    /// A supervisor targeting a level and engine, with no budgets and
-    /// direct (unsimulated) execution.
+    /// A supervisor for the default request at a level and engine: no
+    /// cleanup passes, no budgets, no overrides, direct (unsimulated)
+    /// execution. Shorthand for [`RunRequest::supervisor`].
     pub fn new(level: Level, engine: Engine) -> Self {
+        Supervisor::for_request(RunRequest::new().with_level(level).with_engine(engine))
+    }
+
+    /// A supervisor serving `request`.
+    pub fn for_request(request: RunRequest) -> Self {
         Supervisor {
-            level,
-            engine,
-            budgets: Budgets::none(),
-            bindings: Vec::new(),
+            request,
             sim: None,
-            threads: 0,
-            lanes: 0,
             cache: None,
             breaker: None,
         }
     }
 
     /// Attaches a shared [`CompileCache`]: every rung first consults the
-    /// cache at its own `(level, engine)` coordinates — a hit reuses the
+    /// cache at its own `(spec, engine)` coordinates — a hit reuses the
     /// `Arc`-shared scalarized program and compiled bytecode and skips
     /// the `PassManager`, the bytecode compiler, and the verifier — and
     /// every cold compile publishes its artifact for future runs. This
@@ -475,40 +502,8 @@ impl<'a> Supervisor<'a> {
     /// time spent queued is charged against the same total deadline the
     /// caller asked for.
     pub fn with_remaining(mut self, remaining: Duration) -> Self {
-        self.budgets.deadline = Some(match self.budgets.deadline {
-            Some(d) => d.min(remaining),
-            None => remaining,
-        });
-        self
-    }
-
-    /// Sets the worker-thread count for the `vm-par` engine (`0` = auto).
-    /// Ignored by the sequential engines, including every rung the
-    /// ladder degrades to below `vm-par`. Budgets still hold across the
-    /// fan-out: tile instruction counts drain the same fuel budget as
-    /// coordinator instructions, and workers poll the same deadline.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
-        self
-    }
-
-    /// Sets the lane width for the `vm-simd` and `vm-par` engines
-    /// (`0` = the engine default of 4, `1` = scalar dispatch). Ignored by
-    /// the non-superinstruction engines.
-    pub fn with_lanes(mut self, lanes: usize) -> Self {
-        self.lanes = lanes;
-        self
-    }
-
-    /// Sets the resource budgets.
-    pub fn with_budgets(mut self, budgets: Budgets) -> Self {
-        self.budgets = budgets;
-        self
-    }
-
-    /// Overrides a config variable (like `zlc --set n=512`).
-    pub fn with_binding(mut self, name: &str, value: i64) -> Self {
-        self.bindings.push((name.to_string(), value));
+        let deadline = &mut self.request.budgets.deadline;
+        *deadline = Some(deadline.map_or(remaining, |d| d.min(remaining)));
         self
     }
 
@@ -548,10 +543,10 @@ impl<'a> Supervisor<'a> {
             kind: CauseKind::Parse,
             message,
         };
-        let mut report = SupervisorReport::new(self.level, self.engine);
+        let mut report = SupervisorReport::new(&self.request);
         report.attempts.push(Attempt {
-            level: self.level,
-            engine: self.engine,
+            spec: self.request.spec,
+            engine: self.request.engine,
             elapsed: started.elapsed(),
             fault: Some(cause.clone()),
             sim_disabled: false,
@@ -564,47 +559,52 @@ impl<'a> Supervisor<'a> {
     ///
     /// # Errors
     ///
-    /// Returns [`SupervisorError`] only if every rung — including the
-    /// unoptimized reference interpreter — faulted.
+    /// Returns [`SupervisorError`] if a `--set` override names no config
+    /// variable of the program (a [`CauseKind::Config`] cause; no rung is
+    /// attempted and the breaker hears nothing), or if every rung —
+    /// including the unoptimized reference interpreter — faulted.
     pub fn run_program(&self, program: &Program) -> Result<Supervised, SupervisorError> {
-        let mut report = SupervisorReport::new(self.level, self.engine);
-        let mut compiled: Vec<(Level, Arc<ScalarProgram>)> = Vec::new();
-        let mut poisoned: Option<Level> = None;
+        let req = &self.request;
+        let mut report = SupervisorReport::new(req);
+        let binding = match req.binding_for(program) {
+            Ok(binding) => binding,
+            Err(message) => {
+                let cause = Cause {
+                    stage: Stage::Parse,
+                    kind: CauseKind::Config,
+                    message,
+                };
+                return Err(SupervisorError { cause, report });
+            }
+        };
+        // The requested rung's cache key identifies the artifact under
+        // suspicion. When a breaker registry is attached, an open key
+        // routes the whole run to the reference rung without touching the
+        // cache; otherwise the requested rung's outcome feeds the breaker.
+        let key = CacheKey::for_request(program, &binding, req);
+        let forced_reference = self
+            .breaker
+            .as_ref()
+            .is_some_and(|b| b.admit(key) == Admission::Reference);
+        report.breaker_open = forced_reference;
+        let rungs = if forced_reference {
+            vec![(Level::Baseline.into(), Engine::Interp)]
+        } else {
+            ladder(req.spec, req.engine)
+        };
+        let mut run = Run {
+            program,
+            binding,
+            key,
+            cache: self.cache.as_deref().filter(|_| !forced_reference),
+            optimized_at: req.spec,
+            optimized: None,
+        };
+        let mut poisoned: Option<LevelSpec> = None;
         let mut last_cause: Option<Cause> = None;
 
-        // When a breaker registry is attached, the requested rung's cache
-        // key identifies the artifact under suspicion. An open key routes
-        // the whole run to the reference rung without touching the cache;
-        // otherwise the requested rung's outcome feeds the breaker.
-        let breaker_key = self.breaker.as_ref().map(|_| {
-            let mut binding = ConfigBinding::defaults(program);
-            for (name, value) in &self.bindings {
-                binding.set_by_name(program, name, *value);
-            }
-            CacheKey::compute(
-                program,
-                &binding,
-                self.level,
-                false,
-                false,
-                false,
-                self.engine,
-            )
-        });
-        let forced_reference = match (&self.breaker, breaker_key) {
-            (Some(b), Some(key)) => b.admit(key) == Admission::Reference,
-            _ => false,
-        };
-        report.breaker_open = forced_reference;
-        let use_cache = !forced_reference;
-        let rungs = if forced_reference {
-            vec![(Level::Baseline, Engine::Interp)]
-        } else {
-            ladder(self.level, self.engine)
-        };
-
-        for (ri, &(level, engine)) in rungs.iter().enumerate() {
-            if poisoned == Some(level) {
+        for (ri, &(spec, engine)) in rungs.iter().enumerate() {
+            if poisoned == Some(spec) {
                 continue;
             }
             // The reference rung is the degradation target of last
@@ -616,87 +616,71 @@ impl<'a> Supervisor<'a> {
             let is_reference = forced_reference
                 || (ri > 0
                     && ri == rungs.len() - 1
-                    && level == Level::Baseline
+                    && spec == Level::Baseline.into()
                     && engine == Engine::Interp);
-            let budgeted = !is_reference || self.budgets.enforce_on_reference;
+            let budgeted = !is_reference || req.budgets.enforce_on_reference;
             // Only the requested rung's fate says anything about the
             // requested artifact; degraded rungs run different code.
-            let feeds_breaker = !forced_reference && ri == 0;
+            let breaker = self
+                .breaker
+                .as_ref()
+                .filter(|_| !forced_reference && ri == 0);
 
             // Try with the sim backend if installed; on a communication
             // failure, once more without it.
             let mut use_sim = self.sim.is_some();
             loop {
                 let started = Instant::now();
-                let r = self.attempt(
-                    program,
-                    level,
-                    engine,
-                    budgeted,
-                    use_sim,
-                    use_cache,
-                    &mut compiled,
-                );
+                let r = self.attempt(&mut run, spec, engine, budgeted, use_sim);
                 let elapsed = started.elapsed();
-                match r {
+                let attempt = |fault| Attempt {
+                    spec,
+                    engine,
+                    elapsed,
+                    fault,
+                    sim_disabled: self.sim.is_some() && !use_sim,
+                };
+                let cause = match r {
                     Ok(outcome) => {
-                        if feeds_breaker {
-                            if let (Some(b), Some(key)) = (&self.breaker, breaker_key) {
-                                b.record_success(key);
-                            }
+                        if let Some(b) = breaker {
+                            b.record_success(key);
                         }
-                        report.attempts.push(Attempt {
-                            level,
-                            engine,
-                            elapsed,
-                            fault: None,
-                            sim_disabled: self.sim.is_some() && !use_sim,
-                        });
-                        report.final_level = level;
+                        report.attempts.push(attempt(None));
+                        report.final_spec = spec;
                         report.final_engine = engine;
                         return Ok(Supervised { outcome, report });
                     }
-                    Err(cause) => {
-                        // Execution-time faults of the requested rung are
-                        // what a poisoned artifact looks like from the
-                        // outside; count them, and on a trip quarantine
-                        // the cached entry so it is never re-served.
-                        if feeds_breaker
-                            && cause.stage == Stage::Execute
-                            && matches!(cause.kind, CauseKind::Exec | CauseKind::Panic)
-                        {
-                            if let (Some(b), Some(key)) = (&self.breaker, breaker_key) {
-                                if let Some(cache) = &self.cache {
-                                    cache.note_fault(&key);
-                                }
-                                if b.record_failure(key) {
-                                    if let Some(cache) = &self.cache {
-                                        cache.quarantine(&key);
-                                    }
-                                }
-                            }
+                    Err(cause) => cause,
+                };
+                report.attempts.push(attempt(Some(cause.clone())));
+                // Execution-time faults of the requested rung are what a
+                // poisoned artifact looks like from the outside; count
+                // them, and on a trip quarantine the cached entry so it
+                // is never re-served.
+                if let Some(b) = breaker.filter(|_| {
+                    cause.stage == Stage::Execute
+                        && matches!(cause.kind, CauseKind::Exec | CauseKind::Panic)
+                }) {
+                    if let Some(cache) = &self.cache {
+                        cache.note_fault(&key);
+                    }
+                    if b.record_failure(key) {
+                        if let Some(cache) = &self.cache {
+                            cache.quarantine(&key);
                         }
-                        let comm_retry = cause.kind == CauseKind::Comm && use_sim;
-                        if cause.kind == CauseKind::Panic && cause.stage != Stage::Execute {
-                            // Optimization is deterministic: re-running
-                            // the same level would panic again.
-                            poisoned = Some(level);
-                        }
-                        report.attempts.push(Attempt {
-                            level,
-                            engine,
-                            elapsed,
-                            fault: Some(cause.clone()),
-                            sim_disabled: self.sim.is_some() && !use_sim,
-                        });
-                        last_cause = Some(cause);
-                        if comm_retry {
-                            use_sim = false;
-                            continue;
-                        }
-                        break;
                     }
                 }
+                if cause.kind == CauseKind::Panic && cause.stage != Stage::Execute {
+                    // Optimization is deterministic: re-running the same
+                    // spec would panic again.
+                    poisoned = Some(spec);
+                }
+                let comm_retry = cause.kind == CauseKind::Comm && use_sim;
+                last_cause = Some(cause);
+                if !comm_retry {
+                    break;
+                }
+                use_sim = false;
             }
         }
 
@@ -708,196 +692,136 @@ impl<'a> Supervisor<'a> {
         Err(SupervisorError { cause, report })
     }
 
-    /// One rung: consult the shared compile cache (when attached and
-    /// `use_cache` holds — a breaker-forced reference run bypasses it),
-    /// then optimize (cached per level for the ladder), check the
-    /// allocation budget, build the executor, run. Every step is inside
-    /// the panic boundary; errors come back as a [`Cause`].
-    #[allow(clippy::too_many_arguments)]
+    /// One rung: the request at `(spec, engine)`, through the one path —
+    /// claim the rung's key in the shared cache (when attached and the
+    /// run may use it), [`cache::compile`] on a miss and publish, check
+    /// the allocation budget, build the executor, run. Every step is
+    /// inside the panic boundary; errors come back as a [`Cause`], and a
+    /// fault anywhere before publication abandons the claim.
     fn attempt(
         &self,
-        program: &Program,
-        level: Level,
+        run: &mut Run<'_>,
+        spec: LevelSpec,
         engine: Engine,
         budgeted: bool,
         use_sim: bool,
-        use_cache: bool,
-        compiled: &mut Vec<(Level, Arc<ScalarProgram>)>,
     ) -> Result<RunOutcome, Cause> {
+        let req = &self.request;
         // A zero deadline can never be met; fault deterministically up
         // front rather than depend on how far a fast program gets before
         // the engine's periodic clock check.
-        if budgeted && self.budgets.deadline == Some(Duration::ZERO) {
+        if budgeted && req.budgets.deadline == Some(Duration::ZERO) {
             return Err(Cause {
                 stage: Stage::Execute,
                 kind: CauseKind::Deadline,
                 message: "execution deadline exceeded (raise the wall-clock budget)".to_string(),
             });
         }
-
-        // The binding comes from the source program (normalization never
-        // adds config variables), so the cache key exists before any
-        // compilation happens.
-        let mut binding = ConfigBinding::defaults(program);
-        for (name, value) in &self.bindings {
-            binding.set_by_name(program, name, *value);
+        if run.optimized_at != spec {
+            run.optimized_at = spec;
+            run.optimized = None;
         }
-
-        // A miss claims the key exclusively (single-flight): concurrent
-        // rungs on the same coordinate wait for this compile instead of
-        // duplicating it, and the guard abandons the claim on any fault
-        // so waiters never hang.
-        let mut claim: Option<ClaimGuard<'_>> = None;
-        let hit: Option<Arc<CachedProgram>> = match &self.cache {
-            Some(cache) if use_cache => {
-                let key = CacheKey::compute(program, &binding, level, false, false, false, engine);
-                match cache.claim(key) {
-                    Lookup::Hit(cached) => {
-                        // Injected artifact corruption: the hit "decodes"
-                        // but faults the moment it executes, which is how
-                        // a real bit-flipped or mis-compiled entry
-                        // presents. Results are never contaminated — the
-                        // fault replaces the run entirely.
-                        if faults::fire(FaultSite::CacheCorrupt) {
-                            return Err(Cause {
-                                stage: Stage::Execute,
-                                kind: CauseKind::Exec,
-                                message: format!(
-                                    "{}: cached artifact faulted at execution",
-                                    faults::message(FaultSite::CacheCorrupt)
-                                ),
-                            });
-                        }
-                        Some(cached)
-                    }
-                    Lookup::Miss(guard) => {
-                        claim = Some(guard);
-                        None
-                    }
-                }
-            }
-            _ => None,
-        };
-
-        // On a hit the scalarized program and the compiled bytecode come
-        // straight from the cache; on a miss, optimize (once per level
-        // across the ladder) and publish after the engine-specific
-        // lowering succeeds.
-        let (sp, shared): (Arc<ScalarProgram>, Option<SharedProgram>) = match hit {
-            Some(cached) => (cached.scalarized.clone(), cached.shared.clone()),
-            None => {
-                let sp = match compiled.iter().find(|(l, _)| *l == level) {
-                    Some((_, sp)) => sp.clone(),
-                    None => {
-                        enter_stage(Stage::Normalize);
-                        let o = quiet_catch(|| Pipeline::new(level).optimize(program)).map_err(
-                            |msg| Cause {
-                                stage: current_stage(),
-                                kind: CauseKind::Panic,
-                                message: msg,
-                            },
-                        )?;
-                        let sp = Arc::new(o.scalarized);
-                        compiled.push((level, sp.clone()));
-                        sp
-                    }
-                };
-                (sp, None)
-            }
-        };
-
-        if budgeted {
-            if let Some(cap) = self.budgets.max_alloc_bytes {
-                let est = estimate_alloc_bytes(&sp, &binding);
-                if est > cap {
-                    return Err(Cause {
-                        stage: Stage::Execute,
-                        kind: CauseKind::AllocBudget,
-                        message: format!(
-                            "estimated peak allocation {est} bytes exceeds the {cap}-byte budget"
-                        ),
-                    });
-                }
-            }
-        }
-
-        let limits = if budgeted {
-            self.budgets.limits()
+        // The simulation backend lowers the scalarized program for the
+        // rung's engine itself, so a simulated attempt asks the compile
+        // step for the engine-independent artifact only.
+        let sim = self.sim.as_deref().filter(|_| use_sim);
+        let lower_for = if sim.is_some() {
+            Engine::Interp
         } else {
-            ExecLimits::none()
+            engine
         };
-
-        enter_stage(if shared.is_none() && engine.superfused() {
-            Stage::VerifyBytecode
+        let relaxed;
+        let rung = if (spec, lower_for) == (req.spec, req.engine) {
+            req
         } else {
-            Stage::Execute
-        });
-        let run = quiet_catch(|| -> Result<RunOutcome, ExecError> {
-            if use_sim {
-                if let Some(sim) = &self.sim {
-                    return sim(&sp, &binding, engine, limits);
-                }
-            }
-            let opts = ExecOpts {
-                threads: self.threads,
-                lanes: self.lanes,
+            relaxed = RunRequest {
+                spec,
+                engine: lower_for,
+                ..req.clone()
             };
-            let mut exec: Box<dyn Executor + '_> = match &shared {
-                // Cache hit: re-instantiate from the shared bytecode —
-                // no recompile, no re-verify.
-                Some(shared) => engine.shared_executor(shared, opts),
-                None => {
-                    let lowered = engine.compile_shared(&sp, binding.clone())?;
-                    if let Some(guard) = claim.take() {
-                        guard.publish(Arc::new(CachedProgram {
-                            scalarized: sp.clone(),
-                            shared: lowered.clone(),
-                            binding: binding.clone(),
-                            engine,
-                        }));
+            &relaxed
+        };
+
+        enter_stage(Stage::Normalize);
+        quiet_catch(|| -> Result<RunOutcome, Cause> {
+            let binding = &run.binding;
+            let optimized = &mut run.optimized;
+            let mut compile = || cache::compile(run.program, binding, rung, optimized);
+            // The run's content digest at this rung's coordinates.
+            let key = CacheKey {
+                spec,
+                engine: lower_for,
+                ..run.key
+            };
+            let artifact = match run.cache {
+                Some(cache) => {
+                    let (artifact, hit) = cache.get_or_insert_with(key, compile)?;
+                    // Injected artifact corruption: the hit "decodes" but
+                    // faults the moment it executes, which is how a real
+                    // bit-flipped or mis-compiled entry presents. Results
+                    // are never contaminated — the fault replaces the run
+                    // entirely.
+                    if hit && faults::fire(FaultSite::CacheCorrupt) {
+                        return Err(Cause {
+                            stage: Stage::Execute,
+                            kind: CauseKind::Exec,
+                            message: format!(
+                                "{}: cached artifact faulted at execution",
+                                faults::message(FaultSite::CacheCorrupt)
+                            ),
+                        });
                     }
-                    match lowered {
-                        Some(shared) => engine.shared_executor(&shared, opts),
-                        None => Box::new(Interp::new(&sp, binding.clone())),
-                    }
+                    artifact
                 }
+                None => Arc::new(compile()?),
             };
             enter_stage(Stage::Execute);
+            let mut limits = ExecLimits::none();
+            if budgeted {
+                if let Some(cap) = req.budgets.max_alloc_bytes {
+                    let est = estimate_alloc_bytes(&artifact.scalarized, binding);
+                    if est > cap {
+                        return Err(Cause {
+                            stage: Stage::Execute,
+                            kind: CauseKind::AllocBudget,
+                            message: format!(
+                                "estimated peak allocation {est} bytes exceeds the {cap}-byte budget"
+                            ),
+                        });
+                    }
+                }
+                limits = req.limits();
+            }
+            if let Some(sim) = sim {
+                return Ok(sim(&artifact.scalarized, binding, engine, limits)?);
+            }
+            let mut exec = artifact.executor(req.exec_opts());
             exec.set_limits(limits);
-            exec.execute(&mut NoopObserver)
-        });
-        match run {
-            Ok(Ok(outcome)) => Ok(outcome),
-            Ok(Err(e)) => Err(Cause {
-                stage: if e.kind == ErrorKind::Verify {
-                    Stage::VerifyBytecode
-                } else {
-                    Stage::Execute
-                },
-                kind: CauseKind::from_exec(&e),
-                message: e.message,
-            }),
-            Err(msg) => Err(Cause {
+            Ok(exec.execute(&mut NoopObserver)?)
+        })
+        .unwrap_or_else(|message| {
+            Err(Cause {
                 stage: current_stage(),
                 kind: CauseKind::Panic,
-                message: msg,
-            }),
-        }
+                message,
+            })
+        })
     }
 }
 
-/// The degradation ladder from a requested (level, engine): cheaper
-/// engines at the same level, then the unoptimized reference
-/// interpreter.
-fn ladder(level: Level, engine: Engine) -> Vec<(Level, Engine)> {
-    let order = [Engine::VmPar, Engine::VmSimd, Engine::Vm, Engine::Interp];
-    let start = order
-        .iter()
-        .position(|&e| e == engine)
-        .expect("invariant: `order` lists every Engine variant");
-    let mut rungs: Vec<(Level, Engine)> = order[start..].iter().map(|&e| (level, e)).collect();
-    if level != Level::Baseline {
-        rungs.push((Level::Baseline, Engine::Interp));
+/// The degradation ladder from a requested (spec, engine): the same spec
+/// on each cheaper engine in turn, then the unoptimized reference
+/// interpreter with the cleanup passes off.
+fn ladder(spec: LevelSpec, engine: Engine) -> Vec<(LevelSpec, Engine)> {
+    let mut rungs: Vec<_> = Engine::all()
+        .into_iter()
+        .rev()
+        .skip_while(|&e| e != engine)
+        .map(|e| (spec, e))
+        .collect();
+    let reference = LevelSpec::from(Level::Baseline);
+    if spec != reference {
+        rungs.push((reference, Engine::Interp));
     }
     rungs
 }
@@ -922,6 +846,12 @@ mod tests {
         var A, B : [R] float; var s : float;
         begin [R] A := 3.0; [R] B := A + 1.0; s := +<< [R] B; end";
 
+    /// The default request at a level and engine, for the tests that go
+    /// on to set threads, budgets or overrides on it.
+    fn request(level: Level, engine: Engine) -> RunRequest {
+        RunRequest::new().with_level(level).with_engine(engine)
+    }
+
     fn reference_checksum() -> f64 {
         let sup = Supervisor::new(Level::Baseline, Engine::Interp);
         sup.run_source(SRC).unwrap().outcome.checksum()
@@ -939,7 +869,9 @@ mod tests {
 
     #[test]
     fn vm_par_clean_run_is_not_degraded() {
-        let sup = Supervisor::new(Level::C2F3, Engine::VmPar).with_threads(2);
+        let sup = request(Level::C2F3, Engine::VmPar)
+            .with_threads(2)
+            .supervisor();
         let run = sup.run_source(SRC).unwrap();
         assert_eq!(run.outcome.checksum(), reference_checksum());
         assert!(!run.report.degraded());
@@ -951,7 +883,9 @@ mod tests {
         // The verifier rejection hits both verified rungs (vm-par shares
         // the verification gate), landing on the checked VM.
         let _g = faults::install(FaultPlan::new(7).with(FaultSite::VerifyReject, 1.0));
-        let sup = Supervisor::new(Level::C2F3, Engine::VmPar).with_threads(2);
+        let sup = request(Level::C2F3, Engine::VmPar)
+            .with_threads(2)
+            .supervisor();
         let run = sup.run_source(SRC).unwrap();
         assert_eq!(run.outcome.checksum(), reference_checksum());
         assert_eq!(run.report.final_engine, Engine::Vm);
@@ -964,7 +898,9 @@ mod tests {
     #[test]
     fn vm_par_trap_degrades_to_interp() {
         let _g = faults::install(FaultPlan::new(7).with(FaultSite::VmTrap, 1.0));
-        let sup = Supervisor::new(Level::C2F3, Engine::VmPar).with_threads(4);
+        let sup = request(Level::C2F3, Engine::VmPar)
+            .with_threads(4)
+            .supervisor();
         let run = sup.run_source(SRC).unwrap();
         assert_eq!(run.outcome.checksum(), reference_checksum());
         assert_eq!(run.report.final_engine, Engine::Interp);
@@ -978,7 +914,7 @@ mod tests {
         let run = sup.run_source(SRC).unwrap();
         assert_eq!(run.outcome.checksum(), reference_checksum());
         assert!(run.report.degraded());
-        assert_eq!(run.report.final_level, Level::Baseline);
+        assert_eq!(run.report.final_spec, Level::Baseline.into());
         assert!(run.report.mentions("grow-panic"), "{}", run.report.render());
         // The poisoned level is attempted once, not once per engine.
         assert_eq!(run.report.attempts.len(), 2);
@@ -1010,22 +946,26 @@ mod tests {
 
     #[test]
     fn zero_fuel_falls_to_unbudgeted_reference() {
-        let sup = Supervisor::new(Level::C2F3, Engine::Vm).with_budgets(Budgets {
-            fuel: Some(0),
-            ..Budgets::none()
-        });
+        let sup = request(Level::C2F3, Engine::Vm)
+            .with_budgets(Budgets {
+                fuel: Some(0),
+                ..Budgets::none()
+            })
+            .supervisor();
         let run = sup.run_source(SRC).unwrap();
         assert_eq!(run.outcome.checksum(), reference_checksum());
-        assert_eq!(run.report.final_level, Level::Baseline);
+        assert_eq!(run.report.final_spec, Level::Baseline.into());
         assert!(run.report.faults().any(|c| c.kind == CauseKind::Fuel));
     }
 
     #[test]
     fn zero_deadline_falls_to_unbudgeted_reference() {
-        let sup = Supervisor::new(Level::C2F3, Engine::Vm).with_budgets(Budgets {
-            deadline: Some(Duration::ZERO),
-            ..Budgets::none()
-        });
+        let sup = request(Level::C2F3, Engine::Vm)
+            .with_budgets(Budgets {
+                deadline: Some(Duration::ZERO),
+                ..Budgets::none()
+            })
+            .supervisor();
         let run = sup.run_source(SRC).unwrap();
         assert_eq!(run.outcome.checksum(), reference_checksum());
         assert!(run.report.faults().any(|c| c.kind == CauseKind::Deadline));
@@ -1039,13 +979,15 @@ mod tests {
             region RH = [0..n+1]; region R = [1..n];
             var H : [RH] float; var A : [R] float; var s : float;
             begin [RH] H := 1.0; [R] A := H@[-1] + H@[1]; s := +<< [R] A; end";
-        let sup = Supervisor::new(Level::C2F3, Engine::Vm).with_budgets(Budgets {
-            max_alloc_bytes: Some(1),
-            ..Budgets::none()
-        });
+        let sup = request(Level::C2F3, Engine::Vm)
+            .with_budgets(Budgets {
+                max_alloc_bytes: Some(1),
+                ..Budgets::none()
+            })
+            .supervisor();
         let run = sup.run_source(src).unwrap();
         assert_eq!(run.outcome.checksum(), 12.0);
-        assert_eq!(run.report.final_level, Level::Baseline);
+        assert_eq!(run.report.final_spec, Level::Baseline.into());
         assert!(run
             .report
             .faults()
@@ -1054,11 +996,13 @@ mod tests {
 
     #[test]
     fn enforced_budget_on_reference_fails_the_run() {
-        let sup = Supervisor::new(Level::C2F3, Engine::VmSimd).with_budgets(Budgets {
-            fuel: Some(0),
-            enforce_on_reference: true,
-            ..Budgets::none()
-        });
+        let sup = request(Level::C2F3, Engine::VmSimd)
+            .with_budgets(Budgets {
+                fuel: Some(0),
+                enforce_on_reference: true,
+                ..Budgets::none()
+            })
+            .supervisor();
         let err = sup.run_source(SRC).unwrap_err();
         assert_eq!(err.cause.kind, CauseKind::Fuel);
         assert!(err.report.attempts.len() >= 4);
@@ -1082,7 +1026,7 @@ mod tests {
         assert_eq!(run.outcome.checksum(), reference_checksum());
         // Same rung, retried with sim disabled — no engine degradation.
         assert_eq!(run.report.final_engine, Engine::Vm);
-        assert_eq!(run.report.final_level, Level::C2F3);
+        assert_eq!(run.report.final_spec, Level::C2F3.into());
         assert!(run.report.attempts[1].sim_disabled);
         assert!(run.report.faults().any(|c| c.kind == CauseKind::Comm));
     }
@@ -1097,10 +1041,89 @@ mod tests {
 
     #[test]
     fn config_binding_overrides_apply() {
-        let sup = Supervisor::new(Level::C2F3, Engine::Vm).with_binding("n", 3);
+        let sup = request(Level::C2F3, Engine::Vm)
+            .with_set("n", 3)
+            .supervisor();
         let run = sup.run_source(SRC).unwrap();
         // n=3: B = 4.0 over three points.
         assert_eq!(run.outcome.checksum(), 12.0);
+    }
+
+    #[test]
+    fn unknown_override_fails_up_front_and_is_not_transient() {
+        use crate::breaker::{BreakerConfig, BreakerState, CircuitBreakers};
+
+        let cache = Arc::new(CompileCache::new());
+        let breakers = Arc::new(CircuitBreakers::new(BreakerConfig::default()));
+        let req = request(Level::C2F3, Engine::VmSimd).with_set("bogus", 3);
+        let err = req
+            .supervisor()
+            .with_cache(cache.clone())
+            .with_breaker(breakers.clone())
+            .run_source(SRC)
+            .unwrap_err();
+        assert_eq!(err.cause.kind, CauseKind::Config);
+        assert!(!err.cause.kind.is_transient());
+        let program = zlang::compile(SRC).unwrap();
+        assert_eq!(err.cause.message, req.binding_for(&program).unwrap_err());
+        assert!(err.cause.message.contains("bogus"), "{}", err.cause);
+        // No rung ran, nothing was looked up, and the breaker heard
+        // nothing about any key.
+        assert!(err.report.attempts.is_empty());
+        assert_eq!(cache.stats(), crate::cache::CacheStats::default());
+        assert_eq!(breakers.stats(), crate::breaker::BreakerStats::default());
+        let key = CacheKey::compute(
+            &program,
+            &ConfigBinding::defaults(&program),
+            req.spec,
+            req.engine,
+        );
+        assert_eq!(breakers.state(&key), BreakerState::Closed);
+    }
+
+    #[test]
+    fn every_rung_compiles_the_requested_spec() {
+        // `B` and `C` recompute the same stencil sum; `+rce2` shares it.
+        let src = "program t; config n : int = 8;
+            region RH = [0..n+1]; region R = [1..n];
+            var H : [RH] float; var B, C : [R] float; var s : float;
+            begin [RH] H := index1 * 1.5;
+              [R] B := (H@[-1] + H@[1]) * 2.0;
+              [R] C := (H@[-1] + H@[1]) * 3.0;
+              s := +<< [R] (B + C); end";
+        let program = zlang::compile(src).unwrap();
+        let plain = request(Level::C2F3, Engine::VmSimd);
+        let rce2 = plain.clone().with_level_spec("c2+f3+rce2").unwrap();
+        let flops = |req: &RunRequest| {
+            let run = req.supervisor().run_program(&program).unwrap();
+            assert!(!run.report.degraded());
+            assert_eq!(run.report.final_spec, req.spec);
+            run.outcome.stats.flops
+        };
+        assert!(flops(&rce2) < flops(&plain));
+
+        // Degraded rungs keep the spec until the reference rung drops it.
+        let _g = faults::install(FaultPlan::new(7).with(FaultSite::VmTrap, 1.0));
+        let run = rce2.supervisor().run_program(&program).unwrap();
+        let trail: Vec<String> = run
+            .report
+            .attempts
+            .iter()
+            .map(|a| format!("{} on {}", a.spec, a.engine))
+            .collect();
+        assert_eq!(
+            trail,
+            [
+                "c2+f3+rce2 on vm-simd",
+                "c2+f3+rce2 on vm",
+                "c2+f3+rce2 on interp"
+            ]
+        );
+        assert!(run.report.degraded());
+        assert!(run
+            .report
+            .render()
+            .contains("requested c2+f3+rce2 on vm-simd"));
     }
 
     #[test]
@@ -1122,15 +1145,7 @@ mod tests {
             .run_program(&program)
             .unwrap();
         let binding = ConfigBinding::defaults(&program);
-        let key = CacheKey::compute(
-            &program,
-            &binding,
-            Level::C2,
-            false,
-            false,
-            false,
-            Engine::Vm,
-        );
+        let key = CacheKey::compute(&program, &binding, Level::C2.into(), Engine::Vm);
         let _g =
             faults::install(testkit::faults::FaultPlan::new(5).with(FaultSite::CacheCorrupt, 1.0));
         let sup = || {
@@ -1162,7 +1177,7 @@ mod tests {
         let run = sup().run_program(&program).unwrap();
         assert_eq!(run.outcome.checksum(), want);
         assert!(run.report.breaker_open);
-        assert_eq!(run.report.final_level, Level::Baseline);
+        assert_eq!(run.report.final_spec, Level::Baseline.into());
         assert_eq!(cache.stats().hits, hits_before, "cache bypassed");
         assert!(run.report.render().contains("breaker open"));
 
@@ -1177,21 +1192,17 @@ mod tests {
 
     #[test]
     fn with_remaining_tightens_the_deadline() {
-        let sup = Supervisor::new(Level::C2F3, Engine::Vm)
-            .with_budgets(Budgets {
-                deadline: Some(Duration::from_secs(60)),
-                ..Budgets::none()
-            })
+        let sup = request(Level::C2F3, Engine::Vm)
+            .with_deadline(Duration::from_secs(60))
+            .supervisor()
             .with_remaining(Duration::ZERO);
         let run = sup.run_source(SRC).unwrap();
         assert_eq!(run.outcome.checksum(), reference_checksum());
         assert!(run.report.faults().any(|c| c.kind == CauseKind::Deadline));
         // And the other direction: a generous remaining never loosens.
-        let sup = Supervisor::new(Level::C2F3, Engine::Vm)
-            .with_budgets(Budgets {
-                deadline: Some(Duration::ZERO),
-                ..Budgets::none()
-            })
+        let sup = request(Level::C2F3, Engine::Vm)
+            .with_deadline(Duration::ZERO)
+            .supervisor()
             .with_remaining(Duration::from_secs(60));
         let run = sup.run_source(SRC).unwrap();
         assert!(run.report.faults().any(|c| c.kind == CauseKind::Deadline));

@@ -279,17 +279,13 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
     Ok(opts)
 }
 
-/// Builds a config binding for `program` from `--set` overrides, then
-/// sanity-checks that the resulting region extents are allocatable:
-/// a config like `--set n=9999999999` must produce a diagnostic, not a
-/// capacity-overflow panic deep inside the allocator.
-fn checked_binding(program: &Program, sets: &[(String, i64)]) -> Result<ConfigBinding, String> {
-    let mut binding = ConfigBinding::defaults(program);
-    for (name, value) in sets {
-        if !binding.set_by_name(program, name, *value) {
-            return Err(format!("no config named `{name}`"));
-        }
-    }
+/// Builds the request's config binding for `program`
+/// ([`RunRequest::binding_for`]), then sanity-checks that the resulting
+/// region extents are allocatable: a config like `--set n=9999999999`
+/// must produce a diagnostic, not a capacity-overflow panic deep inside
+/// the allocator.
+fn checked_binding(program: &Program, request: &RunRequest) -> Result<ConfigBinding, String> {
+    let binding = request.binding_for(program)?;
     // Estimate total allocation with overflow-proof arithmetic.
     const MAX_BYTES: u128 = 1 << 40; // 1 TiB
     let mut total: u128 = 0;
@@ -391,11 +387,18 @@ fn run_serve(opts: &Options) -> ExitCode {
             Ok(s) => s,
             Err(e) => return fail("io", &format!("cannot read {file}: {e}"), None),
         };
-        // Surface parse errors with the file name up front; the serving
-        // path itself only reports a one-line failure per request.
-        if let Err(e) = zlang::compile(&source) {
-            eprint!("{}", e.render(file));
-            return ExitCode::FAILURE;
+        // Surface parse errors and bad `--set` overrides with the file
+        // name up front; the serving path itself only reports a one-line
+        // failure per request.
+        let program = match zlang::compile(&source) {
+            Ok(p) => p,
+            Err(e) => {
+                eprint!("{}", e.render(file));
+                return ExitCode::FAILURE;
+            }
+        };
+        if let Err(msg) = checked_binding(&program, &opts.request) {
+            return fail("config", &msg, Some(file));
         }
         programs.push((file.clone(), source));
     }
@@ -478,7 +481,7 @@ fn main() -> ExitCode {
 
     // Validate config overrides against the source program up front, so
     // every later stage works with a known-sane binding.
-    if let Err(msg) = checked_binding(&program, &opts.request.sets) {
+    if let Err(msg) = checked_binding(&program, &opts.request) {
         return fail("config", &msg, Some(&opts.file));
     }
 
@@ -526,7 +529,7 @@ fn main() -> ExitCode {
     }
 
     if opts.request.verify {
-        let binding = match checked_binding(&opt.scalarized.program, &opts.request.sets) {
+        let binding = match checked_binding(&opt.scalarized.program, &opts.request) {
             Ok(b) => b,
             Err(msg) => return fail("config", &msg, Some(&opts.file)),
         };
@@ -583,7 +586,7 @@ fn main() -> ExitCode {
             // for interp/vm, the superinstruction + lane annotation form
             // for vm-simd/vm-par.
             "bytecode" => {
-                let binding = match checked_binding(&opt.scalarized.program, &opts.request.sets) {
+                let binding = match checked_binding(&opt.scalarized.program, &opts.request) {
                     Ok(b) => b,
                     Err(msg) => return fail("config", &msg, Some(&opts.file)),
                 };
@@ -637,7 +640,7 @@ fn main() -> ExitCode {
     }
 
     if opts.run {
-        let binding = match checked_binding(&opt.scalarized.program, &opts.request.sets) {
+        let binding = match checked_binding(&opt.scalarized.program, &opts.request) {
             Ok(b) => b,
             Err(msg) => return fail("config", &msg, Some(&opts.file)),
         };

@@ -12,7 +12,8 @@
 //! without touching the source.
 
 use fusion_core::pipeline::{Level, Pipeline};
-use fusion_core::supervisor::{Budgets, Supervisor};
+use fusion_core::supervisor::Budgets;
+use fusion_core::RunRequest;
 use loopir::{Engine, NoopObserver};
 use machine::presets::MachineKind;
 use runtime::{simulate_outcome, CommPolicy, ExecConfig};
@@ -50,6 +51,13 @@ const CLASSES: [FaultClass; 7] = [
     FaultClass::Deadline,
 ];
 
+/// The suite's request: `c2+f3` on `engine`, nothing else set.
+fn request(engine: Engine) -> RunRequest {
+    RunRequest::new()
+        .with_level(Level::C2F3)
+        .with_engine(engine)
+}
+
 /// The two checksum scalars every generated program declares first.
 fn checksums(outcome: &loopir::RunOutcome) -> (u64, u64) {
     (
@@ -86,7 +94,7 @@ fn supervised(program: &Program, class: FaultClass) -> fusion_core::Supervised {
         },
         FaultClass::Inject(_) => Budgets::none(),
     };
-    let mut sup = Supervisor::new(Level::C2F3, Engine::VmSimd).with_budgets(budgets);
+    let mut sup = request(Engine::VmSimd).with_budgets(budgets).supervisor();
     if matches!(
         class,
         FaultClass::Inject(FaultSite::CommDrop) | FaultClass::Inject(FaultSite::CommDup)
@@ -164,12 +172,12 @@ fn run_class(program: &Program, source: &str, class: FaultClass, want: (u64, u64
         // unbudgeted reference survives.
         FaultClass::Fuel => {
             assert!(run.report.mentions("fuel"), "{}", run.report.render());
-            assert_eq!(run.report.final_level, Level::Baseline);
+            assert_eq!(run.report.final_spec, Level::Baseline.into());
             assert_eq!(run.report.final_engine, Engine::Interp);
         }
         FaultClass::Deadline => {
             assert!(run.report.mentions("deadline"), "{}", run.report.render());
-            assert_eq!(run.report.final_level, Level::Baseline);
+            assert_eq!(run.report.final_spec, Level::Baseline.into());
             assert_eq!(run.report.final_engine, Engine::Interp);
         }
         // Serving-layer sites are exercised by tests/chaos_serve.rs; they
@@ -207,7 +215,8 @@ fn clean_supervised_runs_match_the_reference() {
         let program = zlang::compile(&source)
             .unwrap_or_else(|e| panic!("generated program {i} must compile: {e}\n{source}"));
         let want = reference(&program);
-        let run = Supervisor::new(Level::C2F3, Engine::VmSimd)
+        let run = request(Engine::VmSimd)
+            .supervisor()
             .run_program(&program)
             .expect("clean run succeeds");
         assert_eq!(checksums(&run.outcome), want, "program {i}:\n{source}");
@@ -228,8 +237,9 @@ fn vm_par_clean_runs_match_the_reference_at_every_thread_count() {
             .unwrap_or_else(|e| panic!("generated program {i} must compile: {e}\n{source}"));
         let want = reference(&program);
         for threads in [1usize, 2, 4] {
-            let run = Supervisor::new(Level::C2F3, Engine::VmPar)
+            let run = request(Engine::VmPar)
                 .with_threads(threads)
+                .supervisor()
                 .run_program(&program)
                 .expect("clean vm-par run succeeds");
             assert_eq!(
@@ -263,7 +273,7 @@ fn vm_par_survives_injected_faults_at_every_thread_count() {
                 .unwrap_or_else(|e| panic!("generated program {i} must compile: {e}\n{source}"));
             let want = reference(&program);
             let _guard = faults::install(FaultPlan::new(chaos_seed()).with(site, 1.0));
-            let mut sup = Supervisor::new(Level::C2F3, Engine::VmPar).with_threads(threads);
+            let mut sup = request(Engine::VmPar).with_threads(threads).supervisor();
             if site == FaultSite::CommDrop {
                 let machine = MachineKind::T3e.machine();
                 let t = threads;
@@ -311,7 +321,8 @@ fn stacked_faults_still_produce_the_reference_answer() {
             .with(FaultSite::VerifyReject, 1.0)
             .with(FaultSite::VmTrap, 1.0);
         let _guard = faults::install(plan);
-        let run = Supervisor::new(Level::C2F3, Engine::VmSimd)
+        let run = request(Engine::VmSimd)
+            .supervisor()
             .run_program(&program)
             .unwrap_or_else(|e| panic!("ladder must bottom out:\n{}", e.report.render()));
         drop(_guard);

@@ -405,3 +405,51 @@ fn serve_surfaces_parse_errors_with_the_file_name() {
     assert!(!ok);
     assert!(stderr.contains("serve_broken.zl"), "{stderr}");
 }
+
+/// `--supervise` runs the configuration `--run` runs: with a cleanup
+/// suffix in the level the stats line is the same on both paths (Tomcatv
+/// executes fewer flops under `+rce2`) and the report names the full spec.
+#[test]
+fn supervised_run_honours_cleanup_suffixes() {
+    let dir = std::env::temp_dir().join("zlc-cli-tests");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("tomcatv_supervised.zl");
+    let tomcatv = zpl_fusion::workloads::by_name("tomcatv").unwrap();
+    std::fs::write(&path, tomcatv.source).unwrap();
+    let stats_line = |level: &str, mode: &str| {
+        let (stdout, stderr, ok) = zlc(&[path.to_str().unwrap(), "--level", level, mode]);
+        assert!(ok, "{stderr}");
+        let line = stdout.lines().find(|l| l.starts_with("-- ")).unwrap();
+        (line.to_string(), stdout)
+    };
+    let (run, _) = stats_line("c2+f3+rce2", "--run");
+    let (supervised, report) = stats_line("c2+f3+rce2", "--supervise");
+    assert_eq!(supervised, run);
+    assert!(run.contains(" 409664 flops"), "{run}");
+    assert!(report.contains("requested c2+f3+rce2 on vm"), "{report}");
+    assert!(
+        report.contains("final: c2+f3+rce2 on vm\n"),
+        "not degraded: {report}"
+    );
+    let (plain, _) = stats_line("c2+f3", "--supervise");
+    assert_ne!(plain, run, "`+rce2` changes the executed work");
+}
+
+/// A `--set` name the program does not declare is an error on every
+/// path, never a silently ignored override.
+#[test]
+fn unknown_set_name_fails_on_every_path() {
+    let heat = program_path("heat.zl");
+    for args in [
+        vec!["serve", &heat, "--set", "bogus=3", "--requests", "2"],
+        vec![&heat, "--supervise", "--set", "bogus=3"],
+        vec![&heat, "--run", "--set", "bogus=3"],
+    ] {
+        let (stdout, stderr, ok) = zlc(&args);
+        assert!(!ok, "{args:?}: {stdout}");
+        assert!(
+            stderr.contains("error[config]: no config named `bogus`"),
+            "{args:?}: {stderr}"
+        );
+    }
+}

@@ -198,3 +198,40 @@ fn benchmarks_agree_at_every_level_with_rce2() {
         }
     }
 }
+
+/// The supervised path compiles what the request says, not a copy of some
+/// of its fields: at every cleanup combination, on every engine, a
+/// supervised Tomcatv run returns exactly the `RunStats` (and scalars) of
+/// the cache's `get_or_compile` + `executor` + `execute` for the same
+/// request, and `+rce2` shows up in it as strictly fewer executed flops.
+#[test]
+fn supervised_runs_execute_the_requested_spec() {
+    use zpl_fusion::fusion::CompileCache;
+
+    let bench = zpl_fusion::workloads::by_name("tomcatv").unwrap();
+    let program = bench.program();
+    let flops_at = |spec: &str, engine: Engine| {
+        let req = RunRequest::new()
+            .with_level_spec(spec)
+            .unwrap()
+            .with_engine(engine)
+            .with_set(bench.size_config, 12);
+        let (cached, _) = CompileCache::new().get_or_compile(&program, &req).unwrap();
+        let direct = cached
+            .executor(req.exec_opts())
+            .execute(&mut NoopObserver)
+            .unwrap();
+        let run = req.supervisor().run_program(&program).unwrap();
+        assert!(!run.report.degraded(), "{}", run.report.render());
+        assert_eq!(run.report.final_spec.to_string(), spec);
+        assert_eq!(run.outcome.stats, direct.stats, "{spec} on {engine}");
+        assert_eq!(run.outcome, direct, "{spec} on {engine}");
+        direct.stats.flops
+    };
+    for spec in SPECS.into_iter().chain(["c2+f3+dse", "c2+f3+dse+rce+rce2"]) {
+        for engine in Engine::all() {
+            flops_at(spec, engine);
+        }
+    }
+    assert!(flops_at("c2+f3+rce2", Engine::Vm) < flops_at("c2+f3", Engine::Vm));
+}

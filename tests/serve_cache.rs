@@ -94,8 +94,17 @@ fn concurrent_hits_are_bit_identical() {
 /// artifact afterwards — including across engine-coordinate reruns.
 #[test]
 fn supervisor_runs_hit_the_attached_cache() {
+    for spec in ["c2", "c2+f3+rce2"] {
+        supervisor_runs_hit_the_attached_cache_at(spec);
+    }
+}
+
+fn supervisor_runs_hit_the_attached_cache_at(spec: &str) {
     let cache = Arc::new(CompileCache::new());
-    let req = RunRequest::new().with_engine(Engine::Vm);
+    let req = RunRequest::new()
+        .with_level_spec(spec)
+        .unwrap()
+        .with_engine(Engine::Vm);
     let first = req
         .supervisor()
         .with_cache(cache.clone())
@@ -118,7 +127,51 @@ fn supervisor_runs_hit_the_attached_cache() {
     let program = zlang::compile(HEAT).unwrap();
     let binding = req.binding_for(&program).unwrap();
     let key = CacheKey::for_request(&program, &binding, &req);
-    assert!(cache.lookup(&key).is_some());
+    assert_eq!(key.spec.to_string(), spec);
+    assert!(cache.lookup(&key).is_some(), "{spec}");
+    assert_eq!(
+        cache.len(),
+        1,
+        "{spec}: nothing published under another key"
+    );
+}
+
+/// The cleanup suffixes are cache coordinates on the serving path: a
+/// batch alternating `c2+f3` and `c2+f3+rce2` for one program compiles
+/// exactly twice, and each artifact sits under its own request's key.
+#[test]
+fn cleanup_suffixes_are_distinct_serve_keys() {
+    let specs = ["c2+f3", "c2+f3+rce2"];
+    let reqs: Vec<RunRequest> = specs
+        .iter()
+        .map(|s| RunRequest::new().with_level_spec(s).unwrap())
+        .collect();
+    let batch: Vec<ServeRequest> = (0..12)
+        .map(|i| ServeRequest::new("heat", HEAT, reqs[i % 2].clone()))
+        .collect();
+    let cache = Arc::new(CompileCache::new());
+    let report = serve(&batch, 3, &cache);
+    assert_eq!(report.completed(), batch.len());
+    assert!(report.records.iter().all(|r| !r.degraded));
+    assert_eq!(
+        (
+            report.cache.misses,
+            report.cache.insertions,
+            report.cache.hits
+        ),
+        (2, 2, 10),
+        "{:?}",
+        report.cache
+    );
+    for (record, i) in report.records.iter().zip(0..) {
+        assert_eq!(record.spec, reqs[i % 2].spec);
+    }
+    let program = zlang::compile(HEAT).unwrap();
+    for req in &reqs {
+        let binding = req.binding_for(&program).unwrap();
+        let key = CacheKey::for_request(&program, &binding, req);
+        assert!(cache.lookup(&key).is_some(), "{req}");
+    }
 }
 
 /// The cached artifact at every level matches a cache-free compile of
