@@ -253,6 +253,7 @@ mod tests {
 
     fn key(content: u64) -> CacheKey {
         CacheKey {
+            program: 0,
             content,
             spec: Level::C2.into(),
             engine: Engine::Vm,

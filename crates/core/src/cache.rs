@@ -1,39 +1,63 @@
-//! The sharded, content-addressed compile cache behind the serving path.
+//! The staged, sharded, content-addressed compile cache behind the
+//! serving path.
 //!
-//! Every request that reaches the server is "compile this program at
-//! this level for this engine under this binding, then run it". The
-//! compile half is deterministic and expensive (normalize → ASDG →
-//! FUSION-FOR-CONTRACTION → scalarize → bytecode → verify); the run half
-//! is cheap per-request state. [`CompileCache`] memoizes the compile
-//! half: keys are [`CacheKey`] — the structural digest of the program
-//! *and* its concrete config binding ([`crate::hash::key_hash`]) plus
-//! the explicit `(spec, engine)` coordinates — and values are
-//! [`CachedProgram`] — the `Arc`-shared scalarized program plus, for the
-//! VM engines, the compiled-and-verified
-//! [`SharedProgram`] handle. A hit skips the
-//! `PassManager`, the bytecode compiler, and the verifier entirely: it
-//! is one lookup plus one `Arc` bump plus run-state allocation.
+//! Every request that reaches the server is "compile this source at this
+//! level for this engine under this binding, then run it". The compile
+//! half is deterministic and expensive; the run half is cheap per-request
+//! state. [`CompileCache`] memoizes the compile half in the three stages
+//! it really has, each keyed by exactly what the stage reads:
 //!
-//! There is one way to compile a request, [`compile`], and one
-//! claim → compile → publish wrapper around it,
-//! [`CompileCache::get_or_insert_with`]. [`CompileCache::get_or_compile`]
-//! is the two composed for a caller that starts from a program and a
-//! request; every rung of the [`Supervisor`](crate::Supervisor)'s ladder
-//! goes through the same two functions inside its fault boundary, a rung
-//! being the request at relaxed `(spec, engine)` coordinates.
+//! | stage | reads | key | value |
+//! |---|---|---|---|
+//! | **parse** (lex → parse → sema) | source text | [`hash::text_hash`], text compared on hit | [`Parsed`]: the program and its [`hash::program_hash`], computed once |
+//! | **optimize** (normalize → ASDG → FUSION-FOR-CONTRACTION → scalarize) | program, [`LevelSpec`] | `(program digest, spec)` | `Arc<ScalarProgram>` |
+//! | **lower** (bytecode → superfuse → verify) | scalarized program, binding, engine | [`CacheKey`] | [`CachedProgram`] |
 //!
-//! Concurrency model: the map is split into shards, each behind its own
-//! `Mutex`, selected by key hash — worker threads hitting different
-//! programs rarely contend. Compilation is *single-flight*: the first
-//! thread to miss a key claims it ([`CompileCache::claim`] returns a
-//! [`ClaimGuard`]); threads missing the same key meanwhile block on the
-//! shard's condvar until the claimant publishes (they then count as
-//! hits) or abandons — the guard abandons on drop, so a panicking or
-//! erroring compile wakes the waiters and the next one claims. No lock
-//! is held across compilation, each distinct key compiles exactly once,
-//! and the hit/miss counters are deterministic even under concurrency.
-//! Eviction is per-shard LRU; hits, misses, insertions, and evictions
-//! are counted with atomics ([`CacheStats`]).
+//! The paper's optimizer works on array statements over *symbolic*
+//! regions, so one optimized program serves every problem size; only the
+//! lower stage — which bakes region bounds into the bytecode and proves
+//! every access in bounds for those numbers — is per size. A request for
+//! a new size of a known program therefore costs one lowering, and a
+//! repeated request costs three lookups, an `Arc` bump and run-state
+//! allocation.
+//!
+//! **The invariant this rests on:** [`Pipeline::optimize`] is a function
+//! of the program and the [`LevelSpec`] only. It takes no binding (passes
+//! that need numbers read the program's own config *defaults*, which
+//! [`hash::program_hash`] covers, so two programs differing only in a
+//! default never share an entry), and [`RunRequest::verify`] only adds
+//! diagnostics without changing generated code, so the cache keeps
+//! ignoring it. Every artifact is still lowered, superfused and verified
+//! under its own binding.
+//!
+//! [`Pipeline::optimize`]: crate::Pipeline::optimize
+//!
+//! There is one way to compile a request, [`CompileCache::compile`]:
+//! claim the artifact's key, read the optimize stage (running the
+//! optimizer on a miss), lower, publish. [`CompileCache::get_or_compile`]
+//! is that for a caller that starts from a program and a request; every
+//! rung of the [`Supervisor`](crate::Supervisor)'s ladder goes through it
+//! inside its fault boundary, a rung being the request at relaxed
+//! `(spec, engine)` coordinates, and [`CompileCache::parse`] is the same
+//! supervisor's front end.
+//!
+//! Concurrency model: all three stages are instances of one sharded
+//! single-flight LRU. A stage's map is split into shards, each behind its
+//! own `Mutex`, selected by key digest — worker threads hitting different
+//! programs rarely contend. Filling a key is *single-flight*: the first
+//! thread to miss claims it; threads missing the same key meanwhile block
+//! on the shard's condvar until the claimant publishes (they then count
+//! as hits) or abandons — the claim abandons on drop, so a panicking or
+//! erroring stage wakes the waiters and the next one claims. Two workers
+//! missing different sizes of one program thus wait on *one* optimizer
+//! run. Claims nest in one order only (lower, then optimize; the parse
+//! claim is released before either), no lock is held while a stage runs,
+//! each distinct key is filled exactly once, and the hit/miss counters
+//! are deterministic even under concurrency. Failures are never memoized:
+//! a parse error, an optimizer panic and a verifier rejection all leave
+//! their stage empty. Eviction is per-shard LRU under the one geometry
+//! ([`CompileCache::with_shards`]) all three stages share; the counters
+//! are atomics ([`CacheStats`]).
 
 use crate::hash;
 use crate::pipeline::LevelSpec;
@@ -41,20 +65,24 @@ use crate::request::RunRequest;
 use crate::supervisor::{enter_stage, Stage};
 use loopir::{Engine, ExecError, ExecOpts, Executor, Interp, ScalarProgram, SharedProgram};
 use std::collections::{HashMap, HashSet};
+use std::fmt;
+use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use zlang::ir::{ConfigBinding, Program};
 
-/// The content address of one compiled artifact.
+/// The content address of one compiled artifact (the lower stage's key).
 ///
-/// The `content` digest covers the program structure and the concrete
-/// config binding (see [`crate::hash`]); the remaining fields are
-/// carried explicitly so that two compilations that *must* differ —
-/// different level, cleanup passes, or engine — can never collide even
-/// if the 64-bit digest did.
+/// `program` and `content` are digests (see [`crate::hash`]); the
+/// remaining fields are carried explicitly so that two compilations that
+/// *must* differ — different level, cleanup passes, or engine — can never
+/// collide even if a 64-bit digest did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CacheKey {
-    /// [`crate::hash::key_hash`] of (program, binding).
+    /// [`hash::program_hash`] of the program: with `spec`, the address of
+    /// the optimize-stage entry this artifact was lowered from.
+    pub program: u64,
+    /// [`hash::key_hash`] of (program, binding).
     pub content: u64,
     /// Level and cleanup passes the artifact was compiled at.
     pub spec: LevelSpec,
@@ -66,15 +94,29 @@ pub struct CacheKey {
 
 impl CacheKey {
     /// Computes the key for a program under a binding at explicit
-    /// coordinates.
+    /// coordinates, hashing the program.
     pub fn compute(
         program: &Program,
         binding: &ConfigBinding,
         spec: LevelSpec,
         engine: Engine,
     ) -> Self {
+        CacheKey::at(hash::program_hash(program), program, binding, spec, engine)
+    }
+
+    /// The key for a program whose [`hash::program_hash`] the caller
+    /// already holds (from [`Parsed::digest`], or computed once for the
+    /// request): only the binding is hashed.
+    pub fn at(
+        program_digest: u64,
+        program: &Program,
+        binding: &ConfigBinding,
+        spec: LevelSpec,
+        engine: Engine,
+    ) -> Self {
         CacheKey {
-            content: hash::key_hash(program, binding),
+            program: program_digest,
+            content: hash::key_hash(program_digest, program, binding),
             spec,
             engine,
         }
@@ -85,14 +127,43 @@ impl CacheKey {
     pub fn for_request(program: &Program, binding: &ConfigBinding, req: &RunRequest) -> Self {
         CacheKey::compute(program, binding, req.spec, req.engine)
     }
+
+    fn optimize_key(&self) -> OptimizeKey {
+        OptimizeKey {
+            program: self.program,
+            spec: self.spec,
+        }
+    }
+}
+
+/// The optimize stage's key: everything [`crate::Pipeline::optimize`]
+/// reads.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+struct OptimizeKey {
+    program: u64,
+    spec: LevelSpec,
+}
+
+/// The parse stage's value: a checked program, the digest every later
+/// stage keys on, and the text it was parsed from.
+#[derive(Debug)]
+pub struct Parsed {
+    /// The array-level IR of the source.
+    pub program: Program,
+    /// [`hash::program_hash`] of `program`.
+    pub digest: u64,
+    /// Compared on every parse-stage hit: [`hash::text_hash`] is 64 bits
+    /// of a fast fold, and a collision must never serve another program.
+    source: Box<str>,
 }
 
 /// One compiled artifact: everything needed to build an executor
 /// without touching the pipeline again.
 #[derive(Debug, Clone)]
 pub struct CachedProgram {
-    /// The scalarized program, shared — the [`Interp`] engine and the
-    /// simulated runtime execute this directly.
+    /// The scalarized program, shared with the optimize stage and with
+    /// the artifacts of every other size and engine — the [`Interp`]
+    /// engine and the simulated runtime execute this directly.
     pub scalarized: Arc<ScalarProgram>,
     /// The compiled (and, for `vm-simd`/`vm-par`, verified) bytecode
     /// handle; `None` for [`Engine::Interp`].
@@ -116,56 +187,35 @@ impl CachedProgram {
     }
 }
 
-/// The one compile step: optimize `program` under the request's pipeline
-/// and lower the result for the request's engine under `binding`
-/// (bytecode for the VM engines, verified for `vm-simd`/`vm-par`).
-/// Nothing else in this crate pairs the optimizer with an engine, so
-/// what a [`CacheKey`] addresses is what this function returns.
-///
-/// `optimized` carries the scalarized program between calls that share a
-/// spec: `None` runs the optimizer and fills it, `Some` skips straight to
-/// lowering (the supervisor's rungs at one spec differ only in engine,
-/// and re-running a deterministic optimizer would only repeat its work
-/// and its faults).
-///
-/// # Errors
-///
-/// Lowering failures and verifier rejections from
-/// [`Engine::compile_shared`]. Optimizer panics propagate; the pass
-/// manager has marked the pass that raised them ([`enter_stage`]).
-pub fn compile(
-    program: &Program,
-    binding: &ConfigBinding,
-    req: &RunRequest,
-    optimized: &mut Option<Arc<ScalarProgram>>,
-) -> Result<CachedProgram, ExecError> {
-    // The optimizer's other outputs (normal form, ASDGs, traces) stay
-    // alive until lowering is done: freeing them first hands their pages
-    // back to the allocator and lowering faults them in again (+5% on the
-    // `compile_cold` median).
-    let fresh;
-    let scalarized = match optimized {
-        Some(sp) => sp.clone(),
-        None => {
-            fresh = req.pipeline().optimize(program);
-            optimized.insert(Arc::new(fresh.scalarized)).clone()
-        }
-    };
-    enter_stage(if req.engine.superfused() {
-        Stage::VerifyBytecode
-    } else {
-        Stage::Execute
-    });
-    let shared = req.engine.compile_shared(&scalarized, binding.clone())?;
-    Ok(CachedProgram {
-        scalarized,
-        shared,
-        binding: binding.clone(),
-        engine: req.engine,
-    })
+/// The deepest stage a compile had to run: how much of the pipeline a
+/// request paid for. Ordered, so the deepest of several is their `max`.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord)]
+pub enum Depth {
+    /// Nothing ran: every stage consulted was a hit.
+    #[default]
+    Hit,
+    /// The artifact was lowered from an optimize-stage hit.
+    Lowered,
+    /// The optimizer ran.
+    Optimized,
+    /// The front end ran.
+    Parsed,
+}
+
+impl fmt::Display for Depth {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match self {
+            Depth::Hit => "hit",
+            Depth::Lowered => "lowered",
+            Depth::Optimized => "optimized",
+            Depth::Parsed => "parsed",
+        })
+    }
 }
 
 /// Monotonic cache counters, snapshotted by [`CompileCache::stats`].
+/// `hits` through `quarantines` count *artifacts* (the lower stage); the
+/// `parse_*` and `optimize_*` fields count the two stages in front of it.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Lookups that found a live entry.
@@ -179,10 +229,20 @@ pub struct CacheStats {
     /// Entries evicted because their circuit breaker tripped
     /// ([`CompileCache::quarantine`]); not counted in `evictions`.
     pub quarantines: u64,
+    /// Source texts served from the parse stage (a text-digest collision,
+    /// which re-parses uncached, is also counted here).
+    pub parse_hits: u64,
+    /// Source texts that ran the front end (failed parses included).
+    pub parse_misses: u64,
+    /// Artifact misses that found their program already optimized.
+    pub optimize_hits: u64,
+    /// Artifact misses that ran the optimizer.
+    pub optimize_misses: u64,
 }
 
 impl CacheStats {
-    /// Hits over lookups, in `[0, 1]`; `0` before the first lookup.
+    /// Artifact hits over artifact lookups, in `[0, 1]`; `0` before the
+    /// first lookup.
     pub fn hit_rate(&self) -> f64 {
         let total = self.hits + self.misses;
         if total == 0 {
@@ -193,102 +253,83 @@ impl CacheStats {
     }
 }
 
-struct Entry {
-    value: Arc<CachedProgram>,
+struct Entry<V> {
+    value: V,
     last_used: u64,
-    /// Execution-time faults attributed to this artifact since it was
+    /// Execution-time faults attributed to this entry since it was
     /// published (see [`CompileCache::note_fault`]). Republishing the key
     /// resets the count: a fresh compile is a fresh artifact.
     faults: u64,
 }
 
-struct Shard {
-    map: HashMap<CacheKey, Entry>,
-    /// Keys some thread is currently compiling; misses on these block on
-    /// the shard condvar instead of compiling a duplicate.
-    in_flight: HashSet<CacheKey>,
+struct Shard<K, V> {
+    map: HashMap<K, Entry<V>>,
+    /// Keys some thread is currently filling; misses on these block on
+    /// the shard condvar instead of running the stage a second time.
+    in_flight: HashSet<K>,
     clock: u64,
 }
 
-struct ShardCell {
-    state: Mutex<Shard>,
+struct ShardCell<K, V> {
+    state: Mutex<Shard<K, V>>,
     ready: Condvar,
 }
 
-/// The result of [`CompileCache::claim`]: either the cached artifact, or
-/// an exclusive license to compile the key.
-pub enum Lookup<'a> {
-    /// The artifact was cached (possibly after waiting out another
-    /// thread's in-flight compile).
-    Hit(Arc<CachedProgram>),
-    /// Nothing cached and nobody compiling: the caller holds the claim
+/// The result of [`Memo::claim`]: either the cached value, or an
+/// exclusive license to produce it.
+enum Lookup<'a, K: Copy + Eq + Hash, V: Clone> {
+    /// The value was cached (possibly after waiting out another thread's
+    /// in-flight claim).
+    Hit(V),
+    /// Nothing cached and nobody producing it: the caller holds the claim
     /// and must [`ClaimGuard::publish`] or drop it (abandon).
-    Miss(ClaimGuard<'a>),
+    Miss(ClaimGuard<'a, K, V>),
 }
 
-/// An exclusive in-flight claim on one [`CacheKey`]. While the guard
-/// lives, other threads missing the same key wait instead of compiling.
-/// [`publish`](ClaimGuard::publish) fulfils the claim; dropping the
-/// guard without publishing (compile error, panic unwind) abandons it,
+/// An exclusive in-flight claim on one key of a [`Memo`]. While the guard
+/// lives, other threads missing the same key wait instead of running the
+/// stage. [`publish`](ClaimGuard::publish) fulfils the claim; dropping
+/// the guard without publishing (stage error, panic unwind) abandons it,
 /// waking the waiters so the next one can claim.
-pub struct ClaimGuard<'a> {
-    cache: &'a CompileCache,
-    key: CacheKey,
+struct ClaimGuard<'a, K: Copy + Eq + Hash, V: Clone> {
+    memo: &'a Memo<K, V>,
+    key: K,
     done: bool,
 }
 
-impl ClaimGuard<'_> {
-    /// The key this claim covers.
-    pub fn key(&self) -> CacheKey {
-        self.key
-    }
-
-    /// Publishes the compiled artifact under the claimed key and wakes
-    /// every thread waiting on it.
-    pub fn publish(mut self, value: Arc<CachedProgram>) {
+impl<K: Copy + Eq + Hash, V: Clone> ClaimGuard<'_, K, V> {
+    /// Publishes the value under the claimed key and wakes every thread
+    /// waiting on it.
+    fn publish(mut self, value: V) {
         self.done = true;
-        self.cache.insert(self.key, value);
+        self.memo.insert(self.key, value);
     }
 }
 
-impl Drop for ClaimGuard<'_> {
+impl<K: Copy + Eq + Hash, V: Clone> Drop for ClaimGuard<'_, K, V> {
     fn drop(&mut self) {
         if !self.done {
-            self.cache.abandon(&self.key);
+            self.memo.abandon(&self.key);
         }
     }
 }
 
-/// The sharded in-memory compile cache. See the module docs for the
-/// concurrency model; construction knobs exist mainly so tests can force
-/// eviction deterministically.
-pub struct CompileCache {
-    shards: Vec<ShardCell>,
+/// One cache stage: a sharded single-flight LRU from `K` to a cheaply
+/// cloned `V` (an `Arc`). See the module docs for the concurrency model.
+struct Memo<K, V> {
+    shards: Vec<ShardCell<K, V>>,
     per_shard_capacity: usize,
+    /// The well-mixed 64 bits of a key that choose its shard.
+    digest: fn(&K) -> u64,
     hits: AtomicU64,
     misses: AtomicU64,
     insertions: AtomicU64,
     evictions: AtomicU64,
-    quarantines: AtomicU64,
 }
 
-impl Default for CompileCache {
-    fn default() -> Self {
-        CompileCache::with_shards(8, 32)
-    }
-}
-
-impl CompileCache {
-    /// A cache with the default geometry (8 shards × 32 entries).
-    pub fn new() -> Self {
-        CompileCache::default()
-    }
-
-    /// A cache with explicit geometry. `shards` and `per_shard_capacity`
-    /// are clamped to at least 1; total capacity is their product.
-    pub fn with_shards(shards: usize, per_shard_capacity: usize) -> Self {
-        let shards = shards.max(1);
-        CompileCache {
+impl<K: Copy + Eq + Hash, V: Clone> Memo<K, V> {
+    fn new(shards: usize, per_shard_capacity: usize, digest: fn(&K) -> u64) -> Self {
+        Memo {
             shards: (0..shards)
                 .map(|_| ShardCell {
                     state: Mutex::new(Shard {
@@ -299,44 +340,43 @@ impl CompileCache {
                     ready: Condvar::new(),
                 })
                 .collect(),
-            per_shard_capacity: per_shard_capacity.max(1),
+            per_shard_capacity,
+            digest,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             insertions: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
-            quarantines: AtomicU64::new(0),
         }
     }
 
-    /// Total entries the cache can hold.
-    pub fn capacity(&self) -> usize {
-        self.shards.len() * self.per_shard_capacity
-    }
-
-    /// Entries currently cached, across all shards.
-    pub fn len(&self) -> usize {
+    fn len(&self) -> usize {
         self.shards
             .iter()
             .map(|s| s.state.lock().expect("cache shard lock poisoned").map.len())
             .sum()
     }
 
-    /// True if no entries are cached.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
+    fn shard(&self, key: &K) -> &ShardCell<K, V> {
+        // The digest is already well-mixed; fold the high half in so
+        // shard choice is not its low bits alone.
+        let h = (self.digest)(key);
+        &self.shards[((h ^ (h >> 32)) as usize) % self.shards.len()]
     }
 
-    fn shard(&self, key: &CacheKey) -> &ShardCell {
-        // The content digest is already well-mixed; fold the high half in
-        // so shard choice is not the digest's low bits alone.
-        let h = key.content ^ (key.content >> 32);
-        &self.shards[(h as usize) % self.shards.len()]
+    /// Runs `f` on the live entry for `key`, if any, under the shard lock.
+    fn with_entry<R>(&self, key: &K, f: impl FnOnce(&mut Entry<V>) -> R) -> Option<R> {
+        let mut shard = self
+            .shard(key)
+            .state
+            .lock()
+            .expect("cache shard lock poisoned");
+        shard.map.get_mut(key).map(f)
     }
 
     /// Looks a key up without claiming, counting a hit or a miss and
     /// refreshing LRU recency on hit. Does not wait for an in-flight
-    /// compile — serving paths should prefer [`claim`](Self::claim).
-    pub fn lookup(&self, key: &CacheKey) -> Option<Arc<CachedProgram>> {
+    /// claim.
+    fn lookup(&self, key: &K) -> Option<V> {
         let mut shard = self
             .shard(key)
             .state
@@ -359,11 +399,11 @@ impl CompileCache {
 
     /// Looks a key up, claiming it exclusively on a miss. If another
     /// thread already holds the claim, blocks until that thread
-    /// publishes (returning the published artifact as a hit) or abandons
+    /// publishes (returning the published value as a hit) or abandons
     /// (taking over the claim). Exactly one [`Lookup::Miss`] is handed
-    /// out per published entry, so each distinct key compiles once no
+    /// out per published entry, so each distinct key is produced once no
     /// matter how many threads race for it.
-    pub fn claim(&self, key: CacheKey) -> Lookup<'_> {
+    fn claim(&self, key: K) -> Lookup<'_, K, V> {
         let cell = self.shard(&key);
         let mut shard = cell.state.lock().expect("cache shard lock poisoned");
         loop {
@@ -377,7 +417,7 @@ impl CompileCache {
             if shard.in_flight.insert(key) {
                 self.misses.fetch_add(1, Ordering::Relaxed);
                 return Lookup::Miss(ClaimGuard {
-                    cache: self,
+                    memo: self,
                     key,
                     done: false,
                 });
@@ -387,7 +427,7 @@ impl CompileCache {
     }
 
     /// Releases an unfulfilled claim and wakes its waiters.
-    fn abandon(&self, key: &CacheKey) {
+    fn abandon(&self, key: &K) {
         let cell = self.shard(key);
         let mut shard = cell.state.lock().expect("cache shard lock poisoned");
         shard.in_flight.remove(key);
@@ -395,10 +435,10 @@ impl CompileCache {
         cell.ready.notify_all();
     }
 
-    /// Publishes an artifact, evicting the shard's least-recently-used
-    /// entry if the shard is full, releasing any in-flight claim on the
-    /// key, and waking threads waiting on it.
-    pub fn insert(&self, key: CacheKey, value: Arc<CachedProgram>) {
+    /// Publishes a value, evicting the shard's least-recently-used entry
+    /// if the shard is full, releasing any in-flight claim on the key,
+    /// and waking threads waiting on it.
+    fn insert(&self, key: K, value: V) {
         let cell = self.shard(&key);
         let mut shard = cell.state.lock().expect("cache shard lock poisoned");
         shard.clock += 1;
@@ -428,42 +468,202 @@ impl CompileCache {
         cell.ready.notify_all();
     }
 
-    /// Claim → compile → publish: returns the artifact cached under
-    /// `key` (`true`: a hit, possibly after waiting out another thread's
-    /// compile), or runs `compile` holding the key's exclusive claim and
+    /// Drops the entry for `key`; `true` if there was one.
+    fn remove(&self, key: &K) -> bool {
+        let mut shard = self
+            .shard(key)
+            .state
+            .lock()
+            .expect("cache shard lock poisoned");
+        shard.map.remove(key).is_some()
+    }
+
+    /// Claim → produce → publish: returns the value cached under `key`
+    /// (`true`: a hit, possibly after waiting out another thread's
+    /// claim), or runs `produce` holding the key's exclusive claim and
     /// publishes what it returns (`false`). An error or a panic from
-    /// `compile` abandons the claim, so waiters never hang and nothing
-    /// is published.
-    ///
-    /// # Errors
-    ///
-    /// Whatever `compile` returns.
-    pub fn get_or_insert_with<E>(
+    /// `produce` abandons the claim, so waiters never hang and nothing is
+    /// published.
+    fn get_or_insert_with<E>(
         &self,
-        key: CacheKey,
-        compile: impl FnOnce() -> Result<CachedProgram, E>,
-    ) -> Result<(Arc<CachedProgram>, bool), E> {
+        key: K,
+        produce: impl FnOnce() -> Result<V, E>,
+    ) -> Result<(V, bool), E> {
         let guard = match self.claim(key) {
             Lookup::Hit(hit) => return Ok((hit, true)),
             Lookup::Miss(guard) => guard,
         };
-        let value = Arc::new(compile()?);
+        let value = produce()?;
         guard.publish(value.clone());
         Ok((value, false))
     }
+}
 
-    /// The one-call serving primitive: bind the request's `--set`
-    /// overrides, address its key, and
-    /// [`get_or_insert_with`](Self::get_or_insert_with) the result of
-    /// [`compile`]. The boolean is `true` on a hit.
+/// The staged in-memory compile cache. See the module docs for the
+/// stages and the concurrency model; construction knobs exist mainly so
+/// tests can force eviction deterministically.
+pub struct CompileCache {
+    parsed: Memo<u64, Arc<Parsed>>,
+    optimized: Memo<OptimizeKey, Arc<ScalarProgram>>,
+    lowered: Memo<CacheKey, Arc<CachedProgram>>,
+    quarantines: AtomicU64,
+}
+
+impl Default for CompileCache {
+    fn default() -> Self {
+        CompileCache::with_shards(8, 32)
+    }
+}
+
+impl CompileCache {
+    /// A cache with the default geometry (8 shards × 32 entries).
+    pub fn new() -> Self {
+        CompileCache::default()
+    }
+
+    /// A cache with explicit geometry, which every stage shares. `shards`
+    /// and `per_shard_capacity` are clamped to at least 1; a stage's
+    /// capacity is their product.
+    pub fn with_shards(shards: usize, per_shard_capacity: usize) -> Self {
+        let (shards, cap) = (shards.max(1), per_shard_capacity.max(1));
+        CompileCache {
+            parsed: Memo::new(shards, cap, |text| *text),
+            optimized: Memo::new(shards, cap, |key| key.program),
+            lowered: Memo::new(shards, cap, |key| key.content),
+            quarantines: AtomicU64::new(0),
+        }
+    }
+
+    /// Total artifacts the cache can hold.
+    pub fn capacity(&self) -> usize {
+        self.lowered.shards.len() * self.lowered.per_shard_capacity
+    }
+
+    /// Artifacts currently cached, across all shards.
+    pub fn len(&self) -> usize {
+        self.lowered.len()
+    }
+
+    /// True if no artifacts are cached.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Looks an artifact up without claiming, counting a hit or a miss
+    /// and refreshing LRU recency on hit. Does not wait for an in-flight
+    /// compile — serving paths go through [`compile`](Self::compile).
+    pub fn lookup(&self, key: &CacheKey) -> Option<Arc<CachedProgram>> {
+        self.lowered.lookup(key)
+    }
+
+    /// The parse stage: the checked program of `source` and its digest,
+    /// running the front end (`zlang::compile`, then one
+    /// [`hash::program_hash`]) only for a text this cache has not seen.
+    /// The depth is [`Depth::Parsed`] when it ran.
     ///
     /// # Errors
     ///
-    /// As [`compile`], plus a [`Lower`](loopir::ErrorKind::Lower)-kind
-    /// error for a `--set` name that matches no config variable.
-    /// Optimizer panics propagate — serving callers run under the
-    /// [`Supervisor`](crate::Supervisor)'s fault boundary, which catches
-    /// them.
+    /// The front end's error; a failed parse is not memoized.
+    pub fn parse(&self, source: &str) -> Result<(Arc<Parsed>, Depth), zlang::Error> {
+        self.parse_at(hash::text_hash(source), source)
+    }
+
+    /// [`parse`](Self::parse) under an explicit text digest (a seam for
+    /// the collision test).
+    fn parse_at(&self, key: u64, source: &str) -> Result<(Arc<Parsed>, Depth), zlang::Error> {
+        let front_end = || -> Result<Arc<Parsed>, zlang::Error> {
+            let program = zlang::compile(source)?;
+            Ok(Arc::new(Parsed {
+                digest: hash::program_hash(&program),
+                program,
+                source: source.into(),
+            }))
+        };
+        let (parsed, hit) = self.parsed.get_or_insert_with(key, front_end)?;
+        if !hit {
+            Ok((parsed, Depth::Parsed))
+        } else if *parsed.source == *source {
+            Ok((parsed, Depth::Hit))
+        } else {
+            // Another text owns this digest's slot: serve this one
+            // uncached rather than evict the owner on every alternation.
+            Ok((front_end()?, Depth::Parsed))
+        }
+    }
+
+    /// The one compile step. Claims `key` in the lower stage (a hit
+    /// returns the artifact at [`Depth::Hit`]); on a miss reads the
+    /// optimize stage at `(key.program, key.spec)` — running `rung`'s
+    /// pipeline over `program` under that stage's own claim if it misses
+    /// too — lowers the scalarized program for `key.engine` under
+    /// `binding` (bytecode for the VM engines, verified for
+    /// `vm-simd`/`vm-par`) and publishes the artifact. Nothing else in
+    /// this crate pairs the optimizer with an engine, so what a
+    /// [`CacheKey`] addresses is what this function returns.
+    ///
+    /// `key` must be `program`'s key under `binding` at `rung`'s
+    /// `(spec, engine)`; callers build it once per request with
+    /// [`CacheKey::at`] and relax its coordinates per rung.
+    ///
+    /// # Errors
+    ///
+    /// Lowering failures and verifier rejections from
+    /// [`Engine::compile_shared`]. Optimizer panics propagate; the pass
+    /// manager has marked the pass that raised them ([`enter_stage`]).
+    /// Either way the claims are abandoned and nothing is memoized.
+    pub fn compile(
+        &self,
+        program: &Program,
+        binding: &ConfigBinding,
+        key: CacheKey,
+        rung: &RunRequest,
+    ) -> Result<(Arc<CachedProgram>, Depth), ExecError> {
+        debug_assert_eq!((key.spec, key.engine), (rung.spec, rung.engine));
+        let lowering = match self.lowered.claim(key) {
+            Lookup::Hit(artifact) => return Ok((artifact, Depth::Hit)),
+            Lookup::Miss(claim) => claim,
+        };
+        // The optimizer's other outputs (normal form, ASDGs, traces) stay
+        // alive until lowering is done: freeing them first hands their pages
+        // back to the allocator and lowering faults them in again (+5% on the
+        // `compile_cold` median).
+        let fresh;
+        let (scalarized, depth) = match self.optimized.claim(key.optimize_key()) {
+            Lookup::Hit(scalarized) => (scalarized, Depth::Lowered),
+            Lookup::Miss(optimizing) => {
+                fresh = rung.pipeline().optimize(program);
+                let scalarized = Arc::new(fresh.scalarized);
+                optimizing.publish(scalarized.clone());
+                (scalarized, Depth::Optimized)
+            }
+        };
+        enter_stage(if key.engine.superfused() {
+            Stage::VerifyBytecode
+        } else {
+            Stage::Execute
+        });
+        let artifact = Arc::new(CachedProgram {
+            shared: key.engine.compile_shared(&scalarized, binding.clone())?,
+            scalarized,
+            binding: binding.clone(),
+            engine: key.engine,
+        });
+        lowering.publish(artifact.clone());
+        Ok((artifact, depth))
+    }
+
+    /// The one-call serving primitive for a caller that starts from a
+    /// program: bind the request's `--set` overrides, hash the program
+    /// once, and [`compile`](Self::compile). The boolean is `true` on an
+    /// artifact hit.
+    ///
+    /// # Errors
+    ///
+    /// As [`compile`](Self::compile), plus a
+    /// [`Lower`](loopir::ErrorKind::Lower)-kind error for a `--set` name
+    /// that matches no config variable. Optimizer panics propagate —
+    /// serving callers run under the [`Supervisor`](crate::Supervisor)'s
+    /// fault boundary, which catches them.
     pub fn get_or_compile(
         &self,
         program: &Program,
@@ -471,7 +671,8 @@ impl CompileCache {
     ) -> Result<(Arc<CachedProgram>, bool), ExecError> {
         let binding = req.binding_for(program).map_err(ExecError::lower)?;
         let key = CacheKey::for_request(program, &binding, req);
-        self.get_or_insert_with(key, || compile(program, &binding, req, &mut None))
+        let (artifact, depth) = self.compile(program, &binding, key, req)?;
+        Ok((artifact, depth == Depth::Hit))
     }
 
     /// Records one execution-time fault against the cached artifact for
@@ -479,39 +680,34 @@ impl CompileCache {
     /// is not cached — a fault in a freshly compiled artifact is the
     /// compile's problem, not the cache's).
     pub fn note_fault(&self, key: &CacheKey) -> u64 {
-        let mut shard = self
-            .shard(key)
-            .state
-            .lock()
-            .expect("cache shard lock poisoned");
-        match shard.map.get_mut(key) {
-            Some(entry) => {
+        self.lowered
+            .with_entry(key, |entry| {
                 entry.faults += 1;
                 entry.faults
-            }
-            None => 0,
-        }
+            })
+            .unwrap_or(0)
     }
 
     /// Execution-time faults recorded against the cached artifact for
     /// `key` (`0` if not cached).
     pub fn fault_count(&self, key: &CacheKey) -> u64 {
-        let shard = self
-            .shard(key)
-            .state
-            .lock()
-            .expect("cache shard lock poisoned");
-        shard.map.get(key).map(|e| e.faults).unwrap_or(0)
+        self.lowered
+            .with_entry(key, |entry| entry.faults)
+            .unwrap_or(0)
     }
 
-    /// Evicts the entry for `key` because its circuit breaker tripped:
-    /// the artifact is suspected poisoned and must never be re-served.
-    /// Returns `true` if an entry was actually removed. The next compile
-    /// of the key republishes a fresh artifact with a zero fault count.
+    /// Evicts the artifact for `key` because its circuit breaker
+    /// tripped: it is suspected poisoned and must never be re-served.
+    /// The optimize-stage entry it was lowered from goes with it — the
+    /// suspicion covers everything the artifact was built from — so the
+    /// next compile of the key re-optimizes, re-lowers and republishes a
+    /// fresh artifact with a zero fault count. (Artifacts of other sizes
+    /// keep their own reference to the old scalarized program until their
+    /// own breakers say otherwise.) Returns `true` if an artifact was
+    /// actually removed.
     pub fn quarantine(&self, key: &CacheKey) -> bool {
-        let cell = self.shard(key);
-        let mut shard = cell.state.lock().expect("cache shard lock poisoned");
-        let removed = shard.map.remove(key).is_some();
+        self.optimized.remove(&key.optimize_key());
+        let removed = self.lowered.remove(key);
         if removed {
             self.quarantines.fetch_add(1, Ordering::Relaxed);
         }
@@ -521,12 +717,17 @@ impl CompileCache {
     /// A consistent-enough snapshot of the counters (each counter is
     /// individually exact; the set is read without a global lock).
     pub fn stats(&self) -> CacheStats {
+        let load = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
         CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            insertions: self.insertions.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            quarantines: self.quarantines.load(Ordering::Relaxed),
+            hits: load(&self.lowered.hits),
+            misses: load(&self.lowered.misses),
+            insertions: load(&self.lowered.insertions),
+            evictions: load(&self.lowered.evictions),
+            quarantines: load(&self.quarantines),
+            parse_hits: load(&self.parsed.hits),
+            parse_misses: load(&self.parsed.misses),
+            optimize_hits: load(&self.optimized.hits),
+            optimize_misses: load(&self.optimized.misses),
         }
     }
 }
@@ -644,14 +845,14 @@ mod tests {
         let req = RunRequest::new();
         let binding = req.binding_for(&p).unwrap();
         let key = CacheKey::for_request(&p, &binding, &req);
-        let guard = match cache.claim(key) {
+        let guard = match cache.lowered.claim(key) {
             Lookup::Miss(g) => g,
             Lookup::Hit(_) => panic!("cache is empty"),
         };
         let waiters: Vec<_> = (0..4)
             .map(|_| {
                 let cache = cache.clone();
-                std::thread::spawn(move || matches!(cache.claim(key), Lookup::Hit(_)))
+                std::thread::spawn(move || matches!(cache.lowered.claim(key), Lookup::Hit(_)))
             })
             .collect();
         let (value, _) = CompileCache::new().get_or_compile(&p, &req).unwrap();
@@ -674,13 +875,13 @@ mod tests {
         let req = RunRequest::new();
         let binding = req.binding_for(&p).unwrap();
         let key = CacheKey::for_request(&p, &binding, &req);
-        let guard = match cache.claim(key) {
+        let guard = match cache.lowered.claim(key) {
             Lookup::Miss(g) => g,
             Lookup::Hit(_) => panic!("cache is empty"),
         };
         let waiter = {
             let cache = cache.clone();
-            std::thread::spawn(move || match cache.claim(key) {
+            std::thread::spawn(move || match cache.lowered.claim(key) {
                 Lookup::Miss(g) => {
                     drop(g);
                     false
@@ -724,6 +925,62 @@ mod tests {
         let (_, hit) = cache.get_or_compile(&p, &req).unwrap();
         assert!(!hit);
         assert_eq!(cache.fault_count(&key), 0);
+    }
+
+    #[test]
+    fn failed_parses_are_not_memoized() {
+        let cache = CompileCache::new();
+        for _ in 0..2 {
+            assert!(cache.parse("program ???").is_err());
+        }
+        let s = cache.stats();
+        assert_eq!((s.parse_hits, s.parse_misses), (0, 2));
+        let (first, depth) = cache.parse(&src(1)).unwrap();
+        assert_eq!(depth, Depth::Parsed);
+        assert_eq!(first.digest, hash::program_hash(&first.program));
+        let (again, depth) = cache.parse(&src(1)).unwrap();
+        assert_eq!(depth, Depth::Hit);
+        assert!(Arc::ptr_eq(&first, &again));
+    }
+
+    #[test]
+    fn text_digest_collisions_never_serve_another_program() {
+        let cache = CompileCache::new();
+        let (owner, _) = cache.parse_at(7, &src(1)).unwrap();
+        let (other, depth) = cache.parse_at(7, &src(2)).unwrap();
+        assert_eq!(
+            depth,
+            Depth::Parsed,
+            "a colliding text is parsed, not served"
+        );
+        assert_eq!((&*owner.program.name, &*other.program.name), ("p1", "p2"));
+        assert_ne!(owner.digest, other.digest);
+        let (again, depth) = cache.parse_at(7, &src(1)).unwrap();
+        assert_eq!(depth, Depth::Hit, "the owner keeps its slot");
+        assert!(Arc::ptr_eq(&owner, &again));
+    }
+
+    #[test]
+    fn optimizer_panics_abandon_their_claims_and_memoize_nothing() {
+        use testkit::faults::{self, FaultPlan, FaultSite};
+
+        let cache = CompileCache::new();
+        let p = zlang::compile(&src(1)).unwrap();
+        let req = RunRequest::new().with_level(crate::Level::C2F3);
+        {
+            let _g = faults::install(FaultPlan::new(3).with(FaultSite::FuseGrow, 1.0));
+            let panicked = crate::supervisor::quiet_catch(|| cache.get_or_compile(&p, &req));
+            assert!(panicked.unwrap_err().contains("grow-panic"));
+        }
+        let s = cache.stats();
+        assert_eq!((s.misses, s.optimize_misses, s.insertions), (1, 1, 0));
+        assert_eq!(cache.optimized.len(), 0);
+        // Both claims were released on unwind: the next request neither
+        // hangs nor finds a half-made entry, and runs the optimizer itself.
+        let (_, hit) = cache.get_or_compile(&p, &req).unwrap();
+        assert!(!hit);
+        let s = cache.stats();
+        assert_eq!((s.misses, s.optimize_misses, s.insertions), (2, 2, 1));
     }
 
     #[test]

@@ -1,25 +1,39 @@
-//! Structural hashing of array-level programs — the content address of
-//! the compile cache.
+//! Structural hashing of array-level programs — the content addresses of
+//! the staged compile cache ([`crate::cache`]).
 //!
-//! [`program_hash`] folds a [`Program`]'s entire observable structure —
-//! declarations in order, resolved *names* (never raw interner
-//! [`Symbol`](zlang::intern::Symbol) values, which are an artifact of
-//! interning order), region extents, and the statement tree — into one
-//! 64-bit FNV-1a digest. Two programs that compare equal under
-//! `Program`'s `PartialEq` hash identically; in particular a
-//! pretty-print/re-parse round trip (`zlang::pretty::source` followed by
-//! `zlang::compile`) preserves the hash, the same interned-name
-//! invariant `NameTable`'s `PartialEq` upholds.
+//! Each cache stage is keyed by a digest of exactly what the stage reads:
 //!
-//! [`key_hash`] extends the digest with a concrete [`ConfigBinding`]:
-//! the bytecode compiler resolves region bounds and strides at compile
-//! time under a specific binding, so a cached compiled artifact is only
-//! reusable for the exact binding it was compiled under. Level and
-//! engine are kept *out* of the digest — the cache key carries them as
-//! explicit fields so collisions between levels are structurally
-//! impossible rather than probabilistically unlikely.
+//! * [`text_hash`] digests *source text*, for the parse stage. It is a
+//!   fast word-at-a-time fold, not a collision-resistant one: the parse
+//!   stage stores the text beside the program and compares it on every
+//!   hit, so a collision costs a re-parse and never serves another
+//!   program.
+//! * [`program_hash`] folds a [`Program`]'s entire observable structure —
+//!   declarations in order (config *defaults* included), resolved *names*
+//!   (never raw interner [`Symbol`](zlang::intern::Symbol) values, which
+//!   are an artifact of interning order), region extents, and the
+//!   statement tree — into one 64-bit FNV-1a digest. Two programs that
+//!   compare equal under `Program`'s `PartialEq` hash identically; in
+//!   particular a pretty-print/re-parse round trip
+//!   (`zlang::pretty::source` followed by `zlang::compile`) preserves the
+//!   hash, the same interned-name invariant `NameTable`'s `PartialEq`
+//!   upholds. This is the optimize stage's address: the optimizer works on
+//!   symbolic regions and reads no binding, so one optimized program
+//!   serves every size.
+//! * [`key_hash`] extends a program digest with a concrete
+//!   [`ConfigBinding`], for the lower stage: the bytecode compiler
+//!   resolves region bounds and strides under a specific binding and the
+//!   verifier proves accesses in bounds for those numbers, so lowering is
+//!   the one stage that stays per size.
 //!
-//! The digest is exposed for debugging as `zlc --print hash`.
+//! The program digest is computed once per request — by the parse stage,
+//! which stores it beside the program, or by the caller that starts from
+//! a [`Program`] — and carried into every later key. Level and engine are
+//! kept *out* of the digests — the cache keys carry them as explicit
+//! fields so collisions between levels are structurally impossible rather
+//! than probabilistically unlikely.
+//!
+//! The program digest is exposed for debugging as `zlc --print hash`.
 
 use zlang::ast::{BinOp, ReduceOp, Type, UnOp};
 use zlang::ir::{ArrayExpr, ConfigBinding, ConfigId, LinExpr, Program, ScalarExpr, Stmt};
@@ -332,18 +346,40 @@ pub fn program_hash(p: &Program) -> u64 {
     h.finish()
 }
 
-/// The compile-cache content address: [`program_hash`] extended with the
-/// concrete value of every config variable under `binding` (the bytecode
-/// compiler bakes region bounds in at compile time, so different
-/// bindings are different compiled artifacts).
-pub fn key_hash(p: &Program, binding: &ConfigBinding) -> u64 {
+/// The lower stage's content address: a [`program_hash`] digest (passed
+/// in, so a request hashes its program once) extended with the concrete
+/// value of every config variable of `p` under `binding` (the bytecode
+/// compiler bakes region bounds in at compile time, so different bindings
+/// are different compiled artifacts).
+pub fn key_hash(program_digest: u64, p: &Program, binding: &ConfigBinding) -> u64 {
     let mut h = Fnv::new();
-    h.u64(program_hash(p));
+    h.u64(program_digest);
     h.u64(p.configs.len() as u64);
     for i in 0..p.configs.len() {
         h.i64(binding.get(ConfigId(i as u32)));
     }
     h.finish()
+}
+
+/// The parse stage's address: a digest of source text, eight bytes per
+/// multiply (byte-wise FNV costs more than the rest of a cache hit on a
+/// 7 KB program). Not collision-resistant; see the module docs for why it
+/// need not be.
+pub fn text_hash(text: &str) -> u64 {
+    // The 64-bit golden-ratio multiplier spreads a word's low bits
+    // upward; the shift folds the high bits back down for the next word.
+    let mix = |h: u64, word: u64| {
+        let h = (h ^ word).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        h ^ (h >> 29)
+    };
+    let mut words = text.as_bytes().chunks_exact(8);
+    let mut h = mix(FNV_OFFSET, text.len() as u64);
+    for w in &mut words {
+        h = mix(h, u64::from_le_bytes(w.try_into().expect("chunks of 8")));
+    }
+    let mut tail = [0u8; 8];
+    tail[..words.remainder().len()].copy_from_slice(words.remainder());
+    mix(h, u64::from_le_bytes(tail))
 }
 
 #[cfg(test)]
@@ -387,11 +423,28 @@ mod tests {
     #[test]
     fn key_hash_distinguishes_bindings() {
         let p = zlang::compile(SRC).unwrap();
+        let digest = program_hash(&p);
         let d = ConfigBinding::defaults(&p);
         let mut big = d.clone();
         big.set_by_name(&p, "n", 64);
-        assert_eq!(key_hash(&p, &d), key_hash(&p, &d));
-        assert_ne!(key_hash(&p, &d), key_hash(&p, &big));
+        assert_eq!(key_hash(digest, &p, &d), key_hash(digest, &p, &d));
+        assert_ne!(key_hash(digest, &p, &d), key_hash(digest, &p, &big));
+        assert_ne!(key_hash(digest, &p, &d), key_hash(digest ^ 1, &p, &d));
+    }
+
+    #[test]
+    fn text_hash_sees_every_byte_and_the_length() {
+        let base = text_hash(SRC);
+        // A flip anywhere — full words, the tail, the last byte — and a
+        // zero-padded tail all move the digest.
+        for at in [0, 7, 8, SRC.len() / 2, SRC.len() - 1] {
+            let mut bytes = SRC.as_bytes().to_vec();
+            bytes[at] ^= 0x20;
+            let flipped = String::from_utf8(bytes).unwrap();
+            assert_ne!(text_hash(&flipped), base, "byte {at}");
+        }
+        assert_ne!(text_hash("abc"), text_hash("abc\0"));
+        assert_ne!(text_hash(""), text_hash("\0"));
     }
 
     #[test]

@@ -67,7 +67,7 @@ pub mod verify;
 pub mod weights;
 
 pub use breaker::{Admission, BreakerConfig, BreakerState, BreakerStats, CircuitBreakers};
-pub use cache::{CacheKey, CacheStats, CachedProgram, ClaimGuard, CompileCache, Lookup};
+pub use cache::{CacheKey, CacheStats, CachedProgram, CompileCache, Depth, Parsed};
 pub use depvec::Udv;
 pub use pass::{CompileSession, Pass, PassId, PassManager, PassResult, PassTrace};
 pub use pipeline::{Level, LevelSpec, Optimized, Pipeline};

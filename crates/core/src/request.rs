@@ -10,8 +10,11 @@
 //! unsupervised one does. Adapters produce the downstream forms:
 //! [`RunRequest::pipeline`], [`RunRequest::supervisor`],
 //! [`RunRequest::exec_opts`], [`RunRequest::limits`] and
-//! [`RunRequest::binding_for`]; [`crate::cache::CacheKey::for_request`]
-//! addresses the compiled artifact by `(program + binding, spec, engine)`.
+//! [`RunRequest::binding_for`]. The compile cache reads a request stage by
+//! stage: `spec` addresses the optimized program (with the program's
+//! digest, and nothing else — the optimizer takes no binding), and
+//! [`crate::cache::CacheKey::for_request`] addresses the lowered artifact
+//! by `(program + binding, spec, engine)`.
 //!
 //! ```
 //! use fusion_core::request::RunRequest;
@@ -57,7 +60,7 @@ pub struct RunRequest {
     pub lanes: usize,
     /// Run the translation validator and bytecode verifier, reporting
     /// diagnostics (`zlc --verify`). Does not change generated code, so
-    /// the compile cache deliberately ignores it.
+    /// every stage of the compile cache deliberately ignores it.
     pub verify: bool,
     /// Resource budgets (deadline, fuel, allocation cap).
     pub budgets: Budgets,

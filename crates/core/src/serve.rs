@@ -9,8 +9,9 @@
 //! a fault-isolating [`Supervisor`](crate::supervisor::Supervisor)
 //! attached to the shared cache and breakers, so a panicking or
 //! budget-violating request degrades or fails *alone* without taking down
-//! the batch, while repeated programs hit the content-addressed cache and
-//! skip the whole pass pipeline.
+//! the batch, while a repeated source text skips the front end, a
+//! repeated program the optimizer, and a repeated `(program, size)` the
+//! whole pipeline (the cache's three stages, [`crate::cache`]).
 //!
 //! The serving fault model stacks four defenses on top of the
 //! supervisor's degradation ladder:
@@ -49,7 +50,7 @@
 //! shed/failure cause breakdowns, and the cache and breaker counters.
 
 use crate::breaker::{BreakerConfig, BreakerStats, CircuitBreakers};
-use crate::cache::{CacheStats, CompileCache};
+use crate::cache::{CacheStats, CompileCache, Depth};
 use crate::pipeline::LevelSpec;
 use crate::request::RunRequest;
 use crate::supervisor::{quiet_catch, Cause, CauseKind, Stage};
@@ -230,6 +231,8 @@ pub struct RequestRecord {
     /// Whether the request was routed to the reference rung by an open
     /// circuit breaker (cache bypassed).
     pub breaker_routed: bool,
+    /// The deepest cache stage any attempt of the request had to run.
+    pub depth: Depth,
     /// How the request was accounted.
     pub disposition: Disposition,
 }
@@ -248,6 +251,7 @@ impl RequestRecord {
             scalars_bits: Vec::new(),
             degraded: false,
             breaker_routed: false,
+            depth: Depth::Hit,
             disposition: Disposition::Completed,
         }
     }
@@ -608,6 +612,11 @@ impl ServeReport {
             self.cache.quarantines,
             self.cache.hit_rate() * 100.0,
         );
+        let _ = writeln!(
+            out,
+            "stages: parsed {}, optimized {}, lowered {}",
+            self.cache.parse_misses, self.cache.optimize_misses, self.cache.misses,
+        );
         if self.breaker.trips + self.breaker.rejected + self.breaker.probes > 0 {
             let _ = writeln!(
                 out,
@@ -907,6 +916,7 @@ fn serve_one(
         }
         match sup.run_source(&req.source) {
             Ok(done) => {
+                record.depth = record.depth.max(done.report.depth());
                 record.checksum_bits = done.outcome.checksum().to_bits();
                 record.scalars_bits = done.outcome.scalars.iter().map(|s| s.to_bits()).collect();
                 record.degraded = done.report.degraded();
@@ -915,6 +925,7 @@ fn serve_one(
                 break;
             }
             Err(e) => {
+                record.depth = record.depth.max(e.report.depth());
                 record.breaker_routed = e.report.breaker_open;
                 if e.cause.kind.is_transient() && attempts <= opts.retry.max_retries {
                     let mut pause = opts.retry.backoff_for(attempts, &mut rng);

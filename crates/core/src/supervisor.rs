@@ -10,12 +10,14 @@
 //!
 //! [`Supervisor`] holds the [`RunRequest`] it serves and wraps the whole
 //! path — parse, normalize, fuse, scalarize, verify, execute — in a fault
-//! boundary. Every attempt is the same request → key → claim → compile →
-//! publish → execute sequence an unsupervised caller gets from
-//! [`CompileCache::get_or_compile`] (the compile step is
-//! [`cache::compile`] for both), and a rung of the degradation ladder is
-//! nothing but the request at relaxed `(spec, engine)` coordinates: the
-//! same [`LevelSpec`] on cheaper engines, then plain `baseline` on the
+//! boundary. Source text is parsed through the cache's parse stage
+//! ([`CompileCache::parse`]), and every attempt is the same request → key
+//! → [`CompileCache::compile`] → execute sequence an unsupervised caller
+//! gets from [`CompileCache::get_or_compile`]; a supervisor with no cache
+//! attached runs the same path through a private cache that lives for
+//! the one run. A rung of the degradation ladder is nothing but the
+//! request at relaxed `(spec, engine)` coordinates: the same
+//! [`LevelSpec`] on cheaper engines, then plain `baseline` on the
 //! interpreter with the cleanup passes off:
 //!
 //! ```text
@@ -41,7 +43,8 @@
 //! * **Panics** in any stage (caught with `catch_unwind`; the panic-hook
 //!   output is suppressed while the supervisor is in charge). A panic
 //!   during optimization *poisons the spec*: rungs that would re-run the
-//!   same deterministic optimization are skipped.
+//!   same deterministic optimization are skipped. The panicking stage's
+//!   cache claim is abandoned, so a failure is never memoized.
 //! * **Verifier rejections** — the `vm-simd` and `vm-par` engines refuse
 //!   to construct; the plain VM runs the program's plain bytecode, which
 //!   needs no proof (every access is bounds-checked).
@@ -71,7 +74,8 @@
 //! ```
 
 use crate::breaker::{Admission, CircuitBreakers};
-use crate::cache::{self, CacheKey, CompileCache};
+use crate::cache::{CacheKey, CompileCache, Depth};
+use crate::hash;
 use crate::pipeline::{Level, LevelSpec};
 use crate::request::RunRequest;
 use loopir::{Engine, ErrorKind, ExecError, ExecLimits, NoopObserver, RunOutcome, ScalarProgram};
@@ -97,8 +101,8 @@ thread_local! {
 
 /// Marks the currently running pipeline stage on this thread, so a panic
 /// caught by the supervisor is attributed to the stage that raised it.
-/// Called by the pass manager before each pass and by [`cache::compile`]
-/// before lowering; a no-op for everyone else.
+/// Called by the pass manager before each pass and by
+/// [`CompileCache::compile`] before lowering; a no-op for everyone else.
 pub fn enter_stage(stage: Stage) {
     CURRENT_STAGE.with(|s| s.set(stage));
 }
@@ -258,6 +262,9 @@ pub struct Attempt {
     /// True if this attempt re-ran its rung with the simulated runtime
     /// disabled after a communication failure.
     pub sim_disabled: bool,
+    /// The deepest cache stage this attempt had to run; the first attempt
+    /// of a run from source includes the parse stage.
+    pub depth: Depth,
 }
 
 /// The complete record of a supervised run.
@@ -301,6 +308,16 @@ impl SupervisorReport {
         self.attempts.len().saturating_sub(1)
     }
 
+    /// The deepest cache stage any attempt had to run: how much of the
+    /// pipeline this request paid for.
+    pub fn depth(&self) -> Depth {
+        self.attempts
+            .iter()
+            .map(|a| a.depth)
+            .max()
+            .unwrap_or_default()
+    }
+
     /// Every fault recorded across the attempts.
     pub fn faults(&self) -> impl Iterator<Item = &Cause> {
         self.attempts.iter().filter_map(|a| a.fault.as_ref())
@@ -326,13 +343,14 @@ impl SupervisorReport {
             };
             let sim = if a.sim_disabled { ", sim disabled" } else { "" };
             out.push_str(&format!(
-                "  attempt {}: {} on {}{} — {} ({:.3} ms)\n",
+                "  attempt {}: {} on {}{} — {} ({:.3} ms, {})\n",
                 i + 1,
                 a.spec,
                 a.engine,
                 sim,
                 status,
                 a.elapsed.as_secs_f64() * 1e3,
+                a.depth,
             ));
         }
         out.push_str(&format!(
@@ -442,17 +460,18 @@ impl fmt::Debug for Supervisor<'_> {
 
 /// What the rungs of one supervised run share: the program, its binding
 /// and the requested rung's cache key (bound and hashed once per run),
-/// and the scalarized program of the spec most recently optimized, which
-/// the rungs at that spec reuse instead of re-running the optimizer.
+/// and the cache they compile through, whose optimize stage is what lets
+/// the rungs at one spec run the optimizer once.
 struct Run<'p> {
     program: &'p Program,
     binding: ConfigBinding,
     key: CacheKey,
-    /// The attached cache; `None` also when the breaker forced the run to
-    /// the reference rung.
-    cache: Option<&'p CompileCache>,
-    optimized_at: LevelSpec,
-    optimized: Option<Arc<ScalarProgram>>,
+    cache: &'p CompileCache,
+    /// True if `cache` is the attached, shared one — the only kind whose
+    /// artifacts outlive a run and can come back corrupted.
+    shared: bool,
+    /// The deepest stage the attempt in progress ran.
+    depth: Depth,
 }
 
 impl<'a> Supervisor<'a> {
@@ -473,12 +492,14 @@ impl<'a> Supervisor<'a> {
         }
     }
 
-    /// Attaches a shared [`CompileCache`]: every rung first consults the
-    /// cache at its own `(spec, engine)` coordinates — a hit reuses the
-    /// `Arc`-shared scalarized program and compiled bytecode and skips
-    /// the `PassManager`, the bytecode compiler, and the verifier — and
-    /// every cold compile publishes its artifact for future runs. This
-    /// is how the serve path amortizes compilation across requests while
+    /// Attaches a shared [`CompileCache`]: source text is parsed through
+    /// its parse stage and every rung compiles through it at its own
+    /// `(spec, engine)` coordinates — a hit reuses the `Arc`-shared
+    /// scalarized program and compiled bytecode and skips the front end,
+    /// the `PassManager`, the bytecode compiler, and the verifier; a new
+    /// size of a known program skips all but the last two — and every
+    /// stage that runs publishes its result for future runs. This is how
+    /// the serve path amortizes compilation across requests while
     /// keeping the fault boundary per-request.
     pub fn with_cache(mut self, cache: Arc<CompileCache>) -> Self {
         self.cache = Some(cache);
@@ -528,13 +549,21 @@ impl<'a> Supervisor<'a> {
     pub fn run_source(&self, source: &str) -> Result<Supervised, SupervisorError> {
         enter_stage(Stage::Parse);
         let started = Instant::now();
-        let parsed = quiet_catch(|| zlang::compile(source));
-        let program = match parsed {
-            Ok(Ok(p)) => p,
+        let cache = self.run_cache();
+        let (parsed, depth) = match quiet_catch(|| cache.parse(source)) {
+            Ok(Ok(parsed)) => parsed,
             Ok(Err(e)) => return Err(self.parse_error(e.to_string(), started)),
             Err(msg) => return Err(self.parse_error(msg, started)),
         };
-        self.run_program(&program)
+        self.run(&cache, &parsed.program, parsed.digest, depth)
+    }
+
+    /// The cache a run compiles through: the attached one, or a private
+    /// one sized for one ladder and dropped with the run.
+    fn run_cache(&self) -> Arc<CompileCache> {
+        self.cache
+            .clone()
+            .unwrap_or_else(|| Arc::new(CompileCache::with_shards(1, 8)))
     }
 
     fn parse_error(&self, message: String, started: Instant) -> SupervisorError {
@@ -550,6 +579,7 @@ impl<'a> Supervisor<'a> {
             elapsed: started.elapsed(),
             fault: Some(cause.clone()),
             sim_disabled: false,
+            depth: Depth::Parsed,
         });
         SupervisorError { cause, report }
     }
@@ -564,6 +594,19 @@ impl<'a> Supervisor<'a> {
     /// attempted and the breaker hears nothing), or if every rung —
     /// including the unoptimized reference interpreter — faulted.
     pub fn run_program(&self, program: &Program) -> Result<Supervised, SupervisorError> {
+        let digest = hash::program_hash(program);
+        self.run(&self.run_cache(), program, digest, Depth::Hit)
+    }
+
+    /// The ladder over a program whose digest the caller holds; `parsed`
+    /// is what the parse stage cost, charged to the first attempt.
+    fn run(
+        &self,
+        cache: &CompileCache,
+        program: &Program,
+        digest: u64,
+        mut parsed: Depth,
+    ) -> Result<Supervised, SupervisorError> {
         let req = &self.request;
         let mut report = SupervisorReport::new(req);
         let binding = match req.binding_for(program) {
@@ -581,7 +624,7 @@ impl<'a> Supervisor<'a> {
         // suspicion. When a breaker registry is attached, an open key
         // routes the whole run to the reference rung without touching the
         // cache; otherwise the requested rung's outcome feeds the breaker.
-        let key = CacheKey::for_request(program, &binding, req);
+        let key = CacheKey::at(digest, program, &binding, req.spec, req.engine);
         let forced_reference = self
             .breaker
             .as_ref()
@@ -592,13 +635,22 @@ impl<'a> Supervisor<'a> {
         } else {
             ladder(req.spec, req.engine)
         };
+        // An open key's run must not consult the attached cache: its one
+        // rung compiles through a cache of its own.
+        let bypass;
+        let (cache, shared) = if forced_reference {
+            bypass = CompileCache::with_shards(1, 1);
+            (&bypass, false)
+        } else {
+            (cache, self.cache.is_some())
+        };
         let mut run = Run {
             program,
             binding,
             key,
-            cache: self.cache.as_deref().filter(|_| !forced_reference),
-            optimized_at: req.spec,
-            optimized: None,
+            cache,
+            shared,
+            depth: Depth::Hit,
         };
         let mut poisoned: Option<LevelSpec> = None;
         let mut last_cause: Option<Cause> = None;
@@ -631,14 +683,17 @@ impl<'a> Supervisor<'a> {
             let mut use_sim = self.sim.is_some();
             loop {
                 let started = Instant::now();
+                run.depth = std::mem::take(&mut parsed);
                 let r = self.attempt(&mut run, spec, engine, budgeted, use_sim);
                 let elapsed = started.elapsed();
+                let depth = run.depth;
                 let attempt = |fault| Attempt {
                     spec,
                     engine,
                     elapsed,
                     fault,
                     sim_disabled: self.sim.is_some() && !use_sim,
+                    depth,
                 };
                 let cause = match r {
                     Ok(outcome) => {
@@ -693,11 +748,10 @@ impl<'a> Supervisor<'a> {
     }
 
     /// One rung: the request at `(spec, engine)`, through the one path —
-    /// claim the rung's key in the shared cache (when attached and the
-    /// run may use it), [`cache::compile`] on a miss and publish, check
-    /// the allocation budget, build the executor, run. Every step is
-    /// inside the panic boundary; errors come back as a [`Cause`], and a
-    /// fault anywhere before publication abandons the claim.
+    /// [`CompileCache::compile`] at the rung's key in the run's cache,
+    /// check the allocation budget, build the executor, run. Every step
+    /// is inside the panic boundary; errors come back as a [`Cause`], and
+    /// a fault anywhere before publication abandons the claim.
     fn attempt(
         &self,
         run: &mut Run<'_>,
@@ -716,10 +770,6 @@ impl<'a> Supervisor<'a> {
                 kind: CauseKind::Deadline,
                 message: "execution deadline exceeded (raise the wall-clock budget)".to_string(),
             });
-        }
-        if run.optimized_at != spec {
-            run.optimized_at = spec;
-            run.optimized = None;
         }
         // The simulation backend lowers the scalarized program for the
         // rung's engine itself, so a simulated attempt asks the compile
@@ -745,36 +795,28 @@ impl<'a> Supervisor<'a> {
         enter_stage(Stage::Normalize);
         quiet_catch(|| -> Result<RunOutcome, Cause> {
             let binding = &run.binding;
-            let optimized = &mut run.optimized;
-            let mut compile = || cache::compile(run.program, binding, rung, optimized);
-            // The run's content digest at this rung's coordinates.
+            // The run's digests at this rung's coordinates.
             let key = CacheKey {
                 spec,
                 engine: lower_for,
                 ..run.key
             };
-            let artifact = match run.cache {
-                Some(cache) => {
-                    let (artifact, hit) = cache.get_or_insert_with(key, compile)?;
-                    // Injected artifact corruption: the hit "decodes" but
-                    // faults the moment it executes, which is how a real
-                    // bit-flipped or mis-compiled entry presents. Results
-                    // are never contaminated — the fault replaces the run
-                    // entirely.
-                    if hit && faults::fire(FaultSite::CacheCorrupt) {
-                        return Err(Cause {
-                            stage: Stage::Execute,
-                            kind: CauseKind::Exec,
-                            message: format!(
-                                "{}: cached artifact faulted at execution",
-                                faults::message(FaultSite::CacheCorrupt)
-                            ),
-                        });
-                    }
-                    artifact
-                }
-                None => Arc::new(compile()?),
-            };
+            let (artifact, depth) = run.cache.compile(run.program, binding, key, rung)?;
+            run.depth = run.depth.max(depth);
+            // Injected artifact corruption: the hit "decodes" but faults
+            // the moment it executes, which is how a real bit-flipped or
+            // mis-compiled entry presents. Results are never contaminated
+            // — the fault replaces the run entirely.
+            if run.shared && depth == Depth::Hit && faults::fire(FaultSite::CacheCorrupt) {
+                return Err(Cause {
+                    stage: Stage::Execute,
+                    kind: CauseKind::Exec,
+                    message: format!(
+                        "{}: cached artifact faulted at execution",
+                        faults::message(FaultSite::CacheCorrupt)
+                    ),
+                });
+            }
             enter_stage(Stage::Execute);
             let mut limits = ExecLimits::none();
             if budgeted {
@@ -1067,10 +1109,16 @@ mod tests {
         let program = zlang::compile(SRC).unwrap();
         assert_eq!(err.cause.message, req.binding_for(&program).unwrap_err());
         assert!(err.cause.message.contains("bogus"), "{}", err.cause);
-        // No rung ran, nothing was looked up, and the breaker heard
-        // nothing about any key.
+        // No rung ran, nothing past the parse stage was looked up, and
+        // the breaker heard nothing about any key.
         assert!(err.report.attempts.is_empty());
-        assert_eq!(cache.stats(), crate::cache::CacheStats::default());
+        assert_eq!(
+            cache.stats(),
+            crate::cache::CacheStats {
+                parse_misses: 1,
+                ..Default::default()
+            }
+        );
         assert_eq!(breakers.stats(), crate::breaker::BreakerStats::default());
         let key = CacheKey::compute(
             &program,

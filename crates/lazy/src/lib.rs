@@ -335,7 +335,10 @@ impl Batch {
     /// Flushes through the serving path: look the batch up in `cache`
     /// (compiling and publishing on a miss), then execute under `req`'s
     /// engine and limits. Returns the outcome and whether the compile
-    /// was a cache hit.
+    /// was a cache hit. A recording has no source text, so it enters the
+    /// cache at the optimize stage: the program is hashed once per flush,
+    /// and a miss that differs from an earlier flush only in `req`'s
+    /// engine reuses that flush's optimizer run.
     ///
     /// # Errors
     ///
@@ -517,6 +520,14 @@ mod tests {
             out2.value(s2).to_bits(),
             "hit must be bit-identical"
         );
+        // A re-recording on another engine is a new artifact lowered
+        // from the first flush's optimizer run.
+        let simd = RunRequest::new().with_engine(Engine::VmSimd);
+        let (out3, hit3) = b2.flush(&simd, &cache).unwrap();
+        assert!(!hit3);
+        assert_eq!(out3.value(s2).to_bits(), out1.value(s2).to_bits());
+        let stats = cache.stats();
+        assert_eq!((stats.optimize_misses, stats.optimize_hits), (1, 1));
     }
 
     #[test]

@@ -381,6 +381,7 @@ fn run_supervised(opts: &Options, program: &Program) -> ExitCode {
 /// control, deadlines, retries, and circuit breakers, and print the
 /// latency/cache/breaker report.
 fn run_serve(opts: &Options) -> ExitCode {
+    let cache = Arc::new(CompileCache::new());
     let mut programs = Vec::new();
     for file in &opts.files {
         let source = match std::fs::read_to_string(file) {
@@ -389,15 +390,16 @@ fn run_serve(opts: &Options) -> ExitCode {
         };
         // Surface parse errors and bad `--set` overrides with the file
         // name up front; the serving path itself only reports a one-line
-        // failure per request.
-        let program = match zlang::compile(&source) {
-            Ok(p) => p,
+        // failure per request. Checking through the batch's own cache
+        // means the front end runs once per file, here.
+        let parsed = match cache.parse(&source) {
+            Ok((parsed, _)) => parsed,
             Err(e) => {
                 eprint!("{}", e.render(file));
                 return ExitCode::FAILURE;
             }
         };
-        if let Err(msg) = checked_binding(&program, &opts.request) {
+        if let Err(msg) = checked_binding(&parsed.program, &opts.request) {
             return fail("config", &msg, Some(file));
         }
         programs.push((file.clone(), source));
@@ -432,7 +434,6 @@ fn run_serve(opts: &Options) -> ExitCode {
             Err(e) => return usage(&format!("bad --inject plan: {e}")),
         }
     }
-    let cache = Arc::new(CompileCache::new());
     let report = serve_with(&batch, &serve_opts, &cache);
     print!("{}", report.render());
     if report.failed() > 0 {

@@ -382,6 +382,11 @@ fn serve_replays_files_and_reports_cache_hits() {
     // 2 distinct programs -> 2 misses, 38 hits (95%).
     assert!(stdout.contains("38 hits, 2 misses"), "{stdout}");
     assert!(stdout.contains("95.0% hit rate"), "{stdout}");
+    // Each file is parsed once (by the up-front check) and optimized once.
+    assert!(
+        stdout.contains("stages: parsed 2, optimized 2, lowered 2"),
+        "{stdout}"
+    );
     assert!(stdout.contains("vm-simd"), "{stdout}");
 }
 

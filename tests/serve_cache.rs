@@ -1,10 +1,13 @@
-//! Integration tests for the serving path: the content-addressed compile
-//! cache, its supervisor integration, and concurrent batch replay.
+//! Integration tests for the serving path: the staged content-addressed
+//! compile cache (parse, optimize, lower), its supervisor integration,
+//! and concurrent batch replay.
 
-use fusion_core::serve::{serve, ServeRequest};
-use fusion_core::{CacheKey, CompileCache, Level, RunRequest};
+use fusion_core::serve::{serve, serve_with, ServeOptions, ServeRequest};
+use fusion_core::{CacheKey, CompileCache, Depth, Level, RunRequest};
 use loopir::Engine;
-use std::sync::Arc;
+use std::collections::HashMap;
+use std::sync::{Arc, Barrier};
+use testkit::{genprog, Rng};
 
 const HEAT: &str = r#"
 program heat;
@@ -219,4 +222,261 @@ fn eviction_thrash_stays_correct() {
     }
     assert!(cache.stats().evictions >= 6, "{:?}", cache.stats());
     assert_eq!(cache.len(), 1);
+}
+
+/// Result bits of `req` over `source` on an empty cache: every stage
+/// runs, nothing is shared with any other request.
+fn cold_bits(source: &str, req: &RunRequest) -> Vec<u64> {
+    let program = zlang::compile(source).unwrap();
+    let (cold, hit) = CompileCache::new().get_or_compile(&program, req).unwrap();
+    assert!(!hit);
+    let out = cold.executor(req.exec_opts()).execute_pure().unwrap();
+    out.scalars.iter().map(|s| s.to_bits()).collect()
+}
+
+/// The `k`-th of 24 problem sizes for a benchmark of `rank`. Rank 3 (SP)
+/// grows as n^3, so it gets 12 distinct sizes, each used twice.
+fn size(rank: usize, k: usize) -> i64 {
+    (match rank {
+        1 => 32 + 8 * k,
+        2 => 8 + k,
+        _ => 4 + k / 2,
+    }) as i64
+}
+
+/// The staged cache's contract: the six paper programs at 24 sizes each
+/// are 144 requests and 132 artifacts but six optimizer runs and six
+/// front-end runs, at any worker count, and every served result is
+/// `to_bits`-equal to a cold compile of that program at that size on that
+/// engine.
+#[test]
+fn sizes_of_one_program_share_one_optimizer_run() {
+    let engines = Engine::all();
+    let benchmarks = benchmarks::all();
+    assert_eq!(benchmarks.len(), 6);
+    let mut cold: HashMap<(usize, usize), Vec<u64>> = HashMap::new();
+    for workers in [1, 2, 8] {
+        // Size-major order, so neighbouring requests (and racing workers)
+        // are different sizes of all six programs.
+        let mut coords = Vec::new();
+        let mut batch = Vec::new();
+        for k in 0..24 {
+            for (p, b) in benchmarks.iter().enumerate() {
+                let engine = engines[(p + k / 2) % engines.len()];
+                let mut req = RunRequest::new()
+                    .with_level_spec("c2+f3")
+                    .unwrap()
+                    .with_engine(engine)
+                    .with_set(b.size_config, size(b.rank, k));
+                if let Some(iters) = b.iters_config {
+                    req = req.with_set(iters, 1);
+                }
+                cold.entry((p, k))
+                    .or_insert_with(|| cold_bits(b.source, &req));
+                coords.push((p, k));
+                batch.push(ServeRequest::new(b.name, b.source, req));
+            }
+        }
+        let cache = Arc::new(CompileCache::with_shards(8, 64));
+        let opts = ServeOptions::new().with_workers(workers);
+        let report = serve_with(&batch, &opts, &cache);
+        assert_eq!(report.completed(), batch.len(), "{}", report.render());
+        let stats = report.cache;
+        assert_eq!(stats.parse_misses, 6, "{workers} workers: {stats:?}");
+        assert_eq!(stats.parse_hits, 138, "{workers} workers: {stats:?}");
+        assert_eq!(stats.optimize_misses, 6, "{workers} workers: {stats:?}");
+        assert_eq!(stats.optimize_hits, 126, "{workers} workers: {stats:?}");
+        assert_eq!((stats.misses, stats.hits), (132, 12), "{stats:?}");
+        assert!(report
+            .render()
+            .contains("stages: parsed 6, optimized 6, lowered 132"));
+        for (record, coord) in report.records.iter().zip(&coords) {
+            assert!(!record.degraded, "{coord:?}");
+            assert_eq!(
+                record.scalars_bits, cold[coord],
+                "{coord:?} at {workers} workers diverged from its cold compile"
+            );
+        }
+        // Each request reports the deepest stage it ran: per program one
+        // parse and one optimizer run (two requests' when workers race),
+        // lowering or nothing for everyone else.
+        let count = |depth| report.records.iter().filter(|r| r.depth == depth).count();
+        assert!((1..=6).contains(&count(Depth::Parsed)));
+        assert!((6..=12).contains(&(count(Depth::Parsed) + count(Depth::Optimized))));
+        assert!(count(Depth::Hit) <= 12);
+        // A second pass over the same batch is all hits, at every stage.
+        let again = serve_with(&batch, &opts, &cache);
+        assert!(again.records.iter().all(|r| r.depth == Depth::Hit));
+        assert_eq!(again.cache.optimize_misses, 6);
+        assert_eq!((again.cache.misses, again.cache.hits), (132, 156));
+    }
+}
+
+/// Single-flight holds at the optimize stage: N threads released at once
+/// on N different sizes of one program are N lowerings waiting on one
+/// optimizer run.
+#[test]
+fn racing_sizes_wait_on_one_optimizer_run() {
+    let threads = 8;
+    let cache = CompileCache::new();
+    let program = zlang::compile(HEAT).unwrap();
+    let start = Barrier::new(threads);
+    let bits: Vec<Vec<u64>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..threads)
+            .map(|i| {
+                let (cache, program, start) = (&cache, &program, &start);
+                scope.spawn(move || {
+                    let req = RunRequest::new().with_set("n", 8 + i as i64);
+                    start.wait();
+                    let (cached, hit) = cache.get_or_compile(program, &req).unwrap();
+                    assert!(!hit, "every size is its own artifact");
+                    let out = cached.executor(req.exec_opts()).execute_pure().unwrap();
+                    out.scalars.iter().map(|s| s.to_bits()).collect()
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+    let stats = cache.stats();
+    assert_eq!(stats.optimize_misses, 1, "{stats:?}");
+    assert_eq!(stats.optimize_hits, threads as u64 - 1, "{stats:?}");
+    assert_eq!((stats.misses, stats.hits), (threads as u64, 0), "{stats:?}");
+    for (i, got) in bits.iter().enumerate() {
+        let req = RunRequest::new().with_set("n", 8 + i as i64);
+        assert_eq!(got, &cold_bits(HEAT, &req), "n={}", 8 + i);
+    }
+}
+
+/// Quarantining an artifact also drops the optimize-stage entry it was
+/// lowered from: the next compile of the key re-optimizes and re-lowers,
+/// while another size's artifact stays served.
+#[test]
+fn quarantine_invalidates_both_stages() {
+    let cache = CompileCache::new();
+    let program = zlang::compile(HEAT).unwrap();
+    let small = RunRequest::new().with_set("n", 10);
+    let large = RunRequest::new().with_set("n", 20);
+    let (first, _) = cache.get_or_compile(&program, &small).unwrap();
+    cache.get_or_compile(&program, &large).unwrap();
+    assert_eq!(cache.stats().optimize_misses, 1);
+
+    let binding = small.binding_for(&program).unwrap();
+    let key = CacheKey::for_request(&program, &binding, &small);
+    assert!(cache.quarantine(&key));
+    assert_eq!(cache.len(), 1, "the other size keeps its artifact");
+
+    let (fresh, hit) = cache.get_or_compile(&program, &small).unwrap();
+    assert!(!hit);
+    let stats = cache.stats();
+    assert_eq!(stats.optimize_misses, 2, "re-optimized: {stats:?}");
+    assert!(
+        !Arc::ptr_eq(&first.scalarized, &fresh.scalarized),
+        "the fresh artifact shares nothing with the quarantined one"
+    );
+    let (_, hit) = cache.get_or_compile(&program, &large).unwrap();
+    assert!(hit);
+    let out = fresh.executor(small.exec_opts()).execute_pure().unwrap();
+    let bits: Vec<u64> = out.scalars.iter().map(|s| s.to_bits()).collect();
+    assert_eq!(bits, cold_bits(HEAT, &small));
+}
+
+/// A cache two entries wide thrashes all three stages — three source
+/// texts, three programs, nine artifacts — and still answers every
+/// request exactly.
+#[test]
+fn eviction_thrash_stays_correct_at_every_stage() {
+    let cache = Arc::new(CompileCache::with_shards(1, 2));
+    let sources: Vec<String> = (0..3)
+        .map(|i| HEAT.replace("A := 1.0", &format!("A := {i}.5 + index1")))
+        .collect();
+    for round in 0..3 {
+        for (i, source) in sources.iter().enumerate() {
+            for n in [8, 12, 16] {
+                let req = RunRequest::new()
+                    .with_engine(Engine::VmSimd)
+                    .with_set("n", n);
+                let run = req
+                    .supervisor()
+                    .with_cache(cache.clone())
+                    .run_source(source)
+                    .unwrap();
+                assert!(!run.report.degraded());
+                let bits: Vec<u64> = run.outcome.scalars.iter().map(|s| s.to_bits()).collect();
+                assert_eq!(bits, cold_bits(source, &req), "round {round} p{i} n={n}");
+            }
+        }
+    }
+    let stats = cache.stats();
+    assert_eq!(cache.len(), 2);
+    // Program-major order with three of everything over two slots: each
+    // program's text and optimized form are evicted before its next turn.
+    assert_eq!((stats.parse_misses, stats.parse_hits), (9, 18), "{stats:?}");
+    assert_eq!(stats.optimize_misses, 9, "{stats:?}");
+    assert_eq!((stats.misses, stats.hits), (27, 0), "{stats:?}");
+    assert_eq!(stats.evictions, 25, "{stats:?}");
+}
+
+/// The optimizer reads config *defaults* (never the binding), so two
+/// programs that differ only in a default are different programs to the
+/// optimize stage even when a `--set` gives them the same binding.
+#[test]
+fn config_defaults_are_part_of_the_optimize_key() {
+    let cache = Arc::new(CompileCache::new());
+    let other = HEAT.replace("config n : int = 24;", "config n : int = 25;");
+    let req = RunRequest::new().with_set("n", 12);
+    let mut bits = Vec::new();
+    for source in [HEAT, &other] {
+        let run = req
+            .supervisor()
+            .with_cache(cache.clone())
+            .run_source(source)
+            .unwrap();
+        assert_eq!(run.report.depth(), Depth::Parsed);
+        bits.push(run.outcome.checksum().to_bits());
+    }
+    assert_eq!(bits[0], bits[1], "same binding, same answer");
+    let stats = cache.stats();
+    assert_eq!((stats.parse_misses, stats.optimize_misses), (2, 2));
+    assert_eq!((stats.optimize_hits, stats.misses, stats.hits), (0, 2, 0));
+}
+
+/// Staged == unstaged over generated programs at `c2+f3+rce2`: the
+/// scalarized program an artifact is lowered from — optimized once,
+/// whichever size asked first — prints identically to a direct
+/// `Pipeline::optimize` of the program, and runs to the same bits at a
+/// size the optimizer never saw.
+#[test]
+fn staged_optimizer_output_matches_unstaged_on_generated_programs() {
+    let req = RunRequest::new().with_level_spec("c2+f3+rce2").unwrap();
+    let cache = CompileCache::with_shards(8, 64);
+    for seed in 0..25 {
+        for source in [
+            genprog::generate_stencil(&mut Rng::new(seed)),
+            genprog::generate(&mut Rng::new(seed)),
+        ] {
+            let program = zlang::compile(&source)
+                .unwrap_or_else(|e| panic!("seed {seed} generated an invalid program: {e}"));
+            let unstaged = req.pipeline().optimize(&program).scalarized;
+            let want = loopir::printer::print(&unstaged);
+            for n in [5, 9, 6] {
+                let sized = req.clone().with_set("n", n);
+                let (staged, _) = cache.get_or_compile(&program, &sized).unwrap();
+                assert_eq!(
+                    loopir::printer::print(&staged.scalarized),
+                    want,
+                    "seed {seed} n={n}\n{source}"
+                );
+                let out = staged.executor(sized.exec_opts()).execute_pure().unwrap();
+                let direct = sized
+                    .engine
+                    .executor(&unstaged, staged.binding.clone())
+                    .unwrap()
+                    .execute_pure()
+                    .unwrap();
+                assert_eq!(out, direct, "seed {seed} n={n}\n{source}");
+            }
+        }
+    }
+    let stats = cache.stats();
+    assert_eq!((stats.optimize_misses, stats.optimize_hits), (50, 100));
 }
