@@ -8,6 +8,12 @@
 //! the configurations: the pass must change *work*, never *answers*.
 //! Results land in `BENCH_stencil.json` for CI trend tracking.
 //!
+//! This is the repository's last wall-clock bin, kept on purpose: every
+//! other timing comes from the layered harness under `benchmark/`, but no
+//! harness row times `c2+f3+rce2` at n >= 32, and ROADMAP item 4's
+//! decision rule (`+rce2` pays in milliseconds or leaves) reads these
+//! pairs. It goes when a harness row replaces them (ROADMAP item 1).
+//!
 //! ```text
 //! stencil [--rounds N] [--quick] [--check]
 //! ```

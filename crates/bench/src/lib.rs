@@ -14,6 +14,10 @@
 //! ```text
 //! reproduce fig6|fig7|fig8|fig9|fig10|fig11|sec55|all [--quick]
 //! ```
+//!
+//! Every number above is simulated and repeatable. Wall-clock measurement
+//! lives in the layered harness under `benchmark/`; the one exception is
+//! the `stencil` binary (see its module docs for why it is still here).
 
 pub mod ablation;
 pub mod fig6;

@@ -25,10 +25,12 @@
 //! of the program and the [`LevelSpec`] only. It takes no binding (passes
 //! that need numbers read the program's own config *defaults*, which
 //! [`hash::program_hash`] covers, so two programs differing only in a
-//! default never share an entry), and [`RunRequest::verify`] only adds
-//! diagnostics without changing generated code, so the cache keeps
-//! ignoring it. Every artifact is still lowered, superfused and verified
-//! under its own binding.
+//! default never share an entry). [`RunRequest::verify`] only adds
+//! diagnostics without changing generated code and nothing on this path
+//! reads them, so the cache neither keys on the flag nor runs the
+//! translation validator for it: the optimize stage's pipeline is built
+//! from the spec alone. Every artifact is still lowered, superfused and
+//! verified under its own binding.
 //!
 //! [`Pipeline::optimize`]: crate::Pipeline::optimize
 //!
@@ -60,7 +62,7 @@
 //! are atomics ([`CacheStats`]).
 
 use crate::hash;
-use crate::pipeline::LevelSpec;
+use crate::pipeline::{LevelSpec, Pipeline};
 use crate::request::RunRequest;
 use crate::supervisor::{enter_stage, Stage};
 use loopir::{Engine, ExecError, ExecOpts, Executor, Interp, ScalarProgram, SharedProgram};
@@ -256,10 +258,6 @@ impl CacheStats {
 struct Entry<V> {
     value: V,
     last_used: u64,
-    /// Execution-time faults attributed to this entry since it was
-    /// published (see [`CompileCache::note_fault`]). Republishing the key
-    /// resets the count: a fresh compile is a fresh artifact.
-    faults: u64,
 }
 
 struct Shard<K, V> {
@@ -363,16 +361,6 @@ impl<K: Copy + Eq + Hash, V: Clone> Memo<K, V> {
         &self.shards[((h ^ (h >> 32)) as usize) % self.shards.len()]
     }
 
-    /// Runs `f` on the live entry for `key`, if any, under the shard lock.
-    fn with_entry<R>(&self, key: &K, f: impl FnOnce(&mut Entry<V>) -> R) -> Option<R> {
-        let mut shard = self
-            .shard(key)
-            .state
-            .lock()
-            .expect("cache shard lock poisoned");
-        shard.map.get_mut(key).map(f)
-    }
-
     /// Looks a key up without claiming, counting a hit or a miss and
     /// refreshing LRU recency on hit. Does not wait for an in-flight
     /// claim.
@@ -459,7 +447,6 @@ impl<K: Copy + Eq + Hash, V: Clone> Memo<K, V> {
             Entry {
                 value,
                 last_used: clock,
-                faults: 0,
             },
         );
         shard.in_flight.remove(&key);
@@ -593,17 +580,19 @@ impl CompileCache {
 
     /// The one compile step. Claims `key` in the lower stage (a hit
     /// returns the artifact at [`Depth::Hit`]); on a miss reads the
-    /// optimize stage at `(key.program, key.spec)` — running `rung`'s
-    /// pipeline over `program` under that stage's own claim if it misses
-    /// too — lowers the scalarized program for `key.engine` under
-    /// `binding` (bytecode for the VM engines, verified for
-    /// `vm-simd`/`vm-par`) and publishes the artifact. Nothing else in
-    /// this crate pairs the optimizer with an engine, so what a
-    /// [`CacheKey`] addresses is what this function returns.
+    /// optimize stage at `(key.program, key.spec)` — running the
+    /// pipeline `key.spec` names over `program` under that stage's own
+    /// claim if it misses too (the spec and nothing else of the request:
+    /// the key is everything a compile reads) — lowers the scalarized
+    /// program for `key.engine` under `binding` (bytecode for the VM
+    /// engines, verified for `vm-simd`/`vm-par`) and publishes the
+    /// artifact. Nothing else in this crate pairs the optimizer with an
+    /// engine, so what a [`CacheKey`] addresses is what this function
+    /// returns.
     ///
-    /// `key` must be `program`'s key under `binding` at `rung`'s
-    /// `(spec, engine)`; callers build it once per request with
-    /// [`CacheKey::at`] and relax its coordinates per rung.
+    /// `key` must be `program`'s key under `binding`; callers build it
+    /// once per request with [`CacheKey::at`] and relax its
+    /// `(spec, engine)` coordinates per rung.
     ///
     /// # Errors
     ///
@@ -616,9 +605,7 @@ impl CompileCache {
         program: &Program,
         binding: &ConfigBinding,
         key: CacheKey,
-        rung: &RunRequest,
     ) -> Result<(Arc<CachedProgram>, Depth), ExecError> {
-        debug_assert_eq!((key.spec, key.engine), (rung.spec, rung.engine));
         let lowering = match self.lowered.claim(key) {
             Lookup::Hit(artifact) => return Ok((artifact, Depth::Hit)),
             Lookup::Miss(claim) => claim,
@@ -631,7 +618,7 @@ impl CompileCache {
         let (scalarized, depth) = match self.optimized.claim(key.optimize_key()) {
             Lookup::Hit(scalarized) => (scalarized, Depth::Lowered),
             Lookup::Miss(optimizing) => {
-                fresh = rung.pipeline().optimize(program);
+                fresh = Pipeline::new(key.spec).optimize(program);
                 let scalarized = Arc::new(fresh.scalarized);
                 optimizing.publish(scalarized.clone());
                 (scalarized, Depth::Optimized)
@@ -671,29 +658,8 @@ impl CompileCache {
     ) -> Result<(Arc<CachedProgram>, bool), ExecError> {
         let binding = req.binding_for(program).map_err(ExecError::lower)?;
         let key = CacheKey::for_request(program, &binding, req);
-        let (artifact, depth) = self.compile(program, &binding, key, req)?;
+        let (artifact, depth) = self.compile(program, &binding, key)?;
         Ok((artifact, depth == Depth::Hit))
-    }
-
-    /// Records one execution-time fault against the cached artifact for
-    /// `key`, returning the artifact's total fault count (`0` if the key
-    /// is not cached — a fault in a freshly compiled artifact is the
-    /// compile's problem, not the cache's).
-    pub fn note_fault(&self, key: &CacheKey) -> u64 {
-        self.lowered
-            .with_entry(key, |entry| {
-                entry.faults += 1;
-                entry.faults
-            })
-            .unwrap_or(0)
-    }
-
-    /// Execution-time faults recorded against the cached artifact for
-    /// `key` (`0` if not cached).
-    pub fn fault_count(&self, key: &CacheKey) -> u64 {
-        self.lowered
-            .with_entry(key, |entry| entry.faults)
-            .unwrap_or(0)
     }
 
     /// Evicts the artifact for `key` because its circuit breaker
@@ -701,10 +667,9 @@ impl CompileCache {
     /// The optimize-stage entry it was lowered from goes with it — the
     /// suspicion covers everything the artifact was built from — so the
     /// next compile of the key re-optimizes, re-lowers and republishes a
-    /// fresh artifact with a zero fault count. (Artifacts of other sizes
-    /// keep their own reference to the old scalarized program until their
-    /// own breakers say otherwise.) Returns `true` if an artifact was
-    /// actually removed.
+    /// fresh artifact. (Artifacts of other sizes keep their own reference
+    /// to the old scalarized program until their own breakers say
+    /// otherwise.) Returns `true` if an artifact was actually removed.
     pub fn quarantine(&self, key: &CacheKey) -> bool {
         self.optimized.remove(&key.optimize_key());
         let removed = self.lowered.remove(key);
@@ -901,30 +866,23 @@ mod tests {
     }
 
     #[test]
-    fn quarantine_evicts_and_recompile_resets_fault_count() {
+    fn quarantine_evicts_and_recompile_republishes() {
         let cache = CompileCache::new();
         let p = zlang::compile(&src(1)).unwrap();
         let req = RunRequest::new();
         let binding = req.binding_for(&p).unwrap();
         let key = CacheKey::for_request(&p, &binding, &req);
-        assert_eq!(
-            cache.note_fault(&key),
-            0,
-            "uncached keys have no artifact to blame"
-        );
+        assert!(!cache.quarantine(&key), "nothing cached yet");
         cache.get_or_compile(&p, &req).unwrap();
-        assert_eq!(cache.note_fault(&key), 1);
-        assert_eq!(cache.note_fault(&key), 2);
-        assert_eq!(cache.fault_count(&key), 2);
         assert!(cache.quarantine(&key));
         assert!(!cache.quarantine(&key), "already gone");
         assert!(cache.is_empty());
         let s = cache.stats();
         assert_eq!((s.evictions, s.quarantines), (0, 1));
-        // Recompiling publishes a fresh artifact with a clean record.
+        // Recompiling publishes a fresh artifact.
         let (_, hit) = cache.get_or_compile(&p, &req).unwrap();
         assert!(!hit);
-        assert_eq!(cache.fault_count(&key), 0);
+        assert_eq!(cache.len(), 1);
     }
 
     #[test]

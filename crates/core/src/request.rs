@@ -58,9 +58,13 @@ pub struct RunRequest {
     /// superinstruction bytecode, other values cap the strip (at most
     /// 128).
     pub lanes: usize,
-    /// Run the translation validator and bytecode verifier, reporting
-    /// diagnostics (`zlc --verify`). Does not change generated code, so
-    /// every stage of the compile cache deliberately ignores it.
+    /// Run the translation validator and report its diagnostics. Read by
+    /// [`RunRequest::pipeline`] alone, i.e. by `zlc --verify` on the
+    /// unsupervised path (which also runs the bytecode verifier). It does
+    /// not change generated code, and the compile cache, the
+    /// [`Supervisor`] and the serve path neither key on it nor run the
+    /// validator for it: they have no reader for the diagnostics, so
+    /// `zlc` rejects `--verify` in those modes.
     pub verify: bool,
     /// Resource budgets (deadline, fuel, allocation cap).
     pub budgets: Budgets,
@@ -174,9 +178,13 @@ impl RunRequest {
         self
     }
 
-    /// The compile pipeline this request describes (spec, verification).
-    /// Callers with pipeline-only concerns (e.g. `zlc --emit`,
-    /// `--dimension-contraction`) extend the returned builder further.
+    /// The compile pipeline this request describes: its spec, plus the
+    /// translation validator when [`verify`](Self::verify) is set — for
+    /// callers that read [`Optimized::diagnostics`](crate::Optimized)
+    /// themselves. Callers with pipeline-only concerns (e.g. `zlc --emit`,
+    /// `--dimension-contraction`) extend the returned builder further. The
+    /// compile cache does not come through here; it optimizes at the spec
+    /// alone.
     pub fn pipeline(&self) -> Pipeline<'static> {
         let p = Pipeline::new(self.spec);
         if self.verify {

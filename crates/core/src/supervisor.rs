@@ -716,9 +716,6 @@ impl<'a> Supervisor<'a> {
                     cause.stage == Stage::Execute
                         && matches!(cause.kind, CauseKind::Exec | CauseKind::Panic)
                 }) {
-                    if let Some(cache) = &self.cache {
-                        cache.note_fault(&key);
-                    }
                     if b.record_failure(key) {
                         if let Some(cache) = &self.cache {
                             cache.quarantine(&key);
@@ -780,18 +777,6 @@ impl<'a> Supervisor<'a> {
         } else {
             engine
         };
-        let relaxed;
-        let rung = if (spec, lower_for) == (req.spec, req.engine) {
-            req
-        } else {
-            relaxed = RunRequest {
-                spec,
-                engine: lower_for,
-                ..req.clone()
-            };
-            &relaxed
-        };
-
         enter_stage(Stage::Normalize);
         quiet_catch(|| -> Result<RunOutcome, Cause> {
             let binding = &run.binding;
@@ -801,7 +786,7 @@ impl<'a> Supervisor<'a> {
                 engine: lower_for,
                 ..run.key
             };
-            let (artifact, depth) = run.cache.compile(run.program, binding, key, rung)?;
+            let (artifact, depth) = run.cache.compile(run.program, binding, key)?;
             run.depth = run.depth.max(depth);
             // Injected artifact corruption: the hit "decodes" but faults
             // the moment it executes, which is how a real bit-flipped or
@@ -1216,7 +1201,7 @@ mod tests {
         assert_eq!(run.outcome.checksum(), want);
         assert_eq!(breakers.state(&key), BreakerState::Open);
         assert_eq!(cache.stats().quarantines, 1);
-        assert_eq!(cache.fault_count(&key), 0, "entry evicted");
+        assert!(cache.lookup(&key).is_none(), "entry evicted");
 
         // While open the run is routed to the reference rung without
         // consulting the cache: no hit, so the (still-armed) corruption

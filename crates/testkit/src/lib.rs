@@ -1,15 +1,12 @@
-//! Dependency-free helpers for deterministic randomized tests and
-//! wall-clock micro-benchmarks.
+//! Dependency-free helpers for deterministic randomized tests.
 //!
 //! The workspace builds in fully offline environments, so it cannot pull
-//! `proptest`, `rand`, or `criterion` from crates.io. This crate provides
-//! the small slice of those libraries the tests and benches actually use:
+//! `proptest` or `rand` from crates.io. This crate provides the small
+//! slice of those libraries the tests actually use:
 //!
 //! * [`Rng`] — a fast, seedable SplitMix64 generator;
 //! * [`cases`] — run a closure over `n` deterministic random cases,
 //!   reporting the failing seed so a failure reproduces exactly;
-//! * [`bench()`] — time a closure over repeated iterations and report the
-//!   per-iteration minimum, median, and mean;
 //! * [`faults`] — deterministic fault injection ([`faults::FaultPlan`])
 //!   driving the chaos suite and the execution supervisor's tests;
 //! * [`genprog`] — a seeded random `zlang` program generator for
@@ -17,8 +14,6 @@
 
 pub mod faults;
 pub mod genprog;
-
-use std::time::Instant;
 
 /// A SplitMix64 pseudo-random generator: tiny, fast, and deterministic
 /// across platforms. Good enough statistical quality for test-case
@@ -104,73 +99,6 @@ pub fn cases(n: u64, seed: u64, mut f: impl FnMut(&mut Rng)) {
     }
 }
 
-/// Per-iteration timing summary from [`bench()`], in nanoseconds.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Timing {
-    /// Fastest iteration.
-    pub min_ns: f64,
-    /// Median iteration.
-    pub median_ns: f64,
-    /// Mean iteration.
-    pub mean_ns: f64,
-    /// Number of timed iterations.
-    pub iters: u64,
-}
-
-impl Timing {
-    /// Renders as `min/median/mean` in adaptive units.
-    pub fn display(&self) -> String {
-        fn unit(ns: f64) -> String {
-            if ns >= 1e9 {
-                format!("{:.3} s", ns / 1e9)
-            } else if ns >= 1e6 {
-                format!("{:.3} ms", ns / 1e6)
-            } else if ns >= 1e3 {
-                format!("{:.3} µs", ns / 1e3)
-            } else {
-                format!("{ns:.0} ns")
-            }
-        }
-        format!(
-            "min {} / median {} / mean {}",
-            unit(self.min_ns),
-            unit(self.median_ns),
-            unit(self.mean_ns)
-        )
-    }
-}
-
-/// Times `f` for `iters` iterations after `warmup` untimed ones.
-///
-/// The closure's return value is passed through `std::hint::black_box` so
-/// the computation cannot be optimized away.
-pub fn bench<T>(warmup: u64, iters: u64, mut f: impl FnMut() -> T) -> Timing {
-    for _ in 0..warmup {
-        std::hint::black_box(f());
-    }
-    let mut samples = Vec::with_capacity(iters as usize);
-    for _ in 0..iters.max(1) {
-        let t0 = Instant::now();
-        std::hint::black_box(f());
-        samples.push(t0.elapsed().as_nanos() as f64);
-    }
-    samples.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    let min_ns = samples[0];
-    let median_ns = samples[samples.len() / 2];
-    let mean_ns = samples.iter().sum::<f64>() / samples.len() as f64;
-    Timing {
-        min_ns,
-        median_ns,
-        mean_ns,
-        iters: samples.len() as u64,
-    }
-}
-
-/// Prints one bench line in a stable, greppable format.
-pub fn report(name: &str, t: &Timing) {
-    println!("bench {name:<40} {}", t.display());
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -216,13 +144,5 @@ mod tests {
         assert_eq!(first, second, "same seed, same cases");
         assert_eq!(first.len(), 8);
         assert!(first.windows(2).any(|w| w[0] != w[1]), "cases differ");
-    }
-
-    #[test]
-    fn bench_measures_something() {
-        let t = bench(1, 5, || (0..1000u64).sum::<u64>());
-        assert!(t.min_ns >= 0.0);
-        assert!(t.median_ns >= t.min_ns);
-        assert_eq!(t.iters, 5);
     }
 }

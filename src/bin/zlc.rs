@@ -43,8 +43,10 @@
 //!   --set <name=value>            override an integer config (repeatable)
 //!   --supervise                   run under the fault-tolerant supervisor
 //!                                 (degrades engine/level on faults)
-//!   --deadline-ms <n>             wall-clock budget per supervised attempt
-//!   --fuel <n>                    instruction budget per supervised attempt
+//!   --deadline-ms <n>             wall-clock budget per run (per attempt
+//!                                 under --supervise)
+//!   --fuel <n>                    instruction budget per run (per attempt
+//!                                 under --supervise)
 //!   --inject <plan>               install a deterministic fault plan, e.g.
 //!                                 `seed=42,vm-trap` or `seed=1,comm-drop:0.5`
 //!
@@ -67,6 +69,13 @@
 //!   --inject <plan>               in serve mode the plan is installed on
 //!                                 every worker, re-seeded per worker
 //! ```
+//!
+//! A mode reads a flag or rejects it. `--supervise` and `serve` compile
+//! through the cache at the request's `--level`, `--engine` and `--set`
+//! coordinates alone, so the pipeline-only flags (`--dimension-contraction`,
+//! `--spatial-cap`, `--favor-comm`, `--emit`, `--print`, `--verify`) are
+//! usage errors there, as are the one-shot flags (`--machine`, `--procs`,
+//! `--supervise`, `--run`) under `serve`.
 
 use fusion_core::pass::PassId;
 use fusion_core::serve::{serve_with, RetryPolicy, ServeOptions, ServeRequest, ShedPolicy};
@@ -121,6 +130,20 @@ fn usage(msg: &str) -> ExitCode {
     );
     ExitCode::from(2)
 }
+
+/// Flags only the plain (unsupervised, one-shot) path reads: they extend
+/// or inspect a pipeline the supervisor and the serve path never build.
+const PIPELINE_ONLY: &[&str] = &[
+    "--dimension-contraction",
+    "--spatial-cap",
+    "--favor-comm",
+    "--emit",
+    "--print",
+    "--verify",
+];
+
+/// Flags that describe one run of one file; `serve` replays a batch.
+const ONE_SHOT_ONLY: &[&str] = &["--machine", "--procs", "--supervise", "--run"];
 
 fn parse_args(args: &[String]) -> Result<Options, String> {
     let mut opts = Options {
@@ -275,6 +298,18 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
         }
     } else if opts.file.is_empty() {
         return Err("no input file".to_string());
+    }
+    let (mode, unread): (&str, &[&str]) = if opts.serve {
+        ("serve", &[PIPELINE_ONLY, ONE_SHOT_ONLY].concat())
+    } else if opts.supervise {
+        ("--supervise", PIPELINE_ONLY)
+    } else {
+        ("", &[])
+    };
+    if let Some(flag) = args.iter().find(|a| unread.contains(&a.as_str())) {
+        return Err(format!(
+            "`{flag}` is not read by `{mode}`; remove it, or run without `{mode}`"
+        ));
     }
     Ok(opts)
 }
@@ -651,7 +686,10 @@ fn main() -> ExitCode {
                     .request
                     .engine
                     .executor_with(&opt.scalarized, binding, opts.request.exec_opts())
-                    .and_then(|mut exec| exec.execute(&mut loopir::NoopObserver));
+                    .and_then(|mut exec| {
+                        exec.set_limits(opts.request.limits());
+                        exec.execute(&mut loopir::NoopObserver)
+                    });
                 match outcome {
                     Ok(out) => {
                         for (i, s) in opt.scalarized.program.scalars.iter().enumerate() {

@@ -118,26 +118,32 @@ fn assert_uncontaminated(report: &fusion_core::ServeReport, want: &HashMap<Strin
 /// The tentpole sweep: each fault site at probability 0.5, at 1/2/8
 /// workers. Pipeline and engine faults are absorbed by the ladder; only
 /// worker panics and corrupted cache artifacts may fail a request, and
-/// when they do the cause must name the injected site.
+/// when they do the cause must name the injected site. The sweep closes
+/// with the control, an empty plan: with the whole overload-control stack
+/// in the loop and nothing injected, nothing fails, degrades, sheds or
+/// trips a breaker.
 #[test]
 fn injected_faults_never_contaminate_served_results() {
     let want = references();
     let sites = [
-        FaultSite::FuseGrow,
-        FaultSite::VerifyReject,
-        FaultSite::VmTrap,
-        FaultSite::CacheCorrupt,
-        FaultSite::WorkerPanic,
-        FaultSite::ServeStall,
+        Some(FaultSite::FuseGrow),
+        Some(FaultSite::VerifyReject),
+        Some(FaultSite::VmTrap),
+        Some(FaultSite::CacheCorrupt),
+        Some(FaultSite::WorkerPanic),
+        Some(FaultSite::ServeStall),
+        None,
     ];
-    for (si, site) in sites.into_iter().enumerate() {
+    for (si, injected) in sites.into_iter().enumerate() {
+        let site = injected.map_or("no fault", FaultSite::name);
         for workers in WORKERS {
             let cache = Arc::new(CompileCache::new());
             let reqs = batch(2);
-            let opts = ServeOptions::new().with_workers(workers).with_faults(
-                FaultPlan::new(chaos_seed().wrapping_add((si * 8 + workers) as u64))
-                    .with(site, 0.5),
-            );
+            let mut plan = FaultPlan::new(chaos_seed().wrapping_add((si * 8 + workers) as u64));
+            if let Some(injected) = injected {
+                plan = plan.with(injected, 0.5);
+            }
+            let opts = ServeOptions::new().with_workers(workers).with_faults(plan);
             let report = serve_with(&reqs, &opts, &cache);
 
             assert_eq!(
@@ -153,14 +159,19 @@ fn injected_faults_never_contaminate_served_results() {
             );
             assert_uncontaminated(&report, &want);
 
-            match site {
+            match injected {
+                None => {
+                    assert_eq!(report.failed(), 0, "{}", report.render());
+                    assert_eq!(report.degraded(), 0, "{}", report.render());
+                    assert_eq!(report.breaker.trips, 0, "{}", report.render());
+                }
                 // A panicked worker or a fully corrupted ladder is an
                 // attributed failure naming the injected site.
-                FaultSite::WorkerPanic | FaultSite::CacheCorrupt => {
+                Some(FaultSite::WorkerPanic | FaultSite::CacheCorrupt) => {
                     for r in &report.records {
                         if let Some(cause) = r.cause() {
                             assert!(
-                                cause.message.contains(site.name()),
+                                cause.message.contains(site),
                                 "{site} at {workers} workers: failure not attributed \
                                  to the injected site: {cause}"
                             );

@@ -458,3 +458,83 @@ fn unknown_set_name_fails_on_every_path() {
         );
     }
 }
+
+/// A mode reads a flag or rejects it: `--supervise` and `serve` compile
+/// through the cache at the request's coordinates alone, so every flag
+/// that only the plain path's pipeline reads is a usage error there (it
+/// used to be dropped silently), and `serve` rejects the one-shot flags.
+#[test]
+fn modes_reject_flags_they_do_not_read() {
+    let sweep = program_path("sweep.zl");
+    let pipeline_only: [&[&str]; 6] = [
+        &["--dimension-contraction"],
+        &["--spatial-cap", "2"],
+        &["--favor-comm"],
+        &["--emit", "scalarize"],
+        &["--print", "loops"],
+        &["--verify"],
+    ];
+    let one_shot_only: [&[&str]; 4] = [
+        &["--machine", "t3e"],
+        &["--procs", "4"],
+        &["--supervise"],
+        &["--run"],
+    ];
+    let mut table: Vec<(&str, Vec<&str>, &[&str])> = Vec::new();
+    for flag in pipeline_only {
+        table.push(("--supervise", vec![&sweep, "--supervise"], flag));
+        table.push(("serve", vec!["serve", &sweep], flag));
+    }
+    for flag in one_shot_only {
+        table.push(("serve", vec!["serve", &sweep], flag));
+    }
+    for (mode, mut args, flag) in table {
+        args.extend_from_slice(flag);
+        let out = Command::new(env!("CARGO_BIN_EXE_zlc"))
+            .args(&args)
+            .output()
+            .expect("zlc runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(
+            stderr.contains(&format!("`{}` is not read by `{mode}`", flag[0])),
+            "{args:?}: {stderr}"
+        );
+        assert!(out.stdout.is_empty(), "{args:?} ran anyway");
+    }
+
+    // Positive control: the plain path still reads the flag, and without
+    // it `--supervise` prints what its accepted flags imply.
+    let (stdout, stderr, ok) = zlc(&[&sweep, "--dimension-contraction", "--run"]);
+    assert!(ok, "{stderr}");
+    assert!(stdout.contains("peak 5824 bytes"), "{stdout}");
+    let (plain, _, _) = zlc(&[&sweep, "--run"]);
+    let (supervised, stderr, ok) = zlc(&[&sweep, "--supervise"]);
+    assert!(ok, "{stderr}");
+    let stats = |out: &str| out.lines().find(|l| l.starts_with("-- ")).map(String::from);
+    assert_eq!(stats(&supervised), stats(&plain));
+    assert!(
+        stats(&plain).unwrap().contains("peak 16224 bytes"),
+        "{plain}"
+    );
+}
+
+/// Plain `--run` applies the request's budgets to its executor, like the
+/// simulated and supervised paths: zero fuel is the same `error[exec]`
+/// with or without `--machine`.
+#[test]
+fn plain_run_honours_fuel_like_the_machine_path() {
+    let sweep = program_path("sweep.zl");
+    let (stdout, plain, ok) = zlc(&[&sweep, "--run", "--fuel", "0"]);
+    assert!(!ok, "{stdout}");
+    assert!(
+        plain.starts_with("error[exec]: execution error: execution fuel exhausted"),
+        "{plain}"
+    );
+    let (_, simulated, ok) = zlc(&[&sweep, "--run", "--fuel", "0", "--machine", "t3e"]);
+    assert!(!ok);
+    assert_eq!(plain, simulated);
+    let (stdout, stderr, ok) = zlc(&[&sweep, "--run", "--fuel", "100000000"]);
+    assert!(ok, "{stderr}");
+    assert!(stdout.contains("peak 16224 bytes"), "{stdout}");
+}

@@ -39,24 +39,31 @@ fn asdg_built_once_per_block_at_every_level() {
 /// monotone non-increasing statement counts (no pass adds statements).
 #[test]
 fn traces_cover_the_schedule_in_order() {
-    let bench = zpl_fusion::workloads::by_name("tomcatv").unwrap();
-    let opt = Pipeline::new(Level::C2F3).optimize(&bench.program());
-    let ids: Vec<PassId> = opt.passes.iter().map(|t| t.id).collect();
-    assert_eq!(ids.first(), Some(&PassId::Normalize));
-    let pos = |id| {
-        ids.iter()
-            .position(|&i| i == id)
-            .unwrap_or_else(|| panic!("{id} not scheduled"))
-    };
-    assert!(pos(PassId::FuseContraction) < pos(PassId::Contract));
-    assert!(pos(PassId::Contract) < pos(PassId::FindLoopStructure));
-    assert!(pos(PassId::FindLoopStructure) < pos(PassId::Scalarize));
-    assert!(pos(PassId::Scalarize) < pos(PassId::VerifyNormalForm));
-    // Paper levels never schedule the cleanup passes.
-    assert!(!ids.contains(&PassId::Dse) && !ids.contains(&PassId::Rce));
-    let stmts: Vec<usize> = opt.passes.iter().map(|t| t.stmts).collect();
-    assert!(stmts.windows(2).all(|w| w[0] >= w[1]), "{stmts:?}");
-    assert!(opt.passes.iter().any(|t| t.changed));
+    for bench in zpl_fusion::workloads::all() {
+        let name = bench.name;
+        let schedule = |opt: &Optimized| opt.passes.iter().map(|t| t.id).collect::<Vec<_>>();
+        let opt = Pipeline::new(Level::C2F3).optimize(&bench.program());
+        let ids = schedule(&opt);
+        assert_eq!(ids.first(), Some(&PassId::Normalize), "{name}");
+        let pos = |id| {
+            ids.iter()
+                .position(|&i| i == id)
+                .unwrap_or_else(|| panic!("{name}: {id} not scheduled"))
+        };
+        assert!(pos(PassId::FuseContraction) < pos(PassId::Contract));
+        assert!(pos(PassId::Contract) < pos(PassId::FindLoopStructure));
+        assert!(pos(PassId::FindLoopStructure) < pos(PassId::Scalarize));
+        assert!(pos(PassId::Scalarize) < pos(PassId::VerifyNormalForm));
+        // Paper levels never schedule the cleanup passes.
+        assert!(!ids.contains(&PassId::Dse) && !ids.contains(&PassId::Rce));
+        let stmts: Vec<usize> = opt.passes.iter().map(|t| t.stmts).collect();
+        assert!(stmts.windows(2).all(|w| w[0] >= w[1]), "{name}: {stmts:?}");
+        assert!(opt.passes.iter().any(|t| t.changed), "{name}");
+        // The schedule is a function of the program and the level: a
+        // second run neither adds nor drops a pass.
+        let again = Pipeline::new(Level::C2F3).optimize(&bench.program());
+        assert_eq!(ids, schedule(&again), "{name}: schedule drifted");
+    }
 }
 
 const DSE_SRC: &str = "program dsetest; config n : int = 8; region R = [1..n]; \

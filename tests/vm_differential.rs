@@ -113,6 +113,62 @@ fn vm_par_is_bit_identical_to_interp_at_every_thread_count() {
     }
 }
 
+/// Modeled cost of a tiled run under `threads` workers, in the unit-cost
+/// model the repo's machine simulation uses (one unit per load, store,
+/// flop and iteration point): the sequential cost with each fanned-out
+/// batch replaced by its greedy-schedule critical path,
+/// `max(batch_total / threads, max_tile)`. Deterministic on any host.
+fn modeled_parallel_cost(serial: u64, tiles: &[TileStats], threads: usize) -> f64 {
+    let cost = |t: &TileStats| t.loads + t.stores + t.flops + t.points;
+    let (mut tiled, mut parallel) = (0u64, 0.0f64);
+    for batch in tiles.chunk_by(|a, b| a.batch == b.batch) {
+        let total: u64 = batch.iter().map(cost).sum();
+        let max = batch.iter().map(cost).max().unwrap_or(0);
+        tiled += total;
+        parallel += (total as f64 / threads as f64).max(max as f64);
+    }
+    (serial - tiled) as f64 + parallel
+}
+
+#[test]
+fn vm_par_tiles_balance_and_cover_the_work_on_simple() {
+    // What tiling can promise without a clock, on SIMPLE at `c2+f3`: the
+    // merged stats are the sequential run's at every thread count, ladders
+    // do fan out, and `make_tiles` cuts them evenly enough - with enough
+    // of the run inside `ParBegin` ladders - that the tile stream's
+    // critical path at 4 threads is at most 1/2.5 of the serial cost.
+    // Whether that turns into milliseconds is the harness's question
+    // (`loopir.exec.vm-par*_cu` on `exec_tiles`).
+    let bench = zpl_fusion::workloads::by_name("simple").unwrap();
+    let opt = Pipeline::new(Level::C2F3).optimize(&bench.program());
+    let mut binding = ConfigBinding::defaults(&opt.scalarized.program);
+    binding.set_by_name(&opt.scalarized.program, bench.size_config, 48);
+    let mut vm = Vm::new(&opt.scalarized, binding).unwrap();
+    vm.verify().expect("benchmark bytecode verifies");
+    let shared = vm.share();
+    let sequential = vm.execute(&mut NoopObserver).unwrap();
+    let s = &sequential.stats;
+    let serial = s.loads + s.stores + s.flops + s.points;
+    for threads in [1usize, 2, 4] {
+        let mut vm = Vm::from_shared(&shared);
+        vm.set_threads(threads);
+        let out = vm.execute(&mut NoopObserver).unwrap();
+        assert_eq!(sequential, out, "{threads} threads");
+        let tiles = vm.tile_stats();
+        assert!(
+            !tiles.is_empty(),
+            "no ladder fanned out at {threads} threads"
+        );
+        if threads == 4 {
+            let speedup = serial as f64 / modeled_parallel_cost(serial, tiles, threads);
+            assert!(
+                speedup >= 2.5,
+                "modeled critical path at 4 threads is only {speedup:.2}x under serial"
+            );
+        }
+    }
+}
+
 #[test]
 fn engines_agree_under_dimension_contraction() {
     // The Outer construct takes a different compilation path in the VM;
