@@ -597,8 +597,8 @@ impl CompileCache {
     /// # Errors
     ///
     /// Lowering failures and verifier rejections from
-    /// [`Engine::compile_shared`]. Optimizer panics propagate; the pass
-    /// manager has marked the pass that raised them ([`enter_stage`]).
+    /// [`Engine::compile_shared`]. Optimizer panics propagate; the
+    /// optimizer has marked the pass that raised them ([`enter_stage`]).
     /// Either way the claims are abandoned and nothing is memoized.
     pub fn compile(
         &self,

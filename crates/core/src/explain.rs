@@ -184,12 +184,11 @@ pub fn diagnose(opt: &Optimized) -> Vec<ArrayDiagnosis> {
                 Some(bi) => {
                     let detail = &opt.details[bi];
                     let block = &np.blocks[bi];
-                    let mut ctx = FusionCtx::new(&np.program, block, &detail.asdg);
-                    ctx.opts = detail.opts.clone();
+                    let ctx = FusionCtx::with_opts(&np.program, block, &detail.asdg, &detail.opts);
                     let class_contracted = if decl.compiler_temp {
-                        opt.level.contracts_compiler()
+                        opt.spec.level.contracts_compiler()
                     } else {
-                        opt.level.contracts_user()
+                        opt.spec.level.contracts_user()
                     };
                     if !class_contracted {
                         Outcome::Kept(vec![Blocker::LevelExcludes])
@@ -228,7 +227,7 @@ pub fn diagnose(opt: &Optimized) -> Vec<ArrayDiagnosis> {
 
 /// Renders diagnoses as a human-readable report.
 pub fn report(opt: &Optimized) -> String {
-    let mut out = format!("contraction report at {}:\n", opt.level);
+    let mut out = format!("contraction report at {}:\n", opt.spec);
     for d in diagnose(opt) {
         let class = if d.compiler_temp {
             "compiler temp"

@@ -16,7 +16,7 @@ use zlang::ir::Program;
 ///
 /// Cluster ids are stable small integers; merged clusters keep the smallest
 /// id involved (Figure 3, lines 8–9) and vacated ids become empty.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Partition {
     cluster_of: Vec<usize>,
     clusters: Vec<Vec<usize>>,
@@ -120,17 +120,31 @@ pub struct FusionCtx<'a> {
     /// The block's dependence graph.
     pub asdg: &'a Asdg,
     /// Options.
-    pub opts: FusionOpts,
+    pub opts: &'a FusionOpts,
 }
 
 impl<'a> FusionCtx<'a> {
     /// Creates a context with default options.
     pub fn new(program: &'a Program, block: &'a Block, asdg: &'a Asdg) -> Self {
+        static DEFAULT: FusionOpts = FusionOpts {
+            forbidden_pairs: Vec::new(),
+            forbid_loop_carried_anti: false,
+        };
+        FusionCtx::with_opts(program, block, asdg, &DEFAULT)
+    }
+
+    /// Creates a context over the caller's options.
+    pub fn with_opts(
+        program: &'a Program,
+        block: &'a Block,
+        asdg: &'a Asdg,
+        opts: &'a FusionOpts,
+    ) -> Self {
         FusionCtx {
             program,
             block,
             asdg,
-            opts: FusionOpts::default(),
+            opts,
         }
     }
 
@@ -641,8 +655,11 @@ mod tests {
         let s = setup(&format!(
             "{P} begin [R] B := A + A; [R] C := B; s := +<< [R] C; end"
         ));
-        let mut ctx = FusionCtx::new(&s.np.program, &s.np.blocks[0], &s.asdg);
-        ctx.opts.forbidden_pairs = vec![(0, 1)];
+        let opts = FusionOpts {
+            forbidden_pairs: vec![(0, 1)],
+            ..FusionOpts::default()
+        };
+        let ctx = FusionCtx::with_opts(&s.np.program, &s.np.blocks[0], &s.asdg, &opts);
         let mut part = Partition::trivial(s.asdg.n);
         let cands = candidates(&s);
         ctx.fusion_for_contraction(&mut part, &cands);

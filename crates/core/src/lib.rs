@@ -69,7 +69,7 @@ pub mod weights;
 pub use breaker::{Admission, BreakerConfig, BreakerState, BreakerStats, CircuitBreakers};
 pub use cache::{CacheKey, CacheStats, CachedProgram, CompileCache, Depth, Parsed};
 pub use depvec::Udv;
-pub use pass::{CompileSession, Pass, PassId, PassManager, PassResult, PassTrace};
+pub use pass::{PassId, PassTrace};
 pub use pipeline::{Level, LevelSpec, Optimized, Pipeline};
 pub use request::RunRequest;
 pub use serve::{

@@ -1,42 +1,40 @@
-//! An instrumented pass manager over the optimization pipeline.
+//! The optimizer's passes, and the session they run over.
 //!
-//! [`Pipeline::optimize`](crate::pipeline::Pipeline::optimize) used to be
-//! one monolithic function interleaving fusion, contraction, and
-//! scalarization per block. This module restructures it into:
+//! The *schedule* is [`Pipeline::optimize`]: straight-line code that reads
+//! the [`LevelSpec`](crate::pipeline::LevelSpec) and calls each pass of
+//! this module, in the paper's fixed order, through
+//! `CompileSession::pass`. That one helper marks the stage for the
+//! supervisor's panic attribution, times the pass, logs its [`PassTrace`]
+//! row (surfaced as [`Optimized::passes`]) and captures the `zlc --emit`
+//! snapshot. A pass is a plain function `fn(&mut CompileSession) -> bool`
+//! ("did it change anything") that reads its parameters from the
+//! session's [`Pipeline`].
 //!
-//! * a [`CompileSession`] — the program being compiled plus every piece of
-//!   evolving state (normalized form, cached per-block ASDGs, fusion
-//!   partitions, contraction decisions, the scalarized result);
-//! * a [`Pass`] trait — one named transformation or verification step with
-//!   a declared analysis-preservation contract;
-//! * a [`PassManager`] — runs a declarative pass sequence built from the
-//!   [`crate::pipeline::Level`] predicates, recording per-pass
-//!   wall-clock timing and statement/cluster counters
-//!   ([`PassTrace`]), invalidating cached analyses only after passes that
-//!   mutate the IR, and optionally capturing an IR snapshot after any pass
-//!   (`zlc --emit`).
+//! The session keeps one `BlockState` per basic block: the cached ASDG,
+//! the fusion options in effect, and the evolving fusion and contraction
+//! decisions. The fusion-level passes visit the blocks through
+//! `CompileSession::each_block`, which builds each block's
+//! [`FusionCtx`] once per visit over borrowed state.
 //!
-//! The ASDG is the expensive cached analysis: `CompileSession::ensure_asdg`
-//! builds each block's graph at most once per *mutation epoch* (the count
-//! of builds is reported in
-//! [`Optimized::asdg_builds`](crate::pipeline::Optimized::asdg_builds)).
-//! Passes that rewrite statements — the two new array-level cleanups
-//! [`PassId::Dse`] and [`PassId::Rce`], off at every paper level and
-//! enabled with the `+dse` / `+rce` level suffixes — declare
-//! `preserves_analyses() == false`, which starts a new epoch.
+//! The ASDG is the expensive cached analysis: each block's graph is built
+//! at most once per *mutation epoch* (the count of builds is reported in
+//! [`Optimized::asdg_builds`]). The passes that rewrite statements — the
+//! array-level cleanups [`PassId::Dse`], [`PassId::Rce`] and
+//! [`PassId::Rce2`], off at every paper level and enabled with the
+//! `+dse` / `+rce` / `+rce2` level suffixes — start a new epoch themselves
+//! by calling `CompileSession::invalidate` when they changed something.
 //!
 //! [`PassId`] is also the shared *stage identity* used by the supervisor's
-//! panic attribution and by verifier diagnostics, replacing the three
-//! parallel stage enums the crates previously kept in sync by hand.
+//! panic attribution and by verifier diagnostics.
 
 use crate::asdg::{self, Asdg, DefId};
 use crate::avail::{region_contains_shifted, regions_disjoint_shifted};
 use crate::ext::PartialGroup;
 use crate::fusion::{FusionCtx, FusionOpts, Partition};
 use crate::normal::{self, BStmt, NStmt, NormProgram};
-use crate::pipeline::{BlockDetail, ForbidFn, Level, LevelSpec, Optimized, Report};
+use crate::pipeline::{BlockDetail, Optimized, Pipeline, Report};
 use crate::scalarize;
-use crate::verify::{self, Diagnostic, VerifyLevel};
+use crate::verify::VerifyLevel;
 use crate::weights::sort_by_weight;
 use loopir::{LStmt, ScalarProgram};
 use std::collections::{BTreeMap, HashSet};
@@ -46,17 +44,19 @@ use std::time::{Duration, Instant};
 use zlang::ast::ReduceOp;
 use zlang::ir::{ArrayExpr, ArrayId, ConfigBinding, Offset, Program, ScalarId};
 
-/// Identity of a compilation stage: every pass the manager can schedule,
-/// plus the surrounding stages (`Parse`, the bytecode `VerifyBytecode`
-/// re-check, and `Execute`) that the supervisor attributes faults to.
+/// Identity of a compilation stage: every pass [`Pipeline::optimize`] can
+/// run ([`PassId::is_optimizer_pass`]), the translation validator's
+/// per-definition checkers, and the surrounding stages (`Parse`, the
+/// bytecode `VerifyBytecode` re-check, and `Execute`) that the supervisor
+/// attributes faults to.
 ///
-/// This is the single source of stage names shared by the pass manager,
+/// This is the single source of stage names shared by the optimizer,
 /// the supervisor's panic attribution ([`crate::supervisor::Stage`] is a
 /// re-export), verifier diagnostics ([`crate::verify::Stage`] likewise),
 /// and `zlc --emit`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PassId {
-    /// Source text to array-level IR (outside the pass manager).
+    /// Source text to array-level IR (outside the optimizer).
     Parse,
     /// Normalization into basic blocks of array statements (Section 2.1).
     Normalize,
@@ -94,9 +94,9 @@ pub enum PassId {
     /// Verifier: `+rce2` rewrites are value-preserving (offset algebra,
     /// region containment, no intervening writes).
     VerifyRce2,
-    /// Bytecode verification in the VM (outside the pass manager).
+    /// Bytecode verification in the VM (outside the optimizer).
     VerifyBytecode,
-    /// Program execution (outside the pass manager).
+    /// Program execution (outside the optimizer).
     Execute,
 }
 
@@ -160,6 +160,28 @@ impl PassId {
         self.name()
     }
 
+    /// Whether [`Pipeline::optimize`] can run this stage as a pass: the
+    /// eleven transformations from `normalize` to `scalarize`. Exactly
+    /// these leave an IR snapshot behind (`zlc --emit`, listed by
+    /// `zlc --list-passes`); the other stages only name where a fault or
+    /// a diagnostic came from.
+    pub fn is_optimizer_pass(self) -> bool {
+        matches!(
+            self,
+            PassId::Normalize
+                | PassId::Dse
+                | PassId::Rce
+                | PassId::Rce2
+                | PassId::FuseContraction
+                | PassId::FuseLocality
+                | PassId::FusePairwise
+                | PassId::Contract
+                | PassId::DimContract
+                | PassId::FindLoopStructure
+                | PassId::Scalarize
+        )
+    }
+
     /// The paper definition a verification stage re-checks, if this is a
     /// verification stage.
     pub fn definition(self) -> Option<&'static str> {
@@ -188,20 +210,7 @@ impl fmt::Display for PassId {
     }
 }
 
-/// What a pass reports back to the manager.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct PassResult {
-    /// Whether the pass changed the session (IR or optimization state).
-    pub changed: bool,
-}
-
-impl PassResult {
-    fn changed(changed: bool) -> PassResult {
-        PassResult { changed }
-    }
-}
-
-/// One entry of the pass manager's instrumentation log.
+/// One entry of the optimizer's instrumentation log.
 #[derive(Debug, Clone)]
 pub struct PassTrace {
     /// The pass that ran.
@@ -217,297 +226,135 @@ pub struct PassTrace {
     pub clusters: usize,
 }
 
-/// One schedulable step of the pipeline.
-pub trait Pass {
-    /// The pass's identity (also its stage for fault attribution).
-    fn id(&self) -> PassId;
-
-    /// Whether cached analyses (the per-block ASDGs, contraction
-    /// candidates, and the derived fusion setup) survive this pass.
-    /// Passes that rewrite statements return `false`; the manager then
-    /// starts a new mutation epoch after a changing run.
-    fn preserves_analyses(&self) -> bool {
-        true
-    }
-
-    /// Runs the pass over the session.
-    fn run(&self, session: &mut CompileSession<'_>) -> PassResult;
+/// Everything the optimizer knows about one basic block.
+#[derive(Default)]
+struct BlockState {
+    /// The block's dependence graph, once built this mutation epoch
+    /// (dropped by [`CompileSession::invalidate`]).
+    asdg: Option<Asdg>,
+    /// The fusion options in effect: the pipeline's base options plus
+    /// this block's forbidden statement pairs.
+    opts: FusionOpts,
+    /// The evolving decisions. Apart from `asdg` and `opts` so a pass can
+    /// mutate them while the block's [`FusionCtx`] borrows those two.
+    work: BlockWork,
 }
 
-/// The outcome of a [`PassManager::run`].
-#[derive(Debug, Clone)]
-pub struct PassRun {
-    /// Per-pass instrumentation, in execution order.
-    pub traces: Vec<PassTrace>,
-    /// The IR snapshot captured after the requested pass, if any.
-    pub emitted: Option<String>,
+/// The fusion and contraction decisions for one block, valid once
+/// [`CompileSession::ensure_fusion_setup`] ran this epoch.
+#[derive(Default)]
+struct BlockWork {
+    /// Contraction-candidate definitions of compiler temporaries.
+    compiler_defs: Vec<DefId>,
+    /// Contraction-candidate definitions of user arrays.
+    user_defs: Vec<DefId>,
+    partition: Partition,
+    /// The candidates the level lets contract ([`contract`]).
+    contract_set: Vec<DefId>,
+    /// The ones that do contract under the final partition.
+    contracted: Vec<DefId>,
+    /// Partial-fusion groups found by [`dim_contract`].
+    groups: Vec<PartialGroup>,
+    /// Loop structure per cluster lowered as its own nest.
+    structures: BTreeMap<usize, Vec<i8>>,
+    /// The block's loop nests ([`scalarize`]).
+    out: Vec<LStmt>,
 }
 
-/// Runs a pass sequence over a [`CompileSession`] with timing, counters,
-/// analysis invalidation, and optional snapshot capture.
-pub struct PassManager {
-    passes: Vec<Box<dyn Pass>>,
-    emit: Option<PassId>,
-}
-
-impl PassManager {
-    /// Creates a manager over a pass sequence.
-    pub fn new(passes: Vec<Box<dyn Pass>>) -> PassManager {
-        PassManager { passes, emit: None }
-    }
-
-    /// Requests an IR snapshot after the named pass (it must be part of
-    /// the sequence to produce one).
-    pub fn set_emit(&mut self, pass: PassId) {
-        self.emit = Some(pass);
-    }
-
-    /// The ids of the scheduled passes, in order.
-    pub fn pass_ids(&self) -> Vec<PassId> {
-        self.passes.iter().map(|p| p.id()).collect()
-    }
-
-    /// Runs every pass in order.
-    pub fn run(&self, session: &mut CompileSession<'_>) -> PassRun {
-        let mut traces = Vec::with_capacity(self.passes.len());
-        let mut emitted = None;
-        for p in &self.passes {
-            crate::supervisor::enter_stage(p.id());
-            let start = Instant::now();
-            let r = p.run(session);
-            let duration = start.elapsed();
-            if r.changed && !p.preserves_analyses() {
-                session.invalidate();
-            }
-            traces.push(PassTrace {
-                id: p.id(),
-                duration,
-                changed: r.changed,
-                stmts: session.stmt_count(),
-                clusters: session.cluster_count(),
-            });
-            if self.emit == Some(p.id()) {
-                emitted = Some(session.snapshot(p.id()));
-            }
-        }
-        PassRun { traces, emitted }
-    }
-}
-
-/// Builds the declarative pass sequence for a level (plus the opt-in
-/// cleanup and extension passes), mirroring the paper's Section 5.4 level
-/// definitions through the [`Level`] predicates.
-pub(crate) fn build_sequence(
-    spec: LevelSpec,
-    dimension_contraction: bool,
-    spatial_cap: Option<usize>,
-) -> Vec<Box<dyn Pass>> {
-    let level = spec.level;
-    let mut passes: Vec<Box<dyn Pass>> = vec![Box::new(NormalizePass)];
-    if spec.dse {
-        passes.push(Box::new(DsePass));
-    }
-    if spec.rce {
-        passes.push(Box::new(RcePass));
-    }
-    if spec.rce2 {
-        passes.push(Box::new(Rce2Pass));
-    }
-    if level.fuses_compiler() {
-        passes.push(Box::new(FuseContractionPass {
-            include_user: level.fuses_user(),
-        }));
-    }
-    if level.locality_fusion() {
-        passes.push(Box::new(FuseLocalityPass));
-    }
-    if level.pairwise_fusion() {
-        passes.push(Box::new(FusePairwisePass { cap: spatial_cap }));
-    }
-    passes.push(Box::new(ContractPass {
-        compiler: level.contracts_compiler(),
-        user: level.contracts_user(),
-    }));
-    if dimension_contraction {
-        passes.push(Box::new(DimContractPass));
-    }
-    passes.push(Box::new(FindLoopStructurePass));
-    passes.push(Box::new(ScalarizePass));
-    for which in [
-        PassId::VerifyNormalForm,
-        PassId::VerifyAsdg,
-        PassId::VerifyPartition,
-        PassId::VerifyContraction,
-        PassId::VerifyStructure,
-    ] {
-        passes.push(Box::new(VerifyPass { which }));
-    }
-    if spec.rce2 {
-        passes.push(Box::new(VerifyPass {
-            which: PassId::VerifyRce2,
-        }));
-    }
-    passes
-}
-
-/// The program under compilation plus all evolving pipeline state.
+/// The program under compilation plus all evolving optimizer state.
 ///
-/// Created by [`Pipeline::optimize`](crate::pipeline::Pipeline::optimize),
-/// threaded through every [`Pass`], and finally packaged into an
-/// [`Optimized`]. Cached analyses (per-block ASDGs, contraction
-/// candidates, fusion setup) are built lazily and dropped by
-/// [`CompileSession::invalidate`] when a pass mutates the IR.
+/// Created by [`Pipeline::optimize`], threaded through every pass, and
+/// finally packaged into an [`Optimized`]. Cached analyses (per-block
+/// ASDGs and the fusion setup derived from them) are built lazily and
+/// dropped by [`CompileSession::invalidate`] when a pass mutates the IR.
 ///
 /// A session is `Send + Sync` (asserted in this module's tests): all of
 /// its state is owned values plus shared references to the immutable
-/// input [`Program`] and the thread-safe
-/// [`ForbidFn`] policy, so compilation can be
+/// input [`Program`] and the [`Pipeline`] with its thread-safe
+/// [`ForbidFn`](crate::pipeline::ForbidFn) policy, so compilation can be
 /// handed to — or observed from — another thread. This is part of the
 /// thread-safe execution contract documented in `DESIGN.md`.
-pub struct CompileSession<'s> {
+pub(crate) struct CompileSession<'s> {
     program: &'s Program,
-    level: Level,
-    pub(crate) forbid: Option<&'s ForbidFn<'s>>,
-    base_opts: FusionOpts,
-    verify: VerifyLevel,
-
-    // Evolving IR.
+    pipeline: &'s Pipeline<'s>,
     norm: Option<NormProgram>,
-    binding: Option<ConfigBinding>,
     rce2: Option<crate::rce2::Rce2Info>,
-
-    // Cached analyses (cleared by `invalidate`).
-    candidates: Option<Vec<Option<usize>>>,
-    asdg: Vec<Option<Asdg>>,
+    blocks: Vec<BlockState>,
     /// How many per-block ASDG constructions have run. With no mutating
     /// passes scheduled this equals the block count — the cache guarantees
     /// at most one build per block per mutation epoch.
-    pub asdg_builds: usize,
-    epoch: u64,
+    asdg_builds: usize,
     fusion_ready: bool,
-
-    // Fusion / contraction state (valid once `fusion_ready`).
-    block_opts: Vec<FusionOpts>,
-    compiler_defs: Vec<Vec<DefId>>,
-    user_defs: Vec<Vec<DefId>>,
-    partitions: Vec<Partition>,
-    contract_sets: Vec<Vec<DefId>>,
-    contracted_defs: Vec<Vec<DefId>>,
-    groups: Vec<Vec<PartialGroup>>,
-    structures: Vec<BTreeMap<usize, Vec<i8>>>,
-    collapse_list: Vec<(ArrayId, u8)>,
-
-    // Results.
     report: Report,
-    cheap_check_failed: bool,
-    block_out: Vec<Vec<LStmt>>,
+    /// Whether the cheap per-block partition self-check tripped (it only
+    /// runs under [`VerifyLevel::OnFailure`], whose gate it is).
+    pub(crate) cheap_check_failed: bool,
     scalarized: Option<ScalarProgram>,
     contracted: Vec<ArrayId>,
-    details: Vec<BlockDetail>,
-    diagnostics: Vec<Diagnostic>,
+    traces: Vec<PassTrace>,
+    emitted: Option<String>,
 }
 
 impl<'s> CompileSession<'s> {
-    /// Starts a session for a program at a level.
-    pub fn new(
-        program: &'s Program,
-        level: Level,
-        base_opts: FusionOpts,
-        verify: VerifyLevel,
-    ) -> CompileSession<'s> {
+    /// Starts a session compiling `program` as `pipeline` says.
+    pub(crate) fn new(pipeline: &'s Pipeline<'s>, program: &'s Program) -> CompileSession<'s> {
         CompileSession {
             program,
-            level,
-            forbid: None,
-            base_opts,
-            verify,
+            pipeline,
             norm: None,
-            binding: None,
             rce2: None,
-            candidates: None,
-            asdg: Vec::new(),
+            blocks: Vec::new(),
             asdg_builds: 0,
-            epoch: 0,
             fusion_ready: false,
-            block_opts: Vec::new(),
-            compiler_defs: Vec::new(),
-            user_defs: Vec::new(),
-            partitions: Vec::new(),
-            contract_sets: Vec::new(),
-            contracted_defs: Vec::new(),
-            groups: Vec::new(),
-            structures: Vec::new(),
-            collapse_list: Vec::new(),
             report: Report::default(),
             cheap_check_failed: false,
-            block_out: Vec::new(),
             scalarized: None,
             contracted: Vec::new(),
-            details: Vec::new(),
-            diagnostics: Vec::new(),
+            traces: Vec::new(),
+            emitted: None,
         }
     }
 
-    /// The source program (pre-normalization).
-    pub fn program(&self) -> &Program {
-        self.program
-    }
-
-    /// The level being applied.
-    pub fn level(&self) -> Level {
-        self.level
-    }
-
-    /// The current mutation epoch: bumped by [`CompileSession::invalidate`].
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    /// The name table of the program being compiled (interned symbols for
-    /// every declared name; post-normalize includes compiler temps).
-    pub fn names(&self) -> &zlang::ir::NameTable {
-        match &self.norm {
-            Some(np) => &np.program.names,
-            None => &self.program.names,
+    /// Runs one pass: marks the stage for the supervisor's panic
+    /// attribution, times `f`, logs the [`PassTrace`] row, and captures
+    /// the snapshot if this is the pass [`Pipeline::with_emit`] named.
+    pub(crate) fn pass(&mut self, id: PassId, f: fn(&mut CompileSession<'_>) -> bool) {
+        debug_assert!(id.is_optimizer_pass(), "{id} has no snapshot");
+        crate::supervisor::enter_stage(id);
+        let start = Instant::now();
+        let changed = f(self);
+        self.traces.push(PassTrace {
+            id,
+            duration: start.elapsed(),
+            changed,
+            stmts: self.stmt_count(),
+            clusters: self.cluster_count(),
+        });
+        if self.pipeline.emit == Some(id) {
+            self.emitted = Some(self.snapshot(id));
         }
     }
 
-    /// Drops every cached analysis and starts a new mutation epoch.
-    /// Called by the manager after a changing run of a pass that does not
-    /// preserve analyses.
-    pub fn invalidate(&mut self) {
-        for slot in &mut self.asdg {
-            *slot = None;
+    /// Drops every cached analysis, starting a new mutation epoch. A pass
+    /// that rewrote statements calls this before it returns.
+    fn invalidate(&mut self) {
+        for b in &mut self.blocks {
+            b.asdg = None;
         }
-        self.candidates = None;
         self.fusion_ready = false;
-        self.epoch += 1;
     }
 
     /// Builds the block's ASDG if this epoch has not yet built it.
-    pub(crate) fn ensure_asdg(&mut self, bi: usize) {
-        if self.asdg[bi].is_some() {
+    fn ensure_asdg(&mut self, bi: usize) {
+        if self.blocks[bi].asdg.is_some() {
             return;
         }
         let np = self
             .norm
             .as_ref()
             .expect("normalize pass must run before ASDG construction");
-        let g = asdg::build(&np.program, &np.blocks[bi]);
-        self.asdg[bi] = Some(g);
+        self.blocks[bi].asdg = Some(asdg::build(&np.program, &np.blocks[bi]));
         self.asdg_builds += 1;
-    }
-
-    /// Computes the contraction candidates if this epoch has not yet.
-    pub(crate) fn ensure_candidates(&mut self) {
-        if self.candidates.is_some() {
-            return;
-        }
-        let np = self
-            .norm
-            .as_ref()
-            .expect("normalize pass must run before candidate analysis");
-        self.candidates = Some(normal::contraction_candidates(np));
     }
 
     /// Prepares the per-block fusion state: ASDGs, fusion options (with
@@ -517,55 +364,57 @@ impl<'s> CompileSession<'s> {
     /// The forbidden-pairs callback runs here — after any statement-
     /// rewriting cleanup pass — so the pair indices it returns refer to
     /// the statements fusion will actually see.
-    pub(crate) fn ensure_fusion_setup(&mut self) {
+    fn ensure_fusion_setup(&mut self) {
         if self.fusion_ready {
             return;
         }
-        self.ensure_candidates();
-        let nblocks = self.norm.as_ref().map_or(0, |np| np.blocks.len());
-        for bi in 0..nblocks {
+        for bi in 0..self.blocks.len() {
             self.ensure_asdg(bi);
         }
         let np = self.norm.as_ref().expect("normalize pass must run");
-        let candidates = self.candidates.as_ref().expect("just ensured");
-        let mut block_opts = Vec::with_capacity(nblocks);
-        let mut compiler_defs = vec![Vec::new(); nblocks];
-        let mut user_defs = vec![Vec::new(); nblocks];
-        let mut partitions = Vec::with_capacity(nblocks);
-        for bi in 0..nblocks {
-            let g = self.asdg[bi].as_ref().expect("just ensured");
-            let mut opts = self.base_opts.clone();
-            if let Some(f) = self.forbid {
-                opts.forbidden_pairs = f(np, bi, g);
+        let candidates = normal::contraction_candidates(np);
+        for (bi, b) in self.blocks.iter_mut().enumerate() {
+            let g = b.asdg.as_ref().expect("just ensured");
+            b.opts = self.pipeline.base_opts.clone();
+            if let Some(f) = &self.pipeline.forbid {
+                b.opts.forbidden_pairs = f(np, bi, g);
             }
-            block_opts.push(opts);
+            b.work = BlockWork {
+                partition: Partition::trivial(g.n),
+                ..BlockWork::default()
+            };
             for (ai, cand) in candidates.iter().enumerate() {
                 if *cand != Some(bi) {
                     continue;
                 }
                 let a = ArrayId(ai as u32);
-                let defs = g.defs_of(a);
                 if np.program.array(a).compiler_temp {
-                    compiler_defs[bi].extend(defs);
+                    b.work.compiler_defs.extend(g.defs_of(a));
                 } else {
-                    user_defs[bi].extend(defs);
+                    b.work.user_defs.extend(g.defs_of(a));
                 }
             }
-            partitions.push(Partition::trivial(g.n));
         }
-        self.block_opts = block_opts;
-        self.compiler_defs = compiler_defs;
-        self.user_defs = user_defs;
-        self.partitions = partitions;
-        self.contract_sets = vec![Vec::new(); nblocks];
-        self.contracted_defs = vec![Vec::new(); nblocks];
-        self.groups = vec![Vec::new(); nblocks];
-        self.structures = vec![BTreeMap::new(); nblocks];
         self.fusion_ready = true;
     }
 
+    /// Visits every block with its [`FusionCtx`] — built once per visit,
+    /// borrowing the block's cached ASDG and options — and its mutable
+    /// [`BlockWork`]. Returns whether any visit reported a change.
+    fn each_block(&mut self, mut f: impl FnMut(&FusionCtx<'_>, &mut BlockWork) -> bool) -> bool {
+        self.ensure_fusion_setup();
+        let np = self.norm.as_ref().expect("normalize must run first");
+        let mut changed = false;
+        for (block, b) in np.blocks.iter().zip(&mut self.blocks) {
+            let g = b.asdg.as_ref().expect("fusion setup built it");
+            let ctx = FusionCtx::with_opts(&np.program, block, g, &b.opts);
+            changed |= f(&ctx, &mut b.work);
+        }
+        changed
+    }
+
     /// Total array-level statements across all basic blocks.
-    pub fn stmt_count(&self) -> usize {
+    fn stmt_count(&self) -> usize {
         self.norm
             .as_ref()
             .map_or(0, |np| np.blocks.iter().map(|b| b.stmts.len()).sum())
@@ -573,31 +422,20 @@ impl<'s> CompileSession<'s> {
 
     /// Total live fusion clusters across all blocks (0 before fusion
     /// state exists).
-    pub fn cluster_count(&self) -> usize {
-        if !self.details.is_empty() {
-            return self
-                .details
-                .iter()
-                .map(|d| d.partition.live_clusters().len())
-                .sum();
+    fn cluster_count(&self) -> usize {
+        if !self.fusion_ready {
+            return 0;
         }
-        if self.fusion_ready {
-            self.partitions
-                .iter()
-                .map(|p| p.live_clusters().len())
-                .sum()
-        } else {
-            0
-        }
+        self.blocks.iter().map(|b| b.work.partition.len()).sum()
     }
 
     /// Renders the IR as it stands after the named pass ran.
     ///
     /// Normalization-level passes print the normalized blocks; fusion-
     /// level passes additionally print cluster assignments and each
-    /// block's ASDG in Graphviz `dot` form; scalarization and later print
-    /// the loop-level program.
-    pub fn snapshot(&self, id: PassId) -> String {
+    /// block's ASDG in Graphviz `dot` form; scalarization prints the
+    /// loop-level program.
+    fn snapshot(&self, id: PassId) -> String {
         match id {
             PassId::Normalize | PassId::Dse | PassId::Rce => self.snapshot_norm(id),
             PassId::Rce2 => self.snapshot_rce2(),
@@ -607,13 +445,11 @@ impl<'s> CompileSession<'s> {
             | PassId::Contract
             | PassId::DimContract
             | PassId::FindLoopStructure => self.snapshot_clusters(id),
-            _ => {
-                let sp = self
-                    .scalarized
-                    .as_ref()
-                    .expect("loop-level snapshot requested before scalarize ran");
+            PassId::Scalarize => {
+                let sp = self.scalarized.as_ref().expect("scalarize just ran");
                 loopir::printer::print_with_header(id.name(), sp)
             }
+            _ => unreachable!("{id} is not an optimizer pass"),
         }
     }
 
@@ -682,34 +518,45 @@ impl<'s> CompileSession<'s> {
     fn snapshot_clusters(&self, id: PassId) -> String {
         let np = self.norm.as_ref().expect("normalize must run first");
         let mut out = format!("// after {}\n", id.name());
-        for (bi, block) in np.blocks.iter().enumerate() {
+        for (bi, (block, b)) in np.blocks.iter().zip(&self.blocks).enumerate() {
             let _ = writeln!(out, "// block {bi}");
-            if let Some(part) = self.partitions.get(bi) {
-                for c in part.live_clusters() {
-                    let _ = writeln!(out, "cluster {c}: stmts {:?}", part.cluster(c));
-                }
+            let part = &b.work.partition;
+            for c in part.live_clusters() {
+                let _ = writeln!(out, "cluster {c}: stmts {:?}", part.cluster(c));
             }
-            if let Some(g) = self.asdg.get(bi).and_then(|g| g.as_ref()) {
+            if let Some(g) = &b.asdg {
                 out.push_str(&asdg::to_dot(&np.program, block, g));
             }
         }
         out
     }
 
-    /// Packages the finished session into an [`Optimized`].
-    pub(crate) fn finish(self, run: PassRun) -> Optimized {
+    /// Packages the finished session into an [`Optimized`]. The per-block
+    /// records move out for diagnostics and the validator: the ASDGs and
+    /// options transfer ownership (no rebuild, no clone).
+    pub(crate) fn finish(self) -> Optimized {
+        let details = self
+            .blocks
+            .into_iter()
+            .map(|b| BlockDetail {
+                asdg: b.asdg.expect("fusion setup built every block's graph"),
+                partition: b.work.partition,
+                contracted: b.work.contracted,
+                opts: b.opts,
+            })
+            .collect();
         Optimized {
             norm: self.norm.expect("normalize pass must run"),
             scalarized: self.scalarized.expect("scalarize pass must run"),
             rce2: self.rce2,
             contracted: self.contracted,
             report: self.report,
-            level: self.level,
-            details: self.details,
-            diagnostics: self.diagnostics,
-            passes: run.traces,
+            spec: self.pipeline.spec,
+            details,
+            diagnostics: Vec::new(),
+            passes: self.traces,
             asdg_builds: self.asdg_builds,
-            emitted: run.emitted,
+            emitted: self.emitted,
         }
     }
 }
@@ -753,26 +600,16 @@ fn reduce_token(op: ReduceOp) -> &'static str {
 }
 
 // ---------------------------------------------------------------------------
-// Passes
+// Passes, in schedule order
 // ---------------------------------------------------------------------------
 
 /// Normalization: splits the program into basic blocks of normalized
-/// array statements and fixes the default config binding.
-struct NormalizePass;
-
-impl Pass for NormalizePass {
-    fn id(&self) -> PassId {
-        PassId::Normalize
-    }
-
-    fn run(&self, s: &mut CompileSession<'_>) -> PassResult {
-        let np = normal::normalize(s.program);
-        s.binding = Some(np.default_binding());
-        s.asdg = vec![None; np.blocks.len()];
-        s.norm = Some(np);
-        s.ensure_candidates();
-        PassResult::changed(true)
-    }
+/// array statements.
+pub(crate) fn normalize(s: &mut CompileSession<'_>) -> bool {
+    let np = normal::normalize(s.program);
+    s.blocks.resize_with(np.blocks.len(), BlockState::default);
+    s.norm = Some(np);
+    true
 }
 
 /// Dead-statement elimination: removes an array statement whose
@@ -782,62 +619,44 @@ impl Pass for NormalizePass {
 /// the array is live across blocks.
 ///
 /// Off at every paper level; enabled with the `+dse` level suffix.
-struct DsePass;
-
-impl Pass for DsePass {
-    fn id(&self) -> PassId {
-        PassId::Dse
+pub(crate) fn dse(s: &mut CompileSession<'_>) -> bool {
+    for bi in 0..s.blocks.len() {
+        s.ensure_asdg(bi);
     }
-
-    fn preserves_analyses(&self) -> bool {
-        false
-    }
-
-    fn run(&self, s: &mut CompileSession<'_>) -> PassResult {
-        let nblocks = s.norm.as_ref().map_or(0, |np| np.blocks.len());
-        for bi in 0..nblocks {
-            s.ensure_asdg(bi);
-        }
-        // Decide against one consistent ASDG snapshot, then rewrite.
-        let mut dead_per_block: Vec<Vec<usize>> = Vec::with_capacity(nblocks);
-        {
-            let np = s.norm.as_ref().expect("normalize must run first");
-            for (bi, block) in np.blocks.iter().enumerate() {
-                let g = s.asdg[bi].as_ref().expect("just ensured");
-                let mut dead = Vec::new();
-                for (i, st) in block.stmts.iter().enumerate() {
-                    let BStmt::Array(a) = st else { continue };
-                    let Some(d) = g.write_def[i] else { continue };
-                    if !g.def(d).reads.is_empty() {
-                        continue;
-                    }
-                    let shadowed = block.stmts[i + 1..].iter().any(
-                        |t| matches!(t, BStmt::Array(b) if b.lhs == a.lhs && b.region == a.region),
-                    );
-                    if shadowed {
-                        dead.push(i);
-                    }
-                }
-                dead_per_block.push(dead);
-            }
-        }
-        let mut changed = false;
-        let np = s.norm.as_mut().expect("normalize must run first");
-        for (bi, dead) in dead_per_block.iter().enumerate() {
-            if dead.is_empty() {
+    let np = s.norm.as_mut().expect("normalize must run first");
+    let mut changed = false;
+    for (block, b) in np.blocks.iter_mut().zip(&s.blocks) {
+        // Decide against the block's ASDG as built, then rewrite.
+        let g = b.asdg.as_ref().expect("just ensured");
+        let mut dead = HashSet::new();
+        for (i, st) in block.stmts.iter().enumerate() {
+            let BStmt::Array(a) = st else { continue };
+            let Some(d) = g.write_def[i] else { continue };
+            if !g.def(d).reads.is_empty() {
                 continue;
             }
-            let dead_set: HashSet<usize> = dead.iter().copied().collect();
-            let mut i = 0;
-            np.blocks[bi].stmts.retain(|_| {
-                let keep = !dead_set.contains(&i);
-                i += 1;
-                keep
-            });
-            changed = true;
+            let shadowed = block.stmts[i + 1..]
+                .iter()
+                .any(|t| matches!(t, BStmt::Array(b) if b.lhs == a.lhs && b.region == a.region));
+            if shadowed {
+                dead.insert(i);
+            }
         }
-        PassResult::changed(changed)
+        if dead.is_empty() {
+            continue;
+        }
+        let mut i = 0;
+        block.stmts.retain(|_| {
+            let keep = !dead.contains(&i);
+            i += 1;
+            keep
+        });
+        changed = true;
     }
+    if changed {
+        s.invalidate();
+    }
+    changed
 }
 
 /// Redundant-computation elimination: when a later statement recomputes
@@ -853,34 +672,25 @@ impl Pass for DsePass {
 /// written (not stale halo) by the earlier statement.
 ///
 /// Off at every paper level; enabled with the `+rce` level suffix.
-struct RcePass;
-
-impl Pass for RcePass {
-    fn id(&self) -> PassId {
-        PassId::Rce
-    }
-
-    fn preserves_analyses(&self) -> bool {
-        false
-    }
-
-    fn run(&self, s: &mut CompileSession<'_>) -> PassResult {
-        let mut changed = false;
-        let np = s.norm.as_mut().expect("normalize must run first");
-        for block in &mut np.blocks {
-            for j in 1..block.stmts.len() {
-                let replacement = find_rce_source(&np.program, &block.stmts, j);
-                if let Some((src, delta)) = replacement {
-                    let BStmt::Array(a) = &mut block.stmts[j] else {
-                        unreachable!("find_rce_source only matches array statements");
-                    };
-                    a.rhs = ArrayExpr::Read(src, Offset(delta));
-                    changed = true;
-                }
+pub(crate) fn rce(s: &mut CompileSession<'_>) -> bool {
+    let mut changed = false;
+    let np = s.norm.as_mut().expect("normalize must run first");
+    for block in &mut np.blocks {
+        for j in 1..block.stmts.len() {
+            let replacement = find_rce_source(&np.program, &block.stmts, j);
+            if let Some((src, delta)) = replacement {
+                let BStmt::Array(a) = &mut block.stmts[j] else {
+                    unreachable!("find_rce_source only matches array statements");
+                };
+                a.rhs = ArrayExpr::Read(src, Offset(delta));
+                changed = true;
             }
         }
-        PassResult::changed(changed)
     }
+    if changed {
+        s.invalidate();
+    }
+    changed
 }
 
 /// Stencil-aware redundancy elimination driven by the offset-lattice
@@ -891,33 +701,21 @@ impl Pass for RcePass {
 /// `verify::rce2` re-checker. See [`crate::rce2`].
 ///
 /// Off at every paper level; enabled with the `+rce2` level suffix.
-struct Rce2Pass;
-
-impl Pass for Rce2Pass {
-    fn id(&self) -> PassId {
-        PassId::Rce2
+pub(crate) fn rce2(s: &mut CompileSession<'_>) -> bool {
+    let np = s.norm.as_mut().expect("normalize must run first");
+    let (changed, info) = crate::rce2::run(np, &np.default_binding());
+    // Hoisting can add blocks.
+    s.blocks.resize_with(np.blocks.len(), BlockState::default);
+    s.rce2 = Some(info);
+    if changed {
+        s.invalidate();
     }
-
-    fn preserves_analyses(&self) -> bool {
-        false
-    }
-
-    fn run(&self, s: &mut CompileSession<'_>) -> PassResult {
-        let binding = s.binding.clone().expect("set by normalize");
-        let np = s.norm.as_mut().expect("normalize must run first");
-        let (changed, info) = crate::rce2::run(np, &binding);
-        // Hoisting can add blocks: the ASDG cache must track the new
-        // block count before the epoch invalidation clears it.
-        let nblocks = np.blocks.len();
-        s.asdg.resize_with(nblocks, || None);
-        s.rce2 = Some(info);
-        PassResult::changed(changed)
-    }
+    changed
 }
 
 /// Finds the earliest statement `i < j` whose RHS statement `j`
 /// redundantly recomputes, returning the array to read instead and the
-/// offset shift. See [`RcePass`] for the legality conditions.
+/// offset shift. See [`rce`] for the legality conditions.
 fn find_rce_source(program: &Program, stmts: &[BStmt], j: usize) -> Option<(ArrayId, Vec<i64>)> {
     let BStmt::Array(sj) = &stmts[j] else {
         return None;
@@ -925,6 +723,13 @@ fn find_rce_source(program: &Program, stmts: &[BStmt], j: usize) -> Option<(Arra
     // A bare shifted read is already the form RCE produces; rewriting it
     // to read another array would gain nothing.
     if matches!(sj.rhs, ArrayExpr::Read(..)) {
+        return None;
+    }
+    // Neither would forwarding a fill that reads no array (a constant, a
+    // scalar): it saves no flop and adds a load stream. `avail` applies
+    // the same rule to its canonical forms.
+    let reads: Vec<(ArrayId, Offset)> = stmts[j].reads();
+    if reads.is_empty() {
         return None;
     }
     let rank = program.region(sj.region).rank();
@@ -940,7 +745,7 @@ fn find_rce_source(program: &Program, stmts: &[BStmt], j: usize) -> Option<(Arra
         if !rhs_equal_shifted(&si.rhs, &sj.rhs, &mut delta, &mut has_index) {
             continue;
         }
-        let delta = delta.unwrap_or_else(|| vec![0; rank]);
+        let delta = delta.expect("a matched right-hand side with a read fixes the shift");
         if delta.len() != rank {
             continue;
         }
@@ -960,7 +765,6 @@ fn find_rce_source(program: &Program, stmts: &[BStmt], j: usize) -> Option<(Arra
         // dependency is harmless when its region is provably disjoint
         // from every element the rewritten statement will touch — e.g. a
         // boundary-row update between two interior-region statements.
-        let reads: Vec<(ArrayId, Offset)> = stmts[j].reads();
         let scalar_reads: HashSet<ScalarId> = stmts[j].scalar_reads().into_iter().collect();
         let clobbered = stmts[i + 1..j].iter().any(|st| {
             if let BStmt::Array(w) = st {
@@ -1045,519 +849,202 @@ fn rhs_equal_shifted(
 /// `FUSION-FOR-CONTRACTION` over the contraction-candidate definitions
 /// (compiler temporaries, plus user arrays at user-fusing levels), in
 /// weight order.
-struct FuseContractionPass {
-    include_user: bool,
+pub(crate) fn fuse_contraction(s: &mut CompileSession<'_>) -> bool {
+    let include_user = s.pipeline.spec.level.fuses_user();
+    s.each_block(|ctx, b| {
+        let mut fuse_set = b.compiler_defs.clone();
+        if include_user {
+            fuse_set.extend(&b.user_defs);
+        }
+        let before = b.partition.len();
+        ctx.fusion_for_contraction(&mut b.partition, &by_weight(ctx, fuse_set));
+        b.partition.len() != before
+    })
 }
 
-impl Pass for FuseContractionPass {
-    fn id(&self) -> PassId {
-        PassId::FuseContraction
-    }
-
-    fn run(&self, s: &mut CompileSession<'_>) -> PassResult {
-        s.ensure_fusion_setup();
-        let CompileSession {
-            norm,
-            binding,
-            asdg,
-            block_opts,
-            compiler_defs,
-            user_defs,
-            partitions,
-            ..
-        } = s;
-        let np = norm.as_ref().expect("normalize must run first");
-        let binding = binding.as_ref().expect("set by normalize");
-        let mut changed = false;
-        for (bi, block) in np.blocks.iter().enumerate() {
-            let g = asdg[bi].as_ref().expect("fusion setup built it");
-            let mut ctx = FusionCtx::new(&np.program, block, g);
-            ctx.opts = block_opts[bi].clone();
-            let mut fuse_set = compiler_defs[bi].clone();
-            if self.include_user {
-                fuse_set.extend(user_defs[bi].iter().copied());
-            }
-            let fuse_set = sort_by_weight(&np.program, block, g, fuse_set, binding);
-            let part = &mut partitions[bi];
-            let before = part.live_clusters().len();
-            ctx.fusion_for_contraction(part, &fuse_set);
-            changed |= part.live_clusters().len() != before;
-        }
-        PassResult::changed(changed)
-    }
+/// `defs` in the order the fusion algorithms consider them: decreasing
+/// reference weight, sized under the program's default config binding.
+fn by_weight(ctx: &FusionCtx<'_>, defs: Vec<DefId>) -> Vec<DefId> {
+    let binding = ConfigBinding::defaults(ctx.program);
+    sort_by_weight(ctx.program, ctx.block, ctx.asdg, defs, &binding)
 }
 
 /// Fusion for locality: merges every legal pair among all definitions,
 /// in weight order.
-struct FuseLocalityPass;
-
-impl Pass for FuseLocalityPass {
-    fn id(&self) -> PassId {
-        PassId::FuseLocality
-    }
-
-    fn run(&self, s: &mut CompileSession<'_>) -> PassResult {
-        s.ensure_fusion_setup();
-        let CompileSession {
-            norm,
-            binding,
-            asdg,
-            block_opts,
-            partitions,
-            ..
-        } = s;
-        let np = norm.as_ref().expect("normalize must run first");
-        let binding = binding.as_ref().expect("set by normalize");
-        let mut changed = false;
-        for (bi, block) in np.blocks.iter().enumerate() {
-            let g = asdg[bi].as_ref().expect("fusion setup built it");
-            let mut ctx = FusionCtx::new(&np.program, block, g);
-            ctx.opts = block_opts[bi].clone();
-            let all: Vec<DefId> = (0..g.defs.len() as u32).map(DefId).collect();
-            let all = sort_by_weight(&np.program, block, g, all, binding);
-            let part = &mut partitions[bi];
-            let before = part.live_clusters().len();
-            ctx.fusion_for_locality(part, &all);
-            changed |= part.live_clusters().len() != before;
-        }
-        PassResult::changed(changed)
-    }
+pub(crate) fn fuse_locality(s: &mut CompileSession<'_>) -> bool {
+    s.each_block(|ctx, b| {
+        let all: Vec<DefId> = (0..ctx.asdg.defs.len() as u32).map(DefId).collect();
+        let before = b.partition.len();
+        ctx.fusion_for_locality(&mut b.partition, &by_weight(ctx, all));
+        b.partition.len() != before
+    })
 }
 
 /// Greedy legal pairwise fusion (`c2+f4`), optionally bounded by the
 /// spatial-locality cap on distinct arrays per cluster.
-struct FusePairwisePass {
-    cap: Option<usize>,
-}
-
-impl Pass for FusePairwisePass {
-    fn id(&self) -> PassId {
-        PassId::FusePairwise
-    }
-
-    fn run(&self, s: &mut CompileSession<'_>) -> PassResult {
-        s.ensure_fusion_setup();
-        let CompileSession {
-            norm,
-            asdg,
-            block_opts,
-            partitions,
-            ..
-        } = s;
-        let np = norm.as_ref().expect("normalize must run first");
-        let mut changed = false;
-        for (bi, block) in np.blocks.iter().enumerate() {
-            let g = asdg[bi].as_ref().expect("fusion setup built it");
-            let mut ctx = FusionCtx::new(&np.program, block, g);
-            ctx.opts = block_opts[bi].clone();
-            let part = &mut partitions[bi];
-            let before = part.live_clusters().len();
-            match self.cap {
-                Some(cap) => ctx.pairwise_fusion_bounded(part, cap),
-                None => ctx.pairwise_fusion(part),
-            }
-            changed |= part.live_clusters().len() != before;
+pub(crate) fn fuse_pairwise(s: &mut CompileSession<'_>) -> bool {
+    let cap = s.pipeline.spatial_cap;
+    s.each_block(|ctx, b| {
+        let before = b.partition.len();
+        match cap {
+            Some(cap) => ctx.pairwise_fusion_bounded(&mut b.partition, cap),
+            None => ctx.pairwise_fusion(&mut b.partition),
         }
-        PassResult::changed(changed)
-    }
+        b.partition.len() != before
+    })
 }
 
 /// Contraction decisions: which candidate definitions contract under the
 /// final partition (Definition 6), per the level's compiler/user policy.
 /// Also runs the cheap legality self-check that arms the `on-failure`
 /// verifier mode.
-struct ContractPass {
-    compiler: bool,
-    user: bool,
-}
-
-impl Pass for ContractPass {
-    fn id(&self) -> PassId {
-        PassId::Contract
-    }
-
-    fn run(&self, s: &mut CompileSession<'_>) -> PassResult {
-        s.ensure_fusion_setup();
-        let verify_level = s.verify;
-        let CompileSession {
-            norm,
-            asdg,
-            block_opts,
-            compiler_defs,
-            user_defs,
-            partitions,
-            contract_sets,
-            contracted_defs,
-            report,
-            cheap_check_failed,
-            ..
-        } = s;
-        let np = norm.as_ref().expect("normalize must run first");
-        let mut changed = false;
-        for (bi, block) in np.blocks.iter().enumerate() {
-            let g = asdg[bi].as_ref().expect("fusion setup built it");
-            let mut ctx = FusionCtx::new(&np.program, block, g);
-            ctx.opts = block_opts[bi].clone();
-            let mut contract_set = Vec::new();
-            if self.compiler {
-                contract_set.extend(compiler_defs[bi].iter().copied());
-            }
-            if self.user {
-                contract_set.extend(user_defs[bi].iter().copied());
-            }
-            let cd = ctx.contracted_defs(&partitions[bi], &contract_set);
-            report.contracted_defs += cd.len();
-            if verify_level == VerifyLevel::OnFailure && ctx.validate(&partitions[bi]).is_err() {
-                *cheap_check_failed = true;
-            }
-            changed |= !cd.is_empty();
-            contract_sets[bi] = contract_set;
-            contracted_defs[bi] = cd;
+pub(crate) fn contract(s: &mut CompileSession<'_>) -> bool {
+    let level = s.pipeline.spec.level;
+    let self_check = s.pipeline.verify == VerifyLevel::OnFailure;
+    let mut contracted_defs = 0;
+    let mut check_failed = false;
+    let changed = s.each_block(|ctx, b| {
+        b.contract_set.clear();
+        if level.contracts_compiler() {
+            b.contract_set.extend(&b.compiler_defs);
         }
-        PassResult::changed(changed)
-    }
+        if level.contracts_user() {
+            b.contract_set.extend(&b.user_defs);
+        }
+        b.contracted = ctx.contracted_defs(&b.partition, &b.contract_set);
+        contracted_defs += b.contracted.len();
+        check_failed |= self_check && ctx.validate(&b.partition).is_err();
+        !b.contracted.is_empty()
+    });
+    s.report.contracted_defs += contracted_defs;
+    s.cheap_check_failed |= check_failed;
+    changed
 }
 
 /// Dimension contraction ([`crate::ext`]): finds partial-fusion groups
 /// whose flow-flat arrays collapse to a single slice under a shared outer
-/// loop, and records the dimensions to collapse.
-struct DimContractPass;
-
-impl Pass for DimContractPass {
-    fn id(&self) -> PassId {
-        PassId::DimContract
-    }
-
-    fn run(&self, s: &mut CompileSession<'_>) -> PassResult {
-        s.ensure_fusion_setup();
-        let CompileSession {
-            norm,
-            asdg,
-            block_opts,
-            partitions,
-            contract_sets,
-            contracted_defs,
-            groups,
-            collapse_list,
-            ..
-        } = s;
-        let np = norm.as_ref().expect("normalize must run first");
-        let mut changed = false;
-        for (bi, block) in np.blocks.iter().enumerate() {
-            let g = asdg[bi].as_ref().expect("fusion setup built it");
-            let mut ctx = FusionCtx::new(&np.program, block, g);
-            ctx.opts = block_opts[bi].clone();
-            let contracted_def_set: HashSet<DefId> = contracted_defs[bi].iter().copied().collect();
-            let found = crate::ext::find_groups(
-                &ctx,
-                &partitions[bi],
-                &contract_sets[bi],
-                &contracted_def_set,
-            );
-            for grp in &found {
-                for &a in &grp.collapsed {
-                    collapse_list.push((a, grp.dim));
-                }
-            }
-            changed |= !found.is_empty();
-            groups[bi] = found;
-        }
-        PassResult::changed(changed)
-    }
+/// loop; [`scalarize`] applies the collapses they record.
+pub(crate) fn dim_contract(s: &mut CompileSession<'_>) -> bool {
+    s.each_block(|ctx, b| {
+        let contracted: HashSet<DefId> = b.contracted.iter().copied().collect();
+        b.groups = crate::ext::find_groups(ctx, &b.partition, &b.contract_set, &contracted);
+        !b.groups.is_empty()
+    })
 }
 
 /// `FIND-LOOP-STRUCTURE`: selects a legal loop structure vector for every
 /// cluster that will be lowered as its own nest (Definition 4). Pure
 /// analysis — scalarization consumes the recorded structures.
-struct FindLoopStructurePass;
-
-impl Pass for FindLoopStructurePass {
-    fn id(&self) -> PassId {
-        PassId::FindLoopStructure
-    }
-
-    fn run(&self, s: &mut CompileSession<'_>) -> PassResult {
-        s.ensure_fusion_setup();
-        let CompileSession {
-            norm,
-            asdg,
-            block_opts,
-            partitions,
-            groups,
-            structures,
-            ..
-        } = s;
-        let np = norm.as_ref().expect("normalize must run first");
-        for (bi, block) in np.blocks.iter().enumerate() {
-            let g = asdg[bi].as_ref().expect("fusion setup built it");
-            let mut ctx = FusionCtx::new(&np.program, block, g);
-            ctx.opts = block_opts[bi].clone();
-            structures[bi] = scalarize::cluster_structures(&ctx, &partitions[bi], &groups[bi]);
-        }
-        PassResult::changed(false)
-    }
+pub(crate) fn find_loop_structure(s: &mut CompileSession<'_>) -> bool {
+    s.each_block(|ctx, b| {
+        b.structures = scalarize::cluster_structures(ctx, &b.partition, &b.groups);
+        false
+    })
 }
 
 /// Scalarization: lowers every block's clusters to loop nests using the
 /// recorded structures, applies dimension collapses, splices the blocks
 /// back into the control-flow skeleton, and computes the Figure 7
-/// static-array accounting. Moves the per-block records into
-/// [`BlockDetail`]s for diagnostics and the verifier.
-struct ScalarizePass;
+/// static-array accounting.
+pub(crate) fn scalarize(s: &mut CompileSession<'_>) -> bool {
+    s.each_block(|ctx, b| {
+        let contracted: HashSet<DefId> = b.contracted.iter().copied().collect();
+        b.out = scalarize::scalarize_block_with_structures(
+            ctx,
+            &b.partition,
+            &contracted,
+            &b.groups,
+            Some(&b.structures),
+        );
+        true
+    });
 
-impl Pass for ScalarizePass {
-    fn id(&self) -> PassId {
-        PassId::Scalarize
+    // Apply dimension collapses to the (owned) normalized program
+    // before the scalarized code is packaged with it.
+    let np = s.norm.as_mut().expect("normalize must run first");
+    let mut collapsed = Vec::new();
+    for grp in s.blocks.iter().flat_map(|b| &b.work.groups) {
+        for &a in &grp.collapsed {
+            let decl = &mut np.program.arrays[a.0 as usize];
+            if !decl.collapsed.contains(&grp.dim) {
+                decl.collapsed.push(grp.dim);
+            }
+            collapsed.push(a);
+        }
     }
+    collapsed.sort();
+    collapsed.dedup();
+    s.report.dimension_contracted = collapsed.len();
 
-    fn run(&self, s: &mut CompileSession<'_>) -> PassResult {
-        s.ensure_fusion_setup();
-        {
-            let CompileSession {
-                norm,
-                asdg,
-                block_opts,
-                partitions,
-                contracted_defs,
-                groups,
-                structures,
-                block_out,
-                ..
-            } = s;
-            let np = norm.as_ref().expect("normalize must run first");
-            for (bi, block) in np.blocks.iter().enumerate() {
-                let g = asdg[bi].as_ref().expect("fusion setup built it");
-                let mut ctx = FusionCtx::new(&np.program, block, g);
-                ctx.opts = block_opts[bi].clone();
-                let contracted_set: HashSet<DefId> = contracted_defs[bi].iter().copied().collect();
-                block_out.push(scalarize::scalarize_block_with_structures(
-                    &ctx,
-                    &partitions[bi],
-                    &contracted_set,
-                    &groups[bi],
-                    Some(&structures[bi]),
-                ));
-            }
+    let scalarized = ScalarProgram {
+        program: np.program.clone(),
+        stmts: splice(&np.body, &s.blocks),
+    };
+
+    // Figure 7 accounting: arrays referenced before vs after.
+    let referenced_before = referenced_arrays(np);
+    let live_after: HashSet<ArrayId> = scalarized.live_arrays().into_iter().collect();
+    for &a in &referenced_before {
+        let is_temp = np.program.array(a).compiler_temp;
+        if is_temp {
+            s.report.compiler_before += 1;
+        } else {
+            s.report.user_before += 1;
         }
-
-        // Apply dimension collapses to the (owned) normalized program
-        // before the scalarized code is packaged with it.
-        {
-            let CompileSession {
-                norm,
-                collapse_list,
-                report,
-                ..
-            } = s;
-            let np = norm.as_mut().expect("normalize must run first");
-            for &(a, dim) in collapse_list.iter() {
-                let decl = &mut np.program.arrays[a.0 as usize];
-                if !decl.collapsed.contains(&dim) {
-                    decl.collapsed.push(dim);
-                }
-            }
-            report.dimension_contracted = {
-                let mut v: Vec<ArrayId> = collapse_list.iter().map(|&(a, _)| a).collect();
-                v.sort();
-                v.dedup();
-                v.len()
-            };
-        }
-
-        let np = s.norm.as_ref().expect("normalize must run first");
-        let stmts = splice(&np.body, &mut s.block_out.iter().cloned());
-        let scalarized = ScalarProgram {
-            program: np.program.clone(),
-            stmts,
-        };
-
-        // Figure 7 accounting: arrays referenced before vs after.
-        let referenced_before = referenced_arrays(np);
-        let live_after: HashSet<ArrayId> = scalarized.live_arrays().into_iter().collect();
-        for &a in &referenced_before {
-            let is_temp = np.program.array(a).compiler_temp;
+        if live_after.contains(&a) {
             if is_temp {
-                s.report.compiler_before += 1;
+                s.report.compiler_after += 1;
             } else {
-                s.report.user_before += 1;
-            }
-            if live_after.contains(&a) {
-                if is_temp {
-                    s.report.compiler_after += 1;
-                } else {
-                    s.report.user_after += 1;
-                }
+                s.report.user_after += 1;
             }
         }
-        s.report.nests = scalarized.nest_count();
-
-        let mut contracted: Vec<ArrayId> = referenced_before
-            .iter()
-            .copied()
-            .filter(|a| !live_after.contains(a))
-            .collect();
-        contracted.sort();
-        s.contracted = contracted;
-        s.scalarized = Some(scalarized);
-
-        // Move the per-block records out for diagnostics / verification;
-        // the ASDGs transfer ownership (no rebuild, no clone).
-        let nblocks = s.asdg.len();
-        for bi in 0..nblocks {
-            let g = s.asdg[bi]
-                .take()
-                .expect("fusion setup built every block's graph");
-            let partition = std::mem::replace(&mut s.partitions[bi], Partition::trivial(0));
-            s.details.push(BlockDetail {
-                asdg: g,
-                partition,
-                contracted: std::mem::take(&mut s.contracted_defs[bi]),
-                opts: s.block_opts[bi].clone(),
-            });
-        }
-        PassResult::changed(true)
     }
+    s.report.nests = scalarized.nest_count();
+
+    // `referenced_arrays` is ascending, so this is too.
+    s.contracted = referenced_before
+        .into_iter()
+        .filter(|a| !live_after.contains(a))
+        .collect();
+    s.scalarized = Some(scalarized);
+    true
 }
-
-/// One scheduled verifier: re-checks a paper definition against the
-/// finished [`BlockDetail`]s and scalarized program, honoring the
-/// session's [`VerifyLevel`] gate (`off` skips, `on-failure` runs only
-/// when the pipeline's cheap self-check tripped, `always` runs).
-struct VerifyPass {
-    which: PassId,
-}
-
-impl Pass for VerifyPass {
-    fn id(&self) -> PassId {
-        self.which
-    }
-
-    fn run(&self, s: &mut CompileSession<'_>) -> PassResult {
-        let enabled = match s.verify {
-            VerifyLevel::Off => false,
-            VerifyLevel::OnFailure => s.cheap_check_failed,
-            VerifyLevel::Always => true,
-        };
-        if !enabled {
-            return PassResult::changed(false);
-        }
-        s.ensure_candidates();
-        let CompileSession {
-            norm,
-            rce2,
-            candidates,
-            scalarized,
-            details,
-            diagnostics,
-            ..
-        } = s;
-        let np = norm.as_ref().expect("normalize must run first");
-        match self.which {
-            PassId::VerifyNormalForm => diagnostics.extend(verify::check_normal_form(np)),
-            PassId::VerifyAsdg => {
-                for (bi, d) in details.iter().enumerate() {
-                    diagnostics.extend(verify::check_asdg(
-                        &np.program,
-                        &np.blocks[bi],
-                        bi,
-                        &d.asdg,
-                    ));
-                }
-            }
-            PassId::VerifyPartition => {
-                for (bi, d) in details.iter().enumerate() {
-                    diagnostics.extend(verify::check_partition(
-                        &np.program,
-                        &np.blocks[bi],
-                        bi,
-                        &d.asdg,
-                        &d.partition,
-                    ));
-                }
-            }
-            PassId::VerifyContraction => {
-                let cand = candidates.as_ref().expect("just ensured");
-                for (bi, d) in details.iter().enumerate() {
-                    diagnostics.extend(verify::check_contraction(
-                        &np.program,
-                        bi,
-                        &d.asdg,
-                        &d.partition,
-                        &d.contracted,
-                        cand,
-                    ));
-                }
-            }
-            PassId::VerifyStructure => {
-                let sp = scalarized.as_ref().expect("scalarize must run first");
-                diagnostics.extend(verify::check_structure(np, sp, details));
-            }
-            PassId::VerifyRce2 => {
-                if let Some(info) = rce2 {
-                    diagnostics.extend(verify::check_rce2(np, info));
-                }
-            }
-            other => unreachable!("{other} is not a verification pass"),
-        }
-        PassResult::changed(false)
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Control-flow splicing (shared with the old pipeline shape)
-// ---------------------------------------------------------------------------
 
 /// Splices scalarized blocks back into the control-flow skeleton.
-/// Blocks are numbered in discovery order, which is a pre-order walk —
-/// this reproduces the same walk.
-pub(crate) fn splice(body: &[NStmt], blocks: &mut impl Iterator<Item = Vec<LStmt>>) -> Vec<LStmt> {
-    fn walk(body: &[NStmt], blocks: &[Vec<LStmt>], out: &mut Vec<LStmt>) {
-        for s in body {
-            match s {
-                NStmt::Block(i) => out.extend(blocks[*i].iter().cloned()),
-                NStmt::For {
-                    var,
-                    lo,
-                    hi,
-                    down,
-                    body,
-                } => {
-                    let mut inner = Vec::new();
-                    walk(body, blocks, &mut inner);
-                    out.push(LStmt::For {
-                        var: *var,
-                        lo: lo.clone(),
-                        hi: hi.clone(),
-                        down: *down,
-                        body: inner,
-                    });
-                }
-                NStmt::If {
-                    cond,
-                    then_body,
-                    else_body,
-                } => {
-                    let mut t = Vec::new();
-                    let mut e = Vec::new();
-                    walk(then_body, blocks, &mut t);
-                    walk(else_body, blocks, &mut e);
-                    out.push(LStmt::If {
-                        cond: cond.clone(),
-                        then_body: t,
-                        else_body: e,
-                    });
-                }
-            }
+fn splice(body: &[NStmt], blocks: &[BlockState]) -> Vec<LStmt> {
+    let mut out = Vec::new();
+    for s in body {
+        match s {
+            NStmt::Block(i) => out.extend(blocks[*i].work.out.iter().cloned()),
+            NStmt::For {
+                var,
+                lo,
+                hi,
+                down,
+                body,
+            } => out.push(LStmt::For {
+                var: *var,
+                lo: lo.clone(),
+                hi: hi.clone(),
+                down: *down,
+                body: splice(body, blocks),
+            }),
+            NStmt::If {
+                cond,
+                then_body,
+                else_body,
+            } => out.push(LStmt::If {
+                cond: cond.clone(),
+                then_body: splice(then_body, blocks),
+                else_body: splice(else_body, blocks),
+            }),
         }
     }
-    let collected: Vec<Vec<LStmt>> = blocks.collect();
-    let mut out = Vec::new();
-    walk(body, &collected, &mut out);
     out
 }
 
-/// All arrays referenced anywhere in the normalized program.
-pub(crate) fn referenced_arrays(np: &NormProgram) -> Vec<ArrayId> {
+/// All arrays referenced anywhere in the normalized program, ascending.
+fn referenced_arrays(np: &NormProgram) -> Vec<ArrayId> {
     let mut seen = vec![false; np.program.arrays.len()];
     for block in &np.blocks {
         for s in &block.stmts {

@@ -1,4 +1,6 @@
-//! The paper's optimization levels (Section 5.4) as a driver pipeline.
+//! The paper's optimization levels (Section 5.4) and the optimizer
+//! driver: [`Pipeline::optimize`] *is* the schedule, the passes it calls
+//! live in [`crate::pass`].
 //!
 //! | Level       | Fusion                                   | Contraction        |
 //! |-------------|------------------------------------------|--------------------|
@@ -14,11 +16,12 @@
 use crate::asdg::{Asdg, DefId};
 use crate::fusion::{FusionOpts, Partition};
 use crate::normal::NormProgram;
-use crate::pass::{self, CompileSession, PassId, PassManager, PassTrace};
-use crate::verify::{Diagnostic, VerifyLevel};
+use crate::pass::{self, CompileSession, PassId, PassTrace};
+use crate::verify::{self, Diagnostic, VerifyLevel};
 use loopir::ScalarProgram;
 use std::fmt;
 use std::str::FromStr;
+use std::time::Instant;
 use zlang::ir::{ArrayId, Program};
 
 /// An optimization level from the paper's evaluation.
@@ -136,7 +139,9 @@ pub struct LevelSpec {
     pub dse: bool,
     /// Redundant-computation elimination ([`PassId::Rce`]): statements
     /// recomputing an earlier right-hand side (modulo a uniform offset
-    /// shift) become shifted reads of the earlier result.
+    /// shift) become shifted reads of the earlier result. Only a
+    /// right-hand side that reads an array counts: forwarding a constant
+    /// fill saves no flop and adds a load stream.
     pub rce: bool,
     /// Stencil-aware redundancy elimination ([`PassId::Rce2`]): an
     /// offset-lattice availability analysis finds subexpressions whose
@@ -212,7 +217,7 @@ impl fmt::Display for LevelSpec {
 /// A callback computing statement pairs that must not fuse in a block
 /// (used by the runtime's favor-communication policy, Section 5.5).
 ///
-/// `Send + Sync` so a [`CompileSession`]
+/// `Send + Sync` so a compile session
 /// holding one can be handed to another thread (the parallel engine's
 /// thread-safety contract; see `DESIGN.md`). The installed policies are
 /// pure functions of their arguments, so this costs them nothing.
@@ -286,15 +291,18 @@ pub struct Optimized {
     pub contracted: Vec<ArrayId>,
     /// Static array accounting.
     pub report: Report,
-    /// The level that was applied.
-    pub level: Level,
+    /// The level and cleanup passes that were applied.
+    pub spec: LevelSpec,
     /// Per-block records (ASDG, partition, contracted definitions).
     pub details: Vec<BlockDetail>,
     /// Findings of the translation validator ([`crate::verify`]); empty
     /// when verification is off or everything checked out.
     pub diagnostics: Vec<Diagnostic>,
-    /// Per-pass instrumentation from the [`PassManager`]: wall-clock
-    /// timing and statement/cluster counters, in execution order.
+    /// Per-pass instrumentation: wall-clock timing and statement/cluster
+    /// counters, one row per pass [`Pipeline::optimize`] ran, in execution
+    /// order. When the translation validator ran, its whole wall-clock
+    /// follows as one row under its first stage, `verify::normal-form`;
+    /// otherwise there is no `verify::*` row.
     pub passes: Vec<PassTrace>,
     /// Per-block ASDG constructions that actually ran — at most one per
     /// block per mutation epoch thanks to the session's analysis cache.
@@ -324,13 +332,13 @@ impl Optimized {
 /// The optimization pipeline: normalization, per-block ASDG construction,
 /// fusion, contraction, and scalarization at a chosen [`Level`].
 pub struct Pipeline<'f> {
-    spec: LevelSpec,
-    forbid: Option<Box<ForbidFn<'f>>>,
-    base_opts: FusionOpts,
-    spatial_cap: Option<usize>,
+    pub(crate) spec: LevelSpec,
+    pub(crate) forbid: Option<Box<ForbidFn<'f>>>,
+    pub(crate) base_opts: FusionOpts,
+    pub(crate) spatial_cap: Option<usize>,
     dimension_contraction: bool,
-    verify: VerifyLevel,
-    emit: Option<PassId>,
+    pub(crate) verify: VerifyLevel,
+    pub(crate) emit: Option<PassId>,
 }
 
 impl fmt::Debug for Pipeline<'_> {
@@ -431,29 +439,67 @@ impl<'f> Pipeline<'f> {
         self
     }
 
-    /// Runs the pipeline on a program: builds the level's pass sequence,
-    /// executes it over a [`CompileSession`] under the instrumented
-    /// [`PassManager`], and packages the result.
+    /// Runs the optimizer on a program. This function is the schedule:
+    /// the paper's one fixed sequence, each step gated by what the
+    /// [`LevelSpec`] (Section 5.4) and the extension switches ask for.
+    /// Afterwards the translation validator runs once over the result
+    /// when the [`VerifyLevel`] says so.
     pub fn optimize(&self, program: &Program) -> Optimized {
-        let mut session = CompileSession::new(
-            program,
-            self.spec.level,
-            self.base_opts.clone(),
-            self.verify,
-        );
-        if let Some(f) = &self.forbid {
-            session.forbid = Some(&**f);
+        let LevelSpec {
+            level,
+            dse,
+            rce,
+            rce2,
+        } = self.spec;
+        let mut s = CompileSession::new(self, program);
+        s.pass(PassId::Normalize, pass::normalize);
+        if dse {
+            s.pass(PassId::Dse, pass::dse);
         }
-        let mut manager = PassManager::new(pass::build_sequence(
-            self.spec,
-            self.dimension_contraction,
-            self.spatial_cap,
-        ));
-        if let Some(e) = self.emit {
-            manager.set_emit(e);
+        if rce {
+            s.pass(PassId::Rce, pass::rce);
         }
-        let run = manager.run(&mut session);
-        session.finish(run)
+        if rce2 {
+            s.pass(PassId::Rce2, pass::rce2);
+        }
+        if level.fuses_compiler() {
+            s.pass(PassId::FuseContraction, pass::fuse_contraction);
+        }
+        if level.locality_fusion() {
+            s.pass(PassId::FuseLocality, pass::fuse_locality);
+        }
+        if level.pairwise_fusion() {
+            s.pass(PassId::FusePairwise, pass::fuse_pairwise);
+        }
+        s.pass(PassId::Contract, pass::contract);
+        if self.dimension_contraction {
+            s.pass(PassId::DimContract, pass::dim_contract);
+        }
+        s.pass(PassId::FindLoopStructure, pass::find_loop_structure);
+        s.pass(PassId::Scalarize, pass::scalarize);
+
+        let validate = match self.verify {
+            VerifyLevel::Off => false,
+            VerifyLevel::OnFailure => s.cheap_check_failed,
+            VerifyLevel::Always => true,
+        };
+        let mut opt = s.finish();
+        if validate {
+            crate::supervisor::enter_stage(PassId::VerifyNormalForm);
+            let start = Instant::now();
+            opt.diagnostics = verify::validate(&opt);
+            let &PassTrace {
+                stmts, clusters, ..
+            } = opt.passes.last().expect("scalarize ran");
+            opt.passes.push(PassTrace {
+                id: PassId::VerifyNormalForm,
+                duration: start.elapsed(),
+                changed: false,
+                stmts,
+                clusters,
+            });
+        }
+        opt
     }
 }
 

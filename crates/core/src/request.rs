@@ -323,6 +323,6 @@ mod tests {
         let run = req.supervisor().run_source(src).unwrap();
         assert_eq!(run.outcome.checksum(), 6.0);
         let opt = req.pipeline().optimize(&zlang::compile(src).unwrap());
-        assert_eq!(opt.level, Level::C2F3);
+        assert_eq!(opt.spec, req.spec);
     }
 }

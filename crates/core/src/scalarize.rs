@@ -243,7 +243,7 @@ pub fn scalarize_block(
 /// Partial-fusion group members are skipped (their inner structures come
 /// from [`crate::ext::PartialGroup::inner`]), as are lone scalar
 /// statements (which lower without loops). The result feeds
-/// [`scalarize_block_with_structures`], letting the pass manager schedule
+/// [`scalarize_block_with_structures`], letting the optimizer run
 /// structure selection and lowering as separate passes.
 pub fn cluster_structures(
     ctx: &FusionCtx<'_>,

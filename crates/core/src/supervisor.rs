@@ -88,10 +88,10 @@ use testkit::faults::{self, FaultSite};
 use zlang::ir::{ConfigBinding, Program};
 
 /// A pipeline stage, for fault attribution — the shared pass identity
-/// from [`crate::pass::PassId`]. The pass manager marks each pass as it
+/// from [`crate::pass::PassId`]. The optimizer marks each pass as it
 /// runs, so a caught panic is attributed to the exact pass (e.g.
 /// `fuse-contraction`) rather than a coarse phase; `Parse`,
-/// `VerifyBytecode`, and `Execute` cover the stages around the manager.
+/// `VerifyBytecode`, and `Execute` cover the stages around it.
 pub use crate::pass::PassId as Stage;
 
 thread_local! {
@@ -101,7 +101,7 @@ thread_local! {
 
 /// Marks the currently running pipeline stage on this thread, so a panic
 /// caught by the supervisor is attributed to the stage that raised it.
-/// Called by the pass manager before each pass and by
+/// Called by the optimizer before each pass and by
 /// [`CompileCache::compile`] before lowering; a no-op for everyone else.
 pub fn enter_stage(stage: Stage) {
     CURRENT_STAGE.with(|s| s.set(stage));
@@ -496,7 +496,7 @@ impl<'a> Supervisor<'a> {
     /// its parse stage and every rung compiles through it at its own
     /// `(spec, engine)` coordinates — a hit reuses the `Arc`-shared
     /// scalarized program and compiled bytecode and skips the front end,
-    /// the `PassManager`, the bytecode compiler, and the verifier; a new
+    /// the optimizer, the bytecode compiler, and the verifier; a new
     /// size of a known program skips all but the last two — and every
     /// stage that runs publishes its result for future runs. This is how
     /// the serve path amortizes compilation across requests while

@@ -30,16 +30,16 @@
 //!
 //! Checkers return structured [`Diagnostic`]s instead of panicking, so a
 //! driver can render all of them (`zlc --verify`) and an embedder can
-//! decide what to do with warnings. The whole layer is wired into
-//! [`crate::pipeline::Pipeline`] behind a [`VerifyLevel`].
+//! decide what to do with warnings. [`validate`] is the one entry point
+//! and [`crate::pipeline::Pipeline::optimize`] its one caller in this
+//! crate: once, over the finished result, when the [`VerifyLevel`] says
+//! so.
 #![deny(missing_docs)]
 
 use crate::normal::NormProgram;
-use crate::pipeline::{BlockDetail, Optimized};
-use loopir::ScalarProgram;
+use crate::pipeline::Optimized;
 use std::fmt;
 use std::str::FromStr;
-use zlang::ir::Program;
 
 mod asdg_check;
 mod contraction;
@@ -245,50 +245,6 @@ pub fn validate(opt: &Optimized) -> Vec<Diagnostic> {
     diags
 }
 
-// Crate-internal entry points for the scheduled verification passes
-// ([`crate::pass`]), one per checker. `validate` above remains the
-// public whole-result wrapper.
-
-/// Normal-form re-check (Section 2.1) for the pass manager.
-pub(crate) fn check_normal_form(np: &NormProgram) -> Vec<Diagnostic> {
-    normal_form::check(np)
-}
-
-/// ASDG re-check (Definitions 2-3) for one block, for the pass manager.
-pub(crate) fn check_asdg(
-    program: &Program,
-    block: &crate::normal::Block,
-    bi: usize,
-    g: &crate::asdg::Asdg,
-) -> Vec<Diagnostic> {
-    asdg_check::check(program, block, bi, g)
-}
-
-/// Partition-legality re-check (Definition 5) for one block, for the
-/// pass manager.
-pub(crate) fn check_partition(
-    program: &Program,
-    block: &crate::normal::Block,
-    bi: usize,
-    g: &crate::asdg::Asdg,
-    part: &crate::fusion::Partition,
-) -> Vec<Diagnostic> {
-    partition::check(program, block, bi, g, part)
-}
-
-/// Contraction-safety re-check (Definition 6) for one block, for the
-/// pass manager.
-pub(crate) fn check_contraction(
-    program: &Program,
-    bi: usize,
-    g: &crate::asdg::Asdg,
-    part: &crate::fusion::Partition,
-    contracted: &[crate::asdg::DefId],
-    candidates: &[Option<usize>],
-) -> Vec<Diagnostic> {
-    contraction::check(program, bi, g, part, contracted, candidates)
-}
-
 /// Re-checks every `+rce2` rewrite, temporary, and hoist against the
 /// final normalized program: the shifted read at each recorded site must
 /// provably compute the expression it replaced (offset algebra + region
@@ -296,16 +252,6 @@ pub(crate) fn check_contraction(
 /// tampered records and prove the checker rejects them.
 pub fn check_rce2(np: &NormProgram, info: &crate::rce2::Rce2Info) -> Vec<Diagnostic> {
     rce2::check(np, info)
-}
-
-/// Loop-structure re-check (Definition 4) over the scalarized program,
-/// for the pass manager.
-pub(crate) fn check_structure(
-    norm: &NormProgram,
-    scalarized: &ScalarProgram,
-    details: &[BlockDetail],
-) -> Vec<Diagnostic> {
-    structure::check_parts(norm, scalarized, details)
 }
 
 #[cfg(test)]

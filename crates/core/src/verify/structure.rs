@@ -19,10 +19,9 @@
 
 use super::{Diagnostic, Stage};
 use crate::asdg::VarLabel;
-use crate::normal::{NStmt, NormProgram};
-use crate::pipeline::{BlockDetail, Optimized};
+use crate::normal::NStmt;
+use crate::pipeline::Optimized;
 use loopir::ir::{is_valid_structure, LStmt, LoopNest};
-use loopir::ScalarProgram;
 
 struct Found<'a> {
     block: usize,
@@ -132,14 +131,7 @@ fn check_reduce_structures(
 }
 
 pub(crate) fn check(opt: &Optimized) -> Vec<Diagnostic> {
-    check_parts(&opt.norm, &opt.scalarized, &opt.details)
-}
-
-pub(crate) fn check_parts(
-    norm: &NormProgram,
-    scalarized: &ScalarProgram,
-    details: &[BlockDetail],
-) -> Vec<Diagnostic> {
+    let (norm, scalarized, details) = (&opt.norm, &opt.scalarized, &opt.details);
     let program = &norm.program;
     let mut diags = Vec::new();
     check_reduce_structures(program, &scalarized.stmts, &mut diags);

@@ -26,7 +26,8 @@
 //!                                 the named pass (e.g. `normalize`, `dse`,
 //!                                 `rce2`, `fuse-contraction`, `contract`,
 //!                                 `scalarize`)
-//!   --list-passes                 list every pass `--emit` accepts and exit
+//!   --list-passes                 list every pass `--emit` accepts (the
+//!                                 ones the optimizer can run) and exit
 //!   --verify                      re-check every pipeline stage and the
 //!                                 compiled bytecode; report diagnostics
 //!   --run                         execute and print scalars + statistics
@@ -131,6 +132,13 @@ fn usage(msg: &str) -> ExitCode {
     ExitCode::from(2)
 }
 
+/// The passes `--emit` can snapshot and `--list-passes` prints: the ones
+/// the optimizer runs. The other stage identities only name where a
+/// fault or a diagnostic came from.
+fn emittable_passes() -> impl Iterator<Item = PassId> {
+    PassId::all().into_iter().filter(|p| p.is_optimizer_pass())
+}
+
 /// Flags only the plain (unsupervised, one-shot) path reads: they extend
 /// or inspect a pipeline the supervisor and the serve path never build.
 const PIPELINE_ONLY: &[&str] = &[
@@ -192,10 +200,14 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
             "--print" => opts.prints.push(value("--print")?),
             "--emit" => {
                 let v = value("--emit")?;
-                opts.emit = Some(PassId::from_name(&v).ok_or_else(|| {
+                let pass = PassId::from_name(&v).filter(|p| p.is_optimizer_pass());
+                opts.emit = Some(pass.ok_or_else(|| {
                     format!(
                         "unknown pass `{v}` (expected one of: {})",
-                        PassId::all().map(|p| p.name()).join(", ")
+                        emittable_passes()
+                            .map(PassId::name)
+                            .collect::<Vec<_>>()
+                            .join(", ")
                     )
                 })?);
             }
@@ -487,7 +499,7 @@ fn main() -> ExitCode {
         return ExitCode::SUCCESS;
     }
     if args.iter().any(|a| a == "--list-passes") {
-        for pass in PassId::all() {
+        for pass in emittable_passes() {
             println!("{pass}");
         }
         return ExitCode::SUCCESS;

@@ -278,6 +278,87 @@ fn emit_unscheduled_pass_fails_with_level() {
     );
 }
 
+/// `--list-passes` prints exactly the passes the optimizer can run, and
+/// every one of them snapshots under the one spec that schedules all
+/// eleven.
+#[test]
+fn list_passes_lists_exactly_what_emit_can_snapshot() {
+    let (stdout, _, ok) = zlc(&["--list-passes"]);
+    assert!(ok);
+    let listed: Vec<&str> = stdout.lines().collect();
+    assert_eq!(
+        listed,
+        [
+            "normalize",
+            "dse",
+            "rce",
+            "rce2",
+            "fuse-contraction",
+            "fuse-locality",
+            "fuse-pairwise",
+            "contract",
+            "dim-contract",
+            "find-loop-structure",
+            "scalarize"
+        ]
+    );
+    for pass in listed {
+        let (stdout, stderr, ok) = zlc(&[
+            &program_path("sweep.zl"),
+            "--level",
+            "c2+f4+dse+rce+rce2",
+            "--dimension-contraction",
+            "--emit",
+            pass,
+        ]);
+        assert!(ok, "--emit {pass}: {stderr}");
+        assert!(
+            stdout.starts_with(&format!("// after {pass}\n")),
+            "--emit {pass}: {stdout}"
+        );
+    }
+}
+
+/// The other stage identities name where a fault or a diagnostic came
+/// from; none leaves a snapshot, so `--emit` rejects them up front
+/// (`--emit verify::asdg` used to print the scalarized loops, and
+/// `--emit parse` failed after compiling with "did not run").
+#[test]
+fn emit_of_a_stage_that_is_not_a_pass_is_a_usage_error() {
+    for stage in ["parse", "verify::asdg", "verify", "execute"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_zlc"))
+            .args([&program_path("heat.zl"), "--emit", stage])
+            .output()
+            .expect("zlc runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "--emit {stage}: {stderr}");
+        assert!(
+            stderr.contains(&format!("unknown pass `{stage}`")),
+            "{stderr}"
+        );
+        assert!(stderr.contains("normalize, dse, rce, rce2, "), "{stderr}");
+        assert!(stderr.contains(", scalarize)"), "{stderr}");
+    }
+}
+
+/// The report is headed by the full level spec, cleanup suffixes included
+/// (it used to drop them and say `c2+f3`).
+#[test]
+fn print_report_names_the_cleanup_suffixes() {
+    let (stdout, stderr, ok) = zlc(&[
+        &program_path("heat.zl"),
+        "--level",
+        "c2+f3+rce2+dse",
+        "--print",
+        "report",
+    ]);
+    assert!(ok, "{stderr}");
+    assert!(
+        stdout.starts_with("contraction report at c2+f3+dse+rce2:\n"),
+        "{stdout}"
+    );
+}
+
 #[test]
 fn level_cleanup_suffixes_schedule_the_passes() {
     let (stdout, stderr, ok) = zlc(&[

@@ -1,8 +1,11 @@
-//! Integration tests for the instrumented pass manager: analysis caching,
-//! trace instrumentation, and the `+dse` / `+rce` cleanup passes.
+//! Integration tests for the optimizer driver: the schedule each level
+//! spec runs, analysis caching, trace instrumentation, where the
+//! translation validator runs, and the `+dse` / `+rce` / `+rce2` cleanup
+//! passes.
 
 use zpl_fusion::fusion::pass::PassId;
 use zpl_fusion::fusion::pipeline::Optimized;
+use zpl_fusion::fusion::verify;
 use zpl_fusion::prelude::*;
 
 fn outputs(pipeline: &Pipeline, program: &zlang::ir::Program) -> Vec<f64> {
@@ -14,7 +17,7 @@ fn outputs(pipeline: &Pipeline, program: &zlang::ir::Program) -> Vec<f64> {
     exec.execute(&mut NoopObserver).expect("executes").scalars
 }
 
-/// The paper levels never invalidate analyses, so the pass manager must
+/// The paper levels never invalidate analyses, so the optimizer must
 /// build exactly one ASDG per basic block — even with the translation
 /// validator re-checking every stage.
 #[test]
@@ -53,7 +56,9 @@ fn traces_cover_the_schedule_in_order() {
         assert!(pos(PassId::FuseContraction) < pos(PassId::Contract));
         assert!(pos(PassId::Contract) < pos(PassId::FindLoopStructure));
         assert!(pos(PassId::FindLoopStructure) < pos(PassId::Scalarize));
-        assert!(pos(PassId::Scalarize) < pos(PassId::VerifyNormalForm));
+        // The validator did not run (`VerifyLevel::Off`), so scalarize is
+        // the last row: `passes` carries no `verify::*` row.
+        assert_eq!(ids.last(), Some(&PassId::Scalarize), "{name}");
         // Paper levels never schedule the cleanup passes.
         assert!(!ids.contains(&PassId::Dse) && !ids.contains(&PassId::Rce));
         let stmts: Vec<usize> = opt.passes.iter().map(|t| t.stmts).collect();
@@ -137,6 +142,63 @@ fn rce_merges_redundant_computation_paper_levels_recompute() {
     }
 }
 
+/// `+rce` forwards only a right-hand side that reads an array. A fill
+/// that reads none (a constant, a scalar) has no flop to save, so turning
+/// it into a copy of an earlier identical fill only adds a load stream —
+/// which is what `+rce` used to do to SIMPLE's `VY := 0` and FRAC's
+/// `ZI := 0`.
+#[test]
+fn rce_leaves_fills_that_read_no_array_alone() {
+    let src = "program rcefill; config n : int = 8; region R = [1..n]; \
+               var A, B, C, D : [R] float; var s, t : float; begin \
+               t := 3.0; [R] A := 0.0; [R] B := 0.0; [R] C := t * 2.0; [R] D := t * 2.0; \
+               s := +<< [R] (A + B + C + D); end";
+    let program = zlang::compile(src).unwrap();
+    let cleaned = Pipeline::new(Level::C2F3)
+        .with_rce()
+        .with_emit(PassId::Rce)
+        .optimize(&program);
+    let snap = cleaned.emitted.as_deref().unwrap();
+    assert!(
+        snap.contains("[R] B := 0") && !snap.contains("B := A"),
+        "{snap}"
+    );
+    assert!(
+        snap.contains("[R] D := (t * 2") && !snap.contains("D := C"),
+        "{snap}"
+    );
+    let rce = cleaned.passes.iter().find(|t| t.id == PassId::Rce).unwrap();
+    assert!(!rce.changed, "{snap}");
+}
+
+/// With fills left alone, `+rce` never adds a load to a paper benchmark
+/// (and, as EXPERIMENTS.md records, changes none of them).
+#[test]
+fn rce_never_adds_loads_on_the_paper_benchmarks() {
+    for bench in zpl_fusion::workloads::all() {
+        let program = bench.program();
+        let n = if bench.rank == 1 { 64 } else { 8 };
+        let loads = |pipeline: Pipeline| {
+            let opt = pipeline.optimize(&program);
+            let mut binding = ConfigBinding::defaults(&opt.scalarized.program);
+            binding.set_by_name(&opt.scalarized.program, bench.size_config, n);
+            let mut exec = Engine::Vm.executor(&opt.scalarized, binding).unwrap();
+            exec.execute(&mut NoopObserver).unwrap().stats.loads
+        };
+        for level in Level::all() {
+            let (plain, cleaned) = (
+                loads(Pipeline::new(level)),
+                loads(Pipeline::new(level).with_rce()),
+            );
+            assert!(
+                cleaned <= plain,
+                "{} at {level}+rce: {cleaned} loads, {plain} without",
+                bench.name
+            );
+        }
+    }
+}
+
 /// A write between the two computations no longer blocks `+rce` when it
 /// provably lands in a disjoint region: the row write to `A` below
 /// touches `[1..1]` while both computations read `A` over `[2..n]`.
@@ -178,8 +240,8 @@ fn rce_sees_through_provably_disjoint_writes() {
 
 /// `+rce2` materializes the shared flux-pair subexpression once and turns
 /// both statements into shifted reuses; the paper levels recompute; the
-/// observable output is identical, and the rce2 validator is scheduled
-/// and clean.
+/// observable output is identical, and the validator (which re-checks
+/// the recorded rewrites) is clean.
 #[test]
 fn rce2_materializes_stencil_overlap_paper_levels_recompute() {
     let src = "program rce2test; config n : int = 8; \
@@ -209,21 +271,59 @@ fn rce2_materializes_stencil_overlap_paper_levels_recompute() {
         );
         let info = cleaned.rce2.as_ref().expect("rce2 info recorded");
         assert_eq!(info.rewrites.len(), 2);
-        let ids: Vec<PassId> = cleaned.passes.iter().map(|t| t.id).collect();
-        assert!(ids.contains(&PassId::Rce2) && ids.contains(&PassId::VerifyRce2));
+        assert!(cleaned.passes.iter().any(|t| t.id == PassId::Rce2));
+        assert_eq!(cleaned.diagnostics, verify::validate(&cleaned));
         assert_eq!(
             outputs(&Pipeline::new(level), &program),
             outputs(&Pipeline::new(level).with_rce2(), &program),
             "{level}: rce2 changed observable behavior"
         );
     }
-    // Paper levels do not schedule rce2 or its validator.
+    // Paper levels do not schedule rce2.
     let plain = Pipeline::new(Level::C2F3)
         .with_verify(VerifyLevel::Always)
         .optimize(&program);
-    let ids: Vec<PassId> = plain.passes.iter().map(|t| t.id).collect();
-    assert!(!ids.contains(&PassId::Rce2) && !ids.contains(&PassId::VerifyRce2));
+    assert!(plain.passes.iter().all(|t| t.id != PassId::Rce2));
     assert!(plain.rce2.is_none());
+}
+
+/// The translation validator runs once, over the finished result, and only
+/// when the `VerifyLevel` gate says so: `diagnostics` is exactly what
+/// `verify::validate` returns for that result, and `passes` carries a
+/// `verify::*` row (one, after `scalarize`) only when it ran.
+#[test]
+fn validator_runs_once_on_the_result_when_the_gate_says_so() {
+    let verify_rows = |opt: &Optimized| {
+        let rows = opt.passes.iter().map(|t| t.id.name());
+        rows.filter(|n| n.starts_with("verify::")).count()
+    };
+    for bench in zpl_fusion::workloads::all() {
+        let program = bench.program();
+        for level in Level::all() {
+            for dim in [false, true] {
+                let pipeline = |verify| {
+                    let p = Pipeline::new(level).with_verify(verify);
+                    if dim {
+                        p.with_dimension_contraction()
+                    } else {
+                        p
+                    }
+                };
+                let what = format!("{} at {level} (dimension contraction {dim})", bench.name);
+                let opt = pipeline(VerifyLevel::Always).optimize(&program);
+                assert_eq!(opt.diagnostics, verify::validate(&opt), "{what}");
+                assert_eq!(verify_rows(&opt), 1, "{what}");
+                assert_ne!(opt.passes.last().unwrap().id, PassId::Scalarize, "{what}");
+                // Clean programs never trip the cheap self-check, so
+                // `on-failure` stands down like `off`.
+                for verify in [VerifyLevel::Off, VerifyLevel::OnFailure] {
+                    let opt = pipeline(verify).optimize(&program);
+                    assert_eq!(verify_rows(&opt), 0, "{what}, verify {verify}");
+                    assert!(opt.diagnostics.is_empty(), "{what}, verify {verify}");
+                }
+            }
+        }
+    }
 }
 
 /// Cleanup passes start a new mutation epoch when they change something:
@@ -253,5 +353,84 @@ fn emit_snapshot_presence() {
     assert!(
         opt.emitted.is_none(),
         "dse is not scheduled at paper levels"
+    );
+}
+
+/// The schedule, pinned: the transformation passes each level runs, in
+/// order, written out. The cleanup suffixes slot in after `normalize`
+/// (`dse`, `rce`, `rce2`, in that order), dimension contraction after
+/// `contract`; a spatial cap bounds `fuse-pairwise` without moving it.
+/// The translation validator's `verify::*` rows are not transformations
+/// and are ignored here.
+#[test]
+fn schedule_is_a_function_of_the_level_spec() {
+    use PassId::*;
+    let levels: [(Level, &[PassId]); 8] = [
+        (Level::Baseline, &[]),
+        (Level::F1, &[FuseContraction]),
+        (Level::C1, &[FuseContraction]),
+        (Level::F2, &[FuseContraction]),
+        (Level::F3, &[FuseContraction, FuseLocality]),
+        (Level::C2, &[FuseContraction]),
+        (Level::C2F3, &[FuseContraction, FuseLocality]),
+        (Level::C2F4, &[FuseContraction, FuseLocality, FusePairwise]),
+    ];
+    type Cleanup = (&'static str, fn(Pipeline) -> Pipeline, &'static [PassId]);
+    let cleanups: [Cleanup; 5] = [
+        ("", |p| p, &[]),
+        ("+dse", |p| p.with_dse(), &[Dse]),
+        ("+rce", |p| p.with_rce(), &[Rce]),
+        ("+rce2", |p| p.with_rce2(), &[Rce2]),
+        (
+            "+dse+rce+rce2",
+            |p| p.with_dse().with_rce().with_rce2(),
+            &[Dse, Rce, Rce2],
+        ),
+    ];
+    let transformations = |opt: &Optimized| -> Vec<PassId> {
+        opt.passes
+            .iter()
+            .map(|t| t.id)
+            .filter(|id| !id.name().starts_with("verify"))
+            .collect()
+    };
+    let program = zpl_fusion::workloads::by_name("tomcatv").unwrap().program();
+    for (level, fusion) in levels {
+        for (suffix, cleanup, cleanup_ids) in cleanups {
+            for dim in [false, true] {
+                let mut expected = vec![Normalize];
+                expected.extend_from_slice(cleanup_ids);
+                expected.extend_from_slice(fusion);
+                expected.push(Contract);
+                if dim {
+                    expected.push(DimContract);
+                }
+                expected.extend([FindLoopStructure, Scalarize]);
+                let mut pipeline = cleanup(Pipeline::new(level));
+                if dim {
+                    pipeline = pipeline.with_dimension_contraction();
+                }
+                assert_eq!(
+                    transformations(&pipeline.optimize(&program)),
+                    expected,
+                    "{level}{suffix} (dimension contraction {dim})"
+                );
+            }
+        }
+    }
+    let capped = Pipeline::new(Level::C2F4)
+        .with_spatial_cap(2)
+        .optimize(&program);
+    assert_eq!(
+        transformations(&capped),
+        [
+            Normalize,
+            FuseContraction,
+            FuseLocality,
+            FusePairwise,
+            Contract,
+            FindLoopStructure,
+            Scalarize
+        ]
     );
 }
