@@ -175,15 +175,17 @@ pub(crate) enum Op {
     /// at the next pc) as lane-vectorizable per [`Code::simds`]`[simd]`.
     /// A scalar dispatcher treats this as a no-op and falls through into
     /// the loop; a lane-enabled verified [`Vm`](crate::Vm) executes the
-    /// whole range in strips of iterations and resumes at the loop exit.
+    /// whole range in strips of iterations and resumes at the loop exit -
+    /// or, when the loop records [`Rows`], what is left of the enclosing
+    /// loop as well, resuming at that loop's exit.
     SimdBegin { simd: u32 },
     /// End of program.
     Halt,
 }
 
-/// Widest strip of consecutive iterations the lane executor runs
-/// op-major (the cap on [`SimdInfo::lanes`], which stays a `u8`). The
-/// default strip is 64 wide (`simd::DEFAULT_LANES`).
+/// Widest strip of consecutive positions the lane executor runs
+/// op-major (the cap on [`SimdInfo::lanes`] and [`Rows::lanes`], which
+/// stay `u8`). The default strip is 64 wide (`simd::DEFAULT_LANES`).
 pub(crate) const MAX_LANES: usize = 128;
 
 /// Largest intrinsic arity a lane program carries.
@@ -196,7 +198,10 @@ pub(crate) const MAX_CALL_ARGS: usize = 4;
 pub(crate) enum Bcast {
     /// Frame register `r` (a register the body never writes).
     Reg(Reg),
-    /// `idx[d] as f64` for a dimension other than the loop's own.
+    /// `idx[d] as f64` for a dimension other than the loop's own. In a
+    /// run that spans the rows of the enclosing loop, that loop's index
+    /// is the one entry that varies: its slot is refilled for every
+    /// strip, each row's piece of the strip with that row's index.
     Idx(u8),
 }
 
@@ -205,12 +210,14 @@ pub(crate) enum Bcast {
 /// `lane_regs.len()` hold the registers the body writes (one value per
 /// iteration of the strip), the slots after them hold the loop's
 /// broadcast table. The superfuse pass emits this form once at compile
-/// time, so entering the loop resolves nothing.
+/// time, so entering the loop resolves nothing. Position `m` of a strip
+/// is one iteration of the loop - of the enclosing loop's row `r` and the
+/// loop's own column `c` when the run spans rows, numbered row-major.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) enum LaneOp {
-    /// Per position `m`: `dst[m] = load(acc at idx[d] = base + m·step)`.
+    /// Per position `m`: `dst[m] = load(acc at the position's indices)`.
     Load { dst: u16, acc: u32 },
-    /// Per position `m`: `store(acc at idx[d] = base + m·step, src[m])`.
+    /// Per position `m`: `store(acc at the position's indices, src[m])`.
     Store { acc: u32, src: u16 },
     /// Per position `m`: `dst[m] = a[m] <op> b[m]`.
     Bin { op: BinOp, dst: u16, a: u16, b: u16 },
@@ -218,9 +225,9 @@ pub(crate) enum LaneOp {
     Neg { dst: u16, src: u16 },
     /// Per position `m`: `dst[m] = src[m]`.
     Mov { dst: u16, src: u16 },
-    /// Per position `m`: `dst[m] = (base + m·step) as f64`, the loop's own
-    /// index (other dimensions' `IdxF` become a `Mov` from a
-    /// [`Bcast::Idx`] slot).
+    /// Per position `m`: `dst[m] = (start + c·step) as f64`, the loop's
+    /// own index at the position's column (other dimensions' `IdxF` become
+    /// a `Mov` from a [`Bcast::Idx`] slot).
     IdxSeq { dst: u16 },
     /// Per position `m`: `dst[m] = intr(args[0][m], .., args[n-1][m])`.
     Call {
@@ -230,8 +237,8 @@ pub(crate) enum LaneOp {
         args: [u16; MAX_CALL_ARGS],
     },
     /// `f[acc] = f[acc] <op> src[m]` for `m` ascending: the strip is
-    /// folded into frame register `acc` in iteration order, which is the
-    /// scalar loop's order, so the result has the scalar loop's bits.
+    /// folded into frame register `acc` in position order, which is the
+    /// scalar loops' order, so the result has the scalar loops' bits.
     Reduce { op: ReduceOp, acc: Reg, src: u16 },
     /// Count one iteration point and `flops` flops per position.
     Tick { flops: u32 },
@@ -274,6 +281,57 @@ pub(crate) struct SimdInfo {
     pub lane_regs: Vec<Reg>,
     /// The broadcast table: what fills each slot past the lane registers.
     pub bcast: Vec<Bcast>,
+    /// The enclosing loop a lane run may cover as well, or why it may not.
+    pub rows: Result<Rows, NoRows>,
+}
+
+/// The loop directly around a simd loop, recorded when the ops around the
+/// annotated loop are exactly `SetIdx outer; [SimdBegin; SetIdx inner;
+/// body; IdxStep inner]; IdxStep outer`: the outer back edge lands on the
+/// `SimdBegin`, nothing else jumps into the nest, and the two loops
+/// iterate different dimensions. A lane run entered at the `SimdBegin` may
+/// then cover every remaining outer iterate too: positions are numbered
+/// row-major over (outer, inner) - the scalar order - and strips of up to
+/// `lanes` positions are cut across row ends.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Rows {
+    /// The index-vector dimension the enclosing loop iterates.
+    pub dim: u8,
+    /// First iterate of `dim`.
+    pub start: i64,
+    /// Iteration direction: `+1` or `-1`.
+    pub step: i64,
+    /// One `step` past the last iterate.
+    pub stop: i64,
+    /// pc one past the enclosing loop's `IdxStep`.
+    pub exit: u32,
+    /// Widest strip of row-major positions proven safe (2..=128): the
+    /// least linear distance at which two accesses of one array, at least
+    /// one of them a store, touch the same cell. Never above
+    /// [`SimdInfo::lanes`], which is the same bound within one row.
+    pub lanes: u8,
+}
+
+/// Why a simd loop records no [`Rows`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum NoRows {
+    /// No region loop encloses the simd loop.
+    NoEnclosingLoop,
+    /// The enclosing loop's body holds more than the simd loop.
+    OtherOps,
+    /// Two positions this far apart in row-major order touch the same
+    /// cell of a stored array, and a strip must be at least 2 wide.
+    Dependence(u32),
+}
+
+impl std::fmt::Display for NoRows {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            NoRows::NoEnclosingLoop => f.write_str("no enclosing loop"),
+            NoRows::OtherOps => f.write_str("enclosing body has other ops"),
+            NoRows::Dependence(d) => write!(f, "row-crossing dependence at distance {d}"),
+        }
+    }
 }
 
 /// Static per-array allocation info (bounds resolved under the binding).
@@ -1570,6 +1628,18 @@ pub(crate) fn disasm(code: &Code) -> String {
             s.lane_regs,
             s.bcast.len()
         );
+        let _ = match s.rows {
+            Ok(r) => writeln!(
+                out,
+                ";;   rows i{} x{} lanes {} pcs [{}, {})",
+                r.dim,
+                (r.stop - r.start) / r.step,
+                r.lanes,
+                s.head - 2,
+                r.exit
+            ),
+            Err(why) => writeln!(out, ";;   rows: no ({why})"),
+        };
         for (j, b) in s.bcast.iter().enumerate() {
             let slot = s.lane_regs.len() + j;
             let _ = match *b {

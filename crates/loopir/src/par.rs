@@ -34,14 +34,48 @@ use crate::exec::TileStats;
 use crate::interp::{ExecError, NoopObserver, Observer, RunStats};
 use crate::simd::{self, ElemMem, LaneScratch};
 use crate::vm::{body_op, book_lane_run, VmArray};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
 use std::thread;
-use std::time::Instant;
+use std::time::{Duration, Instant};
+
+/// How long an idle thread of the pool watches for its next event before
+/// it parks. A parked thread leaves its core idle, and waking an idle
+/// core costs the waker a system call and the sleeper a scheduling
+/// latency the host decides (on the 2-core guest 15 us and 50-80 us,
+/// several times that when the host is busy) - per ladder, on the
+/// blocking path, of ladders that run 30-400 us. Consecutive ladders of
+/// one nest sequence are 1-150 us apart (an array allocation at most),
+/// so a worker that watches this long meets the next ladder awake and
+/// parks only across the program's sequential stretches; the coordinator
+/// waits the same way for a batch's last tile, an eighth of a ladder.
+const SPIN: Duration = Duration::from_micros(200);
+
+/// Blocks until `ready`: polls it for at most [`SPIN`], yielding between
+/// rounds of polls so that a pool wider than the machine gives its cores
+/// to the threads that hold tiles, then parks. Whoever makes `ready`
+/// true unparks this thread afterwards; an unpark that comes first makes
+/// the next `park` return at once, so no wake-up is lost, and a stale one
+/// only costs a re-check.
+fn wait_until(ready: impl Fn() -> bool) {
+    let since = Instant::now();
+    while since.elapsed() < SPIN {
+        for _ in 0..64 {
+            if ready() {
+                return;
+            }
+            std::hint::spin_loop();
+        }
+        thread::yield_now();
+    }
+    while !ready() {
+        thread::park();
+    }
+}
 
 /// A persistent pool of `threads - 1` workers plus the coordinating
-/// thread. Workers park on a condvar between batches; submitting a batch
-/// bumps a generation counter and wakes them. Work *within* a batch is
+/// thread. Submitting a batch bumps an epoch the idle workers watch
+/// ([`wait_until`]: briefly awake, then parked). Work *within* a batch is
 /// stolen tile-by-tile from a shared atomic cursor, so an uneven tile
 /// (or a descheduled worker) never idles the rest of the pool.
 pub(crate) struct Pool {
@@ -52,15 +86,17 @@ pub(crate) struct Pool {
 
 struct PoolShared {
     slot: Mutex<JobSlot>,
-    cv: Condvar,
+    /// Counts the changes of `slot`, and changes only under its lock, so
+    /// under the lock it dates the slot exactly; idle workers read it
+    /// without the lock to learn that there is something new. (Release
+    /// on the bump, Acquire on those reads; the slot's contents travel
+    /// through the mutex.) A worker that slept through a whole batch
+    /// simply skips it.
+    epoch: AtomicU64,
 }
 
 #[derive(Default)]
 struct JobSlot {
-    /// Bumped once per published batch; workers compare against the last
-    /// generation they saw, so a worker that slept through a whole batch
-    /// simply skips it.
-    gen: u64,
     batch: Option<Arc<Batch>>,
     shutdown: bool,
 }
@@ -70,7 +106,7 @@ impl Pool {
         let threads = threads.max(1);
         let shared = Arc::new(PoolShared {
             slot: Mutex::new(JobSlot::default()),
-            cv: Condvar::new(),
+            epoch: AtomicU64::new(0),
         });
         let workers = (1..threads)
             .map(|_| {
@@ -89,25 +125,31 @@ impl Pool {
         self.threads
     }
 
+    /// Changes the job slot and tells every worker.
+    fn publish(&self, change: impl FnOnce(&mut JobSlot)) {
+        {
+            // Every update leaves the slot valid at every step, so a
+            // poisoned lock is as good as any - and `Drop` must not panic.
+            let mut slot = self.shared.slot.lock().unwrap_or_else(|e| e.into_inner());
+            change(&mut slot);
+            self.shared.epoch.fetch_add(1, Ordering::Release);
+        }
+        for w in &self.workers {
+            w.thread().unpark();
+        }
+    }
+
     fn submit(&self, batch: &Arc<Batch>) {
         if self.workers.is_empty() {
             return; // the coordinator runs every tile itself
         }
-        let mut slot = self.shared.slot.lock().unwrap();
-        slot.gen += 1;
-        slot.batch = Some(Arc::clone(batch));
-        drop(slot);
-        self.shared.cv.notify_all();
+        self.publish(|slot| slot.batch = Some(Arc::clone(batch)));
     }
 }
 
 impl Drop for Pool {
     fn drop(&mut self) {
-        {
-            let mut slot = self.shared.slot.lock().unwrap();
-            slot.shutdown = true;
-        }
-        self.shared.cv.notify_all();
+        self.publish(|slot| slot.shutdown = true);
         for w in self.workers.drain(..) {
             let _ = w.join();
         }
@@ -117,21 +159,16 @@ impl Drop for Pool {
 fn worker(sh: Arc<PoolShared>) {
     let mut seen = 0u64;
     loop {
+        wait_until(|| sh.epoch.load(Ordering::Acquire) != seen);
         let batch = {
-            let mut slot = sh.slot.lock().unwrap();
-            loop {
-                if slot.shutdown {
-                    return;
-                }
-                if slot.gen != seen {
-                    seen = slot.gen;
-                    break slot
-                        .batch
-                        .clone()
-                        .expect("published generation has a batch");
-                }
-                slot = sh.cv.wait(slot).unwrap();
+            let slot = sh.slot.lock().unwrap_or_else(|e| e.into_inner());
+            seen = sh.epoch.load(Ordering::Acquire);
+            if slot.shutdown {
+                return;
             }
+            slot.batch
+                .clone()
+                .expect("a published slot holds a batch or the shutdown flag")
         };
         batch.run_tiles();
     }
@@ -172,13 +209,14 @@ struct Batch {
     lanes: usize,
     /// The work-stealing cursor: each claim takes the next unstarted tile.
     next: AtomicUsize,
-    state: Mutex<BatchState>,
-    done_cv: Condvar,
-}
-
-struct BatchState {
-    slots: Vec<Option<Result<TileRun, ExecError>>>,
-    done: usize,
+    slots: Mutex<Vec<Option<Result<TileRun, ExecError>>>>,
+    /// Tiles finished. A tile's bump is a Release after its last array
+    /// access and its slot write, and every bump is a read-modify-write,
+    /// so the coordinator's Acquire load that reads `tiles.len()` has all
+    /// of them before it.
+    done: AtomicUsize,
+    /// Who waits for `done` to reach `tiles.len()`.
+    coordinator: thread::Thread,
 }
 
 // SAFETY: `Batch` is shared across threads only through `run_tiles`, whose
@@ -192,9 +230,10 @@ struct BatchState {
 // itself is the bytecode compiler's `par_dim` proof). The pointers stay
 // valid for the whole fan-out by a runtime check: the coordinator borrows
 // the arrays mutably for the duration of `run_ladder`, which waits on
-// `done == tiles.len()` before it returns (and workers touch no view after
-// their last tile). All remaining fields are either immutable after
-// publication or synchronized (`Mutex`, atomics).
+// `done == tiles.len()` before it returns (a tile bumps `done` after its
+// last access, Release against the coordinator's Acquire, and workers
+// touch no view after their last tile). All remaining fields are either
+// immutable after publication or synchronized (`Mutex`, atomics).
 unsafe impl Send for Batch {}
 // SAFETY: as for `Send` above — verifier phase 1 plus `par_dim` for
 // race-freedom, `run_ladder`'s completion wait for pointer validity.
@@ -210,11 +249,9 @@ impl Batch {
                 return;
             }
             let r = run_tile(self, t, &mut lane_scratch);
-            let mut st = self.state.lock().unwrap();
-            st.slots[t] = Some(r);
-            st.done += 1;
-            if st.done == self.tiles.len() {
-                self.done_cv.notify_all();
+            self.slots.lock().unwrap()[t] = Some(r);
+            if self.done.fetch_add(1, Ordering::Release) + 1 == self.tiles.len() {
+                self.coordinator.unpark();
             }
         }
     }
@@ -287,20 +324,16 @@ pub(crate) fn run_ladder(
         batch_id,
         lanes,
         next: AtomicUsize::new(0),
-        state: Mutex::new(BatchState {
-            slots: (0..n).map(|_| None).collect(),
-            done: 0,
-        }),
-        done_cv: Condvar::new(),
+        slots: Mutex::new((0..n).map(|_| None).collect()),
+        done: AtomicUsize::new(0),
+        coordinator: thread::current(),
     });
     pool.submit(&batch);
     batch.run_tiles(); // the coordinator is a worker too
-    let mut st = batch.state.lock().unwrap();
-    while st.done < n {
-        st = batch.done_cv.wait(st).unwrap();
-    }
+    wait_until(|| batch.done.load(Ordering::Acquire) == n);
+    let mut slots = batch.slots.lock().unwrap();
     let mut final_idx = *idx;
-    for slot in st.slots.iter_mut() {
+    for slot in slots.iter_mut() {
         match slot.take().expect("completed batch has every slot filled") {
             Ok(run) => {
                 final_idx = run.final_idx;
@@ -376,24 +409,18 @@ fn run_tile(b: &Batch, ti: usize, lane_scratch: &mut LaneScratch) -> Result<Tile
                 }
             }
             Op::SimdBegin { simd } => {
-                // The simd × tiling composition: when the vectorized loop
-                // is the partitioned dimension itself (1-D ladders), the
-                // lane run covers this tile's sub-range; for inner loops
-                // of a 2-D ladder it covers the full inner range at the
-                // tile's fixed outer index.
+                // The simd × tiling composition: the lane run honours the
+                // tile's range of the partitioned dimension. When that is
+                // the vectorized loop itself (1-D ladders), the run covers
+                // this tile's piece of it; when it is the loop around it,
+                // the run spans the tile's rows and ends at the tile's
+                // stop; further out, the run is the sequential VM's.
                 if b.lanes >= 2 {
-                    let info = &code.simds[simd as usize];
-                    let (s_start, s_stop) = if info.dim as usize == pdim {
-                        (t_start, t_stop)
-                    } else {
-                        (info.start, info.stop)
-                    };
                     let run = simd::run_lanes(
                         code,
-                        info,
+                        &code.simds[simd as usize],
                         b.lanes,
-                        s_start,
-                        s_stop,
+                        Some((pdim, t_start, t_stop)),
                         &mut regs,
                         &idx,
                         &mut mem,
@@ -403,8 +430,8 @@ fn run_tile(b: &Batch, ti: usize, lane_scratch: &mut LaneScratch) -> Result<Tile
                     if let Some(run) = run {
                         ops_done += run.ops;
                         book_lane_run(&run, &mut n);
-                        idx[info.dim as usize] = s_stop;
-                        pc = info.exit as usize;
+                        idx = run.idx;
+                        pc = run.resume as usize;
                     }
                 }
             }
@@ -531,6 +558,17 @@ mod tests {
                 assert_eq!(at, 0);
             }
         }
+    }
+
+    /// Neither assertion depends on the sleep: it only lets the workers
+    /// reach `park`, so that the drop's join returns only if its unpark
+    /// reaches them there too (and not just while they still spin).
+    #[test]
+    fn parked_workers_hear_the_shutdown() {
+        let pool = Pool::new(3);
+        assert_eq!(pool.threads(), 3);
+        thread::sleep(10 * SPIN);
+        drop(pool);
     }
 
     #[test]

@@ -26,17 +26,24 @@
 //! Scalar dispatchers treat `SimdBegin` as a no-op and fall through into
 //! the loop, so one bytecode serves every engine. A lane-enabled verified
 //! VM instead calls [`run_lanes`], which covers the loop's whole range in
-//! strips of up to 64 consecutive iterations (the last strip shorter when
-//! the width does not divide the extent). Every op is one tight loop over
-//! the strip's slices of the lane file, which LLVM vectorizes (with AVX2
-//! when the CPU has it; both forms are exactly IEEE, so the choice never
-//! changes a bit). Each position computes exactly the scalar iteration's
-//! values with the same per-element operation order, and a reduction
-//! folds its strip into the accumulator in iteration order, so results
-//! stay `f64::to_bits`-identical to the interpreter; loops that would not
-//! (carried dependences) are simply never annotated.
+//! strips of up to 64 consecutive positions (the last strip shorter when
+//! the width does not divide the range). When the loop sits directly
+//! inside another one ([`Rows`]) the run covers that loop too: positions
+//! are numbered row-major over (outer, inner), which is the scalar order,
+//! and strips are cut across row ends, so the unit of dispatch is sized
+//! by the machine and not by the array's last dimension. Every op is one
+//! tight loop over the strip's slices of the lane file, which LLVM
+//! vectorizes (with AVX2 when the CPU has it; both forms are exactly
+//! IEEE, so the choice never changes a bit). Each position computes
+//! exactly the scalar iteration's values with the same per-element
+//! operation order, and a reduction folds its strip into the accumulator
+//! in position order, so results stay `f64::to_bits`-identical to the
+//! interpreter; loops that would not (carried dependences) are simply
+//! never annotated.
 
-use crate::bytecode::{Bcast, Code, LaneOp, Op, Reg, SimdInfo, MAX_CALL_ARGS, MAX_LANES, MAX_RANK};
+use crate::bytecode::{
+    Bcast, Code, LaneOp, NoRows, Op, Reg, Rows, SimdInfo, MAX_CALL_ARGS, MAX_LANES, MAX_RANK,
+};
 use crate::interp::{binop, ExecError, Observer};
 use crate::vm::{unallocated, VmArray};
 use std::time::Instant;
@@ -44,9 +51,14 @@ use zlang::ast::{BinOp, ReduceOp};
 use zlang::ir::Intrinsic;
 
 /// Strip width when the caller does not override it ([`MAX_LANES`] is the
-/// cap). A constant, not a knob: past 32 the width buys little (SIMPLE
-/// n=256 runs 27.2 / 23.1 / 22.2 ms at 32 / 64 / 128, SP n=24 21.9 / 22.7
-/// / 22.2 ms; EXPERIMENTS.md), and 64 keeps most lane files inside L1.
+/// cap). A constant, not a knob. Re-measured with runs that span rows
+/// (PR 20; execution only, min of 54, ms at 32 / 64 / 128): SIMPLE n=256
+/// 16.8 / 11.2 / 9.2, Tomcatv n=256 10.4 / 6.9 / 5.5, SP n=24 12.6 / 8.5
+/// / 7.2 (EXPERIMENTS.md). Strips are full at any width now, so the curve
+/// no longer flattens at 64 - a strip-op costs about 20 ns before its
+/// first element - but 64 keeps the lane file of the widest nest (SP's:
+/// 58 slots, 29 KB) inside a 32 KB L1, which 128 does not. Choosing the
+/// width per loop from its slot count is ROADMAP item 2.
 pub(crate) const DEFAULT_LANES: usize = 64;
 
 /// Rewrites compiled bytecode in place: bundles superinstructions, then
@@ -61,9 +73,11 @@ pub(crate) fn superfuse(code: &mut Code) {
     vectorize(code);
 }
 
-/// Marks every pc that some control transfer can land on (plus `n`, the
-/// one-past-the-end pc a final back edge may test against).
-fn jump_targets(code: &Code) -> Vec<bool> {
+/// Marks every pc that some jump can land on (plus `n`, the
+/// one-past-the-end pc a final back edge may test against). A lane run
+/// needs no mark: it resumes past an `IdxStep`, where the scalar loop it
+/// replaced falls through to.
+pub(crate) fn jump_targets(code: &Code) -> Vec<bool> {
     let n = code.ops.len();
     let mut t = vec![false; n + 1];
     let mut mark = |p: u32| {
@@ -85,10 +99,6 @@ fn jump_targets(code: &Code) -> Vec<bool> {
     for p in &code.pars {
         mark(p.entry);
         mark(p.exit);
-    }
-    for s in &code.simds {
-        mark(s.head);
-        mark(s.exit);
     }
     t
 }
@@ -278,11 +288,16 @@ fn vectorize(code: &mut Code) {
         if ((h + 1)..=t).any(|p| targets[p]) {
             continue;
         }
-        let extent = (stop - start) / step;
-        if extent < 2 {
-            continue;
-        }
-        let Some(cand) = analyze_loop(code, h, t, d as usize, step) else {
+        let site = LoopSite {
+            first: h - 1,
+            head: h,
+            tail: t,
+            dim: d,
+            start,
+            step,
+            stop,
+        };
+        let Some(cand) = analyze_loop(code, &targets, &site) else {
             continue;
         };
         found.push((
@@ -298,6 +313,7 @@ fn vectorize(code: &mut Code) {
                 body: cand.body,
                 lane_regs: cand.lane_regs,
                 bcast: cand.bcast,
+                rows: cand.rows,
             },
         ));
     }
@@ -342,18 +358,39 @@ fn vectorize(code: &mut Code) {
         .map(|(_, mut info)| {
             info.head = shift(info.head);
             info.exit = shift(info.exit);
+            if let Ok(rows) = &mut info.rows {
+                rows.exit = shift(rows.exit);
+            }
             info
         })
         .collect();
     code.ops = new_ops;
 }
 
-/// A decoded vectorizable loop body plus its proven safe width.
+/// Where a candidate loop sits in the op stream, and what it iterates.
+pub(crate) struct LoopSite {
+    /// pc an enclosing loop's back edge lands on to re-enter this loop:
+    /// its `SimdBegin`, or its `SetIdx` before `vectorize` has inserted
+    /// one.
+    pub first: usize,
+    /// pc of the first body op.
+    pub head: usize,
+    /// pc of the loop's `IdxStep`.
+    pub tail: usize,
+    pub dim: u8,
+    pub start: i64,
+    pub step: i64,
+    pub stop: i64,
+}
+
+/// A decoded vectorizable loop body plus its proven safe widths.
 pub(crate) struct SimdCandidate {
     pub body: Vec<LaneOp>,
     pub lane_regs: Vec<Reg>,
     pub bcast: Vec<Bcast>,
     pub lanes: u8,
+    /// The enclosing loop, with `exit` in the site's pc numbering.
+    pub rows: Result<Rows, NoRows>,
 }
 
 /// One constituent micro-op of a (possibly bundled) body instruction.
@@ -511,9 +548,9 @@ fn expand(ops: &[Op]) -> Option<Vec<Micro>> {
 const INVARIANT: u16 = u16::MAX;
 const ACCUMULATOR: u16 = u16::MAX - 1;
 
-/// Decodes the innermost loop body `code.ops[head..tail]` iterating
-/// `dim` with `step` into a slot-resolved lane program, and proves a safe
-/// strip width.
+/// Decodes the innermost loop body `code.ops[site.head..site.tail]` into
+/// a slot-resolved lane program, and proves a safe strip width within one
+/// row and, when the loop sits directly inside another, across rows.
 ///
 /// Every register the body writes gets a lane slot, numbered in order of
 /// first write; every other register or index the body reads gets an
@@ -530,15 +567,18 @@ const ACCUMULATOR: u16 = u16::MAX - 1;
 /// body-written register before its write in the same iteration (the
 /// value flows around the back edge), an accumulator that is touched
 /// twice, a store that does not vary along `dim` (every position would
-/// write one cell), or a same-array dependence at distance < 2 iterations.
+/// write one cell), a same-array dependence at distance < 2 iterations, or
+/// fewer than 2 iterations of a unit step to begin with.
 pub(crate) fn analyze_loop(
     code: &Code,
-    head: usize,
-    tail: usize,
-    dim: usize,
-    step: i64,
+    targets: &[bool],
+    site: &LoopSite,
 ) -> Option<SimdCandidate> {
-    let micro = expand(&code.ops[head..tail])?;
+    let dim = site.dim as usize;
+    if site.step.abs() != 1 || (site.stop - site.start) / site.step < 2 {
+        return None;
+    }
+    let micro = expand(&code.ops[site.head..site.tail])?;
 
     let mut slot_of = vec![INVARIANT; code.frame as usize];
     let mut lane_regs: Vec<Reg> = Vec::new();
@@ -640,7 +680,9 @@ pub(crate) fn analyze_loop(
                 });
             }
             Micro::Call { intr, dst, base, n } => {
-                if n as usize > MAX_CALL_ARGS {
+                // The strip kernels read exactly `arity` argument slots
+                // (the scalar `Intrinsic::eval` asserts the same count).
+                if n as usize != intr.arity() || n as usize > MAX_CALL_ARGS {
                     return None;
                 }
                 let mut args = [0u16; MAX_CALL_ARGS];
@@ -658,45 +700,160 @@ pub(crate) fn analyze_loop(
         }
     }
 
-    // Cross-iteration alias analysis. The lane loop runs op-major, so
-    // within a strip of `L` consecutive iterations every micro-op's L
-    // instances execute before the next micro-op's. That only reorders
-    // accesses between iterations at distance 1..=L-1; accesses from
-    // different strips keep their scalar order (strips are sequential),
-    // and other-dimension flat contributions cancel (same array ⇒ same
-    // strides). Two accesses P, Q of one array collide at distance m
-    // when const_flat(P) - const_flat(Q) = m·K with K = stride[dim]·step
-    // (the flat advance per iteration), so the width is capped at |m|.
-    let mut lanes = MAX_LANES as i64;
-    for (i, &(pa, pstore)) in accs.iter().enumerate() {
-        let a = &code.accesses[pa as usize];
-        let ka = a.strides[dim] * step;
-        if pstore && ka == 0 {
+    for &(acc, store) in &accs {
+        if store && code.accesses[acc as usize].strides[dim] == 0 {
             return None; // every position would write the same cell
         }
-        for &(qa, qstore) in &accs[i + 1..] {
-            let b = &code.accesses[qa as usize];
-            if a.arr != b.arr || !(pstore || qstore) {
-                continue;
-            }
-            let k = ka; // same array ⇒ same strides ⇒ same per-iter advance
-            if k == 0 {
-                continue; // loads only touch one cell; no cross-lane order
-            }
-            let dc = a.const_flat - b.const_flat;
-            if dc != 0 && dc % k == 0 {
-                lanes = lanes.min((dc / k).abs());
-            }
-        }
     }
+    let cols = (site.stop - site.start) / site.step;
+    let inner = Axis {
+        dim,
+        step: site.step,
+        extent: cols,
+    };
+    let lanes = alias_width(code, &accs, inner, None, MAX_LANES as i64);
     if lanes < 2 {
         return None;
     }
+    let rows = enclosing_loop(code, targets, site).and_then(|rows| {
+        let outer = Axis {
+            dim: rows.dim as usize,
+            step: rows.step,
+            extent: (rows.stop - rows.start) / rows.step,
+        };
+        match alias_width(code, &accs, inner, Some(outer), lanes) {
+            w if w < 2 => Err(NoRows::Dependence(w as u32)),
+            w => Ok(Rows {
+                lanes: w as u8,
+                ..rows
+            }),
+        }
+    });
     Some(SimdCandidate {
         body,
         lane_regs,
         bcast,
         lanes: lanes as u8,
+        rows,
+    })
+}
+
+/// One loop of a lane run's iteration space.
+#[derive(Clone, Copy)]
+struct Axis {
+    dim: usize,
+    step: i64,
+    extent: i64,
+}
+
+/// Cross-iteration alias analysis: the widest strip, at most `cap`, in
+/// which op-major execution reorders no conflicting pair of accesses.
+///
+/// The lane loop runs op-major, so within a strip of `L` consecutive
+/// positions every micro-op's L instances execute before the next
+/// micro-op's. That only reorders accesses between positions at distance
+/// 1..=L-1; accesses from different strips keep their scalar order (strips
+/// are sequential), and the flat contributions of dimensions the run does
+/// not iterate cancel (same array, same strides). Positions are numbered
+/// row-major over (`outer`, `inner`), so two positions `m1` rows and `m2`
+/// columns apart (`|m1| < e1`, `|m2| < e2`) are `|m1*e2 + m2|` apart in
+/// execution order, and accesses P, Q of one array touch the same cell
+/// there exactly when `const_flat(P) - const_flat(Q) = m1*k1 + m2*k2`,
+/// with `k1`, `k2` the flat advance per outer and per inner iterate. The
+/// width is the least such distance over every pair with at least one
+/// store - a store against itself included: its own writes `m1` rows
+/// apart land on one cell when the array does not vary along the outer
+/// dimension (a contracted dimension), which caps the width at one row.
+/// Without `outer` the run stays inside a row (`m1 = 0`, the 1-D bound).
+///
+/// Only the few `m1` that can beat the bound so far are tried, and `m2`
+/// is solved for: `|m1*e2 + m2| < width` needs `|m1| <= (width-2)/e2 + 1`.
+/// Every store varies along `inner` (the caller checked), so `k2 != 0`
+/// for every pair that gets that far.
+fn alias_width(
+    code: &Code,
+    accs: &[(u32, bool)],
+    inner: Axis,
+    outer: Option<Axis>,
+    cap: i64,
+) -> i64 {
+    let e2 = inner.extent as i128;
+    let mut width = cap as i128;
+    for (i, &(pa, pstore)) in accs.iter().enumerate() {
+        let a = &code.accesses[pa as usize];
+        for &(qa, qstore) in &accs[i..] {
+            let b = &code.accesses[qa as usize];
+            if a.arr != b.arr || !(pstore || qstore) {
+                continue;
+            }
+            if a.strides != b.strides {
+                return 1; // no compiled program; they could collide anywhere
+            }
+            let k2 = (a.strides[inner.dim] * inner.step) as i128;
+            let (k1, reach) = match outer {
+                Some(o) => (
+                    (a.strides[o.dim] * o.step) as i128,
+                    ((width - 2).max(0) / e2 + 1).min(o.extent as i128 - 1),
+                ),
+                None => (0, 0),
+            };
+            let dc = (a.const_flat - b.const_flat) as i128;
+            let span = (e2 - 1) * k2.abs(); // the most `m2*k2` can make up
+            for m1 in -reach..=reach {
+                let rest = dc - m1 * k1;
+                if rest.abs() > span || rest % k2 != 0 {
+                    continue;
+                }
+                let d = (m1 * e2 + rest / k2).abs();
+                if d != 0 {
+                    width = width.min(d);
+                }
+            }
+        }
+    }
+    width as i64
+}
+
+/// Finds the loop a lane run of `site` may cover as well: the ops around
+/// the site must be exactly `SetIdx outer; [site]; IdxStep outer`, the
+/// outer back edge landing on `site.first`, with no other way into the
+/// nest than through that pc (the inner loop's own back edge aside) and
+/// the two loops iterating different dimensions. The width of the result
+/// is still to be proven.
+fn enclosing_loop(code: &Code, targets: &[bool], site: &LoopSite) -> Result<Rows, NoRows> {
+    let ops = &code.ops;
+    let at = site.tail + 1;
+    // The innermost region loop around the site ends at the first back
+    // edge after it that jumps to or before it.
+    let (gap, d, step, stop, head) = ops[at..]
+        .iter()
+        .enumerate()
+        .find_map(|(gap, op)| match *op {
+            Op::IdxStep {
+                d,
+                step,
+                stop,
+                head,
+            } if head as usize <= site.first => Some((gap, d, step, stop, head as usize)),
+            _ => None,
+        })
+        .ok_or(NoRows::NoEnclosingLoop)?;
+    let start = match site.first.checked_sub(1).map(|p| ops[p]) {
+        Some(Op::SetIdx { d: sd, v }) if sd == d => v,
+        _ => return Err(NoRows::OtherOps),
+    };
+    let side_entry = (site.first + 1..=at).any(|p| targets[p] && p != site.head);
+    let perfect = gap == 0 && head == site.first && d != site.dim && !side_entry;
+    if !perfect || step.abs() != 1 || (stop - start) / step < 1 {
+        return Err(NoRows::OtherOps);
+    }
+    Ok(Rows {
+        dim: d,
+        start,
+        step,
+        stop,
+        exit: at as u32 + 1,
+        lanes: 0,
     })
 }
 
@@ -786,24 +943,31 @@ impl ElemMem for VmMem<'_> {
 }
 
 /// What a [`run_lanes`] call executed, for the dispatcher's accounting. A
-/// lane run always covers its whole range, so scalar dispatch resumes past
-/// the loop with the index at the range's stop.
+/// lane run always covers its whole range; scalar dispatch resumes at
+/// `resume` with the index vector `idx`.
 #[derive(Default)]
 pub(crate) struct LaneRun {
     pub loads: u64,
     pub stores: u64,
     pub flops: u64,
     pub points: u64,
-    /// Scalar-equivalent dispatched-op count, for fuel accounting.
+    /// What the scalar dispatcher would have executed from the op after
+    /// the `SimdBegin` (which the caller has dispatched, and charged) to
+    /// `resume`, for fuel accounting.
     pub ops: u64,
+    /// pc past the `IdxStep` of the outermost loop the run covered.
+    pub resume: u32,
+    /// The index vector as those loops would have left it.
+    pub idx: [i64; MAX_RANK],
 }
 
-/// One memory access's address stream for the current run: iteration `i`
-/// of the run touches element `flat + i*k` of array `arr`. It holds no
-/// pointer; each strip op resolves `arr` again.
+/// One memory access's address stream for the current run: position
+/// `(r, c)` of the run touches element `flat + r*k1 + c*k` of array `arr`.
+/// It holds no pointer; each strip op resolves `arr` again.
 struct Stream {
     arr: usize,
     flat: i64,
+    k1: i64,
     k: i64,
 }
 
@@ -817,35 +981,136 @@ pub(crate) struct LaneScratch {
     streams: Vec<Stream>,
 }
 
-/// Binds access `acc` to a [`Stream`] and proves the whole run in bounds:
-/// `flat + i*k` is monotonic in `i`, so its extremes over the run's
-/// `extent` iterations are at the two ends. Verified bytecode can never
-/// fail this (the run stays inside the range the scalar bounds proof
-/// covers), but the check keeps the path sound even against malformed
-/// `simds` tables.
+/// The iteration space one lane run covers and the width of its strips:
+/// `rows` iterates of the enclosing loop (1, and no `outer`, when the run
+/// stays inside the row it was entered in) times `cols` of the lane
+/// dimension, numbered row-major.
+#[derive(Clone, Copy)]
+struct Plan {
+    w: usize,
+    rows: i64,
+    cols: i64,
+    /// The lane dimension's first iterate and stop.
+    start: i64,
+    stop: i64,
+    /// The enclosing loop and its stop, when the run spans rows.
+    outer: Option<(Rows, i64)>,
+}
+
+/// Decides what a run entered at `info`'s `SimdBegin` covers. `clamp` is
+/// a parallel tile's `(dim, start, stop)` override of one loop's range.
+///
+/// The one rule: the run spans the rows left of the enclosing loop
+/// exactly when that does not narrow the strip, i.e. when the
+/// row-spanning width, capped by the request, is no less than the width
+/// a run of this row alone would use.
+fn plan(
+    info: &SimdInfo,
+    want: usize,
+    clamp: Option<(usize, i64, i64)>,
+    idx: &[i64; MAX_RANK],
+) -> Option<Plan> {
+    let want = want.min(MAX_LANES);
+    // A tile that partitions the lane dimension runs its own piece of
+    // every row; the row-spanning width was proven for whole rows.
+    let (start, stop, whole) = match clamp {
+        Some((d, start, stop)) if d == info.dim as usize => (start, stop, false),
+        _ => (info.start, info.stop, true),
+    };
+    let cols = (stop - start) / info.step;
+    let w = want.min(info.lanes as usize).min(cols.max(0) as usize);
+    if let (Ok(rows), true) = (info.rows, whole) {
+        let stop_o = match clamp {
+            Some((d, _, stop)) if d == rows.dim as usize => stop,
+            _ => rows.stop,
+        };
+        // The run starts at the current outer iterate, which the proof
+        // needs inside the recorded range.
+        let at = idx[rows.dim as usize];
+        let (done, left) = ((at - rows.start) / rows.step, (stop_o - at) / rows.step);
+        let w_rows = want.min(rows.lanes as usize);
+        if done >= 0 && left >= 1 && w_rows >= w.max(2) {
+            return Some(Plan {
+                w: w_rows.min((left * cols) as usize),
+                rows: left,
+                cols,
+                start,
+                stop,
+                outer: Some((rows, stop_o)),
+            });
+        }
+    }
+    (w >= 2).then_some(Plan {
+        w,
+        rows: 1,
+        cols,
+        start,
+        stop,
+        outer: None,
+    })
+}
+
+/// Binds access `acc` to a [`Stream`] for a run whose first position is
+/// at `idx`, and proves the whole run in bounds: `flat + r*k1 + c*k` is
+/// monotonic in `r` and in `c`, so its extremes over the run lie at the
+/// four corners. Verified bytecode can never fail this (the run stays
+/// inside the ranges the scalar bounds proof covers), but the check keeps
+/// the path sound even against malformed `simds` tables.
 fn bind<M: ElemMem>(
     mem: &mut M,
     code: &Code,
     info: &SimdInfo,
     acc: u32,
     idx: &[i64; MAX_RANK],
-    base: i64,
-    extent: i64,
+    plan: &Plan,
 ) -> Result<Stream, ExecError> {
     let a = &code.accesses[acc as usize];
-    let dim = info.dim as usize;
     let mut flat = a.const_flat;
-    for (d, &i) in idx.iter().enumerate().take(a.rank as usize) {
-        flat += if d == dim { base } else { i } * a.strides[d];
+    for (i, s) in idx.iter().zip(&a.strides).take(a.rank as usize) {
+        flat += i * s;
     }
-    let k = a.strides[dim] * info.step;
+    let k = a.strides[info.dim as usize] * info.step;
+    let k1 = plan
+        .outer
+        .map_or(0, |(rows, _)| a.strides[rows.dim as usize] * rows.step);
     let arr = a.arr as usize;
     let (_, len) = mem.resolve(arr)?;
-    let last = flat + (extent - 1) * k;
-    if flat.min(last) < 0 || flat.max(last) as usize >= len {
+    let (down, across) = ((plan.rows - 1) * k1, (plan.cols - 1) * k);
+    let lo = flat + down.min(0) + across.min(0);
+    let hi = flat + down.max(0) + across.max(0);
+    if lo < 0 || hi as usize >= len {
         return Err(lane_oob(code, arr));
     }
-    Ok(Stream { arr, flat, k })
+    Ok(Stream { arr, flat, k1, k })
+}
+
+/// The pieces of one strip that each lie inside one row, in order, as
+/// `(offset into the strip, length, row, column of the first position)`:
+/// one piece when the strip does not cross a row end.
+#[derive(Clone, Copy)]
+struct Segments {
+    off: usize,
+    wc: usize,
+    r: i64,
+    c: i64,
+    cols: i64,
+}
+
+impl Iterator for Segments {
+    type Item = (usize, usize, i64, i64);
+
+    #[inline(always)]
+    fn next(&mut self) -> Option<Self::Item> {
+        if self.off == self.wc {
+            return None;
+        }
+        let len = ((self.cols - self.c) as usize).min(self.wc - self.off);
+        let seg = (self.off, len, self.r, self.c);
+        self.off += len;
+        self.r += 1;
+        self.c = 0;
+        Some(seg)
+    }
 }
 
 /// Borrows strip `dst` of the lane file mutably and the `srcs` strips
@@ -880,12 +1145,79 @@ fn strips<'a, const N: usize>(
     (out, srcs)
 }
 
+/// `out[m] = f(a[m])` over one strip; like [`zip`], a loop over
+/// equal-length slices and nothing else.
+#[inline(always)]
+fn map(out: &mut [f64], a: &[f64], f: impl Fn(f64) -> f64) {
+    for (o, &x) in out.iter_mut().zip(a) {
+        *o = f(x);
+    }
+}
+
 /// `out[m] = f(a[m], b[m])` over one strip: three equal-length slices and
 /// nothing else in the loop, which is the shape LLVM vectorizes.
 #[inline(always)]
 fn zip(out: &mut [f64], a: &[f64], b: &[f64], f: impl Fn(f64, f64) -> f64) {
     for ((o, &x), &y) in out.iter_mut().zip(a).zip(b) {
         *o = f(x, y);
+    }
+}
+
+/// `f64::floor` as the scalar engines compute it. The AVX2 copy of the
+/// strip loop would compile an inlined `floor` to `vroundpd`, which quiets
+/// a signalling NaN that the baseline's libm call returns as it came. No
+/// zlang program can produce one, but the contract is `to_bits`, so the
+/// kernel calls this per element, compiled once for the baseline.
+#[inline(never)]
+fn floor(x: f64) -> f64 {
+    x.floor()
+}
+
+/// One intrinsic over one strip. The function is resolved here, once per
+/// strip: `sqrt`/`abs`/`min`/`max`/`sign`/`select` are slice loops LLVM
+/// vectorizes (exactly IEEE, or bit selection: the same bits as
+/// `Intrinsic::eval`), the others a scalar call per element.
+#[inline(always)]
+fn call_strip(
+    intr: Intrinsic,
+    file: &mut [f64],
+    w: usize,
+    wc: usize,
+    dst: u16,
+    [x, y, z, _]: [u16; MAX_CALL_ARGS],
+    own: &mut [f64; MAX_LANES],
+) {
+    macro_rules! unary {
+        ($f:expr) => {{
+            let (out, [a]) = strips(file, w, wc, dst, [x], own);
+            map(out, a, $f)
+        }};
+    }
+    macro_rules! binary {
+        ($f:expr) => {{
+            let (out, [a, b]) = strips(file, w, wc, dst, [x, y], own);
+            zip(out, a, b, $f)
+        }};
+    }
+    match intr {
+        Intrinsic::Sqrt => unary!(f64::sqrt),
+        Intrinsic::Abs => unary!(f64::abs),
+        Intrinsic::Sign => unary!(zlang::ir::sign),
+        Intrinsic::Min => binary!(f64::min),
+        Intrinsic::Max => binary!(f64::max),
+        Intrinsic::Select => {
+            let (out, [c, a, b]) = strips(file, w, wc, dst, [x, y, z], own);
+            for (((o, &c), &a), &b) in out.iter_mut().zip(c).zip(a).zip(b) {
+                *o = if c != 0.0 { a } else { b };
+            }
+        }
+        Intrinsic::Sin => unary!(f64::sin),
+        Intrinsic::Cos => unary!(f64::cos),
+        Intrinsic::Exp => unary!(f64::exp),
+        Intrinsic::Ln => unary!(f64::ln),
+        Intrinsic::Floor => unary!(floor),
+        Intrinsic::Rnd => unary!(zlang::ir::rnd),
+        Intrinsic::Pow => binary!(f64::powf),
     }
 }
 
@@ -897,26 +1229,35 @@ struct StripCtx<'a, M> {
     streams: &'a [Stream],
     regs: &'a mut [f64],
     mem: &'a mut M,
-    w: usize,
-    extent: i64,
-    /// `idx[dim]` of the run's first iteration.
-    base: i64,
+    plan: Plan,
+    /// When the run spans rows and the body reads the outer index: its
+    /// broadcast slot and the outer loop's first iterate and step. The
+    /// slot is refilled for every strip, row segment by row segment.
+    outer_idx: Option<(usize, i64, i64)>,
     deadline: Option<Instant>,
     run: LaneRun,
 }
 
-/// The strip loop: the run's `extent` iterations in strips of `w` (the
-/// last one shorter when `w` does not divide `extent`), each op of the
-/// lane program over the whole strip before the next. `#[inline(always)]`
+/// The strip loop: the run's `rows * cols` positions in strips of `w`
+/// (the last one shorter when `w` does not divide them), each op of the
+/// lane program over the whole strip before the next. Memory ops and the
+/// two index sources walk the strip's row segments. `#[inline(always)]`
 /// so the AVX2 wrapper gets its own copy compiled with wider vectors.
 #[inline(always)]
 fn strip_loop<M: ElemMem>(cx: &mut StripCtx<'_, M>) -> Result<(), ExecError> {
-    let w = cx.w;
+    let Plan {
+        w,
+        rows,
+        cols,
+        start,
+        ..
+    } = cx.plan;
     let step = cx.info.step;
+    let total = rows * cols;
     let mut own = [0.0f64; MAX_LANES];
     let mut done = 0i64;
     let mut strip = 0u64;
-    while done < cx.extent {
+    while done < total {
         if strip & 0x3F == 0 {
             if let Some(d) = cx.deadline {
                 if Instant::now() >= d {
@@ -925,8 +1266,20 @@ fn strip_loop<M: ElemMem>(cx: &mut StripCtx<'_, M>) -> Result<(), ExecError> {
             }
         }
         strip += 1;
-        let wc = w.min((cx.extent - done) as usize);
+        let wc = w.min((total - done) as usize);
+        let segments = Segments {
+            off: 0,
+            wc,
+            r: done / cols,
+            c: done % cols,
+            cols,
+        };
         let file = &mut *cx.file;
+        if let Some((slot, first, step)) = cx.outer_idx {
+            for (off, len, r, _) in segments {
+                file[slot * w + off..][..len].fill((first + r * step) as f64);
+            }
+        }
         // Memory ops take the stream table in body order.
         let mut streams = cx.streams.iter();
         for op in &cx.info.body {
@@ -935,24 +1288,29 @@ fn strip_loop<M: ElemMem>(cx: &mut StripCtx<'_, M>) -> Result<(), ExecError> {
                     let s = streams.next().expect("one stream per memory op");
                     let out = &mut file[dst as usize * w..][..wc];
                     let (ptr, _) = cx.mem.resolve(s.arr)?;
-                    let flat = s.flat + done * s.k;
-                    // SAFETY: runtime check — on entry to this run `bind`
-                    // proved both ends of the stream, `s.flat` and
-                    // `s.flat + (extent-1)*s.k`, inside the allocation
-                    // `resolve` reports, and every `flat + m*k` read here
-                    // lies between them (verifier phases 3 and 4 prove
-                    // that check cannot fail on the verified bytecode
-                    // lane runs are gated on). `out` is `wc` long.
-                    unsafe {
-                        if s.k == 1 {
-                            std::ptr::copy_nonoverlapping(
-                                ptr.add(flat as usize),
-                                out.as_mut_ptr(),
-                                wc,
-                            );
-                        } else {
-                            for (m, slot) in out.iter_mut().enumerate() {
-                                *slot = *ptr.offset((flat + m as i64 * s.k) as isize);
+                    for (off, len, r, c) in segments {
+                        let flat = s.flat + r * s.k1 + c * s.k;
+                        let out = &mut out[off..off + len];
+                        // SAFETY: runtime check — on entry to this run
+                        // `bind` proved the stream's four corners,
+                        // `s.flat + {0, rows-1}*s.k1 + {0, cols-1}*s.k`,
+                        // inside the allocation `resolve` reports; the
+                        // address is monotonic in `r` and `c`, and every
+                        // `flat + m*k` read here has `r < rows` and
+                        // `c + m < cols` (verifier phases 3 and 4 prove
+                        // that check cannot fail on the verified bytecode
+                        // lane runs are gated on). `out` is `len` long.
+                        unsafe {
+                            if s.k == 1 {
+                                std::ptr::copy_nonoverlapping(
+                                    ptr.add(flat as usize),
+                                    out.as_mut_ptr(),
+                                    len,
+                                );
+                            } else {
+                                for (m, slot) in out.iter_mut().enumerate() {
+                                    *slot = *ptr.offset((flat + m as i64 * s.k) as isize);
+                                }
                             }
                         }
                     }
@@ -962,16 +1320,24 @@ fn strip_loop<M: ElemMem>(cx: &mut StripCtx<'_, M>) -> Result<(), ExecError> {
                     let s = streams.next().expect("one stream per memory op");
                     let v = &file[src as usize * w..][..wc];
                     let (ptr, _) = cx.mem.resolve(s.arr)?;
-                    let flat = s.flat + done * s.k;
-                    // SAFETY: runtime check — as for `Load`, `bind`'s
-                    // check of both ends of this stream's run; `v` is
-                    // `wc` long and is lane-file memory, never the array.
-                    unsafe {
-                        if s.k == 1 {
-                            std::ptr::copy_nonoverlapping(v.as_ptr(), ptr.add(flat as usize), wc);
-                        } else {
-                            for (m, &val) in v.iter().enumerate() {
-                                *ptr.offset((flat + m as i64 * s.k) as isize) = val;
+                    for (off, len, r, c) in segments {
+                        let flat = s.flat + r * s.k1 + c * s.k;
+                        let v = &v[off..off + len];
+                        // SAFETY: runtime check — as for `Load`, `bind`'s
+                        // check of the four corners of this stream's run;
+                        // `v` is `len` long and is lane-file memory, never
+                        // the array.
+                        unsafe {
+                            if s.k == 1 {
+                                std::ptr::copy_nonoverlapping(
+                                    v.as_ptr(),
+                                    ptr.add(flat as usize),
+                                    len,
+                                );
+                            } else {
+                                for (m, &val) in v.iter().enumerate() {
+                                    *ptr.offset((flat + m as i64 * s.k) as isize) = val;
+                                }
                             }
                         }
                     }
@@ -979,45 +1345,39 @@ fn strip_loop<M: ElemMem>(cx: &mut StripCtx<'_, M>) -> Result<(), ExecError> {
                 }
                 LaneOp::Bin { op, dst, a, b } => {
                     let (out, [a, b]) = strips(file, w, wc, dst, [a, b], &mut own);
-                    match op {
-                        BinOp::Add => zip(out, a, b, |x, y| x + y),
-                        BinOp::Sub => zip(out, a, b, |x, y| x - y),
-                        BinOp::Mul => zip(out, a, b, |x, y| x * y),
-                        BinOp::Div => zip(out, a, b, |x, y| x / y),
-                        // Comparisons (rare in loop bodies) keep the
-                        // interpreter's own `binop`.
-                        _ => zip(out, a, b, |x, y| binop(op, x, y)),
+                    // One loop per operator, each `binop` at a constant.
+                    macro_rules! kernels {
+                        ($($op:ident)*) => {
+                            match op {
+                                $(BinOp::$op => zip(out, a, b, |x, y| binop(BinOp::$op, x, y)),)*
+                            }
+                        };
                     }
+                    kernels!(Add Sub Mul Div Lt Le Gt Ge Eq Ne);
                 }
                 LaneOp::Neg { dst, src } => {
                     let (out, [v]) = strips(file, w, wc, dst, [src], &mut own);
-                    for (o, &x) in out.iter_mut().zip(v) {
-                        *o = -x;
-                    }
+                    map(out, v, |x| -x);
                 }
                 LaneOp::Mov { dst, src } => {
                     let at = src as usize * w;
                     file.copy_within(at..at + wc, dst as usize * w);
                 }
                 LaneOp::IdxSeq { dst } => {
-                    let first = cx.base + done * step;
-                    for (m, o) in file[dst as usize * w..][..wc].iter_mut().enumerate() {
-                        *o = (first + m as i64 * step) as f64;
-                    }
-                }
-                LaneOp::Call { intr, dst, n, args } => {
-                    let n = n as usize;
-                    let mut one = [0.0f64; MAX_CALL_ARGS];
-                    for m in 0..wc {
-                        for (x, &a) in one.iter_mut().zip(&args[..n]) {
-                            *x = file[a as usize * w + m];
+                    let out = &mut file[dst as usize * w..][..wc];
+                    for (off, len, _, c) in segments {
+                        let first = start + c * step;
+                        for (m, o) in out[off..off + len].iter_mut().enumerate() {
+                            *o = (first + m as i64 * step) as f64;
                         }
-                        file[dst as usize * w + m] = intr.eval(&one[..n]);
                     }
                 }
+                LaneOp::Call {
+                    intr, dst, args, ..
+                } => call_strip(intr, file, w, wc, dst, args, &mut own),
                 LaneOp::Reduce { op, acc, src } => {
-                    // In iteration order, so the accumulator takes exactly
-                    // the scalar loop's sequence of values.
+                    // In position order, so the accumulator takes exactly
+                    // the scalar loops' sequence of values.
                     let v = &file[src as usize * w..][..wc];
                     let a = cx.regs[acc as usize];
                     cx.regs[acc as usize] = match op {
@@ -1038,9 +1398,11 @@ fn strip_loop<M: ElemMem>(cx: &mut StripCtx<'_, M>) -> Result<(), ExecError> {
     Ok(())
 }
 
-fn run_strips<M: ElemMem>(cx: &mut StripCtx<'_, M>) -> Result<(), ExecError> {
+/// Runs the strip loop, in its AVX2 copy when `wide` and the CPU has it.
+/// Every caller but the kernel test passes `true`.
+fn run_strips<M: ElemMem>(cx: &mut StripCtx<'_, M>, wide: bool) -> Result<(), ExecError> {
     #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx2") {
+    if wide && std::arch::is_x86_feature_detected!("avx2") {
         // SAFETY: runtime check — `is_x86_feature_detected!("avx2")` on
         // the line above.
         return unsafe { strips_avx2(cx) };
@@ -1061,41 +1423,55 @@ unsafe fn strips_avx2<M: ElemMem>(cx: &mut StripCtx<'_, M>) -> Result<(), ExecEr
     strip_loop(cx)
 }
 
-/// Executes `info`'s loop over `[t_start, t_stop)` in strips.
+/// Executes `info`'s loop from its `SimdBegin` in strips, and the loop
+/// around it too when [`plan`] says so.
 ///
-/// `t_start`/`t_stop` override the loop range so a parallel tile can run
-/// its slice; the sequential VM passes `info.start`/`info.stop`. The strip
-/// width is the least of `want`, the loop's proven alias width and the
-/// range's extent; below 2 nothing runs and the result is `None` (the
-/// caller stays scalar). Otherwise the run covers the whole range: `regs`
-/// supplies the broadcast values and the accumulators, and afterwards
-/// holds what the scalar loop would have left, every lane register's
-/// value at the last iteration included.
+/// `clamp` overrides one loop's range so a parallel tile can run its
+/// slice; the sequential VM passes `None`. The strip width is the least of
+/// `want`, the proven alias width and the number of positions; below 2
+/// nothing runs and the result is `None` (the caller stays scalar).
+/// Otherwise the run covers its whole range: `regs` supplies the broadcast
+/// values and the accumulators, and afterwards `regs` and the result's
+/// `idx` hold what the scalar loops would have left, every lane
+/// register's value at the last position included.
 ///
 /// Entering a loop fills the broadcast slots, binds one [`Stream`] per
-/// memory op and proves each in bounds; the lane program itself was
-/// resolved at compile time.
+/// memory op and proves each in bounds, once per run; the lane program
+/// itself was resolved at compile time.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_lanes<M: ElemMem>(
     code: &Code,
     info: &SimdInfo,
     want: usize,
-    t_start: i64,
-    t_stop: i64,
+    clamp: Option<(usize, i64, i64)>,
     regs: &mut [f64],
     idx: &[i64; MAX_RANK],
     mem: &mut M,
     scratch: &mut LaneScratch,
     deadline: Option<Instant>,
 ) -> Result<Option<LaneRun>, ExecError> {
-    let extent = (t_stop - t_start) / info.step;
-    let w = want
-        .min(info.lanes as usize)
-        .min(MAX_LANES)
-        .min(extent.max(0) as usize);
-    if w < 2 {
+    let Some(plan) = plan(info, want, clamp, idx) else {
         return Ok(None);
-    }
+    };
+    let mut cx = enter(code, info, plan, regs, idx, mem, scratch, deadline)?;
+    run_strips(&mut cx, true)?;
+    Ok(Some(leave(cx)))
+}
+
+/// Sets a planned run up: the lane file with its broadcast slots filled,
+/// and one bound, bounds-proven stream per memory op.
+#[allow(clippy::too_many_arguments)]
+fn enter<'a, M: ElemMem>(
+    code: &Code,
+    info: &'a SimdInfo,
+    plan: Plan,
+    regs: &'a mut [f64],
+    idx: &[i64; MAX_RANK],
+    mem: &'a mut M,
+    scratch: &'a mut LaneScratch,
+    deadline: Option<Instant>,
+) -> Result<StripCtx<'a, M>, ExecError> {
+    let w = plan.w;
     let n_lane = info.lane_regs.len();
     let LaneScratch { file, streams } = scratch;
     let need = (n_lane + info.bcast.len()) * w;
@@ -1104,7 +1480,8 @@ pub(crate) fn run_lanes<M: ElemMem>(
     }
     let file = &mut file[..need];
     // Body ops never write a broadcast slot (every register the body
-    // writes owns a lane slot), so one fill serves every strip.
+    // writes owns a lane slot), so one fill serves every strip - except
+    // the outer index of a run that spans rows.
     for (b, slot) in info
         .bcast
         .iter()
@@ -1115,42 +1492,69 @@ pub(crate) fn run_lanes<M: ElemMem>(
             Bcast::Idx(d) => idx[d as usize] as f64,
         });
     }
+    let outer_idx = plan.outer.and_then(|(rows, _)| {
+        let i = info.bcast.iter().position(|&b| b == Bcast::Idx(rows.dim))?;
+        Some((n_lane + i, idx[rows.dim as usize], rows.step))
+    });
+    // What the loop's own `SetIdx` would do: `at` is position 0.
+    let mut at = *idx;
+    at[info.dim as usize] = plan.start;
     streams.clear();
     for op in &info.body {
         if let LaneOp::Load { acc, .. } | LaneOp::Store { acc, .. } = *op {
-            streams.push(bind(mem, code, info, acc, idx, t_start, extent)?);
+            streams.push(bind(mem, code, info, acc, &at, &plan)?);
         }
     }
-
-    let mut cx = StripCtx {
+    Ok(StripCtx {
         info,
         file,
         streams,
         regs,
         mem,
-        w,
-        extent,
-        base: t_start,
+        plan,
+        outer_idx,
         deadline,
-        run: LaneRun::default(),
-    };
-    run_strips(&mut cx)?;
+        run: LaneRun {
+            idx: at,
+            ..LaneRun::default()
+        },
+    })
+}
+
+/// Finishes a run: registers and index vector as the scalar loops would
+/// have left them, and the scalar dispatcher's op count.
+fn leave<M>(cx: StripCtx<'_, M>) -> LaneRun {
     let StripCtx {
+        info,
         file,
         regs,
+        plan,
         mut run,
         ..
     } = cx;
-
     // Post-loop code must see exactly the registers a scalar run would
-    // have left: the last iteration's values, which sit at this position
-    // of the last strip.
-    let last = (extent - 1) as usize % w;
+    // have left: the last position's values, which sit here in the last
+    // strip.
+    let last = (plan.rows * plan.cols - 1) as usize % plan.w;
     for (slot, &r) in info.lane_regs.iter().enumerate() {
-        regs[r as usize] = file[slot * w + last];
+        regs[r as usize] = file[slot * plan.w + last];
     }
-    run.ops = extent as u64 * (info.exit - info.head) as u64;
-    Ok(Some(run))
+    run.idx[info.dim as usize] = plan.stop;
+    // Per row: `SimdBegin`, `SetIdx`, then body and `IdxStep` per
+    // iteration; the caller dispatched the first `SimdBegin` itself.
+    let row = 2 + plan.cols as u64 * (info.exit - info.head) as u64;
+    match plan.outer {
+        Some((rows, stop)) => {
+            run.idx[rows.dim as usize] = stop;
+            run.ops = plan.rows as u64 * (row + 1) - 1; // + the outer `IdxStep`
+            run.resume = rows.exit;
+        }
+        None => {
+            run.ops = row - 1;
+            run.resume = info.exit;
+        }
+    }
+    run
 }
 
 #[cfg(test)]
@@ -1557,6 +1961,136 @@ mod tests {
         }
     }
 
+    /// Two nests over a 6x6 array `A` (and `B`, `T`): a fill over the
+    /// whole region, then `body` over its 4x4 interior, rows outer.
+    fn interior_nest(collapse_t: bool, body: Vec<ElemStmt>) -> ScalarProgram {
+        let mut program = zlang::compile(
+            "program t; config n : int = 6; region R = [1..n, 1..n]; \
+             region S = [2..n-1, 2..n-1]; var A, B, T : [R] float; begin end",
+        )
+        .unwrap();
+        if collapse_t {
+            program.arrays[2].collapsed = vec![0]; // one row, stride 0 along rows
+        }
+        let at = |a: u32| ElemRef::Array(ArrayId(a), Offset(vec![0, 0]));
+        let index = |d, scale| {
+            EExpr::Binary(
+                BinOp::Mul,
+                Box::new(EExpr::Index(d)),
+                Box::new(EExpr::Const(scale)),
+            )
+        };
+        let fill = ElemStmt {
+            target: at(0),
+            rhs: EExpr::Binary(
+                BinOp::Add,
+                Box::new(index(0, 10.0)),
+                Box::new(index(1, 0.5)),
+            ),
+        };
+        let nest = |region, body| {
+            LStmt::Nest(LoopNest {
+                region: RegionId(region),
+                structure: vec![1, 2],
+                body,
+                cluster: 0,
+                temps: 0,
+            })
+        };
+        ScalarProgram {
+            program,
+            stmts: vec![nest(0, vec![fill]), nest(1, body)],
+        }
+    }
+
+    /// The interior nest's annotation, and every array of a lane run at
+    /// each width against the interpreter's.
+    fn rows_of_interior_nest(sp: &ScalarProgram) -> Result<Rows, NoRows> {
+        use crate::interp::{Interp, NoopObserver};
+        use crate::{Executor, Vm};
+        let binding = ConfigBinding::defaults(&sp.program);
+        let mut interp = Interp::new(sp, binding.clone());
+        interp.execute(&mut NoopObserver).unwrap();
+        for lanes in [0, 2, 3, 4, 5, 8, 128] {
+            let mut vm = Vm::new_superfused(sp, binding.clone()).unwrap();
+            vm.verify().unwrap();
+            vm.set_lanes(lanes);
+            vm.execute(&mut NoopObserver).unwrap();
+            for a in 0..3 {
+                assert_eq!(
+                    interp.array(ArrayId(a)),
+                    vm.array(ArrayId(a)),
+                    "array {a} at width {lanes}"
+                );
+            }
+        }
+        let mut code = compiled(sp);
+        superfuse(&mut code);
+        assert_eq!(code.simds.len(), 2);
+        assert_eq!(
+            code.simds[1].lanes as usize, MAX_LANES,
+            "nothing within a row"
+        );
+        code.simds[1].rows
+    }
+
+    #[test]
+    fn a_dependence_across_rows_caps_the_row_spanning_width() {
+        // A[r,c] = A[r-1,c+1] + 1, rows ascending: position (r,c) reads
+        // what (r-1,c+1) stored e2 - 1 = 3 positions earlier. Within a row
+        // nothing collides, but a strip of 4 that crosses a row end would
+        // load the cell before the position that stores it has run.
+        let sp = interior_nest(
+            false,
+            vec![ElemStmt {
+                target: ElemRef::Array(ArrayId(0), Offset(vec![0, 0])),
+                rhs: EExpr::Binary(
+                    BinOp::Add,
+                    Box::new(EExpr::Load(ArrayId(0), Offset(vec![-1, 1]))),
+                    Box::new(EExpr::Const(1.0)),
+                ),
+            }],
+        );
+        let rows = rows_of_interior_nest(&sp).unwrap();
+        assert_eq!((rows.dim, rows.lanes), (0, 3));
+    }
+
+    #[test]
+    fn a_row_invariant_target_caps_the_row_spanning_width_at_one_row() {
+        // T[c] = A[r,c] * 2; B[r,c] = T[c], with T collapsed along the
+        // rows (what dimension contraction leaves): every row overwrites
+        // the row before, so a strip must not hold (r,c) and (r+1,c) - the
+        // store of the second would land before the load of the first.
+        let sp = interior_nest(
+            true,
+            vec![
+                ElemStmt {
+                    target: ElemRef::Array(ArrayId(2), Offset(vec![0, 0])),
+                    rhs: EExpr::Binary(BinOp::Mul, Box::new(load2(0)), Box::new(EExpr::Const(2.0))),
+                },
+                ElemStmt {
+                    target: ElemRef::Array(ArrayId(1), Offset(vec![0, 0])),
+                    rhs: load2(2),
+                },
+            ],
+        );
+        let rows = rows_of_interior_nest(&sp).unwrap();
+        assert_eq!((rows.dim, rows.lanes), (0, 4), "one row of the interior");
+
+        // Stored and never loaded, the target still caps the width: the
+        // pair is the store against itself a row later.
+        let mut sp = sp;
+        let LStmt::Nest(n) = &mut sp.stmts[1] else {
+            unreachable!()
+        };
+        n.body.pop();
+        assert_eq!(rows_of_interior_nest(&sp).unwrap().lanes, 4);
+    }
+
+    fn load2(a: u32) -> EExpr {
+        EExpr::Load(ArrayId(a), Offset(vec![0, 0]))
+    }
+
     #[test]
     fn an_in_place_update_reads_the_strip_it_overwrites() {
         use crate::interp::{Interp, NoopObserver};
@@ -1607,6 +2141,213 @@ mod tests {
         vm.verify().unwrap();
         vm.execute(&mut NoopObserver).unwrap();
         assert_eq!(interp.array(ArrayId(2)), vm.array(ArrayId(2)));
+    }
+
+    /// The operands every strip kernel is checked over, all 20 x 20 pairs.
+    fn operand_table() -> [f64; 20] {
+        let nan = |bits: u64| f64::from_bits(bits);
+        [
+            0.0,
+            -0.0,
+            1.0,
+            -1.0,
+            2.5,
+            -2.5,
+            0.5,
+            -0.5,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            nan(0x7ff8_0000_0000_0000),             // quiet NaN
+            nan(0xfff8_0000_0000_0000),             // quiet NaN, sign set
+            nan(0x7ff8_0000_dead_beef),             // quiet NaN with a payload
+            nan(0x7ff0_0000_0000_0001),             // signalling NaN
+            f64::from_bits(1),                      // least subnormal
+            -f64::from_bits(0x000f_ffff_ffff_ffff), // greatest subnormal, negated
+            f64::MAX,
+            f64::MIN_POSITIVE,
+            1e300,
+            4.0,
+        ]
+    }
+
+    const QUIET_BIT: u64 = 1 << 51;
+
+    /// What the kernel table test runs per position: every operator and
+    /// intrinsic once, over operands `x`, `y` (and `z` for `select`).
+    #[derive(Clone, Copy, Debug)]
+    enum Kernel {
+        Bin(BinOp),
+        Neg,
+        Call(Intrinsic),
+    }
+
+    fn kernels() -> Vec<Kernel> {
+        use BinOp::*;
+        use Intrinsic::*;
+        let bins = [Add, Sub, Mul, Div, Lt, Le, Gt, Ge, Eq, Ne];
+        let calls = [
+            Sqrt, Exp, Ln, Sin, Cos, Abs, Floor, Min, Max, Pow, Select, Rnd, Sign,
+        ];
+        let mut all: Vec<Kernel> = bins.into_iter().map(Kernel::Bin).collect();
+        all.push(Kernel::Neg);
+        all.extend(calls.into_iter().map(Kernel::Call));
+        all
+    }
+
+    #[test]
+    fn every_strip_kernel_matches_the_scalar_definition_in_both_instantiations() {
+        use crate::bytecode::{Access, ArrayInfo};
+        let table = operand_table();
+        let n = table.len() * table.len();
+        let kernels = kernels();
+        // Arrays 0..3 hold x, y, z; array 3 + k takes kernel k's results.
+        // Slots 0..3 hold the loaded operands, slot 3 + k kernel k's strip.
+        let inputs: [Vec<f64>; 3] = [
+            (0..n).map(|i| table[i / table.len()]).collect(),
+            (0..n).map(|i| table[i % table.len()]).collect(),
+            (0..n).map(|i| table[i * 7 % table.len()]).collect(),
+        ];
+        let n_arrays = 3 + kernels.len();
+        let code = Code {
+            accesses: (0..n_arrays)
+                .map(|a| Access {
+                    arr: a as u16,
+                    const_flat: 0,
+                    strides: [1, 0, 0, 0],
+                    rank: 1,
+                    check: None,
+                })
+                .collect(),
+            arrays: (0..n_arrays)
+                .map(|a| ArrayInfo {
+                    name: format!("a{a}"),
+                    elems: n,
+                    bytes: n as u64 * 8,
+                })
+                .collect(),
+            ..Code::default()
+        };
+        let mut body: Vec<LaneOp> = (0..3)
+            .map(|a| LaneOp::Load {
+                dst: a,
+                acc: a as u32,
+            })
+            .collect();
+        for (k, kernel) in kernels.iter().enumerate() {
+            let dst = 3 + k as u16;
+            body.push(match *kernel {
+                Kernel::Bin(op) => LaneOp::Bin {
+                    op,
+                    dst,
+                    a: 0,
+                    b: 1,
+                },
+                Kernel::Neg => LaneOp::Neg { dst, src: 0 },
+                Kernel::Call(intr) => LaneOp::Call {
+                    intr,
+                    dst,
+                    n: intr.arity() as u8,
+                    args: [0, 1, 2, 0],
+                },
+            });
+            body.push(LaneOp::Store {
+                acc: dst as u32,
+                src: dst,
+            });
+        }
+        let info = SimdInfo {
+            dim: 0,
+            lanes: MAX_LANES as u8,
+            start: 0,
+            step: 1,
+            stop: n as i64,
+            head: 0,
+            exit: 1,
+            body,
+            lane_regs: (0..n_arrays as Reg).collect(),
+            bcast: Vec::new(),
+            rows: Err(NoRows::NoEnclosingLoop),
+        };
+        let want = |kernel: Kernel, i: usize| -> f64 {
+            let [x, y, z] = [inputs[0][i], inputs[1][i], inputs[2][i]];
+            match kernel {
+                Kernel::Bin(op) => binop(op, x, y),
+                Kernel::Neg => -x,
+                Kernel::Call(intr) => intr.eval(&[x, y, z][..intr.arity()]),
+            }
+        };
+
+        // 64 and 128 end in a partial strip of 16, 63 in one of 22: full
+        // vectors, and the scalar tail of a vectorized loop.
+        for width in [64, 63, 128] {
+            // The baseline copy of the strip loop, which no AVX2 host
+            // otherwise runs, then the copy the host picks. Every kernel
+            // stores its strip, so the arrays hold what each copy computed
+            // at every position (the lane file only keeps the last strip).
+            for wide in [false, true] {
+                let mut arrays: Vec<Option<VmArray>> = (0..n_arrays)
+                    .map(|a| {
+                        Some(VmArray {
+                            base: 0,
+                            data: inputs.get(a).cloned().unwrap_or_else(|| vec![0.0; n]),
+                        })
+                    })
+                    .collect();
+                let mut mem = VmMem {
+                    code: &code,
+                    arrays: &mut arrays,
+                };
+                let mut regs = vec![0.0; n_arrays];
+                let idx = [0i64; MAX_RANK];
+                let mut scratch = LaneScratch::default();
+                let plan = plan(&info, width, None, &idx).unwrap();
+                assert_eq!(plan.w, width);
+                let mut cx = enter(
+                    &code,
+                    &info,
+                    plan,
+                    &mut regs,
+                    &idx,
+                    &mut mem,
+                    &mut scratch,
+                    None,
+                )
+                .unwrap();
+                run_strips(&mut cx, wide).unwrap();
+                let run = leave(cx);
+                assert_eq!(run.points, 0, "the program has no tick");
+                assert_eq!(run.loads, 3 * n as u64);
+                for (k, kernel) in kernels.iter().enumerate() {
+                    let got = &arrays[3 + k].as_ref().unwrap().data;
+                    for (i, g) in got.iter().enumerate() {
+                        let w = want(*kernel, i);
+                        let (x, y) = (inputs[0][i], inputs[1][i]);
+                        // The one freedom: LLVM may commute `+` and `*`,
+                        // and x86 hands on the first NaN operand's payload,
+                        // so of two NaN operands either may come out (Rust
+                        // leaves NaN payloads of arithmetic unspecified).
+                        // On this table the baseline copy commutes where
+                        // the AVX2 copy and `binop` do not.
+                        let commuted = matches!(kernel, Kernel::Bin(BinOp::Add | BinOp::Mul))
+                            && x.is_nan()
+                            && y.is_nan()
+                            && [x, y]
+                                .iter()
+                                .any(|v| g.to_bits() == v.to_bits() | QUIET_BIT);
+                        assert!(
+                            g.to_bits() == w.to_bits() || commuted,
+                            "{kernel:?}({x:?} {:#x}, {y:?} {:#x}, {:?}) at width {width}, \
+                             wide {wide}: {:#x} vs {:#x}",
+                            x.to_bits(),
+                            y.to_bits(),
+                            inputs[2][i],
+                            g.to_bits(),
+                            w.to_bits(),
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

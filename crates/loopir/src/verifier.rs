@@ -29,7 +29,10 @@
 //!    the recorded strip width must not exceed the width the alias
 //!    analysis re-proves safe (a lane run covers exactly the scalar
 //!    loop's iterations, so every index is already inside the
-//!    scalar-proven range and the width is the load-bearing claim).
+//!    scalar-proven range and the width is the load-bearing claim). The
+//!    same goes for the enclosing loop a run may cover as well (`Rows`):
+//!    its shape, bounds and exit pc must be what the bytecode shows, its
+//!    row-spanning width at most what the 2-D alias analysis re-proves.
 //!
 //! Superinstructions (`LdLdBin` et al.) verify exactly like their
 //! constituent sequences: each phase treats a bundle as its ordered
@@ -41,7 +44,7 @@
 //! on the proof: it bounds-checks every element access regardless.
 #![deny(missing_docs)]
 
-use crate::bytecode::{Code, Op, MAX_LANES, MAX_RANK};
+use crate::bytecode::{Code, Op, Rows, MAX_LANES, MAX_RANK};
 use crate::simd;
 use std::fmt;
 
@@ -1117,9 +1120,14 @@ fn bounds(code: &Code) -> Vec<VerifyDiagnostic> {
 /// of `[start, stop)` (the last strip is cut to what is left), so every
 /// index it forms is one the scalar loop forms, already proven by phase
 /// 3. What phase 3 cannot see is a *width* overflowing the
-/// aliasing-proven distance, so that is what this phase rejects.
+/// aliasing-proven distance, so that is what this phase rejects. A run
+/// that spans rows covers exactly the scalar iterations of the two loops
+/// from the current outer iterate on, so the same argument holds for it
+/// once the recorded enclosing loop is the one the bytecode shows and its
+/// width is within the re-proven row-major distance.
 fn simd_structure(code: &Code) -> Vec<VerifyDiagnostic> {
     let mut diags = Vec::new();
+    let targets = simd::jump_targets(code);
     for (pc, op) in code.ops.iter().enumerate() {
         let Op::SimdBegin { simd } = *op else {
             continue;
@@ -1179,8 +1187,16 @@ fn simd_structure(code: &Code) -> Vec<VerifyDiagnostic> {
                 continue;
             }
         }
-        let Some(cand) = simd::analyze_loop(code, head, exit - 1, info.dim as usize, info.step)
-        else {
+        let site = simd::LoopSite {
+            first: pc,
+            head,
+            tail: exit - 1,
+            dim: info.dim,
+            start: info.start,
+            step: info.step,
+            stop: info.stop,
+        };
+        let Some(cand) = simd::analyze_loop(code, &targets, &site) else {
             diags.push(VerifyDiagnostic::at(
                 pc,
                 format!(
@@ -1206,6 +1222,29 @@ fn simd_structure(code: &Code) -> Vec<VerifyDiagnostic> {
                 format!(
                     "simd loop {simd} has mismatched superinstruction operands: the lane \
                      program does not decode from the loop body"
+                ),
+            ));
+            continue;
+        }
+        // The enclosing loop: exactly the one the analysis finds (or the
+        // same reason for none), claiming at most its proven width.
+        let rows_ok = match (info.rows, cand.rows) {
+            (Ok(got), Ok(proven)) => {
+                (2..=proven.lanes).contains(&got.lanes)
+                    && got
+                        == Rows {
+                            lanes: got.lanes,
+                            ..proven
+                        }
+            }
+            (got, proven) => got == proven,
+        };
+        if !rows_ok {
+            diags.push(VerifyDiagnostic::at(
+                pc,
+                format!(
+                    "simd loop {simd} records the enclosing loop {:?} but the bytecode proves {:?}",
+                    info.rows, cand.rows
                 ),
             ));
         }
@@ -1257,7 +1296,7 @@ fn check_covers(code: &Code, acc: usize) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bytecode::{compile, Access};
+    use crate::bytecode::{compile, Access, NoRows};
     use crate::ir::{EExpr, ElemRef, ElemStmt, LStmt, LoopNest, ScalarProgram};
     use zlang::ir::{ArrayId, ConfigBinding, Offset, RegionId};
 
@@ -1665,6 +1704,112 @@ mod tests {
         code.simds[0].head += 1;
         let diags = verify(&code);
         assert!(!diags.is_empty(), "{diags:?}");
+    }
+
+    /// `A[r,c] = A[r+1,c-1] + 1` over the interior `[2..n-1, 2..n-1]` of
+    /// an 8x8 array, rows outer: nothing collides within a row, but the
+    /// store at `(r+1, c-1)` comes `e2 - 1 = 5` positions after the load
+    /// of the same cell, so the row-spanning width is 5.
+    fn skewed_program() -> ScalarProgram {
+        let program = zlang::compile(
+            "program t; config n : int = 8; region R = [1..n, 1..n]; \
+             region S = [2..n-1, 2..n-1]; var A : [R] float; begin end",
+        )
+        .unwrap();
+        ScalarProgram {
+            program,
+            stmts: vec![LStmt::Nest(LoopNest {
+                region: RegionId(1),
+                structure: vec![1, 2],
+                body: vec![ElemStmt {
+                    target: ElemRef::Array(ArrayId(0), Offset(vec![0, 0])),
+                    rhs: EExpr::Binary(
+                        zlang::ast::BinOp::Add,
+                        Box::new(EExpr::Load(ArrayId(0), Offset(vec![1, -1]))),
+                        Box::new(EExpr::Const(1.0)),
+                    ),
+                }],
+                cluster: 0,
+                temps: 0,
+            })],
+        }
+    }
+
+    #[test]
+    fn corrupted_enclosing_loop_is_rejected() {
+        let clean = superfused(&skewed_program());
+        assert!(verify(&clean).is_empty(), "{:?}", verify(&clean));
+        let info = &clean.simds[0];
+        let rows = info.rows.expect("the nest is two perfect loops");
+        assert_eq!(
+            (info.lanes, rows.lanes, rows.dim),
+            (MAX_LANES as u8, 5, 0),
+            "no dependence within a row, one 5 positions apart across rows"
+        );
+        assert_eq!((rows.start, rows.step, rows.stop), (2, 1, 8));
+        assert!(matches!(
+            clean.ops[rows.exit as usize - 1],
+            Op::IdxStep { d: 0, .. }
+        ));
+
+        type Corruption = (&'static str, fn(&mut Rows));
+        let corruptions: [Corruption; 8] = [
+            ("one lane too wide", |r| r.lanes += 1),
+            ("the executor's default width", |r| r.lanes = 64),
+            ("a strip of one", |r| r.lanes = 1),
+            ("the other dimension", |r| r.dim = 1),
+            ("an exit one op on", |r| r.exit += 1),
+            ("an earlier start", |r| r.start -= 1),
+            ("the opposite direction", |r| r.step = -1),
+            ("a later stop", |r| r.stop += 1),
+        ];
+        for (what, corrupt) in corruptions {
+            let mut code = superfused(&skewed_program());
+            corrupt(code.simds[0].rows.as_mut().unwrap());
+            let diags = verify(&code);
+            assert!(
+                diags.iter().any(|d| d.message.contains("enclosing loop")),
+                "{what}: {diags:?}"
+            );
+        }
+        // Nor may an annotation deny the loop that is there, or give
+        // another reason for having none.
+        for wrong in [NoRows::NoEnclosingLoop, NoRows::Dependence(1)] {
+            let mut code = superfused(&skewed_program());
+            code.simds[0].rows = Err(wrong);
+            rejects(&code, "enclosing loop");
+        }
+    }
+
+    #[test]
+    fn rows_claimed_over_an_extra_op_are_rejected() {
+        // Put one more op between the two back edges before the rewrite
+        // runs: the outer body is no longer the simd loop alone.
+        let mut code = compiled(&skewed_program());
+        let steps: Vec<usize> = (0..code.ops.len())
+            .filter(|&pc| matches!(code.ops[pc], Op::IdxStep { .. }))
+            .collect();
+        let [inner, outer] = steps[..] else {
+            panic!("expected two loops: {steps:?}")
+        };
+        assert_eq!(outer, inner + 1);
+        let Op::Store { src, .. } = code.ops[inner - 2] else {
+            panic!("expected the body's store before its tick")
+        };
+        code.ops.insert(outer, Op::Mov { dst: src, src });
+        for par in code.pars.iter_mut() {
+            par.exit += 1; // the ladder ends past the op that moved up
+        }
+        crate::simd::superfuse(&mut code);
+        assert_eq!(code.simds[0].rows, Err(NoRows::OtherOps));
+        assert!(verify(&code).is_empty(), "{:?}", verify(&code));
+
+        let honest = superfused(&skewed_program()).simds[0].rows.unwrap();
+        code.simds[0].rows = Ok(Rows {
+            exit: honest.exit + 1,
+            ..honest
+        });
+        rejects(&code, "enclosing loop");
     }
 
     #[test]

@@ -519,13 +519,11 @@ impl Vm {
                 Op::SimdBegin { simd } => {
                     // Scalar runs fall through into the loop.
                     if lane_want >= 2 {
-                        let info = &code.simds[simd as usize];
                         let r = simd::run_lanes(
                             code,
-                            info,
+                            &code.simds[simd as usize],
                             lane_want,
-                            info.start,
-                            info.stop,
+                            None,
                             regs,
                             &idx,
                             &mut mem,
@@ -536,12 +534,12 @@ impl Vm {
                             Err(e) => break Err(e),
                             Ok(Some(run)) => {
                                 book_lane_run(&run, &mut n);
-                                idx[info.dim as usize] = info.stop;
-                                pc = info.exit as usize;
+                                idx = run.idx;
+                                pc = run.resume as usize;
                                 if FUELED {
-                                    // Lanes draw scalar-equivalent fuel:
-                                    // one unit per body op per covered
-                                    // iteration, like the tile pool.
+                                    // Lanes draw exactly the fuel the
+                                    // scalar dispatcher would have, so a
+                                    // budget means the same at any width.
                                     if run.ops > fuel_left {
                                         break Err(ExecError::fuel());
                                     }
@@ -1027,6 +1025,28 @@ mod tests {
             );
             let tiled_points: u64 = par.tile_stats().iter().map(|t| t.points).sum();
             assert_eq!(tiled_points, op.stats.points);
+        }
+    }
+
+    /// A ladder that comes long after the pool went idle (its workers
+    /// parked, see `par::SPIN`) fans out like the first one, and so does
+    /// the one right behind it.
+    #[test]
+    fn an_idle_pool_takes_the_next_ladder() {
+        let sp = fill_nest();
+        let b = ConfigBinding::defaults(&sp.program);
+        let want = Vm::new(&sp, b.clone())
+            .unwrap()
+            .execute(&mut NoopObserver)
+            .unwrap();
+        let mut par = Vm::new(&sp, b).unwrap();
+        par.verify().unwrap();
+        par.set_threads(3);
+        for pause_ms in [5, 0, 5] {
+            std::thread::sleep(std::time::Duration::from_millis(pause_ms));
+            let got = par.execute(&mut NoopObserver).unwrap();
+            assert_eq!(got.scalars, want.scalars);
+            assert!(!par.tile_stats().is_empty());
         }
     }
 

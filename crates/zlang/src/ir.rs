@@ -372,24 +372,34 @@ impl Intrinsic {
                     args[2]
                 }
             }
-            Intrinsic::Rnd => {
-                // SplitMix64-style hash of the bit pattern, mapped to [0,1).
-                let mut z = args[0].to_bits().wrapping_add(0x9E37_79B9_7F4A_7C15);
-                z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-                z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-                z ^= z >> 31;
-                (z >> 11) as f64 / (1u64 << 53) as f64
-            }
-            Intrinsic::Sign => {
-                if args[0] > 0.0 {
-                    1.0
-                } else if args[0] < 0.0 {
-                    -1.0
-                } else {
-                    0.0
-                }
-            }
+            Intrinsic::Rnd => rnd(args[0]),
+            Intrinsic::Sign => sign(args[0]),
         }
+    }
+}
+
+/// `rnd(x)`: a SplitMix64-style hash of `x`'s bit pattern, mapped to
+/// `[0, 1)`. The one definition [`Intrinsic::eval`] and the lane executor's
+/// strip kernel share.
+#[inline]
+pub fn rnd(x: f64) -> f64 {
+    let mut z = x.to_bits().wrapping_add(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^= z >> 31;
+    (z >> 11) as f64 / (1u64 << 53) as f64
+}
+
+/// `sign(x)`: -1, 0 or 1 (0 for either zero and for NaN). Shared like
+/// [`rnd`].
+#[inline]
+pub fn sign(x: f64) -> f64 {
+    if x > 0.0 {
+        1.0
+    } else if x < 0.0 {
+        -1.0
+    } else {
+        0.0
     }
 }
 

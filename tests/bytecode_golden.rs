@@ -41,9 +41,11 @@ fn disasm(test: &str, name: &str, source: &str, engine: &str) -> String {
 }
 
 /// The benchmarks pinned: `simple` (the headline element-wise kernel the
-/// ≥8x bar is measured on) and `tomcatv` (stencils, reductions, and a
-/// time loop — exercises alias caps and the in-order lane reduce).
-const PINNED: [&str; 2] = ["simple", "tomcatv"];
+/// ≥8x bar is measured on), `tomcatv` (stencils, reductions, and a
+/// time loop — exercises alias caps and the in-order lane reduce) and
+/// `sp` (rank 3, rows of 12: where a lane run that spans the rows of the
+/// enclosing loop matters most).
+const PINNED: [&str; 3] = ["simple", "tomcatv", "sp"];
 
 #[test]
 fn superfused_bytecode_matches_golden_files() {

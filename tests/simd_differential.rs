@@ -9,13 +9,20 @@
 //! what is left of the range. None of that may be observable: this
 //! harness sweeps generated random and stencil-shaped programs (the
 //! `testkit::genprog` generators) across strip widths 0 (the default),
-//! 1, 2, 3, 8 and 64 and every engine, and insists every scalar stays
-//! *bit-identical* to the unoptimized reference interpreter, with
+//! 1, 2, 3, 8, 64 and 128 and every engine, and insists every scalar
+//! stays *bit-identical* to the unoptimized reference interpreter, with
 //! identical execution counters. A second pass drives the same sweep
-//! through the paper benchmarks at every level.
+//! through the paper benchmarks at every level, and a hand-written group
+//! aims at what a lane run that spans rows adds: strips that cross row
+//! ends at every alignment, loops that run backwards, dependences that
+//! cross rows, the per-row outer index, reductions over short rows - each
+//! also under `vm-par` at 1, 2 and 4 threads. The last test holds lane
+//! fuel to the scalar dispatcher's exact op count.
 
 use testkit::{genprog, Rng};
 use zlang::ir::{Program, ScalarId};
+use zpl_fusion::fusion::pipeline::Optimized;
+use zpl_fusion::loops::{ErrorKind, ExecLimits};
 use zpl_fusion::prelude::*;
 
 /// Generated programs per generator per sweep.
@@ -25,8 +32,12 @@ const PROGRAMS: u64 = 15;
 /// over superinstruction bytecode (1), the alias-cap boundary (2), a width
 /// that divides no power of two (3, so most last strips are partial), the
 /// old maximum (8), and the default spelled out (64, wider than most of
-/// the generated extents, so the extent is what caps the strip).
-const LANES: [usize; 6] = [0, 1, 2, 3, 8, 64];
+/// the generated extents, so the extent is what caps the strip), and the
+/// maximum (128, which only a run that spans rows fills on short rows).
+const LANES: [usize; 7] = [0, 1, 2, 3, 8, 64, 128];
+
+/// Thread counts the hand-written group runs `vm-par` at.
+const THREADS: [usize; 3] = [1, 2, 4];
 
 /// The two checksum scalars every generated program declares first.
 fn checksums(out: &RunOutcome) -> (u64, u64) {
@@ -39,21 +50,33 @@ fn checksums(out: &RunOutcome) -> (u64, u64) {
 /// The reference: the tree-walking interpreter on the same optimized
 /// program (the optimizer is common to every engine; only execution is
 /// under test here).
-fn run(
-    opt: &zpl_fusion::fusion::pipeline::Optimized,
+fn run(opt: &Optimized, binding: &ConfigBinding, engine: Engine, lanes: usize) -> RunOutcome {
+    run_with(opt, binding, engine, ExecOpts::with_lanes(lanes))
+}
+
+fn run_with(
+    opt: &Optimized,
     binding: &ConfigBinding,
     engine: Engine,
-    lanes: usize,
+    opts: ExecOpts,
 ) -> RunOutcome {
     engine
-        .executor_with(
-            &opt.scalarized,
-            binding.clone(),
-            ExecOpts::with_lanes(lanes),
-        )
-        .unwrap_or_else(|e| panic!("{engine} x{lanes} refused to construct: {e}"))
+        .executor_with(&opt.scalarized, binding.clone(), opts)
+        .unwrap_or_else(|e| panic!("{engine} {opts:?} refused to construct: {e}"))
         .execute(&mut NoopObserver)
-        .unwrap_or_else(|e| panic!("{engine} x{lanes} failed: {e}"))
+        .unwrap_or_else(|e| panic!("{engine} {opts:?} failed: {e}"))
+}
+
+/// Every scalar bit for bit, and the counters.
+fn assert_same(reference: &RunOutcome, out: &RunOutcome, ctx: &str) {
+    for (i, (a, b)) in reference.scalars.iter().zip(&out.scalars).enumerate() {
+        assert_eq!(
+            a.to_bits(),
+            b.to_bits(),
+            "{ctx}: scalar {i} differs ({a} vs {b})"
+        );
+    }
+    assert_eq!(reference.stats, out.stats, "{ctx}: RunStats differ");
 }
 
 fn sweep(source: &str, ctx: &str) {
@@ -112,14 +135,7 @@ fn benchmarks_are_bit_identical_at_every_lane_width_and_level() {
                 for lanes in LANES {
                     let out = run(&opt, &binding, engine, lanes);
                     let ctx = format!("{} at {level}: {engine} x{lanes}", bench.name);
-                    for (i, (a, b)) in reference.scalars.iter().zip(&out.scalars).enumerate() {
-                        assert_eq!(
-                            a.to_bits(),
-                            b.to_bits(),
-                            "{ctx}: scalar {i} differs ({a} vs {b})"
-                        );
-                    }
-                    assert_eq!(reference.stats, out.stats, "{ctx}: RunStats differ");
+                    assert_same(&reference, &out, &ctx);
                 }
             }
         }
@@ -151,4 +167,261 @@ fn cache_simulation_sees_the_scalar_access_stream() {
         stats[0], stats[1],
         "vm-simd changed the observed access stream under the cache simulator"
     );
+}
+
+/// One hand-written case: runs `source` under `sets` on `vm-simd` at
+/// every width and on `vm-par` at every width and thread count, and
+/// holds every scalar and the (tile-merged) counters to `interp`'s. The
+/// superfused listing must contain each of `shows`, so a case keeps
+/// exercising what it was written for.
+fn hand_written(source: &str, dimension_contraction: bool, sets: &[(&str, i64)], shows: &[&str]) {
+    let program = zlang::compile(source).unwrap_or_else(|e| panic!("{e}\n{source}"));
+    let mut pipeline = Pipeline::new(Level::C2F3);
+    if dimension_contraction {
+        pipeline = pipeline.with_dimension_contraction();
+    }
+    let opt = pipeline.optimize(&program);
+    let mut binding = ConfigBinding::defaults(&opt.scalarized.program);
+    for &(name, v) in sets {
+        binding.set_by_name(&opt.scalarized.program, name, v);
+    }
+    let ctx = format!("{} {sets:?}", program.name);
+    let listing = Vm::new_superfused(&opt.scalarized, binding.clone())
+        .unwrap()
+        .disasm();
+    for show in shows {
+        assert!(listing.contains(show), "{ctx}: no `{show}` in\n{listing}");
+    }
+    let reference = run(&opt, &binding, Engine::Interp, 1);
+    for lanes in LANES {
+        let out = run(&opt, &binding, Engine::VmSimd, lanes);
+        assert_same(&reference, &out, &format!("{ctx}: vm-simd x{lanes}"));
+        for threads in THREADS {
+            let out = run_with(&opt, &binding, Engine::VmPar, ExecOpts { threads, lanes });
+            assert_same(
+                &reference,
+                &out,
+                &format!("{ctx}: vm-par x{lanes} t{threads}"),
+            );
+        }
+    }
+}
+
+/// Every index source, a load at each neighbour, and three reductions
+/// whose result depends on their order (the values span 1e-1..1e7), over
+/// `n` rows of length `m`.
+const ROWS: &str = "program rows; config n : int = 7; config m : int = 5; \
+    region GH = [0..n+1, 0..m+1]; region R = [1..n, 1..m]; \
+    var A, B, C : [GH] float; var s, hi, lo : float; \
+    begin \
+      [GH] A := index1 * 0.3 + sin(index2 * 0.7); \
+      [GH] B := (index1 * 1.5 - index2) * 1e6; \
+      [R] C := A@[0,1] * B + A@[1,0] - index1 * 0.125 + index2; \
+      s := +<< [GH] C + A; \
+      hi := max<< [R] C * A; \
+      lo := min<< [R] C - B@[0,-1]; end";
+
+#[test]
+fn strips_cross_row_ends_at_every_alignment() {
+    // Row lengths against W: shorter than every width, dividing it, one
+    // short of it, equal, one past it, past twice the default. A row of 1
+    // is not vectorized over `R` at all (its halo region's rows are 3).
+    for m in [1, 2, 3, 5, 24, 63, 64, 65, 130] {
+        hand_written(
+            ROWS,
+            false,
+            &[("m", m)],
+            &["rows i0 x9 lanes 128", "broadcast f64(i0)", "in order"],
+        );
+    }
+    // Two rows, and a single one: a run that has no row end to cross.
+    hand_written(
+        ROWS,
+        false,
+        &[("n", 2), ("m", 5)],
+        &["rows i0 x2 lanes 128"],
+    );
+    hand_written(
+        ROWS,
+        false,
+        &[("n", 1), ("m", 70)],
+        &["rows i0 x3 lanes 128"],
+    );
+}
+
+/// In-place updates whose reads force a loop to run backwards: the inner
+/// one (`A`, `D`; `A`'s distance-3 dependence also caps the strip, `D`'s
+/// reaches past the row and caps nothing), the outer one (`B`: the row
+/// above is read before it is overwritten, and comes one row length
+/// later in execution order), both (`C`).
+const BACKWARDS: &str = "program backwards; config n : int = 6; config m : int = 11; \
+    region GH = [0..n+1, -69..m+1]; region R = [1..n, 1..m]; \
+    var A, B, C, D : [GH] float; var s : float; \
+    begin \
+      [GH] A := index1 * 0.3 + sin(index2 * 0.7); \
+      [GH] B := index1 * 1.5 - index2; \
+      [GH] C := cos(index1 + index2 * 0.1); \
+      [GH] D := index1 - index2 * 0.01; \
+      [R] A := A@[0,-3] * 0.5 + B; \
+      [R] B := B@[-1,0] + A * 0.25; \
+      [R] C := C@[-1,0] * C@[0,-3] + 1.0; \
+      [R] D := D@[0,-70] + A; \
+      s := +<< [GH] A + B + C + D; end";
+
+#[test]
+fn loops_that_run_backwards_span_rows() {
+    hand_written(
+        BACKWARDS,
+        false,
+        &[],
+        &[
+            "lanes 3 range [11, 0) step -1",
+            "lanes 128 range [11, 0) step -1",
+            "i0 += -1",
+            "rows i0 x6 lanes 3 pcs",
+            "rows i0 x6 lanes 11 pcs",
+            "rows i0 x6 lanes 128 pcs",
+        ],
+    );
+    hand_written(
+        BACKWARDS,
+        false,
+        &[("n", 5), ("m", 70)],
+        &["rows i0 x5 lanes 70 pcs"],
+    );
+}
+
+/// In-place updates that read the row below at a column offset: nothing
+/// collides within a row, but the cell `(r+1, c-k)` is read `m - k`
+/// positions before it is overwritten, so the row-spanning width binds.
+const SKEWED: &str = "program skewed; config n : int = 6; config m : int = 5; \
+    region GH = [0..n+1, -2..m+1]; region R = [1..n, 1..m]; \
+    var A, B : [GH] float; var s : float; \
+    begin \
+      [GH] A := index1 * 0.3 + sin(index2 * 0.7); \
+      [GH] B := index1 * 1.5 - index2; \
+      [R] A := A@[1,-1] * 0.5 + B; \
+      [R] B := B@[1,-3] + A; \
+      s := +<< [GH] A * B; end";
+
+#[test]
+fn dependences_that_cross_rows_bind_the_width() {
+    // m = 5: widths 4 and 2, so a run spans rows at `--lanes 2` (and 3 for
+    // `A`) and stays inside its row above that.
+    hand_written(
+        SKEWED,
+        false,
+        &[],
+        &["rows i0 x6 lanes 4 pcs", "rows i0 x6 lanes 2 pcs"],
+    );
+    // m = 70: widths 69 and 67 against rows of 70, so a run spans rows up
+    // to the default width and not at 128.
+    hand_written(
+        SKEWED,
+        false,
+        &[("m", 70)],
+        &["rows i0 x6 lanes 69 pcs", "rows i0 x6 lanes 67 pcs"],
+    );
+}
+
+/// A rank-3 region: the run covers the (middle, last) plane, the
+/// outermost index is invariant across it, the middle one changes per row
+/// segment.
+const CUBE: &str = "program cube; config n : int = 4; config m : int = 5; config k : int = 6; \
+    region GH = [0..n+1, 0..m+1, 0..k+1]; region R = [1..n, 1..m, 1..k]; \
+    var A, B : [GH] float; var s : float; \
+    begin \
+      [GH] A := index1 * 100.0 + index2 * 10.0 + index3; \
+      [R] B := A@[0,0,1] - A@[0,1,0] * 0.5 + A@[1,0,0] + index1 * index2 - index3; \
+      s := +<< [R] B * A; end";
+
+#[test]
+fn contracted_rows_and_rank_three_planes() {
+    hand_written(
+        CUBE,
+        false,
+        &[],
+        &[
+            "rows i1 x5 lanes 128",
+            "broadcast f64(i0)",
+            "broadcast f64(i1)",
+        ],
+    );
+    // Under dimension contraction the stage arrays keep one row (stride 0
+    // along the rows) and the row loop is a counter loop, not a region
+    // loop: the lane runs stay inside it.
+    hand_written(
+        include_str!("../examples/programs/sweep.zl"),
+        true,
+        &[],
+        &["rows: no (no enclosing loop)", "ctrstep"],
+    );
+    hand_written(
+        include_str!("../examples/programs/sweep.zl"),
+        true,
+        &[("n", 70)],
+        &["rows: no (no enclosing loop)"],
+    );
+}
+
+#[test]
+fn lane_fuel_is_the_scalar_count() {
+    // The least fuel that completes a run is the number of ops the scalar
+    // dispatcher executes. A lane run must charge exactly that, so a
+    // budget means the same at every width.
+    fn completes(opt: &Optimized, binding: &ConfigBinding, lanes: usize, fuel: u64) -> bool {
+        let mut exec = Engine::VmSimd
+            .executor_with(
+                &opt.scalarized,
+                binding.clone(),
+                ExecOpts::with_lanes(lanes),
+            )
+            .unwrap();
+        exec.set_limits(ExecLimits::none().with_fuel(fuel));
+        match exec.execute(&mut NoopObserver) {
+            Ok(_) => true,
+            Err(e) => {
+                assert_eq!(e.kind, ErrorKind::Fuel, "{e}");
+                false
+            }
+        }
+    }
+    for bench in zpl_fusion::workloads::all() {
+        let n = match bench.rank {
+            1 => 64,
+            2 => 9,
+            _ => 5,
+        };
+        let opt = Pipeline::new(Level::C2F3).optimize(&bench.program());
+        let mut binding = ConfigBinding::defaults(&opt.scalarized.program);
+        binding.set_by_name(&opt.scalarized.program, bench.size_config, n);
+        // `vm-simd` at one lane is the scalar dispatcher over the same
+        // bytecode: bisect its least fuel.
+        let mut hi = 1u64;
+        while !completes(&opt, &binding, 1, hi) {
+            hi *= 2;
+        }
+        let mut lo = hi / 2; // fails (or is 0)
+        while hi - lo > 1 {
+            let mid = lo + (hi - lo) / 2;
+            if completes(&opt, &binding, 1, mid) {
+                hi = mid;
+            } else {
+                lo = mid;
+            }
+        }
+        for lanes in [2, 64, 128] {
+            assert!(
+                completes(&opt, &binding, lanes, hi),
+                "{} x{lanes}: {hi} ops of fuel complete the scalar run",
+                bench.name
+            );
+            assert!(
+                !completes(&opt, &binding, lanes, hi - 1),
+                "{} x{lanes}: {} ops of fuel do not complete the scalar run",
+                bench.name,
+                hi - 1
+            );
+        }
+    }
 }
