@@ -249,14 +249,13 @@ impl CircuitBreakers {
 mod tests {
     use super::*;
     use crate::pipeline::Level;
-    use loopir::Engine;
 
     fn key(content: u64) -> CacheKey {
         CacheKey {
             program: 0,
             content,
             spec: Level::C2.into(),
-            engine: Engine::Vm,
+            bytecode: true,
         }
     }
 

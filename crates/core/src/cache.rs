@@ -2,7 +2,7 @@
 //! serving path.
 //!
 //! Every request that reaches the server is "compile this source at this
-//! level for this engine under this binding, then run it". The compile
+//! level under this binding, then run it at these knobs". The compile
 //! half is deterministic and expensive; the run half is cheap per-request
 //! state. [`CompileCache`] memoizes the compile half in the three stages
 //! it really has, each keyed by exactly what the stage reads:
@@ -11,7 +11,7 @@
 //! |---|---|---|---|
 //! | **parse** (lex → parse → sema) | source text | [`hash::text_hash`], text compared on hit | [`Parsed`]: the program and its [`hash::program_hash`], computed once |
 //! | **optimize** (normalize → ASDG → FUSION-FOR-CONTRACTION → scalarize) | program, [`LevelSpec`] | `(program digest, spec)` | `Arc<ScalarProgram>` |
-//! | **lower** (bytecode → superfuse → verify) | scalarized program, binding, engine | [`CacheKey`] | [`CachedProgram`] |
+//! | **lower** (bytecode → superfuse → verify) | scalarized program, binding | [`CacheKey`]: program + binding + spec | [`CachedProgram`] |
 //!
 //! The paper's optimizer works on array statements over *symbolic*
 //! regions, so one optimized program serves every problem size; only the
@@ -19,7 +19,13 @@
 //! every access in bounds for those numbers — is per size. A request for
 //! a new size of a known program therefore costs one lowering, and a
 //! repeated request costs three lookups, an `Arc` bump and run-state
-//! allocation.
+//! allocation. The artifact is engine-independent: `vm`, `vm-simd` and
+//! `vm-par` are settings of the two [`ExecOpts`] integers a request runs
+//! the one lowered stream at ([`loopir::Engine::knobs`]), so they share
+//! one entry, and a supervised request that degrades from one to the next
+//! hits it. The key's only trace of the engine is whether the request
+//! lowers at all: `interp`, the rung that must survive a lowering
+//! failure, addresses a tree-only artifact.
 //!
 //! **The invariant this rests on:** [`Pipeline::optimize`] is a function
 //! of the program and the [`LevelSpec`] only. It takes no binding (passes
@@ -39,8 +45,8 @@
 //! optimizer on a miss), lower, publish. [`CompileCache::get_or_compile`]
 //! is that for a caller that starts from a program and a request; every
 //! rung of the [`Supervisor`](crate::Supervisor)'s ladder goes through it
-//! inside its fault boundary, a rung being the request at relaxed
-//! `(spec, engine)` coordinates, and [`CompileCache::parse`] is the same
+//! inside its fault boundary, a rung being the request at relaxed knobs
+//! (or, last, a relaxed spec), and [`CompileCache::parse`] is the same
 //! supervisor's front end.
 //!
 //! Concurrency model: all three stages are instances of one sharded
@@ -77,8 +83,8 @@ use zlang::ir::{ConfigBinding, Program};
 ///
 /// `program` and `content` are digests (see [`crate::hash`]); the
 /// remaining fields are carried explicitly so that two compilations that
-/// *must* differ — different level, cleanup passes, or engine — can never
-/// collide even if a 64-bit digest did.
+/// *must* differ — different level or cleanup passes, tree-only or
+/// lowered — can never collide even if a 64-bit digest did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CacheKey {
     /// [`hash::program_hash`] of the program: with `spec`, the address of
@@ -88,15 +94,15 @@ pub struct CacheKey {
     pub content: u64,
     /// Level and cleanup passes the artifact was compiled at.
     pub spec: LevelSpec,
-    /// The engine the artifact was compiled for (decides whether a
-    /// [`SharedProgram`] exists, and whether it is the plain bytecode or
-    /// the verified superinstruction stream).
-    pub engine: Engine,
+    /// Whether the artifact holds the lowered [`SharedProgram`]: true
+    /// for every VM engine name, false for `interp`, which never lowers.
+    pub bytecode: bool,
 }
 
 impl CacheKey {
     /// Computes the key for a program under a binding at explicit
-    /// coordinates, hashing the program.
+    /// coordinates (`engine` only decides [`bytecode`](Self::bytecode)),
+    /// hashing the program.
     pub fn compute(
         program: &Program,
         binding: &ConfigBinding,
@@ -120,7 +126,7 @@ impl CacheKey {
             program: program_digest,
             content: hash::key_hash(program_digest, program, binding),
             spec,
-            engine,
+            bytecode: engine != Engine::Interp,
         }
     }
 
@@ -164,26 +170,26 @@ pub struct Parsed {
 #[derive(Debug, Clone)]
 pub struct CachedProgram {
     /// The scalarized program, shared with the optimize stage and with
-    /// the artifacts of every other size and engine — the [`Interp`]
-    /// engine and the simulated runtime execute this directly.
+    /// the artifacts of every other size — the [`Interp`] engine and the
+    /// simulated runtime execute this directly.
     pub scalarized: Arc<ScalarProgram>,
-    /// The compiled (and, for `vm-simd`/`vm-par`, verified) bytecode
-    /// handle; `None` for [`Engine::Interp`].
+    /// The lowered, verified bytecode every VM engine name runs
+    /// ([`SharedProgram::lower`]); `None` in the tree-only artifact
+    /// [`Engine::Interp`] addresses.
     pub shared: Option<SharedProgram>,
     /// The binding the artifact was compiled under.
     pub binding: ConfigBinding,
-    /// The engine the artifact serves.
-    pub engine: Engine,
 }
 
 impl CachedProgram {
-    /// Builds a fresh executor from the cached artifact: `Vm`
-    /// re-instantiation from the shared bytecode for the VM engines
-    /// (no recompile, no re-verify), or a new [`Interp`] over the shared
-    /// scalarized program.
+    /// Builds a fresh executor from the cached artifact: a `Vm` over the
+    /// shared bytecode at `opts` (no recompile, no re-verify; both knobs
+    /// apply as given — [`RunRequest::exec_opts`] has already pinned the
+    /// ones the request's engine name does not read), or a new [`Interp`]
+    /// over the shared scalarized program.
     pub fn executor(&self, opts: ExecOpts) -> Box<dyn Executor + '_> {
         match &self.shared {
-            Some(shared) => self.engine.shared_executor(shared, opts),
+            Some(shared) => Box::new(shared.executor(opts)),
             None => Box::new(Interp::new(&self.scalarized, self.binding.clone())),
         }
     }
@@ -584,20 +590,20 @@ impl CompileCache {
     /// pipeline `key.spec` names over `program` under that stage's own
     /// claim if it misses too (the spec and nothing else of the request:
     /// the key is everything a compile reads) — lowers the scalarized
-    /// program for `key.engine` under `binding` (bytecode for the VM
-    /// engines, verified for `vm-simd`/`vm-par`) and publishes the
-    /// artifact. Nothing else in this crate pairs the optimizer with an
-    /// engine, so what a [`CacheKey`] addresses is what this function
-    /// returns.
+    /// program under `binding` if `key.bytecode` asks
+    /// ([`SharedProgram::lower`]: superfused and verified, whatever VM
+    /// name the request spells) and publishes the artifact. Nothing else
+    /// in this crate pairs the optimizer with a lowering, so what a
+    /// [`CacheKey`] addresses is what this function returns.
     ///
     /// `key` must be `program`'s key under `binding`; callers build it
-    /// once per request with [`CacheKey::at`] and relax its
-    /// `(spec, engine)` coordinates per rung.
+    /// once per request with [`CacheKey::at`] and relax its `spec` and
+    /// `bytecode` coordinates per rung.
     ///
     /// # Errors
     ///
     /// Lowering failures and verifier rejections from
-    /// [`Engine::compile_shared`]. Optimizer panics propagate; the
+    /// [`SharedProgram::lower`]. Optimizer panics propagate; the
     /// optimizer has marked the pass that raised them ([`enter_stage`]).
     /// Either way the claims are abandoned and nothing is memoized.
     pub fn compile(
@@ -624,16 +630,15 @@ impl CompileCache {
                 (scalarized, Depth::Optimized)
             }
         };
-        enter_stage(if key.engine.superfused() {
-            Stage::VerifyBytecode
-        } else {
-            Stage::Execute
-        });
+        enter_stage(Stage::VerifyBytecode);
+        let shared = key
+            .bytecode
+            .then(|| SharedProgram::lower(&scalarized, binding.clone()))
+            .transpose()?;
         let artifact = Arc::new(CachedProgram {
-            shared: key.engine.compile_shared(&scalarized, binding.clone())?,
+            shared,
             scalarized,
             binding: binding.clone(),
-            engine: key.engine,
         });
         lowering.publish(artifact.clone());
         Ok((artifact, depth))
@@ -739,6 +744,15 @@ mod tests {
             assert!(!hit, "{req}");
         }
         assert_eq!(cache.len(), 4);
+        // The VM engine names and their knobs are not coordinates.
+        for req in [
+            RunRequest::new().with_engine(Engine::VmSimd).with_lanes(8),
+            RunRequest::new().with_engine(Engine::VmPar).with_threads(2),
+        ] {
+            let (_, hit) = cache.get_or_compile(&p, &req).unwrap();
+            assert!(hit, "{req}");
+        }
+        assert_eq!(cache.len(), 4);
     }
 
     #[test]
@@ -798,7 +812,7 @@ mod tests {
             );
             assert_eq!(engine != Engine::Interp, hot.shared.is_some());
             if let Some(shared) = &hot.shared {
-                assert_eq!(shared.is_verified(), engine != Engine::Vm);
+                assert!(shared.is_verified(), "{engine}");
             }
         }
     }

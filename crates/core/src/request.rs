@@ -14,7 +14,9 @@
 //! stage: `spec` addresses the optimized program (with the program's
 //! digest, and nothing else — the optimizer takes no binding), and
 //! [`crate::cache::CacheKey::for_request`] addresses the lowered artifact
-//! by `(program + binding, spec, engine)`.
+//! by `(program + binding, spec)` — the engine name only says whether to
+//! lower at all, and otherwise reaches execution alone, as the two knobs
+//! of [`RunRequest::exec_opts`].
 //!
 //! ```
 //! use fusion_core::request::RunRequest;
@@ -50,13 +52,13 @@ pub struct RunRequest {
     pub spec: LevelSpec,
     /// Execution engine (default [`Engine::Vm`]).
     pub engine: Engine,
-    /// Worker threads for [`Engine::VmPar`]; `0` = auto.
+    /// Worker threads; `0` = auto. Read by [`Engine::VmPar`] alone: every
+    /// other name pins it ([`RunRequest::exec_opts`]).
     pub threads: usize,
-    /// Strip width (iterations run op-major at a time) for
-    /// [`Engine::VmSimd`] / [`Engine::VmPar`] innermost-loop dispatch;
-    /// `0` = the engine default (64), `1` = scalar dispatch over the same
-    /// superinstruction bytecode, other values cap the strip (at most
-    /// 128).
+    /// Strip width (iterations run op-major at a time) of the
+    /// innermost-loop dispatch; `0` = the default (64), `1` = scalar
+    /// dispatch, other values cap the strip (at most 128). Read by
+    /// [`Engine::VmSimd`] and [`Engine::VmPar`]; `vm` pins it to 1.
     pub lanes: usize,
     /// Run the translation validator and report its diagnostics. Read by
     /// [`RunRequest::pipeline`] alone, i.e. by `zlc --verify` on the
@@ -199,12 +201,17 @@ impl RunRequest {
         Supervisor::for_request(self.clone())
     }
 
-    /// The per-execution engine options.
+    /// The knobs this request runs the lowered program at: `threads` and
+    /// `lanes` once the engine name has pinned the ones it does not read
+    /// ([`Engine::knobs`]), ready for
+    /// [`CachedProgram::executor`](crate::CachedProgram::executor).
+    /// [`Engine::Interp`] reads neither.
     pub fn exec_opts(&self) -> ExecOpts {
-        ExecOpts {
+        let asked = ExecOpts {
             threads: self.threads,
             lanes: self.lanes,
-        }
+        };
+        self.engine.knobs(asked).unwrap_or_default()
     }
 
     /// The engine limits the budgets imply (the deadline is measured
@@ -233,7 +240,7 @@ impl RunRequest {
 impl fmt::Display for RunRequest {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{} on {}", self.level_spec(), self.engine)?;
-        if self.threads != 0 {
+        if self.threads != 0 && self.engine == Engine::VmPar {
             write!(f, " x{}", self.threads)?;
         }
         for (name, value) in &self.sets {
@@ -308,6 +315,21 @@ mod tests {
             .with_threads(4)
             .with_set("n", 64);
         assert_eq!(req.to_string(), "c2+f3 on vm-par x4 n=64");
+        // ` xN` only under the name that reads threads.
+        let req = req.with_engine(Engine::VmSimd);
+        assert_eq!(req.to_string(), "c2+f3 on vm-simd n=64");
+    }
+
+    #[test]
+    fn exec_opts_are_the_knobs_the_name_reads() {
+        let req = RunRequest::new().with_threads(4).with_lanes(8);
+        let knobs = |engine| {
+            let o = req.clone().with_engine(engine).exec_opts();
+            (o.threads, o.lanes)
+        };
+        assert_eq!(knobs(Engine::Vm), (1, 1));
+        assert_eq!(knobs(Engine::VmSimd), (1, 8));
+        assert_eq!(knobs(Engine::VmPar), (4, 8));
     }
 
     #[test]

@@ -16,20 +16,25 @@
 //! gets from [`CompileCache::get_or_compile`]; a supervisor with no cache
 //! attached runs the same path through a private cache that lives for
 //! the one run. A rung of the degradation ladder is nothing but the
-//! request at relaxed `(spec, engine)` coordinates: the same
-//! [`LevelSpec`] on cheaper engines, then plain `baseline` on the
-//! interpreter with the cleanup passes off:
+//! request at relaxed knobs: the same [`LevelSpec`] and the same lowered
+//! artifact at the requested `(threads, lanes)`, then threads → 1, then
+//! lanes → 1, then the tree-walker, then plain `baseline` on the
+//! tree-walker with the cleanup passes off:
 //!
 //! ```text
-//! (spec, vm-par)   →  (spec, vm-simd)  →  (spec, vm)
-//!                  →  (spec, interp)   →  (baseline, interp)
+//! (spec, T, L)  →  (spec, 1, L)  →  (spec, 1, 1)
+//!               →  (spec, interp)  →  (baseline, interp)
 //! ```
 //!
-//! The topmost rung is the parallel tiled VM ([`Engine::VmPar`]); it
-//! shares the verified superinstruction bytecode across a thread pool, so
-//! a verifier rejection or tile trap degrades it first to the
-//! single-threaded lane engine ([`Engine::VmSimd`]), then to the scalar
-//! `vm` rung running plain (non-superinstruction) bytecode.
+//! A rung whose knobs equal the previous rung's is skipped (`vm` starts
+//! at `(1, 1)`; `vm-par --threads 1 --lanes 1` runs once, not three
+//! times), and reports name each rung by the engine name its knobs spell
+//! (`vm-par`, `vm-simd`, `vm`). The VM rungs share one artifact
+//! ([`CacheKey`] forgets the engine), so every VM rung after the first is
+//! a lower-stage hit. A lowering failure or a verifier rejection means
+//! that artifact cannot exist: it is recorded once and the run goes
+//! straight to the tree-walker at the same spec — there is no unverified
+//! stream to hide a compiler bug behind.
 //!
 //! The final rung — the unoptimized reference interpreter — is the
 //! semantic ground truth for the entire system (every engine is tested
@@ -45,9 +50,9 @@
 //!   during optimization *poisons the spec*: rungs that would re-run the
 //!   same deterministic optimization are skipped. The panicking stage's
 //!   cache claim is abandoned, so a failure is never memoized.
-//! * **Verifier rejections** — the `vm-simd` and `vm-par` engines refuse
-//!   to construct; the plain VM runs the program's plain bytecode, which
-//!   needs no proof (every access is bounds-checked).
+//! * **Verifier rejections** and lowering failures — no VM name
+//!   constructs; the tree-walker, which needs no bytecode, answers at the
+//!   requested spec.
 //! * **Resource budgets** ([`Budgets`]): instruction fuel and a
 //!   wall-clock deadline (enforced inside the engines via
 //!   [`ExecLimits`]), plus a pre-flight estimate of peak allocation from
@@ -229,12 +234,14 @@ impl fmt::Display for Cause {
     }
 }
 
-/// A lowering or execution error, attributed to the verifier when it is
-/// a rejection and to execution otherwise.
+/// A lowering or execution error, attributed to the lowering stage when
+/// the bytecode could not be built or was rejected, and to execution
+/// otherwise.
 impl From<ExecError> for Cause {
     fn from(e: ExecError) -> Cause {
         let (stage, kind) = match e.kind {
             ErrorKind::Verify => (Stage::VerifyBytecode, CauseKind::VerifyReject),
+            ErrorKind::Lower => (Stage::VerifyBytecode, CauseKind::Exec),
             ErrorKind::Fuel => (Stage::Execute, CauseKind::Fuel),
             ErrorKind::Deadline => (Stage::Execute, CauseKind::Deadline),
             ErrorKind::Comm => (Stage::Execute, CauseKind::Comm),
@@ -253,7 +260,7 @@ impl From<ExecError> for Cause {
 pub struct Attempt {
     /// Level and cleanup passes of this attempt.
     pub spec: LevelSpec,
-    /// Engine of this attempt.
+    /// The engine name this attempt's knobs spell.
     pub engine: Engine,
     /// Wall-clock time the attempt took (including a failed one).
     pub elapsed: Duration,
@@ -460,8 +467,8 @@ impl fmt::Debug for Supervisor<'_> {
 
 /// What the rungs of one supervised run share: the program, its binding
 /// and the requested rung's cache key (bound and hashed once per run),
-/// and the cache they compile through, whose optimize stage is what lets
-/// the rungs at one spec run the optimizer once.
+/// and the cache they compile through, which is what lets the rungs at
+/// one spec run the optimizer once and the VM rungs lower once.
 struct Run<'p> {
     program: &'p Program,
     binding: ConfigBinding,
@@ -494,7 +501,7 @@ impl<'a> Supervisor<'a> {
 
     /// Attaches a shared [`CompileCache`]: source text is parsed through
     /// its parse stage and every rung compiles through it at its own
-    /// `(spec, engine)` coordinates — a hit reuses the `Arc`-shared
+    /// spec — a hit reuses the `Arc`-shared
     /// scalarized program and compiled bytecode and skips the front end,
     /// the optimizer, the bytecode compiler, and the verifier; a new
     /// size of a known program skips all but the last two — and every
@@ -631,9 +638,9 @@ impl<'a> Supervisor<'a> {
             .is_some_and(|b| b.admit(key) == Admission::Reference);
         report.breaker_open = forced_reference;
         let rungs = if forced_reference {
-            vec![(Level::Baseline.into(), Engine::Interp)]
+            vec![(Level::Baseline.into(), Engine::Interp, req.exec_opts())]
         } else {
-            ladder(req.spec, req.engine)
+            ladder(req)
         };
         // An open key's run must not consult the attached cache: its one
         // rung compiles through a cache of its own.
@@ -653,26 +660,27 @@ impl<'a> Supervisor<'a> {
             depth: Depth::Hit,
         };
         let mut poisoned: Option<LevelSpec> = None;
+        // Set once the bytecode could not be built or was rejected: the VM
+        // rungs share that one artifact, so none of them can run.
+        let mut no_bytecode = false;
         let mut last_cause: Option<Cause> = None;
 
-        for (ri, &(spec, engine)) in rungs.iter().enumerate() {
-            if poisoned == Some(spec) {
+        for (ri, &(spec, engine, knobs)) in rungs.iter().enumerate() {
+            if poisoned == Some(spec) || (no_bytecode && engine != Engine::Interp) {
                 continue;
             }
-            // The reference rung is the degradation target of last
-            // resort; budgets do not apply to it (unless asked) because
-            // its entire point is to always produce the answer. A
-            // directly requested (baseline, interp) run (ri == 0) is an
-            // ordinary rung and stays budgeted — except when the breaker
-            // forced the run there, which carries reference semantics.
-            let is_reference = forced_reference
-                || (ri > 0
-                    && ri == rungs.len() - 1
-                    && spec == Level::Baseline.into()
-                    && engine == Engine::Interp);
+            // The reference rung — the last of a ladder with more than
+            // one — is the degradation target of last resort; budgets do
+            // not apply to it (unless asked) because its entire point is
+            // to always produce the answer. A directly requested
+            // (baseline, interp) run (ri == 0) is an ordinary rung and
+            // stays budgeted — except when the breaker forced the run
+            // there, which carries reference semantics.
+            let is_reference = forced_reference || (ri > 0 && ri == rungs.len() - 1);
             let budgeted = !is_reference || req.budgets.enforce_on_reference;
             // Only the requested rung's fate says anything about the
-            // requested artifact; degraded rungs run different code.
+            // requested artifact as requested; a degraded rung runs it at
+            // other knobs, or runs different code.
             let breaker = self
                 .breaker
                 .as_ref()
@@ -684,7 +692,7 @@ impl<'a> Supervisor<'a> {
             loop {
                 let started = Instant::now();
                 run.depth = std::mem::take(&mut parsed);
-                let r = self.attempt(&mut run, spec, engine, budgeted, use_sim);
+                let r = self.attempt(&mut run, (spec, engine, knobs), budgeted, use_sim);
                 let elapsed = started.elapsed();
                 let depth = run.depth;
                 let attempt = |fault| Attempt {
@@ -727,6 +735,9 @@ impl<'a> Supervisor<'a> {
                     // spec would panic again.
                     poisoned = Some(spec);
                 }
+                // So is lowering, and a rejection is a compiler bug, not
+                // something narrower knobs can avoid.
+                no_bytecode |= cause.stage == Stage::VerifyBytecode;
                 let comm_retry = cause.kind == CauseKind::Comm && use_sim;
                 last_cause = Some(cause);
                 if !comm_retry {
@@ -744,16 +755,15 @@ impl<'a> Supervisor<'a> {
         Err(SupervisorError { cause, report })
     }
 
-    /// One rung: the request at `(spec, engine)`, through the one path —
-    /// [`CompileCache::compile`] at the rung's key in the run's cache,
-    /// check the allocation budget, build the executor, run. Every step
-    /// is inside the panic boundary; errors come back as a [`Cause`], and
-    /// a fault anywhere before publication abandons the claim.
+    /// One rung: the request at the rung's spec and knobs, through the one
+    /// path — [`CompileCache::compile`] at the rung's key in the run's
+    /// cache, check the allocation budget, build the executor, run. Every
+    /// step is inside the panic boundary; errors come back as a [`Cause`],
+    /// and a fault anywhere before publication abandons the claim.
     fn attempt(
         &self,
         run: &mut Run<'_>,
-        spec: LevelSpec,
-        engine: Engine,
+        (spec, engine, knobs): Rung,
         budgeted: bool,
         use_sim: bool,
     ) -> Result<RunOutcome, Cause> {
@@ -768,22 +778,16 @@ impl<'a> Supervisor<'a> {
                 message: "execution deadline exceeded (raise the wall-clock budget)".to_string(),
             });
         }
-        // The simulation backend lowers the scalarized program for the
-        // rung's engine itself, so a simulated attempt asks the compile
-        // step for the engine-independent artifact only.
+        // The simulation backend lowers the scalarized program itself, so
+        // a simulated attempt asks the compile step for the tree only.
         let sim = self.sim.as_deref().filter(|_| use_sim);
-        let lower_for = if sim.is_some() {
-            Engine::Interp
-        } else {
-            engine
-        };
         enter_stage(Stage::Normalize);
         quiet_catch(|| -> Result<RunOutcome, Cause> {
             let binding = &run.binding;
             // The run's digests at this rung's coordinates.
             let key = CacheKey {
                 spec,
-                engine: lower_for,
+                bytecode: sim.is_none() && engine != Engine::Interp,
                 ..run.key
             };
             let (artifact, depth) = run.cache.compile(run.program, binding, key)?;
@@ -822,7 +826,7 @@ impl<'a> Supervisor<'a> {
             if let Some(sim) = sim {
                 return Ok(sim(&artifact.scalarized, binding, engine, limits)?);
             }
-            let mut exec = artifact.executor(req.exec_opts());
+            let mut exec = artifact.executor(knobs);
             exec.set_limits(limits);
             Ok(exec.execute(&mut NoopObserver)?)
         })
@@ -836,19 +840,31 @@ impl<'a> Supervisor<'a> {
     }
 }
 
-/// The degradation ladder from a requested (spec, engine): the same spec
-/// on each cheaper engine in turn, then the unoptimized reference
-/// interpreter with the cleanup passes off.
-fn ladder(spec: LevelSpec, engine: Engine) -> Vec<(LevelSpec, Engine)> {
-    let mut rungs: Vec<_> = Engine::all()
-        .into_iter()
-        .rev()
-        .skip_while(|&e| e != engine)
-        .map(|e| (spec, e))
-        .collect();
+/// One rung of the ladder: a spec, the knobs the lowered program runs at
+/// (unread by the tree-walker), and the engine name those knobs spell.
+type Rung = (LevelSpec, Engine, loopir::ExecOpts);
+
+/// The degradation ladder of a request: its own knobs, then as each
+/// cheaper VM name pins them — threads → 1, then lanes → 1, a rung that
+/// changes nothing dropped — then the tree-walker at the same spec, then
+/// (always last, unless it is all that was asked for) the unoptimized
+/// reference interpreter with the cleanup passes off.
+fn ladder(req: &RunRequest) -> Vec<Rung> {
+    let asked = req.exec_opts();
+    let mut rungs = vec![(req.spec, req.engine, asked)];
+    if req.engine != Engine::Interp {
+        for knobs in [Engine::VmSimd, Engine::Vm]
+            .iter()
+            .flat_map(|e| e.knobs(asked))
+        {
+            rungs.push((req.spec, Engine::of_knobs(knobs), knobs));
+        }
+        rungs.dedup_by_key(|rung| rung.2);
+        rungs.push((req.spec, Engine::Interp, asked));
+    }
     let reference = LevelSpec::from(Level::Baseline);
-    if spec != reference {
-        rungs.push((reference, Engine::Interp));
+    if req.spec != reference {
+        rungs.push((reference, Engine::Interp, asked));
     }
     rungs
 }
@@ -905,21 +921,103 @@ mod tests {
         assert_eq!(run.report.final_engine, Engine::VmPar);
     }
 
+    /// A rejection is a fact about the one artifact every VM rung shares:
+    /// it is recorded once and the tree-walker answers at the same spec.
+    fn assert_rejected_once_then_interp(run: &Supervised, spec: LevelSpec) {
+        assert_eq!(run.outcome.checksum(), reference_checksum());
+        assert_eq!(run.report.final_engine, Engine::Interp);
+        assert_eq!(run.report.final_spec, spec);
+        assert_eq!(run.report.attempts.len(), 2, "{}", run.report.render());
+        let rejections: Vec<_> = run
+            .report
+            .faults()
+            .filter(|c| c.kind == CauseKind::VerifyReject)
+            .collect();
+        assert_eq!(rejections.len(), 1, "{}", run.report.render());
+        assert_eq!(rejections[0].stage, Stage::VerifyBytecode);
+    }
+
     #[test]
-    fn vm_par_verify_reject_degrades_to_plain_vm() {
-        // The verifier rejection hits both verified rungs (vm-par shares
-        // the verification gate), landing on the checked VM.
+    fn vm_par_verify_reject_degrades_to_interp() {
         let _g = faults::install(FaultPlan::new(7).with(FaultSite::VerifyReject, 1.0));
         let sup = request(Level::C2F3, Engine::VmPar)
             .with_threads(2)
             .supervisor();
         let run = sup.run_source(SRC).unwrap();
-        assert_eq!(run.outcome.checksum(), reference_checksum());
-        assert_eq!(run.report.final_engine, Engine::Vm);
-        assert!(run
+        assert_rejected_once_then_interp(&run, Level::C2F3.into());
+    }
+
+    #[test]
+    fn plain_vm_is_verified_too() {
+        // `vm` is a setting of the verified stream, not a way around the
+        // verifier.
+        let _g = faults::install(FaultPlan::new(7).with(FaultSite::VerifyReject, 1.0));
+        let run = Supervisor::new(Level::C2F3, Engine::Vm)
+            .run_source(SRC)
+            .unwrap();
+        assert_rejected_once_then_interp(&run, Level::C2F3.into());
+    }
+
+    #[test]
+    fn vm_rungs_share_one_lowering() {
+        let _g = faults::install(FaultPlan::new(7).with(FaultSite::VmTrap, 1.0));
+        let cache = Arc::new(CompileCache::new());
+        let run = request(Level::C2F3, Engine::VmPar)
+            .with_threads(2)
+            .supervisor()
+            .with_cache(cache.clone())
+            .run_source(SRC)
+            .unwrap();
+        let trail: Vec<_> = run
             .report
-            .faults()
-            .any(|c| c.kind == CauseKind::VerifyReject && c.stage == Stage::VerifyBytecode));
+            .attempts
+            .iter()
+            .map(|a| (a.engine, a.depth))
+            .collect();
+        assert_eq!(
+            trail,
+            [
+                (Engine::VmPar, Depth::Parsed),
+                (Engine::VmSimd, Depth::Hit),
+                (Engine::Vm, Depth::Hit),
+                (Engine::Interp, Depth::Lowered),
+            ]
+        );
+        // One lowered artifact for the three VM rungs, one tree-only
+        // artifact for the interpreter, one optimizer run for all four.
+        let s = cache.stats();
+        assert_eq!((s.misses, s.hits), (2, 2));
+        assert_eq!((s.optimize_misses, s.optimize_hits), (1, 1));
+    }
+
+    #[test]
+    fn a_rung_that_relaxes_nothing_is_skipped() {
+        let engines = |req: RunRequest| -> Vec<Engine> {
+            ladder(&req.with_level(Level::C2F3))
+                .iter()
+                .map(|&(_, engine, _)| engine)
+                .collect()
+        };
+        use Engine::{Interp, Vm, VmPar, VmSimd};
+        let par = || RunRequest::new().with_engine(VmPar);
+        assert_eq!(engines(par()), [VmPar, VmSimd, Vm, Interp, Interp]);
+        assert_eq!(engines(par().with_lanes(1)), [VmPar, Vm, Interp, Interp]);
+        assert_eq!(engines(par().with_threads(1)), [VmPar, Vm, Interp, Interp]);
+        assert_eq!(
+            engines(par().with_threads(1).with_lanes(1)),
+            [VmPar, Interp, Interp]
+        );
+        let simd = RunRequest::new().with_engine(VmSimd);
+        assert_eq!(engines(simd.clone()), [VmSimd, Vm, Interp, Interp]);
+        // `--threads` is not read by `vm-simd`: it relaxes nothing.
+        assert_eq!(engines(simd.with_threads(4)), [VmSimd, Vm, Interp, Interp]);
+        assert_eq!(engines(RunRequest::new()), [Vm, Interp, Interp]);
+        assert_eq!(
+            engines(RunRequest::new().with_engine(Interp)),
+            [Interp, Interp]
+        );
+        let reference = RunRequest::new().with_engine(Interp);
+        assert_eq!(ladder(&reference.with_level(Level::Baseline)).len(), 1);
     }
 
     #[test]
@@ -948,17 +1046,12 @@ mod tests {
     }
 
     #[test]
-    fn verify_reject_degrades_to_plain_vm() {
+    fn verify_reject_degrades_to_interp() {
         let _g = faults::install(FaultPlan::new(7).with(FaultSite::VerifyReject, 1.0));
         let sup = Supervisor::new(Level::C2F3, Engine::VmSimd);
         let run = sup.run_source(SRC).unwrap();
-        assert_eq!(run.outcome.checksum(), reference_checksum());
-        assert_eq!(run.report.final_engine, Engine::Vm);
         assert!(run.report.mentions("verify-reject"));
-        assert!(run
-            .report
-            .faults()
-            .any(|c| c.kind == CauseKind::VerifyReject && c.stage == Stage::VerifyBytecode));
+        assert_rejected_once_then_interp(&run, Level::C2F3.into());
     }
 
     #[test]

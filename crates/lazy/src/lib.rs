@@ -520,12 +520,17 @@ mod tests {
             out2.value(s2).to_bits(),
             "hit must be bit-identical"
         );
-        // A re-recording on another engine is a new artifact lowered
+        // A re-recording on another VM engine name is a hit on the same
+        // artifact; only the tree-walker addresses another one, lowered
         // from the first flush's optimizer run.
         let simd = RunRequest::new().with_engine(Engine::VmSimd);
         let (out3, hit3) = b2.flush(&simd, &cache).unwrap();
-        assert!(!hit3);
+        assert!(hit3);
         assert_eq!(out3.value(s2).to_bits(), out1.value(s2).to_bits());
+        let interp = RunRequest::new().with_engine(Engine::Interp);
+        let (out4, hit4) = b2.flush(&interp, &cache).unwrap();
+        assert!(!hit4);
+        assert_eq!(out4.value(s2).to_bits(), out1.value(s2).to_bits());
         let stats = cache.stats();
         assert_eq!((stats.optimize_misses, stats.optimize_hits), (1, 1));
     }

@@ -1,16 +1,21 @@
 //! The unified execution API: [`Executor`], [`RunOutcome`], [`Engine`].
 //!
-//! Historically every caller drove the interpreter differently — benches
-//! constructed an [`Interp`], ran it, then poked `scalar(ScalarId(0))` for
-//! the checksum; the parallel runtime reached for `stats()`; tests mixed
-//! both. This module gives all of them one surface:
+//! One surface for everything that runs a [`ScalarProgram`]:
 //!
-//! * [`Executor`] — anything that can run a [`ScalarProgram`] to
-//!   completion while streaming accesses to an [`Observer`];
+//! * [`Executor`] — anything that can run a program to completion while
+//!   streaming accesses to an [`Observer`];
 //! * [`RunOutcome`] — the complete result of a run (final scalar values
-//!   plus [`RunStats`] counters), replacing post-run field poking;
-//! * [`Engine`] — selects between the tree-walking [`Interp`] and the
-//!   bytecode [`Vm`], for benches and CLI flags.
+//!   plus [`RunStats`] counters);
+//! * [`Engine`] — the four names benches and CLI flags select by. A name
+//!   is not a lowering: there is the tree-walking [`Interp`], and there is
+//!   the one artifact [`SharedProgram::lower`] produces (compile →
+//!   superfuse → verify), which the [`Vm`] runs at two integers,
+//!   [`ExecOpts`]. [`Engine::knobs`] maps a name to those integers — `vm`
+//!   is lanes 1 / threads 1, `vm-simd` reads `lanes`, `vm-par` reads both
+//!   — and [`SharedProgram::executor`] applies them. `Vm::new`,
+//!   `Vm::new_superfused` and `Vm::verify` are the lowering's three steps,
+//!   public for the harness that times them and the tests that corrupt
+//!   streams between them; no request can select one.
 //!
 //! ```
 //! # fn main() -> Result<(), loopir::ExecError> {
@@ -39,8 +44,10 @@ use zlang::ir::{ConfigBinding, ScalarId};
 /// Resource budgets for one execution: an abstract-step fuel counter and a
 /// wall-clock deadline. The default is unlimited.
 ///
-/// One unit of fuel is one abstract step: a bytecode instruction on the
-/// [`Vm`], a loop-nest iteration point on the
+/// One unit of fuel is one abstract step: an op of the lowered stream on
+/// the [`Vm`] (a superinstruction is one op; a lane run charges exactly
+/// the ops scalar dispatch would have, so a budget means the same under
+/// every VM name and at every width), a loop-nest iteration point on the
 /// [`Interp`]. The two engines therefore exhaust a given
 /// budget at different program sizes; fuel bounds *work*, it is not a
 /// portable measure of it.
@@ -194,61 +201,58 @@ pub trait Executor {
     fn set_limits(&mut self, limits: ExecLimits);
 }
 
-/// Selects an execution engine.
+/// Selects an execution engine by name.
+///
+/// There is one interpreter and one VM. Every VM name reaches the same
+/// lowered artifact — [`SharedProgram::lower`]: superinstruction bytecode
+/// with lane and tile annotations, accepted by the bytecode verifier —
+/// and differs only in the two integers of [`ExecOpts`] it runs that
+/// artifact at; [`Engine::knobs`] is the one place that says which.
+/// Results are `f64::to_bits`-identical to [`Engine::Interp`] at every
+/// setting: reductions fold each strip in iteration order, reduction
+/// nests never tile, tile counters merge in deterministic tile order. No
+/// VM name constructs (a [`Verify`](crate::ErrorKind::Verify) error with
+/// the verifier's diagnostics) if the proof — which bounds every element
+/// access and independently re-derives every superinstruction and lane
+/// annotation — fails. Lanes and tiles fan out only under observers that
+/// do not consume the per-element address stream
+/// ([`Observer::wants_addresses`]); under the cache simulator every VM
+/// name runs scalar and sequential, preserving the exact address order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Engine {
-    /// The reference tree-walking interpreter ([`Interp`]).
+    /// The reference tree-walking interpreter ([`Interp`]). Never lowers:
+    /// it is what still runs when lowering itself fails.
     Interp,
-    /// The bytecode compiler + virtual machine ([`Vm`]) —
-    /// same observable behavior, substantially faster. The default.
-    /// Every element access is bounds-checked. The names `vm-verified`
-    /// and `verified` parse to this engine: no unchecked dispatch exists
-    /// for them to select, and the benchmark harness still passes them.
+    /// The VM at `lanes = 1, threads = 1`: scalar, sequential dispatch of
+    /// the verified stream. The default; reads neither knob. The names
+    /// `vm-verified` and `verified` parse to this engine (the benchmark
+    /// harness still passes them).
     #[default]
     Vm,
-    /// The VM over verified superinstruction bytecode with lane-based
-    /// innermost-loop dispatch: after compilation a peephole pass collapses
-    /// fused element-wise chains into superinstructions and annotates
-    /// provably vectorizable innermost loops, which the dispatch loop then
-    /// executes in strips of up to 64 consecutive iterations, each op
-    /// over the whole strip (the last strip cut to what is left).
-    /// Reductions fold each strip in iteration order, so results are
-    /// `f64::to_bits`-identical to [`Engine::Interp`]. Refuses to
-    /// construct (with the verifier's diagnostics) if the bytecode
-    /// verifier's proof — which bounds every element access and
-    /// independently re-derives every superinstruction and lane
-    /// annotation — fails. Lane fan-out only happens under observers that
-    /// do not consume the per-element address stream
-    /// ([`Observer::wants_addresses`]); under the cache simulator the
-    /// engine runs scalar, preserving the exact address order.
+    /// The VM at `threads = 1`: provably vectorizable innermost loops run
+    /// in strips of up to [`ExecOpts::lanes`] consecutive iterations, each
+    /// op over the whole strip (the last strip cut to what is left).
     VmSimd,
-    /// [`Engine::VmSimd`] with parallel tiled execution: loop ladders the
-    /// compiler proved independent along one dimension fan out as per-tile
-    /// tasks on a work-stealing `std::thread` pool, and each tile
+    /// The VM at both knobs: loop ladders the compiler proved independent
+    /// along one dimension fan out as per-tile tasks on a work-stealing
+    /// `std::thread` pool of [`ExecOpts::threads`] threads, and each tile
     /// vectorizes its innermost loop (outer tiles x inner lanes).
-    /// Bit-identical to [`Engine::Interp`] regardless of thread count
-    /// (reduction nests never tile, tile counters merge in deterministic
-    /// tile order). Like [`Engine::VmSimd`], refuses to construct if the
-    /// bytecode verifier's proof fails, and fans out only under observers
-    /// that do not consume the per-element address stream; under the cache
-    /// simulator the engine runs sequentially, preserving the exact
-    /// address order.
     VmPar,
 }
 
-/// Per-execution options beyond the [`Engine`] choice.
+/// The two knobs the VM runs a lowered program at. An [`Engine`] name pins
+/// zero, one or both of them ([`Engine::knobs`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ExecOpts {
-    /// Worker threads for [`Engine::VmPar`] (including the coordinator);
-    /// `0` means one per available core, capped at 8. Other engines
-    /// ignore this.
+    /// Threads running tile-partitionable ladders (including the
+    /// coordinator); `0` means one per available core, capped at 8, and
+    /// `1` runs every ladder on the caller with no pool. Read by
+    /// [`Engine::VmPar`] alone.
     pub threads: usize,
-    /// Strip width for the innermost-loop dispatch of
-    /// [`Engine::VmSimd`] and [`Engine::VmPar`]: how many consecutive
+    /// Strip width of the innermost-loop dispatch: how many consecutive
     /// iterations run op-major at a time. `0` means the default width
-    /// (64), and widths are capped at 128. `1` disables lane dispatch (the
-    /// engine runs the same superinstruction bytecode scalar). Other
-    /// engines ignore this.
+    /// (64), widths are capped at 128, and `1` is scalar dispatch. Read
+    /// by [`Engine::VmSimd`] and [`Engine::VmPar`].
     pub lanes: usize,
 }
 
@@ -270,26 +274,46 @@ impl ExecOpts {
     }
 }
 
-/// The program form an engine executes.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Form {
-    /// The [`ScalarProgram`] tree itself.
-    Tree,
-    /// Plain bytecode, run without consulting the verifier.
-    Bytecode,
-    /// Superinstruction bytecode with lane annotations, verified at
-    /// construction: a rejection refuses the engine.
-    Superfused,
-}
+impl SharedProgram {
+    /// The one lowering every VM name reaches: `bytecode::compile`, the
+    /// superinstruction + lane rewrite, then the bytecode verifier, which
+    /// re-derives every superinstruction and annotation from first
+    /// principles — so a peephole bug cannot reach the raw-pointer lane
+    /// and tile code, and no executed stream skips the proof. This is the
+    /// compile half of the compile-once/execute-many serving path: the
+    /// `fusion_core` compile cache stores exactly this handle, one per
+    /// (program, binding, level spec), whatever VM name asked.
+    ///
+    /// # Errors
+    ///
+    /// A [`Lower`](crate::ErrorKind::Lower) error if the program cannot
+    /// be lowered (e.g. a region of rank above the VM's limit), or a
+    /// [`Verify`](crate::ErrorKind::Verify) error carrying every
+    /// diagnostic when the verifier rejects the stream.
+    pub fn lower(prog: &ScalarProgram, binding: ConfigBinding) -> Result<Self, ExecError> {
+        let mut vm = Vm::new_superfused(prog, binding)?;
+        vm.verify().map_err(|diags| {
+            let msgs: Vec<String> = diags.iter().map(|d| d.to_string()).collect();
+            ExecError::verify(format!(
+                "bytecode verification failed:\n{}",
+                msgs.join("\n")
+            ))
+        })?;
+        Ok(vm.share())
+    }
 
-/// What an engine name means.
-struct Shape {
-    name: &'static str,
-    form: Form,
-    /// Whether [`ExecOpts::lanes`] applies.
-    lanes: bool,
-    /// Whether [`ExecOpts::threads`] applies.
-    threads: bool,
+    /// A fresh VM over the lowered program at `knobs` — one `Arc` bump
+    /// plus run-state allocation, no recompilation and no re-verification
+    /// (the hit half of the serving path). Both knobs apply as given; no
+    /// pool is built at `threads == 1`.
+    pub fn executor(&self, knobs: ExecOpts) -> Vm {
+        let mut vm = Vm::from_shared(self);
+        vm.set_lanes(knobs.lanes);
+        if knobs.threads != 1 {
+            vm.set_threads(knobs.threads);
+        }
+        vm
+    }
 }
 
 impl Engine {
@@ -298,36 +322,38 @@ impl Engine {
         [Engine::Interp, Engine::Vm, Engine::VmSimd, Engine::VmPar]
     }
 
-    /// The one place that says what each engine is: the engines are one
-    /// interpreter plus one VM under three settings (bytecode form, lanes,
-    /// threads), and every constructor below reads them from here.
-    fn shape(self) -> Shape {
-        let (name, form, lanes, threads) = match self {
-            Engine::Interp => ("interp", Form::Tree, false, false),
-            Engine::Vm => ("vm", Form::Bytecode, false, false),
-            Engine::VmSimd => ("vm-simd", Form::Superfused, true, false),
-            Engine::VmPar => ("vm-par", Form::Superfused, true, true),
-        };
-        Shape {
-            name,
-            form,
-            lanes,
-            threads,
-        }
-    }
-
     /// The engine's flag/display name (`interp`, `vm`, `vm-simd`, or
     /// `vm-par`).
     pub fn name(self) -> &'static str {
-        self.shape().name
+        match self {
+            Engine::Interp => "interp",
+            Engine::Vm => "vm",
+            Engine::VmSimd => "vm-simd",
+            Engine::VmPar => "vm-par",
+        }
     }
 
-    /// Whether the engine runs verified superinstruction bytecode
-    /// ([`Vm::new_superfused`] + [`Vm::verify`]) — the engines whose
-    /// construction can fail with a [`Verify`](crate::ErrorKind::Verify)
-    /// error.
-    pub fn superfused(self) -> bool {
-        self.shape().form == Form::Superfused
+    /// What an engine name means: `None` for the tree-walker, otherwise
+    /// the knobs the VM runs at once the name has pinned the ones it does
+    /// not read — `vm` is lanes 1 / threads 1, `vm-simd` reads `lanes`,
+    /// `vm-par` reads both. Idempotent.
+    pub fn knobs(self, opts: ExecOpts) -> Option<ExecOpts> {
+        let (threads, lanes) = match self {
+            Engine::Interp => return None,
+            Engine::Vm => (1, 1),
+            Engine::VmSimd => (1, opts.lanes),
+            Engine::VmPar => (opts.threads, opts.lanes),
+        };
+        Some(ExecOpts { threads, lanes })
+    }
+
+    /// The VM name that spells `knobs`: the inverse of [`Engine::knobs`].
+    pub fn of_knobs(knobs: ExecOpts) -> Engine {
+        match (knobs.threads, knobs.lanes) {
+            (1, 1) => Engine::Vm,
+            (1, _) => Engine::VmSimd,
+            _ => Engine::VmPar,
+        }
     }
 
     /// Creates a boxed executor for a program under a config binding,
@@ -336,8 +362,7 @@ impl Engine {
     ///
     /// # Errors
     ///
-    /// Returns [`ExecError`] if the program cannot be lowered (e.g. a
-    /// region of rank greater than the VM supports).
+    /// As [`Engine::executor_with`].
     pub fn executor<'p>(
         self,
         prog: &'p ScalarProgram,
@@ -346,89 +371,24 @@ impl Engine {
         self.executor_with(prog, binding, ExecOpts::default())
     }
 
-    /// Creates a boxed executor with explicit [`ExecOpts`]:
-    /// [`Engine::compile_shared`], then [`Engine::shared_executor`].
+    /// Creates a boxed executor with explicit [`ExecOpts`]: the
+    /// tree-walker, or [`SharedProgram::lower`] then
+    /// [`SharedProgram::executor`] at [`Engine::knobs`].
     ///
     /// # Errors
     ///
-    /// As [`Engine::executor`]; additionally, `VmSimd` and `VmPar`
-    /// return a [`Verify`](crate::ErrorKind::Verify) error carrying every
-    /// diagnostic when the bytecode verifier rejects the program.
+    /// Every VM name fails as [`SharedProgram::lower`] does;
+    /// [`Engine::Interp`] always constructs.
     pub fn executor_with<'p>(
         self,
         prog: &'p ScalarProgram,
         binding: ConfigBinding,
         opts: ExecOpts,
     ) -> Result<Box<dyn Executor + 'p>, ExecError> {
-        Ok(match self.compile_shared(prog, binding.clone())? {
-            Some(shared) => self.shared_executor(&shared, opts),
+        Ok(match self.knobs(opts) {
+            Some(knobs) => Box::new(SharedProgram::lower(prog, binding)?.executor(knobs)),
             None => Box::new(Interp::new(prog, binding)),
         })
-    }
-
-    /// Compiles a program once into a thread-shareable
-    /// [`SharedProgram`] handle for this engine, or `None` for
-    /// [`Engine::Interp`] (the tree-walking interpreter has no compiled
-    /// form to share; callers re-instantiate it from the
-    /// [`ScalarProgram`]).
-    ///
-    /// The handle remembers whether verification ran: `VmSimd` and
-    /// `VmPar` verify here, once, so every executor later built from the
-    /// handle with [`Engine::shared_executor`] may fan out over lanes and
-    /// tiles without re-running the verifier. This is the compile
-    /// half of the compile-once/execute-many serving path — the
-    /// `fusion_core` compile cache stores exactly this handle.
-    ///
-    /// # Errors
-    ///
-    /// As [`Engine::executor`]: lowering failures for every VM engine,
-    /// plus verifier rejections for `VmSimd` and `VmPar`.
-    pub fn compile_shared(
-        self,
-        prog: &ScalarProgram,
-        binding: ConfigBinding,
-    ) -> Result<Option<SharedProgram>, ExecError> {
-        let vm = match self.shape().form {
-            Form::Tree => return Ok(None),
-            Form::Bytecode => Vm::new(prog, binding)?,
-            Form::Superfused => {
-                // The verifier re-derives every superinstruction and lane
-                // annotation from first principles, so a peephole bug
-                // cannot reach the raw-pointer lane and tile code: the
-                // engine refuses to construct instead.
-                let mut vm = Vm::new_superfused(prog, binding)?;
-                if let Err(diags) = vm.verify() {
-                    let msgs: Vec<String> = diags.iter().map(|d| d.to_string()).collect();
-                    return Err(ExecError::verify(format!(
-                        "bytecode verification failed:\n{}",
-                        msgs.join("\n")
-                    )));
-                }
-                vm
-            }
-        };
-        Ok(Some(vm.share()))
-    }
-
-    /// Builds a fresh executor around an already-compiled
-    /// [`SharedProgram`] — one `Arc` bump plus run-state allocation, no
-    /// recompilation and no re-verification. This is the hit half of the
-    /// compile-once/execute-many serving path.
-    ///
-    /// The handle must have come from [`Engine::compile_shared`] on a
-    /// compatible engine: a `VmSimd`/`VmPar` executor built from an
-    /// unverified handle runs every loop scalar and sequential (correct,
-    /// just slower), never through the raw-pointer lane and tile code.
-    pub fn shared_executor(self, shared: &SharedProgram, opts: ExecOpts) -> Box<dyn Executor> {
-        let shape = self.shape();
-        let mut vm = Vm::from_shared(shared);
-        if shape.lanes {
-            vm.set_lanes(opts.lanes);
-        }
-        if shape.threads {
-            vm.set_threads(opts.threads);
-        }
-        Box::new(vm)
     }
 }
 
@@ -445,7 +405,7 @@ impl FromStr for Engine {
         match s {
             "interp" | "interpreter" => Ok(Engine::Interp),
             // `vm-verified`: the frozen benchmark harness passes this
-            // name, and scalar dispatch has no unchecked form to select.
+            // name; every VM name runs the verified stream.
             "vm" | "bytecode" | "vm-verified" | "verified" => Ok(Engine::Vm),
             "vm-simd" | "simd" => Ok(Engine::VmSimd),
             "vm-par" | "parallel" => Ok(Engine::VmPar),
@@ -478,6 +438,35 @@ mod tests {
         assert_eq!(Engine::VmPar.to_string(), "vm-par");
         assert_eq!(Engine::default(), Engine::Vm);
         assert_eq!(Engine::all().len(), 4);
+    }
+
+    #[test]
+    fn a_name_pins_the_knobs_it_does_not_read() {
+        let asked = ExecOpts {
+            threads: 4,
+            lanes: 8,
+        };
+        let knobs = |threads, lanes| Some(ExecOpts { threads, lanes });
+        assert_eq!(Engine::Interp.knobs(asked), None);
+        assert_eq!(Engine::Vm.knobs(asked), knobs(1, 1));
+        assert_eq!(Engine::VmSimd.knobs(asked), knobs(1, 8));
+        assert_eq!(Engine::VmPar.knobs(asked), knobs(4, 8));
+        for engine in Engine::all() {
+            // Resolving is idempotent, and the resolved knobs spell the
+            // name back.
+            if let Some(k) = engine.knobs(asked) {
+                assert_eq!(engine.knobs(k), Some(k));
+                assert_eq!(Engine::of_knobs(k), engine);
+            }
+        }
+        // Knobs a cheaper name pins spell the cheaper name.
+        assert_eq!(Engine::of_knobs(ExecOpts::with_threads(1)), Engine::VmSimd);
+        let scalar = ExecOpts {
+            threads: 1,
+            lanes: 1,
+        };
+        assert_eq!(Engine::of_knobs(scalar), Engine::Vm);
+        assert_eq!(Engine::VmPar.knobs(scalar), Some(scalar));
     }
 
     #[test]

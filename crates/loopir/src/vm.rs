@@ -58,7 +58,9 @@ pub(crate) struct VmArray {
     pub(crate) data: Vec<f64>,
 }
 
-/// An immutable, thread-shareable handle to a compiled bytecode program.
+/// An immutable, thread-shareable handle to a compiled bytecode program:
+/// what [`SharedProgram::lower`] produces and every VM
+/// [`Engine`](crate::Engine) name runs.
 ///
 /// A [`Vm`] holds its compiled tables behind an `Arc`; [`Vm::share`]
 /// exposes that handle and [`Vm::from_shared`] builds a fresh executor
@@ -125,7 +127,10 @@ pub struct Vm {
 }
 
 impl Vm {
-    /// Compiles a program to bytecode under a config binding.
+    /// Compiles a program to plain bytecode under a config binding: the
+    /// first step of [`SharedProgram::lower`], on its own for the harness
+    /// that times it and for tests. No [`Engine`](crate::Engine) name runs
+    /// this stream.
     ///
     /// # Errors
     ///
@@ -140,8 +145,9 @@ impl Vm {
     /// rewrite (`crate::simd`) over the bytecode: fused element-wise
     /// chains collapse into superinstructions and vectorizable innermost
     /// loops gain `Op::SimdBegin` annotations. The rewritten bytecode runs
-    /// on every dispatcher (scalar engines treat the annotations as
-    /// no-ops); the lane fast path additionally requires [`Vm::verify`].
+    /// on every dispatcher (at `lanes = 1` the annotations are no-ops);
+    /// the lane fast path additionally requires [`Vm::verify`]. The first
+    /// two steps of [`SharedProgram::lower`].
     ///
     /// # Errors
     ///
@@ -256,7 +262,7 @@ impl Vm {
     }
 
     /// Sets the resource budgets for subsequent runs; see [`ExecLimits`].
-    /// One unit of fuel is one bytecode instruction. The budget checks run
+    /// One unit of fuel is one op of the compiled stream. The budget checks run
     /// in a separate monomorphization of the dispatch loop, so unlimited
     /// runs pay nothing for the feature.
     pub fn set_limits(&mut self, limits: ExecLimits) {

@@ -24,13 +24,16 @@ pub struct ExecConfig {
     pub procs: u64,
     /// Communication optimizations in effect.
     pub policy: CommPolicy,
-    /// Which execution engine runs the scalarized program.
+    /// Which execution engine runs the scalarized program: the
+    /// tree-walker, or — under every VM name alike — the one lowered,
+    /// verified stream ([`Engine::executor_with`]).
     pub engine: Engine,
-    /// Worker-thread count for [`Engine::VmPar`] (`0` = auto); ignored by
-    /// the sequential engines. Note the cache/communication *simulation*
-    /// always runs the program sequentially regardless — `SimObserver`
-    /// consumes the ordered address stream, and the parallel VM only fans
-    /// out under observers that do not (see `loopir::Observer`).
+    /// Worker-thread count for [`Engine::VmPar`] (`0` = auto); pinned to 1
+    /// by the other names. Note the cache/communication *simulation*
+    /// always runs the program scalar and sequentially regardless —
+    /// `SimObserver` consumes the ordered address stream, and lanes and
+    /// tiles only fan out under observers that do not (see
+    /// `loopir::Observer`).
     pub threads: usize,
     /// Resource budgets applied to the engine (fuel, deadline).
     pub limits: ExecLimits,

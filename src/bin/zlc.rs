@@ -18,10 +18,9 @@
 //!   --print <ir|loops|bytecode|asdg|avail|report|source|hash>   what to
 //!                                 print (repeatable); `avail` dumps the
 //!                                 offset-lattice availability facts;
-//!                                 `bytecode` disassembles the compiled VM
-//!                                 program for the selected engine (the
-//!                                 superinstruction/lane form under
-//!                                 `--engine vm-simd` or `vm-par`)
+//!                                 `bytecode` disassembles the lowered VM
+//!                                 program (one listing: every VM engine
+//!                                 name runs the same verified stream)
 //!   --emit <pass>                 dump the IR snapshot taken right after
 //!                                 the named pass (e.g. `normalize`, `dse`,
 //!                                 `rce2`, `fuse-contraction`, `contract`,
@@ -31,14 +30,19 @@
 //!   --verify                      re-check every pipeline stage and the
 //!                                 compiled bytecode; report diagnostics
 //!   --run                         execute and print scalars + statistics
-//!   --engine <interp|vm|vm-simd|vm-par>   execution engine
-//!                                 (default vm)
+//!   --engine <interp|vm|vm-simd|vm-par>   execution engine (default vm):
+//!                                 the tree-walker, or the one lowered
+//!                                 program at lanes 1 / threads 1 (`vm`),
+//!                                 at --lanes (`vm-simd`), or at --lanes
+//!                                 and --threads (`vm-par`)
 //!   --list-engines                list the execution engines and exit
-//!   --threads <n>                 worker threads for --engine vm-par
-//!                                 (default 0 = auto)
-//!   --lanes <n>                   strip width for --engine vm-simd and
-//!                                 vm-par (default 0 = engine default of
-//!                                 64; 1 = scalar dispatch; at most 128)
+//!   --threads <n>                 worker threads (default 0 = auto); read
+//!                                 by --engine vm-par alone, a usage error
+//!                                 under any other engine
+//!   --lanes <n>                   strip width (default 0 = 64; 1 = scalar
+//!                                 dispatch; at most 128); read by --engine
+//!                                 vm-simd and vm-par, a usage error under
+//!                                 interp and vm
 //!   --machine <t3e|sp2|paragon>   simulate on a machine model (with --run)
 //!   --procs <p>                   simulated processors (default 1)
 //!   --set <name=value>            override an integer config (repeatable)
@@ -76,13 +80,15 @@
 //! coordinates alone, so the pipeline-only flags (`--dimension-contraction`,
 //! `--spatial-cap`, `--favor-comm`, `--emit`, `--print`, `--verify`) are
 //! usage errors there, as are the one-shot flags (`--machine`, `--procs`,
-//! `--supervise`, `--run`) under `serve`.
+//! `--supervise`, `--run`) under `serve`. In every mode, so are the knobs
+//! the engine name pins: `--threads` under `interp`, `vm` and `vm-simd`,
+//! `--lanes` under `interp` and `vm`.
 
 use fusion_core::pass::PassId;
 use fusion_core::serve::{serve_with, RetryPolicy, ServeOptions, ServeRequest, ShedPolicy};
 use fusion_core::verify::Severity;
 use fusion_core::{CompileCache, RunRequest};
-use loopir::{Engine, Vm};
+use loopir::{Engine, ExecOpts, SharedProgram, Vm};
 use machine::presets::MachineKind;
 use runtime::{simulate, simulate_outcome, ExecConfig, SimResult};
 use std::cell::RefCell;
@@ -122,7 +128,7 @@ fn usage(msg: &str) -> ExitCode {
          \x20          [--spatial-cap K] [--favor-comm]\n\
          \x20          [--print ir|loops|bytecode|asdg|avail|report|source|hash]... [--emit PASS]\n\
          \x20          [--verify] [--run] [--engine interp|vm|vm-simd|vm-par]\n\
-         \x20          [--threads N] [--lanes 0..128]\n\
+         \x20          [--threads N (vm-par)] [--lanes 0..128 (vm-simd|vm-par)]\n\
          \x20          [--machine t3e|sp2|paragon] [--procs P] [--set name=value]...\n\
          \x20          [--supervise] [--deadline-ms N] [--fuel N] [--inject PLAN]\n\
          \x20      zlc serve <file.zl>... [--requests N] [--workers N] [--queue-cap N]\n\
@@ -322,6 +328,25 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
         return Err(format!(
             "`{flag}` is not read by `{mode}`; remove it, or run without `{mode}`"
         ));
+    }
+    // A knob is read by an engine name exactly when the name passes it
+    // through to the VM.
+    let engine = opts.request.engine;
+    let probe = ExecOpts {
+        threads: usize::MAX,
+        lanes: usize::MAX,
+    };
+    let read = engine.knobs(probe).unwrap_or_default();
+    for (flag, passed) in [
+        ("--threads", read.threads == probe.threads),
+        ("--lanes", read.lanes == probe.lanes),
+    ] {
+        if !passed && args.iter().any(|a| a == flag) {
+            return Err(format!(
+                "`{flag}` is not read by `--engine {engine}`; remove it, or pick an \
+                 engine that reads it"
+            ));
+        }
     }
     Ok(opts)
 }
@@ -590,19 +615,9 @@ fn main() -> ExitCode {
                 Severity::Warning => warnings += 1,
             }
         }
-        match Vm::new(&opt.scalarized, binding) {
-            Ok(mut vm) => {
-                if let Err(diags) = vm.verify() {
-                    for d in &diags {
-                        eprint!("{}", d.render());
-                    }
-                    errors += diags.len();
-                }
-            }
-            Err(e) => {
-                eprintln!("zlc: cannot compile bytecode for verification: {e}");
-                errors += 1;
-            }
+        if let Err(e) = SharedProgram::lower(&opt.scalarized, binding) {
+            eprintln!("zlc: {e}");
+            errors += 1;
         }
         if errors > 0 {
             eprintln!(
@@ -630,21 +645,14 @@ fn main() -> ExitCode {
             // (binding-independent; see fusion_core::hash).
             "hash" => println!("{:016x}", fusion_core::hash::program_hash(&program)),
             "loops" => print!("{}", loopir::printer::print(&opt.scalarized)),
-            // The compiled bytecode for the selected engine: plain ops
-            // for interp/vm, the superinstruction + lane annotation form
-            // for vm-simd/vm-par.
+            // The one lowered program every VM engine name runs.
             "bytecode" => {
                 let binding = match checked_binding(&opt.scalarized.program, &opts.request) {
                     Ok(b) => b,
                     Err(msg) => return fail("config", &msg, Some(&opts.file)),
                 };
-                let vm = if opts.request.engine.superfused() {
-                    Vm::new_superfused(&opt.scalarized, binding)
-                } else {
-                    Vm::new(&opt.scalarized, binding)
-                };
-                match vm {
-                    Ok(vm) => print!("{}", vm.disasm()),
+                match SharedProgram::lower(&opt.scalarized, binding) {
+                    Ok(shared) => print!("{}", Vm::from_shared(&shared).disasm()),
                     Err(e) => return fail("compile", &e.to_string(), Some(&opts.file)),
                 }
             }

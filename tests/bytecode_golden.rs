@@ -1,8 +1,9 @@
-//! Golden `--print bytecode` snapshots: the superinstruction/lane form of
-//! the compiled bytecode for selected paper benchmarks at `c2+f3` is
-//! pinned under `tests/golden/`. Any change to the bytecode compiler, the
-//! superinstruction peephole, the lane vectorizer, or the disassembler
-//! shows up as a readable diff here instead of a silent ISA change.
+//! Golden `--print bytecode` snapshots: the lowered bytecode (the one
+//! superinstruction/lane stream every VM engine name runs) of selected
+//! paper benchmarks at `c2+f3` is pinned under `tests/golden/`. Any change
+//! to the bytecode compiler, the superinstruction peephole, the lane
+//! vectorizer, or the disassembler shows up as a readable diff here
+//! instead of a silent ISA change.
 //!
 //! Regenerate with `ZLC_BLESS=1 cargo test --test bytecode_golden`.
 
@@ -69,31 +70,30 @@ fn superfused_bytecode_matches_golden_files() {
 
 #[test]
 fn scalar_and_superfused_streams_differ_only_in_encoding() {
-    // The plain `vm` disassembly of `simple` must contain no
-    // superinstructions, and the `vm-simd` one must contain at least one
-    // superinstruction and one simd annotation — the two tiers really are
-    // two encodings of the same program.
-    let bench = zpl_fusion::workloads::by_name("simple").unwrap();
-    let plain = disasm("encoding", bench.name, bench.source, "vm");
-    let fused = disasm("encoding", bench.name, bench.source, "vm-simd");
-    for mnemonic in ["ld.ld.bin", "ld.bin", "bin.bin", "bin.st", "ld.st"] {
-        assert!(
-            !plain.contains(mnemonic),
-            "plain bytecode contains superinstruction `{mnemonic}`:\n{plain}"
-        );
+    // There is one lowered stream: `vm` (lanes 1 / threads 1), `vm-simd`
+    // and `vm-par` differ only in how the dispatcher walks it, so every
+    // VM name prints the pinned listing byte for byte — superinstructions,
+    // simd annotations and all.
+    for name in PINNED {
+        let bench = zpl_fusion::workloads::by_name(name).unwrap();
+        let path = golden_dir().join(format!("{name}.c2f3.bytecode.txt"));
+        let want = std::fs::read_to_string(&path)
+            .unwrap_or_else(|e| panic!("{name}: missing golden file {path:?}: {e}"));
+        for engine in ["vm", "vm-verified", "vm-simd", "vm-par"] {
+            let got = disasm("encoding", bench.name, bench.source, engine);
+            assert_eq!(got, want, "{name}: `{engine}` prints another listing");
+        }
     }
+    let bench = zpl_fusion::workloads::by_name("simple").unwrap();
+    let scalar = disasm("encoding", bench.name, bench.source, "vm");
     assert!(
-        plain.contains("0 simd loops"),
-        "plain bytecode carries simd annotations:\n{plain}"
-    );
-    assert!(
-        fused.contains("simd s0:"),
-        "superfused bytecode has no simd annotation:\n{fused}"
+        scalar.contains("simd s0:"),
+        "the `vm` listing has no simd annotation:\n{scalar}"
     );
     assert!(
         ["ld.ld.bin", "ld.bin", "bin.bin", "bin.st", "ld.st"]
             .iter()
-            .any(|m| fused.contains(m)),
-        "superfused bytecode has no superinstructions:\n{fused}"
+            .any(|m| scalar.contains(m)),
+        "the `vm` listing has no superinstructions:\n{scalar}"
     );
 }

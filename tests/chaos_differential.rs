@@ -2,8 +2,8 @@
 //!
 //! Every generated program is run twice: once plainly at `baseline` on the
 //! interpreter (the O0 reference), and once under the supervisor at
-//! `c2+f3` on the verified lane VM (`vm-simd`) with a fault injected somewhere in the
-//! pipeline. Whatever the supervisor has to do to survive — degrade the
+//! `c2+f3` on the lane VM (`vm-simd`) with a fault injected somewhere in
+//! the pipeline. Whatever the supervisor has to do to survive — degrade the
 //! engine, recompile at a lower level, drop the machine simulation, fall
 //! all the way to the reference rung — the answer it hands back must be
 //! the bit-identical checksum of the unoptimized interpreter.
@@ -150,6 +150,23 @@ fn run_class(program: &Program, source: &str, class: FaultClass, want: (u64, u64
                 run.report.render()
             );
             assert!(run.report.degraded(), "{}", run.report.render());
+            // The ladder in knobs. A trap walks the one artifact down
+            // `vm-simd` (1, L) → `vm` (1, 1) → the tree-walker; a
+            // rejection means that artifact does not exist, so it is
+            // recorded once and the tree-walker answers at the same spec;
+            // an optimizer panic poisons the spec for every engine.
+            let (rungs, end) = match site {
+                FaultSite::VmTrap => (3, (Level::C2F3, Engine::Interp)),
+                FaultSite::VerifyReject => (2, (Level::C2F3, Engine::Interp)),
+                _ => (2, (Level::Baseline, Engine::Interp)),
+            };
+            assert_eq!(run.report.attempts.len(), rungs, "{}", run.report.render());
+            assert_eq!(
+                (run.report.final_spec, run.report.final_engine),
+                (end.0.into(), end.1),
+                "{}",
+                run.report.render()
+            );
         }
         // A permanently dropped exchange surfaces as a comm failure and a
         // sim-disabled retry of the same rung — if any exchange happened.
@@ -304,6 +321,17 @@ fn vm_par_survives_injected_faults_at_every_thread_count() {
             if site != FaultSite::CommDrop {
                 assert!(run.report.mentions(site.name()), "{}", run.report.render());
                 assert!(run.report.degraded(), "{}", run.report.render());
+                // (T, L) → (1, L) → (1, 1) → the tree-walker, less the
+                // rung that relaxes nothing at one thread; a rejection is
+                // recorded once and skips every VM rung.
+                let rungs = match (site, threads) {
+                    (FaultSite::VerifyReject, _) => 2,
+                    (_, 1) => 3,
+                    _ => 4,
+                };
+                assert_eq!(run.report.attempts.len(), rungs, "{}", run.report.render());
+                assert_eq!(run.report.final_engine, Engine::Interp);
+                assert_eq!(run.report.final_spec, Level::C2F3.into());
             }
         }
     }
@@ -332,7 +360,11 @@ fn stacked_faults_still_produce_the_reference_answer() {
             "{}",
             run.report.render()
         );
-        assert!(run.report.mentions("vm-trap"), "{}", run.report.render());
+        // No stream runs unverified, so the armed trap has no VM rung to
+        // fire in: the rejection is the whole story.
+        assert!(!run.report.mentions("vm-trap"), "{}", run.report.render());
+        assert_eq!(run.report.attempts.len(), 2, "{}", run.report.render());
         assert_eq!(run.report.final_engine, Engine::Interp);
+        assert_eq!(run.report.final_spec, Level::C2F3.into());
     }
 }

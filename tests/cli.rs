@@ -619,3 +619,78 @@ fn plain_run_honours_fuel_like_the_machine_path() {
     assert!(ok, "{stderr}");
     assert!(stdout.contains("peak 16224 bytes"), "{stdout}");
 }
+
+/// An engine name reads a knob or rejects it: `--threads` is read by
+/// `vm-par` alone and `--lanes` by `vm-simd` and `vm-par` (the other names
+/// pin them), in `--run`, `--supervise` and `serve` alike. They used to be
+/// dropped silently.
+#[test]
+fn engines_reject_knobs_their_name_pins() {
+    let heat = program_path("heat.zl");
+    let pinned = [
+        ("interp", "--threads"),
+        ("vm", "--threads"),
+        ("vm-simd", "--threads"),
+        ("interp", "--lanes"),
+        ("vm", "--lanes"),
+    ];
+    let modes: [&[&str]; 3] = [
+        &[&heat, "--run"],
+        &[&heat, "--supervise"],
+        &["serve", &heat],
+    ];
+    for (engine, flag) in pinned {
+        for mode in modes {
+            let mut args = mode.to_vec();
+            args.extend_from_slice(&["--engine", engine, flag, "4"]);
+            let out = Command::new(env!("CARGO_BIN_EXE_zlc"))
+                .args(&args)
+                .output()
+                .expect("zlc runs");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+            assert!(
+                stderr.contains(&format!("`{flag}` is not read by `--engine {engine}`")),
+                "{args:?}: {stderr}"
+            );
+            assert!(out.stdout.is_empty(), "{args:?} ran anyway");
+        }
+    }
+    // `vm` is the default engine: the flag is rejected without `--engine`.
+    let (_, stderr, ok) = zlc(&[&heat, "--run", "--lanes", "8"]);
+    assert!(!ok);
+    assert!(
+        stderr.contains("`--lanes` is not read by `--engine vm`"),
+        "{stderr}"
+    );
+    // The usage text says which name reads which knob.
+    assert!(stderr.contains("[--threads N (vm-par)]"), "{stderr}");
+    assert!(
+        stderr.contains("[--lanes 0..128 (vm-simd|vm-par)]"),
+        "{stderr}"
+    );
+
+    // Positive control: the names that read a knob take it, in every
+    // mode, and print what `vm` prints.
+    let (want, stderr, ok) = zlc(&[&heat, "--run"]);
+    assert!(ok, "{stderr}");
+    let reads: [&[&str]; 2] = [
+        &["--engine", "vm-simd", "--lanes", "8"],
+        &["--engine", "vm-par", "--threads", "2", "--lanes", "8"],
+    ];
+    for knobs in reads {
+        let mut args = vec![heat.as_str(), "--run"];
+        args.extend_from_slice(knobs);
+        let (stdout, stderr, ok) = zlc(&args);
+        assert!(ok, "{args:?}: {stderr}");
+        assert_eq!(stdout, want, "{args:?}");
+        for mode in &modes[1..] {
+            let mut args = mode.to_vec();
+            args.extend_from_slice(knobs);
+            let (_, stderr, ok) = zlc(&args);
+            assert!(ok, "{args:?}: {stderr}");
+        }
+    }
+    let (stdout, _, _) = zlc(&[&heat, "--supervise", "--engine", "vm-par", "--threads", "2"]);
+    assert!(stdout.contains("requested c2 on vm-par"), "{stdout}");
+}

@@ -24,10 +24,13 @@ end
 "#;
 
 /// Cache accounting is exact across a serve batch: one miss per distinct
-/// (program, level, engine, binding) coordinate, hits for every repeat.
+/// (program, level, binding) coordinate — two here, the tree-only
+/// artifact `interp` addresses and the one lowered artifact the three VM
+/// names share — and hits for every repeat.
 #[test]
 fn serve_accounting_one_miss_per_distinct_key() {
     let engines = Engine::all();
+    let distinct = 2;
     let repeats = 10;
     let batch: Vec<ServeRequest> = (0..engines.len() * repeats)
         .map(|i| {
@@ -41,15 +44,60 @@ fn serve_accounting_one_miss_per_distinct_key() {
     let cache = Arc::new(CompileCache::new());
     let report = serve(&batch, 4, &cache);
     assert_eq!(report.completed(), batch.len());
-    assert_eq!(report.cache.misses, engines.len() as u64);
-    assert_eq!(report.cache.insertions, engines.len() as u64);
+    assert_eq!(report.cache.misses, distinct as u64);
+    assert_eq!(report.cache.insertions, distinct as u64);
     assert_eq!(
         report.cache.hits,
-        (engines.len() * (repeats - 1)) as u64,
+        (engines.len() * repeats - distinct) as u64,
         "{:?}",
         report.cache
     );
-    assert_eq!(cache.len(), engines.len());
+    assert_eq!(cache.len(), distinct);
+}
+
+/// The artifact is engine-independent: one program, size and spec asked
+/// for as `vm`, `vm-simd`, `vm-par` and `vm-par` at threads 1 / lanes 1
+/// is one lowering and three hits on the very same artifact, every run
+/// bit-identical to `interp` — whose own artifact is the tree alone.
+#[test]
+fn vm_engine_names_share_one_artifact() {
+    let cache = CompileCache::new();
+    let program = zlang::compile(HEAT).unwrap();
+    let spec = || RunRequest::new().with_level(Level::C2F3);
+    let (tree, hit) = cache
+        .get_or_compile(&program, &spec().with_engine(Engine::Interp))
+        .unwrap();
+    assert!(!hit);
+    assert!(tree.shared.is_none(), "interp never lowers");
+    let want = tree.executor(Default::default()).execute_pure().unwrap();
+    let bits = |o: &loopir::RunOutcome| o.scalars.iter().map(|s| s.to_bits()).collect::<Vec<_>>();
+    let before = cache.stats();
+
+    let mut artifacts = Vec::new();
+    for req in [
+        spec().with_engine(Engine::Vm),
+        spec().with_engine(Engine::VmSimd),
+        spec().with_engine(Engine::VmPar).with_threads(2),
+        spec()
+            .with_engine(Engine::VmPar)
+            .with_threads(1)
+            .with_lanes(1),
+    ] {
+        let (cached, hit) = cache.get_or_compile(&program, &req).unwrap();
+        assert_eq!(hit, !artifacts.is_empty(), "{req}");
+        assert!(cached.shared.as_ref().is_some_and(|s| s.is_verified()));
+        let got = cached.executor(req.exec_opts()).execute_pure().unwrap();
+        assert_eq!(bits(&got), bits(&want), "{req}");
+        assert_eq!(got.stats, want.stats, "{req}");
+        artifacts.push(cached);
+    }
+    assert!(artifacts.iter().all(|a| Arc::ptr_eq(a, &artifacts[0])));
+    let after = cache.stats();
+    assert_eq!(
+        (after.misses - before.misses, after.hits - before.hits),
+        (1, 3)
+    );
+    assert_eq!(cache.len(), 2);
 }
 
 /// N threads hammering one key concurrently all get bit-identical
@@ -187,7 +235,10 @@ fn cached_results_match_uncached_at_all_levels() {
             let req = RunRequest::new().with_level(level).with_engine(engine);
             let program = zlang::compile(HEAT).unwrap();
             let (cached, hit) = cache.get_or_compile(&program, &req).unwrap();
-            assert!(!hit, "{level:?} {engine}");
+            // `interp` misses for the tree, `vm` for the lowering the
+            // other two VM names then share.
+            let shares = matches!(engine, Engine::VmSimd | Engine::VmPar);
+            assert_eq!(hit, shares, "{level:?} {engine}");
             let cold = cached.executor(req.exec_opts()).execute_pure().unwrap();
             let uncached = req.supervisor().run_source(HEAT).unwrap();
             assert_eq!(

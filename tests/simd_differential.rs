@@ -1,12 +1,12 @@
-//! Differential suite for the two-tier ISA: superinstruction bytecode
+//! Differential suite for the lowered stream: superinstruction bytecode
 //! with lane-based innermost-loop dispatch.
 //!
-//! The `vm-simd` and `vm-par` engines run a different instruction stream
-//! from the scalar engines — the post-compile peephole collapses fused
-//! element-wise chains into superinstructions and annotates provably
-//! vectorizable innermost loops, which the dispatch loop then executes
-//! in strips of consecutive iterations, op-major, the last strip cut to
-//! what is left of the range. None of that may be observable: this
+//! Every VM engine name runs one instruction stream — the post-compile
+//! peephole collapses fused element-wise chains into superinstructions
+//! and annotates provably vectorizable innermost loops — and `vm-simd`
+//! and `vm-par` additionally execute the annotated loops in strips of
+//! consecutive iterations, op-major, the last strip cut to what is left
+//! of the range. None of that may be observable: this
 //! harness sweeps generated random and stencil-shaped programs (the
 //! `testkit::genprog` generators) across strip widths 0 (the default),
 //! 1, 2, 3, 8, 64 and 128 and every engine, and insists every scalar
@@ -142,31 +142,107 @@ fn benchmarks_are_bit_identical_at_every_lane_width_and_level() {
     }
 }
 
+/// The cache simulator, plus the order it was fed in: every access
+/// folded, in sequence, into a hash and a count. An address names its
+/// array (arrays occupy disjoint extents), so the fold is over
+/// `(load | store, array, address)`.
+struct AccessSequence {
+    sim: zpl_fusion::sim::MemSim,
+    hash: u64,
+    count: u64,
+}
+
+impl AccessSequence {
+    fn fold(&mut self, store: bool, addr: u64) {
+        // FNV-1a over the access, then over its position.
+        for word in [store as u64, addr, self.count] {
+            self.hash = (self.hash ^ word).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        self.count += 1;
+    }
+}
+
+impl zpl_fusion::loops::Observer for AccessSequence {
+    fn load(&mut self, addr: u64) {
+        self.fold(false, addr);
+        self.sim.load(addr);
+    }
+
+    fn store(&mut self, addr: u64) {
+        self.fold(true, addr);
+        self.sim.store(addr);
+    }
+
+    fn flops(&mut self, n: u64) {
+        self.sim.flops(n);
+    }
+
+    fn wants_addresses(&self) -> bool {
+        true
+    }
+}
+
 #[test]
 fn cache_simulation_sees_the_scalar_access_stream() {
-    // Under an observer that consumes per-element addresses the lane path
-    // must stand down entirely, so the cache simulator sees exactly the
-    // access stream the scalar engines produce.
+    // Under an observer that consumes per-element addresses lanes and
+    // tiles stand down entirely, so the cache simulator is fed exactly
+    // the reference interpreter's access *sequence* — same accesses, same
+    // order — under every VM name at every width. Since every VM name
+    // runs the superinstruction stream, this also pins that a
+    // superinstruction issues its loads and stores in the order of the
+    // plain ops it replaced.
+    use zpl_fusion::loops::Observer;
     use zpl_fusion::sim::presets::t3e;
     use zpl_fusion::sim::MemSim;
-    let source = genprog::generate_stencil(&mut Rng::new(7));
-    let program = zlang::compile(&source).unwrap();
-    let opt = Pipeline::new(Level::C2F3).optimize(&program);
-    let binding = ConfigBinding::defaults(&opt.scalarized.program);
     let m = t3e();
-    let mut stats = Vec::new();
-    for engine in [Engine::Vm, Engine::VmSimd] {
-        let mut sim = MemSim::new(m.l1, m.l2);
-        let mut exec = engine
-            .executor_with(&opt.scalarized, binding.clone(), ExecOpts::with_lanes(8))
+    let observe = |opt: &Optimized, binding: &ConfigBinding, engine: Engine, opts: ExecOpts| {
+        let mut obs = AccessSequence {
+            sim: MemSim::new(m.l1, m.l2),
+            hash: 0xcbf2_9ce4_8422_2325,
+            count: 0,
+        };
+        assert!(obs.wants_addresses());
+        engine
+            .executor_with(&opt.scalarized, binding.clone(), opts)
+            .unwrap()
+            .execute(&mut obs)
             .unwrap();
-        exec.execute(&mut sim).unwrap();
-        stats.push(sim.stats());
+        (obs.hash, obs.count, obs.sim.stats())
+    };
+    let stencil = genprog::generate_stencil(&mut Rng::new(7));
+    let tomcatv = zpl_fusion::workloads::by_name("tomcatv").unwrap();
+    let sp = zpl_fusion::workloads::by_name("sp").unwrap();
+    let cases = [
+        ("stencil", zlang::compile(&stencil).unwrap(), None),
+        (
+            "tomcatv",
+            tomcatv.program(),
+            Some((tomcatv.size_config, 12)),
+        ),
+        ("sp", sp.program(), Some((sp.size_config, 6))),
+    ];
+    for (name, program, size) in &cases {
+        for level in [Level::C2F3, Level::Baseline] {
+            let opt = Pipeline::new(level).optimize(program);
+            let mut binding = ConfigBinding::defaults(&opt.scalarized.program);
+            if let Some((config, n)) = size {
+                binding.set_by_name(&opt.scalarized.program, config, *n);
+            }
+            let want = observe(&opt, &binding, Engine::Interp, ExecOpts::default());
+            assert!(want.1 > 0, "{name} at {level} touches no memory");
+            for engine in [Engine::Vm, Engine::VmSimd, Engine::VmPar] {
+                for lanes in [0, 1, 8, 128] {
+                    let threads = if engine == Engine::VmPar { 2 } else { 0 };
+                    let got = observe(&opt, &binding, engine, ExecOpts { threads, lanes });
+                    assert_eq!(
+                        got, want,
+                        "{name} at {level}: {engine} x{lanes} fed the cache simulator \
+                         another access sequence than interp"
+                    );
+                }
+            }
+        }
     }
-    assert_eq!(
-        stats[0], stats[1],
-        "vm-simd changed the observed access stream under the cache simulator"
-    );
 }
 
 /// One hand-written case: runs `source` under `sets` on `vm-simd` at
@@ -367,14 +443,22 @@ fn contracted_rows_and_rank_three_planes() {
 #[test]
 fn lane_fuel_is_the_scalar_count() {
     // The least fuel that completes a run is the number of ops the scalar
-    // dispatcher executes. A lane run must charge exactly that, so a
-    // budget means the same at every width.
-    fn completes(opt: &Optimized, binding: &ConfigBinding, lanes: usize, fuel: u64) -> bool {
-        let mut exec = Engine::VmSimd
+    // dispatcher executes over the one lowered stream. A lane run must
+    // charge exactly that, so a budget means the same under every VM name
+    // and at every width.
+    fn completes(
+        opt: &Optimized,
+        binding: &ConfigBinding,
+        (engine, lanes): (Engine, usize),
+        fuel: u64,
+    ) -> bool {
+        let mut exec = engine
             .executor_with(
                 &opt.scalarized,
                 binding.clone(),
-                ExecOpts::with_lanes(lanes),
+                // One thread: a tile re-runs its ladder's loop set-up, so
+                // tiled runs charge a few ops more.
+                ExecOpts { threads: 1, lanes },
             )
             .unwrap();
         exec.set_limits(ExecLimits::none().with_fuel(fuel));
@@ -396,29 +480,39 @@ fn lane_fuel_is_the_scalar_count() {
         let mut binding = ConfigBinding::defaults(&opt.scalarized.program);
         binding.set_by_name(&opt.scalarized.program, bench.size_config, n);
         // `vm-simd` at one lane is the scalar dispatcher over the same
-        // bytecode: bisect its least fuel.
+        // bytecode (what `vm` is): bisect its least fuel.
+        let scalar = (Engine::VmSimd, 1);
         let mut hi = 1u64;
-        while !completes(&opt, &binding, 1, hi) {
+        while !completes(&opt, &binding, scalar, hi) {
             hi *= 2;
         }
         let mut lo = hi / 2; // fails (or is 0)
         while hi - lo > 1 {
             let mid = lo + (hi - lo) / 2;
-            if completes(&opt, &binding, 1, mid) {
+            if completes(&opt, &binding, scalar, mid) {
                 hi = mid;
             } else {
                 lo = mid;
             }
         }
-        for lanes in [2, 64, 128] {
+        // `vm` reads no knob: it is that scalar run whatever is asked.
+        let widths = [
+            (Engine::Vm, 0),
+            (Engine::VmSimd, 2),
+            (Engine::VmSimd, 64),
+            (Engine::VmSimd, 128),
+            (Engine::VmPar, 1),
+            (Engine::VmPar, 64),
+        ];
+        for at @ (engine, lanes) in widths {
             assert!(
-                completes(&opt, &binding, lanes, hi),
-                "{} x{lanes}: {hi} ops of fuel complete the scalar run",
+                completes(&opt, &binding, at, hi),
+                "{} on {engine} x{lanes}: {hi} ops of fuel complete the scalar run",
                 bench.name
             );
             assert!(
-                !completes(&opt, &binding, lanes, hi - 1),
-                "{} x{lanes}: {} ops of fuel do not complete the scalar run",
+                !completes(&opt, &binding, at, hi - 1),
+                "{} on {engine} x{lanes}: {} ops of fuel do not complete the scalar run",
                 bench.name,
                 hi - 1
             );
