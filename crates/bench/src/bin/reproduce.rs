@@ -3,13 +3,16 @@
 //! Usage:
 //!
 //! ```text
-//! reproduce fig6|fig7|fig8|fig9|fig10|fig11|sec55|ablation|all [--quick] [--engine interp|vm]
+//! reproduce fig6|fig7|fig8|fig9|fig10|fig11|sec55|ablation|all [--quick]
+//!           [--engine interp|vm|vm-simd|vm-par]
 //! ```
 //!
 //! `--quick` reduces the processor sweep (figures 9–11) to p ∈ {1, 16}.
 //! `--engine` selects the scalarized-program execution engine (default:
-//! the bytecode VM; `interp` runs the reference tree-walking interpreter —
-//! the results are identical, only wall-clock reproduction time differs).
+//! `vm-simd`, the bytecode VM's lane tier, which runs under the cache
+//! simulator too). The reports are identical to the byte under every
+//! engine, the reference tree-walking interpreter included; only
+//! wall-clock reproduction time differs.
 
 use bench::{fig6, fig7, fig8, perf, sec55};
 use fusion_core::pipeline::Level;
@@ -17,9 +20,10 @@ use loopir::Engine;
 use machine::presets::MachineKind;
 
 fn usage() -> ! {
+    let engines = Engine::all().map(Engine::name).join("|");
     eprintln!(
         "usage: reproduce <fig6|fig7|fig8|fig9|fig10|fig11|sec55|ablation|all> \
-         [--quick] [--engine interp|vm]"
+         [--quick] [--engine {engines}]"
     );
     std::process::exit(2);
 }
@@ -31,7 +35,7 @@ fn main() {
     }
     let quick = args.iter().any(|a| a == "--quick");
     let engine = match args.iter().position(|a| a == "--engine") {
-        None => Engine::default(),
+        None => Engine::VmSimd,
         Some(i) => match args.get(i + 1).map(|v| v.parse()) {
             Some(Ok(e)) => e,
             Some(Err(e)) => {

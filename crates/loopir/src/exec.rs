@@ -214,10 +214,13 @@ pub trait Executor {
 /// VM name constructs (a [`Verify`](crate::ErrorKind::Verify) error with
 /// the verifier's diagnostics) if the proof — which bounds every element
 /// access and independently re-derives every superinstruction and lane
-/// annotation — fails. Lanes and tiles fan out only under observers that
-/// do not consume the per-element address stream
-/// ([`Observer::wants_addresses`]); under the cache simulator every VM
-/// name runs scalar and sequential, preserving the exact address order.
+/// annotation — fails. Lanes run under every observer: a lane run reports
+/// each strip through [`Observer::strip`], whose default replays the
+/// scalar loops' `load`/`store`/`flops` calls in their order, so the cache
+/// simulator is fed the same sequence at every width. Tiles fan out only
+/// under observers that do not consume the per-element address stream
+/// ([`Observer::wants_addresses`]); under the cache simulator every ladder
+/// runs on the calling thread.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Engine {
     /// The reference tree-walking interpreter ([`Interp`]). Never lowers:

@@ -28,17 +28,99 @@ pub trait Observer {
     fn nest_begin(&mut self, _nest: &LoopNest) {}
     /// A standalone reduction nest is about to execute.
     fn reduce_begin(&mut self) {}
+    /// A lane run of the [`Vm`](crate::Vm) has executed the positions `at`
+    /// of its loops, each of which issues `events` in that order. The
+    /// default replays them through [`load`](Observer::load),
+    /// [`store`](Observer::store) and [`flops`](Observer::flops) position
+    /// by position, which is exactly the sequence of calls scalar dispatch
+    /// of the same loops makes: an observer that does not override this
+    /// cannot tell at which width a program ran.
+    fn strip(&mut self, events: &[StripEvent], at: Strip) {
+        for (row, col) in at.positions() {
+            for event in events {
+                match *event {
+                    StripEvent::Load(a) => self.load(a.at(row, col)),
+                    StripEvent::Store(a) => self.store(a.at(row, col)),
+                    StripEvent::Flops(n) => self.flops(n),
+                }
+            }
+        }
+    }
     /// Whether this observer consumes the ordered per-element address
-    /// stream. Defaults to `true` — any observer that looks at addresses
-    /// (the cache simulator, the parallel runtime's ghost accounting)
-    /// needs the sequential order the engines contract to deliver.
-    /// Observers that ignore addresses (like [`NoopObserver`]) return
-    /// `false`, which permits execution strategies that reorder or batch
-    /// element accesses: the parallel tiled VM
-    /// ([`Engine::VmPar`](crate::Engine::VmPar)) only fans ladders out
-    /// under a passive observer and runs sequentially otherwise.
+    /// stream. Defaults to `true`. Every sequential execution strategy
+    /// delivers that order, lane runs included ([`Observer::strip`]), so
+    /// the one reader is the parallel tiled VM
+    /// ([`Engine::VmPar`](crate::Engine::VmPar)): tiles run concurrently
+    /// and report no addresses, so ladders only fan out under observers
+    /// that return `false` (like [`NoopObserver`]) and run on the calling
+    /// thread otherwise.
     fn wants_addresses(&self) -> bool {
         true
+    }
+}
+
+/// One thing every position of a lane run reports to the observer.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum StripEvent {
+    /// An element load.
+    Load(StripAccess),
+    /// An element store.
+    Store(StripAccess),
+    /// This many floating-point operations.
+    Flops(u64),
+}
+
+/// The address stream of one memory access of a lane run: an affine
+/// function of the position's row and column.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct StripAccess {
+    /// Byte address at row 0, column 0 of the run.
+    pub addr: u64,
+    /// Bytes the address advances per row.
+    pub row: i64,
+    /// Bytes the address advances per column.
+    pub col: i64,
+}
+
+impl StripAccess {
+    /// The byte address at a position of the run.
+    #[inline]
+    pub fn at(self, row: i64, col: i64) -> u64 {
+        self.addr
+            .wrapping_add_signed(row * self.row + col * self.col)
+    }
+}
+
+/// The positions one [`Observer::strip`] call covers: `len` consecutive
+/// positions from number `first` of a run whose positions are numbered
+/// row-major over rows of `cols` columns (a strip may cross row ends).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Strip {
+    /// The first position's number in the run.
+    pub first: u64,
+    /// How many positions.
+    pub len: usize,
+    /// Columns per row of the run (at least 1).
+    pub cols: u64,
+}
+
+impl Strip {
+    /// The `(row, column)` of each position, in execution order.
+    pub fn positions(self) -> impl Iterator<Item = (i64, i64)> {
+        let cols = self.cols as i64;
+        let mut next = (
+            (self.first / self.cols) as i64,
+            (self.first % self.cols) as i64,
+        );
+        (0..self.len).map(move |_| {
+            let at = next;
+            next = if at.1 + 1 == cols {
+                (at.0 + 1, 0)
+            } else {
+                (at.0, at.1 + 1)
+            };
+            at
+        })
     }
 }
 
@@ -50,6 +132,7 @@ impl Observer for NoopObserver {
     fn load(&mut self, _addr: u64) {}
     fn store(&mut self, _addr: u64) {}
     fn flops(&mut self, _n: u64) {}
+    fn strip(&mut self, _events: &[StripEvent], _at: Strip) {}
     fn wants_addresses(&self) -> bool {
         false
     }

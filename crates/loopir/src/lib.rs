@@ -24,7 +24,9 @@ pub mod verifier;
 pub mod vm;
 
 pub use exec::{Engine, ExecLimits, ExecOpts, Executor, RunOutcome, TileStats};
-pub use interp::{ErrorKind, ExecError, Interp, NoopObserver, Observer, RunStats};
+pub use interp::{
+    ErrorKind, ExecError, Interp, NoopObserver, Observer, RunStats, Strip, StripAccess, StripEvent,
+};
 pub use ir::{EExpr, ElemRef, ElemStmt, LStmt, LoopNest, ScalarProgram, TempId};
 pub use verifier::VerifyDiagnostic;
 pub use vm::{SharedProgram, Vm};

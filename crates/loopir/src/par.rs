@@ -426,6 +426,7 @@ fn run_tile(b: &Batch, ti: usize, lane_scratch: &mut LaneScratch) -> Result<Tile
                         &mut mem,
                         lane_scratch,
                         b.deadline,
+                        &mut NoopObserver,
                     )?;
                     if let Some(run) = run {
                         ops_done += run.ops;
@@ -457,10 +458,12 @@ fn run_tile(b: &Batch, ti: usize, lane_scratch: &mut LaneScratch) -> Result<Tile
 }
 
 /// [`ElemMem`] over a batch's raw array views. Tiles run only under
-/// passive observers (the VM's fan-out gate), so element accesses report
-/// no addresses; each is length-checked against the view, which keeps the
-/// raw-pointer path sound even for hand-built bytecode, and the lane
-/// executor's whole-run span check covers lane runs.
+/// passive observers (the VM's fan-out gate, the one reader of
+/// [`Observer::wants_addresses`]), so element accesses report no
+/// addresses and a tile's lane runs report their strips to a
+/// [`NoopObserver`]; each access is length-checked against the view,
+/// which keeps the raw-pointer path sound even for hand-built bytecode,
+/// and the lane executor's whole-run span check covers lane runs.
 struct TileMem<'a> {
     code: &'a Code,
     views: &'a [ArrayView],
@@ -470,6 +473,11 @@ impl ElemMem for TileMem<'_> {
     fn resolve(&mut self, ai: usize) -> Result<(*mut f64, usize), ExecError> {
         let v = &self.views[ai];
         Ok((v.ptr, v.len))
+    }
+
+    /// Tiles report to no observer; a view does not know the address.
+    fn base(&self, _ai: usize) -> u64 {
+        0
     }
 
     #[inline(always)]

@@ -40,11 +40,18 @@
 //! in position order, so results stay `f64::to_bits`-identical to the
 //! interpreter; loops that would not (carried dependences) are simply
 //! never annotated.
+//!
+//! An observer cannot tell either: after its last op each strip is
+//! reported through [`Observer::strip`] - the run's streams as byte
+//! addresses plus the body's flop counts, and which positions the strip
+//! covered - and the default implementation replays them position by
+//! position, the calls the scalar loops would have made in their order.
+//! So lanes run under the cache simulator as under no observer at all.
 
 use crate::bytecode::{
     Bcast, Code, LaneOp, NoRows, Op, Reg, Rows, SimdInfo, MAX_CALL_ARGS, MAX_LANES, MAX_RANK,
 };
-use crate::interp::{binop, ExecError, Observer};
+use crate::interp::{binop, ExecError, Observer, Strip, StripAccess, StripEvent};
 use crate::vm::{unallocated, VmArray};
 use std::time::Instant;
 use zlang::ast::{BinOp, ReduceOp};
@@ -869,6 +876,10 @@ pub(crate) trait ElemMem {
     /// a loop body, so both resolutions name the same allocation.
     fn resolve(&mut self, ai: usize) -> Result<(*mut f64, usize), ExecError>;
 
+    /// The byte address observers know element 0 of the allocated array
+    /// `ai` by.
+    fn base(&self, ai: usize) -> u64;
+
     /// Loads element `flat` of array `ai`, length-checked.
     fn load<O: Observer + ?Sized>(
         &self,
@@ -909,6 +920,10 @@ impl ElemMem for VmMem<'_> {
             Some(arr) => Ok((arr.data.as_mut_ptr(), arr.data.len())),
             None => Err(unallocated(self.code, ai)),
         }
+    }
+
+    fn base(&self, ai: usize) -> u64 {
+        self.arrays[ai].as_ref().map_or(0, |arr| arr.base)
     }
 
     #[inline(always)]
@@ -974,11 +989,13 @@ struct Stream {
 /// The state a lane run needs and a `Vm` or a tile worker keeps between
 /// runs, so that entering a loop allocates nothing once these have grown
 /// to the program's largest loop: the lane file (`slots x W` values,
-/// strip `s` at `[s*W, (s+1)*W)`) and the stream table.
+/// strip `s` at `[s*W, (s+1)*W)`), the stream table, and what a position
+/// reports to the observer.
 #[derive(Default)]
 pub(crate) struct LaneScratch {
     file: Vec<f64>,
     streams: Vec<Stream>,
+    events: Vec<StripEvent>,
 }
 
 /// The iteration space one lane run covers and the width of its strips:
@@ -1227,6 +1244,9 @@ struct StripCtx<'a, M> {
     /// The lane file, `w` values per slot.
     file: &'a mut [f64],
     streams: &'a [Stream],
+    /// What each position reports to the observer, in body order: the
+    /// streams as byte addresses, and the body's flop counts.
+    events: &'a [StripEvent],
     regs: &'a mut [f64],
     mem: &'a mut M,
     plan: Plan,
@@ -1241,10 +1261,13 @@ struct StripCtx<'a, M> {
 /// The strip loop: the run's `rows * cols` positions in strips of `w`
 /// (the last one shorter when `w` does not divide them), each op of the
 /// lane program over the whole strip before the next. Memory ops and the
-/// two index sources walk the strip's row segments. `#[inline(always)]`
-/// so the AVX2 wrapper gets its own copy compiled with wider vectors.
+/// two index sources walk the strip's row segments. After its last op a
+/// strip is reported to the observer through `report`, which is not a
+/// type parameter: there is one strip loop whoever watches.
+/// `#[inline(always)]` so the AVX2 wrapper gets its own copy compiled
+/// with wider vectors.
 #[inline(always)]
-fn strip_loop<M: ElemMem>(cx: &mut StripCtx<'_, M>) -> Result<(), ExecError> {
+fn strip_loop<M: ElemMem>(cx: &mut StripCtx<'_, M>, report: Report<'_>) -> Result<(), ExecError> {
     let Plan {
         w,
         rows,
@@ -1393,21 +1416,37 @@ fn strip_loop<M: ElemMem>(cx: &mut StripCtx<'_, M>) -> Result<(), ExecError> {
                 }
             }
         }
+        report(
+            cx.events,
+            Strip {
+                first: done as u64,
+                len: wc,
+                cols: cols as u64,
+            },
+        );
         done += wc as i64;
     }
     Ok(())
 }
 
+/// Where the strip loop hands each finished strip: [`Observer::strip`] of
+/// whatever observer the run has.
+type Report<'a> = &'a mut dyn FnMut(&[StripEvent], Strip);
+
 /// Runs the strip loop, in its AVX2 copy when `wide` and the CPU has it.
 /// Every caller but the kernel test passes `true`.
-fn run_strips<M: ElemMem>(cx: &mut StripCtx<'_, M>, wide: bool) -> Result<(), ExecError> {
+fn run_strips<M: ElemMem>(
+    cx: &mut StripCtx<'_, M>,
+    wide: bool,
+    report: Report<'_>,
+) -> Result<(), ExecError> {
     #[cfg(target_arch = "x86_64")]
     if wide && std::arch::is_x86_feature_detected!("avx2") {
         // SAFETY: runtime check — `is_x86_feature_detected!("avx2")` on
         // the line above.
-        return unsafe { strips_avx2(cx) };
+        return unsafe { strips_avx2(cx, report) };
     }
-    strip_loop(cx)
+    strip_loop(cx, report)
 }
 
 /// [`strip_loop`] compiled with AVX2 enabled.
@@ -1419,8 +1458,11 @@ fn run_strips<M: ElemMem>(cx: &mut StripCtx<'_, M>, wide: bool) -> Result<(), Ex
 // `is_x86_feature_detected!("avx2")` first.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn strips_avx2<M: ElemMem>(cx: &mut StripCtx<'_, M>) -> Result<(), ExecError> {
-    strip_loop(cx)
+unsafe fn strips_avx2<M: ElemMem>(
+    cx: &mut StripCtx<'_, M>,
+    report: Report<'_>,
+) -> Result<(), ExecError> {
+    strip_loop(cx, report)
 }
 
 /// Executes `info`'s loop from its `SimdBegin` in strips, and the loop
@@ -1438,8 +1480,13 @@ unsafe fn strips_avx2<M: ElemMem>(cx: &mut StripCtx<'_, M>) -> Result<(), ExecEr
 /// Entering a loop fills the broadcast slots, binds one [`Stream`] per
 /// memory op and proves each in bounds, once per run; the lane program
 /// itself was resolved at compile time.
+///
+/// `obs` hears of the run a strip at a time ([`Observer::strip`]): per
+/// position, in scalar order, the loads, stores and flop counts scalar
+/// dispatch of the same loops would have reported one by one. So a lane
+/// run is as good as the scalar loops under every observer.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn run_lanes<M: ElemMem>(
+pub(crate) fn run_lanes<M: ElemMem, O: Observer + ?Sized>(
     code: &Code,
     info: &SimdInfo,
     want: usize,
@@ -1449,17 +1496,19 @@ pub(crate) fn run_lanes<M: ElemMem>(
     mem: &mut M,
     scratch: &mut LaneScratch,
     deadline: Option<Instant>,
+    obs: &mut O,
 ) -> Result<Option<LaneRun>, ExecError> {
     let Some(plan) = plan(info, want, clamp, idx) else {
         return Ok(None);
     };
     let mut cx = enter(code, info, plan, regs, idx, mem, scratch, deadline)?;
-    run_strips(&mut cx, true)?;
+    run_strips(&mut cx, true, &mut |events, at| obs.strip(events, at))?;
     Ok(Some(leave(cx)))
 }
 
 /// Sets a planned run up: the lane file with its broadcast slots filled,
-/// and one bound, bounds-proven stream per memory op.
+/// one bound, bounds-proven stream per memory op, and the events of one
+/// position.
 #[allow(clippy::too_many_arguments)]
 fn enter<'a, M: ElemMem>(
     code: &Code,
@@ -1473,7 +1522,11 @@ fn enter<'a, M: ElemMem>(
 ) -> Result<StripCtx<'a, M>, ExecError> {
     let w = plan.w;
     let n_lane = info.lane_regs.len();
-    let LaneScratch { file, streams } = scratch;
+    let LaneScratch {
+        file,
+        streams,
+        events,
+    } = scratch;
     let need = (n_lane + info.bcast.len()) * w;
     if file.len() < need {
         file.resize(need, 0.0);
@@ -1500,15 +1553,31 @@ fn enter<'a, M: ElemMem>(
     let mut at = *idx;
     at[info.dim as usize] = plan.start;
     streams.clear();
+    events.clear();
     for op in &info.body {
-        if let LaneOp::Load { acc, .. } | LaneOp::Store { acc, .. } = *op {
-            streams.push(bind(mem, code, info, acc, &at, &plan)?);
+        match *op {
+            LaneOp::Load { acc, .. } | LaneOp::Store { acc, .. } => {
+                let s = bind(mem, code, info, acc, &at, &plan)?;
+                let access = StripAccess {
+                    addr: mem.base(s.arr).wrapping_add_signed(s.flat * 8),
+                    row: s.k1 * 8,
+                    col: s.k * 8,
+                };
+                events.push(match *op {
+                    LaneOp::Load { .. } => StripEvent::Load(access),
+                    _ => StripEvent::Store(access),
+                });
+                streams.push(s);
+            }
+            LaneOp::Tick { flops } => events.push(StripEvent::Flops(flops as u64)),
+            _ => {}
         }
     }
     Ok(StripCtx {
         info,
         file,
         streams,
+        events,
         regs,
         mem,
         plan,
@@ -2003,19 +2072,49 @@ mod tests {
         }
     }
 
+    /// Every call an observer gets, in order.
+    #[derive(Default, Debug, PartialEq)]
+    struct Record(Vec<(&'static str, u64)>);
+
+    impl Observer for Record {
+        fn load(&mut self, addr: u64) {
+            self.0.push(("load", addr));
+        }
+        fn store(&mut self, addr: u64) {
+            self.0.push(("store", addr));
+        }
+        fn flops(&mut self, n: u64) {
+            self.0.push(("flops", n));
+        }
+        fn nest_begin(&mut self, nest: &LoopNest) {
+            self.0.push(("nest", nest.region.0 as u64));
+        }
+    }
+
     /// The interior nest's annotation, and every array of a lane run at
-    /// each width against the interpreter's.
+    /// each width against the interpreter's - under an observer, which
+    /// must be told at every width what scalar dispatch tells it.
     fn rows_of_interior_nest(sp: &ScalarProgram) -> Result<Rows, NoRows> {
         use crate::interp::{Interp, NoopObserver};
         use crate::{Executor, Vm};
         let binding = ConfigBinding::defaults(&sp.program);
         let mut interp = Interp::new(sp, binding.clone());
         interp.execute(&mut NoopObserver).unwrap();
-        for lanes in [0, 2, 3, 4, 5, 8, 128] {
+        let mut scalar = Record::default();
+        for lanes in [1, 0, 2, 3, 4, 5, 8, 128] {
             let mut vm = Vm::new_superfused(sp, binding.clone()).unwrap();
             vm.verify().unwrap();
             vm.set_lanes(lanes);
-            vm.execute(&mut NoopObserver).unwrap();
+            let mut seen = Record::default();
+            vm.execute(&mut seen).unwrap();
+            if lanes == 1 {
+                scalar = seen;
+                for kind in ["load", "store", "flops"] {
+                    assert!(scalar.0.iter().any(|call| call.0 == kind), "no {kind}");
+                }
+            } else {
+                assert!(seen == scalar, "the observer's calls at width {lanes}");
+            }
             for a in 0..3 {
                 assert_eq!(
                     interp.array(ArrayId(a)),
@@ -2313,7 +2412,9 @@ mod tests {
                     None,
                 )
                 .unwrap();
-                run_strips(&mut cx, wide).unwrap();
+                let mut reported = 0;
+                run_strips(&mut cx, wide, &mut |_, at| reported += at.len).unwrap();
+                assert_eq!(reported, n, "every position is reported, in strips");
                 let run = leave(cx);
                 assert_eq!(run.points, 0, "the program has no tick");
                 assert_eq!(run.loads, 3 * n as u64);

@@ -231,8 +231,9 @@ impl Vm {
     /// threads (including the calling thread; `0` means one per available
     /// core, capped at 8). Fan-out only happens once [`Vm::verify`] has
     /// succeeded and under observers with
-    /// [`Observer::wants_addresses`]`() == false`; otherwise the run stays
-    /// sequential so the address stream keeps its contracted order.
+    /// [`Observer::wants_addresses`]`() == false`; otherwise every ladder
+    /// runs on the calling thread (in lane runs, like any other loop) so
+    /// the address stream keeps its contracted order.
     /// Results are bit-identical to the sequential run for every thread
     /// count: tiles partition the writes, reductions never tile, and the
     /// per-tile counters merge in deterministic tile order.
@@ -350,13 +351,15 @@ impl Vm {
             simd_scratch,
             ..
         } = self;
-        // Lanes and tiles reach array memory through raw pointers and skip
-        // the per-element observer callbacks, so they start only on
-        // bytecode `Vm::verify` accepted and under observers that do not
-        // need the ordered address stream.
-        let fan = self.verified && !obs.wants_addresses();
-        let fan_out = par.as_ref().filter(|_| fan);
-        let lane_want = if fan { self.lanes } else { 1 };
+        // Lanes and tiles reach array memory through raw pointers, so they
+        // start only on bytecode `Vm::verify` accepted. A lane run reports
+        // what the scalar loops would have (`Observer::strip`); tiles run
+        // concurrently and report nothing, so ladders fan out only under
+        // observers that do not need the ordered address stream.
+        let lane_want = if self.verified { self.lanes } else { 1 };
+        let fan_out = par
+            .as_ref()
+            .filter(|_| self.verified && !obs.wants_addresses());
         let limits = self.limits;
         let mut idx = self.idx;
         let mut mem = VmMem {
@@ -535,6 +538,7 @@ impl Vm {
                             &mut mem,
                             simd_scratch,
                             limits.deadline,
+                            obs,
                         );
                         match r {
                             Err(e) => break Err(e),

@@ -5,7 +5,7 @@
 pub struct CacheConfig {
     /// Total capacity in bytes.
     pub bytes: u64,
-    /// Line size in bytes.
+    /// Line size in bytes (a power of two).
     pub line: u32,
     /// Associativity (1 = direct mapped).
     pub assoc: u32,
@@ -16,12 +16,17 @@ impl CacheConfig {
     ///
     /// # Panics
     ///
-    /// Panics if the geometry is inconsistent (capacity not divisible by
-    /// `line * assoc`, or any parameter is zero).
+    /// Panics if the geometry is inconsistent: any parameter is zero, the
+    /// line size is not a power of two, or the capacity is not divisible
+    /// by `line * assoc`.
     pub fn sets(&self) -> u64 {
         assert!(
             self.bytes > 0 && self.line > 0 && self.assoc > 0,
             "cache parameters must be nonzero"
+        );
+        assert!(
+            self.line.is_power_of_two(),
+            "line size must be a power of two"
         );
         let per_set = self.line as u64 * self.assoc as u64;
         assert_eq!(
@@ -33,6 +38,11 @@ impl CacheConfig {
     }
 }
 
+/// The line number of a way nothing has been brought into yet. Lines are
+/// `addr >> log2(line size)`, so with lines of two bytes or more no
+/// address has it.
+const EMPTY: u64 = u64::MAX;
+
 /// One cache level with LRU replacement.
 ///
 /// Both loads and stores allocate (write-allocate, write-back is not
@@ -41,8 +51,16 @@ impl CacheConfig {
 #[derive(Debug, Clone)]
 pub struct Cache {
     config: CacheConfig,
-    /// Per set: resident line tags, most recently used LAST.
-    sets: Vec<Vec<u64>>,
+    /// `sets x assoc` line numbers, set after set; within a set the ways
+    /// are in recency order, most recently used FIRST, [`EMPTY`] ones last.
+    lines: Vec<u64>,
+    assoc: usize,
+    /// `log2` of the line size.
+    shift: u32,
+    sets: u64,
+    /// `sets - 1` when the set count is a power of two (every preset):
+    /// the set index is then a mask, otherwise a remainder.
+    mask: Option<u64>,
     hits: u64,
     misses: u64,
 }
@@ -52,12 +70,19 @@ impl Cache {
     ///
     /// # Panics
     ///
-    /// Panics if the geometry is inconsistent (see [`CacheConfig::sets`]).
+    /// Panics if the geometry is inconsistent (see [`CacheConfig::sets`]:
+    /// a zero parameter, a line size that is not a power of two, a
+    /// capacity that is not a multiple of `line * assoc`).
     pub fn new(config: CacheConfig) -> Self {
-        let sets = config.sets() as usize;
+        let sets = config.sets();
+        let assoc = config.assoc as usize;
         Cache {
             config,
-            sets: vec![Vec::new(); sets],
+            lines: vec![EMPTY; sets as usize * assoc],
+            assoc,
+            shift: config.line.trailing_zeros(),
+            sets,
+            mask: sets.is_power_of_two().then(|| sets - 1),
             hits: 0,
             misses: 0,
         }
@@ -70,24 +95,36 @@ impl Cache {
 
     /// Accesses a byte address; returns `true` on hit. Misses allocate the
     /// line, evicting the least recently used line of the set if full.
+    ///
+    /// A hit on the set's most recently used line - what consecutive
+    /// elements of one stream are - changes no state but the counter. Any
+    /// other access makes one walk down the set that carries each line one
+    /// way towards the LRU end until it meets the accessed line (a hit:
+    /// the lines below stay) or drops the last one (a miss: the LRU line,
+    /// or an empty way).
+    #[inline]
     pub fn access(&mut self, addr: u64) -> bool {
-        let line = addr / self.config.line as u64;
-        let set = (line % self.sets.len() as u64) as usize;
-        let ways = &mut self.sets[set];
-        if let Some(pos) = ways.iter().position(|&t| t == line) {
-            // Move to MRU position.
-            let t = ways.remove(pos);
-            ways.push(t);
+        let line = addr >> self.shift;
+        let set = match self.mask {
+            Some(mask) => line & mask,
+            None => line % self.sets,
+        } as usize;
+        let ways = &mut self.lines[set * self.assoc..][..self.assoc];
+        let mut carry = ways[0];
+        if carry == line {
             self.hits += 1;
-            true
-        } else {
-            if ways.len() == self.config.assoc as usize {
-                ways.remove(0);
-            }
-            ways.push(line);
-            self.misses += 1;
-            false
+            return true;
         }
+        ways[0] = line;
+        for way in &mut ways[1..] {
+            carry = std::mem::replace(way, carry);
+            if carry == line {
+                self.hits += 1;
+                return true;
+            }
+        }
+        self.misses += 1;
+        false
     }
 
     /// Hit count so far.
@@ -102,9 +139,7 @@ impl Cache {
 
     /// Resets counters and contents.
     pub fn reset(&mut self) {
-        for s in &mut self.sets {
-            s.clear();
-        }
+        self.lines.fill(EMPTY);
         self.hits = 0;
         self.misses = 0;
     }
@@ -190,5 +225,26 @@ mod tests {
     #[should_panic(expected = "multiple")]
     fn bad_geometry_panics() {
         cache(1000, 64, 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "power of two")]
+    fn a_line_size_no_shift_expresses_panics() {
+        // 960 = 48 * 2 * 10: consistent but for the line size.
+        cache(960, 48, 2);
+    }
+
+    #[test]
+    fn a_hit_moves_the_line_to_the_front_and_keeps_the_rest_in_order() {
+        let mut c = cache(128, 32, 4); // one set, four ways
+        for a in [0, 32, 64, 96] {
+            c.access(a); // recency, most recent first: 96 64 32 0
+        }
+        assert!(c.access(32)); // 32 96 64 0
+        assert!(!c.access(128), "0 is the LRU line and leaves"); // 128 32 96 64
+        assert!(!c.access(0), "64 leaves"); // 0 128 32 96
+        for (a, hit) in [(96, true), (64, false), (128, true), (32, false)] {
+            assert_eq!(c.access(a), hit, "address {a}");
+        }
     }
 }

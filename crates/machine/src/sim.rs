@@ -61,6 +61,7 @@ impl MemSim {
         self.stats = MemStats::default();
     }
 
+    #[inline]
     fn touch(&mut self, addr: u64) {
         self.stats.accesses += 1;
         if !self.l1.access(addr) {
@@ -75,14 +76,17 @@ impl MemSim {
 }
 
 impl Observer for MemSim {
+    #[inline]
     fn load(&mut self, addr: u64) {
         self.touch(addr);
     }
 
+    #[inline]
     fn store(&mut self, addr: u64) {
         self.touch(addr);
     }
 
+    #[inline]
     fn flops(&mut self, n: u64) {
         self.stats.flops += n;
     }

@@ -29,11 +29,13 @@ pub struct ExecConfig {
     /// verified stream ([`Engine::executor_with`]).
     pub engine: Engine,
     /// Worker-thread count for [`Engine::VmPar`] (`0` = auto); pinned to 1
-    /// by the other names. Note the cache/communication *simulation*
-    /// always runs the program scalar and sequentially regardless —
-    /// `SimObserver` consumes the ordered address stream, and lanes and
-    /// tiles only fan out under observers that do not (see
-    /// `loopir::Observer`).
+    /// by the other names. Under the simulation it changes nothing: the
+    /// cache and communication models consume the ordered address stream,
+    /// so ladders never fan out as tiles and run on the calling thread.
+    /// Lanes do run (at the default width, under `vm-simd` and `vm-par`):
+    /// a lane run reports each strip in scalar order
+    /// (`loopir::Observer::strip`), so every simulated number is the
+    /// same to the bit under every engine.
     pub threads: usize,
     /// Resource budgets applied to the engine (fuel, deadline).
     pub limits: ExecLimits,
@@ -199,6 +201,17 @@ pub fn simulate_outcome(
     binding: ConfigBinding,
     cfg: &ExecConfig,
 ) -> Result<(loopir::RunOutcome, SimResult), ExecError> {
+    simulate_at(sp, binding, cfg, ExecOpts::with_threads(cfg.threads))
+}
+
+/// [`simulate_outcome`] at explicit knobs (`cfg.threads` is not read):
+/// how the tests reach a lane width.
+fn simulate_at(
+    sp: &ScalarProgram,
+    binding: ConfigBinding,
+    cfg: &ExecConfig,
+    knobs: ExecOpts,
+) -> Result<(loopir::RunOutcome, SimResult), ExecError> {
     let mut obs = SimObserver {
         mem: MemSim::new(cfg.machine.l1, cfg.machine.l2),
         comm: CommTracker::new(cfg.procs, cfg.machine.cost, cfg.policy),
@@ -207,9 +220,7 @@ pub fn simulate_outcome(
         binding: &binding,
         last: MemStats::default(),
     };
-    let mut exec =
-        cfg.engine
-            .executor_with(sp, binding.clone(), ExecOpts::with_threads(cfg.threads))?;
+    let mut exec = cfg.engine.executor_with(sp, binding.clone(), knobs)?;
     exec.set_limits(cfg.limits);
     let outcome = exec.execute(&mut obs)?;
     let run = outcome.stats;
@@ -337,23 +348,36 @@ mod tests {
 
     #[test]
     fn vm_par_simulates_identically_at_every_thread_count() {
-        // The simulation consumes the ordered address stream, so the
-        // parallel engine must stay sequential under it — identical cache
-        // stats and values at every thread count.
+        // The simulation consumes the ordered address stream: tiles stand
+        // down under it and lane runs report their strips in scalar order,
+        // so the whole `SimResult` - counters, cache statistics,
+        // communication, simulated time to the bit - and the values are
+        // the interpreter's under every engine at every knob.
         let sp = program(SRC, Level::C2F3);
-        let run = |cfg: ExecConfig| {
-            let (outcome, sim) = simulate_outcome(&sp, ConfigBinding::defaults(&sp.program), &cfg)
-                .expect("clean run");
-            (outcome.checksum().to_bits(), sim.mem)
+        let cfg = |engine| ExecConfig {
+            procs: 16,
+            ..ExecConfig::serial(t3e()).with_engine(engine)
         };
-        let (base, mem_base) = run(ExecConfig::serial(t3e()).with_engine(Engine::Interp));
-        for threads in [1, 2, 4] {
-            let cfg = ExecConfig::serial(t3e())
-                .with_engine(Engine::VmPar)
-                .with_threads(threads);
-            let (c, mem) = run(cfg);
-            assert_eq!(c, base, "threads={threads}");
-            assert_eq!(mem, mem_base, "threads={threads}");
+        let run = |engine, knobs| {
+            let (outcome, sim) = simulate_at(
+                &sp,
+                ConfigBinding::defaults(&sp.program),
+                &cfg(engine),
+                knobs,
+            )
+            .expect("clean run");
+            let bits: Vec<u64> = outcome.scalars.iter().map(|v| v.to_bits()).collect();
+            (bits, sim.total_ns.to_bits(), sim)
+        };
+        let want = run(Engine::Interp, ExecOpts::default());
+        assert!(want.2.comm.messages > 0 && want.2.mem.l1_misses > 0);
+        for engine in [Engine::Vm, Engine::VmSimd, Engine::VmPar] {
+            for lanes in [1, 8, 128] {
+                for threads in [1, 2, 4] {
+                    let got = run(engine, ExecOpts { threads, lanes });
+                    assert!(got == want, "{engine} lanes={lanes} threads={threads}");
+                }
+            }
         }
     }
 

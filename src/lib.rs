@@ -31,8 +31,8 @@
 //! default bytecode [`Vm`](loops::Vm), its verified lane (`vm-simd`) and
 //! parallel tiled (`vm-par`) variants, or the reference tree-walking
 //! [`Interp`](loops::Interp) — all produce bit-identical results (at any
-//! thread count) and, under an address-consuming observer, identical
-//! memory-access streams.
+//! thread count and lane width) and hand an observer, the cache simulator
+//! included, identical memory-access streams.
 //!
 //! ```
 //! # fn main() -> Result<(), zpl_fusion::Error> {

@@ -16,13 +16,16 @@
 //! aims at what a lane run that spans rows adds: strips that cross row
 //! ends at every alignment, loops that run backwards, dependences that
 //! cross rows, the per-row outer index, reductions over short rows - each
-//! also under `vm-par` at 1, 2 and 4 threads. The last test holds lane
-//! fuel to the scalar dispatcher's exact op count.
+//! also under `vm-par` at 1, 2 and 4 threads. One test holds what an
+//! observer is told - the cache simulator's input, access by access - to
+//! the interpreter's at every width, with the lanes running and counted.
+//! The last test holds lane fuel to the scalar dispatcher's exact op
+//! count, observed or not.
 
 use testkit::{genprog, Rng};
 use zlang::ir::{Program, ScalarId};
 use zpl_fusion::fusion::pipeline::Optimized;
-use zpl_fusion::loops::{ErrorKind, ExecLimits};
+use zpl_fusion::loops::{ErrorKind, ExecLimits, Strip, StripEvent};
 use zpl_fusion::prelude::*;
 
 /// Generated programs per generator per sweep.
@@ -182,24 +185,56 @@ impl zpl_fusion::loops::Observer for AccessSequence {
     }
 }
 
+/// An [`AccessSequence`] that also counts the strips it is handed, and
+/// hands each on to the default replay (`seq` does not override the
+/// hook): whether lanes ran at all is the one thing the sequence itself
+/// must not show.
+struct CountingStrips {
+    seq: AccessSequence,
+    strips: u64,
+}
+
+impl zpl_fusion::loops::Observer for CountingStrips {
+    fn load(&mut self, addr: u64) {
+        self.seq.load(addr);
+    }
+
+    fn store(&mut self, addr: u64) {
+        self.seq.store(addr);
+    }
+
+    fn flops(&mut self, n: u64) {
+        self.seq.flops(n);
+    }
+
+    fn strip(&mut self, events: &[StripEvent], at: Strip) {
+        self.strips += 1;
+        self.seq.strip(events, at);
+    }
+}
+
 #[test]
 fn cache_simulation_sees_the_scalar_access_stream() {
-    // Under an observer that consumes per-element addresses lanes and
-    // tiles stand down entirely, so the cache simulator is fed exactly
-    // the reference interpreter's access *sequence* — same accesses, same
-    // order — under every VM name at every width. Since every VM name
-    // runs the superinstruction stream, this also pins that a
-    // superinstruction issues its loads and stores in the order of the
-    // plain ops it replaced.
+    // An observer that consumes per-element addresses is fed exactly the
+    // reference interpreter's access *sequence* — same accesses, same
+    // order — under every VM name at every width: tiles stand down, and a
+    // lane run reports each strip as the scalar loops would have issued
+    // it, position by position, across row ends and the ragged last
+    // strip. Since every VM name runs the superinstruction stream, this
+    // also pins that a superinstruction issues its loads and stores in
+    // the order of the plain ops it replaced.
     use zpl_fusion::loops::Observer;
     use zpl_fusion::sim::presets::t3e;
     use zpl_fusion::sim::MemSim;
     let m = t3e();
     let observe = |opt: &Optimized, binding: &ConfigBinding, engine: Engine, opts: ExecOpts| {
-        let mut obs = AccessSequence {
-            sim: MemSim::new(m.l1, m.l2),
-            hash: 0xcbf2_9ce4_8422_2325,
-            count: 0,
+        let mut obs = CountingStrips {
+            seq: AccessSequence {
+                sim: MemSim::new(m.l1, m.l2),
+                hash: 0xcbf2_9ce4_8422_2325,
+                count: 0,
+            },
+            strips: 0,
         };
         assert!(obs.wants_addresses());
         engine
@@ -207,38 +242,59 @@ fn cache_simulation_sees_the_scalar_access_stream() {
             .unwrap()
             .execute(&mut obs)
             .unwrap();
-        (obs.hash, obs.count, obs.sim.stats())
+        let CountingStrips { seq, strips } = obs;
+        ((seq.hash, seq.count, seq.sim.stats()), strips)
     };
     let stencil = genprog::generate_stencil(&mut Rng::new(7));
     let tomcatv = zpl_fusion::workloads::by_name("tomcatv").unwrap();
     let sp = zpl_fusion::workloads::by_name("sp").unwrap();
-    let cases = [
-        ("stencil", zlang::compile(&stencil).unwrap(), None),
+    let hand = |source: &str| zlang::compile(source).unwrap();
+    let mut cases = vec![
+        ("stencil", hand(&stencil), vec![]),
         (
             "tomcatv",
             tomcatv.program(),
-            Some((tomcatv.size_config, 12)),
+            vec![(tomcatv.size_config, 12)],
         ),
-        ("sp", sp.program(), Some((sp.size_config, 6))),
+        ("sp", sp.program(), vec![(sp.size_config, 6)]),
+        // The hand-written group: replay across row ends.
+        ("backwards", hand(BACKWARDS), vec![]),
+        ("backwards", hand(BACKWARDS), vec![("n", 5), ("m", 70)]),
+        ("skewed", hand(SKEWED), vec![]),
+        ("skewed", hand(SKEWED), vec![("m", 70)]),
+        ("cube", hand(CUBE), vec![]),
     ];
-    for (name, program, size) in &cases {
+    for m in [1, 2, 3, 5, 24, 63, 64, 65, 130] {
+        cases.push(("rows", hand(ROWS), vec![("m", m)]));
+    }
+    for (name, program, sets) in &cases {
         for level in [Level::C2F3, Level::Baseline] {
             let opt = Pipeline::new(level).optimize(program);
             let mut binding = ConfigBinding::defaults(&opt.scalarized.program);
-            if let Some((config, n)) = size {
+            for (config, n) in sets {
                 binding.set_by_name(&opt.scalarized.program, config, *n);
             }
-            let want = observe(&opt, &binding, Engine::Interp, ExecOpts::default());
-            assert!(want.1 > 0, "{name} at {level} touches no memory");
+            let ctx = format!("{name} {sets:?} at {level}");
+            let (want, strips) = observe(&opt, &binding, Engine::Interp, ExecOpts::default());
+            assert!(want.1 > 0, "{ctx} touches no memory");
+            assert_eq!(strips, 0, "{ctx}: interp has no lanes");
             for engine in [Engine::Vm, Engine::VmSimd, Engine::VmPar] {
                 for lanes in [0, 1, 8, 128] {
                     let threads = if engine == Engine::VmPar { 2 } else { 0 };
-                    let got = observe(&opt, &binding, engine, ExecOpts { threads, lanes });
+                    let (got, strips) =
+                        observe(&opt, &binding, engine, ExecOpts { threads, lanes });
                     assert_eq!(
                         got, want,
-                        "{name} at {level}: {engine} x{lanes} fed the cache simulator \
+                        "{ctx}: {engine} x{lanes} fed the cache simulator \
                          another access sequence than interp"
                     );
+                    // The sequence cannot show whether lanes ran; the strip
+                    // count does (`vm` pins one lane whatever is asked).
+                    if engine == Engine::Vm || lanes == 1 {
+                        assert_eq!(strips, 0, "{ctx}: {engine} x{lanes} is scalar dispatch");
+                    } else {
+                        assert!(strips > 0, "{ctx}: {engine} x{lanes} ran no lane");
+                    }
                 }
             }
         }
@@ -445,12 +501,14 @@ fn lane_fuel_is_the_scalar_count() {
     // The least fuel that completes a run is the number of ops the scalar
     // dispatcher executes over the one lowered stream. A lane run must
     // charge exactly that, so a budget means the same under every VM name
-    // and at every width.
+    // and at every width - and under every observer: lanes run under the
+    // cache simulator too (`observed`), at the same charge.
     fn completes(
         opt: &Optimized,
         binding: &ConfigBinding,
         (engine, lanes): (Engine, usize),
         fuel: u64,
+        observed: bool,
     ) -> bool {
         let mut exec = engine
             .executor_with(
@@ -462,7 +520,14 @@ fn lane_fuel_is_the_scalar_count() {
             )
             .unwrap();
         exec.set_limits(ExecLimits::none().with_fuel(fuel));
-        match exec.execute(&mut NoopObserver) {
+        let t3e = zpl_fusion::sim::presets::t3e();
+        let mut sim = zpl_fusion::sim::MemSim::new(t3e.l1, t3e.l2);
+        let ran = if observed {
+            exec.execute(&mut sim)
+        } else {
+            exec.execute(&mut NoopObserver)
+        };
+        match ran {
             Ok(_) => true,
             Err(e) => {
                 assert_eq!(e.kind, ErrorKind::Fuel, "{e}");
@@ -483,13 +548,13 @@ fn lane_fuel_is_the_scalar_count() {
         // bytecode (what `vm` is): bisect its least fuel.
         let scalar = (Engine::VmSimd, 1);
         let mut hi = 1u64;
-        while !completes(&opt, &binding, scalar, hi) {
+        while !completes(&opt, &binding, scalar, hi, false) {
             hi *= 2;
         }
         let mut lo = hi / 2; // fails (or is 0)
         while hi - lo > 1 {
             let mid = lo + (hi - lo) / 2;
-            if completes(&opt, &binding, scalar, mid) {
+            if completes(&opt, &binding, scalar, mid, false) {
                 hi = mid;
             } else {
                 lo = mid;
@@ -504,18 +569,22 @@ fn lane_fuel_is_the_scalar_count() {
             (Engine::VmPar, 1),
             (Engine::VmPar, 64),
         ];
-        for at @ (engine, lanes) in widths {
-            assert!(
-                completes(&opt, &binding, at, hi),
-                "{} on {engine} x{lanes}: {hi} ops of fuel complete the scalar run",
-                bench.name
-            );
-            assert!(
-                !completes(&opt, &binding, at, hi - 1),
-                "{} on {engine} x{lanes}: {} ops of fuel do not complete the scalar run",
-                bench.name,
-                hi - 1
-            );
+        for observed in [false, true] {
+            for at @ (engine, lanes) in widths {
+                assert!(
+                    completes(&opt, &binding, at, hi, observed),
+                    "{} on {engine} x{lanes}: {hi} ops of fuel complete the scalar run \
+                     (observed: {observed})",
+                    bench.name
+                );
+                assert!(
+                    !completes(&opt, &binding, at, hi - 1, observed),
+                    "{} on {engine} x{lanes}: {} ops of fuel do not complete the scalar run \
+                     (observed: {observed})",
+                    bench.name,
+                    hi - 1
+                );
+            }
         }
     }
 }
