@@ -30,21 +30,29 @@ fn usage() -> ! {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.is_empty() {
-        usage();
-    }
-    let quick = args.iter().any(|a| a == "--quick");
-    let engine = match args.iter().position(|a| a == "--engine") {
-        None => Engine::VmSimd,
-        Some(i) => match args.get(i + 1).map(|v| v.parse()) {
-            Some(Ok(e)) => e,
-            Some(Err(e)) => {
-                eprintln!("reproduce: {e}");
+    let Some((report, flags)) = args.split_first() else {
+        usage()
+    };
+    let mut quick = false;
+    let mut engine = Engine::VmSimd;
+    let mut flags = flags.iter();
+    while let Some(flag) = flags.next() {
+        match flag.as_str() {
+            "--quick" => quick = true,
+            "--engine" => match flags.next().map(|v| v.parse()) {
+                Some(Ok(e)) => engine = e,
+                Some(Err(e)) => {
+                    eprintln!("reproduce: {e}");
+                    usage()
+                }
+                None => usage(),
+            },
+            other => {
+                eprintln!("reproduce: unknown argument `{other}`");
                 usage()
             }
-            None => usage(),
-        },
-    };
+        }
+    }
     let procs: Vec<u64> = if quick {
         vec![1, 16]
     } else {
@@ -55,14 +63,14 @@ fn main() {
     let run_fig = |kind: MachineKind| {
         println!("{}", perf::report(kind, &levels, &procs, engine));
     };
-    match args[0].as_str() {
+    match report.as_str() {
         "fig6" => println!("{}", fig6::report()),
         "fig7" => println!("{}", fig7::report()),
         "fig8" => println!("{}", fig8::report()),
         "fig9" => run_fig(MachineKind::T3e),
         "fig10" => run_fig(MachineKind::Sp2),
         "fig11" => run_fig(MachineKind::Paragon),
-        "sec55" => println!("{}", sec55::report(16)),
+        "sec55" => println!("{}", sec55::report(16, engine)),
         "ablation" => {
             for kind in MachineKind::all() {
                 println!("{}", bench::ablation::report(&kind.machine(), engine));
@@ -76,7 +84,7 @@ fn main() {
             run_fig(MachineKind::T3e);
             run_fig(MachineKind::Sp2);
             run_fig(MachineKind::Paragon);
-            println!("{}", sec55::report(16));
+            println!("{}", sec55::report(16, engine));
             for kind in MachineKind::all() {
                 println!("{}", bench::ablation::report(&kind.machine(), engine));
             }

@@ -12,12 +12,13 @@
 //! The `reproduce` binary prints any or all of these as text tables:
 //!
 //! ```text
-//! reproduce fig6|fig7|fig8|fig9|fig10|fig11|sec55|all [--quick]
+//! reproduce fig6|fig7|fig8|fig9|fig10|fig11|sec55|ablation|all [--quick]
+//!           [--engine interp|vm|vm-simd|vm-par]
 //! ```
 //!
-//! Every number above is simulated and repeatable. Wall-clock measurement
-//! lives in the layered harness under `benchmark/`; the one exception is
-//! the `stencil` binary (see its module docs for why it is still here).
+//! Every number above is simulated and repeatable, and `reproduce` is the
+//! only binary this crate builds. Wall-clock measurement lives in the
+//! layered harness under `benchmark/` and nowhere else.
 
 pub mod ablation;
 pub mod fig6;

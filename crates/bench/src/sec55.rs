@@ -39,8 +39,9 @@ impl TradeoffRow {
     }
 }
 
-/// Runs the comparison for every benchmark on one machine at `procs`.
-pub fn rows(machine: &Machine, procs: u64) -> Vec<TradeoffRow> {
+/// Runs the comparison for every benchmark on one machine at `procs`,
+/// executing on `engine` (the numbers are the same under every engine).
+pub fn rows(machine: &Machine, procs: u64, engine: Engine) -> Vec<TradeoffRow> {
     benchmarks::all()
         .into_iter()
         .map(|bench| {
@@ -59,7 +60,7 @@ pub fn rows(machine: &Machine, procs: u64) -> Vec<TradeoffRow> {
                     machine: machine.clone(),
                     procs,
                     policy: CommPolicy::default(),
-                    engine: Engine::default(),
+                    engine,
                     threads: 0,
                     limits: loopir::ExecLimits::none(),
                 };
@@ -81,7 +82,7 @@ pub fn rows(machine: &Machine, procs: u64) -> Vec<TradeoffRow> {
 }
 
 /// Renders the Section 5.5 comparison across all three machines.
-pub fn report(procs: u64) -> String {
+pub fn report(procs: u64, engine: Engine) -> String {
     let mut out = format!(
         "Section 5.5 — slowdown when favoring communication optimization over fusion\n\
          (c2+f3, p = {procs}; positive = favoring communication is slower)\n\n"
@@ -96,7 +97,7 @@ pub fn report(procs: u64) -> String {
     ]);
     let per_machine: Vec<Vec<TradeoffRow>> = MachineKind::all()
         .iter()
-        .map(|k| rows(&k.machine(), procs))
+        .map(|k| rows(&k.machine(), procs, engine))
         .collect();
     for (i, bench) in benchmarks::all().iter().enumerate() {
         t.row(vec![
@@ -119,7 +120,7 @@ mod tests {
 
     #[test]
     fn favoring_comm_never_contracts_more() {
-        for r in rows(&t3e(), 16) {
+        for r in rows(&t3e(), 16, Engine::default()) {
             assert!(
                 r.contracted_comm <= r.contracted_fusion,
                 "{}: {} > {}",
@@ -132,7 +133,7 @@ mod tests {
 
     #[test]
     fn stencil_benchmarks_slow_down_when_comm_is_favored() {
-        let rs = rows(&t3e(), 16);
+        let rs = rows(&t3e(), 16, Engine::default());
         let by = |name: &str| rs.iter().find(|r| r.bench.name == name).unwrap();
         // The codes that lose many contractions slow down clearly.
         for name in ["tomcatv", "sp"] {

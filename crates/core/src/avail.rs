@@ -1,14 +1,12 @@
-//! Offset-lattice availability analysis for stencil redundancy.
+//! Offset-lattice availability facts for stencil redundancy.
 //!
-//! The `+rce` pass ([`crate::pass::PassId::Rce`]) only matches a whole
-//! RHS that is one uniform shift of an earlier statement's RHS. Stencil
-//! codes (Tomcatv, Simple, SP) leave most of their redundancy on the
-//! table at that granularity: the same *subexpression* recurs at several
-//! neighboring offsets inside one statement (flux pairs like
-//! `RHO@[1,0]*U@[1,0] - RHO@[-1,0]*U@[-1,0]`), across statements, and
-//! across iterations of the sequential time loop. Finding those requires
-//! a genuine forward dataflow analysis, which this module provides and
-//! [`crate::rce2`] consumes.
+//! Stencil codes (Tomcatv, Simple, SP) recompute the same *subexpression*
+//! at several neighboring offsets inside one statement (flux pairs like
+//! `RHO@[1,0]*U@[1,0] - RHO@[-1,0]*U@[-1,0]`) and across the statements
+//! of a block. This module is the fact algebra that finds them — the
+//! canonical forms, the per-statement transfer function and the symbolic
+//! region predicates — and [`crate::rce2`], its one consumer, walks each
+//! basic block with it from an empty state.
 //!
 //! # The lattice
 //!
@@ -25,9 +23,10 @@
 //! `provider[p] = canon[p + base]` for all `p ∈ region`. The abstract
 //! state at a program point is a set of facts: for each canonical key, a
 //! finite subset of the (ℤ^rank) offset lattice of shifts at which the
-//! value is materialized. The ordering is set inclusion; **join over
-//! predecessors is intersection** (availability is a must-analysis: a
-//! reuse is legal only if the fact holds on every path).
+//! value is materialized. Availability is a must-analysis (a reuse is
+//! legal only if the fact holds on every path), and no fact crosses a
+//! block boundary: every block starts from the empty state, so there is
+//! no join to compute.
 //!
 //! # Transfer function
 //!
@@ -57,15 +56,9 @@
 //!
 //! Dropping facts is always sound for a must-analysis: it can only
 //! suppress a rewrite, never enable an illegal one.
-//!
-//! For loops, one join suffices: the kill set of a loop body does not
-//! depend on the abstract state, so `entry ⊓ transfer(body, entry)` is
-//! already the fixpoint of the back edge (facts only ever shrink).
-//! [`report`] exposes the whole analysis as text via `zlc --print avail`.
 
 use crate::hash::expr_hash;
-use crate::normal::{BStmt, Block, NStmt, NormProgram};
-use std::fmt::Write as _;
+use crate::normal::{BStmt, Block, NStmt};
 use zlang::ir::{ArrayExpr, ArrayId, LinExpr, Offset, Program, RegionId, ScalarId};
 
 /// Maximum distinct shifts tracked per canonical key before widening
@@ -253,7 +246,7 @@ pub fn replace_at(e: &mut ArrayExpr, path: &[u32], new: ArrayExpr) -> bool {
 }
 
 // ---------------------------------------------------------------------------
-// Symbolic region predicates (shared with RCE and the rce2 verifier)
+// Symbolic region predicates (shared with the rce2 verifier)
 // ---------------------------------------------------------------------------
 
 /// `a <= b` provable symbolically: identical config terms, constant
@@ -261,11 +254,6 @@ pub fn replace_at(e: &mut ArrayExpr, path: &[u32], new: ArrayExpr) -> bool {
 /// [`LinExpr`]'s constructors.)
 pub fn lin_le(a: &LinExpr, b: &LinExpr) -> bool {
     a.terms == b.terms && a.base <= b.base
-}
-
-/// `a < b` provable symbolically.
-pub fn lin_lt(a: &LinExpr, b: &LinExpr) -> bool {
-    a.terms == b.terms && a.base < b.base
 }
 
 /// Whether `inner + delta ⊆ outer` holds for every symbolic binding.
@@ -285,26 +273,6 @@ pub fn region_contains_shifted(
         .zip(&ri.extents)
         .zip(delta)
         .all(|((o, i), &d)| lin_le(&o.lo, &i.lo.offset(d)) && lin_le(&i.hi.offset(d), &o.hi))
-}
-
-/// Whether `a ∩ (b + delta) = ∅` holds for every symbolic binding: some
-/// dimension's extents are provably ordered with a gap.
-pub fn regions_disjoint_shifted(
-    program: &Program,
-    a: RegionId,
-    b: RegionId,
-    delta: &[i64],
-) -> bool {
-    let ra = program.region(a);
-    let rb = program.region(b);
-    if ra.rank() != rb.rank() || ra.rank() != delta.len() {
-        return false;
-    }
-    ra.extents
-        .iter()
-        .zip(&rb.extents)
-        .zip(delta)
-        .any(|((ea, eb), &d)| lin_lt(&ea.hi, &eb.lo.offset(d)) || lin_lt(&eb.hi.offset(d), &ea.lo))
 }
 
 // ---------------------------------------------------------------------------
@@ -369,18 +337,6 @@ impl AvailState {
         }
         self.facts.push(f);
     }
-
-    /// The lattice join: must-availability intersects over predecessors.
-    pub fn meet(&self, other: &AvailState) -> AvailState {
-        AvailState {
-            facts: self
-                .facts
-                .iter()
-                .filter(|f| other.facts.iter().any(|g| g == *f))
-                .cloned()
-                .collect(),
-        }
-    }
 }
 
 /// Applies one statement's transfer function (kills, then gens).
@@ -431,22 +387,8 @@ pub fn transfer(program: &Program, state: &mut AvailState, stmt: &BStmt, block: 
     }
 }
 
-/// Per-statement input states for one block starting from `entry`:
-/// `states[i]` holds before `stmts[i]`; `states[len]` is the exit state.
-pub fn block_states(np: &NormProgram, bi: usize, entry: &AvailState) -> Vec<AvailState> {
-    let block = &np.blocks[bi];
-    let mut states = Vec::with_capacity(block.stmts.len() + 1);
-    let mut cur = entry.clone();
-    for (i, s) in block.stmts.iter().enumerate() {
-        states.push(cur.clone());
-        transfer(&np.program, &mut cur, s, bi, i);
-    }
-    states.push(cur);
-    states
-}
-
 // ---------------------------------------------------------------------------
-// Whole-program flow and the `--print avail` report
+// Writes under a skeleton subtree (hoisting and its re-checker)
 // ---------------------------------------------------------------------------
 
 /// Collects every array and scalar written anywhere under a skeleton
@@ -484,111 +426,6 @@ pub fn written_under(
             }
         }
     }
-}
-
-fn kill_written(state: &mut AvailState, np: &NormProgram, body: &[NStmt]) {
-    let mut arrays = Vec::new();
-    let mut scalars = Vec::new();
-    written_under(&np.blocks, body, &mut arrays, &mut scalars);
-    for a in arrays {
-        state.kill_array(a);
-    }
-    for s in scalars {
-        state.kill_scalar(s);
-    }
-}
-
-fn flow(
-    np: &NormProgram,
-    body: &[NStmt],
-    state: &mut AvailState,
-    out: &mut Option<&mut String>,
-    depth: usize,
-) {
-    let indent = "  ".repeat(depth);
-    for n in body {
-        match n {
-            NStmt::Block(bi) => {
-                if let Some(o) = out {
-                    let _ = writeln!(o, "{indent}// block {bi}");
-                }
-                for (i, s) in np.blocks[*bi].stmts.iter().enumerate() {
-                    let before_facts = state.facts.clone();
-                    transfer(&np.program, state, s, *bi, i);
-                    if let Some(o) = out {
-                        let _ = writeln!(o, "{indent}{}", crate::pass::print_bstmt(&np.program, s));
-                        for f in &state.facts {
-                            if !before_facts.contains(f) {
-                                let _ = writeln!(o, "{indent}//   + {}", render_fact(np, f));
-                            }
-                        }
-                    }
-                }
-            }
-            NStmt::For { var, body, .. } => {
-                // One join reaches the back-edge fixpoint: the body's kill
-                // set is state-independent, so facts surviving the body's
-                // kills once survive every iteration.
-                kill_written(state, np, body);
-                if let Some(o) = out {
-                    let _ = writeln!(
-                        o,
-                        "{indent}// for {}: {} loop-invariant fact(s) enter the loop",
-                        np.program.scalar(*var).name,
-                        state.facts.len()
-                    );
-                }
-                flow(np, body, state, out, depth + 1);
-                // Facts generated inside the body hold after the last
-                // iteration; trip-count 0 would skip the body entirely, so
-                // keep only facts that also held at entry... which is
-                // exactly what another body-kill application computes for
-                // entry facts; conservatively drop body-generated facts
-                // unless the loop provably runs (callers re-derive them).
-                kill_written(state, np, body);
-            }
-            NStmt::If {
-                then_body,
-                else_body,
-                ..
-            } => {
-                let mut t = state.clone();
-                let mut e = state.clone();
-                flow(np, then_body, &mut t, &mut None, depth + 1);
-                flow(np, else_body, &mut e, &mut None, depth + 1);
-                if let Some(o) = out {
-                    let _ = writeln!(o, "{indent}// if: join of branch states");
-                }
-                *state = t.meet(&e);
-            }
-        }
-    }
-}
-
-fn render_fact(np: &NormProgram, f: &Fact) -> String {
-    format!(
-        "{}[p] = ({})[p + {:?}] over {}",
-        np.program.array(f.provider).name,
-        zlang::pretty::array_expr(&np.program, &f.canon),
-        f.base,
-        np.program.region(f.region).name,
-    )
-}
-
-/// Renders the availability analysis over the whole program — the
-/// `zlc --print avail` output. Each statement is followed by the facts
-/// it establishes; loop headers report how many facts survive the
-/// back-edge join (the loop-invariant set).
-pub fn report(np: &NormProgram) -> String {
-    let mut out =
-        String::from("// offset-lattice availability (must-facts; + marks facts established)\n");
-    let mut state = AvailState::default();
-    {
-        let mut sink = Some(&mut out);
-        flow(np, &np.body, &mut state, &mut sink, 0);
-    }
-    let _ = writeln!(out, "// exit: {} fact(s) live", state.facts.len());
-    out
 }
 
 #[cfg(test)]
@@ -669,44 +506,10 @@ mod tests {
     }
 
     #[test]
-    fn meet_is_intersection() {
-        let f = Fact {
-            key: 1,
-            canon: read(0, vec![0]),
-            has_index: false,
-            provider: ArrayId(1),
-            base: vec![0],
-            region: RegionId(0),
-            block: 0,
-            stmt: 0,
-        };
-        let mut g = f.clone();
-        g.base = vec![1];
-        let a = AvailState {
-            facts: vec![f.clone(), g.clone()],
-        };
-        let b = AvailState {
-            facts: vec![f.clone()],
-        };
-        assert_eq!(a.meet(&b).facts, vec![f]);
-    }
-
-    #[test]
-    fn disjointness_needs_a_provable_gap() {
-        let p = zlang::compile(
-            "program t; config n : int = 8; \
-             region A = [1..n]; region B = [n+1..n+1]; region C = [n..n]; \
-             var X : [A] float; begin [A] X := 1.0; end",
-        )
-        .unwrap();
-        let a = RegionId(0);
-        let b = RegionId(1);
-        let c = RegionId(2);
-        assert!(regions_disjoint_shifted(&p, a, b, &[0]));
-        assert!(regions_disjoint_shifted(&p, b, a, &[0]));
-        // [n..n] overlaps [1..n].
-        assert!(!regions_disjoint_shifted(&p, a, c, &[0]));
-        // ... but not once shifted past the end.
-        assert!(regions_disjoint_shifted(&p, a, c, &[1]));
+    fn lin_le_requires_identical_terms() {
+        let a = LinExpr::constant(3);
+        let b = LinExpr::constant(5);
+        assert!(lin_le(&a, &b));
+        assert!(!lin_le(&b, &a));
     }
 }

@@ -19,16 +19,15 @@
 //! The ASDG is the expensive cached analysis: each block's graph is built
 //! at most once per *mutation epoch* (the count of builds is reported in
 //! [`Optimized::asdg_builds`]). The passes that rewrite statements — the
-//! array-level cleanups [`PassId::Dse`], [`PassId::Rce`] and
-//! [`PassId::Rce2`], off at every paper level and enabled with the
-//! `+dse` / `+rce` / `+rce2` level suffixes — start a new epoch themselves
-//! by calling `CompileSession::invalidate` when they changed something.
+//! array-level cleanups [`PassId::Dse`] and [`PassId::Rce2`], off at every
+//! paper level and enabled with the `+dse` / `+rce2` level suffixes —
+//! start a new epoch themselves by calling `CompileSession::invalidate`
+//! when they changed something.
 //!
 //! [`PassId`] is also the shared *stage identity* used by the supervisor's
 //! panic attribution and by verifier diagnostics.
 
 use crate::asdg::{self, Asdg, DefId};
-use crate::avail::{region_contains_shifted, regions_disjoint_shifted};
 use crate::ext::PartialGroup;
 use crate::fusion::{FusionCtx, FusionOpts, Partition};
 use crate::normal::{self, BStmt, NStmt, NormProgram};
@@ -42,7 +41,7 @@ use std::fmt;
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 use zlang::ast::ReduceOp;
-use zlang::ir::{ArrayExpr, ArrayId, ConfigBinding, Offset, Program, ScalarId};
+use zlang::ir::{ArrayId, ConfigBinding, Program};
 
 /// Identity of a compilation stage: every pass [`Pipeline::optimize`] can
 /// run ([`PassId::is_optimizer_pass`]), the translation validator's
@@ -62,8 +61,6 @@ pub enum PassId {
     Normalize,
     /// Dead-statement elimination over the ASDG (`+dse` levels only).
     Dse,
-    /// Redundant-computation elimination (`+rce` levels only).
-    Rce,
     /// Stencil-aware redundancy elimination over the offset-lattice
     /// availability analysis (`+rce2` levels only).
     Rce2,
@@ -102,12 +99,11 @@ pub enum PassId {
 
 impl PassId {
     /// Every stage, in pipeline order.
-    pub fn all() -> [PassId; 20] {
+    pub fn all() -> [PassId; 19] {
         [
             PassId::Parse,
             PassId::Normalize,
             PassId::Dse,
-            PassId::Rce,
             PassId::Rce2,
             PassId::FuseContraction,
             PassId::FuseLocality,
@@ -134,7 +130,6 @@ impl PassId {
             PassId::Parse => "parse",
             PassId::Normalize => "normalize",
             PassId::Dse => "dse",
-            PassId::Rce => "rce",
             PassId::Rce2 => "rce2",
             PassId::FuseContraction => "fuse-contraction",
             PassId::FuseLocality => "fuse-locality",
@@ -161,7 +156,7 @@ impl PassId {
     }
 
     /// Whether [`Pipeline::optimize`] can run this stage as a pass: the
-    /// eleven transformations from `normalize` to `scalarize`. Exactly
+    /// ten transformations from `normalize` to `scalarize`. Exactly
     /// these leave an IR snapshot behind (`zlc --emit`, listed by
     /// `zlc --list-passes`); the other stages only name where a fault or
     /// a diagnostic came from.
@@ -170,7 +165,6 @@ impl PassId {
             self,
             PassId::Normalize
                 | PassId::Dse
-                | PassId::Rce
                 | PassId::Rce2
                 | PassId::FuseContraction
                 | PassId::FuseLocality
@@ -437,7 +431,7 @@ impl<'s> CompileSession<'s> {
     /// loop-level program.
     fn snapshot(&self, id: PassId) -> String {
         match id {
-            PassId::Normalize | PassId::Dse | PassId::Rce => self.snapshot_norm(id),
+            PassId::Normalize | PassId::Dse => self.snapshot_norm(id),
             PassId::Rce2 => self.snapshot_rce2(),
             PassId::FuseContraction
             | PassId::FuseLocality
@@ -562,7 +556,7 @@ impl<'s> CompileSession<'s> {
 }
 
 /// Renders one normalized statement in source-like syntax.
-pub(crate) fn print_bstmt(p: &Program, s: &BStmt) -> String {
+fn print_bstmt(p: &Program, s: &BStmt) -> String {
     match s {
         BStmt::Array(a) => format!(
             "[{}] {} := {}",
@@ -659,40 +653,6 @@ pub(crate) fn dse(s: &mut CompileSession<'_>) -> bool {
     changed
 }
 
-/// Redundant-computation elimination: when a later statement recomputes
-/// an earlier statement's right-hand side (element-wise, modulo one
-/// uniform offset shift δ), the recomputation is replaced by a shifted
-/// read of the earlier result.
-///
-/// For a pair `[Ri] B := rhs;  ...  [Rj] C := rhs@δ`, the merge is legal
-/// when no array read by `rhs` (and not `B` itself) is redefined between
-/// the two statements, no scalar read by `rhs` is rewritten between them,
-/// `rhs` contains no `index` term if δ ≠ 0, and `Rj + δ ⊆ Ri` holds
-/// symbolically — every element the shifted read touches was actually
-/// written (not stale halo) by the earlier statement.
-///
-/// Off at every paper level; enabled with the `+rce` level suffix.
-pub(crate) fn rce(s: &mut CompileSession<'_>) -> bool {
-    let mut changed = false;
-    let np = s.norm.as_mut().expect("normalize must run first");
-    for block in &mut np.blocks {
-        for j in 1..block.stmts.len() {
-            let replacement = find_rce_source(&np.program, &block.stmts, j);
-            if let Some((src, delta)) = replacement {
-                let BStmt::Array(a) = &mut block.stmts[j] else {
-                    unreachable!("find_rce_source only matches array statements");
-                };
-                a.rhs = ArrayExpr::Read(src, Offset(delta));
-                changed = true;
-            }
-        }
-    }
-    if changed {
-        s.invalidate();
-    }
-    changed
-}
-
 /// Stencil-aware redundancy elimination driven by the offset-lattice
 /// availability analysis ([`crate::avail`]): subexpression-level reuse
 /// across statements (shifted reads of earlier results or of fresh
@@ -711,139 +671,6 @@ pub(crate) fn rce2(s: &mut CompileSession<'_>) -> bool {
         s.invalidate();
     }
     changed
-}
-
-/// Finds the earliest statement `i < j` whose RHS statement `j`
-/// redundantly recomputes, returning the array to read instead and the
-/// offset shift. See [`rce`] for the legality conditions.
-fn find_rce_source(program: &Program, stmts: &[BStmt], j: usize) -> Option<(ArrayId, Vec<i64>)> {
-    let BStmt::Array(sj) = &stmts[j] else {
-        return None;
-    };
-    // A bare shifted read is already the form RCE produces; rewriting it
-    // to read another array would gain nothing.
-    if matches!(sj.rhs, ArrayExpr::Read(..)) {
-        return None;
-    }
-    // Neither would forwarding a fill that reads no array (a constant, a
-    // scalar): it saves no flop and adds a load stream. `avail` applies
-    // the same rule to its canonical forms.
-    let reads: Vec<(ArrayId, Offset)> = stmts[j].reads();
-    if reads.is_empty() {
-        return None;
-    }
-    let rank = program.region(sj.region).rank();
-    for i in 0..j {
-        let BStmt::Array(si) = &stmts[i] else {
-            continue;
-        };
-        if si.lhs == sj.lhs {
-            continue;
-        }
-        let mut delta: Option<Vec<i64>> = None;
-        let mut has_index = false;
-        if !rhs_equal_shifted(&si.rhs, &sj.rhs, &mut delta, &mut has_index) {
-            continue;
-        }
-        let delta = delta.expect("a matched right-hand side with a read fixes the shift");
-        if delta.len() != rank {
-            continue;
-        }
-        if has_index && delta.iter().any(|&d| d != 0) {
-            // `index` evaluates to the iteration point: shifting the read
-            // would shift it too, which a plain read cannot express.
-            continue;
-        }
-        // Every element read, `Rj + δ`, must have been written by
-        // statement i — i.e. lie inside `Ri` — or the read sees stale
-        // halo values.
-        if !region_contains_shifted(program, si.region, sj.region, &delta) {
-            continue;
-        }
-        // Nothing the RHS depends on may change between i and j, and the
-        // source array must still hold statement i's values. A write to a
-        // dependency is harmless when its region is provably disjoint
-        // from every element the rewritten statement will touch — e.g. a
-        // boundary-row update between two interior-region statements.
-        let scalar_reads: HashSet<ScalarId> = stmts[j].scalar_reads().into_iter().collect();
-        let clobbered = stmts[i + 1..j].iter().any(|st| {
-            if let BStmt::Array(w) = st {
-                if w.lhs == si.lhs
-                    && !regions_disjoint_shifted(program, w.region, sj.region, &delta)
-                {
-                    return true;
-                }
-                for (ra, off) in &reads {
-                    if *ra == w.lhs
-                        && !regions_disjoint_shifted(program, w.region, sj.region, &off.0)
-                    {
-                        return true;
-                    }
-                }
-            }
-            if let Some(sc) = st.lhs_scalar() {
-                if scalar_reads.contains(&sc) {
-                    return true;
-                }
-            }
-            false
-        });
-        if clobbered {
-            continue;
-        }
-        return Some((si.lhs, delta));
-    }
-    None
-}
-
-/// Structural equality of two array expressions modulo one uniform offset
-/// shift on every `Read`: accumulates the shift into `delta` and flags
-/// whether the expressions contain an `index` term.
-fn rhs_equal_shifted(
-    a: &ArrayExpr,
-    b: &ArrayExpr,
-    delta: &mut Option<Vec<i64>>,
-    has_index: &mut bool,
-) -> bool {
-    match (a, b) {
-        (ArrayExpr::Read(a1, o1), ArrayExpr::Read(a2, o2)) => {
-            if a1 != a2 || o1.0.len() != o2.0.len() {
-                return false;
-            }
-            let d: Vec<i64> = o2.0.iter().zip(&o1.0).map(|(x, y)| x - y).collect();
-            match delta {
-                Some(prev) => *prev == d,
-                None => {
-                    *delta = Some(d);
-                    true
-                }
-            }
-        }
-        (ArrayExpr::ScalarRef(s1), ArrayExpr::ScalarRef(s2)) => s1 == s2,
-        (ArrayExpr::ConfigRef(c1), ArrayExpr::ConfigRef(c2)) => c1 == c2,
-        (ArrayExpr::Const(v1), ArrayExpr::Const(v2)) => v1 == v2,
-        (ArrayExpr::Index(d1), ArrayExpr::Index(d2)) => {
-            *has_index = true;
-            d1 == d2
-        }
-        (ArrayExpr::Unary(op1, x1), ArrayExpr::Unary(op2, x2)) => {
-            op1 == op2 && rhs_equal_shifted(x1, x2, delta, has_index)
-        }
-        (ArrayExpr::Binary(op1, l1, r1), ArrayExpr::Binary(op2, l2, r2)) => {
-            op1 == op2
-                && rhs_equal_shifted(l1, l2, delta, has_index)
-                && rhs_equal_shifted(r1, r2, delta, has_index)
-        }
-        (ArrayExpr::Call(i1, args1), ArrayExpr::Call(i2, args2)) => {
-            i1 == i2
-                && args1.len() == args2.len()
-                && args1
-                    .iter()
-                    .zip(args2)
-                    .all(|(x, y)| rhs_equal_shifted(x, y, delta, has_index))
-        }
-        _ => false,
-    }
 }
 
 /// `FUSION-FOR-CONTRACTION` over the contraction-candidate definitions
@@ -1095,42 +922,5 @@ mod tests {
             );
             assert_eq!(id.definition().is_some(), is_pipeline_verifier, "{id}");
         }
-    }
-
-    #[test]
-    fn lin_le_requires_identical_terms() {
-        use crate::avail::lin_le;
-        use zlang::ir::LinExpr;
-        let a = LinExpr::constant(3);
-        let b = LinExpr::constant(5);
-        assert!(lin_le(&a, &b));
-        assert!(!lin_le(&b, &a));
-    }
-
-    #[test]
-    fn rhs_shift_detects_uniform_offsets() {
-        use zlang::ast::BinOp;
-        let a = ArrayExpr::Binary(
-            BinOp::Add,
-            Box::new(ArrayExpr::Read(ArrayId(0), Offset(vec![0, 0]))),
-            Box::new(ArrayExpr::Read(ArrayId(1), Offset(vec![1, 0]))),
-        );
-        let b = ArrayExpr::Binary(
-            BinOp::Add,
-            Box::new(ArrayExpr::Read(ArrayId(0), Offset(vec![0, 1]))),
-            Box::new(ArrayExpr::Read(ArrayId(1), Offset(vec![1, 1]))),
-        );
-        let mut delta = None;
-        let mut has_index = false;
-        assert!(rhs_equal_shifted(&a, &b, &mut delta, &mut has_index));
-        assert_eq!(delta, Some(vec![0, 1]));
-        // Mismatched per-read shifts are rejected.
-        let c = ArrayExpr::Binary(
-            BinOp::Add,
-            Box::new(ArrayExpr::Read(ArrayId(0), Offset(vec![0, 1]))),
-            Box::new(ArrayExpr::Read(ArrayId(1), Offset(vec![1, 2]))),
-        );
-        let mut delta = None;
-        assert!(!rhs_equal_shifted(&a, &c, &mut delta, &mut has_index));
     }
 }

@@ -117,16 +117,18 @@ impl fmt::Display for Level {
 /// optimize* that a request, a pipeline, a cache key and a report have
 /// to agree on, as one value. Its `FromStr`/`Display` are the one
 /// implementation of the `zlc --level` grammar: a paper level name
-/// followed by `+dse` / `+rce` / `+rce2` suffixes in any order, rendered
-/// canonically as `{level}{+dse}{+rce}{+rce2}`. A bare [`Level`] converts
-/// to the spec with every cleanup off.
+/// followed by `+dse` / `+rce2` suffixes in either order, each at most
+/// once, rendered canonically as `{level}{+dse}{+rce2}`. A bare [`Level`]
+/// converts to the spec with every cleanup off.
 ///
 /// ```
 /// use fusion_core::{Level, LevelSpec};
 /// let spec: LevelSpec = "c2+f3+rce2+dse".parse().unwrap();
 /// assert_eq!(spec.level, Level::C2F3);
-/// assert!(spec.dse && spec.rce2 && !spec.rce);
+/// assert!(spec.dse && spec.rce2);
 /// assert_eq!(spec.to_string(), "c2+f3+dse+rce2");
+/// let twice = "c2+dse+dse".parse::<LevelSpec>().unwrap_err();
+/// assert!(twice.contains("`+dse` is given twice"), "{twice}");
 /// assert_eq!(LevelSpec::from(Level::C2).to_string(), "c2");
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -137,12 +139,6 @@ pub struct LevelSpec {
     /// definition is never read and whose region is fully overwritten
     /// later in the block are removed.
     pub dse: bool,
-    /// Redundant-computation elimination ([`PassId::Rce`]): statements
-    /// recomputing an earlier right-hand side (modulo a uniform offset
-    /// shift) become shifted reads of the earlier result. Only a
-    /// right-hand side that reads an array counts: forwarding a constant
-    /// fill saves no flop and adds a load stream.
-    pub rce: bool,
     /// Stencil-aware redundancy elimination ([`PassId::Rce2`]): an
     /// offset-lattice availability analysis finds subexpressions whose
     /// value is already materialized at a constant shift, rewrites them
@@ -158,7 +154,6 @@ impl From<Level> for LevelSpec {
         LevelSpec {
             level,
             dse: false,
-            rce: false,
             rce2: false,
         }
     }
@@ -170,21 +165,21 @@ impl FromStr for LevelSpec {
     /// # Errors
     ///
     /// A rustc-style message naming the valid levels when the base level
-    /// is unknown.
+    /// is unknown, or the suffix when one is given twice.
     fn from_str(text: &str) -> Result<Self, String> {
         let mut spec = LevelSpec::from(Level::Baseline);
         let mut base = text;
         loop {
-            // `+rce2` must be tried before `+rce`, which is its suffix.
-            let (rest, flag) = if let Some(rest) = base.strip_suffix("+dse") {
-                (rest, &mut spec.dse)
+            let (rest, suffix, flag) = if let Some(rest) = base.strip_suffix("+dse") {
+                (rest, "+dse", &mut spec.dse)
             } else if let Some(rest) = base.strip_suffix("+rce2") {
-                (rest, &mut spec.rce2)
-            } else if let Some(rest) = base.strip_suffix("+rce") {
-                (rest, &mut spec.rce)
+                (rest, "+rce2", &mut spec.rce2)
             } else {
                 break;
             };
+            if *flag {
+                return Err(format!("level `{text}`: `{suffix}` is given twice"));
+            }
             base = rest;
             *flag = true;
         }
@@ -193,8 +188,8 @@ impl FromStr for LevelSpec {
             .find(|l| l.name() == base)
             .ok_or_else(|| {
                 format!(
-                    "unknown level `{text}` (expected one of: {}; append `+dse`/`+rce`/`+rce2` \
-                     for the cleanup passes)",
+                    "unknown level `{text}` (expected one of: {}; append `+dse`/`+rce2` for the \
+                     cleanup passes)",
                     Level::all().map(|l| l.name()).join(", ")
                 )
             })?;
@@ -205,7 +200,7 @@ impl FromStr for LevelSpec {
 impl fmt::Display for LevelSpec {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.level.name())?;
-        for (on, suffix) in [(self.dse, "+dse"), (self.rce, "+rce"), (self.rce2, "+rce2")] {
+        for (on, suffix) in [(self.dse, "+dse"), (self.rce2, "+rce2")] {
             if on {
                 f.write_str(suffix)?;
             }
@@ -372,13 +367,6 @@ impl<'f> Pipeline<'f> {
         self
     }
 
-    /// Switches [`LevelSpec::rce`] on. Off at every paper level (`+rce`
-    /// level suffix in `zlc`).
-    pub fn with_rce(mut self) -> Self {
-        self.spec.rce = true;
-        self
-    }
-
     /// Switches [`LevelSpec::rce2`] on. Off at every paper level (`+rce2`
     /// level suffix in `zlc`).
     pub fn with_rce2(mut self) -> Self {
@@ -445,19 +433,11 @@ impl<'f> Pipeline<'f> {
     /// Afterwards the translation validator runs once over the result
     /// when the [`VerifyLevel`] says so.
     pub fn optimize(&self, program: &Program) -> Optimized {
-        let LevelSpec {
-            level,
-            dse,
-            rce,
-            rce2,
-        } = self.spec;
+        let LevelSpec { level, dse, rce2 } = self.spec;
         let mut s = CompileSession::new(self, program);
         s.pass(PassId::Normalize, pass::normalize);
         if dse {
             s.pass(PassId::Dse, pass::dse);
-        }
-        if rce {
-            s.pass(PassId::Rce, pass::rce);
         }
         if rce2 {
             s.pass(PassId::Rce2, pass::rce2);

@@ -1,7 +1,7 @@
 //! One run configuration: [`RunRequest`].
 //!
 //! A request says what to compile (a [`LevelSpec`]: level plus the
-//! `+dse`/`+rce`/`+rce2` cleanups), how to execute it (engine, threads,
+//! `+dse`/`+rce2` cleanups), how to execute it (engine, threads,
 //! lanes, budgets) and under which config overrides. `zlc`, the lazy
 //! frontend, the compile cache, the serve path and the simulated
 //! runtime's `ExecConfig::from_request` all read this one value, and a
@@ -29,7 +29,7 @@
 //!     .with_engine(Engine::VmSimd)
 //!     .with_set("n", 32);
 //! assert_eq!(req.spec.level, Level::C2F3);
-//! assert!(req.spec.dse && !req.spec.rce);
+//! assert!(req.spec.dse && !req.spec.rce2);
 //! assert_eq!(req.level_spec(), "c2+f3+dse");
 //! ```
 
@@ -94,7 +94,7 @@ impl RunRequest {
         RunRequest::default()
     }
 
-    /// Sets the optimization level (keeping any `+dse`/`+rce`/`+rce2`
+    /// Sets the optimization level (keeping any `+dse`/`+rce2`
     /// choices).
     pub fn with_level(mut self, level: Level) -> Self {
         self.spec.level = level;
@@ -107,7 +107,7 @@ impl RunRequest {
     /// # Errors
     ///
     /// Returns a rustc-style message naming the valid levels when the
-    /// base level is unknown.
+    /// base level is unknown, or the suffix when one is given twice.
     pub fn with_level_spec(mut self, spec: &str) -> Result<Self, String> {
         self.spec = spec.parse()?;
         Ok(self)
@@ -259,20 +259,19 @@ mod tests {
         for spec in [
             "baseline",
             "c2+f3",
-            "c2+f4+dse+rce",
-            "f1+rce",
+            "c2+f4+dse",
+            "f1+rce2",
             "c2+f3+rce2",
-            "c2+dse+rce+rce2",
+            "c2+dse+rce2",
         ] {
             let req = RunRequest::new().with_level_spec(spec).unwrap();
             assert_eq!(req.level_spec(), spec, "{spec}");
         }
-        // Suffixes parse in any order but render canonically.
-        let req = RunRequest::new().with_level_spec("c2+rce+dse").unwrap();
-        assert_eq!(req.level_spec(), "c2+dse+rce");
-        // `+rce2` is not mistaken for `+rce`.
+        // Suffixes parse in either order but render canonically.
+        let req = RunRequest::new().with_level_spec("c2+rce2+dse").unwrap();
+        assert_eq!(req.level_spec(), "c2+dse+rce2");
         let req = RunRequest::new().with_level_spec("c2+rce2").unwrap();
-        assert!(req.spec.rce2 && !req.spec.rce);
+        assert!(req.spec.rce2 && !req.spec.dse);
     }
 
     #[test]
@@ -280,6 +279,15 @@ mod tests {
         let err = RunRequest::new().with_level_spec("o3").unwrap_err();
         assert!(err.contains("unknown level `o3`"), "{err}");
         assert!(err.contains("c2+f3"), "{err}");
+        // The retired `+rce` suffix is an unknown level like any other.
+        let err = RunRequest::new().with_level_spec("c2+rce").unwrap_err();
+        assert!(err.contains("unknown level `c2+rce`"), "{err}");
+        assert!(err.contains("`+dse`/`+rce2`"), "{err}");
+        // One spec has one spelling: a repeated suffix is rejected by name.
+        let err = RunRequest::new()
+            .with_level_spec("c2+f3+rce2+rce2")
+            .unwrap_err();
+        assert!(err.contains("`+rce2` is given twice"), "{err}");
     }
 
     #[test]

@@ -9,18 +9,17 @@
 //!
 //! options:
 //!   --level <baseline|f1|c1|f2|f3|c2|c2+f3|c2+f4>   (default c2)
-//!                                 append `+dse`, `+rce`, and/or `+rce2` to
-//!                                 also run the array-level cleanup passes,
-//!                                 e.g. `--level c2+f3+dse+rce2`
+//!                                 append `+dse` and/or `+rce2` (each at
+//!                                 most once) to also run the array-level
+//!                                 cleanup passes, e.g. `--level c2+f3+dse+rce2`
 //!   --dimension-contraction       enable lower-dimensional contraction
 //!   --spatial-cap <k>             bound pairwise fusion to k array streams
 //!   --favor-comm                  Section 5.5 favor-communication policy
-//!   --print <ir|loops|bytecode|asdg|avail|report|source|hash>   what to
-//!                                 print (repeatable); `avail` dumps the
-//!                                 offset-lattice availability facts;
-//!                                 `bytecode` disassembles the lowered VM
-//!                                 program (one listing: every VM engine
-//!                                 name runs the same verified stream)
+//!   --print <ir|loops|bytecode|asdg|report|source|hash>   what to print
+//!                                 (repeatable); `bytecode` disassembles
+//!                                 the lowered VM program (one listing:
+//!                                 every VM engine name runs the same
+//!                                 verified stream)
 //!   --emit <pass>                 dump the IR snapshot taken right after
 //!                                 the named pass (e.g. `normalize`, `dse`,
 //!                                 `rce2`, `fuse-contraction`, `contract`,
@@ -124,16 +123,17 @@ struct Options {
 fn usage(msg: &str) -> ExitCode {
     eprint!("{}", render_diagnostic("error", "cli", msg, None, &[]));
     eprintln!(
-        "usage: zlc <file.zl> [--level L[+dse][+rce][+rce2]] [--dimension-contraction]\n\
+        "usage: zlc <file.zl> [--level L[+dse][+rce2]] [--dimension-contraction]\n\
          \x20          [--spatial-cap K] [--favor-comm]\n\
-         \x20          [--print ir|loops|bytecode|asdg|avail|report|source|hash]... [--emit PASS]\n\
+         \x20          [--print {}]... [--emit PASS]\n\
          \x20          [--verify] [--run] [--engine interp|vm|vm-simd|vm-par]\n\
          \x20          [--threads N (vm-par)] [--lanes 0..128 (vm-simd|vm-par)]\n\
          \x20          [--machine t3e|sp2|paragon] [--procs P] [--set name=value]...\n\
          \x20          [--supervise] [--deadline-ms N] [--fuel N] [--inject PLAN]\n\
          \x20      zlc serve <file.zl>... [--requests N] [--workers N] [--queue-cap N]\n\
          \x20          [--shed reject-newest|drop-oldest|block] [--retries N] [run options]\n\
-         \x20      zlc --list-engines | --list-passes"
+         \x20      zlc --list-engines | --list-passes",
+        PRINT_TARGETS.join("|")
     );
     ExitCode::from(2)
 }
@@ -144,6 +144,12 @@ fn usage(msg: &str) -> ExitCode {
 fn emittable_passes() -> impl Iterator<Item = PassId> {
     PassId::all().into_iter().filter(|p| p.is_optimizer_pass())
 }
+
+/// What `--print` accepts: the one list the usage line is written from
+/// and `parse_args` validates against, before any work is done.
+const PRINT_TARGETS: &[&str] = &[
+    "ir", "loops", "bytecode", "asdg", "report", "source", "hash",
+];
 
 /// Flags only the plain (unsupervised, one-shot) path reads: they extend
 /// or inspect a pipeline the supervisor and the serve path never build.
@@ -203,7 +209,16 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                 );
             }
             "--favor-comm" => opts.favor_comm = true,
-            "--print" => opts.prints.push(value("--print")?),
+            "--print" => {
+                let v = value("--print")?;
+                if !PRINT_TARGETS.contains(&v.as_str()) {
+                    return Err(format!(
+                        "unknown --print target `{v}` (expected one of: {})",
+                        PRINT_TARGETS.join(", ")
+                    ));
+                }
+                opts.prints.push(v);
+            }
             "--emit" => {
                 let v = value("--emit")?;
                 let pass = PassId::from_name(&v).filter(|p| p.is_optimizer_pass());
@@ -656,12 +671,6 @@ fn main() -> ExitCode {
                     Err(e) => return fail("compile", &e.to_string(), Some(&opts.file)),
                 }
             }
-            // The offset-lattice availability facts the +rce2 pass
-            // consumes, computed fresh over the normalized program.
-            "avail" => print!(
-                "{}",
-                fusion_core::avail::report(&fusion_core::normal::normalize(&program))
-            ),
             "asdg" => {
                 // The pipeline's cached per-block analyses, not a rebuild:
                 // what is printed is exactly what fusion consumed.
@@ -688,10 +697,7 @@ fn main() -> ExitCode {
                     }
                 );
             }
-            other => {
-                eprintln!("zlc: unknown --print target `{other}`");
-                return ExitCode::from(2);
-            }
+            other => unreachable!("`parse_args` admitted --print {other}"),
         }
     }
 

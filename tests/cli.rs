@@ -123,6 +123,11 @@ fn bad_inputs_fail_cleanly() {
     assert!(!ok);
     assert!(stderr.contains("unknown level"), "{stderr}");
 
+    // One spec, one spelling: a suffix given twice is rejected by name.
+    let (_, stderr, ok) = zlc(&[&program_path("heat.zl"), "--level", "c2+dse+dse"]);
+    assert!(!ok);
+    assert!(stderr.contains("`+dse` is given twice"), "{stderr}");
+
     let (_, stderr, ok) = zlc(&[&program_path("heat.zl"), "--run", "--set", "nonesuch=3"]);
     assert!(!ok);
     assert!(stderr.contains("no config named"), "{stderr}");
@@ -280,7 +285,7 @@ fn emit_unscheduled_pass_fails_with_level() {
 
 /// `--list-passes` prints exactly the passes the optimizer can run, and
 /// every one of them snapshots under the one spec that schedules all
-/// eleven.
+/// ten.
 #[test]
 fn list_passes_lists_exactly_what_emit_can_snapshot() {
     let (stdout, _, ok) = zlc(&["--list-passes"]);
@@ -291,7 +296,6 @@ fn list_passes_lists_exactly_what_emit_can_snapshot() {
         [
             "normalize",
             "dse",
-            "rce",
             "rce2",
             "fuse-contraction",
             "fuse-locality",
@@ -306,7 +310,7 @@ fn list_passes_lists_exactly_what_emit_can_snapshot() {
         let (stdout, stderr, ok) = zlc(&[
             &program_path("sweep.zl"),
             "--level",
-            "c2+f4+dse+rce+rce2",
+            "c2+f4+dse+rce2",
             "--dimension-contraction",
             "--emit",
             pass,
@@ -326,17 +330,12 @@ fn list_passes_lists_exactly_what_emit_can_snapshot() {
 #[test]
 fn emit_of_a_stage_that_is_not_a_pass_is_a_usage_error() {
     for stage in ["parse", "verify::asdg", "verify", "execute"] {
-        let out = Command::new(env!("CARGO_BIN_EXE_zlc"))
-            .args([&program_path("heat.zl"), "--emit", stage])
-            .output()
-            .expect("zlc runs");
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(2), "--emit {stage}: {stderr}");
+        let stderr = usage_error(&[&program_path("heat.zl"), "--emit", stage]);
         assert!(
             stderr.contains(&format!("unknown pass `{stage}`")),
             "{stderr}"
         );
-        assert!(stderr.contains("normalize, dse, rce, rce2, "), "{stderr}");
+        assert!(stderr.contains("normalize, dse, rce2, "), "{stderr}");
         assert!(stderr.contains(", scalarize)"), "{stderr}");
     }
 }
@@ -364,16 +363,75 @@ fn level_cleanup_suffixes_schedule_the_passes() {
     let (stdout, stderr, ok) = zlc(&[
         &program_path("heat.zl"),
         "--level",
-        "c2+f3+dse+rce",
+        "c2+f3+dse+rce2",
         "--emit",
-        "rce",
+        "rce2",
         "--run",
         "--set",
         "n=16",
     ]);
     assert!(ok, "{stderr}");
-    assert!(stdout.starts_with("// after rce\n"), "{stdout}");
+    assert!(stdout.starts_with("// after rce2\n"), "{stdout}");
     assert!(stdout.contains("err = "), "{stdout}");
+}
+
+/// Exit 2 with nothing on stdout: the usage error is raised while the
+/// arguments are parsed, before anything is compiled or printed.
+fn usage_error(args: &[&str]) -> String {
+    let out = Command::new(env!("CARGO_BIN_EXE_zlc"))
+        .args(args)
+        .output()
+        .expect("zlc runs");
+    let stderr = String::from_utf8_lossy(&out.stderr).to_string();
+    assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+    assert!(out.stdout.is_empty(), "{args:?} printed before failing");
+    stderr
+}
+
+/// `--print loops --print bogus` used to optimize, print the loops and
+/// only then exit 2: the target was matched inside the print loop.
+#[test]
+fn print_target_is_checked_before_any_work() {
+    let heat = program_path("heat.zl");
+    let stderr = usage_error(&[&heat, "--print", "loops", "--print", "bogus"]);
+    assert!(
+        stderr.contains("unknown --print target `bogus`"),
+        "{stderr}"
+    );
+    assert!(
+        stderr.contains("(expected one of: ir, loops, bytecode, asdg, report, source, hash)"),
+        "{stderr}"
+    );
+    // The usage line is written from the same list.
+    assert!(
+        stderr.contains("[--print ir|loops|bytecode|asdg|report|source|hash]..."),
+        "{stderr}"
+    );
+}
+
+/// The `+rce` suffix, its pass and the `avail` print target are gone:
+/// each name is the usage error any unknown one is, and the message
+/// lists what is accepted.
+#[test]
+fn retired_rce_and_avail_names_are_usage_errors() {
+    let heat = program_path("heat.zl");
+    let stderr = usage_error(&[&heat, "--level", "c2+rce"]);
+    assert!(stderr.contains("unknown level `c2+rce`"), "{stderr}");
+    assert!(
+        stderr.contains("c2+f3, c2+f4; append `+dse`/`+rce2`"),
+        "{stderr}"
+    );
+    let stderr = usage_error(&[&heat, "--level", "c2+dse+rce", "--emit", "rce"]);
+    assert!(stderr.contains("unknown level `c2+dse+rce`"), "{stderr}");
+    let stderr = usage_error(&[&heat, "--emit", "rce"]);
+    assert!(stderr.contains("unknown pass `rce`"), "{stderr}");
+    assert!(stderr.contains("normalize, dse, rce2, "), "{stderr}");
+    let stderr = usage_error(&[&heat, "--print", "avail"]);
+    assert!(
+        stderr.contains("unknown --print target `avail`"),
+        "{stderr}"
+    );
+    assert!(stderr.contains("asdg, report, source, hash)"), "{stderr}");
 }
 
 #[test]

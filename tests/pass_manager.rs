@@ -1,7 +1,6 @@
 //! Integration tests for the optimizer driver: the schedule each level
 //! spec runs, analysis caching, trace instrumentation, where the
-//! translation validator runs, and the `+dse` / `+rce` / `+rce2` cleanup
-//! passes.
+//! translation validator runs, and the `+dse` / `+rce2` cleanup passes.
 
 use zpl_fusion::fusion::pass::PassId;
 use zpl_fusion::fusion::pipeline::Optimized;
@@ -60,7 +59,7 @@ fn traces_cover_the_schedule_in_order() {
         // the last row: `passes` carries no `verify::*` row.
         assert_eq!(ids.last(), Some(&PassId::Scalarize), "{name}");
         // Paper levels never schedule the cleanup passes.
-        assert!(!ids.contains(&PassId::Dse) && !ids.contains(&PassId::Rce));
+        assert!(!ids.contains(&PassId::Dse) && !ids.contains(&PassId::Rce2));
         let stmts: Vec<usize> = opt.passes.iter().map(|t| t.stmts).collect();
         assert!(stmts.windows(2).all(|w| w[0] >= w[1]), "{name}: {stmts:?}");
         assert!(opt.passes.iter().any(|t| t.changed), "{name}");
@@ -99,143 +98,6 @@ fn dse_removes_dead_store_paper_levels_keep_it() {
             "{level}: dse changed observable behavior"
         );
     }
-}
-
-const RCE_SRC: &str = "program rcetest; config n : int = 8; region R = [1..n]; \
-                       var A, B, C : [R] float; var s : float; begin \
-                       [R] A := 2.5; [R] B := A + A; [R] C := A + A; \
-                       s := +<< [R] (B - C); end";
-
-/// `+rce` rewrites the second `A + A` into a copy of the first; the paper
-/// levels recompute it; the program's observable output is identical.
-#[test]
-fn rce_merges_redundant_computation_paper_levels_recompute() {
-    let program = zlang::compile(RCE_SRC).unwrap();
-    for level in Level::all() {
-        let plain = Pipeline::new(level)
-            .with_emit(PassId::Contract)
-            .optimize(&program);
-        assert!(
-            !plain.emitted.unwrap().contains("C := B"),
-            "paper {level} must recompute A + A"
-        );
-        let cleaned = Pipeline::new(level)
-            .with_rce()
-            .with_emit(PassId::Rce)
-            .optimize(&program);
-        assert!(
-            cleaned.emitted.as_deref().unwrap().contains("[R] C := B"),
-            "{level}+rce must forward B:\n{}",
-            cleaned.emitted.as_deref().unwrap()
-        );
-        let rce = cleaned
-            .passes
-            .iter()
-            .find(|t| t.id == PassId::Rce)
-            .expect("rce scheduled");
-        assert!(rce.changed);
-        assert_eq!(
-            outputs(&Pipeline::new(level), &program),
-            outputs(&Pipeline::new(level).with_rce(), &program),
-            "{level}: rce changed observable behavior"
-        );
-    }
-}
-
-/// `+rce` forwards only a right-hand side that reads an array. A fill
-/// that reads none (a constant, a scalar) has no flop to save, so turning
-/// it into a copy of an earlier identical fill only adds a load stream —
-/// which is what `+rce` used to do to SIMPLE's `VY := 0` and FRAC's
-/// `ZI := 0`.
-#[test]
-fn rce_leaves_fills_that_read_no_array_alone() {
-    let src = "program rcefill; config n : int = 8; region R = [1..n]; \
-               var A, B, C, D : [R] float; var s, t : float; begin \
-               t := 3.0; [R] A := 0.0; [R] B := 0.0; [R] C := t * 2.0; [R] D := t * 2.0; \
-               s := +<< [R] (A + B + C + D); end";
-    let program = zlang::compile(src).unwrap();
-    let cleaned = Pipeline::new(Level::C2F3)
-        .with_rce()
-        .with_emit(PassId::Rce)
-        .optimize(&program);
-    let snap = cleaned.emitted.as_deref().unwrap();
-    assert!(
-        snap.contains("[R] B := 0") && !snap.contains("B := A"),
-        "{snap}"
-    );
-    assert!(
-        snap.contains("[R] D := (t * 2") && !snap.contains("D := C"),
-        "{snap}"
-    );
-    let rce = cleaned.passes.iter().find(|t| t.id == PassId::Rce).unwrap();
-    assert!(!rce.changed, "{snap}");
-}
-
-/// With fills left alone, `+rce` never adds a load to a paper benchmark
-/// (and, as EXPERIMENTS.md records, changes none of them).
-#[test]
-fn rce_never_adds_loads_on_the_paper_benchmarks() {
-    for bench in zpl_fusion::workloads::all() {
-        let program = bench.program();
-        let n = if bench.rank == 1 { 64 } else { 8 };
-        let loads = |pipeline: Pipeline| {
-            let opt = pipeline.optimize(&program);
-            let mut binding = ConfigBinding::defaults(&opt.scalarized.program);
-            binding.set_by_name(&opt.scalarized.program, bench.size_config, n);
-            let mut exec = Engine::Vm.executor(&opt.scalarized, binding).unwrap();
-            exec.execute(&mut NoopObserver).unwrap().stats.loads
-        };
-        for level in Level::all() {
-            let (plain, cleaned) = (
-                loads(Pipeline::new(level)),
-                loads(Pipeline::new(level).with_rce()),
-            );
-            assert!(
-                cleaned <= plain,
-                "{} at {level}+rce: {cleaned} loads, {plain} without",
-                bench.name
-            );
-        }
-    }
-}
-
-/// A write between the two computations no longer blocks `+rce` when it
-/// provably lands in a disjoint region: the row write to `A` below
-/// touches `[1..1]` while both computations read `A` over `[2..n]`.
-#[test]
-fn rce_sees_through_provably_disjoint_writes() {
-    let src = "program rcedisjoint; config n : int = 8; \
-               region RA = [1..n]; region R = [2..n]; region ROW = [1..1]; \
-               var A : [RA] float; var B, C : [R] float; var s : float; begin \
-               [RA] A := 2.5; [R] B := A + A; [ROW] A := 0.0; [R] C := A + A; \
-               s := +<< [R] (B - C); end";
-    let program = zlang::compile(src).unwrap();
-    let cleaned = Pipeline::new(Level::C2)
-        .with_rce()
-        .with_emit(PassId::Rce)
-        .optimize(&program);
-    assert!(
-        cleaned.emitted.as_deref().unwrap().contains("[R] C := B"),
-        "+rce must forward B across the disjoint row write:\n{}",
-        cleaned.emitted.as_deref().unwrap()
-    );
-    assert_eq!(
-        outputs(&Pipeline::new(Level::C2), &program),
-        outputs(&Pipeline::new(Level::C2).with_rce(), &program),
-        "rce changed observable behavior"
-    );
-    // An overlapping write must still block the rewrite.
-    let overlap = src.replace("region ROW = [1..1]", "region ROW = [2..2]");
-    let program = zlang::compile(&overlap).unwrap();
-    let kept = Pipeline::new(Level::C2)
-        .with_rce()
-        .with_emit(PassId::Rce)
-        .optimize(&program);
-    assert!(
-        !kept.emitted.as_deref().unwrap().contains("[R] C := B"),
-        "+rce must not forward across an overlapping write:\n{}",
-        kept.emitted.as_deref().unwrap()
-    );
 }
 
 /// `+rce2` materializes the shared flux-pair subexpression once and turns
@@ -358,7 +220,7 @@ fn emit_snapshot_presence() {
 
 /// The schedule, pinned: the transformation passes each level runs, in
 /// order, written out. The cleanup suffixes slot in after `normalize`
-/// (`dse`, `rce`, `rce2`, in that order), dimension contraction after
+/// (`dse`, then `rce2`), dimension contraction after
 /// `contract`; a spatial cap bounds `fuse-pairwise` without moving it.
 /// The translation validator's `verify::*` rows are not transformations
 /// and are ignored here.
@@ -376,16 +238,11 @@ fn schedule_is_a_function_of_the_level_spec() {
         (Level::C2F4, &[FuseContraction, FuseLocality, FusePairwise]),
     ];
     type Cleanup = (&'static str, fn(Pipeline) -> Pipeline, &'static [PassId]);
-    let cleanups: [Cleanup; 5] = [
+    let cleanups: [Cleanup; 4] = [
         ("", |p| p, &[]),
         ("+dse", |p| p.with_dse(), &[Dse]),
-        ("+rce", |p| p.with_rce(), &[Rce]),
         ("+rce2", |p| p.with_rce2(), &[Rce2]),
-        (
-            "+dse+rce+rce2",
-            |p| p.with_dse().with_rce().with_rce2(),
-            &[Dse, Rce, Rce2],
-        ),
+        ("+dse+rce2", |p| p.with_dse().with_rce2(), &[Dse, Rce2]),
     ];
     let transformations = |opt: &Optimized| -> Vec<PassId> {
         opt.passes
