@@ -8,11 +8,11 @@
 //! stream (`Pipeline::with_spatial_cap`) and measure how much of the `f4`
 //! regression it recovers.
 
+use crate::perf::{block_size, Compiled};
 use crate::table::{pct, Table};
 use fusion_core::pipeline::{Level, Pipeline};
 use loopir::Engine;
 use machine::presets::Machine;
-use runtime::{simulate, CommPolicy, ExecConfig, SimResult};
 use zlang::ir::ConfigBinding;
 
 /// Derives a stream cap from a machine's L1 geometry: enough room for each
@@ -48,68 +48,22 @@ impl AblationRow {
     }
 }
 
-fn run(
-    bench: &benchmarks::Benchmark,
-    machine: &Machine,
-    cap: Option<usize>,
-    engine: Engine,
-) -> SimResult {
-    let pipeline = match cap {
-        Some(k) => Pipeline::new(Level::C2F4).with_spatial_cap(k),
-        None => Pipeline::new(Level::C2F4),
-    };
-    let opt = pipeline.optimize(&bench.program());
-    let mut binding = ConfigBinding::defaults(&opt.scalarized.program);
-    binding.set_by_name(
-        &opt.scalarized.program,
-        bench.size_config,
-        crate::perf::block_size(bench),
-    );
-    let cfg = ExecConfig {
-        machine: machine.clone(),
-        procs: 16,
-        policy: CommPolicy::default(),
-        engine,
-        threads: 0,
-        limits: loopir::ExecLimits::none(),
-    };
-    simulate(&opt.scalarized, binding, &cfg).unwrap()
-}
-
-fn run_level(
-    bench: &benchmarks::Benchmark,
-    machine: &Machine,
-    level: Level,
-    engine: Engine,
-) -> SimResult {
-    let opt = Pipeline::new(level).optimize(&bench.program());
-    let mut binding = ConfigBinding::defaults(&opt.scalarized.program);
-    binding.set_by_name(
-        &opt.scalarized.program,
-        bench.size_config,
-        crate::perf::block_size(bench),
-    );
-    let cfg = ExecConfig {
-        machine: machine.clone(),
-        procs: 16,
-        policy: CommPolicy::default(),
-        engine,
-        threads: 0,
-        limits: loopir::ExecLimits::none(),
-    };
-    simulate(&opt.scalarized, binding, &cfg).unwrap()
-}
-
-/// Runs the ablation for every benchmark on one machine.
+/// Runs the ablation for every benchmark on one machine (16 processors).
 pub fn rows(machine: &Machine, engine: Engine) -> Vec<AblationRow> {
     let cap = stream_cap(machine);
     benchmarks::all()
         .iter()
-        .map(|b| AblationRow {
-            name: b.name,
-            c2f3_ns: run_level(b, machine, Level::C2F3, engine).total_ns,
-            f4_ns: run(b, machine, None, engine).total_ns,
-            f4_capped_ns: run(b, machine, Some(cap), engine).total_ns,
+        .map(|b| {
+            let run = |pipeline: Pipeline<'_>| {
+                let compiled = Compiled::new(b, &pipeline, block_size(b), engine);
+                compiled.run(machine, 16).total_ns
+            };
+            AblationRow {
+                name: b.name,
+                c2f3_ns: run(Pipeline::new(Level::C2F3)),
+                f4_ns: run(Pipeline::new(Level::C2F4)),
+                f4_capped_ns: run(Pipeline::new(Level::C2F4).with_spatial_cap(cap)),
+            }
         })
         .collect()
 }
@@ -162,11 +116,7 @@ pub fn dimension_report(engine: Engine) -> String {
     for b in benchmarks::all() {
         let mem = |opt: &fusion_core::pipeline::Optimized| {
             let mut binding = ConfigBinding::defaults(&opt.scalarized.program);
-            binding.set_by_name(
-                &opt.scalarized.program,
-                b.size_config,
-                crate::perf::block_size(&b),
-            );
+            binding.set_by_name(&opt.scalarized.program, b.size_config, block_size(&b));
             let mut exec = engine.executor(&opt.scalarized, binding).unwrap();
             exec.execute(&mut NoopObserver).unwrap().stats.peak_bytes
         };

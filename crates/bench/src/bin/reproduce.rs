@@ -60,16 +60,20 @@ fn main() {
     };
     let levels: Vec<Level> = perf::PLOT_LEVELS.to_vec();
 
-    let run_fig = |kind: MachineKind| {
-        println!("{}", perf::report(kind, &levels, &procs, engine));
+    // Figures 9-11 are one compiled sweep under three machine models.
+    let run_figs = |kinds: &[MachineKind]| {
+        let sweep = perf::sweep(&levels, engine);
+        for &kind in kinds {
+            println!("{}", perf::report(kind, &sweep, &procs));
+        }
     };
     match report.as_str() {
         "fig6" => println!("{}", fig6::report()),
         "fig7" => println!("{}", fig7::report()),
         "fig8" => println!("{}", fig8::report()),
-        "fig9" => run_fig(MachineKind::T3e),
-        "fig10" => run_fig(MachineKind::Sp2),
-        "fig11" => run_fig(MachineKind::Paragon),
+        "fig9" => run_figs(&[MachineKind::T3e]),
+        "fig10" => run_figs(&[MachineKind::Sp2]),
+        "fig11" => run_figs(&[MachineKind::Paragon]),
         "sec55" => println!("{}", sec55::report(16, engine)),
         "ablation" => {
             for kind in MachineKind::all() {
@@ -81,9 +85,7 @@ fn main() {
             println!("{}", fig6::report());
             println!("{}", fig7::report());
             println!("{}", fig8::report());
-            run_fig(MachineKind::T3e);
-            run_fig(MachineKind::Sp2);
-            run_fig(MachineKind::Paragon);
+            run_figs(&MachineKind::all());
             println!("{}", sec55::report(16, engine));
             for kind in MachineKind::all() {
                 println!("{}", bench::ablation::report(&kind.machine(), engine));

@@ -8,9 +8,11 @@
 use crate::table::{pct, Table};
 use benchmarks::Benchmark;
 use fusion_core::pipeline::{Level, Pipeline};
-use loopir::Engine;
+use fusion_core::CachedProgram;
+use loopir::{Engine, ExecOpts, SharedProgram};
 use machine::presets::{Machine, MachineKind};
-use runtime::{simulate, CommPolicy, ExecConfig, SimResult};
+use runtime::{simulate_executor, ExecConfig, SimResult};
+use std::sync::Arc;
 use zlang::ir::ConfigBinding;
 
 /// The transformation levels plotted in the figures (baseline excluded —
@@ -38,33 +40,65 @@ pub fn block_size(bench: &Benchmark) -> i64 {
     }
 }
 
-/// Runs one configuration.
-///
-/// # Panics
-///
-/// Panics if the benchmark fails to execute (a bug in the embedded
-/// sources, covered by the `benchmarks` tests).
-pub fn run(
-    bench: &Benchmark,
-    level: Level,
-    machine: &Machine,
-    procs: u64,
-    block: i64,
-    engine: Engine,
-) -> SimResult {
-    let opt = Pipeline::new(level).optimize(&bench.program());
-    let mut binding = ConfigBinding::defaults(&opt.scalarized.program);
-    binding.set_by_name(&opt.scalarized.program, bench.size_config, block);
-    let cfg = ExecConfig {
-        machine: machine.clone(),
-        procs,
-        policy: CommPolicy::default(),
-        engine,
-        threads: 0,
-        limits: loopir::ExecLimits::none(),
-    };
-    simulate(&opt.scalarized, binding, &cfg)
-        .unwrap_or_else(|e| panic!("{} at {level} on {}: {e}", bench.name, machine.name))
+/// A benchmark optimized and lowered once, under its per-processor block.
+/// Neither step reads the machine or the processor count, so every point
+/// of a sweep replays this one artifact ([`Compiled::run`]).
+#[derive(Debug)]
+pub struct Compiled {
+    artifact: CachedProgram,
+    /// The knobs `engine` runs the lowered program at.
+    knobs: ExecOpts,
+    /// How many arrays the optimizer contracted away.
+    pub contracted: usize,
+}
+
+impl Compiled {
+    /// Optimizes `bench` with `pipeline` and — under a VM `engine` —
+    /// lowers the result with `block` points per distributed dimension.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the benchmark fails to lower (a bug in the embedded
+    /// sources, covered by the `benchmarks` tests).
+    pub fn new(bench: &Benchmark, pipeline: &Pipeline<'_>, block: i64, engine: Engine) -> Self {
+        let opt = pipeline.optimize(&bench.program());
+        let mut binding = ConfigBinding::defaults(&opt.scalarized.program);
+        binding.set_by_name(&opt.scalarized.program, bench.size_config, block);
+        let knobs = engine.knobs(ExecOpts::default());
+        let shared = knobs.map(|_| {
+            SharedProgram::lower(&opt.scalarized, binding.clone())
+                .unwrap_or_else(|e| panic!("{} at {}: {e}", bench.name, opt.spec))
+        });
+        Compiled {
+            contracted: opt.contracted.len(),
+            artifact: CachedProgram {
+                scalarized: Arc::new(opt.scalarized),
+                shared,
+                binding,
+            },
+            knobs: knobs.unwrap_or_default(),
+        }
+    }
+
+    /// `bench` at a paper level.
+    pub fn at_level(bench: &Benchmark, level: Level, block: i64, engine: Engine) -> Self {
+        Compiled::new(bench, &Pipeline::new(level), block, engine)
+    }
+
+    /// Runs the artifact on `procs` processors of `machine`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the benchmark fails to execute (as [`Compiled::new`]).
+    pub fn run(&self, machine: &Machine, procs: u64) -> SimResult {
+        let program = &self.artifact.scalarized.program;
+        let cfg = ExecConfig::new(machine.clone(), procs);
+        let mut exec = self.artifact.executor(self.knobs);
+        match simulate_executor(&mut *exec, program, &self.artifact.binding, &cfg) {
+            Ok((_, sim)) => sim,
+            Err(e) => panic!("{} on {}: {e}", program.name, machine.name),
+        }
+    }
 }
 
 /// One measured point.
@@ -85,7 +119,7 @@ pub struct PerfPoint {
 pub struct PerfSeries {
     /// The benchmark.
     pub bench: Benchmark,
-    /// Points, ordered by (level, procs).
+    /// Points, ordered by (procs, level).
     pub points: Vec<PerfPoint>,
 }
 
@@ -99,36 +133,60 @@ impl PerfSeries {
     }
 }
 
-/// Measures every level × procs for one benchmark on one machine.
-pub fn series(
-    bench: &Benchmark,
-    machine: &Machine,
-    levels: &[Level],
-    procs: &[u64],
-    block: i64,
-    engine: Engine,
-) -> PerfSeries {
-    let mut points = Vec::new();
-    for &p in procs {
-        let base = run(bench, Level::Baseline, machine, p, block, engine);
-        for &level in levels {
-            let r = run(bench, level, machine, p, block, engine);
-            points.push(PerfPoint {
-                level,
-                procs: p,
-                improvement: r.improvement_over(&base),
-                total_ns: r.total_ns,
-            });
+/// One benchmark at `baseline` and at each of a set of levels, every one
+/// compiled once: what Figures 9, 10 and 11 all measure.
+#[derive(Debug)]
+pub struct Levels {
+    bench: Benchmark,
+    baseline: Compiled,
+    levels: Vec<(Level, Compiled)>,
+}
+
+impl Levels {
+    /// Compiles `bench` at `baseline` and at every level of `levels`.
+    pub fn new(bench: &Benchmark, levels: &[Level], block: i64, engine: Engine) -> Self {
+        let at = |level| Compiled::at_level(bench, level, block, engine);
+        Levels {
+            bench: *bench,
+            baseline: at(Level::Baseline),
+            levels: levels.iter().map(|&level| (level, at(level))).collect(),
         }
     }
-    PerfSeries {
-        bench: *bench,
-        points,
+
+    /// Measures every level × procs on one machine.
+    pub fn series(&self, machine: &Machine, procs: &[u64]) -> PerfSeries {
+        let mut points = Vec::new();
+        for &p in procs {
+            let base = self.baseline.run(machine, p);
+            for (level, compiled) in &self.levels {
+                let r = compiled.run(machine, p);
+                points.push(PerfPoint {
+                    level: *level,
+                    procs: p,
+                    improvement: r.improvement_over(&base),
+                    total_ns: r.total_ns,
+                });
+            }
+        }
+        PerfSeries {
+            bench: self.bench,
+            points,
+        }
     }
 }
 
-/// Renders one machine's figure (Figure 9 = T3E, 10 = SP-2, 11 = Paragon).
-pub fn report(kind: MachineKind, levels: &[Level], procs: &[u64], engine: Engine) -> String {
+/// Every paper benchmark at its [`block_size`], compiled at `levels`:
+/// the input the three figures share.
+pub fn sweep(levels: &[Level], engine: Engine) -> Vec<Levels> {
+    benchmarks::all()
+        .iter()
+        .map(|bench| Levels::new(bench, levels, block_size(bench), engine))
+        .collect()
+}
+
+/// Renders one machine's figure (Figure 9 = T3E, 10 = SP-2, 11 = Paragon)
+/// from a compiled [`sweep`].
+pub fn report(kind: MachineKind, sweep: &[Levels], procs: &[u64]) -> String {
     let machine = kind.machine();
     let fig = match kind {
         MachineKind::T3e => "Figure 9",
@@ -139,17 +197,16 @@ pub fn report(kind: MachineKind, levels: &[Level], procs: &[u64], engine: Engine
         "{fig} — % improvement over baseline on the {} (scaled problem size)\n\n",
         machine.name
     );
-    for bench in benchmarks::all() {
-        let block = block_size(&bench);
-        let s = series(&bench, &machine, levels, procs, block, engine);
-        let mut header: Vec<String> = vec![format!("{} (p=)", bench.name)];
+    for compiled in sweep {
+        let s = compiled.series(&machine, procs);
+        let mut header: Vec<String> = vec![format!("{} (p=)", s.bench.name)];
         header.extend(procs.iter().map(|p| p.to_string()));
         let header_refs: Vec<&str> = header.iter().map(|s| s.as_str()).collect();
         let mut t = Table::new(&header_refs);
-        for &level in levels {
+        for (level, _) in &compiled.levels {
             let mut row = vec![level.name().to_string()];
             for &p in procs {
-                row.push(s.improvement(level, p).map_or("-".into(), pct));
+                row.push(s.improvement(*level, p).map_or("-".into(), pct));
             }
             t.row(row);
         }
@@ -176,8 +233,9 @@ mod tests {
             } else {
                 8
             };
-            let base = run(&bench, Level::Baseline, &m, 1, block, Engine::default());
-            let c2 = run(&bench, Level::C2, &m, 1, block, Engine::default());
+            let run =
+                |level| Compiled::at_level(&bench, level, block, Engine::default()).run(&m, 1);
+            let (base, c2) = (run(Level::Baseline), run(Level::C2));
             assert!(
                 c2.total_ns < base.total_ns,
                 "{}: c2 {} >= baseline {}",
@@ -192,14 +250,8 @@ mod tests {
     fn ep_improvement_is_processor_independent() {
         // The paper: EP scales perfectly, so its improvement is flat in p.
         let bench = benchmarks::by_name("ep").unwrap();
-        let s = series(
-            &bench,
-            &t3e(),
-            &[Level::C2],
-            &[1, 4, 16, 64],
-            block_size(&bench),
-            Engine::default(),
-        );
+        let s = Levels::new(&bench, &[Level::C2], block_size(&bench), Engine::default())
+            .series(&t3e(), &[1, 4, 16, 64]);
         let imps: Vec<f64> = [1u64, 4, 16, 64]
             .iter()
             .map(|&p| s.improvement(Level::C2, p).unwrap())
@@ -212,14 +264,8 @@ mod tests {
     #[test]
     fn series_collects_all_points() {
         let bench = benchmarks::by_name("frac").unwrap();
-        let s = series(
-            &bench,
-            &t3e(),
-            &[Level::C1, Level::C2],
-            &[1, 4],
-            16,
-            Engine::default(),
-        );
+        let s = Levels::new(&bench, &[Level::C1, Level::C2], 16, Engine::default())
+            .series(&t3e(), &[1, 4]);
         assert_eq!(s.points.len(), 4);
         assert!(s.improvement(Level::C2, 4).is_some());
         assert!(s.improvement(Level::C2F4, 4).is_none());

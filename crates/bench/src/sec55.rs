@@ -7,14 +7,13 @@
 //! 66% when communication is favored, because the lost contraction is
 //! worth more than the preserved overlap.
 
+use crate::perf::{block_size, Compiled};
 use crate::table::{pct, Table};
 use benchmarks::Benchmark;
 use fusion_core::pipeline::{Level, Pipeline};
 use loopir::Engine;
 use machine::presets::{Machine, MachineKind};
 use runtime::comm::favor_comm_pairs;
-use runtime::{simulate, CommPolicy, ExecConfig};
-use zlang::ir::ConfigBinding;
 
 /// One benchmark's comparison on one machine.
 #[derive(Debug, Clone)]
@@ -39,44 +38,27 @@ impl TradeoffRow {
     }
 }
 
-/// Runs the comparison for every benchmark on one machine at `procs`,
-/// executing on `engine` (the numbers are the same under every engine).
-pub fn rows(machine: &Machine, procs: u64, engine: Engine) -> Vec<TradeoffRow> {
+/// Runs the comparison for every benchmark (outer) on each of `machines`
+/// (inner) at `procs`. Each benchmark is compiled once per policy — on
+/// `engine`; the numbers are the same under every engine — and replayed
+/// under every machine model.
+pub fn rows(machines: &[Machine], procs: u64, engine: Engine) -> Vec<Vec<TradeoffRow>> {
     benchmarks::all()
         .into_iter()
         .map(|bench| {
-            let block = crate::perf::block_size(&bench);
-            let program = bench.program();
-            let run = |favor_comm: bool| {
-                let pipeline = if favor_comm {
-                    Pipeline::new(Level::C2F3).with_forbidden(favor_comm_pairs)
-                } else {
-                    Pipeline::new(Level::C2F3)
-                };
-                let opt = pipeline.optimize(&program);
-                let mut binding = ConfigBinding::defaults(&opt.scalarized.program);
-                binding.set_by_name(&opt.scalarized.program, bench.size_config, block);
-                let cfg = ExecConfig {
-                    machine: machine.clone(),
-                    procs,
-                    policy: CommPolicy::default(),
-                    engine,
-                    threads: 0,
-                    limits: loopir::ExecLimits::none(),
-                };
-                let r = simulate(&opt.scalarized, binding, &cfg)
-                    .unwrap_or_else(|e| panic!("{}: {e}", bench.name));
-                (r, opt.contracted.len())
-            };
-            let (ff, contracted_fusion) = run(false);
-            let (fc, contracted_comm) = run(true);
-            TradeoffRow {
-                bench,
-                favor_fusion_ns: ff.total_ns,
-                favor_comm_ns: fc.total_ns,
-                contracted_fusion,
-                contracted_comm,
-            }
+            let compile = |p: Pipeline<'_>| Compiled::new(&bench, &p, block_size(&bench), engine);
+            let favor_fusion = compile(Pipeline::new(Level::C2F3));
+            let favor_comm = compile(Pipeline::new(Level::C2F3).with_forbidden(favor_comm_pairs));
+            machines
+                .iter()
+                .map(|machine| TradeoffRow {
+                    bench,
+                    favor_fusion_ns: favor_fusion.run(machine, procs).total_ns,
+                    favor_comm_ns: favor_comm.run(machine, procs).total_ns,
+                    contracted_fusion: favor_fusion.contracted,
+                    contracted_comm: favor_comm.contracted,
+                })
+                .collect()
         })
         .collect()
 }
@@ -95,19 +77,13 @@ pub fn report(procs: u64, engine: Engine) -> String {
         "contracted (fusion)",
         "contracted (comm)",
     ]);
-    let per_machine: Vec<Vec<TradeoffRow>> = MachineKind::all()
-        .iter()
-        .map(|k| rows(&k.machine(), procs, engine))
-        .collect();
-    for (i, bench) in benchmarks::all().iter().enumerate() {
-        t.row(vec![
-            bench.name.to_string(),
-            pct(per_machine[0][i].slowdown()),
-            pct(per_machine[1][i].slowdown()),
-            pct(per_machine[2][i].slowdown()),
-            per_machine[0][i].contracted_fusion.to_string(),
-            per_machine[0][i].contracted_comm.to_string(),
-        ]);
+    let machines = MachineKind::all().map(MachineKind::machine);
+    for per_machine in rows(&machines, procs, engine) {
+        let mut row = vec![per_machine[0].bench.name.to_string()];
+        row.extend(per_machine.iter().map(|r| pct(r.slowdown())));
+        row.push(per_machine[0].contracted_fusion.to_string());
+        row.push(per_machine[0].contracted_comm.to_string());
+        t.row(row);
     }
     out.push_str(&t.render());
     out
@@ -120,7 +96,7 @@ mod tests {
 
     #[test]
     fn favoring_comm_never_contracts_more() {
-        for r in rows(&t3e(), 16, Engine::default()) {
+        for r in rows(&[t3e()], 16, Engine::default()).into_iter().flatten() {
             assert!(
                 r.contracted_comm <= r.contracted_fusion,
                 "{}: {} > {}",
@@ -133,8 +109,8 @@ mod tests {
 
     #[test]
     fn stencil_benchmarks_slow_down_when_comm_is_favored() {
-        let rs = rows(&t3e(), 16, Engine::default());
-        let by = |name: &str| rs.iter().find(|r| r.bench.name == name).unwrap();
+        let rs = rows(&[t3e()], 16, Engine::default());
+        let by = |name: &str| rs.iter().flatten().find(|r| r.bench.name == name).unwrap();
         // The codes that lose many contractions slow down clearly.
         for name in ["tomcatv", "sp"] {
             assert!(

@@ -25,7 +25,9 @@
 //! one entry, and a supervised request that degrades from one to the next
 //! hits it. The key's only trace of the engine is whether the request
 //! lowers at all: `interp`, the rung that must survive a lowering
-//! failure, addresses a tree-only artifact.
+//! failure, addresses a tree-only artifact. *Who watches the run* is not
+//! a coordinate either: a run under the simulated runtime's observer
+//! executes the entry a plain run of the same request does.
 //!
 //! **The invariant this rests on:** [`Pipeline::optimize`] is a function
 //! of the program and the [`LevelSpec`] only. It takes no binding (passes
@@ -83,7 +85,7 @@ use zlang::ir::{ConfigBinding, Program};
 ///
 /// `program` and `content` are digests (see [`crate::hash`]); the
 /// remaining fields are carried explicitly so that two compilations that
-/// *must* differ — different level or cleanup passes, tree-only or
+/// *must* differ — different level or cleanup pass, tree-only or
 /// lowered — can never collide even if a 64-bit digest did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CacheKey {
@@ -92,10 +94,12 @@ pub struct CacheKey {
     pub program: u64,
     /// [`hash::key_hash`] of (program, binding).
     pub content: u64,
-    /// Level and cleanup passes the artifact was compiled at.
+    /// Level and cleanup pass the artifact was compiled at.
     pub spec: LevelSpec,
-    /// Whether the artifact holds the lowered [`SharedProgram`]: true
-    /// for every VM engine name, false for `interp`, which never lowers.
+    /// Whether the artifact holds the lowered [`SharedProgram`]:
+    /// `engine != Engine::Interp` and nothing else — true for every VM
+    /// engine name, simulated or not, false for `interp`, which never
+    /// lowers.
     pub bytecode: bool,
 }
 
@@ -170,8 +174,8 @@ pub struct Parsed {
 #[derive(Debug, Clone)]
 pub struct CachedProgram {
     /// The scalarized program, shared with the optimize stage and with
-    /// the artifacts of every other size — the [`Interp`] engine and the
-    /// simulated runtime execute this directly.
+    /// the artifacts of every other size — the [`Interp`] engine executes
+    /// this directly, and a machine model reads its declarations.
     pub scalarized: Arc<ScalarProgram>,
     /// The lowered, verified bytecode every VM engine name runs
     /// ([`SharedProgram::lower`]); `None` in the tree-only artifact

@@ -18,11 +18,10 @@
 //!
 //! The ASDG is the expensive cached analysis: each block's graph is built
 //! at most once per *mutation epoch* (the count of builds is reported in
-//! [`Optimized::asdg_builds`]). The passes that rewrite statements — the
-//! array-level cleanups [`PassId::Dse`] and [`PassId::Rce2`], off at every
-//! paper level and enabled with the `+dse` / `+rce2` level suffixes —
-//! start a new epoch themselves by calling `CompileSession::invalidate`
-//! when they changed something.
+//! [`Optimized::asdg_builds`]). The one pass that rewrites statements —
+//! the array-level cleanup [`PassId::Rce2`], off at every paper level and
+//! enabled with the `+rce2` level suffix — starts a new epoch itself by
+//! calling `CompileSession::invalidate` when it changed something.
 //!
 //! [`PassId`] is also the shared *stage identity* used by the supervisor's
 //! panic attribution and by verifier diagnostics.
@@ -33,7 +32,6 @@ use crate::fusion::{FusionCtx, FusionOpts, Partition};
 use crate::normal::{self, BStmt, NStmt, NormProgram};
 use crate::pipeline::{BlockDetail, Optimized, Pipeline, Report};
 use crate::scalarize;
-use crate::verify::VerifyLevel;
 use crate::weights::sort_by_weight;
 use loopir::{LStmt, ScalarProgram};
 use std::collections::{BTreeMap, HashSet};
@@ -59,8 +57,6 @@ pub enum PassId {
     Parse,
     /// Normalization into basic blocks of array statements (Section 2.1).
     Normalize,
-    /// Dead-statement elimination over the ASDG (`+dse` levels only).
-    Dse,
     /// Stencil-aware redundancy elimination over the offset-lattice
     /// availability analysis (`+rce2` levels only).
     Rce2,
@@ -99,11 +95,10 @@ pub enum PassId {
 
 impl PassId {
     /// Every stage, in pipeline order.
-    pub fn all() -> [PassId; 19] {
+    pub fn all() -> [PassId; 18] {
         [
             PassId::Parse,
             PassId::Normalize,
-            PassId::Dse,
             PassId::Rce2,
             PassId::FuseContraction,
             PassId::FuseLocality,
@@ -129,7 +124,6 @@ impl PassId {
         match self {
             PassId::Parse => "parse",
             PassId::Normalize => "normalize",
-            PassId::Dse => "dse",
             PassId::Rce2 => "rce2",
             PassId::FuseContraction => "fuse-contraction",
             PassId::FuseLocality => "fuse-locality",
@@ -156,7 +150,7 @@ impl PassId {
     }
 
     /// Whether [`Pipeline::optimize`] can run this stage as a pass: the
-    /// ten transformations from `normalize` to `scalarize`. Exactly
+    /// nine transformations from `normalize` to `scalarize`. Exactly
     /// these leave an IR snapshot behind (`zlc --emit`, listed by
     /// `zlc --list-passes`); the other stages only name where a fault or
     /// a diagnostic came from.
@@ -164,7 +158,6 @@ impl PassId {
         matches!(
             self,
             PassId::Normalize
-                | PassId::Dse
                 | PassId::Rce2
                 | PassId::FuseContraction
                 | PassId::FuseLocality
@@ -280,9 +273,6 @@ pub(crate) struct CompileSession<'s> {
     asdg_builds: usize,
     fusion_ready: bool,
     report: Report,
-    /// Whether the cheap per-block partition self-check tripped (it only
-    /// runs under [`VerifyLevel::OnFailure`], whose gate it is).
-    pub(crate) cheap_check_failed: bool,
     scalarized: Option<ScalarProgram>,
     contracted: Vec<ArrayId>,
     traces: Vec<PassTrace>,
@@ -301,7 +291,6 @@ impl<'s> CompileSession<'s> {
             asdg_builds: 0,
             fusion_ready: false,
             report: Report::default(),
-            cheap_check_failed: false,
             scalarized: None,
             contracted: Vec::new(),
             traces: Vec::new(),
@@ -431,7 +420,7 @@ impl<'s> CompileSession<'s> {
     /// loop-level program.
     fn snapshot(&self, id: PassId) -> String {
         match id {
-            PassId::Normalize | PassId::Dse => self.snapshot_norm(id),
+            PassId::Normalize => self.snapshot_norm(id),
             PassId::Rce2 => self.snapshot_rce2(),
             PassId::FuseContraction
             | PassId::FuseLocality
@@ -606,53 +595,6 @@ pub(crate) fn normalize(s: &mut CompileSession<'_>) -> bool {
     true
 }
 
-/// Dead-statement elimination: removes an array statement whose
-/// definition is never read and whose every element is overwritten by a
-/// later statement in the same block writing the same array over the same
-/// (symbolic) region. The full-region overwrite makes this safe even when
-/// the array is live across blocks.
-///
-/// Off at every paper level; enabled with the `+dse` level suffix.
-pub(crate) fn dse(s: &mut CompileSession<'_>) -> bool {
-    for bi in 0..s.blocks.len() {
-        s.ensure_asdg(bi);
-    }
-    let np = s.norm.as_mut().expect("normalize must run first");
-    let mut changed = false;
-    for (block, b) in np.blocks.iter_mut().zip(&s.blocks) {
-        // Decide against the block's ASDG as built, then rewrite.
-        let g = b.asdg.as_ref().expect("just ensured");
-        let mut dead = HashSet::new();
-        for (i, st) in block.stmts.iter().enumerate() {
-            let BStmt::Array(a) = st else { continue };
-            let Some(d) = g.write_def[i] else { continue };
-            if !g.def(d).reads.is_empty() {
-                continue;
-            }
-            let shadowed = block.stmts[i + 1..]
-                .iter()
-                .any(|t| matches!(t, BStmt::Array(b) if b.lhs == a.lhs && b.region == a.region));
-            if shadowed {
-                dead.insert(i);
-            }
-        }
-        if dead.is_empty() {
-            continue;
-        }
-        let mut i = 0;
-        block.stmts.retain(|_| {
-            let keep = !dead.contains(&i);
-            i += 1;
-            keep
-        });
-        changed = true;
-    }
-    if changed {
-        s.invalidate();
-    }
-    changed
-}
-
 /// Stencil-aware redundancy elimination driven by the offset-lattice
 /// availability analysis ([`crate::avail`]): subexpression-level reuse
 /// across statements (shifted reads of earlier results or of fresh
@@ -723,13 +665,9 @@ pub(crate) fn fuse_pairwise(s: &mut CompileSession<'_>) -> bool {
 
 /// Contraction decisions: which candidate definitions contract under the
 /// final partition (Definition 6), per the level's compiler/user policy.
-/// Also runs the cheap legality self-check that arms the `on-failure`
-/// verifier mode.
 pub(crate) fn contract(s: &mut CompileSession<'_>) -> bool {
     let level = s.pipeline.spec.level;
-    let self_check = s.pipeline.verify == VerifyLevel::OnFailure;
     let mut contracted_defs = 0;
-    let mut check_failed = false;
     let changed = s.each_block(|ctx, b| {
         b.contract_set.clear();
         if level.contracts_compiler() {
@@ -740,11 +678,9 @@ pub(crate) fn contract(s: &mut CompileSession<'_>) -> bool {
         }
         b.contracted = ctx.contracted_defs(&b.partition, &b.contract_set);
         contracted_defs += b.contracted.len();
-        check_failed |= self_check && ctx.validate(&b.partition).is_err();
         !b.contracted.is_empty()
     });
     s.report.contracted_defs += contracted_defs;
-    s.cheap_check_failed |= check_failed;
     changed
 }
 

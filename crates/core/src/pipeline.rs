@@ -113,32 +113,27 @@ impl fmt::Display for Level {
     }
 }
 
-/// A level plus the opt-in cleanup passes: everything about *what to
+/// A level plus the opt-in cleanup pass: everything about *what to
 /// optimize* that a request, a pipeline, a cache key and a report have
 /// to agree on, as one value. Its `FromStr`/`Display` are the one
-/// implementation of the `zlc --level` grammar: a paper level name
-/// followed by `+dse` / `+rce2` suffixes in either order, each at most
-/// once, rendered canonically as `{level}{+dse}{+rce2}`. A bare [`Level`]
-/// converts to the spec with every cleanup off.
+/// implementation of the `zlc --level` grammar: a paper level name,
+/// optionally followed by `+rce2` (at most once). A bare [`Level`]
+/// converts to the spec with the cleanup off.
 ///
 /// ```
 /// use fusion_core::{Level, LevelSpec};
-/// let spec: LevelSpec = "c2+f3+rce2+dse".parse().unwrap();
+/// let spec: LevelSpec = "c2+f3+rce2".parse().unwrap();
 /// assert_eq!(spec.level, Level::C2F3);
-/// assert!(spec.dse && spec.rce2);
-/// assert_eq!(spec.to_string(), "c2+f3+dse+rce2");
-/// let twice = "c2+dse+dse".parse::<LevelSpec>().unwrap_err();
-/// assert!(twice.contains("`+dse` is given twice"), "{twice}");
+/// assert!(spec.rce2);
+/// assert_eq!(spec.to_string(), "c2+f3+rce2");
+/// let twice = "c2+rce2+rce2".parse::<LevelSpec>().unwrap_err();
+/// assert!(twice.contains("`+rce2` is given twice"), "{twice}");
 /// assert_eq!(LevelSpec::from(Level::C2).to_string(), "c2");
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct LevelSpec {
     /// The paper level.
     pub level: Level,
-    /// Dead-statement elimination ([`PassId::Dse`]): statements whose
-    /// definition is never read and whose region is fully overwritten
-    /// later in the block are removed.
-    pub dse: bool,
     /// Stencil-aware redundancy elimination ([`PassId::Rce2`]): an
     /// offset-lattice availability analysis finds subexpressions whose
     /// value is already materialized at a constant shift, rewrites them
@@ -151,11 +146,7 @@ pub struct LevelSpec {
 
 impl From<Level> for LevelSpec {
     fn from(level: Level) -> Self {
-        LevelSpec {
-            level,
-            dse: false,
-            rce2: false,
-        }
+        LevelSpec { level, rce2: false }
     }
 }
 
@@ -165,45 +156,34 @@ impl FromStr for LevelSpec {
     /// # Errors
     ///
     /// A rustc-style message naming the valid levels when the base level
-    /// is unknown, or the suffix when one is given twice.
+    /// is unknown, or the suffix when it is given twice.
     fn from_str(text: &str) -> Result<Self, String> {
-        let mut spec = LevelSpec::from(Level::Baseline);
-        let mut base = text;
-        loop {
-            let (rest, suffix, flag) = if let Some(rest) = base.strip_suffix("+dse") {
-                (rest, "+dse", &mut spec.dse)
-            } else if let Some(rest) = base.strip_suffix("+rce2") {
-                (rest, "+rce2", &mut spec.rce2)
-            } else {
-                break;
-            };
-            if *flag {
-                return Err(format!("level `{text}`: `{suffix}` is given twice"));
+        let (base, rce2) = match text.strip_suffix("+rce2") {
+            Some(base) if base.ends_with("+rce2") => {
+                return Err(format!("level `{text}`: `+rce2` is given twice"));
             }
-            base = rest;
-            *flag = true;
-        }
-        spec.level = Level::all()
+            Some(base) => (base, true),
+            None => (text, false),
+        };
+        let level = Level::all()
             .into_iter()
             .find(|l| l.name() == base)
             .ok_or_else(|| {
                 format!(
-                    "unknown level `{text}` (expected one of: {}; append `+dse`/`+rce2` for the \
-                     cleanup passes)",
+                    "unknown level `{text}` (expected one of: {}; append `+rce2` for the \
+                     cleanup pass)",
                     Level::all().map(|l| l.name()).join(", ")
                 )
             })?;
-        Ok(spec)
+        Ok(LevelSpec { level, rce2 })
     }
 }
 
 impl fmt::Display for LevelSpec {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.level.name())?;
-        for (on, suffix) in [(self.dse, "+dse"), (self.rce2, "+rce2")] {
-            if on {
-                f.write_str(suffix)?;
-            }
+        if self.rce2 {
+            f.write_str("+rce2")?;
         }
         Ok(())
     }
@@ -286,7 +266,7 @@ pub struct Optimized {
     pub contracted: Vec<ArrayId>,
     /// Static array accounting.
     pub report: Report,
-    /// The level and cleanup passes that were applied.
+    /// The level and cleanup pass that was applied.
     pub spec: LevelSpec,
     /// Per-block records (ASDG, partition, contracted definitions).
     pub details: Vec<BlockDetail>,
@@ -346,8 +326,8 @@ impl fmt::Debug for Pipeline<'_> {
 }
 
 impl<'f> Pipeline<'f> {
-    /// Creates a pipeline at a level, or at a [`LevelSpec`] with cleanup
-    /// passes switched on.
+    /// Creates a pipeline at a level, or at a [`LevelSpec`] with the
+    /// cleanup pass switched on.
     pub fn new(spec: impl Into<LevelSpec>) -> Self {
         Pipeline {
             spec: spec.into(),
@@ -358,13 +338,6 @@ impl<'f> Pipeline<'f> {
             verify: VerifyLevel::default(),
             emit: None,
         }
-    }
-
-    /// Switches [`LevelSpec::dse`] on. Off at every paper level (`+dse`
-    /// level suffix in `zlc`).
-    pub fn with_dse(mut self) -> Self {
-        self.spec.dse = true;
-        self
     }
 
     /// Switches [`LevelSpec::rce2`] on. Off at every paper level (`+rce2`
@@ -433,12 +406,9 @@ impl<'f> Pipeline<'f> {
     /// Afterwards the translation validator runs once over the result
     /// when the [`VerifyLevel`] says so.
     pub fn optimize(&self, program: &Program) -> Optimized {
-        let LevelSpec { level, dse, rce2 } = self.spec;
+        let LevelSpec { level, rce2 } = self.spec;
         let mut s = CompileSession::new(self, program);
         s.pass(PassId::Normalize, pass::normalize);
-        if dse {
-            s.pass(PassId::Dse, pass::dse);
-        }
         if rce2 {
             s.pass(PassId::Rce2, pass::rce2);
         }
@@ -458,13 +428,8 @@ impl<'f> Pipeline<'f> {
         s.pass(PassId::FindLoopStructure, pass::find_loop_structure);
         s.pass(PassId::Scalarize, pass::scalarize);
 
-        let validate = match self.verify {
-            VerifyLevel::Off => false,
-            VerifyLevel::OnFailure => s.cheap_check_failed,
-            VerifyLevel::Always => true,
-        };
         let mut opt = s.finish();
-        if validate {
+        if self.verify == VerifyLevel::Always {
             crate::supervisor::enter_stage(PassId::VerifyNormalForm);
             let start = Instant::now();
             opt.diagnostics = verify::validate(&opt);

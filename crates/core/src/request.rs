@@ -1,7 +1,7 @@
 //! One run configuration: [`RunRequest`].
 //!
 //! A request says what to compile (a [`LevelSpec`]: level plus the
-//! `+dse`/`+rce2` cleanups), how to execute it (engine, threads,
+//! `+rce2` cleanup), how to execute it (engine, threads,
 //! lanes, budgets) and under which config overrides. `zlc`, the lazy
 //! frontend, the compile cache, the serve path and the simulated
 //! runtime's `ExecConfig::from_request` all read this one value, and a
@@ -24,13 +24,13 @@
 //! use loopir::Engine;
 //!
 //! let req = RunRequest::new()
-//!     .with_level_spec("c2+f3+dse")
+//!     .with_level_spec("c2+f3+rce2")
 //!     .unwrap()
 //!     .with_engine(Engine::VmSimd)
 //!     .with_set("n", 32);
 //! assert_eq!(req.spec.level, Level::C2F3);
-//! assert!(req.spec.dse && !req.spec.rce2);
-//! assert_eq!(req.level_spec(), "c2+f3+dse");
+//! assert!(req.spec.rce2);
+//! assert_eq!(req.level_spec(), "c2+f3+rce2");
 //! ```
 
 use crate::pipeline::{Level, LevelSpec, Pipeline};
@@ -42,12 +42,12 @@ use std::time::Duration;
 use zlang::ir::{ConfigBinding, Program};
 
 /// A complete, self-describing run configuration: what to compile
-/// (level + cleanup passes), how to execute it (engine, threads,
+/// (level + cleanup pass), how to execute it (engine, threads,
 /// budgets), and under which config bindings. Built fluently, consumed
 /// by `zlc`, the [`Supervisor`], the compile cache, and the serve path.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunRequest {
-    /// Optimization level plus cleanup passes (default plain
+    /// Optimization level plus cleanup pass (default plain
     /// [`Level::C2`], matching `zlc`).
     pub spec: LevelSpec,
     /// Execution engine (default [`Engine::Vm`]).
@@ -94,27 +94,26 @@ impl RunRequest {
         RunRequest::default()
     }
 
-    /// Sets the optimization level (keeping any `+dse`/`+rce2`
-    /// choices).
+    /// Sets the optimization level (keeping a `+rce2` choice).
     pub fn with_level(mut self, level: Level) -> Self {
         self.spec.level = level;
         self
     }
 
-    /// Parses and sets the level *spec* (`"c2+f3+dse+rce2"`, the
+    /// Parses and sets the level *spec* (`"c2+f3+rce2"`, the
     /// `zlc --level` grammar; see [`LevelSpec`]).
     ///
     /// # Errors
     ///
     /// Returns a rustc-style message naming the valid levels when the
-    /// base level is unknown, or the suffix when one is given twice.
+    /// base level is unknown, or the suffix when it is given twice.
     pub fn with_level_spec(mut self, spec: &str) -> Result<Self, String> {
         self.spec = spec.parse()?;
         Ok(self)
     }
 
     /// The level spec string this request round-trips to
-    /// (`"c2+f3+dse"`-style).
+    /// (`"c2+f3+rce2"`-style).
     pub fn level_spec(&self) -> String {
         self.spec.to_string()
     }
@@ -125,9 +124,8 @@ impl RunRequest {
         self
     }
 
-    /// Parses and sets the engine from its flag name, accepting the same
-    /// aliases as `Engine::from_str` (`interp`, `vm`, `vm-simd`,
-    /// `vm-par`, ...).
+    /// Parses and sets the engine from its flag name (`interp`, `vm`,
+    /// `vm-simd`, `vm-par`; `Engine::from_str`).
     ///
     /// # Errors
     ///
@@ -197,7 +195,7 @@ impl RunRequest {
     }
 
     /// A fault-tolerant [`Supervisor`] serving a clone of this request.
-    pub fn supervisor(&self) -> Supervisor<'static> {
+    pub fn supervisor(&self) -> Supervisor {
         Supervisor::for_request(self.clone())
     }
 
@@ -256,22 +254,22 @@ mod tests {
 
     #[test]
     fn level_spec_round_trips() {
-        for spec in [
-            "baseline",
-            "c2+f3",
-            "c2+f4+dse",
-            "f1+rce2",
-            "c2+f3+rce2",
-            "c2+dse+rce2",
-        ] {
+        for spec in ["baseline", "c2+f3", "c2+f4", "f1+rce2", "c2+f3+rce2"] {
             let req = RunRequest::new().with_level_spec(spec).unwrap();
             assert_eq!(req.level_spec(), spec, "{spec}");
         }
-        // Suffixes parse in either order but render canonically.
-        let req = RunRequest::new().with_level_spec("c2+rce2+dse").unwrap();
-        assert_eq!(req.level_spec(), "c2+dse+rce2");
-        let req = RunRequest::new().with_level_spec("c2+rce2").unwrap();
-        assert!(req.spec.rce2 && !req.spec.dse);
+        // The grammar is `L[+rce2]`: 8 levels x 2, and nothing else.
+        let specs = Level::all().map(|l| [l.name().to_string(), format!("{l}+rce2")]);
+        for spec in specs.as_flattened() {
+            assert_eq!(&spec.parse::<LevelSpec>().unwrap().to_string(), spec);
+        }
+        assert!(
+            RunRequest::new()
+                .with_level_spec("c2+rce2")
+                .unwrap()
+                .spec
+                .rce2
+        );
     }
 
     #[test]
@@ -279,10 +277,13 @@ mod tests {
         let err = RunRequest::new().with_level_spec("o3").unwrap_err();
         assert!(err.contains("unknown level `o3`"), "{err}");
         assert!(err.contains("c2+f3"), "{err}");
-        // The retired `+rce` suffix is an unknown level like any other.
-        let err = RunRequest::new().with_level_spec("c2+rce").unwrap_err();
-        assert!(err.contains("unknown level `c2+rce`"), "{err}");
-        assert!(err.contains("`+dse`/`+rce2`"), "{err}");
+        // The retired `+rce` and `+dse` suffixes are unknown levels like
+        // any other, in any position.
+        for retired in ["c2+rce", "c2+dse", "c2+dse+rce2", "c2+rce2+dse"] {
+            let err = RunRequest::new().with_level_spec(retired).unwrap_err();
+            assert!(err.contains(&format!("unknown level `{retired}`")), "{err}");
+            assert!(err.contains("append `+rce2`"), "{err}");
+        }
         // One spec has one spelling: a repeated suffix is rejected by name.
         let err = RunRequest::new()
             .with_level_spec("c2+f3+rce2+rce2")

@@ -19,7 +19,7 @@
 //! request at relaxed knobs: the same [`LevelSpec`] and the same lowered
 //! artifact at the requested `(threads, lanes)`, then threads → 1, then
 //! lanes → 1, then the tree-walker, then plain `baseline` on the
-//! tree-walker with the cleanup passes off:
+//! tree-walker with the cleanup pass off:
 //!
 //! ```text
 //! (spec, T, L)  →  (spec, 1, L)  →  (spec, 1, 1)
@@ -60,9 +60,12 @@
 //!   a degraded answer late beats no answer — unless
 //!   [`Budgets::enforce_on_reference`] is set.
 //! * **Communication failures** from a simulated-runtime backend
-//!   (installed with [`Supervisor::with_sim`]): the same rung is retried
+//!   ([`Supervisor::run_program_simulated`]): the same rung is retried
 //!   once with simulation disabled, since the communication simulation
-//!   affects timing models, never computed values.
+//!   affects timing models, never computed values. A backend is an
+//!   *observer* of the rung, not a second way to run it: it is handed the
+//!   executor the rung built — from the same cached artifact, at the same
+//!   knobs and limits — and only chooses what watches it run.
 //!
 //! ```
 //! use fusion_core::supervisor::Supervisor;
@@ -83,7 +86,9 @@ use crate::cache::{CacheKey, CompileCache, Depth};
 use crate::hash;
 use crate::pipeline::{Level, LevelSpec};
 use crate::request::RunRequest;
-use loopir::{Engine, ErrorKind, ExecError, ExecLimits, NoopObserver, RunOutcome, ScalarProgram};
+use loopir::{
+    Engine, ErrorKind, ExecError, ExecLimits, Executor, NoopObserver, RunOutcome, ScalarProgram,
+};
 use std::cell::Cell;
 use std::fmt;
 use std::panic::{self, AssertUnwindSafe};
@@ -258,7 +263,7 @@ impl From<ExecError> for Cause {
 /// One rung of the degradation ladder as actually tried.
 #[derive(Debug, Clone)]
 pub struct Attempt {
-    /// Level and cleanup passes of this attempt.
+    /// Level and cleanup pass of this attempt.
     pub spec: LevelSpec,
     /// The engine name this attempt's knobs spell.
     pub engine: Engine,
@@ -277,7 +282,7 @@ pub struct Attempt {
 /// The complete record of a supervised run.
 #[derive(Debug, Clone)]
 pub struct SupervisorReport {
-    /// The level and cleanup passes the caller asked for.
+    /// The level and cleanup pass the caller asked for.
     pub requested_spec: LevelSpec,
     /// The engine the caller asked for.
     pub requested_engine: Engine,
@@ -411,10 +416,12 @@ impl Budgets {
     }
 }
 
-/// A simulated-runtime backend: executes a scalarized program under a
-/// binding on an engine with limits, returning the outcome or a
-/// (possibly communication-related) failure.
-pub type SimFn<'a> = dyn Fn(&ScalarProgram, &ConfigBinding, Engine, ExecLimits) -> Result<RunOutcome, ExecError>
+/// A simulated-runtime backend: runs a rung's executor — already built
+/// from the rung's cached artifact, knobs and limits set — under its own
+/// observer, returning the outcome or a (possibly communication-related)
+/// failure. The scalarized program and the binding are the ones the
+/// executor was built over, for a machine model that reads declarations.
+pub type SimFn<'a> = dyn FnMut(&mut dyn Executor, &ScalarProgram, &ConfigBinding) -> Result<RunOutcome, ExecError>
     + 'a;
 
 /// A successful supervised run: the answer plus the account of how it
@@ -448,19 +455,17 @@ impl std::error::Error for SupervisorError {}
 /// docs for the fault model and ladder. It owns the [`RunRequest`] it
 /// serves (level spec, engine, threads, lanes, budgets, `--set`
 /// overrides are set there) plus only what a request does not carry:
-/// the simulation backend, the shared cache and the breaker registry.
-pub struct Supervisor<'a> {
+/// the shared cache and the breaker registry.
+pub struct Supervisor {
     request: RunRequest,
-    sim: Option<Box<SimFn<'a>>>,
     cache: Option<Arc<CompileCache>>,
     breaker: Option<Arc<CircuitBreakers>>,
 }
 
-impl fmt::Debug for Supervisor<'_> {
+impl fmt::Debug for Supervisor {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Supervisor")
             .field("request", &self.request)
-            .field("sim", &self.sim.is_some())
             .finish()
     }
 }
@@ -481,10 +486,10 @@ struct Run<'p> {
     depth: Depth,
 }
 
-impl<'a> Supervisor<'a> {
+impl Supervisor {
     /// A supervisor for the default request at a level and engine: no
-    /// cleanup passes, no budgets, no overrides, direct (unsimulated)
-    /// execution. Shorthand for [`RunRequest::supervisor`].
+    /// cleanup pass, no budgets, no overrides. Shorthand for
+    /// [`RunRequest::supervisor`].
     pub fn new(level: Level, engine: Engine) -> Self {
         Supervisor::for_request(RunRequest::new().with_level(level).with_engine(engine))
     }
@@ -493,7 +498,6 @@ impl<'a> Supervisor<'a> {
     pub fn for_request(request: RunRequest) -> Self {
         Supervisor {
             request,
-            sim: None,
             cache: None,
             breaker: None,
         }
@@ -535,18 +539,6 @@ impl<'a> Supervisor<'a> {
         self
     }
 
-    /// Installs a simulated-runtime backend. On a communication failure
-    /// the supervisor retries the same rung with the backend disabled
-    /// (communication simulation affects timing models, not values).
-    pub fn with_sim(
-        mut self,
-        sim: impl Fn(&ScalarProgram, &ConfigBinding, Engine, ExecLimits) -> Result<RunOutcome, ExecError>
-            + 'a,
-    ) -> Self {
-        self.sim = Some(Box::new(sim));
-        self
-    }
-
     /// Parses and runs source text under supervision.
     ///
     /// # Errors
@@ -562,7 +554,7 @@ impl<'a> Supervisor<'a> {
             Ok(Err(e)) => return Err(self.parse_error(e.to_string(), started)),
             Err(msg) => return Err(self.parse_error(msg, started)),
         };
-        self.run(&cache, &parsed.program, parsed.digest, depth)
+        self.run(&cache, &parsed.program, parsed.digest, depth, None)
     }
 
     /// The cache a run compiles through: the attached one, or a private
@@ -602,7 +594,27 @@ impl<'a> Supervisor<'a> {
     /// including the unoptimized reference interpreter — faulted.
     pub fn run_program(&self, program: &Program) -> Result<Supervised, SupervisorError> {
         let digest = hash::program_hash(program);
-        self.run(&self.run_cache(), program, digest, Depth::Hit)
+        self.run(&self.run_cache(), program, digest, Depth::Hit, None)
+    }
+
+    /// [`run_program`](Self::run_program) with every rung's executor run
+    /// by `sim`, a simulated-runtime backend, instead of unobserved. The
+    /// ladder, the artifacts and the knobs are the plain run's: a
+    /// simulated and a plain request share their cache entries. On a
+    /// communication failure the same rung is retried once without the
+    /// backend (communication simulation affects timing models, not
+    /// values).
+    ///
+    /// # Errors
+    ///
+    /// As [`run_program`](Self::run_program).
+    pub fn run_program_simulated(
+        &self,
+        program: &Program,
+        sim: &mut SimFn<'_>,
+    ) -> Result<Supervised, SupervisorError> {
+        let digest = hash::program_hash(program);
+        self.run(&self.run_cache(), program, digest, Depth::Hit, Some(sim))
     }
 
     /// The ladder over a program whose digest the caller holds; `parsed`
@@ -613,6 +625,7 @@ impl<'a> Supervisor<'a> {
         program: &Program,
         digest: u64,
         mut parsed: Depth,
+        mut sim: Option<&mut SimFn<'_>>,
     ) -> Result<Supervised, SupervisorError> {
         let req = &self.request;
         let mut report = SupervisorReport::new(req);
@@ -686,13 +699,14 @@ impl<'a> Supervisor<'a> {
                 .as_ref()
                 .filter(|_| !forced_reference && ri == 0);
 
-            // Try with the sim backend if installed; on a communication
-            // failure, once more without it.
-            let mut use_sim = self.sim.is_some();
+            // Try with the sim backend if there is one; on a
+            // communication failure, once more without it.
+            let mut use_sim = sim.is_some();
             loop {
                 let started = Instant::now();
                 run.depth = std::mem::take(&mut parsed);
-                let r = self.attempt(&mut run, (spec, engine, knobs), budgeted, use_sim);
+                let backend = sim.as_deref_mut().filter(|_| use_sim);
+                let r = self.attempt(&mut run, (spec, engine, knobs), budgeted, backend);
                 let elapsed = started.elapsed();
                 let depth = run.depth;
                 let attempt = |fault| Attempt {
@@ -700,7 +714,7 @@ impl<'a> Supervisor<'a> {
                     engine,
                     elapsed,
                     fault,
-                    sim_disabled: self.sim.is_some() && !use_sim,
+                    sim_disabled: sim.is_some() && !use_sim,
                     depth,
                 };
                 let cause = match r {
@@ -757,15 +771,16 @@ impl<'a> Supervisor<'a> {
 
     /// One rung: the request at the rung's spec and knobs, through the one
     /// path — [`CompileCache::compile`] at the rung's key in the run's
-    /// cache, check the allocation budget, build the executor, run. Every
-    /// step is inside the panic boundary; errors come back as a [`Cause`],
-    /// and a fault anywhere before publication abandons the claim.
+    /// cache, check the allocation budget, build the executor, run it —
+    /// unobserved, or handed to `sim`. Every step is inside the panic
+    /// boundary; errors come back as a [`Cause`], and a fault anywhere
+    /// before publication abandons the claim.
     fn attempt(
         &self,
         run: &mut Run<'_>,
         (spec, engine, knobs): Rung,
         budgeted: bool,
-        use_sim: bool,
+        sim: Option<&mut SimFn<'_>>,
     ) -> Result<RunOutcome, Cause> {
         let req = &self.request;
         // A zero deadline can never be met; fault deterministically up
@@ -778,16 +793,13 @@ impl<'a> Supervisor<'a> {
                 message: "execution deadline exceeded (raise the wall-clock budget)".to_string(),
             });
         }
-        // The simulation backend lowers the scalarized program itself, so
-        // a simulated attempt asks the compile step for the tree only.
-        let sim = self.sim.as_deref().filter(|_| use_sim);
         enter_stage(Stage::Normalize);
         quiet_catch(|| -> Result<RunOutcome, Cause> {
             let binding = &run.binding;
             // The run's digests at this rung's coordinates.
             let key = CacheKey {
                 spec,
-                bytecode: sim.is_none() && engine != Engine::Interp,
+                bytecode: engine != Engine::Interp,
                 ..run.key
             };
             let (artifact, depth) = run.cache.compile(run.program, binding, key)?;
@@ -823,12 +835,12 @@ impl<'a> Supervisor<'a> {
                 }
                 limits = req.limits();
             }
-            if let Some(sim) = sim {
-                return Ok(sim(&artifact.scalarized, binding, engine, limits)?);
-            }
             let mut exec = artifact.executor(knobs);
             exec.set_limits(limits);
-            Ok(exec.execute(&mut NoopObserver)?)
+            Ok(match sim {
+                Some(sim) => sim(&mut *exec, &artifact.scalarized, binding)?,
+                None => exec.execute(&mut NoopObserver)?,
+            })
         })
         .unwrap_or_else(|message| {
             Err(Cause {
@@ -848,7 +860,7 @@ type Rung = (LevelSpec, Engine, loopir::ExecOpts);
 /// cheaper VM name pins them — threads → 1, then lanes → 1, a rung that
 /// changes nothing dropped — then the tree-walker at the same spec, then
 /// (always last, unless it is all that was asked for) the unoptimized
-/// reference interpreter with the cleanup passes off.
+/// reference interpreter with the cleanup pass off.
 fn ladder(req: &RunRequest) -> Vec<Rung> {
     let asked = req.exec_opts();
     let mut rungs = vec![(req.spec, req.engine, asked)];
@@ -1130,19 +1142,16 @@ mod tests {
 
     #[test]
     fn comm_failure_retries_same_rung_without_sim() {
-        let calls = std::cell::Cell::new(0u32);
-        let sup =
-            Supervisor::new(Level::C2F3, Engine::Vm).with_sim(|sp, binding, engine, limits| {
-                calls.set(calls.get() + 1);
-                if calls.get() == 1 {
-                    return Err(ExecError::comm("ghost exchange failed after 4 retries"));
-                }
-                let mut exec = engine.executor(sp, binding.clone())?;
-                exec.set_limits(limits);
-                exec.execute(&mut NoopObserver)
-            });
+        let mut calls = 0;
         let program = zlang::compile(SRC).unwrap();
-        let run = sup.run_program(&program).unwrap();
+        let run = Supervisor::new(Level::C2F3, Engine::Vm)
+            .run_program_simulated(&program, &mut |_, _, _| {
+                calls += 1;
+                Err(ExecError::comm("ghost exchange failed after 4 retries"))
+            })
+            .unwrap();
+        // The backend saw the rung once; the retry ran without it.
+        assert_eq!(calls, 1);
         assert_eq!(run.outcome.checksum(), reference_checksum());
         // Same rung, retried with sim disabled — no engine degradation.
         assert_eq!(run.report.final_engine, Engine::Vm);

@@ -39,7 +39,6 @@
 use crate::normal::NormProgram;
 use crate::pipeline::Optimized;
 use std::fmt;
-use std::str::FromStr;
 
 mod asdg_check;
 mod contraction;
@@ -170,44 +169,8 @@ pub enum VerifyLevel {
     /// Never (the default; zero overhead).
     #[default]
     Off,
-    /// Only when the cheap per-block partition check
-    /// ([`crate::fusion::FusionCtx::validate`]) already failed — the full
-    /// validator then localizes the damage.
-    OnFailure,
     /// After every optimization run.
     Always,
-}
-
-impl VerifyLevel {
-    /// The spelling accepted by [`FromStr`] and produced by [`fmt::Display`].
-    pub fn name(self) -> &'static str {
-        match self {
-            VerifyLevel::Off => "off",
-            VerifyLevel::OnFailure => "on-failure",
-            VerifyLevel::Always => "always",
-        }
-    }
-}
-
-impl fmt::Display for VerifyLevel {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-impl FromStr for VerifyLevel {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "off" => Ok(VerifyLevel::Off),
-            "on-failure" => Ok(VerifyLevel::OnFailure),
-            "always" => Ok(VerifyLevel::Always),
-            other => Err(format!(
-                "unknown verify level `{other}` (expected `off`, `on-failure`, or `always`)"
-            )),
-        }
-    }
 }
 
 /// Runs every checker over an optimization result and returns all findings.
@@ -257,19 +220,6 @@ pub fn check_rce2(np: &NormProgram, info: &crate::rce2::Rce2Info) -> Vec<Diagnos
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn verify_level_parses_and_displays() {
-        for lv in [
-            VerifyLevel::Off,
-            VerifyLevel::OnFailure,
-            VerifyLevel::Always,
-        ] {
-            assert_eq!(lv.name().parse::<VerifyLevel>().unwrap(), lv);
-            assert_eq!(lv.to_string(), lv.name());
-        }
-        assert!("sometimes".parse::<VerifyLevel>().is_err());
-    }
 
     #[test]
     fn diagnostic_renders_rustc_style() {

@@ -227,9 +227,9 @@ pub enum Engine {
     /// it is what still runs when lowering itself fails.
     Interp,
     /// The VM at `lanes = 1, threads = 1`: scalar, sequential dispatch of
-    /// the verified stream. The default; reads neither knob. The names
-    /// `vm-verified` and `verified` parse to this engine (the benchmark
-    /// harness still passes them).
+    /// the verified stream. The default; reads neither knob. The name
+    /// `vm-verified` parses to this engine too (the benchmark harness
+    /// still passes it).
     #[default]
     Vm,
     /// The VM at `threads = 1`: provably vectorizable innermost loops run
@@ -406,12 +406,12 @@ impl FromStr for Engine {
 
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         match s {
-            "interp" | "interpreter" => Ok(Engine::Interp),
+            "interp" => Ok(Engine::Interp),
             // `vm-verified`: the frozen benchmark harness passes this
             // name; every VM name runs the verified stream.
-            "vm" | "bytecode" | "vm-verified" | "verified" => Ok(Engine::Vm),
-            "vm-simd" | "simd" => Ok(Engine::VmSimd),
-            "vm-par" | "parallel" => Ok(Engine::VmPar),
+            "vm" | "vm-verified" => Ok(Engine::Vm),
+            "vm-simd" => Ok(Engine::VmSimd),
+            "vm-par" => Ok(Engine::VmPar),
             other => Err(format!(
                 "unknown engine `{other}` (expected `interp`, `vm`, `vm-simd`, or `vm-par`)"
             )),
@@ -429,13 +429,24 @@ mod tests {
         assert_eq!("interp".parse::<Engine>().unwrap(), Engine::Interp);
         // `vm-verified` selects nothing `vm` does not: a spelling of it.
         assert_eq!("vm-verified".parse::<Engine>().unwrap(), Engine::Vm);
-        assert_eq!("verified".parse::<Engine>().unwrap(), Engine::Vm);
         assert_eq!("vm-verified".parse::<Engine>().unwrap().to_string(), "vm");
         assert_eq!("vm-simd".parse::<Engine>().unwrap(), Engine::VmSimd);
-        assert_eq!("simd".parse::<Engine>().unwrap(), Engine::VmSimd);
         assert_eq!("vm-par".parse::<Engine>().unwrap(), Engine::VmPar);
-        assert_eq!("parallel".parse::<Engine>().unwrap(), Engine::VmPar);
-        assert!("jit".parse::<Engine>().is_err());
+        // One documented spelling per engine, plus the harness's.
+        for retired in [
+            "interpreter",
+            "bytecode",
+            "verified",
+            "simd",
+            "parallel",
+            "jit",
+        ] {
+            let err = retired.parse::<Engine>().unwrap_err();
+            assert!(
+                err.contains("`interp`, `vm`, `vm-simd`, or `vm-par`"),
+                "{err}"
+            );
+        }
         assert_eq!(Engine::Vm.to_string(), "vm");
         assert_eq!(Engine::VmSimd.to_string(), "vm-simd");
         assert_eq!(Engine::VmPar.to_string(), "vm-par");

@@ -1,20 +1,31 @@
 //! The simulated parallel executor.
 //!
-//! Interprets the scalarized program for one representative processor's
-//! block through the cache simulator, while the communication tracker
-//! accounts ghost fetches and overlap per nest. Total simulated time is
-//! per-node compute plus unhidden communication plus reductions — the SPMD
-//! symmetric model described in the crate docs.
+//! A simulated run is an *observed* run: [`Simulation`] is a
+//! [`loopir::Observer`] that feeds one representative processor's access
+//! stream through the cache simulator while the communication tracker
+//! accounts ghost fetches and overlap per nest, and [`simulate_executor`]
+//! runs any executor under it — the supervisor's rung, `zlc`'s lowered
+//! program, a cached artifact replayed across machines. Total simulated
+//! time is per-node compute plus unhidden communication plus reductions —
+//! the SPMD symmetric model described in the crate docs.
+//!
+//! [`simulate`] and [`simulate_outcome`] are the convenience for callers
+//! that hold only a scalarized program: they build the executor an
+//! [`ExecConfig`] names, then do the same.
 
 use crate::comm::{CommPolicy, CommStats, CommTracker};
 use loopir::{
-    Engine, ExecError, ExecLimits, ExecOpts, LoopNest, Observer, RunStats, ScalarProgram,
+    Engine, ExecError, ExecLimits, ExecOpts, Executor, LoopNest, Observer, RunOutcome, RunStats,
+    ScalarProgram,
 };
 use machine::presets::Machine;
 use machine::sim::{MemSim, MemStats};
-use zlang::ir::ConfigBinding;
+use zlang::ir::{ConfigBinding, Program};
 
-/// Configuration of one simulated run.
+/// Configuration of one simulated run: the machine model
+/// ([`Simulation`] reads `machine`, `procs` and `policy`), plus — read by
+/// [`simulate`] / [`simulate_outcome`] alone, which have to build the
+/// executor themselves — how to execute.
 #[derive(Debug, Clone)]
 pub struct ExecConfig {
     /// Which machine to model.
@@ -24,67 +35,48 @@ pub struct ExecConfig {
     pub procs: u64,
     /// Communication optimizations in effect.
     pub policy: CommPolicy,
-    /// Which execution engine runs the scalarized program: the
+    /// Which execution engine the convenience wrappers build: the
     /// tree-walker, or — under every VM name alike — the one lowered,
-    /// verified stream ([`Engine::executor_with`]).
+    /// verified stream.
     pub engine: Engine,
-    /// Worker-thread count for [`Engine::VmPar`] (`0` = auto); pinned to 1
-    /// by the other names. Under the simulation it changes nothing: the
-    /// cache and communication models consume the ordered address stream,
-    /// so ladders never fan out as tiles and run on the calling thread.
-    /// Lanes do run (at the default width, under `vm-simd` and `vm-par`):
-    /// a lane run reports each strip in scalar order
-    /// (`loopir::Observer::strip`), so every simulated number is the
-    /// same to the bit under every engine.
-    pub threads: usize,
-    /// Resource budgets applied to the engine (fuel, deadline).
+    /// The knobs the wrappers run a VM engine at (`engine` pins the ones
+    /// its name does not read). Under the simulation they change nothing
+    /// but wall-clock time: the cache and communication models consume the
+    /// ordered address stream, so ladders never fan out as tiles, and a
+    /// lane run reports each strip in scalar order
+    /// (`loopir::Observer::strip`) — every simulated number is the same to
+    /// the bit under every engine at every width.
+    pub opts: ExecOpts,
+    /// Resource budgets the wrappers apply to the engine (fuel, deadline).
     pub limits: ExecLimits,
 }
 
 impl ExecConfig {
-    /// Single-node run on a machine (no communication at all).
-    pub fn serial(machine: Machine) -> Self {
-        ExecConfig {
-            machine,
-            procs: 1,
-            policy: CommPolicy::default(),
-            engine: Engine::default(),
-            threads: 0,
-            limits: ExecLimits::none(),
-        }
-    }
-
-    /// The same configuration with a different execution engine.
-    pub fn with_engine(mut self, engine: Engine) -> Self {
-        self.engine = engine;
-        self
-    }
-
-    /// The same configuration with a worker-thread count for
-    /// [`Engine::VmPar`].
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
-        self
-    }
-
-    /// The same configuration with resource budgets.
-    pub fn with_limits(mut self, limits: ExecLimits) -> Self {
-        self.limits = limits;
-        self
-    }
-
-    /// The simulation config a [`RunRequest`](fusion_core::RunRequest)
-    /// describes, on `machine` with `procs` processors: engine, threads,
-    /// and limits come from the request (the limits' deadline clock
-    /// starts at this call), the communication policy stays default.
-    pub fn from_request(req: &fusion_core::RunRequest, machine: Machine, procs: u64) -> Self {
+    /// `procs` processors of `machine` under the default communication
+    /// policy; the wrappers run the default engine at its default knobs,
+    /// unbudgeted.
+    pub fn new(machine: Machine, procs: u64) -> Self {
         ExecConfig {
             machine,
             procs,
             policy: CommPolicy::default(),
+            engine: Engine::default(),
+            opts: ExecOpts::default(),
+            limits: ExecLimits::none(),
+        }
+    }
+
+    /// The simulation config a [`RunRequest`](fusion_core::RunRequest)
+    /// describes, on `machine` with `procs` processors: the engine, its
+    /// knobs ([`exec_opts`](fusion_core::RunRequest::exec_opts), whole)
+    /// and the limits come from the request (the limits' deadline clock
+    /// starts at this call), the communication policy stays default.
+    pub fn from_request(req: &fusion_core::RunRequest, machine: Machine, procs: u64) -> Self {
+        ExecConfig {
             engine: req.engine,
-            threads: req.threads,
+            opts: req.exec_opts(),
             limits: req.limits(),
+            ..ExecConfig::new(machine, procs)
         }
     }
 }
@@ -117,18 +109,35 @@ impl SimResult {
     }
 }
 
-/// Observer gluing the cache simulator and the communication tracker.
-struct SimObserver<'a> {
+/// The machine simulation: the observer gluing the cache simulator and
+/// the communication tracker. Hand it to [`Executor::execute`], then
+/// [`finish`](Simulation::finish) it with the run's counters —
+/// [`simulate_executor`] is exactly that.
+pub struct Simulation<'a> {
     mem: MemSim,
     comm: CommTracker,
     machine: &'a Machine,
-    program: &'a zlang::ir::Program,
+    program: &'a Program,
     binding: &'a ConfigBinding,
     /// MemStats snapshot at the last nest boundary.
     last: MemStats,
 }
 
-impl SimObserver<'_> {
+impl<'a> Simulation<'a> {
+    /// A fresh simulation of `cfg`'s machine, processor count and policy
+    /// for a run of a scalarized program with declarations `program`
+    /// under `binding`.
+    pub fn new(cfg: &'a ExecConfig, program: &'a Program, binding: &'a ConfigBinding) -> Self {
+        Simulation {
+            mem: MemSim::new(cfg.machine.l1, cfg.machine.l2),
+            comm: CommTracker::new(cfg.procs, cfg.machine.cost, cfg.policy),
+            machine: &cfg.machine,
+            program,
+            binding,
+            last: MemStats::default(),
+        }
+    }
+
     fn compute_ns(&self, s: MemStats) -> f64 {
         self.machine
             .cost
@@ -147,9 +156,33 @@ impl SimObserver<'_> {
         let ns = self.compute_ns(delta);
         self.comm.add_compute(ns);
     }
+
+    /// Closes the simulation of a run that reported `run`.
+    ///
+    /// # Errors
+    ///
+    /// An unrecoverable injected communication failure, as an error of
+    /// kind [`Comm`](loopir::ErrorKind::Comm).
+    pub fn finish(mut self, run: RunStats) -> Result<SimResult, ExecError> {
+        self.flush_compute();
+        if let Some(msg) = self.comm.failure() {
+            return Err(ExecError::comm(msg));
+        }
+        let mem = self.mem.stats();
+        let comm = self.comm.stats();
+        let compute_ns = self.compute_ns(mem);
+        let total_ns = compute_ns + comm.effective_ns();
+        Ok(SimResult {
+            run,
+            mem,
+            comm,
+            compute_ns,
+            total_ns,
+        })
+    }
 }
 
-impl Observer for SimObserver<'_> {
+impl Observer for Simulation<'_> {
     fn load(&mut self, addr: u64) {
         self.mem.load(addr);
     }
@@ -173,7 +206,10 @@ impl Observer for SimObserver<'_> {
     }
 }
 
-/// Runs a scalarized program under a machine model.
+/// Runs `exec` — whatever built it, at whatever knobs and limits it
+/// carries — under the machine model of `cfg` (`machine`, `procs` and
+/// `policy`; nothing else of `cfg` is read). `program` and `binding` are
+/// the declarations and the binding `exec` was built over.
 ///
 /// # Errors
 ///
@@ -181,6 +217,23 @@ impl Observer for SimObserver<'_> {
 /// deadline budgets), and reports an unrecoverable injected
 /// communication failure as an error of kind
 /// [`Comm`](loopir::ErrorKind::Comm).
+pub fn simulate_executor(
+    exec: &mut dyn Executor,
+    program: &Program,
+    binding: &ConfigBinding,
+    cfg: &ExecConfig,
+) -> Result<(RunOutcome, SimResult), ExecError> {
+    let mut sim = Simulation::new(cfg, program, binding);
+    let outcome = exec.execute(&mut sim)?;
+    let result = sim.finish(outcome.stats)?;
+    Ok((outcome, result))
+}
+
+/// Runs a scalarized program under a machine model.
+///
+/// # Errors
+///
+/// As [`simulate_outcome`].
 pub fn simulate(
     sp: &ScalarProgram,
     binding: ConfigBinding,
@@ -189,62 +242,23 @@ pub fn simulate(
     simulate_outcome(sp, binding, cfg).map(|(_, sim)| sim)
 }
 
-/// Like [`simulate`], but also returns the program's [`loopir::RunOutcome`]
-/// (final scalar values) alongside the timing result — for callers such
-/// as the supervisor that need the computed answer, not just the model.
+/// Like [`simulate`], but also returns the program's [`RunOutcome`]
+/// (final scalar values) alongside the timing result. Lowers `sp` on
+/// every call (under a VM engine name); a caller that holds the lowered
+/// artifact runs it with [`simulate_executor`] instead.
 ///
 /// # Errors
 ///
-/// Same as [`simulate`].
+/// As [`simulate_executor`], plus the lowering failures and verifier
+/// rejections of [`Engine::executor_with`].
 pub fn simulate_outcome(
     sp: &ScalarProgram,
     binding: ConfigBinding,
     cfg: &ExecConfig,
-) -> Result<(loopir::RunOutcome, SimResult), ExecError> {
-    simulate_at(sp, binding, cfg, ExecOpts::with_threads(cfg.threads))
-}
-
-/// [`simulate_outcome`] at explicit knobs (`cfg.threads` is not read):
-/// how the tests reach a lane width.
-fn simulate_at(
-    sp: &ScalarProgram,
-    binding: ConfigBinding,
-    cfg: &ExecConfig,
-    knobs: ExecOpts,
-) -> Result<(loopir::RunOutcome, SimResult), ExecError> {
-    let mut obs = SimObserver {
-        mem: MemSim::new(cfg.machine.l1, cfg.machine.l2),
-        comm: CommTracker::new(cfg.procs, cfg.machine.cost, cfg.policy),
-        machine: &cfg.machine,
-        program: &sp.program,
-        binding: &binding,
-        last: MemStats::default(),
-    };
-    let mut exec = cfg.engine.executor_with(sp, binding.clone(), knobs)?;
+) -> Result<(RunOutcome, SimResult), ExecError> {
+    let mut exec = cfg.engine.executor_with(sp, binding.clone(), cfg.opts)?;
     exec.set_limits(cfg.limits);
-    let outcome = exec.execute(&mut obs)?;
-    let run = outcome.stats;
-    obs.flush_compute();
-    if let Some(msg) = obs.comm.failure() {
-        return Err(ExecError::comm(msg));
-    }
-    let mem = obs.mem.stats();
-    let comm = obs.comm.stats();
-    let compute_ns =
-        cfg.machine
-            .cost
-            .compute_ns(mem.flops, mem.accesses, mem.l1_misses, mem.l2_misses);
-    let total_ns = compute_ns + comm.effective_ns();
-    Ok((
-        outcome,
-        SimResult {
-            run,
-            mem,
-            comm,
-            compute_ns,
-            total_ns,
-        },
-    ))
+    simulate_executor(&mut *exec, &sp.program, &binding, cfg)
 }
 
 #[cfg(test)]
@@ -278,7 +292,7 @@ mod tests {
         let r = simulate(
             &sp,
             ConfigBinding::defaults(&sp.program),
-            &ExecConfig::serial(t3e()),
+            &ExecConfig::new(t3e(), 1),
         )
         .unwrap();
         assert_eq!(r.comm.messages, 0);
@@ -290,14 +304,7 @@ mod tests {
     #[test]
     fn parallel_run_communicates_and_reduces() {
         let sp = program(SRC, Level::Baseline);
-        let cfg = ExecConfig {
-            machine: t3e(),
-            procs: 16,
-            policy: CommPolicy::default(),
-            engine: Engine::default(),
-            threads: 0,
-            limits: ExecLimits::none(),
-        };
+        let cfg = ExecConfig::new(t3e(), 16);
         let r = simulate(&sp, ConfigBinding::defaults(&sp.program), &cfg).unwrap();
         assert!(r.comm.messages > 0);
         assert_eq!(r.comm.reductions, 1);
@@ -309,7 +316,7 @@ mod tests {
     fn contraction_improves_simulated_time() {
         let base = program(SRC, Level::Baseline);
         let c2 = program(SRC, Level::C2);
-        let cfg = ExecConfig::serial(paragon());
+        let cfg = ExecConfig::new(paragon(), 1);
         let rb = simulate(&base, ConfigBinding::defaults(&base.program), &cfg).unwrap();
         let rc = simulate(&c2, ConfigBinding::defaults(&c2.program), &cfg).unwrap();
         assert!(
@@ -328,7 +335,10 @@ mod tests {
         // engine choice.
         let sp = program(SRC, Level::C2F3);
         let checksum = |m: Machine, engine: Engine| {
-            let cfg = ExecConfig::serial(m).with_engine(engine);
+            let cfg = ExecConfig {
+                engine,
+                ..ExecConfig::new(m, 1)
+            };
             let r = simulate(&sp, ConfigBinding::defaults(&sp.program), &cfg).unwrap();
             let mut exec = engine
                 .executor(&sp, ConfigBinding::defaults(&sp.program))
@@ -346,6 +356,52 @@ mod tests {
         let _ = mem_b;
     }
 
+    /// Forwards everything to the simulation and remembers the longest
+    /// lane strip it was handed.
+    struct Widest<'a> {
+        sim: Simulation<'a>,
+        widest: usize,
+    }
+
+    impl Observer for Widest<'_> {
+        fn load(&mut self, addr: u64) {
+            self.sim.load(addr);
+        }
+        fn store(&mut self, addr: u64) {
+            self.sim.store(addr);
+        }
+        fn flops(&mut self, n: u64) {
+            self.sim.flops(n);
+        }
+        fn nest_begin(&mut self, nest: &LoopNest) {
+            self.sim.nest_begin(nest);
+        }
+        fn reduce_begin(&mut self) {
+            self.sim.reduce_begin();
+        }
+        fn strip(&mut self, events: &[loopir::StripEvent], at: loopir::Strip) {
+            self.widest = self.widest.max(at.len);
+            self.sim.strip(events, at);
+        }
+    }
+
+    /// Runs `exec` under a [`Widest`]-wrapped simulation: the outcome's
+    /// scalar bits, the `SimResult`, and the longest strip.
+    fn observed(
+        exec: &mut dyn Executor,
+        program: &Program,
+        binding: &ConfigBinding,
+        cfg: &ExecConfig,
+    ) -> Result<(RunOutcome, SimResult, usize), ExecError> {
+        let mut obs = Widest {
+            sim: Simulation::new(cfg, program, binding),
+            widest: 0,
+        };
+        let outcome = exec.execute(&mut obs)?;
+        let sim = obs.sim.finish(outcome.stats)?;
+        Ok((outcome, sim, obs.widest))
+    }
+
     #[test]
     fn vm_par_simulates_identically_at_every_thread_count() {
         // The simulation consumes the ordered address stream: tiles stand
@@ -354,31 +410,62 @@ mod tests {
         // communication, simulated time to the bit - and the values are
         // the interpreter's under every engine at every knob.
         let sp = program(SRC, Level::C2F3);
-        let cfg = |engine| ExecConfig {
-            procs: 16,
-            ..ExecConfig::serial(t3e()).with_engine(engine)
-        };
-        let run = |engine, knobs| {
-            let (outcome, sim) = simulate_at(
-                &sp,
-                ConfigBinding::defaults(&sp.program),
-                &cfg(engine),
-                knobs,
-            )
-            .expect("clean run");
+        let request = |engine| fusion_core::RunRequest::new().with_engine(engine);
+        let run = |req: &fusion_core::RunRequest| {
+            let cfg = ExecConfig::from_request(req, t3e(), 16);
+            let (outcome, sim) = simulate_outcome(&sp, ConfigBinding::defaults(&sp.program), &cfg)
+                .expect("clean run");
             let bits: Vec<u64> = outcome.scalars.iter().map(|v| v.to_bits()).collect();
             (bits, sim.total_ns.to_bits(), sim)
         };
-        let want = run(Engine::Interp, ExecOpts::default());
+        let want = run(&request(Engine::Interp));
         assert!(want.2.comm.messages > 0 && want.2.mem.l1_misses > 0);
         for engine in [Engine::Vm, Engine::VmSimd, Engine::VmPar] {
             for lanes in [1, 8, 128] {
                 for threads in [1, 2, 4] {
-                    let got = run(engine, ExecOpts { threads, lanes });
-                    assert!(got == want, "{engine} lanes={lanes} threads={threads}");
+                    let req = request(engine).with_lanes(lanes).with_threads(threads);
+                    assert!(run(&req) == want, "{req} lanes={lanes}");
                 }
             }
         }
+    }
+
+    #[test]
+    fn the_requested_lane_width_reaches_the_simulated_run() {
+        // `--lanes 8` under the machine model runs strips of 8: through
+        // the request's `ExecConfig` and through a supervised rung alike,
+        // with the interpreter's `SimResult` to the bit either way.
+        let source = zlang::compile(SRC).unwrap();
+        let sp = program(SRC, Level::C2F3);
+        let binding = ConfigBinding::defaults(&sp.program);
+        let req = fusion_core::RunRequest::new()
+            .with_level(Level::C2F3)
+            .with_engine(Engine::VmSimd)
+            .with_lanes(8);
+        let interp = ExecConfig {
+            engine: Engine::Interp,
+            ..ExecConfig::new(t3e(), 16)
+        };
+        let want = simulate(&sp, binding.clone(), &interp).unwrap();
+
+        let cfg = ExecConfig::from_request(&req, t3e(), 16);
+        let lowered = loopir::SharedProgram::lower(&sp, binding.clone()).unwrap();
+        let mut exec = lowered.executor(cfg.opts);
+        let (_, sim, widest) = observed(&mut exec, &sp.program, &binding, &cfg).unwrap();
+        assert_eq!((sim, widest), (want.clone(), 8));
+        assert_eq!(simulate(&sp, binding, &cfg).unwrap(), want);
+
+        let mut seen = None;
+        let run = req
+            .supervisor()
+            .run_program_simulated(&source, &mut |exec, sp, binding| {
+                let (outcome, sim, widest) = observed(exec, &sp.program, binding, &cfg)?;
+                seen = Some((sim, widest));
+                Ok(outcome)
+            })
+            .unwrap();
+        assert!(!run.report.degraded(), "{}", run.report.render());
+        assert_eq!(seen, Some((want, 8)));
     }
 
     #[test]
@@ -386,14 +473,7 @@ mod tests {
         use testkit::faults::{self, FaultPlan, FaultSite};
         let _g = faults::install(FaultPlan::new(3).with(FaultSite::CommDrop, 1.0));
         let sp = program(SRC, Level::Baseline);
-        let cfg = ExecConfig {
-            machine: t3e(),
-            procs: 16,
-            policy: CommPolicy::default(),
-            engine: Engine::default(),
-            threads: 0,
-            limits: ExecLimits::none(),
-        };
+        let cfg = ExecConfig::new(t3e(), 16);
         let err = simulate(&sp, ConfigBinding::defaults(&sp.program), &cfg).unwrap_err();
         assert_eq!(err.kind, loopir::ErrorKind::Comm);
         assert!(err.message.contains("comm-drop"), "{}", err.message);
@@ -402,7 +482,10 @@ mod tests {
     #[test]
     fn fuel_budget_applies_to_simulated_runs() {
         let sp = program(SRC, Level::Baseline);
-        let cfg = ExecConfig::serial(t3e()).with_limits(ExecLimits::none().with_fuel(10));
+        let cfg = ExecConfig {
+            limits: ExecLimits::none().with_fuel(10),
+            ..ExecConfig::new(t3e(), 1)
+        };
         let err = simulate(&sp, ConfigBinding::defaults(&sp.program), &cfg).unwrap_err();
         assert_eq!(err.kind, loopir::ErrorKind::Fuel);
     }

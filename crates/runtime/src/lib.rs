@@ -16,8 +16,12 @@
 //!   redundancy elimination, message combining, and pipelining (overlap).
 //! * Reductions cost a log-tree combine.
 //!
-//! The [`exec`] module glues these into a single [`exec::simulate`] entry
-//! point; [`comm::favor_comm_pairs`] implements the *favor communication
+//! The [`exec`] module glues these into one observer,
+//! [`exec::Simulation`]: a simulated run is an observed run of whatever
+//! executor the caller already holds ([`exec::simulate_executor`] — the
+//! supervisor's rung, a cached artifact), and [`exec::simulate`] is the
+//! convenience that builds one from a scalarized program first.
+//! [`comm::favor_comm_pairs`] implements the *favor communication
 //! over fusion* policy of Section 5.5 as a fusion filter for
 //! `fusion_core::Pipeline::with_forbidden`.
 
@@ -26,5 +30,5 @@ pub mod exec;
 pub mod grid;
 
 pub use comm::{CommPolicy, CommStats};
-pub use exec::{simulate, simulate_outcome, ExecConfig, SimResult};
+pub use exec::{simulate, simulate_executor, simulate_outcome, ExecConfig, SimResult, Simulation};
 pub use grid::Grid;

@@ -7,7 +7,7 @@
 //! cargo run --release --example heat_solver
 //! ```
 
-use zpl_fusion::par::{simulate, CommPolicy, ExecConfig};
+use zpl_fusion::par::{simulate, ExecConfig};
 use zpl_fusion::prelude::*;
 use zpl_fusion::sim::presets::MachineKind;
 
@@ -62,14 +62,7 @@ fn main() -> Result<(), zpl_fusion::Error> {
         for level in [Level::Baseline, Level::C1, Level::C2, Level::C2F3] {
             let opt = Pipeline::new(level).optimize(&program);
             let binding = ConfigBinding::defaults(&opt.scalarized.program);
-            let cfg = ExecConfig {
-                machine: machine.clone(),
-                procs: 16,
-                policy: CommPolicy::default(),
-                engine: Engine::default(),
-                threads: 0,
-                limits: loopir::ExecLimits::none(),
-            };
+            let cfg = ExecConfig::new(machine.clone(), 16);
             let r = simulate(&opt.scalarized, binding, &cfg)?;
             let speedup = match baseline_ns {
                 None => {

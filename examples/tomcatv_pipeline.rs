@@ -7,7 +7,7 @@
 //! cargo run --release --example tomcatv_pipeline
 //! ```
 
-use zpl_fusion::par::{simulate, CommPolicy, ExecConfig};
+use zpl_fusion::par::{simulate, ExecConfig};
 use zpl_fusion::prelude::*;
 use zpl_fusion::sim::presets::t3e;
 use zpl_fusion::workloads;
@@ -27,14 +27,7 @@ fn main() -> Result<(), zpl_fusion::Error> {
         let opt = Pipeline::new(level).optimize(&program);
         let mut binding = ConfigBinding::defaults(&opt.scalarized.program);
         binding.set_by_name(&opt.scalarized.program, "n", 40);
-        let cfg = ExecConfig {
-            machine: machine.clone(),
-            procs: 16,
-            policy: CommPolicy::default(),
-            engine: Engine::default(),
-            threads: 0,
-            limits: loopir::ExecLimits::none(),
-        };
+        let cfg = ExecConfig::new(machine.clone(), 16);
         let r = simulate(&opt.scalarized, binding, &cfg)?;
         let imp = match &baseline {
             None => {

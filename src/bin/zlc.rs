@@ -9,9 +9,9 @@
 //!
 //! options:
 //!   --level <baseline|f1|c1|f2|f3|c2|c2+f3|c2+f4>   (default c2)
-//!                                 append `+dse` and/or `+rce2` (each at
-//!                                 most once) to also run the array-level
-//!                                 cleanup passes, e.g. `--level c2+f3+dse+rce2`
+//!                                 append `+rce2` (at most once) to also
+//!                                 run the array-level cleanup pass, e.g.
+//!                                 `--level c2+f3+rce2`
 //!   --dimension-contraction       enable lower-dimensional contraction
 //!   --spatial-cap <k>             bound pairwise fusion to k array streams
 //!   --favor-comm                  Section 5.5 favor-communication policy
@@ -21,8 +21,8 @@
 //!                                 every VM engine name runs the same
 //!                                 verified stream)
 //!   --emit <pass>                 dump the IR snapshot taken right after
-//!                                 the named pass (e.g. `normalize`, `dse`,
-//!                                 `rce2`, `fuse-contraction`, `contract`,
+//!                                 the named pass (e.g. `normalize`, `rce2`,
+//!                                 `fuse-contraction`, `contract`,
 //!                                 `scalarize`)
 //!   --list-passes                 list every pass `--emit` accepts (the
 //!                                 ones the optimizer can run) and exit
@@ -42,7 +42,10 @@
 //!                                 dispatch; at most 128); read by --engine
 //!                                 vm-simd and vm-par, a usage error under
 //!                                 interp and vm
-//!   --machine <t3e|sp2|paragon>   simulate on a machine model (with --run)
+//!   --machine <t3e|sp2|paragon>   simulate on a machine model (with --run
+//!                                 or --supervise): the same executor, at
+//!                                 the same --engine / --lanes / --threads,
+//!                                 observed by the machine model
 //!   --procs <p>                   simulated processors (default 1)
 //!   --set <name=value>            override an integer config (repeatable)
 //!   --supervise                   run under the fault-tolerant supervisor
@@ -81,16 +84,19 @@
 //! usage errors there, as are the one-shot flags (`--machine`, `--procs`,
 //! `--supervise`, `--run`) under `serve`. In every mode, so are the knobs
 //! the engine name pins: `--threads` under `interp`, `vm` and `vm-simd`,
-//! `--lanes` under `interp` and `vm`.
+//! `--lanes` under `interp` and `vm` — with or without `--machine`.
+//!
+//! The plain mode lowers at most once: `--verify`, `--print bytecode` and
+//! `--run` share one `SharedProgram::lower`, and `--machine` only chooses
+//! what observes the run.
 
 use fusion_core::pass::PassId;
 use fusion_core::serve::{serve_with, RetryPolicy, ServeOptions, ServeRequest, ShedPolicy};
 use fusion_core::verify::Severity;
 use fusion_core::{CompileCache, RunRequest};
-use loopir::{Engine, ExecOpts, SharedProgram, Vm};
+use loopir::{Engine, ExecOpts, Executor, Interp, RunOutcome, SharedProgram, Vm};
 use machine::presets::MachineKind;
-use runtime::{simulate, simulate_outcome, ExecConfig, SimResult};
-use std::cell::RefCell;
+use runtime::{simulate_executor, ExecConfig};
 use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Duration;
@@ -123,7 +129,7 @@ struct Options {
 fn usage(msg: &str) -> ExitCode {
     eprint!("{}", render_diagnostic("error", "cli", msg, None, &[]));
     eprintln!(
-        "usage: zlc <file.zl> [--level L[+dse][+rce2]] [--dimension-contraction]\n\
+        "usage: zlc <file.zl> [--level L[+rce2]] [--dimension-contraction]\n\
          \x20          [--spatial-cap K] [--favor-comm]\n\
          \x20          [--print {}]... [--emit PASS]\n\
          \x20          [--verify] [--run] [--engine interp|vm|vm-simd|vm-par]\n\
@@ -403,42 +409,43 @@ fn fail(code: &str, message: &str, location: Option<&str>) -> ExitCode {
     ExitCode::FAILURE
 }
 
-/// The `--supervise` path: run the program under the fault-tolerant
-/// supervisor, attaching the machine simulation as a backend when
-/// requested, and print the outcome plus the attempt trail.
-fn run_supervised(opts: &Options, program: &Program) -> ExitCode {
-    let last_sim: RefCell<Option<SimResult>> = RefCell::new(None);
-    let last_sim_ref = &last_sim;
-    let mut sup = opts.request.supervisor();
-    if let Some(machine) = opts.machine.map(|k| k.machine()) {
-        let procs = opts.procs;
-        let request = opts.request.clone();
-        sup = sup.with_sim(move |sp, binding, engine, limits| {
-            // The ladder may have degraded below the requested rung, so
-            // the per-attempt engine and limits override the request's.
-            let cfg = ExecConfig::from_request(&request, machine.clone(), procs)
-                .with_engine(engine)
-                .with_limits(limits);
-            let (outcome, sim) = simulate_outcome(sp, binding.clone(), &cfg)?;
-            *last_sim_ref.borrow_mut() = Some(sim);
-            Ok(outcome)
-        });
+/// Prints a run's scalars and its `-- N points, ...` statistics line.
+fn print_outcome(program: &Program, outcome: &RunOutcome) {
+    for (i, s) in program.scalars.iter().enumerate() {
+        println!(
+            "{} = {}",
+            s.name,
+            outcome.scalar(zlang::ir::ScalarId(i as u32))
+        );
     }
-    match sup.run_program(program) {
+    let stats = &outcome.stats;
+    println!(
+        "-- {} points, {} loads, {} stores, {} flops, peak {} bytes",
+        stats.points, stats.loads, stats.stores, stats.flops, stats.peak_bytes
+    );
+}
+
+/// The `--supervise` path: run the program under the fault-tolerant
+/// supervisor — every rung's executor observed by the machine simulation
+/// when one is requested — and print the outcome plus the attempt trail.
+fn run_supervised(opts: &Options, program: &Program) -> ExitCode {
+    let sup = opts.request.supervisor();
+    let mut last_sim = None;
+    let result = match opts.machine {
+        None => sup.run_program(program),
+        Some(kind) => {
+            let cfg = ExecConfig::new(kind.machine(), opts.procs);
+            sup.run_program_simulated(program, &mut |exec, sp, binding| {
+                let (outcome, sim) = simulate_executor(exec, &sp.program, binding, &cfg)?;
+                last_sim = Some(sim);
+                Ok(outcome)
+            })
+        }
+    };
+    match result {
         Ok(run) => {
-            for (i, s) in program.scalars.iter().enumerate() {
-                println!(
-                    "{} = {}",
-                    s.name,
-                    run.outcome.scalar(zlang::ir::ScalarId(i as u32))
-                );
-            }
-            let stats = &run.outcome.stats;
-            println!(
-                "-- {} points, {} loads, {} stores, {} flops, peak {} bytes",
-                stats.points, stats.loads, stats.stores, stats.flops, stats.peak_bytes
-            );
-            if let Some(sim) = last_sim.borrow().as_ref() {
+            print_outcome(program, &run.outcome);
+            if let Some(sim) = last_sim {
                 println!(
                     "-- simulated x{}: {:.3} ms ({} msgs, {} bytes, {} retries)",
                     opts.procs,
@@ -616,11 +623,18 @@ fn main() -> ExitCode {
         }
     }
 
+    // The one lowering `--verify`, `--print bytecode` and a VM `--run`
+    // share, under the one binding all three (and an `interp` run) use.
+    let binding = match checked_binding(&opt.scalarized.program, &opts.request) {
+        Ok(b) => b,
+        Err(msg) => return fail("config", &msg, Some(&opts.file)),
+    };
+    let vm_run = opts.run && opts.request.engine != Engine::Interp;
+    let print_bytecode = opts.prints.iter().any(|p| p == "bytecode");
+    let lowered = (opts.request.verify || print_bytecode || vm_run)
+        .then(|| SharedProgram::lower(&opt.scalarized, binding.clone()));
+
     if opts.request.verify {
-        let binding = match checked_binding(&opt.scalarized.program, &opts.request) {
-            Ok(b) => b,
-            Err(msg) => return fail("config", &msg, Some(&opts.file)),
-        };
         let mut errors = 0usize;
         let mut warnings = 0usize;
         for d in &opt.diagnostics {
@@ -630,7 +644,7 @@ fn main() -> ExitCode {
                 Severity::Warning => warnings += 1,
             }
         }
-        if let Err(e) = SharedProgram::lower(&opt.scalarized, binding) {
+        if let Some(Err(e)) = &lowered {
             eprintln!("zlc: {e}");
             errors += 1;
         }
@@ -661,16 +675,10 @@ fn main() -> ExitCode {
             "hash" => println!("{:016x}", fusion_core::hash::program_hash(&program)),
             "loops" => print!("{}", loopir::printer::print(&opt.scalarized)),
             // The one lowered program every VM engine name runs.
-            "bytecode" => {
-                let binding = match checked_binding(&opt.scalarized.program, &opts.request) {
-                    Ok(b) => b,
-                    Err(msg) => return fail("config", &msg, Some(&opts.file)),
-                };
-                match SharedProgram::lower(&opt.scalarized, binding) {
-                    Ok(shared) => print!("{}", Vm::from_shared(&shared).disasm()),
-                    Err(e) => return fail("compile", &e.to_string(), Some(&opts.file)),
-                }
-            }
+            "bytecode" => match lowered.as_ref().expect("lowered for --print bytecode") {
+                Ok(shared) => print!("{}", Vm::from_shared(shared).disasm()),
+                Err(e) => return fail("compile", &e.to_string(), Some(&opts.file)),
+            },
             "asdg" => {
                 // The pipeline's cached per-block analyses, not a rebuild:
                 // what is printed is exactly what fusion consumed.
@@ -702,40 +710,24 @@ fn main() -> ExitCode {
     }
 
     if opts.run {
-        let binding = match checked_binding(&opt.scalarized.program, &opts.request) {
-            Ok(b) => b,
-            Err(msg) => return fail("config", &msg, Some(&opts.file)),
+        // One executor, whatever observes it: the lowered program at the
+        // request's knobs, or the tree-walker.
+        let mut exec: Box<dyn Executor + '_> = match lowered.filter(|_| vm_run) {
+            Some(Ok(shared)) => Box::new(shared.executor(opts.request.exec_opts())),
+            Some(Err(e)) => return fail("exec", &e.to_string(), Some(&opts.file)),
+            None => Box::new(Interp::new(&opt.scalarized, binding.clone())),
         };
+        exec.set_limits(opts.request.limits());
+        let program = &opt.scalarized.program;
         match opts.machine {
-            None => {
-                let outcome = opts
-                    .request
-                    .engine
-                    .executor_with(&opt.scalarized, binding, opts.request.exec_opts())
-                    .and_then(|mut exec| {
-                        exec.set_limits(opts.request.limits());
-                        exec.execute(&mut loopir::NoopObserver)
-                    });
-                match outcome {
-                    Ok(out) => {
-                        for (i, s) in opt.scalarized.program.scalars.iter().enumerate() {
-                            println!("{} = {}", s.name, out.scalar(zlang::ir::ScalarId(i as u32)));
-                        }
-                        let stats = &out.stats;
-                        println!(
-                            "-- {} points, {} loads, {} stores, {} flops, peak {} bytes",
-                            stats.points, stats.loads, stats.stores, stats.flops, stats.peak_bytes
-                        );
-                    }
-                    Err(e) => {
-                        return fail("exec", &e.to_string(), Some(&opts.file));
-                    }
-                }
-            }
+            None => match exec.execute(&mut loopir::NoopObserver) {
+                Ok(out) => print_outcome(program, &out),
+                Err(e) => return fail("exec", &e.to_string(), Some(&opts.file)),
+            },
             Some(kind) => {
-                let cfg = ExecConfig::from_request(&opts.request, kind.machine(), opts.procs);
-                match simulate(&opt.scalarized, binding, &cfg) {
-                    Ok(r) => {
+                let cfg = ExecConfig::new(kind.machine(), opts.procs);
+                match simulate_executor(&mut *exec, program, &binding, &cfg) {
+                    Ok((_, r)) => {
                         println!(
                             "{} x{}: {:.3} ms simulated ({:.3} ms compute, {:.3} ms comm, \
                              {} msgs, {} bytes, {} l1 misses, peak {} bytes)",
@@ -750,9 +742,7 @@ fn main() -> ExitCode {
                             r.run.peak_bytes,
                         );
                     }
-                    Err(e) => {
-                        return fail("exec", &e.to_string(), Some(&opts.file));
-                    }
+                    Err(e) => return fail("exec", &e.to_string(), Some(&opts.file)),
                 }
             }
         }

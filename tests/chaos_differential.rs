@@ -16,7 +16,7 @@ use fusion_core::supervisor::Budgets;
 use fusion_core::RunRequest;
 use loopir::{Engine, NoopObserver};
 use machine::presets::MachineKind;
-use runtime::{simulate_outcome, CommPolicy, ExecConfig};
+use runtime::{simulate_executor, ExecConfig};
 use std::time::Duration;
 use testkit::faults::{self, FaultPlan, FaultSite};
 use testkit::{genprog, Rng};
@@ -78,10 +78,27 @@ fn reference(program: &Program) -> (u64, u64) {
     checksums(&outcome)
 }
 
+/// Runs `program` under the supervisor of `req` — with every rung
+/// observed by the machine simulation (T3E, 16 processors) when `sim` is
+/// set: the only path that exercises the ghost message channel.
+fn run_supervised(
+    req: &RunRequest,
+    program: &Program,
+    sim: bool,
+) -> Result<fusion_core::Supervised, fusion_core::SupervisorError> {
+    let sup = req.supervisor();
+    if !sim {
+        return sup.run_program(program);
+    }
+    let cfg = ExecConfig::new(MachineKind::T3e.machine(), 16);
+    sup.run_program_simulated(program, &mut |exec, sp, binding| {
+        simulate_executor(exec, &sp.program, binding, &cfg).map(|(outcome, _)| outcome)
+    })
+}
+
 /// A supervisor requesting the most aggressive configuration, so a fault
 /// has the whole ladder to fall down. Comm fault classes attach the
-/// machine-simulation backend (the only path that exercises the ghost
-/// message channel).
+/// machine-simulation backend.
 fn supervised(program: &Program, class: FaultClass) -> fusion_core::Supervised {
     let budgets = match class {
         FaultClass::Fuel => Budgets {
@@ -94,25 +111,11 @@ fn supervised(program: &Program, class: FaultClass) -> fusion_core::Supervised {
         },
         FaultClass::Inject(_) => Budgets::none(),
     };
-    let mut sup = request(Engine::VmSimd).with_budgets(budgets).supervisor();
-    if matches!(
+    let sim = matches!(
         class,
         FaultClass::Inject(FaultSite::CommDrop) | FaultClass::Inject(FaultSite::CommDup)
-    ) {
-        let machine = MachineKind::T3e.machine();
-        sup = sup.with_sim(move |sp, binding, engine, limits| {
-            let cfg = ExecConfig {
-                machine: machine.clone(),
-                procs: 16,
-                policy: CommPolicy::default(),
-                engine,
-                threads: 0,
-                limits,
-            };
-            simulate_outcome(sp, binding.clone(), &cfg).map(|(outcome, _)| outcome)
-        });
-    }
-    sup.run_program(program)
+    );
+    run_supervised(&request(Engine::VmSimd).with_budgets(budgets), program, sim)
         .unwrap_or_else(|e| panic!("supervisor must survive {class:?}:\n{}", e.report.render()))
 }
 
@@ -290,23 +293,9 @@ fn vm_par_survives_injected_faults_at_every_thread_count() {
                 .unwrap_or_else(|e| panic!("generated program {i} must compile: {e}\n{source}"));
             let want = reference(&program);
             let _guard = faults::install(FaultPlan::new(chaos_seed()).with(site, 1.0));
-            let mut sup = request(Engine::VmPar).with_threads(threads).supervisor();
-            if site == FaultSite::CommDrop {
-                let machine = MachineKind::T3e.machine();
-                let t = threads;
-                sup = sup.with_sim(move |sp, binding, engine, limits| {
-                    let cfg = ExecConfig {
-                        machine: machine.clone(),
-                        procs: 16,
-                        policy: CommPolicy::default(),
-                        engine,
-                        threads: t,
-                        limits,
-                    };
-                    simulate_outcome(sp, binding.clone(), &cfg).map(|(outcome, _)| outcome)
-                });
-            }
-            let run = sup.run_program(&program).unwrap_or_else(|e| {
+            let req = request(Engine::VmPar).with_threads(threads);
+            let sim = site == FaultSite::CommDrop;
+            let run = run_supervised(&req, &program, sim).unwrap_or_else(|e| {
                 panic!(
                     "vm-par must survive {site} at {threads} threads:\n{}",
                     e.report.render()

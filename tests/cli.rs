@@ -64,6 +64,52 @@ fn machine_simulation_reports_comm() {
     assert!(stdout.contains("msgs"), "{stdout}");
 }
 
+/// `--machine` only chooses what observes the run: the engine's knobs
+/// reach the simulated run (`--lanes` used to be dropped there), every
+/// engine prints the tree-walker's line at every width, plain and
+/// supervised, and a knob the engine name pins is the usage error it is
+/// without `--machine`.
+#[test]
+fn machine_runs_read_the_engine_knobs() {
+    let heat = program_path("heat.zl");
+    let common = ["--level", "c2+f3", "--machine", "t3e", "--procs", "16"];
+    let line = |mode: &str, knobs: &[&str]| {
+        let mut args = vec![heat.as_str(), mode];
+        args.extend_from_slice(&common);
+        args.extend_from_slice(knobs);
+        let (stdout, stderr, ok) = zlc(&args);
+        assert!(ok, "{args:?}: {stderr}");
+        let marker = if mode == "--run" {
+            "Cray T3E x16"
+        } else {
+            "simulated x16"
+        };
+        let line = stdout.lines().find(|l| l.contains(marker));
+        line.unwrap_or_else(|| panic!("{args:?}: {stdout}"))
+            .to_string()
+    };
+    let knobs: [&[&str]; 4] = [
+        &["--engine", "vm"],
+        &["--engine", "vm-simd"],
+        &["--engine", "vm-simd", "--lanes", "8"],
+        &["--engine", "vm-par", "--threads", "2", "--lanes", "8"],
+    ];
+    for mode in ["--run", "--supervise"] {
+        let want = line(mode, &["--engine", "interp"]);
+        for k in knobs {
+            assert_eq!(line(mode, k), want, "{mode} {k:?}");
+        }
+        let mut args = vec![heat.as_str(), mode];
+        args.extend_from_slice(&common);
+        args.extend_from_slice(&["--engine", "vm", "--lanes", "8"]);
+        let stderr = usage_error(&args);
+        assert!(
+            stderr.contains("`--lanes` is not read by `--engine vm`"),
+            "{stderr}"
+        );
+    }
+}
+
 #[test]
 fn print_loops_shows_fused_nests() {
     let (stdout, _, ok) = zlc(&[
@@ -124,9 +170,16 @@ fn bad_inputs_fail_cleanly() {
     assert!(stderr.contains("unknown level"), "{stderr}");
 
     // One spec, one spelling: a suffix given twice is rejected by name.
-    let (_, stderr, ok) = zlc(&[&program_path("heat.zl"), "--level", "c2+dse+dse"]);
+    let (_, stderr, ok) = zlc(&[&program_path("heat.zl"), "--level", "c2+rce2+rce2"]);
     assert!(!ok);
-    assert!(stderr.contains("`+dse` is given twice"), "{stderr}");
+    assert!(stderr.contains("`+rce2` is given twice"), "{stderr}");
+
+    // One engine, one documented spelling (plus the harness's `vm-verified`).
+    let stderr = usage_error(&[&program_path("heat.zl"), "--run", "--engine", "simd"]);
+    assert!(
+        stderr.contains("unknown engine `simd` (expected `interp`, `vm`, `vm-simd`, or `vm-par`)"),
+        "{stderr}"
+    );
 
     let (_, stderr, ok) = zlc(&[&program_path("heat.zl"), "--run", "--set", "nonesuch=3"]);
     assert!(!ok);
@@ -275,17 +328,17 @@ fn emit_unknown_pass_is_a_usage_error() {
 
 #[test]
 fn emit_unscheduled_pass_fails_with_level() {
-    let (_, stderr, ok) = zlc(&[&program_path("heat.zl"), "--level", "c2", "--emit", "dse"]);
+    let (_, stderr, ok) = zlc(&[&program_path("heat.zl"), "--level", "c2", "--emit", "rce2"]);
     assert!(!ok);
     assert!(
-        stderr.contains("pass `dse` did not run at level c2"),
+        stderr.contains("pass `rce2` did not run at level c2"),
         "{stderr}"
     );
 }
 
 /// `--list-passes` prints exactly the passes the optimizer can run, and
 /// every one of them snapshots under the one spec that schedules all
-/// ten.
+/// nine.
 #[test]
 fn list_passes_lists_exactly_what_emit_can_snapshot() {
     let (stdout, _, ok) = zlc(&["--list-passes"]);
@@ -295,7 +348,6 @@ fn list_passes_lists_exactly_what_emit_can_snapshot() {
         listed,
         [
             "normalize",
-            "dse",
             "rce2",
             "fuse-contraction",
             "fuse-locality",
@@ -310,7 +362,7 @@ fn list_passes_lists_exactly_what_emit_can_snapshot() {
         let (stdout, stderr, ok) = zlc(&[
             &program_path("sweep.zl"),
             "--level",
-            "c2+f4+dse+rce2",
+            "c2+f4+rce2",
             "--dimension-contraction",
             "--emit",
             pass,
@@ -335,25 +387,25 @@ fn emit_of_a_stage_that_is_not_a_pass_is_a_usage_error() {
             stderr.contains(&format!("unknown pass `{stage}`")),
             "{stderr}"
         );
-        assert!(stderr.contains("normalize, dse, rce2, "), "{stderr}");
+        assert!(stderr.contains("normalize, rce2, "), "{stderr}");
         assert!(stderr.contains(", scalarize)"), "{stderr}");
     }
 }
 
-/// The report is headed by the full level spec, cleanup suffixes included
-/// (it used to drop them and say `c2+f3`).
+/// The report is headed by the full level spec, cleanup suffix included
+/// (it used to drop it and say `c2+f3`).
 #[test]
 fn print_report_names_the_cleanup_suffixes() {
     let (stdout, stderr, ok) = zlc(&[
         &program_path("heat.zl"),
         "--level",
-        "c2+f3+rce2+dse",
+        "c2+f3+rce2",
         "--print",
         "report",
     ]);
     assert!(ok, "{stderr}");
     assert!(
-        stdout.starts_with("contraction report at c2+f3+dse+rce2:\n"),
+        stdout.starts_with("contraction report at c2+f3+rce2:\n"),
         "{stdout}"
     );
 }
@@ -363,7 +415,7 @@ fn level_cleanup_suffixes_schedule_the_passes() {
     let (stdout, stderr, ok) = zlc(&[
         &program_path("heat.zl"),
         "--level",
-        "c2+f3+dse+rce2",
+        "c2+f3+rce2",
         "--emit",
         "rce2",
         "--run",
@@ -409,23 +461,30 @@ fn print_target_is_checked_before_any_work() {
     );
 }
 
-/// The `+rce` suffix, its pass and the `avail` print target are gone:
-/// each name is the usage error any unknown one is, and the message
-/// lists what is accepted.
+/// The `+rce` and `+dse` suffixes, their passes and the `avail` print
+/// target are gone: each name is the usage error any unknown one is
+/// (`c2+dse` reads like `c2+f5`), and the message lists what is accepted.
 #[test]
 fn retired_rce_and_avail_names_are_usage_errors() {
     let heat = program_path("heat.zl");
     let stderr = usage_error(&[&heat, "--level", "c2+rce"]);
     assert!(stderr.contains("unknown level `c2+rce`"), "{stderr}");
-    assert!(
-        stderr.contains("c2+f3, c2+f4; append `+dse`/`+rce2`"),
-        "{stderr}"
-    );
-    let stderr = usage_error(&[&heat, "--level", "c2+dse+rce", "--emit", "rce"]);
-    assert!(stderr.contains("unknown level `c2+dse+rce`"), "{stderr}");
-    let stderr = usage_error(&[&heat, "--emit", "rce"]);
-    assert!(stderr.contains("unknown pass `rce`"), "{stderr}");
-    assert!(stderr.contains("normalize, dse, rce2, "), "{stderr}");
+    assert!(stderr.contains("c2+f3, c2+f4; append `+rce2`"), "{stderr}");
+    for level in ["c2+dse", "c2+f3+dse+rce2", "c2+rce2+dse", "c2+f5"] {
+        let stderr = usage_error(&[&heat, "--level", level, "--run"]);
+        assert!(
+            stderr.contains(&format!("unknown level `{level}`")),
+            "{stderr}"
+        );
+    }
+    for pass in ["rce", "dse"] {
+        let stderr = usage_error(&[&heat, "--emit", pass]);
+        assert!(
+            stderr.contains(&format!("unknown pass `{pass}`")),
+            "{stderr}"
+        );
+        assert!(stderr.contains("normalize, rce2, "), "{stderr}");
+    }
     let stderr = usage_error(&[&heat, "--print", "avail"]);
     assert!(
         stderr.contains("unknown --print target `avail`"),

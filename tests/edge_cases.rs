@@ -1,7 +1,7 @@
 //! Edge cases and failure injection across the whole stack, exercised
 //! through both execution engines.
 
-use zpl_fusion::par::{simulate, CommPolicy, ExecConfig};
+use zpl_fusion::par::{simulate, ExecConfig};
 use zpl_fusion::prelude::*;
 use zpl_fusion::sim::presets::t3e;
 
@@ -110,14 +110,7 @@ fn dimension_contracted_programs_simulate_in_parallel() {
     let run = |opt: &zpl_fusion::fusion::pipeline::Optimized| {
         let mut binding = ConfigBinding::defaults(&opt.scalarized.program);
         binding.set_by_name(&opt.scalarized.program, "n", 6);
-        let cfg = ExecConfig {
-            machine: t3e(),
-            procs: 8,
-            policy: CommPolicy::default(),
-            engine: Engine::default(),
-            threads: 0,
-            limits: loopir::ExecLimits::none(),
-        };
+        let cfg = ExecConfig::new(t3e(), 8);
         simulate(&opt.scalarized, binding, &cfg).unwrap()
     };
     let (a, b) = (run(&plain), run(&dimc));

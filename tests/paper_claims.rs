@@ -8,7 +8,7 @@
 //! * "superior memory use" / "EP runs in constant memory"
 //! * "if a choice is to be made, fusion for contraction should be favored"
 
-use zpl_fusion::par::{simulate, CommPolicy, ExecConfig};
+use zpl_fusion::par::{simulate, ExecConfig};
 use zpl_fusion::prelude::*;
 use zpl_fusion::sim::presets::{paragon, t3e, MachineKind};
 
@@ -21,14 +21,7 @@ fn run(bench: &zpl_fusion::workloads::Benchmark, level: Level, procs: u64) -> f6
         _ => 8,
     };
     binding.set_by_name(&opt.scalarized.program, bench.size_config, n);
-    let cfg = ExecConfig {
-        machine: t3e(),
-        procs,
-        policy: CommPolicy::default(),
-        engine: Engine::default(),
-        threads: 0,
-        limits: loopir::ExecLimits::none(),
-    };
+    let cfg = ExecConfig::new(t3e(), procs);
     simulate(&opt.scalarized, binding, &cfg).unwrap().total_ns
 }
 
@@ -101,14 +94,7 @@ fn contraction_never_worsens_memory_or_time() {
             let run_at = |level: Level| {
                 let opt = Pipeline::new(level).optimize(&bench.program());
                 let binding = ConfigBinding::defaults(&opt.scalarized.program);
-                let cfg = ExecConfig {
-                    machine: machine.clone(),
-                    procs: 1,
-                    policy: CommPolicy::default(),
-                    engine: Engine::default(),
-                    threads: 0,
-                    limits: loopir::ExecLimits::none(),
-                };
+                let cfg = ExecConfig::new(machine.clone(), 1);
                 simulate(&opt.scalarized, binding, &cfg).unwrap()
             };
             let base = run_at(Level::Baseline);
@@ -172,14 +158,7 @@ fn favoring_fusion_wins_on_the_machines_with_offloaded_messaging() {
                 let mut binding = ConfigBinding::defaults(&opt.scalarized.program);
                 let n = if bench.rank == 2 { 32 } else { 8 };
                 binding.set_by_name(&opt.scalarized.program, bench.size_config, n);
-                let cfg = ExecConfig {
-                    machine: machine.clone(),
-                    procs: 16,
-                    policy: CommPolicy::default(),
-                    engine: Engine::default(),
-                    threads: 0,
-                    limits: loopir::ExecLimits::none(),
-                };
+                let cfg = ExecConfig::new(machine.clone(), 16);
                 simulate(&opt.scalarized, binding, &cfg).unwrap().total_ns
             };
             fusion_total += run_policy(false);

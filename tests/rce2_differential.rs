@@ -222,7 +222,7 @@ fn supervised_runs_execute_the_requested_spec() {
         assert_eq!(run.outcome, direct, "{spec} on {engine}");
         direct.stats.flops
     };
-    for spec in SPECS.into_iter().chain(["c2+f3+dse", "c2+f3+dse+rce2"]) {
+    for spec in SPECS {
         for engine in Engine::all() {
             flops_at(spec, engine);
         }

@@ -187,6 +187,37 @@ fn supervisor_runs_hit_the_attached_cache_at(spec: &str) {
     );
 }
 
+/// Who watches a run is not a cache coordinate: a supervised run under
+/// the machine simulation and a plain one of the same request execute one
+/// lowered artifact (a simulated rung used to publish a tree-only entry
+/// of its own and lower privately, per attempt).
+#[test]
+fn simulated_and_plain_runs_share_one_artifact() {
+    let cache = Arc::new(CompileCache::new());
+    let program = zlang::compile(HEAT).unwrap();
+    let req = RunRequest::new()
+        .with_level(Level::C2F3)
+        .with_engine(Engine::VmSimd);
+    let sup = req.supervisor().with_cache(cache.clone());
+    let cfg = runtime::ExecConfig::new(machine::presets::t3e(), 16);
+    let mut sim = None;
+    let simulated = sup
+        .run_program_simulated(&program, &mut |exec, sp, binding| {
+            let (outcome, result) = runtime::simulate_executor(exec, &sp.program, binding, &cfg)?;
+            sim = Some(result);
+            Ok(outcome)
+        })
+        .unwrap();
+    assert_eq!(simulated.report.attempts[0].depth, Depth::Optimized);
+    assert!(sim.is_some_and(|s| s.comm.messages > 0));
+    let plain = sup.run_program(&program).unwrap();
+    assert_eq!(plain.report.attempts[0].depth, Depth::Hit);
+    assert_eq!(plain.outcome, simulated.outcome);
+    assert_eq!((cache.stats().insertions, cache.len()), (1, 1));
+    let key = CacheKey::for_request(&program, &req.binding_for(&program).unwrap(), &req);
+    assert!(cache.lookup(&key).is_some_and(|a| a.shared.is_some()));
+}
+
 /// The cleanup suffixes are cache coordinates on the serving path: a
 /// batch alternating `c2+f3` and `c2+f3+rce2` for one program compiles
 /// exactly twice, and each artifact sits under its own request's key.
