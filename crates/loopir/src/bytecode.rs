@@ -185,11 +185,11 @@ pub(crate) enum Op {
 
 /// Widest strip of consecutive positions the lane executor runs
 /// op-major (the cap on [`SimdInfo::lanes`] and [`Rows::lanes`], which
-/// stay `u8`). The default strip is 64 wide (`simd::DEFAULT_LANES`).
+/// stay `u8`), and the width a run asks for when the caller does not.
 pub(crate) const MAX_LANES: usize = 128;
 
-/// Largest intrinsic arity a lane program carries.
-pub(crate) const MAX_CALL_ARGS: usize = 4;
+/// Largest intrinsic arity a lane program carries (`select`'s).
+pub(crate) const MAX_CALL_ARGS: usize = 3;
 
 /// One entry of a simd loop's broadcast table: a value that is invariant
 /// across the loop, filled into every position of its own slot when the
@@ -205,43 +205,178 @@ pub(crate) enum Bcast {
     Idx(u8),
 }
 
+/// Where a lane op reads an operand: slot `s` of the lane file
+/// ([`Src::lane`]), or stream `i` of the run ([`Src::mem`]: its `i`-th
+/// memory op in body order, a [`LaneOp::Fold`]) read in place - each row
+/// segment of the strip is the array's own elements, never copied into
+/// the lane file. One `u16` whose top bit tells the two apart, so that a
+/// lane op is 12 bytes (an enum of two `u16` cases would make it 24, and
+/// every cached artifact carries its lane programs); `analyze_loop`
+/// annotates no loop with [`Src::LIMIT`] slots or streams.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Src(u16);
+
+impl Src {
+    /// Slot and stream numbers stay below this.
+    pub(crate) const LIMIT: usize = 1 << 15;
+
+    pub(crate) const fn lane(slot: u16) -> Src {
+        Src(slot)
+    }
+
+    pub(crate) const fn mem(stream: u16) -> Src {
+        Src(stream | Src::LIMIT as u16)
+    }
+
+    /// The lane slot, unless the operand is read in place.
+    pub(crate) fn slot(self) -> Option<u16> {
+        (self.0 < Src::LIMIT as u16).then_some(self.0)
+    }
+
+    /// The stream, if the operand is read in place.
+    pub(crate) fn stream(self) -> Option<u16> {
+        self.0.checked_sub(Src::LIMIT as u16)
+    }
+}
+
+impl std::fmt::Debug for Src {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self.stream() {
+            Some(i) => write!(f, "Mem({i})"),
+            None => write!(f, "Lane({})", self.0),
+        }
+    }
+}
+
+/// What a lane op computes at one position: the scalar definition each
+/// strip kernel reproduces bit for bit, and what an evaluated-once op
+/// ([`LaneOp::Once`]) runs as it stands.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Func {
+    /// `a <op> b`.
+    Bin(BinOp),
+    /// `-a`.
+    Neg,
+    /// `intr(a, ..)`, with the intrinsic's arity.
+    Call(Intrinsic),
+}
+
+impl Func {
+    /// How many operands the function reads.
+    pub(crate) fn arity(self) -> usize {
+        match self {
+            Func::Bin(_) => 2,
+            Func::Neg => 1,
+            Func::Call(intr) => intr.arity(),
+        }
+    }
+
+    /// The scalar definition: what the scalar dispatcher computes.
+    pub(crate) fn eval(self, x: &[f64]) -> f64 {
+        match self {
+            Func::Bin(op) => crate::interp::binop(op, x[0], x[1]),
+            Func::Neg => -x[0],
+            Func::Call(intr) => intr.eval(&x[..intr.arity()]),
+        }
+    }
+}
+
 /// One micro-op of a decoded innermost-loop body, with every operand
-/// already resolved to a slot of the lane file: slots below
-/// `lane_regs.len()` hold the registers the body writes (one value per
-/// iteration of the strip), the slots after them hold the loop's
-/// broadcast table. The superfuse pass emits this form once at compile
-/// time, so entering the loop resolves nothing. Position `m` of a strip
-/// is one iteration of the loop - of the enclosing loop's row `r` and the
-/// loop's own column `c` when the run spans rows, numbered row-major.
+/// already resolved to a slot of the lane file or a stream of the run:
+/// slots below `lane_regs.len()` hold the registers the body writes (one
+/// value per iteration of the strip), the slots after them hold the
+/// loop's broadcast table. The superfuse pass emits this form once at
+/// compile time, so entering the loop resolves nothing. Position `m` of a
+/// strip is one iteration of the loop - of the enclosing loop's row `r`
+/// and the loop's own column `c` when the run spans rows, numbered
+/// row-major.
+///
+/// The program moves no value it need not: a load read once and
+/// overwritten later is read in place by its reader ([`LaneOp::Fold`],
+/// [`Src::mem`]), a register copy is propagated into its readers and
+/// gone, and an op whose operands are the same at every position of a
+/// run or of a row runs once there ([`LaneOp::Once`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) enum LaneOp {
     /// Per position `m`: `dst[m] = load(acc at the position's indices)`.
     Load { dst: u16, acc: u32 },
+    /// A unit-stride load whose one reader takes it in place (a
+    /// [`Src::mem`] operand), before anything stores to its array: the
+    /// position's load is counted and reported here, in body order, and
+    /// nothing is copied.
+    Fold { acc: u32 },
     /// Per position `m`: `store(acc at the position's indices, src[m])`.
-    Store { acc: u32, src: u16 },
-    /// Per position `m`: `dst[m] = a[m] <op> b[m]`.
-    Bin { op: BinOp, dst: u16, a: u16, b: u16 },
-    /// Per position `m`: `dst[m] = -src[m]`.
-    Neg { dst: u16, src: u16 },
-    /// Per position `m`: `dst[m] = src[m]`.
-    Mov { dst: u16, src: u16 },
-    /// Per position `m`: `dst[m] = (start + c·step) as f64`, the loop's
-    /// own index at the position's column (other dimensions' `IdxF` become
-    /// a `Mov` from a [`Bcast::Idx`] slot).
-    IdxSeq { dst: u16 },
-    /// Per position `m`: `dst[m] = intr(args[0][m], .., args[n-1][m])`.
-    Call {
-        intr: Intrinsic,
+    Store { acc: u32, src: Src },
+    /// Per position `m`: `dst[m] = f(args[0][m], ..)`, the first
+    /// `f.arity()` operands.
+    Apply {
+        f: Func,
         dst: u16,
-        n: u8,
-        args: [u16; MAX_CALL_ARGS],
+        args: [Src; MAX_CALL_ARGS],
     },
+    /// `f` over lane slots that hold one value across the run, or across
+    /// each row of it (`row`: some operand is the enclosing loop's index):
+    /// evaluated as a scalar, once per run or per row, and the result
+    /// fills `dst` wherever the strip lies in that run or row.
+    Once {
+        f: Func,
+        dst: u16,
+        args: [Src; MAX_CALL_ARGS],
+        row: bool,
+    },
+    /// Per position `m`: `dst[m] = src[m]`. Only a copy that cannot be
+    /// propagated is left: its source is overwritten before the copy's
+    /// last reader runs.
+    Mov { dst: u16, src: Src },
+    /// Per position `m`: `dst[m] = (start + c·step) as f64`, the loop's
+    /// own index at the position's column (other dimensions' `IdxF` read a
+    /// [`Bcast::Idx`] slot).
+    IdxSeq { dst: u16 },
     /// `f[acc] = f[acc] <op> src[m]` for `m` ascending: the strip is
     /// folded into frame register `acc` in position order, which is the
     /// scalar loops' order, so the result has the scalar loops' bits.
-    Reduce { op: ReduceOp, acc: Reg, src: u16 },
+    Reduce { op: ReduceOp, acc: Reg, src: Src },
     /// Count one iteration point and `flops` flops per position.
     Tick { flops: u32 },
+}
+
+impl LaneOp {
+    /// The lane slot the op writes.
+    pub(crate) fn dst(&self) -> Option<u16> {
+        match *self {
+            LaneOp::Load { dst, .. }
+            | LaneOp::Apply { dst, .. }
+            | LaneOp::Once { dst, .. }
+            | LaneOp::Mov { dst, .. }
+            | LaneOp::IdxSeq { dst } => Some(dst),
+            LaneOp::Fold { .. }
+            | LaneOp::Store { .. }
+            | LaneOp::Reduce { .. }
+            | LaneOp::Tick { .. } => None,
+        }
+    }
+
+    /// The operands the op reads.
+    pub(crate) fn srcs(&self) -> &[Src] {
+        match self {
+            LaneOp::Apply { f, args, .. } | LaneOp::Once { f, args, .. } => &args[..f.arity()],
+            LaneOp::Store { src, .. } | LaneOp::Mov { src, .. } | LaneOp::Reduce { src, .. } => {
+                std::slice::from_ref(src)
+            }
+            _ => &[],
+        }
+    }
+
+    /// [`LaneOp::srcs`], to rewrite.
+    pub(crate) fn srcs_mut(&mut self) -> &mut [Src] {
+        match self {
+            LaneOp::Apply { f, args, .. } | LaneOp::Once { f, args, .. } => &mut args[..f.arity()],
+            LaneOp::Store { src, .. } | LaneOp::Mov { src, .. } | LaneOp::Reduce { src, .. } => {
+                std::slice::from_mut(src)
+            }
+            _ => &mut [],
+        }
+    }
 }
 
 /// Compile-time description of one lane-vectorizable innermost loop,
@@ -275,10 +410,14 @@ pub(crate) struct SimdInfo {
     /// The slot-resolved lane program (the loop body as lane micro-ops).
     pub body: Vec<LaneOp>,
     /// Frame register backing each of the first `lane_regs.len()` slots;
-    /// after the last strip, slot `s`'s value at the last iteration is
-    /// written back to `lane_regs[s]` so post-loop code sees exactly the
-    /// registers a scalar run would have left.
+    /// after the last strip, `lane_regs[s]` takes slot `s`'s value at the
+    /// last iteration, so post-loop code sees exactly the registers a
+    /// scalar run would have left - except for the slots in `finals`.
     pub lane_regs: Vec<Reg>,
+    /// `(s, from)`: lane slot `s`'s last write is a copy the lane program
+    /// propagated away, so its register takes the value of slot `from`,
+    /// the slot the copy read, which nothing overwrites after the copy.
+    pub finals: Vec<(u16, u16)>,
     /// The broadcast table: what fills each slot past the lane registers.
     pub bcast: Vec<Bcast>,
     /// The enclosing loop a lane run may cover as well, or why it may not.
@@ -1414,25 +1553,43 @@ fn acc_str(code: &Code, acc: u32) -> String {
     format!("@{acc} = {name}[{flat}]{chk}")
 }
 
-fn lane_op_str(dim: u8, op: &LaneOp) -> String {
-    match *op {
-        LaneOp::Load { dst, acc } => format!("l{dst} = load @{acc}"),
-        LaneOp::Store { acc, src } => format!("store @{acc}, l{src}"),
-        LaneOp::Bin { op, dst, a, b } => format!("l{dst} = l{a} {} l{b}", binop_sym(op)),
-        LaneOp::Neg { dst, src } => format!("l{dst} = -l{src}"),
-        LaneOp::Mov { dst, src } => format!("l{dst} = l{src}"),
-        LaneOp::IdxSeq { dst } => format!("l{dst} = f64(i{dim})"),
-        LaneOp::Call { intr, dst, n, args } => format!(
-            "l{dst} = {intr:?}({})",
-            args[..n as usize]
+/// One lane op of a `--print bytecode` listing, or `None` for a load its
+/// reader takes in place: the reader shows it, as `@acc` (`accs` maps the
+/// run's streams to access-table entries).
+fn lane_op_str(dim: u8, accs: &[u32], op: &LaneOp) -> Option<String> {
+    let src = |s: Src| match s.stream() {
+        Some(i) => format!("@{}", accs[i as usize]),
+        None => format!("l{}", s.0),
+    };
+    let apply = |f: Func, args: &[Src]| match f {
+        Func::Bin(op) => format!("{} {} {}", src(args[0]), binop_sym(op), src(args[1])),
+        Func::Neg => format!("-{}", src(args[0])),
+        Func::Call(intr) => format!(
+            "{intr:?}({})",
+            args[..intr.arity()]
                 .iter()
-                .map(|a| format!("l{a}"))
+                .map(|&a| src(a))
                 .collect::<Vec<_>>()
                 .join(", ")
         ),
-        LaneOp::Reduce { op, acc, src } => format!("r{acc} = {op:?}(r{acc}, l{src}) in order"),
+    };
+    Some(match *op {
+        LaneOp::Load { dst, acc } => format!("l{dst} = load @{acc}"),
+        LaneOp::Fold { .. } => return None,
+        LaneOp::Store { acc, src: s } => format!("store @{acc}, {}", src(s)),
+        LaneOp::Apply { f, dst, args } => format!("l{dst} = {}", apply(f, &args)),
+        LaneOp::Once { f, dst, args, row } => format!(
+            "per {}: l{dst} = {}",
+            if row { "row" } else { "run" },
+            apply(f, &args)
+        ),
+        LaneOp::Mov { dst, src: s } => format!("l{dst} = {}", src(s)),
+        LaneOp::IdxSeq { dst } => format!("l{dst} = f64(i{dim})"),
+        LaneOp::Reduce { op, acc, src: s } => {
+            format!("r{acc} = {op:?}(r{acc}, {}) in order", src(s))
+        }
         LaneOp::Tick { flops } => format!("tick flops={flops}"),
-    }
+    })
 }
 
 fn op_str(code: &Code, op: &Op) -> (&'static str, String) {
@@ -1647,8 +1804,23 @@ pub(crate) fn disasm(code: &Code) -> String {
                 Bcast::Idx(d) => writeln!(out, ";;   l{slot} = broadcast f64(i{d})"),
             };
         }
+        let accs: Vec<u32> = s
+            .body
+            .iter()
+            .filter_map(|op| match *op {
+                LaneOp::Load { acc, .. } | LaneOp::Fold { acc } | LaneOp::Store { acc, .. } => {
+                    Some(acc)
+                }
+                _ => None,
+            })
+            .collect();
         for lop in &s.body {
-            let _ = writeln!(out, ";;   {}", lane_op_str(s.dim, lop));
+            if let Some(line) = lane_op_str(s.dim, &accs, lop) {
+                let _ = writeln!(out, ";;   {line}");
+            }
+        }
+        for &(slot, from) in &s.finals {
+            let _ = writeln!(out, ";;   on exit r{} = l{from}", s.lane_regs[slot as usize]);
         }
     }
     out

@@ -107,7 +107,10 @@ pub struct TileStats {
     pub flops: u64,
     /// Iteration points executed by the tile.
     pub points: u64,
-    /// Bytecode instructions executed by the tile (the tile's fuel cost).
+    /// The tile's fuel cost: its share of the ops the sequential run
+    /// executes over the ladder. A tile runs the loops around its iterates
+    /// as every other tile does; tile 0 alone is charged for those, so the
+    /// shares sum to the sequential count.
     pub ops: u64,
 }
 
@@ -253,9 +256,9 @@ pub struct ExecOpts {
     /// [`Engine::VmPar`] alone.
     pub threads: usize,
     /// Strip width of the innermost-loop dispatch: how many consecutive
-    /// iterations run op-major at a time. `0` means the default width
-    /// (64), widths are capped at 128, and `1` is scalar dispatch. Read
-    /// by [`Engine::VmSimd`] and [`Engine::VmPar`].
+    /// iterations run op-major at a time. `0` means the default, the
+    /// widest strip (128), widths are capped at 128, and `1` is scalar
+    /// dispatch. Read by [`Engine::VmSimd`] and [`Engine::VmPar`].
     pub lanes: usize,
 }
 

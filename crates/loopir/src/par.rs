@@ -202,6 +202,12 @@ struct Batch {
     /// Snapshot of the index vector at the `ParBegin`.
     idx: [i64; MAX_RANK],
     views: Vec<ArrayView>,
+    /// The pcs one iterate of the partitioned loop runs: its body and its
+    /// `IdxStep`. Every tile runs its own iterates of them; every other op
+    /// of the ladder each tile runs as the sequential run does, for the
+    /// whole ladder, so tile 0 alone is charged for those: the tiles'
+    /// `ops` sum to the sequential op count.
+    split: std::ops::Range<usize>,
     deadline: Option<Instant>,
     batch_id: u32,
     /// Lane width for `Op::SimdBegin` loops inside the ladder (`< 2`
@@ -300,6 +306,15 @@ pub(crate) fn run_ladder(
 ) -> Result<[i64; MAX_RANK], ExecError> {
     let tiles = make_tiles(info, pool.threads());
     let n = tiles.len();
+    let ladder = info.entry as usize..info.exit as usize;
+    let at = |want: fn(&Op, u8) -> bool| {
+        ladder
+            .clone()
+            .find(|&pc| want(&code.ops[pc], info.dim))
+            .unwrap_or(ladder.start)
+    };
+    let split = at(|op, d| matches!(*op, Op::SetIdx { d: sd, .. } if sd == d)) + 1
+        ..at(|op, d| matches!(*op, Op::IdxStep { d: sd, .. } if sd == d)) + 1;
     let views = arrays
         .iter_mut()
         .map(|a| match a {
@@ -320,6 +335,7 @@ pub(crate) fn run_ladder(
         frame: frame.to_vec(),
         idx: *idx,
         views,
+        split,
         deadline,
         batch_id,
         lanes,
@@ -368,12 +384,16 @@ fn run_tile(b: &Batch, ti: usize, lane_scratch: &mut LaneScratch) -> Result<Tile
         views: &b.views,
     };
     let mut n = RunStats::default();
+    // What the tile is charged (see `Batch::split`), and what it ran.
+    let charged = |pc: usize| ti == 0 || b.split.contains(&pc);
     let mut ops_done = 0u64;
+    let mut ticks = 0u64;
     while pc != exit {
         let op = ops[pc];
+        ops_done += charged(pc) as u64;
         pc += 1;
-        ops_done += 1;
-        if ops_done & 0x1FFF == 0 {
+        ticks += 1;
+        if ticks & 0x1FFF == 0 {
             if let Some(d) = b.deadline {
                 if Instant::now() >= d {
                     return Err(ExecError::deadline());
@@ -416,6 +436,7 @@ fn run_tile(b: &Batch, ti: usize, lane_scratch: &mut LaneScratch) -> Result<Tile
                 // the run spans the tile's rows and ends at the tile's
                 // stop; further out, the run is the sequential VM's.
                 if b.lanes >= 2 {
+                    let first = pc - 1;
                     let run = simd::run_lanes(
                         code,
                         &code.simds[simd as usize],
@@ -429,7 +450,9 @@ fn run_tile(b: &Batch, ti: usize, lane_scratch: &mut LaneScratch) -> Result<Tile
                         &mut NoopObserver,
                     )?;
                     if let Some(run) = run {
-                        ops_done += run.ops;
+                        // A run entered outside the split is the
+                        // partitioned loop itself: its `SetIdx` is shared.
+                        ops_done += run.ops - !charged(first) as u64;
                         book_lane_run(&run, &mut n);
                         idx = run.idx;
                         pc = run.resume as usize;

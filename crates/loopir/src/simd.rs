@@ -26,8 +26,9 @@
 //! Scalar dispatchers treat `SimdBegin` as a no-op and fall through into
 //! the loop, so one bytecode serves every engine. A lane-enabled verified
 //! VM instead calls [`run_lanes`], which covers the loop's whole range in
-//! strips of up to 64 consecutive positions (the last strip shorter when
-//! the width does not divide the range). When the loop sits directly
+//! strips of up to [`MAX_LANES`] = 128 consecutive positions unless the
+//! caller asks for fewer (the last strip shorter when the width does not
+//! divide the range). When the loop sits directly
 //! inside another one ([`Rows`]) the run covers that loop too: positions
 //! are numbered row-major over (outer, inner), which is the scalar order,
 //! and strips are cut across row ends, so the unit of dispatch is sized
@@ -41,6 +42,17 @@
 //! interpreter; loops that would not (carried dependences) are simply
 //! never annotated.
 //!
+//! The lane program moves no value it need not ([`analyze_loop`]): a load
+//! read once is read in place, row segment by row segment, from the array
+//! slice by the op that reads it; a register copy is propagated into its
+//! readers; and an op whose operands do not vary across the run, or
+//! across a row of it, is evaluated once there as a scalar, with the
+//! scalar definition. The width was re-decided with those in place (PR
+//! 25; execution only, min of 80, ms at 32 / 64 / 128): SIMPLE n=256
+//! 13.8 / 10.7 / 9.2, Tomcatv n=256 7.8 / 5.6 / 4.6, SP n=24 9.7 / 7.9 /
+//! 7.3 (EXPERIMENTS.md), so a run asks for the widest strip unless told
+//! otherwise; there is no per-loop width.
+//!
 //! An observer cannot tell either: after its last op each strip is
 //! reported through [`Observer::strip`] - the run's streams as byte
 //! addresses plus the body's flop counts, and which positions the strip
@@ -49,24 +61,14 @@
 //! So lanes run under the cache simulator as under no observer at all.
 
 use crate::bytecode::{
-    Bcast, Code, LaneOp, NoRows, Op, Reg, Rows, SimdInfo, MAX_CALL_ARGS, MAX_LANES, MAX_RANK,
+    Bcast, Code, Func, LaneOp, NoRows, Op, Reg, Rows, SimdInfo, Src, MAX_CALL_ARGS, MAX_LANES,
+    MAX_RANK,
 };
 use crate::interp::{binop, ExecError, Observer, Strip, StripAccess, StripEvent};
 use crate::vm::{unallocated, VmArray};
 use std::time::Instant;
 use zlang::ast::{BinOp, ReduceOp};
 use zlang::ir::Intrinsic;
-
-/// Strip width when the caller does not override it ([`MAX_LANES`] is the
-/// cap). A constant, not a knob. Re-measured with runs that span rows
-/// (PR 20; execution only, min of 54, ms at 32 / 64 / 128): SIMPLE n=256
-/// 16.8 / 11.2 / 9.2, Tomcatv n=256 10.4 / 6.9 / 5.5, SP n=24 12.6 / 8.5
-/// / 7.2 (EXPERIMENTS.md). Strips are full at any width now, so the curve
-/// no longer flattens at 64 - a strip-op costs about 20 ns before its
-/// first element - but 64 keeps the lane file of the widest nest (SP's:
-/// 58 slots, 29 KB) inside a 32 KB L1, which 128 does not. Choosing the
-/// width per loop from its slot count is ROADMAP item 2.
-pub(crate) const DEFAULT_LANES: usize = 64;
 
 /// Rewrites compiled bytecode in place: bundles superinstructions, then
 /// annotates vectorizable innermost loops with [`Op::SimdBegin`].
@@ -319,6 +321,7 @@ fn vectorize(code: &mut Code) {
                 exit: t as u32 + 1,
                 body: cand.body,
                 lane_regs: cand.lane_regs,
+                finals: cand.finals,
                 bcast: cand.bcast,
                 rows: cand.rows,
             },
@@ -394,6 +397,7 @@ pub(crate) struct LoopSite {
 pub(crate) struct SimdCandidate {
     pub body: Vec<LaneOp>,
     pub lane_regs: Vec<Reg>,
+    pub finals: Vec<(u16, u16)>,
     pub bcast: Vec<Bcast>,
     pub lanes: u8,
     /// The enclosing loop, with `exit` in the site's pc numbering.
@@ -569,6 +573,13 @@ const ACCUMULATOR: u16 = u16::MAX - 1;
 /// ops before it and before the ops after it have run over the strip, is
 /// exactly the scalar sequence of updates.
 ///
+/// The decoded program then stops moving what needs no moving, in three
+/// passes over it: [`walk`] (which also marks the evaluated-once ops),
+/// [`propagate_copies`] and [`fold_loads`]. Each is decided here and
+/// nowhere else, so verifier
+/// phase 4, which re-runs this function and compares, re-proves every
+/// fold, every dropped copy and every evaluated-once op.
+///
 /// Returns `None` when the body is not vectorizable: it contains an op
 /// outside the element-wise subset, a checked access, a read of a
 /// body-written register before its write in the same iteration (the
@@ -628,11 +639,11 @@ pub(crate) fn analyze_loop(
         });
         (n_lane + i) as u16
     }
-    let src = |bcast: &mut Vec<Bcast>, defined: u16, r: Reg| -> Option<u16> {
+    let src = |bcast: &mut Vec<Bcast>, defined: u16, r: Reg| -> Option<Src> {
         match *slot_of.get(r as usize)? {
-            INVARIANT => Some(bslot(bcast, n_lane, Bcast::Reg(r))),
+            INVARIANT => Some(Src::lane(bslot(bcast, n_lane, Bcast::Reg(r)))),
             ACCUMULATOR => None, // only its own `Reduce` may touch it
-            s if s < defined => Some(s),
+            s if s < defined => Some(Src::lane(s)),
             _ => None, // read before this iteration's write
         }
     };
@@ -662,15 +673,16 @@ pub(crate) fn analyze_loop(
                 body.push(LaneOp::Store { acc, src });
             }
             Micro::Bin { op, dst, a, b } => {
-                let a = src(&mut bcast, defined, a)?;
-                let b = src(&mut bcast, defined, b)?;
+                let args = pad(&[src(&mut bcast, defined, a)?, src(&mut bcast, defined, b)?]);
                 let dst = def(&mut defined, dst);
-                body.push(LaneOp::Bin { op, dst, a, b });
+                let f = Func::Bin(op);
+                body.push(LaneOp::Apply { f, dst, args });
             }
             Micro::Neg { dst, src: r } => {
-                let src = src(&mut bcast, defined, r)?;
+                let args = pad(&[src(&mut bcast, defined, r)?]);
                 let dst = def(&mut defined, dst);
-                body.push(LaneOp::Neg { dst, src });
+                let f = Func::Neg;
+                body.push(LaneOp::Apply { f, dst, args });
             }
             Micro::Mov { dst, src: r } => {
                 let src = src(&mut bcast, defined, r)?;
@@ -682,7 +694,7 @@ pub(crate) fn analyze_loop(
                 body.push(if d as usize == dim {
                     LaneOp::IdxSeq { dst }
                 } else {
-                    let src = bslot(&mut bcast, n_lane, Bcast::Idx(d));
+                    let src = Src::lane(bslot(&mut bcast, n_lane, Bcast::Idx(d)));
                     LaneOp::Mov { dst, src }
                 });
             }
@@ -692,12 +704,13 @@ pub(crate) fn analyze_loop(
                 if n as usize != intr.arity() || n as usize > MAX_CALL_ARGS {
                     return None;
                 }
-                let mut args = [0u16; MAX_CALL_ARGS];
+                let mut args = pad(&[]);
                 for (slot, r) in args.iter_mut().zip(base..base + n as Reg) {
                     *slot = src(&mut bcast, defined, r)?;
                 }
                 let dst = def(&mut defined, dst);
-                body.push(LaneOp::Call { intr, dst, n, args });
+                let f = Func::Call(intr);
+                body.push(LaneOp::Apply { f, dst, args });
             }
             Micro::Reduce { op, acc, src: r } => {
                 let src = src(&mut bcast, defined, r)?;
@@ -707,6 +720,9 @@ pub(crate) fn analyze_loop(
         }
     }
 
+    if n_lane + bcast.len() >= Src::LIMIT || accs.len() >= Src::LIMIT {
+        return None; // a slot or stream number would not fit a `Src`
+    }
     for &(acc, store) in &accs {
         if store && code.accesses[acc as usize].strides[dim] == 0 {
             return None; // every position would write the same cell
@@ -736,13 +752,238 @@ pub(crate) fn analyze_loop(
             }),
         }
     });
+    // With no copy, no slot written twice (so no load but a slot's last
+    // write) and no op over broadcast slots alone, there is nothing to
+    // tidy: skip the walk, which costs a small loop as much again.
+    let bcast_only = |op: &LaneOp| {
+        let over = |s: &Src| s.slot().is_some_and(|l| l as usize >= n_lane);
+        matches!(op, LaneOp::Apply { .. }) && op.srcs().iter().all(over)
+    };
+    let writes = body.iter().filter(|op| op.dst().is_some()).count();
+    let mut finals = Vec::new();
+    if writes > n_lane || body.iter().any(|op| matches!(op, LaneOp::Mov { .. }) || bcast_only(op))
+    {
+        let outer = rows.ok().map(|rows| rows.dim);
+        let mut uses = walk(&mut body, n_lane, &bcast, outer);
+        propagate_copies(&mut body, &mut uses, &mut finals);
+        fold_loads(code, &mut body, &uses, dim, site.step);
+        let mut dropped = uses.iter().map(|u| u.dropped);
+        body.retain(|_| !dropped.next().unwrap_or(false));
+    }
     Some(SimdCandidate {
         body,
         lane_regs,
+        finals,
         bcast,
         lanes: lanes as u8,
         rows,
     })
+}
+
+/// `srcs` as an operand list; the operands past a function's arity are
+/// never read.
+fn pad(srcs: &[Src]) -> [Src; MAX_CALL_ARGS] {
+    let mut args = [Src::lane(0); MAX_CALL_ARGS];
+    args[..srcs.len()].copy_from_slice(srcs);
+    args
+}
+
+/// What one op's write comes to ([`walk`]).
+#[derive(Clone, Copy)]
+struct Use {
+    /// The next op that writes the same slot, or `NONE`: then the value is
+    /// what `leave` writes back.
+    next: u32,
+    /// How many ops read the value (an op that overwrites the slot reads
+    /// it first), and the first and the last of them.
+    readers: u32,
+    first: u32,
+    last: u32,
+    /// The write the op's first operand reads, or `NONE` for a broadcast
+    /// slot.
+    reach: u32,
+    /// A copy [`propagate_copies`] dropped, or a write some of whose
+    /// readers it redirected here.
+    dropped: bool,
+    moved: bool,
+}
+
+const NONE: u32 = u32::MAX;
+
+/// One pass over the decoded body, over its `n_lane` lane slots and its
+/// broadcast slots: the evaluated-once ops, and the def-use of every
+/// write.
+///
+/// An `Apply` whose operands all hold one value across the run -
+/// broadcast slots, and other such ops' results - becomes a `Once` that
+/// runs once per run; one that reads the enclosing loop's index (`outer`,
+/// refilled per row) or another per-row op runs once per row. A copy of
+/// such a value holds it too.
+fn walk(body: &mut [LaneOp], n_lane: usize, bcast: &[Bcast], outer: Option<u8>) -> Vec<Use> {
+    let mut uses: Vec<Use> = Vec::with_capacity(body.len());
+    // Per slot: the write it holds at this point of the body, and whether
+    // that varies by position (`None`) or is one value per run or, if
+    // `Some(true)`, per row.
+    let mut live: Vec<(u32, Option<bool>)> = Vec::with_capacity(n_lane + bcast.len());
+    live.resize(n_lane, (NONE, None));
+    live.extend(
+        bcast
+            .iter()
+            .map(|b| (NONE, Some(matches!(*b, Bcast::Idx(d) if Some(d) == outer)))),
+    );
+    for (j, op) in body.iter_mut().enumerate() {
+        let j = j as u32;
+        let mut u = Use {
+            next: NONE,
+            readers: 0,
+            first: NONE,
+            last: NONE,
+            reach: NONE,
+            dropped: false,
+            moved: false,
+        };
+        let srcs = op.srcs();
+        let mut scope = Some(false);
+        for (k, s) in srcs.iter().enumerate() {
+            let Some(l) = s.slot() else {
+                scope = None;
+                continue;
+            };
+            let (d, same) = live[l as usize];
+            scope = scope.zip(same).map(|(a, b)| a || b);
+            if k == 0 {
+                u.reach = d;
+            }
+            if d != NONE && !srcs[..k].contains(s) {
+                let u = &mut uses[d as usize];
+                u.readers += 1;
+                u.first = u.first.min(j);
+                u.last = j;
+            }
+        }
+        uses.push(u);
+        let Some(dst) = op.dst() else { continue };
+        let same = match *op {
+            LaneOp::Apply { f, dst, args } => {
+                if let Some(row) = scope {
+                    *op = LaneOp::Once { f, dst, args, row };
+                }
+                scope
+            }
+            LaneOp::Mov { .. } => scope,
+            _ => None,
+        };
+        let (prev, _) = std::mem::replace(&mut live[dst as usize], (j, same));
+        if prev != NONE {
+            uses[prev as usize].next = j;
+        }
+    }
+    uses
+}
+
+/// Copy propagation: a `Mov x <- s` goes, and its readers read `s`, when
+/// `s` still holds the copied value wherever `x` would have been read -
+/// at every reader up to `x`'s next write (a reader that overwrites `s`
+/// reads it first), and on exit when the copy is `x`'s last write, which
+/// `finals` records as `(x, s)`. A copy whose source is overwritten before its
+/// last reader stays. Dropped copies are only marked here.
+fn propagate_copies(body: &mut [LaneOp], uses: &mut [Use], finals: &mut Vec<(u16, u16)>) {
+    for i in 0..body.len() {
+        let LaneOp::Mov { dst: x, src } = body[i] else {
+            continue;
+        };
+        let Some(s) = src.slot() else { continue };
+        let Use {
+            next, last, reach, ..
+        } = uses[i];
+        let s_next = if reach == NONE {
+            NONE
+        } else {
+            uses[reach as usize].next
+        };
+        // `s` is overwritten before the exit, or before the last reader.
+        if s_next != NONE && (next == NONE || (last != NONE && last > s_next)) {
+            continue;
+        }
+        // Every read of `x` up to the last reader reads this copy.
+        let upto = if last == NONE { i } else { last as usize };
+        for j in i + 1..=upto {
+            let op = &mut body[j];
+            let reads = op.srcs().contains(&Src::lane(x));
+            for a in op.srcs_mut() {
+                if *a == Src::lane(x) {
+                    *a = src;
+                }
+            }
+            if reads && matches!(op, LaneOp::Mov { .. }) {
+                uses[j].reach = reach;
+            }
+        }
+        if next == NONE {
+            finals.push((x, s));
+        }
+        uses[i].dropped = true;
+        if reach != NONE {
+            uses[reach as usize].moved = true;
+        }
+    }
+}
+
+/// In-place loads: a unit-stride `Load` becomes a `Fold`, and its reader
+/// takes the array's own elements ([`Src::mem`]), when exactly one op reads
+/// the loaded value, that op is an `Apply`, a `Reduce` or a `Store`,
+/// nothing from the load to the reader (the reader included) stores to
+/// the load's array, and the load is not the slot's last write, whose
+/// value `leave` writes back (a copy into the slot that was propagated
+/// away is a later write: `finals` then points past it).
+fn fold_loads(code: &Code, body: &mut [LaneOp], uses: &[Use], dim: usize, step: i64) {
+    let mut stream = 0u16;
+    for i in 0..body.len() {
+        let LaneOp::Load { dst, acc } = body[i] else {
+            stream += matches!(body[i], LaneOp::Store { .. }) as u16;
+            continue;
+        };
+        let this = Src::mem(stream);
+        stream += 1;
+        let Use {
+            next,
+            mut readers,
+            first,
+            moved,
+            ..
+        } = uses[i];
+        if next == NONE {
+            continue;
+        }
+        let mut j = first as usize;
+        if moved {
+            // A dropped copy handed its readers on: count them again.
+            let mut read = (i + 1..=next as usize).filter(|&k| {
+                !uses[k].dropped && body[k].srcs().contains(&Src::lane(dst))
+            });
+            (readers, j) = (read.clone().count() as u32, read.next().unwrap_or(i));
+        }
+        let a = &code.accesses[acc as usize];
+        let stores_arr = |op: &LaneOp| {
+            matches!(*op, LaneOp::Store { acc, .. } if code.accesses[acc as usize].arr == a.arr)
+        };
+        if readers != 1
+            || a.strides[dim] * step != 1
+            || !matches!(
+                body[j],
+                LaneOp::Apply { .. } | LaneOp::Reduce { .. } | LaneOp::Store { .. }
+            )
+            || body[i + 1..=j].iter().any(stores_arr)
+        {
+            continue;
+        }
+        for a in body[j].srcs_mut() {
+            if *a == Src::lane(dst) {
+                *a = this;
+            }
+        }
+        body[i] = LaneOp::Fold { acc };
+    }
 }
 
 /// One loop of a lane run's iteration space.
@@ -786,11 +1027,17 @@ fn alias_width(
 ) -> i64 {
     let e2 = inner.extent as i128;
     let mut width = cap as i128;
+    // Each pair once, a store first: a store against every load, and
+    // against itself and every later store. The bound is symmetric in the
+    // pair.
     for (i, &(pa, pstore)) in accs.iter().enumerate() {
+        if !pstore {
+            continue;
+        }
         let a = &code.accesses[pa as usize];
-        for &(qa, qstore) in &accs[i..] {
+        for (j, &(qa, qstore)) in accs.iter().enumerate() {
             let b = &code.accesses[qa as usize];
-            if a.arr != b.arr || !(pstore || qstore) {
+            if (qstore && j < i) || a.arr != b.arr {
                 continue;
             }
             if a.strides != b.strides {
@@ -989,13 +1236,15 @@ struct Stream {
 /// The state a lane run needs and a `Vm` or a tile worker keeps between
 /// runs, so that entering a loop allocates nothing once these have grown
 /// to the program's largest loop: the lane file (`slots x W` values,
-/// strip `s` at `[s*W, (s+1)*W)`), the stream table, and what a position
-/// reports to the observer.
+/// strip `s` at `[s*W, (s+1)*W)`), the stream table, what a position
+/// reports to the observer, and each evaluated-once op's last value with
+/// the row it was evaluated for.
 #[derive(Default)]
 pub(crate) struct LaneScratch {
     file: Vec<f64>,
     streams: Vec<Stream>,
     events: Vec<StripEvent>,
+    once: Vec<(i64, f64)>,
 }
 
 /// The iteration space one lane run covers and the width of its strips:
@@ -1130,36 +1379,120 @@ impl Iterator for Segments {
     }
 }
 
-/// Borrows strip `dst` of the lane file mutably and the `srcs` strips
-/// shared, each cut to the current strip width `wc`. A source that *is*
-/// `dst` (an in-place update such as `t = t * x`) reads a copy of the
-/// strip taken first, into `own`.
+impl Segments {
+    /// The whole strip as one piece, for an op that reads no array (the
+    /// piece's row and column then go unread).
+    #[inline(always)]
+    fn whole(self) -> Segments {
+        Segments {
+            cols: i64::MAX,
+            ..self
+        }
+    }
+}
+
+/// Borrows strip `dst` of the lane file mutably and the `srcs` lane
+/// strips shared, each cut to the current strip width `wc` (an operand
+/// read in place gets an empty slice here). A source that *is* `dst` (an
+/// in-place update such as `t = t * x`) reads a copy of the strip taken
+/// first, into `own`.
 #[inline(always)]
 fn strips<'a, const N: usize>(
     file: &'a mut [f64],
     w: usize,
     wc: usize,
     dst: u16,
-    srcs: [u16; N],
+    srcs: [Src; N],
     own: &'a mut [f64; MAX_LANES],
 ) -> (&'a mut [f64], [&'a [f64]; N]) {
     let d = dst as usize;
     let (lo, rest) = file.split_at_mut(d * w);
     let (out, hi) = rest.split_at_mut(w);
     let out = &mut out[..wc];
-    if srcs.contains(&dst) {
+    if srcs.contains(&Src::lane(dst)) {
         own[..wc].copy_from_slice(out);
     }
     let (lo, hi, own): (&'a [f64], &'a [f64], &'a [f64]) = (lo, hi, own);
-    let srcs = srcs.map(|s| {
+    // A loop, not `map`: `[T; N]::map` is not inlined into the strip
+    // loop, whose AVX2 copy would then call out for every op.
+    let mut ins = [&[][..]; N];
+    for (i, s) in ins.iter_mut().zip(srcs) {
+        let Some(s) = s.slot() else { continue };
         let s = s as usize;
-        match s.cmp(&d) {
+        *i = match s.cmp(&d) {
             std::cmp::Ordering::Less => &lo[s * w..][..wc],
             std::cmp::Ordering::Greater => &hi[(s - d - 1) * w..][..wc],
             std::cmp::Ordering::Equal => &own[..wc],
+        };
+    }
+    (out, ins)
+}
+
+/// The one place a lane run reads array memory: `len` positions of
+/// stream `s` from row `r`, column `c` on, in one row, as a view of the
+/// array itself. A stream that is not unit-stride is handed out one
+/// element at a time (the view is then shorter than asked for when `len`
+/// is above 1; the strided load asks for one, and [`fold_loads`] reads
+/// no strided stream in place).
+#[inline(always)]
+fn read<'a>(ptr: *const f64, s: &Stream, r: i64, c: i64, len: usize) -> &'a [f64] {
+    let flat = s.flat + r * s.k1 + c * s.k;
+    let len = if s.k == 1 { len } else { len.min(1) };
+    // SAFETY: runtime check — on entry to this run `bind` proved the
+    // stream's four corners, `s.flat + {0, rows-1}*s.k1 + {0, cols-1}*s.k`,
+    // inside the allocation `resolve` reported for `ptr`; the address is
+    // monotonic in `r` and `c`, every caller passes `r < rows` and
+    // `c + len <= cols` (a row segment of the strip, `Segments`), and the
+    // view covers positions `c..c + len` of row `r` only when `s.k == 1`.
+    // The view lives for one strip op, and no store of that op writes its
+    // array: `fold_loads` folds no load into a store of its own array,
+    // and lane runs are gated on verified bytecode, whose phase 4
+    // re-derived every fold.
+    unsafe { std::slice::from_raw_parts(ptr.add(flat as usize), len) }
+}
+
+/// Where an op's operands are for one piece of the strip: the lane slices
+/// `strips` cut (`lanes`), or the array itself (`ptrs`, resolved for this
+/// op).
+#[inline(always)]
+fn inputs<'a, const N: usize>(
+    srcs: [Src; N],
+    lanes: &[&'a [f64]; N],
+    ptrs: &[*const f64; N],
+    streams: &[Stream],
+    (off, len, r, c): (usize, usize, i64, i64),
+) -> [&'a [f64]; N] {
+    let mut ins = [&[][..]; N];
+    for k in 0..N {
+        ins[k] = match srcs[k].stream() {
+            None => &lanes[k][off..off + len],
+            Some(i) => read(ptrs[k], &streams[i as usize], r, c, len),
+        };
+    }
+    ins
+}
+
+/// Operand `src`'s strip of the lane file, cut to the strip width `wc`
+/// (empty for an operand read in place).
+#[inline(always)]
+fn lane_strip(file: &[f64], w: usize, wc: usize, src: Src) -> &[f64] {
+    src.slot().map_or(&[], |l| &file[l as usize * w..][..wc])
+}
+
+/// Resolves each in-place operand's array for one strip op.
+#[inline(always)]
+fn resolve_all<M: ElemMem, const N: usize>(
+    mem: &mut M,
+    streams: &[Stream],
+    srcs: [Src; N],
+) -> Result<[*const f64; N], ExecError> {
+    let mut ptrs = [std::ptr::null(); N];
+    for (p, s) in ptrs.iter_mut().zip(srcs) {
+        if let Some(i) = s.stream() {
+            *p = mem.resolve(streams[i as usize].arr)?.0.cast_const();
         }
-    });
-    (out, srcs)
+    }
+    Ok(ptrs)
 }
 
 /// `out[m] = f(a[m])` over one strip; like [`zip`], a loop over
@@ -1190,51 +1523,55 @@ fn floor(x: f64) -> f64 {
     x.floor()
 }
 
-/// One intrinsic over one strip. The function is resolved here, once per
-/// strip: `sqrt`/`abs`/`min`/`max`/`sign`/`select` are slice loops LLVM
-/// vectorizes (exactly IEEE, or bit selection: the same bits as
-/// `Intrinsic::eval`), the others a scalar call per element.
+/// The strip kernels of the one-operand functions. The function is
+/// resolved here, once per piece: `-`, `sqrt`, `abs` and `sign` are slice
+/// loops LLVM vectorizes (exactly IEEE, or bit operations: the same bits
+/// as [`Func::eval`]), the others a scalar call per element.
 #[inline(always)]
-fn call_strip(
-    intr: Intrinsic,
-    file: &mut [f64],
-    w: usize,
-    wc: usize,
-    dst: u16,
-    [x, y, z, _]: [u16; MAX_CALL_ARGS],
-    own: &mut [f64; MAX_LANES],
-) {
-    macro_rules! unary {
-        ($f:expr) => {{
-            let (out, [a]) = strips(file, w, wc, dst, [x], own);
-            map(out, a, $f)
-        }};
-    }
-    macro_rules! binary {
-        ($f:expr) => {{
-            let (out, [a, b]) = strips(file, w, wc, dst, [x, y], own);
-            zip(out, a, b, $f)
-        }};
-    }
+fn kernel1(f: Func, out: &mut [f64], [a]: [&[f64]; 1]) {
+    let Func::Call(intr) = f else {
+        return map(out, a, |x| -x);
+    };
     match intr {
-        Intrinsic::Sqrt => unary!(f64::sqrt),
-        Intrinsic::Abs => unary!(f64::abs),
-        Intrinsic::Sign => unary!(zlang::ir::sign),
-        Intrinsic::Min => binary!(f64::min),
-        Intrinsic::Max => binary!(f64::max),
-        Intrinsic::Select => {
-            let (out, [c, a, b]) = strips(file, w, wc, dst, [x, y, z], own);
-            for (((o, &c), &a), &b) in out.iter_mut().zip(c).zip(a).zip(b) {
-                *o = if c != 0.0 { a } else { b };
+        Intrinsic::Sqrt => map(out, a, f64::sqrt),
+        Intrinsic::Abs => map(out, a, f64::abs),
+        Intrinsic::Sign => map(out, a, zlang::ir::sign),
+        Intrinsic::Sin => map(out, a, f64::sin),
+        Intrinsic::Cos => map(out, a, f64::cos),
+        Intrinsic::Exp => map(out, a, f64::exp),
+        Intrinsic::Ln => map(out, a, f64::ln),
+        Intrinsic::Floor => map(out, a, floor),
+        Intrinsic::Rnd => map(out, a, zlang::ir::rnd),
+        Intrinsic::Min | Intrinsic::Max | Intrinsic::Pow | Intrinsic::Select => {}
+    }
+}
+
+/// The strip kernels of the two-operand functions: one loop per operator,
+/// each `binop` at a constant, and `min`, `max`, `pow`.
+#[inline(always)]
+fn kernel2(f: Func, out: &mut [f64], [a, b]: [&[f64]; 2]) {
+    macro_rules! kernels {
+        ($op:expr, $($name:ident)*) => {
+            match $op {
+                $(BinOp::$name => zip(out, a, b, |x, y| binop(BinOp::$name, x, y)),)*
             }
-        }
-        Intrinsic::Sin => unary!(f64::sin),
-        Intrinsic::Cos => unary!(f64::cos),
-        Intrinsic::Exp => unary!(f64::exp),
-        Intrinsic::Ln => unary!(f64::ln),
-        Intrinsic::Floor => unary!(floor),
-        Intrinsic::Rnd => unary!(zlang::ir::rnd),
-        Intrinsic::Pow => binary!(f64::powf),
+        };
+    }
+    match f {
+        Func::Bin(op) => kernels!(op, Add Sub Mul Div Lt Le Gt Ge Eq Ne),
+        Func::Call(Intrinsic::Min) => zip(out, a, b, f64::min),
+        Func::Call(Intrinsic::Max) => zip(out, a, b, f64::max),
+        Func::Call(Intrinsic::Pow) => zip(out, a, b, f64::powf),
+        Func::Neg | Func::Call(_) => {}
+    }
+}
+
+/// The strip kernel of `select`, the one three-operand function: a bit
+/// selection per element.
+#[inline(always)]
+fn kernel3(out: &mut [f64], [c, a, b]: [&[f64]; 3]) {
+    for (((o, &c), &a), &b) in out.iter_mut().zip(c).zip(a).zip(b) {
+        *o = if c != 0.0 { a } else { b };
     }
 }
 
@@ -1247,6 +1584,9 @@ struct StripCtx<'a, M> {
     /// What each position reports to the observer, in body order: the
     /// streams as byte addresses, and the body's flop counts.
     events: &'a [StripEvent],
+    /// Per evaluated-once op, in body order: the row (0 for an op of the
+    /// whole run) it last evaluated for, and the value.
+    once: &'a mut [(i64, f64)],
     regs: &'a mut [f64],
     mem: &'a mut M,
     plan: Plan,
@@ -1303,59 +1643,79 @@ fn strip_loop<M: ElemMem>(cx: &mut StripCtx<'_, M>, report: Report<'_>) -> Resul
                 file[slot * w + off..][..len].fill((first + r * step) as f64);
             }
         }
-        // Memory ops take the stream table in body order.
-        let mut streams = cx.streams.iter();
+        let streams = cx.streams;
+        // `dst = kernel(srcs)`: over the whole strip at once when every
+        // operand is a lane slot, else row segment by row segment, with
+        // the operands read in place cut from the array. A macro and not a
+        // function taking the kernel, so that every kernel loop is
+        // compiled into this function and into its AVX2 copy; and two
+        // paths, because running lane-only ops (nearly all of them)
+        // segment by segment too costs whole runs 6-13% (EXPERIMENTS.md
+        // "PR 25").
+        macro_rules! apply {
+            ($dst:expr, $srcs:expr, |$out:ident, $ins:pat_param| $kernel:expr) => {{
+                let srcs = $srcs;
+                if srcs.iter().all(|s| s.slot().is_some()) {
+                    let ($out, $ins) = strips(file, w, wc, $dst, srcs, &mut own);
+                    $kernel
+                } else {
+                    let ptrs = resolve_all(cx.mem, streams, srcs)?;
+                    let (out, lanes) = strips(file, w, wc, $dst, srcs, &mut own);
+                    for piece in segments {
+                        let $ins = inputs(srcs, &lanes, &ptrs, streams, piece);
+                        let $out = &mut out[piece.0..piece.0 + piece.1];
+                        $kernel
+                    }
+                }
+            }};
+        }
+        // Memory ops take the stream table in body order, evaluated-once
+        // ops the once table.
+        let (mut mi, mut oi) = (0, 0);
         for op in &cx.info.body {
             match *op {
                 LaneOp::Load { dst, .. } => {
-                    let s = streams.next().expect("one stream per memory op");
+                    let s = &streams[mi];
+                    mi += 1;
                     let out = &mut file[dst as usize * w..][..wc];
-                    let (ptr, _) = cx.mem.resolve(s.arr)?;
+                    let ptr = cx.mem.resolve(s.arr)?.0;
                     for (off, len, r, c) in segments {
-                        let flat = s.flat + r * s.k1 + c * s.k;
                         let out = &mut out[off..off + len];
-                        // SAFETY: runtime check — on entry to this run
-                        // `bind` proved the stream's four corners,
-                        // `s.flat + {0, rows-1}*s.k1 + {0, cols-1}*s.k`,
-                        // inside the allocation `resolve` reports; the
-                        // address is monotonic in `r` and `c`, and every
-                        // `flat + m*k` read here has `r < rows` and
-                        // `c + m < cols` (verifier phases 3 and 4 prove
-                        // that check cannot fail on the verified bytecode
-                        // lane runs are gated on). `out` is `len` long.
-                        unsafe {
-                            if s.k == 1 {
-                                std::ptr::copy_nonoverlapping(
-                                    ptr.add(flat as usize),
-                                    out.as_mut_ptr(),
-                                    len,
-                                );
-                            } else {
-                                for (m, slot) in out.iter_mut().enumerate() {
-                                    *slot = *ptr.offset((flat + m as i64 * s.k) as isize);
-                                }
+                        if s.k == 1 {
+                            out.copy_from_slice(read(ptr, s, r, c, len));
+                        } else {
+                            for (m, o) in out.iter_mut().enumerate() {
+                                *o = read(ptr, s, r, c + m as i64, 1)[0];
                             }
                         }
                     }
                     cx.run.loads += wc as u64;
                 }
+                LaneOp::Fold { .. } => {
+                    mi += 1;
+                    cx.run.loads += wc as u64;
+                }
                 LaneOp::Store { src, .. } => {
-                    let s = streams.next().expect("one stream per memory op");
-                    let v = &file[src as usize * w..][..wc];
+                    let s = &streams[mi];
+                    mi += 1;
+                    let [from] = resolve_all(cx.mem, streams, [src])?;
                     let (ptr, _) = cx.mem.resolve(s.arr)?;
-                    for (off, len, r, c) in segments {
+                    let lanes = [lane_strip(file, w, wc, src)];
+                    for piece @ (_, _, r, c) in segments {
+                        let [v] = inputs([src], &lanes, &[from], streams, piece);
                         let flat = s.flat + r * s.k1 + c * s.k;
-                        let v = &v[off..off + len];
-                        // SAFETY: runtime check — as for `Load`, `bind`'s
+                        // SAFETY: runtime check — as for `read`, `bind`'s
                         // check of the four corners of this stream's run;
-                        // `v` is `len` long and is lane-file memory, never
-                        // the array.
+                        // `v` is at most the piece's length, and is
+                        // lane-file memory or a view of another array (as
+                        // for `read`: no store reads its own array in
+                        // place).
                         unsafe {
                             if s.k == 1 {
                                 std::ptr::copy_nonoverlapping(
                                     v.as_ptr(),
                                     ptr.add(flat as usize),
-                                    len,
+                                    v.len(),
                                 );
                             } else {
                                 for (m, &val) in v.iter().enumerate() {
@@ -1366,26 +1726,37 @@ fn strip_loop<M: ElemMem>(cx: &mut StripCtx<'_, M>, report: Report<'_>) -> Resul
                     }
                     cx.run.stores += wc as u64;
                 }
-                LaneOp::Bin { op, dst, a, b } => {
-                    let (out, [a, b]) = strips(file, w, wc, dst, [a, b], &mut own);
-                    // One loop per operator, each `binop` at a constant.
-                    macro_rules! kernels {
-                        ($($op:ident)*) => {
-                            match op {
-                                $(BinOp::$op => zip(out, a, b, |x, y| binop(BinOp::$op, x, y)),)*
+                LaneOp::Apply {
+                    f,
+                    dst,
+                    args: [a, b, c],
+                } => match f.arity() {
+                    1 => apply!(dst, [a], |out, ins| kernel1(f, out, ins)),
+                    2 => apply!(dst, [a, b], |out, ins| kernel2(f, out, ins)),
+                    _ => apply!(dst, [a, b, c], |out, ins| kernel3(out, ins)),
+                },
+                LaneOp::Once { f, dst, args, row } => {
+                    let (at, value) = &mut cx.once[oi];
+                    oi += 1;
+                    let pieces = if row { segments } else { segments.whole() };
+                    for (off, len, r, _) in pieces {
+                        let key = if row { r } else { 0 };
+                        if *at != key {
+                            // The scalar definition, at the row's (or the
+                            // run's) one value of every operand.
+                            let mut x = [0.0; MAX_CALL_ARGS];
+                            for (x, a) in x.iter_mut().zip(&args[..f.arity()]) {
+                                let Some(a) = a.slot() else {
+                                    unreachable!("`walk` makes no op over a stream `Once`")
+                                };
+                                *x = file[a as usize * w + off];
                             }
-                        };
+                            (*at, *value) = (key, f.eval(&x));
+                        }
+                        file[dst as usize * w + off..][..len].fill(*value);
                     }
-                    kernels!(Add Sub Mul Div Lt Le Gt Ge Eq Ne);
                 }
-                LaneOp::Neg { dst, src } => {
-                    let (out, [v]) = strips(file, w, wc, dst, [src], &mut own);
-                    map(out, v, |x| -x);
-                }
-                LaneOp::Mov { dst, src } => {
-                    let at = src as usize * w;
-                    file.copy_within(at..at + wc, dst as usize * w);
-                }
+                LaneOp::Mov { dst, src } => apply!(dst, [src], |out, [v]| out.copy_from_slice(v)),
                 LaneOp::IdxSeq { dst } => {
                     let out = &mut file[dst as usize * w..][..wc];
                     for (off, len, _, c) in segments {
@@ -1395,20 +1766,26 @@ fn strip_loop<M: ElemMem>(cx: &mut StripCtx<'_, M>, report: Report<'_>) -> Resul
                         }
                     }
                 }
-                LaneOp::Call {
-                    intr, dst, args, ..
-                } => call_strip(intr, file, w, wc, dst, args, &mut own),
                 LaneOp::Reduce { op, acc, src } => {
                     // In position order, so the accumulator takes exactly
                     // the scalar loops' sequence of values.
-                    let v = &file[src as usize * w..][..wc];
-                    let a = cx.regs[acc as usize];
-                    cx.regs[acc as usize] = match op {
-                        ReduceOp::Sum => v.iter().fold(a, |a, &x| a + x),
-                        ReduceOp::Prod => v.iter().fold(a, |a, &x| a * x),
-                        ReduceOp::Max => v.iter().fold(a, |a, &x| a.max(x)),
-                        ReduceOp::Min => v.iter().fold(a, |a, &x| a.min(x)),
+                    let ptrs = resolve_all(cx.mem, streams, [src])?;
+                    let lanes = [lane_strip(file, w, wc, src)];
+                    let mut a = cx.regs[acc as usize];
+                    let pieces = match src.slot() {
+                        Some(_) => segments.whole(),
+                        None => segments,
                     };
+                    for piece in pieces {
+                        let [v] = inputs([src], &lanes, &ptrs, streams, piece);
+                        a = match op {
+                            ReduceOp::Sum => v.iter().fold(a, |a, &x| a + x),
+                            ReduceOp::Prod => v.iter().fold(a, |a, &x| a * x),
+                            ReduceOp::Max => v.iter().fold(a, |a, &x| a.max(x)),
+                            ReduceOp::Min => v.iter().fold(a, |a, &x| a.min(x)),
+                        };
+                    }
+                    cx.regs[acc as usize] = a;
                 }
                 LaneOp::Tick { flops } => {
                     cx.run.points += wc as u64;
@@ -1526,6 +1903,7 @@ fn enter<'a, M: ElemMem>(
         file,
         streams,
         events,
+        once,
     } = scratch;
     let need = (n_lane + info.bcast.len()) * w;
     if file.len() < need {
@@ -1554,9 +1932,10 @@ fn enter<'a, M: ElemMem>(
     at[info.dim as usize] = plan.start;
     streams.clear();
     events.clear();
+    once.clear();
     for op in &info.body {
         match *op {
-            LaneOp::Load { acc, .. } | LaneOp::Store { acc, .. } => {
+            LaneOp::Load { acc, .. } | LaneOp::Fold { acc } | LaneOp::Store { acc, .. } => {
                 let s = bind(mem, code, info, acc, &at, &plan)?;
                 let access = StripAccess {
                     addr: mem.base(s.arr).wrapping_add_signed(s.flat * 8),
@@ -1564,11 +1943,12 @@ fn enter<'a, M: ElemMem>(
                     col: s.k * 8,
                 };
                 events.push(match *op {
-                    LaneOp::Load { .. } => StripEvent::Load(access),
-                    _ => StripEvent::Store(access),
+                    LaneOp::Store { .. } => StripEvent::Store(access),
+                    _ => StripEvent::Load(access),
                 });
                 streams.push(s);
             }
+            LaneOp::Once { .. } => once.push((i64::MIN, 0.0)),
             LaneOp::Tick { flops } => events.push(StripEvent::Flops(flops as u64)),
             _ => {}
         }
@@ -1578,6 +1958,7 @@ fn enter<'a, M: ElemMem>(
         file,
         streams,
         events,
+        once,
         regs,
         mem,
         plan,
@@ -1603,10 +1984,13 @@ fn leave<M>(cx: StripCtx<'_, M>) -> LaneRun {
     } = cx;
     // Post-loop code must see exactly the registers a scalar run would
     // have left: the last position's values, which sit here in the last
-    // strip.
+    // strip - in the register's own slot, or in the one it last copied.
     let last = (plan.rows * plan.cols - 1) as usize % plan.w;
     for (slot, &r) in info.lane_regs.iter().enumerate() {
         regs[r as usize] = file[slot * plan.w + last];
+    }
+    for &(slot, from) in &info.finals {
+        regs[info.lane_regs[slot as usize] as usize] = file[from as usize * plan.w + last];
     }
     run.idx[info.dim as usize] = plan.stop;
     // Per row: `SimdBegin`, `SetIdx`, then body and `IdxStep` per
@@ -1780,6 +2164,13 @@ mod tests {
     }
 
     #[test]
+    fn a_lane_op_is_twelve_bytes() {
+        // Every cached artifact carries its lane programs: an operand is
+        // one `u16` (`Src`), so in-place operands cost no memory.
+        assert_eq!(std::mem::size_of::<LaneOp>(), 12);
+    }
+
+    #[test]
     fn a_reduce_nest_is_annotated() {
         let mut code = compiled(&sum_nest());
         superfuse(&mut code);
@@ -1791,9 +2182,9 @@ mod tests {
                 folds[..],
                 [LaneOp::Reduce {
                     op: ReduceOp::Sum,
-                    src: 0,
+                    src,
                     ..
-                }]
+                }] if src == Src::lane(0)
             ),
             "{folds:?}"
         );
@@ -2229,8 +2620,7 @@ mod tests {
 
         let mut code = compiled(&sp);
         superfuse(&mut code);
-        let in_place =
-            |op: &LaneOp| matches!(*op, LaneOp::Bin { dst, a, b, .. } if dst == a || dst == b);
+        let in_place = |op: &LaneOp| matches!(*op, LaneOp::Apply { dst, .. } if op.srcs().contains(&Src::lane(dst)));
         assert!(code.simds.iter().any(|s| s.body.iter().any(in_place)));
 
         let binding = ConfigBinding::defaults(&sp.program);
@@ -2271,180 +2661,328 @@ mod tests {
 
     const QUIET_BIT: u64 = 1 << 51;
 
-    /// What the kernel table test runs per position: every operator and
+    /// What the kernel table tests run per position: every operator and
     /// intrinsic once, over operands `x`, `y` (and `z` for `select`).
-    #[derive(Clone, Copy, Debug)]
-    enum Kernel {
-        Bin(BinOp),
-        Neg,
-        Call(Intrinsic),
-    }
-
-    fn kernels() -> Vec<Kernel> {
+    fn kernels() -> Vec<Func> {
         use BinOp::*;
         use Intrinsic::*;
         let bins = [Add, Sub, Mul, Div, Lt, Le, Gt, Ge, Eq, Ne];
         let calls = [
             Sqrt, Exp, Ln, Sin, Cos, Abs, Floor, Min, Max, Pow, Select, Rnd, Sign,
         ];
-        let mut all: Vec<Kernel> = bins.into_iter().map(Kernel::Bin).collect();
-        all.push(Kernel::Neg);
-        all.extend(calls.into_iter().map(Kernel::Call));
+        let mut all: Vec<Func> = bins.into_iter().map(Func::Bin).collect();
+        all.push(Func::Neg);
+        all.extend(calls.into_iter().map(Func::Call));
         all
     }
 
-    #[test]
-    fn every_strip_kernel_matches_the_scalar_definition_in_both_instantiations() {
+    /// `f` at one position, as the scalar engines compute it.
+    fn scalar(f: Func, [x, y, z]: [f64; 3]) -> f64 {
+        match f {
+            Func::Bin(op) => binop(op, x, y),
+            Func::Neg => -x,
+            Func::Call(intr) => intr.eval(&[x, y, z][..intr.arity()]),
+        }
+    }
+
+    /// `got` is `f(x, y, z)`'s bits - up to the one freedom: LLVM may
+    /// commute `+` and `*`, and x86 hands on the first NaN operand's
+    /// payload, so of two NaN operands either may come out (Rust leaves
+    /// NaN payloads of arithmetic unspecified). On the operand table the
+    /// baseline copy commutes where the AVX2 copy and `binop` do not.
+    fn assert_kernel(f: Func, xyz: [f64; 3], got: f64, ctx: &str) {
+        let want = scalar(f, xyz);
+        let [x, y, _] = xyz;
+        let commuted = matches!(f, Func::Bin(BinOp::Add | BinOp::Mul))
+            && x.is_nan()
+            && y.is_nan()
+            && [x, y]
+                .iter()
+                .any(|v| got.to_bits() == v.to_bits() | QUIET_BIT);
+        assert!(
+            got.to_bits() == want.to_bits() || commuted,
+            "{f:?}({x:?} {:#x}, {y:?} {:#x}, {:?}) {ctx}: {:#x} vs {:#x}",
+            x.to_bits(),
+            y.to_bits(),
+            xyz[2],
+            got.to_bits(),
+            want.to_bits(),
+        );
+    }
+
+    /// A lane run of `info` over `arrays` (element `r*stride + c` of array
+    /// `a` is access `a`'s position `(r, c)`), through the baseline copy of
+    /// the strip loop, which no AVX2 host otherwise runs, or the copy the
+    /// host picks.
+    #[allow(clippy::too_many_arguments)]
+    fn run_table(
+        info: &SimdInfo,
+        stride: i64,
+        arrays: &mut [Option<VmArray>],
+        regs: &mut [f64],
+        width: usize,
+        wide: bool,
+    ) -> LaneRun {
         use crate::bytecode::{Access, ArrayInfo};
-        let table = operand_table();
-        let n = table.len() * table.len();
-        let kernels = kernels();
-        // Arrays 0..3 hold x, y, z; array 3 + k takes kernel k's results.
-        // Slots 0..3 hold the loaded operands, slot 3 + k kernel k's strip.
-        let inputs: [Vec<f64>; 3] = [
-            (0..n).map(|i| table[i / table.len()]).collect(),
-            (0..n).map(|i| table[i % table.len()]).collect(),
-            (0..n).map(|i| table[i * 7 % table.len()]).collect(),
-        ];
-        let n_arrays = 3 + kernels.len();
         let code = Code {
-            accesses: (0..n_arrays)
+            accesses: (0..arrays.len())
                 .map(|a| Access {
                     arr: a as u16,
                     const_flat: 0,
-                    strides: [1, 0, 0, 0],
-                    rank: 1,
+                    strides: [stride, 1, 0, 0],
+                    rank: 2,
                     check: None,
                 })
                 .collect(),
-            arrays: (0..n_arrays)
-                .map(|a| ArrayInfo {
+            arrays: arrays
+                .iter()
+                .enumerate()
+                .map(|(a, arr)| ArrayInfo {
                     name: format!("a{a}"),
-                    elems: n,
-                    bytes: n as u64 * 8,
+                    elems: arr.as_ref().unwrap().data.len(),
+                    bytes: arr.as_ref().unwrap().data.len() as u64 * 8,
                 })
                 .collect(),
             ..Code::default()
         };
+        let mut mem = VmMem {
+            code: &code,
+            arrays,
+        };
+        let idx = [0i64; MAX_RANK];
+        let mut scratch = LaneScratch::default();
+        let plan = plan(info, width, None, &idx).unwrap();
+        let positions = info.stop * info.rows.map_or(1, |r| r.stop);
+        assert_eq!(plan.w, width.min(positions as usize));
+        let mut cx = enter(&code, info, plan, regs, &idx, &mut mem, &mut scratch, None).unwrap();
+        let mut reported = 0;
+        run_strips(&mut cx, wide, &mut |_, at| reported += at.len).unwrap();
+        assert_eq!(
+            reported as i64, positions,
+            "every position is reported, in strips"
+        );
+        leave(cx)
+    }
+
+    /// Every kernel over all 20 x 20 operand pairs (`z` another spread of
+    /// the table), as a lane op over loaded slots, with every operand read
+    /// in place, and with the first operand from a slot and the rest in
+    /// place; plus a store and a reduction of an in-place operand. The 400
+    /// positions are 20 rows of 20 in arrays whose rows are 23 long, so a
+    /// strip that crosses a row end reads its in-place operands in pieces.
+    #[test]
+    fn every_strip_kernel_matches_the_scalar_definition_in_both_instantiations() {
+        let table = operand_table();
+        let side = table.len();
+        let (stride, n) = (side as i64 + 3, side * side);
+        let kernels = kernels();
+        let forms = ["in slots", "in place", "mixed"];
+        // Arrays 0..3 hold x, y, z; then one result array per kernel and
+        // form, and the in-place store's copy of x. Streams 0..3 load x,
+        // y, z into slots 0..3, streams 3..6 are the same three in place.
+        let xyz = |i: usize| [table[i / side], table[i % side], table[i * 7 % side]];
+        let input = |k: usize| -> Vec<f64> {
+            let mut data = vec![0.0; side * stride as usize];
+            for i in 0..n {
+                data[i / side * stride as usize + i % side] = xyz(i)[k];
+            }
+            data
+        };
+        let results = 3 + forms.len() * kernels.len();
+        let copy = results as u16;
         let mut body: Vec<LaneOp> = (0..3)
             .map(|a| LaneOp::Load {
                 dst: a,
                 acc: a as u32,
             })
             .collect();
-        for (k, kernel) in kernels.iter().enumerate() {
-            let dst = 3 + k as u16;
-            body.push(match *kernel {
-                Kernel::Bin(op) => LaneOp::Bin {
-                    op,
+        body.extend((0..3).map(|a| LaneOp::Fold { acc: a }));
+        let (lane, mem) = (Src::lane, Src::mem);
+        let operands = [
+            [lane(0), lane(1), lane(2)],
+            [mem(3), mem(4), mem(5)],
+            [lane(0), mem(4), mem(5)],
+        ];
+        for (form, args) in operands.iter().enumerate() {
+            for (k, &f) in kernels.iter().enumerate() {
+                let dst = (3 + form * kernels.len() + k) as u16;
+                body.push(LaneOp::Apply {
+                    f,
                     dst,
-                    a: 0,
-                    b: 1,
-                },
-                Kernel::Neg => LaneOp::Neg { dst, src: 0 },
-                Kernel::Call(intr) => LaneOp::Call {
-                    intr,
-                    dst,
-                    n: intr.arity() as u8,
-                    args: [0, 1, 2, 0],
-                },
-            });
-            body.push(LaneOp::Store {
-                acc: dst as u32,
-                src: dst,
-            });
+                    args: *args,
+                });
+                body.push(LaneOp::Store {
+                    acc: dst as u32,
+                    src: Src::lane(dst),
+                });
+            }
         }
+        let (sum_lane, sum_mem) = (results as Reg, results as Reg + 1);
+        body.extend([
+            LaneOp::Store {
+                acc: copy as u32,
+                src: mem(3),
+            },
+            LaneOp::Reduce {
+                op: ReduceOp::Sum,
+                acc: sum_lane,
+                src: lane(0),
+            },
+            LaneOp::Reduce {
+                op: ReduceOp::Sum,
+                acc: sum_mem,
+                src: mem(3),
+            },
+        ]);
         let info = SimdInfo {
-            dim: 0,
+            dim: 1,
             lanes: MAX_LANES as u8,
             start: 0,
             step: 1,
-            stop: n as i64,
+            stop: side as i64,
             head: 0,
             exit: 1,
             body,
-            lane_regs: (0..n_arrays as Reg).collect(),
+            lane_regs: (0..results as Reg).collect(),
+            finals: Vec::new(),
             bcast: Vec::new(),
-            rows: Err(NoRows::NoEnclosingLoop),
+            rows: Ok(Rows {
+                dim: 0,
+                start: 0,
+                step: 1,
+                stop: side as i64,
+                exit: 2,
+                lanes: MAX_LANES as u8,
+            }),
         };
-        let want = |kernel: Kernel, i: usize| -> f64 {
-            let [x, y, z] = [inputs[0][i], inputs[1][i], inputs[2][i]];
-            match kernel {
-                Kernel::Bin(op) => binop(op, x, y),
-                Kernel::Neg => -x,
-                Kernel::Call(intr) => intr.eval(&[x, y, z][..intr.arity()]),
-            }
-        };
+        let in_order = (0..n).fold(0.0, |s, i| s + xyz(i)[0]);
 
         // 64 and 128 end in a partial strip of 16, 63 in one of 22: full
-        // vectors, and the scalar tail of a vectorized loop.
+        // vectors, and the scalar tail of a vectorized loop; every width
+        // cuts strips across row ends. Every kernel stores its strip, so
+        // the arrays hold what each copy computed at every position (the
+        // lane file only keeps the last strip).
         for width in [64, 63, 128] {
-            // The baseline copy of the strip loop, which no AVX2 host
-            // otherwise runs, then the copy the host picks. Every kernel
-            // stores its strip, so the arrays hold what each copy computed
-            // at every position (the lane file only keeps the last strip).
             for wide in [false, true] {
-                let mut arrays: Vec<Option<VmArray>> = (0..n_arrays)
+                let mut arrays: Vec<Option<VmArray>> = (0..=results)
                     .map(|a| {
                         Some(VmArray {
                             base: 0,
-                            data: inputs.get(a).cloned().unwrap_or_else(|| vec![0.0; n]),
+                            data: if a < 3 {
+                                input(a)
+                            } else {
+                                vec![0.0; side * stride as usize]
+                            },
                         })
                     })
                     .collect();
-                let mut mem = VmMem {
-                    code: &code,
-                    arrays: &mut arrays,
-                };
-                let mut regs = vec![0.0; n_arrays];
-                let idx = [0i64; MAX_RANK];
-                let mut scratch = LaneScratch::default();
-                let plan = plan(&info, width, None, &idx).unwrap();
-                assert_eq!(plan.w, width);
-                let mut cx = enter(
-                    &code,
-                    &info,
-                    plan,
-                    &mut regs,
-                    &idx,
-                    &mut mem,
-                    &mut scratch,
-                    None,
-                )
-                .unwrap();
-                let mut reported = 0;
-                run_strips(&mut cx, wide, &mut |_, at| reported += at.len).unwrap();
-                assert_eq!(reported, n, "every position is reported, in strips");
-                let run = leave(cx);
+                let mut regs = vec![0.0; results + 2];
+                let run = run_table(&info, stride, &mut arrays, &mut regs, width, wide);
                 assert_eq!(run.points, 0, "the program has no tick");
-                assert_eq!(run.loads, 3 * n as u64);
-                for (k, kernel) in kernels.iter().enumerate() {
-                    let got = &arrays[3 + k].as_ref().unwrap().data;
-                    for (i, g) in got.iter().enumerate() {
-                        let w = want(*kernel, i);
-                        let (x, y) = (inputs[0][i], inputs[1][i]);
-                        // The one freedom: LLVM may commute `+` and `*`,
-                        // and x86 hands on the first NaN operand's payload,
-                        // so of two NaN operands either may come out (Rust
-                        // leaves NaN payloads of arithmetic unspecified).
-                        // On this table the baseline copy commutes where
-                        // the AVX2 copy and `binop` do not.
-                        let commuted = matches!(kernel, Kernel::Bin(BinOp::Add | BinOp::Mul))
-                            && x.is_nan()
-                            && y.is_nan()
-                            && [x, y]
-                                .iter()
-                                .any(|v| g.to_bits() == v.to_bits() | QUIET_BIT);
-                        assert!(
-                            g.to_bits() == w.to_bits() || commuted,
-                            "{kernel:?}({x:?} {:#x}, {y:?} {:#x}, {:?}) at width {width}, \
-                             wide {wide}: {:#x} vs {:#x}",
-                            x.to_bits(),
-                            y.to_bits(),
-                            inputs[2][i],
-                            g.to_bits(),
-                            w.to_bits(),
-                        );
+                assert_eq!(
+                    run.loads,
+                    6 * n as u64,
+                    "a fold is counted as the load it is"
+                );
+                let at = |a: usize, i: usize| {
+                    arrays[a].as_ref().unwrap().data[i / side * stride as usize + i % side]
+                };
+                for (form, name) in forms.iter().enumerate() {
+                    for (k, &f) in kernels.iter().enumerate() {
+                        for i in 0..n {
+                            let got = at(3 + form * kernels.len() + k, i);
+                            let ctx = format!("{name} at width {width}, wide {wide}");
+                            assert_kernel(f, xyz(i), got, &ctx);
+                        }
+                    }
+                }
+                for i in 0..n {
+                    assert_eq!(at(copy as usize, i).to_bits(), xyz(i)[0].to_bits());
+                }
+                for acc in [sum_lane, sum_mem] {
+                    assert_eq!(regs[acc as usize].to_bits(), in_order.to_bits());
+                }
+            }
+        }
+    }
+
+    /// Every kernel as an evaluated-once op, over every operand triple of
+    /// the kernel table: once per run, and once per row of a run that
+    /// crosses row ends, the result stored at each of the run's 2 x 3
+    /// positions. A run is evaluated with the scalar definition itself, so
+    /// there is no freedom here at all, NaN payloads included.
+    #[test]
+    fn every_evaluated_once_op_matches_the_scalar_definition_in_both_instantiations() {
+        let table = operand_table();
+        let side = table.len();
+        let kernels = kernels();
+        let k = kernels.len();
+        // Slots 0..2k: the once ops' results, per run then per row; the
+        // broadcast slots after them: x, y, z from registers 0..3.
+        let bcast: Vec<Bcast> = (0..3).map(Bcast::Reg).collect();
+        let b = (2 * k) as u16;
+        let args = [Src::lane(b), Src::lane(b + 1), Src::lane(b + 2)];
+        let mut body = Vec::new();
+        for row in [false, true] {
+            for (j, &f) in kernels.iter().enumerate() {
+                let dst = (row as usize * k + j) as u16;
+                body.push(LaneOp::Once { f, dst, args, row });
+                body.push(LaneOp::Store {
+                    acc: dst as u32,
+                    src: Src::lane(dst),
+                });
+            }
+        }
+        let info = SimdInfo {
+            dim: 1,
+            lanes: MAX_LANES as u8,
+            start: 0,
+            step: 1,
+            stop: 3,
+            head: 0,
+            exit: 1,
+            body,
+            lane_regs: (3..3 + 2 * k as Reg).collect(),
+            finals: Vec::new(),
+            bcast,
+            rows: Ok(Rows {
+                dim: 0,
+                start: 0,
+                step: 1,
+                stop: 2,
+                exit: 2,
+                lanes: MAX_LANES as u8,
+            }),
+        };
+        for width in [2, 4, 128] {
+            for wide in [false, true] {
+                for i in 0..side * side {
+                    let xyz = [table[i / side], table[i % side], table[i * 7 % side]];
+                    let mut arrays: Vec<Option<VmArray>> = (0..2 * k)
+                        .map(|_| {
+                            Some(VmArray {
+                                base: 0,
+                                data: vec![0.0; 6],
+                            })
+                        })
+                        .collect();
+                    let mut regs = vec![0.0; 3 + 2 * k];
+                    regs[..3].copy_from_slice(&xyz);
+                    run_table(&info, 3, &mut arrays, &mut regs, width, wide);
+                    for (a, arr) in arrays.iter().enumerate() {
+                        let f = kernels[a % k];
+                        let want = scalar(f, xyz).to_bits();
+                        for (p, got) in arr.as_ref().unwrap().data.iter().enumerate() {
+                            assert_eq!(
+                                got.to_bits(),
+                                want,
+                                "{f:?}{xyz:?} per {} at position {p}, width {width}, \
+                                 wide {wide}",
+                                if a < k { "run" } else { "row" }
+                            );
+                        }
+                        // And the register the op's slot backs.
+                        assert_eq!(regs[3 + a].to_bits(), want);
                     }
                 }
             }

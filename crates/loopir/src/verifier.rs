@@ -1216,7 +1216,11 @@ fn simd_structure(code: &Code) -> Vec<VerifyDiagnostic> {
             ));
             continue;
         }
-        if info.body != cand.body || info.lane_regs != cand.lane_regs || info.bcast != cand.bcast {
+        if info.body != cand.body
+            || info.lane_regs != cand.lane_regs
+            || info.finals != cand.finals
+            || info.bcast != cand.bcast
+        {
             diags.push(VerifyDiagnostic::at(
                 pc,
                 format!(
@@ -1296,7 +1300,7 @@ fn check_covers(code: &Code, acc: usize) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bytecode::{compile, Access, NoRows};
+    use crate::bytecode::{compile, Access, NoRows, Src};
     use crate::ir::{EExpr, ElemRef, ElemStmt, LStmt, LoopNest, ScalarProgram};
     use zlang::ir::{ArrayId, ConfigBinding, Offset, RegionId};
 
@@ -1595,7 +1599,11 @@ mod tests {
                 _ => None,
             })
             .unwrap();
-        *store = if *store == 0 { 1 } else { 0 };
+        *store = if *store == Src::lane(0) {
+            Src::lane(1)
+        } else {
+            Src::lane(0)
+        };
         rejects(&code, "mismatched superinstruction operands");
     }
 
@@ -1665,7 +1673,7 @@ mod tests {
         let LaneOp::Reduce { op, acc, src } = clean.simds[si].body[oi] else {
             unreachable!()
         };
-        assert_eq!(op, ReduceOp::Sum);
+        assert_eq!((op, src), (ReduceOp::Sum, Src::lane(0)));
         // A different fold, a different accumulator (the program's result
         // scalar, which the scalar loop never touches), a different strip.
         for wrong in [
@@ -1678,7 +1686,7 @@ mod tests {
             LaneOp::Reduce {
                 op,
                 acc,
-                src: src + 1,
+                src: Src::lane(1),
             },
         ] {
             let mut code = superfused(&reduce_program());
@@ -1810,6 +1818,239 @@ mod tests {
             ..honest
         });
         rejects(&code, "enclosing loop");
+    }
+
+    /// One nest over `[1..16]` (backwards when `step` is -1) of `A`, `B`,
+    /// `C` (halo 1) with one temp:
+    ///
+    /// ```text
+    /// t = A[i]; A[i] = B[i]; C[i] = t * 2; t = B[i+1]; C[i] = t + C[i] + i
+    /// ```
+    ///
+    /// The lane program keeps the load of `A`, whose one reader comes
+    /// after a store to `A`, reads `B[i]` in place into the store of `A`
+    /// (a segment copy) when the loop runs forwards, and keeps the last
+    /// two loads, the last writes of their slots.
+    fn temp_program(step: i8) -> ScalarProgram {
+        use crate::ir::TempId;
+        use zlang::ast::BinOp;
+        let program = zlang::compile(
+            "program t; config n : int = 16; region R = [1..n]; region GH = [0..n+1]; \
+             var A, B, C : [GH] float; begin end",
+        )
+        .unwrap();
+        let ld = |a: u32, o: i64| EExpr::Load(ArrayId(a), Offset(vec![o]));
+        let t = || EExpr::Temp(TempId(0));
+        let set = |rhs| ElemStmt {
+            target: ElemRef::Temp(TempId(0)),
+            rhs,
+        };
+        let put = |a: u32, rhs| ElemStmt {
+            target: ElemRef::Array(ArrayId(a), Offset(vec![0])),
+            rhs,
+        };
+        let bin = |op, a, b| EExpr::Binary(op, Box::new(a), Box::new(b));
+        let body = vec![
+            set(ld(0, 0)),
+            put(0, ld(1, 0)),
+            put(2, bin(BinOp::Mul, t(), EExpr::Const(2.0))),
+            set(ld(1, 1)),
+            put(
+                2,
+                bin(BinOp::Add, bin(BinOp::Add, t(), ld(2, 0)), EExpr::Index(0)),
+            ),
+        ];
+        ScalarProgram {
+            program,
+            stmts: vec![LStmt::Nest(LoopNest {
+                region: RegionId(0),
+                structure: vec![step],
+                body,
+                cluster: 0,
+                temps: 1,
+            })],
+        }
+    }
+
+    /// Rewrites the `Load` at `body[i]` into a fold by hand, legal or not:
+    /// its first reader takes it in place.
+    fn fold_by_hand(info: &mut crate::bytecode::SimdInfo, i: usize) {
+        use crate::bytecode::LaneOp;
+        let LaneOp::Load { dst, acc } = info.body[i] else {
+            panic!("no load at {i}: {:?}", info.body[i])
+        };
+        let stream = info.body[..i]
+            .iter()
+            .filter(|op| {
+                matches!(
+                    op,
+                    LaneOp::Load { .. } | LaneOp::Fold { .. } | LaneOp::Store { .. }
+                )
+            })
+            .count() as u16;
+        let reader = info.body[i + 1..]
+            .iter_mut()
+            .find(|op| op.srcs().contains(&Src::lane(dst)))
+            .expect("the load is read");
+        for s in reader.srcs_mut() {
+            if *s == Src::lane(dst) {
+                *s = Src::mem(stream);
+            }
+        }
+        info.body[i] = LaneOp::Fold { acc };
+    }
+
+    /// The index of the `n`-th `Load` of simd loop 0.
+    fn nth_load(code: &Code, n: usize) -> usize {
+        use crate::bytecode::LaneOp;
+        let loads = code.simds[0]
+            .body
+            .iter()
+            .enumerate()
+            .filter(|(_, op)| matches!(op, LaneOp::Load { .. }));
+        loads.map(|(i, _)| i).nth(n).expect("enough loads")
+    }
+
+    #[test]
+    fn folds_the_analysis_does_not_make_are_rejected() {
+        use crate::bytecode::LaneOp;
+        let clean = superfused(&temp_program(1));
+        assert!(verify(&clean).is_empty(), "{:?}", verify(&clean));
+        let body = &clean.simds[0].body;
+        assert!(
+            body.iter().any(
+                |op| matches!(op, LaneOp::Store { src, .. } if src.stream().is_some())
+            ),
+            "the copy of B into A reads B in place: {body:?}"
+        );
+        // A fold across the store to `A` between the load and its reader:
+        // the reader would see the new `A`.
+        let mut code = superfused(&temp_program(1));
+        let across = nth_load(&code, 0);
+        fold_by_hand(&mut code.simds[0], across);
+        rejects(&code, "mismatched superinstruction operands");
+        // A fold of a slot's last write: `leave` would write back a value
+        // the lane file never held.
+        for last in [1, 2] {
+            let mut code = superfused(&temp_program(1));
+            let i = nth_load(&code, last);
+            fold_by_hand(&mut code.simds[0], i);
+            rejects(&code, "mismatched superinstruction operands");
+        }
+        // A fold of a strided stream: backwards, nothing is read in place,
+        // not even the copy into `A`.
+        let backwards = superfused(&temp_program(-1));
+        assert!(verify(&backwards).is_empty(), "{:?}", verify(&backwards));
+        let body = &backwards.simds[0].body;
+        assert!(!body
+            .iter()
+            .any(|op| op.srcs().iter().any(|s| s.stream().is_some())));
+        let mut code = superfused(&temp_program(-1));
+        let copy = nth_load(&code, 1);
+        assert!(matches!(code.simds[0].body[copy + 1], LaneOp::Store { .. }));
+        fold_by_hand(&mut code.simds[0], copy);
+        rejects(&code, "mismatched superinstruction operands");
+    }
+
+    #[test]
+    fn evaluated_once_ops_over_varying_slots_are_rejected() {
+        use crate::bytecode::LaneOp;
+        // `t * 2` reads a loaded slot, `.. + i` the loop's own index: both
+        // vary by position, so neither may run once.
+        let clean = superfused(&temp_program(1));
+        let body = &clean.simds[0].body;
+        let idx = body
+            .iter()
+            .find_map(|op| match *op {
+                LaneOp::IdxSeq { dst } => Some(dst),
+                _ => None,
+            })
+            .expect("the body reads its index");
+        let n_lane = clean.simds[0].lane_regs.len() as u16;
+        let reads = |op: &LaneOp, lane: bool| {
+            op.srcs().iter().any(|&s| match s.slot() {
+                Some(l) if lane => l < n_lane && l != idx,
+                _ => s == Src::lane(idx),
+            })
+        };
+        for lane in [true, false] {
+            for row in [false, true] {
+                let mut code = superfused(&temp_program(1));
+                let op = code.simds[0]
+                    .body
+                    .iter_mut()
+                    .find(|op| matches!(op, LaneOp::Apply { .. }) && reads(op, lane))
+                    .unwrap();
+                let LaneOp::Apply { f, dst, args } = *op else {
+                    unreachable!()
+                };
+                *op = LaneOp::Once { f, dst, args, row };
+                rejects(&code, "mismatched superinstruction operands");
+            }
+        }
+    }
+
+    #[test]
+    fn a_dropped_copy_whose_source_moves_on_is_rejected() {
+        use crate::bytecode::{LaneOp, Op};
+        // Rewrite the body's first five ops (pcs stay put) into
+        // `r0 = A[i]; r2 = r0; r0 = B[i+1]; r3 = r2 * 2; C[i] = r3`: the
+        // copy's source is loaded again before the copy is read, so the
+        // copy must stay.
+        let sp = temp_program(1);
+        let mut code = compile(&sp, &ConfigBinding::defaults(&sp.program)).unwrap();
+        let first = code
+            .ops
+            .iter()
+            .position(|op| matches!(op, Op::Load { .. }))
+            .unwrap();
+        let (
+            Op::Load { dst: s, .. },
+            Op::Mul { b: two, .. },
+            Op::Store { acc: c, .. },
+            Op::Load { acc: b, .. },
+        ) = (
+            code.ops[first],
+            code.ops[first + 3],
+            code.ops[first + 4],
+            code.ops[first + 5],
+        )
+        else {
+            panic!("{:?}", &code.ops[first..first + 6])
+        };
+        let (x, y) = (s + 2, s + 3);
+        code.ops[first + 1] = Op::Mov { dst: x, src: s };
+        code.ops[first + 2] = Op::Load { dst: s, acc: b };
+        code.ops[first + 3] = Op::Mul {
+            dst: y,
+            a: x,
+            b: two,
+        };
+        code.ops[first + 4] = Op::Store { acc: c, src: y };
+        crate::simd::superfuse(&mut code);
+        assert!(verify(&code).is_empty(), "{:?}", verify(&code));
+        let info = &code.simds[0];
+        let mov = info
+            .body
+            .iter()
+            .position(|op| matches!(op, LaneOp::Mov { .. }))
+            .unwrap_or_else(|| panic!("the copy stays: {:?}", info.body));
+        let LaneOp::Mov { dst, src: from } = info.body[mov] else {
+            unreachable!()
+        };
+        // Drop it anyway: its readers read the source, which by then holds
+        // the second load.
+        let mut bad = info.clone();
+        bad.body.remove(mov);
+        for op in &mut bad.body[mov..] {
+            for s in op.srcs_mut() {
+                if *s == Src::lane(dst) {
+                    *s = from;
+                }
+            }
+        }
+        code.simds[0] = bad;
+        rejects(&code, "mismatched superinstruction operands");
     }
 
     #[test]

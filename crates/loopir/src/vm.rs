@@ -159,13 +159,13 @@ impl Vm {
     }
 
     /// Sets the strip width for vectorized innermost loops (`0` restores
-    /// the default of 64, other values clamp to `1..=128`; `1` disables
-    /// the lane path). Effective only on verified superfused programs —
-    /// the lane dispatch rests on the verifier's bounds and annotation
-    /// proofs.
+    /// the default, the widest strip of 128; other values clamp to
+    /// `1..=128`; `1` disables the lane path). Effective only on verified
+    /// superfused programs — the lane dispatch rests on the verifier's
+    /// bounds and annotation proofs.
     pub fn set_lanes(&mut self, lanes: usize) {
         self.lanes = match lanes {
-            0 => simd::DEFAULT_LANES,
+            0 => MAX_LANES,
             n => n.min(MAX_LANES),
         };
     }
@@ -220,7 +220,7 @@ impl Vm {
             limits: ExecLimits::none(),
             par: None,
             tile_log: Vec::new(),
-            lanes: simd::DEFAULT_LANES,
+            lanes: MAX_LANES,
             simd_scratch: LaneScratch::default(),
         }
     }
@@ -443,8 +443,10 @@ impl Vm {
                         if FUELED {
                             // Worker instructions draw from the same fuel
                             // budget as the coordinator's; each tile
-                            // reports its op count and the batch total is
-                            // deducted here, deterministically.
+                            // reports its share of the ladder's sequential
+                            // op count and the batch total is deducted
+                            // here, deterministically: a budget means the
+                            // same at every thread count.
                             let used: u64 = batch_tiles[mark..].iter().map(|t| t.ops).sum();
                             if used > fuel_left {
                                 break Err(ExecError::fuel());
@@ -586,6 +588,13 @@ impl Vm {
         self.arrays[id.0 as usize]
             .as_ref()
             .map(|b| b.data.as_slice())
+    }
+
+    /// The register frame as the last run left it: program scalars,
+    /// interned constants and every temporary. A lane run must leave it
+    /// exactly as the scalar loops would have.
+    pub fn frame(&self) -> &[f64] {
+        &self.regs
     }
 
     /// Run statistics so far.

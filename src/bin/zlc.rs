@@ -38,8 +38,8 @@
 //!   --threads <n>                 worker threads (default 0 = auto); read
 //!                                 by --engine vm-par alone, a usage error
 //!                                 under any other engine
-//!   --lanes <n>                   strip width (default 0 = 64; 1 = scalar
-//!                                 dispatch; at most 128); read by --engine
+//!   --lanes <n>                   strip width (default 0 = the widest, 128;
+//!                                 1 = scalar dispatch); read by --engine
 //!                                 vm-simd and vm-par, a usage error under
 //!                                 interp and vm
 //!   --machine <t3e|sp2|paragon>   simulate on a machine model (with --run

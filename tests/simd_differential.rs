@@ -16,27 +16,38 @@
 //! aims at what a lane run that spans rows adds: strips that cross row
 //! ends at every alignment, loops that run backwards, dependences that
 //! cross rows, the per-row outer index, reductions over short rows - each
-//! also under `vm-par` at 1, 2 and 4 threads. One test holds what an
-//! observer is told - the cache simulator's input, access by access - to
-//! the interpreter's at every width, with the lanes running and counted.
-//! The last test holds lane fuel to the scalar dispatcher's exact op
-//! count, observed or not.
+//! also under `vm-par` at 1, 2 and 4 threads. Another group aims at what
+//! a lane program no longer copies: loads read in place by every kind of
+//! reader, ops evaluated once per row or per run, dropped and kept
+//! register copies, and the loads that must still be copied (read after a
+//! store to their array, strided, a slot's last write) - with `vm-simd`'s
+//! whole register frame held to scalar dispatch's, as it is on SIMPLE,
+//! Tomcatv and SP. One test holds what an observer is told - the cache
+//! simulator's input, access by access - to the interpreter's at every
+//! width, with the lanes running and counted. The last test holds lane
+//! fuel to the scalar dispatcher's exact op count, observed or not, and
+//! tiled at 2 and 4 threads.
 
 use testkit::{genprog, Rng};
-use zlang::ir::{Program, ScalarId};
+use zlang::ast::{BinOp, UnOp};
+use zlang::ir::{Intrinsic, Offset, Program, ScalarId};
 use zpl_fusion::fusion::pipeline::Optimized;
-use zpl_fusion::loops::{ErrorKind, ExecLimits, Strip, StripEvent};
+use zpl_fusion::loops::{
+    EExpr, ElemRef, ElemStmt, ErrorKind, ExecLimits, LStmt, LoopNest, ScalarProgram, SharedProgram,
+    Strip, StripEvent, TempId,
+};
 use zpl_fusion::prelude::*;
 
 /// Generated programs per generator per sweep.
 const PROGRAMS: u64 = 15;
 
-/// The strip widths under test: the default (0 = 64), scalar dispatch
+/// The strip widths under test: the default (0 = 128), scalar dispatch
 /// over superinstruction bytecode (1), the alias-cap boundary (2), a width
-/// that divides no power of two (3, so most last strips are partial), the
-/// old maximum (8), and the default spelled out (64, wider than most of
-/// the generated extents, so the extent is what caps the strip), and the
-/// maximum (128, which only a run that spans rows fills on short rows).
+/// that divides no power of two (3, so most last strips are partial and
+/// most strips cross a row end), the old maximum (8), the old default
+/// (64, wider than most of the generated extents, so the extent is what
+/// caps the strip), and the default spelled out (128, which only a run
+/// that spans rows fills on short rows).
 const LANES: [usize; 7] = [0, 1, 2, 3, 8, 64, 128];
 
 /// Thread counts the hand-written group runs `vm-par` at.
@@ -53,18 +64,18 @@ fn checksums(out: &RunOutcome) -> (u64, u64) {
 /// The reference: the tree-walking interpreter on the same optimized
 /// program (the optimizer is common to every engine; only execution is
 /// under test here).
-fn run(opt: &Optimized, binding: &ConfigBinding, engine: Engine, lanes: usize) -> RunOutcome {
-    run_with(opt, binding, engine, ExecOpts::with_lanes(lanes))
+fn run(sp: &ScalarProgram, binding: &ConfigBinding, engine: Engine, lanes: usize) -> RunOutcome {
+    run_with(sp, binding, engine, ExecOpts::with_lanes(lanes))
 }
 
 fn run_with(
-    opt: &Optimized,
+    sp: &ScalarProgram,
     binding: &ConfigBinding,
     engine: Engine,
     opts: ExecOpts,
 ) -> RunOutcome {
     engine
-        .executor_with(&opt.scalarized, binding.clone(), opts)
+        .executor_with(sp, binding.clone(), opts)
         .unwrap_or_else(|e| panic!("{engine} {opts:?} refused to construct: {e}"))
         .execute(&mut NoopObserver)
         .unwrap_or_else(|e| panic!("{engine} {opts:?} failed: {e}"))
@@ -87,11 +98,11 @@ fn sweep(source: &str, ctx: &str) {
         zlang::compile(source).unwrap_or_else(|e| panic!("{ctx}: invalid program: {e}\n{source}"));
     let opt = Pipeline::new(Level::C2F3).optimize(&program);
     let binding = ConfigBinding::defaults(&opt.scalarized.program);
-    let reference = run(&opt, &binding, Engine::Interp, 1);
+    let reference = run(&opt.scalarized, &binding, Engine::Interp, 1);
     let expect = checksums(&reference);
     for engine in Engine::all() {
         for lanes in LANES {
-            let out = run(&opt, &binding, engine, lanes);
+            let out = run(&opt.scalarized, &binding, engine, lanes);
             assert_eq!(
                 checksums(&out),
                 expect,
@@ -133,10 +144,10 @@ fn benchmarks_are_bit_identical_at_every_lane_width_and_level() {
             let opt = Pipeline::new(level).optimize(&bench.program());
             let mut binding = ConfigBinding::defaults(&opt.scalarized.program);
             binding.set_by_name(&opt.scalarized.program, bench.size_config, n);
-            let reference = run(&opt, &binding, Engine::Interp, 1);
+            let reference = run(&opt.scalarized, &binding, Engine::Interp, 1);
             for engine in [Engine::VmSimd, Engine::VmPar] {
                 for lanes in LANES {
-                    let out = run(&opt, &binding, engine, lanes);
+                    let out = run(&opt.scalarized, &binding, engine, lanes);
                     let ctx = format!("{} at {level}: {engine} x{lanes}", bench.name);
                     assert_same(&reference, &out, &ctx);
                 }
@@ -301,11 +312,8 @@ fn cache_simulation_sees_the_scalar_access_stream() {
     }
 }
 
-/// One hand-written case: runs `source` under `sets` on `vm-simd` at
-/// every width and on `vm-par` at every width and thread count, and
-/// holds every scalar and the (tile-merged) counters to `interp`'s. The
-/// superfused listing must contain each of `shows`, so a case keeps
-/// exercising what it was written for.
+/// One hand-written case: runs `source` under `sets` through
+/// [`differential`].
 fn hand_written(source: &str, dimension_contraction: bool, sets: &[(&str, i64)], shows: &[&str]) {
     let program = zlang::compile(source).unwrap_or_else(|e| panic!("{e}\n{source}"));
     let mut pipeline = Pipeline::new(Level::C2F3);
@@ -318,18 +326,31 @@ fn hand_written(source: &str, dimension_contraction: bool, sets: &[(&str, i64)],
         binding.set_by_name(&opt.scalarized.program, name, v);
     }
     let ctx = format!("{} {sets:?}", program.name);
-    let listing = Vm::new_superfused(&opt.scalarized, binding.clone())
-        .unwrap()
-        .disasm();
+    differential(&opt.scalarized, &binding, &ctx, shows);
+}
+
+/// Runs `sp` on `vm-simd` at every width and on `vm-par` at every width
+/// and thread count, and holds every scalar and the (tile-merged)
+/// counters to `interp`'s, and `vm-simd`'s whole register frame to
+/// scalar dispatch's. The superfused listing must contain each of
+/// `shows`, so a case keeps exercising what it was written for.
+fn differential(sp: &ScalarProgram, binding: &ConfigBinding, ctx: &str, shows: &[&str]) {
+    let listing = Vm::new_superfused(sp, binding.clone()).unwrap().disasm();
     for show in shows {
         assert!(listing.contains(show), "{ctx}: no `{show}` in\n{listing}");
     }
-    let reference = run(&opt, &binding, Engine::Interp, 1);
+    let reference = run(sp, binding, Engine::Interp, 1);
+    let scalar = frame(sp, binding, 1);
     for lanes in LANES {
-        let out = run(&opt, &binding, Engine::VmSimd, lanes);
+        let out = run(sp, binding, Engine::VmSimd, lanes);
         assert_same(&reference, &out, &format!("{ctx}: vm-simd x{lanes}"));
+        assert_eq!(
+            frame(sp, binding, lanes),
+            scalar,
+            "{ctx}: frame at x{lanes}"
+        );
         for threads in THREADS {
-            let out = run_with(&opt, &binding, Engine::VmPar, ExecOpts { threads, lanes });
+            let out = run_with(sp, binding, Engine::VmPar, ExecOpts { threads, lanes });
             assert_same(
                 &reference,
                 &out,
@@ -337,6 +358,15 @@ fn hand_written(source: &str, dimension_contraction: bool, sets: &[(&str, i64)],
             );
         }
     }
+}
+
+/// The register frame a `vm-simd` run at `lanes` leaves, as bits.
+fn frame(sp: &ScalarProgram, binding: &ConfigBinding, lanes: usize) -> Vec<u64> {
+    let mut vm = SharedProgram::lower(sp, binding.clone())
+        .unwrap()
+        .executor(ExecOpts { threads: 1, lanes });
+    vm.execute(&mut NoopObserver).unwrap();
+    vm.frame().iter().map(|v| v.to_bits()).collect()
 }
 
 /// Every index source, a load at each neighbour, and three reductions
@@ -497,6 +527,264 @@ fn contracted_rows_and_rank_three_planes() {
 }
 
 #[test]
+fn lane_runs_leave_the_scalar_frame() {
+    // Every register - temporaries included - as scalar dispatch leaves
+    // it, at every width: what a lane run writes back on exit, from the
+    // lane file, or from the slot a dropped copy read.
+    for (name, n) in [("simple", 12), ("tomcatv", 12), ("sp", 6)] {
+        let bench = zpl_fusion::workloads::by_name(name).unwrap();
+        let opt = Pipeline::new(Level::C2F3).optimize(&bench.program());
+        let mut binding = ConfigBinding::defaults(&opt.scalarized.program);
+        binding.set_by_name(&opt.scalarized.program, bench.size_config, n);
+        let scalar = frame(&opt.scalarized, &binding, 1);
+        for lanes in LANES {
+            let got = frame(&opt.scalarized, &binding, lanes);
+            assert_eq!(got, scalar, "{name}: frame at x{lanes}");
+        }
+    }
+}
+
+/// Loads read in place by a `-`, a call, a `+`, a store and a reduction;
+/// evaluated-once ops per row and per run; and loads the lane program
+/// must copy (the last writes of their slots) - from source, through the
+/// optimizer.
+const FOLDS: &str = "program folds; config n : int = 7; config m : int = 5; \
+    region GH = [0..n+1, 0..m+1]; region R = [1..n, 1..m]; \
+    var A, B, C, D, E, F, T1, T2 : [GH] float; var s, t : float; \
+    begin \
+      [GH] A := index1 * 0.3 + sin(index2 * 0.7); \
+      [GH] B := (index1 * 1.5 - index2) * 0.25; \
+      [GH] C := cos(index1 * 0.1) - index2; \
+      [R] T1 := A@[0,1] + B; \
+      [R] D := -A@[1,0] * T1; \
+      [R] T2 := sqrt(abs(B@[1,0])) + T1; \
+      [R] E := C@[0,1] + T2; \
+      [R] F := T2 * C - sin(index1 * 0.2 + 1.0) * index1 * (2.0 * 3.0); \
+      s := +<< [R] A@[1,1] * T2 + E; \
+      t := +<< [GH] D + E + F; end";
+
+#[test]
+fn loads_read_in_place_across_row_ends() {
+    let shows = [
+        "l2 = @3 + @4",
+        "l1 = -@5",
+        "l1 = Abs(@7)",
+        "per row: l8 = Sin(l7)",
+        "per run: l11 = l16 * l17",
+        "per row: l12 = l10 * l11",
+        "l3 = load @12",
+    ];
+    hand_written(FOLDS, false, &[], &shows);
+    for (n, m) in [(3, 1), (2, 64), (9, 130)] {
+        hand_written(FOLDS, false, &[("n", n), ("m", m)], &[]);
+    }
+}
+
+/// A program of one fill nest over the whole of `A`..`E` and one nest of
+/// `body` over the `n x m` interior, rows outer and the rows run
+/// backwards when `backwards`; `s`, `hi` are its scalars.
+fn interior(backwards: bool, temps: u32, body: Vec<ElemStmt>) -> ScalarProgram {
+    use zlang::ir::{ArrayId, RegionId};
+    let program = zlang::compile(
+        "program interior; config n : int = 6; config m : int = 5; \
+         region GH = [0..n+1, 0..m+1]; region R = [1..n, 1..m]; \
+         var A, B, C, D, E : [GH] float; var s, hi : float; begin end",
+    )
+    .unwrap();
+    let fill = (0..5)
+        .map(|a| ElemStmt {
+            target: ElemRef::Array(ArrayId(a), Offset(vec![0, 0])),
+            rhs: bin(
+                BinOp::Add,
+                bin(BinOp::Mul, EExpr::Index(0), EExpr::Const(0.3 + a as f64)),
+                EExpr::Call(
+                    Intrinsic::Sin,
+                    vec![bin(
+                        BinOp::Mul,
+                        EExpr::Index(1),
+                        EExpr::Const(0.7 * (a + 1) as f64),
+                    )],
+                ),
+            ),
+        })
+        .collect();
+    let nest = |region, structure, body, temps| {
+        LStmt::Nest(LoopNest {
+            region: RegionId(region),
+            structure,
+            body,
+            cluster: 0,
+            temps,
+        })
+    };
+    let inner = if backwards { -2 } else { 2 };
+    ScalarProgram {
+        program,
+        stmts: vec![
+            nest(0, vec![1, 2], fill, 0),
+            nest(1, vec![1, inner], body, temps),
+        ],
+    }
+}
+
+fn bin(op: BinOp, a: EExpr, b: EExpr) -> EExpr {
+    EExpr::Binary(op, Box::new(a), Box::new(b))
+}
+
+fn at(a: u32, r: i64, c: i64) -> EExpr {
+    EExpr::Load(zlang::ir::ArrayId(a), Offset(vec![r, c]))
+}
+
+fn temp(t: u32) -> EExpr {
+    EExpr::Temp(TempId(t))
+}
+
+fn set(t: u32, rhs: EExpr) -> ElemStmt {
+    ElemStmt {
+        target: ElemRef::Temp(TempId(t)),
+        rhs,
+    }
+}
+
+fn put(a: u32, rhs: EExpr) -> ElemStmt {
+    ElemStmt {
+        target: ElemRef::Array(zlang::ir::ArrayId(a), Offset(vec![0, 0])),
+        rhs,
+    }
+}
+
+/// Runs a hand-built nest through [`differential`] over rows shorter than
+/// every tested width (the listing must show `shows` there), rows of one
+/// (nothing vectorizes), rows around 3 and rows one past 128.
+fn hand_built(name: &str, sp: &ScalarProgram, shows: &[&str]) {
+    for (n, m) in [(6, 5), (4, 1), (3, 7), (2, 129)] {
+        let mut binding = ConfigBinding::defaults(&sp.program);
+        binding.set_by_name(&sp.program, "n", n);
+        binding.set_by_name(&sp.program, "m", m);
+        let shows = if m == 5 { shows } else { &[] };
+        differential(sp, &binding, &format!("{name} n={n} m={m}"), shows);
+    }
+}
+
+#[test]
+fn lane_programs_copy_only_what_they_must() {
+    let (a, b, c, d, e) = (0, 1, 2, 3, 4);
+    // A load read after a store to its array, and the same body with the
+    // rows run backwards (no stream is unit-stride), and the last writes
+    // of their slots: each must be copied, nothing read in place.
+    let across = vec![
+        set(0, at(a, 0, 0)),
+        put(a, bin(BinOp::Mul, at(b, 0, 0), EExpr::Const(2.0))),
+        put(c, bin(BinOp::Mul, temp(0), EExpr::Const(3.0))),
+        set(0, at(b, 0, 1)),
+        put(d, bin(BinOp::Add, temp(0), at(c, 0, 0))),
+    ];
+    let across_shows = ["l0 = load @5", "l2 = l0 * l4", "l1 = load @10"];
+    hand_built(
+        "across a store",
+        &interior(false, 1, across.clone()),
+        &across_shows,
+    );
+    let backwards = ["step -1", "l0 = load @5", "l2 = l1 * l3", "store @7, l2"];
+    hand_built("backwards", &interior(true, 1, across), &backwards);
+
+    // One reader each: a `-`, a call, a `+`, a store and a reduction.
+    let consumers = vec![
+        set(0, at(a, 0, 1)),
+        put(d, EExpr::Unary(UnOp::Neg, Box::new(temp(0)))),
+        put(
+            e,
+            EExpr::Call(
+                Intrinsic::Sqrt,
+                vec![EExpr::Call(Intrinsic::Abs, vec![at(b, 1, 0)])],
+            ),
+        ),
+        set(0, at(c, 0, 0)),
+        put(d, bin(BinOp::Add, temp(0), at(a, -1, 0))),
+        set(0, at(a, 1, 1)),
+        put(e, temp(0)),
+        set(0, at(b, 0, -1)),
+        ElemStmt {
+            target: ElemRef::Reduce(ScalarId(0), zlang::ast::ReduceOp::Sum),
+            rhs: temp(0),
+        },
+        set(0, at(c, 0, 1)),
+        ElemStmt {
+            target: ElemRef::Reduce(ScalarId(1), zlang::ast::ReduceOp::Max),
+            rhs: bin(BinOp::Mul, temp(0), at(d, 0, 0)),
+        },
+        put(
+            d,
+            EExpr::Call(
+                Intrinsic::Sqrt,
+                vec![EExpr::Call(Intrinsic::Abs, vec![at(e, -1, 0)])],
+            ),
+        ),
+    ];
+    let folds = [
+        "l1 = -@5",
+        "l3 = Abs(@7)",
+        "l1 = @9 + @10",
+        "store @13, @12",
+        "r0 = Sum(r0, @14) in order",
+        "l0 = load @15",
+        "l2 = load @17",
+    ];
+    hand_built("consumers", &interior(false, 1, consumers), &folds);
+
+    // Evaluated once: per row (the row index), per run (two constants),
+    // and neither (the column index).
+    let once = vec![put(
+        c,
+        bin(
+            BinOp::Sub,
+            bin(
+                BinOp::Add,
+                at(a, 0, 0),
+                bin(
+                    BinOp::Mul,
+                    EExpr::Call(
+                        Intrinsic::Sin,
+                        vec![bin(BinOp::Mul, EExpr::Index(0), EExpr::Const(0.3))],
+                    ),
+                    bin(BinOp::Mul, EExpr::Const(3.0), EExpr::Const(4.0)),
+                ),
+            ),
+            bin(BinOp::Mul, EExpr::Index(1), EExpr::Const(0.5)),
+        ),
+    )];
+    let shows = [
+        "per row: l2 = l10 * l11",
+        "per row: l3 = Sin(l2)",
+        "per run: l4 = l12 * l13",
+        "per row: l5 = l3 * l4",
+        "l8 = l7 * l14",
+    ];
+    hand_built("once", &interior(false, 0, once), &shows);
+
+    // A copy whose source is loaded again before the copy is read stays;
+    // a copy that is its register's last write goes, and the register
+    // takes the source's last value on exit.
+    let copy = vec![
+        set(0, at(a, 0, 0)),
+        set(1, temp(0)),
+        set(0, at(b, 0, 0)),
+        put(
+            c,
+            bin(
+                BinOp::Add,
+                bin(BinOp::Mul, temp(1), EExpr::Const(2.0)),
+                temp(0),
+            ),
+        ),
+        set(2, temp(1)),
+        put(d, bin(BinOp::Mul, temp(2), temp(0))),
+    ];
+    let shows = ["l1 = l0\n", "l2 = l1 * l5", "on exit r4 = l1"];
+    hand_built("copies", &interior(false, 3, copy), &shows);
+}
+
+#[test]
 fn lane_fuel_is_the_scalar_count() {
     // The least fuel that completes a run is the number of ops the scalar
     // dispatcher executes over the one lowered stream. A lane run must
@@ -506,7 +794,7 @@ fn lane_fuel_is_the_scalar_count() {
     fn completes(
         opt: &Optimized,
         binding: &ConfigBinding,
-        (engine, lanes): (Engine, usize),
+        (engine, threads, lanes): (Engine, usize, usize),
         fuel: u64,
         observed: bool,
     ) -> bool {
@@ -514,9 +802,7 @@ fn lane_fuel_is_the_scalar_count() {
             .executor_with(
                 &opt.scalarized,
                 binding.clone(),
-                // One thread: a tile re-runs its ladder's loop set-up, so
-                // tiled runs charge a few ops more.
-                ExecOpts { threads: 1, lanes },
+                ExecOpts { threads, lanes },
             )
             .unwrap();
         exec.set_limits(ExecLimits::none().with_fuel(fuel));
@@ -546,7 +832,7 @@ fn lane_fuel_is_the_scalar_count() {
         binding.set_by_name(&opt.scalarized.program, bench.size_config, n);
         // `vm-simd` at one lane is the scalar dispatcher over the same
         // bytecode (what `vm` is): bisect its least fuel.
-        let scalar = (Engine::VmSimd, 1);
+        let scalar = (Engine::VmSimd, 1, 1);
         let mut hi = 1u64;
         while !completes(&opt, &binding, scalar, hi, false) {
             hi *= 2;
@@ -561,26 +847,32 @@ fn lane_fuel_is_the_scalar_count() {
             }
         }
         // `vm` reads no knob: it is that scalar run whatever is asked.
+        // Tiles (`vm-par` past one thread, unobserved) each charge their
+        // share of the ladder, so they add up to the sequential count.
         let widths = [
-            (Engine::Vm, 0),
-            (Engine::VmSimd, 2),
-            (Engine::VmSimd, 64),
-            (Engine::VmSimd, 128),
-            (Engine::VmPar, 1),
-            (Engine::VmPar, 64),
+            (Engine::Vm, 0, 0),
+            (Engine::VmSimd, 1, 2),
+            (Engine::VmSimd, 1, 64),
+            (Engine::VmSimd, 1, 128),
+            (Engine::VmPar, 1, 1),
+            (Engine::VmPar, 1, 64),
+            (Engine::VmPar, 2, 1),
+            (Engine::VmPar, 2, 0),
+            (Engine::VmPar, 4, 3),
+            (Engine::VmPar, 4, 0),
         ];
         for observed in [false, true] {
-            for at @ (engine, lanes) in widths {
+            for at @ (engine, threads, lanes) in widths {
                 assert!(
                     completes(&opt, &binding, at, hi, observed),
-                    "{} on {engine} x{lanes}: {hi} ops of fuel complete the scalar run \
-                     (observed: {observed})",
+                    "{} on {engine} x{lanes} t{threads}: {hi} ops of fuel complete the scalar \
+                     run (observed: {observed})",
                     bench.name
                 );
                 assert!(
                     !completes(&opt, &binding, at, hi - 1, observed),
-                    "{} on {engine} x{lanes}: {} ops of fuel do not complete the scalar run \
-                     (observed: {observed})",
+                    "{} on {engine} x{lanes} t{threads}: {} ops of fuel do not complete the \
+                     scalar run (observed: {observed})",
                     bench.name,
                     hi - 1
                 );
