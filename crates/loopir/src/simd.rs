@@ -1953,6 +1953,8 @@ fn enter<'a, M: ElemMem>(
             _ => {}
         }
     }
+    #[cfg(debug_assertions)]
+    assert_in_place_reads(code, info, streams);
     Ok(StripCtx {
         info,
         file,
@@ -1969,6 +1971,44 @@ fn enter<'a, M: ElemMem>(
             ..LaneRun::default()
         },
     })
+}
+
+/// What the strip loop takes on trust about every in-place operand
+/// ([`Src::mem`]), checked again on entry in debug builds only: verifier
+/// phase 4 proves it, and release builds keep the per-run cost off small
+/// loops. Its stream is a [`LaneOp::Fold`]'s and unit-stride, and no store
+/// from that `Fold` to the reading op, the reader included, writes its
+/// array.
+#[cfg(debug_assertions)]
+fn assert_in_place_reads(code: &Code, info: &SimdInfo, streams: &[Stream]) {
+    let mut at = Vec::with_capacity(streams.len());
+    for (q, op) in info.body.iter().enumerate() {
+        if matches!(
+            op,
+            LaneOp::Load { .. } | LaneOp::Fold { .. } | LaneOp::Store { .. }
+        ) {
+            at.push(q);
+        }
+        for i in op.srcs().iter().filter_map(|s| s.stream()) {
+            let i = i as usize;
+            let p = at.get(i).copied().filter(|&p| p < q);
+            let p = p.unwrap_or_else(|| panic!("op {q} reads stream {i} before its fold"));
+            assert!(
+                matches!(info.body[p], LaneOp::Fold { .. }),
+                "op {q} reads stream {i} in place, which is no fold"
+            );
+            let s = &streams[i];
+            assert_eq!(s.k, 1, "op {q} reads stream {i} in place at stride {}", s.k);
+            let writes = |op: &LaneOp| {
+                matches!(*op, LaneOp::Store { acc, .. }
+                    if code.accesses[acc as usize].arr as usize == s.arr)
+            };
+            assert!(
+                !info.body[p..=q].iter().any(writes),
+                "op {q} reads stream {i} in place across a store to its array"
+            );
+        }
+    }
 }
 
 /// Finishes a run: registers and index vector as the scalar loops would
@@ -3001,5 +3041,79 @@ mod tests {
         let of = fused.execute(&mut NoopObserver).unwrap();
         assert_eq!(op, of, "scalar dispatch over superinstructions");
         assert_eq!(plain.array(ArrayId(2)), fused.array(ArrayId(2)));
+    }
+
+    /// `l0 = a1[p]; fold a0[p]; between; a2[p] = @1`: stream 1, array 0,
+    /// read in place two ops after its fold, along dimension `dim` of
+    /// [`run_table`]'s arrays (unit-stride along 1, stride 4 along 0).
+    fn in_place_copy(dim: u8, between: LaneOp) -> SimdInfo {
+        SimdInfo {
+            dim,
+            lanes: MAX_LANES as u8,
+            start: 0,
+            step: 1,
+            stop: 4,
+            head: 0,
+            exit: 1,
+            body: vec![
+                LaneOp::Load { dst: 0, acc: 1 },
+                LaneOp::Fold { acc: 0 },
+                between,
+                LaneOp::Store {
+                    acc: 2,
+                    src: Src::mem(1),
+                },
+            ],
+            lane_regs: vec![0],
+            finals: Vec::new(),
+            bcast: Vec::new(),
+            rows: Err(NoRows::NoEnclosingLoop),
+        }
+    }
+
+    /// Runs `info` over three 4 x 4 arrays.
+    fn run_small(info: &SimdInfo) {
+        let mut arrays: Vec<Option<VmArray>> = (0..3)
+            .map(|_| {
+                Some(VmArray {
+                    base: 0,
+                    data: vec![1.0; 16],
+                })
+            })
+            .collect();
+        run_table(info, 4, &mut arrays, &mut [0.0], 4, false);
+    }
+
+    #[test]
+    fn an_in_place_read_across_a_store_to_another_array_runs() {
+        let other = LaneOp::Store {
+            acc: 1,
+            src: Src::lane(0),
+        };
+        run_small(&in_place_copy(1, other));
+    }
+
+    /// What the strip loop takes on trust is checked again on entry in
+    /// debug builds, which every differential suite runs under.
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "op 3 reads stream 1 in place across a store to its array")]
+    fn debug_builds_reject_an_in_place_read_across_a_store_to_its_array() {
+        let same = LaneOp::Store {
+            acc: 0,
+            src: Src::lane(0),
+        };
+        run_small(&in_place_copy(1, same));
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "op 3 reads stream 1 in place at stride 4")]
+    fn debug_builds_reject_a_strided_in_place_read() {
+        let other = LaneOp::Store {
+            acc: 1,
+            src: Src::lane(0),
+        };
+        run_small(&in_place_copy(0, other));
     }
 }

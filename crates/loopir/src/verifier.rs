@@ -4,7 +4,7 @@
 //! access whenever the enclosing loops' index ranges prove it in bounds —
 //! and the VM trusts that elision. This module re-proves the claim from
 //! the bytecode alone, without consulting the compiler's reasoning, in
-//! three phases:
+//! four phases:
 //!
 //! 1. **Structural** — every jump target, register, counter, dimension,
 //!    access-table entry, and array index is in range, and the program
@@ -21,6 +21,8 @@
 //!    values; accesses *with* a runtime check are verified to actually
 //!    dominate the flat index (every contributing dimension is checked
 //!    and the checked ranges cover the allocation).
+//!
+//! Phases 2 and 3 read one control-flow graph, built once per call.
 //!
 //! 4. **SIMD structure** — every `Op::SimdBegin` annotation is
 //!    re-derived from the bytecode: the loop shape must match the recorded
@@ -130,8 +132,8 @@ impl Interval {
     }
 }
 
-/// The successors of an op, as `(target, edge)` pairs; `edge` selects the
-/// transfer variant for ops whose out-state differs per edge.
+/// The kind of a control-flow edge; it selects the transfer variant for
+/// ops whose out-state differs per edge.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum EdgeKind {
     /// Plain fallthrough or jump: state passes through the generic
@@ -146,28 +148,77 @@ enum EdgeKind {
     ForEnter,
 }
 
-fn successors(pc: usize, op: &Op, out: &mut Vec<(usize, EdgeKind)>) {
-    out.clear();
+/// The successors of an op, as `(target, edge)` pairs.
+fn successors(pc: usize, op: &Op) -> [Option<(usize, EdgeKind)>; 2] {
+    let flow = |t: u32| Some((t as usize, EdgeKind::Flow));
+    let next = |edge| Some((pc + 1, edge));
     match *op {
-        Op::Halt => {}
-        Op::Jmp { target } => out.push((target as usize, EdgeKind::Flow)),
-        Op::JmpIfZero { target, .. } => {
-            out.push((pc + 1, EdgeKind::Flow));
-            out.push((target as usize, EdgeKind::Flow));
+        Op::Halt => [None, None],
+        Op::Jmp { target } => [flow(target), None],
+        Op::JmpIfZero { target, .. } => [next(EdgeKind::Flow), flow(target)],
+        Op::IdxStep { head, .. } => [
+            next(EdgeKind::IdxExit),
+            Some((head as usize, EdgeKind::IdxBack)),
+        ],
+        Op::CtrStep { head, .. } => [next(EdgeKind::Flow), flow(head)],
+        Op::ForInit { exit, .. } => [next(EdgeKind::ForEnter), flow(exit)],
+        _ => [next(EdgeKind::Flow), None],
+    }
+}
+
+/// The control-flow graph, built once per [`verify`] call for phases 2
+/// and 3, in CSR form: the edges out of `pc` are
+/// `succ[succ_at[pc]..succ_at[pc + 1]]` as `(target, kind)` in
+/// [`successors`] order, the edges into it `pred[pred_at[pc]..pred_at[pc +
+/// 1]]` as `(source, kind)` in ascending source order.
+struct Cfg {
+    succ_at: Vec<u32>,
+    succ: Vec<(u32, EdgeKind)>,
+    pred_at: Vec<u32>,
+    pred: Vec<(u32, EdgeKind)>,
+}
+
+impl Cfg {
+    /// Needs a program that passed phase 1: every edge lands inside it.
+    fn new(code: &Code) -> Cfg {
+        let n = code.ops.len();
+        let mut succ_at = Vec::with_capacity(n + 1);
+        let mut succ = Vec::with_capacity(2 * n);
+        let mut pred_at = vec![0u32; n + 1];
+        for (pc, op) in code.ops.iter().enumerate() {
+            succ_at.push(succ.len() as u32);
+            for (t, edge) in successors(pc, op).into_iter().flatten() {
+                succ.push((t as u32, edge));
+                pred_at[t + 1] += 1;
+            }
         }
-        Op::IdxStep { head, .. } => {
-            out.push((pc + 1, EdgeKind::IdxExit));
-            out.push((head as usize, EdgeKind::IdxBack));
+        succ_at.push(succ.len() as u32);
+        for t in 0..n {
+            pred_at[t + 1] += pred_at[t];
         }
-        Op::CtrStep { head, .. } => {
-            out.push((pc + 1, EdgeKind::Flow));
-            out.push((head as usize, EdgeKind::Flow));
+        let mut fill = pred_at.clone();
+        let mut pred = vec![(0, EdgeKind::Flow); succ.len()];
+        for pc in 0..n {
+            for &(t, edge) in &succ[succ_at[pc] as usize..succ_at[pc + 1] as usize] {
+                let slot = &mut fill[t as usize];
+                pred[*slot as usize] = (pc as u32, edge);
+                *slot += 1;
+            }
         }
-        Op::ForInit { exit, .. } => {
-            out.push((pc + 1, EdgeKind::ForEnter));
-            out.push((exit as usize, EdgeKind::Flow));
+        Cfg {
+            succ_at,
+            succ,
+            pred_at,
+            pred,
         }
-        _ => out.push((pc + 1, EdgeKind::Flow)),
+    }
+
+    fn succs(&self, pc: usize) -> &[(u32, EdgeKind)] {
+        &self.succ[self.succ_at[pc] as usize..self.succ_at[pc + 1] as usize]
+    }
+
+    fn preds(&self, pc: usize) -> &[(u32, EdgeKind)] {
+        &self.pred[self.pred_at[pc] as usize..self.pred_at[pc + 1] as usize]
     }
 }
 
@@ -178,11 +229,12 @@ pub(crate) fn verify(code: &Code) -> Vec<VerifyDiagnostic> {
     if !diags.is_empty() {
         return diags; // later phases index by the quantities checked here
     }
-    diags.extend(initialization(code));
+    let cfg = Cfg::new(code);
+    diags.extend(initialization(code, &cfg));
     if !diags.is_empty() {
         return diags; // bounds analysis assumes defined-before-use
     }
-    diags.extend(bounds(code));
+    diags.extend(bounds(code, &cfg));
     if !diags.is_empty() {
         return diags; // the simd re-analysis assumes in-bounds accesses
     }
@@ -480,245 +532,224 @@ fn structural(code: &Code) -> Vec<VerifyDiagnostic> {
 
 // ---- phase 2: initialization ----------------------------------------------
 
-/// Must-initialized facts at one program point. Arrays of `bool` instead
-/// of packed words: frames are tens of registers, programs a few hundred
-/// ops, so clarity wins.
-#[derive(Clone, PartialEq, Eq)]
-struct InitState {
-    regs: Vec<bool>,
-    idx: [bool; MAX_RANK],
-    ctrs: Vec<bool>,
-    arrays: Vec<bool>,
+/// Where each must-initialized fact sits in a state: a state is one
+/// fixed-width row of `u64` words, fact `i` bit `i % 64` of word `i / 64`,
+/// laid out as registers, then index dimensions, then counters, then
+/// arrays. The states of all program points are one flat vector of rows.
+#[derive(Clone, Copy)]
+struct InitLayout {
+    frame: usize,
+    ctrs: usize,
+    arrays: usize,
+    words: usize,
 }
 
-impl InitState {
-    fn entry(code: &Code) -> Self {
-        let mut regs = vec![false; code.frame as usize];
-        // Program scalars start at 0.0 by language definition and interned
-        // constants are materialized at VM construction.
-        for r in regs.iter_mut().take(code.n_scalars as usize) {
-            *r = true;
-        }
-        let cb = code.const_base as usize;
-        for r in regs.iter_mut().skip(cb).take(code.consts.len()) {
-            *r = true;
-        }
-        InitState {
-            regs,
-            idx: [false; MAX_RANK],
-            ctrs: vec![false; code.n_ctrs as usize],
-            arrays: vec![false; code.arrays.len()],
+impl InitLayout {
+    fn new(code: &Code) -> Self {
+        let frame = code.frame as usize;
+        let ctrs = frame + MAX_RANK;
+        let arrays = ctrs + code.n_ctrs as usize;
+        InitLayout {
+            frame,
+            ctrs,
+            arrays,
+            words: (arrays + code.arrays.len()).div_ceil(64),
         }
     }
 
-    /// Must-analysis join: a fact holds only if it holds on every path.
-    fn intersect(&mut self, other: &InitState) -> bool {
-        let mut changed = false;
-        let all = self
-            .regs
-            .iter_mut()
-            .zip(&other.regs)
-            .chain(self.idx.iter_mut().zip(&other.idx))
-            .chain(self.ctrs.iter_mut().zip(&other.ctrs))
-            .chain(self.arrays.iter_mut().zip(&other.arrays));
-        for (mine, theirs) in all {
-            if *mine && !theirs {
-                *mine = false;
-                changed = true;
-            }
-        }
-        changed
+    fn reg(self, r: u16) -> usize {
+        r as usize
     }
+
+    fn idx(self, d: usize) -> usize {
+        self.frame + d
+    }
+
+    fn ctr(self, c: u16) -> usize {
+        self.ctrs + c as usize
+    }
+
+    fn arr(self, a: u16) -> usize {
+        self.arrays + a as usize
+    }
+
+    /// The state at entry. Program scalars start at 0.0 by language
+    /// definition and interned constants are materialized at VM
+    /// construction.
+    fn entry(self, code: &Code, row: &mut [u64]) {
+        let cb = code.const_base as usize;
+        let pre = (0..code.n_scalars as usize).chain(cb..cb + code.consts.len());
+        for r in pre.filter(|&r| r < self.frame) {
+            set(row, r);
+        }
+    }
+}
+
+fn has(row: &[u64], bit: usize) -> bool {
+    row[bit / 64] >> (bit % 64) & 1 != 0
+}
+
+fn set(row: &mut [u64], bit: usize) {
+    row[bit / 64] |= 1 << (bit % 64);
+}
+
+/// The must-analysis join, `row &= st`, with bit `also` of `st` taken as
+/// set (the counter a `ForInit` initializes on its enter edge). Reports
+/// whether `row` lost a fact.
+fn meet(row: &mut [u64], st: &[u64], also: Option<usize>) -> bool {
+    let mut lost = 0;
+    for (k, (r, &s)) in row.iter_mut().zip(st).enumerate() {
+        let s = match also {
+            Some(b) if b / 64 == k => s | 1 << (b % 64),
+            _ => s,
+        };
+        lost |= *r & !s;
+        *r &= s;
+    }
+    lost != 0
 }
 
 /// The index dimensions an access reads: every dimension that contributes
-/// to the flat index, plus every dimension its runtime check inspects.
-fn access_dims(code: &Code, acc: u32) -> Vec<usize> {
+/// to the flat index, then every other dimension its runtime check
+/// inspects.
+fn access_dims(code: &Code, acc: u32) -> impl Iterator<Item = usize> + '_ {
     let a = &code.accesses[acc as usize];
-    let mut dims: Vec<usize> = (0..a.rank as usize)
-        .filter(|&d| a.strides[d] != 0)
-        .collect();
-    if let Some(chk) = &a.check {
-        for &(d, ..) in &chk.dims {
-            if !dims.contains(&(d as usize)) {
-                dims.push(d as usize);
-            }
-        }
-    }
-    dims
+    let strided = (0..a.rank as usize).filter(|&d| a.strides[d] != 0);
+    let checked = a.check.iter().flat_map(|chk| &chk.dims);
+    strided.chain(
+        checked
+            .map(|&(d, ..)| d as usize)
+            .filter(|&d| a.strides[d] == 0),
+    )
 }
 
-fn initialization(code: &Code) -> Vec<VerifyDiagnostic> {
-    let n = code.ops.len();
-    let mut states: Vec<Option<InitState>> = vec![None; n];
-    states[0] = Some(InitState::entry(code));
-    let mut work: Vec<usize> = vec![0];
-    let mut diags = Vec::new();
-    let mut reported = vec![false; n];
-    let mut succ = Vec::new();
+/// Phase 2's findings: at most one per pc, the first check that fails
+/// there.
+struct InitFindings<'a> {
+    code: &'a Code,
+    lay: InitLayout,
+    reported: Vec<bool>,
+    diags: Vec<VerifyDiagnostic>,
+}
 
-    let require_reg = |pc: usize,
-                       r: u16,
-                       st: &InitState,
-                       reported: &mut [bool],
-                       diags: &mut Vec<VerifyDiagnostic>| {
-        if !st.regs[r as usize] && !reported[pc] {
-            reported[pc] = true;
-            diags.push(VerifyDiagnostic::at(
-                pc,
-                format!("register {r} may be read before it is written"),
-            ));
+impl InitFindings<'_> {
+    /// Reports `what` at `pc` unless fact `bit` holds in `st`.
+    fn need(&mut self, pc: usize, st: &[u64], bit: usize, what: impl FnOnce() -> String) {
+        if !has(st, bit) && !self.reported[pc] {
+            self.reported[pc] = true;
+            self.diags.push(VerifyDiagnostic::at(pc, what()));
         }
-    };
-    // The array-allocated and index-dimension preconditions of one array
-    // access (the `Load`/`Store` halves of superinstructions share them).
-    let require_acc = |pc: usize,
-                       acc: u32,
-                       st: &InitState,
-                       reported: &mut [bool],
-                       diags: &mut Vec<VerifyDiagnostic>| {
-        let a = &code.accesses[acc as usize];
-        if !st.arrays[a.arr as usize] && !reported[pc] {
-            reported[pc] = true;
-            diags.push(VerifyDiagnostic::at(
-                pc,
-                format!(
-                    "array `{}` may be accessed before it is allocated",
-                    code.arrays[a.arr as usize].name
-                ),
-            ));
-        }
+    }
+
+    fn reg(&mut self, pc: usize, st: &[u64], r: u16) {
+        let bit = self.lay.reg(r);
+        self.need(pc, st, bit, || {
+            format!("register {r} may be read before it is written")
+        });
+    }
+
+    fn idx(&mut self, pc: usize, st: &[u64], d: usize, verb: &str) {
+        let bit = self.lay.idx(d);
+        self.need(pc, st, bit, || {
+            format!("index dimension {d} may be {verb} before it is set")
+        });
+    }
+
+    fn ctr(&mut self, pc: usize, st: &[u64], c: u16, verb: &str) {
+        let bit = self.lay.ctr(c);
+        self.need(pc, st, bit, || {
+            format!("counter {c} may be {verb} before it is initialized")
+        });
+    }
+
+    /// The array-allocated and index-dimension preconditions of one array
+    /// access (the `Load`/`Store` halves of superinstructions share them).
+    fn access(&mut self, pc: usize, st: &[u64], acc: u32) {
+        let code = self.code;
+        let arr = code.accesses[acc as usize].arr;
+        self.need(pc, st, self.lay.arr(arr), || {
+            format!(
+                "array `{}` may be accessed before it is allocated",
+                code.arrays[arr as usize].name
+            )
+        });
         for d in access_dims(code, acc) {
-            if !st.idx[d] && !reported[pc] {
-                reported[pc] = true;
-                diags.push(VerifyDiagnostic::at(
-                    pc,
-                    format!("index dimension {d} may be read before it is set"),
-                ));
-            }
+            self.idx(pc, st, d, "read");
         }
-    };
+    }
 
-    while let Some(pc) = work.pop() {
-        let st = states[pc].clone().expect("queued pcs have a state");
-        let op = code.ops[pc];
-        let mut out = st.clone();
+    /// Checks the op's preconditions against its in-state `st`, then
+    /// turns `st` into its out-state on every edge (`ForInit`'s counter
+    /// aside). Every arm reads before it writes, so one row serves as both.
+    fn transfer(&mut self, pc: usize, op: Op, st: &mut [u64]) {
+        let lay = self.lay;
         match op {
             Op::Add { dst, a, b }
             | Op::Sub { dst, a, b }
             | Op::Mul { dst, a, b }
             | Op::Div { dst, a, b }
             | Op::Bin { dst, a, b, .. } => {
-                require_reg(pc, a, &st, &mut reported, &mut diags);
-                require_reg(pc, b, &st, &mut reported, &mut diags);
-                out.regs[dst as usize] = true;
+                self.reg(pc, st, a);
+                self.reg(pc, st, b);
+                set(st, lay.reg(dst));
             }
             Op::Neg { dst, src } | Op::Mov { dst, src } => {
-                require_reg(pc, src, &st, &mut reported, &mut diags);
-                out.regs[dst as usize] = true;
+                self.reg(pc, st, src);
+                set(st, lay.reg(dst));
             }
             Op::Call { dst, base, n, .. } => {
-                for k in 0..n as usize {
-                    require_reg(pc, base + k as u16, &st, &mut reported, &mut diags);
+                for k in 0..n as u16 {
+                    self.reg(pc, st, base + k);
                 }
-                out.regs[dst as usize] = true;
+                set(st, lay.reg(dst));
             }
             Op::IdxF { dst, d } => {
-                if !st.idx[d as usize] && !reported[pc] {
-                    reported[pc] = true;
-                    diags.push(VerifyDiagnostic::at(
-                        pc,
-                        format!("index dimension {d} may be read before it is set"),
-                    ));
-                }
-                out.regs[dst as usize] = true;
+                self.idx(pc, st, d as usize, "read");
+                set(st, lay.reg(dst));
             }
-            Op::Load { dst, acc } | Op::Store { acc, src: dst } => {
-                if matches!(op, Op::Store { .. }) {
-                    require_reg(pc, dst, &st, &mut reported, &mut diags);
-                }
-                let a = &code.accesses[acc as usize];
-                if !st.arrays[a.arr as usize] && !reported[pc] {
-                    reported[pc] = true;
-                    diags.push(VerifyDiagnostic::at(
-                        pc,
-                        format!(
-                            "array `{}` may be accessed before it is allocated",
-                            code.arrays[a.arr as usize].name
-                        ),
-                    ));
-                }
-                for d in access_dims(code, acc) {
-                    if !st.idx[d] && !reported[pc] {
-                        reported[pc] = true;
-                        diags.push(VerifyDiagnostic::at(
-                            pc,
-                            format!("index dimension {d} may be read before it is set"),
-                        ));
-                    }
-                }
-                if matches!(op, Op::Load { .. }) {
-                    out.regs[dst as usize] = true;
-                }
+            Op::Load { dst, acc } => {
+                self.access(pc, st, acc);
+                set(st, lay.reg(dst));
+            }
+            Op::Store { acc, src } => {
+                self.reg(pc, st, src);
+                self.access(pc, st, acc);
             }
             Op::Reduce { dst, src, .. } => {
-                require_reg(pc, dst, &st, &mut reported, &mut diags);
-                require_reg(pc, src, &st, &mut reported, &mut diags);
+                self.reg(pc, st, dst);
+                self.reg(pc, st, src);
             }
+            // The lane path executes exactly the iterations the scalar
+            // loop body would; the scalar fall-through edge carries the
+            // analysis.
             Op::Tick { .. }
             | Op::NestBegin { .. }
             | Op::ParBegin { .. }
             | Op::ReduceBegin
-            | Op::Halt => {}
-            Op::Alloc { arr } => out.arrays[arr as usize] = true,
-            Op::SetIdx { d, .. } => out.idx[d as usize] = true,
+            | Op::Halt
+            | Op::Jmp { .. }
+            | Op::SimdBegin { .. } => {}
+            Op::Alloc { arr } => set(st, lay.arr(arr)),
+            Op::SetIdx { d, .. } => set(st, lay.idx(d as usize)),
             Op::IdxStep { d, .. } => {
-                if !st.idx[d as usize] && !reported[pc] {
-                    reported[pc] = true;
-                    diags.push(VerifyDiagnostic::at(
-                        pc,
-                        format!("index dimension {d} may be stepped before it is set"),
-                    ));
-                }
-                out.idx[d as usize] = true;
+                self.idx(pc, st, d as usize, "stepped");
+                set(st, lay.idx(d as usize));
             }
-            Op::CtrInit { ctr, .. } => out.ctrs[ctr as usize] = true,
+            Op::CtrInit { ctr, .. } => set(st, lay.ctr(ctr)),
             Op::CtrToIdx { d, ctr } => {
-                if !st.ctrs[ctr as usize] && !reported[pc] {
-                    reported[pc] = true;
-                    diags.push(VerifyDiagnostic::at(
-                        pc,
-                        format!("counter {ctr} may be read before it is initialized"),
-                    ));
-                }
-                out.idx[d as usize] = true;
+                self.ctr(pc, st, ctr, "read");
+                set(st, lay.idx(d as usize));
             }
             Op::CtrToScalar { dst, ctr } => {
-                if !st.ctrs[ctr as usize] && !reported[pc] {
-                    reported[pc] = true;
-                    diags.push(VerifyDiagnostic::at(
-                        pc,
-                        format!("counter {ctr} may be read before it is initialized"),
-                    ));
-                }
-                out.regs[dst as usize] = true;
+                self.ctr(pc, st, ctr, "read");
+                set(st, lay.reg(dst));
             }
             Op::ForInit { lo, hi, .. } => {
-                require_reg(pc, lo, &st, &mut reported, &mut diags);
-                require_reg(pc, hi, &st, &mut reported, &mut diags);
-                // the counter becomes initialized on the enter edge only
+                self.reg(pc, st, lo);
+                self.reg(pc, st, hi);
             }
-            Op::CtrStep { ctr, .. } => {
-                if !st.ctrs[ctr as usize] && !reported[pc] {
-                    reported[pc] = true;
-                    diags.push(VerifyDiagnostic::at(
-                        pc,
-                        format!("counter {ctr} may be stepped before it is initialized"),
-                    ));
-                }
-            }
-            Op::Jmp { .. } => {}
-            Op::JmpIfZero { cond, .. } => require_reg(pc, cond, &st, &mut reported, &mut diags),
+            Op::CtrStep { ctr, .. } => self.ctr(pc, st, ctr, "stepped"),
+            Op::JmpIfZero { cond, .. } => self.reg(pc, st, cond),
             // Superinstructions: the ordered constituent semantics. A
             // register written by an earlier half of the same bundle
             // (e.g. the load feeding `LdBin`'s arithmetic) needs no
@@ -731,11 +762,11 @@ fn initialization(code: &Code) -> Vec<VerifyDiagnostic> {
                 ab,
                 ..
             } => {
-                require_acc(pc, aa, &st, &mut reported, &mut diags);
-                require_acc(pc, ab, &st, &mut reported, &mut diags);
-                out.regs[da as usize] = true;
-                out.regs[db as usize] = true;
-                out.regs[dst as usize] = true;
+                self.access(pc, st, aa);
+                self.access(pc, st, ab);
+                for r in [da, db, dst] {
+                    set(st, lay.reg(r));
+                }
             }
             Op::LdBin {
                 dst,
@@ -744,12 +775,12 @@ fn initialization(code: &Code) -> Vec<VerifyDiagnostic> {
                 other,
                 ..
             } => {
-                require_acc(pc, acc, &st, &mut reported, &mut diags);
+                self.access(pc, st, acc);
                 if other != dl {
-                    require_reg(pc, other, &st, &mut reported, &mut diags);
+                    self.reg(pc, st, other);
                 }
-                out.regs[dl as usize] = true;
-                out.regs[dst as usize] = true;
+                set(st, lay.reg(dl));
+                set(st, lay.reg(dst));
             }
             Op::BinBin {
                 d1,
@@ -760,55 +791,72 @@ fn initialization(code: &Code) -> Vec<VerifyDiagnostic> {
                 b2,
                 ..
             } => {
-                require_reg(pc, a1, &st, &mut reported, &mut diags);
-                require_reg(pc, b1, &st, &mut reported, &mut diags);
+                self.reg(pc, st, a1);
+                self.reg(pc, st, b1);
                 if a2 != d1 {
-                    require_reg(pc, a2, &st, &mut reported, &mut diags);
+                    self.reg(pc, st, a2);
                 }
                 if b2 != d1 {
-                    require_reg(pc, b2, &st, &mut reported, &mut diags);
+                    self.reg(pc, st, b2);
                 }
-                out.regs[d1 as usize] = true;
-                out.regs[d2 as usize] = true;
+                set(st, lay.reg(d1));
+                set(st, lay.reg(d2));
             }
             Op::BinSt { dst, a, b, acc, .. } => {
-                require_reg(pc, a, &st, &mut reported, &mut diags);
-                require_reg(pc, b, &st, &mut reported, &mut diags);
-                require_acc(pc, acc, &st, &mut reported, &mut diags);
-                out.regs[dst as usize] = true;
+                self.reg(pc, st, a);
+                self.reg(pc, st, b);
+                self.access(pc, st, acc);
+                set(st, lay.reg(dst));
             }
             Op::LdSt { dst, la, sa } => {
-                require_acc(pc, la, &st, &mut reported, &mut diags);
-                require_acc(pc, sa, &st, &mut reported, &mut diags);
-                out.regs[dst as usize] = true;
-            }
-            // The lane path executes exactly the iterations the scalar
-            // loop body would; the scalar fall-through edge carries the
-            // analysis.
-            Op::SimdBegin { .. } => {}
-        }
-        successors(pc, &op, &mut succ);
-        for &(t, edge) in &succ {
-            let mut edge_out = out.clone();
-            if edge == EdgeKind::ForEnter {
-                if let Op::ForInit { ctr, .. } = op {
-                    edge_out.ctrs[ctr as usize] = true;
-                }
-            }
-            match &mut states[t] {
-                None => {
-                    states[t] = Some(edge_out);
-                    work.push(t);
-                }
-                Some(existing) => {
-                    if existing.intersect(&edge_out) {
-                        work.push(t);
-                    }
-                }
+                self.access(pc, st, la);
+                self.access(pc, st, sa);
+                set(st, lay.reg(dst));
             }
         }
     }
-    diags
+}
+
+fn initialization(code: &Code, cfg: &Cfg) -> Vec<VerifyDiagnostic> {
+    let n = code.ops.len();
+    let lay = InitLayout::new(code);
+    let w = lay.words;
+    let mut rows = vec![0u64; n * w];
+    let mut have = vec![0u64; n.div_ceil(64)];
+    lay.entry(code, &mut rows[..w]);
+    set(&mut have, 0);
+    let mut work: Vec<usize> = vec![0];
+    let mut st = vec![0u64; w];
+    let mut found = InitFindings {
+        code,
+        lay,
+        reported: vec![false; n],
+        diags: Vec::new(),
+    };
+    while let Some(pc) = work.pop() {
+        st.copy_from_slice(&rows[pc * w..][..w]);
+        let op = code.ops[pc];
+        found.transfer(pc, op, &mut st);
+        for &(t, edge) in cfg.succs(pc) {
+            let t = t as usize;
+            let enter = match (edge, op) {
+                (EdgeKind::ForEnter, Op::ForInit { ctr, .. }) => Some(lay.ctr(ctr)),
+                _ => None,
+            };
+            let row = &mut rows[t * w..][..w];
+            if !has(&have, t) {
+                set(&mut have, t);
+                row.copy_from_slice(&st);
+                if let Some(b) = enter {
+                    set(row, b);
+                }
+                work.push(t);
+            } else if meet(row, &st, enter) {
+                work.push(t);
+            }
+        }
+    }
+    found.diags
 }
 
 // ---- phase 3: bounds -------------------------------------------------------
@@ -847,9 +895,12 @@ fn ctr_ranges(code: &Code) -> Vec<Interval> {
 
 /// How many joins a pc absorbs before its intervals widen. Loop bounds
 /// are runtime configuration, so a hull-only fixpoint would need one pass
-/// per iteration; widening caps that, and the narrowing rounds below
-/// recover the exact ranges from the back-edge trims.
-const WIDEN_AFTER: u32 = 8;
+/// per iteration; widening caps that. One join is enough: the thresholds
+/// hold `stop - 1` of every loop over the dimension, and the back-edge
+/// trim stops a widened bound there. Widening after 8 joins instead made
+/// the same fixpoint, at every pc of 22,410 lowered streams, in twice the
+/// worklist pops (EXPERIMENTS.md, "the verifier's bookkeeping").
+const WIDEN_AFTER: u32 = 1;
 
 /// Per-dimension widening thresholds: every constant a dimension's value
 /// is compared against or set to anywhere in the program. A creeping
@@ -927,16 +978,33 @@ fn transfer(op: Op, st: &IdxState, edge: EdgeKind, ctr_range: &[Interval]) -> Op
     Some(out)
 }
 
-fn bounds(code: &Code) -> Vec<VerifyDiagnostic> {
+/// A lower bound widened to the largest threshold at or below it, or
+/// -HUGE below the smallest.
+fn widen_lo(thresholds: &[i64], lo: i64) -> i64 {
+    match thresholds.partition_point(|&v| v <= lo) {
+        0 => -HUGE,
+        i => thresholds[i - 1],
+    }
+}
+
+/// An upper bound widened to the smallest threshold at or above it, or
+/// HUGE above the largest.
+fn widen_hi(thresholds: &[i64], hi: i64) -> i64 {
+    let i = thresholds.partition_point(|&v| v < hi);
+    thresholds.get(i).copied().unwrap_or(HUGE)
+}
+
+/// The index intervals at every pc (`None`: unreachable), after the
+/// widened increasing phase and the narrowing passes.
+fn idx_states(code: &Code, cfg: &Cfg, ctr_range: &[Interval]) -> Vec<Option<IdxState>> {
     let n = code.ops.len();
-    let ctr_range = ctr_ranges(code);
-    let thresholds = dim_thresholds(code, &ctr_range);
+    let thresholds = dim_thresholds(code, ctr_range);
     let entry = [Interval::FULL; MAX_RANK];
     let mut states: Vec<Option<IdxState>> = vec![None; n];
     states[0] = Some(entry);
     let mut joins = vec![0u32; n];
-    let mut work: Vec<usize> = vec![0];
-    let mut succ = Vec::new();
+    let mut work: Vec<usize> = Vec::with_capacity(n);
+    work.push(0);
 
     // Increasing phase with threshold widening: a bound that keeps
     // creeping (a loop accumulating its range one iteration per pass)
@@ -945,9 +1013,9 @@ fn bounds(code: &Code) -> Vec<VerifyDiagnostic> {
     while let Some(pc) = work.pop() {
         let st = states[pc].expect("queued pcs have a state");
         let op = code.ops[pc];
-        successors(pc, &op, &mut succ);
-        for &(t, edge) in &succ {
-            let Some(out) = transfer(op, &st, edge, &ctr_range) else {
+        for &(t, edge) in cfg.succs(pc) {
+            let t = t as usize;
+            let Some(out) = transfer(op, &st, edge, ctr_range) else {
                 continue;
             };
             match &mut states[t] {
@@ -958,31 +1026,12 @@ fn bounds(code: &Code) -> Vec<VerifyDiagnostic> {
                 Some(existing) => {
                     let widen = joins[t] >= WIDEN_AFTER;
                     let mut joined = *existing;
-                    for (d, (je, oe)) in joined.iter_mut().zip(&out).enumerate() {
+                    for (th, (je, oe)) in thresholds.iter().zip(joined.iter_mut().zip(&out)) {
                         if oe.lo < je.lo {
-                            je.lo = if widen {
-                                // largest threshold <= the requested bound
-                                thresholds[d]
-                                    .iter()
-                                    .rev()
-                                    .find(|&&v| v <= oe.lo)
-                                    .copied()
-                                    .unwrap_or(-HUGE)
-                            } else {
-                                oe.lo
-                            };
+                            je.lo = if widen { widen_lo(th, oe.lo) } else { oe.lo };
                         }
                         if oe.hi > je.hi {
-                            je.hi = if widen {
-                                // smallest threshold >= the requested bound
-                                thresholds[d]
-                                    .iter()
-                                    .find(|&&v| v >= oe.hi)
-                                    .copied()
-                                    .unwrap_or(HUGE)
-                            } else {
-                                oe.hi
-                            };
+                            je.hi = if widen { widen_hi(th, oe.hi) } else { oe.hi };
                         }
                     }
                     if joined != *existing {
@@ -996,22 +1045,16 @@ fn bounds(code: &Code) -> Vec<VerifyDiagnostic> {
     }
 
     // Decreasing phase: recompute every state as the plain join of its
-    // predecessors' transfer outputs. The back-edge trim now pulls the
-    // widened bounds back to the actual loop ranges.
-    let mut preds: Vec<Vec<(usize, EdgeKind)>> = vec![Vec::new(); n];
-    for (pc, op) in code.ops.iter().enumerate() {
-        successors(pc, op, &mut succ);
-        for &(t, edge) in &succ {
-            preds[t].push((pc, edge));
-        }
-    }
+    // predecessors' transfer outputs, in pc order. The back-edge trim now
+    // pulls the widened bounds back to the actual loop ranges.
     for _ in 0..NARROW_PASSES {
         let mut changed = false;
         for t in 0..n {
             let mut acc: Option<IdxState> = if t == 0 { Some(entry) } else { None };
-            for &(p, edge) in &preds[t] {
+            for &(p, edge) in cfg.preds(t) {
+                let p = p as usize;
                 let Some(pst) = states[p] else { continue };
-                let Some(out) = transfer(code.ops[p], &pst, edge, &ctr_range) else {
+                let Some(out) = transfer(code.ops[p], &pst, edge, ctr_range) else {
                     continue;
                 };
                 acc = Some(match acc {
@@ -1033,6 +1076,11 @@ fn bounds(code: &Code) -> Vec<VerifyDiagnostic> {
             break;
         }
     }
+    states
+}
+
+fn bounds(code: &Code, cfg: &Cfg) -> Vec<VerifyDiagnostic> {
+    let states = idx_states(code, cfg, &ctr_ranges(code));
 
     // With the fixpoint in hand, discharge every reachable access.
     let mut diags = Vec::new();
@@ -1918,9 +1966,8 @@ mod tests {
         assert!(verify(&clean).is_empty(), "{:?}", verify(&clean));
         let body = &clean.simds[0].body;
         assert!(
-            body.iter().any(
-                |op| matches!(op, LaneOp::Store { src, .. } if src.stream().is_some())
-            ),
+            body.iter()
+                .any(|op| matches!(op, LaneOp::Store { src, .. } if src.stream().is_some())),
             "the copy of B into A reads B in place: {body:?}"
         );
         // A fold across the store to `A` between the load and its reader:
@@ -2051,6 +2098,251 @@ mod tests {
         }
         code.simds[0] = bad;
         rejects(&code, "mismatched superinstruction operands");
+    }
+
+    #[test]
+    fn uninitialized_reads_at_word_boundaries_are_reported() {
+        // A frame of 200 registers: 63 and 64 sit on either side of the
+        // first word boundary of a state row, 199 in its last word of
+        // registers, with the index, counter and array facts after it.
+        let sp = nest_program(vec![1, 2], vec![0, 0]);
+        let clean = compiled(&sp);
+        assert!(clean.frame < 63, "the registers under test are fresh");
+        let load = clean
+            .ops
+            .iter()
+            .position(|op| matches!(op, Op::Load { .. }))
+            .unwrap();
+        let (Op::Load { dst, .. }, Op::Store { src, .. }) = (clean.ops[load], clean.ops[load + 1])
+        else {
+            panic!(
+                "expected the body's load and store: {:?}",
+                &clean.ops[load..]
+            )
+        };
+        assert_eq!(dst, src, "the store writes back what the load read");
+        for r in [63, 64, 199] {
+            let mut code = compiled(&sp);
+            code.frame = 200;
+            if let Op::Store { src, .. } = &mut code.ops[load + 1] {
+                *src = r;
+            }
+            rejects(
+                &code,
+                &format!("register {r} may be read before it is written"),
+            );
+            // Written first, the same read verifies.
+            if let Op::Load { dst, .. } = &mut code.ops[load] {
+                *dst = r;
+            }
+            assert!(verify(&code).is_empty(), "r{r}: {:?}", verify(&code));
+        }
+    }
+
+    /// A hand-built program over `frame` registers, of which the first two
+    /// are program scalars (initialized at entry), one counter, and one
+    /// array `A` of 8 elements read through access 0, `A[i0]`.
+    fn hand_built(ops: Vec<Op>, frame: u16) -> Code {
+        use crate::bytecode::ArrayInfo;
+        Code {
+            ops,
+            accesses: vec![Access {
+                arr: 0,
+                const_flat: 0,
+                strides: [1, 0, 0, 0],
+                rank: 1,
+                check: None,
+            }],
+            arrays: vec![ArrayInfo {
+                name: "A".into(),
+                elems: 8,
+                bytes: 64,
+            }],
+            n_scalars: 2,
+            const_base: 2,
+            frame,
+            n_ctrs: 1,
+            ..Code::default()
+        }
+    }
+
+    #[test]
+    fn a_counter_read_on_the_exit_path_of_its_for_loop_is_reported() {
+        // `if r0 { r2 = r0 }; for c0 in r0..r1 { r3 = c0 }`, then `after`.
+        // Only the enter edge of `ForInit` initializes the counter; the
+        // exit edge skips the body. The arms before the loop differ, so
+        // `ForInit` runs twice and its enter edge joins into an existing
+        // state as well as a fresh one. With 60 registers the counter's
+        // fact opens the row's second word.
+        let program = |after| {
+            let ops = vec![
+                Op::JmpIfZero { cond: 0, target: 2 },
+                Op::Jmp { target: 3 },
+                Op::Mov { dst: 2, src: 0 },
+                Op::ForInit {
+                    ctr: 0,
+                    lo: 0,
+                    hi: 1,
+                    down: false,
+                    exit: 6,
+                },
+                Op::CtrToScalar { dst: 3, ctr: 0 },
+                Op::CtrStep { ctr: 0, head: 4 },
+                after,
+                Op::Halt,
+            ];
+            hand_built(ops, 60)
+        };
+        let inside = program(Op::Jmp { target: 7 });
+        assert!(verify(&inside).is_empty(), "{:?}", verify(&inside));
+        let after = program(Op::CtrToScalar { dst: 4, ctr: 0 });
+        assert_eq!(
+            verify(&after),
+            [VerifyDiagnostic::at(
+                6,
+                "counter 0 may be read before it is initialized"
+            )]
+        );
+    }
+
+    #[test]
+    fn an_array_allocated_on_one_arm_only_is_reported_after_the_join() {
+        // `if r0 { alloc A }; A[0]`: the taken edge of `JmpIfZero` skips
+        // the allocation. With 123 registers the array's fact is bit 128.
+        let program = |target| {
+            let ops = vec![
+                Op::JmpIfZero { cond: 0, target },
+                Op::Alloc { arr: 0 },
+                Op::SetIdx { d: 0, v: 0 },
+                Op::Load { dst: 2, acc: 0 },
+                Op::Halt,
+            ];
+            hand_built(ops, 123)
+        };
+        // Both edges into the allocation: it dominates the access.
+        let both = program(1);
+        assert!(verify(&both).is_empty(), "{:?}", verify(&both));
+        assert_eq!(
+            verify(&program(2)),
+            [VerifyDiagnostic::at(
+                3,
+                "array `A` may be accessed before it is allocated"
+            )]
+        );
+    }
+
+    #[test]
+    fn an_index_dimension_set_only_inside_a_loop_is_reported_after_it() {
+        use crate::bytecode::Check;
+        // `i0 = i1 = 3; for c0 in r0..r1 { i2 = 5 }; r2 = A[..]`: the loop
+        // may run no iteration, so `i2` is unset after it.
+        let ops = vec![
+            Op::Alloc { arr: 0 },
+            Op::SetIdx { d: 0, v: 3 },
+            Op::SetIdx { d: 1, v: 3 },
+            Op::ForInit {
+                ctr: 0,
+                lo: 0,
+                hi: 1,
+                down: false,
+                exit: 6,
+            },
+            Op::SetIdx { d: 2, v: 5 },
+            Op::CtrStep { ctr: 0, head: 4 },
+            Op::Load { dst: 2, acc: 0 },
+            Op::Halt,
+        ];
+        // Reading `i0` alone verifies.
+        let mut code = hand_built(ops, 8);
+        code.accesses[0].rank = 3;
+        assert!(verify(&code).is_empty(), "{:?}", verify(&code));
+        let unset = [VerifyDiagnostic::at(
+            6,
+            "index dimension 2 may be read before it is set",
+        )];
+        // `i2` reaches the access through its stride, or through its
+        // runtime check alone.
+        let mut strided = hand_built(code.ops.clone(), 8);
+        strided.accesses[0].rank = 3;
+        strided.accesses[0].strides = [0, 0, 1, 0];
+        assert_eq!(verify(&strided), unset);
+        code.accesses[0].check = Some(Box::new(Check {
+            dims: vec![(0, 0, 0, 8), (2, 0, 0, 8)],
+            off: vec![0, 0, 0],
+            arr: ArrayId(0),
+        }));
+        assert_eq!(verify(&code), unset);
+    }
+
+    /// `X := X + 1` over `[1..4]`, then `Y := Y + 1` over `[3..12]`: two
+    /// nests over dimension 0 with different extents, each array exactly
+    /// its nest's region, so every access is unchecked and reaches its
+    /// array's first element at `start` and its last at `stop - 1`.
+    fn two_extents_program() -> ScalarProgram {
+        let program = zlang::compile(
+            "program t; region R = [1..4]; region S = [3..12]; \
+             var X : [R] float; var Y : [S] float; begin end",
+        )
+        .unwrap();
+        let bump = |region: u32, a: u32| {
+            LStmt::Nest(LoopNest {
+                region: RegionId(region),
+                structure: vec![1],
+                body: vec![ElemStmt {
+                    target: ElemRef::Array(ArrayId(a), Offset(vec![0])),
+                    rhs: EExpr::Binary(
+                        zlang::ast::BinOp::Add,
+                        Box::new(EExpr::Load(ArrayId(a), Offset(vec![0]))),
+                        Box::new(EExpr::Const(1.0)),
+                    ),
+                }],
+                cluster: 0,
+                temps: 0,
+            })
+        };
+        ScalarProgram {
+            program,
+            stmts: vec![bump(0, 0), bump(1, 1)],
+        }
+    }
+
+    #[test]
+    fn widening_from_the_first_join_lands_on_each_loops_range() {
+        let sp = two_extents_program();
+        let code = compiled(&sp);
+        assert!(code.accesses.iter().all(|a| a.check.is_none()));
+        assert!(verify(&code).is_empty(), "{:?}", verify(&code));
+        // Each nest's accesses see exactly its own `[start, stop - 1]`,
+        // not a threshold of the other nest's loop.
+        let states = idx_states(&code, &Cfg::new(&code), &ctr_ranges(&code));
+        let at_stores: Vec<Interval> = (0..code.ops.len())
+            .filter(|&pc| matches!(code.ops[pc], Op::Store { .. }))
+            .map(|pc| states[pc].expect("reachable")[0])
+            .collect();
+        assert_eq!(
+            at_stores,
+            [Interval { lo: 1, hi: 4 }, Interval { lo: 3, hi: 12 }]
+        );
+        // One element before `start` or past `stop - 1` is rejected.
+        for acc in 0..code.accesses.len() {
+            for by in [-1, 1] {
+                let mut code = compiled(&sp);
+                code.accesses[acc].const_flat += by;
+                rejects(&code, &format!("cannot prove unchecked access {acc} to"));
+            }
+        }
+        // So is either loop running one iteration past `stop - 1`.
+        let steps: Vec<usize> = (0..code.ops.len())
+            .filter(|&pc| matches!(code.ops[pc], Op::IdxStep { .. }))
+            .collect();
+        assert_eq!(steps.len(), 2);
+        for pc in steps {
+            let mut code = compiled(&sp);
+            if let Op::IdxStep { stop, .. } = &mut code.ops[pc] {
+                *stop += 1;
+            }
+            rejects(&code, "cannot prove unchecked access");
+        }
     }
 
     #[test]

@@ -9,6 +9,8 @@
 //! fan-out.
 
 use std::collections::BTreeSet;
+use testkit::{genprog, Rng};
+use zlang::ir::Program;
 use zpl_fusion::fusion::verify::{self, Severity};
 use zpl_fusion::prelude::*;
 
@@ -86,18 +88,57 @@ fn injected_illegal_fusion_names_the_violated_definition() {
     );
 }
 
+/// The verifier's precision over a corpus: every stream the compiler
+/// emits - plain and superfused, for the six paper benchmarks and 32
+/// generated programs at three sizes and every level spec - must verify.
+/// A proof that lost precision would otherwise surface only as lanes and
+/// tiles standing down.
 #[test]
 fn bytecode_verifier_accepts_every_benchmark_configuration() {
-    for bench in zpl_fusion::workloads::all() {
-        let n = if bench.rank == 1 { 64 } else { 8 };
+    let mut programs: Vec<(String, Program, &str)> = zpl_fusion::workloads::all()
+        .iter()
+        .map(|b| (b.name.to_string(), b.program(), b.size_config))
+        .collect();
+    for seed in 0..16 {
+        for (kind, source) in [
+            ("random", genprog::generate(&mut Rng::new(seed))),
+            ("stencil", genprog::generate_stencil(&mut Rng::new(seed))),
+        ] {
+            let program = zpl_fusion::lang::compile(&source).unwrap();
+            programs.push((format!("{kind} seed {seed}"), program, "n"));
+        }
+    }
+    for (name, program, size_config) in &programs {
         for level in Level::all() {
-            let opt = Pipeline::new(level).optimize(&bench.program());
-            let mut binding = ConfigBinding::defaults(&opt.scalarized.program);
-            binding.set_by_name(&opt.scalarized.program, bench.size_config, n);
-            let mut vm = Vm::new(&opt.scalarized, binding).unwrap();
-            let r = vm.verify();
-            assert!(r.is_ok(), "{} at {level}: {:?}", bench.name, r.err());
-            assert!(vm.is_verified());
+            for rce2 in [false, true] {
+                let mut pipeline = Pipeline::new(level);
+                if rce2 {
+                    pipeline = pipeline.with_rce2();
+                }
+                let opt = pipeline.optimize(program);
+                let sp = &opt.scalarized;
+                for n in [4, 5, 13] {
+                    let mut binding = ConfigBinding::defaults(&sp.program);
+                    binding.set_by_name(&sp.program, size_config, n);
+                    for superfused in [false, true] {
+                        let mut vm = if superfused {
+                            Vm::new_superfused(sp, binding.clone())
+                        } else {
+                            Vm::new(sp, binding.clone())
+                        }
+                        .unwrap();
+                        let r = vm.verify();
+                        assert!(
+                            r.is_ok(),
+                            "{name} at {level}{} n={n}{}: {:?}",
+                            if rce2 { "+rce2" } else { "" },
+                            if superfused { " superfused" } else { "" },
+                            r.err()
+                        );
+                        assert!(vm.is_verified());
+                    }
+                }
+            }
         }
     }
 }
