@@ -18,7 +18,6 @@
 
 use crate::depvec::{DepKind, Udv};
 use crate::normal::{BStmt, Block};
-use std::collections::HashMap;
 use zlang::ir::{ArrayId, Offset, Program, ScalarId};
 
 /// Identifies one definition (live range) of an array within a block.
@@ -115,14 +114,23 @@ impl Asdg {
     /// Every statement referencing (reading or defining) the given
     /// definition.
     pub fn stmts_of_def(&self, id: DefId) -> Vec<usize> {
-        let info = self.def(id);
-        let mut out: Vec<usize> = info.def_stmt.into_iter().collect();
-        for &(s, _) in &info.reads {
+        let mut out = Vec::new();
+        for s in self.ref_stmts(id) {
             if !out.contains(&s) {
                 out.push(s);
             }
         }
         out
+    }
+
+    /// The statement of every reference to a definition: its defining
+    /// write (if any), then each read in program order, so a statement
+    /// that reads it twice appears twice.
+    pub fn ref_stmts(&self, id: DefId) -> impl Iterator<Item = usize> + '_ {
+        let info = self.def(id);
+        info.def_stmt
+            .into_iter()
+            .chain(info.reads.iter().map(|&(s, _)| s))
     }
 
     /// Iterates all labels on edges between `src` and `dst`.
@@ -203,39 +211,45 @@ pub fn to_dot(program: &Program, block: &crate::normal::Block, g: &Asdg) -> Stri
 }
 
 /// Builds the ASDG for a basic block.
+///
+/// The current definition of each array, and the last writer and readers
+/// of each scalar, are vectors indexed by id. Labels are collected in
+/// generation order; a stable sort on `(src, dst)` then groups them into
+/// edges, which keeps the edges in `(src, dst)` order and each edge's
+/// labels in the order they arose.
 pub fn build(program: &Program, block: &Block) -> Asdg {
     let n = block.stmts.len();
     let mut defs: Vec<DefInfo> = Vec::new();
-    let mut current: HashMap<ArrayId, DefId> = HashMap::new();
-    let mut edge_map: HashMap<(usize, usize), Vec<Label>> = HashMap::new();
+    let mut current: Vec<Option<DefId>> = vec![None; program.arrays.len()];
+    let mut labels: Vec<(usize, usize, Label)> = Vec::new();
     let mut read_defs: Vec<Vec<(ArrayId, Offset, DefId)>> = vec![Vec::new(); n];
     let mut write_def: Vec<Option<DefId>> = vec![None; n];
 
     // Scalar tracking: last writer and readers since.
-    let mut scalar_writer: HashMap<ScalarId, usize> = HashMap::new();
-    let mut scalar_readers: HashMap<ScalarId, Vec<usize>> = HashMap::new();
+    let mut scalar_writer: Vec<Option<usize>> = vec![None; program.scalars.len()];
+    let mut scalar_readers: Vec<Vec<usize>> = vec![Vec::new(); program.scalars.len()];
 
     let mut add_label = |src: usize, dst: usize, label: Label| {
         if src == dst {
             return;
         }
         debug_assert!(src < dst, "dependences point forward in a basic block");
-        edge_map.entry((src, dst)).or_default().push(label);
+        labels.push((src, dst, label));
     };
 
     for (si, stmt) in block.stmts.iter().enumerate() {
-        let same_region_udv = |other: usize, u: Udv| -> Option<Udv> {
+        let same_region_udv = |other: usize, u: &dyn Fn() -> Udv| -> Option<Udv> {
             let a = block.stmts[other].region();
             let b = stmt.region();
             match (a, b) {
-                (Some(ra), Some(rb)) if ra == rb => Some(u),
+                (Some(ra), Some(rb)) if ra == rb => Some(u()),
                 _ => None,
             }
         };
 
         // --- Array reads ---
-        for (a, off) in stmt.reads() {
-            let def = *current.entry(a).or_insert_with(|| {
+        stmt.for_each_read(|a, off| {
+            let def = *current[a.0 as usize].get_or_insert_with(|| {
                 let id = DefId(defs.len() as u32);
                 defs.push(DefInfo {
                     array: a,
@@ -249,24 +263,23 @@ pub fn build(program: &Program, block: &Block) -> Asdg {
             read_defs[si].push((a, off.clone(), def));
             if let Some(d) = info.def_stmt {
                 // Flow dependence: u = d_write - d_read, write offset is 0.
-                let rank = off.rank();
-                let u = Udv::between(&Offset::zero(rank), &off);
+                let u = || Udv(off.0.iter().map(|&r| 0 - r).collect());
                 add_label(
                     d,
                     si,
                     Label {
                         var: VarLabel::Array(def),
-                        udv: same_region_udv(d, u),
+                        udv: same_region_udv(d, &u),
                         kind: DepKind::Flow,
                     },
                 );
             }
-        }
+        });
 
         // --- Scalar reads ---
         for s in stmt.scalar_reads() {
-            scalar_readers.entry(s).or_default().push(si);
-            if let Some(&w) = scalar_writer.get(&s) {
+            scalar_readers[s.0 as usize].push(si);
+            if let Some(w) = scalar_writer[s.0 as usize] {
                 add_label(
                     w,
                     si,
@@ -282,34 +295,33 @@ pub fn build(program: &Program, block: &Block) -> Asdg {
         // --- Array write ---
         if let BStmt::Array(ast) = stmt {
             let a = ast.lhs;
-            if let Some(&prev) = current.get(&a) {
-                let prev_info = defs[prev.0 as usize].clone();
-                // Anti dependences from every read of the previous range.
+            if let Some(prev) = current[a.0 as usize] {
+                let prev_info = &defs[prev.0 as usize];
+                // Anti dependences from every read of the previous range:
+                // u = d_read - d_write, write offset is 0.
                 for (r_stmt, r_off) in &prev_info.reads {
                     if *r_stmt == si {
                         continue; // normalization forbids read+write in one stmt
                     }
-                    let rank = r_off.rank();
-                    let u = Udv::between(r_off, &Offset::zero(rank));
                     add_label(
                         *r_stmt,
                         si,
                         Label {
                             var: VarLabel::Array(prev),
-                            udv: same_region_udv(*r_stmt, u),
+                            udv: same_region_udv(*r_stmt, &|| Udv(r_off.0.clone())),
                             kind: DepKind::Anti,
                         },
                     );
                 }
                 // Output dependence from the previous definition.
                 if let Some(d) = prev_info.def_stmt {
-                    let u = Udv::null(program.region(ast.region).rank());
+                    let u = || Udv::null(program.region(ast.region).rank());
                     add_label(
                         d,
                         si,
                         Label {
                             var: VarLabel::Array(prev),
-                            udv: same_region_udv(d, u),
+                            udv: same_region_udv(d, &u),
                             kind: DepKind::Output,
                         },
                     );
@@ -321,26 +333,24 @@ pub fn build(program: &Program, block: &Block) -> Asdg {
                 def_stmt: Some(si),
                 reads: Vec::new(),
             });
-            current.insert(a, id);
+            current[a.0 as usize] = Some(id);
             write_def[si] = Some(id);
         }
 
         // --- Scalar write ---
         if let Some(s) = stmt.lhs_scalar() {
-            if let Some(readers) = scalar_readers.get(&s) {
-                for &r in readers {
-                    add_label(
-                        r,
-                        si,
-                        Label {
-                            var: VarLabel::Scalar(s),
-                            udv: None,
-                            kind: DepKind::Anti,
-                        },
-                    );
-                }
+            for &r in &scalar_readers[s.0 as usize] {
+                add_label(
+                    r,
+                    si,
+                    Label {
+                        var: VarLabel::Scalar(s),
+                        udv: None,
+                        kind: DepKind::Anti,
+                    },
+                );
             }
-            if let Some(&w) = scalar_writer.get(&s) {
+            if let Some(w) = scalar_writer[s.0 as usize] {
                 add_label(
                     w,
                     si,
@@ -351,22 +361,29 @@ pub fn build(program: &Program, block: &Block) -> Asdg {
                     },
                 );
             }
-            scalar_writer.insert(s, si);
-            scalar_readers.insert(s, Vec::new());
+            scalar_writer[s.0 as usize] = Some(si);
+            scalar_readers[s.0 as usize].clear();
         }
     }
 
-    let mut edges: Vec<Edge> = edge_map
-        .into_iter()
-        .map(|((src, dst), labels)| Edge { src, dst, labels })
-        .collect();
-    edges.sort_by_key(|e| (e.src, e.dst));
-
+    // Stable: labels of one edge keep their generation order.
+    labels.sort_by_key(|&(src, dst, _)| (src, dst));
+    let mut edges: Vec<Edge> = Vec::new();
     let mut out_edges = vec![Vec::new(); n];
     let mut in_edges = vec![Vec::new(); n];
-    for (i, e) in edges.iter().enumerate() {
-        out_edges[e.src].push(i);
-        in_edges[e.dst].push(i);
+    for (src, dst, label) in labels {
+        match edges.last_mut() {
+            Some(e) if e.src == src && e.dst == dst => e.labels.push(label),
+            _ => {
+                out_edges[src].push(edges.len());
+                in_edges[dst].push(edges.len());
+                edges.push(Edge {
+                    src,
+                    dst,
+                    labels: vec![label],
+                });
+            }
+        }
     }
 
     Asdg {
@@ -415,6 +432,10 @@ mod tests {
         assert_eq!(l12[0].kind, DepKind::Flow);
         let l13 = g.labels_between(0, 2);
         assert_eq!(l13.len(), 2);
+        // Labels keep the order they arose in: statement 3's read of A
+        // before its write of B.
+        let kinds: Vec<DepKind> = l13.iter().map(|l| l.kind).collect();
+        assert_eq!(kinds, vec![DepKind::Flow, DepKind::Anti]);
         let flow = l13.iter().find(|l| l.kind == DepKind::Flow).unwrap();
         let anti = l13.iter().find(|l| l.kind == DepKind::Anti).unwrap();
         assert_eq!(flow.udv, Some(Udv(vec![1, -1])));

@@ -622,8 +622,9 @@ impl CompileCache {
         };
         // The optimizer's other outputs (normal form, ASDGs, traces) stay
         // alive until lowering is done: freeing them first hands their pages
-        // back to the allocator and lowering faults them in again (+5% on the
-        // `compile_cold` median).
+        // back to the allocator and lowering faults them in again (+4% on the
+        // `compile_cold` median, re-measured after the optimizer stopped
+        // copying the program).
         let fresh;
         let (scalarized, depth) = match self.optimized.claim(key.optimize_key()) {
             Lookup::Hit(scalarized) => (scalarized, Depth::Lowered),

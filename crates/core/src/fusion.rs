@@ -4,8 +4,8 @@
 //! algorithm without the `CONTRACTIBLE?` test), and greedy pairwise fusion
 //! (the paper's `f4` transformation).
 
-use crate::asdg::{Asdg, DefId, VarLabel};
-use crate::depvec::DepKind;
+use crate::asdg::{Asdg, DefId, Edge, VarLabel};
+use crate::depvec::{DepKind, Udv};
 use crate::loopstruct::find_loop_structure;
 use crate::normal::Block;
 use crate::verify::{Diagnostic, Stage};
@@ -152,38 +152,35 @@ impl<'a> FusionCtx<'a> {
     /// dependence path from `c` back to `c` — exactly the clusters that
     /// would end up inside an inter-cluster cycle if `c` fused without
     /// them.
+    ///
+    /// Walks the ASDG's own adjacency from the statements of every reached
+    /// cluster, skipping intra-cluster edges; no cluster graph is built.
     pub fn grow(&self, part: &Partition, c: &BTreeSet<usize>) -> BTreeSet<usize> {
         // Chaos-testing hook: lets the supervisor suite prove that a panic
         // deep inside fusion degrades cleanly instead of taking the
         // process down. A no-op unless a fault plan is installed.
         testkit::faults::maybe_panic(testkit::faults::FaultSite::FuseGrow);
-        let nclusters = part.clusters.len();
-        // Cluster-level adjacency.
-        let mut fwd = vec![Vec::new(); nclusters];
-        let mut bwd = vec![Vec::new(); nclusters];
-        for e in &self.asdg.edges {
-            let (cs, cd) = (part.cluster_of(e.src), part.cluster_of(e.dst));
-            if cs != cd {
-                fwd[cs].push(cd);
-                bwd[cd].push(cs);
-            }
-        }
-        let reach = |adj: &Vec<Vec<usize>>| -> Vec<bool> {
-            let mut seen = vec![false; nclusters];
+        let g = self.asdg;
+        // Clusters reachable from `c` over `adj`, whose edges lead to `end`.
+        let reach = |adj: &[Vec<usize>], end: fn(&Edge) -> usize| -> Vec<bool> {
+            let mut seen = vec![false; part.clusters.len()];
             let mut stack: Vec<usize> = c.iter().copied().collect();
             while let Some(v) = stack.pop() {
-                for &w in &adj[v] {
-                    if !seen[w] {
-                        seen[w] = true;
-                        stack.push(w);
+                for &s in &part.clusters[v] {
+                    for &ei in &adj[s] {
+                        let w = part.cluster_of[end(&g.edges[ei])];
+                        if w != v && !seen[w] {
+                            seen[w] = true;
+                            stack.push(w);
+                        }
                     }
                 }
             }
             seen
         };
-        let f = reach(&fwd);
-        let b = reach(&bwd);
-        (0..nclusters)
+        let f = reach(&g.out_edges, |e| e.dst);
+        let b = reach(&g.in_edges, |e| e.src);
+        (0..f.len())
             .filter(|&v| f[v] && b[v] && !c.contains(&v))
             .collect()
     }
@@ -221,37 +218,46 @@ impl<'a> FusionCtx<'a> {
             return Some(Vec::new());
         };
         let rank = self.program.region(region).rank();
+        // Mark the merged statements; an edge is intra-cluster iff both
+        // ends are marked.
+        let mut in_set = vec![false; self.asdg.n];
+        for &s in &stmts {
+            in_set[s] = true;
+        }
         // Favor-communication policy: forbidden pairs must stay apart.
-        let in_set = |s: usize| stmts.binary_search(&s).is_ok();
         if stmts.len() > 1 {
             for &(a, b) in &self.opts.forbidden_pairs {
-                if in_set(a) && in_set(b) {
+                if in_set.get(a) == Some(&true) && in_set.get(b) == Some(&true) {
                     return None;
                 }
             }
         }
-        // Conditions (ii) and (iv) over intra-cluster dependences.
-        let mut deps = Vec::new();
-        for e in &self.asdg.edges {
-            if !(in_set(e.src) && in_set(e.dst)) {
-                continue;
-            }
-            for l in &e.labels {
-                match (&l.var, &l.udv) {
-                    (VarLabel::Scalar(_), _) => return None,
-                    (VarLabel::Array(_), None) => return None,
-                    (VarLabel::Array(_), Some(u)) => {
-                        if l.kind == DepKind::Flow && !u.is_null() {
-                            return None; // condition (ii)
+        // Conditions (ii) and (iv) over intra-cluster dependences: the
+        // out-edges of the marked statements that end at a marked one.
+        // A null UDV constrains no loop, so only the others are kept.
+        let mut deps: Vec<&Udv> = Vec::new();
+        for &s in &stmts {
+            for &ei in &self.asdg.out_edges[s] {
+                let e = &self.asdg.edges[ei];
+                if !in_set[e.dst] {
+                    continue;
+                }
+                for l in &e.labels {
+                    match (&l.var, &l.udv) {
+                        (VarLabel::Scalar(_), _) => return None,
+                        (VarLabel::Array(_), None) => return None,
+                        (VarLabel::Array(_), Some(u)) => {
+                            if u.is_null() {
+                                continue;
+                            }
+                            if l.kind == DepKind::Flow {
+                                return None; // condition (ii)
+                            }
+                            if self.opts.forbid_loop_carried_anti && stmts.len() > 1 {
+                                return None; // commercial-compiler limitation model
+                            }
+                            deps.push(u);
                         }
-                        if self.opts.forbid_loop_carried_anti
-                            && stmts.len() > 1
-                            && l.kind != DepKind::Flow
-                            && !u.is_null()
-                        {
-                            return None; // commercial-compiler limitation model
-                        }
-                        deps.push(u.clone());
                     }
                 }
             }
@@ -267,36 +273,43 @@ impl<'a> FusionCtx<'a> {
     /// array are ordering constraints, not contraction blockers — the
     /// paper's footnote 2 splits ranges for exactly this reason.)
     pub fn contractible_given(&self, x: DefId, part: &Partition, c: &BTreeSet<usize>) -> bool {
-        for &s in &self.asdg.stmts_of_def(x) {
-            if !c.contains(&part.cluster_of(s)) {
-                return false;
-            }
+        let in_c = |s: usize| c.contains(&part.cluster_of(s));
+        if !self.asdg.ref_stmts(x).all(in_c) {
+            return false;
         }
-        for (src, dst, l) in self.asdg.labels_of_def(x) {
-            if l.kind != DepKind::Flow {
-                continue;
-            }
-            if !c.contains(&part.cluster_of(src)) || !c.contains(&part.cluster_of(dst)) {
-                return false;
-            }
-            match &l.udv {
-                Some(u) if u.is_null() => {}
-                _ => return false,
+        // `build` puts a definition's flow labels on its defining
+        // statement's out-edges and nowhere else.
+        let Some(d) = self.asdg.def(x).def_stmt else {
+            return true;
+        };
+        for &ei in &self.asdg.out_edges[d] {
+            let e = &self.asdg.edges[ei];
+            for l in &e.labels {
+                if l.var != VarLabel::Array(x) || l.kind != DepKind::Flow {
+                    continue;
+                }
+                if !in_c(e.src) || !in_c(e.dst) {
+                    return false;
+                }
+                match &l.udv {
+                    Some(u) if u.is_null() => {}
+                    _ => return false,
+                }
             }
         }
         true
+    }
+
+    /// The clusters holding the statements that reference `x`.
+    fn clusters_of_def(&self, x: DefId, part: &Partition) -> BTreeSet<usize> {
+        self.asdg.ref_stmts(x).map(|s| part.cluster_of(s)).collect()
     }
 
     /// `FUSION-FOR-CONTRACTION` (Figure 3). `candidates` must be sorted by
     /// decreasing reference weight (see [`crate::weights::sort_by_weight`]).
     pub fn fusion_for_contraction(&self, part: &mut Partition, candidates: &[DefId]) {
         for &x in candidates {
-            let mut c: BTreeSet<usize> = self
-                .asdg
-                .stmts_of_def(x)
-                .iter()
-                .map(|&s| part.cluster_of(s))
-                .collect();
+            let mut c = self.clusters_of_def(x, part);
             if c.is_empty() {
                 continue;
             }
@@ -313,12 +326,7 @@ impl<'a> FusionCtx<'a> {
     /// reuse.
     pub fn fusion_for_locality(&self, part: &mut Partition, candidates: &[DefId]) {
         for &x in candidates {
-            let mut c: BTreeSet<usize> = self
-                .asdg
-                .stmts_of_def(x)
-                .iter()
-                .map(|&s| part.cluster_of(s))
-                .collect();
+            let mut c = self.clusters_of_def(x, part);
             if c.len() < 2 {
                 continue;
             }
@@ -360,9 +368,9 @@ impl<'a> FusionCtx<'a> {
         let mut arrays = BTreeSet::new();
         for &s in stmts {
             let st = &self.block.stmts[s];
-            for (a, _) in st.reads() {
+            st.for_each_read(|a, _| {
                 arrays.insert(a);
-            }
+            });
             if let Some(a) = st.lhs_array() {
                 arrays.insert(a);
             }
@@ -409,12 +417,7 @@ impl<'a> FusionCtx<'a> {
             .iter()
             .copied()
             .filter(|&x| {
-                let c: BTreeSet<usize> = self
-                    .asdg
-                    .stmts_of_def(x)
-                    .iter()
-                    .map(|&s| part.cluster_of(s))
-                    .collect();
+                let c = self.clusters_of_def(x, part);
                 c.len() <= 1 && self.contractible_given(x, part, &c)
             })
             .collect()
@@ -594,6 +597,24 @@ mod tests {
     }
 
     #[test]
+    fn merged_ok_rejects_a_non_null_flow_that_a_loop_structure_could_carry() {
+        // C := A; B := C@w over one region: the flow on C has UDV (0, 1),
+        // which increasing loops would preserve. Condition (ii) still
+        // forbids the merge; nothing else does.
+        let s = setup(&format!(
+            "{P} begin [R] C := A; [R] B := C@w; s := +<< [R] B; end"
+        ));
+        let ctx = FusionCtx::new(&s.np.program, &s.np.blocks[0], &s.asdg);
+        let part = Partition::trivial(s.asdg.n);
+        let l = s.asdg.labels_between(0, 1);
+        assert_eq!(l.len(), 1);
+        assert_eq!(l[0].udv, Some(Udv(vec![0, 1])));
+        assert_eq!(find_loop_structure(&[Udv(vec![0, 1])], 2), Some(vec![1, 2]));
+        let c: BTreeSet<usize> = [0usize, 1].into_iter().collect();
+        assert_eq!(ctx.merged_ok(&part, &c), None);
+    }
+
+    #[test]
     fn grow_pulls_in_intermediate_cluster() {
         // B := A; C := B@w; D... use: B read by stmt1 (offset) and stmt2
         // (aligned). Fusing stmts {0, 2} for B would create a cycle through
@@ -606,6 +627,32 @@ mod tests {
         let c: BTreeSet<usize> = [0usize, 2].into_iter().collect();
         let grown = ctx.grow(&part, &c);
         assert!(grown.contains(&1), "stmt 1 lies on the path 0 -> 1 -> 2");
+    }
+
+    #[test]
+    fn grow_walks_every_statement_of_a_reached_cluster() {
+        // A chain 0 -> 1 -> 2 -> 3 -> 4 over distinct arrays. With 1 and 2
+        // merged, the forward walk from 0 reaches 3 only through
+        // statement 2: the cluster's edge 1 -> 2 is intra-cluster and
+        // skipped, and 2's out-edge must still be followed.
+        let s = setup(
+            "program p; config n : int = 8; region R = [1..n, 1..n]; \
+             var A, B, C, D, E, F : [R] float; begin \
+             [R] B := A; [R] C := B; [R] D := C; [R] E := D; [R] F := E; end",
+        );
+        let ctx = FusionCtx::new(&s.np.program, &s.np.blocks[0], &s.asdg);
+        let mut part = Partition::trivial(s.asdg.n);
+        let ends: BTreeSet<usize> = [0usize, 4].into_iter().collect();
+        let trivial: Vec<usize> = ctx.grow(&part, &ends).into_iter().collect();
+        assert_eq!(trivial, vec![1, 2, 3]);
+        part.merge(&[1usize, 2].into_iter().collect());
+        let merged: Vec<usize> = ctx.grow(&part, &ends).into_iter().collect();
+        assert_eq!(merged, vec![1, 3]);
+        let inner: BTreeSet<usize> = [1usize].into_iter().collect();
+        assert!(
+            ctx.grow(&part, &inner).is_empty(),
+            "no path leaves and re-enters {{1, 2}}"
+        );
     }
 
     #[test]

@@ -9,11 +9,14 @@
 //! row-major allocation.
 
 use crate::depvec::Udv;
+use std::borrow::Borrow;
 
 /// Searches for a legal loop structure vector.
 ///
 /// Returns `None` when no legal structure exists (`NOSOLUTION` in the
-/// paper), which in turn rejects the candidate fusion.
+/// paper), which in turn rejects the candidate fusion. The answer depends
+/// on the set of vectors only, not on their order or multiplicity, so
+/// callers may pass owned or borrowed UDVs in any order.
 ///
 /// The returned vector `p` satisfies: for every `u` in `deps`, the
 /// constrained vector of `u` under `p` is lexicographically nonnegative.
@@ -25,9 +28,12 @@ use crate::depvec::Udv;
 /// let p = find_loop_structure(&[Udv(vec![-1, 0])], 2).unwrap();
 /// assert_eq!(p, vec![-1, 2]);
 /// ```
-pub fn find_loop_structure(deps: &[Udv], rank: usize) -> Option<Vec<i8>> {
-    debug_assert!(deps.iter().all(|u| u.rank() == rank), "UDV rank mismatch");
-    let mut remaining: Vec<&Udv> = deps.iter().collect();
+pub fn find_loop_structure<U: Borrow<Udv>>(deps: &[U], rank: usize) -> Option<Vec<i8>> {
+    debug_assert!(
+        deps.iter().all(|u| u.borrow().rank() == rank),
+        "UDV rank mismatch"
+    );
+    let mut remaining: Vec<&Udv> = deps.iter().map(Borrow::borrow).collect();
     let mut assigned = vec![false; rank];
     let mut p = Vec::with_capacity(rank);
     for _loop_i in 0..rank {
@@ -57,7 +63,7 @@ pub fn find_loop_structure(deps: &[Udv], rank: usize) -> Option<Vec<i8>> {
         remaining.retain(|u| u.0[j] == 0);
     }
     debug_assert!(
-        deps.iter().all(|u| u.preserved_by(&p)),
+        deps.iter().all(|u| u.borrow().preserved_by(&p)),
         "found structure must be legal"
     );
     Some(p)
@@ -69,8 +75,9 @@ mod tests {
 
     #[test]
     fn unconstrained_prefers_row_major() {
-        assert_eq!(find_loop_structure(&[], 2), Some(vec![1, 2]));
-        assert_eq!(find_loop_structure(&[], 3), Some(vec![1, 2, 3]));
+        let none: [Udv; 0] = [];
+        assert_eq!(find_loop_structure(&none, 2), Some(vec![1, 2]));
+        assert_eq!(find_loop_structure(&none, 3), Some(vec![1, 2, 3]));
     }
 
     #[test]

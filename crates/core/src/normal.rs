@@ -86,6 +86,16 @@ impl BStmt {
         }
     }
 
+    /// Visits the statement's reads in the order [`BStmt::reads`] lists
+    /// them, without copying an offset.
+    pub fn for_each_read(&self, mut f: impl FnMut(ArrayId, &zlang::ir::Offset)) {
+        match self {
+            BStmt::Array(s) => s.rhs.for_each_read(&mut f),
+            BStmt::Reduce { arg, .. } => arg.for_each_read(&mut f),
+            BStmt::Scalar { .. } => {}
+        }
+    }
+
     /// All scalars read by the statement.
     pub fn scalar_reads(&self) -> Vec<ScalarId> {
         fn from_array(e: &ArrayExpr, out: &mut Vec<ScalarId>) {
@@ -162,7 +172,9 @@ pub enum NStmt {
 /// temporaries appended) plus basic blocks under a control-flow skeleton.
 #[derive(Debug, Clone, PartialEq)]
 pub struct NormProgram {
-    /// The program with compiler temporaries appended to `arrays`.
+    /// The source program's declarations, with compiler temporaries
+    /// appended to `arrays`. Its `body` is empty: the statements live in
+    /// [`NormProgram::blocks`], under the skeleton [`NormProgram::body`].
     pub program: Program,
     /// All basic blocks.
     pub blocks: Vec<Block>,
@@ -193,7 +205,8 @@ struct Normalizer {
 
 impl Normalizer {
     fn push_array_stmt(&mut self, block: &mut Block, s: &ArrayStmt) {
-        let reads_lhs = s.rhs.reads().iter().any(|(a, _)| *a == s.lhs);
+        let mut reads_lhs = false;
+        s.rhs.for_each_read(&mut |a, _| reads_lhs |= a == s.lhs);
         if reads_lhs {
             // Split through a compiler temporary (the paper's rule: always
             // insert; contraction removes it when unneeded).
@@ -284,10 +297,20 @@ impl Normalizer {
 }
 
 /// Normalizes a program: inserts compiler temporaries and builds the basic
-/// block structure.
+/// block structure. The statement tree is read in place; only the
+/// declarations are copied.
 pub fn normalize(program: &Program) -> NormProgram {
+    let decls = Program {
+        name: program.name.clone(),
+        configs: program.configs.clone(),
+        regions: program.regions.clone(),
+        arrays: program.arrays.clone(),
+        scalars: program.scalars.clone(),
+        body: Vec::new(),
+        names: program.names.clone(),
+    };
     let mut n = Normalizer {
-        program: program.clone(),
+        program: decls,
         blocks: Vec::new(),
     };
     let body = n.lower(&program.body);
@@ -317,7 +340,7 @@ pub fn contraction_candidates(np: &NormProgram) -> Vec<Option<usize>> {
     for (bi, block) in np.blocks.iter().enumerate() {
         for s in &block.stmts {
             // Reads first: a statement's RHS is evaluated before its write.
-            for (a, _) in s.reads() {
+            s.for_each_read(|a, _| {
                 let inf = &mut info[a.0 as usize];
                 if !inf.blocks.contains(&bi) {
                     inf.blocks.push(bi);
@@ -327,7 +350,7 @@ pub fn contraction_candidates(np: &NormProgram) -> Vec<Option<usize>> {
                     inf.first_is_write = false;
                 }
                 inf.read_anywhere = true;
-            }
+            });
             if let Some(a) = s.lhs_array() {
                 let inf = &mut info[a.0 as usize];
                 if !inf.blocks.contains(&bi) {
@@ -368,6 +391,21 @@ mod tests {
         assert_eq!(np.compiler_temps(), 0);
         assert_eq!(np.blocks.len(), 1);
         assert_eq!(np.blocks[0].stmts.len(), 1);
+    }
+
+    #[test]
+    fn normalize_copies_declarations_only() {
+        let p = zlang::compile(&format!(
+            "{P} begin [R] A := A@w + 1.0; for k := 1 to 2 do [R] B := A; end; end"
+        ))
+        .unwrap();
+        let np = normalize(&p);
+        assert!(np.program.body.is_empty(), "statements live in the blocks");
+        assert_eq!(np.blocks.len(), 2);
+        assert_eq!(np.program.arrays.len(), p.arrays.len() + 1);
+        assert_eq!(np.program.arrays[..p.arrays.len()], p.arrays[..]);
+        assert_eq!(np.program.scalars, p.scalars);
+        assert_eq!(np.program.array_by_name("_t0"), Some(ArrayId(3)));
     }
 
     #[test]

@@ -366,15 +366,21 @@ impl<'s> CompileSession<'s> {
                 partition: Partition::trivial(g.n),
                 ..BlockWork::default()
             };
-            for (ai, cand) in candidates.iter().enumerate() {
-                if *cand != Some(bi) {
-                    continue;
-                }
-                let a = ArrayId(ai as u32);
+            // One scan over the definitions; the stable sort by array
+            // then lists them per candidate array, in creation order.
+            let mut defs: Vec<(ArrayId, DefId)> = g
+                .defs
+                .iter()
+                .enumerate()
+                .filter(|(_, d)| candidates[d.array.0 as usize] == Some(bi))
+                .map(|(i, d)| (d.array, DefId(i as u32)))
+                .collect();
+            defs.sort_by_key(|&(a, _)| a);
+            for (a, d) in defs {
                 if np.program.array(a).compiler_temp {
-                    b.work.compiler_defs.extend(g.defs_of(a));
+                    b.work.compiler_defs.push(d);
                 } else {
-                    b.work.user_defs.extend(g.defs_of(a));
+                    b.work.user_defs.push(d);
                 }
             }
         }
@@ -712,13 +718,8 @@ pub(crate) fn find_loop_structure(s: &mut CompileSession<'_>) -> bool {
 pub(crate) fn scalarize(s: &mut CompileSession<'_>) -> bool {
     s.each_block(|ctx, b| {
         let contracted: HashSet<DefId> = b.contracted.iter().copied().collect();
-        b.out = scalarize::scalarize_block_with_structures(
-            ctx,
-            &b.partition,
-            &contracted,
-            &b.groups,
-            Some(&b.structures),
-        );
+        b.out =
+            scalarize::scalarize_block(ctx, &b.partition, &contracted, &b.groups, &b.structures);
         true
     });
 
@@ -741,7 +742,7 @@ pub(crate) fn scalarize(s: &mut CompileSession<'_>) -> bool {
 
     let scalarized = ScalarProgram {
         program: np.program.clone(),
-        stmts: splice(&np.body, &s.blocks),
+        stmts: splice(&np.body, &mut s.blocks),
     };
 
     // Figure 7 accounting: arrays referenced before vs after.
@@ -773,12 +774,14 @@ pub(crate) fn scalarize(s: &mut CompileSession<'_>) -> bool {
     true
 }
 
-/// Splices scalarized blocks back into the control-flow skeleton.
-fn splice(body: &[NStmt], blocks: &[BlockState]) -> Vec<LStmt> {
+/// Splices scalarized blocks back into the control-flow skeleton, moving
+/// each block's loop nests out of its state (each block index appears
+/// once in the skeleton).
+fn splice(body: &[NStmt], blocks: &mut [BlockState]) -> Vec<LStmt> {
     let mut out = Vec::new();
     for s in body {
         match s {
-            NStmt::Block(i) => out.extend(blocks[*i].work.out.iter().cloned()),
+            NStmt::Block(i) => out.append(&mut blocks[*i].work.out),
             NStmt::For {
                 var,
                 lo,
@@ -811,9 +814,7 @@ fn referenced_arrays(np: &NormProgram) -> Vec<ArrayId> {
     let mut seen = vec![false; np.program.arrays.len()];
     for block in &np.blocks {
         for s in &block.stmts {
-            for (a, _) in s.reads() {
-                seen[a.0 as usize] = true;
-            }
+            s.for_each_read(|a, _| seen[a.0 as usize] = true);
             if let Some(a) = s.lhs_array() {
                 seen[a.0 as usize] = true;
             }
@@ -834,6 +835,24 @@ mod tests {
     fn compile_session_is_send_and_sync() {
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<CompileSession<'_>>();
+    }
+
+    #[test]
+    fn optimizer_copies_carry_declarations_only() {
+        let program = zlang::compile(
+            "program p; config n : int = 6; region R = [1..n]; var A, B : [R] float; \
+             var s : float; var k : int; begin for k := 1 to 2 do [R] A := A@[0] + 1.0; \
+             [R] B := A; end; s := +<< [R] B; end",
+        )
+        .unwrap();
+        let opt = Pipeline::new(crate::pipeline::Level::C2F3).optimize(&program);
+        assert!(opt.norm.program.body.is_empty());
+        assert!(opt.scalarized.program.body.is_empty());
+        assert_eq!(opt.scalarized.program.arrays, opt.norm.program.arrays);
+        // Both blocks were moved into the skeleton: the loop and the
+        // reduction after it.
+        assert!(matches!(&opt.scalarized.stmts[0], LStmt::For { body, .. } if !body.is_empty()));
+        assert!(opt.scalarized.stmts.len() > 1);
     }
 
     #[test]

@@ -11,27 +11,27 @@ use crate::asdg::DefId;
 use crate::fusion::{FusionCtx, Partition};
 use crate::normal::BStmt;
 use loopir::{EExpr, ElemRef, ElemStmt, LStmt, LoopNest, TempId};
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashSet};
 use zlang::ast::ReduceOp;
 use zlang::ir::{ArrayExpr, ArrayId, Offset, ScalarExpr};
 
 /// Converts an element-wise array expression into a loop-body expression,
-/// demoting reads of contracted definitions to temps via `read_map`.
-fn lower_expr(
-    e: &ArrayExpr,
-    read_map: &HashMap<ArrayId, DefId>,
-    temp_of: &HashMap<DefId, TempId>,
-) -> EExpr {
+/// demoting reads of contracted definitions to temps: `read_defs` is the
+/// statement's `(array, offset, definition)` list from the ASDG, and the
+/// definition at index `t` of `temps` lives in temp `t`.
+fn lower_expr(e: &ArrayExpr, read_defs: &[(ArrayId, Offset, DefId)], temps: &[DefId]) -> EExpr {
     match e {
         ArrayExpr::Read(a, off) => {
-            let def = read_map.get(a).copied();
-            match def.and_then(|d| temp_of.get(&d)) {
-                Some(&t) => {
+            // Every read of one array in a statement sees the same
+            // definition: writes come after the reads.
+            let def = read_defs.iter().find(|r| r.0 == *a).map(|r| r.2);
+            match def.and_then(|d| temps.iter().position(|&t| t == d)) {
+                Some(t) => {
                     debug_assert!(
                         off.is_zero(),
                         "contracted reads must be aligned (null UDV guarantees this)"
                     );
-                    EExpr::Temp(t)
+                    EExpr::Temp(TempId(t as u32))
                 }
                 None => EExpr::Load(*a, off.clone()),
             }
@@ -41,17 +41,17 @@ fn lower_expr(
         ArrayExpr::Const(v) => EExpr::Const(*v),
         ArrayExpr::Index(d) => EExpr::Index(*d),
         ArrayExpr::Unary(op, inner) => {
-            EExpr::Unary(*op, Box::new(lower_expr(inner, read_map, temp_of)))
+            EExpr::Unary(*op, Box::new(lower_expr(inner, read_defs, temps)))
         }
         ArrayExpr::Binary(op, l, r) => EExpr::Binary(
             *op,
-            Box::new(lower_expr(l, read_map, temp_of)),
-            Box::new(lower_expr(r, read_map, temp_of)),
+            Box::new(lower_expr(l, read_defs, temps)),
+            Box::new(lower_expr(r, read_defs, temps)),
         ),
         ArrayExpr::Call(i, args) => EExpr::Call(
             *i,
             args.iter()
-                .map(|a| lower_expr(a, read_map, temp_of))
+                .map(|a| lower_expr(a, read_defs, temps))
                 .collect(),
         ),
     }
@@ -68,13 +68,14 @@ pub fn reduce_identity(op: ReduceOp) -> f64 {
 }
 
 /// Kahn's algorithm with a smallest-first tie break over arbitrary keyed
-/// nodes; `edges` are (from, to) pairs over `0..n`.
+/// nodes; `edges` are (from, to) pairs over `0..n`. A repeated pair adds
+/// to its target's in-degree once per copy and is released once per
+/// copy, so repeats need no removal; self-loops are skipped.
 fn kahn(n: usize, edges: &[(usize, usize)], key: impl Fn(usize) -> usize) -> Vec<usize> {
     let mut indegree = vec![0usize; n];
     let mut succ: Vec<Vec<usize>> = vec![Vec::new(); n];
-    let mut seen = HashSet::new();
     for &(a, b) in edges {
-        if a != b && seen.insert((a, b)) {
+        if a != b {
             succ[a].push(b);
             indegree[b] += 1;
         }
@@ -109,51 +110,52 @@ fn topo_nodes(
     part: &Partition,
     groups: &[crate::ext::PartialGroup],
 ) -> Vec<Vec<usize>> {
-    let live = part.live_clusters();
-    // Node assignment: group members share a node.
-    let mut node_of: HashMap<usize, usize> = HashMap::new();
+    const NONE: usize = usize::MAX;
+    // Cluster ids are statement indices, so both maps index by cluster.
+    let cluster_edges = || {
+        ctx.asdg
+            .edges
+            .iter()
+            .map(|e| (part.cluster_of(e.src), part.cluster_of(e.dst)))
+    };
+    let mut node_of = vec![NONE; ctx.asdg.n];
     let mut nodes: Vec<Vec<usize>> = Vec::new();
+    // Node assignment: group members share a node.
+    let mut member_pos = vec![NONE; ctx.asdg.n];
     for g in groups {
         let id = nodes.len();
-        let mut members: Vec<usize> = g.clusters.iter().copied().collect();
+        let members: Vec<usize> = g.clusters.iter().copied().collect();
         // Internal topological order among members.
-        let member_pos: HashMap<usize, usize> =
-            members.iter().enumerate().map(|(i, &c)| (c, i)).collect();
-        let mut inner_edges = Vec::new();
-        for e in &ctx.asdg.edges {
-            let (a, b) = (part.cluster_of(e.src), part.cluster_of(e.dst));
-            if let (Some(&pa), Some(&pb)) = (member_pos.get(&a), member_pos.get(&b)) {
-                if pa != pb {
-                    inner_edges.push((pa, pb));
-                }
-            }
+        for (i, &c) in members.iter().enumerate() {
+            member_pos[c] = i;
         }
+        let inner_edges: Vec<(usize, usize)> = cluster_edges()
+            .map(|(a, b)| (member_pos[a], member_pos[b]))
+            .filter(|&(pa, pb)| pa != NONE && pb != NONE && pa != pb)
+            .collect();
         let order = kahn(members.len(), &inner_edges, |i| part.cluster(members[i])[0]);
-        members = order.into_iter().map(|i| members[i]).collect();
         for &c in &members {
-            node_of.insert(c, id);
+            member_pos[c] = NONE;
+            node_of[c] = id;
         }
-        nodes.push(members);
+        nodes.push(order.into_iter().map(|i| members[i]).collect());
     }
-    for &c in &live {
-        if let std::collections::hash_map::Entry::Vacant(e) = node_of.entry(c) {
-            e.insert(nodes.len());
+    for c in part.live_clusters() {
+        if node_of[c] == NONE {
+            node_of[c] = nodes.len();
             nodes.push(vec![c]);
         }
     }
     // Node-level edges.
-    let mut edges = Vec::new();
-    for e in &ctx.asdg.edges {
-        let (a, b) = (
-            node_of[&part.cluster_of(e.src)],
-            node_of[&part.cluster_of(e.dst)],
-        );
-        if a != b {
-            edges.push((a, b));
-        }
-    }
+    let edges: Vec<(usize, usize)> = cluster_edges()
+        .map(|(a, b)| (node_of[a], node_of[b]))
+        .filter(|&(a, b)| a != b)
+        .collect();
     let order = kahn(nodes.len(), &edges, |i| part.cluster(nodes[i][0])[0]);
-    order.into_iter().map(|i| nodes[i].clone()).collect()
+    order
+        .into_iter()
+        .map(|i| std::mem::take(&mut nodes[i]))
+        .collect()
 }
 
 /// Lowers one fusible cluster to a loop nest, returning the reduction
@@ -173,28 +175,23 @@ pub fn lower_cluster(
     let region = ctx.block.stmts[stmts[0]]
         .region()
         .expect("invariant: fusion only clusters array statements, which always carry a region");
-    // Assign temps to contracted definitions referenced in this cluster.
-    let mut temp_of: HashMap<DefId, TempId> = HashMap::new();
-    for &s in stmts {
-        if let Some(d) = ctx.asdg.write_def[s] {
-            if contracted.contains(&d) {
-                let next = TempId(temp_of.len() as u32);
-                temp_of.entry(d).or_insert(next);
-            }
-        }
-    }
+    // Assign temps to the contracted definitions this cluster writes, in
+    // statement order: temp `t` holds `temps[t]`.
+    let temps: Vec<DefId> = stmts
+        .iter()
+        .filter_map(|&s| ctx.asdg.write_def[s])
+        .filter(|d| contracted.contains(d))
+        .collect();
     let mut body = Vec::new();
     let mut inits = Vec::new();
     for &s in stmts {
-        let read_map: HashMap<ArrayId, DefId> = ctx.asdg.read_defs[s]
-            .iter()
-            .map(|&(a, _, d)| (a, d))
-            .collect();
+        let read_defs = &ctx.asdg.read_defs[s];
         match &ctx.block.stmts[s] {
             BStmt::Array(ast) => {
-                let rhs = lower_expr(&ast.rhs, &read_map, &temp_of);
-                let target = match ctx.asdg.write_def[s].and_then(|d| temp_of.get(&d)) {
-                    Some(&t) => ElemRef::Temp(t),
+                let rhs = lower_expr(&ast.rhs, read_defs, &temps);
+                let temp = ctx.asdg.write_def[s].and_then(|d| temps.iter().position(|&t| t == d));
+                let target = match temp {
+                    Some(t) => ElemRef::Temp(TempId(t as u32)),
                     None => {
                         let rank = ctx.program.region(ast.region).rank();
                         ElemRef::Array(ast.lhs, Offset::zero(rank))
@@ -209,7 +206,7 @@ pub fn lower_cluster(
                 });
                 body.push(ElemStmt {
                     target: ElemRef::Reduce(*lhs, *op),
-                    rhs: lower_expr(arg, &read_map, &temp_of),
+                    rhs: lower_expr(arg, read_defs, &temps),
                 });
             }
             BStmt::Scalar { .. } => unreachable!("scalar statements are singleton clusters"),
@@ -222,19 +219,9 @@ pub fn lower_cluster(
             structure,
             body,
             cluster,
-            temps: temp_of.len() as u32,
+            temps: temps.len() as u32,
         },
     )
-}
-
-/// Scalarizes one basic block given its final fusion partition and the set
-/// of contracted definitions.
-pub fn scalarize_block(
-    ctx: &FusionCtx<'_>,
-    part: &Partition,
-    contracted: &HashSet<DefId>,
-) -> Vec<LStmt> {
-    scalarize_block_grouped(ctx, part, contracted, &[])
 }
 
 /// Runs `FIND-LOOP-STRUCTURE` for every cluster that will be lowered as
@@ -243,7 +230,7 @@ pub fn scalarize_block(
 /// Partial-fusion group members are skipped (their inner structures come
 /// from [`crate::ext::PartialGroup::inner`]), as are lone scalar
 /// statements (which lower without loops). The result feeds
-/// [`scalarize_block_with_structures`], letting the optimizer run
+/// [`scalarize_block`], letting the optimizer run
 /// structure selection and lowering as separate passes.
 pub fn cluster_structures(
     ctx: &FusionCtx<'_>,
@@ -264,28 +251,19 @@ pub fn cluster_structures(
     out
 }
 
-/// Scalarizes a block with partial-fusion groups: each group's clusters
-/// share one outer loop ([`LStmt::Outer`]) over the group's dimension,
-/// enabling dimension contraction of the arrays flowing between them.
-pub fn scalarize_block_grouped(
+/// Scalarizes one basic block given its final fusion partition, the set
+/// of contracted definitions, its partial-fusion groups (each group's
+/// clusters share one outer loop, [`LStmt::Outer`], over the group's
+/// dimension, enabling dimension contraction of the arrays flowing between
+/// them) and the per-cluster loop structures [`cluster_structures`]
+/// selected. A cluster absent from `structures` has its structure
+/// computed on the spot.
+pub fn scalarize_block(
     ctx: &FusionCtx<'_>,
     part: &Partition,
     contracted: &HashSet<DefId>,
     groups: &[crate::ext::PartialGroup],
-) -> Vec<LStmt> {
-    scalarize_block_with_structures(ctx, part, contracted, groups, None)
-}
-
-/// Like [`scalarize_block_grouped`], but taking precomputed per-cluster
-/// loop structures (from [`cluster_structures`]) instead of invoking
-/// `FIND-LOOP-STRUCTURE` during lowering. Clusters absent from the map
-/// fall back to computing their structure on the spot.
-pub fn scalarize_block_with_structures(
-    ctx: &FusionCtx<'_>,
-    part: &Partition,
-    contracted: &HashSet<DefId>,
-    groups: &[crate::ext::PartialGroup],
-    structures: Option<&BTreeMap<usize, Vec<i8>>>,
+    structures: &BTreeMap<usize, Vec<i8>>,
 ) -> Vec<LStmt> {
     let group_of = |cluster: usize| groups.iter().position(|g| g.clusters.contains(&cluster));
     let mut out = Vec::new();
@@ -306,7 +284,7 @@ pub fn scalarize_block_with_structures(
         match group_of(node[0]) {
             None => {
                 debug_assert_eq!(node.len(), 1);
-                let known = structures.and_then(|m| m.get(&node[0]).cloned());
+                let known = structures.get(&node[0]).cloned();
                 let (inits, nest) = lower_cluster(ctx, part, contracted, node[0], known);
                 out.extend(inits);
                 out.push(LStmt::Nest(nest));
@@ -371,7 +349,7 @@ mod tests {
             ctx.fusion_for_contraction(&mut part, &defs);
             contracted = ctx.contracted_defs(&part, &defs).into_iter().collect();
         }
-        let stmts = scalarize_block(&ctx, &part, &contracted);
+        let stmts = scalarize_block(&ctx, &part, &contracted, &[], &BTreeMap::new());
         let ncontracted = contracted.len();
         (
             ScalarProgram {

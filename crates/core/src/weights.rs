@@ -11,34 +11,26 @@ use crate::asdg::{Asdg, DefId};
 use crate::normal::Block;
 use zlang::ir::{ConfigBinding, Program};
 
+/// Every region's size under `binding`, indexed by region id: the sizes
+/// [`def_weight`] reads, evaluated once per program.
+pub fn region_sizes(program: &Program, binding: &ConfigBinding) -> Vec<u64> {
+    program.regions.iter().map(|r| r.size(binding)).collect()
+}
+
 /// Computes `w(x, G)` for a definition: the sum over its references
 /// (the defining write plus every read) of the referencing statement's
-/// region size, evaluated under `binding`.
-pub fn def_weight(
-    program: &Program,
-    block: &Block,
-    asdg: &Asdg,
-    def: DefId,
-    binding: &ConfigBinding,
-) -> u64 {
-    let info = asdg.def(def);
-    let mut w = 0u64;
-    if let Some(s) = info.def_stmt {
-        if let Some(r) = block.stmts[s].region() {
-            w += program.region(r).size(binding);
-        }
-    }
-    for &(s, _) in &info.reads {
-        if let Some(r) = block.stmts[s].region() {
-            w += program.region(r).size(binding);
-        }
-    }
-    w
+/// region size, read from `sizes` ([`region_sizes`]).
+pub fn def_weight(block: &Block, asdg: &Asdg, def: DefId, sizes: &[u64]) -> u64 {
+    asdg.ref_stmts(def)
+        .filter_map(|s| block.stmts[s].region())
+        .map(|r| sizes[r.0 as usize])
+        .sum()
 }
 
 /// Sorts candidate definitions by decreasing weight (ties broken by
 /// definition id for determinism) — the order `FUSION-FOR-CONTRACTION`
-/// considers them in.
+/// considers them in. Each region's size is evaluated once, and each
+/// candidate's weight once.
 pub fn sort_by_weight(
     program: &Program,
     block: &Block,
@@ -46,12 +38,8 @@ pub fn sort_by_weight(
     mut candidates: Vec<DefId>,
     binding: &ConfigBinding,
 ) -> Vec<DefId> {
-    candidates.sort_by_key(|&d| {
-        (
-            std::cmp::Reverse(def_weight(program, block, asdg, d, binding)),
-            d,
-        )
-    });
+    let sizes = region_sizes(program, binding);
+    candidates.sort_by_cached_key(|&d| (std::cmp::Reverse(def_weight(block, asdg, d, &sizes)), d));
     candidates
 }
 
@@ -64,9 +52,10 @@ pub fn contraction_benefit(
     contracted: &[DefId],
     binding: &ConfigBinding,
 ) -> u64 {
+    let sizes = region_sizes(program, binding);
     contracted
         .iter()
-        .map(|&d| def_weight(program, block, asdg, d, binding))
+        .map(|&d| def_weight(block, asdg, d, &sizes))
         .sum()
 }
 
@@ -91,16 +80,11 @@ mod tests {
         let b_def = g.defs_of(names["B"])[0];
         // B: 1 write + 2 reads in stmt 1 + 1 read in the reduce = 4 refs of
         // a 100-element region.
-        assert_eq!(
-            def_weight(&np.program, &np.blocks[0], &g, b_def, &binding),
-            400
-        );
+        let sizes = region_sizes(&np.program, &binding);
+        assert_eq!(def_weight(&np.blocks[0], &g, b_def, &sizes), 400);
         let c_def = g.defs_of(names["C"])[0];
         // C: 1 write + 1 read.
-        assert_eq!(
-            def_weight(&np.program, &np.blocks[0], &g, c_def, &binding),
-            200
-        );
+        assert_eq!(def_weight(&np.blocks[0], &g, c_def, &sizes), 200);
         let sorted = sort_by_weight(&np.program, &np.blocks[0], &g, vec![c_def, b_def], &binding);
         assert_eq!(sorted, vec![b_def, c_def]);
         assert_eq!(
@@ -121,14 +105,16 @@ mod tests {
         let names = np.program.array_names();
         let b_def = g.defs_of(names["B"])[0];
         let mut binding = np.default_binding();
-        assert_eq!(
-            def_weight(&np.program, &np.blocks[0], &g, b_def, &binding),
-            20
-        );
+        let weight = |binding: &ConfigBinding| {
+            def_weight(
+                &np.blocks[0],
+                &g,
+                b_def,
+                &region_sizes(&np.program, binding),
+            )
+        };
+        assert_eq!(weight(&binding), 20);
         binding.set_by_name(&np.program, "n", 50);
-        assert_eq!(
-            def_weight(&np.program, &np.blocks[0], &g, b_def, &binding),
-            100
-        );
+        assert_eq!(weight(&binding), 100);
     }
 }

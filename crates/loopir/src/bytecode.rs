@@ -1820,7 +1820,11 @@ pub(crate) fn disasm(code: &Code) -> String {
             }
         }
         for &(slot, from) in &s.finals {
-            let _ = writeln!(out, ";;   on exit r{} = l{from}", s.lane_regs[slot as usize]);
+            let _ = writeln!(
+                out,
+                ";;   on exit r{} = l{from}",
+                s.lane_regs[slot as usize]
+            );
         }
     }
     out

@@ -178,8 +178,10 @@ pub enum LStmt {
 /// statement list of loop nests and scalar control flow.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScalarProgram {
-    /// The source-level program (declarations are shared; its body is *not*
-    /// used for execution — `stmts` is).
+    /// The program's declarations: configs, regions, arrays (compiler
+    /// temporaries and collapsed dimensions included) and scalars. Its
+    /// `body` is empty when the optimizer built it: the statements live in
+    /// [`ScalarProgram::stmts`].
     pub program: zlang::ir::Program,
     /// The scalarized statement list.
     pub stmts: Vec<LStmt>,

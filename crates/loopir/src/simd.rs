@@ -761,7 +761,10 @@ pub(crate) fn analyze_loop(
     };
     let writes = body.iter().filter(|op| op.dst().is_some()).count();
     let mut finals = Vec::new();
-    if writes > n_lane || body.iter().any(|op| matches!(op, LaneOp::Mov { .. }) || bcast_only(op))
+    if writes > n_lane
+        || body
+            .iter()
+            .any(|op| matches!(op, LaneOp::Mov { .. }) || bcast_only(op))
     {
         let outer = rows.ok().map(|rows| rows.dim);
         let mut uses = walk(&mut body, n_lane, &bcast, outer);
@@ -958,15 +961,12 @@ fn fold_loads(code: &Code, body: &mut [LaneOp], uses: &[Use], dim: usize, step: 
         let mut j = first as usize;
         if moved {
             // A dropped copy handed its readers on: count them again.
-            let mut read = (i + 1..=next as usize).filter(|&k| {
-                !uses[k].dropped && body[k].srcs().contains(&Src::lane(dst))
-            });
+            let mut read = (i + 1..=next as usize)
+                .filter(|&k| !uses[k].dropped && body[k].srcs().contains(&Src::lane(dst)));
             (readers, j) = (read.clone().count() as u32, read.next().unwrap_or(i));
         }
         let a = &code.accesses[acc as usize];
-        let stores_arr = |op: &LaneOp| {
-            matches!(*op, LaneOp::Store { acc, .. } if code.accesses[acc as usize].arr == a.arr)
-        };
+        let stores_arr = |op: &LaneOp| matches!(*op, LaneOp::Store { acc, .. } if code.accesses[acc as usize].arr == a.arr);
         if readers != 1
             || a.strides[dim] * step != 1
             || !matches!(
