@@ -24,7 +24,7 @@
 
 use crate::interp::ExecError;
 use crate::ir::{EExpr, ElemRef, LStmt, LoopNest, ScalarProgram};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use zlang::ast::{BinOp, ReduceOp, UnOp};
 use zlang::ir::{ArrayId, ConfigBinding, Intrinsic, Offset, ScalarExpr};
 
@@ -590,13 +590,50 @@ fn reduce_identity(op: ReduceOp) -> f64 {
 }
 
 /// Per-array static layout used while compiling accesses (not needed at
-/// runtime, where `Access` carries everything).
+/// runtime, where `Access` carries everything): the first `rank` entries
+/// of each table describe the array's dimensions.
 struct Layout {
-    lo: Vec<i64>,
-    extent: Vec<i64>,
-    strides: Vec<i64>,
-    collapsed: Vec<bool>,
+    lo: [i64; MAX_RANK],
+    extent: [i64; MAX_RANK],
+    strides: [i64; MAX_RANK],
+    /// Bit `d` is set when dimension `d` is collapsed.
+    collapsed: u8,
+    rank: u8,
 }
+
+impl Layout {
+    fn collapsed(&self, d: usize) -> bool {
+        self.collapsed >> d & 1 != 0
+    }
+}
+
+/// Hashes an interned constant's bit pattern with one multiply and a fold:
+/// the keys are a program's literals, where SipHash's guard against
+/// chosen keys buys nothing. The fold matters: small integers and powers
+/// of two have all-zero low mantissa bits.
+#[derive(Default)]
+struct BitsHasher(u64);
+
+impl std::hash::Hasher for BitsHasher {
+    fn finish(&self) -> u64 {
+        self.0 ^ self.0 >> 32
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, v: u64) {
+        self.0 = (self.0 ^ v ^ v >> 32).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    }
+}
+
+type ConstRegs = HashMap<u64, Reg, std::hash::BuildHasherDefault<BitsHasher>>;
+
+/// One loop of a static ladder: `(dim, ascending, lo, hi)`.
+type LoopSpec = (usize, bool, i64, i64);
 
 struct Compiler<'p> {
     prog: &'p ScalarProgram,
@@ -605,10 +642,15 @@ struct Compiler<'p> {
     accesses: Vec<Access>,
     arrays: Vec<ArrayInfo>,
     layouts: Vec<Layout>,
+    /// Every region's `(lo, hi)` per dimension under the binding,
+    /// evaluated once: region `r`'s are
+    /// `bounds[bounds_at[r]..bounds_at[r + 1]]`.
+    bounds_at: Vec<u32>,
+    bounds: Vec<(i64, i64)>,
     nests: Vec<LoopNest>,
     pars: Vec<ParInfo>,
     consts: Vec<f64>,
-    const_regs: HashMap<u64, Reg>,
+    const_regs: ConstRegs,
     n_scalars: u16,
     temp_base: u16,
     const_base: u16,
@@ -623,6 +665,16 @@ struct Compiler<'p> {
     outer_dims: Vec<(u8, u16, (i64, i64))>,
     /// Flops in the statement currently being compiled.
     stmt_flops: u64,
+    /// `alloc_mark[a] == alloc_epoch`: the current nest or reduction
+    /// already emitted `Alloc` for array `a`.
+    alloc_mark: Vec<u32>,
+    alloc_epoch: u32,
+    /// Reused per nest: its accesses, loads in body order and then stores
+    /// ([`Compiler::touch`]), the ladder it emits, and the temps its body
+    /// has written so far ([`Compiler::par_dim`]).
+    touched: Vec<(ArrayId, &'p Offset)>,
+    order: Vec<LoopSpec>,
+    defined: Vec<bool>,
 }
 
 /// Compiles a scalarized program to bytecode under a config binding.
@@ -639,12 +691,14 @@ pub(crate) fn compile(prog: &ScalarProgram, binding: &ConfigBinding) -> Result<C
         binding,
         ops: Vec::new(),
         accesses: Vec::new(),
-        arrays: Vec::new(),
-        layouts: Vec::new(),
+        arrays: Vec::with_capacity(prog.program.arrays.len()),
+        layouts: Vec::with_capacity(prog.program.arrays.len()),
+        bounds_at: Vec::with_capacity(prog.program.regions.len() + 1),
+        bounds: Vec::new(),
         nests: Vec::new(),
         pars: Vec::new(),
         consts: Vec::new(),
-        const_regs: HashMap::new(),
+        const_regs: ConstRegs::default(),
         n_scalars: n_scalars as u16,
         temp_base: n_scalars as u16,
         const_base: 0,
@@ -655,7 +709,13 @@ pub(crate) fn compile(prog: &ScalarProgram, binding: &ConfigBinding) -> Result<C
         dim_range: [None; MAX_RANK],
         outer_dims: Vec::new(),
         stmt_flops: 0,
+        alloc_mark: vec![0; prog.program.arrays.len()],
+        alloc_epoch: 0,
+        touched: Vec::new(),
+        order: Vec::new(),
+        defined: Vec::new(),
     };
+    c.eval_bounds();
     c.build_layouts()?;
     // Interned constants must be placed before compilation starts so their
     // registers sit below the scratch area: collect them in a pre-pass.
@@ -708,6 +768,28 @@ fn max_temps_in(stmts: &[LStmt], max: &mut u32) {
     }
 }
 
+/// Appends every array load in `e` to `out`, in evaluation order.
+fn loads_in<'e>(e: &'e EExpr, out: &mut Vec<(ArrayId, &'e Offset)>) {
+    match e {
+        EExpr::Load(a, off) => out.push((*a, off)),
+        EExpr::Unary(_, inner) => loads_in(inner, out),
+        EExpr::Binary(_, l, r) => {
+            loads_in(l, out);
+            loads_in(r, out);
+        }
+        EExpr::Call(_, args) => {
+            for a in args {
+                loads_in(a, out);
+            }
+        }
+        EExpr::Temp(_)
+        | EExpr::ScalarRef(_)
+        | EExpr::ConfigRef(_)
+        | EExpr::Const(_)
+        | EExpr::Index(_) => {}
+    }
+}
+
 /// Visits every loop-local temp read by `e`.
 fn temp_reads(e: &EExpr, f: &mut impl FnMut(u32)) {
     match e {
@@ -751,8 +833,20 @@ impl<'p> Compiler<'p> {
         }
     }
 
-    fn region_bounds(&self, r: zlang::ir::RegionId) -> Vec<(i64, i64)> {
-        self.prog.program.region(r).bounds(self.binding)
+    /// Evaluates every region's bounds under the binding, once.
+    fn eval_bounds(&mut self) {
+        for r in &self.prog.program.regions {
+            self.bounds_at.push(self.bounds.len() as u32);
+            let b = self.binding;
+            self.bounds
+                .extend(r.extents.iter().map(|e| (e.lo.eval(b), e.hi.eval(b))));
+        }
+        self.bounds_at.push(self.bounds.len() as u32);
+    }
+
+    fn region_bounds(&self, r: zlang::ir::RegionId) -> &[(i64, i64)] {
+        let r = r.0 as usize;
+        &self.bounds[self.bounds_at[r] as usize..self.bounds_at[r + 1] as usize]
     }
 
     // ---- frame layout -----------------------------------------------------
@@ -772,28 +866,32 @@ impl<'p> Compiler<'p> {
                     bounds.len()
                 )));
             }
-            let mut lo = Vec::with_capacity(bounds.len());
-            let mut extent = Vec::with_capacity(bounds.len());
-            let mut collapsed = Vec::with_capacity(bounds.len());
+            let mut lay = Layout {
+                lo: [0; MAX_RANK],
+                extent: [0; MAX_RANK],
+                strides: [0; MAX_RANK],
+                collapsed: 0,
+                rank: bounds.len() as u8,
+            };
             let mut n: i64 = 1;
             for (d, &(l, h)) in bounds.iter().enumerate() {
                 let e = (h - l + 1).max(0);
                 let is_collapsed = decl.collapsed.contains(&(d as u8));
-                lo.push(l);
-                extent.push(if is_collapsed { e.min(1) } else { e });
-                collapsed.push(is_collapsed);
-                if !is_collapsed {
+                lay.lo[d] = l;
+                lay.extent[d] = if is_collapsed { e.min(1) } else { e };
+                if is_collapsed {
+                    lay.collapsed |= 1 << d;
+                } else {
                     n = n.saturating_mul(e);
                 }
             }
             // Row-major strides over the non-collapsed extents; collapsed
             // dimensions contribute stride 0 so their index is ignored.
-            let mut strides = vec![0i64; bounds.len()];
             let mut running = 1i64;
             for d in (0..bounds.len()).rev() {
-                if !collapsed[d] {
-                    strides[d] = running;
-                    running = running.saturating_mul(extent[d]);
+                if !lay.collapsed(d) {
+                    lay.strides[d] = running;
+                    running = running.saturating_mul(lay.extent[d]);
                 }
             }
             self.arrays.push(ArrayInfo {
@@ -801,12 +899,7 @@ impl<'p> Compiler<'p> {
                 elems: n as usize,
                 bytes: (n as u64) * 8,
             });
-            self.layouts.push(Layout {
-                lo,
-                extent,
-                strides,
-                collapsed,
-            });
+            self.layouts.push(lay);
         }
         Ok(())
     }
@@ -814,10 +907,10 @@ impl<'p> Compiler<'p> {
     // ---- constant interning ----------------------------------------------
 
     fn intern(&mut self, v: f64) {
-        if !self.const_regs.contains_key(&v.to_bits()) {
-            let next = self.consts.len() as Reg;
+        let next = self.consts.len() as Reg;
+        if let std::collections::hash_map::Entry::Vacant(e) = self.const_regs.entry(v.to_bits()) {
+            e.insert(next);
             self.consts.push(v);
-            self.const_regs.insert(v.to_bits(), next);
         }
     }
 
@@ -911,7 +1004,7 @@ impl<'p> Compiler<'p> {
     /// check unless the current loop ranges prove it in bounds.
     fn make_access(&mut self, a: ArrayId, off: &Offset) -> Result<u32, ExecError> {
         let lay = &self.layouts[a.0 as usize];
-        let rank = lay.lo.len();
+        let rank = lay.rank as usize;
         if off.0.len() < rank {
             return Err(err(format!(
                 "offset rank mismatch on array `{}`",
@@ -921,12 +1014,11 @@ impl<'p> Compiler<'p> {
         let mut const_flat = 0i64;
         let mut strides = [0i64; MAX_RANK];
         let mut need_check = false;
-        let mut check_dims = Vec::new();
         // Indexing several parallel per-dimension tables; an iterator chain
         // over one of them would only obscure that.
         #[allow(clippy::needless_range_loop)]
         for d in 0..rank {
-            if lay.collapsed[d] {
+            if lay.collapsed(d) {
                 continue;
             }
             const_flat += lay.strides[d] * (off.0[d] - lay.lo[d]);
@@ -942,11 +1034,14 @@ impl<'p> Compiler<'p> {
             if lo_i < 0 || hi_i >= lay.extent[d] {
                 need_check = true;
             }
-            check_dims.push((d as u8, off.0[d], lay.lo[d], lay.extent[d]));
         }
+        // Only an access the loop ranges cannot prove keeps its check.
         let check = need_check.then(|| {
+            let dims = (0..rank).filter(|&d| !lay.collapsed(d));
             Box::new(Check {
-                dims: check_dims,
+                dims: dims
+                    .map(|d| (d as u8, off.0[d], lay.lo[d], lay.extent[d]))
+                    .collect(),
                 off: off.0.clone(),
                 arr: a,
             })
@@ -1105,7 +1200,7 @@ impl<'p> Compiler<'p> {
 
     // ---- statements -------------------------------------------------------
 
-    fn compile_stmts(&mut self, stmts: &[LStmt]) -> Result<(), ExecError> {
+    fn compile_stmts(&mut self, stmts: &'p [LStmt]) -> Result<(), ExecError> {
         for s in stmts {
             match s {
                 LStmt::Nest(n) => self.compile_nest(n)?,
@@ -1184,15 +1279,33 @@ impl<'p> Compiler<'p> {
         Ok(c)
     }
 
-    /// Emits dedup'd `Alloc` ops for every array a nest touches, in the
-    /// interpreter's order: loads first, then stores, first occurrence wins.
-    fn emit_allocs(&mut self, touched: impl Iterator<Item = ArrayId>) {
-        let mut seen = HashSet::new();
-        for a in touched {
-            if seen.insert(a) {
+    /// Emits dedup'd `Alloc` ops for every array a nest or reduction
+    /// touches, in the interpreter's order: loads first, then stores,
+    /// first occurrence wins.
+    fn emit_allocs(&mut self, touched: &[(ArrayId, &Offset)]) {
+        self.alloc_epoch += 1;
+        for &(a, _) in touched {
+            let mark = &mut self.alloc_mark[a.0 as usize];
+            if *mark != self.alloc_epoch {
+                *mark = self.alloc_epoch;
                 self.emit(Op::Alloc { arr: a.0 as u16 });
             }
         }
+    }
+
+    /// Collects a nest's accesses into `touched`: its loads in body order,
+    /// then its stores. Returns how many are loads.
+    fn touch(nest: &'p LoopNest, touched: &mut Vec<(ArrayId, &'p Offset)>) -> usize {
+        touched.clear();
+        for s in &nest.body {
+            loads_in(&s.rhs, touched);
+        }
+        let loads = touched.len();
+        touched.extend(nest.body.iter().filter_map(|s| match &s.target {
+            ElemRef::Array(a, off) => Some((*a, off)),
+            ElemRef::Temp(_) | ElemRef::Reduce(..) => None,
+        }));
+        loads
     }
 
     /// Emits a static counted-loop ladder over `order` (outermost first),
@@ -1200,7 +1313,7 @@ impl<'p> Compiler<'p> {
     /// dimension's value range for bounds-check elision.
     fn emit_static_loops(
         &mut self,
-        order: &[(usize, bool, i64, i64)],
+        order: &[LoopSpec],
         body: &mut dyn FnMut(&mut Self) -> Result<(), ExecError>,
     ) -> Result<(), ExecError> {
         match order.first() {
@@ -1225,43 +1338,51 @@ impl<'p> Compiler<'p> {
         }
     }
 
-    fn compile_nest(&mut self, nest: &LoopNest) -> Result<(), ExecError> {
-        self.emit_allocs(
-            nest.loads()
-                .into_iter()
-                .map(|(a, _)| a)
-                .chain(nest.stores().into_iter().map(|(a, _)| a)),
-        );
+    fn compile_nest(&mut self, nest: &'p LoopNest) -> Result<(), ExecError> {
+        let mut touched = std::mem::take(&mut self.touched);
+        let loads = Self::touch(nest, &mut touched);
+        self.emit_allocs(&touched);
         let nid = self.nests.len() as u32;
         self.nests.push(nest.clone());
         self.emit(Op::NestBegin { nest: nid });
 
-        let bounds = self.region_bounds(nest.region);
-        let full_rank = bounds.len();
+        let full_rank = self.region_bounds(nest.region).len();
         if full_rank > MAX_RANK {
             return Err(err(format!(
                 "region rank {full_rank} > {MAX_RANK} (unsupported by the VM)"
             )));
         }
-        let order: Vec<(usize, bool, i64, i64)> = nest
-            .structure
-            .iter()
-            .map(|&p| {
-                let dim = (p.unsigned_abs() as usize) - 1;
-                let (lo, hi) = bounds[dim];
-                (dim, p > 0, lo, hi)
-            })
-            .collect();
-        if order.iter().any(|&(_, _, lo, hi)| hi < lo) {
-            return Ok(()); // empty region: the nest body never runs
-        }
+        let mut order = std::mem::take(&mut self.order);
+        order.clear();
+        let bounds = self.region_bounds(nest.region);
+        order.extend(nest.structure.iter().map(|&p| {
+            let dim = (p.unsigned_abs() as usize) - 1;
+            let (lo, hi) = bounds[dim];
+            (dim, p > 0, lo, hi)
+        }));
+        if order.iter().all(|&(_, _, lo, hi)| hi >= lo) {
+            self.compile_ladder(nest, &order, &touched, loads)?;
+        } // else the region is empty: the nest body never runs
+        self.order = order;
+        self.touched = touched;
+        Ok(())
+    }
 
+    /// The non-empty ladder of `nest` over `order`, its accesses
+    /// `touched` (the first `loads` of them loads).
+    fn compile_ladder(
+        &mut self,
+        nest: &'p LoopNest,
+        order: &[LoopSpec],
+        touched: &[(ArrayId, &Offset)],
+        loads: usize,
+    ) -> Result<(), ExecError> {
         let saved = self.dim_range;
         // Dimensions the structure does not iterate: bound by an enclosing
         // Outer loop, or pinned to 0 (the interpreter's fresh-index rule).
-        let structured: HashSet<usize> = order.iter().map(|&(d, _, _, _)| d).collect();
-        for d in 0..full_rank {
-            if structured.contains(&d) {
+        let structured = order.iter().fold(0u32, |m, &(d, ..)| m | 1 << d);
+        for d in 0..self.region_bounds(nest.region).len() {
+            if structured >> d & 1 != 0 {
                 continue;
             }
             if let Some(&(od, ctr, range)) = self
@@ -1278,14 +1399,14 @@ impl<'p> Compiler<'p> {
             }
         }
 
-        let par = self.par_dim(nest, &order).map(|info| {
+        let par = self.par_dim(nest, order, touched, loads).map(|info| {
             let id = self.pars.len() as u32;
             self.pars.push(info);
             self.emit(Op::ParBegin { par: id });
             self.pars[id as usize].entry = self.here();
             id
         });
-        self.emit_static_loops(&order, &mut |c| c.compile_nest_body(nest))?;
+        self.emit_static_loops(order, &mut |c| c.compile_nest_body(nest))?;
         if let Some(id) = par {
             self.pars[id as usize].exit = self.here();
         }
@@ -1312,42 +1433,52 @@ impl<'p> Compiler<'p> {
     /// depends on another tile's temp value. Note that clusters fused under
     /// the paper's null-distance contraction test satisfy all of this
     /// automatically; the re-check keeps hand-built nests honest.
-    fn par_dim(&self, nest: &LoopNest, order: &[(usize, bool, i64, i64)]) -> Option<ParInfo> {
-        let mut defined: HashSet<u32> = HashSet::new();
+    ///
+    /// `touched` is the nest's accesses, the first `loads` of them loads
+    /// and the rest its stores ([`Compiler::touch`]).
+    fn par_dim(
+        &mut self,
+        nest: &LoopNest,
+        order: &[LoopSpec],
+        touched: &[(ArrayId, &Offset)],
+        loads: usize,
+    ) -> Option<ParInfo> {
+        let defined = &mut self.defined;
+        defined.clear();
+        defined.resize(nest.temps as usize, false);
         for s in &nest.body {
             let mut stale = false;
-            temp_reads(&s.rhs, &mut |t| stale |= !defined.contains(&t));
+            temp_reads(&s.rhs, &mut |t| {
+                stale |= !defined.get(t as usize).copied().unwrap_or(false)
+            });
             if stale {
                 return None;
             }
             match &s.target {
                 ElemRef::Reduce(..) => return None,
                 ElemRef::Temp(t) => {
-                    defined.insert(t.0);
+                    let t = t.0 as usize;
+                    if t >= defined.len() {
+                        defined.resize(t + 1, false);
+                    }
+                    defined[t] = true;
                 }
                 ElemRef::Array(..) => {}
             }
         }
-        let stores = nest.stores();
-        let loads = nest.loads();
-        let written: HashSet<ArrayId> = stores.iter().map(|&(a, _)| a).collect();
+        let at = |off: &Offset, d: usize| off.0.get(d).copied().unwrap_or(0);
         'dims: for &(d, up, lo, hi) in order {
             let extent = hi - lo + 1;
             if extent < 2 {
                 continue;
             }
-            for &a in &written {
+            for &(a, stored) in &touched[loads..] {
                 let lay = &self.layouts[a.0 as usize];
                 if lay.strides.get(d).copied().unwrap_or(0) == 0 {
                     continue 'dims;
                 }
-                let mut offs = stores
-                    .iter()
-                    .chain(loads.iter())
-                    .filter(|&&(b, _)| b == a)
-                    .map(|(_, off)| off.0.get(d).copied().unwrap_or(0));
-                let first = offs.next().expect("written array has a store");
-                if offs.any(|o| o != first) {
+                let want = at(stored, d);
+                if touched.iter().any(|&(b, off)| b == a && at(off, d) != want) {
                     continue 'dims;
                 }
             }
@@ -1402,18 +1533,19 @@ impl<'p> Compiler<'p> {
         lhs: Reg,
         op: ReduceOp,
         region: zlang::ir::RegionId,
-        rhs: &EExpr,
+        rhs: &'p EExpr,
     ) -> Result<(), ExecError> {
-        let mut reads = Vec::new();
-        rhs.for_each_load(&mut |a, _| reads.push(a));
-        self.emit_allocs(reads.into_iter());
+        let mut touched = std::mem::take(&mut self.touched);
+        touched.clear();
+        loads_in(rhs, &mut touched);
+        self.emit_allocs(&touched);
+        self.touched = touched;
         self.emit(Op::ReduceBegin);
 
-        let bounds = self.region_bounds(region);
-        if bounds.len() > MAX_RANK {
+        let rank = self.region_bounds(region).len();
+        if rank > MAX_RANK {
             return Err(err(format!(
-                "region rank {} > {MAX_RANK} (unsupported by the VM)",
-                bounds.len()
+                "region rank {rank} > {MAX_RANK} (unsupported by the VM)"
             )));
         }
         let cp = self.scratch;
@@ -1422,16 +1554,15 @@ impl<'p> Compiler<'p> {
             dst: acc,
             src: self.const_reg(reduce_identity(op)),
         });
-        if bounds.iter().all(|&(lo, hi)| hi >= lo) {
-            // Standalone reductions iterate every region dimension in
-            // increasing row-major order, ignoring the structure vector
-            // (reductions are order-insensitive by language definition).
+        let mut order = std::mem::take(&mut self.order);
+        order.clear();
+        // Standalone reductions iterate every region dimension in
+        // increasing row-major order, ignoring the structure vector
+        // (reductions are order-insensitive by language definition).
+        let bounds = self.region_bounds(region);
+        order.extend((0..rank).map(|d| (d, true, bounds[d].0, bounds[d].1)));
+        if order.iter().all(|&(_, _, lo, hi)| hi >= lo) {
             let saved = self.dim_range;
-            let order: Vec<(usize, bool, i64, i64)> = bounds
-                .iter()
-                .enumerate()
-                .map(|(d, &(lo, hi))| (d, true, lo, hi))
-                .collect();
             self.emit_static_loops(&order, &mut |c| {
                 let icp = c.scratch;
                 c.stmt_flops = 0;
@@ -1450,6 +1581,7 @@ impl<'p> Compiler<'p> {
             })?;
             self.dim_range = saved;
         }
+        self.order = order;
         self.emit(Op::Mov { dst: lhs, src: acc });
         self.scratch = cp;
         Ok(())
@@ -1460,10 +1592,9 @@ impl<'p> Compiler<'p> {
         region: zlang::ir::RegionId,
         dim: u8,
         reverse: bool,
-        body: &[LStmt],
+        body: &'p [LStmt],
     ) -> Result<(), ExecError> {
-        let bounds = self.region_bounds(region);
-        let (lo, hi) = bounds[dim as usize];
+        let (lo, hi) = self.region_bounds(region)[dim as usize];
         if hi < lo {
             return Ok(()); // statically empty
         }
@@ -1494,7 +1625,7 @@ impl<'p> Compiler<'p> {
         lo: &ScalarExpr,
         hi: &ScalarExpr,
         down: bool,
-        body: &[LStmt],
+        body: &'p [LStmt],
     ) -> Result<(), ExecError> {
         let cp = self.scratch;
         let lo_r = self.soperand(lo)?;
