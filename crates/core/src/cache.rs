@@ -68,6 +68,13 @@
 //! their stage empty. Eviction is per-shard LRU under the one geometry
 //! ([`CompileCache::with_shards`]) all three stages share; the counters
 //! are atomics ([`CacheStats`]).
+//!
+//! The cache also owns the set of *quarantined* keys
+//! ([`CompileCache::quarantine`]): artifacts that faulted at execution.
+//! Execution is deterministic in (program, binding, knobs, limits), so a
+//! key joins the set on its first fault and never leaves it; the
+//! supervisor routes its requests to the reference rung without
+//! consulting the cache.
 
 use crate::hash;
 use crate::pipeline::{LevelSpec, Pipeline};
@@ -77,7 +84,7 @@ use loopir::{Engine, ExecError, ExecOpts, Executor, Interp, ScalarProgram, Share
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::hash::Hash;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use zlang::ir::{ConfigBinding, Program};
 
@@ -238,8 +245,9 @@ pub struct CacheStats {
     pub insertions: u64,
     /// Entries evicted to make room.
     pub evictions: u64,
-    /// Entries evicted because their circuit breaker tripped
-    /// ([`CompileCache::quarantine`]); not counted in `evictions`.
+    /// Entries evicted because their key was quarantined after an
+    /// execution fault ([`CompileCache::quarantine`]); not counted in
+    /// `evictions`.
     pub quarantines: u64,
     /// Source texts served from the parse stage (a text-digest collision,
     /// which re-parses uncached, is also counted here).
@@ -504,6 +512,11 @@ pub struct CompileCache {
     optimized: Memo<OptimizeKey, Arc<ScalarProgram>>,
     lowered: Memo<CacheKey, Arc<CachedProgram>>,
     quarantines: AtomicU64,
+    /// Keys whose artifact faulted at execution. Nothing leaves the set.
+    quarantined: Mutex<HashSet<CacheKey>>,
+    /// False until the first key is quarantined, so the check every
+    /// supervised run makes is one atomic load while the set is empty.
+    any_quarantined: AtomicBool,
 }
 
 impl Default for CompileCache {
@@ -528,6 +541,8 @@ impl CompileCache {
             optimized: Memo::new(shards, cap, |key| key.program),
             lowered: Memo::new(shards, cap, |key| key.content),
             quarantines: AtomicU64::new(0),
+            quarantined: Mutex::new(HashSet::new()),
+            any_quarantined: AtomicBool::new(false),
         }
     }
 
@@ -672,21 +687,37 @@ impl CompileCache {
         Ok((artifact, depth == Depth::Hit))
     }
 
-    /// Evicts the artifact for `key` because its circuit breaker
-    /// tripped: it is suspected poisoned and must never be re-served.
-    /// The optimize-stage entry it was lowered from goes with it — the
-    /// suspicion covers everything the artifact was built from — so the
-    /// next compile of the key re-optimizes, re-lowers and republishes a
-    /// fresh artifact. (Artifacts of other sizes keep their own reference
-    /// to the old scalarized program until their own breakers say
-    /// otherwise.) Returns `true` if an artifact was actually removed.
+    /// Quarantines `key` because its artifact faulted at execution: it is
+    /// suspected poisoned and must never be re-served. The key joins the
+    /// quarantined set ([`is_quarantined`](Self::is_quarantined)) for the
+    /// life of the cache, and its artifact is evicted together with the
+    /// optimize-stage entry it was lowered from, since the suspicion
+    /// covers everything the artifact was built from. (Artifacts of other
+    /// sizes keep their own reference to the old scalarized program until
+    /// their own keys fault.) Returns `true` if an artifact was actually
+    /// removed.
     pub fn quarantine(&self, key: &CacheKey) -> bool {
+        self.quarantined
+            .lock()
+            .expect("quarantine lock poisoned")
+            .insert(*key);
+        self.any_quarantined.store(true, Ordering::Release);
         self.optimized.remove(&key.optimize_key());
         let removed = self.lowered.remove(key);
         if removed {
             self.quarantines.fetch_add(1, Ordering::Relaxed);
         }
         removed
+    }
+
+    /// True if `key` was [quarantined](Self::quarantine).
+    pub fn is_quarantined(&self, key: &CacheKey) -> bool {
+        self.any_quarantined.load(Ordering::Acquire)
+            && self
+                .quarantined
+                .lock()
+                .expect("quarantine lock poisoned")
+                .contains(key)
     }
 
     /// A consistent-enough snapshot of the counters (each counter is
@@ -902,6 +933,24 @@ mod tests {
         let (_, hit) = cache.get_or_compile(&p, &req).unwrap();
         assert!(!hit);
         assert_eq!(cache.len(), 1);
+    }
+
+    #[test]
+    fn quarantined_keys_are_independent() {
+        let cache = CompileCache::new();
+        let p = zlang::compile(&src(1)).unwrap();
+        let req = RunRequest::new();
+        let binding = req.binding_for(&p).unwrap();
+        let key = CacheKey::for_request(&p, &binding, &req);
+        let resized = req.clone().with_set("n", 4);
+        let other = CacheKey::for_request(&p, &resized.binding_for(&p).unwrap(), &resized);
+        assert!(!cache.is_quarantined(&key), "nothing quarantined yet");
+        cache.quarantine(&key);
+        assert!(cache.is_quarantined(&key));
+        assert!(!cache.is_quarantined(&other), "another size of the program");
+        // Recompiling the key does not lift the quarantine.
+        cache.get_or_compile(&p, &req).unwrap();
+        assert!(cache.is_quarantined(&key));
     }
 
     #[test]

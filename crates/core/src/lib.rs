@@ -47,7 +47,6 @@
 
 pub mod asdg;
 pub mod avail;
-pub mod breaker;
 pub mod cache;
 pub mod depvec;
 pub mod explain;
@@ -66,15 +65,14 @@ pub mod supervisor;
 pub mod verify;
 pub mod weights;
 
-pub use breaker::{Admission, BreakerConfig, BreakerState, BreakerStats, CircuitBreakers};
 pub use cache::{CacheKey, CacheStats, CachedProgram, CompileCache, Depth, Parsed};
 pub use depvec::Udv;
 pub use pass::{PassId, PassTrace};
 pub use pipeline::{Level, LevelSpec, Optimized, Pipeline};
 pub use request::RunRequest;
 pub use serve::{
-    serve, serve_with, Disposition, RequestRecord, RetryPolicy, ServeOptions, ServeReport,
-    ServeRequest, ShedCause, ShedPolicy,
+    serve, serve_with, Disposition, RequestRecord, ServeOptions, ServeReport, ServeRequest,
+    ShedCause, ShedPolicy,
 };
 pub use supervisor::{Budgets, Supervised, Supervisor, SupervisorError, SupervisorReport};
 pub use verify::{Diagnostic, VerifyLevel};

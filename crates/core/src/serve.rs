@@ -1,55 +1,46 @@
-//! The overload-resilient serving path: replay a stream of mixed
-//! compile-and-run requests across worker threads, sharing one
-//! [`CompileCache`] and one per-key circuit-breaker registry.
+//! The serving path: replay a stream of mixed compile-and-run requests
+//! across worker threads, sharing one [`CompileCache`].
 //!
-//! This is the driver behind `zlc serve` and the `serve`/`overload`
-//! benchmarks. Each request is a `(source, RunRequest)` pair, optionally
+//! This is the driver behind `zlc serve` and the harness's `serve_sizes`
+//! workload. Each request is a `(source, RunRequest)` pair, optionally
 //! carrying a total deadline. The calling thread *admits* requests into a
 //! bounded queue while workers drain it; each admitted request runs under
 //! a fault-isolating [`Supervisor`](crate::supervisor::Supervisor)
-//! attached to the shared cache and breakers, so a panicking or
-//! budget-violating request degrades or fails *alone* without taking down
-//! the batch, while a repeated source text skips the front end, a
-//! repeated program the optimizer, and a repeated `(program, size)` the
-//! whole pipeline (the cache's three stages, [`crate::cache`]).
+//! attached to the shared cache, so a panicking or budget-violating
+//! request degrades or fails *alone* without taking down the batch, while
+//! a repeated source text skips the front end, a repeated program the
+//! optimizer, and a repeated `(program, size)` the whole pipeline (the
+//! cache's three stages, [`crate::cache`]).
 //!
-//! The serving fault model stacks four defenses on top of the
-//! supervisor's degradation ladder:
+//! Each defence here answers a condition that occurs without injection
+//! (DESIGN.md §16):
 //!
 //! * **Admission control** ([`ShedPolicy`]): when the queue is at
-//!   capacity, either the incoming request is rejected, the oldest queued
-//!   request is dropped to make room, or the producer blocks. Shed
-//!   requests never compile; they are accounted with a typed
+//!   capacity, either the incoming request is rejected or the producer
+//!   blocks. Shed requests never compile; they are accounted with a typed
 //!   [`ShedCause`].
 //! * **Deadline propagation**: a request's deadline is measured from
 //!   *admission*. Queue wait is charged against it — a request that
 //!   expires while queued is shed without compiling, and one that reaches
 //!   a worker hands the supervisor only the time it has left
 //!   ([`Supervisor::with_remaining`](crate::supervisor::Supervisor::with_remaining)).
-//! * **Retries** ([`RetryPolicy`]): a request whose every ladder rung
-//!   faulted is retried only when the final cause is plausibly transient
-//!   ([`CauseKind::is_transient`]) — communication failures and
-//!   execution-stage faults — with seeded deterministic exponential
-//!   backoff and jitter (testkit's [`Rng`], no `rand`), capped by the
-//!   remaining deadline. Parse errors and verifier rejections fail fast.
-//! * **Circuit breaking with cache quarantine**
-//!   ([`crate::breaker::CircuitBreakers`]): an artifact that faults
-//!   repeatedly at execution trips its key open, evicts the cached entry,
-//!   and routes subsequent requests for the key to the reference rung
-//!   without consulting the cache until half-open probes re-admit it.
+//! * **The worker-panic boundary**: a panic outside the supervisor
+//!   becomes an attributed failure and the worker lives on.
+//! * **Quarantine**, inside the supervisor: the first execution fault of
+//!   a requested artifact quarantines its key in the cache, and later
+//!   requests for the key run on the reference rung with the cache
+//!   bypassed ([`CompileCache::quarantine`]).
 //!
-//! A shutdown signal ([`ServeOptions::shutdown`]) stops admission and
-//! drains in-flight work; every request in the batch comes back accounted
-//! as completed, shed, or failed ([`Disposition`]) with a typed cause —
-//! including requests whose worker died, which become attributed failures
-//! rather than panics in report assembly.
+//! Every request in the batch comes back accounted as completed, shed,
+//! or failed ([`Disposition`]) with a typed cause — including requests
+//! whose worker died, which become attributed failures rather than
+//! panics in report assembly.
 //!
-//! The report records per-request queue wait, service latency, attempt
-//! count, and result bits (for bit-identical differential checks), and
-//! rolls up service-time and end-to-end p50/p99, per-engine throughput,
-//! shed/failure cause breakdowns, and the cache and breaker counters.
+//! The report records per-request queue wait, service latency and result
+//! bits (for bit-identical differential checks), and rolls up
+//! service-time and end-to-end p50/p99, per-engine throughput, shed and
+//! failure cause breakdowns, and the cache counters.
 
-use crate::breaker::{BreakerConfig, BreakerStats, CircuitBreakers};
 use crate::cache::{CacheStats, CompileCache, Depth};
 use crate::pipeline::LevelSpec;
 use crate::request::RunRequest;
@@ -59,11 +50,9 @@ use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 use std::fmt::Write as _;
 use std::str::FromStr;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 use testkit::faults::{self, FaultPlan, FaultSite};
-use testkit::Rng;
 
 /// How long an injected [`FaultSite::ServeStall`] wedges a worker. Long
 /// against the microseconds admission takes, so overload tests shed
@@ -112,9 +101,6 @@ impl ServeRequest {
 pub enum ShedPolicy {
     /// Shed the incoming request ([`ShedCause::QueueFull`]).
     RejectNewest,
-    /// Shed the oldest queued request to make room
-    /// ([`ShedCause::QueueDropped`]).
-    DropOldest,
     /// Block admission until a worker frees a slot. Nothing is shed for
     /// capacity; the default, and the pre-overload-control behavior.
     #[default]
@@ -126,7 +112,6 @@ impl ShedPolicy {
     pub fn name(self) -> &'static str {
         match self {
             ShedPolicy::RejectNewest => "reject-newest",
-            ShedPolicy::DropOldest => "drop-oldest",
             ShedPolicy::Block => "block",
         }
     }
@@ -144,10 +129,13 @@ impl FromStr for ShedPolicy {
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         match s {
             "reject" | "reject-newest" => Ok(ShedPolicy::RejectNewest),
-            "drop" | "drop-oldest" => Ok(ShedPolicy::DropOldest),
             "block" => Ok(ShedPolicy::Block),
+            "drop" | "drop-oldest" => Err(format!(
+                "shed policy `{s}` was removed; use reject-newest to shed the incoming \
+                 request, or block (DESIGN.md §16)"
+            )),
             _ => Err(format!(
-                "unknown shed policy `{s}` (expected reject-newest, drop-oldest, or block)"
+                "unknown shed policy `{s}` (expected reject-newest or block)"
             )),
         }
     }
@@ -158,14 +146,8 @@ impl FromStr for ShedPolicy {
 pub enum ShedCause {
     /// The queue was at capacity under [`ShedPolicy::RejectNewest`].
     QueueFull,
-    /// Displaced from the queue by a newer request under
-    /// [`ShedPolicy::DropOldest`].
-    QueueDropped,
     /// The request's deadline passed while it waited in the queue.
     DeadlineExpired,
-    /// Admission had already stopped (shutdown signal or admission cap)
-    /// when the request's turn came.
-    Shutdown,
 }
 
 impl ShedCause {
@@ -173,9 +155,7 @@ impl ShedCause {
     pub fn name(self) -> &'static str {
         match self {
             ShedCause::QueueFull => "queue-full",
-            ShedCause::QueueDropped => "queue-dropped",
             ShedCause::DeadlineExpired => "deadline-expired",
-            ShedCause::Shutdown => "shutdown",
         }
     }
 }
@@ -190,19 +170,16 @@ impl fmt::Display for ShedCause {
 /// exactly one of these.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Disposition {
-    /// The request produced a result (possibly degraded, possibly after
-    /// retries).
+    /// The request produced a result (possibly degraded).
     Completed,
     /// The request was never served; the cause says why.
     Shed(ShedCause),
-    /// Every ladder rung faulted on every attempt; the structured cause
-    /// of the last attempt's last fault (stage = faulting
-    /// [`crate::pass::PassId`], kind = [`CauseKind`]).
+    /// Every ladder rung faulted; the structured cause of the last fault
+    /// (stage = faulting [`crate::pass::PassId`], kind = [`CauseKind`]).
     Failed(Cause),
 }
 
-/// What happened to one request: identity, timing, attempts, and the
-/// result bits.
+/// What happened to one request: identity, timing and the result bits.
 #[derive(Debug, Clone)]
 pub struct RequestRecord {
     /// Index of the request in the submitted batch.
@@ -216,22 +193,20 @@ pub struct RequestRecord {
     /// Time from admission until a worker started serving the request
     /// (for shed requests: until the shed decision).
     pub queue_wait: Duration,
-    /// Service latency: first attempt start to final outcome, including
-    /// retry backoffs. Excludes queue wait; zero for shed requests.
+    /// Service latency: supervised run start to outcome. Excludes queue
+    /// wait; zero for shed requests.
     pub latency: Duration,
-    /// Supervised attempts made (0 for shed requests, 1 for a request
-    /// served without retries).
-    pub attempts: u32,
     /// `f64::to_bits` of the checksum scalar, for exact comparison.
     pub checksum_bits: u64,
     /// Bit patterns of every final scalar, for exact comparison.
     pub scalars_bits: Vec<u64>,
     /// Whether the supervisor degraded below the requested rung.
     pub degraded: bool,
-    /// Whether the request was routed to the reference rung by an open
-    /// circuit breaker (cache bypassed).
+    /// Whether the request's key was quarantined, so that it was routed to
+    /// the reference rung with the cache bypassed. (The name predates
+    /// quarantine; the benchmark harness reads it.)
     pub breaker_routed: bool,
-    /// The deepest cache stage any attempt of the request had to run.
+    /// The deepest cache stage any rung of the request had to run.
     pub depth: Depth,
     /// How the request was accounted.
     pub disposition: Disposition,
@@ -246,7 +221,6 @@ impl RequestRecord {
             spec: req.request.spec,
             queue_wait: Duration::ZERO,
             latency: Duration::ZERO,
-            attempts: 0,
             checksum_bits: 0,
             scalars_bits: Vec::new(),
             degraded: false,
@@ -305,53 +279,6 @@ impl RequestRecord {
     }
 }
 
-/// Deterministic retry schedule for transient failures. The backoff for
-/// attempt `n` is `backoff * 2^(n-1)` capped at `max_backoff`, jittered
-/// into `[0.5, 1.0)` of itself by a seeded [`Rng`] — no wall-clock or OS
-/// entropy anywhere, so a batch's retry timing is a pure function of
-/// `(seed, request index)`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RetryPolicy {
-    /// Retries after the first attempt (0 = fail on first full-ladder
-    /// fault, the default).
-    pub max_retries: u32,
-    /// Base backoff before the first retry.
-    pub backoff: Duration,
-    /// Cap on the exponential backoff.
-    pub max_backoff: Duration,
-    /// Seed for the jitter stream.
-    pub seed: u64,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            max_retries: 0,
-            backoff: Duration::from_millis(1),
-            max_backoff: Duration::from_millis(50),
-            seed: 0x5EED,
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// A policy allowing `max_retries` retries with the default backoff.
-    pub fn retries(max_retries: u32) -> Self {
-        RetryPolicy {
-            max_retries,
-            ..RetryPolicy::default()
-        }
-    }
-
-    /// The jittered pause before retrying after failed attempt `attempt`
-    /// (1-based).
-    pub fn backoff_for(&self, attempt: u32, rng: &mut Rng) -> Duration {
-        let shift = attempt.saturating_sub(1).min(16);
-        let exp = self.backoff.saturating_mul(1u32 << shift);
-        exp.min(self.max_backoff).mul_f64(rng.f64(0.5, 1.0))
-    }
-}
-
 /// Configuration for one [`serve_with`] batch.
 #[derive(Debug, Clone, Default)]
 pub struct ServeOptions {
@@ -362,26 +289,14 @@ pub struct ServeOptions {
     pub queue_cap: usize,
     /// What to do when the queue is full.
     pub shed: ShedPolicy,
-    /// Retry schedule for transient full-ladder failures.
-    pub retry: RetryPolicy,
-    /// Thresholds for the per-key circuit breakers.
-    pub breaker: BreakerConfig,
     /// Fault plan for chaos testing. Plans are thread-local, so each
     /// worker installs a copy re-seeded from the plan's seed and its
     /// worker index; the schedule is deterministic per (plan, worker).
     pub faults: Option<FaultPlan>,
-    /// Externally triggered graceful drain: once set, admission stops
-    /// (remaining requests are shed as [`ShedCause::Shutdown`]) and
-    /// in-flight work drains.
-    pub shutdown: Option<Arc<AtomicBool>>,
-    /// Deterministic drain for tests: stop admission after exactly this
-    /// many requests have been admitted.
-    pub shutdown_after: Option<usize>,
 }
 
 impl ServeOptions {
-    /// Defaults: 1 worker, unbounded queue, block on full, no retries,
-    /// default breaker thresholds, no faults, no shutdown.
+    /// Defaults: 1 worker, unbounded queue, block on full, no faults.
     pub fn new() -> Self {
         ServeOptions::default()
     }
@@ -404,33 +319,9 @@ impl ServeOptions {
         self
     }
 
-    /// Sets the retry schedule.
-    pub fn with_retry(mut self, retry: RetryPolicy) -> Self {
-        self.retry = retry;
-        self
-    }
-
-    /// Sets the circuit-breaker thresholds.
-    pub fn with_breaker(mut self, breaker: BreakerConfig) -> Self {
-        self.breaker = breaker;
-        self
-    }
-
     /// Installs a fault plan on every worker (re-seeded per worker).
     pub fn with_faults(mut self, plan: FaultPlan) -> Self {
         self.faults = Some(plan);
-        self
-    }
-
-    /// Attaches an external shutdown signal.
-    pub fn with_shutdown(mut self, signal: Arc<AtomicBool>) -> Self {
-        self.shutdown = Some(signal);
-        self
-    }
-
-    /// Stops admission after exactly `n` admitted requests.
-    pub fn with_shutdown_after(mut self, n: usize) -> Self {
-        self.shutdown_after = Some(n);
         self
     }
 }
@@ -471,8 +362,6 @@ pub struct ServeReport {
     pub workers: usize,
     /// Cache counters at the end of the batch.
     pub cache: CacheStats,
-    /// Circuit-breaker counters at the end of the batch.
-    pub breaker: BreakerStats,
 }
 
 impl ServeReport {
@@ -481,7 +370,7 @@ impl ServeReport {
         self.records.iter().filter(|r| r.completed()).count()
     }
 
-    /// Requests where every rung of every attempt faulted.
+    /// Requests where every rung faulted.
     pub fn failed(&self) -> usize {
         self.records.iter().filter(|r| r.cause().is_some()).count()
     }
@@ -499,9 +388,12 @@ impl ServeReport {
             .count()
     }
 
-    /// Requests that needed more than one supervised attempt.
+    /// Always 0: nothing is retried, since execution is deterministic and
+    /// a faulting key is quarantined instead (DESIGN.md §16). Kept only
+    /// because the frozen benchmark harness reads it; ROADMAP item 8
+    /// deletes it.
     pub fn retried(&self) -> usize {
-        self.records.iter().filter(|r| r.attempts > 1).count()
+        0
     }
 
     /// The `p`-th *service-time* latency percentile over completed
@@ -562,7 +454,7 @@ impl ServeReport {
         let mut map = BTreeMap::new();
         for r in &self.records {
             if let Some(cause) = r.cause() {
-                *map.entry(cause.kind.label()).or_insert(0) += 1;
+                *map.entry(cause.kind.name()).or_insert(0) += 1;
             }
         }
         map
@@ -584,13 +476,12 @@ impl ServeReport {
         let mut out = String::new();
         let _ = writeln!(
             out,
-            "served {} requests on {} workers in {:.1?} ({} ok, {} degraded, {} retried, {} shed, {} failed)",
+            "served {} requests on {} workers in {:.1?} ({} ok, {} degraded, {} shed, {} failed)",
             self.records.len(),
             self.workers,
             self.wall,
             self.completed(),
             self.degraded(),
-            self.retried(),
             self.shed(),
             self.failed(),
         );
@@ -617,17 +508,6 @@ impl ServeReport {
             "stages: parsed {}, optimized {}, lowered {}",
             self.cache.parse_misses, self.cache.optimize_misses, self.cache.misses,
         );
-        if self.breaker.trips + self.breaker.rejected + self.breaker.probes > 0 {
-            let _ = writeln!(
-                out,
-                "breaker: {} trips, {} reopens, {} closes, {} probes, {} routed-to-reference",
-                self.breaker.trips,
-                self.breaker.reopens,
-                self.breaker.closes,
-                self.breaker.probes,
-                self.breaker.rejected,
-            );
-        }
         for (cause, n) in self.sheds_by_cause() {
             let _ = writeln!(out, "  shed/{cause:<18} {n:>6}");
         }
@@ -667,12 +547,6 @@ struct Queue {
     cap: usize,
 }
 
-enum Admitted {
-    Ok,
-    RejectedNewest,
-    DroppedOldest { victim: usize, waited: Duration },
-}
-
 impl Queue {
     fn new(cap: usize) -> Self {
         Queue {
@@ -686,30 +560,15 @@ impl Queue {
         }
     }
 
-    fn push(&self, index: usize, shed: ShedPolicy) -> Admitted {
+    /// Admits request `index`, blocking for a slot or refusing under
+    /// `shed`; `false` if it was refused.
+    fn push(&self, index: usize, shed: ShedPolicy) -> bool {
         let mut st = self.state.lock().expect("serve queue lock poisoned");
-        if self.cap > 0 && st.items.len() >= self.cap {
-            match shed {
-                ShedPolicy::Block => {
-                    while st.items.len() >= self.cap {
-                        st = self.not_full.wait(st).expect("serve queue lock poisoned");
-                    }
-                }
-                ShedPolicy::RejectNewest => return Admitted::RejectedNewest,
-                ShedPolicy::DropOldest => {
-                    let victim = st.items.pop_front().expect("queue is at capacity > 0");
-                    st.items.push_back(QueueItem {
-                        index,
-                        admitted: Instant::now(),
-                    });
-                    drop(st);
-                    self.not_empty.notify_one();
-                    return Admitted::DroppedOldest {
-                        victim: victim.index,
-                        waited: victim.admitted.elapsed(),
-                    };
-                }
+        while self.cap > 0 && st.items.len() >= self.cap {
+            if shed == ShedPolicy::RejectNewest {
+                return false;
             }
+            st = self.not_full.wait(st).expect("serve queue lock poisoned");
         }
         st.items.push_back(QueueItem {
             index,
@@ -717,7 +576,7 @@ impl Queue {
         });
         drop(st);
         self.not_empty.notify_one();
-        Admitted::Ok
+        true
     }
 
     fn pop(&self) -> Option<QueueItem> {
@@ -743,25 +602,24 @@ impl Queue {
 
 /// Replays `requests` across `workers` threads with the default options:
 /// unbounded queue, no deadlines enforced beyond each request's own, no
-/// retries, default breaker thresholds. Kept as the simple entry point
-/// for benchmarks and tests; [`serve_with`] is the full-featured one.
+/// faults. Kept as the simple entry point for tests; [`serve_with`] is
+/// the full-featured one.
 pub fn serve(requests: &[ServeRequest], workers: usize, cache: &Arc<CompileCache>) -> ServeReport {
     serve_with(requests, &ServeOptions::new().with_workers(workers), cache)
 }
 
 /// Replays `requests` under `opts`: the calling thread admits requests
 /// into the bounded queue (shedding per policy) while workers drain it,
-/// each request running under a supervisor attached to `cache` and the
-/// batch's circuit breakers. Blocks until the whole batch has drained;
-/// records come back in submission order regardless of which worker
-/// served them, and every submitted request is accounted exactly once.
+/// each request running under a supervisor attached to `cache`. Blocks
+/// until the whole batch has drained; records come back in submission
+/// order regardless of which worker served them, and every submitted
+/// request is accounted exactly once.
 pub fn serve_with(
     requests: &[ServeRequest],
     opts: &ServeOptions,
     cache: &Arc<CompileCache>,
 ) -> ServeReport {
     let workers = opts.workers.max(1).min(requests.len().max(1));
-    let breakers = Arc::new(CircuitBreakers::new(opts.breaker));
     let records: Mutex<Vec<Option<RequestRecord>>> = Mutex::new(vec![None; requests.len()]);
     let queue = Queue::new(opts.queue_cap);
     let started = Instant::now();
@@ -770,7 +628,6 @@ pub fn serve_with(
         for wi in 0..workers {
             let queue = &queue;
             let records = &records;
-            let breakers = &breakers;
             scope.spawn(move || {
                 // Fault plans are thread-local: each worker gets its own
                 // deterministic schedule derived from the batch plan.
@@ -784,56 +641,28 @@ pub fn serve_with(
                     let req = &requests[item.index];
                     // The boundary around everything per-request that
                     // runs outside the supervisor (injection, deadline
-                    // math, retries): an injected worker panic becomes an
+                    // math): an injected worker panic becomes an
                     // attributed failure and the worker lives on.
-                    let record = quiet_catch(|| {
-                        serve_one(item.index, req, item.admitted, opts, cache, breakers)
-                    })
-                    .unwrap_or_else(|msg| {
-                        RequestRecord::dead_worker(item.index, req, item.admitted.elapsed(), msg)
-                    });
+                    let record = quiet_catch(|| serve_one(item.index, req, item.admitted, cache))
+                        .unwrap_or_else(|msg| {
+                            RequestRecord::dead_worker(
+                                item.index,
+                                req,
+                                item.admitted.elapsed(),
+                                msg,
+                            )
+                        });
                     records.lock().expect("serve records lock poisoned")[item.index] = Some(record);
                 }
             });
         }
 
         // Admission runs on the calling thread while workers drain.
-        let mut admitted = 0usize;
         for (index, req) in requests.iter().enumerate() {
-            let draining = opts
-                .shutdown
-                .as_ref()
-                .is_some_and(|s| s.load(Ordering::Relaxed))
-                || opts.shutdown_after.is_some_and(|n| admitted >= n);
-            if draining {
-                let mut recs = records.lock().expect("serve records lock poisoned");
-                for (i, r) in requests.iter().enumerate().skip(index) {
-                    recs[i] = Some(RequestRecord::shed(
-                        i,
-                        r,
-                        Duration::ZERO,
-                        ShedCause::Shutdown,
-                    ));
-                }
-                break;
-            }
-            match queue.push(index, opts.shed) {
-                Admitted::Ok => admitted += 1,
-                Admitted::RejectedNewest => {
-                    records.lock().expect("serve records lock poisoned")[index] = Some(
-                        RequestRecord::shed(index, req, Duration::ZERO, ShedCause::QueueFull),
-                    );
-                }
-                Admitted::DroppedOldest { victim, waited } => {
-                    admitted += 1;
-                    records.lock().expect("serve records lock poisoned")[victim] =
-                        Some(RequestRecord::shed(
-                            victim,
-                            &requests[victim],
-                            waited,
-                            ShedCause::QueueDropped,
-                        ));
-                }
+            if !queue.push(index, opts.shed) {
+                records.lock().expect("serve records lock poisoned")[index] = Some(
+                    RequestRecord::shed(index, req, Duration::ZERO, ShedCause::QueueFull),
+                );
             }
         }
         queue.close();
@@ -862,20 +691,17 @@ pub fn serve_with(
         wall: started.elapsed(),
         workers,
         cache: cache.stats(),
-        breaker: breakers.stats(),
     }
 }
 
 /// Serves one admitted request: injected stall/panic sites, the
-/// queued-deadline check, then supervised attempts under the retry
-/// policy, each handing the supervisor only the deadline time remaining.
+/// queued-deadline check, then one supervised run, handed only the
+/// deadline time remaining.
 fn serve_one(
     index: usize,
     req: &ServeRequest,
     admitted: Instant,
-    opts: &ServeOptions,
     cache: &Arc<CompileCache>,
-    breakers: &Arc<CircuitBreakers>,
 ) -> RequestRecord {
     // An injected stall wedges the worker *before* it looks at the
     // clock, so the stall is charged as queue wait — exactly how a
@@ -897,57 +723,25 @@ fn serve_one(
         }
     }
 
-    let mut rng = Rng::new(
-        opts.retry
-            .seed
-            .wrapping_add((index as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15)),
-    );
     let service_started = Instant::now();
-    let mut attempts = 0u32;
-    loop {
-        attempts += 1;
-        let mut sup = req
-            .request
-            .supervisor()
-            .with_cache(cache.clone())
-            .with_breaker(breakers.clone());
-        if let Some(deadline) = req.deadline {
-            sup = sup.with_remaining(deadline.saturating_sub(admitted.elapsed()));
-        }
-        match sup.run_source(&req.source) {
-            Ok(done) => {
-                record.depth = record.depth.max(done.report.depth());
-                record.checksum_bits = done.outcome.checksum().to_bits();
-                record.scalars_bits = done.outcome.scalars.iter().map(|s| s.to_bits()).collect();
-                record.degraded = done.report.degraded();
-                record.breaker_routed = done.report.breaker_open;
-                record.disposition = Disposition::Completed;
-                break;
-            }
-            Err(e) => {
-                record.depth = record.depth.max(e.report.depth());
-                record.breaker_routed = e.report.breaker_open;
-                if e.cause.kind.is_transient() && attempts <= opts.retry.max_retries {
-                    let mut pause = opts.retry.backoff_for(attempts, &mut rng);
-                    if let Some(deadline) = req.deadline {
-                        let remaining = deadline.saturating_sub(admitted.elapsed());
-                        if remaining.is_zero() {
-                            record.disposition = Disposition::Failed(e.cause);
-                            break;
-                        }
-                        pause = pause.min(remaining);
-                    }
-                    if !pause.is_zero() {
-                        std::thread::sleep(pause);
-                    }
-                    continue;
-                }
-                record.disposition = Disposition::Failed(e.cause);
-                break;
-            }
-        }
+    let mut sup = req.request.supervisor().with_cache(cache.clone());
+    if let Some(deadline) = req.deadline {
+        sup = sup.with_remaining(deadline.saturating_sub(admitted.elapsed()));
     }
-    record.attempts = attempts;
+    let report = match sup.run_source(&req.source) {
+        Ok(done) => {
+            record.checksum_bits = done.outcome.checksum().to_bits();
+            record.scalars_bits = done.outcome.scalars.iter().map(|s| s.to_bits()).collect();
+            record.degraded = done.report.degraded();
+            done.report
+        }
+        Err(e) => {
+            record.disposition = Disposition::Failed(e.cause);
+            e.report
+        }
+    };
+    record.depth = report.depth();
+    record.breaker_routed = report.quarantined;
     record.latency = service_started.elapsed();
     record
 }
@@ -955,7 +749,6 @@ fn serve_one(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::Level;
 
     const SRC: &str = "program t; config n : int = 8; region R = [1..n]; \
         var A, B : [R] float; var s : float; \
@@ -1020,11 +813,9 @@ mod tests {
     }
 
     #[test]
-    fn unknown_override_fails_once_without_retries_or_breaker_traffic() {
+    fn unknown_override_fails_once_and_quarantines_nothing() {
         let cache = Arc::new(CompileCache::new());
-        let opts = ServeOptions::new()
-            .with_workers(2)
-            .with_retry(RetryPolicy::retries(3));
+        let opts = ServeOptions::new().with_workers(2);
         let mut reqs = batch(3);
         reqs.push(ServeRequest::new(
             "bogus",
@@ -1038,9 +829,8 @@ mod tests {
         let cause = bad.cause().expect("config failure carries its cause");
         assert_eq!(cause.kind, CauseKind::Config);
         assert!(cause.message.contains("bogus"), "{cause}");
-        assert_eq!(bad.attempts, 1, "a config error is not transient");
-        assert_eq!(report.retried(), 0);
-        assert_eq!(report.breaker, BreakerStats::default());
+        assert_eq!(report.cache.quarantines, 0);
+        assert!(report.records.iter().all(|r| !r.breaker_routed));
         assert_eq!(report.failures_by_cause().get("config error"), Some(&1));
     }
 
@@ -1053,8 +843,6 @@ mod tests {
         let per = report.per_engine();
         assert_eq!(per.len(), 4);
         assert!(per.values().all(|s| s.completed == 4 && s.failed == 0));
-        // Every completed record accounts its queue wait and one attempt.
-        assert!(report.records.iter().all(|r| r.attempts == 1));
     }
 
     #[test]
@@ -1077,52 +865,6 @@ mod tests {
             }
         }
         assert!(report.render().contains("shed/queue-full"));
-    }
-
-    #[test]
-    fn drop_oldest_sheds_the_displaced_request() {
-        let cache = Arc::new(CompileCache::new());
-        let opts = ServeOptions::new()
-            .with_workers(1)
-            .with_queue_cap(1)
-            .with_shed(ShedPolicy::DropOldest)
-            .with_faults(FaultPlan::new(12).with(FaultSite::ServeStall, 1.0));
-        let reqs = batch(8);
-        let report = serve_with(&reqs, &opts, &cache);
-        assert_eq!(report.completed() + report.shed(), 8);
-        assert!(report.shed() >= 1, "{}", report.render());
-        assert!(report
-            .records
-            .iter()
-            .all(|r| !matches!(r.disposition, Disposition::Shed(ShedCause::QueueFull))));
-        // The newest request is never the one dropped.
-        assert!(report.records.last().unwrap().completed());
-    }
-
-    #[test]
-    fn shutdown_after_sheds_the_rest_as_shutdown() {
-        let cache = Arc::new(CompileCache::new());
-        let opts = ServeOptions::new().with_workers(2).with_shutdown_after(3);
-        let reqs = batch(8);
-        let report = serve_with(&reqs, &opts, &cache);
-        assert_eq!(report.completed(), 3);
-        assert_eq!(report.shed(), 5);
-        for r in &report.records[3..] {
-            assert_eq!(r.disposition, Disposition::Shed(ShedCause::Shutdown));
-        }
-    }
-
-    #[test]
-    fn shutdown_signal_pre_set_sheds_everything() {
-        let cache = Arc::new(CompileCache::new());
-        let signal = Arc::new(AtomicBool::new(true));
-        let opts = ServeOptions::new()
-            .with_workers(2)
-            .with_shutdown(signal.clone());
-        let report = serve_with(&batch(4), &opts, &cache);
-        assert_eq!(report.completed(), 0);
-        assert_eq!(report.shed(), 4);
-        assert_eq!(cache.stats().misses, 0, "nothing compiles after shutdown");
     }
 
     #[test]
@@ -1164,87 +906,18 @@ mod tests {
     }
 
     #[test]
-    fn transient_full_ladder_failures_are_retried() {
-        let cache = Arc::new(CompileCache::new());
-        // Pre-warm every rung the Vm ladder touches so each one hits the
-        // cache, then corrupt exactly the first three hits: attempt 1
-        // burns the whole ladder on corrupted hits, attempt 2 runs clean.
-        let reqs = vec![ServeRequest::new(
-            "t",
-            SRC,
-            RunRequest::new().with_engine(Engine::Vm),
-        )];
-        serve(&reqs, 1, &cache); // warm (c2,vm)
-        let warm_interp = vec![
-            ServeRequest::new("t", SRC, RunRequest::new().with_engine(Engine::Interp)),
-            ServeRequest::new(
-                "t",
-                SRC,
-                RunRequest::new()
-                    .with_engine(Engine::Interp)
-                    .with_level(Level::Baseline),
-            ),
-        ];
-        serve(&warm_interp, 1, &cache);
-
-        let opts = ServeOptions::new()
-            .with_workers(1)
-            .with_retry(RetryPolicy::retries(2))
-            // The breaker must not trip mid-test; raise its threshold.
-            .with_breaker(BreakerConfig {
-                failure_threshold: 100,
-                ..BreakerConfig::default()
-            })
-            .with_faults(FaultPlan::new(15).with_limited(FaultSite::CacheCorrupt, 1.0, Some(3)));
-        let report = serve_with(&reqs, &opts, &cache);
-        assert_eq!(report.completed(), 1, "{}", report.render());
-        let r = &report.records[0];
-        assert_eq!(r.attempts, 2, "one transient failure, one clean retry");
-        assert_eq!(report.retried(), 1);
-        assert!(report.render().contains("1 retried"));
-    }
-
-    #[test]
-    fn permanent_failures_are_not_retried() {
-        let cache = Arc::new(CompileCache::new());
-        let reqs = vec![ServeRequest::new("bad", "program ???", RunRequest::new())];
-        let opts = ServeOptions::new().with_retry(RetryPolicy::retries(3));
-        let report = serve_with(&reqs, &opts, &cache);
-        assert_eq!(report.failed(), 1);
-        assert_eq!(report.records[0].attempts, 1, "parse errors fail fast");
-    }
-
-    #[test]
     fn shed_policy_parses_its_flag_spellings() {
         assert_eq!("reject".parse(), Ok(ShedPolicy::RejectNewest));
         assert_eq!("reject-newest".parse(), Ok(ShedPolicy::RejectNewest));
-        assert_eq!("drop".parse(), Ok(ShedPolicy::DropOldest));
-        assert_eq!("drop-oldest".parse(), Ok(ShedPolicy::DropOldest));
         assert_eq!("block".parse(), Ok(ShedPolicy::Block));
         assert!("newest".parse::<ShedPolicy>().is_err());
-    }
-
-    #[test]
-    fn backoff_is_deterministic_capped_and_jittered() {
-        let policy = RetryPolicy {
-            max_retries: 5,
-            backoff: Duration::from_millis(4),
-            max_backoff: Duration::from_millis(10),
-            seed: 9,
-        };
-        let seq = |seed| {
-            let mut rng = Rng::new(seed);
-            (1..=4)
-                .map(|a| policy.backoff_for(a, &mut rng))
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(seq(1), seq(1), "same seed, same schedule");
-        for (attempt, d) in seq(2).iter().enumerate() {
-            let full = Duration::from_millis(4)
-                .saturating_mul(1 << attempt)
-                .min(Duration::from_millis(10));
-            assert!(*d <= full, "jitter never exceeds the backoff");
-            assert!(*d >= full.mul_f64(0.5), "jitter stays above half");
+        // The removed policy's spellings name what replaced it.
+        for removed in ["drop", "drop-oldest"] {
+            let err = removed.parse::<ShedPolicy>().unwrap_err();
+            assert!(
+                err.contains("reject-newest") && err.contains("block"),
+                "{err}"
+            );
         }
     }
 }

@@ -39,7 +39,7 @@
 //! The final rung — the unoptimized reference interpreter — is the
 //! semantic ground truth for the entire system (every engine is tested
 //! bit-identical against it), so degradation never changes the computed
-//! answer, only how fast it arrives. Every attempt, fault, and retry is
+//! answer, only how fast it arrives. Every attempt and fault is
 //! recorded in a [`SupervisorReport`] so callers can see exactly what
 //! happened and why.
 //!
@@ -60,12 +60,21 @@
 //!   a degraded answer late beats no answer — unless
 //!   [`Budgets::enforce_on_reference`] is set.
 //! * **Communication failures** from a simulated-runtime backend
-//!   ([`Supervisor::run_program_simulated`]): the same rung is retried
-//!   once with simulation disabled, since the communication simulation
-//!   affects timing models, never computed values. A backend is an
-//!   *observer* of the rung, not a second way to run it: it is handed the
-//!   executor the rung built — from the same cached artifact, at the same
-//!   knobs and limits — and only chooses what watches it run.
+//!   ([`Supervisor::run_program_simulated`]): the same rung runs once
+//!   more without the backend, since the communication simulation
+//!   affects timing models, never computed values. That is a degradation
+//!   of what observes the rung, not a retry: it pays even when every
+//!   exchange fails. A backend is an *observer* of the rung, not a second
+//!   way to run it: it is handed the executor the rung built — from the
+//!   same cached artifact, at the same knobs and limits — and only
+//!   chooses what watches it run.
+//! * **Poisoned artifacts.** With a cache attached, an execution fault of
+//!   the requested rung (`Stage::Execute`, an `Exec` or `Panic` kind)
+//!   [quarantines](CompileCache::quarantine) the requested key on its
+//!   first occurrence — execution is deterministic, so a rerun would
+//!   fault again — once the run's own ladder is done, and every later run
+//!   of a quarantined key goes straight to the reference rung without
+//!   consulting the cache.
 //!
 //! ```
 //! use fusion_core::supervisor::Supervisor;
@@ -81,7 +90,6 @@
 //! assert!(!run.report.degraded());
 //! ```
 
-use crate::breaker::{Admission, CircuitBreakers};
 use crate::cache::{CacheKey, CompileCache, Depth};
 use crate::hash;
 use crate::pipeline::{Level, LevelSpec};
@@ -140,7 +148,7 @@ fn install_quiet_hook() {
 /// Runs `f`, converting a panic into its message. The default panic
 /// report is suppressed for the duration. Shared with the serve layer,
 /// whose workers need the same boundary around per-request code that
-/// runs *outside* the supervisor (dequeue, fault injection, retries).
+/// runs *outside* the supervisor (dequeue, fault injection, deadline math).
 pub(crate) fn quiet_catch<R>(f: impl FnOnce() -> R) -> Result<R, String> {
     install_quiet_hook();
     let prev = CAPTURING.with(|c| c.replace(true));
@@ -183,7 +191,9 @@ pub enum CauseKind {
 }
 
 impl CauseKind {
-    fn name(self) -> &'static str {
+    /// One human-readable word-or-two per kind, used in rendered causes
+    /// and to bucket failures in serving reports.
+    pub fn name(self) -> &'static str {
         match self {
             CauseKind::Panic => "panic",
             CauseKind::VerifyReject => "verifier rejection",
@@ -195,23 +205,6 @@ impl CauseKind {
             CauseKind::Config => "config error",
             CauseKind::Exec => "execution error",
         }
-    }
-
-    /// True if a fault of this kind is plausibly transient — a retry of
-    /// the same request may succeed. Communication failures and
-    /// execution-stage faults (vm-traps, poisoned cache artifacts)
-    /// qualify; parse and config errors, verifier rejections, and panics
-    /// are deterministic reruns of the same failure, and the budget kinds
-    /// (fuel, deadline, allocation) are policy decisions a retry would
-    /// only re-spend.
-    pub fn is_transient(self) -> bool {
-        matches!(self, CauseKind::Comm | CauseKind::Exec)
-    }
-
-    /// One human-readable word-or-two per kind, used to bucket failures
-    /// in serving reports.
-    pub fn label(self) -> &'static str {
-        self.name()
     }
 }
 
@@ -293,9 +286,9 @@ pub struct SupervisorReport {
     pub final_spec: LevelSpec,
     /// The engine that produced the answer (meaningless if the run failed).
     pub final_engine: Engine,
-    /// True if the requested key's circuit breaker was open and the run
-    /// was routed straight to the reference rung, bypassing the cache.
-    pub breaker_open: bool,
+    /// True if the requested key was quarantined and the run was routed
+    /// straight to the reference rung, bypassing the cache.
+    pub quarantined: bool,
 }
 
 impl SupervisorReport {
@@ -306,7 +299,7 @@ impl SupervisorReport {
             attempts: Vec::new(),
             final_spec: req.spec,
             final_engine: req.engine,
-            breaker_open: false,
+            quarantined: false,
         }
     }
 
@@ -370,8 +363,8 @@ impl SupervisorReport {
             self.final_spec,
             self.final_engine,
             if self.degraded() { " (degraded)" } else { "" },
-            if self.breaker_open {
-                " (breaker open)"
+            if self.quarantined {
+                " (key quarantined)"
             } else {
                 ""
             }
@@ -455,11 +448,10 @@ impl std::error::Error for SupervisorError {}
 /// docs for the fault model and ladder. It owns the [`RunRequest`] it
 /// serves (level spec, engine, threads, lanes, budgets, `--set`
 /// overrides are set there) plus only what a request does not carry:
-/// the shared cache and the breaker registry.
+/// the shared cache, which also holds the quarantined keys.
 pub struct Supervisor {
     request: RunRequest,
     cache: Option<Arc<CompileCache>>,
-    breaker: Option<Arc<CircuitBreakers>>,
 }
 
 impl fmt::Debug for Supervisor {
@@ -499,7 +491,6 @@ impl Supervisor {
         Supervisor {
             request,
             cache: None,
-            breaker: None,
         }
     }
 
@@ -512,20 +503,14 @@ impl Supervisor {
     /// stage that runs publishes its result for future runs. This is how
     /// the serve path amortizes compilation across requests while
     /// keeping the fault boundary per-request.
+    ///
+    /// The attached cache also decides quarantine: a requested key it
+    /// holds as [quarantined](CompileCache::is_quarantined) routes the run
+    /// straight to the unoptimized reference interpreter *without
+    /// consulting the cache*, and the first execution-time fault of the
+    /// requested rung quarantines its key.
     pub fn with_cache(mut self, cache: Arc<CompileCache>) -> Self {
         self.cache = Some(cache);
-        self
-    }
-
-    /// Attaches a shared [`CircuitBreakers`] registry. Before running,
-    /// the supervisor asks the breaker about the requested rung's cache
-    /// key: an open key routes the run straight to the unoptimized
-    /// reference interpreter *without consulting the cache*, so a
-    /// quarantined artifact is never re-served while its key is open.
-    /// Successes and execution-time faults of the requested rung feed
-    /// back into the breaker, and a trip quarantines the cached entry.
-    pub fn with_breaker(mut self, breaker: Arc<CircuitBreakers>) -> Self {
-        self.breaker = Some(breaker);
         self
     }
 
@@ -590,7 +575,7 @@ impl Supervisor {
     ///
     /// Returns [`SupervisorError`] if a `--set` override names no config
     /// variable of the program (a [`CauseKind::Config`] cause; no rung is
-    /// attempted and the breaker hears nothing), or if every rung —
+    /// attempted and nothing is quarantined), or if every rung —
     /// including the unoptimized reference interpreter — faulted.
     pub fn run_program(&self, program: &Program) -> Result<Supervised, SupervisorError> {
         let digest = hash::program_hash(program);
@@ -601,7 +586,7 @@ impl Supervisor {
     /// by `sim`, a simulated-runtime backend, instead of unobserved. The
     /// ladder, the artifacts and the knobs are the plain run's: a
     /// simulated and a plain request share their cache entries. On a
-    /// communication failure the same rung is retried once without the
+    /// communication failure the same rung runs once more without the
     /// backend (communication simulation affects timing models, not
     /// values).
     ///
@@ -641,22 +626,18 @@ impl Supervisor {
             }
         };
         // The requested rung's cache key identifies the artifact under
-        // suspicion. When a breaker registry is attached, an open key
-        // routes the whole run to the reference rung without touching the
-        // cache; otherwise the requested rung's outcome feeds the breaker.
+        // suspicion. A quarantined key routes the whole run to the
+        // reference rung without touching the cache.
         let key = CacheKey::at(digest, program, &binding, req.spec, req.engine);
-        let forced_reference = self
-            .breaker
-            .as_ref()
-            .is_some_and(|b| b.admit(key) == Admission::Reference);
-        report.breaker_open = forced_reference;
+        let forced_reference = self.cache.as_ref().is_some_and(|c| c.is_quarantined(&key));
+        report.quarantined = forced_reference;
         let rungs = if forced_reference {
             vec![(Level::Baseline.into(), Engine::Interp, req.exec_opts())]
         } else {
             ladder(req)
         };
-        // An open key's run must not consult the attached cache: its one
-        // rung compiles through a cache of its own.
+        // A quarantined key's run must not consult the attached cache: its
+        // one rung compiles through a cache of its own.
         let bypass;
         let (cache, shared) = if forced_reference {
             bypass = CompileCache::with_shards(1, 1);
@@ -677,8 +658,13 @@ impl Supervisor {
         // rungs share that one artifact, so none of them can run.
         let mut no_bytecode = false;
         let mut last_cause: Option<Cause> = None;
+        // Set when the requested rung faults at execution. The key is
+        // quarantined once the ladder is done, so that the rungs below it
+        // still share the one optimizer run and lowering.
+        let mut quarantine = false;
 
-        for (ri, &(spec, engine, knobs)) in rungs.iter().enumerate() {
+        let mut answer = None;
+        'rungs: for (ri, &(spec, engine, knobs)) in rungs.iter().enumerate() {
             if poisoned == Some(spec) || (no_bytecode && engine != Engine::Interp) {
                 continue;
             }
@@ -687,17 +673,10 @@ impl Supervisor {
             // not apply to it (unless asked) because its entire point is
             // to always produce the answer. A directly requested
             // (baseline, interp) run (ri == 0) is an ordinary rung and
-            // stays budgeted — except when the breaker forced the run
+            // stays budgeted — except when quarantine forced the run
             // there, which carries reference semantics.
             let is_reference = forced_reference || (ri > 0 && ri == rungs.len() - 1);
             let budgeted = !is_reference || req.budgets.enforce_on_reference;
-            // Only the requested rung's fate says anything about the
-            // requested artifact as requested; a degraded rung runs it at
-            // other knobs, or runs different code.
-            let breaker = self
-                .breaker
-                .as_ref()
-                .filter(|_| !forced_reference && ri == 0);
 
             // Try with the sim backend if there is one; on a
             // communication failure, once more without it.
@@ -719,31 +698,25 @@ impl Supervisor {
                 };
                 let cause = match r {
                     Ok(outcome) => {
-                        if let Some(b) = breaker {
-                            b.record_success(key);
-                        }
                         report.attempts.push(attempt(None));
                         report.final_spec = spec;
                         report.final_engine = engine;
-                        return Ok(Supervised { outcome, report });
+                        answer = Some(outcome);
+                        break 'rungs;
                     }
                     Err(cause) => cause,
                 };
                 report.attempts.push(attempt(Some(cause.clone())));
-                // Execution-time faults of the requested rung are what a
-                // poisoned artifact looks like from the outside; count
-                // them, and on a trip quarantine the cached entry so it
-                // is never re-served.
-                if let Some(b) = breaker.filter(|_| {
-                    cause.stage == Stage::Execute
-                        && matches!(cause.kind, CauseKind::Exec | CauseKind::Panic)
-                }) {
-                    if b.record_failure(key) {
-                        if let Some(cache) = &self.cache {
-                            cache.quarantine(&key);
-                        }
-                    }
-                }
+                // An execution-time fault of the requested rung is what a
+                // poisoned artifact looks like from the outside. Execution
+                // is deterministic, so the first one quarantines the key:
+                // the artifact is never re-served. Only the requested rung
+                // counts; a degraded rung runs the artifact at other knobs,
+                // or runs different code.
+                quarantine |= !forced_reference
+                    && ri == 0
+                    && cause.stage == Stage::Execute
+                    && matches!(cause.kind, CauseKind::Exec | CauseKind::Panic);
                 if cause.kind == CauseKind::Panic && cause.stage != Stage::Execute {
                     // Optimization is deterministic: re-running the same
                     // spec would panic again.
@@ -752,21 +725,30 @@ impl Supervisor {
                 // So is lowering, and a rejection is a compiler bug, not
                 // something narrower knobs can avoid.
                 no_bytecode |= cause.stage == Stage::VerifyBytecode;
-                let comm_retry = cause.kind == CauseKind::Comm && use_sim;
+                let comm_fallback = cause.kind == CauseKind::Comm && use_sim;
                 last_cause = Some(cause);
-                if !comm_retry {
+                if !comm_fallback {
                     break;
                 }
                 use_sim = false;
             }
         }
-
-        let cause = last_cause.unwrap_or_else(|| Cause {
-            stage: Stage::Execute,
-            kind: CauseKind::Exec,
-            message: "no execution strategy was attempted".to_string(),
-        });
-        Err(SupervisorError { cause, report })
+        if quarantine {
+            if let Some(cache) = &self.cache {
+                cache.quarantine(&key);
+            }
+        }
+        match answer {
+            Some(outcome) => Ok(Supervised { outcome, report }),
+            None => {
+                let cause = last_cause.unwrap_or_else(|| Cause {
+                    stage: Stage::Execute,
+                    kind: CauseKind::Exec,
+                    message: "no execution strategy was attempted".to_string(),
+                });
+                Err(SupervisorError { cause, report })
+            }
+        }
     }
 
     /// One rung: the request at the rung's spec and knobs, through the one
@@ -996,10 +978,12 @@ mod tests {
             ]
         );
         // One lowered artifact for the three VM rungs, one tree-only
-        // artifact for the interpreter, one optimizer run for all four.
+        // artifact for the interpreter, one optimizer run for all four:
+        // the trap quarantines the key only once the ladder is done.
         let s = cache.stats();
         assert_eq!((s.misses, s.hits), (2, 2));
         assert_eq!((s.optimize_misses, s.optimize_hits), (1, 1));
+        assert_eq!(s.quarantines, 1);
     }
 
     #[test]
@@ -1141,7 +1125,7 @@ mod tests {
     }
 
     #[test]
-    fn comm_failure_retries_same_rung_without_sim() {
+    fn comm_failure_reruns_same_rung_without_sim() {
         let mut calls = 0;
         let program = zlang::compile(SRC).unwrap();
         let run = Supervisor::new(Level::C2F3, Engine::Vm)
@@ -1150,10 +1134,10 @@ mod tests {
                 Err(ExecError::comm("ghost exchange failed after 4 retries"))
             })
             .unwrap();
-        // The backend saw the rung once; the retry ran without it.
+        // The backend saw the rung once; the rerun ran without it.
         assert_eq!(calls, 1);
         assert_eq!(run.outcome.checksum(), reference_checksum());
-        // Same rung, retried with sim disabled — no engine degradation.
+        // Same rung, rerun with sim disabled — no engine degradation.
         assert_eq!(run.report.final_engine, Engine::Vm);
         assert_eq!(run.report.final_spec, Level::C2F3.into());
         assert!(run.report.attempts[1].sim_disabled);
@@ -1179,26 +1163,22 @@ mod tests {
     }
 
     #[test]
-    fn unknown_override_fails_up_front_and_is_not_transient() {
-        use crate::breaker::{BreakerConfig, BreakerState, CircuitBreakers};
-
+    fn unknown_override_fails_up_front_and_quarantines_nothing() {
         let cache = Arc::new(CompileCache::new());
-        let breakers = Arc::new(CircuitBreakers::new(BreakerConfig::default()));
         let req = request(Level::C2F3, Engine::VmSimd).with_set("bogus", 3);
         let err = req
             .supervisor()
             .with_cache(cache.clone())
-            .with_breaker(breakers.clone())
             .run_source(SRC)
             .unwrap_err();
         assert_eq!(err.cause.kind, CauseKind::Config);
-        assert!(!err.cause.kind.is_transient());
         let program = zlang::compile(SRC).unwrap();
         assert_eq!(err.cause.message, req.binding_for(&program).unwrap_err());
         assert!(err.cause.message.contains("bogus"), "{}", err.cause);
-        // No rung ran, nothing past the parse stage was looked up, and
-        // the breaker heard nothing about any key.
+        // No rung ran, nothing past the parse stage was looked up, and no
+        // key was quarantined.
         assert!(err.report.attempts.is_empty());
+        assert!(!err.report.quarantined);
         assert_eq!(
             cache.stats(),
             crate::cache::CacheStats {
@@ -1206,14 +1186,13 @@ mod tests {
                 ..Default::default()
             }
         );
-        assert_eq!(breakers.stats(), crate::breaker::BreakerStats::default());
         let key = CacheKey::compute(
             &program,
             &ConfigBinding::defaults(&program),
             req.spec,
             req.engine,
         );
-        assert_eq!(breakers.state(&key), BreakerState::Closed);
+        assert!(!cache.is_quarantined(&key));
     }
 
     #[test]
@@ -1262,15 +1241,8 @@ mod tests {
     }
 
     #[test]
-    fn corrupted_cache_hits_trip_quarantine_and_heal() {
-        use crate::breaker::{BreakerConfig, BreakerState, CircuitBreakers};
-
+    fn corrupted_cache_hit_quarantines_on_first_fault() {
         let cache = Arc::new(CompileCache::new());
-        let breakers = Arc::new(CircuitBreakers::new(BreakerConfig {
-            failure_threshold: 2,
-            cooldown: 1,
-            success_threshold: 1,
-        }));
         let program = zlang::compile(SRC).unwrap();
         let want = reference_checksum();
 
@@ -1283,46 +1255,33 @@ mod tests {
         let key = CacheKey::compute(&program, &binding, Level::C2.into(), Engine::Vm);
         let _g =
             faults::install(testkit::faults::FaultPlan::new(5).with(FaultSite::CacheCorrupt, 1.0));
-        let sup = || {
-            Supervisor::new(Level::C2, Engine::Vm)
-                .with_cache(cache.clone())
-                .with_breaker(breakers.clone())
-        };
+        let sup = || Supervisor::new(Level::C2, Engine::Vm).with_cache(cache.clone());
 
-        // First corrupted hit: counted, not yet tripped; the run degrades
-        // but still answers correctly.
+        // The first corrupted hit quarantines the key and evicts the
+        // artifact; the run degrades but still answers correctly.
         let run = sup().run_program(&program).unwrap();
         assert_eq!(run.outcome.checksum(), want);
         assert!(run.report.degraded());
+        assert!(!run.report.quarantined, "this run was not routed");
         assert!(run.report.mentions("cache-corrupt"));
-        assert_eq!(breakers.state(&key), BreakerState::Closed);
-
-        // Second corrupted hit trips the breaker and quarantines the
-        // artifact.
-        let run = sup().run_program(&program).unwrap();
-        assert_eq!(run.outcome.checksum(), want);
-        assert_eq!(breakers.state(&key), BreakerState::Open);
+        assert!(cache.is_quarantined(&key));
         assert_eq!(cache.stats().quarantines, 1);
         assert!(cache.lookup(&key).is_none(), "entry evicted");
 
-        // While open the run is routed to the reference rung without
+        // From then on every run is routed to the reference rung without
         // consulting the cache: no hit, so the (still-armed) corruption
-        // cannot fire, and the answer is clean.
-        let hits_before = cache.stats().hits;
-        let run = sup().run_program(&program).unwrap();
-        assert_eq!(run.outcome.checksum(), want);
-        assert!(run.report.breaker_open);
-        assert_eq!(run.report.final_spec, Level::Baseline.into());
-        assert_eq!(cache.stats().hits, hits_before, "cache bypassed");
-        assert!(run.report.render().contains("breaker open"));
-
-        // Cooldown spent: the next run probes, recompiles the quarantined
-        // key fresh (a miss, so no corruption), and closes the breaker.
-        let run = sup().run_program(&program).unwrap();
-        assert_eq!(run.outcome.checksum(), want);
-        assert!(!run.report.degraded());
-        assert_eq!(breakers.state(&key), BreakerState::Closed);
-        assert_eq!(breakers.stats().closes, 1);
+        // cannot fire, and the answer is clean. Nothing heals the key.
+        for _ in 0..2 {
+            let hits_before = cache.stats().hits;
+            let run = sup().run_program(&program).unwrap();
+            assert_eq!(run.outcome.checksum(), want);
+            assert!(run.report.quarantined);
+            assert_eq!(run.report.attempts.len(), 1);
+            assert_eq!(run.report.final_spec, Level::Baseline.into());
+            assert_eq!(cache.stats().hits, hits_before, "cache bypassed");
+            assert!(run.report.render().contains("key quarantined"));
+        }
+        assert_eq!(cache.stats().quarantines, 1);
     }
 
     #[test]

@@ -49,7 +49,7 @@ pub enum FaultSite {
     WorkerPanic,
     /// A cached compile artifact comes back bit-flipped: consuming the
     /// hit faults at execution time (`fusion_core::supervisor`), which is
-    /// what drives the per-key circuit breaker and cache quarantine.
+    /// what drives cache quarantine.
     CacheCorrupt,
 }
 

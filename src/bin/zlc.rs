@@ -65,11 +65,7 @@
 //!   --queue-cap <n>               bound the admission queue (default 0 =
 //!                                 unbounded)
 //!   --shed <policy>               what to do when the queue is full:
-//!                                 reject-newest, drop-oldest, or block
-//!                                 (default block)
-//!   --retries <n>                 retry transient full-ladder failures up
-//!                                 to n times with deterministic backoff
-//!                                 (default 0)
+//!                                 reject-newest or block (default block)
 //!   --deadline-ms <n>             in serve mode: total per-request
 //!                                 deadline measured from admission (queue
 //!                                 wait included); expired requests shed
@@ -82,16 +78,20 @@
 //! coordinates alone, so the pipeline-only flags (`--dimension-contraction`,
 //! `--spatial-cap`, `--favor-comm`, `--emit`, `--print`, `--verify`) are
 //! usage errors there, as are the one-shot flags (`--machine`, `--procs`,
-//! `--supervise`, `--run`) under `serve`. In every mode, so are the knobs
-//! the engine name pins: `--threads` under `interp`, `vm` and `vm-simd`,
-//! `--lanes` under `interp` and `vm` — with or without `--machine`.
+//! `--supervise`, `--run`) under `serve` and the serve-only flags
+//! (`--requests`, `--workers`, `--queue-cap`, `--shed`) outside it. In
+//! every mode, so are the knobs the engine name pins: `--threads` under
+//! `interp`, `vm` and `vm-simd`, `--lanes` under `interp` and `vm` — with
+//! or without `--machine`. The removed `--retries` and `--shed
+//! drop-oldest` are usage errors that name what replaced them: a key
+//! whose artifact faults at execution is quarantined, not retried.
 //!
 //! The plain mode lowers at most once: `--verify`, `--print bytecode` and
 //! `--run` share one `SharedProgram::lower`, and `--machine` only chooses
 //! what observes the run.
 
 use fusion_core::pass::PassId;
-use fusion_core::serve::{serve_with, RetryPolicy, ServeOptions, ServeRequest, ShedPolicy};
+use fusion_core::serve::{serve_with, ServeOptions, ServeRequest, ShedPolicy};
 use fusion_core::verify::Severity;
 use fusion_core::{CompileCache, RunRequest};
 use loopir::{Engine, ExecOpts, Executor, Interp, RunOutcome, SharedProgram, Vm};
@@ -112,7 +112,6 @@ struct Options {
     workers: usize,
     queue_cap: usize,
     shed: ShedPolicy,
-    retries: u32,
     request: RunRequest,
     dimension_contraction: bool,
     spatial_cap: Option<usize>,
@@ -137,7 +136,7 @@ fn usage(msg: &str) -> ExitCode {
          \x20          [--machine t3e|sp2|paragon] [--procs P] [--set name=value]...\n\
          \x20          [--supervise] [--deadline-ms N] [--fuel N] [--inject PLAN]\n\
          \x20      zlc serve <file.zl>... [--requests N] [--workers N] [--queue-cap N]\n\
-         \x20          [--shed reject-newest|drop-oldest|block] [--retries N] [run options]\n\
+         \x20          [--shed reject-newest|block] [run options]\n\
          \x20      zlc --list-engines | --list-passes",
         PRINT_TARGETS.join("|")
     );
@@ -171,6 +170,9 @@ const PIPELINE_ONLY: &[&str] = &[
 /// Flags that describe one run of one file; `serve` replays a batch.
 const ONE_SHOT_ONLY: &[&str] = &["--machine", "--procs", "--supervise", "--run"];
 
+/// Flags that shape a batch; only `serve` replays one.
+const SERVE_ONLY: &[&str] = &["--requests", "--workers", "--queue-cap", "--shed"];
+
 fn parse_args(args: &[String]) -> Result<Options, String> {
     let mut opts = Options {
         serve: false,
@@ -180,7 +182,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
         workers: 4,
         queue_cap: 0,
         shed: ShedPolicy::Block,
-        retries: 0,
         request: RunRequest::new(),
         dimension_contraction: false,
         spatial_cap: None,
@@ -309,9 +310,12 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                 opts.shed = value("--shed")?.parse()?;
             }
             "--retries" => {
-                opts.retries = value("--retries")?
-                    .parse()
-                    .map_err(|_| "bad retry count".to_string())?;
+                return Err(
+                    "`--retries` was removed: execution is deterministic, so a key \
+                     whose artifact faults at execution is quarantined on its first fault, \
+                     not retried (DESIGN.md §16); remove the flag"
+                        .to_string(),
+                )
             }
             other if other.starts_with('-') => return Err(format!("unknown option `{other}`")),
             "serve" if !saw_positional => {
@@ -341,13 +345,18 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
     let (mode, unread): (&str, &[&str]) = if opts.serve {
         ("serve", &[PIPELINE_ONLY, ONE_SHOT_ONLY].concat())
     } else if opts.supervise {
-        ("--supervise", PIPELINE_ONLY)
+        ("--supervise", &[PIPELINE_ONLY, SERVE_ONLY].concat())
     } else {
-        ("", &[])
+        ("zlc <file.zl>", SERVE_ONLY)
     };
     if let Some(flag) = args.iter().find(|a| unread.contains(&a.as_str())) {
+        let instead = if SERVE_ONLY.contains(&flag.as_str()) {
+            "run `zlc serve`".to_string()
+        } else {
+            format!("run without `{mode}`")
+        };
         return Err(format!(
-            "`{flag}` is not read by `{mode}`; remove it, or run without `{mode}`"
+            "`{flag}` is not read by `{mode}`; remove it, or {instead}"
         ));
     }
     // A knob is read by an engine name exactly when the name passes it
@@ -472,8 +481,8 @@ fn run_supervised(opts: &Options, program: &Program) -> ExitCode {
 /// The `serve` subcommand: compile-check the input files, expand them to
 /// `--requests` round-robin serve requests, run the batch across
 /// `--workers` threads over one shared compile cache with admission
-/// control, deadlines, retries, and circuit breakers, and print the
-/// latency/cache/breaker report.
+/// control, deadlines and quarantine, and print the latency/cache
+/// report.
 fn run_serve(opts: &Options) -> ExitCode {
     let cache = Arc::new(CompileCache::new());
     let mut programs = Vec::new();
@@ -520,8 +529,7 @@ fn run_serve(opts: &Options) -> ExitCode {
     let mut serve_opts = ServeOptions::new()
         .with_workers(opts.workers)
         .with_queue_cap(opts.queue_cap)
-        .with_shed(opts.shed)
-        .with_retry(RetryPolicy::retries(opts.retries));
+        .with_shed(opts.shed);
     if let Some(spec) = &opts.inject {
         match FaultPlan::parse(spec) {
             Ok(plan) => serve_opts = serve_opts.with_faults(plan),

@@ -660,7 +660,9 @@ fn unknown_set_name_fails_on_every_path() {
 /// A mode reads a flag or rejects it: `--supervise` and `serve` compile
 /// through the cache at the request's coordinates alone, so every flag
 /// that only the plain path's pipeline reads is a usage error there (it
-/// used to be dropped silently), and `serve` rejects the one-shot flags.
+/// used to be dropped silently), `serve` rejects the one-shot flags, and
+/// the one-shot modes reject the flags that shape a serve batch (they
+/// used to be ignored).
 #[test]
 fn modes_reject_flags_they_do_not_read() {
     let sweep = program_path("sweep.zl");
@@ -686,6 +688,16 @@ fn modes_reject_flags_they_do_not_read() {
     for flag in one_shot_only {
         table.push(("serve", vec!["serve", &sweep], flag));
     }
+    let serve_only: [&[&str]; 4] = [
+        &["--requests", "4"],
+        &["--workers", "4"],
+        &["--queue-cap", "3"],
+        &["--shed", "reject-newest"],
+    ];
+    for flag in serve_only {
+        table.push(("zlc <file.zl>", vec![&sweep, "--run"], flag));
+        table.push(("--supervise", vec![&sweep, "--supervise"], flag));
+    }
     for (mode, mut args, flag) in table {
         args.extend_from_slice(flag);
         let out = Command::new(env!("CARGO_BIN_EXE_zlc"))
@@ -698,6 +710,9 @@ fn modes_reject_flags_they_do_not_read() {
             stderr.contains(&format!("`{}` is not read by `{mode}`", flag[0])),
             "{args:?}: {stderr}"
         );
+        if serve_only.contains(&flag) {
+            assert!(stderr.contains("or run `zlc serve`"), "{args:?}: {stderr}");
+        }
         assert!(out.stdout.is_empty(), "{args:?} ran anyway");
     }
 
@@ -714,6 +729,35 @@ fn modes_reject_flags_they_do_not_read() {
     assert!(
         stats(&plain).unwrap().contains("peak 16224 bytes"),
         "{plain}"
+    );
+}
+
+/// Retries and the drop-oldest shed policy are gone from `serve`: each
+/// removed spelling is a usage error that names what replaced it.
+#[test]
+fn removed_serve_spellings_name_their_replacement() {
+    let heat = program_path("heat.zl");
+    let stderr = usage_error(&["serve", &heat, "--retries", "1"]);
+    assert!(stderr.contains("`--retries` was removed"), "{stderr}");
+    assert!(
+        stderr.contains("quarantined on its first fault, not retried (DESIGN.md §16)"),
+        "{stderr}"
+    );
+    for policy in ["drop", "drop-oldest"] {
+        let stderr = usage_error(&["serve", &heat, "--shed", policy]);
+        assert!(
+            stderr.contains(&format!("shed policy `{policy}` was removed")),
+            "{stderr}"
+        );
+        assert!(
+            stderr.contains("use reject-newest to shed the incoming request, or block"),
+            "{stderr}"
+        );
+    }
+    // The usage line lists only what is accepted.
+    assert!(
+        stderr.contains("[--shed reject-newest|block] [run options]"),
+        "{stderr}"
     );
 }
 
