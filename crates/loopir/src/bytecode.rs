@@ -502,12 +502,15 @@ pub(crate) struct Check {
 /// iteration points are independent along `dim`: the compiler proved that
 /// every array written inside the ladder varies along `dim` (nonzero
 /// stride) and is only accessed at a single constant offset along `dim`,
-/// that the body carries no reduction, and that every loop-local temp is
-/// written before it is read. Splitting the range of `dim` into contiguous
-/// tiles therefore partitions the writes, and executing the tiles in any
-/// interleaving is observably identical to the sequential run (the
-/// per-element result of each point does not depend on any other tile).
-#[derive(Debug, Clone, Copy)]
+/// and that every loop-local temp is written before it is read. Splitting
+/// the range of `dim` into contiguous tiles therefore partitions the
+/// writes, and executing the tiles in any interleaving is observably
+/// identical to the sequential run (the per-element result of each point
+/// does not depend on any other tile). A body that reduces does depend on
+/// the order of its points, through its accumulators: such a ladder
+/// splits only along its outermost loop, where tile order is position
+/// order, and lists its accumulators in `folds`.
+#[derive(Debug, Clone)]
 pub(crate) struct ParInfo {
     /// The index-vector dimension whose range may be partitioned.
     pub dim: u8,
@@ -521,6 +524,12 @@ pub(crate) struct ParInfo {
     pub entry: u32,
     /// pc one past the ladder's outermost `IdxStep`.
     pub exit: u32,
+    /// The accumulators the ladder's `Reduce`s fold, each under its one
+    /// operator, in body order. No other op of the ladder touches them,
+    /// so a tile logs its terms instead of folding them, and the logs are
+    /// folded in tile order (`crate::par`). Empty for a ladder that does
+    /// not reduce.
+    pub folds: Vec<(Reg, ReduceOp)>,
 }
 
 /// One resolved array access site.
@@ -790,25 +799,21 @@ fn loads_in<'e>(e: &'e EExpr, out: &mut Vec<(ArrayId, &'e Offset)>) {
     }
 }
 
-/// Visits every loop-local temp read by `e`.
-fn temp_reads(e: &EExpr, f: &mut impl FnMut(u32)) {
+/// Visits every leaf of `e`: loads, temps, scalars, configs, constants
+/// and indices.
+fn leaves(e: &EExpr, f: &mut impl FnMut(&EExpr)) {
     match e {
-        EExpr::Temp(t) => f(t.0),
-        EExpr::Unary(_, inner) => temp_reads(inner, f),
+        EExpr::Unary(_, inner) => leaves(inner, f),
         EExpr::Binary(_, l, r) => {
-            temp_reads(l, f);
-            temp_reads(r, f);
+            leaves(l, f);
+            leaves(r, f);
         }
         EExpr::Call(_, args) => {
             for a in args {
-                temp_reads(a, f);
+                leaves(a, f);
             }
         }
-        EExpr::Load(..)
-        | EExpr::ScalarRef(_)
-        | EExpr::ConfigRef(_)
-        | EExpr::Const(_)
-        | EExpr::Index(_) => {}
+        leaf => f(leaf),
     }
 }
 
@@ -1426,13 +1431,17 @@ impl<'p> Compiler<'p> {
     ///   along `d` (offsets along *other* dimensions are free — a column
     ///   stencil still row-parallelizes).
     ///
-    /// Independently of the dimension, the body must carry no reduction
-    /// (reductions stay sequential so the fold order — and therefore the
-    /// IEEE-754 result bits — matches the interpreter exactly), and every
-    /// loop-local temp must be written before it is read so no point
-    /// depends on another tile's temp value. Note that clusters fused under
-    /// the paper's null-distance contraction test satisfy all of this
-    /// automatically; the re-check keeps hand-built nests honest.
+    /// Independently of the dimension, every loop-local temp must be
+    /// written before it is read so no point depends on another tile's
+    /// temp value. A body that reduces has two more obligations, because
+    /// IEEE-754 folds are not associative and the tiles' terms must be
+    /// folded in exactly the interpreter's order: `d` must be the
+    /// outermost loop (tile order is then position order), and each
+    /// accumulator must be folded under one operator and touched by no
+    /// other statement (so a tile can log its terms, [`ParInfo::folds`]).
+    /// Note that clusters fused under the paper's null-distance
+    /// contraction test satisfy the access obligations automatically; the
+    /// re-check keeps hand-built nests honest.
     ///
     /// `touched` is the nest's accesses, the first `loads` of them loads
     /// and the rest its stores ([`Compiler::touch`]).
@@ -1446,16 +1455,26 @@ impl<'p> Compiler<'p> {
         let defined = &mut self.defined;
         defined.clear();
         defined.resize(nest.temps as usize, false);
+        let mut folds: Vec<(Reg, ReduceOp)> = Vec::new();
         for s in &nest.body {
             let mut stale = false;
-            temp_reads(&s.rhs, &mut |t| {
-                stale |= !defined.get(t as usize).copied().unwrap_or(false)
+            leaves(&s.rhs, &mut |e| {
+                if let EExpr::Temp(t) = e {
+                    stale |= !defined.get(t.0 as usize).copied().unwrap_or(false);
+                }
             });
             if stale {
                 return None;
             }
             match &s.target {
-                ElemRef::Reduce(..) => return None,
+                ElemRef::Reduce(acc, op) => {
+                    let acc = acc.0 as Reg;
+                    match folds.iter().find(|&&(a, _)| a == acc) {
+                        None => folds.push((acc, *op)),
+                        Some(&(_, first)) if first != *op => return None,
+                        Some(_) => {}
+                    }
+                }
                 ElemRef::Temp(t) => {
                     let t = t.0 as usize;
                     if t >= defined.len() {
@@ -1466,8 +1485,24 @@ impl<'p> Compiler<'p> {
                 ElemRef::Array(..) => {}
             }
         }
+        let mut reads_acc = false;
+        for s in &nest.body {
+            leaves(&s.rhs, &mut |e| {
+                if let EExpr::ScalarRef(v) = e {
+                    reads_acc |= folds.iter().any(|&(a, _)| a == v.0 as Reg);
+                }
+            });
+        }
+        if reads_acc {
+            return None;
+        }
+        let dims = if folds.is_empty() {
+            order
+        } else {
+            &order[..order.len().min(1)]
+        };
         let at = |off: &Offset, d: usize| off.0.get(d).copied().unwrap_or(0);
-        'dims: for &(d, up, lo, hi) in order {
+        'dims: for &(d, up, lo, hi) in dims {
             let extent = hi - lo + 1;
             if extent < 2 {
                 continue;
@@ -1489,6 +1524,7 @@ impl<'p> Compiler<'p> {
                 extent,
                 entry: 0,
                 exit: 0,
+                folds,
             });
         }
         None
@@ -1723,6 +1759,16 @@ fn lane_op_str(dim: u8, accs: &[u32], op: &LaneOp) -> Option<String> {
     })
 }
 
+/// What a tiled ladder folds, for its `par` line: nothing for a ladder
+/// that does not reduce.
+fn folds_str(folds: &[(Reg, ReduceOp)]) -> String {
+    if folds.is_empty() {
+        return String::new();
+    }
+    let each: Vec<String> = folds.iter().map(|(r, op)| format!("r{r} {op:?}")).collect();
+    format!(" folds {} in tile order", each.join(", "))
+}
+
 fn op_str(code: &Code, op: &Op) -> (&'static str, String) {
     match *op {
         Op::Add { dst, a, b } => ("add", format!("r{dst} = r{a} + r{b}")),
@@ -1748,8 +1794,14 @@ fn op_str(code: &Code, op: &Op) -> (&'static str, String) {
             (
                 "par",
                 format!(
-                    "p{par}: dim i{} start {} step {} extent {} pcs [{}, {})",
-                    p.dim, p.start, p.step, p.extent, p.entry, p.exit
+                    "p{par}: dim i{} start {} step {} extent {} pcs [{}, {}){}",
+                    p.dim,
+                    p.start,
+                    p.step,
+                    p.extent,
+                    p.entry,
+                    p.exit,
+                    folds_str(&p.folds)
                 ),
             )
         }
@@ -1959,4 +2011,125 @@ pub(crate) fn disasm(code: &Code) -> String {
         }
     }
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::ir::ElemStmt;
+    use zlang::ir::{RegionId, ScalarId};
+
+    fn prog() -> zlang::ir::Program {
+        zlang::compile(
+            "program t; config n : int = 8; region R = [1..n, 1..n]; \
+             var A, B : [R] float; var s, t : float; begin end",
+        )
+        .unwrap()
+    }
+
+    fn load(a: u32, row: i64) -> EExpr {
+        EExpr::Load(ArrayId(a), Offset(vec![row, 0]))
+    }
+
+    fn put(a: u32, rhs: EExpr) -> ElemStmt {
+        ElemStmt {
+            target: ElemRef::Array(ArrayId(a), Offset(vec![0, 0])),
+            rhs,
+        }
+    }
+
+    fn reduce(s: u32, op: ReduceOp, rhs: EExpr) -> ElemStmt {
+        ElemStmt {
+            target: ElemRef::Reduce(ScalarId(s), op),
+            rhs,
+        }
+    }
+
+    /// The one nest's `(dim, folds)`, if it tiles.
+    fn split(structure: Vec<i8>, body: Vec<ElemStmt>) -> Option<(u8, Vec<(Reg, ReduceOp)>)> {
+        let sp = ScalarProgram {
+            program: prog(),
+            stmts: vec![LStmt::Nest(LoopNest {
+                region: RegionId(0),
+                structure,
+                body,
+                cluster: 0,
+                temps: 0,
+            })],
+        };
+        let code = compile(&sp, &ConfigBinding::defaults(&sp.program)).unwrap();
+        assert!(code.pars.len() <= 1);
+        code.pars.into_iter().next().map(|p| (p.dim, p.folds))
+    }
+
+    #[test]
+    fn a_reduction_nest_splits_along_its_outermost_loop() {
+        let sum = || reduce(0, ReduceOp::Sum, load(0, 0));
+        assert_eq!(
+            split(vec![1, 2], vec![sum()]),
+            Some((0, vec![(0, ReduceOp::Sum)]))
+        );
+        assert_eq!(
+            split(vec![2, -1], vec![sum()]),
+            Some((1, vec![(0, ReduceOp::Sum)]))
+        );
+        // No loop of its own (an enclosing `Outer` iterates it).
+        assert_eq!(split(vec![], vec![sum()]), None);
+        // Two accumulators, one reduced twice, in body order.
+        let two = vec![
+            reduce(1, ReduceOp::Max, load(0, 0)),
+            sum(),
+            reduce(1, ReduceOp::Max, load(1, 0)),
+        ];
+        assert_eq!(
+            split(vec![1, 2], two),
+            Some((0, vec![(1, ReduceOp::Max), (0, ReduceOp::Sum)]))
+        );
+    }
+
+    #[test]
+    fn a_reduction_nest_whose_only_split_is_inner_does_not_tile() {
+        // `B[i, j] = B[i - 1, j]` carries a dependence along rows: only
+        // the columns split, which a nest without a reduction does.
+        let shift = || put(1, load(1, -1));
+        assert_eq!(split(vec![1, 2], vec![shift()]), Some((1, vec![])));
+        let sum = reduce(0, ReduceOp::Sum, load(0, 0));
+        assert_eq!(split(vec![1, 2], vec![shift(), sum]), None);
+    }
+
+    #[test]
+    fn an_accumulator_touched_otherwise_or_under_two_ops_does_not_tile() {
+        // Read by a store: `B` would see the running sum.
+        let read = vec![
+            reduce(0, ReduceOp::Sum, load(0, 0)),
+            put(1, EExpr::ScalarRef(ScalarId(0))),
+        ];
+        assert_eq!(split(vec![1, 2], read), None);
+        // Read by its own reduction's term.
+        let own = vec![reduce(
+            0,
+            ReduceOp::Sum,
+            EExpr::Binary(
+                BinOp::Mul,
+                Box::new(EExpr::ScalarRef(ScalarId(0))),
+                Box::new(load(0, 0)),
+            ),
+        )];
+        assert_eq!(split(vec![1, 2], own), None);
+        // Folded under two operators: the log keeps one per accumulator.
+        let mixed = vec![
+            reduce(0, ReduceOp::Sum, load(0, 0)),
+            reduce(0, ReduceOp::Max, load(1, 0)),
+        ];
+        assert_eq!(split(vec![1, 2], mixed), None);
+        // A scalar that is read but not reduced is no obstacle.
+        let other = vec![
+            reduce(0, ReduceOp::Sum, load(0, 0)),
+            put(1, EExpr::ScalarRef(ScalarId(1))),
+        ];
+        assert_eq!(
+            split(vec![1, 2], other),
+            Some((0, vec![(0, ReduceOp::Sum)]))
+        );
+    }
 }

@@ -212,8 +212,9 @@ pub trait Executor {
 /// and differs only in the two integers of [`ExecOpts`] it runs that
 /// artifact at; [`Engine::knobs`] is the one place that says which.
 /// Results are `f64::to_bits`-identical to [`Engine::Interp`] at every
-/// setting: reductions fold each strip in iteration order, reduction
-/// nests never tile, tile counters merge in deterministic tile order. No
+/// setting: reductions fold each strip in iteration order, a reduction
+/// nest's tiles log their terms and the logs are folded in tile order,
+/// tile counters merge in deterministic tile order. No
 /// VM name constructs (a [`Verify`](crate::ErrorKind::Verify) error with
 /// the verifier's diagnostics) if the proof — which bounds every element
 /// access and independently re-derives every superinstruction and lane

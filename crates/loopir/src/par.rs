@@ -24,15 +24,23 @@
 //!   merge in that order ([`RunOutcome::merge`](crate::RunOutcome::merge));
 //!   errors resolve to the lowest-indexed failing tile.
 //!
-//! Reduction nests never reach this module: IEEE-754 addition is not
-//! associative, so any split of a `+<<` fold would change result bits. The
-//! engines contract bit-identity across thread counts, and that contract
-//! wins — reductions stay sequential on the coordinator.
+//! Reductions tile too, without giving up a bit. IEEE-754 addition is not
+//! associative, so a tile must not fold its own partial accumulator: the
+//! combine would change result bits. A reducing ladder splits only along
+//! its outermost loop, so tile order is position order, and each tile
+//! appends the terms of its `Reduce`s to a [`TermLog`] instead of folding
+//! them. Whichever thread finishes a tile then folds every finished tile
+//! from the first unfolded one on, in tile order, with the lane
+//! executor's own fold ([`simd::fold`]): the accumulators take exactly the
+//! sequential run's sequence of values, the fold stays off the tail of
+//! the batch, and only the tiles running or waiting for an earlier one
+//! hold a log. [`run_ladder`] writes the accumulators into the
+//! coordinator's frame.
 
 use crate::bytecode::{Code, Op, ParInfo, MAX_RANK};
 use crate::exec::TileStats;
 use crate::interp::{ExecError, NoopObserver, Observer, RunStats};
-use crate::simd::{self, ElemMem, LaneScratch};
+use crate::simd::{self, ElemMem, LaneScratch, TermLog};
 use crate::vm::{body_op, book_lane_run, VmArray};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -82,6 +90,8 @@ pub(crate) struct Pool {
     shared: Arc<PoolShared>,
     workers: Vec<thread::JoinHandle<()>>,
     threads: usize,
+    /// Term logs the last reducing ladder left, emptied, for the next.
+    logs: Vec<TermLog>,
 }
 
 struct PoolShared {
@@ -118,6 +128,7 @@ impl Pool {
             shared,
             workers,
             threads,
+            logs: Vec::new(),
         }
     }
 
@@ -188,11 +199,25 @@ struct TileRun {
     final_idx: [i64; MAX_RANK],
 }
 
+/// The in-order fold of a reducing ladder's tiles (see the module doc).
+struct Commit {
+    /// The first tile not folded yet.
+    next: usize,
+    /// The accumulators, in the order of the ladder's `folds`, as the
+    /// tiles before `next` leave them.
+    accs: Vec<f64>,
+    /// Per tile, its log from when it finishes until it is folded.
+    waiting: Vec<Option<TermLog>>,
+    /// Folded logs, emptied, for the next tiles to fill.
+    spare: Vec<TermLog>,
+}
+
 /// One published fan-out: the shared program, the frozen pre-ladder run
 /// state, and the tile work list.
 struct Batch {
     code: Arc<Code>,
-    info: ParInfo,
+    /// The ladder, an index into `code.pars`.
+    par: usize,
     /// Per tile, the partitioned dimension's `(start, stop)` override, in
     /// iteration order (`stop` is one `step` past the tile's last
     /// iterate), concatenating to exactly the sequential range.
@@ -216,6 +241,8 @@ struct Batch {
     /// The work-stealing cursor: each claim takes the next unstarted tile.
     next: AtomicUsize,
     slots: Mutex<Vec<Option<Result<TileRun, ExecError>>>>,
+    /// The fold of the ladder's reductions; untouched when it has none.
+    commit: Mutex<Commit>,
     /// Tiles finished. A tile's bump is a Release after its last array
     /// access and its slot write, and every bump is a read-modify-write,
     /// so the coordinator's Acquire load that reads `tiles.len()` has all
@@ -246,19 +273,60 @@ unsafe impl Send for Batch {}
 unsafe impl Sync for Batch {}
 
 impl Batch {
+    fn info(&self) -> &ParInfo {
+        &self.code.pars[self.par]
+    }
+
+    fn commit(&self) -> std::sync::MutexGuard<'_, Commit> {
+        self.commit
+            .lock()
+            .expect("no thread panics while it holds the fold")
+    }
+
     fn run_tiles(&self) {
         // One lane file per worker per batch, reused across its tiles.
         let mut lane_scratch = LaneScratch::default();
+        let folds = &self.info().folds;
         loop {
             let t = self.next.fetch_add(1, Ordering::Relaxed);
             if t >= self.tiles.len() {
                 return;
             }
-            let r = run_tile(self, t, &mut lane_scratch);
+            let mut log = (!folds.is_empty()).then(|| {
+                let mut log = self.commit().spare.pop().unwrap_or_default();
+                log.reset(folds);
+                log
+            });
+            let r = run_tile(self, t, &mut lane_scratch, log.as_mut());
+            if let (Ok(_), Some(log)) = (&r, log) {
+                self.fold(t, log);
+            }
             self.slots.lock().unwrap()[t] = Some(r);
             if self.done.fetch_add(1, Ordering::Release) + 1 == self.tiles.len() {
                 self.coordinator.unpark();
             }
+        }
+    }
+
+    /// Hands in finished tile `t`'s log and folds every finished tile
+    /// from the first unfolded one on, in tile order. Runs before the
+    /// tile counts as done, so a batch whose tiles all succeeded is
+    /// folded whole once `done` reaches `tiles.len()`.
+    fn fold(&self, t: usize, log: TermLog) {
+        let mut c = self.commit();
+        c.waiting[t] = Some(log);
+        let Commit {
+            next,
+            accs,
+            waiting,
+            spare,
+        } = &mut *c;
+        while let Some(log) = waiting.get_mut(*next).and_then(Option::take) {
+            for ((a, &(_, op)), terms) in accs.iter_mut().zip(&self.info().folds).zip(log.terms()) {
+                *a = simd::fold(op, *a, terms);
+            }
+            spare.push(log);
+            *next += 1;
         }
     }
 }
@@ -268,7 +336,7 @@ impl Batch {
 /// 4x over-decomposition lets the stealing cursor rebalance when tiles
 /// run unevenly; the decomposition itself depends only on static bounds
 /// and the configured thread count, never on scheduling.
-fn make_tiles(info: ParInfo, threads: usize) -> Vec<(i64, i64)> {
+fn make_tiles(info: &ParInfo, threads: usize) -> Vec<(i64, i64)> {
     let extent = info.extent as usize;
     let want = (threads * 4).clamp(1, extent);
     let base = extent / want;
@@ -284,19 +352,21 @@ fn make_tiles(info: ParInfo, threads: usize) -> Vec<(i64, i64)> {
     tiles
 }
 
-/// Executes one marked ladder as parallel tiles and waits for all of them.
+/// Executes one marked ladder, `code.pars[par]`, as parallel tiles and
+/// waits for all of them.
 ///
-/// Appends each tile's counters to `out` in tile order and returns the
-/// sequential run's post-ladder index vector. On failure returns the
-/// error of the lowest-indexed failing tile (which, when the partitioned
-/// dimension is outermost, is also the first error the sequential run
-/// would have hit).
+/// Appends each tile's counters to `out` in tile order, leaves the
+/// ladder's accumulators in `frame` as the sequential run would, and
+/// returns the sequential run's post-ladder index vector. On failure
+/// returns the error of the lowest-indexed failing tile (which, when the
+/// partitioned dimension is outermost, is also the first error the
+/// sequential run would have hit).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_ladder(
-    pool: &Pool,
+    pool: &mut Pool,
     code: &Arc<Code>,
-    info: ParInfo,
-    frame: &[f64],
+    par: usize,
+    frame: &mut [f64],
     idx: &[i64; MAX_RANK],
     arrays: &mut [Option<VmArray>],
     deadline: Option<Instant>,
@@ -304,6 +374,7 @@ pub(crate) fn run_ladder(
     lanes: usize,
     out: &mut Vec<TileStats>,
 ) -> Result<[i64; MAX_RANK], ExecError> {
+    let info = &code.pars[par];
     let tiles = make_tiles(info, pool.threads());
     let n = tiles.len();
     let ladder = info.entry as usize..info.exit as usize;
@@ -328,9 +399,15 @@ pub(crate) fn run_ladder(
             },
         })
         .collect();
+    let commit = Commit {
+        next: 0,
+        accs: info.folds.iter().map(|&(r, _)| frame[r as usize]).collect(),
+        waiting: (0..n).map(|_| None).collect(),
+        spare: std::mem::take(&mut pool.logs),
+    };
     let batch = Arc::new(Batch {
         code: Arc::clone(code),
-        info,
+        par,
         tiles,
         frame: frame.to_vec(),
         idx: *idx,
@@ -341,12 +418,15 @@ pub(crate) fn run_ladder(
         lanes,
         next: AtomicUsize::new(0),
         slots: Mutex::new((0..n).map(|_| None).collect()),
+        commit: Mutex::new(commit),
         done: AtomicUsize::new(0),
         coordinator: thread::current(),
     });
     pool.submit(&batch);
     batch.run_tiles(); // the coordinator is a worker too
     wait_until(|| batch.done.load(Ordering::Acquire) == n);
+    let mut commit = batch.commit();
+    pool.logs = std::mem::take(&mut commit.spare);
     let mut slots = batch.slots.lock().unwrap();
     let mut final_idx = *idx;
     for slot in slots.iter_mut() {
@@ -357,6 +437,9 @@ pub(crate) fn run_ladder(
             }
             Err(e) => return Err(e),
         }
+    }
+    for (&(r, _), &a) in info.folds.iter().zip(&commit.accs) {
+        frame[r as usize] = a;
     }
     Ok(final_idx)
 }
@@ -369,16 +452,23 @@ pub(crate) fn run_ladder(
 /// dimension's loop bounds and the lane hand-off are tile-specific. The
 /// compiler puts allocs, counters, and nest bookkeeping before the
 /// `ParBegin`, so anything else inside a ladder is a malformed-bytecode
-/// trap.
-fn run_tile(b: &Batch, ti: usize, lane_scratch: &mut LaneScratch) -> Result<TileRun, ExecError> {
+/// trap. A reducing ladder's tile appends its terms to `log` in place of
+/// folding them ([`TermLog`]).
+fn run_tile(
+    b: &Batch,
+    ti: usize,
+    lane_scratch: &mut LaneScratch,
+    mut log: Option<&mut TermLog>,
+) -> Result<TileRun, ExecError> {
     let code = &*b.code;
     let ops = &code.ops[..];
-    let pdim = b.info.dim as usize;
+    let info = b.info();
+    let pdim = info.dim as usize;
     let (t_start, t_stop) = b.tiles[ti];
     let mut regs = b.frame.clone();
     let mut idx = b.idx;
-    let mut pc = b.info.entry as usize;
-    let exit = b.info.exit as usize;
+    let mut pc = info.entry as usize;
+    let exit = info.exit as usize;
     let mut mem = TileMem {
         code,
         views: &b.views,
@@ -412,6 +502,10 @@ fn run_tile(b: &Batch, ti: usize, lane_scratch: &mut LaneScratch) -> Result<Tile
             continue;
         }
         match op {
+            Op::Reduce { dst, src, .. } => match log.as_deref_mut() {
+                Some(log) => log.push(dst, std::slice::from_ref(&regs[src as usize]))?,
+                None => return Err(malformed(op)),
+            },
             Op::SetIdx { d, v } => {
                 idx[d as usize] = if d as usize == pdim { t_start } else { v };
             }
@@ -447,6 +541,7 @@ fn run_tile(b: &Batch, ti: usize, lane_scratch: &mut LaneScratch) -> Result<Tile
                         &mut mem,
                         lane_scratch,
                         b.deadline,
+                        log.as_deref_mut(),
                         &mut NoopObserver,
                     )?;
                     if let Some(run) = run {
@@ -459,11 +554,7 @@ fn run_tile(b: &Batch, ti: usize, lane_scratch: &mut LaneScratch) -> Result<Tile
                     }
                 }
             }
-            _ => {
-                return Err(ExecError::trap(format!(
-                    "{op:?} inside a parallel ladder (malformed bytecode)"
-                )));
-            }
+            _ => return Err(malformed(op)),
         }
     }
     Ok(TileRun {
@@ -478,6 +569,13 @@ fn run_tile(b: &Batch, ti: usize, lane_scratch: &mut LaneScratch) -> Result<Tile
         },
         final_idx: idx,
     })
+}
+
+#[cold]
+fn malformed(op: Op) -> ExecError {
+    ExecError::trap(format!(
+        "{op:?} inside a parallel ladder (malformed bytecode)"
+    ))
 }
 
 /// [`ElemMem`] over a batch's raw array views. Tiles run only under
@@ -562,6 +660,7 @@ mod tests {
             extent,
             entry: 0,
             exit: 0,
+            folds: Vec::new(),
         }
     }
 
@@ -569,7 +668,7 @@ mod tests {
     fn tiles_cover_the_range_exactly() {
         for threads in [1, 2, 3, 4, 7] {
             for extent in [1i64, 2, 5, 16, 257] {
-                let up = make_tiles(info(1, 1, extent), threads);
+                let up = make_tiles(&info(1, 1, extent), threads);
                 assert!(up.len() <= (threads * 4).max(1));
                 let mut at = 1i64;
                 for &(start, stop) in &up {
@@ -579,7 +678,7 @@ mod tests {
                 }
                 assert_eq!(at, 1 + extent);
 
-                let down = make_tiles(info(extent, -1, extent), threads);
+                let down = make_tiles(&info(extent, -1, extent), threads);
                 let mut at = extent;
                 for &(start, stop) in &down {
                     assert_eq!(start, at);
@@ -604,8 +703,8 @@ mod tests {
 
     #[test]
     fn tile_decomposition_is_deterministic() {
-        let a = make_tiles(info(0, 1, 100), 4);
-        let b = make_tiles(info(0, 1, 100), 4);
+        let a = make_tiles(&info(0, 1, 100), 4);
+        let b = make_tiles(&info(0, 1, 100), 4);
         assert_eq!(a, b);
         // and balanced: sizes differ by at most one iterate
         let sizes: Vec<i64> = a.iter().map(|&(s, e)| e - s).collect();

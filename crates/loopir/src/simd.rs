@@ -1779,6 +1779,9 @@ struct StripCtx<'a, M> {
     /// slot is refilled for every strip, row segment by row segment.
     outer_idx: Option<(usize, i64, i64)>,
     deadline: Option<Instant>,
+    /// A parallel tile's term log: `Reduce` appends its strip here
+    /// instead of folding it into its accumulator.
+    log: Option<&'a mut TermLog>,
     run: LaneRun,
 }
 
@@ -1952,24 +1955,27 @@ fn strip_loop<M: ElemMem>(cx: &mut StripCtx<'_, M>, report: Report<'_>) -> Resul
                 }
                 LaneOp::Reduce { op, acc, src } => {
                     // In position order, so the accumulator takes exactly
-                    // the scalar loops' sequence of values.
+                    // the scalar loops' sequence of values - or, in a
+                    // parallel tile, the tile's log takes its terms.
                     let ptrs = resolve_all(cx.mem, streams, [src])?;
                     let lanes = [lane_strip(file, w, wc, src)];
-                    let mut a = cx.regs[acc as usize];
                     let pieces = match src.slot() {
                         Some(_) => segments.whole(),
                         None => segments,
                     };
-                    for piece in pieces {
-                        let [v] = inputs([src], &lanes, &ptrs, streams, piece);
-                        a = match op {
-                            ReduceOp::Sum => v.iter().fold(a, |a, &x| a + x),
-                            ReduceOp::Prod => v.iter().fold(a, |a, &x| a * x),
-                            ReduceOp::Max => v.iter().fold(a, |a, &x| a.max(x)),
-                            ReduceOp::Min => v.iter().fold(a, |a, &x| a.min(x)),
-                        };
+                    if let Some(log) = cx.log.as_deref_mut() {
+                        for piece in pieces {
+                            let [v] = inputs([src], &lanes, &ptrs, streams, piece);
+                            log.push(acc, v)?;
+                        }
+                    } else {
+                        let mut a = cx.regs[acc as usize];
+                        for piece in pieces {
+                            let [v] = inputs([src], &lanes, &ptrs, streams, piece);
+                            a = fold(op, a, v);
+                        }
+                        cx.regs[acc as usize] = a;
                     }
-                    cx.regs[acc as usize] = a;
                 }
                 LaneOp::Tick { flops } => {
                     cx.run.points += wc as u64;
@@ -1988,6 +1994,64 @@ fn strip_loop<M: ElemMem>(cx: &mut StripCtx<'_, M>, report: Report<'_>) -> Resul
         done += wc as i64;
     }
     Ok(())
+}
+
+/// `a` folded with `terms` under `op`, one term at a time in order: the
+/// scalar `Op::Reduce`'s arithmetic, so folding consecutive pieces of a
+/// sequence of terms one after another gives the bits of folding it whole.
+#[inline(always)]
+pub(crate) fn fold(op: ReduceOp, a: f64, terms: &[f64]) -> f64 {
+    match op {
+        ReduceOp::Sum => terms.iter().fold(a, |a, &x| a + x),
+        ReduceOp::Prod => terms.iter().fold(a, |a, &x| a * x),
+        ReduceOp::Max => terms.iter().fold(a, |a, &x| a.max(x)),
+        ReduceOp::Min => terms.iter().fold(a, |a, &x| a.min(x)),
+    }
+}
+
+/// A parallel tile's reduction terms: per accumulator its ladder folds
+/// ([`ParInfo::folds`](crate::bytecode::ParInfo)), every term the tile's
+/// `Reduce`s produced, in position order. A tile appends here instead of
+/// folding; the ladder folds the logs in tile order (`crate::par`).
+#[derive(Default)]
+pub(crate) struct TermLog {
+    terms: Vec<(Reg, Vec<f64>)>,
+}
+
+impl TermLog {
+    /// Empties the log for a ladder that folds `folds`, keeping the
+    /// buffers it has grown.
+    pub(crate) fn reset(&mut self, folds: &[(Reg, ReduceOp)]) {
+        self.terms.resize_with(folds.len(), Default::default);
+        for ((r, t), &(acc, _)) in self.terms.iter_mut().zip(folds) {
+            *r = acc;
+            t.clear();
+        }
+    }
+
+    /// Appends `v` to accumulator `acc`'s terms. A `Reduce` into a
+    /// register the ladder does not fold is malformed bytecode. Never
+    /// inlined, so that logging adds a call to the strip loop and no code
+    /// to its folding path.
+    #[inline(never)]
+    pub(crate) fn push(&mut self, acc: Reg, v: &[f64]) -> Result<(), ExecError> {
+        match self.terms.iter_mut().find(|(r, _)| *r == acc) {
+            Some((_, t)) => {
+                t.extend_from_slice(v);
+                Ok(())
+            }
+            None => Err(ExecError::trap(format!(
+                "reduction into r{acc}, which its parallel ladder does not fold \
+                 (malformed bytecode)"
+            ))),
+        }
+    }
+
+    /// The terms logged per accumulator, in the order of the ladder's
+    /// `folds`.
+    pub(crate) fn terms(&self) -> impl Iterator<Item = &[f64]> {
+        self.terms.iter().map(|(_, t)| t.as_slice())
+    }
 }
 
 /// Where the strip loop hands each finished strip: [`Observer::strip`] of
@@ -2030,13 +2094,14 @@ unsafe fn strips_avx2<M: ElemMem>(
 /// around it too when [`plan`] says so.
 ///
 /// `clamp` overrides one loop's range so a parallel tile can run its
-/// slice; the sequential VM passes `None`. The strip width is the least of
-/// `want`, the proven alias width and the number of positions; below 2
-/// nothing runs and the result is `None` (the caller stays scalar).
-/// Otherwise the run covers its whole range: `regs` supplies the broadcast
-/// values and the accumulators, and afterwards `regs` and the result's
-/// `idx` hold what the scalar loops would have left, every lane
-/// register's value at the last position included.
+/// slice, and `log` takes the tile's reduction terms in place of its
+/// accumulators; the sequential VM passes `None` for both. The strip
+/// width is the least of `want`, the proven alias width and the number
+/// of positions; below 2 nothing runs and the result is `None` (the
+/// caller stays scalar). Otherwise the run covers its whole range: `regs`
+/// supplies the broadcast values and the accumulators, and afterwards
+/// `regs` and the result's `idx` hold what the scalar loops would have
+/// left, every lane register's value at the last position included.
 ///
 /// Entering a loop fills the broadcast slots, binds one [`Stream`] per
 /// memory op and proves each in bounds, once per run; the lane program
@@ -2057,12 +2122,14 @@ pub(crate) fn run_lanes<M: ElemMem, O: Observer + ?Sized>(
     mem: &mut M,
     scratch: &mut LaneScratch,
     deadline: Option<Instant>,
+    log: Option<&mut TermLog>,
     obs: &mut O,
 ) -> Result<Option<LaneRun>, ExecError> {
     let Some(plan) = plan(info, want, clamp, idx) else {
         return Ok(None);
     };
     let mut cx = enter(code, info, plan, regs, idx, mem, scratch, deadline)?;
+    cx.log = log;
     run_strips(&mut cx, true, &mut |events, at| obs.strip(events, at))?;
     Ok(Some(leave(cx)))
 }
@@ -2150,6 +2217,7 @@ fn enter<'a, M: ElemMem>(
         plan,
         outer_idx,
         deadline,
+        log: None,
         run: LaneRun {
             idx: at,
             ..LaneRun::default()

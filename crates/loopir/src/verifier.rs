@@ -406,6 +406,9 @@ fn structural(code: &Code) -> Vec<VerifyDiagnostic> {
                         ));
                     }
                     bad_target(pc, info.entry, &mut diags);
+                    for &(acc, _) in &info.folds {
+                        bad_reg(pc, acc, &mut diags);
+                    }
                     if info.exit as usize > n {
                         diags.push(VerifyDiagnostic::at(
                             pc,

@@ -235,7 +235,8 @@ impl Vm {
     /// runs on the calling thread (in lane runs, like any other loop) so
     /// the address stream keeps its contracted order.
     /// Results are bit-identical to the sequential run for every thread
-    /// count: tiles partition the writes, reductions never tile, and the
+    /// count: tiles partition the writes, a reducing ladder's tiles log
+    /// their terms and the logs are folded in tile order, and the
     /// per-tile counters merge in deterministic tile order.
     pub fn set_threads(&mut self, threads: usize) {
         let threads = if threads == 0 {
@@ -357,8 +358,8 @@ impl Vm {
         // concurrently and report nothing, so ladders fan out only under
         // observers that do not need the ordered address stream.
         let lane_want = if self.verified { self.lanes } else { 1 };
-        let fan_out = par
-            .as_ref()
+        let mut fan_out = par
+            .as_mut()
             .filter(|_| self.verified && !obs.wants_addresses());
         let limits = self.limits;
         let mut idx = self.idx;
@@ -420,13 +421,12 @@ impl Vm {
                     // Sequential runs (no pool, unverified bytecode, or an
                     // observer that needs the ordered address stream) fall
                     // through into the ladder; this op is then a no-op.
-                    if let Some(pool) = fan_out {
-                        let info = code.pars[pi as usize];
+                    if let Some(pool) = fan_out.as_deref_mut() {
                         let mark = batch_tiles.len();
                         let r = crate::par::run_ladder(
                             pool,
                             code,
-                            info,
+                            pi as usize,
                             regs,
                             &idx,
                             mem.arrays,
@@ -453,7 +453,7 @@ impl Vm {
                             }
                             fuel_left -= used;
                         }
-                        pc = info.exit as usize;
+                        pc = code.pars[pi as usize].exit as usize;
                     }
                 }
                 Op::Alloc { arr } => alloc(code, mem.arrays, stats, next_base, arr as usize),
@@ -540,6 +540,7 @@ impl Vm {
                             &mut mem,
                             simd_scratch,
                             limits.deadline,
+                            None,
                             obs,
                         );
                         match r {
@@ -1069,8 +1070,10 @@ mod tests {
         }
     }
 
+    /// A standalone `ReduceNest` carries no `ParBegin`: only a fused nest's
+    /// reductions tile.
     #[test]
-    fn reduction_nests_never_fan_out() {
+    fn standalone_reduce_nests_never_fan_out() {
         let sp = ScalarProgram {
             program: prog(),
             stmts: vec![LStmt::ReduceNest {

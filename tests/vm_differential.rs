@@ -11,6 +11,7 @@
 //! * an identical memory-access stream as seen by the `machine` crate's
 //!   cache simulator (equal hit/miss counters on a real cache geometry).
 
+use zpl_fusion::loops::{ErrorKind, ExecLimits, SharedProgram};
 use zpl_fusion::prelude::*;
 use zpl_fusion::sim::presets::t3e;
 use zpl_fusion::sim::MemSim;
@@ -68,8 +69,8 @@ fn engines_agree_on_every_benchmark_at_every_level() {
 #[test]
 fn vm_par_is_bit_identical_to_interp_at_every_thread_count() {
     // The parallel tiled engine promises results independent of the
-    // thread count: tile decomposition is static, reductions never split,
-    // and per-tile stats merge in tile order. Sweep 1/2/4 threads against
+    // thread count: tile decomposition is static, reductions fold their
+    // terms in position order, and per-tile stats merge in tile order. Sweep 1/2/4 threads against
     // the reference interpreter on every benchmark at every level.
     for bench in zpl_fusion::workloads::all() {
         let n = match bench.rank {
@@ -185,6 +186,136 @@ fn engines_agree_under_dimension_contraction() {
         for (e, out, mem) in &rs[1..] {
             assert_eq!(out0, out, "{} +dim ({e})", bench.name);
             assert_eq!(mem0, mem, "{} +dim ({e}): cache stream", bench.name);
+        }
+    }
+}
+
+/// Four reductions whose bits depend on the order of their terms, fused
+/// by `c2+f3` into one nest with their producers: a sum of `1 + p`,
+/// `1e16` and `-1e16` in turn (whatever is added next to a `1e16` is
+/// lost), a product of `1e300`, `1e-300` and numbers just above 1 (each
+/// rounding depends on the running value), and a maximum and a minimum of
+/// `0.0`, `-0.0` and NaN (a tie of signed zeros keeps the one that came
+/// first, and a NaN is skipped). `p` is the position in row-major order.
+const ORDER_SENSITIVE: &str = "program order; config n : int = 3; config h : int = 1; \
+     region R = [1..n, 1..n]; region H = [1..h, 1..n]; \
+     var P, K, A, B, C, D : [R] float; var F : [H] float; \
+     var sum, prod, hi, lo : float; \
+     begin \
+       [R] P := (index1 - 1) * n + index2 - 1; \
+       [R] K := P - 3.0 * floor(P / 3.0); \
+       [R] A := select(K == 0.0, 1.0 + P, select(K == 1.0, 1e16, -1e16)); \
+       [R] B := select(K == 0.0, 1e300, select(K == 1.0, 1e-300, 1.0 + 1e-9 * P)); \
+       [R] C := select(K == 0.0, 0.0, select(K == 1.0, -0.0, 0.0 / 0.0)); \
+       [R] D := select(K == 0.0, -0.0, select(K == 1.0, 0.0 / 0.0, 0.0)); \
+       sum := +<< [R] A; \
+       prod := *<< [R] B; \
+       hi := max<< [R] C; \
+       lo := min<< [R] D; \
+     end";
+
+#[test]
+fn vm_par_reduction_ladders_fold_in_position_order() {
+    // A ladder that reduces tiles along its outermost loop; each tile logs
+    // its terms and the logs are folded in tile order, so every
+    // accumulator takes the interpreter's sequence of values. Folding
+    // per-tile partial accumulators instead changes the sum's and the
+    // product's bits at n = 41 (a maximum or minimum keeps the first of
+    // tied values, which partial folds keep too). The extents are below
+    // (3) and above (41) every thread count x 4, so some tiles are a
+    // single row and some batches have more tiles than threads.
+    let ok = Pipeline::new(Level::C2F3)
+        .optimize(&zpl_fusion::lang::compile(ORDER_SENSITIVE).unwrap())
+        .scalarized;
+    // `F` covers rows 1..=h only: reading it traps from row h + 1 on, in
+    // a middle tile and in every tile after it, each at its own row.
+    let trapping = Pipeline::new(Level::C2F3)
+        .optimize(
+            &zpl_fusion::lang::compile(&ORDER_SENSITIVE.replace("+<< [R] A;", "+<< [R] A + F;"))
+                .unwrap(),
+        )
+        .scalarized;
+    let vm = |shared: &SharedProgram, threads: usize, lanes: usize, fuel: Option<u64>| {
+        let mut vm = Vm::from_shared(shared);
+        vm.set_lanes(lanes);
+        vm.set_threads(threads);
+        if let Some(fuel) = fuel {
+            vm.set_limits(ExecLimits::none().with_fuel(fuel));
+        }
+        vm
+    };
+    for n in [3i64, 41] {
+        for (sp, h) in [(&ok, n), (&trapping, n / 2)] {
+            let mut binding = ConfigBinding::defaults(&sp.program);
+            assert!(binding.set_by_name(&sp.program, "n", n));
+            assert!(binding.set_by_name(&sp.program, "h", h));
+            let want = Engine::Interp
+                .executor(sp, binding.clone())
+                .unwrap()
+                .execute(&mut NoopObserver);
+            let shared = SharedProgram::lower(sp, binding).unwrap();
+            let listing = Vm::from_shared(&shared).disasm();
+            let ladders = listing
+                .lines()
+                .filter(|l| !l.starts_with(";;") && l.contains(" par "))
+                .count();
+            assert!(
+                listing.contains("folds r0 Sum, r1 Prod, r2 Max, r3 Min in tile order"),
+                "n={n}: the reductions should share one tiled ladder\n{listing}"
+            );
+            // The least fuel that completes the run, on the scalar
+            // dispatcher over the same stream.
+            let completes = |vm: &mut Vm| match vm.execute(&mut NoopObserver) {
+                Ok(_) => true,
+                Err(e) if e.kind == ErrorKind::Fuel => false,
+                Err(e) => panic!("n={n}: {e}"),
+            };
+            let least = want.is_ok().then(|| {
+                let (mut lo, mut hi) = (0u64, 1u64);
+                while !completes(&mut vm(&shared, 1, 1, Some(hi))) {
+                    (lo, hi) = (hi, hi * 2);
+                }
+                while hi - lo > 1 {
+                    let mid = lo + (hi - lo) / 2;
+                    if completes(&mut vm(&shared, 1, 1, Some(mid))) {
+                        hi = mid;
+                    } else {
+                        lo = mid;
+                    }
+                }
+                hi
+            });
+            for threads in [1usize, 2, 3, 4, 7] {
+                for lanes in [1usize, 3, 128] {
+                    let ctx = format!("n={n} h={h}, {threads} threads x{lanes}");
+                    let mut par = vm(&shared, threads, lanes, None);
+                    let got = par.execute(&mut NoopObserver);
+                    let mut batches: Vec<u32> = par.tile_stats().iter().map(|t| t.batch).collect();
+                    batches.dedup();
+                    match (&want, got) {
+                        (Ok(want), Ok(got)) => {
+                            assert_eq!(batches.len(), ladders, "{ctx}: every ladder fans out");
+                            for (i, (a, b)) in want.scalars.iter().zip(&got.scalars).enumerate() {
+                                assert_eq!(
+                                    a.to_bits(),
+                                    b.to_bits(),
+                                    "{ctx}: scalar {i} differs ({a} vs {b})"
+                                );
+                            }
+                            assert_eq!(want.stats, got.stats, "{ctx}: RunStats differ");
+                        }
+                        (Err(want), Err(got)) => {
+                            assert_eq!(want.to_string(), got.to_string(), "{ctx}");
+                        }
+                        (want, got) => panic!("{ctx}: interp {want:?}, vm-par {got:?}"),
+                    }
+                    if let Some(least) = least {
+                        let at = |fuel| completes(&mut vm(&shared, threads, lanes, Some(fuel)));
+                        assert!(at(least), "{ctx}: {least} ops of fuel complete the run");
+                        assert!(!at(least - 1), "{ctx}: {} ops of fuel do not", least - 1);
+                    }
+                }
+            }
         }
     }
 }
