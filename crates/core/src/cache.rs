@@ -22,8 +22,7 @@
 //! allocation. The artifact is engine-independent: `vm`, `vm-simd` and
 //! `vm-par` are settings of the two [`ExecOpts`] integers a request runs
 //! the one lowered stream at ([`loopir::Engine::knobs`]), so they share
-//! one entry, and a supervised request that degrades from one to the next
-//! hits it. The key's only trace of the engine is whether the request
+//! one entry. The key's only trace of the engine is whether the request
 //! lowers at all: `interp`, the rung that must survive a lowering
 //! failure, addresses a tree-only artifact. *Who watches the run* is not
 //! a coordinate either: a run under the simulated runtime's observer
@@ -47,9 +46,9 @@
 //! optimizer on a miss), lower, publish. [`CompileCache::get_or_compile`]
 //! is that for a caller that starts from a program and a request; every
 //! rung of the [`Supervisor`](crate::Supervisor)'s ladder goes through it
-//! inside its fault boundary, a rung being the request at relaxed knobs
-//! (or, last, a relaxed spec), and [`CompileCache::parse`] is the same
-//! supervisor's front end.
+//! inside its fault boundary, a rung being the request as asked, on the
+//! tree-walker, or (last) on the tree-walker at `baseline`, and
+//! [`CompileCache::parse`] is the same supervisor's front end.
 //!
 //! Concurrency model: all three stages are instances of one sharded
 //! single-flight LRU. A stage's map is split into shards, each behind its

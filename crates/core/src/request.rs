@@ -68,7 +68,7 @@ pub struct RunRequest {
     /// validator for it: they have no reader for the diagnostics, so
     /// `zlc` rejects `--verify` in those modes.
     pub verify: bool,
-    /// Resource budgets (deadline, fuel, allocation cap).
+    /// Resource budgets (deadline, fuel).
     pub budgets: Budgets,
     /// Config-variable overrides, applied in order (`--set n=64`).
     pub sets: Vec<(String, i64)>,
@@ -160,7 +160,8 @@ impl RunRequest {
         self
     }
 
-    /// Sets a wall-clock budget per attempt.
+    /// Sets a wall-clock budget for the run (one deadline that every
+    /// budgeted rung of a supervised run shares).
     pub fn with_deadline(mut self, deadline: Duration) -> Self {
         self.budgets.deadline = Some(deadline);
         self

@@ -73,7 +73,7 @@ pub struct ServeRequest {
     /// Total admission-to-completion deadline. Queue wait counts against
     /// it: a request that expires while queued is shed without
     /// compiling, and one that reaches a worker gives the supervisor
-    /// only the remainder as its wall-clock budget.
+    /// only the remainder, one deadline for every budgeted rung.
     pub deadline: Option<Duration>,
 }
 

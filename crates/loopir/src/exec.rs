@@ -354,15 +354,6 @@ impl Engine {
         Some(ExecOpts { threads, lanes })
     }
 
-    /// The VM name that spells `knobs`: the inverse of [`Engine::knobs`].
-    pub fn of_knobs(knobs: ExecOpts) -> Engine {
-        match (knobs.threads, knobs.lanes) {
-            (1, 1) => Engine::Vm,
-            (1, _) => Engine::VmSimd,
-            _ => Engine::VmPar,
-        }
-    }
-
     /// Creates a boxed executor for a program under a config binding,
     /// with default [`ExecOpts`] (automatic thread count for
     /// [`Engine::VmPar`]).
@@ -470,20 +461,15 @@ mod tests {
         assert_eq!(Engine::VmSimd.knobs(asked), knobs(1, 8));
         assert_eq!(Engine::VmPar.knobs(asked), knobs(4, 8));
         for engine in Engine::all() {
-            // Resolving is idempotent, and the resolved knobs spell the
-            // name back.
+            // Resolving is idempotent.
             if let Some(k) = engine.knobs(asked) {
                 assert_eq!(engine.knobs(k), Some(k));
-                assert_eq!(Engine::of_knobs(k), engine);
             }
         }
-        // Knobs a cheaper name pins spell the cheaper name.
-        assert_eq!(Engine::of_knobs(ExecOpts::with_threads(1)), Engine::VmSimd);
         let scalar = ExecOpts {
             threads: 1,
             lanes: 1,
         };
-        assert_eq!(Engine::of_knobs(scalar), Engine::Vm);
         assert_eq!(Engine::VmPar.knobs(scalar), Some(scalar));
     }
 

@@ -50,8 +50,8 @@
 //!   --set <name=value>            override an integer config (repeatable)
 //!   --supervise                   run under the fault-tolerant supervisor
 //!                                 (degrades engine/level on faults)
-//!   --deadline-ms <n>             wall-clock budget per run (per attempt
-//!                                 under --supervise)
+//!   --deadline-ms <n>             wall-clock budget per run (shared by
+//!                                 the budgeted attempts under --supervise)
 //!   --fuel <n>                    instruction budget per run (per attempt
 //!                                 under --supervise)
 //!   --inject <plan>               install a deterministic fault plan, e.g.
@@ -514,7 +514,7 @@ fn run_serve(opts: &Options) -> ExitCode {
     };
     // In serve mode `--deadline-ms` is the total admission-to-completion
     // deadline: queue wait is charged against it, and the supervisor gets
-    // only the remainder as each attempt's wall-clock budget.
+    // only the remainder as the run's wall-clock budget.
     let deadline = opts.request.budgets.deadline;
     let batch: Vec<ServeRequest> = (0..total)
         .map(|i| {

@@ -153,17 +153,15 @@ fn run_class(program: &Program, source: &str, class: FaultClass, want: (u64, u64
                 run.report.render()
             );
             assert!(run.report.degraded(), "{}", run.report.render());
-            // The ladder in knobs. A trap walks the one artifact down
-            // `vm-simd` (1, L) → `vm` (1, 1) → the tree-walker; a
-            // rejection means that artifact does not exist, so it is
-            // recorded once and the tree-walker answers at the same spec;
-            // an optimizer panic poisons the spec for every engine.
-            let (rungs, end) = match site {
-                FaultSite::VmTrap => (3, (Level::C2F3, Engine::Interp)),
-                FaultSite::VerifyReject => (2, (Level::C2F3, Engine::Interp)),
-                _ => (2, (Level::Baseline, Engine::Interp)),
+            // One rung per artifact. A trap or a rejection is a fact
+            // about the one lowered artifact, so the tree-walker answers
+            // at the same spec; an optimizer panic poisons the spec for
+            // every engine. Either way the fault is met once.
+            let end = match site {
+                FaultSite::FuseGrow => (Level::Baseline, Engine::Interp),
+                _ => (Level::C2F3, Engine::Interp),
             };
-            assert_eq!(run.report.attempts.len(), rungs, "{}", run.report.render());
+            assert_eq!(run.report.attempts.len(), 2, "{}", run.report.render());
             assert_eq!(
                 (run.report.final_spec, run.report.final_engine),
                 (end.0.into(), end.1),
@@ -310,15 +308,9 @@ fn vm_par_survives_injected_faults_at_every_thread_count() {
             if site != FaultSite::CommDrop {
                 assert!(run.report.mentions(site.name()), "{}", run.report.render());
                 assert!(run.report.degraded(), "{}", run.report.render());
-                // (T, L) → (1, L) → (1, 1) → the tree-walker, less the
-                // rung that relaxes nothing at one thread; a rejection is
-                // recorded once and skips every VM rung.
-                let rungs = match (site, threads) {
-                    (FaultSite::VerifyReject, _) => 2,
-                    (_, 1) => 3,
-                    _ => 4,
-                };
-                assert_eq!(run.report.attempts.len(), rungs, "{}", run.report.render());
+                // The trap or rejection is met once, at the requested
+                // knobs; the tree-walker answers at the same spec.
+                assert_eq!(run.report.attempts.len(), 2, "{}", run.report.render());
                 assert_eq!(run.report.final_engine, Engine::Interp);
                 assert_eq!(run.report.final_spec, Level::C2F3.into());
             }

@@ -1,6 +1,7 @@
 //! Edge cases and failure injection across the whole stack, exercised
 //! through both execution engines.
 
+use zpl_fusion::loops::ErrorKind;
 use zpl_fusion::par::{simulate, ExecConfig};
 use zpl_fusion::prelude::*;
 use zpl_fusion::sim::presets::t3e;
@@ -85,17 +86,65 @@ fn empty_region_loop_executes_zero_times() {
 
 #[test]
 fn out_of_region_access_is_reported_not_crashed() {
+    // `B` reads `A` one row above its declared region. The nest before it
+    // fans out on `vm-par`, so a run that got as far as the fault had a
+    // live pool; the faulting nest itself is a partitioned ladder too (its
+    // halo check does not keep it from tiling).
     let p = zlang::compile(
-        "program o; config n : int = 4; region R = [1..n]; var A, B : [R] float; \
-         begin [R] B := A@[-1]; end",
+        "program o; config n : int = 64; region R = [1..n, 1..n];
+         var A, B : [R] float; var s : float;
+         begin [R] A := index1 + index2; [R] B := A@[-1, 0] * 2.0; s := +<< [R] B; end",
     )
     .unwrap();
-    let opt = Pipeline::new(Level::Baseline).optimize(&p);
-    for engine in Engine::all() {
-        let binding = ConfigBinding::defaults(&opt.scalarized.program);
-        let err = execute(&opt, binding, engine).unwrap_err();
-        assert!(err.message.contains("halo"), "{engine}: {err}");
+    for level in [Level::Baseline, Level::C2F3] {
+        let opt = Pipeline::new(level).optimize(&p);
+        let binding = || ConfigBinding::defaults(&opt.scalarized.program);
+        let want = execute(&opt, binding(), Engine::Interp).unwrap_err();
+        for engine in Engine::all() {
+            let err = execute(&opt, binding(), engine).unwrap_err();
+            assert_eq!(err.kind, ErrorKind::Access, "{level} {engine}: {err}");
+            assert!(err.message.contains("halo"), "{level} {engine}: {err}");
+        }
+        let shared = SharedProgram::lower(&opt.scalarized, binding()).unwrap();
+        assert!(
+            checked_access_is_tiled(&Vm::from_shared(&shared).disasm()),
+            "{level}: the faulting nest is not a parallel ladder"
+        );
+        // The same fault, at the same point, at every width: a
+        // narrower rung would only meet it again.
+        for threads in [1, 2, 4] {
+            for lanes in [1, 3, 128] {
+                let mut vm = shared.executor(ExecOpts { threads, lanes });
+                let err = vm.execute(&mut NoopObserver).unwrap_err();
+                let at = format!("{level} at {threads}x{lanes}");
+                assert_eq!(err.kind, ErrorKind::Access, "{at}: {err}");
+                assert_eq!(err.message, want.message, "{at}");
+                assert_eq!(vm.tile_stats().is_empty(), threads == 1, "{at}");
+            }
+        }
     }
+}
+
+/// True if the first `[checked]` access of a `Vm::disasm` listing lies
+/// inside a `par` ladder's `pcs [entry, exit)`.
+fn checked_access_is_tiled(listing: &str) -> bool {
+    let pc = |line: &str| line.split_whitespace().next()?.parse::<usize>().ok();
+    let Some(checked) = listing
+        .lines()
+        .find(|l| l.contains("[checked]"))
+        .and_then(pc)
+    else {
+        return false;
+    };
+    listing
+        .lines()
+        .filter(|l| l.split_whitespace().nth(1) == Some("par"))
+        .filter_map(|l| l.split_once(" pcs [")?.1.split_once(')'))
+        .filter_map(|(range, _)| {
+            let (a, b) = range.split_once(", ")?;
+            Some(a.parse::<usize>().ok()?..b.parse::<usize>().ok()?)
+        })
+        .any(|ladder| ladder.contains(&checked))
 }
 
 #[test]
