@@ -75,21 +75,13 @@ fn main() {
         "fig10" => run_figs(&[MachineKind::Sp2]),
         "fig11" => run_figs(&[MachineKind::Paragon]),
         "sec55" => println!("{}", sec55::report(16, engine)),
-        "ablation" => {
-            for kind in MachineKind::all() {
-                println!("{}", bench::ablation::report(&kind.machine(), engine));
-            }
-            println!("{}", bench::ablation::dimension_report(engine));
-        }
+        "ablation" => println!("{}", bench::ablation::dimension_report(engine)),
         "all" => {
             println!("{}", fig6::report());
             println!("{}", fig7::report());
             println!("{}", fig8::report());
             run_figs(&MachineKind::all());
             println!("{}", sec55::report(16, engine));
-            for kind in MachineKind::all() {
-                println!("{}", bench::ablation::report(&kind.machine(), engine));
-            }
             println!("{}", bench::ablation::dimension_report(engine));
         }
         _ => usage(),

@@ -19,8 +19,8 @@
 //!    contract).
 //!
 //! SP is the paper's one benchmark where contraction to *scalars* is
-//! insufficient (Section 5.2); the `dimension-contraction` ablation bench
-//! targets its sweep stages.
+//! insufficient (Section 5.2); the `+dim` level suffix (dimension
+//! contraction) targets its sweep stages.
 
 use crate::{Benchmark, PaperData};
 
@@ -215,7 +215,7 @@ pub fn benchmark() -> Benchmark {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fusion_core::pipeline::{Level, Pipeline};
+    use fusion_core::pipeline::{Level, LevelSpec, Pipeline};
     use loopir::{Engine, NoopObserver};
     use zlang::ir::ConfigBinding;
 
@@ -302,9 +302,11 @@ mod tests {
     #[test]
     fn dimension_contraction_collapses_sweep_stages() {
         let p = zlang::compile(SOURCE).unwrap();
-        let dimc = Pipeline::new(Level::C2)
-            .with_dimension_contraction()
-            .optimize(&p);
+        let dimc = Pipeline::new(LevelSpec {
+            dim: true,
+            ..Level::C2.into()
+        })
+        .optimize(&p);
         assert!(dimc.report.dimension_contracted >= 5, "{:?}", dimc.report);
         // Semantics unchanged.
         let plain = Pipeline::new(Level::C2).optimize(&p);

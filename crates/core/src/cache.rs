@@ -91,7 +91,7 @@ use zlang::ir::{ConfigBinding, Program};
 ///
 /// `program` and `content` are digests (see [`crate::hash`]); the
 /// remaining fields are carried explicitly so that two compilations that
-/// *must* differ — different level or cleanup pass, tree-only or
+/// *must* differ — different level or extension, tree-only or
 /// lowered — can never collide even if a 64-bit digest did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CacheKey {
@@ -100,7 +100,7 @@ pub struct CacheKey {
     pub program: u64,
     /// [`hash::key_hash`] of (program, binding).
     pub content: u64,
-    /// Level and cleanup pass the artifact was compiled at.
+    /// Level and extensions the artifact was compiled at.
     pub spec: LevelSpec,
     /// Whether the artifact holds the lowered [`SharedProgram`]:
     /// `engine != Engine::Interp` and nothing else — true for every VM
@@ -378,30 +378,6 @@ impl<K: Copy + Eq + Hash, V: Clone> Memo<K, V> {
         &self.shards[((h ^ (h >> 32)) as usize) % self.shards.len()]
     }
 
-    /// Looks a key up without claiming, counting a hit or a miss and
-    /// refreshing LRU recency on hit. Does not wait for an in-flight
-    /// claim.
-    fn lookup(&self, key: &K) -> Option<V> {
-        let mut shard = self
-            .shard(key)
-            .state
-            .lock()
-            .expect("cache shard lock poisoned");
-        shard.clock += 1;
-        let clock = shard.clock;
-        match shard.map.get_mut(key) {
-            Some(entry) => {
-                entry.last_used = clock;
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(entry.value.clone())
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
-    }
-
     /// Looks a key up, claiming it exclusively on a miss. If another
     /// thread already holds the claim, blocks until that thread
     /// publishes (returning the published value as a hit) or abandons
@@ -558,13 +534,6 @@ impl CompileCache {
     /// True if no artifacts are cached.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Looks an artifact up without claiming, counting a hit or a miss
-    /// and refreshing LRU recency on hit. Does not wait for an in-flight
-    /// compile — serving paths go through [`compile`](Self::compile).
-    pub fn lookup(&self, key: &CacheKey) -> Option<Arc<CachedProgram>> {
-        self.lowered.lookup(key)
     }
 
     /// The parse stage: the checked program of `source` and its digest,

@@ -277,7 +277,7 @@ pub fn report(opt: &Optimized) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::{Level, Pipeline};
+    use crate::pipeline::{Level, LevelSpec, Pipeline};
 
     const P: &str = "program p; config n : int = 8; region R = [1..n, 1..n]; \
                      direction w = [0, -1]; var A, B, C, D : [R] float; var s : float; ";
@@ -378,9 +378,11 @@ mod tests {
              var A, T : [GH] float; var OUT : [R] float; var s : float; \
              begin [R] T := A@[0,-1] + A@[0,1]; \
              [R] OUT := T@[0,-1] + T@[0,1]; s := +<< [R] OUT; end";
-        let opt = Pipeline::new(Level::C2)
-            .with_dimension_contraction()
-            .optimize(&zlang::compile(src).unwrap());
+        let spec = LevelSpec {
+            dim: true,
+            ..Level::C2.into()
+        };
+        let opt = Pipeline::new(spec).optimize(&zlang::compile(src).unwrap());
         let d = diagnose(&opt);
         let t = &d.iter().find(|x| x.name == "T").unwrap().outcome;
         assert_eq!(t, &Outcome::DimensionContracted(vec![0]));

@@ -361,55 +361,6 @@ impl<'a> FusionCtx<'a> {
         }
     }
 
-    /// Distinct arrays referenced (read or written) by a set of statements
-    /// — a proxy for the number of concurrent memory streams in the fused
-    /// loop.
-    pub fn distinct_arrays(&self, stmts: &[usize]) -> usize {
-        let mut arrays = BTreeSet::new();
-        for &s in stmts {
-            let st = &self.block.stmts[s];
-            st.for_each_read(|a, _| {
-                arrays.insert(a);
-            });
-            if let Some(a) = st.lhs_array() {
-                arrays.insert(a);
-            }
-        }
-        arrays.len()
-    }
-
-    /// Greedy pairwise fusion bounded by spatial-locality sensitivity: a
-    /// merge is performed only if the merged cluster references at most
-    /// `max_arrays` distinct arrays. This implements the extension the
-    /// paper leaves as future work after observing that arbitrary fusion
-    /// (`f4`) "increases capacity and conflict misses" (Section 5.4) — a
-    /// fused loop streaming more arrays than the cache has room for evicts
-    /// its own reuse.
-    pub fn pairwise_fusion_bounded(&self, part: &mut Partition, max_arrays: usize) {
-        loop {
-            let live = part.live_clusters();
-            let mut merged = false;
-            'pairs: for (i, &ci) in live.iter().enumerate() {
-                for &cj in &live[i + 1..] {
-                    let mut c: BTreeSet<usize> = [ci, cj].into_iter().collect();
-                    c.extend(self.grow(part, &c));
-                    let stmts = part.stmts_of(&c);
-                    if self.distinct_arrays(&stmts) > max_arrays {
-                        continue;
-                    }
-                    if self.merged_ok(part, &c).is_some() {
-                        part.merge(&c);
-                        merged = true;
-                        break 'pairs;
-                    }
-                }
-            }
-            if !merged {
-                return;
-            }
-        }
-    }
-
     /// Applies Definition 6 against a *final* partition: which of the given
     /// candidate definitions are contractible.
     pub fn contracted_defs(&self, part: &Partition, candidates: &[DefId]) -> Vec<DefId> {
@@ -774,35 +725,6 @@ mod tests {
         assert_eq!(p, vec![1, -2]);
         ctx.pairwise_fusion(&mut part);
         assert_eq!(part.len(), 1);
-    }
-
-    #[test]
-    fn bounded_pairwise_respects_the_cap() {
-        // Four independent statements reading distinct arrays: unbounded
-        // pairwise fuses all; a cap of 3 distinct arrays stops early.
-        let s = setup(
-            "program p; config n : int = 8; region R = [1..n, 1..n]; \
-             var A, B, C, D, E, F, G, H : [R] float; begin \
-             [R] B := A; [R] D := C; [R] F := E; [R] H := G; end",
-        );
-        let ctx = FusionCtx::new(&s.np.program, &s.np.blocks[0], &s.asdg);
-        let mut unbounded = Partition::trivial(s.asdg.n);
-        ctx.pairwise_fusion(&mut unbounded);
-        assert_eq!(unbounded.len(), 1);
-        let mut bounded = Partition::trivial(s.asdg.n);
-        ctx.pairwise_fusion_bounded(&mut bounded, 4);
-        assert_eq!(bounded.len(), 2, "pairs of statements (4 arrays each) only");
-        for cluster in bounded.live_clusters() {
-            assert!(ctx.distinct_arrays(bounded.cluster(cluster)) <= 4);
-        }
-    }
-
-    #[test]
-    fn distinct_arrays_counts_reads_and_writes_once() {
-        let s = setup(&format!("{P} begin [R] B := A + A; [R] C := B; end"));
-        let ctx = FusionCtx::new(&s.np.program, &s.np.blocks[0], &s.asdg);
-        assert_eq!(ctx.distinct_arrays(&[0]), 2); // A, B
-        assert_eq!(ctx.distinct_arrays(&[0, 1]), 3); // A, B, C
     }
 
     #[test]

@@ -655,16 +655,11 @@ pub(crate) fn fuse_locality(s: &mut CompileSession<'_>) -> bool {
     })
 }
 
-/// Greedy legal pairwise fusion (`c2+f4`), optionally bounded by the
-/// spatial-locality cap on distinct arrays per cluster.
+/// Greedy legal pairwise fusion (`c2+f4`).
 pub(crate) fn fuse_pairwise(s: &mut CompileSession<'_>) -> bool {
-    let cap = s.pipeline.spatial_cap;
     s.each_block(|ctx, b| {
         let before = b.partition.len();
-        match cap {
-            Some(cap) => ctx.pairwise_fusion_bounded(&mut b.partition, cap),
-            None => ctx.pairwise_fusion(&mut b.partition),
-        }
+        ctx.pairwise_fusion(&mut b.partition);
         b.partition.len() != before
     })
 }

@@ -113,22 +113,34 @@ impl fmt::Display for Level {
     }
 }
 
-/// A level plus the opt-in cleanup pass: everything about *what to
+/// A level plus the two opt-in extensions: everything about *what to
 /// optimize* that a request, a pipeline, a cache key and a report have
 /// to agree on, as one value. Its `FromStr`/`Display` are the one
-/// implementation of the `zlc --level` grammar: a paper level name,
-/// optionally followed by `+rce2` (at most once). A bare [`Level`]
-/// converts to the spec with the cleanup off.
+/// implementation of the `zlc --level` grammar, `L[+rce2][+dim]`: a paper
+/// level name, optionally followed by `+rce2`, then optionally by `+dim`
+/// (each at most once, in that order). A bare [`Level`] converts to the
+/// spec with both extensions off.
 ///
 /// ```
 /// use fusion_core::{Level, LevelSpec};
 /// let spec: LevelSpec = "c2+f3+rce2".parse().unwrap();
 /// assert_eq!(spec.level, Level::C2F3);
-/// assert!(spec.rce2);
+/// assert!(spec.rce2 && !spec.dim);
 /// assert_eq!(spec.to_string(), "c2+f3+rce2");
 /// let twice = "c2+rce2+rce2".parse::<LevelSpec>().unwrap_err();
 /// assert!(twice.contains("`+rce2` is given twice"), "{twice}");
+/// let twice = "c2+f3+dim+dim".parse::<LevelSpec>().unwrap_err();
+/// assert!(twice.contains("`+dim` is given twice"), "{twice}");
 /// assert_eq!(LevelSpec::from(Level::C2).to_string(), "c2");
+/// // 8 levels x 2 x 2 specs, each with one spelling.
+/// for level in Level::all() {
+///     for rce2 in [false, true] {
+///         for dim in [false, true] {
+///             let spec = LevelSpec { level, rce2, dim };
+///             assert_eq!(spec.to_string().parse::<LevelSpec>(), Ok(spec));
+///         }
+///     }
+/// }
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct LevelSpec {
@@ -142,11 +154,21 @@ pub struct LevelSpec {
     /// counted time loops. Every rewrite is independently re-checked by
     /// the translation validator ([`PassId::VerifyRce2`]).
     pub rce2: bool,
+    /// Dimension contraction ([`PassId::DimContract`], the extension
+    /// addressing the paper's Section 5.2 SP deficiency): arrays whose
+    /// full contraction fails but whose flow dependences are flat in some
+    /// dimension are collapsed to a single slice under a shared outer
+    /// loop. See [`crate::ext`].
+    pub dim: bool,
 }
 
 impl From<Level> for LevelSpec {
     fn from(level: Level) -> Self {
-        LevelSpec { level, rce2: false }
+        LevelSpec {
+            level,
+            rce2: false,
+            dim: false,
+        }
     }
 }
 
@@ -158,24 +180,28 @@ impl FromStr for LevelSpec {
     /// A rustc-style message naming the valid levels when the base level
     /// is unknown, or the suffix when it is given twice.
     fn from_str(text: &str) -> Result<Self, String> {
-        let (base, rce2) = match text.strip_suffix("+rce2") {
-            Some(base) if base.ends_with("+rce2") => {
-                return Err(format!("level `{text}`: `+rce2` is given twice"));
+        fn strip<'a>(text: &str, spec: &'a str, suffix: &str) -> Result<(&'a str, bool), String> {
+            match spec.strip_suffix(suffix) {
+                Some(rest) if rest.ends_with(suffix) => {
+                    Err(format!("level `{text}`: `{suffix}` is given twice"))
+                }
+                Some(rest) => Ok((rest, true)),
+                None => Ok((spec, false)),
             }
-            Some(base) => (base, true),
-            None => (text, false),
-        };
+        }
+        let (rest, dim) = strip(text, text, "+dim")?;
+        let (base, rce2) = strip(text, rest, "+rce2")?;
         let level = Level::all()
             .into_iter()
             .find(|l| l.name() == base)
             .ok_or_else(|| {
                 format!(
                     "unknown level `{text}` (expected one of: {}; append `+rce2` for the \
-                     cleanup pass)",
+                     cleanup pass, then `+dim` for dimension contraction)",
                     Level::all().map(|l| l.name()).join(", ")
                 )
             })?;
-        Ok(LevelSpec { level, rce2 })
+        Ok(LevelSpec { level, rce2, dim })
     }
 }
 
@@ -184,6 +210,9 @@ impl fmt::Display for LevelSpec {
         f.write_str(self.level.name())?;
         if self.rce2 {
             f.write_str("+rce2")?;
+        }
+        if self.dim {
+            f.write_str("+dim")?;
         }
         Ok(())
     }
@@ -215,7 +244,7 @@ pub struct Report {
     /// Contracted definitions (live ranges), across all blocks.
     pub contracted_defs: usize,
     /// Arrays contracted to a lower dimension (the [`crate::ext`]
-    /// extension; 0 unless enabled).
+    /// extension; 0 unless the spec asks for `+dim`).
     pub dimension_contracted: usize,
 }
 
@@ -266,7 +295,7 @@ pub struct Optimized {
     pub contracted: Vec<ArrayId>,
     /// Static array accounting.
     pub report: Report,
-    /// The level and cleanup pass that was applied.
+    /// The level and extensions that were applied.
     pub spec: LevelSpec,
     /// Per-block records (ASDG, partition, contracted definitions).
     pub details: Vec<BlockDetail>,
@@ -310,8 +339,6 @@ pub struct Pipeline<'f> {
     pub(crate) spec: LevelSpec,
     pub(crate) forbid: Option<Box<ForbidFn<'f>>>,
     pub(crate) base_opts: FusionOpts,
-    pub(crate) spatial_cap: Option<usize>,
-    dimension_contraction: bool,
     pub(crate) verify: VerifyLevel,
     pub(crate) emit: Option<PassId>,
 }
@@ -326,25 +353,16 @@ impl fmt::Debug for Pipeline<'_> {
 }
 
 impl<'f> Pipeline<'f> {
-    /// Creates a pipeline at a level, or at a [`LevelSpec`] with the
-    /// cleanup pass switched on.
+    /// Creates a pipeline at a level, or at a [`LevelSpec`] with its
+    /// extensions: the spec alone chooses which passes run.
     pub fn new(spec: impl Into<LevelSpec>) -> Self {
         Pipeline {
             spec: spec.into(),
             forbid: None,
             base_opts: FusionOpts::default(),
-            spatial_cap: None,
-            dimension_contraction: false,
             verify: VerifyLevel::default(),
             emit: None,
         }
-    }
-
-    /// Switches [`LevelSpec::rce2`] on. Off at every paper level (`+rce2`
-    /// level suffix in `zlc`).
-    pub fn with_rce2(mut self) -> Self {
-        self.spec.rce2 = true;
-        self
     }
 
     /// Captures an IR snapshot after the named pass runs; the text lands
@@ -360,25 +378,6 @@ impl<'f> Pipeline<'f> {
     /// [`Optimized::diagnostics`].
     pub fn with_verify(mut self, level: VerifyLevel) -> Self {
         self.verify = level;
-        self
-    }
-
-    /// Enables *dimension contraction* (the extension addressing the
-    /// paper's Section 5.2 SP deficiency): arrays whose full contraction
-    /// fails but whose flow dependences are flat in some dimension are
-    /// collapsed to a single slice under a shared outer loop. See
-    /// [`crate::ext`].
-    pub fn with_dimension_contraction(mut self) -> Self {
-        self.dimension_contraction = true;
-        self
-    }
-
-    /// Bounds the greedy pairwise pass (`c2+f4`) to clusters referencing at
-    /// most `max_arrays` distinct arrays — the paper's proposed *spatial
-    /// locality sensitivity* extension (Section 5.4 future work): arbitrary
-    /// fusion pollutes small caches with too many concurrent streams.
-    pub fn with_spatial_cap(mut self, max_arrays: usize) -> Self {
-        self.spatial_cap = Some(max_arrays);
         self
     }
 
@@ -402,11 +401,11 @@ impl<'f> Pipeline<'f> {
 
     /// Runs the optimizer on a program. This function is the schedule:
     /// the paper's one fixed sequence, each step gated by what the
-    /// [`LevelSpec`] (Section 5.4) and the extension switches ask for.
+    /// [`LevelSpec`] (Section 5.4 and the two extensions) asks for.
     /// Afterwards the translation validator runs once over the result
     /// when the [`VerifyLevel`] says so.
     pub fn optimize(&self, program: &Program) -> Optimized {
-        let LevelSpec { level, rce2 } = self.spec;
+        let LevelSpec { level, rce2, dim } = self.spec;
         let mut s = CompileSession::new(self, program);
         s.pass(PassId::Normalize, pass::normalize);
         if rce2 {
@@ -422,7 +421,7 @@ impl<'f> Pipeline<'f> {
             s.pass(PassId::FusePairwise, pass::fuse_pairwise);
         }
         s.pass(PassId::Contract, pass::contract);
-        if self.dimension_contraction {
+        if dim {
             s.pass(PassId::DimContract, pass::dim_contract);
         }
         s.pass(PassId::FindLoopStructure, pass::find_loop_structure);

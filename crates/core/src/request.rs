@@ -1,7 +1,7 @@
 //! One run configuration: [`RunRequest`].
 //!
 //! A request says what to compile (a [`LevelSpec`]: level plus the
-//! `+rce2` cleanup), how to execute it (engine, threads,
+//! `+rce2` and `+dim` extensions), how to execute it (engine, threads,
 //! lanes, budgets) and under which config overrides. `zlc`, the lazy
 //! frontend, the compile cache, the serve path and the simulated
 //! runtime's `ExecConfig::from_request` all read this one value, and a
@@ -42,12 +42,12 @@ use std::time::Duration;
 use zlang::ir::{ConfigBinding, Program};
 
 /// A complete, self-describing run configuration: what to compile
-/// (level + cleanup pass), how to execute it (engine, threads,
+/// (level + extensions), how to execute it (engine, threads,
 /// budgets), and under which config bindings. Built fluently, consumed
 /// by `zlc`, the [`Supervisor`], the compile cache, and the serve path.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunRequest {
-    /// Optimization level plus cleanup pass (default plain
+    /// Optimization level plus extensions (default plain
     /// [`Level::C2`], matching `zlc`).
     pub spec: LevelSpec,
     /// Execution engine (default [`Engine::Vm`]).
@@ -94,7 +94,7 @@ impl RunRequest {
         RunRequest::default()
     }
 
-    /// Sets the optimization level (keeping a `+rce2` choice).
+    /// Sets the optimization level (keeping the `+rce2` / `+dim` choices).
     pub fn with_level(mut self, level: Level) -> Self {
         self.spec.level = level;
         self
@@ -183,7 +183,7 @@ impl RunRequest {
     /// translation validator when [`verify`](Self::verify) is set — for
     /// callers that read [`Optimized::diagnostics`](crate::Optimized)
     /// themselves. Callers with pipeline-only concerns (e.g. `zlc --emit`,
-    /// `--dimension-contraction`) extend the returned builder further. The
+    /// `--favor-comm`) extend the returned builder further. The
     /// compile cache does not come through here; it optimizes at the spec
     /// alone.
     pub fn pipeline(&self) -> Pipeline<'static> {
@@ -255,12 +255,21 @@ mod tests {
 
     #[test]
     fn level_spec_round_trips() {
-        for spec in ["baseline", "c2+f3", "c2+f4", "f1+rce2", "c2+f3+rce2"] {
+        for spec in [
+            "baseline",
+            "c2+f3",
+            "c2+f4",
+            "f1+rce2",
+            "c2+f3+rce2",
+            "c2+dim",
+            "c2+f4+rce2+dim",
+        ] {
             let req = RunRequest::new().with_level_spec(spec).unwrap();
             assert_eq!(req.level_spec(), spec, "{spec}");
         }
-        // The grammar is `L[+rce2]`: 8 levels x 2, and nothing else.
-        let specs = Level::all().map(|l| [l.name().to_string(), format!("{l}+rce2")]);
+        // The grammar is `L[+rce2][+dim]`: 8 levels x 4, and nothing else.
+        let specs = Level::all()
+            .map(|l| ["", "+rce2", "+dim", "+rce2+dim"].map(|suffix| format!("{l}{suffix}")));
         for spec in specs.as_flattened() {
             assert_eq!(&spec.parse::<LevelSpec>().unwrap().to_string(), spec);
         }
@@ -285,11 +294,17 @@ mod tests {
             assert!(err.contains(&format!("unknown level `{retired}`")), "{err}");
             assert!(err.contains("append `+rce2`"), "{err}");
         }
-        // One spec has one spelling: a repeated suffix is rejected by name.
+        // One spec has one spelling: a repeated suffix is rejected by name,
+        // and the suffixes come in one order.
+        for (twice, suffix) in [("c2+f3+rce2+rce2", "+rce2"), ("c2+f3+dim+dim", "+dim")] {
+            let err = RunRequest::new().with_level_spec(twice).unwrap_err();
+            assert!(err.contains(&format!("`{suffix}` is given twice")), "{err}");
+        }
         let err = RunRequest::new()
-            .with_level_spec("c2+f3+rce2+rce2")
+            .with_level_spec("c2+dim+rce2")
             .unwrap_err();
-        assert!(err.contains("`+rce2` is given twice"), "{err}");
+        assert!(err.contains("unknown level `c2+dim+rce2`"), "{err}");
+        assert!(err.contains("then `+dim`"), "{err}");
     }
 
     #[test]

@@ -188,7 +188,7 @@ pub struct RequestRecord {
     pub name: String,
     /// Engine the request asked for.
     pub engine: Engine,
-    /// Level and cleanup pass the request asked for.
+    /// Level spec the request asked for.
     pub spec: LevelSpec,
     /// Time from admission until a worker started serving the request
     /// (for shed requests: until the shed decision).

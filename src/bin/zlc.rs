@@ -8,13 +8,16 @@
 //! zlc serve <file.zl>... [--requests N] [--workers N] [run options]
 //!
 //! options:
-//!   --level <baseline|f1|c1|f2|f3|c2|c2+f3|c2+f4>   (default c2)
-//!                                 append `+rce2` (at most once) to also
-//!                                 run the array-level cleanup pass, e.g.
-//!                                 `--level c2+f3+rce2`
-//!   --dimension-contraction       enable lower-dimensional contraction
-//!   --spatial-cap <k>             bound pairwise fusion to k array streams
-//!   --favor-comm                  Section 5.5 favor-communication policy
+//!   --level <baseline|f1|c1|f2|f3|c2|c2+f3|c2+f4>[+rce2][+dim]
+//!                                 (default c2); append `+rce2` to also
+//!                                 run the array-level cleanup pass and
+//!                                 then `+dim` for lower-dimensional
+//!                                 contraction, each at most once, e.g.
+//!                                 `--level c2+f3+rce2+dim`
+//!   --favor-comm                  Section 5.5 favor-communication policy:
+//!                                 the one optimizer choice outside
+//!                                 --level, because it only means
+//!                                 something under --machine
 //!   --print <ir|loops|bytecode|asdg|report|source|hash>   what to print
 //!                                 (repeatable); `bytecode` disassembles
 //!                                 the lowered VM program (one listing:
@@ -75,16 +78,18 @@
 //!
 //! A mode reads a flag or rejects it. `--supervise` and `serve` compile
 //! through the cache at the request's `--level`, `--engine` and `--set`
-//! coordinates alone, so the pipeline-only flags (`--dimension-contraction`,
-//! `--spatial-cap`, `--favor-comm`, `--emit`, `--print`, `--verify`) are
-//! usage errors there, as are the one-shot flags (`--machine`, `--procs`,
-//! `--supervise`, `--run`) under `serve` and the serve-only flags
-//! (`--requests`, `--workers`, `--queue-cap`, `--shed`) outside it. In
+//! coordinates alone, so the pipeline-only flags (`--favor-comm`,
+//! `--emit`, `--print`, `--verify`) are usage errors there, as are the
+//! one-shot flags (`--machine`, `--procs`, `--supervise`, `--run`) under
+//! `serve` and the serve-only flags (`--requests`, `--workers`,
+//! `--queue-cap`, `--shed`) outside it. In
 //! every mode, so are the knobs the engine name pins: `--threads` under
 //! `interp`, `vm` and `vm-simd`, `--lanes` under `interp` and `vm` — with
-//! or without `--machine`. The removed `--retries` and `--shed
-//! drop-oldest` are usage errors that name what replaced them: a key
-//! whose artifact faults at execution is quarantined, not retried.
+//! or without `--machine`. The removed `--retries`, `--shed
+//! drop-oldest`, `--dimension-contraction` and `--spatial-cap` are usage
+//! errors that name what replaced them: a key whose artifact faults at
+//! execution is quarantined, not retried; dimension contraction is the
+//! `+dim` level suffix; the stream cap had no gain to keep.
 //!
 //! The plain mode lowers at most once: `--verify`, `--print bytecode` and
 //! `--run` share one `SharedProgram::lower`, and `--machine` only chooses
@@ -113,8 +118,6 @@ struct Options {
     queue_cap: usize,
     shed: ShedPolicy,
     request: RunRequest,
-    dimension_contraction: bool,
-    spatial_cap: Option<usize>,
     favor_comm: bool,
     prints: Vec<String>,
     emit: Option<PassId>,
@@ -128,8 +131,7 @@ struct Options {
 fn usage(msg: &str) -> ExitCode {
     eprint!("{}", render_diagnostic("error", "cli", msg, None, &[]));
     eprintln!(
-        "usage: zlc <file.zl> [--level L[+rce2]] [--dimension-contraction]\n\
-         \x20          [--spatial-cap K] [--favor-comm]\n\
+        "usage: zlc <file.zl> [--level L[+rce2][+dim]] [--favor-comm]\n\
          \x20          [--print {}]... [--emit PASS]\n\
          \x20          [--verify] [--run] [--engine interp|vm|vm-simd|vm-par]\n\
          \x20          [--threads N (vm-par)] [--lanes 0..128 (vm-simd|vm-par)]\n\
@@ -158,14 +160,7 @@ const PRINT_TARGETS: &[&str] = &[
 
 /// Flags only the plain (unsupervised, one-shot) path reads: they extend
 /// or inspect a pipeline the supervisor and the serve path never build.
-const PIPELINE_ONLY: &[&str] = &[
-    "--dimension-contraction",
-    "--spatial-cap",
-    "--favor-comm",
-    "--emit",
-    "--print",
-    "--verify",
-];
+const PIPELINE_ONLY: &[&str] = &["--favor-comm", "--emit", "--print", "--verify"];
 
 /// Flags that describe one run of one file; `serve` replays a batch.
 const ONE_SHOT_ONLY: &[&str] = &["--machine", "--procs", "--supervise", "--run"];
@@ -183,8 +178,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
         queue_cap: 0,
         shed: ShedPolicy::Block,
         request: RunRequest::new(),
-        dimension_contraction: false,
-        spatial_cap: None,
         favor_comm: false,
         prints: Vec::new(),
         emit: None,
@@ -206,14 +199,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
             "--level" => {
                 let v = value("--level")?;
                 opts.request = std::mem::take(&mut opts.request).with_level_spec(&v)?;
-            }
-            "--dimension-contraction" => opts.dimension_contraction = true,
-            "--spatial-cap" => {
-                opts.spatial_cap = Some(
-                    value("--spatial-cap")?
-                        .parse()
-                        .map_err(|_| "bad cap".to_string())?,
-                );
             }
             "--favor-comm" => opts.favor_comm = true,
             "--print" => {
@@ -314,6 +299,21 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                     "`--retries` was removed: execution is deterministic, so a key \
                      whose artifact faults at execution is quarantined on its first fault, \
                      not retried (DESIGN.md §16); remove the flag"
+                        .to_string(),
+                )
+            }
+            "--dimension-contraction" => {
+                return Err(
+                    "`--dimension-contraction` was removed: dimension contraction \
+                            is a level suffix; use `--level <L>+dim`"
+                        .to_string(),
+                )
+            }
+            "--spatial-cap" => {
+                return Err(
+                    "`--spatial-cap` was removed: the stream cap on pairwise fusion \
+                            had no resolved gain on the lane tier (EXPERIMENTS.md, \
+                            \"Ablations\"); remove the flag"
                         .to_string(),
                 )
             }
@@ -603,12 +603,6 @@ fn main() -> ExitCode {
     let mut pipeline = opts.request.pipeline();
     if let Some(pass) = opts.emit {
         pipeline = pipeline.with_emit(pass);
-    }
-    if opts.dimension_contraction {
-        pipeline = pipeline.with_dimension_contraction();
-    }
-    if let Some(cap) = opts.spatial_cap {
-        pipeline = pipeline.with_spatial_cap(cap);
     }
     if opts.favor_comm {
         pipeline = pipeline.with_forbidden(runtime::comm::favor_comm_pairs);

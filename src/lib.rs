@@ -75,7 +75,7 @@ pub use error::Error;
 /// Commonly used items, re-exported for convenience.
 pub mod prelude {
     pub use crate::Error;
-    pub use fusion_core::pipeline::{Level, Pipeline};
+    pub use fusion_core::pipeline::{Level, LevelSpec, Pipeline};
     pub use fusion_core::{Diagnostic, VerifyLevel};
     pub use loopir::{
         Engine, ExecOpts, Executor, Interp, NoopObserver, RunOutcome, SharedProgram, TileStats,

@@ -194,13 +194,11 @@ fn lowered_streams_match_pinned_digests() {
     for (name, program, size_config) in lowering_corpus() {
         for level in Level::all() {
             for rce2 in [false, true] {
-                let mut pipeline = Pipeline::new(level);
-                let mut spec = level.name().to_string();
-                if rce2 {
-                    pipeline = pipeline.with_rce2();
-                    spec.push_str("+rce2");
-                }
-                let sp = pipeline.optimize(&program).scalarized;
+                let spec = LevelSpec {
+                    rce2,
+                    ..level.into()
+                };
+                let sp = Pipeline::new(spec).optimize(&program).scalarized;
                 got.push_str(&format!("{name} {spec}"));
                 for n in SIZES {
                     let mut binding = ConfigBinding::defaults(&sp.program);

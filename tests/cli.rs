@@ -39,7 +39,8 @@ fn compiles_and_runs_heat() {
 fn dimension_contraction_flag_collapses_sweep() {
     let (stdout, stderr, ok) = zlc(&[
         &program_path("sweep.zl"),
-        "--dimension-contraction",
+        "--level",
+        "c2+dim",
         "--print",
         "report",
     ]);
@@ -362,8 +363,7 @@ fn list_passes_lists_exactly_what_emit_can_snapshot() {
         let (stdout, stderr, ok) = zlc(&[
             &program_path("sweep.zl"),
             "--level",
-            "c2+f4+rce2",
-            "--dimension-contraction",
+            "c2+f4+rce2+dim",
             "--emit",
             pass,
         ]);
@@ -666,9 +666,7 @@ fn unknown_set_name_fails_on_every_path() {
 #[test]
 fn modes_reject_flags_they_do_not_read() {
     let sweep = program_path("sweep.zl");
-    let pipeline_only: [&[&str]; 6] = [
-        &["--dimension-contraction"],
-        &["--spatial-cap", "2"],
+    let pipeline_only: [&[&str]; 4] = [
         &["--favor-comm"],
         &["--emit", "scalarize"],
         &["--print", "loops"],
@@ -716,27 +714,51 @@ fn modes_reject_flags_they_do_not_read() {
         assert!(out.stdout.is_empty(), "{args:?} ran anyway");
     }
 
-    // Positive control: the plain path still reads the flag, and without
-    // it `--supervise` prints what its accepted flags imply.
-    let (stdout, stderr, ok) = zlc(&[&sweep, "--dimension-contraction", "--run"]);
-    assert!(ok, "{stderr}");
-    assert!(stdout.contains("peak 5824 bytes"), "{stdout}");
-    let (plain, _, _) = zlc(&[&sweep, "--run"]);
-    let (supervised, stderr, ok) = zlc(&[&sweep, "--supervise"]);
-    assert!(ok, "{stderr}");
+    // Positive control: `--supervise` prints what its accepted flags
+    // imply, `+dim` included (it used to be a plain-only flag).
     let stats = |out: &str| out.lines().find(|l| l.starts_with("-- ")).map(String::from);
-    assert_eq!(stats(&supervised), stats(&plain));
-    assert!(
-        stats(&plain).unwrap().contains("peak 16224 bytes"),
-        "{plain}"
-    );
+    let scalars = |out: &str| {
+        let lines = out.lines().filter(|l| l.contains(" = "));
+        lines.map(String::from).collect::<Vec<_>>()
+    };
+    for (level, peak) in [("c2", "peak 16224 bytes"), ("c2+f3+dim", "peak 5824 bytes")] {
+        let (plain, stderr, ok) = zlc(&[&sweep, "--level", level, "--run"]);
+        assert!(ok, "{stderr}");
+        let (supervised, stderr, ok) = zlc(&[&sweep, "--level", level, "--supervise"]);
+        assert!(ok, "{stderr}");
+        assert!(stats(&plain).unwrap().contains(peak), "{level}: {plain}");
+        assert_eq!(stats(&supervised), stats(&plain), "{level}");
+        assert_eq!(scalars(&supervised), scalars(&plain), "{level}");
+    }
 }
 
-/// Retries and the drop-oldest shed policy are gone from `serve`: each
-/// removed spelling is a usage error that names what replaced it.
+/// Retries, the drop-oldest shed policy and the two optimizer switches
+/// outside `--level` are gone: each removed spelling is a usage error
+/// that names what replaced it, the switches in every mode.
 #[test]
 fn removed_serve_spellings_name_their_replacement() {
     let heat = program_path("heat.zl");
+    for mode in [&[][..], &["--run"], &["--supervise"], &["serve"]] {
+        for (flag, says) in [
+            (&["--dimension-contraction"][..], "use `--level <L>+dim`"),
+            (
+                &["--spatial-cap", "4"],
+                "no resolved gain on the lane tier (EXPERIMENTS.md, \"Ablations\")",
+            ),
+        ] {
+            let args = [mode, &[heat.as_str()], flag].concat();
+            let stderr = usage_error(&args);
+            assert!(
+                stderr.contains(&format!("`{}` was removed", flag[0])),
+                "{args:?}: {stderr}"
+            );
+            assert!(stderr.contains(says), "{args:?}: {stderr}");
+            assert!(
+                stderr.contains("usage: zlc <file.zl> [--level L[+rce2][+dim]] [--favor-comm]"),
+                "{stderr}"
+            );
+        }
+    }
     let stderr = usage_error(&["serve", &heat, "--retries", "1"]);
     assert!(stderr.contains("`--retries` was removed"), "{stderr}");
     assert!(

@@ -18,6 +18,11 @@ const SWEEP: &str = "program sweep; config n : int = 24; \
       [R] OUT := U@[0,-1] + U@[0,1]; \
       s := +<< [R] OUT; end";
 
+/// The `c2+dim` pipeline: plain `c2` plus dimension contraction.
+fn c2_dim() -> Pipeline<'static> {
+    Pipeline::new("c2+dim".parse::<LevelSpec>().unwrap())
+}
+
 fn run(opt: &Optimized, n: i64) -> (f64, u64) {
     let mut binding = ConfigBinding::defaults(&opt.scalarized.program);
     binding.set_by_name(&opt.scalarized.program, "n", n);
@@ -35,9 +40,7 @@ fn run(opt: &Optimized, n: i64) -> (f64, u64) {
 fn sweep_chain_preserves_semantics_and_saves_memory() {
     let p = zlang::compile(SWEEP).unwrap();
     let plain = Pipeline::new(Level::C2).optimize(&p);
-    let dimc = Pipeline::new(Level::C2)
-        .with_dimension_contraction()
-        .optimize(&p);
+    let dimc = c2_dim().optimize(&p);
 
     assert!(dimc.report.dimension_contracted >= 1, "{:?}", dimc.report);
 
@@ -72,9 +75,7 @@ fn every_benchmark_is_preserved_under_dimension_contraction() {
         };
         let program = bench.program();
         let plain = Pipeline::new(Level::C2).optimize(&program);
-        let dimc = Pipeline::new(Level::C2)
-            .with_dimension_contraction()
-            .optimize(&program);
+        let dimc = c2_dim().optimize(&program);
         let outputs = |opt: &Optimized| {
             let mut binding = ConfigBinding::defaults(&opt.scalarized.program);
             binding.set_by_name(&opt.scalarized.program, bench.size_config, n);
@@ -92,9 +93,7 @@ fn sp_gains_dimension_contractions() {
     // The motivating benchmark: SP's sweep-stage arrays (R*, S*, S*b) are
     // exactly the class the paper says should contract to lower dimensions.
     let bench = zpl_fusion::workloads::by_name("sp").unwrap();
-    let dimc = Pipeline::new(Level::C2)
-        .with_dimension_contraction()
-        .optimize(&bench.program());
+    let dimc = c2_dim().optimize(&bench.program());
     assert!(
         dimc.report.dimension_contracted >= 5,
         "SP should collapse its sweep stages: {:?}",

@@ -153,9 +153,7 @@ fn dimension_contracted_programs_simulate_in_parallel() {
     // cache simulator without disturbing results.
     let bench = zpl_fusion::workloads::by_name("sp").unwrap();
     let plain = Pipeline::new(Level::C2).optimize(&bench.program());
-    let dimc = Pipeline::new(Level::C2)
-        .with_dimension_contraction()
-        .optimize(&bench.program());
+    let dimc = Pipeline::new("c2+dim".parse::<LevelSpec>().unwrap()).optimize(&bench.program());
     let run = |opt: &zpl_fusion::fusion::pipeline::Optimized| {
         let mut binding = ConfigBinding::defaults(&opt.scalarized.program);
         binding.set_by_name(&opt.scalarized.program, "n", 6);

@@ -7,6 +7,14 @@ use zpl_fusion::fusion::pipeline::Optimized;
 use zpl_fusion::fusion::verify;
 use zpl_fusion::prelude::*;
 
+/// `level` with the `+rce2` cleanup pass on.
+fn rce2(level: Level) -> LevelSpec {
+    LevelSpec {
+        rce2: true,
+        ..level.into()
+    }
+}
+
 fn outputs(pipeline: &Pipeline, program: &zlang::ir::Program) -> Vec<f64> {
     let opt = pipeline.optimize(program);
     let binding = ConfigBinding::defaults(&opt.scalarized.program);
@@ -87,8 +95,7 @@ const RCE2_SRC: &str = "program rce2test; config n : int = 8; \
 fn rce2_materializes_stencil_overlap_paper_levels_recompute() {
     let program = zlang::compile(RCE2_SRC).unwrap();
     for level in [Level::Baseline, Level::C2, Level::C2F3] {
-        let cleaned = Pipeline::new(level)
-            .with_rce2()
+        let cleaned = Pipeline::new(rce2(level))
             .with_emit(PassId::Rce2)
             .with_verify(VerifyLevel::Always)
             .optimize(&program);
@@ -108,7 +115,7 @@ fn rce2_materializes_stencil_overlap_paper_levels_recompute() {
         assert_eq!(cleaned.diagnostics, verify::validate(&cleaned));
         assert_eq!(
             outputs(&Pipeline::new(level), &program),
-            outputs(&Pipeline::new(level).with_rce2(), &program),
+            outputs(&Pipeline::new(rce2(level)), &program),
             "{level}: rce2 changed observable behavior"
         );
     }
@@ -134,15 +141,12 @@ fn validator_runs_once_on_the_result_when_the_gate_says_so() {
         let program = bench.program();
         for level in Level::all() {
             for dim in [false, true] {
-                let pipeline = |verify| {
-                    let p = Pipeline::new(level).with_verify(verify);
-                    if dim {
-                        p.with_dimension_contraction()
-                    } else {
-                        p
-                    }
+                let spec = LevelSpec {
+                    dim,
+                    ..level.into()
                 };
-                let what = format!("{} at {level} (dimension contraction {dim})", bench.name);
+                let pipeline = |verify| Pipeline::new(spec).with_verify(verify);
+                let what = format!("{} at {spec}", bench.name);
                 let opt = pipeline(VerifyLevel::Always).optimize(&program);
                 assert_eq!(opt.diagnostics, verify::validate(&opt), "{what}");
                 assert_eq!(verify_rows(&opt), 1, "{what}");
@@ -161,7 +165,7 @@ fn validator_runs_once_on_the_result_when_the_gate_says_so() {
 #[test]
 fn cleanup_passes_invalidate_then_rebuild_once() {
     let program = zlang::compile(RCE2_SRC).unwrap();
-    let opt = Pipeline::new(Level::C2F3).with_rce2().optimize(&program);
+    let opt = Pipeline::new(rce2(Level::C2F3)).optimize(&program);
     let rce2 = opt.passes.iter().find(|t| t.id == PassId::Rce2).unwrap();
     assert!(rce2.changed);
     assert_eq!(opt.asdg_builds, opt.norm.blocks.len());
@@ -193,8 +197,8 @@ fn emit_snapshot_presence() {
 }
 
 /// The schedule, pinned: the transformation passes each level runs, in
-/// order, written out. The cleanup suffix slots in after `normalize`,
-/// dimension contraction after `contract`; a spatial cap bounds `fuse-pairwise` without moving it.
+/// order, written out. The `+rce2` suffix slots in after `normalize`,
+/// `+dim` after `contract`.
 /// The translation validator's `verify::*` rows are not transformations
 /// and are ignored here.
 #[test]
@@ -210,8 +214,6 @@ fn schedule_is_a_function_of_the_level_spec() {
         (Level::C2F3, &[FuseContraction, FuseLocality]),
         (Level::C2F4, &[FuseContraction, FuseLocality, FusePairwise]),
     ];
-    type Cleanup = (&'static str, fn(Pipeline) -> Pipeline, &'static [PassId]);
-    let cleanups: [Cleanup; 2] = [("", |p| p, &[]), ("+rce2", |p| p.with_rce2(), &[Rce2])];
     let transformations = |opt: &Optimized| -> Vec<PassId> {
         opt.passes
             .iter()
@@ -221,41 +223,25 @@ fn schedule_is_a_function_of_the_level_spec() {
     };
     let program = zpl_fusion::workloads::by_name("tomcatv").unwrap().program();
     for (level, fusion) in levels {
-        for (suffix, cleanup, cleanup_ids) in cleanups {
+        for rce2 in [false, true] {
             for dim in [false, true] {
                 let mut expected = vec![Normalize];
-                expected.extend_from_slice(cleanup_ids);
+                if rce2 {
+                    expected.push(Rce2);
+                }
                 expected.extend_from_slice(fusion);
                 expected.push(Contract);
                 if dim {
                     expected.push(DimContract);
                 }
                 expected.extend([FindLoopStructure, Scalarize]);
-                let mut pipeline = cleanup(Pipeline::new(level));
-                if dim {
-                    pipeline = pipeline.with_dimension_contraction();
-                }
+                let spec = LevelSpec { level, rce2, dim };
                 assert_eq!(
-                    transformations(&pipeline.optimize(&program)),
+                    transformations(&Pipeline::new(spec).optimize(&program)),
                     expected,
-                    "{level}{suffix} (dimension contraction {dim})"
+                    "{spec}"
                 );
             }
         }
     }
-    let capped = Pipeline::new(Level::C2F4)
-        .with_spatial_cap(2)
-        .optimize(&program);
-    assert_eq!(
-        transformations(&capped),
-        [
-            Normalize,
-            FuseContraction,
-            FuseLocality,
-            FusePairwise,
-            Contract,
-            FindLoopStructure,
-            Scalarize
-        ]
-    );
 }

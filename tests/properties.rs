@@ -255,13 +255,12 @@ fn dimension_contraction_preserves_random_programs() {
         let (arrays, stmts) = gen_block(rng, 5, 10);
         let src = render_program(arrays, &stmts);
         let program = zpl_fusion::lang::compile(&src).unwrap();
-        let run = |dimc: bool| {
-            let pipeline = if dimc {
-                Pipeline::new(Level::C2).with_dimension_contraction()
-            } else {
-                Pipeline::new(Level::C2)
-            };
-            let opt = pipeline.optimize(&program);
+        let run = |dim: bool| {
+            let opt = Pipeline::new(LevelSpec {
+                dim,
+                ..Level::C2.into()
+            })
+            .optimize(&program);
             let binding = ConfigBinding::defaults(&opt.scalarized.program);
             let mut exec = Engine::Vm.executor(&opt.scalarized, binding).unwrap();
             let outcome = exec.execute(&mut NoopObserver).expect("executes");

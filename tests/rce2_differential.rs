@@ -23,6 +23,11 @@ const PROGRAMS: u64 = 25;
 /// level (rewrites survive into unfused scalarization).
 const SPECS: [&str; 3] = ["c2+f3", "c2+f3+rce2", "baseline+rce2"];
 
+/// The `c2+f3+rce2` spec.
+fn c2f3_rce2() -> LevelSpec {
+    "c2+f3+rce2".parse().unwrap()
+}
+
 /// The two checksum scalars every generated program declares first.
 fn checksums(out: &RunOutcome) -> (u64, u64) {
     (
@@ -75,8 +80,7 @@ fn rce2_rewrites_pass_the_independent_validator() {
     for seed in 0..PROGRAMS {
         let src = genprog::generate_stencil(&mut Rng::new(seed));
         let program = zlang::compile(&src).unwrap();
-        let opt = Pipeline::new(Level::C2F3)
-            .with_rce2()
+        let opt = Pipeline::new(c2f3_rce2())
             .with_verify(VerifyLevel::Always)
             .optimize(&program);
         let errors: Vec<_> = opt
@@ -100,9 +104,7 @@ fn validator_rejects_injected_illegal_rewrites() {
     use zpl_fusion::fusion::verify::check_rce2;
 
     let bench = zpl_fusion::workloads::by_name("tomcatv").unwrap();
-    let opt = Pipeline::new(Level::C2F3)
-        .with_rce2()
-        .optimize(&bench.program());
+    let opt = Pipeline::new(c2f3_rce2()).optimize(&bench.program());
     let info = opt.rce2.as_ref().expect("rce2 ran");
     assert!(!info.rewrites.is_empty(), "tomcatv must yield rewrites");
     assert!(
@@ -174,7 +176,11 @@ fn benchmarks_agree_at_every_level_with_rce2() {
             out.scalars.iter().map(|s| s.to_bits()).collect::<Vec<_>>()
         };
         for level in Level::all() {
-            let opt = Pipeline::new(level).with_rce2().optimize(&program);
+            let spec = LevelSpec {
+                rce2: true,
+                ..level.into()
+            };
+            let opt = Pipeline::new(spec).optimize(&program);
             let mut binding = ConfigBinding::defaults(&opt.scalarized.program);
             binding.set_by_name(&opt.scalarized.program, bench.size_config, n);
             for engine in Engine::all() {
@@ -245,9 +251,7 @@ fn rce2_records_are_pinned_on_the_paper_benchmarks() {
     assert_eq!(pinned.len(), zpl_fusion::workloads::all().len());
     for (name, counts) in pinned {
         let bench = zpl_fusion::workloads::by_name(name).unwrap();
-        let opt = Pipeline::new(Level::C2F3)
-            .with_rce2()
-            .optimize(&bench.program());
+        let opt = Pipeline::new(c2f3_rce2()).optimize(&bench.program());
         let info = opt.rce2.as_ref().expect("rce2 ran");
         assert_eq!(
             (info.rewrites.len(), info.temps.len(), info.hoists.len()),
@@ -285,7 +289,7 @@ fn sp_flop_cut_and_its_price_are_pinned() {
         "c2+f3: flops, loads, stores, arrays after"
     );
     assert_eq!(
-        run(Pipeline::new(Level::C2F3).with_rce2()),
+        run(Pipeline::new(c2f3_rce2())),
         (18_174_896, 13_584_592, 3_404_032, 48),
         "c2+f3+rce2: flops, loads, stores, arrays after"
     );

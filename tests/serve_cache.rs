@@ -179,7 +179,8 @@ fn supervisor_runs_hit_the_attached_cache_at(spec: &str) {
     let binding = req.binding_for(&program).unwrap();
     let key = CacheKey::for_request(&program, &binding, &req);
     assert_eq!(key.spec.to_string(), spec);
-    assert!(cache.lookup(&key).is_some(), "{spec}");
+    let (_, depth) = cache.compile(&program, &binding, key).unwrap();
+    assert_eq!(depth, Depth::Hit, "{spec}");
     assert_eq!(
         cache.len(),
         1,
@@ -214,8 +215,11 @@ fn simulated_and_plain_runs_share_one_artifact() {
     assert_eq!(plain.report.attempts[0].depth, Depth::Hit);
     assert_eq!(plain.outcome, simulated.outcome);
     assert_eq!((cache.stats().insertions, cache.len()), (1, 1));
-    let key = CacheKey::for_request(&program, &req.binding_for(&program).unwrap(), &req);
-    assert!(cache.lookup(&key).is_some_and(|a| a.shared.is_some()));
+    let binding = req.binding_for(&program).unwrap();
+    let key = CacheKey::for_request(&program, &binding, &req);
+    let (artifact, depth) = cache.compile(&program, &binding, key).unwrap();
+    assert_eq!(depth, Depth::Hit);
+    assert!(artifact.shared.is_some());
 }
 
 /// The cleanup suffixes are cache coordinates on the serving path: a
@@ -252,7 +256,57 @@ fn cleanup_suffixes_are_distinct_serve_keys() {
     for req in &reqs {
         let binding = req.binding_for(&program).unwrap();
         let key = CacheKey::for_request(&program, &binding, req);
-        assert!(cache.lookup(&key).is_some(), "{req}");
+        let (_, depth) = cache.compile(&program, &binding, key).unwrap();
+        assert_eq!(depth, Depth::Hit, "{req}");
+    }
+}
+
+/// `+dim` is a serve coordinate like the cleanup suffix: SP and
+/// `sweep.zl`, each served alternately at `c2+f3` and `c2+f3+dim`, compile
+/// one artifact and run the optimizer once per spec, answer with the
+/// reference interpreter's bits, and peak lower under `+dim`.
+#[test]
+fn dimension_contraction_is_a_serve_key() {
+    let sp = benchmarks::by_name("sp").unwrap();
+    let sweep = std::fs::read_to_string(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/examples/programs/sweep.zl"
+    ))
+    .unwrap();
+    for (name, source, sets) in [
+        ("sp", sp.source, &[(sp.size_config, 8)][..]),
+        ("sweep", &sweep, &[]),
+    ] {
+        let at = |spec: &str| {
+            let req = RunRequest::new().with_level_spec(spec).unwrap();
+            let req = req.with_engine(Engine::VmSimd);
+            sets.iter().fold(req, |req, &(k, v)| req.with_set(k, v))
+        };
+        let reqs = [at("c2+f3"), at("c2+f3+dim")];
+        let batch: Vec<ServeRequest> = (0..8)
+            .map(|i| ServeRequest::new(name, source, reqs[i % 2].clone()))
+            .collect();
+        let cache = Arc::new(CompileCache::new());
+        let report = serve(&batch, 2, &cache);
+        assert_eq!((report.completed(), report.degraded()), (8, 0), "{name}");
+        let s = report.cache;
+        assert_eq!(
+            (cache.len(), s.misses, s.optimize_misses),
+            (2, 2, 2),
+            "{name}"
+        );
+        let reference = cold_bits(source, &at("baseline").with_engine(Engine::Interp));
+        for record in &report.records {
+            assert_eq!(record.scalars_bits, reference, "{name} at {}", record.spec);
+        }
+        let peak = |req: &RunRequest| {
+            let program = zlang::compile(source).unwrap();
+            let (artifact, hit) = cache.get_or_compile(&program, req).unwrap();
+            assert!(hit, "{name} at {req}");
+            let out = artifact.executor(req.exec_opts()).execute_pure().unwrap();
+            out.stats.peak_bytes
+        };
+        assert!(peak(&reqs[1]) < peak(&reqs[0]), "{name}");
     }
 }
 

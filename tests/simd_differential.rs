@@ -314,13 +314,13 @@ fn cache_simulation_sees_the_scalar_access_stream() {
 
 /// One hand-written case: runs `source` under `sets` through
 /// [`differential`].
-fn hand_written(source: &str, dimension_contraction: bool, sets: &[(&str, i64)], shows: &[&str]) {
+fn hand_written(source: &str, dim: bool, sets: &[(&str, i64)], shows: &[&str]) {
     let program = zlang::compile(source).unwrap_or_else(|e| panic!("{e}\n{source}"));
-    let mut pipeline = Pipeline::new(Level::C2F3);
-    if dimension_contraction {
-        pipeline = pipeline.with_dimension_contraction();
-    }
-    let opt = pipeline.optimize(&program);
+    let spec = LevelSpec {
+        dim,
+        ..Level::C2F3.into()
+    };
+    let opt = Pipeline::new(spec).optimize(&program);
     let mut binding = ConfigBinding::defaults(&opt.scalarized.program);
     for &(name, v) in sets {
         binding.set_by_name(&opt.scalarized.program, name, v);

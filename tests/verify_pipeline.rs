@@ -19,16 +19,17 @@ fn validator_is_clean_on_all_benchmarks_at_all_levels() {
     for bench in zpl_fusion::workloads::all() {
         for level in Level::all() {
             for dim in [false, true] {
-                let mut p = Pipeline::new(level).with_verify(VerifyLevel::Always);
-                if dim {
-                    p = p.with_dimension_contraction();
-                }
-                let opt = p.optimize(&bench.program());
+                let spec = LevelSpec {
+                    dim,
+                    ..level.into()
+                };
+                let opt = Pipeline::new(spec)
+                    .with_verify(VerifyLevel::Always)
+                    .optimize(&bench.program());
                 assert!(
                     opt.diagnostics.is_empty(),
-                    "{} at {level}{}: {:?}",
+                    "{} at {spec}: {:?}",
                     bench.name,
-                    if dim { " +dim" } else { "" },
                     opt.diagnostics
                 );
             }
@@ -111,11 +112,11 @@ fn bytecode_verifier_accepts_every_benchmark_configuration() {
     for (name, program, size_config) in &programs {
         for level in Level::all() {
             for rce2 in [false, true] {
-                let mut pipeline = Pipeline::new(level);
-                if rce2 {
-                    pipeline = pipeline.with_rce2();
-                }
-                let opt = pipeline.optimize(program);
+                let spec = LevelSpec {
+                    rce2,
+                    ..level.into()
+                };
+                let opt = Pipeline::new(spec).optimize(program);
                 let sp = &opt.scalarized;
                 for n in [4, 5, 13] {
                     let mut binding = ConfigBinding::defaults(&sp.program);

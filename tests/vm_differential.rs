@@ -173,19 +173,30 @@ fn vm_par_tiles_balance_and_cover_the_work_on_simple() {
 #[test]
 fn engines_agree_under_dimension_contraction() {
     // The Outer construct takes a different compilation path in the VM;
-    // make sure the extension stays bit-identical too.
+    // make sure the extension stays bit-identical too: `+dim` at every
+    // level, on every engine, answers with `interp`'s bits at `baseline`.
+    let bits = |out: &RunOutcome| out.scalars.iter().map(|s| s.to_bits()).collect::<Vec<_>>();
     for bench in zpl_fusion::workloads::all() {
-        let opt = Pipeline::new(Level::C2)
-            .with_dimension_contraction()
-            .optimize(&bench.program());
-        let mut binding = ConfigBinding::defaults(&opt.scalarized.program);
         let n = if bench.rank == 1 { 256 } else { 8 };
-        binding.set_by_name(&opt.scalarized.program, bench.size_config, n);
-        let rs = outcomes(&opt, &binding);
-        let (_, out0, mem0) = &rs[0];
-        for (e, out, mem) in &rs[1..] {
-            assert_eq!(out0, out, "{} +dim ({e})", bench.name);
-            assert_eq!(mem0, mem, "{} +dim ({e}): cache stream", bench.name);
+        let run = |spec: LevelSpec| {
+            let opt = Pipeline::new(spec).optimize(&bench.program());
+            let mut binding = ConfigBinding::defaults(&opt.scalarized.program);
+            binding.set_by_name(&opt.scalarized.program, bench.size_config, n);
+            outcomes(&opt, &binding)
+        };
+        let reference = bits(&run(Level::Baseline.into())[0].1);
+        for level in Level::all() {
+            let spec = LevelSpec {
+                dim: true,
+                ..level.into()
+            };
+            let rs = run(spec);
+            let (_, out0, mem0) = &rs[0];
+            for (e, out, mem) in &rs {
+                assert_eq!(bits(out), reference, "{} at {spec} ({e})", bench.name);
+                assert_eq!(out0, out, "{} at {spec} ({e})", bench.name);
+                assert_eq!(mem0, mem, "{} at {spec} ({e}): cache stream", bench.name);
+            }
         }
     }
 }
