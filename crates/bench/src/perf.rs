@@ -91,12 +91,12 @@ impl Compiled {
     ///
     /// Panics if the benchmark fails to execute (as [`Compiled::new`]).
     pub fn run(&self, machine: &Machine, procs: u64) -> SimResult {
-        let program = &self.artifact.scalarized.program;
+        let sp = &self.artifact.scalarized;
         let cfg = ExecConfig::new(machine.clone(), procs);
         let mut exec = self.artifact.executor(self.knobs);
-        match simulate_executor(&mut *exec, program, &self.artifact.binding, &cfg) {
+        match simulate_executor(&mut *exec, sp, &self.artifact.binding, &cfg) {
             Ok((_, sim)) => sim,
-            Err(e) => panic!("{} on {}: {e}", program.name, machine.name),
+            Err(e) => panic!("{} on {}: {e}", sp.program.name, machine.name),
         }
     }
 }

@@ -399,7 +399,10 @@ impl Budgets {
 /// from the rung's cached artifact, knobs and limits set — under its own
 /// observer, returning the outcome or a (possibly communication-related)
 /// failure. The scalarized program and the binding are the ones the
-/// executor was built over, for a machine model that reads declarations.
+/// executor was built over, for a machine model that reads declarations
+/// and looks up each nest the run reports: an
+/// [`Observer::nest_begin`](loopir::Observer::nest_begin) id is an index
+/// into this program's [`ScalarProgram::nests`].
 pub type SimFn<'a> = dyn FnMut(&mut dyn Executor, &ScalarProgram, &ConfigBinding) -> Result<RunOutcome, ExecError>
     + 'a;
 

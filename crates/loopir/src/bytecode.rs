@@ -556,8 +556,9 @@ pub(crate) struct Code {
     pub ops: Vec<Op>,
     pub accesses: Vec<Access>,
     pub arrays: Vec<ArrayInfo>,
-    /// Nests referenced by `Op::NestBegin`, cloned for observer callbacks.
-    pub nests: Vec<LoopNest>,
+    /// How many ids `Op::NestBegin` may name: the program's
+    /// [`ScalarProgram::nests`] count.
+    pub n_nests: u32,
     /// Ladders referenced by `Op::ParBegin`.
     pub pars: Vec<ParInfo>,
     /// Vectorizable innermost loops referenced by `Op::SimdBegin`
@@ -656,7 +657,10 @@ struct Compiler<'p> {
     /// `bounds[bounds_at[r]..bounds_at[r + 1]]`.
     bounds_at: Vec<u32>,
     bounds: Vec<(i64, i64)>,
-    nests: Vec<LoopNest>,
+    /// `prog.nests()`: a nest's index here is the id its `NestBegin`
+    /// names. Taken from the program, not counted while compiling, since
+    /// a statically empty `Outer` compiles none of its body's nests.
+    nests: Vec<&'p LoopNest>,
     pars: Vec<ParInfo>,
     consts: Vec<f64>,
     const_regs: ConstRegs,
@@ -692,9 +696,6 @@ pub(crate) fn compile(prog: &ScalarProgram, binding: &ConfigBinding) -> Result<C
     if n_scalars > u16::MAX as usize {
         return Err(err("too many scalars for the VM frame"));
     }
-    let mut max_temps = 0u32;
-    max_temps_in(&prog.stmts, &mut max_temps);
-
     let mut c = Compiler {
         prog,
         binding,
@@ -704,7 +705,7 @@ pub(crate) fn compile(prog: &ScalarProgram, binding: &ConfigBinding) -> Result<C
         layouts: Vec::with_capacity(prog.program.arrays.len()),
         bounds_at: Vec::with_capacity(prog.program.regions.len() + 1),
         bounds: Vec::new(),
-        nests: Vec::new(),
+        nests: prog.nests(),
         pars: Vec::new(),
         consts: Vec::new(),
         const_regs: ConstRegs::default(),
@@ -729,6 +730,7 @@ pub(crate) fn compile(prog: &ScalarProgram, binding: &ConfigBinding) -> Result<C
     // Interned constants must be placed before compilation starts so their
     // registers sit below the scratch area: collect them in a pre-pass.
     c.collect_consts(&prog.stmts);
+    let max_temps = c.nests.iter().map(|n| n.temps).max().unwrap_or(0);
     let const_base = c.temp_base as u32 + max_temps;
     let scratch_base = const_base + c.consts.len() as u32;
     if scratch_base > u16::MAX as u32 {
@@ -748,7 +750,7 @@ pub(crate) fn compile(prog: &ScalarProgram, binding: &ConfigBinding) -> Result<C
         ops: c.ops,
         accesses: c.accesses,
         arrays: c.arrays,
-        nests: c.nests,
+        n_nests: c.nests.len() as u32,
         pars: c.pars,
         simds: Vec::new(),
         consts: c.consts,
@@ -757,24 +759,6 @@ pub(crate) fn compile(prog: &ScalarProgram, binding: &ConfigBinding) -> Result<C
         frame: frame as u16,
         n_ctrs: c.n_ctrs,
     })
-}
-
-fn max_temps_in(stmts: &[LStmt], max: &mut u32) {
-    for s in stmts {
-        match s {
-            LStmt::Nest(n) => *max = (*max).max(n.temps),
-            LStmt::For { body, .. } | LStmt::Outer { body, .. } => max_temps_in(body, max),
-            LStmt::If {
-                then_body,
-                else_body,
-                ..
-            } => {
-                max_temps_in(then_body, max);
-                max_temps_in(else_body, max);
-            }
-            LStmt::Scalar { .. } | LStmt::ReduceNest { .. } => {}
-        }
-    }
 }
 
 /// Appends every array load in `e` to `out`, in evaluation order.
@@ -1347,9 +1331,8 @@ impl<'p> Compiler<'p> {
         let mut touched = std::mem::take(&mut self.touched);
         let loads = Self::touch(nest, &mut touched);
         self.emit_allocs(&touched);
-        let nid = self.nests.len() as u32;
-        self.nests.push(nest.clone());
-        self.emit(Op::NestBegin { nest: nid });
+        let nest_id = crate::ir::nest_id(&self.nests, nest);
+        self.emit(Op::NestBegin { nest: nest_id });
 
         let full_rank = self.region_bounds(nest.region).len();
         if full_rank > MAX_RANK {

@@ -23,9 +23,11 @@ pub trait Observer {
     /// `n` floating-point operations.
     fn flops(&mut self, n: u64);
     /// A loop nest is about to execute (once per dynamic execution).
-    /// The simulated parallel runtime uses this to account ghost-region
+    /// `nest` is its id: its index in the running program's
+    /// [`ScalarProgram::nests`], the same under every engine. The
+    /// simulated parallel runtime uses this to account ghost-region
     /// communication and overlap.
-    fn nest_begin(&mut self, _nest: &LoopNest) {}
+    fn nest_begin(&mut self, _nest: u32) {}
     /// A standalone reduction nest is about to execute.
     fn reduce_begin(&mut self) {}
     /// A lane run of the [`Vm`](crate::Vm) has executed the positions `at`
@@ -315,6 +317,8 @@ impl ArrayBuf {
 /// ```
 pub struct Interp<'p> {
     prog: &'p ScalarProgram,
+    /// `prog.nests()`: a nest's index here is its id.
+    nests: Vec<&'p LoopNest>,
     binding: ConfigBinding,
     arrays: Vec<Option<ArrayBuf>>,
     scalars: Vec<f64>,
@@ -336,6 +340,7 @@ impl<'p> Interp<'p> {
     pub fn new(prog: &'p ScalarProgram, binding: ConfigBinding) -> Self {
         Interp {
             prog,
+            nests: prog.nests(),
             binding,
             arrays: (0..prog.program.arrays.len()).map(|_| None).collect(),
             scalars: vec![0.0; prog.program.scalars.len()],
@@ -580,7 +585,7 @@ impl<'p> Interp<'p> {
         if self.temps.len() < nest.temps as usize {
             self.temps.resize(nest.temps as usize, 0.0);
         }
-        obs.nest_begin(nest);
+        obs.nest_begin(crate::ir::nest_id(&self.nests, nest));
         let order = self.loop_order(nest.region, &nest.structure);
         if order.iter().any(|&(_, _, lo, hi)| hi < lo) {
             return Ok(()); // empty region

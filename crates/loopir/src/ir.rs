@@ -227,7 +227,37 @@ impl ScalarProgram {
             .collect()
     }
 
-    /// Total loop nests in the program (recursively).
+    /// Every [`LStmt::Nest`] of the program, in pre-order: a nest's index
+    /// here is its id, the one [`Observer::nest_begin`](crate::Observer::nest_begin)
+    /// is called with. Each nest has one id however often it runs, and a
+    /// nest that never runs (an untaken branch, an empty loop) keeps its
+    /// own, so the ids depend on the program text alone.
+    pub fn nests(&self) -> Vec<&LoopNest> {
+        fn walk<'a>(stmts: &'a [LStmt], out: &mut Vec<&'a LoopNest>) {
+            for s in stmts {
+                match s {
+                    LStmt::Nest(n) => out.push(n),
+                    LStmt::For { body, .. } | LStmt::Outer { body, .. } => walk(body, out),
+                    LStmt::If {
+                        then_body,
+                        else_body,
+                        ..
+                    } => {
+                        walk(then_body, out);
+                        walk(else_body, out);
+                    }
+                    LStmt::Scalar { .. } | LStmt::ReduceNest { .. } => {}
+                }
+            }
+        }
+        let mut out = Vec::new();
+        walk(&self.stmts, &mut out);
+        out
+    }
+
+    /// Total loop nests in the program (recursively), counting each
+    /// [`LStmt::ReduceNest`] too: those get no id in
+    /// [`ScalarProgram::nests`], which counts only the [`LStmt::Nest`]s.
     pub fn nest_count(&self) -> usize {
         fn walk(stmts: &[LStmt]) -> usize {
             stmts
@@ -246,6 +276,13 @@ impl ScalarProgram {
         }
         walk(&self.stmts)
     }
+}
+
+/// The id of `nest`: its index in `nests`, the [`ScalarProgram::nests`]
+/// of the program it is a statement of, found by address.
+pub(crate) fn nest_id(nests: &[&LoopNest], nest: &LoopNest) -> u32 {
+    let id = nests.iter().position(|n| std::ptr::eq(*n, nest));
+    id.expect("a nest of the program its ids were taken from") as u32
 }
 
 /// Returns the identity loop structure vector for a rank: `[1, 2, ..., n]`

@@ -2861,8 +2861,8 @@ mod tests {
         fn flops(&mut self, n: u64) {
             self.0.push(("flops", n));
         }
-        fn nest_begin(&mut self, nest: &LoopNest) {
-            self.0.push(("nest", nest.region.0 as u64));
+        fn nest_begin(&mut self, nest: u32) {
+            self.0.push(("nest", nest.into()));
         }
     }
 

@@ -171,8 +171,7 @@ fn successors(pc: usize, op: &Op) -> [Option<(usize, EdgeKind)>; 2] {
 /// The control-flow graph, built once per [`verify`] call for phases 2
 /// and 3, in CSR form: the edges out of `pc` are
 /// `succ[succ_at[pc]..succ_at[pc + 1]]` as `(target, kind)` in
-/// [`successors`] order, the edges into it `pred[pred_at[pc]..pred_at[pc +
-/// 1]]` as `(source, kind)` in ascending source order.
+/// [`successors`] order.
 ///
 /// It also splits the program into basic blocks, numbered in pc order:
 /// block `b` is pcs `heads[b]..heads[b + 1]` (`heads` ends in the program
@@ -183,8 +182,6 @@ fn successors(pc: usize, op: &Op) -> [Option<(usize, EdgeKind)>; 2] {
 struct Cfg {
     succ_at: Vec<u32>,
     succ: Vec<(u32, EdgeKind)>,
-    pred_at: Vec<u32>,
-    pred: Vec<(u32, EdgeKind)>,
     heads: Vec<u32>,
     /// The block each pc belongs to.
     block_of: Vec<u32>,
@@ -196,32 +193,20 @@ impl Cfg {
         let n = code.ops.len();
         let mut succ_at = Vec::with_capacity(n + 1);
         let mut succ = Vec::with_capacity(2 * n);
-        let mut pred_at = vec![0u32; n + 1];
+        let mut edges_in = vec![0u32; n];
         for (pc, op) in code.ops.iter().enumerate() {
             succ_at.push(succ.len() as u32);
             for (t, edge) in successors(pc, op).into_iter().flatten() {
                 succ.push((t as u32, edge));
-                pred_at[t + 1] += 1;
+                edges_in[t] += 1;
             }
         }
         succ_at.push(succ.len() as u32);
-        for t in 0..n {
-            pred_at[t + 1] += pred_at[t];
-        }
-        let mut fill = pred_at.clone();
-        let mut pred = vec![(0, EdgeKind::Flow); succ.len()];
-        for pc in 0..n {
-            for &(t, edge) in &succ[succ_at[pc] as usize..succ_at[pc + 1] as usize] {
-                let slot = &mut fill[t as usize];
-                pred[*slot as usize] = (pc as u32, edge);
-                *slot += 1;
-            }
-        }
         let mut heads = vec![0];
         for pc in 1..n {
-            let falls_in = pred_at[pc + 1] - pred_at[pc] == 1
+            let falls_in = edges_in[pc] == 1
                 && succ_at[pc] - succ_at[pc - 1] == 1
-                && pred[pred_at[pc] as usize] == (pc as u32 - 1, EdgeKind::Flow);
+                && succ[succ_at[pc - 1] as usize] == (pc as u32, EdgeKind::Flow);
             if !falls_in {
                 heads.push(pc as u32);
             }
@@ -234,8 +219,6 @@ impl Cfg {
         Cfg {
             succ_at,
             succ,
-            pred_at,
-            pred,
             heads,
             block_of,
         }
@@ -252,10 +235,6 @@ impl Cfg {
 
     fn succs(&self, pc: usize) -> &[(u32, EdgeKind)] {
         &self.succ[self.succ_at[pc] as usize..self.succ_at[pc + 1] as usize]
-    }
-
-    fn preds(&self, pc: usize) -> &[(u32, EdgeKind)] {
-        &self.pred[self.pred_at[pc] as usize..self.pred_at[pc + 1] as usize]
     }
 }
 
@@ -418,7 +397,7 @@ fn structural(code: &Code) -> Vec<VerifyDiagnostic> {
                 }
             }
             Op::NestBegin { nest } => {
-                if nest as usize >= code.nests.len() {
+                if nest >= code.n_nests {
                     diags.push(VerifyDiagnostic::at(
                         pc,
                         format!("nest index {nest} is out of range"),
@@ -981,16 +960,6 @@ fn dim_thresholds(code: &Code, ctr_range: &[Interval]) -> [Vec<i64>; MAX_RANK] {
     th
 }
 
-/// Number of decreasing (narrowing) passes after the widened fixpoint.
-/// Each pass re-applies the transfer function without widening; starting
-/// from a post-fixpoint this only shrinks intervals and stays sound. On
-/// every stream tried, no pass has changed a state: the thresholds and the
-/// back-edge trim already land the increasing phase on the loop ranges
-/// (EXPERIMENTS.md, PRs 26 and 29: 89,640 streams and mutants, per pc and
-/// then per block head). The passes stay as the proof's margin; each costs
-/// one pass over the block heads that finds nothing to change.
-const NARROW_PASSES: usize = 4;
-
 type IdxState = [Interval; MAX_RANK];
 
 /// The abstract transfer of one op along one edge. `None` means the edge
@@ -1056,11 +1025,15 @@ fn widen_hi(thresholds: &[i64], hi: i64) -> i64 {
 }
 
 /// The index intervals at the first pc of every basic block (`None`: the
-/// block is unreachable), after the widened increasing phase and the
-/// narrowing passes. Inside a block only `SetIdx` and `CtrToIdx` change
-/// the state, and only along the one fall-through edge, so a block's head
-/// state decides the state at each of its pcs ([`walk_states`]); joins,
-/// widening counts and narrowing are needed at block heads only.
+/// block is unreachable): the fixpoint of the widened increasing phase.
+/// There is no decreasing (narrowing) phase: the thresholds and the
+/// back-edge trim already land the fixpoint on the loop ranges: four
+/// narrowing passes never changed a state on any stream or mutant they
+/// were measured on (EXPERIMENTS.md). Inside a block only `SetIdx` and
+/// `CtrToIdx` change the state, and only along the one fall-through edge,
+/// so a block's head state decides the state at each of its pcs
+/// ([`walk_states`]); joins and widening counts are needed at block heads
+/// only.
 fn idx_states(code: &Code, cfg: &Cfg, ctr_range: &[Interval]) -> Vec<Option<IdxState>> {
     let nb = cfg.blocks();
     let thresholds = dim_thresholds(code, ctr_range);
@@ -1074,9 +1047,8 @@ fn idx_states(code: &Code, cfg: &Cfg, ctr_range: &[Interval]) -> Vec<Option<IdxS
         }
         st
     };
-    let entry = [Interval::FULL; MAX_RANK];
     let mut heads: Vec<Option<IdxState>> = vec![None; nb];
-    heads[0] = Some(entry);
+    heads[0] = Some([Interval::FULL; MAX_RANK]);
     let mut joins = vec![0u32; nb];
     let mut work: Vec<usize> = Vec::with_capacity(nb);
     work.push(0);
@@ -1121,40 +1093,6 @@ fn idx_states(code: &Code, cfg: &Cfg, ctr_range: &[Interval]) -> Vec<Option<IdxS
         }
     }
 
-    // Decreasing phase: recompute every head state as the plain join of
-    // its predecessors' transfer outputs, in pc order. The back-edge trim
-    // now pulls the widened bounds back to the actual loop ranges.
-    for _ in 0..NARROW_PASSES {
-        let mut changed = false;
-        for b in 0..nb {
-            let h = cfg.heads[b] as usize;
-            let mut acc: Option<IdxState> = if h == 0 { Some(entry) } else { None };
-            for &(p, edge) in cfg.preds(h) {
-                let pb = cfg.block_of[p as usize] as usize;
-                let Some(pst) = heads[pb] else { continue };
-                let Some(out) = transfer(code.ops[p as usize], &at_end(pb, pst), edge, ctr_range)
-                else {
-                    continue;
-                };
-                acc = Some(match acc {
-                    None => out,
-                    Some(mut a) => {
-                        for (ae, oe) in a.iter_mut().zip(&out) {
-                            *ae = ae.hull(*oe);
-                        }
-                        a
-                    }
-                });
-            }
-            if acc != heads[b] {
-                heads[b] = acc;
-                changed = true;
-            }
-        }
-        if !changed {
-            break;
-        }
-    }
     heads
 }
 
@@ -1615,6 +1553,25 @@ mod tests {
                 .any(|d| d.message.contains("access-table index")),
             "{diags:?}"
         );
+    }
+
+    #[test]
+    fn out_of_range_nest_id_is_reported() {
+        // A nest id indexes the program's nests, so the first id past
+        // their count names no nest an observer could look up.
+        let sp = nest_program(vec![1, 2], vec![0, 0]);
+        let code = compiled(&sp);
+        assert_eq!(code.n_nests, 1);
+        let at = code
+            .ops
+            .iter()
+            .position(|op| matches!(op, Op::NestBegin { .. }))
+            .unwrap();
+        for nest in [code.n_nests, u32::MAX] {
+            let mut bad = compiled(&sp);
+            bad.ops[at] = Op::NestBegin { nest };
+            rejects(&bad, &format!("nest index {nest} is out of range"));
+        }
     }
 
     #[test]
@@ -2461,8 +2418,7 @@ mod tests {
         }
     }
 
-    /// Phase 3's post-narrowing index state at every pc (`None`:
-    /// unreachable).
+    /// Phase 3's index state at every pc (`None`: unreachable).
     fn states(code: &Code) -> Vec<Option<IdxState>> {
         let (cfg, ctr_range) = (Cfg::new(code), ctr_ranges(code));
         let heads = idx_states(code, &cfg, &ctr_range);

@@ -412,7 +412,7 @@ impl Vm {
                     if faults::fire(FaultSite::VmTrap) {
                         break Err(ExecError::trap(faults::message(FaultSite::VmTrap)));
                     }
-                    obs.nest_begin(&code.nests[nest as usize]);
+                    obs.nest_begin(nest);
                 }
                 Op::ReduceBegin => {
                     obs.reduce_begin();

@@ -118,6 +118,9 @@ pub struct Simulation<'a> {
     comm: CommTracker,
     machine: &'a Machine,
     program: &'a Program,
+    /// The run's [`ScalarProgram::nests`], which each
+    /// [`Observer::nest_begin`] id indexes.
+    nests: Vec<&'a LoopNest>,
     binding: &'a ConfigBinding,
     /// MemStats snapshot at the last nest boundary.
     last: MemStats,
@@ -125,14 +128,17 @@ pub struct Simulation<'a> {
 
 impl<'a> Simulation<'a> {
     /// A fresh simulation of `cfg`'s machine, processor count and policy
-    /// for a run of a scalarized program with declarations `program`
-    /// under `binding`.
-    pub fn new(cfg: &'a ExecConfig, program: &'a Program, binding: &'a ConfigBinding) -> Self {
+    /// for a run of `sp` under `binding`. The id each
+    /// [`nest_begin`](Observer::nest_begin) names is an index into
+    /// `sp`'s [`ScalarProgram::nests`]: the executor observed must have
+    /// been built over this same program.
+    pub fn new(cfg: &'a ExecConfig, sp: &'a ScalarProgram, binding: &'a ConfigBinding) -> Self {
         Simulation {
             mem: MemSim::new(cfg.machine.l1, cfg.machine.l2),
             comm: CommTracker::new(cfg.procs, cfg.machine.cost, cfg.policy),
             machine: &cfg.machine,
-            program,
+            program: &sp.program,
+            nests: sp.nests(),
             binding,
             last: MemStats::default(),
         }
@@ -195,8 +201,9 @@ impl Observer for Simulation<'_> {
         self.mem.flops(n);
     }
 
-    fn nest_begin(&mut self, nest: &LoopNest) {
+    fn nest_begin(&mut self, nest: u32) {
         self.flush_compute();
+        let nest = self.nests[nest as usize];
         self.comm.nest(self.program, self.binding, nest);
     }
 
@@ -208,8 +215,9 @@ impl Observer for Simulation<'_> {
 
 /// Runs `exec` — whatever built it, at whatever knobs and limits it
 /// carries — under the machine model of `cfg` (`machine`, `procs` and
-/// `policy`; nothing else of `cfg` is read). `program` and `binding` are
-/// the declarations and the binding `exec` was built over.
+/// `policy`; nothing else of `cfg` is read). `sp` and `binding` are the
+/// scalarized program and the binding `exec` was built over: each nest id
+/// the run reports indexes `sp`'s [`ScalarProgram::nests`].
 ///
 /// # Errors
 ///
@@ -219,11 +227,11 @@ impl Observer for Simulation<'_> {
 /// [`Comm`](loopir::ErrorKind::Comm).
 pub fn simulate_executor(
     exec: &mut dyn Executor,
-    program: &Program,
+    sp: &ScalarProgram,
     binding: &ConfigBinding,
     cfg: &ExecConfig,
 ) -> Result<(RunOutcome, SimResult), ExecError> {
-    let mut sim = Simulation::new(cfg, program, binding);
+    let mut sim = Simulation::new(cfg, sp, binding);
     let outcome = exec.execute(&mut sim)?;
     let result = sim.finish(outcome.stats)?;
     Ok((outcome, result))
@@ -258,7 +266,7 @@ pub fn simulate_outcome(
 ) -> Result<(RunOutcome, SimResult), ExecError> {
     let mut exec = cfg.engine.executor_with(sp, binding.clone(), cfg.opts)?;
     exec.set_limits(cfg.limits);
-    simulate_executor(&mut *exec, &sp.program, &binding, cfg)
+    simulate_executor(&mut *exec, sp, &binding, cfg)
 }
 
 #[cfg(test)]
@@ -373,7 +381,7 @@ mod tests {
         fn flops(&mut self, n: u64) {
             self.sim.flops(n);
         }
-        fn nest_begin(&mut self, nest: &LoopNest) {
+        fn nest_begin(&mut self, nest: u32) {
             self.sim.nest_begin(nest);
         }
         fn reduce_begin(&mut self) {
@@ -389,12 +397,12 @@ mod tests {
     /// scalar bits, the `SimResult`, and the longest strip.
     fn observed(
         exec: &mut dyn Executor,
-        program: &Program,
+        sp: &ScalarProgram,
         binding: &ConfigBinding,
         cfg: &ExecConfig,
     ) -> Result<(RunOutcome, SimResult, usize), ExecError> {
         let mut obs = Widest {
-            sim: Simulation::new(cfg, program, binding),
+            sim: Simulation::new(cfg, sp, binding),
             widest: 0,
         };
         let outcome = exec.execute(&mut obs)?;
@@ -451,7 +459,7 @@ mod tests {
         let cfg = ExecConfig::from_request(&req, t3e(), 16);
         let lowered = loopir::SharedProgram::lower(&sp, binding.clone()).unwrap();
         let mut exec = lowered.executor(cfg.opts);
-        let (_, sim, widest) = observed(&mut exec, &sp.program, &binding, &cfg).unwrap();
+        let (_, sim, widest) = observed(&mut exec, &sp, &binding, &cfg).unwrap();
         assert_eq!((sim, widest), (want.clone(), 8));
         assert_eq!(simulate(&sp, binding, &cfg).unwrap(), want);
 
@@ -459,7 +467,7 @@ mod tests {
         let run = req
             .supervisor()
             .run_program_simulated(&source, &mut |exec, sp, binding| {
-                let (outcome, sim, widest) = observed(exec, &sp.program, binding, &cfg)?;
+                let (outcome, sim, widest) = observed(exec, sp, binding, &cfg)?;
                 seen = Some((sim, widest));
                 Ok(outcome)
             })

@@ -445,7 +445,7 @@ fn run_supervised(opts: &Options, program: &Program) -> ExitCode {
         Some(kind) => {
             let cfg = ExecConfig::new(kind.machine(), opts.procs);
             sup.run_program_simulated(program, &mut |exec, sp, binding| {
-                let (outcome, sim) = simulate_executor(exec, &sp.program, binding, &cfg)?;
+                let (outcome, sim) = simulate_executor(exec, sp, binding, &cfg)?;
                 last_sim = Some(sim);
                 Ok(outcome)
             })
@@ -728,7 +728,7 @@ fn main() -> ExitCode {
             },
             Some(kind) => {
                 let cfg = ExecConfig::new(kind.machine(), opts.procs);
-                match simulate_executor(&mut *exec, program, &binding, &cfg) {
+                match simulate_executor(&mut *exec, &opt.scalarized, &binding, &cfg) {
                     Ok((_, r)) => {
                         println!(
                             "{} x{}: {:.3} ms simulated ({:.3} ms compute, {:.3} ms comm, \

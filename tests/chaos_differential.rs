@@ -92,7 +92,7 @@ fn run_supervised(
     }
     let cfg = ExecConfig::new(MachineKind::T3e.machine(), 16);
     sup.run_program_simulated(program, &mut |exec, sp, binding| {
-        simulate_executor(exec, &sp.program, binding, &cfg).map(|(outcome, _)| outcome)
+        simulate_executor(exec, sp, binding, &cfg).map(|(outcome, _)| outcome)
     })
 }
 

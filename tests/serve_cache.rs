@@ -204,7 +204,7 @@ fn simulated_and_plain_runs_share_one_artifact() {
     let mut sim = None;
     let simulated = sup
         .run_program_simulated(&program, &mut |exec, sp, binding| {
-            let (outcome, result) = runtime::simulate_executor(exec, &sp.program, binding, &cfg)?;
+            let (outcome, result) = runtime::simulate_executor(exec, sp, binding, &cfg)?;
             sim = Some(result);
             Ok(outcome)
         })

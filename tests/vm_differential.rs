@@ -9,9 +9,15 @@
 //! * identical [`RunStats`] (points, loads, stores, flops, allocations,
 //!   peak bytes), and
 //! * an identical memory-access stream as seen by the `machine` crate's
-//!   cache simulator (equal hit/miss counters on a real cache geometry).
+//!   cache simulator (equal hit/miss counters on a real cache geometry),
+//!   and
+//! * the identical stream of nest ids an observer is told (each an index
+//!   into `ScalarProgram::nests()`, the numbering the simulated runtime
+//!   looks nests up by), here also over the generated corpus, branches
+//!   either way and a statically empty `Outer`.
 
-use zpl_fusion::loops::{ErrorKind, ExecLimits, SharedProgram};
+use testkit::{genprog, Rng};
+use zpl_fusion::loops::{ErrorKind, ExecLimits, ScalarProgram, SharedProgram};
 use zpl_fusion::prelude::*;
 use zpl_fusion::sim::presets::t3e;
 use zpl_fusion::sim::MemSim;
@@ -326,6 +332,199 @@ fn vm_par_reduction_ladders_fold_in_position_order() {
                         assert!(!at(least - 1), "{ctx}: {} ops of fuel do not", least - 1);
                     }
                 }
+            }
+        }
+    }
+}
+
+/// What an observer is told, in order: each nest id and reduction start,
+/// and the address of every load and store (flop reports are batched
+/// differently per engine, so they are left out).
+#[derive(Debug, Default, PartialEq)]
+struct NestLog(Vec<Event>);
+
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Event {
+    Nest(u32),
+    Reduce,
+    Load(u64),
+    Store(u64),
+}
+
+impl zpl_fusion::loops::Observer for NestLog {
+    fn load(&mut self, addr: u64) {
+        self.0.push(Event::Load(addr));
+    }
+    fn store(&mut self, addr: u64) {
+        self.0.push(Event::Store(addr));
+    }
+    fn flops(&mut self, _n: u64) {}
+    fn nest_begin(&mut self, nest: u32) {
+        self.0.push(Event::Nest(nest));
+    }
+    fn reduce_begin(&mut self) {
+        self.0.push(Event::Reduce);
+    }
+}
+
+/// Runs `sp` under a [`NestLog`] on the interpreter and on the lowered
+/// stream at lanes 1, 3 and 128, and holds every VM log to the
+/// interpreter's. Each id must name, in `sp.nests()`, the nest the
+/// interpreter ran: the loads and stores up to the next nest or reduction
+/// are that nest's, once per point of its loops. Returns the ids seen.
+fn nest_ids_agree(sp: &ScalarProgram, binding: &ConfigBinding, ctx: &str) -> Vec<u32> {
+    let log = |engine: Engine, lanes: usize| {
+        let mut log = NestLog::default();
+        engine
+            .executor_with(sp, binding.clone(), ExecOpts::with_lanes(lanes))
+            .unwrap_or_else(|e| panic!("{ctx}: {engine} refused to construct: {e}"))
+            .execute(&mut log)
+            .unwrap_or_else(|e| panic!("{ctx}: {engine} x{lanes}: {e}"));
+        log
+    };
+    let want = log(Engine::Interp, 0);
+    for lanes in [1, 3, 128] {
+        let got = log(Engine::VmSimd, lanes);
+        assert!(got == want, "{ctx}: vm-simd x{lanes} reported other nests");
+    }
+    let nests = sp.nests();
+    let mut ids = Vec::new();
+    let mut events = want.0.iter().peekable();
+    while let Some(event) = events.next() {
+        let Event::Nest(id) = *event else { continue };
+        let nest = nests
+            .get(id as usize)
+            .unwrap_or_else(|| panic!("{ctx}: nest id {id} of {}", nests.len()));
+        let (mut loads, mut stores) = (0, 0);
+        while let Some(Event::Load(_) | Event::Store(_)) = events.peek() {
+            match events.next() {
+                Some(Event::Load(_)) => loads += 1,
+                _ => stores += 1,
+            }
+        }
+        let bounds = sp.program.region(nest.region).bounds(binding);
+        let points: usize = nest
+            .structure
+            .iter()
+            .map(|&p| {
+                let (lo, hi) = bounds[p.unsigned_abs() as usize - 1];
+                (hi - lo + 1).max(0) as usize
+            })
+            .product();
+        assert_eq!(
+            (loads, stores),
+            (points * nest.loads().len(), points * nest.stores().len()),
+            "{ctx}: nest {id} ran {points} points of other accesses"
+        );
+        ids.push(id);
+    }
+    ids
+}
+
+#[test]
+fn nest_ids_agree_in_loops_and_both_branches() {
+    // The `if` takes each branch on some iteration of the `for`, so every
+    // nest runs: a branch's ids are its own whichever way it goes.
+    let program = zpl_fusion::lang::compile(
+        "program ids; config n : int = 6; \
+         region RH = [0..n+1, 0..n+1]; region R = [1..n, 1..n]; \
+         var A : [RH] float; var B, C : [R] float; var s : float; var k : int; \
+         begin \
+           [RH] A := index1 * 0.5 + index2; \
+           for k := 1 to 4 do \
+             [R] B := A@[-1,0] + A@[0,1]; \
+             if s < 100.0 then \
+               [R] C := B * 2.0; \
+             else \
+               [R] C := B - 1.0; \
+               [R] A := C * 0.5; \
+             end; \
+             s := +<< [R] C; \
+           end; \
+           [R] B := C + 1.0; \
+         end",
+    )
+    .unwrap();
+    for level in Level::all() {
+        let opt = Pipeline::new(level).optimize(&program);
+        let sp = &opt.scalarized;
+        let binding = ConfigBinding::defaults(&sp.program);
+        let mut ids = nest_ids_agree(sp, &binding, &format!("ids at {level}"));
+        ids.sort_unstable();
+        ids.dedup();
+        let all: Vec<u32> = (0..sp.nests().len() as u32).collect();
+        assert_eq!(ids, all, "at {level}: every nest runs");
+    }
+}
+
+#[test]
+fn a_statically_empty_outer_uses_up_its_nest_ids() {
+    // The lowering compiles nothing of an `Outer` over an empty range,
+    // so its body's nest reaches no `NestBegin`; the nest after it is
+    // still nest 1.
+    use zpl_fusion::lang::ir::{ArrayId, Offset, RegionId};
+    use zpl_fusion::loops::{EExpr, ElemRef, ElemStmt, LStmt, LoopNest};
+    let program = zpl_fusion::lang::compile(
+        "program t; config n : int = 4; config m : int = 0; \
+         region R = [1..n, 1..n]; region E = [1..m, 1..n]; \
+         var A : [R] float; begin end",
+    )
+    .unwrap();
+    let fill = |region, structure| {
+        LStmt::Nest(LoopNest {
+            region: RegionId(region),
+            structure,
+            body: vec![ElemStmt {
+                target: ElemRef::Array(ArrayId(0), Offset(vec![0, 0])),
+                rhs: EExpr::Const(1.0),
+            }],
+            cluster: 0,
+            temps: 0,
+        })
+    };
+    let sp = ScalarProgram {
+        program,
+        stmts: vec![
+            LStmt::Outer {
+                region: RegionId(1),
+                dim: 0,
+                reverse: false,
+                body: vec![fill(1, vec![2])],
+            },
+            fill(0, vec![1, 2]),
+        ],
+    };
+    let binding = ConfigBinding::defaults(&sp.program);
+    assert_eq!(nest_ids_agree(&sp, &binding, "empty outer"), [1]);
+}
+
+#[test]
+fn nest_ids_agree_on_every_benchmark_and_generated_program() {
+    for bench in zpl_fusion::workloads::all() {
+        let n = match bench.rank {
+            1 => 512,
+            2 => 12,
+            _ => 6,
+        };
+        for level in Level::all() {
+            let opt = Pipeline::new(level).optimize(&bench.program());
+            let sp = &opt.scalarized;
+            let mut binding = ConfigBinding::defaults(&sp.program);
+            binding.set_by_name(&sp.program, bench.size_config, n);
+            nest_ids_agree(sp, &binding, &format!("{} at {level}", bench.name));
+        }
+    }
+    for seed in 0..16 {
+        for (kind, source) in [
+            ("random", genprog::generate(&mut Rng::new(seed))),
+            ("stencil", genprog::generate_stencil(&mut Rng::new(seed))),
+        ] {
+            let program = zpl_fusion::lang::compile(&source).unwrap();
+            for level in Level::all() {
+                let opt = Pipeline::new(level).optimize(&program);
+                let sp = &opt.scalarized;
+                let binding = ConfigBinding::defaults(&sp.program);
+                nest_ids_agree(sp, &binding, &format!("{kind} seed {seed} at {level}"));
             }
         }
     }
