@@ -390,8 +390,8 @@ impl ServeReport {
 
     /// Always 0: nothing is retried, since execution is deterministic and
     /// a faulting key is quarantined instead (DESIGN.md §16). Kept only
-    /// because the frozen benchmark harness reads it; ROADMAP item 8
-    /// deletes it.
+    /// because the frozen benchmark harness reads it; the ROADMAP item
+    /// "Re-bless the harness once" deletes it.
     pub fn retried(&self) -> usize {
         0
     }

@@ -37,7 +37,7 @@ pub(crate) type Reg = u16;
 /// One bytecode operation. All operands are pre-resolved; the only runtime
 /// state is the register frame, the index vector, the loop counters, and
 /// the array buffers.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) enum Op {
     /// `f[dst] = f[a] + f[b]` (dedicated opcode for the hottest operators
     /// so dispatch needs no second match on the operator; likewise
@@ -181,6 +181,127 @@ pub(crate) enum Op {
     SimdBegin { simd: u32 },
     /// End of program.
     Halt,
+}
+
+impl Op {
+    /// The plain ops a superinstruction bundles, in execution order:
+    /// `Load`, `Store`, and each arithmetic op as [`bin_op`] encodes it. A
+    /// plain op is its own one part.
+    ///
+    /// This is the one definition of what a bundle means. The verifier,
+    /// the lane analysis and the disassembler read bundles only through
+    /// it; `vm::body_op` executes them fused, and a test holds the two to
+    /// the same registers, memory, counters, observer events and errors.
+    #[inline]
+    pub(crate) fn parts(self) -> Parts {
+        let len = match self {
+            Op::LdLdBin { .. } => 3,
+            Op::LdBin { .. } | Op::BinBin { .. } | Op::BinSt { .. } | Op::LdSt { .. } => 2,
+            _ => 1,
+        };
+        Parts {
+            op: self,
+            next: 0,
+            len,
+        }
+    }
+
+    /// Part `k` of [`Op::parts`], for `k` below their count (`Parts::len`):
+    /// a plain op is its part 0.
+    #[inline]
+    fn part(self, k: u8) -> Op {
+        match (self, k) {
+            (Op::LdLdBin { da, aa, .. }, 0) => Op::Load { dst: da, acc: aa },
+            (Op::LdLdBin { db, ab, .. }, 1) => Op::Load { dst: db, acc: ab },
+            (
+                Op::LdLdBin {
+                    op, dst, da, db, ..
+                },
+                2,
+            ) => bin_op(op, dst, da, db),
+            (Op::LdBin { dl, acc, .. }, 0) => Op::Load { dst: dl, acc },
+            (
+                Op::LdBin {
+                    op,
+                    dst,
+                    dl,
+                    other,
+                    right,
+                    ..
+                },
+                1,
+            ) if right => bin_op(op, dst, other, dl),
+            (
+                Op::LdBin {
+                    op, dst, dl, other, ..
+                },
+                1,
+            ) => bin_op(op, dst, dl, other),
+            (
+                Op::BinBin {
+                    op1, d1, a1, b1, ..
+                },
+                0,
+            ) => bin_op(op1, d1, a1, b1),
+            (
+                Op::BinBin {
+                    op2, d2, a2, b2, ..
+                },
+                1,
+            ) => bin_op(op2, d2, a2, b2),
+            (Op::BinSt { op, dst, a, b, .. }, 0) => bin_op(op, dst, a, b),
+            (Op::BinSt { dst, acc, .. }, 1) => Op::Store { acc, src: dst },
+            (Op::LdSt { dst, la, .. }, 0) => Op::Load { dst, acc: la },
+            (Op::LdSt { dst, sa, .. }, 1) => Op::Store { acc: sa, src: dst },
+            (op, _) => op,
+        }
+    }
+
+    /// Views the five arithmetic encodings (`Add`, `Sub`, `Mul`, `Div`,
+    /// `Bin`) as one `(op, dst, a, b)`.
+    pub(crate) fn arith(self) -> Option<(BinOp, Reg, Reg, Reg)> {
+        match self {
+            Op::Add { dst, a, b } => Some((BinOp::Add, dst, a, b)),
+            Op::Sub { dst, a, b } => Some((BinOp::Sub, dst, a, b)),
+            Op::Mul { dst, a, b } => Some((BinOp::Mul, dst, a, b)),
+            Op::Div { dst, a, b } => Some((BinOp::Div, dst, a, b)),
+            Op::Bin { op, dst, a, b } => Some((op, dst, a, b)),
+            _ => None,
+        }
+    }
+
+    /// The one pc operand of a jump or a loop op: `Jmp`'s and
+    /// `JmpIfZero`'s target, `IdxStep`'s and `CtrStep`'s head, `ForInit`'s
+    /// exit.
+    pub(crate) fn target_mut(&mut self) -> Option<&mut u32> {
+        match self {
+            Op::Jmp { target } | Op::JmpIfZero { target, .. } => Some(target),
+            Op::IdxStep { head, .. } | Op::CtrStep { head, .. } => Some(head),
+            Op::ForInit { exit, .. } => Some(exit),
+            _ => None,
+        }
+    }
+}
+
+/// The iterator [`Op::parts`] returns.
+pub(crate) struct Parts {
+    op: Op,
+    next: u8,
+    /// How many parts `op` has.
+    len: u8,
+}
+
+impl Iterator for Parts {
+    type Item = Op;
+
+    #[inline]
+    fn next(&mut self) -> Option<Op> {
+        if self.next == self.len {
+            return None;
+        }
+        self.next += 1;
+        Some(self.op.part(self.next - 1))
+    }
 }
 
 /// Widest strip of consecutive positions the lane executor runs
@@ -1752,6 +1873,13 @@ fn folds_str(folds: &[(Reg, ReduceOp)]) -> String {
     format!(" folds {} in tile order", each.join(", "))
 }
 
+/// A superinstruction's line: its mnemonic, and its parts' details joined
+/// by `"; "`.
+fn bundle_str(code: &Code, op: Op, mnemonic: &'static str) -> (&'static str, String) {
+    let details: Vec<String> = op.parts().map(|part| op_str(code, &part).1).collect();
+    (mnemonic, details.join("; "))
+}
+
 fn op_str(code: &Code, op: &Op) -> (&'static str, String) {
     match *op {
         Op::Add { dst, a, b } => ("add", format!("r{dst} = r{a} + r{b}")),
@@ -1832,74 +1960,11 @@ fn op_str(code: &Code, op: &Op) -> (&'static str, String) {
         ),
         Op::Jmp { target } => ("jmp", format!("goto {target}")),
         Op::JmpIfZero { cond, target } => ("jz", format!("if r{cond} == 0 goto {target}")),
-        Op::LdLdBin {
-            op,
-            dst,
-            da,
-            aa,
-            db,
-            ab,
-        } => (
-            "ld.ld.bin",
-            format!(
-                "r{da} = load {}; r{db} = load {}; r{dst} = r{da} {} r{db}",
-                acc_str(code, aa),
-                acc_str(code, ab),
-                binop_sym(op)
-            ),
-        ),
-        Op::LdBin {
-            op,
-            dst,
-            dl,
-            acc,
-            other,
-            right,
-        } => (
-            "ld.bin",
-            format!(
-                "r{dl} = load {}; r{dst} = {}",
-                acc_str(code, acc),
-                if right {
-                    format!("r{other} {} r{dl}", binop_sym(op))
-                } else {
-                    format!("r{dl} {} r{other}", binop_sym(op))
-                }
-            ),
-        ),
-        Op::BinBin {
-            op1,
-            d1,
-            a1,
-            b1,
-            op2,
-            d2,
-            a2,
-            b2,
-        } => (
-            "bin.bin",
-            format!(
-                "r{d1} = r{a1} {} r{b1}; r{d2} = r{a2} {} r{b2}",
-                binop_sym(op1),
-                binop_sym(op2)
-            ),
-        ),
-        Op::BinSt { op, dst, a, b, acc } => (
-            "bin.st",
-            format!(
-                "r{dst} = r{a} {} r{b}; store {}, r{dst}",
-                binop_sym(op),
-                acc_str(code, acc)
-            ),
-        ),
-        Op::LdSt { dst, la, sa } => (
-            "ld.st",
-            format!(
-                "r{dst} = load {}; store {}, r{dst}",
-                acc_str(code, la),
-                acc_str(code, sa)
-            ),
-        ),
+        Op::LdLdBin { .. } => bundle_str(code, *op, "ld.ld.bin"),
+        Op::LdBin { .. } => bundle_str(code, *op, "ld.bin"),
+        Op::BinBin { .. } => bundle_str(code, *op, "bin.bin"),
+        Op::BinSt { .. } => bundle_str(code, *op, "bin.st"),
+        Op::LdSt { .. } => bundle_str(code, *op, "ld.st"),
         Op::SimdBegin { simd } => {
             let s = &code.simds[simd as usize];
             (

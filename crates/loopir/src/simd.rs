@@ -9,7 +9,11 @@
 //!    carrying their operand offsets inline. Every bundle preserves *all*
 //!    constituent register writes in order, so fusing is unconditionally
 //!    safe — no liveness analysis, and the scalar dispatcher executing a
-//!    bundle is observably identical to the unfused sequence.
+//!    bundle is observably identical to the unfused sequence. What a
+//!    bundle means is defined once, by `Op::parts` (`bytecode.rs`):
+//!    [`fuse_at`] builds bundles and `vm::body_op` executes them fused,
+//!    and everything else here, the lane analysis included, reads a
+//!    body only through its ops' parts.
 //!
 //! 2. **Vectorization** ([`vectorize`]): each innermost region loop whose
 //!    body is straight-line, check-free and free of loop-carried register
@@ -95,14 +99,9 @@ pub(crate) fn jump_targets(code: &Code) -> Vec<bool> {
             t[p] = true;
         }
     };
-    for op in &code.ops {
-        match *op {
-            Op::Jmp { target } => mark(target),
-            Op::JmpIfZero { target, .. } => mark(target),
-            Op::IdxStep { head, .. } => mark(head),
-            Op::CtrStep { head, .. } => mark(head),
-            Op::ForInit { exit, .. } => mark(exit),
-            _ => {}
+    for mut op in code.ops.iter().copied() {
+        if let Some(&mut target) = op.target_mut() {
+            mark(target);
         }
     }
     for p in &code.pars {
@@ -110,18 +109,6 @@ pub(crate) fn jump_targets(code: &Code) -> Vec<bool> {
         mark(p.exit);
     }
     t
-}
-
-/// Views an op as a register arithmetic instruction `(op, dst, a, b)`.
-fn as_arith(op: &Op) -> Option<(BinOp, Reg, Reg, Reg)> {
-    match *op {
-        Op::Add { dst, a, b } => Some((BinOp::Add, dst, a, b)),
-        Op::Sub { dst, a, b } => Some((BinOp::Sub, dst, a, b)),
-        Op::Mul { dst, a, b } => Some((BinOp::Mul, dst, a, b)),
-        Op::Div { dst, a, b } => Some((BinOp::Div, dst, a, b)),
-        Op::Bin { op, dst, a, b } => Some((op, dst, a, b)),
-        _ => None,
-    }
 }
 
 /// Greedy longest-first peephole: fuses consecutive ops at `i` into one
@@ -135,7 +122,7 @@ fn fuse_at(ops: &[Op], targets: &[bool], i: usize) -> (Op, usize) {
         if let (Op::Load { dst: da, acc: aa }, Op::Load { dst: db, acc: ab }) =
             (&ops[i], &ops[i + 1])
         {
-            if let Some((op, dst, a, b)) = as_arith(&ops[i + 2]) {
+            if let Some((op, dst, a, b)) = ops[i + 2].arith() {
                 if a == *da && b == *db {
                     return (
                         Op::LdLdBin {
@@ -155,8 +142,8 @@ fn fuse_at(ops: &[Op], targets: &[bool], i: usize) -> (Op, usize) {
     if free(1) {
         match (&ops[i], &ops[i + 1]) {
             // load; arith using the load  →  ld.bin
-            (Op::Load { dst: dl, acc }, arith) => {
-                if let Some((op, dst, a, b)) = as_arith(arith) {
+            (Op::Load { dst: dl, acc }, next) => {
+                if let Some((op, dst, a, b)) = next.arith() {
                     if a == *dl || b == *dl {
                         let (other, right) = if a == *dl { (b, false) } else { (a, true) };
                         return (
@@ -173,7 +160,7 @@ fn fuse_at(ops: &[Op], targets: &[bool], i: usize) -> (Op, usize) {
                     }
                 }
                 // load; store of the load  →  ld.st (copy loops)
-                if let Op::Store { acc: sa, src } = &ops[i + 1] {
+                if let Op::Store { acc: sa, src } = next {
                     if src == dl {
                         return (
                             Op::LdSt {
@@ -188,7 +175,7 @@ fn fuse_at(ops: &[Op], targets: &[bool], i: usize) -> (Op, usize) {
             }
             // arith; store of the result  →  bin.st
             (first, Op::Store { acc, src }) => {
-                if let Some((op, dst, a, b)) = as_arith(first) {
+                if let Some((op, dst, a, b)) = first.arith() {
                     if *src == dst {
                         return (
                             Op::BinSt {
@@ -206,7 +193,7 @@ fn fuse_at(ops: &[Op], targets: &[bool], i: usize) -> (Op, usize) {
             // arith; arith  →  bin.bin
             (first, second) => {
                 if let (Some((op1, d1, a1, b1)), Some((op2, d2, a2, b2))) =
-                    (as_arith(first), as_arith(second))
+                    (first.arith(), second.arith())
                 {
                     return (
                         Op::BinBin {
@@ -241,6 +228,11 @@ fn bundle(code: &mut Code) -> Vec<bool> {
     let mut i = 0;
     while i < old.len() {
         let (op, consumed) = fuse_at(&old, &targets, i);
+        debug_assert!(
+            op.parts().eq(old[i..i + consumed].iter().copied()),
+            "{op:?} is not the ops it replaces: {:?}",
+            &old[i..i + consumed]
+        );
         let here = new_ops.len() as u32;
         for k in 0..consumed {
             remap[i + k] = here;
@@ -249,15 +241,8 @@ fn bundle(code: &mut Code) -> Vec<bool> {
         i += consumed;
     }
     remap[old.len()] = new_ops.len() as u32;
-    for op in &mut new_ops {
-        match op {
-            Op::Jmp { target } => *target = remap[*target as usize],
-            Op::JmpIfZero { target, .. } => *target = remap[*target as usize],
-            Op::IdxStep { head, .. } => *head = remap[*head as usize],
-            Op::CtrStep { head, .. } => *head = remap[*head as usize],
-            Op::ForInit { exit, .. } => *exit = remap[*exit as usize],
-            _ => {}
-        }
+    for target in new_ops.iter_mut().filter_map(Op::target_mut) {
+        *target = remap[*target as usize];
     }
     for p in &mut code.pars {
         p.entry = remap[p.entry as usize];
@@ -356,15 +341,8 @@ fn vectorize(code: &mut Code, targets: Vec<bool>) {
         }
         new_ops.push(op);
     }
-    for op in &mut new_ops {
-        match op {
-            Op::Jmp { target } => *target = shift(*target),
-            Op::JmpIfZero { target, .. } => *target = shift(*target),
-            Op::IdxStep { head, .. } => *head = shift(*head),
-            Op::CtrStep { head, .. } => *head = shift(*head),
-            Op::ForInit { exit, .. } => *exit = shift(*exit),
-            _ => {}
-        }
+    for target in new_ops.iter_mut().filter_map(Op::target_mut) {
+        *target = shift(*target);
     }
     for p in &mut code.pars {
         p.entry = shift(p.entry);
@@ -409,7 +387,8 @@ pub(crate) struct Analysis {
     /// `outer_from[p]`: the least `head` of an `IdxStep` at pc `p` or
     /// later (`u32::MAX` if there is none), for [`enclosing_loop`].
     outer_from: Vec<u32>,
-    micro: Vec<Micro>,
+    /// The body being decoded, as its ops' parts.
+    parts: Vec<Op>,
     /// Per frame register, its lane slot while a loop is decoded; every
     /// entry is back to `INVARIANT` between loops.
     slot_of: Vec<u16>,
@@ -434,7 +413,7 @@ impl Analysis {
         Analysis {
             targets,
             outer_from,
-            micro: Vec::new(),
+            parts: Vec::new(),
             slot_of: vec![INVARIANT; code.frame as usize],
             accs: Vec::new(),
             bcast: Vec::new(),
@@ -456,172 +435,19 @@ pub(crate) struct SimdCandidate {
     pub rows: Result<Rows, NoRows>,
 }
 
-/// One constituent micro-op of a (possibly bundled) body instruction.
-enum Micro {
-    Load {
-        dst: Reg,
-        acc: u32,
-    },
-    Store {
-        acc: u32,
-        src: Reg,
-    },
-    Bin {
-        op: BinOp,
-        dst: Reg,
-        a: Reg,
-        b: Reg,
-    },
-    Neg {
-        dst: Reg,
-        src: Reg,
-    },
-    Mov {
-        dst: Reg,
-        src: Reg,
-    },
-    IdxF {
-        dst: Reg,
-        d: u8,
-    },
-    Call {
-        intr: Intrinsic,
-        dst: Reg,
-        base: Reg,
-        n: u8,
-    },
-    Reduce {
-        op: ReduceOp,
-        acc: Reg,
-        src: Reg,
-    },
-    Tick {
-        flops: u32,
-    },
-}
-
-impl Micro {
-    /// The register the micro-op writes: its destination, or a `Reduce`'s
-    /// accumulator.
-    fn written(&self) -> Option<Reg> {
-        match *self {
-            Micro::Load { dst, .. }
-            | Micro::Bin { dst, .. }
-            | Micro::Neg { dst, .. }
-            | Micro::Mov { dst, .. }
-            | Micro::IdxF { dst, .. }
-            | Micro::Call { dst, .. } => Some(dst),
-            Micro::Reduce { acc, .. } => Some(acc),
-            Micro::Store { .. } | Micro::Tick { .. } => None,
-        }
+/// The register a plain op of a vectorizable body writes: its
+/// destination, or a `Reduce`'s accumulator. `None` for a store, a tick,
+/// and every op outside the element-wise subset.
+fn written(op: Op) -> Option<Reg> {
+    match op {
+        Op::Load { dst, .. }
+        | Op::Neg { dst, .. }
+        | Op::Mov { dst, .. }
+        | Op::IdxF { dst, .. }
+        | Op::Call { dst, .. }
+        | Op::Reduce { dst, .. } => Some(dst),
+        _ => op.arith().map(|(_, dst, _, _)| dst),
     }
-}
-
-/// Expands body ops (including superinstructions) into micro-ops in
-/// `out`, or returns `None` if the body contains anything outside the
-/// vectorizable subset (control flow, allocation, observer markers,
-/// nested loops).
-fn expand(ops: &[Op], out: &mut Vec<Micro>) -> Option<()> {
-    out.clear();
-    for op in ops {
-        match *op {
-            Op::Add { dst, a, b } => out.push(Micro::Bin {
-                op: BinOp::Add,
-                dst,
-                a,
-                b,
-            }),
-            Op::Sub { dst, a, b } => out.push(Micro::Bin {
-                op: BinOp::Sub,
-                dst,
-                a,
-                b,
-            }),
-            Op::Mul { dst, a, b } => out.push(Micro::Bin {
-                op: BinOp::Mul,
-                dst,
-                a,
-                b,
-            }),
-            Op::Div { dst, a, b } => out.push(Micro::Bin {
-                op: BinOp::Div,
-                dst,
-                a,
-                b,
-            }),
-            Op::Bin { op, dst, a, b } => out.push(Micro::Bin { op, dst, a, b }),
-            Op::Neg { dst, src } => out.push(Micro::Neg { dst, src }),
-            Op::Mov { dst, src } => out.push(Micro::Mov { dst, src }),
-            Op::Call { intr, dst, base, n } => out.push(Micro::Call { intr, dst, base, n }),
-            Op::IdxF { dst, d } => out.push(Micro::IdxF { dst, d }),
-            Op::Load { dst, acc } => out.push(Micro::Load { dst, acc }),
-            Op::Store { acc, src } => out.push(Micro::Store { acc, src }),
-            Op::Reduce { op, dst, src } => out.push(Micro::Reduce { op, acc: dst, src }),
-            Op::Tick { flops } => out.push(Micro::Tick { flops }),
-            Op::LdLdBin {
-                op,
-                dst,
-                da,
-                aa,
-                db,
-                ab,
-            } => {
-                out.push(Micro::Load { dst: da, acc: aa });
-                out.push(Micro::Load { dst: db, acc: ab });
-                out.push(Micro::Bin {
-                    op,
-                    dst,
-                    a: da,
-                    b: db,
-                });
-            }
-            Op::LdBin {
-                op,
-                dst,
-                dl,
-                acc,
-                other,
-                right,
-            } => {
-                out.push(Micro::Load { dst: dl, acc });
-                let (a, b) = if right { (other, dl) } else { (dl, other) };
-                out.push(Micro::Bin { op, dst, a, b });
-            }
-            Op::BinBin {
-                op1,
-                d1,
-                a1,
-                b1,
-                op2,
-                d2,
-                a2,
-                b2,
-            } => {
-                out.push(Micro::Bin {
-                    op: op1,
-                    dst: d1,
-                    a: a1,
-                    b: b1,
-                });
-                out.push(Micro::Bin {
-                    op: op2,
-                    dst: d2,
-                    a: a2,
-                    b: b2,
-                });
-            }
-            Op::BinSt { op, dst, a, b, acc } => {
-                out.push(Micro::Bin { op, dst, a, b });
-                out.push(Micro::Store { acc, src: dst });
-            }
-            Op::LdSt { dst, la, sa } => {
-                out.push(Micro::Load { dst, acc: la });
-                out.push(Micro::Store { acc: sa, src: dst });
-            }
-            _ => return None,
-        }
-    }
-    Some(())
 }
 
 /// `slot_of` marks for registers that own no lane slot: one the body never
@@ -703,14 +529,20 @@ pub(crate) fn analyze_loop(
     if site.step.abs() != 1 || (site.stop - site.start) / site.step < 2 {
         return None;
     }
-    let mut micro = std::mem::take(&mut an.micro);
-    micro.reserve(2 * (site.tail - site.head));
-    let cand = expand(&code.ops[site.head..site.tail], &mut micro)
-        .and_then(|()| decode(code, an, &micro, site));
+    let mut parts = std::mem::take(&mut an.parts);
+    parts.clear();
+    // A push per part: `extend` over the parts cost as much as the rest
+    // of the decode.
+    for op in &code.ops[site.head..site.tail] {
+        for part in op.parts() {
+            parts.push(part);
+        }
+    }
+    let cand = decode(code, an, &parts, site);
     // Only the registers the body writes were given a slot, and only
     // those in the broadcast table an entry: hand both maps back clean
     // for the next loop.
-    for r in micro.iter().filter_map(Micro::written) {
+    for r in parts.iter().filter_map(|&op| written(op)) {
         if let Some(s) = an.slot_of.get_mut(r as usize) {
             *s = INVARIANT;
         }
@@ -720,40 +552,33 @@ pub(crate) fn analyze_loop(
             an.bcast_of[r as usize] = NO_BCAST;
         }
     }
-    an.micro = micro;
+    an.parts = parts;
     cand
 }
 
-/// [`analyze_loop`] over the expanded body `micro`.
-fn decode(
-    code: &Code,
-    an: &mut Analysis,
-    micro: &[Micro],
-    site: &LoopSite,
-) -> Option<SimdCandidate> {
+/// [`analyze_loop`] over the loop body's `parts`.
+fn decode(code: &Code, an: &mut Analysis, parts: &[Op], site: &LoopSite) -> Option<SimdCandidate> {
     let dim = site.dim as usize;
     let slot_of = &mut an.slot_of;
     let mut lane_regs: Vec<Reg> = Vec::new();
-    for m in micro {
-        match *m {
-            Micro::Load { dst, .. }
-            | Micro::Bin { dst, .. }
-            | Micro::Neg { dst, .. }
-            | Micro::Mov { dst, .. }
-            | Micro::IdxF { dst, .. }
-            | Micro::Call { dst, .. } => match slot_of.get_mut(dst as usize)? {
-                s @ &mut INVARIANT => {
-                    *s = lane_regs.len() as u16;
-                    lane_regs.push(dst);
-                }
-                &mut ACCUMULATOR => return None,
-                _ => {}
-            },
-            Micro::Reduce { acc, .. } => match slot_of.get_mut(acc as usize)? {
-                s @ &mut INVARIANT => *s = ACCUMULATOR,
-                _ => return None, // written elsewhere, or reduced into twice
-            },
-            Micro::Store { .. } | Micro::Tick { .. } => {}
+    for &op in parts {
+        if matches!(op, Op::Store { .. } | Op::Tick { .. }) {
+            continue;
+        }
+        // Anything else that writes no register is outside the
+        // element-wise subset: control flow, allocation, observer
+        // markers, nested loops.
+        let r = written(op)?;
+        let s = slot_of.get_mut(r as usize)?;
+        match (*s, op) {
+            (INVARIANT, Op::Reduce { .. }) => *s = ACCUMULATOR,
+            // Written elsewhere, or reduced into twice.
+            (_, Op::Reduce { .. }) | (ACCUMULATOR, _) => return None,
+            (INVARIANT, _) => {
+                *s = lane_regs.len() as u16;
+                lane_regs.push(r);
+            }
+            _ => {}
         }
     }
 
@@ -765,7 +590,7 @@ fn decode(
         of_reg: &mut an.bcast_of,
         of_idx: [NO_BCAST; MAX_RANK],
     };
-    let mut body: Vec<LaneOp> = Vec::with_capacity(micro.len());
+    let mut body: Vec<LaneOp> = Vec::with_capacity(parts.len());
     // Accesses in program order, for the alias analysis below.
     let accs = &mut an.accs;
     accs.clear();
@@ -788,9 +613,16 @@ fn decode(
     };
     let check_free = |acc: u32| code.accesses[acc as usize].check.is_none();
 
-    for m in micro {
-        match *m {
-            Micro::Load { dst, acc } => {
+    for &op in parts {
+        if let Some((op, dst, a, b)) = op.arith() {
+            let args = pad(&[src(&mut bcast, defined, a)?, src(&mut bcast, defined, b)?]);
+            let dst = def(&mut defined, dst);
+            let f = Func::Bin(op);
+            body.push(LaneOp::Apply { f, dst, args });
+            continue;
+        }
+        match op {
+            Op::Load { dst, acc } => {
                 if !check_free(acc) {
                     return None;
                 }
@@ -798,7 +630,7 @@ fn decode(
                 let dst = def(&mut defined, dst);
                 body.push(LaneOp::Load { dst, acc });
             }
-            Micro::Store { acc, src: r } => {
+            Op::Store { acc, src: r } => {
                 if !check_free(acc) {
                     return None;
                 }
@@ -806,24 +638,18 @@ fn decode(
                 let src = src(&mut bcast, defined, r)?;
                 body.push(LaneOp::Store { acc, src });
             }
-            Micro::Bin { op, dst, a, b } => {
-                let args = pad(&[src(&mut bcast, defined, a)?, src(&mut bcast, defined, b)?]);
-                let dst = def(&mut defined, dst);
-                let f = Func::Bin(op);
-                body.push(LaneOp::Apply { f, dst, args });
-            }
-            Micro::Neg { dst, src: r } => {
+            Op::Neg { dst, src: r } => {
                 let args = pad(&[src(&mut bcast, defined, r)?]);
                 let dst = def(&mut defined, dst);
                 let f = Func::Neg;
                 body.push(LaneOp::Apply { f, dst, args });
             }
-            Micro::Mov { dst, src: r } => {
+            Op::Mov { dst, src: r } => {
                 let src = src(&mut bcast, defined, r)?;
                 let dst = def(&mut defined, dst);
                 body.push(LaneOp::Mov { dst, src });
             }
-            Micro::IdxF { dst, d } => {
+            Op::IdxF { dst, d } => {
                 let dst = def(&mut defined, dst);
                 body.push(if d as usize == dim {
                     LaneOp::IdxSeq { dst }
@@ -832,7 +658,7 @@ fn decode(
                     LaneOp::Mov { dst, src }
                 });
             }
-            Micro::Call { intr, dst, base, n } => {
+            Op::Call { intr, dst, base, n } => {
                 // The strip kernels read exactly `arity` argument slots
                 // (the scalar `Intrinsic::eval` asserts the same count).
                 if n as usize != intr.arity() || n as usize > MAX_CALL_ARGS {
@@ -846,11 +672,16 @@ fn decode(
                 let f = Func::Call(intr);
                 body.push(LaneOp::Apply { f, dst, args });
             }
-            Micro::Reduce { op, acc, src: r } => {
+            Op::Reduce {
+                op,
+                dst: acc,
+                src: r,
+            } => {
                 let src = src(&mut bcast, defined, r)?;
                 body.push(LaneOp::Reduce { op, acc, src });
             }
-            Micro::Tick { flops } => body.push(LaneOp::Tick { flops }),
+            Op::Tick { flops } => body.push(LaneOp::Tick { flops }),
+            _ => unreachable!("the slot pass admits no other op"),
         }
     }
 

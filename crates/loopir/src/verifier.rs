@@ -38,9 +38,11 @@
 //!    its shape, bounds and exit pc must be what the bytecode shows, its
 //!    row-spanning width at most what the 2-D alias analysis re-proves.
 //!
-//! Superinstructions (`LdLdBin` et al.) verify exactly like their
-//! constituent sequences: each phase treats a bundle as its ordered
-//! micro-ops, so the bounds proof covers every inline operand.
+//! Phases 1-3 never see a superinstruction (`LdLdBin` et al.): they read
+//! each op through `Op::parts` (`bytecode.rs`), the one definition of
+//! what a bundle does, which is its plain ops in execution order. A
+//! bundle is therefore checked exactly as those ops would be, at the
+//! bundle's pc, and the bounds proof covers every inline operand.
 //!
 //! A program that passes all phases ([`Vm::verify`](crate::Vm::verify))
 //! may fan out over lanes and tiles, the two execution strategies that
@@ -269,12 +271,17 @@ fn structural(code: &Code) -> Vec<VerifyDiagnostic> {
         ));
     }
     let frame = code.frame as usize;
+    // A register or access both parts of a bundle name (`LdSt`'s `dst`)
+    // is one finding at its pc.
     let bad_reg = |pc: usize, r: u16, diags: &mut Vec<VerifyDiagnostic>| {
         if r as usize >= frame {
-            diags.push(VerifyDiagnostic::at(
-                pc,
-                format!("register {r} is outside the frame of {frame} registers"),
-            ));
+            push_once(
+                diags,
+                VerifyDiagnostic::at(
+                    pc,
+                    format!("register {r} is outside the frame of {frame} registers"),
+                ),
+            );
         }
     };
     let bad_target = |pc: usize, t: u32, diags: &mut Vec<VerifyDiagnostic>| {
@@ -306,14 +313,15 @@ fn structural(code: &Code) -> Vec<VerifyDiagnostic> {
     };
     let bad_acc = |pc: usize, acc: u32, diags: &mut Vec<VerifyDiagnostic>| {
         if acc as usize >= code.accesses.len() {
-            diags.push(VerifyDiagnostic::at(
-                pc,
-                format!("access-table index {acc} is out of range"),
-            ));
+            push_once(
+                diags,
+                VerifyDiagnostic::at(pc, format!("access-table index {acc} is out of range")),
+            );
         }
     };
-    for (pc, op) in code.ops.iter().enumerate() {
-        match *op {
+    let parts = code.ops.iter().enumerate();
+    for (pc, op) in parts.flat_map(|(pc, op)| op.parts().map(move |part| (pc, part))) {
+        match op {
             Op::Add { dst, a, b }
             | Op::Sub { dst, a, b }
             | Op::Mul { dst, a, b }
@@ -345,21 +353,11 @@ fn structural(code: &Code) -> Vec<VerifyDiagnostic> {
             }
             Op::Load { dst, acc } => {
                 bad_reg(pc, dst, &mut diags);
-                if acc as usize >= code.accesses.len() {
-                    diags.push(VerifyDiagnostic::at(
-                        pc,
-                        format!("access-table index {acc} is out of range"),
-                    ));
-                }
+                bad_acc(pc, acc, &mut diags);
             }
             Op::Store { acc, src } => {
                 bad_reg(pc, src, &mut diags);
-                if acc as usize >= code.accesses.len() {
-                    diags.push(VerifyDiagnostic::at(
-                        pc,
-                        format!("access-table index {acc} is out of range"),
-                    ));
-                }
+                bad_acc(pc, acc, &mut diags);
             }
             Op::Reduce { dst, src, .. } => {
                 bad_reg(pc, dst, &mut diags);
@@ -443,56 +441,11 @@ fn structural(code: &Code) -> Vec<VerifyDiagnostic> {
                 bad_reg(pc, cond, &mut diags);
                 bad_target(pc, target, &mut diags);
             }
-            Op::LdLdBin {
-                dst,
-                da,
-                aa,
-                db,
-                ab,
-                ..
-            } => {
-                bad_reg(pc, dst, &mut diags);
-                bad_reg(pc, da, &mut diags);
-                bad_reg(pc, db, &mut diags);
-                bad_acc(pc, aa, &mut diags);
-                bad_acc(pc, ab, &mut diags);
-            }
-            Op::LdBin {
-                dst,
-                dl,
-                acc,
-                other,
-                ..
-            } => {
-                bad_reg(pc, dst, &mut diags);
-                bad_reg(pc, dl, &mut diags);
-                bad_reg(pc, other, &mut diags);
-                bad_acc(pc, acc, &mut diags);
-            }
-            Op::BinBin {
-                d1,
-                a1,
-                b1,
-                d2,
-                a2,
-                b2,
-                ..
-            } => {
-                for r in [d1, a1, b1, d2, a2, b2] {
-                    bad_reg(pc, r, &mut diags);
-                }
-            }
-            Op::BinSt { dst, a, b, acc, .. } => {
-                bad_reg(pc, dst, &mut diags);
-                bad_reg(pc, a, &mut diags);
-                bad_reg(pc, b, &mut diags);
-                bad_acc(pc, acc, &mut diags);
-            }
-            Op::LdSt { dst, la, sa } => {
-                bad_reg(pc, dst, &mut diags);
-                bad_acc(pc, la, &mut diags);
-                bad_acc(pc, sa, &mut diags);
-            }
+            Op::LdLdBin { .. }
+            | Op::LdBin { .. }
+            | Op::BinBin { .. }
+            | Op::BinSt { .. }
+            | Op::LdSt { .. } => unreachable!("a bundle's parts are plain ops"),
             Op::SimdBegin { simd } => {
                 if simd as usize >= code.simds.len() {
                     diags.push(VerifyDiagnostic::at(
@@ -547,6 +500,14 @@ fn structural(code: &Code) -> Vec<VerifyDiagnostic> {
         }
     }
     diags
+}
+
+/// Adds `d` unless the findings at its pc already hold it.
+fn push_once(diags: &mut Vec<VerifyDiagnostic>, d: VerifyDiagnostic) {
+    let mut at_pc = diags.iter().rev().take_while(|e| e.pc == d.pc);
+    if !at_pc.any(|e| *e == d) {
+        diags.push(d);
+    }
 }
 
 // ---- phase 2: initialization ----------------------------------------------
@@ -682,7 +643,7 @@ impl InitFindings<'_> {
     }
 
     /// The array-allocated and index-dimension preconditions of one array
-    /// access (the `Load`/`Store` halves of superinstructions share them).
+    /// access.
     fn access(&mut self, pc: usize, st: &[u64], acc: u32) {
         let code = self.code;
         let arr = code.accesses[acc as usize].arr;
@@ -769,69 +730,11 @@ impl InitFindings<'_> {
             }
             Op::CtrStep { ctr, .. } => self.ctr(pc, st, ctr, "stepped"),
             Op::JmpIfZero { cond, .. } => self.reg(pc, st, cond),
-            // Superinstructions: the ordered constituent semantics. A
-            // register written by an earlier half of the same bundle
-            // (e.g. the load feeding `LdBin`'s arithmetic) needs no
-            // precondition.
-            Op::LdLdBin {
-                dst,
-                da,
-                db,
-                aa,
-                ab,
-                ..
-            } => {
-                self.access(pc, st, aa);
-                self.access(pc, st, ab);
-                for r in [da, db, dst] {
-                    set(st, lay.reg(r));
-                }
-            }
-            Op::LdBin {
-                dst,
-                dl,
-                acc,
-                other,
-                ..
-            } => {
-                self.access(pc, st, acc);
-                if other != dl {
-                    self.reg(pc, st, other);
-                }
-                set(st, lay.reg(dl));
-                set(st, lay.reg(dst));
-            }
-            Op::BinBin {
-                d1,
-                a1,
-                b1,
-                d2,
-                a2,
-                b2,
-                ..
-            } => {
-                self.reg(pc, st, a1);
-                self.reg(pc, st, b1);
-                if a2 != d1 {
-                    self.reg(pc, st, a2);
-                }
-                if b2 != d1 {
-                    self.reg(pc, st, b2);
-                }
-                set(st, lay.reg(d1));
-                set(st, lay.reg(d2));
-            }
-            Op::BinSt { dst, a, b, acc, .. } => {
-                self.reg(pc, st, a);
-                self.reg(pc, st, b);
-                self.access(pc, st, acc);
-                set(st, lay.reg(dst));
-            }
-            Op::LdSt { dst, la, sa } => {
-                self.access(pc, st, la);
-                self.access(pc, st, sa);
-                set(st, lay.reg(dst));
-            }
+            Op::LdLdBin { .. }
+            | Op::LdBin { .. }
+            | Op::BinBin { .. }
+            | Op::BinSt { .. }
+            | Op::LdSt { .. } => unreachable!("a bundle's parts are plain ops"),
         }
     }
 }
@@ -862,7 +765,9 @@ fn initialization(code: &Code, cfg: &Cfg) -> Vec<VerifyDiagnostic> {
         let pcs = cfg.block(b);
         let end = pcs.end - 1;
         for pc in pcs {
-            found.transfer(pc, code.ops[pc], &mut st);
+            for part in code.ops[pc].parts() {
+                found.transfer(pc, part, &mut st);
+            }
         }
         let op = code.ops[end];
         for &(t, edge) in cfg.succs(end) {
@@ -1143,16 +1048,11 @@ fn bounds(code: &Code, cfg: &Cfg) -> Vec<VerifyDiagnostic> {
     let mut diags = Vec::new();
     let mut checked_ok = vec![None::<bool>; code.accesses.len()];
     walk_states(code, cfg, &ctr_range, &heads, |pc, st| {
-        // Superinstructions discharge every inline access exactly like
-        // the equivalent `Load`/`Store` sequence would.
-        let op_accs: [Option<u32>; 2] = match code.ops[pc] {
-            Op::Load { acc, .. } | Op::Store { acc, .. } => [Some(acc), None],
-            Op::LdLdBin { aa, ab, .. } => [Some(aa), Some(ab)],
-            Op::LdBin { acc, .. } | Op::BinSt { acc, .. } => [Some(acc), None],
-            Op::LdSt { la, sa, .. } => [Some(la), Some(sa)],
-            _ => return,
-        };
-        for acc in op_accs.into_iter().flatten() {
+        let accs = code.ops[pc].parts().filter_map(|part| match part {
+            Op::Load { acc, .. } | Op::Store { acc, .. } => Some(acc),
+            _ => None,
+        });
+        for acc in accs {
             let a = &code.accesses[acc as usize];
             let info = &code.arrays[a.arr as usize];
             if let Some(chk) = &a.check {
@@ -2618,6 +2518,192 @@ mod tests {
             [iv(1, 1), iv(1, 5), iv(1, 5), iv(2, 2)]
         );
         assert_eq!(verify(&program(9)), a_out_of_bounds(6, 9, 9));
+    }
+
+    /// `Alloc A; i0 = 0`, then `body`, over `hand_built`'s frame of five
+    /// registers and its access 0, `A[i0]`, plus access 1, `A[i1]` (no op
+    /// sets dimension 1), and access 2, `A[i0 + 8]` (one past the end).
+    fn straight_line(body: &[Op]) -> Code {
+        let mut ops = vec![Op::Alloc { arr: 0 }, Op::SetIdx { d: 0, v: 0 }];
+        ops.extend_from_slice(body);
+        ops.push(Op::Halt);
+        let mut code = hand_built(ops, 5);
+        let a = code.accesses[0].clone();
+        code.accesses.push(Access {
+            strides: [0, 1, 0, 0],
+            rank: 2,
+            ..a.clone()
+        });
+        code.accesses.push(Access { const_flat: 8, ..a });
+        code
+    }
+
+    /// Each superinstruction kind beside the plain ops it runs as, in
+    /// `ld.ld.bin`, `ld.bin`, `bin.bin`, `bin.st`, `ld.st` order. `t` is
+    /// the register the first part writes and the second reads, `d` the
+    /// result of the kinds with two arithmetic results' worth of
+    /// registers, `s` the register the second part of `ld.bin` and
+    /// `bin.bin` reads besides `t`, and `m` the access of the last memory
+    /// part (`bin.bin` has none).
+    fn bundle_kinds(s: u16, t: u16, d: u16, m: u32) -> [(Op, Vec<Op>); 5] {
+        use zlang::ast::BinOp;
+        [
+            (
+                Op::LdLdBin {
+                    op: BinOp::Mul,
+                    dst: d,
+                    da: t,
+                    aa: 0,
+                    db: 3,
+                    ab: m,
+                },
+                vec![
+                    Op::Load { dst: t, acc: 0 },
+                    Op::Load { dst: 3, acc: m },
+                    Op::Mul { dst: d, a: t, b: 3 },
+                ],
+            ),
+            (
+                Op::LdBin {
+                    op: BinOp::Sub,
+                    dst: d,
+                    dl: t,
+                    acc: m,
+                    other: s,
+                    right: true,
+                },
+                vec![Op::Load { dst: t, acc: m }, Op::Sub { dst: d, a: s, b: t }],
+            ),
+            (
+                Op::BinBin {
+                    op1: BinOp::Add,
+                    d1: t,
+                    a1: 0,
+                    b1: 0,
+                    op2: BinOp::Lt,
+                    d2: d,
+                    a2: t,
+                    b2: s,
+                },
+                vec![
+                    Op::Add { dst: t, a: 0, b: 0 },
+                    Op::Bin {
+                        op: BinOp::Lt,
+                        dst: d,
+                        a: t,
+                        b: s,
+                    },
+                ],
+            ),
+            (
+                Op::BinSt {
+                    op: BinOp::Div,
+                    dst: t,
+                    a: 0,
+                    b: 1,
+                    acc: m,
+                },
+                vec![Op::Div { dst: t, a: 0, b: 1 }, Op::Store { acc: m, src: t }],
+            ),
+            (
+                Op::LdSt {
+                    dst: t,
+                    la: 0,
+                    sa: m,
+                },
+                vec![Op::Load { dst: t, acc: 0 }, Op::Store { acc: m, src: t }],
+            ),
+        ]
+    }
+
+    /// The bundle's program is rejected with `message` alone, once, at
+    /// the bundle's pc, and the program of its plain ops with `message`
+    /// alone, at every pc whose op names the defect.
+    fn rejected_like_its_parts(bundle: Op, plain: &[Op], message: &str) {
+        assert_eq!(
+            verify(&straight_line(&[bundle])),
+            [VerifyDiagnostic::at(2, message)],
+            "{bundle:?}"
+        );
+        let diags = verify(&straight_line(plain));
+        assert!(
+            !diags.is_empty() && diags.iter().all(|d| d.message == message),
+            "{plain:?}: {diags:?}"
+        );
+    }
+
+    #[test]
+    fn every_bundle_kind_verifies_like_its_parts() {
+        for (bundle, plain) in bundle_kinds(1, 2, 4, 0) {
+            let fused = straight_line(&[bundle]);
+            assert!(
+                verify(&fused).is_empty(),
+                "{bundle:?}: {:?}",
+                verify(&fused)
+            );
+            let parts = straight_line(&plain);
+            assert!(verify(&parts).is_empty(), "{plain:?}: {:?}", verify(&parts));
+        }
+    }
+
+    #[test]
+    fn a_bundle_register_outside_the_frame_is_reported_once() {
+        // `t` is named by both parts of every kind; `bin.bin` names it
+        // twice in its own fields too (`d1`, `a2`), so its result `d2`
+        // is the one corrupted there.
+        let [ldld, ld, _, binst, ldst] = bundle_kinds(1, 5, 4, 0);
+        let [_, _, binbin, _, _] = bundle_kinds(1, 2, 5, 0);
+        for (bundle, plain) in [ldld, ld, binbin, binst, ldst] {
+            rejected_like_its_parts(
+                bundle,
+                &plain,
+                "register 5 is outside the frame of 5 registers",
+            );
+        }
+    }
+
+    #[test]
+    fn a_bundle_access_entry_out_of_range_is_reported() {
+        let [ldld, ld, _, binst, ldst] = bundle_kinds(1, 2, 4, 99);
+        for (bundle, plain) in [ldld, ld, binst, ldst] {
+            rejected_like_its_parts(bundle, &plain, "access-table index 99 is out of range");
+        }
+    }
+
+    #[test]
+    fn an_uninitialized_read_by_a_bundles_second_part_is_reported() {
+        // The second part of `ld.bin` and `bin.bin` reads a register
+        // nothing wrote; that of the others accesses memory along a
+        // dimension nothing set.
+        let [_, ld, binbin, _, _] = bundle_kinds(3, 2, 4, 0);
+        for (bundle, plain) in [ld, binbin] {
+            rejected_like_its_parts(
+                bundle,
+                &plain,
+                "register 3 may be read before it is written",
+            );
+        }
+        let [ldld, _, _, binst, ldst] = bundle_kinds(1, 2, 4, 1);
+        for (bundle, plain) in [ldld, binst, ldst] {
+            rejected_like_its_parts(
+                bundle,
+                &plain,
+                "index dimension 1 may be read before it is set",
+            );
+        }
+    }
+
+    #[test]
+    fn an_unprovable_access_in_a_bundles_second_memory_part_is_reported() {
+        let [ldld, ld, _, binst, ldst] = bundle_kinds(1, 2, 4, 2);
+        for (bundle, plain) in [ldld, ld, binst, ldst] {
+            rejected_like_its_parts(
+                bundle,
+                &plain,
+                "cannot prove unchecked access 2 to `A` in bounds: flat index ranges over \
+                 [8, 8] but the array has 8 elements",
+            );
+        }
     }
 
     #[test]

@@ -646,6 +646,10 @@ fn alloc(
 /// (`crate::par`) over its sub-range and raw views, each through its
 /// [`ElemMem`], which length-checks every access.
 ///
+/// A superinstruction runs fused, in one dispatch; what it means is
+/// `Op::parts`, and `tests::a_bundle_executes_as_its_parts` holds the two
+/// to the same effects.
+///
 /// Returns `Ok(false)`, having done nothing, for the ops that move the pc,
 /// allocate, or fold a reduction: those belong to the loop that owns that
 /// state.
@@ -1108,6 +1112,225 @@ mod tests {
         second.set_threads(2);
         let o2 = second.execute(&mut NoopObserver).unwrap();
         assert_eq!(o1, o2);
+    }
+
+    /// Every observer call, in order.
+    #[derive(Debug, Default, PartialEq)]
+    struct Events(Vec<(char, u64)>);
+
+    impl Observer for Events {
+        fn load(&mut self, addr: u64) {
+            self.0.push(('l', addr));
+        }
+        fn store(&mut self, addr: u64) {
+            self.0.push(('s', addr));
+        }
+        fn flops(&mut self, n: u64) {
+            self.0.push(('f', n));
+        }
+    }
+
+    /// Arrays `A` and `B` of 8 elements, 8 registers, and three accesses:
+    /// `A[i0]`, `B[i0 + 1]` and `A[i0 - 1]`, the last halo-checked.
+    fn bundle_code() -> Code {
+        use crate::bytecode::{Access, ArrayInfo};
+        let access = |arr, const_flat, check| Access {
+            arr,
+            const_flat,
+            strides: [1, 0, 0, 0],
+            rank: 1,
+            check,
+        };
+        let halo = Check {
+            dims: vec![(0, -1, 0, 8)],
+            off: vec![-1],
+            arr: ArrayId(0),
+        };
+        Code {
+            accesses: vec![
+                access(0, 0, None),
+                access(1, 1, None),
+                access(0, -1, Some(Box::new(halo))),
+            ],
+            arrays: ["A", "B"]
+                .map(|name| ArrayInfo {
+                    name: name.into(),
+                    elems: 8,
+                    bytes: 64,
+                })
+                .into(),
+            frame: 8,
+            ..Code::default()
+        }
+    }
+
+    /// What `body_op` over `ops` at `i0` leaves, stopping at the first
+    /// error: register bits, array contents, counters, observer events,
+    /// and that error.
+    #[allow(clippy::type_complexity)]
+    fn run_body(
+        code: &Code,
+        ops: impl IntoIterator<Item = Op>,
+        i0: i64,
+    ) -> (Vec<u64>, Vec<Vec<f64>>, RunStats, Events, Option<ExecError>) {
+        let mut regs: Vec<f64> = (0..code.frame).map(|r| 0.5 + 1.25 * r as f64).collect();
+        let mut arrays: Vec<Option<VmArray>> = [1.5, -0.25]
+            .into_iter()
+            .enumerate()
+            .map(|(a, scale)| {
+                Some(VmArray {
+                    base: 4096 * (a as u64 + 1),
+                    data: (1..=8).map(|k| scale * k as f64).collect(),
+                })
+            })
+            .collect();
+        let idx = [i0, 0, 0, 0];
+        let (mut n, mut obs) = (RunStats::default(), Events::default());
+        let mut mem = VmMem {
+            code,
+            arrays: &mut arrays,
+        };
+        let mut err = None;
+        for op in ops {
+            match body_op(op, code, &mut regs, &idx, &mut mem, &mut n, &mut obs) {
+                Ok(ran) => assert!(ran, "{op:?} is a body op"),
+                Err(e) => {
+                    err = Some(e);
+                    break;
+                }
+            }
+        }
+        let regs = regs.iter().map(|r| r.to_bits()).collect();
+        let data = arrays.into_iter().map(|a| a.unwrap().data).collect();
+        (regs, data, n, obs, err)
+    }
+
+    /// `body_op` runs a superinstruction fused; `Op::parts` says what it
+    /// means, and the verifier and the lane analysis read only that. The
+    /// two must agree on everything a run can tell.
+    #[test]
+    fn a_bundle_executes_as_its_parts() {
+        use zlang::ast::BinOp::*;
+        let cases = [
+            Op::LdLdBin {
+                op: Mul,
+                dst: 2,
+                da: 3,
+                aa: 0,
+                db: 4,
+                ab: 1,
+            },
+            // `da == db`: the second load overwrites the first.
+            Op::LdLdBin {
+                op: Sub,
+                dst: 2,
+                da: 3,
+                aa: 0,
+                db: 3,
+                ab: 1,
+            },
+            // A comparison, into its own first operand; at i0 = 0 the
+            // second load's halo check fails after the first load ran.
+            Op::LdLdBin {
+                op: Lt,
+                dst: 3,
+                da: 3,
+                aa: 1,
+                db: 4,
+                ab: 2,
+            },
+            Op::LdBin {
+                op: Div,
+                dst: 2,
+                dl: 3,
+                acc: 1,
+                other: 5,
+                right: false,
+            },
+            Op::LdBin {
+                op: Sub,
+                dst: 2,
+                dl: 3,
+                acc: 0,
+                other: 5,
+                right: true,
+            },
+            // `other == dl`: the loaded value on both sides.
+            Op::LdBin {
+                op: Add,
+                dst: 2,
+                dl: 3,
+                acc: 0,
+                other: 3,
+                right: false,
+            },
+            // `a2 == d1`.
+            Op::BinBin {
+                op1: Add,
+                d1: 2,
+                a1: 5,
+                b1: 6,
+                op2: Mul,
+                d2: 3,
+                a2: 2,
+                b2: 7,
+            },
+            // `b2 == d1`.
+            Op::BinBin {
+                op1: Ge,
+                d1: 2,
+                a1: 5,
+                b1: 6,
+                op2: Sub,
+                d2: 3,
+                a2: 7,
+                b2: 2,
+            },
+            Op::BinSt {
+                op: Div,
+                dst: 2,
+                a: 5,
+                b: 6,
+                acc: 1,
+            },
+            Op::BinSt {
+                op: Eq,
+                dst: 2,
+                a: 5,
+                b: 5,
+                acc: 0,
+            },
+            Op::LdSt {
+                dst: 2,
+                la: 0,
+                sa: 1,
+            },
+            // At i0 = 0 the store's halo check fails after the load ran.
+            Op::LdSt {
+                dst: 2,
+                la: 1,
+                sa: 2,
+            },
+        ];
+        let code = bundle_code();
+        for i0 in [3, 0] {
+            for bundle in cases {
+                let fused = run_body(&code, [bundle], i0);
+                assert_eq!(
+                    fused,
+                    run_body(&code, bundle.parts(), i0),
+                    "{bundle:?} at i0 = {i0}"
+                );
+                // A fault is in a second part: the first one's load is
+                // the one event before it.
+                let checked = |p| matches!(p, Op::Load { acc: 2, .. } | Op::Store { acc: 2, .. });
+                let faults = i0 == 0 && bundle.parts().any(checked);
+                assert_eq!(fused.4.is_some(), faults, "{bundle:?} at i0 = {i0}");
+                if faults {
+                    assert_eq!(fused.3 .0.len(), 1, "{bundle:?}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -236,3 +236,75 @@ fn lowered_streams_match_pinned_digests() {
         drifted.join("\n")
     );
 }
+
+/// The ops of a `Vm::disasm` listing, as `(mnemonic, detail)`.
+fn listed_ops(listing: &str) -> Vec<(&str, &str)> {
+    listing
+        .lines()
+        .filter(|l| !l.starts_with(";;"))
+        .map(|l| {
+            let (_pc, rest) = l.trim_start().split_once(' ').unwrap();
+            let (mnemonic, detail) = rest.trim_start().split_once(' ').unwrap_or((rest, ""));
+            (mnemonic, detail.trim_start())
+        })
+        .collect()
+}
+
+/// Every superinstruction the peephole forms is exactly the plain ops it
+/// took the place of. A bundle's line in the superfused listing shows
+/// its `Op::parts`, one detail each, joined by "; "; read against the
+/// plain listing, each must be the lines of the ops it replaced, over the
+/// lowering corpus at all sixteen specs. (Debug builds also assert this
+/// of every bundle as `simd::bundle` forms it, encodings included.)
+#[test]
+fn every_bundle_is_the_ops_it_replaced() {
+    const BUNDLES: [&str; 5] = ["ld.ld.bin", "ld.bin", "bin.bin", "bin.st", "ld.st"];
+    // Ops whose detail names a pc, which the rewrite renumbers.
+    const MOVED: [&str; 6] = ["jmp", "jz", "idxstep", "ctrstep", "forinit", "par"];
+    let mut formed = [0usize; 5];
+    for (name, program, size_config) in lowering_corpus() {
+        for level in Level::all() {
+            for rce2 in [false, true] {
+                let spec = LevelSpec {
+                    rce2,
+                    ..level.into()
+                };
+                let sp = Pipeline::new(spec).optimize(&program).scalarized;
+                let mut binding = ConfigBinding::defaults(&sp.program);
+                assert!(binding.set_by_name(&sp.program, size_config, 5));
+                let (Ok(plain), Ok(fused)) = (
+                    Vm::new(&sp, binding.clone()),
+                    Vm::new_superfused(&sp, binding),
+                ) else {
+                    continue;
+                };
+                let (plain, fused) = (plain.disasm(), fused.disasm());
+                let mut replaced = listed_ops(&plain).into_iter();
+                for (mnemonic, detail) in listed_ops(&fused) {
+                    let at = format!("{name} {spec}: `{mnemonic} {detail}`");
+                    if mnemonic == "simd" {
+                        continue;
+                    }
+                    if let Some(k) = BUNDLES.iter().position(|b| *b == mnemonic) {
+                        formed[k] += 1;
+                        let parts = detail.split("; ").count();
+                        let ops: Vec<&str> = replaced.by_ref().take(parts).map(|op| op.1).collect();
+                        assert_eq!(detail, ops.join("; "), "{at}");
+                        continue;
+                    }
+                    let (m, d) = replaced
+                        .next()
+                        .unwrap_or_else(|| panic!("{at}: past the end"));
+                    assert_eq!(mnemonic, m, "{at}");
+                    if !MOVED.contains(&mnemonic) {
+                        assert_eq!(detail, d, "{at}");
+                    }
+                }
+                assert_eq!(replaced.next(), None, "{name} {spec}");
+            }
+        }
+    }
+    for (b, n) in BUNDLES.iter().zip(formed) {
+        assert!(n > 0, "the corpus forms no `{b}`");
+    }
+}

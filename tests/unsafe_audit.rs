@@ -1,4 +1,5 @@
-//! Source audit of `loopir`'s `unsafe` code (ROADMAP item 5).
+//! Source audit of `loopir`'s `unsafe` code (the ROADMAP north star's
+//! "Correctness and robustness" aim).
 //!
 //! The engines' memory safety rests on a short list of raw-pointer and
 //! `target_feature` sites. This scan keeps the list short and keeps every
