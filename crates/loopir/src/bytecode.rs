@@ -651,6 +651,30 @@ pub(crate) struct ParInfo {
     /// folded in tile order (`crate::par`). Empty for a ladder that does
     /// not reduce.
     pub folds: Vec<(Reg, ReduceOp)>,
+    /// The ladder's static work: its iteration points times its body's
+    /// ops, less what a reducing ladder's serial fold costs
+    /// ([`ParInfo::work_of`]). Below [`GRAIN`](crate::par::GRAIN) the
+    /// ladder runs on the coordinator ([`ParInfo::tiles`]).
+    pub work: u64,
+}
+
+impl ParInfo {
+    /// The static work of a ladder of `points` iteration points whose
+    /// body is `body` ops and folds `folds` accumulators. A fold term
+    /// costs the ladder one body op's worth of parallel work at
+    /// [`FOLD_WEIGHT`](crate::par::FOLD_WEIGHT) per term, because tiles
+    /// fold their logs one term after another, in tile order.
+    pub fn work_of(points: u64, body: u64, folds: usize) -> u64 {
+        let fold = crate::par::FOLD_WEIGHT * folds as u64;
+        points.saturating_mul(body.saturating_sub(fold))
+    }
+
+    /// Whether the ladder fans out into tiles: its work is at least one
+    /// grain. The decision is static, so every thread count makes it
+    /// alike and `--print bytecode` shows it.
+    pub fn tiles(&self) -> bool {
+        self.work >= crate::par::GRAIN
+    }
 }
 
 /// One resolved array access site.
@@ -693,6 +717,23 @@ pub(crate) struct Code {
     /// Total registers in the frame.
     pub frame: u16,
     pub n_ctrs: u16,
+}
+
+/// The grain decision of a `par` line: `yes (work 57.6k)`, or
+/// `no (work 1.4k < grain)`.
+fn tiles_str(p: &ParInfo) -> String {
+    let work = match p.work {
+        w if w >= 10_000_000 => format!("{:.0}M", w as f64 / 1e6),
+        w if w >= 1_000_000 => format!("{:.1}M", w as f64 / 1e6),
+        w if w >= 10_000 => format!("{:.0}k", w as f64 / 1e3),
+        w if w >= 1_000 => format!("{:.1}k", w as f64 / 1e3),
+        w => w.to_string(),
+    };
+    if p.tiles() {
+        format!("yes (work {work})")
+    } else {
+        format!("no (work {work} < grain)")
+    }
 }
 
 fn err(message: impl Into<String>) -> ExecError {
@@ -1517,7 +1558,17 @@ impl<'p> Compiler<'p> {
         });
         self.emit_static_loops(order, &mut |c| c.compile_nest_body(nest))?;
         if let Some(id) = par {
-            self.pars[id as usize].exit = self.here();
+            let exit = self.here();
+            let p = &mut self.pars[id as usize];
+            p.exit = exit;
+            // The ladder is a perfect nest: a `SetIdx` and an `IdxStep` per
+            // loop around the body.
+            let body = u64::from(p.exit - p.entry) - 2 * order.len() as u64;
+            let points = order
+                .iter()
+                .map(|&(_, _, lo, hi)| (hi - lo + 1) as u64)
+                .product();
+            p.work = ParInfo::work_of(points, body, p.folds.len());
         }
         self.dim_range = saved;
         Ok(())
@@ -1629,6 +1680,7 @@ impl<'p> Compiler<'p> {
                 entry: 0,
                 exit: 0,
                 folds,
+                work: 0,
             });
         }
         None
@@ -1905,14 +1957,15 @@ fn op_str(code: &Code, op: &Op) -> (&'static str, String) {
             (
                 "par",
                 format!(
-                    "p{par}: dim i{} start {} step {} extent {} pcs [{}, {}){}",
+                    "p{par}: dim i{} start {} step {} extent {} pcs [{}, {}){}; tiles: {}",
                     p.dim,
                     p.start,
                     p.step,
                     p.extent,
                     p.entry,
                     p.exit,
-                    folds_str(&p.folds)
+                    folds_str(&p.folds),
+                    tiles_str(p)
                 ),
             )
         }

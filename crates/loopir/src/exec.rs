@@ -253,8 +253,11 @@ pub enum Engine {
 pub struct ExecOpts {
     /// Threads running tile-partitionable ladders (including the
     /// coordinator); `0` means one per available core, capped at 8, and
-    /// `1` runs every ladder on the caller with no pool. Read by
-    /// [`Engine::VmPar`] alone.
+    /// `1` runs every ladder on the caller with no pool. Above 1 the
+    /// executor borrows a pool of that width from the process's idle
+    /// pools for its lifetime ([`Vm::set_threads`](crate::Vm::set_threads)),
+    /// and only ladders whose static work clears the grain fan out. Read
+    /// by [`Engine::VmPar`] alone.
     pub threads: usize,
     /// Strip width of the innermost-loop dispatch: how many consecutive
     /// iterations run op-major at a time. `0` means the default, the
@@ -312,7 +315,8 @@ impl SharedProgram {
     /// A fresh VM over the lowered program at `knobs` — one `Arc` bump
     /// plus run-state allocation, no recompilation and no re-verification
     /// (the hit half of the serving path). Both knobs apply as given; no
-    /// pool is built at `threads == 1`.
+    /// pool is borrowed at `threads == 1`, and above it an idle pool of
+    /// that width is, so no thread is spawned once one exists.
     pub fn executor(&self, knobs: ExecOpts) -> Vm {
         let mut vm = Vm::from_shared(self);
         vm.set_lanes(knobs.lanes);
