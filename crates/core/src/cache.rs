@@ -70,7 +70,7 @@
 //!
 //! The cache also owns the set of *quarantined* keys
 //! ([`CompileCache::quarantine`]): artifacts that faulted at execution.
-//! Execution is deterministic in (program, binding, knobs, limits), so a
+//! Execution is deterministic in (program, binding, knobs), so a
 //! key joins the set on its first fault and never leaves it; the
 //! supervisor routes its requests to the reference rung without
 //! consulting the cache.

@@ -74,5 +74,5 @@ pub use serve::{
     serve, serve_with, Disposition, RequestRecord, ServeOptions, ServeReport, ServeRequest,
     ShedCause, ShedPolicy,
 };
-pub use supervisor::{Budgets, Supervised, Supervisor, SupervisorError, SupervisorReport};
+pub use supervisor::{Supervised, Supervisor, SupervisorError, SupervisorReport};
 pub use verify::{Diagnostic, VerifyLevel};

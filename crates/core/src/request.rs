@@ -2,14 +2,14 @@
 //!
 //! A request says what to compile (a [`LevelSpec`]: level plus the
 //! `+rce2` and `+dim` extensions), how to execute it (engine, threads,
-//! lanes, budgets) and under which config overrides. `zlc`, the lazy
+//! lanes, deadline) and under which config overrides. `zlc`, the lazy
 //! frontend, the compile cache, the serve path and the simulated
 //! runtime's `ExecConfig::from_request` all read this one value, and a
 //! [`Supervisor`] *holds* the request it was built from rather than a
 //! copy of its fields, so a supervised run compiles exactly what an
 //! unsupervised one does. Adapters produce the downstream forms:
 //! [`RunRequest::pipeline`], [`RunRequest::supervisor`],
-//! [`RunRequest::exec_opts`], [`RunRequest::limits`] and
+//! [`RunRequest::exec_opts`], [`RunRequest::deadline_from_now`] and
 //! [`RunRequest::binding_for`]. The compile cache reads a request stage by
 //! stage: `spec` addresses the optimized program (with the program's
 //! digest, and nothing else — the optimizer takes no binding), and
@@ -34,16 +34,16 @@
 //! ```
 
 use crate::pipeline::{Level, LevelSpec, Pipeline};
-use crate::supervisor::{Budgets, Supervisor};
+use crate::supervisor::Supervisor;
 use crate::verify::VerifyLevel;
-use loopir::{Engine, ExecLimits, ExecOpts};
+use loopir::{Engine, ExecOpts};
 use std::fmt;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 use zlang::ir::{ConfigBinding, Program};
 
 /// A complete, self-describing run configuration: what to compile
-/// (level + extensions), how to execute it (engine, threads,
-/// budgets), and under which config bindings. Built fluently, consumed
+/// (level + extensions), how to execute it (engine, threads, lanes,
+/// deadline), and under which config bindings. Built fluently, consumed
 /// by `zlc`, the [`Supervisor`], the compile cache, and the serve path.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunRequest {
@@ -68,8 +68,11 @@ pub struct RunRequest {
     /// validator for it: they have no reader for the diagnostics, so
     /// `zlc` rejects `--verify` in those modes.
     pub verify: bool,
-    /// Resource budgets (deadline, fuel).
-    pub budgets: Budgets,
+    /// Wall-clock budget for the run, measured from its start, or `None`
+    /// for none. A supervised run applies it to every rung but the
+    /// reference one, the rung of last resort: a slow correct answer
+    /// beats none.
+    pub deadline: Option<Duration>,
     /// Config-variable overrides, applied in order (`--set n=64`).
     pub sets: Vec<(String, i64)>,
 }
@@ -82,14 +85,14 @@ impl Default for RunRequest {
             threads: 0,
             lanes: 0,
             verify: false,
-            budgets: Budgets::none(),
+            deadline: None,
             sets: Vec::new(),
         }
     }
 }
 
 impl RunRequest {
-    /// The default request: level `c2` on the bytecode VM, no budgets.
+    /// The default request: level `c2` on the bytecode VM, no deadline.
     pub fn new() -> Self {
         RunRequest::default()
     }
@@ -154,22 +157,10 @@ impl RunRequest {
         self
     }
 
-    /// Sets all resource budgets at once.
-    pub fn with_budgets(mut self, budgets: Budgets) -> Self {
-        self.budgets = budgets;
-        self
-    }
-
     /// Sets a wall-clock budget for the run (one deadline that every
     /// budgeted rung of a supervised run shares).
     pub fn with_deadline(mut self, deadline: Duration) -> Self {
-        self.budgets.deadline = Some(deadline);
-        self
-    }
-
-    /// Sets an instruction-fuel budget per attempt.
-    pub fn with_fuel(mut self, fuel: u64) -> Self {
-        self.budgets.fuel = Some(fuel);
+        self.deadline = Some(deadline);
         self
     }
 
@@ -213,10 +204,10 @@ impl RunRequest {
         self.engine.knobs(asked).unwrap_or_default()
     }
 
-    /// The engine limits the budgets imply (the deadline is measured
-    /// from the moment of this call).
-    pub fn limits(&self) -> ExecLimits {
-        self.budgets.limits()
+    /// The instant the deadline falls on, measured from the moment of
+    /// this call, for [`Executor::set_deadline`](loopir::Executor::set_deadline).
+    pub fn deadline_from_now(&self) -> Option<Instant> {
+        self.deadline.map(|d| Instant::now() + d)
     }
 
     /// The concrete config binding for a program: defaults overridden by

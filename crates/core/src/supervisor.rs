@@ -26,8 +26,8 @@
 //!
 //! A rung equal to the one before it is dropped (`interp` at `baseline`
 //! is one rung). There is no rung at other knobs: the three VM names run
-//! one lowered artifact, whose fuel charge, halo checks and verifier
-//! verdict are the same at every `(threads, lanes)`, so a fault of the
+//! one lowered artifact, whose halo checks and verifier verdict are the
+//! same at every `(threads, lanes)`, so a fault of the
 //! requested rung would repeat at any other width. The tree-walker is a
 //! different program over the same optimized loops, and needs no
 //! bytecode: a lowering failure or a verifier rejection is recorded once
@@ -51,12 +51,11 @@
 //! * **Verifier rejections** and lowering failures — no VM name
 //!   constructs; the tree-walker, which needs no bytecode, answers at the
 //!   requested spec.
-//! * **Resource budgets** ([`Budgets`]): instruction fuel and a
-//!   wall-clock deadline, enforced inside the engines via
-//!   [`ExecLimits`]. The deadline is one instant per run, shared by every
-//!   budgeted rung; a rung that starts after it faults before compiling.
-//!   The reference rung runs unbudgeted — a degraded answer late beats no
-//!   answer.
+//! * **The deadline** ([`RunRequest::deadline`]): one wall-clock instant
+//!   per run, shared by every budgeted rung and enforced inside the
+//!   engines ([`Executor::set_deadline`]); a rung that starts after it
+//!   faults before compiling. The reference rung runs without it — a
+//!   degraded answer late beats no answer.
 //! * **Communication failures** from a simulated-runtime backend
 //!   ([`Supervisor::run_program_simulated`]): the same rung runs once
 //!   more without the backend, since the communication simulation
@@ -64,7 +63,7 @@
 //!   of what observes the rung, not a retry: it pays even when every
 //!   exchange fails. A backend is an *observer* of the rung, not a second
 //!   way to run it: it is handed the executor the rung built — from the
-//!   same cached artifact, at the same knobs and limits — and only
+//!   same cached artifact, at the same knobs and deadline — and only
 //!   chooses what watches it run.
 //! * **Poisoned artifacts.** With a cache attached, an execution fault of
 //!   the requested rung (`Stage::Execute`, an `Exec` or `Panic` kind)
@@ -92,9 +91,7 @@ use crate::cache::{CacheKey, CompileCache, Depth};
 use crate::hash;
 use crate::pipeline::{Level, LevelSpec};
 use crate::request::RunRequest;
-use loopir::{
-    Engine, ErrorKind, ExecError, ExecLimits, Executor, NoopObserver, RunOutcome, ScalarProgram,
-};
+use loopir::{Engine, ErrorKind, ExecError, Executor, NoopObserver, RunOutcome, ScalarProgram};
 use std::cell::Cell;
 use std::fmt;
 use std::panic::{self, AssertUnwindSafe};
@@ -170,8 +167,6 @@ pub enum CauseKind {
     Panic,
     /// The bytecode verifier rejected the program.
     VerifyReject,
-    /// The instruction-fuel budget ran out.
-    Fuel,
     /// The wall-clock deadline passed.
     Deadline,
     /// The simulated runtime reported an unrecoverable communication
@@ -193,7 +188,6 @@ impl CauseKind {
         match self {
             CauseKind::Panic => "panic",
             CauseKind::VerifyReject => "verifier rejection",
-            CauseKind::Fuel => "fuel exhausted",
             CauseKind::Deadline => "deadline exceeded",
             CauseKind::Comm => "communication failure",
             CauseKind::Parse => "parse error",
@@ -235,7 +229,6 @@ impl From<ExecError> for Cause {
         let (stage, kind) = match e.kind {
             ErrorKind::Verify => (Stage::VerifyBytecode, CauseKind::VerifyReject),
             ErrorKind::Lower => (Stage::VerifyBytecode, CauseKind::Exec),
-            ErrorKind::Fuel => (Stage::Execute, CauseKind::Fuel),
             ErrorKind::Deadline => (Stage::Execute, CauseKind::Deadline),
             ErrorKind::Comm => (Stage::Execute, CauseKind::Comm),
             _ => (Stage::Execute, CauseKind::Exec),
@@ -363,40 +356,8 @@ impl SupervisorReport {
     }
 }
 
-/// Resource budgets for a run. Both default to unlimited. A supervised
-/// run applies them to every rung but the reference one, the rung of last
-/// resort: a slow correct answer beats none.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct Budgets {
-    /// Wall-clock budget for the run, measured from its start; the
-    /// budgeted rungs of a supervised run share it.
-    pub deadline: Option<Duration>,
-    /// Abstract-step fuel per attempt (see [`ExecLimits`]).
-    pub fuel: Option<u64>,
-}
-
-impl Budgets {
-    /// No budgets.
-    pub fn none() -> Self {
-        Budgets::default()
-    }
-
-    /// The engine limits these budgets imply: fuel plus a deadline
-    /// measured from now.
-    pub fn limits(&self) -> ExecLimits {
-        let mut l = ExecLimits::none();
-        if let Some(f) = self.fuel {
-            l = l.with_fuel(f);
-        }
-        if let Some(d) = self.deadline {
-            l = l.with_deadline_in(d);
-        }
-        l
-    }
-}
-
 /// A simulated-runtime backend: runs a rung's executor — already built
-/// from the rung's cached artifact, knobs and limits set — under its own
+/// from the rung's cached artifact, knobs and deadline set — under its own
 /// observer, returning the outcome or a (possibly communication-related)
 /// failure. The scalarized program and the binding are the ones the
 /// executor was built over, for a machine model that reads declarations
@@ -435,7 +396,7 @@ impl std::error::Error for SupervisorError {}
 
 /// The fault-boundary wrapper around compile-and-run. See the module
 /// docs for the fault model and ladder. It owns the [`RunRequest`] it
-/// serves (level spec, engine, threads, lanes, budgets, `--set`
+/// serves (level spec, engine, threads, lanes, deadline, `--set`
 /// overrides are set there) plus only what a request does not carry:
 /// the shared cache, which also holds the quarantined keys.
 pub struct Supervisor {
@@ -453,14 +414,14 @@ impl fmt::Debug for Supervisor {
 
 /// What the rungs of one supervised run share: the program, its binding
 /// and the requested rung's cache key (bound and hashed once per run),
-/// the budgeted rungs' limits (one deadline instant per run), and the
+/// the budgeted rungs' deadline (one instant per run), and the
 /// cache they compile through, which is what lets the rungs at one spec
 /// run the optimizer once.
 struct Run<'p> {
     program: &'p Program,
     binding: ConfigBinding,
     key: CacheKey,
-    limits: ExecLimits,
+    deadline: Option<Instant>,
     cache: &'p CompileCache,
     /// True if `cache` is the attached, shared one — the only kind whose
     /// artifacts outlive a run and can come back corrupted.
@@ -471,7 +432,7 @@ struct Run<'p> {
 
 impl Supervisor {
     /// A supervisor for the default request at a level and engine: no
-    /// extension, no budgets, no overrides. Shorthand for
+    /// extension, no deadline, no overrides. Shorthand for
     /// [`RunRequest::supervisor`].
     pub fn new(level: Level, engine: Engine) -> Self {
         Supervisor::for_request(RunRequest::new().with_level(level).with_engine(engine))
@@ -510,7 +471,7 @@ impl Supervisor {
     /// time spent queued is charged against the same total deadline the
     /// caller asked for.
     pub fn with_remaining(mut self, remaining: Duration) -> Self {
-        let deadline = &mut self.request.budgets.deadline;
+        let deadline = &mut self.request.deadline;
         *deadline = Some(deadline.map_or(remaining, |d| d.min(remaining)));
         self
     }
@@ -640,7 +601,7 @@ impl Supervisor {
             program,
             binding,
             key,
-            limits: req.limits(),
+            deadline: req.deadline_from_now(),
             cache,
             shared,
             depth: Depth::Hit,
@@ -658,8 +619,8 @@ impl Supervisor {
                 continue;
             }
             // The reference rung — the last of a ladder with more than
-            // one — is the degradation target of last resort; budgets do
-            // not apply to it because its entire point is to always
+            // one — is the degradation target of last resort; the deadline
+            // does not apply to it because its entire point is to always
             // produce the answer. A directly requested (baseline, interp)
             // run (ri == 0) is an ordinary rung and stays budgeted —
             // except when quarantine forced the run there, which carries
@@ -752,12 +713,8 @@ impl Supervisor {
         // fault deterministically up front rather than compile and then
         // depend on how far a fast program gets before the engine's
         // periodic clock check. A zero deadline always lands here.
-        let limits = if budgeted {
-            run.limits
-        } else {
-            ExecLimits::none()
-        };
-        if limits.deadline.is_some_and(|t| Instant::now() >= t) {
+        let deadline = run.deadline.filter(|_| budgeted);
+        if deadline.is_some_and(|t| Instant::now() >= t) {
             return Err(Cause {
                 stage: Stage::Execute,
                 kind: CauseKind::Deadline,
@@ -791,7 +748,7 @@ impl Supervisor {
             }
             enter_stage(Stage::Execute);
             let mut exec = artifact.executor(self.request.exec_opts());
-            exec.set_limits(limits);
+            exec.set_deadline(deadline);
             Ok(match sim {
                 Some(sim) => sim(&mut *exec, &artifact.scalarized, binding)?,
                 None => exec.execute(&mut NoopObserver)?,
@@ -852,7 +809,7 @@ mod tests {
         begin [R] A := 3.0; [R] B := A + 1.0; s := +<< [R] B; end";
 
     /// The default request at a level and engine, for the tests that go
-    /// on to set threads, budgets or overrides on it.
+    /// on to set threads, a deadline or overrides on it.
     fn request(level: Level, engine: Engine) -> RunRequest {
         RunRequest::new().with_level(level).with_engine(engine)
     }
@@ -1033,29 +990,13 @@ mod tests {
     }
 
     #[test]
-    fn zero_fuel_falls_to_unbudgeted_reference() {
+    fn zero_deadline_falls_to_unbudgeted_reference() {
         let sup = request(Level::C2F3, Engine::Vm)
-            .with_budgets(Budgets {
-                fuel: Some(0),
-                ..Budgets::none()
-            })
+            .with_deadline(Duration::ZERO)
             .supervisor();
         let run = sup.run_source(SRC).unwrap();
         assert_eq!(run.outcome.checksum(), reference_checksum());
         assert_eq!(run.report.final_spec, Level::Baseline.into());
-        assert!(run.report.faults().any(|c| c.kind == CauseKind::Fuel));
-    }
-
-    #[test]
-    fn zero_deadline_falls_to_unbudgeted_reference() {
-        let sup = request(Level::C2F3, Engine::Vm)
-            .with_budgets(Budgets {
-                deadline: Some(Duration::ZERO),
-                ..Budgets::none()
-            })
-            .supervisor();
-        let run = sup.run_source(SRC).unwrap();
-        assert_eq!(run.outcome.checksum(), reference_checksum());
         assert!(run.report.faults().any(|c| c.kind == CauseKind::Deadline));
     }
 

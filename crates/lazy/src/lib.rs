@@ -334,7 +334,7 @@ impl Batch {
 
     /// Flushes through the serving path: look the batch up in `cache`
     /// (compiling and publishing on a miss), then execute under `req`'s
-    /// engine and limits. Returns the outcome and whether the compile
+    /// engine and deadline. Returns the outcome and whether the compile
     /// was a cache hit. A recording has no source text, so it enters the
     /// cache at the optimize stage: the program is hashed once per flush,
     /// and a miss that differs from an earlier flush only in `req`'s
@@ -351,7 +351,7 @@ impl Batch {
     ) -> Result<(Evaluated, bool), ExecError> {
         let (cached, hit) = cache.get_or_compile(&self.program, req)?;
         let mut exec = cached.executor(req.exec_opts());
-        exec.set_limits(req.limits());
+        exec.set_deadline(req.deadline_from_now());
         let outcome = exec.execute(&mut NoopObserver)?;
         Ok((Evaluated { outcome }, hit))
     }

@@ -38,59 +38,18 @@ use crate::ir::ScalarProgram;
 use crate::vm::{SharedProgram, Vm};
 use std::fmt;
 use std::str::FromStr;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 use zlang::ir::{ConfigBinding, ScalarId};
-
-/// Resource budgets for one execution: an abstract-step fuel counter and a
-/// wall-clock deadline. The default is unlimited.
-///
-/// One unit of fuel is one abstract step: an op of the lowered stream on
-/// the [`Vm`] (a superinstruction is one op; a lane run charges exactly
-/// the ops scalar dispatch would have, so a budget means the same under
-/// every VM name and at every width), a loop-nest iteration point on the
-/// [`Interp`]. The two engines therefore exhaust a given
-/// budget at different program sizes; fuel bounds *work*, it is not a
-/// portable measure of it.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ExecLimits {
-    /// Abstract steps the run may take, or `None` for unlimited.
-    pub fuel: Option<u64>,
-    /// Wall-clock instant after which the run must stop, or `None`.
-    pub deadline: Option<Instant>,
-}
-
-impl ExecLimits {
-    /// No limits (the default).
-    pub fn none() -> Self {
-        ExecLimits::default()
-    }
-
-    /// True if neither budget is set.
-    pub fn is_unlimited(&self) -> bool {
-        self.fuel.is_none() && self.deadline.is_none()
-    }
-
-    /// Adds a fuel budget.
-    pub fn with_fuel(mut self, fuel: u64) -> Self {
-        self.fuel = Some(fuel);
-        self
-    }
-
-    /// Adds a deadline `d` from now.
-    pub fn with_deadline_in(mut self, d: Duration) -> Self {
-        self.deadline = Some(Instant::now() + d);
-        self
-    }
-}
 
 /// Execution counters from one tile of a parallel ladder.
 ///
 /// The parallel VM ([`Engine::VmPar`]) fans each tile-partitionable loop
 /// ladder out as per-tile tasks; every task counts its own work and
 /// returns one `TileStats`. The `(batch, tile)` key is assigned
-/// deterministically from the static tile decomposition, so the stream can
-/// always be aggregated in the same order regardless of which worker ran
-/// which tile — see [`RunOutcome::merge`].
+/// deterministically from the static tile decomposition, so
+/// [`Vm::tile_stats`] lists the stream in the same order whichever worker
+/// ran which tile; the counters are `u64` sums, so [`RunOutcome::merge`]
+/// totals them the same in any order.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TileStats {
     /// Which fan-out (dynamic ladder execution) of the run this tile
@@ -107,11 +66,6 @@ pub struct TileStats {
     pub flops: u64,
     /// Iteration points executed by the tile.
     pub points: u64,
-    /// The tile's fuel cost: its share of the ops the sequential run
-    /// executes over the ladder. A tile runs the loops around its iterates
-    /// as every other tile does; tile 0 alone is charged for those, so the
-    /// shares sum to the sequential count.
-    pub ops: u64,
 }
 
 /// The complete result of one program execution.
@@ -131,20 +85,16 @@ impl RunOutcome {
     /// Builds an outcome from the sequential portion of a run plus a
     /// stream of per-tile counters.
     ///
-    /// The merge is deterministic: tiles are folded in `(batch, tile)`
-    /// order, which the parallel VM assigns from the static tile
-    /// decomposition — so the aggregate is independent of worker
-    /// scheduling and thread count, and `u64` addition makes it equal to
-    /// the sequential run's counters exactly.
+    /// The counters are `u64` sums, so the total is the same in any order
+    /// (independent of worker scheduling and thread count) and equals the
+    /// sequential run's counters exactly.
     pub fn merge(
         scalars: Vec<f64>,
         base: RunStats,
         tiles: impl IntoIterator<Item = TileStats>,
     ) -> RunOutcome {
-        let mut ordered: Vec<TileStats> = tiles.into_iter().collect();
-        ordered.sort_by_key(|t| (t.batch, t.tile));
         let mut stats = base;
-        for t in &ordered {
+        for t in tiles {
             stats.loads += t.loads;
             stats.stores += t.stores;
             stats.flops += t.flops;
@@ -195,13 +145,14 @@ pub trait Executor {
         self.execute(&mut NoopObserver)
     }
 
-    /// Installs resource budgets for subsequent [`Executor::execute`]
-    /// calls. Both engines implement this (there is deliberately no
-    /// silently-ignoring default): when fuel or the deadline runs out the
-    /// run stops with an [`ExecError`] of kind
-    /// [`Fuel`](crate::ErrorKind::Fuel) or
-    /// [`Deadline`](crate::ErrorKind::Deadline).
-    fn set_limits(&mut self, limits: ExecLimits);
+    /// Sets the wall-clock instant after which subsequent
+    /// [`Executor::execute`] calls stop, or `None` for no deadline. Both
+    /// engines implement this (there is deliberately no
+    /// silently-ignoring default). A run checks the deadline once before
+    /// its first op, so one that has already passed always fails, then
+    /// polls it periodically; when it passes the run stops with an
+    /// [`ExecError`] of kind [`Deadline`](crate::ErrorKind::Deadline).
+    fn set_deadline(&mut self, deadline: Option<Instant>);
 }
 
 /// Selects an execution engine by name.
@@ -214,7 +165,7 @@ pub trait Executor {
 /// Results are `f64::to_bits`-identical to [`Engine::Interp`] at every
 /// setting: reductions fold each strip in iteration order, a reduction
 /// nest's tiles log their terms and the logs are folded in tile order,
-/// tile counters merge in deterministic tile order. No
+/// and the tile counters are `u64` sums of the sequential run's. No
 /// VM name constructs (a [`Verify`](crate::ErrorKind::Verify) error with
 /// the verifier's diagnostics) if the proof — which bounds every element
 /// access and independently re-derives every superinstruction and lane
@@ -486,7 +437,6 @@ mod tests {
             stores: 5,
             flops: 7,
             points: 5,
-            ops: 40,
         };
         let b = TileStats {
             batch: 0,
@@ -495,7 +445,6 @@ mod tests {
             stores: 1,
             flops: 3,
             points: 1,
-            ops: 9,
         };
         let base = RunStats {
             loads: 100,

@@ -8,6 +8,7 @@
 
 use crate::ir::{EExpr, ElemRef, LStmt, LoopNest, ScalarProgram};
 use std::fmt;
+use std::time::Instant;
 use zlang::ast::{BinOp, ReduceOp, UnOp};
 use zlang::ir::{ArrayId, ConfigBinding, Offset, RegionId, ScalarExpr, ScalarId};
 
@@ -168,9 +169,8 @@ pub enum ErrorKind {
     /// The bytecode compiler cannot lower the program (e.g. rank above the
     /// VM's limit).
     Lower,
-    /// The instruction/step fuel budget ran out.
-    Fuel,
-    /// The wall-clock deadline passed mid-execution.
+    /// The wall-clock deadline passed, before the run started or
+    /// mid-execution.
     Deadline,
     /// The engine trapped (an internal invariant failed at run time, or an
     /// injected fault).
@@ -185,8 +185,8 @@ pub enum ErrorKind {
     Other,
 }
 
-/// An execution error (out-of-region access, lowering failure, budget
-/// exhaustion, trap, verification rejection, or comm failure).
+/// An execution error (out-of-region access, lowering failure, passed
+/// deadline, trap, verification rejection, or comm failure).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExecError {
     /// Which class of failure this is.
@@ -212,14 +212,6 @@ impl ExecError {
     /// A lowering (bytecode compilation) error.
     pub fn lower(message: impl Into<String>) -> Self {
         ExecError::new(ErrorKind::Lower, message)
-    }
-
-    /// A fuel-exhaustion error.
-    pub fn fuel() -> Self {
-        ExecError::new(
-            ErrorKind::Fuel,
-            "execution fuel exhausted (raise the step budget)",
-        )
     }
 
     /// A deadline-exceeded error.
@@ -327,10 +319,7 @@ pub struct Interp<'p> {
     next_base: u64,
     /// `(dim, value)` bindings from enclosing `LStmt::Outer` loops.
     outer_bound: Vec<(u8, i64)>,
-    limits: crate::exec::ExecLimits,
-    /// Remaining fuel for the current run (`u64::MAX` when unlimited);
-    /// one unit is charged per loop-nest iteration point.
-    fuel_left: u64,
+    deadline: Option<Instant>,
     /// Points executed this run, used to pace the deadline check.
     ticks: u64,
 }
@@ -348,37 +337,36 @@ impl<'p> Interp<'p> {
             stats: RunStats::default(),
             next_base: 4096,
             outer_bound: Vec::new(),
-            limits: crate::exec::ExecLimits::none(),
-            fuel_left: u64::MAX,
+            deadline: None,
             ticks: 0,
         }
     }
 
-    /// Sets the resource budgets for subsequent runs; see
-    /// [`ExecLimits`](crate::exec::ExecLimits). One unit of fuel is one
-    /// loop-nest iteration point.
-    pub fn set_limits(&mut self, limits: crate::exec::ExecLimits) {
-        self.limits = limits;
+    /// Sets the wall-clock instant after which subsequent runs stop with
+    /// a [`Deadline`](ErrorKind::Deadline) error, or `None` for no
+    /// deadline. [`Interp::run`] checks it once before the first
+    /// statement, then every 4096 loop-nest iteration points.
+    pub fn set_deadline(&mut self, deadline: Option<Instant>) {
+        self.deadline = deadline;
     }
 
-    /// Charges one iteration point against the budgets.
+    /// Counts one iteration point, polling the deadline.
     #[inline]
     fn spend_point(&mut self) -> Result<(), ExecError> {
-        if self.fuel_left == 0 {
-            return Err(ExecError::fuel());
-        }
-        self.fuel_left -= 1;
         self.ticks += 1;
         // The deadline needs a clock read, so check it only every 4096
         // points — more than often enough at nanoseconds per point.
         if self.ticks & 0xFFF == 0 {
-            if let Some(d) = self.limits.deadline {
-                if std::time::Instant::now() >= d {
-                    return Err(ExecError::deadline());
-                }
-            }
+            self.check_deadline()?;
         }
         Ok(())
+    }
+
+    fn check_deadline(&self) -> Result<(), ExecError> {
+        match self.deadline {
+            Some(d) if Instant::now() >= d => Err(ExecError::deadline()),
+            _ => Ok(()),
+        }
     }
 
     /// Executes the program, reporting accesses to `obs`.
@@ -386,9 +374,11 @@ impl<'p> Interp<'p> {
     /// # Errors
     ///
     /// Returns [`ExecError`] on an out-of-region array access (declare
-    /// arrays with halos large enough for their `@` offsets).
+    /// arrays with halos large enough for their `@` offsets), or when the
+    /// deadline ([`Interp::set_deadline`]) has passed, before the first
+    /// statement or at a poll.
     pub fn run(&mut self, obs: &mut (impl Observer + ?Sized)) -> Result<RunStats, ExecError> {
-        self.fuel_left = self.limits.fuel.unwrap_or(u64::MAX);
+        self.check_deadline()?;
         self.ticks = 0;
         let stmts = &self.prog.stmts;
         self.exec_stmts(stmts, obs)?;
@@ -802,8 +792,8 @@ impl crate::exec::Executor for Interp<'_> {
         Ok(crate::exec::RunOutcome::new(self.scalars.clone(), stats))
     }
 
-    fn set_limits(&mut self, limits: crate::exec::ExecLimits) {
-        Interp::set_limits(self, limits);
+    fn set_deadline(&mut self, deadline: Option<Instant>) {
+        Interp::set_deadline(self, deadline);
     }
 }
 

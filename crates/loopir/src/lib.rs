@@ -23,7 +23,7 @@ mod simd;
 pub mod verifier;
 pub mod vm;
 
-pub use exec::{Engine, ExecLimits, ExecOpts, Executor, RunOutcome, TileStats};
+pub use exec::{Engine, ExecOpts, Executor, RunOutcome, TileStats};
 pub use interp::{
     ErrorKind, ExecError, Interp, NoopObserver, Observer, RunStats, Strip, StripAccess, StripEvent,
 };

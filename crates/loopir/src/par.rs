@@ -41,9 +41,11 @@
 //!   are overridden), with a private register frame and index vector;
 //! * writes land in disjoint slices of the shared arrays (the compiler's
 //!   proof), so the array contents equal the sequential run's bit for bit;
-//! * per-tile counters return as [`TileStats`] keyed by tile index and
-//!   merge in that order ([`RunOutcome::merge`](crate::RunOutcome::merge));
-//!   errors resolve to the lowest-indexed failing tile.
+//! * per-tile counters return as [`TileStats`] keyed by tile index, in
+//!   that order; they are `u64` sums, so
+//!   [`RunOutcome::merge`](crate::RunOutcome::merge) totals them the same
+//!   in any order;
+//! * errors resolve to the lowest-indexed failing tile.
 //!
 //! Reductions tile too, without giving up a bit. IEEE-754 addition is not
 //! associative, so a tile must not fold its own partial accumulator: the
@@ -351,12 +353,6 @@ struct Batch {
     /// Snapshot of the index vector at the `ParBegin`.
     idx: [i64; MAX_RANK],
     views: Vec<ArrayView>,
-    /// The pcs one iterate of the partitioned loop runs: its body and its
-    /// `IdxStep`. Every tile runs its own iterates of them; every other op
-    /// of the ladder each tile runs as the sequential run does, for the
-    /// whole ladder, so tile 0 alone is charged for those: the tiles'
-    /// `ops` sum to the sequential op count.
-    split: std::ops::Range<usize>,
     deadline: Option<Instant>,
     batch_id: u32,
     /// Lane width for `Op::SimdBegin` loops inside the ladder (`< 2`
@@ -506,15 +502,6 @@ pub(crate) fn run_ladder(
     let info = &code.pars[par];
     let tiles = make_tiles(info, pool.threads());
     let n = tiles.len();
-    let ladder = info.entry as usize..info.exit as usize;
-    let at = |want: fn(&Op, u8) -> bool| {
-        ladder
-            .clone()
-            .find(|&pc| want(&code.ops[pc], info.dim))
-            .unwrap_or(ladder.start)
-    };
-    let split = at(|op, d| matches!(*op, Op::SetIdx { d: sd, .. } if sd == d)) + 1
-        ..at(|op, d| matches!(*op, Op::IdxStep { d: sd, .. } if sd == d)) + 1;
     let views = arrays
         .iter_mut()
         .map(|a| match a {
@@ -541,7 +528,6 @@ pub(crate) fn run_ladder(
         frame: frame.to_vec(),
         idx: *idx,
         views,
-        split,
         deadline,
         batch_id,
         lanes,
@@ -611,21 +597,13 @@ fn run_tile(
         views: &b.views,
     };
     let mut n = RunStats::default();
-    // What the tile is charged (see `Batch::split`), and what it ran.
-    let charged = |pc: usize| ti == 0 || b.split.contains(&pc);
-    let mut ops_done = 0u64;
     let mut ticks = 0u64;
     while pc != exit {
         let op = ops[pc];
-        ops_done += charged(pc) as u64;
         pc += 1;
         ticks += 1;
-        if ticks & 0x1FFF == 0 {
-            if let Some(d) = b.deadline {
-                if Instant::now() >= d {
-                    return Err(ExecError::deadline());
-                }
-            }
+        if ticks & 0x1FFF == 0 && b.deadline.is_some_and(|d| Instant::now() >= d) {
+            return Err(ExecError::deadline());
         }
         if body_op(
             op,
@@ -667,7 +645,6 @@ fn run_tile(
                 // the run spans the tile's rows and ends at the tile's
                 // stop; further out, the run is the sequential VM's.
                 if b.lanes >= 2 {
-                    let first = pc - 1;
                     let run = simd::run_lanes(
                         code,
                         &code.simds[simd as usize],
@@ -682,9 +659,6 @@ fn run_tile(
                         &mut NoopObserver,
                     )?;
                     if let Some(run) = run {
-                        // A run entered outside the split is the
-                        // partitioned loop itself: its `SetIdx` is shared.
-                        ops_done += run.ops - !charged(first) as u64;
                         book_lane_run(&run, &mut n);
                         idx = run.idx;
                         pc = run.resume as usize;
@@ -702,7 +676,6 @@ fn run_tile(
             stores: n.stores,
             flops: n.flops,
             points: n.points,
-            ops: ops_done,
         },
         final_idx: idx,
     })

@@ -1228,10 +1228,6 @@ pub(crate) struct LaneRun {
     pub stores: u64,
     pub flops: u64,
     pub points: u64,
-    /// What the scalar dispatcher would have executed from the op after
-    /// the `SimdBegin` (which the caller has dispatched, and charged) to
-    /// `resume`, for fuel accounting.
-    pub ops: u64,
     /// pc past the `IdxStep` of the outermost loop the run covered.
     pub resume: u32,
     /// The index vector as those loops would have left it.
@@ -2095,7 +2091,7 @@ fn assert_in_place_reads(code: &Code, info: &SimdInfo, streams: &[Stream]) {
 }
 
 /// Finishes a run: registers and index vector as the scalar loops would
-/// have left them, and the scalar dispatcher's op count.
+/// have left them.
 fn leave<M>(cx: StripCtx<'_, M>) -> LaneRun {
     let StripCtx {
         info,
@@ -2116,20 +2112,13 @@ fn leave<M>(cx: StripCtx<'_, M>) -> LaneRun {
         regs[info.lane_regs[slot as usize] as usize] = file[from as usize * plan.w + last];
     }
     run.idx[info.dim as usize] = plan.stop;
-    // Per row: `SimdBegin`, `SetIdx`, then body and `IdxStep` per
-    // iteration; the caller dispatched the first `SimdBegin` itself.
-    let row = 2 + plan.cols as u64 * (info.exit - info.head) as u64;
-    match plan.outer {
+    run.resume = match plan.outer {
         Some((rows, stop)) => {
             run.idx[rows.dim as usize] = stop;
-            run.ops = plan.rows as u64 * (row + 1) - 1; // + the outer `IdxStep`
-            run.resume = rows.exit;
+            rows.exit
         }
-        None => {
-            run.ops = row - 1;
-            run.resume = info.exit;
-        }
-    }
+        None => info.exit,
+    };
     run
 }
 

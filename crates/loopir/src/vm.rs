@@ -35,13 +35,14 @@
 //! ```
 
 use crate::bytecode::{self, Check, Code, Op, MAX_LANES, MAX_RANK};
-use crate::exec::{ExecLimits, Executor, RunOutcome, TileStats};
+use crate::exec::{Executor, RunOutcome, TileStats};
 use crate::interp::{binop, ExecError, Observer, RunStats};
 use crate::ir::ScalarProgram;
 use crate::par::Lease;
 use crate::simd::{self, ElemMem, LaneRun, LaneScratch, VmMem};
 use crate::verifier::{self, VerifyDiagnostic};
 use std::sync::Arc;
+use std::time::Instant;
 use testkit::faults::{self, FaultSite};
 use zlang::ast::ReduceOp;
 use zlang::ir::{ArrayId, ConfigBinding};
@@ -116,7 +117,7 @@ pub struct Vm {
     stats: RunStats,
     next_base: u64,
     verified: bool,
-    limits: ExecLimits,
+    deadline: Option<Instant>,
     par: Option<Lease>,
     tile_log: Vec<TileStats>,
     /// Strip width for `Op::SimdBegin` loops (effective only once verified;
@@ -218,7 +219,7 @@ impl Vm {
             stats: RunStats::default(),
             next_base: 4096,
             verified,
-            limits: ExecLimits::none(),
+            deadline: None,
             par: None,
             tile_log: Vec::new(),
             lanes: MAX_LANES,
@@ -245,7 +246,7 @@ impl Vm {
     /// Results are bit-identical to the sequential run for every thread
     /// count: tiles partition the writes, a reducing ladder's tiles log
     /// their terms and the logs are folded in tile order, and the
-    /// per-tile counters merge in deterministic tile order.
+    /// per-tile counters sum to the sequential run's.
     pub fn set_threads(&mut self, threads: usize) {
         let threads = if threads == 0 {
             std::thread::available_parallelism()
@@ -282,12 +283,16 @@ impl Vm {
         &self.tile_log
     }
 
-    /// Sets the resource budgets for subsequent runs; see [`ExecLimits`].
-    /// One unit of fuel is one op of the compiled stream. The budget checks run
-    /// in a separate monomorphization of the dispatch loop, so unlimited
-    /// runs pay nothing for the feature.
-    pub fn set_limits(&mut self, limits: ExecLimits) {
-        self.limits = limits;
+    /// Sets the wall-clock instant after which subsequent runs stop with
+    /// a [`Deadline`](crate::ErrorKind::Deadline) error, or `None` for no
+    /// deadline. [`Vm::run`] checks it once before the first op, so a
+    /// deadline that has already passed fails every run, at any width;
+    /// after that the dispatch loop, each lane run and each tile poll the
+    /// clock every few thousand ops. The polls run in a separate
+    /// monomorphization of the dispatch loop, so runs without a deadline
+    /// pay nothing for the feature.
+    pub fn set_deadline(&mut self, deadline: Option<Instant>) {
+        self.deadline = deadline;
     }
 
     /// Runs the [bytecode verifier](crate::verifier) over the compiled
@@ -331,27 +336,29 @@ impl Vm {
     ///
     /// # Errors
     ///
-    /// Returns [`ExecError`] on an out-of-region array access.
+    /// Returns [`ExecError`] on an out-of-region array access, or when the
+    /// deadline ([`Vm::set_deadline`]) has passed, before the first op or
+    /// at a poll.
     pub fn run<O: Observer + ?Sized>(&mut self, obs: &mut O) -> Result<RunOutcome, ExecError> {
         // Clone the `Arc` into a local so op fetch and access resolution
         // do not re-read through `self` (which the stat and register
         // writes below mutate) on every dispatch.
         let code = Arc::clone(&self.code);
-        if self.limits.is_unlimited() {
-            self.dispatch::<O, false>(&code, obs)
-        } else {
-            self.dispatch::<O, true>(&code, obs)
+        match self.deadline {
+            None => self.dispatch::<O, false>(&code, obs),
+            Some(d) if Instant::now() >= d => Err(ExecError::deadline()),
+            Some(_) => self.dispatch::<O, true>(&code, obs),
         }
     }
 
     /// The dispatch loop, monomorphized over the observer and over whether
-    /// resource budgets are active. It owns control flow, allocation and
-    /// loop bookkeeping; every straight-line op of a fused loop body goes
+    /// a deadline is set. It owns control flow, allocation and loop
+    /// bookkeeping; every straight-line op of a fused loop body goes
     /// through [`body_op`], bounds-checked, whether or not the program was
-    /// verified. `FUELED` charges one fuel unit per instruction and polls
-    /// the wall-clock deadline every 8192 instructions; unbudgeted runs
-    /// take the `FUELED = false` monomorphization and pay nothing.
-    fn dispatch<O: Observer + ?Sized, const FUELED: bool>(
+    /// verified. `TIMED` polls the wall-clock deadline every 8192
+    /// instructions; runs without a deadline take the `TIMED = false`
+    /// instantiation and pay nothing.
+    fn dispatch<O: Observer + ?Sized, const TIMED: bool>(
         &mut self,
         code: &Arc<Code>,
         obs: &mut O,
@@ -381,7 +388,7 @@ impl Vm {
         // A `vm-par` run's lane runs use the pool's coordinator lane file,
         // which outlives this `Vm`; tiles on this thread use it too.
         let mut pool = par.as_deref_mut();
-        let limits = self.limits;
+        let deadline = self.deadline;
         let mut idx = self.idx;
         let mut mem = VmMem {
             code: code.as_ref(),
@@ -390,23 +397,14 @@ impl Vm {
         let mut batch_tiles: Vec<TileStats> = Vec::new();
         let mut next_batch = 0u32;
         let mut n = RunStats::default();
-        let mut fuel_left = limits.fuel.unwrap_or(u64::MAX);
         let mut ticks = 0u64;
         let ops = &code.ops[..];
         let mut pc = 0usize;
         let res: Result<(), ExecError> = loop {
-            if FUELED {
-                if fuel_left == 0 {
-                    break Err(ExecError::fuel());
-                }
-                fuel_left -= 1;
+            if TIMED {
                 ticks += 1;
-                if ticks & 0x1FFF == 0 {
-                    if let Some(d) = limits.deadline {
-                        if std::time::Instant::now() >= d {
-                            break Err(ExecError::deadline());
-                        }
-                    }
+                if ticks & 0x1FFF == 0 && deadline.is_some_and(|d| Instant::now() >= d) {
+                    break Err(ExecError::deadline());
                 }
             }
             let op = ops[pc];
@@ -446,7 +444,6 @@ impl Vm {
                         .as_deref_mut()
                         .filter(|_| fans_out && code.pars[pi as usize].tiles())
                     {
-                        let mark = batch_tiles.len();
                         let r = crate::par::run_ladder(
                             pool,
                             code,
@@ -454,7 +451,7 @@ impl Vm {
                             regs,
                             &idx,
                             mem.arrays,
-                            limits.deadline,
+                            deadline,
                             next_batch,
                             lane_want,
                             &mut batch_tiles,
@@ -463,19 +460,6 @@ impl Vm {
                         match r {
                             Ok(final_idx) => idx = final_idx,
                             Err(e) => break Err(e),
-                        }
-                        if FUELED {
-                            // Worker instructions draw from the same fuel
-                            // budget as the coordinator's; each tile
-                            // reports its share of the ladder's sequential
-                            // op count and the batch total is deducted
-                            // here, deterministically: a budget means the
-                            // same at every thread count.
-                            let used: u64 = batch_tiles[mark..].iter().map(|t| t.ops).sum();
-                            if used > fuel_left {
-                                break Err(ExecError::fuel());
-                            }
-                            fuel_left -= used;
                         }
                         pc = code.pars[pi as usize].exit as usize;
                     }
@@ -564,7 +548,7 @@ impl Vm {
                             &mut mem,
                             pool.as_deref_mut()
                                 .map_or(&mut *simd_scratch, |p| &mut p.scratch),
-                            limits.deadline,
+                            deadline,
                             None,
                             obs,
                         );
@@ -574,15 +558,6 @@ impl Vm {
                                 book_lane_run(&run, &mut n);
                                 idx = run.idx;
                                 pc = run.resume as usize;
-                                if FUELED {
-                                    // Lanes draw exactly the fuel the
-                                    // scalar dispatcher would have, so a
-                                    // budget means the same at any width.
-                                    if run.ops > fuel_left {
-                                        break Err(ExecError::fuel());
-                                    }
-                                    fuel_left -= run.ops;
-                                }
                             }
                             Ok(None) => {} // width below 2: stay scalar
                         }
@@ -877,8 +852,8 @@ impl Executor for Vm {
         self.run(obs)
     }
 
-    fn set_limits(&mut self, limits: ExecLimits) {
-        Vm::set_limits(self, limits);
+    fn set_deadline(&mut self, deadline: Option<Instant>) {
+        Vm::set_deadline(self, deadline);
     }
 }
 

@@ -15,11 +15,11 @@
 
 use crate::comm::{CommPolicy, CommStats, CommTracker};
 use loopir::{
-    Engine, ExecError, ExecLimits, ExecOpts, Executor, LoopNest, Observer, RunOutcome, RunStats,
-    ScalarProgram,
+    Engine, ExecError, ExecOpts, Executor, LoopNest, Observer, RunOutcome, RunStats, ScalarProgram,
 };
 use machine::presets::Machine;
 use machine::sim::{MemSim, MemStats};
+use std::time::Instant;
 use zlang::ir::{ConfigBinding, Program};
 
 /// Configuration of one simulated run: the machine model
@@ -47,8 +47,8 @@ pub struct ExecConfig {
     /// (`loopir::Observer::strip`) — every simulated number is the same to
     /// the bit under every engine at every width.
     pub opts: ExecOpts,
-    /// Resource budgets the wrappers apply to the engine (fuel, deadline).
-    pub limits: ExecLimits,
+    /// The deadline the wrappers set on the engine, or `None`.
+    pub deadline: Option<Instant>,
 }
 
 impl ExecConfig {
@@ -62,20 +62,20 @@ impl ExecConfig {
             policy: CommPolicy::default(),
             engine: Engine::default(),
             opts: ExecOpts::default(),
-            limits: ExecLimits::none(),
+            deadline: None,
         }
     }
 
     /// The simulation config a [`RunRequest`](fusion_core::RunRequest)
     /// describes, on `machine` with `procs` processors: the engine, its
     /// knobs ([`exec_opts`](fusion_core::RunRequest::exec_opts), whole)
-    /// and the limits come from the request (the limits' deadline clock
+    /// and the deadline come from the request (the deadline's clock
     /// starts at this call), the communication policy stays default.
     pub fn from_request(req: &fusion_core::RunRequest, machine: Machine, procs: u64) -> Self {
         ExecConfig {
             engine: req.engine,
             opts: req.exec_opts(),
-            limits: req.limits(),
+            deadline: req.deadline_from_now(),
             ..ExecConfig::new(machine, procs)
         }
     }
@@ -213,7 +213,7 @@ impl Observer for Simulation<'_> {
     }
 }
 
-/// Runs `exec` — whatever built it, at whatever knobs and limits it
+/// Runs `exec` — whatever built it, at whatever knobs and deadline it
 /// carries — under the machine model of `cfg` (`machine`, `procs` and
 /// `policy`; nothing else of `cfg` is read). `sp` and `binding` are the
 /// scalarized program and the binding `exec` was built over: each nest id
@@ -221,8 +221,8 @@ impl Observer for Simulation<'_> {
 ///
 /// # Errors
 ///
-/// Propagates engine errors (out-of-region accesses, exhausted fuel or
-/// deadline budgets), and reports an unrecoverable injected
+/// Propagates engine errors (out-of-region accesses, a passed
+/// deadline), and reports an unrecoverable injected
 /// communication failure as an error of kind
 /// [`Comm`](loopir::ErrorKind::Comm).
 pub fn simulate_executor(
@@ -265,7 +265,7 @@ pub fn simulate_outcome(
     cfg: &ExecConfig,
 ) -> Result<(RunOutcome, SimResult), ExecError> {
     let mut exec = cfg.engine.executor_with(sp, binding.clone(), cfg.opts)?;
-    exec.set_limits(cfg.limits);
+    exec.set_deadline(cfg.deadline);
     simulate_executor(&mut *exec, sp, &binding, cfg)
 }
 
@@ -488,14 +488,17 @@ mod tests {
     }
 
     #[test]
-    fn fuel_budget_applies_to_simulated_runs() {
+    fn deadline_applies_to_simulated_runs() {
         let sp = program(SRC, Level::Baseline);
-        let cfg = ExecConfig {
-            limits: ExecLimits::none().with_fuel(10),
-            ..ExecConfig::new(t3e(), 1)
-        };
-        let err = simulate(&sp, ConfigBinding::defaults(&sp.program), &cfg).unwrap_err();
-        assert_eq!(err.kind, loopir::ErrorKind::Fuel);
+        for engine in [Engine::Interp, Engine::Vm] {
+            let cfg = ExecConfig {
+                engine,
+                deadline: Some(Instant::now()),
+                ..ExecConfig::new(t3e(), 1)
+            };
+            let err = simulate(&sp, ConfigBinding::defaults(&sp.program), &cfg).unwrap_err();
+            assert_eq!(err.kind, loopir::ErrorKind::Deadline, "{engine}");
+        }
     }
 
     #[test]

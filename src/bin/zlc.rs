@@ -54,9 +54,8 @@
 //!   --supervise                   run under the fault-tolerant supervisor
 //!                                 (degrades engine/level on faults)
 //!   --deadline-ms <n>             wall-clock budget per run (shared by
-//!                                 the budgeted attempts under --supervise)
-//!   --fuel <n>                    instruction budget per run (per attempt
-//!                                 under --supervise)
+//!                                 the budgeted attempts under --supervise;
+//!                                 0 always runs out)
 //!   --inject <plan>               install a deterministic fault plan, e.g.
 //!                                 `seed=42,vm-trap` or `seed=1,comm-drop:0.5`
 //!
@@ -86,10 +85,11 @@
 //! every mode, so are the knobs the engine name pins: `--threads` under
 //! `interp`, `vm` and `vm-simd`, `--lanes` under `interp` and `vm` — with
 //! or without `--machine`. The removed `--retries`, `--shed
-//! drop-oldest`, `--dimension-contraction` and `--spatial-cap` are usage
-//! errors that name what replaced them: a key whose artifact faults at
-//! execution is quarantined, not retried; dimension contraction is the
-//! `+dim` level suffix; the stream cap had no gain to keep.
+//! drop-oldest`, `--dimension-contraction`, `--spatial-cap` and the
+//! step budget are usage errors that name what replaced them: a key
+//! whose artifact faults at execution is quarantined, not retried;
+//! dimension contraction is the `+dim` level suffix; the stream cap had
+//! no gain to keep; `--deadline-ms` is the one execution budget.
 //!
 //! The plain mode lowers at most once: `--verify`, `--print bytecode` and
 //! `--run` share one `SharedProgram::lower`, and `--machine` only chooses
@@ -136,7 +136,7 @@ fn usage(msg: &str) -> ExitCode {
          \x20          [--verify] [--run] [--engine interp|vm|vm-simd|vm-par]\n\
          \x20          [--threads N (vm-par)] [--lanes 0..128 (vm-simd|vm-par)]\n\
          \x20          [--machine t3e|sp2|paragon] [--procs P] [--set name=value]...\n\
-         \x20          [--supervise] [--deadline-ms N] [--fuel N] [--inject PLAN]\n\
+         \x20          [--supervise] [--deadline-ms N] [--inject PLAN]\n\
          \x20      zlc serve <file.zl>... [--requests N] [--workers N] [--queue-cap N]\n\
          \x20          [--shed reject-newest|block] [run options]\n\
          \x20      zlc --list-engines | --list-passes",
@@ -269,12 +269,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                 opts.request =
                     std::mem::take(&mut opts.request).with_deadline(Duration::from_millis(ms));
             }
-            "--fuel" => {
-                let fuel = value("--fuel")?
-                    .parse()
-                    .map_err(|_| "bad fuel".to_string())?;
-                opts.request = std::mem::take(&mut opts.request).with_fuel(fuel);
-            }
             "--inject" => opts.inject = Some(value("--inject")?),
             "--requests" => {
                 opts.requests = value("--requests")?
@@ -314,6 +308,13 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                     "`--spatial-cap` was removed: the stream cap on pairwise fusion \
                             had no resolved gain on the lane tier (EXPERIMENTS.md, \
                             \"Ablations\"); remove the flag"
+                        .to_string(),
+                )
+            }
+            "--fuel" => {
+                return Err(
+                    "`--fuel` was removed: the wall-clock deadline is the one execution \
+                            budget; use `--deadline-ms <n>` (0 always runs out)"
                         .to_string(),
                 )
             }
@@ -515,7 +516,7 @@ fn run_serve(opts: &Options) -> ExitCode {
     // In serve mode `--deadline-ms` is the total admission-to-completion
     // deadline: queue wait is charged against it, and the supervisor gets
     // only the remainder as the run's wall-clock budget.
-    let deadline = opts.request.budgets.deadline;
+    let deadline = opts.request.deadline;
     let batch: Vec<ServeRequest> = (0..total)
         .map(|i| {
             let (name, source) = &programs[i % programs.len()];
@@ -719,7 +720,7 @@ fn main() -> ExitCode {
             Some(Err(e)) => return fail("exec", &e.to_string(), Some(&opts.file)),
             None => Box::new(Interp::new(&opt.scalarized, binding.clone())),
         };
-        exec.set_limits(opts.request.limits());
+        exec.set_deadline(opts.request.deadline_from_now());
         let program = &opt.scalarized.program;
         match opts.machine {
             None => match exec.execute(&mut loopir::NoopObserver) {

@@ -12,7 +12,6 @@
 //! without touching the source.
 
 use fusion_core::pipeline::{Level, Pipeline};
-use fusion_core::supervisor::Budgets;
 use fusion_core::RunRequest;
 use loopir::{Engine, NoopObserver};
 use machine::presets::MachineKind;
@@ -33,21 +32,19 @@ fn chaos_seed() -> u64 {
 }
 
 /// The fault classes the ladder must survive. Injected sites come from the
-/// fault plan; `Fuel` and `Deadline` are budget exhaustions with no site.
+/// fault plan; `Deadline` is a zero deadline, with no site.
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum FaultClass {
     Inject(FaultSite),
-    Fuel,
     Deadline,
 }
 
-const CLASSES: [FaultClass; 7] = [
+const CLASSES: [FaultClass; 6] = [
     FaultClass::Inject(FaultSite::FuseGrow),
     FaultClass::Inject(FaultSite::VerifyReject),
     FaultClass::Inject(FaultSite::VmTrap),
     FaultClass::Inject(FaultSite::CommDrop),
     FaultClass::Inject(FaultSite::CommDup),
-    FaultClass::Fuel,
     FaultClass::Deadline,
 ];
 
@@ -100,22 +97,15 @@ fn run_supervised(
 /// has the whole ladder to fall down. Comm fault classes attach the
 /// machine-simulation backend.
 fn supervised(program: &Program, class: FaultClass) -> fusion_core::Supervised {
-    let budgets = match class {
-        FaultClass::Fuel => Budgets {
-            fuel: Some(0),
-            ..Budgets::none()
-        },
-        FaultClass::Deadline => Budgets {
-            deadline: Some(Duration::ZERO),
-            ..Budgets::none()
-        },
-        FaultClass::Inject(_) => Budgets::none(),
-    };
+    let mut req = request(Engine::VmSimd);
+    if class == FaultClass::Deadline {
+        req = req.with_deadline(Duration::ZERO);
+    }
     let sim = matches!(
         class,
         FaultClass::Inject(FaultSite::CommDrop) | FaultClass::Inject(FaultSite::CommDup)
     );
-    run_supervised(&request(Engine::VmSimd).with_budgets(budgets), program, sim)
+    run_supervised(&req, program, sim)
         .unwrap_or_else(|e| panic!("supervisor must survive {class:?}:\n{}", e.report.render()))
 }
 
@@ -186,13 +176,8 @@ fn run_class(program: &Program, source: &str, class: FaultClass, want: (u64, u64
         FaultClass::Inject(FaultSite::CommDup) => {
             assert!(!run.report.degraded(), "{}", run.report.render());
         }
-        // Budget exhaustion drains every budgeted rung; only the
+        // A passed deadline drains every budgeted rung; only the
         // unbudgeted reference survives.
-        FaultClass::Fuel => {
-            assert!(run.report.mentions("fuel"), "{}", run.report.render());
-            assert_eq!(run.report.final_spec, Level::Baseline.into());
-            assert_eq!(run.report.final_engine, Engine::Interp);
-        }
         FaultClass::Deadline => {
             assert!(run.report.mentions("deadline"), "{}", run.report.render());
             assert_eq!(run.report.final_spec, Level::Baseline.into());

@@ -266,18 +266,18 @@ fn supervised_run_with_injected_trap_degrades_and_succeeds() {
 }
 
 #[test]
-fn supervised_zero_fuel_still_produces_the_answer() {
+fn supervised_zero_deadline_still_produces_the_answer() {
     let (stdout, stderr, ok) = zlc(&[
         &program_path("heat.zl"),
         "--supervise",
-        "--fuel",
+        "--deadline-ms",
         "0",
         "--set",
         "n=8",
     ]);
     assert!(ok, "{stderr}");
     assert!(stdout.contains("err = "), "{stdout}");
-    assert!(stdout.contains("fuel exhausted"), "{stdout}");
+    assert!(stdout.contains("deadline exceeded"), "{stdout}");
     assert!(stdout.contains("baseline on interp"), "{stdout}");
 }
 
@@ -745,6 +745,7 @@ fn removed_serve_spellings_name_their_replacement() {
                 &["--spatial-cap", "4"],
                 "no resolved gain on the lane tier (EXPERIMENTS.md, \"Ablations\")",
             ),
+            (&["--fuel", "10"], "use `--deadline-ms <n>`"),
         ] {
             let args = [mode, &[heat.as_str()], flag].concat();
             let stderr = usage_error(&args);
@@ -783,24 +784,28 @@ fn removed_serve_spellings_name_their_replacement() {
     );
 }
 
-/// Plain `--run` applies the request's budgets to its executor, like the
-/// simulated and supervised paths: zero fuel is the same `error[exec]`
-/// with or without `--machine`.
+/// Plain `--run` applies the request's deadline to its executor, like the
+/// simulated and supervised paths: a zero deadline is the same
+/// `error[exec]` with or without `--machine`, on every engine, because a
+/// run checks the deadline before its first op.
 #[test]
-fn plain_run_honours_fuel_like_the_machine_path() {
+fn plain_run_honours_a_deadline_like_the_machine_path() {
     let sweep = program_path("sweep.zl");
-    let (stdout, plain, ok) = zlc(&[&sweep, "--run", "--fuel", "0"]);
-    assert!(!ok, "{stdout}");
-    assert!(
-        plain.starts_with("error[exec]: execution error: execution fuel exhausted"),
-        "{plain}"
-    );
-    let (_, simulated, ok) = zlc(&[&sweep, "--run", "--fuel", "0", "--machine", "t3e"]);
-    assert!(!ok);
-    assert_eq!(plain, simulated);
-    let (stdout, stderr, ok) = zlc(&[&sweep, "--run", "--fuel", "100000000"]);
-    assert!(ok, "{stderr}");
-    assert!(stdout.contains("peak 16224 bytes"), "{stdout}");
+    for engine in ["interp", "vm", "vm-simd", "vm-par"] {
+        let run = [&sweep[..], "--run", "--engine", engine, "--deadline-ms"];
+        let (stdout, plain, ok) = zlc(&[&run[..], &["0"]].concat());
+        assert!(!ok, "{engine}: {stdout}");
+        assert!(
+            plain.starts_with("error[exec]: execution error: execution deadline exceeded"),
+            "{engine}: {plain}"
+        );
+        let (_, simulated, ok) = zlc(&[&run[..], &["0", "--machine", "t3e"]].concat());
+        assert!(!ok, "{engine}");
+        assert_eq!(plain, simulated, "{engine}");
+        let (stdout, stderr, ok) = zlc(&[&run[..], &["600000"]].concat());
+        assert!(ok, "{engine}: {stderr}");
+        assert!(stdout.contains("peak 16224 bytes"), "{engine}: {stdout}");
+    }
 }
 
 /// An engine name reads a knob or rejects it: `--threads` is read by

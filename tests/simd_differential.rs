@@ -24,17 +24,17 @@
 //! whole register frame held to scalar dispatch's, as it is on SIMPLE,
 //! Tomcatv and SP. One test holds what an observer is told - the cache
 //! simulator's input, access by access - to the interpreter's at every
-//! width, with the lanes running and counted. The last test holds lane
-//! fuel to the scalar dispatcher's exact op count, observed or not, and
-//! tiled at 2 and 4 threads.
+//! width, with the lanes running and counted. The last test stops lane
+//! runs and tiles at a deadline, at 1, 2 and 4 threads.
 
+use std::time::{Duration, Instant};
 use testkit::{genprog, Rng};
 use zlang::ast::{BinOp, UnOp};
 use zlang::ir::{Intrinsic, Offset, Program, ScalarId};
 use zpl_fusion::fusion::pipeline::Optimized;
 use zpl_fusion::loops::{
-    EExpr, ElemRef, ElemStmt, ErrorKind, ExecLimits, LStmt, LoopNest, ScalarProgram, SharedProgram,
-    Strip, StripEvent, TempId,
+    EExpr, ElemRef, ElemStmt, ErrorKind, LStmt, LoopNest, ScalarProgram, SharedProgram, Strip,
+    StripEvent, TempId,
 };
 use zpl_fusion::prelude::*;
 
@@ -785,98 +785,39 @@ fn lane_programs_copy_only_what_they_must() {
 }
 
 #[test]
-fn lane_fuel_is_the_scalar_count() {
-    // The least fuel that completes a run is the number of ops the scalar
-    // dispatcher executes over the one lowered stream. A lane run must
-    // charge exactly that, so a budget means the same under every VM name
-    // and at every width - and under every observer: lanes run under the
-    // cache simulator too (`observed`), at the same charge.
-    fn completes(
-        opt: &Optimized,
-        binding: &ConfigBinding,
-        (engine, threads, lanes): (Engine, usize, usize),
-        fuel: u64,
-        observed: bool,
-    ) -> bool {
-        let mut exec = engine
-            .executor_with(
-                &opt.scalarized,
-                binding.clone(),
-                ExecOpts { threads, lanes },
-            )
-            .unwrap();
-        exec.set_limits(ExecLimits::none().with_fuel(fuel));
-        let t3e = zpl_fusion::sim::presets::t3e();
-        let mut sim = zpl_fusion::sim::MemSim::new(t3e.l1, t3e.l2);
-        let ran = if observed {
-            exec.execute(&mut sim)
-        } else {
-            exec.execute(&mut NoopObserver)
-        };
-        match ran {
-            Ok(_) => true,
-            Err(e) => {
-                assert_eq!(e.kind, ErrorKind::Fuel, "{e}");
-                false
+fn a_deadline_stops_lanes_and_tiles_mid_run() {
+    // SIMPLE at n = 256 runs far longer than 1 ms at every width, so each
+    // run meets the deadline inside a lane run or a tile (or before its
+    // first op, on a slow host) and stops there. A tile stopped by the
+    // deadline still counts as done, so the pool it ran on serves the next
+    // executor of its width, which runs to the interpreter's bits.
+    let bench = zpl_fusion::workloads::by_name("simple").unwrap();
+    let opt = Pipeline::new(Level::C2F3).optimize(&bench.program());
+    let sp = &opt.scalarized;
+    let mut binding = ConfigBinding::defaults(&sp.program);
+    assert!(binding.set_by_name(&sp.program, bench.size_config, 256));
+    let want = Engine::Interp
+        .executor(sp, binding.clone())
+        .unwrap()
+        .execute(&mut NoopObserver)
+        .unwrap();
+    let shared = SharedProgram::lower(sp, binding).unwrap();
+    for threads in [1usize, 2, 4] {
+        for lanes in [1usize, 3, 128] {
+            let ctx = format!("{threads} threads x{lanes}");
+            let mut vm = shared.executor(ExecOpts { threads, lanes });
+            vm.set_deadline(Some(Instant::now() + Duration::from_millis(1)));
+            let err = vm.execute(&mut NoopObserver).unwrap_err();
+            assert_eq!(err.kind, ErrorKind::Deadline, "{ctx}: {err}");
+            drop(vm);
+            let got = shared
+                .executor(ExecOpts { threads, lanes })
+                .execute(&mut NoopObserver)
+                .unwrap();
+            for (i, (a, b)) in want.scalars.iter().zip(&got.scalars).enumerate() {
+                assert_eq!(a.to_bits(), b.to_bits(), "{ctx}: scalar {i} ({a} vs {b})");
             }
-        }
-    }
-    for bench in zpl_fusion::workloads::all() {
-        let n = match bench.rank {
-            1 => 64,
-            2 => 9,
-            _ => 5,
-        };
-        let opt = Pipeline::new(Level::C2F3).optimize(&bench.program());
-        let mut binding = ConfigBinding::defaults(&opt.scalarized.program);
-        binding.set_by_name(&opt.scalarized.program, bench.size_config, n);
-        // `vm-simd` at one lane is the scalar dispatcher over the same
-        // bytecode (what `vm` is): bisect its least fuel.
-        let scalar = (Engine::VmSimd, 1, 1);
-        let mut hi = 1u64;
-        while !completes(&opt, &binding, scalar, hi, false) {
-            hi *= 2;
-        }
-        let mut lo = hi / 2; // fails (or is 0)
-        while hi - lo > 1 {
-            let mid = lo + (hi - lo) / 2;
-            if completes(&opt, &binding, scalar, mid, false) {
-                hi = mid;
-            } else {
-                lo = mid;
-            }
-        }
-        // `vm` reads no knob: it is that scalar run whatever is asked.
-        // Tiles (`vm-par` past one thread, unobserved) each charge their
-        // share of the ladder, so they add up to the sequential count.
-        let widths = [
-            (Engine::Vm, 0, 0),
-            (Engine::VmSimd, 1, 2),
-            (Engine::VmSimd, 1, 64),
-            (Engine::VmSimd, 1, 128),
-            (Engine::VmPar, 1, 1),
-            (Engine::VmPar, 1, 64),
-            (Engine::VmPar, 2, 1),
-            (Engine::VmPar, 2, 0),
-            (Engine::VmPar, 4, 3),
-            (Engine::VmPar, 4, 0),
-        ];
-        for observed in [false, true] {
-            for at @ (engine, threads, lanes) in widths {
-                assert!(
-                    completes(&opt, &binding, at, hi, observed),
-                    "{} on {engine} x{lanes} t{threads}: {hi} ops of fuel complete the scalar \
-                     run (observed: {observed})",
-                    bench.name
-                );
-                assert!(
-                    !completes(&opt, &binding, at, hi - 1, observed),
-                    "{} on {engine} x{lanes} t{threads}: {} ops of fuel do not complete the \
-                     scalar run (observed: {observed})",
-                    bench.name,
-                    hi - 1
-                );
-            }
+            assert_eq!(want.stats, got.stats, "{ctx}: RunStats differ");
         }
     }
 }
