@@ -6,7 +6,6 @@
 //! lives on [`crate::ir::Program`] (via [`crate::ir::NameTable`]) so the
 //! symbol space travels with the program it describes.
 
-use std::collections::HashMap;
 use std::fmt;
 
 /// An interned name: a cheap, `Copy` handle into an [`Interner`].
@@ -22,21 +21,59 @@ impl fmt::Display for Symbol {
     }
 }
 
+/// Marks an empty slot of [`Interner::slots`].
+const EMPTY: u32 = u32::MAX;
+
 /// A bidirectional string ↔ [`Symbol`] table.
 ///
 /// Interning the same string twice returns the same symbol; resolution is
-/// an indexed `Vec` access.
-#[derive(Debug, Clone, Default)]
+/// a slice of one buffer. Each distinct name is stored once, in `text`;
+/// the hash table holds symbols only and compares a candidate against
+/// the buffer, so a lookup hashes the probe's bytes once with a
+/// multiply-rotate word hash and allocates nothing.
+#[derive(Clone, Default)]
 pub struct Interner {
-    names: Vec<String>,
-    map: HashMap<String, u32>,
+    /// Every interned name, back to back, in symbol order.
+    text: String,
+    /// `ends[s]` is where symbol `s`'s name ends in `text`.
+    ends: Vec<u32>,
+    /// Open-addressed table of symbols, [`EMPTY`] where none; its length
+    /// is zero or a power of two at least twice the symbol count.
+    slots: Vec<u32>,
 }
 
 impl PartialEq for Interner {
     fn eq(&self, other: &Self) -> bool {
-        // The map is derived from `names`; comparing the vector suffices.
-        self.names == other.names
+        // The slots are derived from the names; comparing those suffices.
+        self.text == other.text && self.ends == other.ends
     }
+}
+
+impl fmt::Debug for Interner {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list()
+            .entries((0..self.ends.len()).map(|i| self.resolve(Symbol(i as u32))))
+            .finish()
+    }
+}
+
+/// A word-at-a-time hash of a short byte string (names are a few bytes,
+/// so this is one to three multiplies).
+fn hash(bytes: &[u8]) -> u64 {
+    const K: u64 = 0x517c_c1b7_2722_0a95;
+    let mix = |h: u64, w: u64| (h.rotate_left(5) ^ w).wrapping_mul(K);
+    let mut words = bytes.chunks_exact(8);
+    let mut h = bytes.len() as u64;
+    for w in &mut words {
+        h = mix(h, u64::from_le_bytes(w.try_into().expect("chunks of 8")));
+    }
+    // The tail byte by byte: a copy of a variable length is a call.
+    let tail = words
+        .remainder()
+        .iter()
+        .rev()
+        .fold(0, |w, &b| w << 8 | u64::from(b));
+    mix(h, tail)
 }
 
 impl Interner {
@@ -45,20 +82,84 @@ impl Interner {
         Interner::default()
     }
 
+    /// An empty interner with room for `names` names of `bytes` bytes in
+    /// all, so interning them grows nothing.
+    pub fn with_capacity(names: usize, bytes: usize) -> Self {
+        Interner {
+            text: String::with_capacity(bytes),
+            ends: Vec::with_capacity(names),
+            slots: vec![EMPTY; (2 * names).next_power_of_two().max(16)],
+        }
+    }
+
+    /// Where symbol `i`'s name lies in `text`.
+    fn span(&self, i: u32) -> std::ops::Range<usize> {
+        let start = match i {
+            0 => 0,
+            _ => self.ends[i as usize - 1] as usize,
+        };
+        start..self.ends[i as usize] as usize
+    }
+
+    fn name(&self, i: u32) -> &[u8] {
+        &self.text.as_bytes()[self.span(i)]
+    }
+
+    /// The slot holding `bytes`' symbol, or the empty slot where it
+    /// would go. The table must not be empty.
+    fn slot(&self, bytes: &[u8]) -> usize {
+        let mask = self.slots.len() - 1;
+        let mut at = hash(bytes) as usize & mask;
+        loop {
+            let s = self.slots[at];
+            if s == EMPTY || self.name(s) == bytes {
+                return at;
+            }
+            at = (at + 1) & mask;
+        }
+    }
+
     /// Interns a name, returning its (possibly pre-existing) symbol.
     pub fn intern(&mut self, name: &str) -> Symbol {
-        if let Some(&i) = self.map.get(name) {
-            return Symbol(i);
+        if 2 * (self.ends.len() + 1) > self.slots.len() {
+            self.grow();
         }
-        let i = self.names.len() as u32;
-        self.names.push(name.to_string());
-        self.map.insert(name.to_string(), i);
+        let at = self.slot(name.as_bytes());
+        if self.slots[at] != EMPTY {
+            return Symbol(self.slots[at]);
+        }
+        let i = self.ends.len() as u32;
+        self.text.push_str(name);
+        self.ends.push(self.text.len() as u32);
+        self.slots[at] = i;
         Symbol(i)
+    }
+
+    /// Doubles the table (to 16 slots from empty) and re-slots every
+    /// symbol.
+    fn grow(&mut self) {
+        let len = (2 * self.slots.len()).max(16);
+        self.slots = vec![EMPTY; len];
+        for i in 0..self.ends.len() as u32 {
+            let at = self.slot(self.name(i));
+            self.slots[at] = i;
+        }
     }
 
     /// Looks a name up without interning it.
     pub fn get(&self, name: &str) -> Option<Symbol> {
-        self.map.get(name).map(|&i| Symbol(i))
+        self.get_bytes(name.as_bytes())
+    }
+
+    /// [`Interner::get`] for a name's bytes.
+    pub(crate) fn get_bytes(&self, name: &[u8]) -> Option<Symbol> {
+        if self.slots.is_empty() {
+            return None;
+        }
+        match self.slots[self.slot(name)] {
+            EMPTY => None,
+            s => Some(Symbol(s)),
+        }
     }
 
     /// Resolves a symbol back to its string.
@@ -67,17 +168,17 @@ impl Interner {
     ///
     /// Panics if `sym` came from a different interner (index out of range).
     pub fn resolve(&self, sym: Symbol) -> &str {
-        &self.names[sym.0 as usize]
+        &self.text[self.span(sym.0)]
     }
 
     /// The number of distinct interned names.
     pub fn len(&self) -> usize {
-        self.names.len()
+        self.ends.len()
     }
 
     /// True if nothing has been interned.
     pub fn is_empty(&self) -> bool {
-        self.names.is_empty()
+        self.ends.is_empty()
     }
 }
 
@@ -88,6 +189,7 @@ mod tests {
     #[test]
     fn intern_is_idempotent_and_resolves() {
         let mut i = Interner::new();
+        assert_eq!(i.get("alpha"), None);
         let a = i.intern("alpha");
         let b = i.intern("beta");
         assert_ne!(a, b);
@@ -97,6 +199,24 @@ mod tests {
         assert_eq!(i.get("beta"), Some(b));
         assert_eq!(i.get("gamma"), None);
         assert_eq!(i.len(), 2);
+        assert_eq!(format!("{i:?}"), r#"["alpha", "beta"]"#);
+    }
+
+    #[test]
+    fn many_names_survive_growth_in_order() {
+        let mut i = Interner::new();
+        let names: Vec<String> = (0..1000).map(|k| format!("name_{k}_x")).collect();
+        for (k, n) in names.iter().enumerate() {
+            assert_eq!(i.intern(n), Symbol(k as u32));
+        }
+        i.intern("");
+        for (k, n) in names.iter().enumerate() {
+            assert_eq!(i.get(n), Some(Symbol(k as u32)), "{n}");
+            assert_eq!(i.resolve(Symbol(k as u32)), n);
+        }
+        assert_eq!(i.get(""), Some(Symbol(1000)));
+        assert_eq!(i.resolve(Symbol(1000)), "");
+        assert_eq!(i.get("name_1000_x"), None);
     }
 
     #[test]
@@ -110,5 +230,11 @@ mod tests {
         assert_eq!(a, b);
         b.intern("z");
         assert_ne!(a, b);
+        let mut c = Interner::new();
+        c.intern("xy");
+        let mut d = Interner::new();
+        d.intern("x");
+        d.intern("y");
+        assert_ne!(c, d);
     }
 }

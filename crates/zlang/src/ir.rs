@@ -69,15 +69,14 @@ impl LinExpr {
     /// Normalizes terms: sorts by config id, merges duplicates, drops zeros.
     pub fn normalize(mut self) -> Self {
         self.terms.sort_by_key(|&(id, _)| id);
-        let mut merged: Vec<(ConfigId, i64)> = Vec::with_capacity(self.terms.len());
-        for (id, c) in self.terms {
-            match merged.last_mut() {
-                Some((last_id, last_c)) if *last_id == id => *last_c += c,
-                _ => merged.push((id, c)),
+        self.terms.dedup_by(|(id, c), (kept_id, kept_c)| {
+            let same = id == kept_id;
+            if same {
+                *kept_c += *c;
             }
-        }
-        merged.retain(|&(_, c)| c != 0);
-        self.terms = merged;
+            same
+        });
+        self.terms.retain(|&(_, c)| c != 0);
         self
     }
 
@@ -548,19 +547,28 @@ pub enum Stmt {
 }
 
 /// The program's interned name table: one [`Symbol`] per declared name,
-/// plus symbol-keyed maps to the declaration ids.
+/// and per symbol the declarations it names.
 ///
 /// Built by semantic analysis and maintained by
 /// [`Program::add_compiler_temp`], it replaces `String`-keyed `HashMap`
 /// lookups on the sema and tooling hot paths: names are hashed once at
-/// interning time; every later lookup compares a `u32`.
+/// interning time; every later lookup indexes a vector by the `u32`.
 #[derive(Debug, Clone, Default)]
 pub struct NameTable {
     interner: Interner,
-    arrays: HashMap<Symbol, ArrayId>,
-    scalars: HashMap<Symbol, ScalarId>,
-    regions: HashMap<Symbol, RegionId>,
-    configs: HashMap<Symbol, ConfigId>,
+    /// The declarations each symbol names, indexed by symbol; shorter
+    /// than the interner when the last symbols name nothing.
+    decls: Vec<Declared>,
+}
+
+/// What one name is declared as: a name can be, say, an array and a
+/// config at once in a hand-built program.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct Declared {
+    array: Option<ArrayId>,
+    scalar: Option<ScalarId>,
+    region: Option<RegionId>,
+    config: Option<ConfigId>,
 }
 
 /// Two tables are equal when they bind the same *names* to the same
@@ -570,20 +578,28 @@ pub struct NameTable {
 /// otherwise a print/re-parse round trip would spuriously differ.
 impl PartialEq for NameTable {
     fn eq(&self, other: &Self) -> bool {
-        fn by_name<'t, T: Copy>(
-            t: &'t NameTable,
-            m: &'t HashMap<Symbol, T>,
-        ) -> HashMap<&'t str, T> {
-            m.iter().map(|(&s, &id)| (t.resolve(s), id)).collect()
+        fn by_name(t: &NameTable) -> HashMap<&str, Declared> {
+            t.decls
+                .iter()
+                .enumerate()
+                .filter(|(_, d)| **d != Declared::default())
+                .map(|(i, d)| (t.resolve(Symbol(i as u32)), *d))
+                .collect()
         }
-        by_name(self, &self.arrays) == by_name(other, &other.arrays)
-            && by_name(self, &self.scalars) == by_name(other, &other.scalars)
-            && by_name(self, &self.regions) == by_name(other, &other.regions)
-            && by_name(self, &self.configs) == by_name(other, &other.configs)
+        by_name(self) == by_name(other)
     }
 }
 
 impl NameTable {
+    /// An empty table with room for `names` names of `bytes` bytes in
+    /// all.
+    pub fn with_capacity(names: usize, bytes: usize) -> Self {
+        NameTable {
+            interner: Interner::with_capacity(names, bytes),
+            decls: Vec::with_capacity(names),
+        }
+    }
+
     /// Interns a name (registering nothing), returning its symbol.
     pub fn intern(&mut self, name: &str) -> Symbol {
         self.interner.intern(name)
@@ -592,6 +608,11 @@ impl NameTable {
     /// Looks a name up without interning it.
     pub fn symbol(&self, name: &str) -> Option<Symbol> {
         self.interner.get(name)
+    }
+
+    /// [`NameTable::symbol`] for a name's bytes.
+    pub(crate) fn symbol_bytes(&self, name: &[u8]) -> Option<Symbol> {
+        self.interner.get_bytes(name)
     }
 
     /// Resolves a symbol back to its string.
@@ -603,52 +624,66 @@ impl NameTable {
         self.interner.resolve(sym)
     }
 
+    /// Interns `name` and returns its declarations to fill in.
+    fn declare(&mut self, name: &str) -> (Symbol, &mut Declared) {
+        let sym = self.interner.intern(name);
+        let i = sym.0 as usize;
+        if self.decls.len() <= i {
+            self.decls.resize(i + 1, Declared::default());
+        }
+        (sym, &mut self.decls[i])
+    }
+
+    fn declared(&self, sym: Symbol) -> Declared {
+        self.decls.get(sym.0 as usize).copied().unwrap_or_default()
+    }
+
     /// Registers an array declaration under its interned name.
     pub fn register_array(&mut self, name: &str, id: ArrayId) -> Symbol {
-        let sym = self.interner.intern(name);
-        self.arrays.insert(sym, id);
+        let (sym, d) = self.declare(name);
+        d.array = Some(id);
         sym
     }
 
     /// Registers a scalar declaration under its interned name.
     pub fn register_scalar(&mut self, name: &str, id: ScalarId) -> Symbol {
-        let sym = self.interner.intern(name);
-        self.scalars.insert(sym, id);
+        let (sym, d) = self.declare(name);
+        d.scalar = Some(id);
         sym
     }
 
     /// Registers a region declaration under its interned name.
     pub fn register_region(&mut self, name: &str, id: RegionId) -> Symbol {
-        let sym = self.interner.intern(name);
-        self.regions.insert(sym, id);
+        let (sym, d) = self.declare(name);
+        d.region = Some(id);
         sym
     }
 
     /// Registers a config declaration under its interned name.
     pub fn register_config(&mut self, name: &str, id: ConfigId) -> Symbol {
-        let sym = self.interner.intern(name);
-        self.configs.insert(sym, id);
+        let (sym, d) = self.declare(name);
+        d.config = Some(id);
         sym
     }
 
     /// The array bound to a symbol, if any.
     pub fn array(&self, sym: Symbol) -> Option<ArrayId> {
-        self.arrays.get(&sym).copied()
+        self.declared(sym).array
     }
 
     /// The scalar bound to a symbol, if any.
     pub fn scalar(&self, sym: Symbol) -> Option<ScalarId> {
-        self.scalars.get(&sym).copied()
+        self.declared(sym).scalar
     }
 
     /// The region bound to a symbol, if any.
     pub fn region(&self, sym: Symbol) -> Option<RegionId> {
-        self.regions.get(&sym).copied()
+        self.declared(sym).region
     }
 
     /// The config bound to a symbol, if any.
     pub fn config(&self, sym: Symbol) -> Option<ConfigId> {
-        self.configs.get(&sym).copied()
+        self.declared(sym).config
     }
 }
 

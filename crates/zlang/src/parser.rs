@@ -24,18 +24,40 @@
 //!
 //! A reduction's argument extends to the end of the additive expression, so
 //! `+<< [R] A + B` reduces `A + B`; parenthesize to reduce less.
+//!
+//! # Nesting limit
+//!
+//! Every stage after the parser walks the program recursively, and a
+//! thread's stack cannot be grown or its overflow caught, so the parser
+//! bounds how deeply a program nests: a `for` or `if` block, a
+//! parenthesized group, a call's argument list, a reduction's argument
+//! and a unary minus each open one level, and at most [`MAX_NESTING`]
+//! levels may be open at once. The construct that opens one level more is
+//! a parse error at its first token.
 
 use crate::ast::*;
 use crate::error::{Error, Pos};
 use crate::token::{Token, TokenKind};
 
+/// How many blocks and expression groups may be open at once (see the
+/// module docs). A program at the limit compiles and runs on a thread
+/// with a 2 MB stack on every engine.
+pub const MAX_NESTING: u32 = 256;
+
 struct Parser<'a> {
     toks: &'a [Token],
     i: usize,
+    /// Blocks and expression groups open at the current token.
+    depth: u32,
+    exprs: Vec<Expr>,
+    args: Vec<ExprId>,
+    offsets: Vec<i64>,
+    /// Arguments of the calls being parsed, innermost call's last.
+    pending: Vec<ExprId>,
 }
 
 impl<'a> Parser<'a> {
-    fn peek(&self) -> &TokenKind {
+    fn peek(&self) -> &'a TokenKind {
         &self.toks[self.i].kind
     }
 
@@ -43,12 +65,10 @@ impl<'a> Parser<'a> {
         self.toks[self.i].pos
     }
 
-    fn bump(&mut self) -> &Token {
-        let t = &self.toks[self.i];
+    fn bump(&mut self) {
         if self.i + 1 < self.toks.len() {
             self.i += 1;
         }
-        t
     }
 
     fn eat(&mut self, kind: &TokenKind) -> bool {
@@ -73,15 +93,14 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn expect_ident(&mut self) -> Result<(String, Pos), Error> {
-        let pos = self.pos();
-        match self.peek().clone() {
-            TokenKind::Ident(s) => {
+    fn expect_ident(&mut self) -> Result<Name, Error> {
+        match self.peek() {
+            TokenKind::Ident(name) => {
                 self.bump();
-                Ok((s, pos))
+                Ok(name.clone())
             }
             other => Err(Error::parse(
-                pos,
+                self.pos(),
                 format!("expected identifier, found {other}"),
             )),
         }
@@ -102,9 +121,31 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn program(&mut self) -> Result<Program, Error> {
+    /// Opens one nesting level at the construct starting at `pos`.
+    fn nest(&mut self, pos: Pos) -> Result<(), Error> {
+        if self.depth == MAX_NESTING {
+            return Err(Error::parse(
+                pos,
+                format!("nesting exceeds the limit of {MAX_NESTING} levels"),
+            ));
+        }
+        self.depth += 1;
+        Ok(())
+    }
+
+    fn unnest(&mut self) {
+        self.depth -= 1;
+    }
+
+    fn push(&mut self, e: Expr) -> ExprId {
+        let id = ExprId(self.exprs.len() as u32);
+        self.exprs.push(e);
+        id
+    }
+
+    fn program(mut self) -> Result<Program, Error> {
         self.expect(&TokenKind::Program)?;
-        let (name, _) = self.expect_ident()?;
+        let name = self.expect_ident()?;
         self.expect(&TokenKind::Semi)?;
         let mut decls = Vec::new();
         while !matches!(self.peek(), TokenKind::Begin) {
@@ -119,7 +160,14 @@ impl<'a> Parser<'a> {
                 format!("unexpected {} after `end`", self.peek()),
             ));
         }
-        Ok(Program { name, decls, body })
+        Ok(Program {
+            name,
+            decls,
+            body,
+            exprs: self.exprs,
+            args: self.args,
+            offsets: self.offsets,
+        })
     }
 
     fn ty(&mut self) -> Result<Type, Error> {
@@ -141,7 +189,7 @@ impl<'a> Parser<'a> {
         match self.peek() {
             TokenKind::Config => {
                 self.bump();
-                let (name, _) = self.expect_ident()?;
+                let name = self.expect_ident()?;
                 self.expect(&TokenKind::Colon)?;
                 let ty = self.ty()?;
                 self.expect(&TokenKind::Eq)?;
@@ -172,7 +220,7 @@ impl<'a> Parser<'a> {
             }
             TokenKind::Region => {
                 self.bump();
-                let (name, _) = self.expect_ident()?;
+                let name = self.expect_ident()?;
                 self.expect(&TokenKind::Eq)?;
                 self.expect(&TokenKind::LBracket)?;
                 let mut extents = vec![self.range()?];
@@ -185,7 +233,7 @@ impl<'a> Parser<'a> {
             }
             TokenKind::Direction => {
                 self.bump();
-                let (name, _) = self.expect_ident()?;
+                let name = self.expect_ident()?;
                 self.expect(&TokenKind::Eq)?;
                 self.expect(&TokenKind::LBracket)?;
                 let mut offsets = vec![self.expect_int()?];
@@ -198,14 +246,13 @@ impl<'a> Parser<'a> {
             }
             TokenKind::Var => {
                 self.bump();
-                let (first, _) = self.expect_ident()?;
-                let mut names = vec![first];
+                let mut names = vec![self.expect_ident()?];
                 while self.eat(&TokenKind::Comma) {
-                    names.push(self.expect_ident()?.0);
+                    names.push(self.expect_ident()?);
                 }
                 self.expect(&TokenKind::Colon)?;
                 let region = if self.eat(&TokenKind::LBracket) {
-                    let (r, _) = self.expect_ident()?;
+                    let r = self.expect_ident()?;
                     self.expect(&TokenKind::RBracket)?;
                     Some(r)
                 } else {
@@ -248,11 +295,11 @@ impl<'a> Parser<'a> {
             sign = -1;
         }
         loop {
-            match self.peek().clone() {
+            match self.peek() {
                 TokenKind::Int(v) => {
                     self.bump();
                     if self.eat(&TokenKind::Star) {
-                        let (name, _) = self.expect_ident()?;
+                        let name = self.expect_ident()?;
                         out.terms.push((name, sign * v));
                     } else {
                         out.base += sign * v;
@@ -262,9 +309,9 @@ impl<'a> Parser<'a> {
                     self.bump();
                     if self.eat(&TokenKind::Star) {
                         let v = self.expect_int()?;
-                        out.terms.push((name, sign * v));
+                        out.terms.push((name.clone(), sign * v));
                     } else {
-                        out.terms.push((name, sign));
+                        out.terms.push((name.clone(), sign));
                     }
                 }
                 other => {
@@ -285,23 +332,29 @@ impl<'a> Parser<'a> {
         Ok(out)
     }
 
-    fn stmts_until_end(&mut self) -> Result<Vec<Stmt>, Error> {
+    /// Statements up to the `end` or `else` that closes a block.
+    fn block(&mut self) -> Result<Vec<Stmt>, Error> {
         let mut out = Vec::new();
         while !matches!(self.peek(), TokenKind::End | TokenKind::Else) {
             out.push(self.stmt()?);
         }
+        Ok(out)
+    }
+
+    fn stmts_until_end(&mut self) -> Result<Vec<Stmt>, Error> {
+        let out = self.block()?;
         self.expect(&TokenKind::End)?;
         Ok(out)
     }
 
     fn stmt(&mut self) -> Result<Stmt, Error> {
         let pos = self.pos();
-        match self.peek().clone() {
+        match self.peek() {
             TokenKind::LBracket => {
                 self.bump();
-                let (region, _) = self.expect_ident()?;
+                let region = self.expect_ident()?;
                 self.expect(&TokenKind::RBracket)?;
-                let (lhs, _) = self.expect_ident()?;
+                let lhs = self.expect_ident()?;
                 self.expect(&TokenKind::Assign)?;
                 let rhs = self.expr()?;
                 self.expect(&TokenKind::Semi)?;
@@ -317,11 +370,16 @@ impl<'a> Parser<'a> {
                 self.expect(&TokenKind::Assign)?;
                 let rhs = self.expr()?;
                 self.expect(&TokenKind::Semi)?;
-                Ok(Stmt::ScalarAssign { lhs, rhs, pos })
+                Ok(Stmt::ScalarAssign {
+                    lhs: lhs.clone(),
+                    rhs,
+                    pos,
+                })
             }
             TokenKind::For => {
+                self.nest(pos)?;
                 self.bump();
-                let (var, _) = self.expect_ident()?;
+                let var = self.expect_ident()?;
                 self.expect(&TokenKind::Assign)?;
                 let lo = self.expr()?;
                 let down = if self.eat(&TokenKind::To) {
@@ -338,6 +396,7 @@ impl<'a> Parser<'a> {
                 self.expect(&TokenKind::Do)?;
                 let body = self.stmts_until_end()?;
                 self.expect(&TokenKind::Semi)?;
+                self.unnest();
                 Ok(Stmt::For {
                     var,
                     lo,
@@ -348,13 +407,11 @@ impl<'a> Parser<'a> {
                 })
             }
             TokenKind::If => {
+                self.nest(pos)?;
                 self.bump();
                 let cond = self.expr()?;
                 self.expect(&TokenKind::Then)?;
-                let mut then_body = Vec::new();
-                while !matches!(self.peek(), TokenKind::End | TokenKind::Else) {
-                    then_body.push(self.stmt()?);
-                }
+                let then_body = self.block()?;
                 let else_body = if self.eat(&TokenKind::Else) {
                     let mut e = Vec::new();
                     while !matches!(self.peek(), TokenKind::End) {
@@ -366,6 +423,7 @@ impl<'a> Parser<'a> {
                 };
                 self.expect(&TokenKind::End)?;
                 self.expect(&TokenKind::Semi)?;
+                self.unnest();
                 Ok(Stmt::If {
                     cond,
                     then_body,
@@ -380,7 +438,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn expr(&mut self) -> Result<Expr, Error> {
+    fn expr(&mut self) -> Result<ExprId, Error> {
         let pos = self.pos();
         let lhs = self.addsub()?;
         let op = match self.peek() {
@@ -394,10 +452,10 @@ impl<'a> Parser<'a> {
         };
         self.bump();
         let rhs = self.addsub()?;
-        Ok(Expr::Binary(op, Box::new(lhs), Box::new(rhs), pos))
+        Ok(self.push(Expr::Binary(op, lhs, rhs, pos)))
     }
 
-    fn addsub(&mut self) -> Result<Expr, Error> {
+    fn addsub(&mut self) -> Result<ExprId, Error> {
         let mut lhs = self.muldiv()?;
         loop {
             let op = match self.peek() {
@@ -408,11 +466,11 @@ impl<'a> Parser<'a> {
             let pos = self.pos();
             self.bump();
             let rhs = self.muldiv()?;
-            lhs = Expr::Binary(op, Box::new(lhs), Box::new(rhs), pos);
+            lhs = self.push(Expr::Binary(op, lhs, rhs, pos));
         }
     }
 
-    fn muldiv(&mut self) -> Result<Expr, Error> {
+    fn muldiv(&mut self) -> Result<ExprId, Error> {
         let mut lhs = self.unary()?;
         loop {
             let op = match self.peek() {
@@ -423,82 +481,88 @@ impl<'a> Parser<'a> {
             let pos = self.pos();
             self.bump();
             let rhs = self.unary()?;
-            lhs = Expr::Binary(op, Box::new(lhs), Box::new(rhs), pos);
+            lhs = self.push(Expr::Binary(op, lhs, rhs, pos));
         }
     }
 
-    fn unary(&mut self) -> Result<Expr, Error> {
+    fn unary(&mut self) -> Result<ExprId, Error> {
         let pos = self.pos();
-        if self.eat(&TokenKind::Minus) {
+        if self.peek() == &TokenKind::Minus {
+            self.nest(pos)?;
+            self.bump();
             let e = self.unary()?;
-            Ok(Expr::Unary(UnOp::Neg, Box::new(e), pos))
+            self.unnest();
+            Ok(self.push(Expr::Unary(UnOp::Neg, e, pos)))
         } else {
             self.primary()
         }
     }
 
-    fn reduce_op(&mut self) -> Option<ReduceOp> {
-        let op = match self.peek() {
+    fn reduce_op(&self) -> Option<ReduceOp> {
+        Some(match self.peek() {
             TokenKind::SumReduce => ReduceOp::Sum,
             TokenKind::ProdReduce => ReduceOp::Prod,
             TokenKind::MaxReduce => ReduceOp::Max,
             TokenKind::MinReduce => ReduceOp::Min,
             _ => return None,
-        };
-        self.bump();
-        Some(op)
+        })
     }
 
-    fn primary(&mut self) -> Result<Expr, Error> {
+    fn primary(&mut self) -> Result<ExprId, Error> {
         let pos = self.pos();
         if let Some(op) = self.reduce_op() {
+            self.nest(pos)?;
+            self.bump();
             self.expect(&TokenKind::LBracket)?;
-            let (region, _) = self.expect_ident()?;
+            let region = self.expect_ident()?;
             self.expect(&TokenKind::RBracket)?;
             let arg = self.addsub()?;
-            return Ok(Expr::Reduce(op, region, Box::new(arg), pos));
+            self.unnest();
+            return Ok(self.push(Expr::Reduce(op, region, arg, pos)));
         }
-        match self.peek().clone() {
+        match self.peek() {
             TokenKind::Int(v) => {
                 self.bump();
-                Ok(Expr::Lit(Literal::Int(v), pos))
+                Ok(self.push(Expr::Lit(Literal::Int(*v), pos)))
             }
             TokenKind::Float(v) => {
                 self.bump();
-                Ok(Expr::Lit(Literal::Float(v), pos))
+                Ok(self.push(Expr::Lit(Literal::Float(*v), pos)))
             }
             TokenKind::LParen => {
+                self.nest(pos)?;
                 self.bump();
                 let e = self.expr()?;
                 self.expect(&TokenKind::RParen)?;
+                self.unnest();
                 Ok(e)
             }
             TokenKind::Ident(name) => {
                 self.bump();
+                let name = name.clone();
                 if self.eat(&TokenKind::At) {
                     let off = if self.eat(&TokenKind::LBracket) {
-                        let mut v = vec![self.expect_int()?];
+                        let start = self.offsets.len() as u32;
+                        let first = self.expect_int()?;
+                        self.offsets.push(first);
                         while self.eat(&TokenKind::Comma) {
-                            v.push(self.expect_int()?);
+                            let next = self.expect_int()?;
+                            self.offsets.push(next);
                         }
                         self.expect(&TokenKind::RBracket)?;
-                        AtOffset::Inline(v)
+                        AtOffset::Inline(Run {
+                            start,
+                            len: self.offsets.len() as u32 - start,
+                        })
                     } else {
-                        AtOffset::Named(self.expect_ident()?.0)
+                        AtOffset::Named(self.expect_ident()?)
                     };
-                    Ok(Expr::At(name, off, pos))
-                } else if self.eat(&TokenKind::LParen) {
-                    let mut args = Vec::new();
-                    if self.peek() != &TokenKind::RParen {
-                        args.push(self.expr()?);
-                        while self.eat(&TokenKind::Comma) {
-                            args.push(self.expr()?);
-                        }
-                    }
-                    self.expect(&TokenKind::RParen)?;
-                    Ok(Expr::Call(name, args, pos))
+                    Ok(self.push(Expr::At(name, off, pos)))
+                } else if self.peek() == &TokenKind::LParen {
+                    let args = self.call_args()?;
+                    Ok(self.push(Expr::Call(name, args, pos)))
                 } else {
-                    Ok(Expr::Name(name, pos))
+                    Ok(self.push(Expr::Name(name, pos)))
                 }
             }
             other => Err(Error::parse(
@@ -507,13 +571,37 @@ impl<'a> Parser<'a> {
             )),
         }
     }
+
+    /// `"(" [expr {"," expr}] ")"`, stored as a run of the argument list.
+    fn call_args(&mut self) -> Result<Run, Error> {
+        self.nest(self.pos())?;
+        self.bump();
+        let mark = self.pending.len();
+        if self.peek() != &TokenKind::RParen {
+            let first = self.expr()?;
+            self.pending.push(first);
+            while self.eat(&TokenKind::Comma) {
+                let next = self.expr()?;
+                self.pending.push(next);
+            }
+        }
+        self.expect(&TokenKind::RParen)?;
+        self.unnest();
+        let start = self.args.len() as u32;
+        self.args.extend(self.pending.drain(mark..));
+        Ok(Run {
+            start,
+            len: self.args.len() as u32 - start,
+        })
+    }
 }
 
 /// Parses a token stream into a surface [`Program`].
 ///
 /// # Errors
 ///
-/// Returns the first syntax error with its source position.
+/// Returns the first syntax error with its source position, including a
+/// program that nests deeper than [`MAX_NESTING`].
 ///
 /// ```
 /// # fn main() -> Result<(), zlang::Error> {
@@ -528,7 +616,18 @@ pub fn parse(tokens: &[Token]) -> Result<Program, Error> {
         matches!(tokens.last(), Some(t) if t.kind == TokenKind::Eof),
         "token stream must end with Eof"
     );
-    Parser { toks: tokens, i: 0 }.program()
+    Parser {
+        toks: tokens,
+        i: 0,
+        depth: 0,
+        // One node per two tokens covers the benchmarks and generated
+        // programs; a denser program grows the vector.
+        exprs: Vec::with_capacity(tokens.len() / 2),
+        args: Vec::new(),
+        offsets: Vec::new(),
+        pending: Vec::new(),
+    }
+    .program()
 }
 
 #[cfg(test)]
@@ -566,8 +665,8 @@ mod tests {
         };
         assert_eq!(extents.len(), 2);
         assert_eq!(extents[0].hi.base, 1);
-        assert_eq!(extents[0].hi.terms, vec![("n".to_string(), 1)]);
-        assert_eq!(extents[1].lo.terms, vec![("n".to_string(), 2)]);
+        assert_eq!(extents[0].hi.terms, vec![(Name::new("n"), 1)]);
+        assert_eq!(extents[1].lo.terms, vec![(Name::new("n"), 2)]);
         assert_eq!(extents[1].lo.base, -1);
     }
 
@@ -580,26 +679,26 @@ mod tests {
         let Stmt::ArrayAssign { rhs, .. } = &p.body[0] else {
             panic!()
         };
-        let Expr::Binary(BinOp::Add, l, r, _) = rhs else {
+        let Expr::Binary(BinOp::Add, l, r, _) = p.expr(*rhs) else {
             panic!()
         };
-        assert!(matches!(**l, Expr::At(ref n, AtOffset::Named(ref d), _) if n == "B" && d == "w"));
-        assert!(
-            matches!(**r, Expr::At(ref n, AtOffset::Inline(ref v), _) if n == "B" && v == &[1])
-        );
+        assert!(matches!(p.expr(*l), Expr::At(n, AtOffset::Named(d), _) if n == "B" && d == "w"));
+        let Expr::At(n, AtOffset::Inline(run), _) = p.expr(*r) else {
+            panic!()
+        };
+        assert_eq!((n.as_str(), p.offsets(*run)), ("B", &[1][..]));
     }
 
     #[test]
     fn parses_precedence() {
         let p = with_body("[R] A := B + B * 2.0;");
-        let Stmt::ArrayAssign {
-            rhs: Expr::Binary(BinOp::Add, _, r, _),
-            ..
-        } = &p.body[0]
-        else {
+        let Stmt::ArrayAssign { rhs, .. } = &p.body[0] else {
             panic!()
         };
-        assert!(matches!(**r, Expr::Binary(BinOp::Mul, _, _, _)));
+        let Expr::Binary(BinOp::Add, _, r, _) = p.expr(*rhs) else {
+            panic!()
+        };
+        assert!(matches!(p.expr(*r), Expr::Binary(BinOp::Mul, _, _, _)));
     }
 
     #[test]
@@ -608,7 +707,7 @@ mod tests {
         let Stmt::ArrayAssign { rhs, .. } = &p.body[0] else {
             panic!()
         };
-        assert!(matches!(rhs, Expr::Binary(BinOp::Lt, _, _, _)));
+        assert!(matches!(p.expr(*rhs), Expr::Binary(BinOp::Lt, _, _, _)));
     }
 
     #[test]
@@ -639,25 +738,31 @@ mod tests {
         let Stmt::ScalarAssign { rhs, .. } = &p.body[0] else {
             panic!()
         };
-        let Expr::Reduce(ReduceOp::Sum, region, arg, _) = rhs else {
+        let Expr::Reduce(ReduceOp::Sum, region, arg, _) = p.expr(*rhs) else {
             panic!()
         };
         assert_eq!(region, "R");
-        assert!(matches!(**arg, Expr::Binary(BinOp::Add, _, _, _)));
+        assert!(matches!(p.expr(*arg), Expr::Binary(BinOp::Add, _, _, _)));
     }
 
     #[test]
     fn parses_intrinsic_calls() {
         let p = with_body("[R] A := max(B, sqrt(A));");
-        let Stmt::ArrayAssign {
-            rhs: Expr::Call(f, args, _),
-            ..
-        } = &p.body[0]
-        else {
+        let Stmt::ArrayAssign { rhs, .. } = &p.body[0] else {
+            panic!()
+        };
+        let Expr::Call(f, args, _) = p.expr(*rhs) else {
             panic!()
         };
         assert_eq!(f, "max");
+        let args = p.args(*args);
         assert_eq!(args.len(), 2);
+        assert!(matches!(p.expr(args[0]), Expr::Name(n, _) if n == "B"));
+        let Expr::Call(g, inner, _) = p.expr(args[1]) else {
+            panic!()
+        };
+        assert_eq!(g, "sqrt");
+        assert!(matches!(p.expr(p.args(*inner)[0]), Expr::Name(n, _) if n == "A"));
     }
 
     #[test]
@@ -676,5 +781,87 @@ mod tests {
     #[test]
     fn rejects_unclosed_if() {
         assert!(parse(&lex(&format!("{HEADER} begin if s > 1.0 then end")).unwrap()).is_err());
+    }
+
+    /// `depth` copies of `open`, then `inner`, then `depth` copies of
+    /// `close`, as the body of a program.
+    fn nested(depth: u32, open: &str, inner: &str, close: &str) -> String {
+        let d = depth as usize;
+        format!(
+            "{HEADER} var k : int; begin {}{inner}{} end",
+            open.repeat(d),
+            close.repeat(d)
+        )
+    }
+
+    #[test]
+    fn nesting_at_the_limit_parses() {
+        let n = MAX_NESTING;
+        let parens = format!(
+            "{HEADER} begin [R] A := {}B{}; end",
+            "(".repeat(n as usize),
+            ")".repeat(n as usize)
+        );
+        parse_src(&parens);
+        // Spaced, since `--` starts a comment.
+        let negs = format!("{HEADER} begin [R] A := {}B; end", "- ".repeat(n as usize));
+        parse_src(&negs);
+        let calls = format!(
+            "{HEADER} begin [R] A := {}B{}; end",
+            "abs(".repeat(n as usize),
+            ")".repeat(n as usize)
+        );
+        parse_src(&calls);
+        parse_src(&nested(n, "for k := 1 to 2 do ", "[R] A := B;", "end; "));
+        parse_src(&nested(n, "if s > 0.0 then ", "[R] A := B;", "end; "));
+        // Blocks and groups share the count.
+        let mixed = nested(n - 1, "if s > 0.0 then ", "[R] A := (B);", "end; ");
+        parse_src(&mixed);
+    }
+
+    #[test]
+    fn one_level_past_the_limit_is_an_error_at_the_opening_token() {
+        let n = MAX_NESTING as usize + 1;
+        let limit = format!("nesting exceeds the limit of {MAX_NESTING} levels");
+        let prefix = format!("{HEADER} begin [R] A := ");
+        let col = |k: usize| (prefix.len() + k + 1) as u32;
+        let cases = [
+            (
+                format!("{prefix}{}B{}; end", "(".repeat(n), ")".repeat(n)),
+                col(n - 1),
+            ),
+            (
+                format!("{prefix}{}B; end", "- ".repeat(n)),
+                col(2 * (n - 1)),
+            ),
+            (
+                format!("{prefix}{}B{}; end", "abs(".repeat(n), ")".repeat(n)),
+                col(4 * (n - 1) + 3),
+            ),
+        ];
+        for (src, col) in cases {
+            let e = parse_err(&src);
+            assert_eq!(e.to_string(), format!("parse error at 1:{col}: {limit}"));
+        }
+        let loops = nested(n as u32, "for k := 1 to 2 do ", "", "end; ");
+        let e = parse_err(&loops);
+        let at = loops.match_indices("for").nth(n - 1).unwrap().0;
+        assert_eq!(
+            e.to_string(),
+            format!("parse error at 1:{}: {limit}", at + 1)
+        );
+        let ifs = nested(n as u32, "if s > 0.0 then ", "", "end; ");
+        let at = ifs.match_indices("if").nth(n - 1).unwrap().0;
+        assert_eq!(
+            parse_err(&ifs).to_string(),
+            format!("parse error at 1:{}: {limit}", at + 1)
+        );
+    }
+
+    #[test]
+    fn ten_thousand_open_parentheses_are_an_error_not_an_overflow() {
+        let src = format!("{HEADER} begin [R] A := {}B; end", "(".repeat(10_000));
+        let e = parse_err(&src);
+        assert!(e.message.contains("nesting exceeds the limit"), "{e}");
     }
 }

@@ -1,14 +1,12 @@
 //! Semantic analysis: resolves names, checks ranks and types, hoists
 //! reductions, and lowers the surface AST to the array-level IR.
 
-use crate::ast::{self, AtOffset, Decl, Literal, Type};
+use crate::ast::{self, AtOffset, Decl, ExprId, Literal, Name, Type};
 use crate::error::{Error, Pos};
-use crate::intern::Symbol;
 use crate::ir::{
     ArrayDecl, ArrayExpr, ArrayId, ArrayStmt, ConfigDecl, ConfigId, Extent, Intrinsic, LinExpr,
     Offset, Program, RegionDecl, RegionId, ScalarDecl, ScalarExpr, ScalarId, Stmt,
 };
-use std::collections::HashMap;
 
 /// What a name refers to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -20,25 +18,33 @@ enum Binding {
     Scalar(ScalarId),
 }
 
-struct Analyzer {
+struct Analyzer<'a> {
+    ast: &'a ast::Program,
     program: Program,
-    // Keyed by interned symbol: every source name hashes once, in `bind`
-    // or on its first lookup; repeated references compare a u32.
-    names: HashMap<Symbol, Binding>,
-    directions: Vec<Vec<i64>>,
+    /// What each symbol of the program's name table is bound to, indexed
+    /// by symbol: a reference hashes its name once, in the table, and
+    /// indexes this vector.
+    bindings: Vec<Option<Binding>>,
+    /// Each direction's offsets, as the AST spells them.
+    directions: Vec<&'a [i64]>,
     hidden_scalars: u32,
 }
 
-impl Analyzer {
-    fn bind(&mut self, name: &str, b: Binding, pos: Pos) -> Result<(), Error> {
+impl<'a> Analyzer<'a> {
+    fn bind(&mut self, name: &Name, b: Binding, pos: Pos) -> Result<(), Error> {
+        let text = name.as_str();
         let sym = match b {
-            Binding::Array(id) => self.program.names.register_array(name, id),
-            Binding::Scalar(id) => self.program.names.register_scalar(name, id),
-            Binding::Region(id) => self.program.names.register_region(name, id),
-            Binding::Config(id) => self.program.names.register_config(name, id),
-            Binding::Direction(_) => self.program.names.intern(name),
+            Binding::Array(id) => self.program.names.register_array(text, id),
+            Binding::Scalar(id) => self.program.names.register_scalar(text, id),
+            Binding::Region(id) => self.program.names.register_region(text, id),
+            Binding::Config(id) => self.program.names.register_config(text, id),
+            Binding::Direction(_) => self.program.names.intern(text),
         };
-        if self.names.insert(sym, b).is_some() {
+        let i = sym.0 as usize;
+        if self.bindings.len() <= i {
+            self.bindings.resize(i + 1, None);
+        }
+        if self.bindings[i].replace(b).is_some() {
             return Err(Error::sema(
                 pos,
                 format!("duplicate declaration of `{name}`"),
@@ -47,11 +53,11 @@ impl Analyzer {
         Ok(())
     }
 
-    fn lookup(&self, name: &str, pos: Pos) -> Result<Binding, Error> {
+    fn lookup(&self, name: &Name, pos: Pos) -> Result<Binding, Error> {
         self.program
             .names
-            .symbol(name)
-            .and_then(|sym| self.names.get(&sym).copied())
+            .symbol_bytes(name.as_bytes())
+            .and_then(|sym| self.bindings.get(sym.0 as usize).copied().flatten())
             .ok_or_else(|| Error::sema(pos, format!("undeclared name `{name}`")))
     }
 
@@ -82,7 +88,7 @@ impl Analyzer {
         Ok(out.normalize())
     }
 
-    fn decls(&mut self, decls: &[Decl]) -> Result<(), Error> {
+    fn decls(&mut self, decls: &'a [Decl]) -> Result<(), Error> {
         for d in decls {
             match d {
                 Decl::Config {
@@ -104,7 +110,7 @@ impl Analyzer {
                     };
                     let id = ConfigId(self.program.configs.len() as u32);
                     self.program.configs.push(ConfigDecl {
-                        name: name.clone(),
+                        name: name.as_str().to_owned(),
                         ty: *ty,
                         default,
                     });
@@ -125,14 +131,14 @@ impl Analyzer {
                         .collect::<Result<Vec<_>, Error>>()?;
                     let id = RegionId(self.program.regions.len() as u32);
                     self.program.regions.push(RegionDecl {
-                        name: name.clone(),
+                        name: name.as_str().to_owned(),
                         extents,
                     });
                     self.bind(name, Binding::Region(id), *pos)?;
                 }
                 Decl::Direction { name, offsets, pos } => {
                     let idx = self.directions.len() as u32;
-                    self.directions.push(offsets.clone());
+                    self.directions.push(offsets);
                     self.bind(name, Binding::Direction(idx), *pos)?;
                 }
                 Decl::Var {
@@ -158,7 +164,7 @@ impl Analyzer {
                                 };
                                 let id = ArrayId(self.program.arrays.len() as u32);
                                 self.program.arrays.push(ArrayDecl {
-                                    name: n.clone(),
+                                    name: n.as_str().to_owned(),
                                     region: rid,
                                     compiler_temp: false,
                                     collapsed: Vec::new(),
@@ -168,7 +174,7 @@ impl Analyzer {
                             None => {
                                 let id = ScalarId(self.program.scalars.len() as u32);
                                 self.program.scalars.push(ScalarDecl {
-                                    name: n.clone(),
+                                    name: n.as_str().to_owned(),
                                     ty: *ty,
                                 });
                                 self.bind(n, Binding::Scalar(id), *pos)?;
@@ -181,10 +187,29 @@ impl Analyzer {
         Ok(())
     }
 
+    /// Lowers a call's intrinsic and arity; the arguments are lowered by
+    /// the caller in its own context.
+    fn intrinsic(&self, fname: &Name, args: usize, pos: Pos) -> Result<Intrinsic, Error> {
+        let Some(intr) = Intrinsic::from_name(fname.as_str()) else {
+            return Err(Error::sema(pos, format!("unknown intrinsic `{fname}`")));
+        };
+        if args != intr.arity() {
+            return Err(Error::sema(
+                pos,
+                format!(
+                    "intrinsic `{fname}` expects {} argument(s), got {args}",
+                    intr.arity(),
+                ),
+            ));
+        }
+        Ok(intr)
+    }
+
     /// Lowers an expression in *array context* over a statement region of
     /// rank `rank`.
-    fn array_expr(&mut self, e: &ast::Expr, rank: usize) -> Result<ArrayExpr, Error> {
-        match e {
+    fn array_expr(&mut self, e: ExprId, rank: usize) -> Result<ArrayExpr, Error> {
+        let ast = self.ast;
+        match ast.expr(e) {
             ast::Expr::Lit(Literal::Int(v), _) => Ok(ArrayExpr::Const(*v as f64)),
             ast::Expr::Lit(Literal::Float(v), _) => Ok(ArrayExpr::Const(*v)),
             ast::Expr::Name(name, pos) => {
@@ -223,9 +248,9 @@ impl Analyzer {
                         let Binding::Direction(di) = self.lookup(dname, *pos)? else {
                             return Err(Error::sema(*pos, format!("`{dname}` is not a direction")));
                         };
-                        self.directions[di as usize].clone()
+                        self.directions[di as usize]
                     }
-                    AtOffset::Inline(v) => v.clone(),
+                    AtOffset::Inline(run) => ast.offsets(*run),
                 };
                 if vec.len() != rank {
                     return Err(Error::sema(
@@ -236,34 +261,23 @@ impl Analyzer {
                         ),
                     ));
                 }
-                Ok(ArrayExpr::Read(a, Offset(vec)))
+                Ok(ArrayExpr::Read(a, Offset(vec.to_vec())))
             }
             ast::Expr::Unary(op, inner, _) => Ok(ArrayExpr::Unary(
                 *op,
-                Box::new(self.array_expr(inner, rank)?),
+                Box::new(self.array_expr(*inner, rank)?),
             )),
             ast::Expr::Binary(op, l, r, _) => Ok(ArrayExpr::Binary(
                 *op,
-                Box::new(self.array_expr(l, rank)?),
-                Box::new(self.array_expr(r, rank)?),
+                Box::new(self.array_expr(*l, rank)?),
+                Box::new(self.array_expr(*r, rank)?),
             )),
             ast::Expr::Call(fname, args, pos) => {
-                let Some(intr) = Intrinsic::from_name(fname) else {
-                    return Err(Error::sema(*pos, format!("unknown intrinsic `{fname}`")));
-                };
-                if args.len() != intr.arity() {
-                    return Err(Error::sema(
-                        *pos,
-                        format!(
-                            "intrinsic `{fname}` expects {} argument(s), got {}",
-                            intr.arity(),
-                            args.len()
-                        ),
-                    ));
-                }
+                let args = ast.args(*args);
+                let intr = self.intrinsic(fname, args.len(), *pos)?;
                 let args = args
                     .iter()
-                    .map(|a| self.array_expr(a, rank))
+                    .map(|&a| self.array_expr(a, rank))
                     .collect::<Result<Vec<_>, _>>()?;
                 Ok(ArrayExpr::Call(intr, args))
             }
@@ -288,10 +302,33 @@ impl Analyzer {
         Ok(())
     }
 
+    /// Lowers a reduction `op<< [rname] arg` into `lhs`.
+    fn reduce(
+        &mut self,
+        op: ast::ReduceOp,
+        rname: &Name,
+        arg: ExprId,
+        pos: Pos,
+        lhs: ScalarId,
+    ) -> Result<Stmt, Error> {
+        let Binding::Region(rid) = self.lookup(rname, pos)? else {
+            return Err(Error::sema(pos, format!("`{rname}` is not a region")));
+        };
+        let rank = self.program.region(rid).rank();
+        let arg = self.array_expr(arg, rank)?;
+        Ok(Stmt::Reduce {
+            lhs,
+            op,
+            region: rid,
+            arg,
+        })
+    }
+
     /// Lowers an expression in *scalar context*. Reductions are hoisted into
     /// `out` as separate statements, replaced by hidden scalars.
-    fn scalar_expr(&mut self, e: &ast::Expr, out: &mut Vec<Stmt>) -> Result<ScalarExpr, Error> {
-        match e {
+    fn scalar_expr(&mut self, e: ExprId, out: &mut Vec<Stmt>) -> Result<ScalarExpr, Error> {
+        let ast = self.ast;
+        match ast.expr(e) {
             ast::Expr::Lit(Literal::Int(v), _) => Ok(ScalarExpr::Const(*v as f64)),
             ast::Expr::Lit(Literal::Float(v), _) => Ok(ScalarExpr::Const(*v)),
             ast::Expr::Name(name, pos) => match self.lookup(name, *pos)? {
@@ -312,53 +349,32 @@ impl Analyzer {
             )),
             ast::Expr::Unary(op, inner, _) => Ok(ScalarExpr::Unary(
                 *op,
-                Box::new(self.scalar_expr(inner, out)?),
+                Box::new(self.scalar_expr(*inner, out)?),
             )),
             ast::Expr::Binary(op, l, r, _) => Ok(ScalarExpr::Binary(
                 *op,
-                Box::new(self.scalar_expr(l, out)?),
-                Box::new(self.scalar_expr(r, out)?),
+                Box::new(self.scalar_expr(*l, out)?),
+                Box::new(self.scalar_expr(*r, out)?),
             )),
             ast::Expr::Call(fname, args, pos) => {
-                let Some(intr) = Intrinsic::from_name(fname) else {
-                    return Err(Error::sema(*pos, format!("unknown intrinsic `{fname}`")));
-                };
-                if args.len() != intr.arity() {
-                    return Err(Error::sema(
-                        *pos,
-                        format!(
-                            "intrinsic `{fname}` expects {} argument(s), got {}",
-                            intr.arity(),
-                            args.len()
-                        ),
-                    ));
-                }
+                let args = ast.args(*args);
+                let intr = self.intrinsic(fname, args.len(), *pos)?;
                 let args = args
                     .iter()
-                    .map(|a| self.scalar_expr(a, out))
+                    .map(|&a| self.scalar_expr(a, out))
                     .collect::<Result<Vec<_>, _>>()?;
                 Ok(ScalarExpr::Call(intr, args))
             }
             ast::Expr::Reduce(op, rname, arg, pos) => {
-                let Binding::Region(rid) = self.lookup(rname, *pos)? else {
-                    return Err(Error::sema(*pos, format!("`{rname}` is not a region")));
-                };
-                let rank = self.program.region(rid).rank();
-                let arg = self.array_expr(arg, rank)?;
                 let tmp = self.fresh_scalar(Type::Float);
-                out.push(Stmt::Reduce {
-                    lhs: tmp,
-                    op: *op,
-                    region: rid,
-                    arg,
-                });
+                out.push(self.reduce(*op, rname, *arg, *pos, tmp)?);
                 Ok(ScalarExpr::ScalarRef(tmp))
             }
         }
     }
 
     fn stmts(&mut self, stmts: &[ast::Stmt]) -> Result<Vec<Stmt>, Error> {
-        let mut out = Vec::new();
+        let mut out = Vec::with_capacity(stmts.len());
         for s in stmts {
             match s {
                 ast::Stmt::ArrayAssign {
@@ -378,7 +394,7 @@ impl Analyzer {
                     };
                     let rank = self.program.region(rid).rank();
                     self.check_array_rank(aid, rank, *pos)?;
-                    let rhs = self.array_expr(rhs, rank)?;
+                    let rhs = self.array_expr(*rhs, rank)?;
                     out.push(Stmt::Array(ArrayStmt {
                         region: rid,
                         lhs: aid,
@@ -394,20 +410,10 @@ impl Analyzer {
                     };
                     // `s := op<< [R] expr;` reduces directly into `s`
                     // without a hidden temporary.
-                    if let ast::Expr::Reduce(op, rname, arg, rpos) = rhs {
-                        let Binding::Region(rid) = self.lookup(rname, *rpos)? else {
-                            return Err(Error::sema(*rpos, format!("`{rname}` is not a region")));
-                        };
-                        let rank = self.program.region(rid).rank();
-                        let arg = self.array_expr(arg, rank)?;
-                        out.push(Stmt::Reduce {
-                            lhs: sid,
-                            op: *op,
-                            region: rid,
-                            arg,
-                        });
+                    if let ast::Expr::Reduce(op, rname, arg, rpos) = self.ast.expr(*rhs) {
+                        out.push(self.reduce(*op, rname, *arg, *rpos, sid)?);
                     } else {
-                        let rhs = self.scalar_expr(rhs, &mut out)?;
+                        let rhs = self.scalar_expr(*rhs, &mut out)?;
                         out.push(Stmt::Scalar { lhs: sid, rhs });
                     }
                 }
@@ -432,8 +438,8 @@ impl Analyzer {
                         ));
                     }
                     let mut pre = Vec::new();
-                    let lo = self.scalar_expr(lo, &mut pre)?;
-                    let hi = self.scalar_expr(hi, &mut pre)?;
+                    let lo = self.scalar_expr(*lo, &mut pre)?;
+                    let hi = self.scalar_expr(*hi, &mut pre)?;
                     if !pre.is_empty() {
                         return Err(Error::sema(
                             *pos,
@@ -456,7 +462,7 @@ impl Analyzer {
                     pos,
                 } => {
                     let mut pre = Vec::new();
-                    let cond = self.scalar_expr(cond, &mut pre)?;
+                    let cond = self.scalar_expr(*cond, &mut pre)?;
                     if !pre.is_empty() {
                         return Err(Error::sema(
                             *pos,
@@ -478,11 +484,11 @@ impl Analyzer {
 }
 
 /// Maps `index1`/`index2`/`index3` to a 0-based dimension.
-fn index_name(name: &str) -> Option<u8> {
-    match name {
-        "index1" => Some(0),
-        "index2" => Some(1),
-        "index3" => Some(2),
+fn index_name(name: &Name) -> Option<u8> {
+    match name.as_bytes() {
+        b"index1" => Some(0),
+        b"index2" => Some(1),
+        b"index3" => Some(2),
         _ => None,
     }
 }
@@ -495,17 +501,44 @@ fn index_name(name: &str) -> Option<u8> {
 /// mismatches, misuse of arrays in scalar context (or vice versa), bad
 /// intrinsic arities, or reductions in illegal positions.
 pub fn analyze(ast: &ast::Program) -> Result<Program, Error> {
+    // Size every declaration table up front, so declaring grows nothing.
+    let (mut configs, mut regions, mut arrays, mut scalars) = (0, 0, 0, 0);
+    let (mut names, mut bytes) = (0, 0);
+    for d in &ast.decls {
+        let declared = match d {
+            Decl::Config { name, .. } => {
+                configs += 1;
+                std::slice::from_ref(name)
+            }
+            Decl::Region { name, .. } => {
+                regions += 1;
+                std::slice::from_ref(name)
+            }
+            Decl::Direction { name, .. } => std::slice::from_ref(name),
+            Decl::Var { names, region, .. } => {
+                *if region.is_some() {
+                    &mut arrays
+                } else {
+                    &mut scalars
+                } += names.len();
+                names
+            }
+        };
+        names += declared.len();
+        bytes += declared.iter().map(|n| n.as_bytes().len()).sum::<usize>();
+    }
     let mut a = Analyzer {
+        ast,
         program: Program {
-            name: ast.name.clone(),
-            configs: Vec::new(),
-            regions: Vec::new(),
-            arrays: Vec::new(),
-            scalars: Vec::new(),
+            name: ast.name.as_str().to_owned(),
+            configs: Vec::with_capacity(configs),
+            regions: Vec::with_capacity(regions),
+            arrays: Vec::with_capacity(arrays),
+            scalars: Vec::with_capacity(scalars),
             body: Vec::new(),
-            names: crate::ir::NameTable::default(),
+            names: crate::ir::NameTable::with_capacity(names, bytes),
         },
-        names: HashMap::new(),
+        bindings: Vec::with_capacity(names),
         directions: Vec::new(),
         hidden_scalars: 0,
     };

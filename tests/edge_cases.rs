@@ -212,3 +212,64 @@ fn deeply_nested_control_flow_survives_all_levels() {
         "4 iterations x 4 elements, accumulated A"
     );
 }
+
+/// A program nested as deeply as the parser allows (`MAX_NESTING` open
+/// parentheses, unary minuses, calls, `for` blocks or `if` blocks)
+/// compiles and runs at `baseline` and `c2+f3` on every engine, on a
+/// thread with a 2 MB stack (what a spawned thread, such as a `zlc serve`
+/// worker, gets by default); one level more is a parse error, not a
+/// stack overflow.
+#[test]
+fn programs_at_the_nesting_limit_run_on_a_two_megabyte_stack() {
+    let max = zlang::parser::MAX_NESTING as usize;
+    let program = |depth: usize, shape: &str| {
+        let body = match shape {
+            "parens" => format!("[R] B := {}A{};", "(".repeat(depth), ")".repeat(depth)),
+            // Spaced, since `--` starts a comment; an even count is `+A`.
+            "minus" => format!("[R] B := {}A;", "- ".repeat(depth)),
+            "calls" => format!("[R] B := {}A{};", "abs(".repeat(depth), ")".repeat(depth)),
+            "loops" => format!(
+                "{}[R] B := A;{}",
+                "for k := 1 to 1 do ".repeat(depth),
+                " end;".repeat(depth)
+            ),
+            "ifs" => format!(
+                "{}[R] B := A;{}",
+                "if n > 0 then ".repeat(depth),
+                " end;".repeat(depth)
+            ),
+            _ => unreachable!(),
+        };
+        format!(
+            "program deep; config n : int = 8; region R = [1..n]; \
+             var A, B : [R] float; var s : float; var k : int; \
+             begin [R] A := 1.0; {body} s := +<< [R] B; end"
+        )
+    };
+    for shape in ["parens", "minus", "calls", "loops", "ifs"] {
+        let deep = program(max, shape);
+        let run = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || {
+                let p = zlang::compile(&deep).unwrap();
+                for level in [Level::Baseline, Level::C2F3] {
+                    let opt = Pipeline::new(level).optimize(&p);
+                    for engine in Engine::all() {
+                        let binding = ConfigBinding::defaults(&opt.scalarized.program);
+                        let out = execute(&opt, binding, engine).unwrap();
+                        let s = opt.scalarized.program.scalar_by_name("s").unwrap();
+                        assert_eq!(out.scalar(s), 8.0, "{level} on {engine}");
+                    }
+                }
+            })
+            .unwrap()
+            .join();
+        assert!(run.is_ok(), "{shape} at depth {max}");
+        let e = zlang::compile(&program(max + 1, shape)).unwrap_err();
+        assert_eq!(
+            e.message,
+            format!("nesting exceeds the limit of {max} levels"),
+            "{shape}"
+        );
+    }
+}

@@ -149,7 +149,9 @@ fn comment_ranges(source: &str) -> Vec<(usize, usize)> {
     let mut from = 0;
     while let Some(i) = source[from..].find("--") {
         let start = from + i;
-        let end = source[start..].find('\n').map_or(source.len(), |j| start + j);
+        let end = source[start..]
+            .find('\n')
+            .map_or(source.len(), |j| start + j);
         out.push((start + 2, end));
         from = end;
     }
