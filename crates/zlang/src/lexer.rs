@@ -161,11 +161,11 @@ impl<'a> Lexer<'a> {
             b'=' => (Eq, 1),
             b'!' if next == Some(b'=') => (Ne, 2),
             b'!' => return Err(Error::lex(pos, "unexpected `!`")),
-            other => {
-                return Err(Error::lex(
-                    pos,
-                    format!("unexpected character `{}`", other as char),
-                ))
+            _ => {
+                // Everything consumed so far is ASCII or a whole comment,
+                // so `self.i` is a character boundary.
+                let ch = self.text[self.i..].chars().next().expect("a byte is left");
+                return Err(Error::lex(pos, format!("unexpected character `{ch}`")));
             }
         };
         self.i += len;
@@ -303,6 +303,14 @@ mod tests {
     #[test]
     fn rejects_unknown_char() {
         assert!(lex("a # b").is_err());
+    }
+
+    #[test]
+    fn a_non_ascii_character_is_reported_as_itself_at_its_byte_column() {
+        let e = lex("begin x é end").unwrap_err();
+        assert_eq!(e.to_string(), "lex error at 1:9: unexpected character `é`");
+        let e = lex("-- ü\n  ab😀").unwrap_err();
+        assert_eq!(e.to_string(), "lex error at 2:5: unexpected character `😀`");
     }
 
     #[test]
