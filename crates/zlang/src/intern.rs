@@ -6,7 +6,9 @@
 //! lives on [`crate::ir::Program`] (via [`crate::ir::NameTable`]) so the
 //! symbol space travels with the program it describes.
 
+use std::collections::hash_map::RandomState;
 use std::fmt;
+use std::hash::BuildHasher;
 
 /// An interned name: a cheap, `Copy` handle into an [`Interner`].
 ///
@@ -29,10 +31,14 @@ const EMPTY: u32 = u32::MAX;
 /// Interning the same string twice returns the same symbol; resolution is
 /// a slice of one buffer. Each distinct name is stored once, in `text`;
 /// the hash table holds symbols only and compares a candidate against
-/// the buffer, so a lookup hashes the probe's bytes once with a
-/// multiply-rotate word hash and allocates nothing.
+/// the buffer, so a lookup hashes the probe's bytes once and allocates
+/// nothing. Names come from source text, which is outside input, so the
+/// hash is std's randomly keyed one, as a `HashMap`'s would be: names
+/// cannot be chosen to collide.
 #[derive(Clone, Default)]
 pub struct Interner {
+    /// The keyed hash every slot is computed with.
+    state: RandomState,
     /// Every interned name, back to back, in symbol order.
     text: String,
     /// `ends[s]` is where symbol `s`'s name ends in `text`.
@@ -57,25 +63,6 @@ impl fmt::Debug for Interner {
     }
 }
 
-/// A word-at-a-time hash of a short byte string (names are a few bytes,
-/// so this is one to three multiplies).
-fn hash(bytes: &[u8]) -> u64 {
-    const K: u64 = 0x517c_c1b7_2722_0a95;
-    let mix = |h: u64, w: u64| (h.rotate_left(5) ^ w).wrapping_mul(K);
-    let mut words = bytes.chunks_exact(8);
-    let mut h = bytes.len() as u64;
-    for w in &mut words {
-        h = mix(h, u64::from_le_bytes(w.try_into().expect("chunks of 8")));
-    }
-    // The tail byte by byte: a copy of a variable length is a call.
-    let tail = words
-        .remainder()
-        .iter()
-        .rev()
-        .fold(0, |w, &b| w << 8 | u64::from(b));
-    mix(h, tail)
-}
-
 impl Interner {
     /// Creates an empty interner.
     pub fn new() -> Self {
@@ -86,6 +73,7 @@ impl Interner {
     /// all, so interning them grows nothing.
     pub fn with_capacity(names: usize, bytes: usize) -> Self {
         Interner {
+            state: RandomState::new(),
             text: String::with_capacity(bytes),
             ends: Vec::with_capacity(names),
             slots: vec![EMPTY; (2 * names).next_power_of_two().max(16)],
@@ -109,7 +97,7 @@ impl Interner {
     /// would go. The table must not be empty.
     fn slot(&self, bytes: &[u8]) -> usize {
         let mask = self.slots.len() - 1;
-        let mut at = hash(bytes) as usize & mask;
+        let mut at = self.state.hash_one(bytes) as usize & mask;
         loop {
             let s = self.slots[at];
             if s == EMPTY || self.name(s) == bytes {

@@ -10,6 +10,35 @@
 //! analysis, and an array-level IR ([`ir::Program`]) that downstream crates
 //! (notably `fusion-core`) normalize and optimize.
 //!
+//! # The pipeline and what each stage allocates
+//!
+//! [`compile`] is [`lexer::lex`], then [`parser::parse`], then
+//! [`sema::analyze`]. A compile cache miss pays for all three on the
+//! request path, so none of them allocates per token:
+//!
+//! - **Tokens** ([`token::Token`]) are 24 bytes: a [`token::TokenKind`]
+//!   and a [`error::Pos`]. An identifier carries its text in a
+//!   [`token::Name`], 14 bytes inline (a longer name spills to one shared
+//!   allocation). A position is the 1-based line and *byte* column,
+//!   computed where a token starts from its byte offset and the offset of
+//!   its line's first byte. The token vector is sized from the source
+//!   length once.
+//! - **The AST** ([`ast::Program`]) keeps every expression in one arena,
+//!   [`ast::Program::exprs`], with operands as [`ast::ExprId`]s and call
+//!   arguments and inline `@[...]` offsets as runs of two side vectors.
+//!   Declarations and statement blocks are vectors of their own.
+//! - **Sema** resolves a name with one probe of the program's
+//!   [`ir::NameTable`] (an open-addressed interner that stores each name
+//!   once) and a vector indexed by symbol. What it allocates is the IR.
+//!
+//! Tokens and the AST are owned values with no lifetime parameter: they
+//! borrow nothing from the source text, so a caller can keep them after
+//! the source is gone, as the benchmark harness keeps both per key.
+//!
+//! The parser bounds nesting at [`parser::MAX_NESTING`] levels (blocks
+//! and expression groups together), because every later stage recurses on
+//! it and a stack overflow aborts the process instead of unwinding.
+//!
 //! # Language overview
 //!
 //! ```text
