@@ -71,7 +71,7 @@ impl Interner {
 
     /// An empty interner with room for `names` names of `bytes` bytes in
     /// all, so interning them grows nothing.
-    pub fn with_capacity(names: usize, bytes: usize) -> Self {
+    pub(crate) fn with_capacity(names: usize, bytes: usize) -> Self {
         Interner {
             state: RandomState::new(),
             text: String::with_capacity(bytes),

@@ -593,7 +593,7 @@ impl PartialEq for NameTable {
 impl NameTable {
     /// An empty table with room for `names` names of `bytes` bytes in
     /// all.
-    pub fn with_capacity(names: usize, bytes: usize) -> Self {
+    pub(crate) fn with_capacity(names: usize, bytes: usize) -> Self {
         NameTable {
             interner: Interner::with_capacity(names, bytes),
             decls: Vec::with_capacity(names),
