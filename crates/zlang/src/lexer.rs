@@ -4,7 +4,7 @@
 //!
 //! The lexer walks bytes and allocates nothing per token: an identifier
 //! is copied into a [`Name`], keywords are told apart by length and first
-//! byte, and the token vector is sized from the source length up front. A
+//! byte, and the token vector is reserved from the source length up front. A
 //! position is computed only where a token starts, from its byte offset
 //! and the offset where its line starts; the line count moves only when
 //! trivia crosses a newline, the one place a newline can occur.
@@ -203,8 +203,9 @@ impl<'a> Lexer<'a> {
 /// ```
 pub fn lex(source: &str) -> Result<Vec<Token>, Error> {
     let mut lexer = Lexer::new(source);
-    // The benchmarks and generated programs run about 2.8 source bytes a
-    // token: this rarely grows and reserves at most a third too much.
+    // The benchmarks and generated programs run 2.8 source bytes a token
+    // on average and 1.9 at the densest: most never grow this vector, and
+    // the densest grow it once.
     let mut out = Vec::with_capacity(source.len() / 2 + 1);
     loop {
         let tok = lexer.next_token()?;

@@ -21,8 +21,8 @@
 //!   [`token::Name`], 14 bytes inline (a longer name spills to one shared
 //!   allocation). A position is the 1-based line and *byte* column,
 //!   computed where a token starts from its byte offset and the offset of
-//!   its line's first byte. The token vector is sized from the source
-//!   length once.
+//!   its line's first byte. The token vector is reserved from the
+//!   source length up front.
 //! - **The AST** ([`ast::Program`]) keeps every expression in one arena,
 //!   [`ast::Program::exprs`], with operands as [`ast::ExprId`]s and call
 //!   arguments and inline `@[...]` offsets as runs of two side vectors.
