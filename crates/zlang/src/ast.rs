@@ -6,9 +6,8 @@
 //! Expressions live in one arena per program, [`Program::exprs`], and
 //! refer to their operands by [`ExprId`]; call arguments and inline `@`
 //! offsets are runs of [`Program::args`] and [`Program::offsets`]. The
-//! tree is therefore a handful of vectors, built without an allocation
-//! per node and dropped without a walk, and it stays an owned value with
-//! no lifetime.
+//! tree is therefore a handful of vectors, built and freed without an
+//! allocation per node, and it stays an owned value with no lifetime.
 
 use crate::error::Pos;
 pub use crate::token::Name;
