@@ -58,14 +58,9 @@ pub struct TileStats {
     /// The tile's index within its batch, in iteration order along the
     /// partitioned dimension.
     pub tile: u32,
-    /// Array element loads performed by the tile.
-    pub loads: u64,
-    /// Array element stores performed by the tile.
-    pub stores: u64,
-    /// Floating-point operations performed by the tile.
-    pub flops: u64,
-    /// Iteration points executed by the tile.
-    pub points: u64,
+    /// The loads, stores, flops and iteration points the tile executed (a
+    /// tile allocates nothing, so the allocation counters are zero).
+    pub stats: RunStats,
 }
 
 /// The complete result of one program execution.
@@ -95,10 +90,7 @@ impl RunOutcome {
     ) -> RunOutcome {
         let mut stats = base;
         for t in tiles {
-            stats.loads += t.loads;
-            stats.stores += t.stores;
-            stats.flops += t.flops;
-            stats.points += t.points;
+            stats += t.stats;
         }
         RunOutcome::new(scalars, stats)
     }
@@ -148,11 +140,77 @@ pub trait Executor {
     /// Sets the wall-clock instant after which subsequent
     /// [`Executor::execute`] calls stop, or `None` for no deadline. Both
     /// engines implement this (there is deliberately no
-    /// silently-ignoring default). A run checks the deadline once before
-    /// its first op, so one that has already passed always fails, then
-    /// polls it periodically; when it passes the run stops with an
-    /// [`ExecError`] of kind [`Deadline`](crate::ErrorKind::Deadline).
+    /// silently-ignoring default), and both follow one rule: a run checks
+    /// the deadline once before its first op, so one that has already
+    /// passed always fails, then reads the clock once per 1024 loop
+    /// iterations, counted the same way by the tree-walker's points and
+    /// `for` iterations, the VM's loop back-edges, each lane strip's
+    /// positions and each tile's back-edges. When it has passed the run
+    /// stops with an [`ExecError`] of kind
+    /// [`Deadline`](crate::ErrorKind::Deadline).
     fn set_deadline(&mut self, deadline: Option<Instant>);
+}
+
+/// How many loop iterations pass between two reads of the clock under a
+/// deadline. At the VM's 10-30 ns an iteration that is a clock read every
+/// 10-30 us, a fraction of a percent of the run; a slower iteration (a
+/// tree-walker point, a long loop body) reads it less often in time, and
+/// the run overshoots the deadline by at most 1024 such iterations.
+const POLL_EVERY: u64 = 1024;
+
+/// The one deadline rule of every loop that runs a program: the VM's
+/// dispatch loop, a parallel tile, a lane run's strip loop and the
+/// tree-walker. [`Deadline::start`] checks the instant before the first
+/// op; then each loop ticks once per iteration (a lane strip once,
+/// weighted by its positions), and every [`POLL_EVERY`] iterations the
+/// clock is read. Without a deadline a tick is one predictable branch and
+/// never reads the clock.
+pub(crate) struct Deadline {
+    /// The instant itself, for a parallel tile to start its own from.
+    pub(crate) at: Option<Instant>,
+    ticks: u64,
+}
+
+impl Deadline {
+    /// Starts a run under `at`.
+    ///
+    /// # Errors
+    ///
+    /// A [`Deadline`](crate::ErrorKind::Deadline) error when `at` has
+    /// already passed, so such a run fails before its first op on every
+    /// engine at every width.
+    pub(crate) fn start(at: Option<Instant>) -> Result<Deadline, ExecError> {
+        let d = Deadline { at, ticks: 0 };
+        d.check()?;
+        Ok(d)
+    }
+
+    /// Counts `n` loop iterations: 1 for a back-edge, a point or a `for`
+    /// iteration, a strip's positions for a lane strip.
+    ///
+    /// # Errors
+    ///
+    /// A [`Deadline`](crate::ErrorKind::Deadline) error when this tick
+    /// reads the clock and the deadline has passed.
+    #[inline(always)]
+    pub(crate) fn tick(&mut self, n: u64) -> Result<(), ExecError> {
+        if self.at.is_some() {
+            self.ticks += n;
+            if self.ticks >= POLL_EVERY {
+                self.ticks = 0;
+                return self.check();
+            }
+        }
+        Ok(())
+    }
+
+    #[cold]
+    fn check(&self) -> Result<(), ExecError> {
+        match self.at {
+            Some(at) if Instant::now() >= at => Err(ExecError::deadline()),
+            _ => Ok(()),
+        }
+    }
 }
 
 /// Selects an execution engine by name.
@@ -430,22 +488,18 @@ mod tests {
 
     #[test]
     fn merge_is_order_independent_and_exact() {
-        let a = TileStats {
+        let tile = |tile, loads, stores, flops, points| TileStats {
             batch: 0,
-            tile: 1,
-            loads: 10,
-            stores: 5,
-            flops: 7,
-            points: 5,
+            tile,
+            stats: RunStats {
+                loads,
+                stores,
+                flops,
+                points,
+                ..RunStats::default()
+            },
         };
-        let b = TileStats {
-            batch: 0,
-            tile: 0,
-            loads: 2,
-            stores: 1,
-            flops: 3,
-            points: 1,
-        };
+        let (a, b) = (tile(1, 10, 5, 7, 5), tile(0, 2, 1, 3, 1));
         let base = RunStats {
             loads: 100,
             ..RunStats::default()

@@ -6,6 +6,7 @@
 //! crate's cache simulator implements this) together with its byte address,
 //! so cache behavior can be measured exactly rather than estimated.
 
+use crate::exec::Deadline;
 use crate::ir::{EExpr, ElemRef, LStmt, LoopNest, ScalarProgram};
 use std::fmt;
 use std::time::Instant;
@@ -156,6 +157,19 @@ pub struct RunStats {
     pub arrays_allocated: usize,
     /// Peak bytes of array storage allocated.
     pub peak_bytes: u64,
+}
+
+/// Adds the counters of another part of the same run: a lane run's, a
+/// parallel tile's, or the VM dispatch loop's own.
+impl std::ops::AddAssign for RunStats {
+    fn add_assign(&mut self, other: RunStats) {
+        self.loads += other.loads;
+        self.stores += other.stores;
+        self.flops += other.flops;
+        self.points += other.points;
+        self.arrays_allocated += other.arrays_allocated;
+        self.peak_bytes += other.peak_bytes;
+    }
 }
 
 /// What class of failure an [`ExecError`] is — the execution supervisor
@@ -320,8 +334,6 @@ pub struct Interp<'p> {
     /// `(dim, value)` bindings from enclosing `LStmt::Outer` loops.
     outer_bound: Vec<(u8, i64)>,
     deadline: Option<Instant>,
-    /// Points executed this run, used to pace the deadline check.
-    ticks: u64,
 }
 
 impl<'p> Interp<'p> {
@@ -338,35 +350,20 @@ impl<'p> Interp<'p> {
             next_base: 4096,
             outer_bound: Vec::new(),
             deadline: None,
-            ticks: 0,
         }
     }
 
     /// Sets the wall-clock instant after which subsequent runs stop with
     /// a [`Deadline`](ErrorKind::Deadline) error, or `None` for no
-    /// deadline. [`Interp::run`] checks it once before the first
-    /// statement, then every 4096 loop-nest iteration points.
+    /// deadline. The rule is the VM's ([`Executor::set_deadline`]):
+    /// [`Interp::run`] checks it once before the first statement, then
+    /// counts every loop-nest and reduction point and every iteration of
+    /// a `for` loop or an outer loop as one loop iteration, so a `for`
+    /// loop of scalar statements with no nest stops like any other loop.
+    ///
+    /// [`Executor::set_deadline`]: crate::Executor::set_deadline
     pub fn set_deadline(&mut self, deadline: Option<Instant>) {
         self.deadline = deadline;
-    }
-
-    /// Counts one iteration point, polling the deadline.
-    #[inline]
-    fn spend_point(&mut self) -> Result<(), ExecError> {
-        self.ticks += 1;
-        // The deadline needs a clock read, so check it only every 4096
-        // points — more than often enough at nanoseconds per point.
-        if self.ticks & 0xFFF == 0 {
-            self.check_deadline()?;
-        }
-        Ok(())
-    }
-
-    fn check_deadline(&self) -> Result<(), ExecError> {
-        match self.deadline {
-            Some(d) if Instant::now() >= d => Err(ExecError::deadline()),
-            _ => Ok(()),
-        }
     }
 
     /// Executes the program, reporting accesses to `obs`.
@@ -377,11 +374,10 @@ impl<'p> Interp<'p> {
     /// arrays with halos large enough for their `@` offsets), or when the
     /// deadline ([`Interp::set_deadline`]) has passed, before the first
     /// statement or at a poll.
-    pub fn run(&mut self, obs: &mut (impl Observer + ?Sized)) -> Result<RunStats, ExecError> {
-        self.check_deadline()?;
-        self.ticks = 0;
+    pub fn run(&mut self, obs: &mut dyn Observer) -> Result<RunStats, ExecError> {
+        let mut deadline = Deadline::start(self.deadline)?;
         let stmts = &self.prog.stmts;
-        self.exec_stmts(stmts, obs)?;
+        self.exec_stmts(stmts, obs, &mut deadline)?;
         Ok(self.stats)
     }
 
@@ -475,11 +471,12 @@ impl<'p> Interp<'p> {
     fn exec_stmts(
         &mut self,
         stmts: &[LStmt],
-        obs: &mut (impl Observer + ?Sized),
+        obs: &mut dyn Observer,
+        deadline: &mut Deadline,
     ) -> Result<(), ExecError> {
         for s in stmts {
             match s {
-                LStmt::Nest(n) => self.exec_nest(n, obs)?,
+                LStmt::Nest(n) => self.exec_nest(n, obs, deadline)?,
                 LStmt::Scalar { lhs, rhs } => {
                     self.scalars[lhs.0 as usize] = self.scalar_expr(rhs);
                 }
@@ -490,7 +487,7 @@ impl<'p> Interp<'p> {
                     structure: _,
                     rhs,
                 } => {
-                    self.exec_reduce(*lhs, *op, *region, rhs, obs)?;
+                    self.exec_reduce(*lhs, *op, *region, rhs, obs, deadline)?;
                 }
                 LStmt::Outer {
                     region,
@@ -505,8 +502,9 @@ impl<'p> Interp<'p> {
                         Box::new(lo..=hi)
                     };
                     for v in iter {
+                        deadline.tick(1)?;
                         self.outer_bound.push((*dim, v));
-                        let r = self.exec_stmts(body, obs);
+                        let r = self.exec_stmts(body, obs, deadline);
                         self.outer_bound.pop();
                         r?;
                     }
@@ -526,8 +524,9 @@ impl<'p> Interp<'p> {
                         Box::new(lo..=hi)
                     };
                     for k in iter {
+                        deadline.tick(1)?;
                         self.scalars[var.0 as usize] = k as f64;
-                        self.exec_stmts(body, obs)?;
+                        self.exec_stmts(body, obs, deadline)?;
                     }
                 }
                 LStmt::If {
@@ -536,9 +535,9 @@ impl<'p> Interp<'p> {
                     else_body,
                 } => {
                     if self.scalar_expr(cond) != 0.0 {
-                        self.exec_stmts(then_body, obs)?;
+                        self.exec_stmts(then_body, obs, deadline)?;
                     } else {
-                        self.exec_stmts(else_body, obs)?;
+                        self.exec_stmts(else_body, obs, deadline)?;
                     }
                 }
             }
@@ -563,7 +562,8 @@ impl<'p> Interp<'p> {
     fn exec_nest(
         &mut self,
         nest: &LoopNest,
-        obs: &mut (impl Observer + ?Sized),
+        obs: &mut dyn Observer,
+        deadline: &mut Deadline,
     ) -> Result<(), ExecError> {
         // Pre-allocate every array the nest touches.
         for (a, _) in nest.loads() {
@@ -598,7 +598,7 @@ impl<'p> Interp<'p> {
             for (l, &(dim, _, _, _)) in order.iter().enumerate() {
                 idx[dim] = cur[l];
             }
-            self.spend_point()?;
+            deadline.tick(1)?;
             self.exec_point(nest, &idx, obs)?;
             self.stats.points += 1;
             // Advance the odometer from the innermost loop.
@@ -631,7 +631,7 @@ impl<'p> Interp<'p> {
         &mut self,
         nest: &LoopNest,
         idx: &[i64],
-        obs: &mut (impl Observer + ?Sized),
+        obs: &mut dyn Observer,
     ) -> Result<(), ExecError> {
         for stmt in &nest.body {
             let v = self.eval_elem(&stmt.rhs, idx, obs)?;
@@ -685,7 +685,7 @@ impl<'p> Interp<'p> {
         &mut self,
         e: &EExpr,
         idx: &[i64],
-        obs: &mut (impl Observer + ?Sized),
+        obs: &mut dyn Observer,
     ) -> Result<f64, ExecError> {
         Ok(match e {
             EExpr::Load(a, off) => {
@@ -737,7 +737,8 @@ impl<'p> Interp<'p> {
         op: ReduceOp,
         region: RegionId,
         rhs: &EExpr,
-        obs: &mut (impl Observer + ?Sized),
+        obs: &mut dyn Observer,
+        deadline: &mut Deadline,
     ) -> Result<(), ExecError> {
         let mut reads = Vec::new();
         rhs.for_each_load(&mut |a, _| reads.push(a));
@@ -756,7 +757,7 @@ impl<'p> Interp<'p> {
             let rank = bounds.len();
             let mut idx: Vec<i64> = bounds.iter().map(|&(lo, _)| lo).collect();
             'outer: loop {
-                self.spend_point()?;
+                deadline.tick(1)?;
                 let v = self.eval_elem(rhs, &idx, obs)?;
                 self.stats.points += 1;
                 acc = match op {

@@ -66,10 +66,10 @@
 //! it returns, and the thread lives on for the pool's next borrower.
 
 use crate::bytecode::{Code, Op, ParInfo, MAX_RANK};
-use crate::exec::TileStats;
+use crate::exec::{Deadline, TileStats};
 use crate::interp::{ExecError, NoopObserver, Observer, RunStats};
 use crate::simd::{self, ElemMem, LaneScratch, TermLog};
-use crate::vm::{body_op, book_lane_run, VmArray};
+use crate::vm::{body_op, VmArray};
 use std::any::Any;
 use std::ops::{Deref, DerefMut};
 use std::panic::{self, AssertUnwindSafe};
@@ -597,14 +597,10 @@ fn run_tile(
         views: &b.views,
     };
     let mut n = RunStats::default();
-    let mut ticks = 0u64;
+    let mut deadline = Deadline::start(b.deadline)?;
     while pc != exit {
         let op = ops[pc];
         pc += 1;
-        ticks += 1;
-        if ticks & 0x1FFF == 0 && b.deadline.is_some_and(|d| Instant::now() >= d) {
-            return Err(ExecError::deadline());
-        }
         if body_op(
             op,
             code,
@@ -634,6 +630,7 @@ fn run_tile(
                 let v = idx[d as usize] + step;
                 idx[d as usize] = v;
                 if v != stop {
+                    deadline.tick(1)?;
                     pc = head as usize;
                 }
             }
@@ -654,12 +651,12 @@ fn run_tile(
                         &idx,
                         &mut mem,
                         lane_scratch,
-                        b.deadline,
+                        &mut deadline,
                         log.as_deref_mut(),
                         &mut NoopObserver,
                     )?;
                     if let Some(run) = run {
-                        book_lane_run(&run, &mut n);
+                        n += run.stats;
                         idx = run.idx;
                         pc = run.resume as usize;
                     }
@@ -672,10 +669,7 @@ fn run_tile(
         stats: TileStats {
             batch: b.batch_id,
             tile: ti as u32,
-            loads: n.loads,
-            stores: n.stores,
-            flops: n.flops,
-            points: n.points,
+            stats: n,
         },
         final_idx: idx,
     })
@@ -926,7 +920,7 @@ mod tests {
         let (pool, arrays, r) = run_bounded(pool, good, arrays()).expect("a clean batch completes");
         let tiles = r.expect("a clean batch succeeds");
         assert_eq!(tiles.len(), 12);
-        assert_eq!(tiles.iter().map(|t| t.points).sum::<u64>(), N as u64);
+        assert_eq!(tiles.iter().map(|t| t.stats.points).sum::<u64>(), N as u64);
         let want: Vec<u64> = (0..N).map(|i| (i as f64).to_bits()).collect();
         let got: Vec<u64> = arrays[0]
             .as_ref()

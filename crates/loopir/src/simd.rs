@@ -68,9 +68,9 @@ use crate::bytecode::{
     Bcast, Code, Func, LaneOp, NoRows, Op, Reg, Rows, SimdInfo, Src, MAX_CALL_ARGS, MAX_LANES,
     MAX_RANK,
 };
-use crate::interp::{binop, ExecError, Observer, Strip, StripAccess, StripEvent};
+use crate::exec::Deadline;
+use crate::interp::{binop, ExecError, Observer, RunStats, Strip, StripAccess, StripEvent};
 use crate::vm::{unallocated, VmArray};
-use std::time::Instant;
 use zlang::ast::{BinOp, ReduceOp};
 use zlang::ir::Intrinsic;
 
@@ -1224,10 +1224,8 @@ impl ElemMem for VmMem<'_> {
 /// `resume` with the index vector `idx`.
 #[derive(Default)]
 pub(crate) struct LaneRun {
-    pub loads: u64,
-    pub stores: u64,
-    pub flops: u64,
-    pub points: u64,
+    /// The loads, stores, flops and points the run executed.
+    pub stats: RunStats,
     /// pc past the `IdxStep` of the outermost loop the run covered.
     pub resume: u32,
     /// The index vector as those loops would have left it.
@@ -1605,7 +1603,8 @@ struct StripCtx<'a, M> {
     /// broadcast slot and the outer loop's first iterate and step. The
     /// slot is refilled for every strip, row segment by row segment.
     outer_idx: Option<(usize, i64, i64)>,
-    deadline: Option<Instant>,
+    /// The run's deadline, ticked once per strip by its positions.
+    deadline: &'a mut Deadline,
     /// A parallel tile's term log: `Reduce` appends its strip here
     /// instead of folding it into its accumulator.
     log: Option<&'a mut TermLog>,
@@ -1633,17 +1632,9 @@ fn strip_loop<M: ElemMem>(cx: &mut StripCtx<'_, M>, report: Report<'_>) -> Resul
     let total = rows * cols;
     let mut own = [0.0f64; MAX_LANES];
     let mut done = 0i64;
-    let mut strip = 0u64;
     while done < total {
-        if strip & 0x3F == 0 {
-            if let Some(d) = cx.deadline {
-                if Instant::now() >= d {
-                    return Err(ExecError::deadline());
-                }
-            }
-        }
-        strip += 1;
         let wc = w.min((total - done) as usize);
+        cx.deadline.tick(wc as u64)?;
         let segments = Segments {
             off: 0,
             wc,
@@ -1703,11 +1694,11 @@ fn strip_loop<M: ElemMem>(cx: &mut StripCtx<'_, M>, report: Report<'_>) -> Resul
                             }
                         }
                     }
-                    cx.run.loads += wc as u64;
+                    cx.run.stats.loads += wc as u64;
                 }
                 LaneOp::Fold { .. } => {
                     mi += 1;
-                    cx.run.loads += wc as u64;
+                    cx.run.stats.loads += wc as u64;
                 }
                 LaneOp::Store { src, .. } => {
                     let s = &streams[mi];
@@ -1738,7 +1729,7 @@ fn strip_loop<M: ElemMem>(cx: &mut StripCtx<'_, M>, report: Report<'_>) -> Resul
                             }
                         }
                     }
-                    cx.run.stores += wc as u64;
+                    cx.run.stats.stores += wc as u64;
                 }
                 LaneOp::Apply {
                     f,
@@ -1805,8 +1796,8 @@ fn strip_loop<M: ElemMem>(cx: &mut StripCtx<'_, M>, report: Report<'_>) -> Resul
                     }
                 }
                 LaneOp::Tick { flops } => {
-                    cx.run.points += wc as u64;
-                    cx.run.flops += flops as u64 * wc as u64;
+                    cx.run.stats.points += wc as u64;
+                    cx.run.stats.flops += flops as u64 * wc as u64;
                 }
             }
         }
@@ -1948,7 +1939,7 @@ pub(crate) fn run_lanes<M: ElemMem, O: Observer + ?Sized>(
     idx: &[i64; MAX_RANK],
     mem: &mut M,
     scratch: &mut LaneScratch,
-    deadline: Option<Instant>,
+    deadline: &mut Deadline,
     log: Option<&mut TermLog>,
     obs: &mut O,
 ) -> Result<Option<LaneRun>, ExecError> {
@@ -1973,7 +1964,7 @@ fn enter<'a, M: ElemMem>(
     idx: &[i64; MAX_RANK],
     mem: &'a mut M,
     scratch: &'a mut LaneScratch,
-    deadline: Option<Instant>,
+    deadline: &'a mut Deadline,
 ) -> Result<StripCtx<'a, M>, ExecError> {
     let w = plan.w;
     let n_lane = info.lane_regs.len();
@@ -2958,7 +2949,18 @@ mod tests {
         let plan = plan(info, width, None, &idx).unwrap();
         let positions = info.stop * info.rows.map_or(1, |r| r.stop);
         assert_eq!(plan.w, width.min(positions as usize));
-        let mut cx = enter(&code, info, plan, regs, &idx, &mut mem, &mut scratch, None).unwrap();
+        let mut deadline = Deadline::start(None).unwrap();
+        let mut cx = enter(
+            &code,
+            info,
+            plan,
+            regs,
+            &idx,
+            &mut mem,
+            &mut scratch,
+            &mut deadline,
+        )
+        .unwrap();
         let mut reported = 0;
         run_strips(&mut cx, wide, &mut |_, at| reported += at.len).unwrap();
         assert_eq!(
@@ -3082,9 +3084,9 @@ mod tests {
                     .collect();
                 let mut regs = vec![0.0; results + 2];
                 let run = run_table(&info, stride, &mut arrays, &mut regs, width, wide);
-                assert_eq!(run.points, 0, "the program has no tick");
+                assert_eq!(run.stats.points, 0, "the program has no tick");
                 assert_eq!(
-                    run.loads,
+                    run.stats.loads,
                     6 * n as u64,
                     "a fold is counted as the load it is"
                 );

@@ -35,11 +35,11 @@
 //! ```
 
 use crate::bytecode::{self, Check, Code, Op, MAX_LANES, MAX_RANK};
-use crate::exec::{Executor, RunOutcome, TileStats};
+use crate::exec::{Deadline, Executor, RunOutcome, TileStats};
 use crate::interp::{binop, ExecError, Observer, RunStats};
 use crate::ir::ScalarProgram;
 use crate::par::Lease;
-use crate::simd::{self, ElemMem, LaneRun, LaneScratch, VmMem};
+use crate::simd::{self, ElemMem, LaneScratch, VmMem};
 use crate::verifier::{self, VerifyDiagnostic};
 use std::sync::Arc;
 use std::time::Instant;
@@ -287,10 +287,11 @@ impl Vm {
     /// a [`Deadline`](crate::ErrorKind::Deadline) error, or `None` for no
     /// deadline. [`Vm::run`] checks it once before the first op, so a
     /// deadline that has already passed fails every run, at any width;
-    /// after that the dispatch loop, each lane run and each tile poll the
-    /// clock every few thousand ops. The polls run in a separate
-    /// monomorphization of the dispatch loop, so runs without a deadline
-    /// pay nothing for the feature.
+    /// after that the dispatch loop counts its taken loop back-edges, each
+    /// lane run the positions of its strips and each tile its own
+    /// back-edges, under the one rule of [`Executor::set_deadline`]. A run
+    /// without a deadline reads no clock and pays one predictable branch
+    /// per back-edge.
     pub fn set_deadline(&mut self, deadline: Option<Instant>) {
         self.deadline = deadline;
     }
@@ -329,39 +330,37 @@ impl Vm {
         self.verified
     }
 
-    /// Executes the bytecode, reporting accesses to `obs`.
-    ///
-    /// Generic over the observer so that unobserved runs
-    /// ([`NoopObserver`](crate::NoopObserver)) monomorphize to no-ops.
+    /// Executes the bytecode, reporting accesses to `obs`. Every run,
+    /// observed or not, goes through the one compiled copy of the dispatch
+    /// loop; [`NoopObserver`](crate::NoopObserver) is an observer like any
+    /// other here.
     ///
     /// # Errors
     ///
     /// Returns [`ExecError`] on an out-of-region array access, or when the
     /// deadline ([`Vm::set_deadline`]) has passed, before the first op or
     /// at a poll.
-    pub fn run<O: Observer + ?Sized>(&mut self, obs: &mut O) -> Result<RunOutcome, ExecError> {
+    pub fn run(&mut self, obs: &mut dyn Observer) -> Result<RunOutcome, ExecError> {
+        let deadline = Deadline::start(self.deadline)?;
         // Clone the `Arc` into a local so op fetch and access resolution
         // do not re-read through `self` (which the stat and register
         // writes below mutate) on every dispatch.
         let code = Arc::clone(&self.code);
-        match self.deadline {
-            None => self.dispatch::<O, false>(&code, obs),
-            Some(d) if Instant::now() >= d => Err(ExecError::deadline()),
-            Some(_) => self.dispatch::<O, true>(&code, obs),
-        }
+        self.dispatch(&code, obs, deadline)
     }
 
-    /// The dispatch loop, monomorphized over the observer and over whether
-    /// a deadline is set. It owns control flow, allocation and loop
+    /// The dispatch loop, compiled once: for every observer, with or
+    /// without a deadline. It owns control flow, allocation and loop
     /// bookkeeping; every straight-line op of a fused loop body goes
     /// through [`body_op`], bounds-checked, whether or not the program was
-    /// verified. `TIMED` polls the wall-clock deadline every 8192
-    /// instructions; runs without a deadline take the `TIMED = false`
-    /// instantiation and pay nothing.
-    fn dispatch<O: Observer + ?Sized, const TIMED: bool>(
+    /// verified. Each taken back-edge (`IdxStep`, `CtrStep`) ticks
+    /// `deadline`, and lane runs and tiles tick the same rule
+    /// ([`Executor::set_deadline`]).
+    fn dispatch(
         &mut self,
         code: &Arc<Code>,
-        obs: &mut O,
+        obs: &mut dyn Observer,
+        mut deadline: Deadline,
     ) -> Result<RunOutcome, ExecError> {
         // Split `self` into disjoint field borrows and keep the hottest
         // state — the index vector and the access counters — in locals,
@@ -388,7 +387,6 @@ impl Vm {
         // A `vm-par` run's lane runs use the pool's coordinator lane file,
         // which outlives this `Vm`; tiles on this thread use it too.
         let mut pool = par.as_deref_mut();
-        let deadline = self.deadline;
         let mut idx = self.idx;
         let mut mem = VmMem {
             code: code.as_ref(),
@@ -397,16 +395,9 @@ impl Vm {
         let mut batch_tiles: Vec<TileStats> = Vec::new();
         let mut next_batch = 0u32;
         let mut n = RunStats::default();
-        let mut ticks = 0u64;
         let ops = &code.ops[..];
         let mut pc = 0usize;
         let res: Result<(), ExecError> = loop {
-            if TIMED {
-                ticks += 1;
-                if ticks & 0x1FFF == 0 && deadline.is_some_and(|d| Instant::now() >= d) {
-                    break Err(ExecError::deadline());
-                }
-            }
             let op = ops[pc];
             pc += 1;
             // Loop-body ops first: they are nearly every op a run executes.
@@ -451,7 +442,7 @@ impl Vm {
                             regs,
                             &idx,
                             mem.arrays,
-                            deadline,
+                            deadline.at,
                             next_batch,
                             lane_want,
                             &mut batch_tiles,
@@ -477,6 +468,9 @@ impl Vm {
                     let v = idx[d as usize] + step;
                     idx[d as usize] = v;
                     if v != stop {
+                        if let Err(e) = deadline.tick(1) {
+                            break Err(e);
+                        }
                         pc = head as usize;
                     }
                 }
@@ -524,6 +518,9 @@ impl Vm {
                         c.cur >= c.end
                     };
                     if more {
+                        if let Err(e) = deadline.tick(1) {
+                            break Err(e);
+                        }
                         pc = head as usize;
                     }
                 }
@@ -548,14 +545,14 @@ impl Vm {
                             &mut mem,
                             pool.as_deref_mut()
                                 .map_or(&mut *simd_scratch, |p| &mut p.scratch),
-                            deadline,
+                            &mut deadline,
                             None,
                             obs,
                         );
                         match r {
                             Err(e) => break Err(e),
                             Ok(Some(run)) => {
-                                book_lane_run(&run, &mut n);
+                                n += run.stats;
                                 idx = run.idx;
                                 pc = run.resume as usize;
                             }
@@ -568,14 +565,12 @@ impl Vm {
             }
         };
         self.idx = idx;
-        self.stats.loads += n.loads;
-        self.stats.stores += n.stores;
-        self.stats.flops += n.flops;
-        self.stats.points += n.points;
-        // Tile counters fold in through the same deterministic merge the
-        // public aggregation API exposes; the cumulative stats then match
-        // a sequential run exactly (same points, same u64 sums).
-        self.stats = RunOutcome::merge(Vec::new(), self.stats, batch_tiles.iter().copied()).stats;
+        // Tile counters are u64 sums like the rest, so the cumulative stats
+        // match a sequential run exactly (same points, same sums).
+        self.stats += n;
+        for t in &batch_tiles {
+            self.stats += t.stats;
+        }
         self.tile_log = batch_tiles;
         res?;
         Ok(RunOutcome::new(
@@ -786,14 +781,6 @@ fn store_elem<M: ElemMem, O: Observer + ?Sized>(
     mem.store(ai, flat, v, obs)?;
     n.stores += 1;
     Ok(())
-}
-
-/// Adds a lane run's counters to the dispatcher's.
-pub(crate) fn book_lane_run(run: &LaneRun, n: &mut RunStats) {
-    n.loads += run.loads;
-    n.stores += run.stores;
-    n.flops += run.flops;
-    n.points += run.points;
 }
 
 /// Resolves an access-table entry against the current index vector,
@@ -1055,7 +1042,7 @@ mod tests {
                 !par.tile_stats().is_empty(),
                 "the fill nest should fan out (threads={threads})"
             );
-            let tiled_points: u64 = par.tile_stats().iter().map(|t| t.points).sum();
+            let tiled_points: u64 = par.tile_stats().iter().map(|t| t.stats.points).sum();
             assert_eq!(tiled_points, op.stats.points);
         }
     }

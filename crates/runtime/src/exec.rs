@@ -274,6 +274,7 @@ mod tests {
     use super::*;
     use fusion_core::pipeline::{Level, Pipeline};
     use machine::presets::{paragon, sp2, t3e};
+    use std::time::Duration;
 
     fn program(src: &str, level: Level) -> ScalarProgram {
         Pipeline::new(level)
@@ -497,6 +498,26 @@ mod tests {
                 ..ExecConfig::new(t3e(), 1)
             };
             let err = simulate(&sp, ConfigBinding::defaults(&sp.program), &cfg).unwrap_err();
+            assert_eq!(err.kind, loopir::ErrorKind::Deadline, "{engine}");
+        }
+    }
+
+    /// A deadline that falls inside a simulated run stops it, on the
+    /// tree-walker, in scalar dispatch and in lane runs, each feeding the
+    /// cache simulator through a `dyn Observer`. At n = 512 the run takes
+    /// far longer than 50 ms in either profile.
+    #[test]
+    fn deadline_stops_a_simulated_run_mid_way() {
+        let sp = program(SRC, Level::C2F3);
+        let mut binding = ConfigBinding::defaults(&sp.program);
+        assert!(binding.set_by_name(&sp.program, "n", 512));
+        let cfg = ExecConfig::new(t3e(), 1);
+        for engine in [Engine::Interp, Engine::Vm, Engine::VmSimd] {
+            let mut exec = engine
+                .executor_with(&sp, binding.clone(), ExecOpts::default())
+                .unwrap();
+            exec.set_deadline(Some(Instant::now() + Duration::from_millis(1)));
+            let err = simulate_executor(&mut *exec, &sp, &binding, &cfg).unwrap_err();
             assert_eq!(err.kind, loopir::ErrorKind::Deadline, "{engine}");
         }
     }

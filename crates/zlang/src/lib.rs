@@ -35,9 +35,10 @@
 //! borrow nothing from the source text, so a caller can keep them after
 //! the source is gone, as the benchmark harness keeps both per key.
 //!
-//! The parser bounds nesting at [`parser::MAX_NESTING`] levels (blocks
-//! and expression groups together), because every later stage recurses on
-//! it and a stack overflow aborts the process instead of unwinding.
+//! The parser bounds nesting at [`parser::MAX_NESTING`] levels (blocks,
+//! expression groups and the `+ - * /` nodes of an operator chain
+//! together), because every later stage recurses on it and a stack
+//! overflow aborts the process instead of unwinding.
 //!
 //! # Language overview
 //!

@@ -34,14 +34,22 @@
 //! and a unary minus each open one level, and at most [`MAX_NESTING`]
 //! levels may be open at once. The construct that opens one level more is
 //! a parse error at its first token.
+//!
+//! A chain of `+ - * /` parses in a loop but builds a tree as deep as the
+//! chain is long (`a + b + c` is `(a + b) + c`), so each such node counts
+//! as one level too, as a parenthesis does: the blocks and groups open
+//! around an expression plus the depth of its tree are at most
+//! [`MAX_NESTING`], and the operator that would make them one more is a
+//! parse error at that operator. A comparison does not count: it cannot
+//! chain without parentheses, which count already.
 
 use crate::ast::*;
 use crate::error::{Error, Pos};
 use crate::token::{Token, TokenKind};
 
-/// How many blocks and expression groups may be open at once (see the
-/// module docs). A program at the limit compiles and runs on a thread
-/// with a 2 MB stack on every engine.
+/// How many blocks, expression groups and arithmetic operator nodes may
+/// nest (see the module docs). A program at the limit compiles and runs
+/// on a thread with a 2 MB stack on every engine.
 pub const MAX_NESTING: u32 = 256;
 
 struct Parser<'a> {
@@ -123,13 +131,20 @@ impl<'a> Parser<'a> {
 
     /// Opens one nesting level at the construct starting at `pos`.
     fn nest(&mut self, pos: Pos) -> Result<(), Error> {
-        if self.depth == MAX_NESTING {
+        self.within_limit(pos, 1)?;
+        self.depth += 1;
+        Ok(())
+    }
+
+    /// The nesting error at `pos` when the open levels plus `levels` more
+    /// are past the limit.
+    fn within_limit(&self, pos: Pos, levels: u32) -> Result<(), Error> {
+        if self.depth + levels > MAX_NESTING {
             return Err(Error::parse(
                 pos,
                 format!("nesting exceeds the limit of {MAX_NESTING} levels"),
             ));
         }
-        self.depth += 1;
         Ok(())
     }
 
@@ -439,8 +454,13 @@ impl<'a> Parser<'a> {
     }
 
     fn expr(&mut self) -> Result<ExprId, Error> {
+        Ok(self.comparison()?.0)
+    }
+
+    /// An expression and the levels its tree spans (module docs).
+    fn comparison(&mut self) -> Result<(ExprId, u32), Error> {
         let pos = self.pos();
-        let lhs = self.addsub()?;
+        let (lhs, levels) = self.addsub()?;
         let op = match self.peek() {
             TokenKind::Lt => BinOp::Lt,
             TokenKind::Le => BinOp::Le,
@@ -448,51 +468,58 @@ impl<'a> Parser<'a> {
             TokenKind::Ge => BinOp::Ge,
             TokenKind::EqEq => BinOp::Eq,
             TokenKind::Ne => BinOp::Ne,
-            _ => return Ok(lhs),
+            _ => return Ok((lhs, levels)),
         };
         self.bump();
-        let rhs = self.addsub()?;
-        Ok(self.push(Expr::Binary(op, lhs, rhs, pos)))
+        let (rhs, right) = self.addsub()?;
+        Ok((
+            self.push(Expr::Binary(op, lhs, rhs, pos)),
+            levels.max(right),
+        ))
     }
 
-    fn addsub(&mut self) -> Result<ExprId, Error> {
-        let mut lhs = self.muldiv()?;
+    fn addsub(&mut self) -> Result<(ExprId, u32), Error> {
+        let (mut lhs, mut levels) = self.muldiv()?;
         loop {
             let op = match self.peek() {
                 TokenKind::Plus => BinOp::Add,
                 TokenKind::Minus => BinOp::Sub,
-                _ => return Ok(lhs),
+                _ => return Ok((lhs, levels)),
             };
             let pos = self.pos();
             self.bump();
-            let rhs = self.muldiv()?;
+            let (rhs, right) = self.muldiv()?;
+            levels = levels.max(right) + 1;
+            self.within_limit(pos, levels)?;
             lhs = self.push(Expr::Binary(op, lhs, rhs, pos));
         }
     }
 
-    fn muldiv(&mut self) -> Result<ExprId, Error> {
-        let mut lhs = self.unary()?;
+    fn muldiv(&mut self) -> Result<(ExprId, u32), Error> {
+        let (mut lhs, mut levels) = self.unary()?;
         loop {
             let op = match self.peek() {
                 TokenKind::Star => BinOp::Mul,
                 TokenKind::Slash => BinOp::Div,
-                _ => return Ok(lhs),
+                _ => return Ok((lhs, levels)),
             };
             let pos = self.pos();
             self.bump();
-            let rhs = self.unary()?;
+            let (rhs, right) = self.unary()?;
+            levels = levels.max(right) + 1;
+            self.within_limit(pos, levels)?;
             lhs = self.push(Expr::Binary(op, lhs, rhs, pos));
         }
     }
 
-    fn unary(&mut self) -> Result<ExprId, Error> {
+    fn unary(&mut self) -> Result<(ExprId, u32), Error> {
         let pos = self.pos();
         if self.peek() == &TokenKind::Minus {
             self.nest(pos)?;
             self.bump();
-            let e = self.unary()?;
+            let (e, levels) = self.unary()?;
             self.unnest();
-            Ok(self.push(Expr::Unary(UnOp::Neg, e, pos)))
+            Ok((self.push(Expr::Unary(UnOp::Neg, e, pos)), levels + 1))
         } else {
             self.primary()
         }
@@ -508,7 +535,7 @@ impl<'a> Parser<'a> {
         })
     }
 
-    fn primary(&mut self) -> Result<ExprId, Error> {
+    fn primary(&mut self) -> Result<(ExprId, u32), Error> {
         let pos = self.pos();
         if let Some(op) = self.reduce_op() {
             self.nest(pos)?;
@@ -516,26 +543,26 @@ impl<'a> Parser<'a> {
             self.expect(&TokenKind::LBracket)?;
             let region = self.expect_ident()?;
             self.expect(&TokenKind::RBracket)?;
-            let arg = self.addsub()?;
+            let (arg, levels) = self.addsub()?;
             self.unnest();
-            return Ok(self.push(Expr::Reduce(op, region, arg, pos)));
+            return Ok((self.push(Expr::Reduce(op, region, arg, pos)), levels + 1));
         }
-        match self.peek() {
+        let leaf = match self.peek() {
             TokenKind::Int(v) => {
                 self.bump();
-                Ok(self.push(Expr::Lit(Literal::Int(*v), pos)))
+                Expr::Lit(Literal::Int(*v), pos)
             }
             TokenKind::Float(v) => {
                 self.bump();
-                Ok(self.push(Expr::Lit(Literal::Float(*v), pos)))
+                Expr::Lit(Literal::Float(*v), pos)
             }
             TokenKind::LParen => {
                 self.nest(pos)?;
                 self.bump();
-                let e = self.expr()?;
+                let (e, levels) = self.comparison()?;
                 self.expect(&TokenKind::RParen)?;
                 self.unnest();
-                Ok(e)
+                return Ok((e, levels + 1));
             }
             TokenKind::Ident(name) => {
                 self.bump();
@@ -557,42 +584,50 @@ impl<'a> Parser<'a> {
                     } else {
                         AtOffset::Named(self.expect_ident()?)
                     };
-                    Ok(self.push(Expr::At(name, off, pos)))
+                    Expr::At(name, off, pos)
                 } else if self.peek() == &TokenKind::LParen {
-                    let args = self.call_args()?;
-                    Ok(self.push(Expr::Call(name, args, pos)))
+                    let (args, levels) = self.call_args()?;
+                    return Ok((self.push(Expr::Call(name, args, pos)), levels));
                 } else {
-                    Ok(self.push(Expr::Name(name, pos)))
+                    Expr::Name(name, pos)
                 }
             }
-            other => Err(Error::parse(
-                pos,
-                format!("expected expression, found {other}"),
-            )),
-        }
+            other => {
+                return Err(Error::parse(
+                    pos,
+                    format!("expected expression, found {other}"),
+                ))
+            }
+        };
+        Ok((self.push(leaf), 0))
     }
 
-    /// `"(" [expr {"," expr}] ")"`, stored as a run of the argument list.
-    fn call_args(&mut self) -> Result<Run, Error> {
+    /// `"(" [expr {"," expr}] ")"`, stored as a run of the argument list,
+    /// and the levels the call spans: one more than its deepest argument.
+    fn call_args(&mut self) -> Result<(Run, u32), Error> {
         self.nest(self.pos())?;
         self.bump();
         let mark = self.pending.len();
+        let mut levels = 0;
         if self.peek() != &TokenKind::RParen {
-            let first = self.expr()?;
-            self.pending.push(first);
-            while self.eat(&TokenKind::Comma) {
-                let next = self.expr()?;
-                self.pending.push(next);
+            loop {
+                let (arg, arg_levels) = self.comparison()?;
+                self.pending.push(arg);
+                levels = levels.max(arg_levels);
+                if !self.eat(&TokenKind::Comma) {
+                    break;
+                }
             }
         }
         self.expect(&TokenKind::RParen)?;
         self.unnest();
         let start = self.args.len() as u32;
         self.args.extend(self.pending.drain(mark..));
-        Ok(Run {
+        let args = Run {
             start,
             len: self.args.len() as u32 - start,
-        })
+        };
+        Ok((args, levels + 1))
     }
 }
 
@@ -856,6 +891,56 @@ mod tests {
             parse_err(&ifs).to_string(),
             format!("parse error at 1:{}: {limit}", at + 1)
         );
+    }
+
+    /// `B op B op ... op B` with `ops` operators: a tree `ops` deep.
+    fn chain(ops: usize, op: &str) -> String {
+        format!("B{}", format!(" {op} B").repeat(ops))
+    }
+
+    #[test]
+    fn each_arithmetic_operator_of_a_chain_is_one_level() {
+        let n = MAX_NESTING as usize;
+        let limit = format!("nesting exceeds the limit of {MAX_NESTING} levels");
+        let prefix = format!("{HEADER} begin [R] A := ");
+        for op in ["+", "-", "*", "/"] {
+            parse_src(&format!("{prefix}{}; end", chain(n, op)));
+            // The 257th operator is the error, at its own column.
+            let e = parse_err(&format!("{prefix}{}; end", chain(n + 1, op)));
+            let col = prefix.len() + 4 * n + 3;
+            assert_eq!(e.to_string(), format!("parse error at 1:{col}: {limit}"));
+        }
+        // Blocks, groups and operator nodes share the count; a chain's
+        // operands count from where the chain is.
+        let inside = |ops| {
+            nested(
+                1,
+                "for k := 1 to 2 do ",
+                &format!("s := {};", chain(ops, "+")),
+                "end; ",
+            )
+        };
+        parse_src(&inside(n - 1));
+        assert!(parse_err(&inside(n)).message.contains(&limit));
+        let grouped = format!("{prefix}({}); end", chain(n - 1, "*"));
+        parse_src(&grouped);
+        let grouped = format!("{prefix}({}) + B; end", chain(n - 1, "*"));
+        assert!(parse_err(&grouped).message.contains(&limit));
+        // Precedence builds a tree as deep as its deepest branch.
+        let mixed = format!("{prefix}B * B{}; end", " + B * B".repeat(n - 1));
+        parse_src(&mixed);
+        // A comparison joins two chains without a level of its own.
+        let compared = format!("{prefix}{} < {}; end", chain(n, "+"), chain(n, "-"));
+        parse_src(&compared);
+    }
+
+    #[test]
+    fn a_hundred_thousand_term_chain_is_an_error_not_an_overflow() {
+        for op in ["+", "*"] {
+            let src = format!("{HEADER} begin [R] A := {}; end", chain(99_999, op));
+            let e = parse_err(&src);
+            assert!(e.message.contains("nesting exceeds the limit"), "{e}");
+        }
     }
 
     #[test]

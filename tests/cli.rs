@@ -281,6 +281,47 @@ fn supervised_zero_deadline_still_produces_the_answer() {
     assert!(stdout.contains("baseline on interp"), "{stdout}");
 }
 
+/// A `for` loop of scalar statements meets the deadline on the `interp`
+/// rung like any other run: the trail reports the fault on that rung and
+/// ends on the unbudgeted `baseline` rung with the answer. (The loop runs
+/// seconds in the debug profile and half a second in release, so the
+/// 100 ms budget passes mid-loop, after compiling.)
+#[test]
+fn supervised_interp_run_meets_the_deadline_in_a_scalar_for_loop() {
+    let dir = std::env::temp_dir().join("zlc-cli-tests");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("spin.zl");
+    std::fs::write(
+        &path,
+        "program spin; config iters : int = 1; var s : float; var k : int;\n\
+         begin for k := 1 to iters do s := s + 1.0; end; end\n",
+    )
+    .unwrap();
+    let (stdout, stderr, ok) = zlc(&[
+        path.to_str().unwrap(),
+        "--supervise",
+        "--engine",
+        "interp",
+        "--deadline-ms",
+        "100",
+        "--set",
+        "iters=20000000",
+    ]);
+    assert!(ok, "{stderr}");
+    let attempts: Vec<&str> = stdout.lines().filter(|l| l.contains("attempt")).collect();
+    assert_eq!(attempts.len(), 2, "{stdout}");
+    assert!(
+        attempts[0].contains("c2 on interp — deadline exceeded"),
+        "{stdout}"
+    );
+    assert!(attempts[1].contains("baseline on interp — ok"), "{stdout}");
+    assert!(
+        stdout.contains("final: baseline on interp (degraded)"),
+        "{stdout}"
+    );
+    assert!(stdout.contains("s = 20000000"), "{stdout}");
+}
+
 #[test]
 fn supervised_machine_run_prints_sim_line() {
     let (stdout, stderr, ok) = zlc(&[

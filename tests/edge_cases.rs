@@ -213,8 +213,41 @@ fn deeply_nested_control_flow_survives_all_levels() {
     );
 }
 
+/// A `for` loop of scalar statements runs no loop nest, so nothing but
+/// the loop itself can meet the deadline: every engine counts its
+/// iterations (the VM its back-edges, the tree-walker each iteration) and
+/// stops a run far longer than the budget, at every width.
+#[test]
+fn a_deadline_stops_a_scalar_for_loop_on_every_engine() {
+    use std::time::{Duration, Instant};
+    // 10^8 iterations: seconds on `interp` even in release.
+    let p = zlang::compile(
+        "program spin; config iters : int = 100000000; var s : float; var k : int; \
+         begin for k := 1 to iters do s := s + 1.0; s := s * 0.5; end; end",
+    )
+    .unwrap();
+    let opt = Pipeline::new(Level::C2F3).optimize(&p);
+    let sp = &opt.scalarized;
+    assert!(sp.nests().is_empty(), "the loop runs no nest");
+    let mut runs = vec![
+        (Engine::Interp, ExecOpts::default()),
+        (Engine::Vm, ExecOpts::default()),
+    ];
+    runs.extend([1, 3, 128].map(|lanes| (Engine::VmSimd, ExecOpts::with_lanes(lanes))));
+    runs.extend([1, 2, 4].map(|threads| (Engine::VmPar, ExecOpts::with_threads(threads))));
+    for (engine, opts) in runs {
+        let ctx = format!("{engine} at {opts:?}");
+        let binding = ConfigBinding::defaults(&sp.program);
+        let mut exec = engine.executor_with(sp, binding, opts).unwrap();
+        exec.set_deadline(Some(Instant::now() + Duration::from_millis(1)));
+        let err = exec.execute(&mut NoopObserver).unwrap_err();
+        assert_eq!(err.kind, ErrorKind::Deadline, "{ctx}: {err}");
+    }
+}
+
 /// A program nested as deeply as the parser allows (`MAX_NESTING` open
-/// parentheses, unary minuses, calls, `for` blocks or `if` blocks)
+/// parentheses, unary minuses, calls, `for` blocks or `if` blocks, or a
+/// chain of `MAX_NESTING` `+` or `*` operators, each a level of the tree)
 /// compiles and runs at `baseline` and `c2+f3` on every engine, on a
 /// thread with a 2 MB stack (what a spawned thread, such as a `zlc serve`
 /// worker, gets by default); one level more is a parse error, not a
@@ -228,6 +261,8 @@ fn programs_at_the_nesting_limit_run_on_a_two_megabyte_stack() {
             // Spaced, since `--` starts a comment; an even count is `+A`.
             "minus" => format!("[R] B := {}A;", "- ".repeat(depth)),
             "calls" => format!("[R] B := {}A{};", "abs(".repeat(depth), ")".repeat(depth)),
+            "plus" => format!("[R] B := A{};", " + 0.0".repeat(depth)),
+            "times" => format!("[R] B := A{};", " * 1.0".repeat(depth)),
             "loops" => format!(
                 "{}[R] B := A;{}",
                 "for k := 1 to 1 do ".repeat(depth),
@@ -246,7 +281,7 @@ fn programs_at_the_nesting_limit_run_on_a_two_megabyte_stack() {
              begin [R] A := 1.0; {body} s := +<< [R] B; end"
         )
     };
-    for shape in ["parens", "minus", "calls", "loops", "ifs"] {
+    for shape in ["parens", "minus", "calls", "plus", "times", "loops", "ifs"] {
         let deep = program(max, shape);
         let run = std::thread::Builder::new()
             .stack_size(2 << 20)

@@ -176,7 +176,7 @@ fn vm_par_pools_carry_no_state_from_one_program_to_the_next() {
 /// batch replaced by its greedy-schedule critical path,
 /// `max(batch_total / threads, max_tile)`. Deterministic on any host.
 fn modeled_parallel_cost(serial: u64, tiles: &[TileStats], threads: usize) -> f64 {
-    let cost = |t: &TileStats| t.loads + t.stores + t.flops + t.points;
+    let cost = |t: &TileStats| t.stats.loads + t.stats.stores + t.stats.flops + t.stats.points;
     let (mut tiled, mut parallel) = (0u64, 0.0f64);
     for batch in tiles.chunk_by(|a, b| a.batch == b.batch) {
         let total: u64 = batch.iter().map(cost).sum();
