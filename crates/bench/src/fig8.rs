@@ -17,19 +17,12 @@ use machine::presets::{sp2, t3e};
 use zlang::ir::ConfigBinding;
 
 /// Bytes of array storage the scalarized program allocates at problem size
-/// `n` (every live array's full region).
+/// `n` ([`fusion_core::supervisor::estimate_alloc_bytes`]: its live arrays, a collapsed dimension
+/// counted once; `u64::MAX`, which fits no node, past 64 bits).
 pub fn footprint_bytes(sp: &ScalarProgram, size_config: &str, n: i64) -> u64 {
     let mut binding = ConfigBinding::defaults(&sp.program);
     binding.set_by_name(&sp.program, size_config, n);
-    sp.live_arrays()
-        .iter()
-        .map(|&a| {
-            sp.program
-                .region(sp.program.array(a).region)
-                .size(&binding)
-                .saturating_mul(8)
-        })
-        .fold(0u64, u64::saturating_add)
+    fusion_core::supervisor::estimate_alloc_bytes(sp, &binding)
 }
 
 /// One benchmark's Figure 8 measurements on one machine.
@@ -194,6 +187,42 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// Under `+dim` the footprint is what a run allocates, a collapsed
+    /// dimension counted once; the region-size rule it replaced counted
+    /// every dimension in full and overstated the collapsed arrays.
+    #[test]
+    fn dim_footprint_counts_a_collapsed_dimension_once() {
+        use fusion_core::pipeline::LevelSpec;
+        use loopir::{Engine, NoopObserver};
+        let spec: LevelSpec = "c2+dim".parse().unwrap();
+        let mut collapsing = 0;
+        for b in benchmarks::all() {
+            let opt = Pipeline::new(spec).optimize(&b.program());
+            let sp = &opt.scalarized;
+            let mut binding = ConfigBinding::defaults(&sp.program);
+            binding.set_by_name(&sp.program, b.size_config, 10);
+            let mut exec = Engine::Interp.executor(sp, binding.clone()).unwrap();
+            let peak = exec.execute(&mut NoopObserver).unwrap().stats.peak_bytes;
+            let footprint = footprint_bytes(sp, b.size_config, 10);
+            assert_eq!(footprint, peak, "{}", b.name);
+            let live = sp.live_arrays();
+            let regions: u64 = live
+                .iter()
+                .map(|&a| sp.program.region(sp.program.array(a).region).size(&binding) * 8)
+                .sum();
+            if live
+                .iter()
+                .any(|&a| !sp.program.array(a).collapsed.is_empty())
+            {
+                collapsing += 1;
+                assert!(footprint < regions, "{}: {footprint} vs {regions}", b.name);
+            } else {
+                assert_eq!(footprint, regions, "{}", b.name);
+            }
+        }
+        assert!(collapsing > 0, "some benchmark collapses a dimension");
     }
 
     #[test]

@@ -176,6 +176,10 @@ pub enum CauseKind {
     Parse,
     /// A config override names no config variable of the program.
     Config,
+    /// An array's storage could not be allocated under the binding. Like
+    /// a deadline, it is a fault of the binding and the host, not of the
+    /// artifact, so it quarantines nothing.
+    Alloc,
     /// Any other execution error (trap, out-of-bounds access, lowering
     /// failure).
     Exec,
@@ -192,6 +196,7 @@ impl CauseKind {
             CauseKind::Comm => "communication failure",
             CauseKind::Parse => "parse error",
             CauseKind::Config => "config error",
+            CauseKind::Alloc => "allocation failure",
             CauseKind::Exec => "execution error",
         }
     }
@@ -231,6 +236,7 @@ impl From<ExecError> for Cause {
             ErrorKind::Lower => (Stage::VerifyBytecode, CauseKind::Exec),
             ErrorKind::Deadline => (Stage::Execute, CauseKind::Deadline),
             ErrorKind::Comm => (Stage::Execute, CauseKind::Comm),
+            ErrorKind::Alloc => (Stage::Execute, CauseKind::Alloc),
             _ => (Stage::Execute, CauseKind::Exec),
         };
         Cause {
@@ -786,17 +792,17 @@ fn ladder(req: &RunRequest) -> Vec<Rung> {
     rungs
 }
 
-/// Peak-allocation estimate: every array live in the scalarized program,
-/// at its allocated extent under `binding`, 8 bytes per element.
-/// Contracted arrays are no longer live and cost nothing — the estimate
-/// reflects the optimization's space savings. The supervisor does not
-/// read it; the benchmark harness reports it as `array_bytes`, the
-/// paper's Figure 8 quantity.
+/// Peak-allocation estimate: the [footprint](zlang::ir::Program::footprint)
+/// of every array live in the scalarized program under `binding`, or
+/// `u64::MAX` when it does not fit 64 bits. Contracted arrays are no
+/// longer live and cost nothing — the estimate reflects the
+/// optimization's space savings. The supervisor does not read it; the
+/// benchmark harness reports it as `array_bytes`, the paper's Figure 8
+/// quantity.
 pub fn estimate_alloc_bytes(sp: &ScalarProgram, binding: &ConfigBinding) -> u64 {
-    sp.live_arrays()
-        .iter()
-        .map(|&a| sp.program.array_alloc_elems(a, binding).saturating_mul(8))
-        .sum()
+    sp.program
+        .footprint(sp.live_arrays(), binding, u64::MAX)
+        .unwrap_or(u64::MAX)
 }
 
 #[cfg(test)]

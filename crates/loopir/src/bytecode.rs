@@ -599,8 +599,8 @@ impl std::fmt::Display for NoRows {
 pub(crate) struct ArrayInfo {
     /// Declared name, for error messages.
     pub name: String,
-    /// Allocated element count.
-    pub elems: usize,
+    /// Allocated element count ([`zlang::ir::ArrayDecl::storage`]).
+    pub elems: u64,
     /// Allocated bytes (`elems * 8`).
     pub bytes: u64,
 }
@@ -764,6 +764,7 @@ fn reduce_identity(op: ReduceOp) -> f64 {
 /// Per-array static layout used while compiling accesses (not needed at
 /// runtime, where `Access` carries everything): the first `rank` entries
 /// of each table describe the array's dimensions.
+#[derive(Default)]
 struct Layout {
     lo: [i64; MAX_RANK],
     extent: [i64; MAX_RANK],
@@ -1002,8 +1003,9 @@ impl<'p> Compiler<'p> {
 
     // ---- frame layout -----------------------------------------------------
 
-    /// Resolves every array's allocation layout (mirroring the
-    /// interpreter's `ensure_alloc` exactly, including collapsed dims).
+    /// Resolves every array's allocation layout from its storage
+    /// ([`zlang::ir::ArrayDecl::storage`], the count the tree-walker and
+    /// every footprint use).
     fn build_layouts(&mut self) -> Result<(), ExecError> {
         for (i, decl) in self.prog.program.arrays.iter().enumerate() {
             if i > u16::MAX as usize {
@@ -1017,38 +1019,30 @@ impl<'p> Compiler<'p> {
                     bounds.len()
                 )));
             }
-            let mut lay = Layout {
-                lo: [0; MAX_RANK],
-                extent: [0; MAX_RANK],
-                strides: [0; MAX_RANK],
-                collapsed: 0,
-                rank: bounds.len() as u8,
+            let Some(storage) = decl.storage(bounds) else {
+                return Err(err(format!("array `{}` takes over 2^64 bytes", decl.name)));
             };
-            let mut n: i64 = 1;
-            for (d, &(l, h)) in bounds.iter().enumerate() {
-                let e = (h - l + 1).max(0);
-                let is_collapsed = decl.collapsed.contains(&(d as u8));
-                lay.lo[d] = l;
-                lay.extent[d] = if is_collapsed { e.min(1) } else { e };
-                if is_collapsed {
-                    lay.collapsed |= 1 << d;
-                } else {
-                    n = n.saturating_mul(e);
-                }
-            }
+            let mut lay = Layout {
+                rank: bounds.len() as u8,
+                ..Layout::default()
+            };
             // Row-major strides over the non-collapsed extents; collapsed
             // dimensions contribute stride 0 so their index is ignored.
             let mut running = 1i64;
-            for d in (0..bounds.len()).rev() {
-                if !lay.collapsed(d) {
+            for (d, &(lo, extent)) in storage.dims.iter().enumerate().rev() {
+                lay.lo[d] = lo;
+                lay.extent[d] = extent;
+                if decl.collapsed.contains(&(d as u8)) {
+                    lay.collapsed |= 1 << d;
+                } else {
                     lay.strides[d] = running;
-                    running = running.saturating_mul(lay.extent[d]);
+                    running = running.saturating_mul(extent);
                 }
             }
             self.arrays.push(ArrayInfo {
                 name: decl.name.clone(),
-                elems: n as usize,
-                bytes: (n as u64) * 8,
+                elems: storage.elems,
+                bytes: storage.bytes,
             });
             self.layouts.push(lay);
         }

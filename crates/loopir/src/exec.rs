@@ -213,6 +213,51 @@ impl Deadline {
     }
 }
 
+/// The one placement and allocation rule of both engines: where an array
+/// sits in the address space the cache simulator reads, how it is
+/// counted in [`RunStats`], and the one allocation of its elements. The
+/// tree-walker and the VM each allocate an array when a run first
+/// touches it, through [`Heap::alloc`], so both present identical byte
+/// addresses and identical counters. It holds the end of the last array
+/// placed: 0 before the first, which is placed at 4096.
+#[derive(Default)]
+pub(crate) struct Heap(u64);
+
+impl Heap {
+    /// Places an array of `elems` elements (`bytes` bytes, as
+    /// [`zlang::ir::Storage`] counts them), books it in `stats` and
+    /// allocates its zeroed elements. Each base is cache-line aligned and
+    /// staggered across cache sets by the number of arrays placed before
+    /// it (as a real allocator's headers and padding do), so power-of-two
+    /// array sizes do not alias pathologically in direct-mapped caches.
+    ///
+    /// # Errors
+    ///
+    /// An [`Alloc`](crate::ErrorKind::Alloc) error naming the array and
+    /// its bytes when the host refuses the allocation; nothing is placed
+    /// or booked then, and the process does not abort.
+    #[cold]
+    pub(crate) fn alloc(
+        &mut self,
+        stats: &mut RunStats,
+        name: &str,
+        elems: u64,
+        bytes: u64,
+    ) -> Result<(u64, Vec<f64>), ExecError> {
+        let n = usize::try_from(elems).unwrap_or(usize::MAX);
+        let mut data = Vec::new();
+        data.try_reserve_exact(n)
+            .map_err(|_| ExecError::alloc(name, Some(bytes)))?;
+        data.resize(n, 0.0);
+        let stagger = ((stats.arrays_allocated as u64 * 7) % 128) * 64;
+        let base = ((self.0.max(4096) + 63) & !63) + stagger;
+        self.0 = base + bytes;
+        stats.arrays_allocated += 1;
+        stats.peak_bytes += bytes;
+        Ok((base, data))
+    }
+}
+
 /// Selects an execution engine by name.
 ///
 /// There is one interpreter and one VM. Every VM name reaches the same

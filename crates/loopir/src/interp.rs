@@ -6,12 +6,12 @@
 //! crate's cache simulator implements this) together with its byte address,
 //! so cache behavior can be measured exactly rather than estimated.
 
-use crate::exec::Deadline;
+use crate::exec::{Deadline, Heap};
 use crate::ir::{EExpr, ElemRef, LStmt, LoopNest, ScalarProgram};
 use std::fmt;
 use std::time::Instant;
 use zlang::ast::{BinOp, ReduceOp, UnOp};
-use zlang::ir::{ArrayId, ConfigBinding, Offset, RegionId, ScalarExpr, ScalarId};
+use zlang::ir::{ArrayId, ConfigBinding, Offset, RegionId, ScalarExpr, ScalarId, Storage};
 
 /// Receives the interpreter's memory-access and arithmetic stream.
 ///
@@ -194,13 +194,18 @@ pub enum ErrorKind {
     /// The simulated communication layer failed (message lost after all
     /// retries).
     Comm,
+    /// An array's storage could not be allocated: its size overflows 64
+    /// bits under the binding, or the host refused the request. The
+    /// binding and the host are at fault, not the program or the engine.
+    Alloc,
     /// Anything else.
     #[default]
     Other,
 }
 
 /// An execution error (out-of-region access, lowering failure, passed
-/// deadline, trap, verification rejection, or comm failure).
+/// deadline, trap, verification rejection, comm failure, or refused
+/// allocation).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExecError {
     /// Which class of failure this is.
@@ -250,6 +255,16 @@ impl ExecError {
     pub fn comm(message: impl Into<String>) -> Self {
         ExecError::new(ErrorKind::Comm, message)
     }
+
+    /// A refused allocation of array `name`, whose storage takes `bytes`,
+    /// or more than a `u64` counts when `None`.
+    pub fn alloc(name: &str, bytes: Option<u64>) -> Self {
+        let size = bytes.map_or("over 2^64".into(), |b| b.to_string());
+        ExecError::new(
+            ErrorKind::Alloc,
+            format!("cannot allocate array `{name}` ({size} bytes)"),
+        )
+    }
 }
 
 impl fmt::Display for ExecError {
@@ -262,8 +277,8 @@ impl std::error::Error for ExecError {}
 
 struct ArrayBuf {
     base: u64,
-    lo: Vec<i64>,
-    dims: Vec<i64>,
+    /// `(lo, extent)` per dimension ([`zlang::ir::Storage::dims`]).
+    dims: Vec<(i64, i64)>,
     /// Dimensions collapsed by dimension contraction: extent 1, index
     /// ignored.
     collapsed: Vec<u8>,
@@ -274,17 +289,15 @@ impl ArrayBuf {
     /// Flat index of `idx + off`, or `None` if out of the declared region.
     fn flat(&self, idx: &[i64], off: &Offset) -> Option<usize> {
         let mut f: i64 = 0;
-        // Index-based: `d` simultaneously indexes dims, lo, idx, and off.
-        #[allow(clippy::needless_range_loop)]
-        for d in 0..self.dims.len() {
+        for (d, &(lo, extent)) in self.dims.iter().enumerate() {
             if self.collapsed.contains(&(d as u8)) {
                 continue; // extent-1 dimension: contributes index 0
             }
-            let i = idx[d] + off.0[d] - self.lo[d];
-            if i < 0 || i >= self.dims[d] {
+            let i = idx[d] + off.0[d] - lo;
+            if i < 0 || i >= extent {
                 return None;
             }
-            f = f * self.dims[d] + i;
+            f = f * extent + i;
         }
         Some(f as usize)
     }
@@ -330,7 +343,7 @@ pub struct Interp<'p> {
     scalars: Vec<f64>,
     temps: Vec<f64>,
     stats: RunStats,
-    next_base: u64,
+    heap: Heap,
     /// `(dim, value)` bindings from enclosing `LStmt::Outer` loops.
     outer_bound: Vec<(u8, i64)>,
     deadline: Option<Instant>,
@@ -347,7 +360,7 @@ impl<'p> Interp<'p> {
             scalars: vec![0.0; prog.program.scalars.len()],
             temps: Vec::new(),
             stats: RunStats::default(),
-            next_base: 4096,
+            heap: Heap::default(),
             outer_bound: Vec::new(),
             deadline: None,
         }
@@ -371,9 +384,10 @@ impl<'p> Interp<'p> {
     /// # Errors
     ///
     /// Returns [`ExecError`] on an out-of-region array access (declare
-    /// arrays with halos large enough for their `@` offsets), or when the
+    /// arrays with halos large enough for their `@` offsets), when the
     /// deadline ([`Interp::set_deadline`]) has passed, before the first
-    /// statement or at a poll.
+    /// statement or at a poll, or when an array's storage cannot be
+    /// allocated ([`Alloc`](ErrorKind::Alloc)).
     pub fn run(&mut self, obs: &mut dyn Observer) -> Result<RunStats, ExecError> {
         let mut deadline = Deadline::start(self.deadline)?;
         let stmts = &self.prog.stmts;
@@ -403,39 +417,19 @@ impl<'p> Interp<'p> {
             return Ok(());
         }
         let decl = self.prog.program.array(id);
-        let region = self.prog.program.region(decl.region);
-        let bounds = region.bounds(&self.binding);
-        let mut lo = Vec::with_capacity(bounds.len());
-        let mut dims = Vec::with_capacity(bounds.len());
-        let mut n: i64 = 1;
-        for (d, &(l, h)) in bounds.iter().enumerate() {
-            // Empty dimensions allocate zero elements; loops over the
-            // region never execute, so no access can reach them.
-            let extent = (h - l + 1).max(0);
-            let collapsed = decl.collapsed.contains(&(d as u8));
-            lo.push(l);
-            dims.push(if collapsed { extent.min(1) } else { extent });
-            if !collapsed {
-                n = n.saturating_mul(extent);
-            }
-        }
-        let bytes = (n as u64) * 8;
-        // Cache-line align each array's base, staggering consecutive
-        // allocations across cache sets (as a real allocator's headers and
-        // padding do) so power-of-two array sizes do not alias
-        // pathologically in direct-mapped caches.
-        let stagger = ((self.stats.arrays_allocated as u64 * 7) % 128) * 64;
-        let base = ((self.next_base + 63) & !63) + stagger;
-        self.next_base = base + bytes;
+        // Empty dimensions allocate zero elements; loops over the region
+        // never execute, so no access can reach them.
+        let Some(Storage { dims, elems, bytes }) = decl.storage(&self.region_bounds(decl.region))
+        else {
+            return Err(ExecError::alloc(&decl.name, None));
+        };
+        let (base, data) = self.heap.alloc(&mut self.stats, &decl.name, elems, bytes)?;
         self.arrays[id.0 as usize] = Some(ArrayBuf {
             base,
-            lo,
             dims,
             collapsed: decl.collapsed.clone(),
-            data: vec![0.0; n as usize],
+            data,
         });
-        self.stats.arrays_allocated += 1;
-        self.stats.peak_bytes += bytes;
         Ok(())
     }
 

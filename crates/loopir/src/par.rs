@@ -830,7 +830,7 @@ mod tests {
             arrays: ["A", "B"]
                 .map(|name| ArrayInfo {
                     name: name.into(),
-                    elems: extent as usize,
+                    elems: extent as u64,
                     bytes: 8 * extent as u64,
                 })
                 .into(),

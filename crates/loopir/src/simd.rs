@@ -2934,7 +2934,7 @@ mod tests {
                 .enumerate()
                 .map(|(a, arr)| ArrayInfo {
                     name: format!("a{a}"),
-                    elems: arr.as_ref().unwrap().data.len(),
+                    elems: arr.as_ref().unwrap().data.len() as u64,
                     bytes: arr.as_ref().unwrap().data.len() as u64 * 8,
                 })
                 .collect(),

@@ -35,7 +35,7 @@
 //! ```
 
 use crate::bytecode::{self, Check, Code, Op, MAX_LANES, MAX_RANK};
-use crate::exec::{Deadline, Executor, RunOutcome, TileStats};
+use crate::exec::{Deadline, Executor, Heap, RunOutcome, TileStats};
 use crate::interp::{binop, ExecError, Observer, RunStats};
 use crate::ir::ScalarProgram;
 use crate::par::Lease;
@@ -115,7 +115,7 @@ pub struct Vm {
     ctrs: Vec<Ctr>,
     arrays: Vec<Option<VmArray>>,
     stats: RunStats,
-    next_base: u64,
+    heap: Heap,
     verified: bool,
     deadline: Option<Instant>,
     par: Option<Lease>,
@@ -217,7 +217,7 @@ impl Vm {
             ctrs: vec![Ctr::default(); n_ctrs],
             arrays: (0..n_arrays).map(|_| None).collect(),
             stats: RunStats::default(),
-            next_base: 4096,
+            heap: Heap::default(),
             verified,
             deadline: None,
             par: None,
@@ -337,9 +337,10 @@ impl Vm {
     ///
     /// # Errors
     ///
-    /// Returns [`ExecError`] on an out-of-region array access, or when the
+    /// Returns [`ExecError`] on an out-of-region array access, when the
     /// deadline ([`Vm::set_deadline`]) has passed, before the first op or
-    /// at a poll.
+    /// at a poll, or when an array's storage cannot be allocated
+    /// ([`Alloc`](crate::ErrorKind::Alloc)).
     pub fn run(&mut self, obs: &mut dyn Observer) -> Result<RunOutcome, ExecError> {
         let deadline = Deadline::start(self.deadline)?;
         // Clone the `Arc` into a local so op fetch and access resolution
@@ -372,7 +373,7 @@ impl Vm {
             ctrs,
             arrays,
             stats,
-            next_base,
+            heap,
             par,
             simd_scratch,
             ..
@@ -455,7 +456,14 @@ impl Vm {
                         pc = code.pars[pi as usize].exit as usize;
                     }
                 }
-                Op::Alloc { arr } => alloc(code, mem.arrays, stats, next_base, arr as usize),
+                Op::Alloc { arr } if mem.arrays[arr as usize].is_none() => {
+                    let info = &code.arrays[arr as usize];
+                    match heap.alloc(stats, &info.name, info.elems, info.bytes) {
+                        Ok((base, data)) => mem.arrays[arr as usize] = Some(VmArray { base, data }),
+                        Err(e) => break Err(e),
+                    }
+                }
+                Op::Alloc { .. } => {}
                 Op::SetIdx { d, v } => {
                     idx[d as usize] = v;
                 }
@@ -607,31 +615,6 @@ impl Vm {
     pub fn code_len(&self) -> usize {
         self.code.ops.len()
     }
-}
-
-/// Lazy allocation mirroring the interpreter's `ensure_alloc`: same
-/// base staggering, same alignment, same stats accounting — so both
-/// engines present identical byte addresses to the cache simulator.
-fn alloc(
-    code: &Code,
-    arrays: &mut [Option<VmArray>],
-    stats: &mut RunStats,
-    next_base: &mut u64,
-    ai: usize,
-) {
-    if arrays[ai].is_some() {
-        return;
-    }
-    let info = &code.arrays[ai];
-    let stagger = ((stats.arrays_allocated as u64 * 7) % 128) * 64;
-    let base = ((*next_base + 63) & !63) + stagger;
-    *next_base = base + info.bytes;
-    arrays[ai] = Some(VmArray {
-        base,
-        data: vec![0.0; info.elems],
-    });
-    stats.arrays_allocated += 1;
-    stats.peak_bytes += info.bytes;
 }
 
 /// Executes `op` if it is a straight-line op of a fused loop body:
@@ -866,6 +849,64 @@ mod tests {
         let mut v = Vm::new(sp, b).unwrap();
         let ov = v.execute(&mut NoopObserver).unwrap();
         (oi, ov)
+    }
+
+    /// `A := 1.0` over `R` at `n`.
+    fn fill_at(n: i64) -> (ScalarProgram, ConfigBinding) {
+        let sp = ScalarProgram {
+            program: prog(),
+            stmts: vec![LStmt::Nest(LoopNest {
+                region: RegionId(0),
+                structure: vec![1, 2],
+                body: vec![ElemStmt {
+                    target: ElemRef::Array(zlang::ir::ArrayId(0), Offset(vec![0, 0])),
+                    rhs: EExpr::Const(1.0),
+                }],
+                cluster: 0,
+                temps: 0,
+            })],
+        };
+        let mut b = ConfigBinding::defaults(&sp.program);
+        b.set_by_name(&sp.program, "n", n);
+        (sp, b)
+    }
+
+    #[test]
+    fn a_count_that_overflows_is_a_lower_error_on_the_vm_and_an_alloc_error_on_interp() {
+        // 2^32 x 2^32 elements: no u64 counts them.
+        let (sp, b) = fill_at(1 << 32);
+        let e = Vm::new(&sp, b.clone())
+            .err()
+            .expect("the VM refuses to lower");
+        assert_eq!(e.kind, crate::ErrorKind::Lower, "{e}");
+        assert!(e.message.contains("`A`"), "{e}");
+        let mut interp = Interp::new(&sp, b);
+        let e = interp.run(&mut NoopObserver).unwrap_err();
+        assert_eq!(e.kind, crate::ErrorKind::Alloc, "{e}");
+        assert!(e.message.contains("`A` (over 2^64 bytes"), "{e}");
+        assert_eq!(interp.stats(), RunStats::default());
+    }
+
+    #[test]
+    fn a_refused_allocation_is_an_error_on_both_engines_not_an_abort() {
+        // 2^27 x 2^27 elements are 2^57 bytes: counted exactly, and more
+        // than any 64-bit host maps.
+        let (sp, b) = fill_at(1 << 27);
+        let mut vm = Vm::new(&sp, b.clone()).unwrap();
+        let mut interp = Interp::new(&sp, b);
+        let errors = [
+            vm.execute(&mut NoopObserver).unwrap_err(),
+            interp.execute(&mut NoopObserver).unwrap_err(),
+        ];
+        for e in errors {
+            assert_eq!(e.kind, crate::ErrorKind::Alloc, "{e}");
+            assert!(e.message.contains("`A` (144115188075855872 bytes)"), "{e}");
+        }
+        // Nothing was booked; at a binding that fits, one array is booked.
+        assert_eq!(interp.stats(), RunStats::default());
+        let (sp, b) = fill_at(4);
+        let out = Vm::new(&sp, b).unwrap().execute(&mut NoopObserver).unwrap();
+        assert_eq!((out.stats.arrays_allocated, out.stats.peak_bytes), (1, 128));
     }
 
     #[test]

@@ -233,6 +233,48 @@ pub struct ArrayDecl {
     pub collapsed: Vec<u8>,
 }
 
+impl ArrayDecl {
+    /// How the array is stored over `bounds`, its region's `(lo, hi)`
+    /// under a binding ([`RegionDecl::bounds`]). This is the one element
+    /// count: both engines allocate by it, the bytecode compiler lays
+    /// arrays out by it, and [`Program::footprint`] sums it.
+    ///
+    /// Returns `None` when an extent, the element count or its bytes do
+    /// not fit 64 bits: a count is exact or it is refused, never wrapped
+    /// or saturated.
+    pub fn storage(&self, bounds: &[(i64, i64)]) -> Option<Storage> {
+        let mut dims = Vec::with_capacity(bounds.len());
+        let (mut elems, mut empty) = (Some(1u64), false);
+        for (d, &(lo, hi)) in bounds.iter().enumerate() {
+            let extent = hi.checked_sub(lo)?.checked_add(1)?.max(0);
+            let collapsed = self.collapsed.contains(&(d as u8));
+            dims.push((lo, if collapsed { extent.min(1) } else { extent }));
+            if !collapsed {
+                empty |= extent == 0;
+                elems = elems.and_then(|n| n.checked_mul(extent as u64));
+            }
+        }
+        // An empty dimension empties the array, whatever the others'
+        // product would have been.
+        let elems = if empty { 0 } else { elems? };
+        let bytes = elems.checked_mul(8)?;
+        Some(Storage { dims, elems, bytes })
+    }
+}
+
+/// How an array is stored under a binding ([`ArrayDecl::storage`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Storage {
+    /// `(lo, extent)` per dimension: the region's lower bound and its
+    /// number of indices, at most 1 in a collapsed dimension.
+    pub dims: Vec<(i64, i64)>,
+    /// Elements allocated: the product of the extents of the dimensions
+    /// that are not collapsed.
+    pub elems: u64,
+    /// Bytes allocated, 8 per element.
+    pub bytes: u64,
+}
+
 /// A declared scalar variable.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScalarDecl {
@@ -810,23 +852,31 @@ impl Program {
         id
     }
 
-    /// The number of elements an array's allocation holds under a binding,
-    /// honoring collapsed dimensions (extent 1).
-    pub fn array_alloc_elems(&self, id: ArrayId, binding: &ConfigBinding) -> u64 {
-        let decl = self.array(id);
-        let region = self.region(decl.region);
-        region
-            .bounds(binding)
-            .iter()
-            .enumerate()
-            .map(|(d, &(lo, hi))| {
-                if decl.collapsed.contains(&(d as u8)) {
-                    1
-                } else {
-                    (hi - lo + 1).max(0) as u64
-                }
-            })
-            .product()
+    /// The bytes `arrays` take together under `binding`, each counted by
+    /// [`ArrayDecl::storage`]: the one footprint that the harness's
+    /// `array_bytes`, Figure 8's high-water mark and `zlc`'s input check
+    /// all read. Pass the arrays a run can allocate (a scalarized
+    /// program's live arrays, or every declared array of a source
+    /// program) and the largest total the caller accepts (`u64::MAX` for
+    /// none).
+    ///
+    /// # Errors
+    ///
+    /// The first array at which the count overflows 64 bits or the running
+    /// total passes `limit`.
+    pub fn footprint(
+        &self,
+        arrays: impl IntoIterator<Item = ArrayId>,
+        binding: &ConfigBinding,
+        limit: u64,
+    ) -> Result<u64, ArrayId> {
+        arrays.into_iter().try_fold(0u64, |total, id| {
+            let decl = self.array(id);
+            (decl.storage(&self.region(decl.region).bounds(binding)))
+                .and_then(|s| total.checked_add(s.bytes))
+                .filter(|&t| t <= limit)
+                .ok_or(id)
+        })
     }
 
     /// Counts statements of each kind, recursively (diagnostics/reporting).
@@ -925,6 +975,68 @@ mod tests {
         let b = ConfigBinding { values: vec![8] };
         assert_eq!(r.bounds(&b), vec![(1, 8), (0, 9)]);
         assert_eq!(r.size(&b), 8 * 10);
+    }
+
+    /// `A` over `[1..n, 1..n]`, `V` over `[0..n+1]`, at `n`.
+    fn storage_program(n: i64) -> (Program, ConfigBinding) {
+        let p = crate::compile(
+            "program s; config n : int = 4; region R = [1..n, 1..n]; region V = [0..n+1];
+             var A : [R] float; var B : [V] float; begin end",
+        )
+        .unwrap();
+        let mut b = ConfigBinding::defaults(&p);
+        b.set_by_name(&p, "n", n);
+        (p, b)
+    }
+
+    fn storage_of(p: &Program, id: ArrayId, b: &ConfigBinding) -> Option<Storage> {
+        p.array(id).storage(&p.region(p.array(id).region).bounds(b))
+    }
+
+    #[test]
+    fn storage_counts_a_collapsed_dimension_once() {
+        let (mut p, b) = storage_program(6);
+        let s = storage_of(&p, ArrayId(0), &b).unwrap();
+        assert_eq!((s.bytes, s.elems, s.dims), (288, 36, vec![(1, 6), (1, 6)]));
+        p.arrays[0].collapsed = vec![0];
+        let s = storage_of(&p, ArrayId(0), &b).unwrap();
+        assert_eq!((s.dims, s.elems), (vec![(1, 1), (1, 6)], 6));
+        assert_eq!(
+            p.footprint([ArrayId(0), ArrayId(1)], &b, u64::MAX),
+            Ok(48 + 64)
+        );
+    }
+
+    #[test]
+    fn storage_that_overflows_64_bits_is_refused() {
+        // 2^32 x 2^32 elements: the count itself overflows a u64.
+        let (p, b) = storage_program(1 << 32);
+        assert_eq!(storage_of(&p, ArrayId(0), &b), None);
+        // 2^31 x 2^31 elements fit; their 2^65 bytes do not.
+        let (p, b) = storage_program(1 << 31);
+        assert_eq!(storage_of(&p, ArrayId(0), &b), None);
+        // Neither wraps nor saturates into the footprint.
+        assert_eq!(
+            p.footprint([ArrayId(1), ArrayId(0)], &b, u64::MAX),
+            Err(ArrayId(0))
+        );
+        // `0..n+1`'s extent overflows an i64.
+        let (p, b) = storage_program(i64::MAX - 1);
+        assert_eq!(storage_of(&p, ArrayId(1), &b), None);
+        // An empty dimension empties the array whatever the other's size.
+        let (p, b) = storage_program(0);
+        assert_eq!(storage_of(&p, ArrayId(0), &b).map(|s| s.elems), Some(0));
+    }
+
+    #[test]
+    fn footprint_names_the_array_that_passes_the_limit() {
+        let (p, b) = storage_program(4);
+        // B (6 elements) fits 64 bytes; A's 16 more pass it.
+        assert_eq!(p.footprint([ArrayId(1)], &b, 64), Ok(48));
+        assert_eq!(
+            p.footprint([ArrayId(1), ArrayId(0)], &b, 64),
+            Err(ArrayId(0))
+        );
     }
 
     #[test]

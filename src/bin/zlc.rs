@@ -107,7 +107,7 @@ use std::sync::Arc;
 use std::time::Duration;
 use testkit::faults::{self, FaultPlan};
 use zlang::error::render_diagnostic;
-use zlang::ir::{ConfigBinding, Program};
+use zlang::ir::{ArrayId, ConfigBinding, Program};
 
 struct Options {
     serve: bool,
@@ -383,31 +383,22 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
 }
 
 /// Builds the request's config binding for `program`
-/// ([`RunRequest::binding_for`]), then sanity-checks that the resulting
-/// region extents are allocatable: a config like `--set n=9999999999`
-/// must produce a diagnostic, not a capacity-overflow panic deep inside
-/// the allocator.
+/// ([`RunRequest::binding_for`]), then checks that every declared array
+/// fits a 1 TiB [footprint](zlang::ir::Program::footprint) under it: a
+/// config like `--set n=9999999999` is a diagnostic, not an allocation
+/// the run would have to refuse.
 fn checked_binding(program: &Program, request: &RunRequest) -> Result<ConfigBinding, String> {
     let binding = request.binding_for(program)?;
-    // Estimate total allocation with overflow-proof arithmetic.
-    const MAX_BYTES: u128 = 1 << 40; // 1 TiB
-    let mut total: u128 = 0;
-    for array in &program.arrays {
-        let region = program.region(array.region);
-        let mut elems: u128 = 1;
-        for (lo, hi) in region.bounds(&binding) {
-            let extent = (hi as i128 - lo as i128 + 1).max(0) as u128;
-            elems = elems.saturating_mul(extent);
-        }
-        total = total.saturating_add(elems.saturating_mul(8));
-        if total > MAX_BYTES {
-            return Err(format!(
-                "config binding allocates over 1 TiB (array `{}` on region `{}`); \
-                 reduce the bound set with --set",
-                array.name, region.name
-            ));
-        }
-    }
+    let arrays = (0..program.arrays.len()).map(|i| ArrayId(i as u32));
+    program.footprint(arrays, &binding, 1 << 40).map_err(|id| {
+        let array = program.array(id);
+        format!(
+            "config binding allocates over 1 TiB (array `{}` on region `{}`); \
+             reduce the bound set with --set",
+            array.name,
+            program.region(array.region).name
+        )
+    })?;
     Ok(binding)
 }
 
@@ -585,9 +576,10 @@ fn main() -> ExitCode {
 
     // Validate config overrides against the source program up front, so
     // every later stage works with a known-sane binding.
-    if let Err(msg) = checked_binding(&program, &opts.request) {
-        return fail("config", &msg, Some(&opts.file));
-    }
+    let binding = match checked_binding(&program, &opts.request) {
+        Ok(b) => b,
+        Err(msg) => return fail("config", &msg, Some(&opts.file)),
+    };
 
     let _fault_guard = match &opts.inject {
         None => None,
@@ -627,11 +619,8 @@ fn main() -> ExitCode {
     }
 
     // The one lowering `--verify`, `--print bytecode` and a VM `--run`
-    // share, under the one binding all three (and an `interp` run) use.
-    let binding = match checked_binding(&opt.scalarized.program, &opts.request) {
-        Ok(b) => b,
-        Err(msg) => return fail("config", &msg, Some(&opts.file)),
-    };
+    // share, under the one binding all three (and an `interp` run) use:
+    // the optimizer keeps the source program's configs.
     let vm_run = opts.run && opts.request.engine != Engine::Interp;
     let print_bytecode = opts.prints.iter().any(|p| p == "bytecode");
     let lowered = (opts.request.verify || print_bytecode || vm_run)

@@ -17,6 +17,7 @@ use fusion_core::pipeline::{Level, Pipeline};
 use fusion_core::serve::{
     serve, serve_with, Disposition, ServeOptions, ServeRequest, ShedCause, ShedPolicy,
 };
+use fusion_core::supervisor::CauseKind;
 use fusion_core::{CompileCache, RunRequest};
 use loopir::{Engine, NoopObserver};
 use std::collections::HashMap;
@@ -328,4 +329,48 @@ fn expired_deadlines_shed_without_compiling_under_load() {
         assert_eq!(r.disposition, Disposition::Shed(ShedCause::DeadlineExpired));
     }
     assert_eq!(cache.stats().misses, 0, "expired requests never compile");
+}
+
+/// One request too large to allocate among ordinary ones: `heat.zl` at
+/// `n = 2^27`, whose `T` takes about 2^57 bytes, more than any 64-bit
+/// host maps. Every rung of its ladder fails to allocate, so it fails
+/// with the allocation cause; its key is not quarantined, because the
+/// binding and the host are at fault, not the artifact, so the second
+/// oversized request walks the ladder again instead of being routed.
+/// Every other request is answered bit-identically, and the process
+/// does not abort.
+#[test]
+fn an_oversized_request_fails_alone_and_quarantines_nothing() {
+    const HEAT: &str = include_str!("../examples/programs/heat.zl");
+    let mut want = references();
+    want.insert("heat".into(), reference(&zlang::compile(HEAT).unwrap()));
+    let oversized = |engine| {
+        ServeRequest::new(
+            "heat-2^27",
+            HEAT,
+            RunRequest::new().with_engine(engine).with_set("n", 1 << 27),
+        )
+    };
+    for workers in WORKERS {
+        let cache = Arc::new(CompileCache::new());
+        let mut reqs = batch(1);
+        reqs.insert(3, oversized(Engine::Vm));
+        reqs.push(ServeRequest::new("heat", HEAT, RunRequest::new()));
+        reqs.push(oversized(Engine::VmPar));
+        let report = serve_with(&reqs, &ServeOptions::new().with_workers(workers), &cache);
+
+        assert_eq!(report.failed(), 2, "{}", report.render());
+        assert_eq!(report.completed(), reqs.len() - 2, "{}", report.render());
+        assert_uncontaminated(&report, &want);
+        for r in report.records.iter().filter(|r| r.name == "heat-2^27") {
+            let cause = r.cause().expect("the oversized request fails");
+            assert_eq!(cause.kind, CauseKind::Alloc, "{cause}");
+            assert!(
+                cause.message.contains("cannot allocate array `T`"),
+                "{cause}"
+            );
+            assert!(!r.breaker_routed, "{}", report.render());
+        }
+        assert_eq!(report.cache.quarantines, 0, "{}", report.render());
+    }
 }
