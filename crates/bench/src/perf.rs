@@ -66,7 +66,7 @@ impl Compiled {
         binding.set_by_name(&opt.scalarized.program, bench.size_config, block);
         let knobs = engine.knobs(ExecOpts::default());
         let shared = knobs.map(|_| {
-            SharedProgram::lower(&opt.scalarized, binding.clone())
+            SharedProgram::lower(&opt.scalarized, binding.clone(), None)
                 .unwrap_or_else(|e| panic!("{} at {}: {e}", bench.name, opt.spec))
         });
         Compiled {

@@ -57,14 +57,15 @@
 //! thread to miss claims it; threads missing the same key meanwhile block
 //! on the shard's condvar until the claimant publishes (they then count
 //! as hits) or abandons — the claim abandons on drop, so a panicking or
-//! erroring stage wakes the waiters and the next one claims. Two workers
+//! erroring stage wakes the waiters and the next one claims — or until
+//! their own request's deadline passes, which fails them alone. Two workers
 //! missing different sizes of one program thus wait on *one* optimizer
 //! run. Claims nest in one order only (lower, then optimize; the parse
 //! claim is released before either), no lock is held while a stage runs,
 //! each distinct key is filled exactly once, and the hit/miss counters
 //! are deterministic even under concurrency. Failures are never memoized:
-//! a parse error, an optimizer panic and a verifier rejection all leave
-//! their stage empty. Eviction is per-shard LRU under the one geometry
+//! a parse error, an optimizer panic, a verifier rejection and a compile
+//! that outlived its request's deadline all leave their stage empty. Eviction is per-shard LRU under the one geometry
 //! ([`CompileCache::with_shards`]) all three stages share; the counters
 //! are atomics ([`CacheStats`]).
 //!
@@ -79,12 +80,15 @@ use crate::hash;
 use crate::pipeline::{LevelSpec, Pipeline};
 use crate::request::RunRequest;
 use crate::supervisor::{enter_stage, Stage};
-use loopir::{Engine, ExecError, ExecOpts, Executor, Interp, ScalarProgram, SharedProgram};
+use loopir::{
+    Deadline, Engine, ExecError, ExecOpts, Executor, Interp, ScalarProgram, SharedProgram,
+};
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::hash::Hash;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
+use std::time::Instant;
 use zlang::ir::{ConfigBinding, Program};
 
 /// The content address of one compiled artifact (the lower stage's key).
@@ -381,10 +385,17 @@ impl<K: Copy + Eq + Hash, V: Clone> Memo<K, V> {
     /// Looks a key up, claiming it exclusively on a miss. If another
     /// thread already holds the claim, blocks until that thread
     /// publishes (returning the published value as a hit) or abandons
-    /// (taking over the claim). Exactly one [`Lookup::Miss`] is handed
-    /// out per published entry, so each distinct key is produced once no
-    /// matter how many threads race for it.
-    fn claim(&self, key: K) -> Lookup<'_, K, V> {
+    /// (taking over the claim), but not past `deadline`. Exactly one
+    /// [`Lookup::Miss`] is handed out per published entry, so each
+    /// distinct key is produced once no matter how many threads race for
+    /// it.
+    ///
+    /// # Errors
+    ///
+    /// A [`Deadline`](loopir::ErrorKind::Deadline) error when `deadline`
+    /// passes while this thread waits; the claim it waited on is not
+    /// disturbed.
+    fn claim(&self, key: K, deadline: Option<Instant>) -> Result<Lookup<'_, K, V>, ExecError> {
         let cell = self.shard(&key);
         let mut shard = cell.state.lock().expect("cache shard lock poisoned");
         loop {
@@ -393,17 +404,27 @@ impl<K: Copy + Eq + Hash, V: Clone> Memo<K, V> {
             if let Some(entry) = shard.map.get_mut(&key) {
                 entry.last_used = clock;
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                return Lookup::Hit(entry.value.clone());
+                return Ok(Lookup::Hit(entry.value.clone()));
             }
             if shard.in_flight.insert(key) {
                 self.misses.fetch_add(1, Ordering::Relaxed);
-                return Lookup::Miss(ClaimGuard {
+                return Ok(Lookup::Miss(ClaimGuard {
                     memo: self,
                     key,
                     done: false,
-                });
+                }));
             }
-            shard = cell.ready.wait(shard).expect("cache shard lock poisoned");
+            let poisoned = "cache shard lock poisoned";
+            shard = match deadline {
+                None => cell.ready.wait(shard).expect(poisoned),
+                Some(at) => {
+                    let left = at.saturating_duration_since(Instant::now());
+                    if left.is_zero() {
+                        return Err(ExecError::deadline());
+                    }
+                    cell.ready.wait_timeout(shard, left).expect(poisoned).0
+                }
+            };
         }
     }
 
@@ -469,7 +490,8 @@ impl<K: Copy + Eq + Hash, V: Clone> Memo<K, V> {
         key: K,
         produce: impl FnOnce() -> Result<V, E>,
     ) -> Result<(V, bool), E> {
-        let guard = match self.claim(key) {
+        let lookup = self.claim(key, None);
+        let guard = match lookup.expect("a claim without a deadline waits for good") {
             Lookup::Hit(hit) => return Ok((hit, true)),
             Lookup::Miss(guard) => guard,
         };
@@ -587,19 +609,30 @@ impl CompileCache {
     /// once per request with [`CacheKey::at`] and relax its `spec` and
     /// `bytecode` coordinates per rung.
     ///
+    /// `deadline` is the request's one instant. It is checked before the
+    /// lookup, so a request whose deadline has passed does no work, and
+    /// it bounds everything after: a wait on another request's claim,
+    /// the optimizer ([`Pipeline::optimize_by`](crate::Pipeline::optimize_by))
+    /// and the lowering ([`SharedProgram::lower`]).
+    ///
     /// # Errors
     ///
     /// Lowering failures and verifier rejections from
-    /// [`SharedProgram::lower`]. Optimizer panics propagate; the
-    /// optimizer has marked the pass that raised them ([`enter_stage`]).
-    /// Either way the claims are abandoned and nothing is memoized.
+    /// [`SharedProgram::lower`], and a
+    /// [`Deadline`](loopir::ErrorKind::Deadline) error when `deadline`
+    /// passes first; the stage it passed in is the marked one
+    /// ([`enter_stage`]). Optimizer panics propagate; the optimizer has
+    /// marked the pass that raised them. Either way the claims are
+    /// abandoned and nothing is memoized.
     pub fn compile(
         &self,
         program: &Program,
         binding: &ConfigBinding,
         key: CacheKey,
+        deadline: Option<Instant>,
     ) -> Result<(Arc<CachedProgram>, Depth), ExecError> {
-        let lowering = match self.lowered.claim(key) {
+        Deadline::start(deadline)?;
+        let lowering = match self.lowered.claim(key, deadline)? {
             Lookup::Hit(artifact) => return Ok((artifact, Depth::Hit)),
             Lookup::Miss(claim) => claim,
         };
@@ -609,10 +642,10 @@ impl CompileCache {
         // `compile_cold` median, re-measured after the optimizer stopped
         // copying the program).
         let fresh;
-        let (scalarized, depth) = match self.optimized.claim(key.optimize_key()) {
+        let (scalarized, depth) = match self.optimized.claim(key.optimize_key(), deadline)? {
             Lookup::Hit(scalarized) => (scalarized, Depth::Lowered),
             Lookup::Miss(optimizing) => {
-                fresh = Pipeline::new(key.spec).optimize(program);
+                fresh = Pipeline::new(key.spec).optimize_by(program, deadline)?;
                 let scalarized = Arc::new(fresh.scalarized);
                 optimizing.publish(scalarized.clone());
                 (scalarized, Depth::Optimized)
@@ -621,7 +654,7 @@ impl CompileCache {
         enter_stage(Stage::VerifyBytecode);
         let shared = key
             .bytecode
-            .then(|| SharedProgram::lower(&scalarized, binding.clone()))
+            .then(|| SharedProgram::lower(&scalarized, binding.clone(), deadline))
             .transpose()?;
         let artifact = Arc::new(CachedProgram {
             shared,
@@ -633,25 +666,42 @@ impl CompileCache {
     }
 
     /// The one-call serving primitive for a caller that starts from a
-    /// program: bind the request's `--set` overrides, hash the program
-    /// once, and [`compile`](Self::compile). The boolean is `true` on an
-    /// artifact hit.
+    /// program: [`get_or_compile_by`](Self::get_or_compile_by) with the
+    /// request's deadline measured from this call.
     ///
     /// # Errors
     ///
-    /// As [`compile`](Self::compile), plus a
-    /// [`Lower`](loopir::ErrorKind::Lower)-kind error for a `--set` name
-    /// that matches no config variable. Optimizer panics propagate —
-    /// serving callers run under the [`Supervisor`](crate::Supervisor)'s
-    /// fault boundary, which catches them.
+    /// As [`get_or_compile_by`](Self::get_or_compile_by).
     pub fn get_or_compile(
         &self,
         program: &Program,
         req: &RunRequest,
     ) -> Result<(Arc<CachedProgram>, bool), ExecError> {
+        self.get_or_compile_by(program, req, req.deadline_from_now())
+    }
+
+    /// Binds the request's `--set` overrides, hashes the program once,
+    /// and [`compile`](Self::compile)s under `deadline`, the instant the
+    /// caller turned the request's budget into and runs the artifact
+    /// under too. The boolean is `true` on an artifact hit.
+    ///
+    /// # Errors
+    ///
+    /// As [`compile`](Self::compile), plus a
+    /// [`Lower`](loopir::ErrorKind::Lower)-kind error for a `--set` name
+    /// that matches no config variable or a binding under which a region
+    /// bound overflows. Optimizer panics propagate — serving callers run
+    /// under the [`Supervisor`](crate::Supervisor)'s fault boundary,
+    /// which catches them.
+    pub fn get_or_compile_by(
+        &self,
+        program: &Program,
+        req: &RunRequest,
+        deadline: Option<Instant>,
+    ) -> Result<(Arc<CachedProgram>, bool), ExecError> {
         let binding = req.binding_for(program).map_err(ExecError::lower)?;
         let key = CacheKey::for_request(program, &binding, req);
-        let (artifact, depth) = self.compile(program, &binding, key)?;
+        let (artifact, depth) = self.compile(program, &binding, key, deadline)?;
         Ok((artifact, depth == Depth::Hit))
     }
 
@@ -828,14 +878,16 @@ mod tests {
         let req = RunRequest::new();
         let binding = req.binding_for(&p).unwrap();
         let key = CacheKey::for_request(&p, &binding, &req);
-        let guard = match cache.lowered.claim(key) {
+        let guard = match cache.lowered.claim(key, None).unwrap() {
             Lookup::Miss(g) => g,
             Lookup::Hit(_) => panic!("cache is empty"),
         };
         let waiters: Vec<_> = (0..4)
             .map(|_| {
                 let cache = cache.clone();
-                std::thread::spawn(move || matches!(cache.lowered.claim(key), Lookup::Hit(_)))
+                std::thread::spawn(move || {
+                    matches!(cache.lowered.claim(key, None).unwrap(), Lookup::Hit(_))
+                })
             })
             .collect();
         let (value, _) = CompileCache::new().get_or_compile(&p, &req).unwrap();
@@ -858,13 +910,13 @@ mod tests {
         let req = RunRequest::new();
         let binding = req.binding_for(&p).unwrap();
         let key = CacheKey::for_request(&p, &binding, &req);
-        let guard = match cache.lowered.claim(key) {
+        let guard = match cache.lowered.claim(key, None).unwrap() {
             Lookup::Miss(g) => g,
             Lookup::Hit(_) => panic!("cache is empty"),
         };
         let waiter = {
             let cache = cache.clone();
-            std::thread::spawn(move || match cache.lowered.claim(key) {
+            std::thread::spawn(move || match cache.lowered.claim(key, None).unwrap() {
                 Lookup::Miss(g) => {
                     drop(g);
                     false
@@ -881,6 +933,35 @@ mod tests {
         let s = cache.stats();
         assert_eq!((s.hits, s.misses, s.insertions), (0, 2, 0));
         assert!(cache.is_empty());
+    }
+
+    /// A request waiting on another request's compile of the same key is
+    /// bounded by its own deadline, not by the other's compile: while a
+    /// claimant with no deadline runs greedy pairwise fusion over a long
+    /// block (seconds of work), a second request with a 50 ms deadline
+    /// fails with `Deadline` well within 200 ms.
+    #[test]
+    fn a_waiter_on_another_compile_stops_at_its_own_deadline() {
+        let cache = Arc::new(CompileCache::new());
+        let program = Arc::new(zlang::compile(&testkit::genprog::unfusable_chain(500)).unwrap());
+        let req = RunRequest::new().with_level(crate::Level::C2F4);
+        let claimant = {
+            let (cache, program, req) = (cache.clone(), program.clone(), req.clone());
+            std::thread::spawn(move || cache.get_or_compile(&program, &req).map(|_| ()))
+        };
+        while cache.stats().misses == 0 {
+            std::thread::yield_now();
+        }
+        let started = std::time::Instant::now();
+        let waiter = req.with_deadline(std::time::Duration::from_millis(50));
+        let err = cache.get_or_compile(&program, &waiter).unwrap_err();
+        let waited = started.elapsed();
+        assert_eq!(err.kind, loopir::ErrorKind::Deadline, "{err}");
+        assert!(waited < std::time::Duration::from_millis(200), "{waited:?}");
+        // The claim it waited on is undisturbed: the claimant publishes.
+        claimant.join().unwrap().unwrap();
+        let s = cache.stats();
+        assert_eq!((s.misses, s.hits, s.insertions), (1, 0, 1));
     }
 
     #[test]

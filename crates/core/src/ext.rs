@@ -339,7 +339,8 @@ mod tests {
             defs,
             &s.np.default_binding(),
         );
-        ctx.fusion_for_contraction(&mut part, &defs);
+        ctx.fusion_for_contraction(&mut part, &defs, &mut loopir::Deadline::default())
+            .unwrap();
         let contracted: HashSet<DefId> = ctx.contracted_defs(&part, &defs).into_iter().collect();
         let groups = find_groups(&ctx, &part, &defs, &contracted);
         (part, contracted, groups)

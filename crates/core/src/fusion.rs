@@ -9,6 +9,7 @@ use crate::depvec::{DepKind, Udv};
 use crate::loopstruct::find_loop_structure;
 use crate::normal::Block;
 use crate::verify::{Diagnostic, Stage};
+use loopir::{Deadline, ExecError};
 use std::collections::BTreeSet;
 use zlang::ir::Program;
 
@@ -307,45 +308,80 @@ impl<'a> FusionCtx<'a> {
 
     /// `FUSION-FOR-CONTRACTION` (Figure 3). `candidates` must be sorted by
     /// decreasing reference weight (see [`crate::weights::sort_by_weight`]).
-    pub fn fusion_for_contraction(&self, part: &mut Partition, candidates: &[DefId]) {
+    ///
+    /// # Errors
+    ///
+    /// A [`Deadline`](loopir::ErrorKind::Deadline) error when `deadline`
+    /// passes first; `part` then holds the merges made so far. Each step
+    /// ticks it by the clusters `GROW` and the legality check scan.
+    pub fn fusion_for_contraction(
+        &self,
+        part: &mut Partition,
+        candidates: &[DefId],
+        deadline: &mut Deadline,
+    ) -> Result<(), ExecError> {
         for &x in candidates {
             let mut c = self.clusters_of_def(x, part);
             if c.is_empty() {
                 continue;
             }
+            deadline.tick(part.clusters.len() as u64)?;
             c.extend(self.grow(part, &c));
             if self.contractible_given(x, part, &c) && self.merged_ok(part, &c).is_some() {
                 part.merge(&c);
             }
         }
+        Ok(())
     }
 
     /// Fusion for locality: identical to `FUSION-FOR-CONTRACTION` but
     /// without the `CONTRACTIBLE?` predicate (Section 4.1) — statements
     /// sharing references to heavy arrays are fused to exploit temporal
     /// reuse.
-    pub fn fusion_for_locality(&self, part: &mut Partition, candidates: &[DefId]) {
+    ///
+    /// # Errors
+    ///
+    /// As [`FusionCtx::fusion_for_contraction`].
+    pub fn fusion_for_locality(
+        &self,
+        part: &mut Partition,
+        candidates: &[DefId],
+        deadline: &mut Deadline,
+    ) -> Result<(), ExecError> {
         for &x in candidates {
             let mut c = self.clusters_of_def(x, part);
             if c.len() < 2 {
                 continue;
             }
+            deadline.tick(part.clusters.len() as u64)?;
             c.extend(self.grow(part, &c));
             if self.merged_ok(part, &c).is_some() {
                 part.merge(&c);
             }
         }
+        Ok(())
     }
 
     /// Greedy pairwise fusion (the paper's `f4`): repeatedly merge any two
     /// clusters whose union (plus `GROW`) forms a valid fusion partition,
-    /// until a fixpoint.
-    pub fn pairwise_fusion(&self, part: &mut Partition) {
+    /// until a fixpoint. The search is quadratic in the clusters per merge,
+    /// so on a long block it is the optimizer's one pass that can take
+    /// seconds; every pair it tries ticks `deadline`.
+    ///
+    /// # Errors
+    ///
+    /// As [`FusionCtx::fusion_for_contraction`].
+    pub fn pairwise_fusion(
+        &self,
+        part: &mut Partition,
+        deadline: &mut Deadline,
+    ) -> Result<(), ExecError> {
         loop {
             let live = part.live_clusters();
             let mut merged = false;
             'pairs: for (i, &ci) in live.iter().enumerate() {
                 for &cj in &live[i + 1..] {
+                    deadline.tick(part.clusters.len() as u64)?;
                     let mut c: BTreeSet<usize> = [ci, cj].into_iter().collect();
                     c.extend(self.grow(part, &c));
                     if self.merged_ok(part, &c).is_some() {
@@ -356,7 +392,7 @@ impl<'a> FusionCtx<'a> {
                 }
             }
             if !merged {
-                return;
+                return Ok(());
             }
         }
     }
@@ -510,7 +546,8 @@ mod tests {
         let ctx = FusionCtx::new(&s.np.program, &s.np.blocks[0], &s.asdg);
         let mut part = Partition::trivial(s.asdg.n);
         let cands = candidates(s);
-        ctx.fusion_for_contraction(&mut part, &cands);
+        ctx.fusion_for_contraction(&mut part, &cands, &mut Deadline::default())
+            .unwrap();
         let contracted = ctx.contracted_defs(&part, &cands);
         (part, contracted)
     }
@@ -615,7 +652,8 @@ mod tests {
         let ctx = FusionCtx::new(&s.np.program, &s.np.blocks[0], &s.asdg);
         let mut part = Partition::trivial(s.asdg.n);
         let cands = candidates(&s);
-        ctx.fusion_for_contraction(&mut part, &cands);
+        ctx.fusion_for_contraction(&mut part, &cands, &mut Deadline::default())
+            .unwrap();
         assert_eq!(
             part.cluster_of(0),
             part.cluster_of(1),
@@ -660,7 +698,8 @@ mod tests {
         let ctx = FusionCtx::with_opts(&s.np.program, &s.np.blocks[0], &s.asdg, &opts);
         let mut part = Partition::trivial(s.asdg.n);
         let cands = candidates(&s);
-        ctx.fusion_for_contraction(&mut part, &cands);
+        ctx.fusion_for_contraction(&mut part, &cands, &mut Deadline::default())
+            .unwrap();
         assert_ne!(part.cluster_of(0), part.cluster_of(1));
     }
 
@@ -673,7 +712,8 @@ mod tests {
         let s = setup(&format!("{P} begin [R] B := A + A; [R] C := A * A; end"));
         let ctx = FusionCtx::new(&s.np.program, &s.np.blocks[0], &s.asdg);
         let mut part = Partition::trivial(s.asdg.n);
-        ctx.pairwise_fusion(&mut part);
+        ctx.pairwise_fusion(&mut part, &mut Deadline::default())
+            .unwrap();
         assert_eq!(part.len(), 1);
     }
 
@@ -686,7 +726,8 @@ mod tests {
         );
         let ctx = FusionCtx::new(&s.np.program, &s.np.blocks[0], &s.asdg);
         let mut part = Partition::trivial(s.asdg.n);
-        ctx.pairwise_fusion(&mut part);
+        ctx.pairwise_fusion(&mut part, &mut Deadline::default())
+            .unwrap();
         assert_eq!(part.len(), 2);
     }
 
@@ -706,7 +747,8 @@ mod tests {
             all,
             &s.np.default_binding(),
         );
-        ctx.fusion_for_locality(&mut part, &sorted);
+        ctx.fusion_for_locality(&mut part, &sorted, &mut Deadline::default())
+            .unwrap();
         assert_eq!(part.cluster_of(0), part.cluster_of(1));
     }
 
@@ -723,7 +765,8 @@ mod tests {
         let c: BTreeSet<usize> = [0usize, 1].into_iter().collect();
         let p = ctx.merged_ok(&part, &c).expect("fusable via reversal");
         assert_eq!(p, vec![1, -2]);
-        ctx.pairwise_fusion(&mut part);
+        ctx.pairwise_fusion(&mut part, &mut Deadline::default())
+            .unwrap();
         assert_eq!(part.len(), 1);
     }
 
@@ -779,7 +822,8 @@ mod tests {
             "trivial partition is always valid"
         );
         let cands = candidates(&s);
-        ctx.fusion_for_contraction(&mut part, &cands);
+        ctx.fusion_for_contraction(&mut part, &cands, &mut Deadline::default())
+            .unwrap();
         assert!(ctx.validate(&part).is_ok());
         // Hand-corrupt: force a cross-region-style violation by merging a
         // scalar-dependent pair... here: merge everything including a

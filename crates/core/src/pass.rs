@@ -4,11 +4,14 @@
 //! the [`LevelSpec`](crate::pipeline::LevelSpec) and calls each pass of
 //! this module, in the paper's fixed order, through
 //! `CompileSession::pass`. That one helper marks the stage for the
-//! supervisor's panic attribution, times the pass, logs its [`PassTrace`]
-//! row (surfaced as [`Optimized::passes`]) and captures the `zlc --emit`
-//! snapshot. A pass is a plain function `fn(&mut CompileSession) -> bool`
+//! supervisor's fault attribution, polls the request's deadline, times
+//! the pass, logs its [`PassTrace`] row (surfaced as
+//! [`Optimized::passes`]) and captures the `zlc --emit` snapshot. A pass
+//! is a plain function `fn(&mut CompileSession) -> Result<bool, _>`
 //! ("did it change anything") that reads its parameters from the
-//! session's [`Pipeline`].
+//! session's [`Pipeline`]; the three fusion passes also tick the
+//! session's [`Deadline`] inside their loops, so a compile that outlives
+//! its request stops in the pass that was running.
 //!
 //! The session keeps one `BlockState` per basic block: the cached ASDG,
 //! the fusion options in effect, and the evolving fusion and contraction
@@ -33,7 +36,7 @@ use crate::normal::{self, BStmt, NStmt, NormProgram};
 use crate::pipeline::{BlockDetail, Optimized, Pipeline, Report};
 use crate::scalarize;
 use crate::weights::sort_by_weight;
-use loopir::{LStmt, ScalarProgram};
+use loopir::{Deadline, ExecError, LStmt, ScalarProgram};
 use std::collections::{BTreeMap, HashSet};
 use std::fmt;
 use std::fmt::Write as _;
@@ -277,11 +280,19 @@ pub(crate) struct CompileSession<'s> {
     contracted: Vec<ArrayId>,
     traces: Vec<PassTrace>,
     emitted: Option<String>,
+    /// The request's deadline, polled before each pass and ticked by the
+    /// fusion loops.
+    deadline: Deadline,
 }
 
 impl<'s> CompileSession<'s> {
-    /// Starts a session compiling `program` as `pipeline` says.
-    pub(crate) fn new(pipeline: &'s Pipeline<'s>, program: &'s Program) -> CompileSession<'s> {
+    /// Starts a session compiling `program` as `pipeline` says, under
+    /// `deadline`.
+    pub(crate) fn new(
+        pipeline: &'s Pipeline<'s>,
+        program: &'s Program,
+        deadline: Deadline,
+    ) -> CompileSession<'s> {
         CompileSession {
             program,
             pipeline,
@@ -295,17 +306,30 @@ impl<'s> CompileSession<'s> {
             contracted: Vec::new(),
             traces: Vec::new(),
             emitted: None,
+            deadline,
         }
     }
 
-    /// Runs one pass: marks the stage for the supervisor's panic
-    /// attribution, times `f`, logs the [`PassTrace`] row, and captures
-    /// the snapshot if this is the pass [`Pipeline::with_emit`] named.
-    pub(crate) fn pass(&mut self, id: PassId, f: fn(&mut CompileSession<'_>) -> bool) {
+    /// Runs one pass: marks the stage for the supervisor's fault
+    /// attribution, polls the deadline, times `f`, logs the [`PassTrace`]
+    /// row, and captures the snapshot if this is the pass
+    /// [`Pipeline::with_emit`] named.
+    ///
+    /// # Errors
+    ///
+    /// A [`Deadline`](loopir::ErrorKind::Deadline) error when the deadline
+    /// has passed before the pass starts or while it runs; the stage still
+    /// names the pass.
+    pub(crate) fn pass(
+        &mut self,
+        id: PassId,
+        f: fn(&mut CompileSession<'_>) -> Result<bool, ExecError>,
+    ) -> Result<(), ExecError> {
         debug_assert!(id.is_optimizer_pass(), "{id} has no snapshot");
         crate::supervisor::enter_stage(id);
+        self.deadline.check()?;
         let start = Instant::now();
-        let changed = f(self);
+        let changed = f(self)?;
         self.traces.push(PassTrace {
             id,
             duration: start.elapsed(),
@@ -316,6 +340,7 @@ impl<'s> CompileSession<'s> {
         if self.pipeline.emit == Some(id) {
             self.emitted = Some(self.snapshot(id));
         }
+        Ok(())
     }
 
     /// Drops every cached analysis, starting a new mutation epoch. A pass
@@ -388,18 +413,22 @@ impl<'s> CompileSession<'s> {
     }
 
     /// Visits every block with its [`FusionCtx`] — built once per visit,
-    /// borrowing the block's cached ASDG and options — and its mutable
-    /// [`BlockWork`]. Returns whether any visit reported a change.
-    fn each_block(&mut self, mut f: impl FnMut(&FusionCtx<'_>, &mut BlockWork) -> bool) -> bool {
+    /// borrowing the block's cached ASDG and options — its mutable
+    /// [`BlockWork`] and the session's deadline. Returns whether any visit
+    /// reported a change, or the first visit's error.
+    fn each_block(
+        &mut self,
+        mut f: impl FnMut(&FusionCtx<'_>, &mut BlockWork, &mut Deadline) -> Result<bool, ExecError>,
+    ) -> Result<bool, ExecError> {
         self.ensure_fusion_setup();
         let np = self.norm.as_ref().expect("normalize must run first");
         let mut changed = false;
         for (block, b) in np.blocks.iter().zip(&mut self.blocks) {
             let g = b.asdg.as_ref().expect("fusion setup built it");
             let ctx = FusionCtx::with_opts(&np.program, block, g, &b.opts);
-            changed |= f(&ctx, &mut b.work);
+            changed |= f(&ctx, &mut b.work, &mut self.deadline)?;
         }
-        changed
+        Ok(changed)
     }
 
     /// Total array-level statements across all basic blocks.
@@ -594,11 +623,11 @@ fn reduce_token(op: ReduceOp) -> &'static str {
 
 /// Normalization: splits the program into basic blocks of normalized
 /// array statements.
-pub(crate) fn normalize(s: &mut CompileSession<'_>) -> bool {
+pub(crate) fn normalize(s: &mut CompileSession<'_>) -> Result<bool, ExecError> {
     let np = normal::normalize(s.program);
     s.blocks.resize_with(np.blocks.len(), BlockState::default);
     s.norm = Some(np);
-    true
+    Ok(true)
 }
 
 /// Stencil-aware redundancy elimination driven by the offset-lattice
@@ -609,7 +638,7 @@ pub(crate) fn normalize(s: &mut CompileSession<'_>) -> bool {
 /// `verify::rce2` re-checker. See [`crate::rce2`].
 ///
 /// Off at every paper level; enabled with the `+rce2` level suffix.
-pub(crate) fn rce2(s: &mut CompileSession<'_>) -> bool {
+pub(crate) fn rce2(s: &mut CompileSession<'_>) -> Result<bool, ExecError> {
     let np = s.norm.as_mut().expect("normalize must run first");
     let (changed, info) = crate::rce2::run(np, &np.default_binding());
     // Hoisting can add blocks.
@@ -618,22 +647,22 @@ pub(crate) fn rce2(s: &mut CompileSession<'_>) -> bool {
     if changed {
         s.invalidate();
     }
-    changed
+    Ok(changed)
 }
 
 /// `FUSION-FOR-CONTRACTION` over the contraction-candidate definitions
 /// (compiler temporaries, plus user arrays at user-fusing levels), in
 /// weight order.
-pub(crate) fn fuse_contraction(s: &mut CompileSession<'_>) -> bool {
+pub(crate) fn fuse_contraction(s: &mut CompileSession<'_>) -> Result<bool, ExecError> {
     let include_user = s.pipeline.spec.level.fuses_user();
-    s.each_block(|ctx, b| {
+    s.each_block(|ctx, b, deadline| {
         let mut fuse_set = b.compiler_defs.clone();
         if include_user {
             fuse_set.extend(&b.user_defs);
         }
         let before = b.partition.len();
-        ctx.fusion_for_contraction(&mut b.partition, &by_weight(ctx, fuse_set));
-        b.partition.len() != before
+        ctx.fusion_for_contraction(&mut b.partition, &by_weight(ctx, fuse_set), deadline)?;
+        Ok(b.partition.len() != before)
     })
 }
 
@@ -646,30 +675,30 @@ fn by_weight(ctx: &FusionCtx<'_>, defs: Vec<DefId>) -> Vec<DefId> {
 
 /// Fusion for locality: merges every legal pair among all definitions,
 /// in weight order.
-pub(crate) fn fuse_locality(s: &mut CompileSession<'_>) -> bool {
-    s.each_block(|ctx, b| {
+pub(crate) fn fuse_locality(s: &mut CompileSession<'_>) -> Result<bool, ExecError> {
+    s.each_block(|ctx, b, deadline| {
         let all: Vec<DefId> = (0..ctx.asdg.defs.len() as u32).map(DefId).collect();
         let before = b.partition.len();
-        ctx.fusion_for_locality(&mut b.partition, &by_weight(ctx, all));
-        b.partition.len() != before
+        ctx.fusion_for_locality(&mut b.partition, &by_weight(ctx, all), deadline)?;
+        Ok(b.partition.len() != before)
     })
 }
 
 /// Greedy legal pairwise fusion (`c2+f4`).
-pub(crate) fn fuse_pairwise(s: &mut CompileSession<'_>) -> bool {
-    s.each_block(|ctx, b| {
+pub(crate) fn fuse_pairwise(s: &mut CompileSession<'_>) -> Result<bool, ExecError> {
+    s.each_block(|ctx, b, deadline| {
         let before = b.partition.len();
-        ctx.pairwise_fusion(&mut b.partition);
-        b.partition.len() != before
+        ctx.pairwise_fusion(&mut b.partition, deadline)?;
+        Ok(b.partition.len() != before)
     })
 }
 
 /// Contraction decisions: which candidate definitions contract under the
 /// final partition (Definition 6), per the level's compiler/user policy.
-pub(crate) fn contract(s: &mut CompileSession<'_>) -> bool {
+pub(crate) fn contract(s: &mut CompileSession<'_>) -> Result<bool, ExecError> {
     let level = s.pipeline.spec.level;
     let mut contracted_defs = 0;
-    let changed = s.each_block(|ctx, b| {
+    let changed = s.each_block(|ctx, b, _| {
         b.contract_set.clear();
         if level.contracts_compiler() {
             b.contract_set.extend(&b.compiler_defs);
@@ -679,30 +708,30 @@ pub(crate) fn contract(s: &mut CompileSession<'_>) -> bool {
         }
         b.contracted = ctx.contracted_defs(&b.partition, &b.contract_set);
         contracted_defs += b.contracted.len();
-        !b.contracted.is_empty()
-    });
+        Ok(!b.contracted.is_empty())
+    })?;
     s.report.contracted_defs += contracted_defs;
-    changed
+    Ok(changed)
 }
 
 /// Dimension contraction ([`crate::ext`]): finds partial-fusion groups
 /// whose flow-flat arrays collapse to a single slice under a shared outer
 /// loop; [`scalarize`] applies the collapses they record.
-pub(crate) fn dim_contract(s: &mut CompileSession<'_>) -> bool {
-    s.each_block(|ctx, b| {
+pub(crate) fn dim_contract(s: &mut CompileSession<'_>) -> Result<bool, ExecError> {
+    s.each_block(|ctx, b, _| {
         let contracted: HashSet<DefId> = b.contracted.iter().copied().collect();
         b.groups = crate::ext::find_groups(ctx, &b.partition, &b.contract_set, &contracted);
-        !b.groups.is_empty()
+        Ok(!b.groups.is_empty())
     })
 }
 
 /// `FIND-LOOP-STRUCTURE`: selects a legal loop structure vector for every
 /// cluster that will be lowered as its own nest (Definition 4). Pure
 /// analysis — scalarization consumes the recorded structures.
-pub(crate) fn find_loop_structure(s: &mut CompileSession<'_>) -> bool {
-    s.each_block(|ctx, b| {
+pub(crate) fn find_loop_structure(s: &mut CompileSession<'_>) -> Result<bool, ExecError> {
+    s.each_block(|ctx, b, _| {
         b.structures = scalarize::cluster_structures(ctx, &b.partition, &b.groups);
-        false
+        Ok(false)
     })
 }
 
@@ -710,13 +739,13 @@ pub(crate) fn find_loop_structure(s: &mut CompileSession<'_>) -> bool {
 /// recorded structures, applies dimension collapses, splices the blocks
 /// back into the control-flow skeleton, and computes the Figure 7
 /// static-array accounting.
-pub(crate) fn scalarize(s: &mut CompileSession<'_>) -> bool {
-    s.each_block(|ctx, b| {
+pub(crate) fn scalarize(s: &mut CompileSession<'_>) -> Result<bool, ExecError> {
+    s.each_block(|ctx, b, _| {
         let contracted: HashSet<DefId> = b.contracted.iter().copied().collect();
         b.out =
             scalarize::scalarize_block(ctx, &b.partition, &contracted, &b.groups, &b.structures);
-        true
-    });
+        Ok(true)
+    })?;
 
     // Apply dimension collapses to the (owned) normalized program
     // before the scalarized code is packaged with it.
@@ -766,7 +795,7 @@ pub(crate) fn scalarize(s: &mut CompileSession<'_>) -> bool {
         .filter(|a| !live_after.contains(a))
         .collect();
     s.scalarized = Some(scalarized);
-    true
+    Ok(true)
 }
 
 /// Splices scalarized blocks back into the control-flow skeleton, moving

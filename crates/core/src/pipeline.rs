@@ -18,7 +18,7 @@ use crate::fusion::{FusionOpts, Partition};
 use crate::normal::NormProgram;
 use crate::pass::{self, CompileSession, PassId, PassTrace};
 use crate::verify::{self, Diagnostic, VerifyLevel};
-use loopir::ScalarProgram;
+use loopir::{Deadline, ExecError, ScalarProgram};
 use std::fmt;
 use std::str::FromStr;
 use std::time::Instant;
@@ -399,33 +399,51 @@ impl<'f> Pipeline<'f> {
         self
     }
 
-    /// Runs the optimizer on a program. This function is the schedule:
-    /// the paper's one fixed sequence, each step gated by what the
-    /// [`LevelSpec`] (Section 5.4 and the two extensions) asks for.
-    /// Afterwards the translation validator runs once over the result
-    /// when the [`VerifyLevel`] says so.
+    /// Runs the optimizer on a program with no deadline:
+    /// [`optimize_by`](Self::optimize_by) at `None`, which cannot fail.
     pub fn optimize(&self, program: &Program) -> Optimized {
+        self.optimize_by(program, None)
+            .expect("a compile with no deadline cannot miss it")
+    }
+
+    /// Runs the optimizer on a program under a request's deadline. This
+    /// function is the schedule: the paper's one fixed sequence, each step
+    /// gated by what the [`LevelSpec`] (Section 5.4 and the two
+    /// extensions) asks for. Afterwards the translation validator runs
+    /// once over the result when the [`VerifyLevel`] says so.
+    ///
+    /// # Errors
+    ///
+    /// A [`Deadline`](loopir::ErrorKind::Deadline) error when `deadline`
+    /// has passed before the first pass, between two passes, or inside a
+    /// fusion pass's loop ([`Deadline`]); the running pass is the marked
+    /// stage ([`crate::supervisor::current_stage`]).
+    pub fn optimize_by(
+        &self,
+        program: &Program,
+        deadline: Option<Instant>,
+    ) -> Result<Optimized, ExecError> {
         let LevelSpec { level, rce2, dim } = self.spec;
-        let mut s = CompileSession::new(self, program);
-        s.pass(PassId::Normalize, pass::normalize);
+        let mut s = CompileSession::new(self, program, Deadline::start(deadline)?);
+        s.pass(PassId::Normalize, pass::normalize)?;
         if rce2 {
-            s.pass(PassId::Rce2, pass::rce2);
+            s.pass(PassId::Rce2, pass::rce2)?;
         }
         if level.fuses_compiler() {
-            s.pass(PassId::FuseContraction, pass::fuse_contraction);
+            s.pass(PassId::FuseContraction, pass::fuse_contraction)?;
         }
         if level.locality_fusion() {
-            s.pass(PassId::FuseLocality, pass::fuse_locality);
+            s.pass(PassId::FuseLocality, pass::fuse_locality)?;
         }
         if level.pairwise_fusion() {
-            s.pass(PassId::FusePairwise, pass::fuse_pairwise);
+            s.pass(PassId::FusePairwise, pass::fuse_pairwise)?;
         }
-        s.pass(PassId::Contract, pass::contract);
+        s.pass(PassId::Contract, pass::contract)?;
         if dim {
-            s.pass(PassId::DimContract, pass::dim_contract);
+            s.pass(PassId::DimContract, pass::dim_contract)?;
         }
-        s.pass(PassId::FindLoopStructure, pass::find_loop_structure);
-        s.pass(PassId::Scalarize, pass::scalarize);
+        s.pass(PassId::FindLoopStructure, pass::find_loop_structure)?;
+        s.pass(PassId::Scalarize, pass::scalarize)?;
 
         let mut opt = s.finish();
         if self.verify == VerifyLevel::Always {
@@ -443,7 +461,7 @@ impl<'f> Pipeline<'f> {
                 clusters,
             });
         }
-        opt
+        Ok(opt)
     }
 }
 

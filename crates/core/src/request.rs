@@ -9,7 +9,7 @@
 //! copy of its fields, so a supervised run compiles exactly what an
 //! unsupervised one does. Adapters produce the downstream forms:
 //! [`RunRequest::pipeline`], [`RunRequest::supervisor`],
-//! [`RunRequest::exec_opts`], [`RunRequest::deadline_from_now`] and
+//! [`RunRequest::exec_opts`], [`RunRequest::deadline_from`] and
 //! [`RunRequest::binding_for`]. The compile cache reads a request stage by
 //! stage: `spec` addresses the optimized program (with the program's
 //! digest, and nothing else — the optimizer takes no binding), and
@@ -39,7 +39,7 @@ use crate::verify::VerifyLevel;
 use loopir::{Engine, ExecOpts};
 use std::fmt;
 use std::time::{Duration, Instant};
-use zlang::ir::{ConfigBinding, Program};
+use zlang::ir::{ConfigBinding, LinExpr, Program};
 
 /// A complete, self-describing run configuration: what to compile
 /// (level + extensions), how to execute it (engine, threads, lanes,
@@ -68,10 +68,15 @@ pub struct RunRequest {
     /// validator for it: they have no reader for the diagnostics, so
     /// `zlc` rejects `--verify` in those modes.
     pub verify: bool,
-    /// Wall-clock budget for the run, measured from its start, or `None`
-    /// for none. A supervised run applies it to every rung but the
-    /// reference one, the rung of last resort: a slow correct answer
-    /// beats none.
+    /// Wall-clock budget for the whole request, or `None` for none: the
+    /// one budget every path reads. It is turned into one instant when
+    /// the request starts ([`RunRequest::deadline_from`]; at admission
+    /// under `serve`, so queue wait counts), and everything the request
+    /// does runs under that instant and the one rule of
+    /// [`loopir::Deadline`]: the compile (each optimizer pass, the fusion
+    /// loops, a wait on another request's compile, the lowering) and
+    /// every rung of a supervised run, the reference rung included. The
+    /// first deadline fault ends the request.
     pub deadline: Option<Duration>,
     /// Config-variable overrides, applied in order (`--set n=64`).
     pub sets: Vec<(String, i64)>,
@@ -157,8 +162,7 @@ impl RunRequest {
         self
     }
 
-    /// Sets a wall-clock budget for the run (one deadline that every
-    /// budgeted rung of a supervised run shares).
+    /// Sets the request's wall-clock budget ([`RunRequest::deadline`]).
     pub fn with_deadline(mut self, deadline: Duration) -> Self {
         self.deadline = Some(deadline);
         self
@@ -204,23 +208,44 @@ impl RunRequest {
         self.engine.knobs(asked).unwrap_or_default()
     }
 
-    /// The instant the deadline falls on, measured from the moment of
-    /// this call, for [`Executor::set_deadline`](loopir::Executor::set_deadline).
+    /// The instant the deadline falls on for a request that started at
+    /// `start`: the one instant its compile and run share. `None` without
+    /// a deadline, or when the budget is too large for the clock to
+    /// represent, which no run can exhaust.
+    pub fn deadline_from(&self, start: Instant) -> Option<Instant> {
+        self.deadline.and_then(|d| start.checked_add(d))
+    }
+
+    /// [`deadline_from`](Self::deadline_from) a request that starts now.
     pub fn deadline_from_now(&self) -> Option<Instant> {
-        self.deadline.map(|d| Instant::now() + d)
+        self.deadline_from(Instant::now())
     }
 
     /// The concrete config binding for a program: defaults overridden by
-    /// this request's `--set` pairs, in order.
+    /// this request's `--set` pairs, in order. Every path builds its
+    /// binding here, so this is where a binding the engines cannot index
+    /// exactly is refused.
     ///
     /// # Errors
     ///
-    /// Names the first override that matches no config variable.
+    /// Names the first override that matches no config variable, or the
+    /// first region one of whose bounds overflows `i64` under the
+    /// binding (`n+1` at `n = 2^63 - 1` would wrap to an empty region).
     pub fn binding_for(&self, program: &Program) -> Result<ConfigBinding, String> {
         let mut binding = ConfigBinding::defaults(program);
         for (name, value) in &self.sets {
             if !binding.set_by_name(program, name, *value) {
                 return Err(format!("no config named `{name}`"));
+            }
+        }
+        for region in &program.regions {
+            let exact = |e: &LinExpr| e.checked_eval(&binding).is_some();
+            if !region.extents.iter().all(|x| exact(&x.lo) && exact(&x.hi)) {
+                return Err(format!(
+                    "config binding overflows a bound of region `{}` (past 64-bit \
+                     integers); reduce the bound set with --set",
+                    region.name
+                ));
             }
         }
         Ok(binding)

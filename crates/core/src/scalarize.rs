@@ -346,7 +346,8 @@ mod tests {
                 defs,
                 &np.default_binding(),
             );
-            ctx.fusion_for_contraction(&mut part, &defs);
+            ctx.fusion_for_contraction(&mut part, &defs, &mut loopir::Deadline::default())
+                .unwrap();
             contracted = ctx.contracted_defs(&part, &defs).into_iter().collect();
         }
         let stmts = scalarize_block(&ctx, &part, &contracted, &[], &BTreeMap::new());

@@ -2,8 +2,8 @@
 //! across worker threads, sharing one [`CompileCache`].
 //!
 //! This is the driver behind `zlc serve` and the harness's `serve_sizes`
-//! workload. Each request is a `(source, RunRequest)` pair, optionally
-//! carrying a total deadline. The calling thread *admits* requests into a
+//! workload. Each request is a `(source, RunRequest)` pair. The calling
+//! thread *admits* requests into a
 //! bounded queue while workers drain it; each admitted request runs under
 //! a fault-isolating [`Supervisor`](crate::supervisor::Supervisor)
 //! attached to the shared cache, so a panicking or budget-violating
@@ -19,11 +19,11 @@
 //!   capacity, either the incoming request is rejected or the producer
 //!   blocks. Shed requests never compile; they are accounted with a typed
 //!   [`ShedCause`].
-//! * **Deadline propagation**: a request's deadline is measured from
-//!   *admission*. Queue wait is charged against it — a request that
-//!   expires while queued is shed without compiling, and one that reaches
-//!   a worker hands the supervisor only the time it has left
-//!   ([`Supervisor::with_remaining`](crate::supervisor::Supervisor::with_remaining)).
+//! * **One deadline per request**: [`RunRequest::deadline`] is measured
+//!   from *admission* and turned into one instant there. Queue wait is
+//!   charged against it — a request that expires while queued is shed
+//!   without compiling — and the supervisor compiles and runs every rung
+//!   under that same instant.
 //! * **The worker-panic boundary**: a panic outside the supervisor
 //!   becomes an attributed failure and the worker lives on.
 //! * **Quarantine**, inside the supervisor: the first execution fault of
@@ -45,7 +45,7 @@ use crate::cache::{CacheStats, CompileCache, Depth};
 use crate::pipeline::LevelSpec;
 use crate::request::RunRequest;
 use crate::supervisor::{quiet_catch, Cause, CauseKind, Stage};
-use loopir::Engine;
+use loopir::{Deadline, Engine};
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 use std::fmt::Write as _;
@@ -60,38 +60,26 @@ use testkit::faults::{self, FaultPlan, FaultSite};
 const STALL: Duration = Duration::from_millis(30);
 
 /// One unit of serving work: a named program source plus the complete
-/// run configuration to execute it under, and optionally a total
-/// deadline measured from the moment the request is admitted.
+/// run configuration to execute it under, its deadline included.
 #[derive(Debug, Clone)]
 pub struct ServeRequest {
     /// Display name (for per-program roll-ups; not required unique).
     pub name: String,
     /// zlang source text of the program to compile and run.
     pub source: String,
-    /// How to compile and execute it.
+    /// How to compile and execute it, and its deadline
+    /// ([`RunRequest::deadline`], measured from admission here).
     pub request: RunRequest,
-    /// Total admission-to-completion deadline. Queue wait counts against
-    /// it: a request that expires while queued is shed without
-    /// compiling, and one that reaches a worker gives the supervisor
-    /// only the remainder, one deadline for every budgeted rung.
-    pub deadline: Option<Duration>,
 }
 
 impl ServeRequest {
-    /// A serve request for `source` under `request`, with no deadline.
+    /// A serve request for `source` under `request`.
     pub fn new(name: &str, source: &str, request: RunRequest) -> Self {
         ServeRequest {
             name: name.to_string(),
             source: source.to_string(),
             request,
-            deadline: None,
         }
-    }
-
-    /// Sets the total (admission-to-completion) deadline.
-    pub fn with_deadline(mut self, deadline: Duration) -> Self {
-        self.deadline = Some(deadline);
-        self
     }
 }
 
@@ -227,14 +215,6 @@ impl RequestRecord {
             breaker_routed: false,
             depth: Depth::Hit,
             disposition: Disposition::Completed,
-        }
-    }
-
-    fn shed(index: usize, req: &ServeRequest, queue_wait: Duration, cause: ShedCause) -> Self {
-        RequestRecord {
-            queue_wait,
-            disposition: Disposition::Shed(cause),
-            ..RequestRecord::base(index, req)
         }
     }
 
@@ -514,6 +494,13 @@ impl ServeReport {
         for (cause, n) in self.failures_by_cause() {
             let _ = writeln!(out, "  failed/{cause:<16} {n:>6}");
         }
+        if let Some((r, cause)) = self.records.iter().find_map(|r| Some((r, r.cause()?))) {
+            let _ = writeln!(
+                out,
+                "  first failure: request {} ({}) after {:.1?}: {cause}",
+                r.index, r.name, r.latency
+            );
+        }
         for (engine, s) in self.per_engine() {
             let _ = writeln!(
                 out,
@@ -601,9 +588,8 @@ impl Queue {
 }
 
 /// Replays `requests` across `workers` threads with the default options:
-/// unbounded queue, no deadlines enforced beyond each request's own, no
-/// faults. Kept as the simple entry point for tests; [`serve_with`] is
-/// the full-featured one.
+/// unbounded queue, no faults. Kept as the simple entry point for tests;
+/// [`serve_with`] is the full-featured one.
 pub fn serve(requests: &[ServeRequest], workers: usize, cache: &Arc<CompileCache>) -> ServeReport {
     serve_with(requests, &ServeOptions::new().with_workers(workers), cache)
 }
@@ -614,6 +600,11 @@ pub fn serve(requests: &[ServeRequest], workers: usize, cache: &Arc<CompileCache
 /// until the whole batch has drained; records come back in submission
 /// order regardless of which worker served them, and every submitted
 /// request is accounted exactly once.
+///
+/// A request's [`RunRequest::deadline`] is measured from its admission,
+/// once: the one instant it is shed against if it is still queued, and
+/// under which the supervisor compiles and runs every rung, so a request
+/// holds its worker at most one poll past it.
 pub fn serve_with(
     requests: &[ServeRequest],
     opts: &ServeOptions,
@@ -660,9 +651,10 @@ pub fn serve_with(
         // Admission runs on the calling thread while workers drain.
         for (index, req) in requests.iter().enumerate() {
             if !queue.push(index, opts.shed) {
-                records.lock().expect("serve records lock poisoned")[index] = Some(
-                    RequestRecord::shed(index, req, Duration::ZERO, ShedCause::QueueFull),
-                );
+                records.lock().expect("serve records lock poisoned")[index] = Some(RequestRecord {
+                    disposition: Disposition::Shed(ShedCause::QueueFull),
+                    ..RequestRecord::base(index, req)
+                });
             }
         }
         queue.close();
@@ -695,8 +687,8 @@ pub fn serve_with(
 }
 
 /// Serves one admitted request: injected stall/panic sites, the
-/// queued-deadline check, then one supervised run, handed only the
-/// deadline time remaining.
+/// queued-deadline check, then one supervised run under the deadline
+/// instant measured from admission.
 fn serve_one(
     index: usize,
     req: &ServeRequest,
@@ -716,19 +708,15 @@ fn serve_one(
         queue_wait,
         ..RequestRecord::base(index, req)
     };
-    if let Some(deadline) = req.deadline {
-        if queue_wait >= deadline {
-            record.disposition = Disposition::Shed(ShedCause::DeadlineExpired);
-            return record;
-        }
+    let deadline = req.request.deadline_from(admitted);
+    if Deadline::start(deadline).is_err() {
+        record.disposition = Disposition::Shed(ShedCause::DeadlineExpired);
+        return record;
     }
 
     let service_started = Instant::now();
-    let mut sup = req.request.supervisor().with_cache(cache.clone());
-    if let Some(deadline) = req.deadline {
-        sup = sup.with_remaining(deadline.saturating_sub(admitted.elapsed()));
-    }
-    let report = match sup.run_source(&req.source) {
+    let sup = req.request.supervisor().with_cache(cache.clone());
+    let report = match sup.run_source_by(&req.source, deadline) {
         Ok(done) => {
             record.checksum_bits = done.outcome.checksum().to_bits();
             record.scalars_bits = done.outcome.scalars.iter().map(|s| s.to_bits()).collect();
@@ -877,7 +865,10 @@ mod tests {
             .with_faults(FaultPlan::new(13).with(FaultSite::ServeStall, 1.0));
         let reqs: Vec<ServeRequest> = batch(6)
             .into_iter()
-            .map(|r| r.with_deadline(Duration::from_millis(5)))
+            .map(|mut r| {
+                r.request = r.request.with_deadline(Duration::from_millis(5));
+                r
+            })
             .collect();
         let report = serve_with(&reqs, &opts, &cache);
         assert_eq!(report.completed(), 0);

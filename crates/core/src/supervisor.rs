@@ -52,10 +52,16 @@
 //!   constructs; the tree-walker, which needs no bytecode, answers at the
 //!   requested spec.
 //! * **The deadline** ([`RunRequest::deadline`]): one wall-clock instant
-//!   per run, shared by every budgeted rung and enforced inside the
-//!   engines ([`Executor::set_deadline`]); a rung that starts after it
-//!   faults before compiling. The reference rung runs without it — a
-//!   degraded answer late beats no answer.
+//!   per request, under the one rule of [`loopir::Deadline`] from the
+//!   first compile to the last op. Every rung runs under it, the
+//!   reference rung included: the compile checks it before its lookup
+//!   and polls it between passes, inside the fusion loops, in a wait on
+//!   another request's compile and in the lowering
+//!   ([`CompileCache::compile`]), and the engines poll it as they run
+//!   ([`Executor::set_deadline`]). A deadline fault is attributed to the
+//!   stage that was running, and it ends the ladder: no later rung can
+//!   start before an instant that has passed, so a request never holds
+//!   its worker past its deadline by more than one poll.
 //! * **Communication failures** from a simulated-runtime backend
 //!   ([`Supervisor::run_program_simulated`]): the same rung runs once
 //!   more without the backend, since the communication simulation
@@ -226,15 +232,16 @@ impl fmt::Display for Cause {
     }
 }
 
-/// A lowering or execution error, attributed to the lowering stage when
-/// the bytecode could not be built or was rejected, and to execution
-/// otherwise.
+/// A compile or execution error, attributed to the lowering stage when
+/// the bytecode could not be built or was rejected, to the stage that was
+/// running when a deadline passed ([`current_stage`]: an optimizer pass,
+/// the lowering or execution), and to execution otherwise.
 impl From<ExecError> for Cause {
     fn from(e: ExecError) -> Cause {
         let (stage, kind) = match e.kind {
             ErrorKind::Verify => (Stage::VerifyBytecode, CauseKind::VerifyReject),
             ErrorKind::Lower => (Stage::VerifyBytecode, CauseKind::Exec),
-            ErrorKind::Deadline => (Stage::Execute, CauseKind::Deadline),
+            ErrorKind::Deadline => (current_stage(), CauseKind::Deadline),
             ErrorKind::Comm => (Stage::Execute, CauseKind::Comm),
             ErrorKind::Alloc => (Stage::Execute, CauseKind::Alloc),
             _ => (Stage::Execute, CauseKind::Exec),
@@ -420,9 +427,9 @@ impl fmt::Debug for Supervisor {
 
 /// What the rungs of one supervised run share: the program, its binding
 /// and the requested rung's cache key (bound and hashed once per run),
-/// the budgeted rungs' deadline (one instant per run), and the
-/// cache they compile through, which is what lets the rungs at one spec
-/// run the optimizer once.
+/// the request's deadline (one instant, for every compile and run), and
+/// the cache they compile through, which is what lets the rungs at one
+/// spec run the optimizer once.
 struct Run<'p> {
     program: &'p Program,
     binding: ConfigBinding,
@@ -472,23 +479,25 @@ impl Supervisor {
         self
     }
 
-    /// Tightens the wall-clock budget to at most `remaining` — the serve
-    /// path calls this with a request's deadline minus its queue wait, so
-    /// time spent queued is charged against the same total deadline the
-    /// caller asked for.
-    pub fn with_remaining(mut self, remaining: Duration) -> Self {
-        let deadline = &mut self.request.deadline;
-        *deadline = Some(deadline.map_or(remaining, |d| d.min(remaining)));
-        self
-    }
-
-    /// Parses and runs source text under supervision.
+    /// Parses and runs source text under supervision, the request's
+    /// deadline measured from this call.
     ///
     /// # Errors
     ///
     /// Returns [`SupervisorError`] if the source does not compile (there
-    /// is no ladder below parsing) or if every rung faulted.
+    /// is no ladder below parsing), if a rung's deadline passed, or if
+    /// every rung faulted.
     pub fn run_source(&self, source: &str) -> Result<Supervised, SupervisorError> {
+        self.run_source_by(source, self.request.deadline_from_now())
+    }
+
+    /// [`run_source`](Self::run_source) under `deadline`, the instant the
+    /// serve path measured from the request's admission.
+    pub(crate) fn run_source_by(
+        &self,
+        source: &str,
+        deadline: Option<Instant>,
+    ) -> Result<Supervised, SupervisorError> {
         enter_stage(Stage::Parse);
         let started = Instant::now();
         let cache = self.run_cache();
@@ -497,7 +506,7 @@ impl Supervisor {
             Ok(Err(e)) => return Err(self.parse_error(e.to_string(), started)),
             Err(msg) => return Err(self.parse_error(msg, started)),
         };
-        self.run(&cache, &parsed.program, parsed.digest, depth, None)
+        self.run(&parsed.program, parsed.digest, depth, None, deadline)
     }
 
     /// The cache a run compiles through: the attached one, or a private
@@ -531,13 +540,17 @@ impl Supervisor {
     ///
     /// # Errors
     ///
-    /// Returns [`SupervisorError`] if a `--set` override names no config
-    /// variable of the program (a [`CauseKind::Config`] cause; no rung is
-    /// attempted and nothing is quarantined), or if every rung —
-    /// including the unoptimized reference interpreter — faulted.
+    /// Returns [`SupervisorError`] if the binding is refused (a
+    /// [`CauseKind::Config`] cause: a `--set` override that names no
+    /// config variable of the program, or a region bound that overflows;
+    /// no rung is attempted and nothing is quarantined), if the
+    /// request's deadline passed (a [`CauseKind::Deadline`] cause on the
+    /// last attempt), or if every rung — including the unoptimized
+    /// reference interpreter — faulted.
     pub fn run_program(&self, program: &Program) -> Result<Supervised, SupervisorError> {
         let digest = hash::program_hash(program);
-        self.run(&self.run_cache(), program, digest, Depth::Hit, None)
+        let deadline = self.request.deadline_from_now();
+        self.run(program, digest, Depth::Hit, None, deadline)
     }
 
     /// [`run_program`](Self::run_program) with every rung's executor run
@@ -557,18 +570,20 @@ impl Supervisor {
         sim: &mut SimFn<'_>,
     ) -> Result<Supervised, SupervisorError> {
         let digest = hash::program_hash(program);
-        self.run(&self.run_cache(), program, digest, Depth::Hit, Some(sim))
+        let deadline = self.request.deadline_from_now();
+        self.run(program, digest, Depth::Hit, Some(sim), deadline)
     }
 
     /// The ladder over a program whose digest the caller holds; `parsed`
-    /// is what the parse stage cost, charged to the first attempt.
+    /// is what the parse stage cost, charged to the first attempt, and
+    /// `deadline` is the request's one instant.
     fn run(
         &self,
-        cache: &CompileCache,
         program: &Program,
         digest: u64,
         mut parsed: Depth,
         mut sim: Option<&mut SimFn<'_>>,
+        deadline: Option<Instant>,
     ) -> Result<Supervised, SupervisorError> {
         let req = &self.request;
         let mut report = SupervisorReport::new(req);
@@ -596,19 +611,17 @@ impl Supervisor {
         };
         // A quarantined key's run must not consult the attached cache: its
         // one rung compiles through a cache of its own.
-        let bypass;
         let (cache, shared) = if forced_reference {
-            bypass = CompileCache::with_shards(1, 1);
-            (&bypass, false)
+            (Arc::new(CompileCache::with_shards(1, 1)), false)
         } else {
-            (cache, self.cache.is_some())
+            (self.run_cache(), self.cache.is_some())
         };
         let mut run = Run {
             program,
             binding,
             key,
-            deadline: req.deadline_from_now(),
-            cache,
+            deadline,
+            cache: &cache,
             shared,
             depth: Depth::Hit,
         };
@@ -624,15 +637,6 @@ impl Supervisor {
             if poisoned == Some(spec) {
                 continue;
             }
-            // The reference rung — the last of a ladder with more than
-            // one — is the degradation target of last resort; the deadline
-            // does not apply to it because its entire point is to always
-            // produce the answer. A directly requested (baseline, interp)
-            // run (ri == 0) is an ordinary rung and stays budgeted —
-            // except when quarantine forced the run there, which carries
-            // reference semantics.
-            let budgeted = !(forced_reference || (ri > 0 && ri == rungs.len() - 1));
-
             // Try with the sim backend if there is one; on a
             // communication failure, once more without it.
             let mut use_sim = sim.is_some();
@@ -640,7 +644,7 @@ impl Supervisor {
                 let started = Instant::now();
                 run.depth = std::mem::take(&mut parsed);
                 let backend = sim.as_deref_mut().filter(|_| use_sim);
-                let r = self.attempt(&mut run, (spec, engine), budgeted, backend);
+                let r = self.attempt(&mut run, (spec, engine), backend);
                 let elapsed = started.elapsed();
                 let depth = run.depth;
                 let attempt = |fault| Attempt {
@@ -676,8 +680,14 @@ impl Supervisor {
                     // spec would panic again.
                     poisoned = Some(spec);
                 }
+                // Every rung runs under the one deadline, so none can
+                // start before an instant that has passed.
+                let deadline_passed = cause.kind == CauseKind::Deadline;
                 let comm_fallback = cause.kind == CauseKind::Comm && use_sim;
                 last_cause = Some(cause);
+                if deadline_passed {
+                    break 'rungs;
+                }
                 if !comm_fallback {
                     break;
                 }
@@ -689,44 +699,27 @@ impl Supervisor {
                 cache.quarantine(&key);
             }
         }
-        match answer {
-            Some(outcome) => Ok(Supervised { outcome, report }),
-            None => {
-                let cause = last_cause.unwrap_or_else(|| Cause {
-                    stage: Stage::Execute,
-                    kind: CauseKind::Exec,
-                    message: "no execution strategy was attempted".to_string(),
-                });
-                Err(SupervisorError { cause, report })
-            }
+        match (answer, last_cause) {
+            (Some(outcome), _) => Ok(Supervised { outcome, report }),
+            (None, cause) => Err(SupervisorError {
+                cause: cause.expect("the first rung always runs"),
+                report,
+            }),
         }
     }
 
     /// One rung: the request at the rung's spec and engine, through the
     /// one path — [`CompileCache::compile`] at the rung's key in the run's
     /// cache, build the executor at the requested knobs, run it —
-    /// unobserved, or handed to `sim`. Every step is inside the panic
-    /// boundary; errors come back as a [`Cause`], and a fault anywhere
-    /// before publication abandons the claim.
+    /// unobserved, or handed to `sim`, all under the run's deadline. Every
+    /// step is inside the panic boundary; errors come back as a [`Cause`],
+    /// and a fault anywhere before publication abandons the claim.
     fn attempt(
         &self,
         run: &mut Run<'_>,
         (spec, engine): Rung,
-        budgeted: bool,
         sim: Option<&mut SimFn<'_>>,
     ) -> Result<RunOutcome, Cause> {
-        // A rung that starts after the run's deadline can never meet it;
-        // fault deterministically up front rather than compile and then
-        // depend on how far a fast program gets before the engine's
-        // periodic clock check. A zero deadline always lands here.
-        let deadline = run.deadline.filter(|_| budgeted);
-        if deadline.is_some_and(|t| Instant::now() >= t) {
-            return Err(Cause {
-                stage: Stage::Execute,
-                kind: CauseKind::Deadline,
-                message: DEADLINE_PASSED.to_string(),
-            });
-        }
         enter_stage(Stage::Normalize);
         quiet_catch(|| -> Result<RunOutcome, Cause> {
             let binding = &run.binding;
@@ -736,7 +729,7 @@ impl Supervisor {
                 bytecode: engine != Engine::Interp,
                 ..run.key
             };
-            let (artifact, depth) = run.cache.compile(run.program, binding, key)?;
+            let (artifact, depth) = run.cache.compile(run.program, binding, key, run.deadline)?;
             run.depth = run.depth.max(depth);
             // Injected artifact corruption: the hit "decodes" but faults
             // the moment it executes, which is how a real bit-flipped or
@@ -754,7 +747,7 @@ impl Supervisor {
             }
             enter_stage(Stage::Execute);
             let mut exec = artifact.executor(self.request.exec_opts());
-            exec.set_deadline(deadline);
+            exec.set_deadline(run.deadline);
             Ok(match sim {
                 Some(sim) => sim(&mut *exec, &artifact.scalarized, binding)?,
                 None => exec.execute(&mut NoopObserver)?,
@@ -769,10 +762,6 @@ impl Supervisor {
         })
     }
 }
-
-/// The message of a rung that starts after the run's deadline passed.
-const DEADLINE_PASSED: &str =
-    "deadline passed before the attempt started (raise the wall-clock budget)";
 
 /// One rung of the ladder: a spec and the engine that runs it. A VM rung
 /// runs at the request's knobs; the tree-walker reads none.
@@ -808,6 +797,7 @@ pub fn estimate_alloc_bytes(sp: &ScalarProgram, binding: &ConfigBinding) -> u64 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pipeline::Pipeline;
     use testkit::faults::{self, FaultPlan, FaultSite};
 
     const SRC: &str = "program t; config n : int = 6; region R = [1..n];
@@ -996,44 +986,69 @@ mod tests {
     }
 
     #[test]
-    fn zero_deadline_falls_to_unbudgeted_reference() {
-        let sup = request(Level::C2F3, Engine::Vm)
+    fn a_zero_deadline_fails_once_before_compiling() {
+        let cache = Arc::new(CompileCache::new());
+        let program = zlang::compile(SRC).unwrap();
+        let err = request(Level::C2F3, Engine::Vm)
             .with_deadline(Duration::ZERO)
-            .supervisor();
-        let run = sup.run_source(SRC).unwrap();
-        assert_eq!(run.outcome.checksum(), reference_checksum());
-        assert_eq!(run.report.final_spec, Level::Baseline.into());
-        assert!(run.report.faults().any(|c| c.kind == CauseKind::Deadline));
+            .supervisor()
+            .with_cache(cache.clone())
+            .run_program(&program)
+            .unwrap_err();
+        assert_eq!(
+            err.cause.kind,
+            CauseKind::Deadline,
+            "{}",
+            err.report.render()
+        );
+        // The first deadline fault ends the ladder: no rung after it.
+        assert_eq!(err.report.attempts.len(), 1, "{}", err.report.render());
+        // The compile's entry check fails before the cache is consulted,
+        // and a deadline quarantines nothing.
+        assert_eq!(cache.stats(), crate::cache::CacheStats::default());
     }
 
     #[test]
-    fn budgeted_rungs_share_one_deadline() {
+    fn a_deadline_fault_ends_the_ladder_on_every_rung() {
         // Far more work than the deadline allows on any engine.
         let src = "program t; config n : int = 512; region R = [1..n, 1..n];
             var A, B : [R] float; var s : float;
             begin [R] A := index1 * 0.5 + index2;
               [R] B := A * A + 1.0; s := +<< [R] (A + B); end";
-        let run = request(Level::C2F3, Engine::Vm)
+        let err = request(Level::C2F3, Engine::Vm)
             .with_deadline(Duration::from_millis(1))
             .supervisor()
             .run_source(src)
-            .unwrap();
-        let causes: Vec<_> = run.report.faults().collect();
-        assert_eq!(causes.len(), 2, "{}", run.report.render());
-        assert!(causes.iter().all(|c| c.kind == CauseKind::Deadline));
-        // The second budgeted rung starts after the run's one deadline
-        // passed, so it faults before compiling instead of getting a
-        // window of its own.
+            .unwrap_err();
         assert_eq!(
-            causes[1].message,
-            DEADLINE_PASSED,
+            err.cause.kind,
+            CauseKind::Deadline,
             "{}",
-            run.report.render()
+            err.report.render()
         );
-        assert_eq!(run.report.attempts[1].depth, Depth::Hit);
-        // The unbudgeted reference rung still answers.
-        assert_eq!(run.report.final_spec, Level::Baseline.into());
-        assert_eq!(run.report.final_engine, Engine::Interp);
+        assert_eq!(err.report.attempts.len(), 1, "{}", err.report.render());
+
+        // The reference rung runs under the deadline too, also when a
+        // quarantined key forces the run there.
+        let cache = Arc::new(CompileCache::new());
+        let program = zlang::compile(SRC).unwrap();
+        let binding = ConfigBinding::defaults(&program);
+        cache.quarantine(&CacheKey::compute(
+            &program,
+            &binding,
+            Level::C2.into(),
+            Engine::Vm,
+        ));
+        let err = request(Level::C2, Engine::Vm)
+            .with_deadline(Duration::ZERO)
+            .supervisor()
+            .with_cache(cache)
+            .run_program(&program)
+            .unwrap_err();
+        assert!(err.report.quarantined);
+        assert_eq!(err.cause.kind, CauseKind::Deadline);
+        assert_eq!(err.report.attempts.len(), 1, "{}", err.report.render());
+        assert_eq!(err.report.attempts[0].engine, Engine::Interp);
     }
 
     #[test]
@@ -1188,22 +1203,44 @@ mod tests {
         assert_eq!(cache.stats().quarantines, 1);
     }
 
+    /// The optimizer polls the deadline: greedy pairwise fusion over a
+    /// long unfusable block (seconds of work, a hundred times the other
+    /// passes) stops at the deadline, the fault names the pass, and the
+    /// abandoned compile is not memoized, so the next identical request
+    /// compiles again.
     #[test]
-    fn with_remaining_tightens_the_deadline() {
-        let sup = request(Level::C2F3, Engine::Vm)
-            .with_deadline(Duration::from_secs(60))
-            .supervisor()
-            .with_remaining(Duration::ZERO);
-        let run = sup.run_source(SRC).unwrap();
-        assert_eq!(run.outcome.checksum(), reference_checksum());
-        assert!(run.report.faults().any(|c| c.kind == CauseKind::Deadline));
-        // And the other direction: a generous remaining never loosens.
-        let sup = request(Level::C2F3, Engine::Vm)
-            .with_deadline(Duration::ZERO)
-            .supervisor()
-            .with_remaining(Duration::from_secs(60));
-        let run = sup.run_source(SRC).unwrap();
-        assert!(run.report.faults().any(|c| c.kind == CauseKind::Deadline));
+    fn a_compile_past_the_deadline_names_its_pass_and_memoizes_nothing() {
+        let src = testkit::genprog::unfusable_chain(500);
+        let program = zlang::compile(&src).unwrap();
+        // What every pass but the pairwise one costs in this build.
+        let started = Instant::now();
+        Pipeline::new(Level::C2F3).optimize(&program);
+        let budget = started.elapsed() * 2 + Duration::from_millis(50);
+        let cache = Arc::new(CompileCache::new());
+        for optimized in 1..=2 {
+            let started = Instant::now();
+            let err = request(Level::C2F4, Engine::Vm)
+                .with_deadline(budget)
+                .supervisor()
+                .with_cache(cache.clone())
+                .run_program(&program)
+                .unwrap_err();
+            let late = started.elapsed().saturating_sub(budget);
+            assert!(late < Duration::from_millis(100), "{late:?} late");
+            assert_eq!(err.cause.kind, CauseKind::Deadline);
+            assert_eq!(
+                err.cause.stage,
+                Stage::FusePairwise,
+                "{}",
+                err.report.render()
+            );
+            assert_eq!(err.report.attempts.len(), 1, "{}", err.report.render());
+            let s = cache.stats();
+            assert_eq!(
+                (s.optimize_misses, s.insertions, s.quarantines),
+                (optimized, 0, 0)
+            );
+        }
     }
 
     #[test]

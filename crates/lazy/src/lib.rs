@@ -334,8 +334,9 @@ impl Batch {
 
     /// Flushes through the serving path: look the batch up in `cache`
     /// (compiling and publishing on a miss), then execute under `req`'s
-    /// engine and deadline. Returns the outcome and whether the compile
-    /// was a cache hit. A recording has no source text, so it enters the
+    /// engine, the compile and the run under the one deadline instant
+    /// measured from this call. Returns the outcome and whether the
+    /// compile was a cache hit. A recording has no source text, so it enters the
     /// cache at the optimize stage: the program is hashed once per flush,
     /// and a miss that differs from an earlier flush only in `req`'s
     /// engine reuses that flush's optimizer run.
@@ -349,9 +350,10 @@ impl Batch {
         req: &RunRequest,
         cache: &CompileCache,
     ) -> Result<(Evaluated, bool), ExecError> {
-        let (cached, hit) = cache.get_or_compile(&self.program, req)?;
+        let deadline = req.deadline_from_now();
+        let (cached, hit) = cache.get_or_compile_by(&self.program, req, deadline)?;
         let mut exec = cached.executor(req.exec_opts());
-        exec.set_deadline(req.deadline_from_now());
+        exec.set_deadline(deadline);
         let outcome = exec.execute(&mut NoopObserver)?;
         Ok((Evaluated { outcome }, hit))
     }

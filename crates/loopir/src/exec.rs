@@ -158,42 +158,51 @@ pub trait Executor {
 /// the run overshoots the deadline by at most 1024 such iterations.
 const POLL_EVERY: u64 = 1024;
 
-/// The one deadline rule of every loop that runs a program: the VM's
-/// dispatch loop, a parallel tile, a lane run's strip loop and the
-/// tree-walker. [`Deadline::start`] checks the instant before the first
-/// op; then each loop ticks once per iteration (a lane strip once,
-/// weighted by its positions), and every [`POLL_EVERY`] iterations the
-/// clock is read. Without a deadline a tick is one predictable branch and
-/// never reads the clock.
-pub(crate) struct Deadline {
+/// The one deadline rule of a request, from admission to its last op.
+/// A request turns its budget into one [`Instant`] once, and every loop
+/// that does its work starts a `Deadline` from that instant: the
+/// optimizer's passes and fusion loops, the lowering, a wait on another
+/// thread's compile, and, at execution, the VM's dispatch loop, a
+/// parallel tile, a lane run's strip loop and the tree-walker.
+/// [`Deadline::start`] checks the instant before the first unit of work;
+/// then each loop ticks once per iteration (a lane strip once, weighted
+/// by its positions; a fusion step by the clusters it scans), and every
+/// 1024 units the clock is read. Without a deadline (as
+/// `Deadline::default()` has) a tick is one predictable branch and never
+/// reads the clock.
+#[derive(Debug, Default)]
+pub struct Deadline {
     /// The instant itself, for a parallel tile to start its own from.
     pub(crate) at: Option<Instant>,
     ticks: u64,
 }
 
 impl Deadline {
-    /// Starts a run under `at`.
+    /// Starts a unit of work under `at`, or under no deadline when `at`
+    /// is `None`.
     ///
     /// # Errors
     ///
     /// A [`Deadline`](crate::ErrorKind::Deadline) error when `at` has
-    /// already passed, so such a run fails before its first op on every
-    /// engine at every width.
-    pub(crate) fn start(at: Option<Instant>) -> Result<Deadline, ExecError> {
+    /// already passed, so such work fails before it starts: a run before
+    /// its first op, on every engine at every width, and a compile before
+    /// its first pass.
+    pub fn start(at: Option<Instant>) -> Result<Deadline, ExecError> {
         let d = Deadline { at, ticks: 0 };
         d.check()?;
         Ok(d)
     }
 
-    /// Counts `n` loop iterations: 1 for a back-edge, a point or a `for`
-    /// iteration, a strip's positions for a lane strip.
+    /// Counts `n` units of work: 1 for a back-edge, a point or a `for`
+    /// iteration, a strip's positions for a lane strip, the clusters a
+    /// fusion step scans.
     ///
     /// # Errors
     ///
     /// A [`Deadline`](crate::ErrorKind::Deadline) error when this tick
     /// reads the clock and the deadline has passed.
     #[inline(always)]
-    pub(crate) fn tick(&mut self, n: u64) -> Result<(), ExecError> {
+    pub fn tick(&mut self, n: u64) -> Result<(), ExecError> {
         if self.at.is_some() {
             self.ticks += n;
             if self.ticks >= POLL_EVERY {
@@ -204,8 +213,16 @@ impl Deadline {
         Ok(())
     }
 
+    /// Reads the clock now, whatever the count: the poll between two
+    /// steps of a compile (two optimizer passes, the bytecode and its
+    /// proof).
+    ///
+    /// # Errors
+    ///
+    /// A [`Deadline`](crate::ErrorKind::Deadline) error when the deadline
+    /// has passed.
     #[cold]
-    fn check(&self) -> Result<(), ExecError> {
+    pub fn check(&self) -> Result<(), ExecError> {
         match self.at {
             Some(at) if Instant::now() >= at => Err(ExecError::deadline()),
             _ => Ok(()),
@@ -351,11 +368,21 @@ impl SharedProgram {
     /// # Errors
     ///
     /// A [`Lower`](crate::ErrorKind::Lower) error if the program cannot
-    /// be lowered (e.g. a region of rank above the VM's limit), or a
+    /// be lowered (e.g. a region of rank above the VM's limit), a
     /// [`Verify`](crate::ErrorKind::Verify) error carrying every
-    /// diagnostic when the verifier rejects the stream.
-    pub fn lower(prog: &ScalarProgram, binding: ConfigBinding) -> Result<Self, ExecError> {
+    /// diagnostic when the verifier rejects the stream, or a
+    /// [`Deadline`](crate::ErrorKind::Deadline) error when `deadline` has
+    /// passed before the lowering starts or before the verifier does (the
+    /// two polls of [`Deadline`]; the bytecode compiler and the verifier
+    /// run whole between them).
+    pub fn lower(
+        prog: &ScalarProgram,
+        binding: ConfigBinding,
+        deadline: Option<Instant>,
+    ) -> Result<Self, ExecError> {
+        let deadline = Deadline::start(deadline)?;
         let mut vm = Vm::new_superfused(prog, binding)?;
+        deadline.check()?;
         vm.verify().map_err(|diags| {
             let msgs: Vec<String> = diags.iter().map(|d| d.to_string()).collect();
             ExecError::verify(format!(
@@ -442,7 +469,7 @@ impl Engine {
         opts: ExecOpts,
     ) -> Result<Box<dyn Executor + 'p>, ExecError> {
         Ok(match self.knobs(opts) {
-            Some(knobs) => Box::new(SharedProgram::lower(prog, binding)?.executor(knobs)),
+            Some(knobs) => Box::new(SharedProgram::lower(prog, binding, None)?.executor(knobs)),
             None => Box::new(Interp::new(prog, binding)),
         })
     }

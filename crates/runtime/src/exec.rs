@@ -458,7 +458,7 @@ mod tests {
         let want = simulate(&sp, binding.clone(), &interp).unwrap();
 
         let cfg = ExecConfig::from_request(&req, t3e(), 16);
-        let lowered = loopir::SharedProgram::lower(&sp, binding.clone()).unwrap();
+        let lowered = loopir::SharedProgram::lower(&sp, binding.clone(), None).unwrap();
         let mut exec = lowered.executor(cfg.opts);
         let (_, sim, widest) = observed(&mut exec, &sp, &binding, &cfg).unwrap();
         assert_eq!((sim, widest), (want.clone(), 8));

@@ -309,6 +309,33 @@ impl Gen<'_> {
     }
 }
 
+/// A block of `len` statements that cannot fuse, each reading the one
+/// before it one point along: `[R] A1 := A0@e + 1.0`, then
+/// `[R] A2 := A1@e + 1.0`, ... over a haloed region. Every flow
+/// dependence has a non-null distance, so greedy pairwise fusion (the
+/// `c2+f4` level) tries and refuses every pair of clusters, and its cost
+/// grows with the cube of `len`: the optimizer's worst case on a long
+/// straight-line block. The first scalar sums the last array.
+pub fn unfusable_chain(len: usize) -> String {
+    let arrays: Vec<String> = (0..=len).map(|i| format!("A{i}")).collect();
+    let mut src = String::new();
+    let _ = writeln!(src, "program chain; config n : int = 8;");
+    let _ = writeln!(src, "region RH = [0..n+1]; region R = [1..n];");
+    let _ = writeln!(src, "direction e = [1];");
+    let _ = writeln!(
+        src,
+        "var {} : [RH] float; var s : float;",
+        arrays.join(", ")
+    );
+    let _ = writeln!(src, "begin [RH] A0 := index1;");
+    for i in 1..=len {
+        let _ = writeln!(src, "  [R] A{i} := A{}@e + 1.0;", i - 1);
+    }
+    let _ = writeln!(src, "  s := +<< [R] A{len};");
+    let _ = writeln!(src, "end");
+    src
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -94,6 +94,18 @@ impl LinExpr {
                 .sum::<i64>()
     }
 
+    /// Evaluates under a config binding exactly: `None` when a product
+    /// or a sum leaves `i64`, where [`LinExpr::eval`] would wrap.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a referenced config variable is missing from `binding`.
+    pub fn checked_eval(&self, binding: &ConfigBinding) -> Option<i64> {
+        self.terms.iter().try_fold(self.base, |sum, &(id, c)| {
+            sum.checked_add(c.checked_mul(binding.get(id))?)
+        })
+    }
+
     /// Adds a constant.
     pub fn offset(&self, delta: i64) -> Self {
         LinExpr {

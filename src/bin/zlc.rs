@@ -53,9 +53,13 @@
 //!   --set <name=value>            override an integer config (repeatable)
 //!   --supervise                   run under the fault-tolerant supervisor
 //!                                 (degrades engine/level on faults)
-//!   --deadline-ms <n>             wall-clock budget per run (shared by
-//!                                 the budgeted attempts under --supervise;
-//!                                 0 always runs out)
+//!   --deadline-ms <n>             wall-clock budget for the whole request:
+//!                                 one instant, measured from the start
+//!                                 (under serve: from admission, queue
+//!                                 wait included), that the compile and
+//!                                 every run and --supervise attempt share;
+//!                                 the first deadline fault fails the
+//!                                 request, exit 1 (0 always runs out)
 //!   --inject <plan>               install a deterministic fault plan, e.g.
 //!                                 `seed=42,vm-trap` or `seed=1,comm-drop:0.5`
 //!
@@ -67,10 +71,9 @@
 //!   --queue-cap <n>               bound the admission queue (default 0 =
 //!                                 unbounded)
 //!   --shed <policy>               what to do when the queue is full:
-//!                                 reject-newest or block (default block)
-//!   --deadline-ms <n>             in serve mode: total per-request
-//!                                 deadline measured from admission (queue
-//!                                 wait included); expired requests shed
+//!                                 reject-newest or block (default block);
+//!                                 a request whose --deadline-ms passes
+//!                                 while queued is shed too
 //!   --inject <plan>               in serve mode the plan is installed on
 //!                                 every worker, re-seeded per worker
 //! ```
@@ -94,6 +97,10 @@
 //! The plain mode lowers at most once: `--verify`, `--print bytecode` and
 //! `--run` share one `SharedProgram::lower`, and `--machine` only chooses
 //! what observes the run.
+//!
+//! Everything `zlc` prints as a result goes through one writer, [`out`]:
+//! a reader that closes the pipe early (`zlc f.zl --print loops | head -1`)
+//! ends the process quietly, with success.
 
 use fusion_core::pass::PassId;
 use fusion_core::serve::{serve_with, ServeOptions, ServeRequest, ShedPolicy};
@@ -102,12 +109,38 @@ use fusion_core::{CompileCache, RunRequest};
 use loopir::{Engine, ExecOpts, Executor, Interp, RunOutcome, SharedProgram, Vm};
 use machine::presets::MachineKind;
 use runtime::{simulate_executor, ExecConfig};
+use std::fmt;
+use std::io::{self, Write as _};
 use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Duration;
 use testkit::faults::{self, FaultPlan};
 use zlang::error::render_diagnostic;
 use zlang::ir::{ArrayId, ConfigBinding, Program};
+
+/// Writes a result to standard output: the one writer of everything `zlc`
+/// prints there. A closed pipe means the reader has what it asked for, so
+/// the process ends quietly with success; any other write error is one
+/// line on standard error and a failure. Never a panic.
+fn out(args: fmt::Arguments<'_>) {
+    if let Err(e) = io::stdout().lock().write_fmt(args) {
+        if e.kind() == io::ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        eprintln!("zlc: cannot write to standard output: {e}");
+        std::process::exit(1);
+    }
+}
+
+/// `print!` through [`out`].
+macro_rules! out {
+    ($($arg:tt)*) => { out(format_args!($($arg)*)) };
+}
+
+/// `println!` through [`out`].
+macro_rules! outln {
+    ($($arg:tt)*) => { out(format_args!("{}\n", format_args!($($arg)*))) };
+}
 
 struct Options {
     serve: bool,
@@ -413,16 +446,20 @@ fn fail(code: &str, message: &str, location: Option<&str>) -> ExitCode {
 /// Prints a run's scalars and its `-- N points, ...` statistics line.
 fn print_outcome(program: &Program, outcome: &RunOutcome) {
     for (i, s) in program.scalars.iter().enumerate() {
-        println!(
+        outln!(
             "{} = {}",
             s.name,
             outcome.scalar(zlang::ir::ScalarId(i as u32))
         );
     }
     let stats = &outcome.stats;
-    println!(
+    outln!(
         "-- {} points, {} loads, {} stores, {} flops, peak {} bytes",
-        stats.points, stats.loads, stats.stores, stats.flops, stats.peak_bytes
+        stats.points,
+        stats.loads,
+        stats.stores,
+        stats.flops,
+        stats.peak_bytes
     );
 }
 
@@ -447,7 +484,7 @@ fn run_supervised(opts: &Options, program: &Program) -> ExitCode {
         Ok(run) => {
             print_outcome(program, &run.outcome);
             if let Some(sim) = last_sim {
-                println!(
+                outln!(
                     "-- simulated x{}: {:.3} ms ({} msgs, {} bytes, {} retries)",
                     opts.procs,
                     sim.total_ms(),
@@ -456,7 +493,7 @@ fn run_supervised(opts: &Options, program: &Program) -> ExitCode {
                     sim.comm.retries,
                 );
             }
-            print!("{}", run.report.render());
+            out!("{}", run.report.render());
             ExitCode::SUCCESS
         }
         Err(e) => {
@@ -504,18 +541,12 @@ fn run_serve(opts: &Options) -> ExitCode {
     } else {
         opts.requests
     };
-    // In serve mode `--deadline-ms` is the total admission-to-completion
-    // deadline: queue wait is charged against it, and the supervisor gets
-    // only the remainder as the run's wall-clock budget.
-    let deadline = opts.request.deadline;
+    // The request carries `--deadline-ms`; the serve path measures it from
+    // each request's admission.
     let batch: Vec<ServeRequest> = (0..total)
         .map(|i| {
             let (name, source) = &programs[i % programs.len()];
-            let mut req = ServeRequest::new(name, source, opts.request.clone());
-            if let Some(d) = deadline {
-                req = req.with_deadline(d);
-            }
-            req
+            ServeRequest::new(name, source, opts.request.clone())
         })
         .collect();
     let mut serve_opts = ServeOptions::new()
@@ -529,7 +560,7 @@ fn run_serve(opts: &Options) -> ExitCode {
         }
     }
     let report = serve_with(&batch, &serve_opts, &cache);
-    print!("{}", report.render());
+    out!("{}", report.render());
     if report.failed() > 0 {
         ExitCode::FAILURE
     } else {
@@ -541,13 +572,13 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.iter().any(|a| a == "--list-engines") {
         for engine in Engine::all() {
-            println!("{engine}");
+            outln!("{engine}");
         }
         return ExitCode::SUCCESS;
     }
     if args.iter().any(|a| a == "--list-passes") {
         for pass in emittable_passes() {
-            println!("{pass}");
+            outln!("{pass}");
         }
         return ExitCode::SUCCESS;
     }
@@ -593,6 +624,9 @@ fn main() -> ExitCode {
         return run_supervised(&opts, &program);
     }
 
+    // The request's one deadline instant: the optimizer, the lowering and
+    // the run all stop at it.
+    let deadline = opts.request.deadline_from_now();
     let mut pipeline = opts.request.pipeline();
     if let Some(pass) = opts.emit {
         pipeline = pipeline.with_emit(pass);
@@ -600,11 +634,14 @@ fn main() -> ExitCode {
     if opts.favor_comm {
         pipeline = pipeline.with_forbidden(runtime::comm::favor_comm_pairs);
     }
-    let opt = pipeline.optimize(&program);
+    let opt = match pipeline.optimize_by(&program, deadline) {
+        Ok(opt) => opt,
+        Err(e) => return fail("exec", &e.to_string(), Some(&opts.file)),
+    };
 
     if let Some(pass) = opts.emit {
         match &opt.emitted {
-            Some(snapshot) => print!("{snapshot}"),
+            Some(snapshot) => out!("{snapshot}"),
             None => {
                 return fail(
                     "emit",
@@ -624,7 +661,7 @@ fn main() -> ExitCode {
     let vm_run = opts.run && opts.request.engine != Engine::Interp;
     let print_bytecode = opts.prints.iter().any(|p| p == "bytecode");
     let lowered = (opts.request.verify || print_bytecode || vm_run)
-        .then(|| SharedProgram::lower(&opt.scalarized, binding.clone()));
+        .then(|| SharedProgram::lower(&opt.scalarized, binding.clone(), deadline));
 
     if opts.request.verify {
         let mut errors = 0usize;
@@ -647,7 +684,7 @@ fn main() -> ExitCode {
             );
             return ExitCode::FAILURE;
         }
-        println!(
+        outln!(
             "verify: ok (pipeline stages and bytecode at level {}{})",
             opts.request.level_spec(),
             if warnings > 0 {
@@ -660,31 +697,31 @@ fn main() -> ExitCode {
 
     for what in &opts.prints {
         match what.as_str() {
-            "ir" => print!("{}", zlang::pretty::program(&program)),
-            "source" => print!("{}", zlang::pretty::source(&program)),
+            "ir" => out!("{}", zlang::pretty::program(&program)),
+            "source" => out!("{}", zlang::pretty::source(&program)),
             // The compile cache's content digest of the source program
             // (binding-independent; see fusion_core::hash).
-            "hash" => println!("{:016x}", fusion_core::hash::program_hash(&program)),
-            "loops" => print!("{}", loopir::printer::print(&opt.scalarized)),
+            "hash" => outln!("{:016x}", fusion_core::hash::program_hash(&program)),
+            "loops" => out!("{}", loopir::printer::print(&opt.scalarized)),
             // The one lowered program every VM engine name runs.
             "bytecode" => match lowered.as_ref().expect("lowered for --print bytecode") {
-                Ok(shared) => print!("{}", Vm::from_shared(shared).disasm()),
+                Ok(shared) => out!("{}", Vm::from_shared(shared).disasm()),
                 Err(e) => return fail("compile", &e.to_string(), Some(&opts.file)),
             },
             "asdg" => {
                 // The pipeline's cached per-block analyses, not a rebuild:
                 // what is printed is exactly what fusion consumed.
                 for (bi, (block, detail)) in opt.norm.blocks.iter().zip(&opt.details).enumerate() {
-                    println!("// block {bi}");
-                    print!(
+                    outln!("// block {bi}");
+                    out!(
                         "{}",
                         fusion_core::asdg::to_dot(&opt.norm.program, block, &detail.asdg)
                     );
                 }
             }
             "report" => {
-                print!("{}", fusion_core::explain::report(&opt));
-                println!(
+                out!("{}", fusion_core::explain::report(&opt));
+                outln!(
                     "arrays: {} -> {} ({} nests; {} defs contracted{})",
                     opt.report.before(),
                     opt.report.after(),
@@ -709,7 +746,7 @@ fn main() -> ExitCode {
             Some(Err(e)) => return fail("exec", &e.to_string(), Some(&opts.file)),
             None => Box::new(Interp::new(&opt.scalarized, binding.clone())),
         };
-        exec.set_deadline(opts.request.deadline_from_now());
+        exec.set_deadline(deadline);
         let program = &opt.scalarized.program;
         match opts.machine {
             None => match exec.execute(&mut loopir::NoopObserver) {
@@ -720,7 +757,7 @@ fn main() -> ExitCode {
                 let cfg = ExecConfig::new(kind.machine(), opts.procs);
                 match simulate_executor(&mut *exec, &opt.scalarized, &binding, &cfg) {
                     Ok((_, r)) => {
-                        println!(
+                        outln!(
                             "{} x{}: {:.3} ms simulated ({:.3} ms compute, {:.3} ms comm, \
                              {} msgs, {} bytes, {} l1 misses, peak {} bytes)",
                             kind.name(),

@@ -317,7 +317,10 @@ fn expired_deadlines_shed_without_compiling_under_load() {
     let cache = Arc::new(CompileCache::new());
     let reqs: Vec<ServeRequest> = batch(1)
         .into_iter()
-        .map(|r| r.with_deadline(Duration::from_millis(5)))
+        .map(|mut r| {
+            r.request = r.request.with_deadline(Duration::from_millis(5));
+            r
+        })
         .collect();
     let opts = ServeOptions::new()
         .with_workers(8)

@@ -109,7 +109,7 @@ fn out_of_region_access_is_reported_not_crashed() {
             assert_eq!(err.kind, ErrorKind::Access, "{level} {engine}: {err}");
             assert!(err.message.contains("halo"), "{level} {engine}: {err}");
         }
-        let shared = SharedProgram::lower(&opt.scalarized, binding()).unwrap();
+        let shared = SharedProgram::lower(&opt.scalarized, binding(), None).unwrap();
         assert!(
             checked_access_is_tiled(&Vm::from_shared(&shared).disasm()),
             "{level}: the faulting nest is not a ladder that fans out"

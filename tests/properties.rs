@@ -16,6 +16,7 @@ use zpl_fusion::fusion::fusion::{FusionCtx, Partition};
 use zpl_fusion::fusion::loopstruct::find_loop_structure;
 use zpl_fusion::fusion::normal;
 use zpl_fusion::fusion::pipeline::{Level, Pipeline};
+use zpl_fusion::loops::Deadline;
 use zpl_fusion::prelude::*;
 
 /// One randomly generated statement: which array it writes and an
@@ -175,7 +176,8 @@ fn fusion_partitions_are_valid() {
                 defs,
                 &np.default_binding(),
             );
-            ctx.fusion_for_contraction(&mut part, &defs);
+            ctx.fusion_for_contraction(&mut part, &defs, &mut Deadline::default())
+                .unwrap();
             assert!(
                 ctx.validate(&part).is_ok(),
                 "{:?}\n{src}",
@@ -192,9 +194,11 @@ fn fusion_partitions_are_valid() {
                 all,
                 &np.default_binding(),
             );
-            ctx.fusion_for_locality(&mut part, &all);
+            ctx.fusion_for_locality(&mut part, &all, &mut Deadline::default())
+                .unwrap();
             assert!(ctx.validate(&part).is_ok());
-            ctx.pairwise_fusion(&mut part);
+            ctx.pairwise_fusion(&mut part, &mut Deadline::default())
+                .unwrap();
             assert!(ctx.validate(&part).is_ok());
         }
     });

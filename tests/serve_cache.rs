@@ -179,7 +179,7 @@ fn supervisor_runs_hit_the_attached_cache_at(spec: &str) {
     let binding = req.binding_for(&program).unwrap();
     let key = CacheKey::for_request(&program, &binding, &req);
     assert_eq!(key.spec.to_string(), spec);
-    let (_, depth) = cache.compile(&program, &binding, key).unwrap();
+    let (_, depth) = cache.compile(&program, &binding, key, None).unwrap();
     assert_eq!(depth, Depth::Hit, "{spec}");
     assert_eq!(
         cache.len(),
@@ -217,7 +217,7 @@ fn simulated_and_plain_runs_share_one_artifact() {
     assert_eq!((cache.stats().insertions, cache.len()), (1, 1));
     let binding = req.binding_for(&program).unwrap();
     let key = CacheKey::for_request(&program, &binding, &req);
-    let (artifact, depth) = cache.compile(&program, &binding, key).unwrap();
+    let (artifact, depth) = cache.compile(&program, &binding, key, None).unwrap();
     assert_eq!(depth, Depth::Hit);
     assert!(artifact.shared.is_some());
 }
@@ -256,7 +256,7 @@ fn cleanup_suffixes_are_distinct_serve_keys() {
     for req in &reqs {
         let binding = req.binding_for(&program).unwrap();
         let key = CacheKey::for_request(&program, &binding, req);
-        let (_, depth) = cache.compile(&program, &binding, key).unwrap();
+        let (_, depth) = cache.compile(&program, &binding, key, None).unwrap();
         assert_eq!(depth, Depth::Hit, "{req}");
     }
 }

@@ -362,7 +362,7 @@ fn differential(sp: &ScalarProgram, binding: &ConfigBinding, ctx: &str, shows: &
 
 /// The register frame a `vm-simd` run at `lanes` leaves, as bits.
 fn frame(sp: &ScalarProgram, binding: &ConfigBinding, lanes: usize) -> Vec<u64> {
-    let mut vm = SharedProgram::lower(sp, binding.clone())
+    let mut vm = SharedProgram::lower(sp, binding.clone(), None)
         .unwrap()
         .executor(ExecOpts { threads: 1, lanes });
     vm.execute(&mut NoopObserver).unwrap();
@@ -801,7 +801,7 @@ fn a_deadline_stops_lanes_and_tiles_mid_run() {
         .unwrap()
         .execute(&mut NoopObserver)
         .unwrap();
-    let shared = SharedProgram::lower(sp, binding).unwrap();
+    let shared = SharedProgram::lower(sp, binding, None).unwrap();
     for threads in [1usize, 2, 4] {
         for lanes in [1usize, 3, 128] {
             let ctx = format!("{threads} threads x{lanes}");

@@ -23,7 +23,7 @@ fn concurrent_borrowers_share_pools_without_crosstalk() {
     let opt = Pipeline::new(Level::C2F3).optimize(&bench.program());
     let mut binding = ConfigBinding::defaults(&opt.scalarized.program);
     binding.set_by_name(&opt.scalarized.program, bench.size_config, 64);
-    let shared = Arc::new(SharedProgram::lower(&opt.scalarized, binding).unwrap());
+    let shared = Arc::new(SharedProgram::lower(&opt.scalarized, binding, None).unwrap());
     let bits = |o: &RunOutcome| o.scalars.iter().map(|s| s.to_bits()).collect::<Vec<_>>();
     let want = bits(
         &shared

@@ -101,7 +101,7 @@ fn vm_par_is_bit_identical_to_interp_at_every_thread_count() {
                     .executor(&opt.scalarized, binding.clone())
                     .unwrap();
                 let reference = interp.execute(&mut NoopObserver).unwrap();
-                let shared = SharedProgram::lower(&opt.scalarized, binding).unwrap();
+                let shared = SharedProgram::lower(&opt.scalarized, binding, None).unwrap();
                 for threads in [1usize, 2, 4] {
                     let knobs = Engine::VmPar.knobs(ExecOpts::with_threads(threads));
                     let mut vm = shared.executor(knobs.unwrap());
@@ -153,7 +153,7 @@ fn vm_par_pools_carry_no_state_from_one_program_to_the_next() {
                 .unwrap()
                 .execute(&mut NoopObserver)
                 .unwrap();
-            let shared = SharedProgram::lower(&opt.scalarized, binding).unwrap();
+            let shared = SharedProgram::lower(&opt.scalarized, binding, None).unwrap();
             (name, reference, shared)
         })
         .collect();
@@ -315,7 +315,7 @@ fn vm_par_reduction_ladders_fold_in_position_order() {
                 .executor(sp, binding.clone())
                 .unwrap()
                 .execute(&mut NoopObserver);
-            let shared = SharedProgram::lower(sp, binding).unwrap();
+            let shared = SharedProgram::lower(sp, binding, None).unwrap();
             let listing = Vm::from_shared(&shared).disasm();
             let ladders = listing
                 .lines()
